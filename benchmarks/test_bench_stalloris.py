@@ -13,8 +13,8 @@ Three claims, pinned in ``BENCH_stalloris.json``:
 2. **The scheduler bounds the damage.**  The per-authority deadline
    scheduler defers the attacker's slow children instead, so unrelated
    authorities' staleness stays pinned under the fairness bound — the
-   victims never downgrade, on every engine (serial / incremental /
-   parallel).
+   victims never downgrade, with or without validation state kept
+   across refreshes (serial / incremental).
 
 3. **Defense is nearly free.**  On a clean ``internet-small`` refresh
    (10^4 ROAs, no faults) the scheduled relying party stays within
@@ -43,7 +43,7 @@ from repro.repository.scheduler import SchedulerConfig
 from repro.rp import RelyingParty
 from repro.telemetry import MetricsRegistry
 
-ENGINES = ("serial", "incremental", "parallel")
+ENGINES = ("serial", "incremental")
 CONFIG = StallorisConfig()          # 8 amplified points, 5 attack cycles
 OVERHEAD_BOUND = 1.10
 CAMPAIGN_CYCLES = 200

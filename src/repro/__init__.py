@@ -12,7 +12,7 @@ Layering (import order is strictly bottom-up)::
 
     telemetry / simtime (substrate: metrics, simulated time)
     resources -> crypto -> rpki -> repository -> rp -> bgp -> rtr
-                        \\- parallel (worker pools; used by rp and modelgen)
+                        \\- parallel (keygen worker pool; used by modelgen)
                                    \\- api (the origin-validation query plane)
                                    \\------------ core / monitor / jurisdiction
                                                   modelgen (fixtures & generators)
@@ -91,7 +91,7 @@ from .modelgen import (
     expected_keypairs,
     figure2_bgp,
 )
-from .parallel import ParallelEngine, WorkerPool, prefill_keys
+from .parallel import WorkerPool, prefill_keys
 from .monitor import (
     ChurnConfig,
     ChurnEngine,
@@ -164,7 +164,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
@@ -180,7 +180,7 @@ __all__ = [
     "Figure2World", "Gauge", "HOUR", "Histogram", "HistoryEntry",
     "INTERNET_SCALES", "IncrementalState", "KeyFactory", "LocalCache",
     "MetricsRegistry",
-    "OriginValidationOutcome", "PERSISTENT", "ParallelEngine", "PathValidator",
+    "OriginValidationOutcome", "PERSISTENT", "PathValidator",
     "PlannedFault", "Prefix", "PrefixTrie", "QueryService", "QueryStatus",
     "RateLimitConfig", "RefreshReport", "RelyingParty", "RepositoryRegistry",
     "RepositoryServer", "ResilienceConfig", "ResourceCertificate",

@@ -9,9 +9,9 @@ that the relying parties uphold their robustness contract:
 
 - **safety**: a faulted relying party never validates a VRP the clean
   one would not (faults subtract, never invent);
-- **equivalence**: serial, incremental, and parallel engines agree
-  exactly under an identical fault stream, as does an attached RTR
-  router after resync;
+- **equivalence**: keeping validation state never changes a verdict —
+  the serial and incremental relying parties agree exactly under an
+  identical fault stream, as does an attached RTR router after resync;
 - **no-crash**: no fault, however malformed, escapes containment as an
   unhandled exception;
 - **bounded interference**: a relying party running the fetch scheduler

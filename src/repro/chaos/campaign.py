@@ -1,22 +1,21 @@
 """The chaos-campaign runner: randomized fault plans, checked invariants.
 
-One campaign builds **four identically seeded worlds** — the same trick
-``repro.cli``'s perf command uses for its parallel comparison — and runs
-them in clock lockstep for N refresh cycles:
+One campaign builds **four identically seeded worlds** and runs them in
+clock lockstep for N refresh cycles:
 
 - *clean*: no faults at all; the ground truth.
-- *serial*, *incremental*, *parallel*: one relying party each, all three
-  fed the **identical** seeded fault plan through their own
+- *serial*, *incremental*: a relying party that keeps no validation
+  state between refreshes and one that does, both fed the **identical**
+  seeded fault plan through their own
   :class:`~repro.repository.faults.FaultInjector` (same seed, same fetch
   order, therefore the same fault stream).
-
-A fifth *scheduled* world rides along: a serial relying party running
-the :class:`~repro.repository.scheduler.FetchScheduler` defense under
-the same fault plan.  Its fetch order legitimately diverges (deferral is
-the whole point), so it is exempt from the equivalence invariant but
-subject to safety — and to **bounded interference**: under any plan, a
-slow or amplifying authority must not starve *unrelated* authorities'
-publication points beyond a configured staleness bound.
+- *scheduled*: a serial relying party running the
+  :class:`~repro.repository.scheduler.FetchScheduler` defense under the
+  same fault plan.  Its fetch order legitimately diverges (deferral is
+  the whole point), so it is exempt from the equivalence invariant but
+  subject to safety — and to **bounded interference**: under any plan,
+  a slow or amplifying authority must not starve *unrelated*
+  authorities' publication points beyond a configured staleness bound.
 
 An RTR fan-out rides on the serial variant: the cache + router pair,
 plus a :class:`~repro.rtr.CacheChain` of non-validating caches
@@ -28,8 +27,9 @@ After every cycle three invariants are checked:
 
 - **safety** — each faulted variant's VRP set is a subset of the clean
   run's: faults may *remove* validated origins, never invent them.
-- **equivalence** — serial, incremental, and parallel RPs agree exactly
-  under the identical fault plan, the attached router's table matches
+- **equivalence** — keeping state never changes a verdict: the serial
+  and incremental RPs agree exactly under the identical fault plan, the
+  attached router's table matches
   after resync, and **every chained cache in every tier** serves exactly
   the validating RP's set once pumped.
 - **no-crash** — nothing anywhere raises out of the cycle: a violation
@@ -77,8 +77,9 @@ __all__ = [
     "shrink_plan",
 ]
 
-# The three faulted execution strategies compared against clean.
-_VARIANTS = ("serial", "incremental", "parallel")
+# The faulted relying parties compared against clean: fresh state every
+# refresh vs. state kept across refreshes.
+_VARIANTS = ("serial", "incremental")
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,6 @@ class CampaignConfig:
     cycles: int = 20
     gap_seconds: int = 900       # simulated time between cycles
     attempt_timeout: int = 600   # fetcher deadline (bounds STALL cost)
-    workers: int = 1             # pool size of the parallel variant
     rir_count: int = 2           # breadth of the generated deployment
     isps_per_rir: int = 1
     customers_per_isp: int = 1
@@ -185,8 +185,7 @@ class _Variant:
         )
         self.rp = RelyingParty(
             world.trust_anchors, fetcher,
-            mode=(name if name in ("incremental", "parallel") else "serial"),
-            workers=(config.workers if name == "parallel" else 0),
+            mode=(name if name in _VARIANTS else "serial"),
             schedule=schedule,
             metrics=self.metrics,
         )

@@ -3,7 +3,8 @@
 This module stages the delegation-tree amplification attack end to end
 and measures its one observable harm — *unrelated authorities' data going
 stale* — with and without the :class:`~repro.repository.scheduler.
-FetchScheduler` defense, across all three validation engines.
+FetchScheduler` defense, with and without validation state kept across
+refreshes.
 
 The attack (PAPERS.md, "Stalloris: RPKI downgrade attack"): one
 misbehaving authority mints many delegated publication points
@@ -48,8 +49,8 @@ __all__ = [
     "measure_stalloris",
 ]
 
-# Engines measured; each gets an unscheduled and a scheduled run.
-_ENGINES = ("serial", "incremental", "parallel")
+# Relying-party modes measured; each gets an unscheduled and a scheduled run.
+_ENGINES = ("serial", "incremental")
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,6 @@ class StallorisConfig:
     rir_count: int = 2
     isps_per_rir: int = 2
     customers_per_isp: int = 1
-    workers: int = 1            # pool size of the parallel engine
 
     def __post_init__(self) -> None:
         if self.amplification_points < 1:
@@ -196,7 +196,6 @@ def _measure_one(
     rp = RelyingParty(
         world.trust_anchors, fetcher,
         mode=engine,
-        workers=(config.workers if engine == "parallel" else 0),
         stale_grace=config.stale_grace,
         fetch_budget=(None if scheduled else config.fetch_budget),
         schedule=(config.scheduler() if scheduled else None),

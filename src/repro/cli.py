@@ -14,7 +14,7 @@
     python -m repro sideeffects     # all seven side effects, demonstrated
     python -m repro resilience      # stalled authority vs. resilient fetcher
     python -m repro perf            # cold vs. warm incremental revalidation
-    python -m repro refresh         # one refresh cycle, optionally parallel
+    python -m repro refresh         # one refresh cycle over a generated world
     python -m repro chaos           # Byzantine fault campaign + shrink demo
     python -m repro stalloris       # amplified slowdown vs. fetch scheduler
     python -m repro api             # the origin-validation query plane
@@ -393,13 +393,11 @@ def cmd_refresh(args) -> None:
 
     scale, config = _deployment_config(args, "medium", 21)
     world = build_deployment(config, workers=args.workers)
-    rp = _build_rp(world, workers=args.workers)
+    rp = _build_rp(world)
     registry = rp.metrics
     world.clock.advance(HOUR)
     report = rp.refresh()
-    mode = (f"parallel ({args.workers} workers)" if args.workers
-            else "serial")
-    print(f"One {mode} refresh over the {scale!r} deployment\n")
+    print(f"One refresh over the {scale!r} deployment\n")
     print(f"deployment: {world.roa_count()} ROAs across "
           f"{len(world.authorities())} authorities "
           f"(suballocation depth {config.suballocation_depth})")
@@ -410,12 +408,7 @@ def cmd_refresh(args) -> None:
     print(f"RSA verifications: {int(verifies)}")
     if args.workers:
         jobs = registry.get("repro_parallel_jobs_total")
-        deduped = registry.get("repro_parallel_jobs_deduped_total")
-        print(f"verify jobs dispatched to the pool: "
-              f"{int(jobs.value(kind='verify'))}")
-        print(f"verify jobs deduplicated before dispatch: "
-              f"{int(deduped.value())}")
-        print(f"keygen jobs dispatched to the pool: "
+        print(f"keygen jobs dispatched to the build's pool: "
               f"{int(jobs.value(kind='keygen'))}")
     print(f"validated CAs: {len(report.run.validated_cas)}  "
           f"ROAs: {len(report.run.validated_roas)}  "
@@ -439,14 +432,6 @@ def cmd_perf(args) -> None:
     world = build_deployment(config)
     rp = _build_rp(world, mode="incremental")
     registry = rp.metrics
-    par_rp = None
-    par_world = None
-    if args.workers:
-        # An identically seeded second world for the parallel engine;
-        # both relying parties book verifications into the same default
-        # registry, so the deltas are taken around each refresh in turn.
-        par_world = build_deployment(config)
-        par_rp = _build_rp(par_world, workers=args.workers)
 
     def verify_total() -> float:
         counter = registry.get("repro_crypto_verify_total")
@@ -465,40 +450,25 @@ def cmd_perf(args) -> None:
     churn_epoch = epochs // 2
     churned_ca = next(ca for ca in world.authorities() if ca.issued_roas)
     roa_name = next(iter(churned_ca.issued_roas))
-    if par_world is not None:
-        churned_par = next(
-            ca for ca in par_world.authorities()
-            if ca.handle == churned_ca.handle
-        )
     # Step off the objects' exact not_before instants: a run performed
     # while now sits *on* a validity boundary is conservatively
     # revalidated after the boundary passes (see repro.rp.incremental).
     world.clock.advance(HOUR)
-    if par_world is not None:
-        par_world.clock.advance(HOUR)
 
     print("Incremental validation: cold start, then steady-state refreshes\n")
     print(f"deployment: {world.roa_count()} ROAs across "
           f"{len(world.authorities())} authorities; one ROA renewed at "
           f"epoch {churn_epoch}\n")
-    header = ("epoch  kind   RSA-verifies  memo-hit-rate  "
-              "points reused/validated  VRPs")
-    if par_rp is not None:
-        header += "  par-verifies  par=?"
-    print(header)
+    print("epoch  kind   RSA-verifies  memo-hit-rate  "
+          "points reused/validated  VRPs")
     cold_verifies = warm_verifies = 0.0
-    par_cold = 0.0
     for epoch in range(epochs):
         kind = "cold"
         if epoch > 0:
             world.clock.advance(HOUR)
-            if par_world is not None:
-                par_world.clock.advance(HOUR)
             kind = "warm"
         if epoch == churn_epoch:
             churned_ca.renew_roa(roa_name)
-            if par_world is not None:
-                churned_par.renew_roa(roa_name)
             kind = "churn"
         v0, (h0, m0), (r0, c0) = verify_total(), memo_counts(), point_counts()
         report = rp.refresh()
@@ -509,33 +479,13 @@ def cmd_perf(args) -> None:
             cold_verifies = v1 - v0
         elif epoch == 1:
             warm_verifies = v1 - v0
-        row = (f"{epoch:>5}  {kind:<5}  {int(v1 - v0):>12}  "
-               f"{hit_rate:>12.1%}  {int(r1 - r0):>13}/{int(c1 - c0)}"
-               f"  {len(report.vrps):>4}")
-        if par_rp is not None:
-            pv0 = verify_total()
-            par_report = par_rp.refresh()
-            pv1 = verify_total()
-            if epoch == 0:
-                par_cold = pv1 - pv0
-            same = set(par_report.vrps) == set(report.vrps)
-            row += f"  {int(pv1 - pv0):>12}  {'yes' if same else 'NO'}"
-        print(row)
+        print(f"{epoch:>5}  {kind:<5}  {int(v1 - v0):>12}  "
+              f"{hit_rate:>12.1%}  {int(r1 - r0):>13}/{int(c1 - c0)}"
+              f"  {len(report.vrps):>4}")
     print(f"\n=> zero-churn warm refresh: {int(warm_verifies)} RSA "
           f"verifications (cold start needed {int(cold_verifies)});\n"
           "   renewing one ROA revalidates one publication point — cost\n"
           "   tracks churn, not repository size (docs/performance.md).")
-    if par_rp is not None:
-        print(f"   parallel engine ({args.workers} workers, no cross-epoch "
-              f"state): {int(par_cold)} RSA\n"
-              "   verifications every refresh — it matches the incremental "
-              "cold pass (both\n"
-              "   deduplicate within a refresh; a memo-less serial pass "
-              "repeats every\n"
-              "   discovery round) and spreads the batch across the pool, "
-              "but only the\n"
-              "   incremental memo carries work across epochs.  Results "
-              "match every epoch.")
 
 
 def cmd_chaos(args) -> None:
@@ -543,7 +493,7 @@ def cmd_chaos(args) -> None:
 
     config = CampaignConfig(seed=_seed(args, 7), cycles=args.cycles)
     print(f"Chaos campaign: seed {config.seed}, {config.cycles} cycles — "
-          "serial vs incremental vs\nparallel relying parties, a scheduled "
+          "serial vs incremental\nrelying parties, a scheduled "
           "RP, plus an RTR router, under one\nseeded fault plan\n")
     result = run_campaign(config)
     print(f"fault plan ({len(result.plan)} faults):")
@@ -593,7 +543,7 @@ def cmd_stalloris(args) -> None:
     print("Stalloris-grade slowdown: one authority's delegation tree turns "
           "into\n"
           f"{config.amplification_points} stalled publication points; "
-          "every engine measured with the global\n"
+          "both modes measured with the global\n"
           f"fetch budget ({config.fetch_budget}s) and with the per-authority "
           f"scheduler ({config.attempt_timeout}s/host)\n")
     report = measure_stalloris(config)
@@ -907,11 +857,12 @@ def build_parser() -> argparse.ArgumentParser:
                 help="refresh epochs to run (stalled-authority or "
                      "cold-vs-warm sweep)",
             )
-        if name in ("refresh", "perf", "profile", "all"):
+        if name in ("refresh", "profile", "all"):
             sub.add_argument(
                 "--workers", type=int, default=0,
-                help="worker processes for the parallel validation engine "
-                     "(0 = serial, the default)",
+                help="worker processes for the world build's keypair "
+                     "prefill (0 = generate keys in-process, the default); "
+                     "validation itself is never pooled",
             )
         if name in ("profile", "all"):
             sub.add_argument(

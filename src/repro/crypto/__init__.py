@@ -19,8 +19,6 @@ from .rsa import (
     generate_keypair,
     generate_keypair_raw,
     record_keygens,
-    record_verifications,
-    verify_raw,
 )
 
 __all__ = [
@@ -41,8 +39,6 @@ __all__ = [
     "is_probable_prime",
     "key_id_of",
     "record_keygens",
-    "record_verifications",
     "sha256",
     "sha256_hex",
-    "verify_raw",
 ]

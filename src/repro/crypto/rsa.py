@@ -26,8 +26,6 @@ __all__ = [
     "RsaPrivateKey",
     "generate_keypair",
     "generate_keypair_raw",
-    "verify_raw",
-    "record_verifications",
     "record_keygens",
 ]
 
@@ -90,11 +88,11 @@ class RsaPublicKey:
         Structural errors (wrong length) return False rather than raising,
         so relying-party code can treat any bad signature uniformly.
         """
-        ok = self._verify_raw(message, signature)
+        ok = self._check_signature(message, signature)
         _VERIFY_TOTAL.labels(outcome="accepted" if ok else "rejected").inc()
         return ok
 
-    def _verify_raw(self, message: bytes, signature: bytes) -> bool:
+    def _check_signature(self, message: bytes, signature: bytes) -> bool:
         """The uninstrumented check (benchmarked against :meth:`verify`)."""
         if len(signature) != self.modulus_bytes:
             return False
@@ -237,32 +235,6 @@ def generate_keypair_raw(
             q_inv=pow(q, -1, p),
             extra=tuple(extra),
         )
-
-
-def verify_raw(modulus: int, exponent: int, message: bytes, signature: bytes) -> bool:
-    """Uninstrumented signature check from plain integers and bytes.
-
-    The pickle-safe pure-function form of :meth:`RsaPublicKey.verify`,
-    for pool workers: no telemetry, no object graph — the parent
-    aggregates outcomes with :func:`record_verifications`.
-    """
-    return RsaPublicKey(modulus=modulus, exponent=exponent)._verify_raw(
-        message, signature
-    )
-
-
-def record_verifications(accepted: int, rejected: int) -> None:
-    """Credit verifications performed elsewhere to this process's registry.
-
-    Pool workers run :func:`verify_raw`, which deliberately does not
-    count; the parent calls this once per reassembled batch so
-    ``repro_crypto_verify_total`` keeps meaning "modular exponentiations
-    performed on behalf of this process".
-    """
-    if accepted:
-        _VERIFY_TOTAL.labels(outcome="accepted").inc(accepted)
-    if rejected:
-        _VERIFY_TOTAL.labels(outcome="rejected").inc(rejected)
 
 
 def record_keygens(count: int) -> None:

@@ -1,49 +1,39 @@
-"""Deterministic process-pool parallelism for validation and keygen.
+"""Deterministic process-pool parallelism for keypair generation.
 
-The reproduction's cold costs — RSA signature verification across every
-publication point of a refresh, and keypair generation when
-:func:`repro.modelgen.build_deployment` builds a model RPKI — are
-embarrassingly parallel piles of pure functions.  This package schedules
-them across a ``multiprocessing`` pool without giving up a single
-deterministic property:
+Building a model RPKI (:func:`repro.modelgen.build_deployment`) spends
+most of its time in keypair generation — an embarrassingly parallel pile
+of pure ~10 ms prime searches.  This package schedules them across a
+``multiprocessing`` pool without giving up a single deterministic
+property:
 
 - :class:`WorkerPool` — a context-managed pool (never module-level; the
   telemetry lint enforces it) with chunked submission, strictly ordered
   result reassembly, in-parent exception propagation, and a serial
   in-process fallback for ``workers=0`` or platforms without a usable
   start method.
-- :class:`ParallelEngine` — collects the signature checks a validation
-  pass will need, deduplicates them through the content-addressed
-  verification memo, dispatches only the novel ones, and replays
-  already-validated publication points within a refresh.
-  ``RelyingParty(workers=N)`` produces a ``ValidationRun`` equal to the
-  serial path's for every ``N``.
 - :func:`prefill_keys` — fans a :class:`~repro.crypto.KeyFactory`'s
   independent per-index RNG streams out across the pool; builds stay
   byte-identical to serial ones.
 
 Workers only ever run the uninstrumented ``*_raw`` crypto entry points;
 the parent credits their work to its registry afterwards
-(:func:`repro.crypto.rsa.record_verifications` /
-:func:`~repro.crypto.rsa.record_keygens`), so telemetry stays
-single-process truthful.  See docs/performance.md for the job model and
-when ``workers > 0`` pays off.
+(:func:`repro.crypto.rsa.record_keygens`), so telemetry stays
+single-process truthful.  Signature verification is deliberately *not*
+pooled: one verification is a ~20 µs modular exponentiation, smaller
+than the cost of pickling its job (docs/performance.md has the
+measurement that retired the verification pool).
 """
 
-from .jobs import KeygenJob, VerifyJob, verify_job_for
+from .jobs import KeygenJob
 from .pool import DEFAULT_CHUNK_JOBS, WorkerPool
-from .engine import ParallelEngine, prefill_keys
-from .worker import keygen_batch, registry_probe, verify_batch
+from .prefill import prefill_keys
+from .worker import keygen_batch, registry_probe
 
 __all__ = [
     "DEFAULT_CHUNK_JOBS",
     "KeygenJob",
-    "ParallelEngine",
-    "VerifyJob",
     "WorkerPool",
     "keygen_batch",
     "prefill_keys",
     "registry_probe",
-    "verify_batch",
-    "verify_job_for",
 ]

@@ -1,33 +1,20 @@
 """Pickle-safe job descriptions for the process-pool scheduling layer.
 
-A job carries *only* plain integers and bytes — no :class:`SignedObject`
-graph, no key objects with methods bound to parent-process state — so the
-cost of shipping one to a worker is a small pickle, and nothing about the
-parent's registries, caches, or clocks leaks across the process boundary.
-Both job types are pure descriptions: executing the same job twice (or in
-two different processes) yields the same answer, which is what lets
-:mod:`repro.parallel.pool` reassemble results in submission order and
-guarantee output identical to the serial path.
+A job carries *only* plain integers — no key objects with methods bound
+to parent-process state — so the cost of shipping one to a worker is a
+small pickle, and nothing about the parent's registries, caches, or
+clocks leaks across the process boundary.  A job is a pure description:
+executing the same job twice (or in two different processes) yields the
+same answer, which is what lets :mod:`repro.parallel.pool` reassemble
+results in submission order and guarantee output identical to the serial
+path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto import RsaPublicKey
-from ..rpki.objects import SignedObject
-
-__all__ = ["KeygenJob", "VerifyJob", "verify_job_for"]
-
-
-@dataclass(frozen=True)
-class VerifyJob:
-    """One RSA signature check: ``verify_raw(modulus, exponent, ...)``."""
-
-    modulus: int
-    exponent: int
-    message: bytes
-    signature: bytes
+__all__ = ["KeygenJob"]
 
 
 @dataclass(frozen=True)
@@ -42,13 +29,3 @@ class KeygenJob:
 
     bits: int
     stream_seed: int
-
-
-def verify_job_for(obj: SignedObject, key: RsaPublicKey) -> VerifyJob:
-    """The :class:`VerifyJob` equivalent of ``obj.verify_signature(key)``."""
-    return VerifyJob(
-        modulus=key.modulus,
-        exponent=key.exponent,
-        message=obj.signed_bytes,
-        signature=obj.signature,
-    )

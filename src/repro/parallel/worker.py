@@ -6,8 +6,7 @@ the telemetry registry: a worker's counter increments would either be
 invisible to the parent (``spawn``) or double-book against a stale
 ``fork``-inherited copy of the registry, so workers compute and return,
 and the parent credits the aggregate through
-:func:`repro.crypto.rsa.record_verifications` /
-:func:`~repro.crypto.rsa.record_keygens`.  ``tests/parallel`` asserts the
+:func:`repro.crypto.rsa.record_keygens`.  ``tests/parallel`` asserts the
 isolation by snapshotting a worker's registry before and after a batch.
 """
 
@@ -16,10 +15,10 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
-from ..crypto.rsa import RsaPrivateKey, generate_keypair_raw, verify_raw
-from .jobs import KeygenJob, VerifyJob
+from ..crypto.rsa import RsaPrivateKey, generate_keypair_raw
+from .jobs import KeygenJob
 
-__all__ = ["keygen_batch", "registry_probe", "verify_batch"]
+__all__ = ["keygen_batch", "registry_probe"]
 
 # The crypto counters whose isolation the probe reports on.
 _PROBED_COUNTERS = (
@@ -27,14 +26,6 @@ _PROBED_COUNTERS = (
     "repro_crypto_keygen_total",
     "repro_crypto_sign_total",
 )
-
-
-def verify_batch(jobs: Sequence[VerifyJob]) -> list[bool]:
-    """Verdicts for one chunk of verify jobs, in submission order."""
-    return [
-        verify_raw(job.modulus, job.exponent, job.message, job.signature)
-        for job in jobs
-    ]
 
 
 def keygen_batch(jobs: Sequence[KeygenJob]) -> list[RsaPrivateKey]:
@@ -49,7 +40,7 @@ def registry_probe(jobs: Iterable[object]) -> list[dict[str, float]]:
     """This process's crypto-counter totals, one snapshot per job.
 
     A test instrument, dispatched through the same pool as real batches:
-    two probes bracketing a pile of verify/keygen work must return equal
+    two probes bracketing a pile of keygen work must return equal
     snapshots, proving the worker functions never increment the (possibly
     fork-inherited) registry copy living in the worker process.
     """

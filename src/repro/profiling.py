@@ -63,7 +63,7 @@ class ProfileReport:
 
     scale: str
     seed: int
-    mode: str                 # "serial" / "incremental" / "parallel(N)"
+    mode: str                 # "serial" / "incremental"
     lean: bool
     roa_count: int
     authority_count: int
@@ -185,7 +185,7 @@ def profile_refresh(
     *,
     seed: int | None = None,
     top: int = 15,
-    mode: str | None = None,
+    mode: str = "serial",
     workers: int = 0,
     lean: bool = True,
 ) -> ProfileReport:
@@ -207,8 +207,9 @@ def profile_refresh(
 
     *lean* defaults to True (the streaming relying party) because that
     is the configuration the Internet scales are meant to run in; pass
-    ``lean=False`` to profile object retention too.  *mode*/*workers*
-    select the engine exactly like :class:`~repro.rp.RelyingParty`.
+    ``lean=False`` to profile object retention too.  *mode* is the
+    relying party's (:data:`~repro.rp.ENGINE_MODES`); *workers* sizes the
+    two world builds' keygen prefill pool and nothing else.
     """
     from .crypto import KeyFactory
     from .repository import Fetcher
@@ -230,7 +231,7 @@ def profile_refresh(
     fetcher = Fetcher(world.registry, world.clock)
     rp = RelyingParty(
         world.trust_anchors, fetcher, metrics=fetcher.metrics,
-        mode=mode, workers=workers, lean=lean,
+        mode=mode, lean=lean,
     )
     profiler = cProfile.Profile()
     refresh_start = time.perf_counter()
@@ -240,11 +241,10 @@ def profile_refresh(
     refresh_seconds = time.perf_counter() - refresh_start
 
     stats = pstats.Stats(profiler)
-    mode_label = rp.mode if not workers else f"parallel({workers})"
     return ProfileReport(
         scale=scale,
         seed=config.seed,
-        mode=mode_label,
+        mode=rp.mode,
         lean=lean,
         roa_count=world.roa_count(),
         authority_count=len(world.authorities()),

@@ -137,9 +137,9 @@ class LocalCache:
     """Per-relying-party storage of fetched publication points.
 
     *stale_grace* is the grace window in simulated seconds: how long
-    after its last successful fetch a stale point keeps being served by
-    :meth:`all_files`.  ``None`` (the default) serves stale copies
-    forever, the pre-grace behavior.
+    after its last successful fetch a stale point keeps being served
+    (:meth:`serve`, :meth:`all_files`, :meth:`snapshot`).  ``None`` (the
+    default) serves stale copies forever, the pre-grace behavior.
     """
 
     def __init__(
@@ -165,11 +165,14 @@ class LocalCache:
         )
         self._m_stale_serves = self.metrics.counter(
             "repro_cache_stale_serves_total",
-            help="stale points served to the validator within the grace window",
+            help="stale points served to the validator within the grace "
+                 "window (once per point read; a refresh reads each point "
+                 "it walks once)",
         )
         self._m_expired = self.metrics.counter(
             "repro_cache_expired_drops_total",
-            help="points withheld from the validator: grace window exceeded",
+            help="points withheld from the validator: grace window exceeded "
+                 "(once per point read)",
         )
 
     def update(self, result: FetchResult) -> CachedPoint:
@@ -208,75 +211,83 @@ class LocalCache:
             for uri in sorted(self._points)
         }
 
-    def all_files(self, now: int | None = None) -> dict[str, dict[str, bytes]]:
-        """Everything servable, keyed by point URI then file name.
+    def _servable(
+        self, entry: CachedPoint, now: int | None, *, count: bool = True
+    ) -> bool:
+        """The one serving rule: may a validator read *entry* at *now*?
 
-        Points that have *never* been fetched successfully are omitted —
-        to the validator they are missing, not empty, which matters for
-        the paper's missing-information analysis.  When *now* is given,
-        the grace window is enforced: stale-but-in-grace points are
-        served (and counted as stale serves), expired points withheld.
-        ``now=None`` keeps the legacy serve-everything behavior.
+        Points that have *never* been fetched successfully are not
+        servable — to the validator they are missing, not empty, which
+        matters for the paper's missing-information analysis.  When
+        *now* is given the grace window is enforced: stale-but-in-grace
+        points are served, expired points withheld, and (with *count*)
+        each decision bumps its counter once.  ``now=None`` keeps the
+        legacy serve-everything behavior.
         """
-        served: dict[str, dict[str, bytes]] = {}
-        for uri, entry in self._points.items():
-            if entry.last_success < 0:
-                continue
-            if now is not None:
-                freshness = entry.freshness(now, self.stale_grace)
-                if freshness is CacheFreshness.EXPIRED:
-                    self._m_expired.inc()
-                    continue
-                if freshness is CacheFreshness.STALE:
-                    self._m_stale_serves.inc()
-            served[uri] = dict(entry.files)
-        return served
+        if entry.last_success < 0:
+            return False
+        if now is None:
+            return True
+        freshness = entry.freshness(now, self.stale_grace)
+        if freshness is CacheFreshness.EXPIRED:
+            if count:
+                self._m_expired.inc()
+            return False
+        if freshness is CacheFreshness.STALE and count:
+            self._m_stale_serves.inc()
+        return True
+
+    def serve(self, uri: str, now: int | None = None) -> CachedPoint | None:
+        """The cached copy of *uri* a validator may read at *now*, if any.
+
+        A refresh reads each publication point it walks through here,
+        once, so the stale-serve and expired-drop counters count points
+        per refresh.  The returned entry's ``files`` dict is the cache's
+        own — read it, do not mutate it.
+        """
+        entry = self._points.get(uri)
+        if entry is None or not self._servable(entry, now):
+            return None
+        return entry
+
+    def all_files(self, now: int | None = None) -> dict[str, dict[str, bytes]]:
+        """Everything servable at *now*, keyed by point URI then file name.
+
+        One :meth:`serve` decision per cached point (counters included),
+        with every file dict copied.
+        """
+        return {
+            uri: dict(entry.files)
+            for uri, entry in self._points.items()
+            if self._servable(entry, now)
+        }
 
     def snapshot(self, now: int | None = None) -> CacheSnapshot:
         """A :class:`CacheSnapshot` of everything servable — zero copies.
 
-        Same serving rules as :meth:`all_files` (never-fetched omitted,
-        grace window enforced and stale/expired counters bumped when
-        *now* is given) but the returned mapping references the cache's
-        file dicts instead of duplicating them: streaming refresh at
-        10⁴–10⁵ ROAs validates straight out of the cache.
+        Same serving rules and counters as :meth:`all_files`, but the
+        returned mapping references the cache's file dicts instead of
+        duplicating them.
         """
-        entries: dict[str, CachedPoint] = {}
-        for uri, entry in self._points.items():
-            if entry.last_success < 0:
-                continue
-            if now is not None:
-                freshness = entry.freshness(now, self.stale_grace)
-                if freshness is CacheFreshness.EXPIRED:
-                    self._m_expired.inc()
-                    continue
-                if freshness is CacheFreshness.STALE:
-                    self._m_stale_serves.inc()
-            entries[uri] = entry
-        return CacheSnapshot(entries)
+        return CacheSnapshot({
+            uri: entry
+            for uri, entry in self._points.items()
+            if self._servable(entry, now)
+        })
 
     def digests(self, now: int | None = None) -> dict[str, str]:
         """Content digest of every point :meth:`all_files` would serve.
 
-        Mirrors the serving rules (never-fetched omitted, grace window
-        enforced when *now* is given) without touching the stale/expired
+        Mirrors the serving rules without touching the stale/expired
         counters, which belong to the actual serve.  The digests are
         maintained incrementally by :meth:`update`, so this is O(points),
-        not O(bytes) — the property the incremental validator's dirty-point
-        check relies on.
+        not O(bytes).
         """
-        digests: dict[str, str] = {}
-        for uri, entry in self._points.items():
-            if entry.last_success < 0:
-                continue
-            if (
-                now is not None
-                and entry.freshness(now, self.stale_grace)
-                is CacheFreshness.EXPIRED
-            ):
-                continue
-            digests[uri] = entry.content_digest
-        return digests
+        return {
+            uri: entry.content_digest
+            for uri, entry in self._points.items()
+            if self._servable(entry, now, count=False)
+        }
 
     def forget(self, uri: str) -> None:
         """Drop a point from the cache entirely."""

@@ -12,8 +12,8 @@ same property, without changing a single validation verdict:
 - :class:`VerificationMemo` — signature verification is a pure function
   of ``(key, message, signature)``.  Objects are content-addressed (their
   ``hash_hex`` covers payload *and* signature), so the verdict for
-  ``(object hash, key fingerprint)`` can be cached across rounds and
-  refreshes; a hit skips the modular exponentiation entirely.
+  ``(object hash, key fingerprint)`` can be cached across refreshes; a
+  hit skips the modular exponentiation entirely.
 - :class:`ParseMemo` — parsing is a pure function of the bytes.  Cached
   bytes that did not change parse to the same (immutable) object, so the
   memo returns the previously built object; parse *failures* are cached
@@ -140,25 +140,6 @@ class VerificationMemo:
         self._verdicts[memo_key] = verdict
         return verdict
 
-    def contains(self, obj: SignedObject, key: RsaPublicKey) -> bool:
-        """True iff the verdict for (*obj*, *key*) is already cached.
-
-        The dedup probe of :meth:`repro.parallel.ParallelEngine.precompute`
-        — pure lookup, no hit/miss accounting (it is not memo traffic).
-        """
-        return (obj.hash_hex, key.cache_key) in self._verdicts
-
-    def record(self, obj: SignedObject, key: RsaPublicKey, verdict: bool) -> None:
-        """Seed the memo with a verdict computed elsewhere (a pool worker).
-
-        Verification is a pure function of the memo key's content, so a
-        verdict's origin is irrelevant; the bound is enforced the same
-        way as on the compute path.
-        """
-        if self.max_entries is not None and len(self._verdicts) >= self.max_entries:
-            self._verdicts.clear()
-        self._verdicts[(obj.hash_hex, key.cache_key)] = verdict
-
 
 class ParseMemo:
     """Content-addressed cache of :func:`repro.rpki.parse.parse_object`.
@@ -227,7 +208,9 @@ class PointResult:
     strictness policy, per-copy content digests); ``boundaries`` and
     ``time_sig`` encode the time-window status; ``verify_count`` is how
     many signature checks the cold computation performed, credited to the
-    skipped-verifications counter on every reuse.
+    skipped-verifications counter on every reuse.  ``roa_count`` is
+    ``len(roas)`` as validated — a streaming validator with no state
+    drops the parsed ROAs and keeps only the count.
     """
 
     fingerprint: tuple
@@ -240,6 +223,7 @@ class PointResult:
     vrps: tuple[VRP, ...] = ()
     contact: GhostbustersRecord | None = None
     verify_count: int = 0
+    roa_count: int = 0
 
 
 class IncrementalState:
@@ -337,10 +321,8 @@ class IncrementalState:
             return None
         return entry
 
-    def store(self, ca_key_id: str, entry: PointResult, now: int | None = None) -> None:
-        """Cache *entry* for *ca_key_id* (*now* is accepted for provider-
-        interface compatibility; the entry's own time signature already
-        encodes everything this state needs about the instant)."""
+    def store(self, ca_key_id: str, entry: PointResult) -> None:
+        """Cache *entry* for *ca_key_id*."""
         self.points[ca_key_id] = entry
         self._update_gauges()
 

@@ -19,18 +19,23 @@ paper's entire Section 4 is about what those conditions do to routing.
 
 Validation is organized around *publication points*: each accepted CA
 certificate leads to one point, whose local outcome (issues, accepted
-children, ROAs, VRPs, contact) is computed as a unit and only then
-recursed into.  That unit is exactly what :mod:`repro.rp.incremental`
-caches — hand the validator an :class:`~repro.rp.incremental.IncrementalState`
-and unchanged points are replayed from the previous run instead of being
-re-parsed and re-verified.  With no state attached the validator is the
-plain cold algorithm with identical behavior to earlier revisions.
+children, ROAs, VRPs, contact) is computed as a unit.  A
+:class:`ValidationWalk` visits the certificate tree level by level and
+judges every reached CA's point exactly once, from whatever is served
+for it at that moment; the relying party fetches each level's points
+just before the walk judges them, while :meth:`PathValidator.run` walks
+a fixed snapshot.  The per-point unit is exactly what
+:mod:`repro.rp.incremental` keeps — hand the validator an
+:class:`~repro.rp.incremental.IncrementalState` and unchanged points are
+replayed from the previous walk instead of being re-parsed and
+re-verified.  With no state attached every walk is cold: that is the
+oracle the tests compare the stateful path against.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..crypto import RsaPublicKey, sha256_hex
 from ..repository.cache import point_digest
@@ -52,6 +57,7 @@ __all__ = [
     "Severity",
     "ValidationIssue",
     "ValidationRun",
+    "ValidationWalk",
     "PathValidator",
 ]
 
@@ -109,7 +115,7 @@ class ValidationRun:
 
 
 class PathValidator:
-    """Validates a cache snapshot into a :class:`ValidationRun`.
+    """Validates cached publication points into a :class:`ValidationRun`.
 
     Parameters
     ----------
@@ -125,30 +131,18 @@ class PathValidator:
         information?" tradeoff.
     incremental:
         An :class:`~repro.rp.incremental.IncrementalState` to carry memos
-        and per-point results across runs.  ``None`` (default) validates
-        cold every time.
-    parallel:
-        A :class:`~repro.parallel.ParallelEngine` acting as the *reuse
-        provider* instead: run-scoped memos (prefilled by the engine's
-        pool pre-pass) plus same-instant point replay.  Mutually
-        exclusive with ``incremental`` — when both features are wanted,
-        the engine shares the incremental state's memos and this
-        validator sees only ``incremental`` (see
-        :class:`~repro.rp.RelyingParty`).
+        and per-point results across walks.  ``None`` (default) validates
+        cold every time.  Replayed and freshly computed points take the
+        identical code path, so a stateful walk's output is byte-for-byte
+        equal to the cold one's.
     collect_objects:
         If False (the *lean* streaming mode), validated ROA objects and
         their locations are counted but not retained on the
         :class:`ValidationRun` — only VRPs, CA certificates, issues and
-        contacts survive the pass.  At Internet scale this is the
+        contacts survive the walk.  At Internet scale this is the
         difference between O(point) and O(deployment) peak memory for a
-        serial refresh; layers that need the objects themselves
+        stateless refresh; layers that need the objects themselves
         (Suspenders corroboration, the monitor) keep the default True.
-
-    Both providers expose the same protocol (``verify_object`` /
-    ``parse`` / ``lookup`` / ``store`` / ``count_reused`` /
-    ``count_validated``); replayed and freshly computed points take the
-    identical code path, so any provider's output is byte-for-byte equal
-    to the cold run's.
     """
 
     def __init__(
@@ -158,26 +152,20 @@ class PathValidator:
         strict_manifests: bool = False,
         metrics: MetricsRegistry | None = None,
         incremental: IncrementalState | None = None,
-        parallel=None,
         collect_objects: bool = True,
     ):
         if not trust_anchors:
             raise ValueError("at least one trust anchor is required")
-        if incremental is not None and parallel is not None:
-            raise ValueError(
-                "incremental and parallel are mutually exclusive; share the "
-                "incremental state's memos with the engine instead"
-            )
         self.trust_anchors = list(trust_anchors)
         self.strict_manifests = strict_manifests
         self.collect_objects = collect_objects
         self.incremental = incremental
-        self.parallel = parallel
-        self._provider = incremental if incremental is not None else parallel
         self._verify_calls = 0
         self.metrics = metrics if metrics is not None else default_registry()
         self._m_runs = self.metrics.counter(
-            "repro_validation_runs_total", help="full path-validation passes"
+            "repro_validation_runs_total",
+            help="certificate-tree walks completed (one per refresh or "
+                 "PathValidator.run call)",
         )
         self._m_objects = self.metrics.counter(
             "repro_validation_objects_total",
@@ -199,36 +187,90 @@ class PathValidator:
     ) -> ValidationRun:
         """Validate everything reachable from the trust anchors.
 
+        The same walk a relying party's refresh performs, over a fixed
+        snapshot judged at the single instant *now* and with no fetching.
         *cache_files* maps publication point URI → file name → bytes
         (the shape of :meth:`repro.repository.LocalCache.all_files`).
         *digests* optionally maps point URI → content digest (the shape
-        of :meth:`repro.repository.LocalCache.digests`); used only in
-        incremental mode, and computed from the bytes when absent.
+        of :meth:`repro.repository.LocalCache.digests`); used only with
+        an incremental state, and computed from the bytes when absent.
         """
-        if self._provider is not None and digests is None:
-            digests = {
-                uri: point_digest(files) for uri, files in cache_files.items()
-            }
-        result = ValidationRun()
-        seen_cas: set[str] = set()
-        for anchor in self.trust_anchors:
-            if not anchor.is_self_signed or not self._verify(
-                anchor, anchor.subject_key
-            ):
-                result.issues.append(ValidationIssue(
-                    Severity.ERROR, anchor.sia, "", "ta-bad-signature",
-                    f"trust anchor {anchor.subject!r} is not properly self-signed",
-                ))
-                continue
-            if not anchor.is_current(now):
-                result.issues.append(ValidationIssue(
-                    Severity.ERROR, anchor.sia, "", "ta-expired",
-                    f"trust anchor {anchor.subject!r} not valid at t={now}",
-                ))
-                continue
-            result.validated_cas.append(anchor)
-            self._descend(anchor, cache_files, digests, now, result, seen_cas,
-                          depth=0)
+        walk = ValidationWalk(self, now)
+        while walk.frontier:
+            walk.step(cache_files, now, digests)
+        return walk.finish()
+
+    # -- memo-aware primitives ----------------------------------------------
+
+    def _verify(self, obj: SignedObject, key: RsaPublicKey) -> bool:
+        """Signature check, via the incremental state's memo when attached."""
+        self._verify_calls += 1
+        if self.incremental is not None:
+            return self.incremental.verify_object(obj, key)
+        return obj.verify_signature(key)
+
+    def _parse(self, data: bytes) -> SignedObject:
+        """Parse, via the incremental state's memo when attached."""
+        if self.incremental is not None:
+            return self.incremental.parse(data)
+        return parse_object(data)
+
+    # -- internals ----------------------------------------------------------
+
+    def _anchor_issue(
+        self, anchor: ResourceCertificate, now: int
+    ) -> ValidationIssue | None:
+        """Why *anchor* cannot root a walk at *now* (None = accepted)."""
+        if not anchor.is_self_signed or not self._verify(
+            anchor, anchor.subject_key
+        ):
+            return ValidationIssue(
+                Severity.ERROR, anchor.sia, "", "ta-bad-signature",
+                f"trust anchor {anchor.subject!r} is not properly self-signed",
+            )
+        if not anchor.is_current(now):
+            return ValidationIssue(
+                Severity.ERROR, anchor.sia, "", "ta-expired",
+                f"trust anchor {anchor.subject!r} not valid at t={now}",
+            )
+        return None
+
+    def _judge_point(
+        self,
+        ca_cert: ResourceCertificate,
+        cache_files: dict[str, dict[str, bytes]],
+        digests: dict[str, str] | None,
+        now: int,
+    ) -> PointResult:
+        """The per-point step: replay the kept result, or validate and keep.
+
+        Every walk — a refresh's or :meth:`run`'s — judges each CA's
+        publication point through this one function, at most once.
+        """
+        state = self.incremental
+        fingerprint: tuple = ()
+        if state is not None:
+            fingerprint = self._point_fingerprint(ca_cert, cache_files, digests)
+            entry = state.lookup(ca_cert.subject_key_id, fingerprint, now)
+            if entry is not None:
+                state.count_reused(entry)
+                return entry
+        try:
+            entry = self._validate_point(ca_cert, cache_files, now, fingerprint)
+        except Exception as exc:  # containment: one bad point ≠ dead run
+            return self._quarantined_point(ca_cert, fingerprint, now, exc)
+        if state is not None:
+            state.count_validated()
+            state.store(ca_cert.subject_key_id, entry)
+        elif not self.collect_objects:
+            # Nothing reads the parsed ROAs again; held until the walk is
+            # assembled they would make a streaming refresh's peak
+            # memory O(deployment) instead of O(point).
+            entry = replace(entry, roas=())
+        return entry
+
+    def _count(self, result: ValidationRun) -> None:
+        """Book one finished walk into the telemetry registry."""
         self._m_runs.inc()
         if result.validated_cas:
             self._m_objects.inc(len(result.validated_cas), type="ca")
@@ -240,82 +282,6 @@ class PathValidator:
             count = sum(1 for i in result.issues if i.severity is severity)
             if count:
                 self._m_issues.inc(count, severity=severity.value)
-        return result
-
-    # -- memo-aware primitives ----------------------------------------------
-
-    def _verify(self, obj: SignedObject, key: RsaPublicKey) -> bool:
-        """Signature check, via the reuse provider's memo when attached."""
-        self._verify_calls += 1
-        if self._provider is not None:
-            return self._provider.verify_object(obj, key)
-        return obj.verify_signature(key)
-
-    def _parse(self, data: bytes) -> SignedObject:
-        """Parse, via the reuse provider's memo when attached."""
-        if self._provider is not None:
-            return self._provider.parse(data)
-        return parse_object(data)
-
-    # -- internals ----------------------------------------------------------
-
-    def _descend(
-        self,
-        ca_cert: ResourceCertificate,
-        cache_files: dict[str, dict[str, bytes]],
-        digests: dict[str, str] | None,
-        now: int,
-        result: ValidationRun,
-        seen_cas: set[str],
-        depth: int,
-    ) -> None:
-        """Validate the publication point of one accepted CA certificate."""
-        if depth > _MAX_DEPTH:
-            result.issues.append(ValidationIssue(
-                Severity.ERROR, ca_cert.sia, "", "depth-exceeded",
-                "certificate chain deeper than the validator allows",
-            ))
-            return
-        if ca_cert.subject_key_id in seen_cas:
-            return  # loop guard (malicious self-recertification)
-        seen_cas.add(ca_cert.subject_key_id)
-
-        provider = self._provider
-        entry: PointResult | None = None
-        fingerprint: tuple = ()
-        if provider is not None:
-            fingerprint = self._point_fingerprint(ca_cert, cache_files, digests)
-            entry = provider.lookup(ca_cert.subject_key_id, fingerprint, now)
-            if entry is not None:
-                provider.count_reused(entry)
-        if entry is None:
-            try:
-                entry = self._validate_point(
-                    ca_cert, cache_files, now, fingerprint
-                )
-            except Exception as exc:  # containment: one bad point ≠ dead run
-                entry = self._quarantined_point(ca_cert, fingerprint, now, exc)
-            else:
-                if provider is not None:
-                    provider.count_validated()
-                    provider.store(ca_cert.subject_key_id, entry, now)
-
-        # Apply the point's local outcome, then recurse into the subtree.
-        # Replayed and freshly computed results take the identical path, so
-        # warm output is byte-for-byte equal to cold output by construction.
-        result.issues.extend(entry.issues)
-        if entry.contact is not None:
-            result.contacts[entry.selected_uri] = entry.contact
-        result.roa_count += len(entry.roas)
-        if self.collect_objects:
-            for roa in entry.roas:
-                result.validated_roas.append(roa)
-                result.roa_locations[roa.hash_hex] = entry.selected_uri
-        result.vrps.extend(entry.vrps)
-        for child in entry.children:
-            result.validated_cas.append(child)
-            self._descend(child, cache_files, digests, now, result, seen_cas,
-                          depth + 1)
 
     def _point_fingerprint(
         self,
@@ -330,9 +296,9 @@ class PathValidator:
         the point so content covers it), the strictness policy, and the
         content digest of every cached copy, primary and mirrors alike.
         """
-        digests = digests or {}
         copies = tuple(
-            (uri, digests.get(uri, ""))
+            (uri, digests.get(uri, "") if digests is not None
+             else point_digest(cache_files[uri]))
             for uri in (_normalize(u) for u in ca_cert.all_publication_uris)
             if uri in cache_files
         )
@@ -470,6 +436,7 @@ class PathValidator:
             vrps=tuple(vrps),
             contact=contact,
             verify_count=self._verify_calls - verify_before,
+            roa_count=len(roas),
         )
 
     def _quarantined_point(
@@ -481,7 +448,7 @@ class PathValidator:
     ) -> PointResult:
         """A replayable empty result for a point whose validation raised.
 
-        Deliberately *not* stored in any reuse provider: the next run
+        Deliberately *not* stored in the incremental state: the next walk
         retries the point from scratch instead of replaying the failure.
         """
         issue = ValidationIssue(
@@ -816,6 +783,116 @@ class PathValidator:
             ))
             return None
         return record
+
+
+class ValidationWalk:
+    """One level-by-level walk of the certificate tree.
+
+    Construction judges the trust anchors at *now*.  :attr:`frontier`
+    holds the CA certificates accepted at the current depth whose
+    publication points have not been judged yet.  The caller arranges
+    what is served for them — a relying party fetches
+    :meth:`publication_uris` here, :meth:`PathValidator.run` has a fixed
+    snapshot — then calls :meth:`step`, which judges each frontier point
+    once and makes the accepted children the next frontier.  When the
+    frontier is empty, :meth:`finish` assembles the
+    :class:`ValidationRun` depth-first.
+
+    One CA *key* gets one walk: if a second certificate for an
+    already-judged key turns up (malicious self-recertification, or one
+    key certified twice), it is listed among the validated CAs but its
+    point is not judged again.
+    """
+
+    def __init__(self, validator: PathValidator, now: int):
+        self._validator = validator
+        self._anchors = [
+            (anchor, validator._anchor_issue(anchor, now))
+            for anchor in validator.trust_anchors
+        ]
+        # Subject key id -> (the certificate judged for it, its outcome).
+        self._points: dict[str, tuple[ResourceCertificate, PointResult]] = {}
+        self._depth = 0
+        self.frontier: list[ResourceCertificate] = [
+            anchor for anchor, issue in self._anchors if issue is None
+        ]
+
+    def publication_uris(self) -> set[str]:
+        """Every publication URI (mirrors included) of the frontier's CAs."""
+        return {
+            _normalize(uri)
+            for ca_cert in self.frontier
+            for uri in ca_cert.all_publication_uris
+        }
+
+    def step(
+        self,
+        cache_files: dict[str, dict[str, bytes]],
+        now: int,
+        digests: dict[str, str] | None = None,
+    ) -> None:
+        """Judge the frontier's points from *cache_files* at *now*."""
+        children: list[ResourceCertificate] = []
+        if self._depth <= _MAX_DEPTH:
+            for ca_cert in self.frontier:
+                key_id = ca_cert.subject_key_id
+                if key_id in self._points:
+                    continue  # loop guard (malicious self-recertification)
+                entry = self._validator._judge_point(
+                    ca_cert, cache_files, digests, now
+                )
+                self._points[key_id] = (ca_cert, entry)
+                children.extend(entry.children)
+        self._depth += 1
+        self.frontier = children
+
+    def finish(self) -> ValidationRun:
+        """Assemble the judged points, depth-first from the trust anchors."""
+        result = ValidationRun()
+        emitted: set[str] = set()
+        for anchor, issue in self._anchors:
+            if issue is not None:
+                result.issues.append(issue)
+                continue
+            result.validated_cas.append(anchor)
+            self._emit(anchor, result, emitted, depth=0)
+        self._validator._count(result)
+        return result
+
+    def _emit(
+        self,
+        ca_cert: ResourceCertificate,
+        result: ValidationRun,
+        emitted: set[str],
+        depth: int,
+    ) -> None:
+        """Apply one judged point's local outcome, then its subtree's."""
+        if depth > _MAX_DEPTH:
+            result.issues.append(ValidationIssue(
+                Severity.ERROR, ca_cert.sia, "", "depth-exceeded",
+                "certificate chain deeper than the validator allows",
+            ))
+            return
+        key_id = ca_cert.subject_key_id
+        judged = self._points.get(key_id)
+        if key_id in emitted or judged is None or judged[0] is not ca_cert:
+            return  # this key's point belongs to another certificate
+        emitted.add(key_id)
+        entry = judged[1]
+        # Replayed and freshly computed results take the identical path, so
+        # warm output is byte-for-byte equal to cold output by construction.
+        result.issues.extend(entry.issues)
+        if entry.contact is not None:
+            result.contacts[entry.selected_uri] = entry.contact
+        result.roa_count += entry.roa_count
+        if self._validator.collect_objects:
+            for roa in entry.roas:
+                result.validated_roas.append(roa)
+                result.roa_locations[roa.hash_hex] = entry.selected_uri
+        result.vrps.extend(entry.vrps)
+        for child in entry.children:
+            result.validated_cas.append(child)
+            self._emit(child, result, emitted, depth + 1)
 
 
 def _normalize(sia: str) -> str:

@@ -5,40 +5,39 @@ operating: periodically synchronize the distributed repositories into a
 local cache, run path validation over the cache, and use the resulting
 VRPs to classify BGP routes.
 
-Discovery is top-down: the trust anchors' publication points are fetched
-first, validation of what arrived reveals child SIA pointers, those are
-fetched next, and so on until no new points appear.  A point that cannot
-be fetched (unreachable, faulted) leaves whatever the cache already had —
-or nothing, which is exactly the "missing information" condition whose
-consequences Section 4 of the paper analyzes.
+Discovery is a top-down worklist: the trust anchors' publication points
+are fetched and judged first, the child certificates they accept name the
+next level's points, those are fetched and judged next, and so on until
+no new certificate appears.  Every reached CA's point is judged exactly
+once per refresh, at the instant its level's fetches finished, from
+whatever the cache then serves for it.  A point that cannot be fetched
+(unreachable, faulted, over budget) leaves whatever the cache already
+had — or nothing, which is exactly the "missing information" condition
+whose consequences Section 4 of the paper analyzes.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-from ..parallel import ParallelEngine, WorkerPool
 from ..repository.cache import CacheFreshness, LocalCache
 from ..repository.fetch import Fetcher, FetchResult, FetchStatus
 from ..repository.scheduler import FetchScheduler, SchedulerConfig
-from ..repository.uri import RsyncUri
 from ..rpki.cert import ResourceCertificate
 from ..simtime import Clock
 from ..telemetry import MetricsRegistry, default_registry
 from .incremental import IncrementalState
 from .origin import OriginValidationOutcome, validate
-from .pathval import PathValidator, ValidationRun
+from .pathval import PathValidator, ValidationRun, ValidationWalk
 from .states import Route, RouteValidity
 from .vrp import VrpSet
 
 __all__ = ["ENGINE_MODES", "RelyingParty", "RefreshReport",
            "DegradationReport"]
 
-# The coherent engine-selection knob: which validation strategy a
-# relying party runs.  ``workers`` sizes the process pool where one is
-# used (always for "parallel"; optionally composed with "incremental").
-ENGINE_MODES = ("serial", "incremental", "parallel")
+# The one persistence switch: whether a relying party keeps validation
+# state (memos + per-point results) from one refresh to the next.
+ENGINE_MODES = ("serial", "incremental")
 
 # Issue codes that mean "this object's bytes were rejected and the object
 # was excluded while its siblings kept validating" — the containment
@@ -149,53 +148,33 @@ class RelyingParty:
         monopolize the refresh.  Over-budget points are *deferred*:
         listed on :attr:`RefreshReport.deferred`, recorded as degraded,
         and served from stale-cache grace like a failed fetch.  Works
-        with every engine mode.  ``None`` (the default) keeps the
-        historical plain-sorted fetch order byte-identically.
+        in both modes.  ``None`` (the default) keeps the historical
+        plain-sorted fetch order byte-identically.
     strict_manifests:
         Validator policy on manifest trouble (see :class:`PathValidator`).
     mode:
-        The engine-selection knob, one of :data:`ENGINE_MODES`:
+        Whether validation state outlives a refresh, one of
+        :data:`ENGINE_MODES`:
 
-        - ``"serial"`` — the plain path: every refresh re-parses and
-          re-verifies the whole cache snapshot.
+        - ``"serial"`` (the default) — no state kept: every refresh
+          parses and verifies every point it walks.
         - ``"incremental"`` — keep an
           :class:`~repro.rp.incremental.IncrementalState` across
           refreshes so unchanged publication points are replayed instead
           of re-validated (see :mod:`repro.rp.incremental` for the exact
           invalidation rules).
-        - ``"parallel"`` — each refresh opens a
-          :class:`~repro.parallel.WorkerPool` of ``workers`` processes
-          and a :class:`~repro.parallel.ParallelEngine` batch-verifies
-          signatures through it, deduplicated through the
-          content-addressed memo.
 
-        Validation *results* are identical in every mode; only the work
-        done to produce them changes.  ``None`` (the default) infers
-        ``"parallel"`` when ``workers > 0`` and ``"serial"`` otherwise,
-        so existing ``RelyingParty(workers=4)`` call sites keep working.
-    workers:
-        Process-pool size.  Required ≥ 1 for ``mode="parallel"`` (0 is
-        promoted to 1); with ``mode="incremental"`` a positive count
-        additionally attaches the parallel engine, which shares the
-        incremental state's memos.  ``mode="serial"`` rejects a positive
-        count — that combination is incoherent.  On platforms without a
-        usable ``multiprocessing`` start method the pool degrades to
-        in-process execution with the same semantics.
+        Validation *results* are identical in both modes; only the work
+        done to produce them changes.
     lean:
         Streaming refresh: validated ROA objects are counted but not
         retained on the :class:`~repro.rp.pathval.ValidationRun` (only
-        VRPs, CA certificates, issues and contacts survive), and the
-        validator reads straight out of the cache's zero-copy
-        :meth:`~repro.repository.LocalCache.snapshot`.  With
+        VRPs, CA certificates, issues and contacts survive).  With
         ``mode="serial"`` this bounds refresh peak memory by the largest
         single publication point instead of the whole deployment — the
         Internet-scale configuration.  Layers that need the parsed
         objects (Suspenders corroboration, the monitor's ROA diffing)
         must keep the default False.
-    incremental:
-        Deprecated spelling of ``mode="incremental"``; passing it (with
-        either value) emits :class:`DeprecationWarning`.  ``True`` maps
-        to ``mode="incremental"``, ``False`` to the inferred mode.
     metrics:
         Telemetry registry shared with this RP's cache and validator
         (None → the process-global default registry).  Give each relying
@@ -213,46 +192,20 @@ class RelyingParty:
         fetch_budget: int | None = None,
         schedule: SchedulerConfig | FetchScheduler | None = None,
         strict_manifests: bool = False,
-        mode: str | None = None,
-        workers: int = 0,
+        mode: str = "serial",
         lean: bool = False,
-        incremental: bool | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         if fetch_budget is not None and fetch_budget < 1:
             raise ValueError(f"bad fetch budget {fetch_budget}")
-        if workers < 0:
-            raise ValueError(f"worker count must be >= 0, got {workers}")
-        if incremental is not None:
-            warnings.warn(
-                "RelyingParty(incremental=...) is deprecated; use "
-                "mode='incremental' (or mode='serial')",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if incremental:
-                if mode not in (None, "incremental"):
-                    raise ValueError(
-                        f"incremental=True conflicts with mode={mode!r}"
-                    )
-                mode = "incremental"
-        if mode is None:
-            mode = "parallel" if workers > 0 else "serial"
         if mode not in ENGINE_MODES:
             raise ValueError(
                 f"mode must be one of {ENGINE_MODES}, got {mode!r}"
-            )
-        if mode == "parallel" and workers == 0:
-            workers = 1
-        if mode == "serial" and workers > 0:
-            raise ValueError(
-                "workers > 0 requires mode='parallel' or mode='incremental'"
             )
         self.mode = mode
         self.lean = lean
         self.fetcher = fetcher
         self.fetch_budget = fetch_budget
-        self.workers = workers
         self.metrics = metrics if metrics is not None else default_registry()
         if isinstance(schedule, FetchScheduler):
             self.scheduler: FetchScheduler | None = schedule
@@ -266,21 +219,9 @@ class RelyingParty:
             IncrementalState(metrics=self.metrics)
             if mode == "incremental" else None
         )
-        # With both features on, the engine prefills the incremental
-        # state's memos and the validator keeps the incremental provider;
-        # engine-alone additionally provides run-scoped point replay.
-        self._engine = (
-            ParallelEngine(self.incremental_state, metrics=self.metrics)
-            if workers > 0 else None
-        )
         self.validator = PathValidator(
             trust_anchors, strict_manifests=strict_manifests,
             metrics=self.metrics, incremental=self.incremental_state,
-            parallel=(
-                self._engine
-                if self._engine is not None and self.incremental_state is None
-                else None
-            ),
             collect_objects=not lean,
         )
         self._clock = clock if clock is not None else fetcher.clock
@@ -290,7 +231,8 @@ class RelyingParty:
         )
         self._m_rounds = self.metrics.counter(
             "repro_rp_refresh_rounds_total",
-            help="fetch-validate discovery rounds across all refreshes",
+            help="tree levels that had publication points left to fetch, "
+                 "across all refreshes",
         )
         self._m_vrps = self.metrics.gauge(
             "repro_rp_vrps", help="VRPs produced by the most recent refresh"
@@ -319,56 +261,51 @@ class RelyingParty:
 
     def refresh(self) -> RefreshReport:
         """One full synchronize-and-validate cycle."""
-        if self._engine is None:
-            return self._refresh()
-        with WorkerPool(self.workers, metrics=self.metrics,
-                        clock=self._clock) as pool:
-            self._engine.begin_refresh(pool)
-            try:
-                return self._refresh()
-            finally:
-                self._engine.end_refresh()
-
-    def _refresh(self) -> RefreshReport:
         report = RefreshReport(run=ValidationRun())
+        clock = self._clock
+        scheduler = self.scheduler
+        start = clock.now
         fetched: set[str] = set()
-        pending = {
-            str(RsyncUri.parse(anchor.sia))
-            for anchor in self.validator.trust_anchors
-        }
-        run = ValidationRun()
-        start = self._clock.now
-        budget_hit = False
-        unfetched_at_break: set[str] = set()
         deferred: set[str] = set()
-        if self.scheduler is not None:
-            self.scheduler.begin_cycle()
-        with self.metrics.trace("repro_rp_refresh_seconds", self._clock):
-            while pending and not budget_hit:
-                report.rounds += 1
-                ordered = (
-                    sorted(pending) if self.scheduler is None
-                    else self.scheduler.order(
-                        pending, self.cache, self._clock.now
+        skipped: set[str] = set()
+        # What the cache served this refresh, read once per point at the
+        # instant its level was judged; the file dicts are the cache's
+        # own (zero copies).  *read* also remembers the unservable URIs.
+        files: dict[str, dict[str, bytes]] = {}
+        digests: dict[str, str] = {}
+        read: set[str] = set()
+        if scheduler is not None:
+            scheduler.begin_cycle()
+        with self.metrics.trace("repro_rp_refresh_seconds", clock):
+            walk = ValidationWalk(self.validator, start)
+            while walk.frontier:
+                uris = walk.publication_uris()
+                pending = uris - fetched - deferred
+                ordered: list[str] = []
+                if report.budget_exhausted:
+                    # Budget gone: keep walking the cached subtree
+                    # without fetching (the stale-fallback path).
+                    skipped |= pending
+                elif pending:
+                    report.rounds += 1
+                    ordered = (
+                        sorted(pending) if scheduler is None
+                        else scheduler.order(pending, self.cache, clock.now)
                     )
-                )
                 for uri in ordered:
                     if (
                         self.fetch_budget is not None
-                        and self._clock.now - start >= self.fetch_budget
+                        and clock.now - start >= self.fetch_budget
                     ):
-                        # Budget gone: stop fetching, validate what the
-                        # cache has (the stale-fallback path).
-                        budget_hit = True
-                        unfetched_at_break = pending - fetched
+                        report.budget_exhausted = True
+                        skipped |= pending - fetched
                         break
-                    if self.scheduler is not None:
+                    if scheduler is not None:
                         remaining = (
                             None if self.fetch_budget is None
-                            else self.fetch_budget
-                            - (self._clock.now - start)
+                            else self.fetch_budget - (clock.now - start)
                         )
-                        if not self.scheduler.admit(
+                        if not scheduler.admit(
                             uri, remaining_budget=remaining
                         ):
                             # Deferred to stale-cache grace: the cache's
@@ -382,29 +319,27 @@ class RelyingParty:
                         # (recorded below via its FAULTED status), never
                         # the whole refresh.
                         result = FetchResult(
-                            uri, FetchStatus.FAULTED,
-                            fetched_at=self._clock.now,
+                            uri, FetchStatus.FAULTED, fetched_at=clock.now,
                         )
                     self.cache.update(result)
                     report.fetches.append(result)
                     fetched.add(uri)
-                    if self.scheduler is not None:
-                        self.scheduler.record(uri, result.elapsed)
-                run = self._validate()
-                discovered = {
-                    str(RsyncUri.parse(uri))
-                    for cert in run.validated_cas
-                    for uri in cert.all_publication_uris
-                }
-                pending = discovered - fetched - deferred
-        if budget_hit:
-            report.budget_exhausted = True
-            # One computation covers both the points skipped when the
-            # budget tripped and anything the final validation discovered.
-            report.skipped = sorted(unfetched_at_break | (pending - fetched))
+                    if scheduler is not None:
+                        scheduler.record(uri, result.elapsed)
+                now = clock.now
+                for uri in uris - read:
+                    point = self.cache.serve(uri, now)
+                    if point is not None:
+                        files[uri] = point.files
+                        digests[uri] = point.content_digest
+                read |= uris
+                walk.step(files, now, digests)
+            run = walk.finish()
+        if report.budget_exhausted:
+            report.skipped = sorted(skipped)
             self._m_budget_exhausted.inc()
         report.deferred = sorted(deferred)
-        report.freshness = self.cache.classify(self._clock.now)
+        report.freshness = self.cache.classify(clock.now)
         report.run = run
         report.degradation = self._degradation(
             report.fetches, run, report.deferred
@@ -453,25 +388,6 @@ class RelyingParty:
         for uri in deferred:
             degrade(uri, "budget-deferred")
         return degradation
-
-    def _validate(self) -> ValidationRun:
-        """One validation pass over the current cache snapshot.
-
-        The snapshot is the cache's zero-copy view: the validator (and
-        the parallel engine's pre-pass) read the cached file dicts by
-        reference, so a validation round allocates no per-point copies
-        no matter how large the deployment is.
-        """
-        now = self._clock.now
-        files = self.cache.snapshot(now)
-        if self._engine is not None:
-            self._engine.precompute(self.validator.trust_anchors, files)
-        digests = (
-            self.cache.digests(now)
-            if self.incremental_state is not None or self._engine is not None
-            else None
-        )
-        return self.validator.run(files, now, digests=digests)
 
     # -- classification surface -------------------------------------------------
 

@@ -221,7 +221,7 @@ class TestStallorisHarness:
         report = measure_stalloris(StallorisConfig(cycles=4))
         assert report.amplifier_host
         assert report.amplifier_points == 8
-        for engine in ("serial", "incremental", "parallel"):
+        for engine in ("serial", "incremental"):
             budget = report.run(engine, scheduled=False)
             scheduled = report.run(engine, scheduled=True)
             # Unscheduled: victim age grows one full cycle per cycle and

@@ -149,15 +149,6 @@ class TestCrtAcceleration:
 class TestRawEntryPoints:
     """Pickle-safe pure functions the worker pool dispatches to."""
 
-    def test_verify_raw_matches_method(self, keypair):
-        from repro.crypto import verify_raw
-
-        sig = keypair.sign(b"payload")
-        assert verify_raw(keypair.public.modulus, keypair.public.exponent,
-                          b"payload", sig)
-        assert not verify_raw(keypair.public.modulus,
-                              keypair.public.exponent, b"tampered", sig)
-
     def test_generate_keypair_raw_matches_instrumented(self):
         from repro.crypto import generate_keypair_raw
 
@@ -166,40 +157,21 @@ class TestRawEntryPoints:
         assert a == b
 
     def test_raw_calls_do_not_touch_metrics(self):
-        from repro.crypto import generate_keypair_raw, verify_raw
+        from repro.crypto import generate_keypair_raw
         from repro.telemetry import default_registry
 
-        key = generate_keypair(512, random.Random(9))
-        sig = key.sign(b"m")
-        registry = default_registry()
-
-        def totals():
-            verify = registry.get("repro_crypto_verify_total")
-            keygen = registry.get("repro_crypto_keygen_total")
-            return (verify.value(outcome="accepted")
-                    + verify.value(outcome="rejected"), keygen.value())
-
-        before = totals()
-        verify_raw(key.public.modulus, key.public.exponent, b"m", sig)
+        keygen = default_registry().get("repro_crypto_keygen_total")
+        before = keygen.value()
         generate_keypair_raw(512, random.Random(10))
-        assert totals() == before
+        assert keygen.value() == before
 
     def test_record_helpers_credit_parent_registry(self):
-        from repro.crypto import record_keygens, record_verifications
+        from repro.crypto import record_keygens
         from repro.telemetry import default_registry
 
-        registry = default_registry()
-        verify = registry.get("repro_crypto_verify_total")
-        keygen = registry.get("repro_crypto_keygen_total")
-        v_acc = verify.value(outcome="accepted")
-        v_rej = verify.value(outcome="rejected")
+        keygen = default_registry().get("repro_crypto_keygen_total")
         k = keygen.value()
-        record_verifications(3, 2)
         record_keygens(4)
-        assert verify.value(outcome="accepted") == v_acc + 3
-        assert verify.value(outcome="rejected") == v_rej + 2
         assert keygen.value() == k + 4
-        record_verifications(0, 0)
         record_keygens(0)
-        assert verify.value(outcome="accepted") == v_acc + 3
         assert keygen.value() == k + 4

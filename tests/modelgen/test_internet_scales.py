@@ -5,9 +5,9 @@ publication points directly under each RIR — no customer subtree, no
 suballocation recursion — which is what lets
 :data:`repro.modelgen.INTERNET_SCALES` reach 10⁴–10⁵ ROAs in O(n).
 These tests pin the family's arithmetic, its determinism (same seed ⇒
-identical world), and the engine-equivalence claim at ``internet-small``:
-a ``workers=4`` refresh produces byte-identical validated objects and
-VRPs to the serial path.
+identical world), and the equivalence claim at ``internet-small``: a
+relying party that keeps validation state, one that does not, and the
+cold ``PathValidator.run`` oracle produce identical walks.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from repro.modelgen import (
     expected_keypairs,
 )
 from repro.repository import Fetcher
-from repro.rp import RelyingParty, VrpSet
+from repro.rp import PathValidator, RelyingParty, VrpSet
 
 # Small enough to build in ~a second, flat like the Internet scales.
 TINY_FLAT = DeploymentConfig(
@@ -144,29 +144,33 @@ class TestDeterminism:
 
 
 class TestInternetSmallEquivalence:
-    """The heavyweight pin: serial and workers=4 agree at 10^4 ROAs."""
+    """The heavyweight pin: both modes and the cold oracle agree at 10^4 ROAs."""
 
     @pytest.fixture(scope="class")
     def world(self):
         return build_deployment(INTERNET_SCALES["internet-small"])
 
-    def test_workers4_refresh_byte_identical_to_serial(self, world):
-        rp_serial, serial_report = _refresh(world)
-        rp_parallel, parallel_report = _refresh(world, workers=4)
-
-        assert serial_report.run.errors() == []
-        assert parallel_report.run.errors() == []
-        assert len(rp_serial.vrps) == world.roa_count()
-        # Byte identity: the same validated objects (by content hash),
-        # the same VRP set, the same content-addressed digest.
-        assert (
-            sorted(roa.hash_hex for roa in serial_report.run.validated_roas)
-            == sorted(
-                roa.hash_hex for roa in parallel_report.run.validated_roas
+    def test_modes_and_cold_oracle_agree(self, world):
+        def signature(run):
+            return (
+                run.vrps.content_hash(),
+                list(run.issues),
+                [cert.hash_hex for cert in run.validated_cas],
+                sorted(roa.hash_hex for roa in run.validated_roas),
             )
+
+        rp_serial, serial_report = _refresh(world)
+        rp_persistent, _cold = _refresh(world, mode="incremental")
+        warm_report = rp_persistent.refresh()   # replayed from kept state
+        now = world.clock.now
+        oracle = PathValidator(world.trust_anchors).run(
+            rp_serial.cache.all_files(now), now
         )
-        assert rp_serial.vrps.as_frozenset() == rp_parallel.vrps.as_frozenset()
-        assert rp_serial.vrps.content_hash() == rp_parallel.vrps.content_hash()
+
+        assert serial_report.run.issues == []
+        assert len(rp_serial.vrps) == world.roa_count()
+        assert signature(serial_report.run) == signature(oracle)
+        assert signature(warm_report.run) == signature(oracle)
 
     def test_lean_refresh_counts_without_retaining(self, world):
         rp, report = _refresh(world, lean=True)

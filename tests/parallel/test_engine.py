@@ -1,26 +1,22 @@
-"""ParallelEngine + prefill: determinism, dedup, worker metric isolation."""
+"""Keygen prefill: determinism, worker metric isolation — and the
+retired verification pool's spellings staying retired."""
 
 import multiprocessing
-import random
 
 import pytest
 
-from repro.crypto import generate_keypair
 from repro.crypto.keys import KeyFactory
 from repro.jurisdiction.regions import RIR
 from repro.modelgen import DeploymentConfig, build_deployment, expected_keypairs
 from repro.parallel import (
-    ParallelEngine,
-    VerifyJob,
+    KeygenJob,
     WorkerPool,
+    keygen_batch,
     prefill_keys,
     registry_probe,
-    verify_batch,
 )
 from repro.repository import Fetcher
 from repro.rp import PathValidator, RelyingParty
-from repro.rp.incremental import IncrementalState
-from repro.simtime import HOUR
 from repro.telemetry import MetricsRegistry
 
 _CONFIG = DeploymentConfig(
@@ -29,93 +25,26 @@ _CONFIG = DeploymentConfig(
 )
 
 
-def _fresh_rp(**rp_opts):
-    world = build_deployment(_CONFIG)
-    world.clock.advance(HOUR)
-    fetcher = Fetcher(world.registry, world.clock, metrics=MetricsRegistry())
-    rp = RelyingParty(world.trust_anchors, fetcher, metrics=fetcher.metrics,
-                      **rp_opts)
-    return world, rp
-
-
-def _run_signature(run):
-    """Everything a ValidationRun contains, in comparable form."""
-    return (
-        sorted(str(vrp) for vrp in run.vrps),
-        [cert.hash_hex for cert in run.validated_cas],
-        [roa.hash_hex for roa in run.validated_roas],
-        list(run.issues),
-        dict(run.roa_locations),
-        sorted(run.contacts),
-    )
-
-
 class TestRelyingPartyDeterminism:
-    def test_validation_run_equal_for_every_worker_count(self):
-        _world, serial_rp = _fresh_rp(workers=0)
-        baseline = _run_signature(serial_rp.refresh().run)
-        for workers in (1, 2, 4):
-            _world, rp = _fresh_rp(workers=workers)
-            assert _run_signature(rp.refresh().run) == baseline, workers
-
-    def test_composes_with_incremental(self):
-        _world, serial_rp = _fresh_rp(workers=0)
-        world, rp = _fresh_rp(workers=2, incremental=True)
-        assert (_run_signature(rp.refresh().run)
-                == _run_signature(serial_rp.refresh().run))
-        world.clock.advance(HOUR)
-        warm = rp.refresh()
-        assert sorted(str(v) for v in warm.run.vrps) == sorted(
-            str(v) for v in serial_rp.last_run.vrps
-        )
-        # The warm refresh replayed points from the incremental state.
-        points = rp.metrics.get("repro_incremental_points_total")
-        assert points.value(outcome="reused") > 0
-
     def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="worker count"):
-            _fresh_rp(workers=-1)
-
-    def test_engine_dedups_discovery_round_redundancy(self):
-        _world, rp = _fresh_rp(workers=2)
-        report = rp.refresh()
-        assert report.rounds > 1  # dedup needs something to deduplicate
-        jobs = rp.metrics.get("repro_parallel_jobs_total")
-        deduped = rp.metrics.get("repro_parallel_jobs_deduped_total")
-        assert jobs.value(kind="verify") > 0
-        assert deduped.value() > 0
-        # Every dispatched job was novel: dispatched + deduplicated is
-        # exactly what a memo-less serial pass would have verified.
-        assert rp.validator._verify_calls <= (
-            jobs.value(kind="verify") + deduped.value()
-        )
+        """Validation is never pooled: any worker count is a TypeError."""
+        world = build_deployment(_CONFIG)
+        fetcher = Fetcher(world.registry, world.clock,
+                          metrics=MetricsRegistry())
+        for workers in (-1, 1):
+            with pytest.raises(TypeError, match="workers"):
+                RelyingParty(world.trust_anchors, fetcher, workers=workers)
 
 
 class TestEngineContract:
-    def test_precompute_requires_begin_refresh(self):
-        engine = ParallelEngine(metrics=MetricsRegistry())
-        with pytest.raises(RuntimeError, match="begin_refresh"):
-            engine.precompute([], {})
-
     def test_validator_rejects_both_providers(self):
+        """The incremental state is the only reuse state a validator takes."""
         world = build_deployment(_CONFIG)
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError, match="mutually exclusive"):
+        with pytest.raises(TypeError, match="parallel"):
             PathValidator(
-                world.trust_anchors, metrics=registry,
-                incremental=IncrementalState(metrics=registry),
-                parallel=ParallelEngine(metrics=registry),
+                world.trust_anchors, metrics=MetricsRegistry(),
+                parallel=object(),
             )
-
-    def test_owned_memos_reset_each_refresh(self):
-        engine = ParallelEngine(metrics=MetricsRegistry())
-        with WorkerPool(0, metrics=MetricsRegistry()) as pool:
-            engine.begin_refresh(pool)
-            first = engine._state
-            engine.end_refresh()
-            engine.begin_refresh(pool)
-            assert engine._state is not first
-            engine.end_refresh()
 
 
 class TestPrefill:
@@ -164,84 +93,22 @@ class TestPrefill:
 )
 class TestWorkerMetricIsolation:
     def test_raw_batches_never_touch_worker_registry_state(self):
-        key = generate_keypair(512, random.Random(53))
-        signature = key.sign(b"isolated")
-        jobs = [
-            VerifyJob(modulus=key.public.modulus,
-                      exponent=key.public.exponent,
-                      message=b"isolated", signature=signature)
-        ] * 8
+        jobs = [KeygenJob(bits=512, stream_seed=seed) for seed in (5, 6, 7)]
         from repro.telemetry import default_registry
 
-        def parent_verify_total():
-            counter = default_registry().get("repro_crypto_verify_total")
-            return (counter.value(outcome="accepted")
-                    + counter.value(outcome="rejected"))
+        def parent_keygen_total():
+            return default_registry().get("repro_crypto_keygen_total").value()
 
         with WorkerPool(1, start_method="fork",
                         metrics=MetricsRegistry()) as pool:
             assert pool.is_parallel
             before = pool.map_batches(registry_probe, [0])[0]
-            parent_before = parent_verify_total()
-            assert pool.map_batches(verify_batch, jobs) == [True] * 8
+            parent_before = parent_keygen_total()
+            keys = pool.map_batches(keygen_batch, jobs)
             after = pool.map_batches(registry_probe, [0])[0]
+        assert len({key.public.modulus for key in keys}) == 3
         # The worker ran only uninstrumented raw functions: its inherited
         # module-global counters are exactly as they were at fork time.
         assert after == before
         # And nothing leaked back into the parent registry either.
-        assert parent_verify_total() == parent_before
-
-    def test_engine_credits_pooled_work_to_parent(self):
-        from repro.telemetry import default_registry
-
-        counter = default_registry().get("repro_crypto_verify_total")
-        before = (counter.value(outcome="accepted")
-                  + counter.value(outcome="rejected"))
-        _world, rp = _fresh_rp(workers=1)
-        rp.refresh()
-        jobs = rp.metrics.get("repro_parallel_jobs_total")
-        after = (counter.value(outcome="accepted")
-                 + counter.value(outcome="rejected"))
-        # Every pooled verification landed in the parent's aggregate.
-        assert after - before >= jobs.value(kind="verify")
-
-
-class TestChunkedDispatch:
-    """precompute() flushes at publication-point boundaries, not all-at-once."""
-
-    def _precompute(self, anchors, cache_files, chunk_jobs):
-        registry = MetricsRegistry()
-        engine = ParallelEngine(metrics=registry)
-        engine.chunk_jobs = chunk_jobs
-        batches = []
-        with WorkerPool(0, metrics=registry) as pool:
-            original = pool.map_batches
-
-            def spy(fn, jobs):
-                batches.append(len(jobs))
-                return original(fn, jobs)
-
-            pool.map_batches = spy
-            engine.begin_refresh(pool)
-            dispatched = engine.precompute(anchors, cache_files)
-            redispatched = engine.precompute(anchors, cache_files)
-            engine.end_refresh()
-        return dispatched, redispatched, batches
-
-    def test_small_chunks_dispatch_same_total_as_one_flush(self):
-        world, rp = _fresh_rp()
-        rp.refresh()
-        anchors = world.trust_anchors
-        cache_files = rp.cache.all_files()
-
-        one_flush, _, single = self._precompute(
-            anchors, cache_files, chunk_jobs=10**9
-        )
-        chunked, rerun, batches = self._precompute(
-            anchors, cache_files, chunk_jobs=8
-        )
-        assert len(single) == 1 and single[0] == one_flush
-        assert len(batches) > 1          # actually chunked the stream
-        assert sum(batches) == chunked == one_flush
-        # Second pass inside the same refresh: everything memoized.
-        assert rerun == 0
+        assert parent_keygen_total() == parent_before

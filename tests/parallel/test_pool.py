@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from repro.crypto import generate_keypair
-from repro.parallel import VerifyJob, WorkerPool, verify_batch
+from repro.crypto import generate_keypair_raw
+from repro.parallel import KeygenJob, WorkerPool, keygen_batch
 from repro.telemetry import MetricsRegistry
 
 
@@ -23,22 +23,6 @@ def _boom_batch(jobs):
 
 def _short_batch(jobs):
     return list(jobs)[:-1]
-
-
-@pytest.fixture(scope="module")
-def verify_jobs():
-    key = generate_keypair(512, random.Random(41))
-    jobs = []
-    for index in range(6):
-        message = b"object %d" % index
-        signature = key.sign(message)
-        if index % 3 == 2:
-            message = b"tampered %d" % index
-        jobs.append(VerifyJob(
-            modulus=key.public.modulus, exponent=key.public.exponent,
-            message=message, signature=signature,
-        ))
-    return jobs
 
 
 class TestConstruction:
@@ -78,13 +62,15 @@ class TestOrderingAndFallback:
             ]
 
     @pytest.mark.parametrize("workers", [0, 2])
-    def test_verify_batch_deterministic_across_worker_counts(
-        self, workers, verify_jobs
-    ):
-        expected = [True, True, False, True, True, False]
+    def test_keygen_batch_same_at_any_worker_count(self, workers):
+        jobs = [KeygenJob(bits=512, stream_seed=seed) for seed in range(5)]
+        expected = [
+            generate_keypair_raw(512, random.Random(job.stream_seed))
+            for job in jobs
+        ]
         with WorkerPool(workers, chunk_jobs=2,
                         metrics=MetricsRegistry()) as pool:
-            assert pool.map_batches(verify_batch, verify_jobs) == expected
+            assert pool.map_batches(keygen_batch, jobs) == expected
 
     def test_unavailable_start_method_degrades_to_serial(self):
         registry = MetricsRegistry()

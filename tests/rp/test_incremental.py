@@ -116,7 +116,7 @@ class TestMemoUnits:
 
 class TestZeroChurnRefresh:
     def test_warm_refresh_is_equal_and_verification_free(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         first = rp.refresh()
         verify = rp.metrics.get("repro_crypto_verify_total")
         before = (verify.value(outcome="accepted")
@@ -132,7 +132,7 @@ class TestZeroChurnRefresh:
         assert second.run == cold_run(rp, world)
 
     def test_points_reported_reused(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         points = rp.metrics.get("repro_incremental_points_total")
         validated_cold = points.value(outcome="validated")
@@ -158,7 +158,7 @@ class TestAttackSafety:
         return report
 
     def test_roa_whack_propagates(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         whacked = world.continental.roa_named(world.target20_name)
         world.continental.revoke_roa(world.target20_name)
@@ -169,7 +169,7 @@ class TestAttackSafety:
                        asn=whacked.asn) not in report.vrps
 
     def test_roa_shrink_propagates(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         baseline = rp.refresh()
         old = world.continental.roa_named(world.target22_name)
         world.continental.revoke_roa(world.target22_name)
@@ -181,7 +181,7 @@ class TestAttackSafety:
         assert VRP.parse("63.174.16.0/22", old.asn) not in report.vrps
 
     def test_crl_revocation_kills_subtree(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         world.sprint.revoke_cert(world.continental.certificate)
         report = self.assert_matches_cold(rp, world)
@@ -189,7 +189,7 @@ class TestAttackSafety:
         assert len(report.vrps) == 3
 
     def test_republished_revoked_cert_rejected_via_crl(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         old_cert = world.continental.certificate
         world.sprint.revoke_cert(old_cert)
@@ -203,7 +203,7 @@ class TestAttackSafety:
         assert report.run.has_issue("revoked")
 
     def test_clock_advance_past_expiry(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         world.clock.advance(91 * DAY)  # past every 90-day ROA window
         report = self.assert_matches_cold(rp, world)
@@ -211,23 +211,31 @@ class TestAttackSafety:
         assert report.run.has_issue("expired")
 
     def test_clock_advance_past_manifest_window(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         world.clock.advance(2 * DAY)  # beyond the 1-day manifest window
         report = self.assert_matches_cold(rp, world)
         assert report.run.has_issue("manifest-stale")
 
     def test_small_clock_advance_still_reuses(self, world):
-        rp = make_rp(world, incremental=True)
-        rp.refresh()
+        rp = make_rp(world, mode="incremental")
+        # Step off the objects' shared not_before instant: a point judged
+        # while now sits *on* a boundary is (conservatively) re-judged
+        # once the boundary has passed.
+        world.clock.advance(1 * HOUR)
+        first = rp.refresh()
+        points = rp.metrics.get("repro_incremental_points_total")
+        judged = len(first.run.validated_cas)
+        assert points.value(outcome="validated") == judged
+        assert points.value(outcome="reused") == 0
         world.clock.advance(1 * HOUR)  # no validity edge crossed
         report = self.assert_matches_cold(rp, world)
-        points = rp.metrics.get("repro_incremental_points_total")
-        assert points.value(outcome="reused") > 0
+        assert points.value(outcome="reused") == judged
+        assert points.value(outcome="validated") == judged
         assert len(report.vrps) == 8
 
     def test_renewal_after_expiry(self, world):
-        rp = make_rp(world, incremental=True)
+        rp = make_rp(world, mode="incremental")
         rp.refresh()
         world.clock.advance(91 * DAY)
         rp.refresh()
@@ -244,7 +252,7 @@ class TestAttackSafety:
             "rsync://continental.example/repo/",
             file_name=world.target20_name,
         )
-        rp = make_rp(world, faults=faults, incremental=True)
+        rp = make_rp(world, faults=faults, mode="incremental")
         rp.refresh()
         files = rp.cache.all_files(world.clock.now)
         now = world.clock.now

@@ -1,8 +1,8 @@
-"""The coherent engine-mode surface of RelyingParty.
+"""The one persistence switch of RelyingParty.
 
-One knob, ``mode="serial"|"incremental"|"parallel"``, plus ``workers``;
-the legacy ``incremental=True`` spelling survives as a warning shim and
-incoherent combinations are rejected loudly.
+``mode="serial"`` keeps no validation state between refreshes,
+``mode="incremental"`` keeps it; nothing else selects an engine, and the
+retired spellings fail loudly instead of being silently ignored.
 """
 
 import pytest
@@ -27,7 +27,7 @@ def world():
 
 class TestModeKnob:
     def test_engine_modes_constant(self):
-        assert ENGINE_MODES == ("serial", "incremental", "parallel")
+        assert ENGINE_MODES == ("serial", "incremental")
 
     def test_default_is_serial(self, world):
         rp = make_rp(world)
@@ -39,24 +39,21 @@ class TestModeKnob:
         assert rp.mode == "incremental"
         assert rp.incremental_state is not None
 
-    def test_parallel_mode_defaults_to_one_worker(self, world):
-        rp = make_rp(world, mode="parallel")
-        assert rp.mode == "parallel"
-
-    def test_workers_imply_parallel(self, world):
-        rp = make_rp(world, workers=2)
-        assert rp.mode == "parallel"
-
     def test_unknown_mode_rejected(self, world):
-        with pytest.raises(ValueError, match="mode"):
-            make_rp(world, mode="turbo")
+        for mode in ("turbo", "parallel", None):
+            with pytest.raises(ValueError, match="mode"):
+                make_rp(world, mode=mode)
 
     def test_serial_with_workers_rejected(self, world):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="workers"):
             make_rp(world, mode="serial", workers=4)
 
+    def test_incremental_keyword_rejected(self, world):
+        with pytest.raises(TypeError, match="incremental"):
+            make_rp(world, incremental=True)
+
     def test_incremental_mode_refreshes(self, world):
-        # The knob must actually select the engine: a second refresh in
+        # The knob must actually keep the state: a second refresh in
         # incremental mode reuses the memoized validation work.
         rp = make_rp(world, mode="incremental")
         rp.refresh()
@@ -65,31 +62,3 @@ class TestModeKnob:
         assert len(rp.vrps) == first
         points = rp.metrics.get("repro_incremental_points_total")
         assert points.value(outcome="reused") > 0
-
-
-class TestLegacyShim:
-    def test_incremental_true_warns_and_maps(self, world):
-        with pytest.deprecated_call():
-            rp = make_rp(world, incremental=True)
-        assert rp.mode == "incremental"
-        assert rp.incremental_state is not None
-
-    def test_incremental_false_warns_and_maps_to_serial(self, world):
-        with pytest.deprecated_call():
-            rp = make_rp(world, incremental=False)
-        assert rp.mode == "serial"
-
-    def test_conflicting_spellings_rejected(self, world):
-        with pytest.raises(ValueError):
-            with pytest.deprecated_call():
-                make_rp(world, mode="serial", incremental=True)
-
-    def test_shim_behaves_like_the_new_spelling(self, world):
-        from repro.modelgen import build_figure2 as rebuild
-
-        with pytest.deprecated_call():
-            old = make_rp(world, incremental=True)
-        new = make_rp(rebuild(), mode="incremental")
-        old.refresh()
-        new.refresh()
-        assert set(old.vrps) == set(new.vrps)

@@ -25,7 +25,7 @@ def test_committed_artifacts_conform():
 def test_known_artifacts_present():
     names = {path.name for path in check_bench.bench_artifacts()}
     for expected in ("BENCH_api.json", "BENCH_rtr.json",
-                     "BENCH_parallel.json", "BENCH_chaos.json",
+                     "BENCH_discovery.json", "BENCH_chaos.json",
                      "BENCH_scale.json", "BENCH_microperf.json",
                      "BENCH_stalloris.json"):
         assert expected in names, f"{expected} missing from artifacts"

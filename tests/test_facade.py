@@ -45,6 +45,16 @@ class TestFacade:
     def test_version_present(self):
         assert isinstance(repro.__version__, str)
 
+    def test_version_matches_pyproject(self):
+        import pathlib
+        import re
+
+        pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+        declared = re.search(
+            r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE
+        ).group(1)
+        assert repro.__version__ == declared
+
     def test_all_is_sorted_within_reason(self):
         # Guard against silent drops: a generous floor on the surface.
         assert len(repro.__all__) >= 100

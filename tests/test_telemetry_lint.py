@@ -92,7 +92,7 @@ def test_lint_accepts_function_scoped_pool(tmp_path):
     good.write_text(
         "def run(jobs):\n"
         "    with WorkerPool(2) as pool:\n"
-        "        return pool.map_batches(verify_batch, jobs)\n"
+        "        return pool.map_batches(keygen_batch, jobs)\n"
     )
     assert check_telemetry_names.check_file(good) == []
 

@@ -28,7 +28,8 @@ Statically checks every module under ``src/repro``:
    context-managed inside a function, never constructed at module import
    time — a module-level pool forks on import, leaks processes into
    every importer, and breaks the worker-isolation guarantee of
-   :mod:`repro.parallel`.
+   :mod:`repro.parallel` (the keygen prefill pool, the only pool left
+   under ``src/repro``).
 
 4. **No silent broad excepts.**  A handler over ``Exception`` /
    ``BaseException`` (or a bare ``except:``) whose body is a lone

@@ -41,10 +41,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--top", type=int, default=20,
                         help="hotspot rows to keep (default 20)")
     parser.add_argument("--workers", type=int, default=0,
-                        help="parallel-engine workers (0 = serial)")
+                        help="world-build keygen prefill workers "
+                             "(0 = in-process)")
     parser.add_argument(
-        "--mode", choices=["serial", "incremental", "parallel"], default=None,
-        help="engine mode (default: inferred from --workers)",
+        "--mode", choices=["serial", "incremental"], default="serial",
+        help="relying-party mode (default: serial, no state kept)",
     )
     parser.add_argument(
         "--full-objects", action="store_true",
