@@ -26,7 +26,7 @@ from conftest import write_artifact
 
 from repro.modelgen import INTERNET_SCALES, DeploymentConfig, build_deployment
 from repro.repository import PERSISTENT, FaultInjector, FaultKind, Fetcher
-from repro.rp import RelyingParty
+from repro.rp import RelyingParty, VrpSet
 from repro.rtr import (
     CacheChain,
     DuplexPipe,
@@ -252,6 +252,33 @@ INTERNET_CHURN_CYCLES = 3
 _INTERNET_RESULTS: dict = {}
 
 
+_INTERNET_RP: list = []
+
+
+def _internet_rp():
+    """``(world, rp, metrics)`` at internet-small, refreshed once.
+
+    Built once and shared, in file order, by the two Internet-scale
+    tests (the build is ~10 s; each test issues its own ROAs).
+    """
+    if not _INTERNET_RP:
+        world = build_deployment(INTERNET_SCALES["internet-small"])
+        metrics = MetricsRegistry()
+        fetcher = Fetcher(world.registry, world.clock, metrics=metrics)
+        rp = RelyingParty(world.trust_anchors, fetcher, mode="incremental",
+                          metrics=metrics)
+        world.clock.advance(HOUR)
+        rp.refresh()
+        _INTERNET_RP.append((world, rp, metrics))
+    return _INTERNET_RP[0]
+
+
+def _first_roa_prefix(world):
+    donor = next(ca for ca in world.authorities() if ca.issued_roas)
+    roa = donor.issued_roas[sorted(donor.issued_roas)[0]]
+    return donor, roa.prefixes[0].prefix
+
+
 def test_internet_scale_session_sync():
     """Re-bench RTR serving at an Internet-scale VRP count (10^4).
 
@@ -260,13 +287,7 @@ def test_internet_scale_session_sync():
     churn is O(delta x sessions) — is re-asserted where snapshots are
     three hundred times heavier.
     """
-    world = build_deployment(INTERNET_SCALES["internet-small"])
-    metrics = MetricsRegistry()
-    fetcher = Fetcher(world.registry, world.clock, metrics=metrics)
-    rp = RelyingParty(world.trust_anchors, fetcher, mode="incremental",
-                      metrics=metrics)
-    world.clock.advance(HOUR)
-    rp.refresh()
+    world, rp, metrics = _internet_rp()
 
     root = RtrCacheServer(history_window=HISTORY_WINDOW, metrics=metrics)
     root.update(rp.vrps)
@@ -290,10 +311,7 @@ def test_internet_scale_session_sync():
     snapshot_pdus = pdu_counter.value(type="prefix_pdu")
     pdus_per_second = snapshot_pdus / max(snapshot_seconds, 1e-9)
 
-    donor = next(ca for ca in world.authorities() if ca.issued_roas)
-    prefix = donor.issued_roas[
-        sorted(donor.issued_roas)[0]
-    ].prefixes[0].prefix
+    donor, prefix = _first_roa_prefix(world)
     churn_pdus = []
     start = time.perf_counter()
     for cycle in range(INTERNET_CHURN_CYCLES):
@@ -334,9 +352,76 @@ def test_internet_scale_session_sync():
     })
 
 
+CHAIN_TIERS = CHAIN_FANOUT = 2
+CHAIN_DELTA_CYCLES = 5
+# ~2x the 3-4 ms measured for one delta through the six caches (the
+# per-hop table rebuild this replaces took 1.3-2.1 s here).
+CHAIN_DELTA_SECONDS_BOUND = 0.008
+
+_CHAIN_RESULTS: dict = {}
+
+
+def test_internet_scale_chain_delta(monkeypatch):
+    """A one-VRP delta through a synced 2x2 chain costs O(delta) at 10^4.
+
+    Each chained cache forwards the burst it was handed; none rebuilds
+    a table-sized ``VrpSet`` (10^4 trie walks per hop) to rediscover it.
+    The count is the claim, the seconds keep it honest.
+    """
+    world, rp, _metrics = _internet_rp()
+    root = RtrCacheServer(metrics=MetricsRegistry())
+    root.update(rp.vrps)
+    chain = CacheChain(root, tiers=CHAIN_TIERS, fanout=CHAIN_FANOUT)
+    chain.pump()
+    assert chain.divergent() == []
+
+    builds = []
+    build = VrpSet.__init__
+
+    def counted_build(self, *args, **kwargs):
+        builds.append(self)
+        build(self, *args, **kwargs)
+
+    donor, prefix = _first_roa_prefix(world)
+    seconds = []
+    for cycle in range(CHAIN_DELTA_CYCLES):
+        donor.issue_roa(65100 + cycle, str(prefix),
+                        name=f"chain-{cycle}.roa")
+        world.clock.advance(HOUR)
+        rp.refresh()
+        target = rp.vrps
+        with monkeypatch.context() as patch:
+            patch.setattr(VrpSet, "__init__", counted_build)
+            start = time.perf_counter()
+            root.update(target)
+            chain.pump()
+            seconds.append(time.perf_counter() - start)
+        truth = target.as_frozenset()
+        assert all(c.current_vrps() == truth for c in chain.caches())
+    assert len(builds) == 0, (
+        f"{len(builds)} VrpSet builds while pumping one-VRP deltas"
+    )
+    median = sorted(seconds)[len(seconds) // 2]
+    assert median <= CHAIN_DELTA_SECONDS_BOUND, (
+        f"one-VRP delta through the chain took {median:.4f}s"
+    )
+    _CHAIN_RESULTS.update({
+        "scale": "internet-small",
+        "vrps": len(rp.vrps),
+        "tiers": CHAIN_TIERS,
+        "fanout": CHAIN_FANOUT,
+        "caches": len(chain.caches()),
+        "delta_cycles": CHAIN_DELTA_CYCLES,
+        "vrpset_builds": len(builds),
+        "delta_seconds": [round(s, 5) for s in seconds],
+        "delta_seconds_median": round(median, 5),
+    })
+
+
 def test_write_artifact():
     result = _run_fleet()
     assert _INTERNET_RESULTS
+    assert _CHAIN_RESULTS
     rate = (result["total_sessions"] * result["cycles"]
             / max(result["serve_seconds"], 1e-9))
     write_artifact("BENCH_rtr.json", json.dumps({
@@ -358,8 +443,17 @@ def test_write_artifact():
                 "measured": max(_INTERNET_RESULTS["churn_prefix_pdus"]),
                 "bound": 2 * INTERNET_SESSIONS, "op": "<=",
             },
+            "chain_vrpset_builds_per_delta": {
+                "measured": _CHAIN_RESULTS["vrpset_builds"],
+                "bound": 0, "op": "==",
+            },
+            "chain_one_vrp_delta_seconds": {
+                "measured": _CHAIN_RESULTS["delta_seconds_median"],
+                "bound": CHAIN_DELTA_SECONDS_BOUND, "op": "<=",
+            },
         },
         "internet": _INTERNET_RESULTS,
+        "chain_delta": _CHAIN_RESULTS,
         "topology": {
             "tiers": TIERS,
             "fanout": FANOUT,

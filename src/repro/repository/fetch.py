@@ -145,7 +145,6 @@ class Fetcher:
         self.attempt_timeout = attempt_timeout
         self.resilience = resilience
         self.breakers: dict[str, CircuitBreaker] = {}
-        self.fetch_log: list[FetchResult] = []
         self.metrics = metrics if metrics is not None else default_registry()
         self._m_fetches = self.metrics.counter(
             "repro_fetch_total",
@@ -218,7 +217,7 @@ class Fetcher:
                     self._m_breaker_transitions.inc(state=transition.value)
                 if not allowed:
                     self._m_breaker_skips.inc()
-                    return self._log(FetchResult(
+                    return self._count(FetchResult(
                         uri_text, FetchStatus.BREAKER_OPEN,
                         fetched_at=self._clock.now, attempts=attempts,
                         elapsed=self._clock.now - start,
@@ -232,7 +231,7 @@ class Fetcher:
                 if transition is not None:
                     self._m_breaker_transitions.inc(state=transition.value)
             if status not in RETRYABLE or attempts >= max_attempts:
-                return self._log(FetchResult(
+                return self._count(FetchResult(
                     uri_text, status, files, fetched_at=self._clock.now,
                     attempts=attempts, elapsed=self._clock.now - start,
                 ))
@@ -288,8 +287,10 @@ class Fetcher:
             files = served
         return FetchStatus.OK, files
 
-    def _log(self, result: FetchResult) -> FetchResult:
-        self.fetch_log.append(result)
+    def _count(self, result: FetchResult) -> FetchResult:
+        """Account for a finished fetch.  The result itself is the
+        caller's: a fetcher lives as long as its relying party, and a
+        kept result would pin every superseded manifest and CRL."""
         self._m_fetches.inc(status=result.status.value)
         if result.files:
             self._m_objects.inc(len(result.files))

@@ -1,12 +1,17 @@
 """The cache side of RTR: a relying party serving a router fleet.
 
-Keeps the current VRP set under a monotonically increasing *serial*, a
+Keeps the served VRPs under a monotonically increasing *serial*, a
 **bounded** window of per-serial deltas for incremental updates, and any
 number of attached router sessions behind an event-driven
 :class:`~repro.rtr.mux.SessionMux`.  When the relying party's refresh
 changes the VRP set, :meth:`RtrCacheServer.update` bumps the serial and
 sends a Serial Notify down every session — the routers then pull the
 delta.
+
+The served table is a plain set plus its sorted order, both maintained
+in place by :meth:`RtrCacheServer.apply_delta`, so installing a change
+costs O(delta), not O(table): an RTR cache answers serial and reset
+queries, never covering-prefix lookups, and holds no trie.
 
 Three serving-scale mechanisms (see docs/rtr.md):
 
@@ -30,7 +35,8 @@ route-validity oracle.
 
 from __future__ import annotations
 
-import warnings
+from bisect import bisect_left, insort
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..rp.vrp import VRP, VrpSet
@@ -125,7 +131,9 @@ class RtrCacheServer:
         self.history_window = history_window
         self.max_history_vrps = max_history_vrps
         self.serial = 0
-        self._current = VrpSet()
+        self._vrps: set[VRP] = set()
+        self._sorted: list[VRP] = []
+        self._frozen: frozenset[VRP] | None = None
         self._history: dict[int, _Delta] = {}
         self._history_vrps = 0
         self._snapshot: tuple[int, bytes, int] | None = None
@@ -176,34 +184,62 @@ class RtrCacheServer:
 
     # -- data-side API -----------------------------------------------------
 
-    def update(self, vrps: VrpSet | set[VRP] | frozenset[VRP]) -> int:
+    def update(self, vrps: VrpSet) -> int:
         """Install a new VRP set; returns the (possibly unchanged) serial.
 
-        Deltas come from :meth:`VrpSet.added` / :meth:`VrpSet.removed`,
-        which reuse both sets' cached frozensets — one set difference,
-        not a per-element probe.  A no-op update does not bump the
-        serial (RFC 6810 serials only move on real change).
-
-        .. deprecated:: 1.7
-           Passing a raw ``set[VRP]`` is deprecated; build a
-           :class:`VrpSet` (whose delta views are cached) instead.
+        Diffs *vrps* against the served set — two set differences over
+        cached frozensets — and hands the result to :meth:`apply_delta`.
         """
         if not isinstance(vrps, VrpSet):
-            warnings.warn(
-                "RtrCacheServer.update with a raw set of VRPs is "
-                "deprecated; pass a VrpSet",
-                DeprecationWarning, stacklevel=2,
+            raise TypeError(
+                f"update takes a VrpSet, not {type(vrps).__name__}"
             )
-            vrps = VrpSet(vrps)
-        announced = vrps.added(self._current)
-        withdrawn = vrps.removed(self._current)
-        if not announced and not withdrawn:
+        target = vrps.as_frozenset()
+        served = self.current_vrps()
+        serial = self.apply_delta(target - served, served - target)
+        # Equal content now, so *target* is the served set, frozen.  It
+        # also holds the caller's own VRP objects: a relying party hands
+        # most of them over again next refresh, and the next diff then
+        # matches them by identity instead of comparing field by field.
+        self._frozen = target
+        return serial
+
+    def apply_delta(
+        self, announced: Iterable[VRP], withdrawn: Iterable[VRP]
+    ) -> int:
+        """Install a change set; returns the (possibly unchanged) serial.
+
+        The one install primitive, for callers that already hold the
+        delta (a chained cache forwarding an upstream burst).  Only
+        *effective* changes are installed and recorded: announcing a VRP
+        already served or withdrawing one never served is dropped, and a
+        VRP named on both sides ends up announced (the wire order —
+        withdrawals, then announcements).  A delta with no effective
+        change does not bump the serial (RFC 6810 serials only move on
+        real change).
+        """
+        served = self._vrps
+        arriving = set(announced)
+        leaving = (set(withdrawn) - arriving) & served
+        arriving -= served
+        if not arriving and not leaving:
             return self.serial
+        served -= leaving
+        served |= arriving
+        announced, withdrawn = sorted(arriving), sorted(leaving)
+        # The snapshot burst is served in sorted order; keeping that
+        # order by bisection costs O(log table) comparisons per changed
+        # VRP where re-sorting per serial would compare the whole table.
+        order = self._sorted
+        for vrp in withdrawn:
+            del order[bisect_left(order, vrp)]
+        for vrp in announced:
+            insort(order, vrp)
         self.serial += 1
-        self._current = vrps
+        self._frozen = None
         self._snapshot = None
         self._m_serial_bumps.inc()
-        self._m_vrps.set(len(vrps))
+        self._m_vrps.set(len(served))
         self._history[self.serial] = _Delta(announced, withdrawn)
         self._history_vrps += len(announced) + len(withdrawn)
         self._compact_history()
@@ -213,7 +249,7 @@ class RtrCacheServer:
     def _compact_history(self) -> None:
         """Evict deltas past either bound; evicted serials need a reset.
 
-        The snapshot (``self._current``) always answers for compacted
+        The snapshot (the served table) always answers for compacted
         serials, so eviction never loses data — it trades replay for a
         full re-sync, keeping cache memory bounded no matter the churn.
         """
@@ -233,7 +269,7 @@ class RtrCacheServer:
 
     @property
     def vrp_count(self) -> int:
-        return len(self._current)
+        return len(self._vrps)
 
     @property
     def delta_history_serials(self) -> int:
@@ -246,8 +282,14 @@ class RtrCacheServer:
         return self._history_vrps
 
     def current_vrps(self) -> frozenset[VRP]:
-        """The served VRP set (the chained-tier equivalence probe)."""
-        return self._current.as_frozenset()
+        """The served VRP set, frozen once per serial.
+
+        The chained-tier equivalence probe, and what a chained cache
+        diffs a reset burst against.
+        """
+        if self._frozen is None:
+            self._frozen = frozenset(self._vrps)
+        return self._frozen
 
     @property
     def session_count(self) -> int:
@@ -331,12 +373,13 @@ class RtrCacheServer:
         """
         if self._snapshot is None or self._snapshot[0] != self.serial:
             parts = [encode_pdu(CacheResponse(self.session_id))]
-            count = 0
-            for vrp in self._current:  # cached sorted view
-                parts.append(encode_pdu(_prefix_pdu(True, vrp)))
-                count += 1
+            parts += [
+                encode_pdu(_prefix_pdu(True, vrp)) for vrp in self._sorted
+            ]
             parts.append(encode_pdu(EndOfData(self.session_id, self.serial)))
-            self._snapshot = (self.serial, b"".join(parts), count)
+            self._snapshot = (
+                self.serial, b"".join(parts), len(self._sorted)
+            )
         return self._snapshot[1], self._snapshot[2]
 
     def _send_full(self, session: MuxSession) -> None:

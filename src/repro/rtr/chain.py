@@ -22,6 +22,7 @@ both do exactly that).
 
 from __future__ import annotations
 
+from ..rp.vrp import VRP
 from ..telemetry import MetricsRegistry
 from .cache_server import RtrCacheServer
 from .channel import DuplexPipe
@@ -35,8 +36,10 @@ class ChainedRtrCache:
 
     The downstream server's serial numbering is independent of the
     upstream's (each cache is its own RTR session space); only the VRP
-    *content* propagates.  ``update`` is a no-op when the pulled set is
-    unchanged, so pumping an idle chain costs no serial bumps.
+    *content* propagates.  Every burst the upstream session applies is
+    forwarded downstream as the delta it carried, so a hop costs
+    O(delta), and a burst that changes nothing served — an idle poll, an
+    identical re-pull after a reconnect — costs no serial bump.
     """
 
     def __init__(
@@ -55,7 +58,6 @@ class ChainedRtrCache:
         self.server = RtrCacheServer(
             session_id=session_id, metrics=self.metrics, **server_opts
         )
-        self._applied_serial: int | None = None
         self._m_reconnects = self.metrics.counter(
             "repro_rtr_chain_reconnects_total",
             help="chained-cache upstream sessions re-established after "
@@ -68,9 +70,18 @@ class ChainedRtrCache:
     def _connect(self) -> None:
         self.pipe = DuplexPipe()
         self.upstream.attach(self.pipe)
-        self.client = RtrRouterClient(self.pipe)
+        self.client = RtrRouterClient(self.pipe, on_burst=self._forward)
         self.client.connect()
-        self._applied_serial = None
+
+    def _forward(
+        self, reset: bool, announced: list[VRP], withdrawn: list[VRP]
+    ) -> None:
+        """Re-serve one upstream burst downstream as its net delta."""
+        if reset:
+            # A reset burst is the upstream's whole table, not a change
+            # to ours: whatever we serve beyond it has to go.
+            withdrawn = self.server.current_vrps().difference(announced)
+        self.server.apply_delta(announced, withdrawn)
 
     def pump(self) -> None:
         """One tick: pull from upstream, re-serve downstream.
@@ -84,12 +95,6 @@ class ChainedRtrCache:
             self._m_reconnects.inc()
             self._connect()
         self.client.process()
-        if (
-            self.client.state is RouterState.SYNCED
-            and self.client.serial != self._applied_serial
-        ):
-            self.server.update(self.client.vrp_set())
-            self._applied_serial = self.client.serial
         self.server.process()
 
     def current_vrps(self):

@@ -11,6 +11,7 @@ whole paper pipeline runs over a faithful cache-to-router channel.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 
 from ..rp.vrp import VRP, VrpSet
 from .channel import ChannelClosed, DuplexPipe
@@ -40,10 +41,25 @@ class RouterState(enum.Enum):
 
 
 class RtrRouterClient:
-    """One router's RTR session and VRP table."""
+    """One router's RTR session and VRP table.
 
-    def __init__(self, pipe: DuplexPipe):
+    *on_burst*, if given, is called at every End of Data with
+    ``(reset, announced, withdrawn)`` — the net effect of the burst just
+    applied, order already resolved; on a reset burst the table was
+    emptied first, so *announced* is the whole new table.  It is how a
+    chained cache re-serves exactly what it was handed instead of
+    rediscovering it from the table.  A plain router passes none and
+    keeps nothing beyond its table.
+    """
+
+    def __init__(
+        self,
+        pipe: DuplexPipe,
+        *,
+        on_burst: Callable[[bool, list[VRP], list[VRP]], None] | None = None,
+    ):
         self.pipe = pipe
+        self._on_burst = on_burst
         self.state = RouterState.IDLE
         self.serial = 0
         self.session_id: int | None = None
@@ -129,10 +145,18 @@ class RtrRouterClient:
                     self._vrps.add(vrp)
                 else:
                     self._vrps.discard(vrp)
-            self._pending.clear()
             self.serial = pdu.serial
             self.session_id = pdu.session_id
             self.state = RouterState.SYNCED
+            if self._on_burst is not None:
+                # The last PDU naming a VRP decides its fate in the burst.
+                fate = {vrp: announce for announce, vrp in self._pending}
+                self._on_burst(
+                    self._burst_is_reset,
+                    [vrp for vrp, announce in fate.items() if announce],
+                    [vrp for vrp, announce in fate.items() if not announce],
+                )
+            self._pending.clear()
             return
         if isinstance(pdu, CacheReset):
             self._burst_is_reset = True

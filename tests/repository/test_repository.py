@@ -1,7 +1,11 @@
 """Unit tests for URIs, servers, fetching, faults, and the local cache."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.modelgen import build_figure2
 from repro.repository import (
     BYZANTINE_KINDS,
     PERSISTENT,
@@ -18,7 +22,9 @@ from repro.repository import (
     UriError,
     nested_bomb,
 )
-from repro.simtime import Clock
+from repro.rp import RelyingParty
+from repro.simtime import HOUR, Clock
+from repro.telemetry import MetricsRegistry
 
 
 class TestRsyncUri:
@@ -152,14 +158,45 @@ class TestFetcher:
         fetcher.fetch_point("rsync://continental/repo/")
         assert int(seen[0].origin_asn) == 17054
 
-    def test_fetch_log(self):
-        _, _, _, fetcher = self.setup_world()
-        fetcher.fetch_point("rsync://continental/repo/")
-        fetcher.fetch_point("rsync://ghost/repo/")
-        assert [r.status for r in fetcher.fetch_log] == [
+    def test_fetch_outcomes_are_returned_and_counted(self):
+        _, _, _, fetcher = self.setup_world(metrics=MetricsRegistry())
+        results = [
+            fetcher.fetch_point("rsync://continental/repo/"),
+            fetcher.fetch_point("rsync://ghost/repo/"),
+        ]
+        assert [r.status for r in results] == [
             FetchStatus.OK,
             FetchStatus.UNKNOWN_HOST,
         ]
+        fetches = fetcher.metrics.get("repro_fetch_total")
+        assert fetches.value(status="ok") == 1
+        assert fetches.value(status="unknown-host") == 1
+
+    def test_long_lived_fetcher_retains_no_results(self):
+        """A fetcher lives as long as its relying party; every result it
+        kept would pin that refresh's manifest and CRL bytes for good."""
+        world = build_figure2()
+        metrics = MetricsRegistry()
+        fetcher = Fetcher(world.registry, world.clock, metrics=metrics)
+        rp = RelyingParty(world.trust_anchors, fetcher, metrics=metrics)
+        handed_out = []
+        fetch_point = fetcher.fetch_point
+
+        def tracked(uri):
+            result = fetch_point(uri)
+            handed_out.append(weakref.ref(result))
+            return result
+
+        fetcher.fetch_point = tracked
+        points = len(rp.refresh().fetches)
+        for _ in range(100):
+            world.clock.advance(HOUR)
+            rp.refresh()
+        gc.collect()
+        assert len(handed_out) == 101 * points
+        assert sum(ref() is not None for ref in handed_out) <= points
+        assert metrics.get("repro_fetch_total").value(status="ok") == len(
+            handed_out)
 
 
 class TestFaults:

@@ -382,23 +382,13 @@ class TestDeltaCompaction:
 
 
 class TestUpdateUnification:
-    def test_raw_set_is_deprecated_but_works(self):
+    def test_update_rejects_anything_but_a_vrpset(self):
         server = RtrCacheServer()
         raw = {VRP.parse(text, asn) for text, asn in FIGURE2}
-        with pytest.deprecated_call():
-            serial = server.update(raw)
-        assert serial == 1
-        assert server.current_vrps() == vrps(*FIGURE2).as_frozenset()
-
-    def test_raw_set_computes_the_same_deltas(self):
-        server = RtrCacheServer()
-        server.update(vrps(*FIGURE2))
-        with pytest.deprecated_call():
-            server.update({
-                VRP.parse(text, asn) for text, asn in FIGURE2[:1]
-            })
-        assert server.serial == 2
-        assert server.current_vrps() == vrps(*FIGURE2[:1]).as_frozenset()
+        for not_a_vrpset in (raw, frozenset(raw), sorted(raw)):
+            with pytest.raises(TypeError):
+                server.update(not_a_vrpset)
+        assert server.serial == 0
 
     def test_vrpset_path_emits_no_warning(self):
         server = RtrCacheServer()
@@ -406,3 +396,78 @@ class TestUpdateUnification:
             warnings.simplefilter("error")
             server.update(vrps(*FIGURE2))
         assert server.serial == 1
+
+
+def parsed(*specs):
+    return [VRP.parse(text, asn) for text, asn in specs]
+
+
+EXTRA = ("10.0.0.0/16", 64512)
+
+
+class TestApplyDelta:
+    def test_installs_and_serves_the_delta(self):
+        server, client = make_pair()
+        client.connect()
+        pump(server, client)
+        serial = server.apply_delta(parsed(EXTRA), parsed(FIGURE2[0]))
+        assert serial == server.serial == 2
+        assert server.current_vrps() == frozenset(
+            parsed(*FIGURE2[1:], EXTRA))
+        pump(server, client)
+        assert client.serial == 2
+        assert client.vrp_set().as_frozenset() == server.current_vrps()
+
+    def test_empty_delta_keeps_the_serial(self):
+        server, _client = make_pair()
+        assert server.apply_delta([], []) == 1
+        assert server.delta_history_serials == 1
+
+    def test_ineffective_changes_are_filtered(self):
+        server, _client = make_pair()
+        # Announce of a present VRP, withdraw of an absent one: nothing.
+        assert server.apply_delta(parsed(FIGURE2[0]), parsed(EXTRA)) == 1
+        # Mixed with one real change: only that one is recorded.
+        server.apply_delta(
+            parsed(FIGURE2[0], EXTRA, EXTRA), parsed(("10.9.0.0/16", 64999)),
+        )
+        assert server.serial == 2
+        delta = server._history[2]
+        assert delta.announced == parsed(EXTRA)
+        assert delta.withdrawn == []
+        assert server.delta_history_vrps == len(FIGURE2) + 1
+
+    def test_vrp_on_both_sides_ends_up_announced(self):
+        server, _client = make_pair()
+        present, absent = parsed(FIGURE2[0]), parsed(EXTRA)
+        assert server.apply_delta(present, present) == 1   # stays: no change
+        assert server.apply_delta(absent, absent) == 2     # a plain announce
+        assert server._history[2].withdrawn == []
+        assert server.current_vrps() == frozenset(parsed(*FIGURE2, EXTRA))
+
+    def test_gauges_match_after_mixed_update_and_delta_installs(self):
+        server, _client = make_pair(history_window=3, max_history_vrps=6)
+        registry = server.metrics
+        table = list(FIGURE2)
+        for i in range(6):
+            spec = (f"10.{i}.0.0/16", 64512 + i)
+            if i % 2:
+                table.append(spec)
+                server.update(vrps(*table))
+            else:
+                table.append(spec)
+                server.apply_delta(parsed(spec), [])
+            assert server.current_vrps() == vrps(*table).as_frozenset()
+            assert server.vrp_count == len(table)
+            assert registry.get("repro_rtr_vrps").value() == len(table)
+            assert registry.get(
+                "repro_rtr_delta_history_serials").value() == float(
+                    server.delta_history_serials)
+            assert registry.get(
+                "repro_rtr_delta_history_vrps").value() == float(
+                    server.delta_history_vrps)
+        assert server.serial == 7
+        assert server.delta_history_serials <= 3
+        assert server.delta_history_vrps <= 6
+        assert registry.get(
+            "repro_rtr_compactions_total").value(reason="window") > 0
