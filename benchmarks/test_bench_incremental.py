@@ -18,16 +18,30 @@ Two claims are asserted, not just timed:
    warm refresh re-verifies only the affected publication point — the
    same small constant at 120-ROA and 300-ROA deployments, while the
    cold cost more than doubles between them.
+3. **The table is edited, not rebuilt.**  At ``internet-small`` (10^4
+   VRPs) a one-ROA refresh plus the first answer builds no ``VrpSet``,
+   walks the trie no more often than the re-judged point has VRPs,
+   re-hashes at most two fingerprint buckets and sorts nothing the size
+   of the table; an idle refresh edits nothing.  Counts, so a noisy box
+   cannot blur them (``BENCH_incremental.json``).
 """
+
+import builtins
+import json
 
 import pytest
 
 from conftest import write_artifact
 
 from repro import default_registry
-from repro.modelgen import DeploymentConfig, build_deployment
+from repro.api import ApiConfig, QueryService
+from repro.modelgen import INTERNET_SCALES, DeploymentConfig, build_deployment
 from repro.repository import Fetcher
-from repro.rp import RelyingParty
+from repro.resources import PrefixMap
+from repro.rp import RelyingParty, VrpSet
+from repro.rp.vrp import _Fingerprint
+from repro.simtime import HOUR
+from repro.telemetry import MetricsRegistry
 
 SCALES = {
     "medium": DeploymentConfig(isps_per_rir=6, customers_per_isp=2, seed=21),
@@ -117,3 +131,112 @@ def test_warm_cost_tracks_churn_not_size(benchmark, scale):
             "(timings in the pytest-benchmark table)",
         ]
         write_artifact("incremental_churn.txt", "\n".join(lines))
+
+
+class _Calls:
+    """Counts calls of the table-sized operations while patched in."""
+
+    def __init__(self, patch):
+        self.vrpset_builds = self.trie_inserts = self.trie_removes = 0
+        self.bucket_digests = self.fingerprint_edits = 0
+        self.largest_sort = 0
+        self._count(patch, VrpSet, "__init__", "vrpset_builds")
+        self._count(patch, PrefixMap, "get_or_insert", "trie_inserts")
+        self._count(patch, PrefixMap, "remove", "trie_removes")
+        self._count(patch, _Fingerprint, "_bucket_digest", "bucket_digests")
+        self._count(patch, _Fingerprint, "edit", "fingerprint_edits")
+        real_sorted = builtins.sorted
+
+        def counted_sorted(iterable, **kwargs):
+            items = list(iterable)
+            self.largest_sort = max(self.largest_sort, len(items))
+            return real_sorted(items, **kwargs)
+
+        patch.setattr(builtins, "sorted", counted_sorted)
+
+    def _count(self, patch, owner, method: str, counter: str) -> None:
+        inner = getattr(owner, method)
+
+        def counted(*args, **kwargs):
+            setattr(self, counter, getattr(self, counter) + 1)
+            return inner(*args, **kwargs)
+
+        patch.setattr(owner, method, counted)
+
+    @property
+    def index_edits(self) -> int:
+        return self.trie_inserts + self.trie_removes + self.fingerprint_edits
+
+
+def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
+    """Claim 3 of the module docstring, at 10^4 VRPs."""
+    world = build_deployment(INTERNET_SCALES["internet-small"])
+    metrics = MetricsRegistry()
+    rp = RelyingParty(
+        world.trust_anchors,
+        Fetcher(world.registry, world.clock, metrics=metrics),
+        mode="incremental", metrics=metrics,
+    )
+    rp.refresh()
+    service = QueryService(rp, config=ApiConfig(rate_limit=None),
+                           metrics=metrics)
+    table = len(rp.vrps)
+    donor = next(ca for ca in world.authorities() if ca.issued_roas)
+    prefix = donor.issued_roas[sorted(donor.issued_roas)[0]].prefixes[0].prefix
+    # Every lazy view the serving side keeps is built before counting.
+    assert service.validate_route(str(prefix), 65200).payload.state.value \
+        == "invalid"
+    service.lookup_asn(65200)
+
+    world.clock.advance(HOUR)
+    donor.issue_roa(65200, str(prefix), name="handoff.roa")
+    point_vrps = sum(len(roa.prefixes) for roa in donor.issued_roas.values())
+    with monkeypatch.context() as patch:
+        churn = _Calls(patch)
+        report = rp.refresh()
+        answer = service.validate_route(str(prefix), 65200)
+    assert answer.payload.state.value == "valid"
+    assert len(report.announced) == 1 and not report.withdrawn
+    assert service.lookup_asn(65200).payload == report.announced
+    assert churn.vrpset_builds == 0
+    assert churn.trie_inserts <= point_vrps
+    assert churn.bucket_digests <= 2
+    assert churn.largest_sort < table // 10
+
+    world.clock.advance(HOUR)
+    with monkeypatch.context() as patch:
+        idle = _Calls(patch)
+        report = rp.refresh()
+        service.validate_route(str(prefix), 65200)
+    assert not report.announced and not report.withdrawn
+    assert idle.index_edits == 0 and idle.vrpset_builds == 0
+
+    write_artifact("BENCH_incremental.json", json.dumps({
+        "experiment": "incremental",
+        "pins": {
+            "handoff_vrpset_builds": {
+                "measured": churn.vrpset_builds, "bound": 0, "op": "==",
+            },
+            "handoff_trie_inserts": {
+                "measured": churn.trie_inserts, "bound": point_vrps,
+                "op": "<=",
+            },
+            "handoff_bucket_digests": {
+                "measured": churn.bucket_digests, "bound": 2, "op": "<=",
+            },
+            "handoff_largest_sort": {
+                "measured": churn.largest_sort, "bound": table // 10,
+                "op": "<=",
+            },
+            "idle_index_edits": {
+                "measured": idle.index_edits, "bound": 0, "op": "==",
+            },
+        },
+        "handoff": {
+            "scale": "internet-small",
+            "vrps": table,
+            "rejudged_point_vrps": point_vrps,
+            "trie_removes": churn.trie_removes,
+            "idle_largest_sort": idle.largest_sort,
+        },
+    }, indent=2) + "\n")

@@ -59,8 +59,8 @@ def main() -> None:
 
     print("\nSprint whacks (63.174.16.0/20, AS 17054)...")
     execute_whack(plan_whack(world.sprint, world.target20, world.continental))
-    rp.refresh()
-    new_serial = cache.update(rp.vrps)
+    report = rp.refresh()
+    new_serial = cache.apply_delta(report.announced, report.withdrawn)
     print(f"cache refreshed: serial bumped to {new_serial}; "
           "Serial Notify sent to both routers")
     pump(cache, routers)

@@ -164,7 +164,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [

@@ -13,16 +13,19 @@ endpoints, all deterministic on the simulated clock:
   the monitor-facing "what did the authorities just do to me" query.
 
 Consistency contract: **every answer is computed against the backing
-relying party's live VRP set.**  Each request first syncs the service's
-snapshot with ``rp.last_run`` (an identity check, then a content hash),
+relying party's live VRP set.**  The service subscribes to the relying
+party and folds every refresh's net ``(announced, withdrawn)`` into a
+pending change; each request first adopts that change if there is one,
 so a refresh performed behind the service's back — including a faulted
 one mid-chaos-campaign — is visible to the very next query.  The
 benchmark's campaign invariant holds the service to exactly that.
 
 Serial numbers are content-addressed like the RTR cache server's: a
-refresh that validates to an identical VRP set does not bump the serial
-and keeps every cached response warm; any real change bumps it and
-records an added/removed delta in the history ring.
+refresh (or several, flapping A→B→A between two requests) whose folded
+change is empty does not bump the serial and keeps every cached response
+warm; any real change bumps it and *is* the added/removed delta recorded
+in the history ring.  No table is diffed, sorted or re-hashed to find
+that out: the work per epoch is proportional to the change.
 """
 
 from __future__ import annotations
@@ -154,6 +157,11 @@ class QueryService:
         self._m_serial = self.metrics.gauge(
             "repro_api_serial", help="current served epoch serial"
         )
+        # Net table change of the refreshes since the served epoch.
+        self._pending_added: set[VRP] = set()
+        self._pending_removed: set[VRP] = set()
+        self._stale = False
+        rp.subscribe(self._on_refresh)
         # Genesis snapshot: whatever the RP currently serves (usually the
         # empty pre-first-refresh set) becomes serial 0.
         self._vrps: VrpSet = rp.vrps
@@ -177,31 +185,35 @@ class QueryService:
         self._sync()
         return report
 
-    def _sync(self) -> None:
-        """Adopt the backing RP's live VRP set if it changed.
+    def _on_refresh(
+        self, announced: tuple[VRP, ...], withdrawn: tuple[VRP, ...]
+    ) -> None:
+        if announced or withdrawn:
+            _fold(self._pending_added, self._pending_removed,
+                  announced, withdrawn)
+            self._stale = True
 
-        Identity check first (refreshes reuse the same ``VrpSet`` object
-        until a new run lands), content hash second (a refresh that
-        validated to identical content is *not* a new epoch).
-        """
-        live = self.rp.vrps
-        if live is self._vrps:
+    def _sync(self) -> None:
+        """Open a new epoch if the refreshes since the last one changed
+        the table; the folded change is the epoch's delta."""
+        if not self._stale:
             return
-        live_hash = live.content_hash()
-        if live_hash == self._hash:
-            self._vrps = live
+        self._stale = False
+        self._vrps = self.rp.vrps
+        if not self._pending_added and not self._pending_removed:
             return
-        added = tuple(live.added(self._vrps))
-        removed = tuple(live.removed(self._vrps))
-        self._vrps = live
-        self._hash = live_hash
+        added = tuple(sorted(self._pending_added))
+        removed = tuple(sorted(self._pending_removed))
+        self._pending_added.clear()
+        self._pending_removed.clear()
+        self._hash = self._vrps.content_hash()
         self._serial += 1
         self._m_serial.set(self._serial)
         self._history.append(HistoryEntry(
             serial=self._serial,
             timestamp=self._clock.now,
-            content_hash=live_hash,
-            vrp_count=len(live),
+            content_hash=self._hash,
+            vrp_count=len(self._vrps),
             added=added,
             removed=removed,
         ))
@@ -370,19 +382,27 @@ def _net_diff(
     net_added: set[VRP] = set()
     net_removed: set[VRP] = set()
     for entry in entries:
-        for vrp in entry.added:
-            if vrp in net_removed:
-                net_removed.discard(vrp)
-            else:
-                net_added.add(vrp)
-        for vrp in entry.removed:
-            if vrp in net_added:
-                net_added.discard(vrp)
-            else:
-                net_removed.add(vrp)
+        _fold(net_added, net_removed, entry.added, entry.removed)
     return VrpDiff(
         from_serial=from_serial,
         to_serial=to_serial,
         added=tuple(sorted(net_added)),
         removed=tuple(sorted(net_removed)),
     )
+
+
+def _fold(
+    net_added: set[VRP], net_removed: set[VRP],
+    added: Iterable[VRP], removed: Iterable[VRP],
+) -> None:
+    """Fold one delta into a running net change, in place."""
+    for vrp in added:
+        if vrp in net_removed:
+            net_removed.discard(vrp)
+        else:
+            net_added.add(vrp)
+    for vrp in removed:
+        if vrp in net_added:
+            net_added.discard(vrp)
+        else:
+            net_removed.add(vrp)

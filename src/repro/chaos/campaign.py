@@ -367,8 +367,13 @@ class _Campaign:
         for planned in active:
             self._m_scheduled.inc(kind=planned.kind.value)
 
-    def _rtr_cycle(self, result: CampaignResult) -> None:
-        """Sync the router, with seeded session-level chaos."""
+    def _rtr_cycle(self, result: CampaignResult, report) -> None:
+        """Sync the router, with seeded session-level chaos.
+
+        *report* is the serial variant's refresh: its net table change
+        is what the cache installs (the server starts as empty as the
+        relying party does, so no bootstrap ``update`` is needed).
+        """
         if self.rtr_rng.random() < 0.25 and not self.pipe.closed:
             # Malformed bytes from the "router": the cache must answer
             # with an Error Report and drop the session, never raise.
@@ -393,7 +398,7 @@ class _Campaign:
             caches[self.rtr_rng.randrange(len(caches))].pipe.close()
             self._m_rtr_events.inc(kind="chain-close")
             result.rtr_events += 1
-        self.server.update(self.faulted[0].rp.vrps)
+        self.server.apply_delta(report.announced, report.withdrawn)
         self.router.process()   # Serial Notify -> router polls
         self.server.process()   # answer the Serial Query
         self.router.process()   # apply the delta
@@ -439,7 +444,7 @@ class _Campaign:
             result.degraded_points += len(
                 reports["serial"].degradation.degraded_points
             )
-            self._rtr_cycle(result)
+            self._rtr_cycle(result, reports["serial"])
         except Exception as exc:  # the no-crash invariant itself
             return Violation(
                 cycle, "no-crash", f"{type(exc).__name__}: {exc}"

@@ -689,8 +689,8 @@ def cmd_rtr(args) -> None:
     for cycle in range(3):
         donor.issue_roa(64512 + cycle, str(prefix), name=f"rtr-{cycle}.roa")
         world.clock.advance(HOUR)
-        rp.refresh()
-        server.update(rp.vrps)
+        report = rp.refresh()
+        server.apply_delta(report.announced, report.withdrawn)
         chain.pump()
         for client in routers:
             client.process()
@@ -712,8 +712,9 @@ def cmd_rtr(args) -> None:
     for cycle in range(server.history_window + 2):
         donor.issue_roa(64600 + cycle, str(prefix), name=f"lag-{cycle}.roa")
         world.clock.advance(HOUR)
-        rp.refresh()
-        server.update(rp.vrps)  # laggard never polls; deltas compact away
+        report = rp.refresh()
+        # The laggard never polls; its deltas compact away.
+        server.apply_delta(report.announced, report.withdrawn)
     server.process()
     resets = registry.get("repro_rtr_cache_resets_total")
     before = resets.value(reason="compacted")

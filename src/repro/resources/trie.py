@@ -138,7 +138,6 @@ class PrefixTrie(Generic[V]):
                 break
             parent.children[bit] = None
             current = parent
-        assert value is not None or node.has_value is False
         return value  # type: ignore[return-value]
 
     # -- exact queries -------------------------------------------------------

@@ -71,7 +71,7 @@ from ..rpki.objects import SignedObject
 from ..rpki.parse import parse_object
 from ..rpki.roa import Roa
 from ..telemetry import MetricsRegistry, default_registry
-from .vrp import VRP
+from .vrp import VRP, VrpSet
 
 __all__ = [
     "DEFAULT_MEMO_ENTRIES",
@@ -246,6 +246,13 @@ class IncrementalState:
         # Point cache keyed by the issuing CA's subject key id: one CA,
         # one publication point (mirrors are copies inside one result).
         self.points: dict[str, PointResult] = {}
+        # The one VRP index of this state's lifetime, and the point
+        # result each CA key contributed to it at the last finished walk
+        # (ValidationWalk.finish edits the index by comparing against
+        # these).  Unlike ``points`` this holds only what was emitted:
+        # no vanished CAs, no certificates shadowed by the loop guard.
+        self.vrps = VrpSet()
+        self.emitted: dict[str, PointResult] = {}
         self.metrics = metrics if metrics is not None else default_registry()
         self._m_verify_memo = self.metrics.counter(
             "repro_incremental_verify_memo_total",
@@ -341,7 +348,13 @@ class IncrementalState:
     # -- lifecycle -----------------------------------------------------------
 
     def clear(self) -> None:
-        """Forget everything; the next run is fully cold."""
+        """Forget every memo and point result; the next run is fully cold.
+
+        The index and what was emitted into it stay: they describe the
+        table being served, and the cold run's freshly judged points
+        replace the emitted ones assertion for assertion — withdraw all,
+        announce all, net change empty if nothing else moved.
+        """
         self.verify_memo = VerificationMemo(max_entries=self.verify_memo.max_entries)
         self.parse_memo = ParseMemo(max_entries=self.parse_memo.max_entries)
         self.points.clear()

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from ..crypto import RsaPublicKey, sha256_hex
 from ..repository.cache import point_digest
@@ -103,6 +104,12 @@ class ValidationRun:
     # a lean (streaming) validator, which counts without retaining the
     # parsed Roa objects.
     roa_count: int = 0
+    # How this walk changed ``vrps``: against the previous walk's table
+    # with an IncrementalState attached, against an empty one without.
+    # A record of the transition, not part of the outcome two runs are
+    # compared by.
+    announced: tuple[VRP, ...] = field(default=(), compare=False)
+    withdrawn: tuple[VRP, ...] = field(default=(), compare=False)
 
     def errors(self) -> list[ValidationIssue]:
         return [i for i in self.issues if i.severity is Severity.ERROR]
@@ -130,11 +137,12 @@ class PathValidator:
         as warnings — the lenient end of the "what to do about incomplete
         information?" tradeoff.
     incremental:
-        An :class:`~repro.rp.incremental.IncrementalState` to carry memos
-        and per-point results across walks.  ``None`` (default) validates
-        cold every time.  Replayed and freshly computed points take the
-        identical code path, so a stateful walk's output is byte-for-byte
-        equal to the cold one's.
+        An :class:`~repro.rp.incremental.IncrementalState` to carry memos,
+        per-point results and the VRP index across walks.  ``None``
+        (default) validates cold every time.  Replayed and freshly
+        computed points take the identical code path, so a stateful
+        walk's output is byte-for-byte equal to the cold one's — but its
+        ``vrps`` is the state's one index, edited by the next walk.
     collect_objects:
         If False (the *lean* streaming mode), validated ROA objects and
         their locations are counted but not retained on the
@@ -847,15 +855,42 @@ class ValidationWalk:
         self.frontier = children
 
     def finish(self) -> ValidationRun:
-        """Assemble the judged points, depth-first from the trust anchors."""
-        result = ValidationRun()
-        emitted: set[str] = set()
+        """Assemble the judged points, depth-first from the trust anchors.
+
+        The VRP index is *edited*, not rebuilt: per emitted CA key this
+        walk's point result is compared with the one emitted last time —
+        the same object was replayed and contributes nothing; a
+        different one, or a key no longer emitted, withdraws the old
+        result's VRPs and announces the new one's.  Without an
+        incremental state "last time" is empty and so is the index, and
+        the same edit is a bulk build.  The edit is the last thing to
+        happen: a walk that raised anywhere left the index alone.
+        """
+        state = self._validator.incremental
+        index, last = (
+            (VrpSet(), {}) if state is None else (state.vrps, state.emitted)
+        )
+        result = ValidationRun(vrps=index)
+        emitted: dict[str, PointResult] = {}
         for anchor, issue in self._anchors:
             if issue is not None:
                 result.issues.append(issue)
                 continue
             result.validated_cas.append(anchor)
             self._emit(anchor, result, emitted, depth=0)
+        withdrawn = [
+            entry.vrps for key_id, entry in last.items()
+            if emitted.get(key_id) is not entry
+        ]
+        announced = [
+            entry.vrps for key_id, entry in emitted.items()
+            if last.get(key_id) is not entry
+        ]
+        result.announced, result.withdrawn = index.apply_delta(
+            chain.from_iterable(announced), chain.from_iterable(withdrawn)
+        )
+        if state is not None:
+            state.emitted = emitted
         self._validator._count(result)
         return result
 
@@ -863,7 +898,7 @@ class ValidationWalk:
         self,
         ca_cert: ResourceCertificate,
         result: ValidationRun,
-        emitted: set[str],
+        emitted: dict[str, PointResult],
         depth: int,
     ) -> None:
         """Apply one judged point's local outcome, then its subtree's."""
@@ -877,8 +912,7 @@ class ValidationWalk:
         judged = self._points.get(key_id)
         if key_id in emitted or judged is None or judged[0] is not ca_cert:
             return  # this key's point belongs to another certificate
-        emitted.add(key_id)
-        entry = judged[1]
+        entry = emitted[key_id] = judged[1]
         # Replayed and freshly computed results take the identical path, so
         # warm output is byte-for-byte equal to cold output by construction.
         result.issues.extend(entry.issues)
@@ -889,7 +923,6 @@ class ValidationWalk:
             for roa in entry.roas:
                 result.validated_roas.append(roa)
                 result.roa_locations[roa.hash_hex] = entry.selected_uri
-        result.vrps.extend(entry.vrps)
         for child in entry.children:
             result.validated_cas.append(child)
             self._emit(child, result, emitted, depth + 1)

@@ -19,6 +19,7 @@ whose consequences Section 4 of the paper analyzes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from ..repository.cache import CacheFreshness, LocalCache
 from ..repository.fetch import Fetcher, FetchResult, FetchStatus
@@ -30,10 +31,13 @@ from .incremental import IncrementalState
 from .origin import OriginValidationOutcome, validate
 from .pathval import PathValidator, ValidationRun, ValidationWalk
 from .states import Route, RouteValidity
-from .vrp import VrpSet
+from .vrp import VRP, VrpSet
 
 __all__ = ["ENGINE_MODES", "RelyingParty", "RefreshReport",
            "DegradationReport"]
+
+# Called with a refresh's net (announced, withdrawn).
+DeltaListener = Callable[[tuple[VRP, ...], tuple[VRP, ...]], None]
 
 # The one persistence switch: whether a relying party keeps validation
 # state (memos + per-point results) from one refresh to the next.
@@ -90,6 +94,11 @@ class RefreshReport:
     # Points the fetch scheduler deferred to stale-cache grace this cycle
     # (always empty without a ``schedule=`` config).
     deferred: list[str] = field(default_factory=list)
+    # The net change of the VRP table since the previous refresh — what
+    # the serving planes (QueryService, RtrCacheServer.apply_delta)
+    # install instead of diffing tables.
+    announced: tuple[VRP, ...] = ()
+    withdrawn: tuple[VRP, ...] = ()
 
     @property
     def vrps(self) -> VrpSet:
@@ -226,6 +235,11 @@ class RelyingParty:
         )
         self._clock = clock if clock is not None else fetcher.clock
         self._last_run: ValidationRun | None = None
+        self._vrps = (
+            VrpSet() if self.incremental_state is None
+            else self.incremental_state.vrps
+        )
+        self._subscribers: list[DeltaListener] = []
         self._m_refreshes = self.metrics.counter(
             "repro_rp_refresh_total", help="completed refresh cycles"
         )
@@ -256,12 +270,28 @@ class RelyingParty:
             help="publication points degraded in a refresh (fetch failure "
                  "or contained validation error)",
         )
+        self._m_vrp_changes = self.metrics.counter(
+            "repro_rp_vrp_changes_total",
+            help="net VRP table changes across refreshes, by kind",
+            labelnames=("kind",),
+        )
+
+    def subscribe(self, listener: DeltaListener) -> None:
+        """Call ``listener(announced, withdrawn)`` after every refresh.
+
+        The arguments are that refresh's net table change
+        (:attr:`RefreshReport.announced` / ``withdrawn``), both empty
+        when nothing moved.  A refresh that raises notifies nobody.
+        """
+        self._subscribers.append(listener)
 
     # -- the refresh cycle ----------------------------------------------------
 
     def refresh(self) -> RefreshReport:
         """One full synchronize-and-validate cycle."""
-        report = RefreshReport(run=ValidationRun())
+        # ``run`` is a stand-in until the walk finishes (sharing the
+        # current table saves building an empty one per refresh).
+        report = RefreshReport(run=ValidationRun(vrps=self._vrps))
         clock = self._clock
         scheduler = self.scheduler
         start = clock.now
@@ -341,10 +371,23 @@ class RelyingParty:
         report.deferred = sorted(deferred)
         report.freshness = self.cache.classify(clock.now)
         report.run = run
+        if self.incremental_state is None:
+            # The walk built this table from nothing; what changed is
+            # its difference from the previous refresh's table.
+            previous = self._vrps.as_frozenset()
+            report.announced = tuple(
+                vrp for vrp in run.announced if vrp not in previous
+            )
+            report.withdrawn = tuple(
+                sorted(previous - run.vrps.as_frozenset())
+            )
+        else:
+            report.announced, report.withdrawn = run.announced, run.withdrawn
         report.degradation = self._degradation(
             report.fetches, run, report.deferred
         )
         self._last_run = run
+        self._vrps = run.vrps
         self._m_refreshes.inc()
         self._m_rounds.inc(report.rounds)
         self._m_vrps.set(len(run.vrps))
@@ -352,6 +395,12 @@ class RelyingParty:
             self._m_quarantined.inc(len(report.degradation.quarantined_objects))
         if report.degradation.degraded_points:
             self._m_degraded.inc(len(report.degradation.degraded_points))
+        if report.announced:
+            self._m_vrp_changes.inc(len(report.announced), kind="announced")
+        if report.withdrawn:
+            self._m_vrp_changes.inc(len(report.withdrawn), kind="withdrawn")
+        for listener in self._subscribers:
+            listener(report.announced, report.withdrawn)
         return report
 
     @staticmethod
@@ -398,10 +447,17 @@ class RelyingParty:
 
     @property
     def vrps(self) -> VrpSet:
-        """The VRPs from the most recent refresh (empty before the first)."""
-        if self._last_run is None:
-            return VrpSet()
-        return self._last_run.vrps
+        """The VRPs from the most recent refresh (empty before the first).
+
+        Aliasing contract.  With ``mode="incremental"`` this, every
+        ``report.vrps`` and every ``run.vrps`` are one object, the live
+        index: the next :meth:`refresh` edits it in place, so anything
+        that must outlive a refresh takes ``as_frozenset()``, the
+        immutable snapshot of the epoch it was called in (what
+        ``RtrCacheServer.update`` adopts).  With ``mode="serial"`` each
+        refresh builds a new set and earlier ones keep their value.
+        """
+        return self._vrps
 
     @property
     def last_run(self) -> ValidationRun | None:

@@ -8,9 +8,13 @@ query of origin validation) is a single trie walk.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
+from zlib import crc32
 
+from ..crypto.hashing import sha256, sha256_hex
 from ..resources import ASN, Prefix, PrefixMap
 
 __all__ = ["VRP", "VrpSet"]
@@ -60,61 +64,165 @@ class VRP:
         return f"({self.prefix}-{self.max_length}, {self.asn})"
 
 
-class VrpSet:
-    """An immutable-after-build, trie-indexed collection of VRPs.
+# Buckets of the content fingerprint's fixed partition.
+_FINGERPRINT_BUCKETS = 256
 
-    Iteration order, equality, and the delta methods all work over the
-    *sorted* VRP list; that view (and a frozenset twin used for membership
-    algebra) is computed once per mutation epoch and cached —
-    :meth:`add` invalidates both — so the monitor's per-epoch set
-    comparisons stop paying an O(n log n) sort per call.
+
+def _canonical_line(vrp: VRP) -> bytes:
+    """The one byte string that stands for *vrp* in the fingerprint."""
+    prefix = vrp.prefix
+    return (
+        f"{prefix.afi.value}:{prefix.network:x}/{prefix.length}"
+        f"-{vrp.max_length}:{int(vrp.asn)}"
+    ).encode("ascii")
+
+
+class _Fingerprint:
+    """SHA-256 over a fixed partition of the table, updated per edit.
+
+    Every VRP belongs to one of ``_FINGERPRINT_BUCKETS`` buckets, chosen
+    by the CRC-32 of its canonical line — a function of the VRP alone
+    (``hash()`` would not do: enum and str hashes are salted per
+    process), so the partition of a table does not depend on how the
+    table came to be.  A bucket's digest is SHA-256 over its sorted
+    lines; the root is SHA-256 over the bucket digests in order.  An
+    edit marks its bucket dirty and only dirty buckets are re-hashed, on
+    the next :meth:`hexdigest`.
+
+    Why not XOR (or a sum) of per-VRP digests, which would need no
+    buckets: that combination is linear, and the authorities this
+    repository studies *choose* their VRPs — a few hundred chosen VRPs
+    solve for any target value, and a response cache keyed by it would
+    answer for one table out of another's entries.  Here a collision of
+    roots is a collision of SHA-256.  (An authority can still crowd one
+    bucket; that makes edits to that bucket slower, never wrong.)
+    """
+
+    def __init__(self, vrps: Iterable[VRP]):
+        self._lines: list[set[bytes]] = [
+            set() for _ in range(_FINGERPRINT_BUCKETS)
+        ]
+        self._digests = [b""] * _FINGERPRINT_BUCKETS
+        self._dirty = set(range(_FINGERPRINT_BUCKETS))
+        self._root = ""
+        self.edit(vrps, ())
+
+    def edit(self, announced: Iterable[VRP], withdrawn: Iterable[VRP]) -> None:
+        """*announced* joined the table, *withdrawn* left it."""
+        for vrps, change in ((withdrawn, set.discard), (announced, set.add)):
+            for vrp in vrps:
+                line = _canonical_line(vrp)
+                bucket = crc32(line) % _FINGERPRINT_BUCKETS
+                change(self._lines[bucket], line)
+                self._dirty.add(bucket)
+
+    def _bucket_digest(self, bucket: int) -> bytes:
+        return sha256(b"\n".join(sorted(self._lines[bucket])))
+
+    def hexdigest(self) -> str:
+        if self._dirty:
+            for bucket in self._dirty:
+                self._digests[bucket] = self._bucket_digest(bucket)
+            self._dirty.clear()
+            self._root = sha256_hex(b"".join(self._digests))
+        return self._root
+
+
+class VrpSet:
+    """A trie-indexed collection of VRPs that can be edited in place.
+
+    One VRP may be asserted more than once — by two ROAs, or from two
+    publication points — so the set counts assertions: a VRP is a member
+    while at least one assertion of it stands.  :meth:`apply_delta` is
+    the one edit; :meth:`add`, :meth:`extend` and construction announce
+    through it.
+
+    Answers depend on content only, never on the edits that led to it:
+    the trie's per-prefix buckets are kept sorted, the per-ASN index is
+    patched by each edit, and the sorted and frozenset views are dropped
+    by an edit and rebuilt on next use.  :meth:`as_frozenset` is
+    therefore the immutable snapshot of the table as of the call.
     """
 
     def __init__(self, vrps: Iterable[VRP] = ()):
         self._index: PrefixMap[list[VRP]] = PrefixMap()
-        self._all: list[VRP] = []
-        self._members: set[VRP] = set()
+        # VRP -> standing assertions (never 0 outside apply_delta).
+        self._members: dict[VRP, int] = {}
         self._sorted: list[VRP] | None = None
         self._frozen: frozenset[VRP] | None = None
-        self._content_hash: str | None = None
         self._by_asn: dict[ASN, tuple[VRP, ...]] | None = None
-        self.extend(vrps)
+        self._fingerprint: _Fingerprint | None = None
+        self.apply_delta(vrps, ())
 
     def add(self, vrp: VRP) -> None:
-        if vrp in self._members:
-            return
-        self._insert(vrp)
-        self._invalidate()
+        self.apply_delta((vrp,), ())
 
     def extend(self, vrps: Iterable[VRP]) -> int:
-        """Bulk-add *vrps* with a single cache invalidation at the end.
+        """Announce *vrps*; returns how many were not members before."""
+        return len(self.apply_delta(vrps, ())[0])
 
-        The fast path for construction: membership is one set probe per
-        VRP (no per-bucket scan) and the sorted/frozen/hash/by-ASN views
-        are dropped once for the whole batch instead of once per element.
-        Returns how many VRPs were actually new.
+    def apply_delta(
+        self, announced: Iterable[VRP], withdrawn: Iterable[VRP]
+    ) -> tuple[tuple[VRP, ...], tuple[VRP, ...]]:
+        """Take *withdrawn* assertions away, add *announced* ones.
+
+        Returns the net ``(announced, withdrawn)`` change of membership:
+        a VRP that lost one assertion and kept or regained another is
+        in neither, and the index is not touched for it.  Withdrawing
+        what is not asserted is ignored.  Cost is proportional to the
+        arguments, not to the table.
         """
-        added = 0
-        for vrp in vrps:
-            if vrp in self._members:
-                continue
-            self._insert(vrp)
-            added += 1
-        if added:
-            self._invalidate()
-        return added
+        counts = self._members
+        gone: list[VRP] = []
+        came: list[VRP] = []
+        for vrp in withdrawn:
+            standing = counts.get(vrp, 0)
+            if standing:
+                counts[vrp] = standing - 1
+                if standing == 1:
+                    gone.append(vrp)
+        for vrp in announced:
+            standing = counts.get(vrp, 0)
+            counts[vrp] = standing + 1
+            if not standing:
+                came.append(vrp)
+        if gone and came:
+            back = set(gone).intersection(came)
+            if back:
+                gone = [vrp for vrp in gone if vrp not in back]
+                came = [vrp for vrp in came if vrp not in back]
+        index = self._index
+        for vrp in gone:
+            del counts[vrp]
+            bucket = index[vrp.prefix]
+            bucket.remove(vrp)
+            if not bucket:
+                index.remove(vrp.prefix)
+        for vrp in came:
+            insort(index.get_or_insert(vrp.prefix, list), vrp)
+        if gone or came:
+            self._sorted = None
+            self._frozen = None
+            if self._by_asn is not None:
+                self._patch_by_asn(came, gone)
+            if self._fingerprint is not None:
+                self._fingerprint.edit(came, gone)
+        return tuple(came), tuple(gone)
 
-    def _insert(self, vrp: VRP) -> None:
-        bucket = self._index.get_or_insert(vrp.prefix, list)
-        bucket.append(vrp)
-        self._all.append(vrp)
-        self._members.add(vrp)
-
-    def _invalidate(self) -> None:
-        self._sorted = None
-        self._frozen = None
-        self._content_hash = None
-        self._by_asn = None
+    def _patch_by_asn(self, came: list[VRP], gone: list[VRP]) -> None:
+        by_asn = self._by_asn
+        touched: dict[ASN, set[VRP]] = {
+            vrp.asn: set(by_asn.get(vrp.asn, ())) for vrp in chain(gone, came)
+        }
+        for vrp in gone:
+            touched[vrp.asn].discard(vrp)
+        for vrp in came:
+            touched[vrp.asn].add(vrp)
+        for asn, group in touched.items():
+            if group:
+                by_asn[asn] = tuple(sorted(group))
+            else:
+                by_asn.pop(asn, None)
 
     def covering(self, prefix: Prefix) -> Iterator[VRP]:
         """All VRPs whose prefix covers *prefix*, least-specific first."""
@@ -123,37 +231,36 @@ class VrpSet:
 
     def _sorted_view(self) -> list[VRP]:
         if self._sorted is None:
-            self._sorted = sorted(self._all)
+            self._sorted = sorted(self._members)
         return self._sorted
 
     def as_frozenset(self) -> frozenset[VRP]:
-        """This set's VRPs as a (cached) frozenset, for set algebra."""
+        """This set's VRPs as a frozenset (cached until the next edit)."""
         if self._frozen is None:
             self._frozen = frozenset(self._members)
         return self._frozen
 
     def content_hash(self) -> str:
-        """A SHA-256 fingerprint of this set's *content*, cached per epoch.
+        """A 64-hex SHA-256 fingerprint of this set's *content*.
 
         Two sets holding the same VRPs hash identically no matter how
-        they were built — the content-addressed idiom the incremental
-        engine uses for its memos, reused by ``repro.api`` to key its
-        response cache so any refresh-induced VRP change changes the key
-        and an unchanged set keeps every cached answer warm.
+        they were built or edited — the content-addressed idiom the
+        incremental engine uses for its memos, reused by ``repro.api``
+        to key its response cache so any refresh-induced VRP change
+        changes the key and an unchanged set keeps every cached answer
+        warm.  The first call reads the whole table; after that an edit
+        costs its own size (see :class:`_Fingerprint`).
         """
-        if self._content_hash is None:
-            from ..crypto.hashing import sha256_hex
-
-            payload = "\n".join(str(v) for v in self._sorted_view())
-            self._content_hash = sha256_hex(payload.encode("utf-8"))
-        return self._content_hash
+        if self._fingerprint is None:
+            self._fingerprint = _Fingerprint(self._members)
+        return self._fingerprint.hexdigest()
 
     def by_asn(self, asn: ASN | int) -> tuple[VRP, ...]:
-        """All VRPs authorizing *asn* as origin, sorted (cached per epoch).
+        """All VRPs authorizing *asn* as origin, sorted.
 
         The per-ASN inverse of :meth:`covering` — the query plane's
-        ``lookup_asn`` endpoint.  The index is built lazily on first use
-        and invalidated by :meth:`add` like the other cached views.
+        ``lookup_asn`` endpoint.  The index is built on first use and
+        patched by every later edit.
         """
         if self._by_asn is None:
             index: dict[ASN, list[VRP]] = {}
@@ -166,7 +273,7 @@ class VrpSet:
         return iter(self._sorted_view())
 
     def __len__(self) -> int:
-        return len(self._all)
+        return len(self._members)
 
     def __contains__(self, vrp: VRP) -> bool:
         return vrp in self._members
@@ -174,24 +281,7 @@ class VrpSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VrpSet):
             return NotImplemented
-        return self._sorted_view() == other._sorted_view()
-
-    def difference(self, other: "VrpSet") -> list[VRP]:
-        """VRPs present here but not in *other* (for monitor diffs)."""
-        other_frozen = other.as_frozenset()
-        return [vrp for vrp in self._sorted_view() if vrp not in other_frozen]
-
-    def added(self, previous: "VrpSet") -> list[VRP]:
-        """VRPs in this set that *previous* lacked, sorted.
-
-        The per-epoch monitor delta: with both frozensets cached this is
-        one set difference, not a membership probe per element.
-        """
-        return sorted(self.as_frozenset() - previous.as_frozenset())
-
-    def removed(self, previous: "VrpSet") -> list[VRP]:
-        """VRPs *previous* had that this set lacks, sorted (whack signal)."""
-        return sorted(previous.as_frozenset() - self.as_frozenset())
+        return self._members.keys() == other._members.keys()
 
     def __repr__(self) -> str:
-        return f"VrpSet({len(self._all)} VRPs)"
+        return f"VrpSet({len(self._members)} VRPs)"
