@@ -12,7 +12,6 @@ Layering (import order is strictly bottom-up)::
 
     telemetry / simtime (substrate: metrics, simulated time)
     resources -> crypto -> rpki -> repository -> rp -> bgp -> rtr
-                        \\- parallel (keygen worker pool; used by modelgen)
                                    \\- api (the origin-validation query plane)
                                    \\------------ core / monitor / jurisdiction
                                                   modelgen (fixtures & generators)
@@ -88,10 +87,8 @@ from .modelgen import (
     build_deployment,
     build_figure2,
     build_table4_world,
-    expected_keypairs,
     figure2_bgp,
 )
-from .parallel import WorkerPool, prefill_keys
 from .monitor import (
     ChurnConfig,
     ChurnEngine,
@@ -140,7 +137,6 @@ from .rp import (
     SuspendersRelyingParty,
     ValidationRun,
     VrpSet,
-    classify,
     validate,
 )
 from .rpki import CertificateAuthority, ResourceCertificate, Roa
@@ -164,7 +160,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
@@ -190,14 +186,14 @@ __all__ = [
     "SessionMux", "ShardRouter", "Span", "StallConfig", "StallDetector",
     "StallorisConfig", "StallorisReport",
     "SuspendersRelyingParty", "TokenBucket", "VRP", "ValidationRun",
-    "Violation", "VrpDiff", "VrpSet", "WorkerPool", "YEAR", "__version__",
+    "Violation", "VrpDiff", "VrpSet", "YEAR", "__version__",
     "always_reachable", "analyze", "build_deployment", "build_figure2",
-    "build_plan", "build_table4_world", "classify", "collateral_of_revocation",
+    "build_plan", "build_table4_world", "collateral_of_revocation",
     "cross_border_audit", "default_registry", "demonstrate_all",
-    "diff_snapshots", "execute_whack", "expected_keypairs", "figure2_bgp",
+    "diff_snapshots", "execute_whack", "figure2_bgp",
     "generate_keypair", "measure_stalloris", "missing_roa_impact",
-    "nested_bomb", "plan_whack",
-    "prefill_keys", "render_table4", "reset_default_metrics", "run_campaign",
+    "nested_bomb", "plan_whack", "render_table4", "reset_default_metrics",
+    "run_campaign",
     "shrink_plan", "take_snapshot", "trace", "validate", "validity_matrix",
     "whack_blast_radius",
 ]

@@ -392,7 +392,7 @@ def cmd_refresh(args) -> None:
     from .simtime import HOUR
 
     scale, config = _deployment_config(args, "medium", 21)
-    world = build_deployment(config, workers=args.workers)
+    world = build_deployment(config)
     rp = _build_rp(world)
     registry = rp.metrics
     world.clock.advance(HOUR)
@@ -406,12 +406,8 @@ def cmd_refresh(args) -> None:
                 + counter.value(outcome="rejected"))
     print(f"discovery rounds: {report.rounds}")
     print(f"RSA verifications: {int(verifies)}")
-    if args.workers:
-        jobs = registry.get("repro_parallel_jobs_total")
-        print(f"keygen jobs dispatched to the build's pool: "
-              f"{int(jobs.value(kind='keygen'))}")
     print(f"validated CAs: {len(report.run.validated_cas)}  "
-          f"ROAs: {len(report.run.validated_roas)}  "
+          f"ROAs: {report.run.roa_count}  "
           f"VRPs: {len(report.vrps)}  "
           f"errors: {len(report.run.errors())}")
 
@@ -752,7 +748,6 @@ def cmd_profile(args) -> None:
         _scale(args, "small"),
         seed=_seed(args, 21),
         top=args.top,
-        workers=args.workers,
     )
     print(report.render())
     print("\n=> counts are pinned in benchmarks/test_bench_scale.py; this "
@@ -803,6 +798,46 @@ _COMMANDS: dict[str, Callable] = {
 }
 
 
+# Command-specific flags: (flag, the commands whose handlers read it,
+# argparse spec).  build_parser attaches each row to those commands and
+# to 'all', which runs every handler with one namespace.
+_OPTIONS: tuple[tuple[str, tuple[str, ...], dict], ...] = (
+    ("--right", ("fig5",), dict(
+        action="store_true",
+        help="Figure 5 right panel (adds the /12-13 ROA)")),
+    ("--policy", ("se7",), dict(
+        choices=["drop-invalid", "depref-invalid"], default="drop-invalid",
+        help="relying-party local policy")),
+    ("--epochs", ("resilience", "perf"), dict(
+        type=int, default=6,
+        help="refresh epochs to run (stalled-authority or cold-vs-warm "
+             "sweep)")),
+    ("--top", ("profile",), dict(
+        type=int, default=15,
+        help="hotspot rows to print (ranked by self time)")),
+    ("--cycles", ("chaos",), dict(
+        type=int, default=20,
+        help="refresh cycles to run in the chaos campaign")),
+    ("--points", ("stalloris",), dict(
+        type=int, default=8,
+        help="stalled delegated publication points the attacker mints "
+             "(the amplification factor)")),
+    ("--attack-cycles", ("stalloris",), dict(
+        type=int, default=5,
+        help="attacked refresh cycles measured after the healthy warm-up")),
+    ("--tiers", ("rtr",), dict(
+        type=int, default=2,
+        help="chained-cache tiers between the validating cache and the "
+             "router fleet")),
+    ("--fanout", ("rtr",), dict(
+        type=int, default=2,
+        help="downstream caches per cache in the chain")),
+    ("--routers", ("rtr",), dict(
+        type=int, default=3,
+        help="router sessions attached to each deepest-tier cache")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -840,66 +875,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(
             name, parents=[common], help=f"run the {name} experiment",
         )
-        if name in ("fig5", "all"):
-            sub.add_argument(
-                "--right", action="store_true",
-                help="Figure 5 right panel (adds the /12-13 ROA)",
-            )
-        if name in ("se7", "all"):
-            sub.add_argument(
-                "--policy",
-                choices=["drop-invalid", "depref-invalid"],
-                default="drop-invalid",
-                help="relying-party local policy",
-            )
-        if name in ("resilience", "perf", "all"):
-            sub.add_argument(
-                "--epochs", type=int, default=6,
-                help="refresh epochs to run (stalled-authority or "
-                     "cold-vs-warm sweep)",
-            )
-        if name in ("refresh", "profile", "all"):
-            sub.add_argument(
-                "--workers", type=int, default=0,
-                help="worker processes for the world build's keypair "
-                     "prefill (0 = generate keys in-process, the default); "
-                     "validation itself is never pooled",
-            )
-        if name in ("profile", "all"):
-            sub.add_argument(
-                "--top", type=int, default=15,
-                help="hotspot rows to print (ranked by self time)",
-            )
-        if name in ("chaos", "all"):
-            sub.add_argument(
-                "--cycles", type=int, default=20,
-                help="refresh cycles to run in the chaos campaign",
-            )
-        if name in ("stalloris", "all"):
-            sub.add_argument(
-                "--points", type=int, default=8,
-                help="stalled delegated publication points the attacker "
-                     "mints (the amplification factor)",
-            )
-            sub.add_argument(
-                "--attack-cycles", type=int, default=5,
-                help="attacked refresh cycles measured after the healthy "
-                     "warm-up",
-            )
-        if name in ("rtr", "all"):
-            sub.add_argument(
-                "--tiers", type=int, default=2,
-                help="chained-cache tiers between the validating cache "
-                     "and the router fleet",
-            )
-            sub.add_argument(
-                "--fanout", type=int, default=2,
-                help="downstream caches per cache in the chain",
-            )
-            sub.add_argument(
-                "--routers", type=int, default=3,
-                help="router sessions attached to each deepest-tier cache",
-            )
+        for flag, commands, spec in _OPTIONS:
+            if name == "all" or name in commands:
+                sub.add_argument(flag, **spec)
     return parser
 
 
@@ -920,29 +898,6 @@ def _emit_metrics(as_json: bool) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # Defaults for 'all', which shares handlers with fig5/se7.
-    if not hasattr(args, "right"):
-        args.right = False
-    if not hasattr(args, "policy"):
-        args.policy = "drop-invalid"
-    if not hasattr(args, "epochs"):
-        args.epochs = 6
-    if not hasattr(args, "workers"):
-        args.workers = 0
-    if not hasattr(args, "cycles"):
-        args.cycles = 20
-    if not hasattr(args, "points"):
-        args.points = 8
-    if not hasattr(args, "attack_cycles"):
-        args.attack_cycles = 5
-    if not hasattr(args, "tiers"):
-        args.tiers = 2
-    if not hasattr(args, "fanout"):
-        args.fanout = 2
-    if not hasattr(args, "routers"):
-        args.routers = 3
-    if not hasattr(args, "top"):
-        args.top = 15
     try:
         _COMMANDS[args.command](args)
         if args.json:

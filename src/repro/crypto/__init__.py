@@ -17,8 +17,6 @@ from .rsa import (
     RsaPrivateKey,
     RsaPublicKey,
     generate_keypair,
-    generate_keypair_raw,
-    record_keygens,
 )
 
 __all__ = [
@@ -34,11 +32,9 @@ __all__ = [
     "encode",
     "fingerprint",
     "generate_keypair",
-    "generate_keypair_raw",
     "generate_prime",
     "is_probable_prime",
     "key_id_of",
-    "record_keygens",
     "sha256",
     "sha256_hex",
 ]

@@ -113,43 +113,15 @@ class KeyFactory:
             self._cache[cache_key] = pair
         return pair
 
-    # -- parallel prefill surface (see repro.parallel.prefill_keys) ----------
-
     def stream_seed(self, index: int) -> int:
         """The RNG seed for keypair *index* of this factory's sequence.
 
-        Each index derives its own RNG stream, so pulling key #k does not
-        depend on having pulled keys #0..k-1 in the same process — the
-        property that lets a worker pool generate any subset of the
-        sequence in any order and still match serial generation exactly.
+        Each index derives its own RNG stream, so key #k is the same
+        whether or not keys #0..k-1 came from the process-wide cache.
         """
         return int.from_bytes(
             sha256(encode([self._seed, self._bits, index])), "big"
         )
-
-    def missing_indices(self, count: int) -> list[int]:
-        """Of the next *count* sequence indices, those not yet cached."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        with self._cache_lock:
-            return [
-                self._index + offset
-                for offset in range(count)
-                if (self._seed, self._bits, self._index + offset)
-                not in self._cache
-            ]
-
-    def adopt(self, index: int, private: RsaPrivateKey) -> None:
-        """Install an externally generated keypair at sequence *index*.
-
-        The prefill path: a pool worker ran the keygen for
-        :meth:`stream_seed` of *index* and the parent adopts the result.
-        An existing cache entry wins (first write stays authoritative),
-        so racing a concurrent :meth:`next_keypair` is harmless.
-        """
-        pair = KeyPair(private=private)
-        with self._cache_lock:
-            self._cache.setdefault((self._seed, self._bits, index), pair)
 
     @classmethod
     def clear_cache(cls) -> None:

@@ -25,8 +25,6 @@ __all__ = [
     "RsaPublicKey",
     "RsaPrivateKey",
     "generate_keypair",
-    "generate_keypair_raw",
-    "record_keygens",
 ]
 
 # Keys are frozen dataclasses with no injection point, so signature
@@ -184,22 +182,6 @@ def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> RsaPr
     enough that a full model RPKI signs in milliseconds, large enough that
     padding and DigestInfo fit comfortably.
     """
-    key = generate_keypair_raw(bits, rng)
-    _KEYGEN_TOTAL.inc()
-    return key
-
-
-def generate_keypair_raw(
-    bits: int = 512, rng: random.Random | None = None
-) -> RsaPrivateKey:
-    """:func:`generate_keypair` minus telemetry: a pure pickle-safe function.
-
-    This is the entry point :mod:`repro.parallel.worker` runs inside pool
-    processes.  It must never touch the process-global metrics registry —
-    a worker's increments would be invisible to the parent (or, under
-    ``fork``, double-book against a stale copy); the parent credits the
-    aggregate via :func:`record_keygens` instead.
-    """
     if bits < _MIN_MODULUS_BITS:
         raise KeySizeError(
             f"modulus must be at least {_MIN_MODULUS_BITS} bits, got {bits}"
@@ -229,18 +211,13 @@ def generate_keypair_raw(
         for r_i in rest:
             extra.append((r_i, d % (r_i - 1), pow(product, -1, r_i)))
             product *= r_i
+        _KEYGEN_TOTAL.inc()
         return RsaPrivateKey(
             public=RsaPublicKey(modulus=n), d=d,
             p=p, q=q, d_p=d % (p - 1), d_q=d % (q - 1),
             q_inv=pow(q, -1, p),
             extra=tuple(extra),
         )
-
-
-def record_keygens(count: int) -> None:
-    """Credit *count* worker-generated keypairs to this process's registry."""
-    if count:
-        _KEYGEN_TOTAL.inc(count)
 
 
 def _pad(message: bytes, target_length: int) -> bytes:

@@ -6,7 +6,6 @@ from .deployment import (
     DeploymentWorld,
     build_deployment,
     build_table4_world,
-    expected_keypairs,
 )
 from .figure2 import Figure2World, build_deep_hierarchy, build_figure2, figure2_bgp
 
@@ -19,6 +18,5 @@ __all__ = [
     "build_deployment",
     "build_figure2",
     "build_table4_world",
-    "expected_keypairs",
     "figure2_bgp",
 ]

@@ -37,7 +37,7 @@ from ..rpki.roa import RoaPrefix
 from ..simtime import Clock
 
 __all__ = ["DeploymentConfig", "DeploymentWorld", "INTERNET_SCALES",
-           "build_deployment", "build_table4_world", "expected_keypairs"]
+           "build_deployment", "build_table4_world"]
 
 # Representative /8 blocks per RIR (a subset of the real IANA allocations).
 _RIR_BLOCKS: dict[RIR, tuple[str, ...]] = {
@@ -169,30 +169,6 @@ class DeploymentWorld:
         return sum(len(a.issued_roas) for a in self.authorities())
 
 
-def expected_keypairs(config: DeploymentConfig) -> int:
-    """How many keypairs :func:`build_deployment` will consume for *config*.
-
-    One per trust anchor, one per CA certificate, one per ROA's embedded
-    EE certificate (or one shared EE keypair per authority when
-    ``shared_ee_keys`` is set) — counted ahead of time so a worker pool
-    can generate the whole sequence before the build starts pulling keys.
-    """
-    if config.flat:
-        per_isp = 1 + (1 if config.shared_ee_keys else config.roas_per_isp)
-        return len(config.rirs) * (1 + config.isps_per_rir * per_isp)
-    per_customer = 1 + config.roas_per_customer + config.suballocation_depth * (
-        1 + config.roas_per_customer
-    )
-    per_isp = (
-        1 + config.roas_per_isp + config.customers_per_isp * per_customer
-    )
-    total = len(config.rirs) * (1 + config.isps_per_rir * per_isp)
-    if config.amplification_points:
-        # The amplifier CA, plus one CA and one ROA EE per child point.
-        total += 1 + 2 * config.amplification_points
-    return total
-
-
 # The Internet-scale family: flat worlds from 10⁴ to 10⁵ ROAs.  The real
 # RPKI carries hundreds of thousands of VRPs; these presets let the
 # benchmarks and the query/RTR planes measure at honest magnitudes.
@@ -217,23 +193,12 @@ INTERNET_SCALES: dict[str, DeploymentConfig] = {
 
 
 def build_deployment(
-    config: DeploymentConfig = DeploymentConfig(), *, workers: int = 0
+    config: DeploymentConfig = DeploymentConfig(),
 ) -> DeploymentWorld:
-    """Generate a deployment per *config*, reproducibly.
-
-    With ``workers > 0`` the keypair sequence is pre-generated across a
-    :class:`~repro.parallel.WorkerPool` before the build consumes it —
-    every key derives from its own per-index RNG stream, so the world is
-    byte-identical to a serial build.
-    """
+    """Generate a deployment per *config*, reproducibly."""
     rng = random.Random(config.seed)
     clock = Clock()
     key_factory = KeyFactory(seed=config.seed + 77000, bits=config.key_bits)
-    if workers > 0:
-        from ..parallel import WorkerPool, prefill_keys
-
-        with WorkerPool(workers) as pool:
-            prefill_keys(key_factory, expected_keypairs(config), pool)
     registry = RepositoryRegistry()
     world = DeploymentWorld(
         clock=clock, key_factory=key_factory, registry=registry

@@ -186,7 +186,6 @@ def profile_refresh(
     seed: int | None = None,
     top: int = 15,
     mode: str = "serial",
-    workers: int = 0,
     lean: bool = True,
 ) -> ProfileReport:
     """Build a deployment, profile one full refresh, rank the hotspots.
@@ -208,8 +207,7 @@ def profile_refresh(
     *lean* defaults to True (the streaming relying party) because that
     is the configuration the Internet scales are meant to run in; pass
     ``lean=False`` to profile object retention too.  *mode* is the
-    relying party's (:data:`~repro.rp.ENGINE_MODES`); *workers* sizes the
-    two world builds' keygen prefill pool and nothing else.
+    relying party's (:data:`~repro.rp.ENGINE_MODES`).
     """
     from .crypto import KeyFactory
     from .repository import Fetcher
@@ -219,13 +217,13 @@ def profile_refresh(
     build_start = time.perf_counter()
     from .modelgen import build_deployment
 
-    world = build_deployment(config, workers=workers)
+    world = build_deployment(config)
     build_seconds = time.perf_counter() - build_start
 
     KeyFactory.clear_cache()
     build_profiler = cProfile.Profile()
     build_profiler.enable()
-    build_deployment(config, workers=workers)   # profiled rebuild, cold keys
+    build_deployment(config)  # profiled rebuild, cold keys
     build_profiler.disable()
 
     fetcher = Fetcher(world.registry, world.clock)

@@ -37,7 +37,7 @@ attempt deadline per child.
    cheap result pulls the EWMA down and the subtree is readmitted.
 
 The scheduler is wired into :meth:`repro.rp.RelyingParty.refresh` for
-all three engine modes behind the ``schedule=`` knob; the default
+both engine modes behind the ``schedule=`` knob; the default
 (``None``) preserves the historical plain-sorted fetch order
 byte-identically.
 """

@@ -18,13 +18,7 @@ from .incremental import (
     VerificationMemo,
 )
 from .lta import LocalOverrides, classify_with_overrides
-from .origin import (
-    OriginValidationOutcome,
-    classify,
-    classify_parts,
-    explain,
-    validate,
-)
+from .origin import OriginValidationOutcome, validate
 from .pathval import PathValidator, Severity, ValidationIssue, ValidationRun
 from .relying_party import (
     ENGINE_MODES,
@@ -62,8 +56,5 @@ __all__ = [
     "ValidationIssue",
     "ValidationRun",
     "VrpSet",
-    "classify",
-    "classify_parts",
-    "explain",
     "validate",
 ]

@@ -15,27 +15,18 @@ and adding a covering ROA flips unknown routes to invalid.
 
 :func:`validate` is the single entry point — it returns the state *and*
 the evidence (which VRPs covered, which matched), and both the BGP policy
-layer and the ``repro.api`` query plane call it.  The older spellings
-``classify`` / ``explain`` / ``classify_parts`` remain as thin aliases
-that emit :class:`DeprecationWarning`.
+layer and the ``repro.api`` query plane call it.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..resources import ASN, Prefix
 from .states import Route, RouteValidity
 from .vrp import VRP, VrpSet
 
-__all__ = [
-    "OriginValidationOutcome",
-    "classify",
-    "classify_parts",
-    "explain",
-    "validate",
-]
+__all__ = ["OriginValidationOutcome", "validate"]
 
 
 @dataclass(frozen=True)
@@ -86,29 +77,3 @@ def validate(
         matching=tuple(matching),
         covering=tuple(covering),
     )
-
-
-def _deprecated(old: str, replacement: str) -> None:
-    warnings.warn(
-        f"repro.rp.origin.{old}() is deprecated; use {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def classify(route: Route, vrps: VrpSet) -> RouteValidity:
-    """Deprecated alias: ``validate(route.prefix, route.origin, vrps).state``."""
-    _deprecated("classify", "validate(prefix, origin, vrps).state")
-    return validate(route.prefix, route.origin, vrps).state
-
-
-def explain(route: Route, vrps: VrpSet) -> OriginValidationOutcome:
-    """Deprecated alias: ``validate(route.prefix, route.origin, vrps)``."""
-    _deprecated("explain", "validate(prefix, origin, vrps)")
-    return validate(route.prefix, route.origin, vrps)
-
-
-def classify_parts(prefix: Prefix, origin: ASN | int, vrps: VrpSet) -> RouteValidity:
-    """Deprecated alias: ``validate(prefix, origin, vrps).state``."""
-    _deprecated("classify_parts", "validate(prefix, origin, vrps).state")
-    return validate(prefix, origin, vrps).state

@@ -10,7 +10,7 @@ from repro.core import (
     safe_issuance_order,
     validity_matrix,
 )
-from repro.rp import VRP, RouteValidity, VrpSet
+from repro.rp import VRP, RouteValidity, VrpSet, validate
 
 FIGURE2 = [
     ("63.161.0.0/16-24", 1239),
@@ -194,13 +194,11 @@ class TestSafeIssuanceOrder:
         ]
         issued: list[VRP] = []
         for vrp in safe_issuance_order(all_vrps):
-            from repro.rp import Route, classify
-
             current = VrpSet(issued + [vrp])
             for future in all_vrps:
                 if future in current:
                     continue
-                state = classify(Route(future.prefix, future.asn), current)
+                state = validate(future.prefix, future.asn, current).state
                 assert state is not RouteValidity.VALID or True
                 # The future ROA's own route must never be INVALID solely
                 # because we issued a less-specific ROA too early.

@@ -67,6 +67,16 @@ class TestKeygen:
         b = generate_keypair(512, random.Random(99))
         assert a.public.modulus == b.public.modulus and a.d == b.d
 
+    def test_seeded_keygen_is_deterministic_and_counted_once(self):
+        from repro.telemetry import default_registry
+
+        keygen = default_registry().get("repro_crypto_keygen_total")
+        before = keygen.value()
+        a = generate_keypair(512, random.Random(123))
+        assert keygen.value() == before + 1
+        assert generate_keypair(512, random.Random(123)) == a
+        assert generate_keypair(512, random.Random(124)) != a
+
     def test_rejects_tiny_modulus(self):
         with pytest.raises(KeySizeError):
             generate_keypair(128)
@@ -145,33 +155,3 @@ class TestCrtAcceleration:
         plain = RsaPrivateKey(public=keypair.public, d=keypair.d)
         assert keypair.public.verify(b"m", plain.sign(b"m"))
 
-
-class TestRawEntryPoints:
-    """Pickle-safe pure functions the worker pool dispatches to."""
-
-    def test_generate_keypair_raw_matches_instrumented(self):
-        from repro.crypto import generate_keypair_raw
-
-        a = generate_keypair(512, random.Random(123))
-        b = generate_keypair_raw(512, random.Random(123))
-        assert a == b
-
-    def test_raw_calls_do_not_touch_metrics(self):
-        from repro.crypto import generate_keypair_raw
-        from repro.telemetry import default_registry
-
-        keygen = default_registry().get("repro_crypto_keygen_total")
-        before = keygen.value()
-        generate_keypair_raw(512, random.Random(10))
-        assert keygen.value() == before
-
-    def test_record_helpers_credit_parent_registry(self):
-        from repro.crypto import record_keygens
-        from repro.telemetry import default_registry
-
-        keygen = default_registry().get("repro_crypto_keygen_total")
-        k = keygen.value()
-        record_keygens(4)
-        assert keygen.value() == k + 4
-        record_keygens(0)
-        assert keygen.value() == k + 4

@@ -217,13 +217,6 @@ class TestAmplifier:
         assert all("amp" in handle for handle in amp_handles)
         assert world.as_country.items() >= plain.as_country.items()
 
-    def test_expected_keypairs_accounts_for_the_subtree(self, world):
-        from repro.modelgen.deployment import expected_keypairs
-
-        base = DeploymentConfig(seed=1, isps_per_rir=2, customers_per_isp=1)
-        assert expected_keypairs(self.CONFIG) \
-            == expected_keypairs(base) + 1 + 2 * 6
-
     def test_validation(self):
         with pytest.raises(ValueError):
             DeploymentConfig(amplification_points=-1)

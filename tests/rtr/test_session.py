@@ -276,7 +276,7 @@ class TestEndToEndWithRelyingParty:
         from repro.core import execute_whack, plan_whack
         from repro.modelgen import build_figure2
         from repro.repository import Fetcher
-        from repro.rp import RelyingParty, Route, RouteValidity, classify
+        from repro.rp import RelyingParty, RouteValidity, validate
 
         world = build_figure2()
         rp = RelyingParty(
@@ -294,8 +294,10 @@ class TestEndToEndWithRelyingParty:
         pump(server, router)
         assert router.vrp_count == 8
 
-        route = Route.parse("63.174.16.0/20", 17054)
-        assert classify(route, router.vrp_set()) is RouteValidity.VALID
+        def state():
+            return validate("63.174.16.0/20", 17054, router.vrp_set()).state
+
+        assert state() is RouteValidity.VALID
 
         # The whack: repository change -> RP refresh -> RTR delta -> router.
         execute_whack(plan_whack(world.sprint, world.target20,
@@ -304,7 +306,7 @@ class TestEndToEndWithRelyingParty:
         server.update(rp.vrps)
         pump(server, router)
         assert router.vrp_count == 7
-        assert classify(route, router.vrp_set()) is not RouteValidity.VALID
+        assert state() is not RouteValidity.VALID
 
 
 class TestDeltaCompaction:

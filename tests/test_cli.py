@@ -247,6 +247,12 @@ class TestRtrCommand:
         out = run(capsys, "rtr", "--seed", "11", "--scale", "medium")
         assert "RTR fan-out over the 'medium' deployment (seed 11)" in out
 
+    def test_refresh_smoke(self, capsys):
+        out = run(capsys, "refresh", "--scale", "small")
+        assert "discovery rounds: 4" in out
+        assert "RSA verifications: 220" in out
+        assert "validated CAs: 35  ROAs: 40  VRPs: 40  errors: 0" in out
+
     def test_profile_smoke(self, capsys):
         out = run(capsys, "profile", "--top", "5")
         assert "Profiled refresh over the 'small' deployment" in out
@@ -255,9 +261,13 @@ class TestRtrCommand:
         assert "top 5 world-build functions by self time" in out
         assert "tools/profile_refresh.py" in out
 
-    def test_profile_seed_and_workers(self, capsys):
-        out = run(capsys, "profile", "--top", "3", "--seed", "9",
-                  "--workers", "2")
-        # --workers only pools the world build's keygen; the profiled
-        # refresh is the plain serial walk.
+    def test_profile_seed(self, capsys):
+        out = run(capsys, "profile", "--top", "3", "--seed", "9")
         assert "seed 9" in out and "serial mode" in out
+
+    @pytest.mark.parametrize("command", ["refresh", "profile"])
+    def test_workers_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err

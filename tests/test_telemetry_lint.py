@@ -67,32 +67,26 @@ def test_lint_accepts_clean_module(tmp_path):
     assert check_telemetry_names.check_file(good) == []
 
 
-def test_lint_catches_module_level_pool(tmp_path):
+def test_lint_catches_pool_imports_at_any_scope(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(
         "import multiprocessing\n"
-        "_POOL = multiprocessing.Pool(4)\n"
+        "from concurrent import futures\n"
+        "def run(jobs):\n"
+        "    from multiprocessing.pool import ThreadPool\n"
     )
     problems = check_telemetry_names.check_file(bad)
-    assert len(problems) == 1 and "module-level pool" in problems[0]
+    assert len(problems) == 3
+    assert all("nothing is pooled" in problem for problem in problems)
 
 
-def test_lint_catches_class_scope_pool(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text(
-        "class Engine:\n"
-        "    pool = WorkerPool(2)\n"
-    )
-    problems = check_telemetry_names.check_file(bad)
-    assert len(problems) == 1 and "WorkerPool" in problems[0]
-
-
-def test_lint_accepts_function_scoped_pool(tmp_path):
+def test_lint_accepts_threading_lock(tmp_path):
+    # Synchronisation is not a pool: KeyFactory's cache lock stays legal.
     good = tmp_path / "good.py"
     good.write_text(
-        "def run(jobs):\n"
-        "    with WorkerPool(2) as pool:\n"
-        "        return pool.map_batches(keygen_batch, jobs)\n"
+        "import threading\n"
+        "from concurrent_utils import helper\n"
+        "_LOCK = threading.Lock()\n"
     )
     assert check_telemetry_names.check_file(good) == []
 

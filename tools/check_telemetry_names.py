@@ -23,13 +23,11 @@ Statically checks every module under ``src/repro``:
    went — and its numbers land in investigation artifacts
    (``PROFILE_*``), never in telemetry metrics.
 
-3. **No module-level pools.**  Worker pools (``WorkerPool``,
-   ``multiprocessing.Pool``, ``concurrent.futures`` executors) must be
-   context-managed inside a function, never constructed at module import
-   time — a module-level pool forks on import, leaks processes into
-   every importer, and breaks the worker-isolation guarantee of
-   :mod:`repro.parallel` (the keygen prefill pool, the only pool left
-   under ``src/repro``).
+3. **No process or thread pools.**  No module may import
+   ``multiprocessing`` or ``concurrent.futures``, at any scope: the
+   pipeline is single-process (the pools that once existed never beat
+   the in-process path — docs/performance.md), and a worker's metric
+   increments would be invisible to the registry the artifacts render.
 
 4. **No silent broad excepts.**  A handler over ``Exception`` /
    ``BaseException`` (or a bare ``except:``) whose body is a lone
@@ -62,10 +60,8 @@ WALL_CLOCK_CALLS = {"time", "perf_counter", "monotonic", "monotonic_ns",
 # time is its deliverable, and its output is a PROFILE_* investigation
 # artifact, not telemetry.
 WALL_CLOCK_EXEMPT = frozenset({"src/repro/profiling.py"})
-# Pool constructors that must never run at module import time.
-POOL_FACTORIES = {"Pool", "ThreadPool", "WorkerPool",
-                  "ProcessPoolExecutor", "ThreadPoolExecutor"}
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+# Packages whose import means a worker pool is being built.
+POOL_MODULES = ("multiprocessing", "concurrent.futures")
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
@@ -135,15 +131,30 @@ def check_file(path: pathlib.Path) -> list[str]:
                 "must contain the failure (quarantine, record, continue), "
                 "never silently swallow it"
             )
-    for node in _module_level_calls(tree):
-        name = _call_name(node)
-        if name in POOL_FACTORIES:
+    for node in ast.walk(tree):
+        pooled = [
+            module for module in _imported_modules(node)
+            if any(module == banned or module.startswith(banned + ".")
+                   for banned in POOL_MODULES)
+        ]
+        if pooled:
             problems.append(
-                f"{rel}:{node.lineno}: module-level pool {name}(...) — "
-                "pools must be context-managed inside a function, never "
-                "constructed at import time"
+                f"{rel}:{node.lineno}: import of {pooled[0]} — src/repro "
+                "is single-process; nothing is pooled"
             )
     return problems
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """The dotted module names an import statement pulls in."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        # ``from concurrent import futures`` names the submodule too.
+        return [node.module] + [
+            f"{node.module}.{alias.name}" for alias in node.names
+        ]
+    return []
 
 
 def _is_silent_broad(handler: ast.ExceptHandler) -> bool:
@@ -166,24 +177,6 @@ def _is_silent_broad(handler: ast.ExceptHandler) -> bool:
         if isinstance(node, ast.Attribute) and node.attr in broad:
             return True
     return False
-
-
-def _module_level_calls(tree: ast.Module):
-    """Every Call node that executes at module import time.
-
-    Walks the tree but never descends into function or lambda bodies:
-    a pool constructed inside a (context-managed) function is fine; the
-    same call at class or module scope runs on import and is not.
-    """
-    stack: list[ast.AST] = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Call):
-            yield node
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, _SCOPE_NODES):
-                continue
-            stack.append(child)
 
 
 def check_tree(root: pathlib.Path = SRC_ROOT) -> list[str]:

@@ -40,9 +40,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="override the scale's pinned seed")
     parser.add_argument("--top", type=int, default=20,
                         help="hotspot rows to keep (default 20)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="world-build keygen prefill workers "
-                             "(0 = in-process)")
     parser.add_argument(
         "--mode", choices=["serial", "incremental"], default="serial",
         help="relying-party mode (default: serial, no state kept)",
@@ -64,7 +61,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         top=args.top,
         mode=args.mode,
-        workers=args.workers,
         lean=not args.full_objects,
     )
     print(report.render())
