@@ -109,11 +109,7 @@ def test_rtr_codec_throughput(benchmark):
     from repro.rtr import PrefixPdu, decode_pdus, encode_pdu
 
     vrps = build_vrp_set(count=1000, seed=8)
-    pdus = [
-        PrefixPdu(announce=True, prefix=v.prefix,
-                  max_length=v.max_length, asn=v.asn)
-        for v in vrps
-    ]
+    pdus = [PrefixPdu(True, v) for v in vrps]
 
     def roundtrip():
         blob = b"".join(encode_pdu(p) for p in pdus)

@@ -19,14 +19,19 @@ through a tier of chained non-validating caches, with
 Artifact: ``BENCH_rtr.json`` under ``benchmarks/artifacts/``.
 """
 
+import collections
+import contextlib
 import json
+import random
+import sys
 import time
 
 from conftest import write_artifact
 
 from repro.modelgen import INTERNET_SCALES, DeploymentConfig, build_deployment
 from repro.repository import PERSISTENT, FaultInjector, FaultKind, Fetcher
-from repro.rp import RelyingParty, VrpSet
+from repro.resources import ASN, Afi, Prefix
+from repro.rp import VRP, RelyingParty, VrpSet
 from repro.rtr import (
     CacheChain,
     DuplexPipe,
@@ -418,10 +423,117 @@ def test_internet_scale_chain_delta(monkeypatch):
     })
 
 
+WIRE_VRPS = 2500          # the fleet-sync table of benchmarks/e2e
+WIRE_SESSIONS = 8
+WIRE_DELTA = 500
+
+_WIRE_RESULTS: dict = {}
+
+
+def _wire_table() -> list[VRP]:
+    rng = random.Random(18)
+    table: set[VRP] = set()
+    while len(table) < WIRE_VRPS:
+        afi = Afi.IPV4 if rng.random() < 0.8 else Afi.IPV6
+        length = rng.randint(8, 24) if afi is Afi.IPV4 else rng.randint(19, 48)
+        table.add(VRP(
+            Prefix(afi, rng.getrandbits(length) << (afi.bits - length), length),
+            rng.randint(length, min(afi.bits, length + 8)),
+            ASN(rng.randint(1, 70000)),
+        ))
+    return sorted(table)
+
+
+@contextlib.contextmanager
+def _python_calls(*names):
+    """Count Python-level calls of functions called *names*, any class.
+
+    By name, not by patching a known class: a range-checked twin of the
+    VRP or an ordering dunder on some new type shows up uninvited.
+    """
+    calls: collections.Counter = collections.Counter()
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name in names:
+            owner = frame.f_locals.get("self")
+            calls[f"{type(owner).__name__}.{frame.f_code.co_name}"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+def test_wire_plane_object_and_compare_counts():
+    """The codec's two claims as counts a noisy box cannot blur.
+
+    A router runs one range-checking ``__post_init__`` — the ``VRP``'s —
+    per prefix PDU it applies, not a second one on a PDU object holding
+    a copy of the same three fields; and a cache installing a 500-VRP
+    delta keeps its served order without one Python-level ordering call
+    (through ``VRP.__lt__`` / ``Prefix.__lt__`` that is ~9,300 calls per
+    install).
+    """
+    table = _wire_table()
+    root = RtrCacheServer(metrics=MetricsRegistry())
+    root.update(VrpSet(table))
+    chain = CacheChain(root, tiers=CHAIN_TIERS, fanout=CHAIN_FANOUT)
+    chain.pump()
+    assert chain.divergent() == []
+
+    sessions = []
+    for _ in range(WIRE_SESSIONS):
+        pipe = DuplexPipe()
+        root.attach(pipe)
+        client = RtrRouterClient(pipe)
+        client.connect()
+        sessions.append(client)
+    root.process()
+    with _python_calls("__init__", "__post_init__") as built:
+        for client in sessions:
+            client.process()
+    applied = sum(client.vrp_count for client in sessions)
+    assert applied == WIRE_SESSIONS * WIRE_VRPS
+    assert all(c.state is RouterState.SYNCED for c in sessions)
+    # One of each value type per prefix PDU, the two PDUs that frame
+    # each burst, and nothing else constructed.
+    assert built == {
+        "VRP.__post_init__": applied, "VRP.__init__": applied,
+        "Prefix.__init__": applied, "ASN.__init__": applied,
+        "CacheResponse.__init__": WIRE_SESSIONS,
+        "EndOfData.__init__": WIRE_SESSIONS,
+    }, built
+    checked = sum(n for name, n in built.items() if "__post_init__" in name)
+
+    delta = table[:: WIRE_VRPS // WIRE_DELTA]
+    assert len(delta) == WIRE_DELTA
+    with _python_calls("__lt__", "__le__", "__gt__", "__ge__") as compares:
+        for announced, withdrawn in (((), delta), (delta, ())):
+            root.apply_delta(announced, withdrawn)
+            chain.pump()
+    assert not compares, f"Python-level compares in bulk deltas: {compares}"
+    truth = frozenset(table)
+    assert all(c.current_vrps() == truth for c in chain.caches())
+    _WIRE_RESULTS.update({
+        "vrps": WIRE_VRPS,
+        "sessions": WIRE_SESSIONS,
+        "prefix_pdus_applied": applied,
+        "range_checked_objects_built": checked,
+        "router_objects_per_prefix_pdu": checked / applied,
+        "bulk_delta_vrps": WIRE_DELTA,
+        "bulk_deltas": 2,
+        "caches": 1 + len(chain.caches()),
+        "python_compares": sum(compares.values()),
+    })
+
+
 def test_write_artifact():
     result = _run_fleet()
     assert _INTERNET_RESULTS
     assert _CHAIN_RESULTS
+    assert _WIRE_RESULTS
     rate = (result["total_sessions"] * result["cycles"]
             / max(result["serve_seconds"], 1e-9))
     write_artifact("BENCH_rtr.json", json.dumps({
@@ -447,6 +559,14 @@ def test_write_artifact():
                 "measured": _CHAIN_RESULTS["vrpset_builds"],
                 "bound": 0, "op": "==",
             },
+            "router_objects_per_prefix_pdu": {
+                "measured": _WIRE_RESULTS["router_objects_per_prefix_pdu"],
+                "bound": 1, "op": "==",
+            },
+            "chain_python_compares_per_bulk_delta": {
+                "measured": _WIRE_RESULTS["python_compares"],
+                "bound": 0, "op": "==",
+            },
             "chain_one_vrp_delta_seconds": {
                 "measured": _CHAIN_RESULTS["delta_seconds_median"],
                 "bound": CHAIN_DELTA_SECONDS_BOUND, "op": "<=",
@@ -454,6 +574,7 @@ def test_write_artifact():
         },
         "internet": _INTERNET_RESULTS,
         "chain_delta": _CHAIN_RESULTS,
+        "wire_plane": _WIRE_RESULTS,
         "topology": {
             "tiers": TIERS,
             "fanout": FANOUT,

@@ -160,7 +160,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [

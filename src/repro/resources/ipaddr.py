@@ -37,20 +37,21 @@ class Afi(enum.Enum):
     The ``value`` matches the IANA AFI codepoints used in RFC 3779 resource
     extensions (1 = IPv4, 2 = IPv6), so serialized objects carry the real
     on-the-wire identifiers.
+
+    ``bits`` (32 or 128) and ``max_address`` (the highest representable
+    address as an integer) are plain attributes set once per member:
+    every ``Prefix`` built and every trie step reads them.
     """
 
     IPV4 = 1
     IPV6 = 2
 
-    @property
-    def bits(self) -> int:
-        """Number of bits in an address of this family (32 or 128)."""
-        return 32 if self is Afi.IPV4 else 128
+    bits: int
+    max_address: int
 
-    @property
-    def max_address(self) -> int:
-        """The highest representable address as an integer."""
-        return (1 << self.bits) - 1
+    def __init__(self, code: int):
+        self.bits = 32 if code == 1 else 128
+        self.max_address = (1 << self.bits) - 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Afi.{self.name}"

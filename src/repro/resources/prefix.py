@@ -33,11 +33,12 @@ class Prefix:
     __slots__ = ("_afi", "_network", "_length", "_hash")
 
     def __init__(self, afi: Afi, network: int, length: int):
-        if not 0 <= length <= afi.bits:
+        bits = afi.bits
+        if not 0 <= length <= bits:
             raise PrefixValueError(f"bad prefix length /{length} for {afi.name}")
         if not 0 <= network <= afi.max_address:
             raise PrefixValueError(f"network address out of range: {network}")
-        if network & host_mask(afi, length):
+        if network & ((1 << (bits - length)) - 1):
             raise PrefixValueError(
                 f"host bits set in {format_address(afi, network)}/{length}"
             )
@@ -194,7 +195,9 @@ class Prefix:
         # Cached: prefixes are dict keys on every trie/VRP hot path, and
         # hashing a 3-tuple per probe dominates bulk-set construction.
         if self._hash == -1:
-            value = hash((self._afi, self._network, self._length))
+            # The family as its width: an int hashes in C, an enum
+            # member through a Python-level ``Enum.__hash__``.
+            value = hash((self._afi.bits, self._network, self._length))
             self._hash = value if value != -1 else -2
         return self._hash
 

@@ -13,6 +13,7 @@ from .chain import CacheChain, ChainedRtrCache
 from .channel import Channel, ChannelClosed, DuplexPipe
 from .mux import MuxEvent, MuxSession, SessionMux
 from .pdu import (
+    MAX_ERROR_REPORT_LENGTH,
     CacheReset,
     CacheResponse,
     EndOfData,
@@ -27,6 +28,7 @@ from .pdu import (
     SerialQuery,
     decode_pdus,
     encode_pdu,
+    encode_prefixes,
 )
 from .router_client import RouterState, RtrRouterClient
 
@@ -40,6 +42,7 @@ __all__ = [
     "DuplexPipe",
     "EndOfData",
     "ErrorReport",
+    "MAX_ERROR_REPORT_LENGTH",
     "MuxEvent",
     "MuxSession",
     "Pdu",
@@ -56,4 +59,5 @@ __all__ = [
     "SessionMux",
     "decode_pdus",
     "encode_pdu",
+    "encode_prefixes",
 ]

@@ -49,11 +49,11 @@ from .pdu import (
     EndOfData,
     ErrorReport,
     Pdu,
-    PrefixPdu,
     ResetQuery,
     SerialNotify,
     SerialQuery,
     encode_pdu,
+    encode_prefixes,
 )
 
 __all__ = ["RtrCacheServer"]
@@ -77,10 +77,18 @@ def _pdu_label(pdu: Pdu) -> str:
     return label
 
 
-def _prefix_pdu(announce: bool, vrp: VRP) -> PrefixPdu:
-    return PrefixPdu(
-        announce=announce, prefix=vrp.prefix,
-        max_length=vrp.max_length, asn=vrp.asn,
+def _wire_order(vrp: VRP) -> tuple[int, int, int, int, int]:
+    """Sort key for the served order: the order of ``VRP.__lt__``.
+
+    Five integers compared by the tuple type itself, where comparing
+    two VRPs walks ``VRP`` -> ``Prefix`` -> ``Afi`` -> ``ASN`` through
+    Python-level ``__lt__`` and ``__eq__`` on every probe.  The family
+    goes in as its address width, which orders as its AFI code does.
+    """
+    prefix = vrp.prefix
+    return (
+        prefix.afi.bits, prefix.network, prefix.length,
+        vrp.max_length, vrp.asn.value,
     )
 
 
@@ -99,13 +107,10 @@ class _Delta:
     def encode(self) -> bytes:
         """Withdrawals then announcements, encoded once and memoized."""
         if self.encoded is None:
-            parts = [
-                encode_pdu(_prefix_pdu(False, vrp)) for vrp in self.withdrawn
-            ]
-            parts += [
-                encode_pdu(_prefix_pdu(True, vrp)) for vrp in self.announced
-            ]
-            self.encoded = b"".join(parts)
+            self.encoded = (
+                encode_prefixes(False, self.withdrawn)
+                + encode_prefixes(True, self.announced)
+            )
         return self.encoded
 
 
@@ -226,15 +231,16 @@ class RtrCacheServer:
             return self.serial
         served -= leaving
         served |= arriving
-        announced, withdrawn = sorted(arriving), sorted(leaving)
+        announced = sorted(arriving, key=_wire_order)
+        withdrawn = sorted(leaving, key=_wire_order)
         # The snapshot burst is served in sorted order; keeping that
         # order by bisection costs O(log table) comparisons per changed
         # VRP where re-sorting per serial would compare the whole table.
         order = self._sorted
         for vrp in withdrawn:
-            del order[bisect_left(order, vrp)]
+            del order[bisect_left(order, _wire_order(vrp), key=_wire_order)]
         for vrp in announced:
-            insort(order, vrp)
+            insort(order, vrp, key=_wire_order)
         self.serial += 1
         self._frozen = None
         self._snapshot = None
@@ -372,14 +378,12 @@ class RtrCacheServer:
         this serial is served the same cached bytes.
         """
         if self._snapshot is None or self._snapshot[0] != self.serial:
-            parts = [encode_pdu(CacheResponse(self.session_id))]
-            parts += [
-                encode_pdu(_prefix_pdu(True, vrp)) for vrp in self._sorted
-            ]
-            parts.append(encode_pdu(EndOfData(self.session_id, self.serial)))
-            self._snapshot = (
-                self.serial, b"".join(parts), len(self._sorted)
+            burst = (
+                encode_pdu(CacheResponse(self.session_id))
+                + encode_prefixes(True, self._sorted)
+                + encode_pdu(EndOfData(self.session_id, self.serial))
             )
+            self._snapshot = (self.serial, burst, len(self._sorted))
         return self._snapshot[1], self._snapshot[2]
 
     def _send_full(self, session: MuxSession) -> None:

@@ -23,19 +23,28 @@ Version 0 PDU types:
   8   Cache Reset           cache → router: "I can't do incremental; reset"
  10   Error Report          either direction; fatal
 ====  ====================  ==============================================
+
+Every type but Error Report has one legal length, so a header is judged
+the moment its 8 bytes are in: a wrong length is an error at once, never
+a reason to buffer (see docs/rtr.md, "Failure behavior under malformed
+PDUs").
 """
 
 from __future__ import annotations
 
 import enum
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..resources import ASN, Afi, Prefix
+from ..rp.vrp import VRP
 
 __all__ = [
     "PduType",
     "RTR_VERSION",
+    "MAX_ERROR_REPORT_LENGTH",
     "SerialNotify",
     "SerialQuery",
     "ResetQuery",
@@ -46,13 +55,20 @@ __all__ = [
     "ErrorReport",
     "Pdu",
     "encode_pdu",
+    "encode_prefixes",
     "decode_pdus",
     "PduDecodeError",
 ]
 
 RTR_VERSION = 0
 
+# The longest Error Report accepted, header included.  Error Report is
+# the one variable-length type, so it is the one a peer could otherwise
+# make a receiver buffer without bound.
+MAX_ERROR_REPORT_LENGTH = 64 * 1024
+
 _HEADER = struct.Struct(">BBHI")  # version, type, session/flags, length
+_U32 = struct.Struct(">I")
 
 
 class PduType(enum.IntEnum):
@@ -65,6 +81,36 @@ class PduType(enum.IntEnum):
     END_OF_DATA = 7
     CACHE_RESET = 8
     ERROR_REPORT = 10
+
+
+# The one wire length (header included) of each fixed-size type.
+_FIXED_LENGTH = {
+    PduType.SERIAL_NOTIFY: 12,
+    PduType.SERIAL_QUERY: 12,
+    PduType.RESET_QUERY: 8,
+    PduType.CACHE_RESPONSE: 8,
+    PduType.IPV4_PREFIX: 20,
+    PduType.IPV6_PREFIX: 32,
+    PduType.END_OF_DATA: 12,
+    PduType.CACHE_RESET: 8,
+}
+
+# A whole prefix PDU as one record: header, flags, prefix length,
+# maxLength, a zero byte, address, ASN.  Both directions use it.
+_PREFIX_RECORD = {
+    PduType.IPV4_PREFIX: (struct.Struct(">8sBBBx4sI"), Afi.IPV4),
+    PduType.IPV6_PREFIX: (struct.Struct(">8sBBBx16sI"), Afi.IPV6),
+}
+
+# Per family: the record's packer, its constant header, address bytes.
+_PREFIX_PACK = {
+    afi: (
+        record.pack,
+        _HEADER.pack(RTR_VERSION, pdu_type, 0, record.size),
+        afi.bits // 8,
+    )
+    for pdu_type, (record, afi) in _PREFIX_RECORD.items()
+}
 
 
 class PduDecodeError(Exception):
@@ -93,24 +139,15 @@ class CacheResponse:
     session_id: int
 
 
-@dataclass(frozen=True)
-class PrefixPdu:
-    """One VRP on the wire: announce (flags bit 0 = 1) or withdraw (= 0)."""
+class PrefixPdu(NamedTuple):
+    """One VRP on the wire: announce (flags bit 0 = 1) or withdraw (= 0).
+
+    The VRP is the payload itself, built and range-checked once; a
+    router queues the PDU as the ``(announce, vrp)`` pair it is.
+    """
 
     announce: bool
-    prefix: Prefix
-    max_length: int
-    asn: ASN
-
-    def __post_init__(self) -> None:
-        if not self.prefix.length <= self.max_length <= self.prefix.afi.bits:
-            raise ValueError(
-                f"maxLength {self.max_length} out of range for {self.prefix}"
-            )
-
-    @property
-    def afi(self) -> Afi:
-        return self.prefix.afi
+    vrp: VRP
 
 
 @dataclass(frozen=True)
@@ -147,39 +184,43 @@ def _packet(pdu_type: PduType, session_or_flags: int, body: bytes) -> bytes:
     ) + body
 
 
+def encode_prefixes(announce: bool, vrps: Iterable[VRP]) -> bytes:
+    """The prefix PDUs announcing (or withdrawing) *vrps*, in order."""
+    flags = 1 if announce else 0
+    parts = []
+    for vrp in vrps:
+        prefix = vrp.prefix
+        pack, header, address_bytes = _PREFIX_PACK[prefix.afi]
+        parts.append(pack(
+            header, flags, prefix.length, vrp.max_length,
+            prefix.network.to_bytes(address_bytes, "big"), vrp.asn.value,
+        ))
+    return b"".join(parts)
+
+
 def encode_pdu(pdu: Pdu) -> bytes:
     """Serialize one PDU to RFC 6810 wire bytes."""
+    if isinstance(pdu, PrefixPdu):
+        return encode_prefixes(pdu.announce, (pdu.vrp,))
     if isinstance(pdu, SerialNotify):
         return _packet(PduType.SERIAL_NOTIFY, pdu.session_id,
-                       struct.pack(">I", pdu.serial))
+                       _U32.pack(pdu.serial))
     if isinstance(pdu, SerialQuery):
         return _packet(PduType.SERIAL_QUERY, pdu.session_id,
-                       struct.pack(">I", pdu.serial))
+                       _U32.pack(pdu.serial))
     if isinstance(pdu, ResetQuery):
         return _packet(PduType.RESET_QUERY, 0, b"")
     if isinstance(pdu, CacheResponse):
         return _packet(PduType.CACHE_RESPONSE, pdu.session_id, b"")
-    if isinstance(pdu, PrefixPdu):
-        flags = 1 if pdu.announce else 0
-        address_bytes = pdu.prefix.afi.bits // 8
-        body = struct.pack(
-            ">BBBB", flags, pdu.prefix.length, pdu.max_length, 0
-        ) + pdu.prefix.network.to_bytes(address_bytes, "big") + struct.pack(
-            ">I", int(pdu.asn)
-        )
-        pdu_type = (
-            PduType.IPV4_PREFIX if pdu.prefix.afi is Afi.IPV4
-            else PduType.IPV6_PREFIX
-        )
-        return _packet(pdu_type, 0, body)
     if isinstance(pdu, EndOfData):
         return _packet(PduType.END_OF_DATA, pdu.session_id,
-                       struct.pack(">I", pdu.serial))
+                       _U32.pack(pdu.serial))
     if isinstance(pdu, CacheReset):
         return _packet(PduType.CACHE_RESET, 0, b"")
     if isinstance(pdu, ErrorReport):
+        # No encapsulated PDU: its length field is zero.
         text = pdu.text.encode("utf-8")
-        body = struct.pack(">I", 0) + struct.pack(">I", len(text)) + text
+        body = _U32.pack(0) + _U32.pack(len(text)) + text
         return _packet(PduType.ERROR_REPORT, pdu.error_code, body)
     raise TypeError(f"not a PDU: {pdu!r}")
 
@@ -189,88 +230,128 @@ def encode_pdu(pdu: Pdu) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+# The three types whose body is one serial number.
+_WITH_SERIAL = {
+    PduType.SERIAL_NOTIFY: SerialNotify,
+    PduType.SERIAL_QUERY: SerialQuery,
+    PduType.END_OF_DATA: EndOfData,
+}
+
+
 def decode_pdus(data: bytes) -> tuple[list[Pdu], bytes]:
     """Decode as many complete PDUs as *data* contains.
 
     Returns ``(pdus, remainder)`` — the remainder is a partial trailing
     PDU to be retried once more bytes arrive (stream semantics, like the
-    TCP connection RTR really runs over).
+    TCP connection RTR really runs over).  The remainder never holds
+    more than one PDU of a legal length: a header that announces any
+    other length raises before a byte of its body is waited for.
     """
     pdus: list[Pdu] = []
-    offset = 0
-    while len(data) - offset >= _HEADER.size:
+    append = pdus.append
+    offset, end = 0, len(data)
+    while end - offset >= _HEADER.size:
         version, pdu_type, session_or_flags, length = _HEADER.unpack_from(
             data, offset
         )
         if version != RTR_VERSION:
             raise PduDecodeError(f"unsupported RTR version {version}")
-        if length < _HEADER.size:
-            raise PduDecodeError(f"impossible PDU length {length}")
-        if len(data) - offset < length:
+        if length != _FIXED_LENGTH.get(pdu_type):
+            _check_length(pdu_type, length)
+        if end - offset < length:
             break  # incomplete PDU; wait for more bytes
-        body = data[offset + _HEADER.size : offset + length]
-        pdus.append(_decode_one(pdu_type, session_or_flags, body))
+        if pdu_type in _PREFIX_RECORD:
+            # A burst is long runs of one prefix type: unpack every
+            # complete record in sight and stop at the first whose
+            # header is not the one just checked.
+            record, afi = _PREFIX_RECORD[pdu_type]
+            header = data[offset : offset + _HEADER.size]
+            run = (end - offset) // length * length
+            records = record.iter_unpack(
+                memoryview(data)[offset : offset + run]
+            )
+            try:
+                for (
+                    seen, flags, prefix_length, max_length, address, asn
+                ) in records:
+                    if seen != header:
+                        break
+                    append(PrefixPdu(flags & 1 == 1, VRP(
+                        Prefix(afi, int.from_bytes(address, "big"),
+                               prefix_length),
+                        max_length,
+                        ASN(asn),
+                    )))
+                    offset += length
+            except ValueError as exc:
+                raise PduDecodeError(f"bad prefix PDU: {exc}") from exc
+            continue
+        if pdu_type == PduType.ERROR_REPORT:
+            append(_decode_error_report(
+                session_or_flags, data[offset + _HEADER.size : offset + length]
+            ))
+        elif pdu_type == PduType.CACHE_RESPONSE:
+            append(CacheResponse(session_or_flags))
+        elif pdu_type == PduType.RESET_QUERY:
+            append(ResetQuery())
+        elif pdu_type == PduType.CACHE_RESET:
+            append(CacheReset())
+        else:
+            append(_WITH_SERIAL[pdu_type](
+                session_or_flags, *_U32.unpack_from(data, offset + _HEADER.size)
+            ))
         offset += length
     return pdus, data[offset:]
 
 
-def _decode_one(pdu_type: int, session_or_flags: int, body: bytes) -> Pdu:
+def _check_length(pdu_type: int, length: int) -> None:
+    """Raise unless *length* is one a PDU of *pdu_type* may announce.
+
+    Called only for a length that is not the type's fixed size, so it
+    returns for an Error Report within its cap and for nothing else.
+    """
+    if length < _HEADER.size:
+        raise PduDecodeError(f"impossible PDU length {length}")
     try:
         kind = PduType(pdu_type)
     except ValueError:
         raise PduDecodeError(f"unknown PDU type {pdu_type}") from None
-
-    if kind is PduType.SERIAL_NOTIFY:
-        return SerialNotify(session_or_flags, _u32(body))
-    if kind is PduType.SERIAL_QUERY:
-        return SerialQuery(session_or_flags, _u32(body))
-    if kind is PduType.RESET_QUERY:
-        _expect_empty(kind, body)
-        return ResetQuery()
-    if kind is PduType.CACHE_RESPONSE:
-        _expect_empty(kind, body)
-        return CacheResponse(session_or_flags)
-    if kind in (PduType.IPV4_PREFIX, PduType.IPV6_PREFIX):
-        afi = Afi.IPV4 if kind is PduType.IPV4_PREFIX else Afi.IPV6
-        address_bytes = afi.bits // 8
-        expected = 4 + address_bytes + 4
-        if len(body) != expected:
-            raise PduDecodeError(
-                f"{kind.name} body must be {expected} bytes, got {len(body)}"
-            )
-        flags, length, max_length, _zero = struct.unpack_from(">BBBB", body)
-        network = int.from_bytes(body[4 : 4 + address_bytes], "big")
-        asn_value = _u32(body[4 + address_bytes :])
-        try:
-            prefix = Prefix(afi, network, length)
-            return PrefixPdu(
-                announce=bool(flags & 1),
-                prefix=prefix,
-                max_length=max_length,
-                asn=ASN(asn_value),
-            )
-        except ValueError as exc:
-            raise PduDecodeError(f"bad prefix PDU: {exc}") from exc
-    if kind is PduType.END_OF_DATA:
-        return EndOfData(session_or_flags, _u32(body))
-    if kind is PduType.CACHE_RESET:
-        _expect_empty(kind, body)
-        return CacheReset()
+    body = length - _HEADER.size
     if kind is PduType.ERROR_REPORT:
-        if len(body) < 8:
-            raise PduDecodeError("truncated error report")
-        text_length = _u32(body[4:8])
-        text = body[8 : 8 + text_length].decode("utf-8", errors="replace")
-        return ErrorReport(error_code=session_or_flags, text=text)
-    raise AssertionError(f"unhandled {kind}")  # pragma: no cover
-
-
-def _u32(body: bytes) -> int:
-    if len(body) < 4:
-        raise PduDecodeError("truncated 32-bit field")
-    return struct.unpack_from(">I", body)[0]
-
-
-def _expect_empty(kind: PduType, body: bytes) -> None:
-    if body:
+        if length > MAX_ERROR_REPORT_LENGTH:
+            raise PduDecodeError(
+                f"ERROR_REPORT length {length} is over the "
+                f"{MAX_ERROR_REPORT_LENGTH}-byte cap"
+            )
+        return
+    expected = _FIXED_LENGTH[kind] - _HEADER.size
+    if expected == 0:
         raise PduDecodeError(f"{kind.name} must have an empty body")
+    if expected == _U32.size and body < expected:
+        raise PduDecodeError("truncated 32-bit field")
+    raise PduDecodeError(
+        f"{kind.name} body must be {expected} bytes, got {body}"
+    )
+
+
+def _decode_error_report(error_code: int, body: bytes) -> ErrorReport:
+    """RFC 6810 §5.10: length + encapsulated PDU, then length + text."""
+    if len(body) < 2 * _U32.size:
+        raise PduDecodeError("truncated error report")
+    (encapsulated,) = _U32.unpack_from(body)
+    text_at = 2 * _U32.size + encapsulated
+    if text_at > len(body):
+        raise PduDecodeError(
+            f"error report's encapsulated PDU length {encapsulated} "
+            f"overruns its {len(body)}-byte body"
+        )
+    (text_length,) = _U32.unpack_from(body, text_at - _U32.size)
+    if text_length != len(body) - text_at:
+        raise PduDecodeError(
+            f"error report's text length {text_length} does not match "
+            f"the {len(body) - text_at} bytes left for it"
+        )
+    return ErrorReport(
+        error_code=error_code,
+        text=body[text_at:].decode("utf-8", errors="replace"),
+    )

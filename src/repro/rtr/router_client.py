@@ -66,7 +66,7 @@ class RtrRouterClient:
         self._vrps: set[VRP] = set()
         # PDU application is order-sensitive: the same VRP may be announced
         # at one serial and withdrawn at a later one within a single burst.
-        self._pending: list[tuple[bool, VRP]] = []
+        self._pending: list[PrefixPdu] = []
         self._burst_is_reset = False
         self._receive_buffer = b""
         self.errors: list[str] = []
@@ -119,6 +119,11 @@ class RtrRouterClient:
     # -- state machine -------------------------------------------------------------
 
     def _handle(self, pdu: Pdu) -> None:
+        # A burst is almost all prefix PDUs, and one already is the
+        # (announce, vrp) pair queued until End of Data.
+        if type(pdu) is PrefixPdu:
+            self._pending.append(pdu)
+            return
         if isinstance(pdu, SerialNotify):
             if self.state is RouterState.SYNCED:
                 self.session_id = pdu.session_id
@@ -132,10 +137,6 @@ class RtrRouterClient:
             self.session_id = pdu.session_id
             self._pending.clear()
             self.state = RouterState.SYNCING
-            return
-        if isinstance(pdu, PrefixPdu):
-            vrp = VRP(pdu.prefix, pdu.max_length, pdu.asn)
-            self._pending.append((pdu.announce, vrp))
             return
         if isinstance(pdu, EndOfData):
             if self._burst_is_reset:
@@ -176,3 +177,4 @@ class RtrRouterClient:
     def _fail(self, reason: str) -> None:
         self.errors.append(reason)
         self.state = RouterState.FAILED
+        self._receive_buffer = b""  # never read again

@@ -1,8 +1,15 @@
 """Tests for the event-driven session multiplexer."""
 
+import struct
+
 import pytest
 
-from repro.rtr import DuplexPipe, SessionMux
+from repro.rtr import (
+    MAX_ERROR_REPORT_LENGTH,
+    DuplexPipe,
+    RtrCacheServer,
+    SessionMux,
+)
 from repro.rtr.pdu import ResetQuery, SerialQuery, encode_pdu
 from repro.telemetry import MetricsRegistry
 
@@ -137,6 +144,58 @@ class TestLifecycle:
         mux.drop(session)
         mux.drop(session)
         assert len(mux) == 0
+
+
+class TestBoundedReceiveBuffer:
+    """A hostile length field is judged on the header, never buffered."""
+
+    @staticmethod
+    def header(pdu_type: int, length: int) -> bytes:
+        return struct.pack(">BBHI", 0, pdu_type, 0, length)
+
+    def test_oversized_length_is_an_error_not_a_buffer(self):
+        mux = SessionMux()
+        pipe, session = attach_one(mux)
+        # Not parked in receive_buffer and re-concatenated every tick,
+        # waiting for 4 GiB that never come.
+        pipe.to_cache.send(self.header(4, 0xFFFFFFFF) + b"\0" * 100000)
+        (event,) = mux.poll()
+        assert event.error is not None
+        assert session.receive_buffer == b"" and len(mux) == 0
+
+    def test_error_report_at_the_cap_is_waited_for(self):
+        mux = SessionMux()
+        pipe, session = attach_one(mux)
+        pipe.to_cache.send(self.header(10, MAX_ERROR_REPORT_LENGTH) + b"\0" * 100)
+        assert mux.poll() == []
+        assert len(session.receive_buffer) == 108 and len(mux) == 1
+
+    def test_error_report_past_the_cap_drops_the_session(self):
+        mux = SessionMux()
+        pipe, session = attach_one(mux)
+        pipe.to_cache.send(self.header(10, MAX_ERROR_REPORT_LENGTH + 1))
+        (event,) = mux.poll()
+        assert "cap" in event.error
+        assert session.receive_buffer == b"" and len(mux) == 0
+
+    def test_server_counts_the_drop_and_spares_siblings(self):
+        registry = MetricsRegistry()
+        server = RtrCacheServer(metrics=registry)
+        hostile, sibling = DuplexPipe(), DuplexPipe()
+        server.attach(hostile)
+        server.attach(sibling)
+        hostile.to_cache.send(self.header(6, 0xFFFFFFFF) + b"\0" * 50000)
+        sibling.to_cache.send(encode_pdu(ResetQuery()))
+        server.process()
+        errors = registry.get("repro_rtr_errors_total")
+        assert errors.value(kind="decode") == 1
+        assert server.session_count == 1
+        # The sibling was served its (empty) snapshot in the same tick.
+        assert sibling.to_router.receive() != b""
+        # More bytes from the dropped peer wake nothing.
+        hostile.to_cache.send(b"\0" * 50000)
+        server.process()
+        assert errors.value(kind="decode") == 1
 
 
 class TestBroadcast:

@@ -1,0 +1,339 @@
+"""The production RTR codec pinned to the per-PDU reference loop.
+
+``repro.rtr.pdu`` reads prefix PDUs a run at a time with one ``Struct``
+and packs them the same way; ``reference_codec`` is the loop it replaced,
+one header and one field at a time.  Everything here is seeded: equal
+PDUs, equal remainder and equal error text on every stream, however the
+stream is cut.
+"""
+
+import random
+import struct
+
+import pytest
+
+from repro.resources import ASN, Afi, Prefix
+from repro.rp.vrp import VRP, VrpSet
+from repro.rtr import (
+    CacheReset,
+    CacheResponse,
+    DuplexPipe,
+    EndOfData,
+    ErrorReport,
+    MAX_ERROR_REPORT_LENGTH,
+    PduDecodeError,
+    PrefixPdu,
+    ResetQuery,
+    RouterState,
+    RtrCacheServer,
+    RtrRouterClient,
+    SerialNotify,
+    SerialQuery,
+    decode_pdus,
+    encode_pdu,
+    encode_prefixes,
+)
+from repro.rtr.cache_server import _wire_order
+
+from . import reference_codec as reference
+
+
+def random_vrp(rng: random.Random, afi: Afi | None = None) -> VRP:
+    if afi is None:
+        afi = rng.choice((Afi.IPV4, Afi.IPV6))
+    length = rng.randint(0, afi.bits)
+    network = rng.getrandbits(length) << (afi.bits - length) if length else 0
+    return VRP(
+        Prefix(afi, network, length),
+        rng.randint(length, afi.bits),
+        ASN(rng.choice((0, 1, 64512, 2**32 - 1, rng.getrandbits(32)))),
+    )
+
+
+def random_control(rng: random.Random):
+    session, serial = rng.getrandbits(16), rng.getrandbits(32)
+    return rng.choice((
+        SerialNotify(session, serial),
+        SerialQuery(session, serial),
+        ResetQuery(),
+        CacheResponse(session),
+        EndOfData(session, serial),
+        CacheReset(),
+        ErrorReport(rng.getrandbits(16), "x" * rng.randint(0, 40)),
+    ))
+
+
+def random_stream(rng: random.Random, pdus: int) -> list:
+    """Runs of one prefix family, control PDUs in between."""
+    stream = []
+    while len(stream) < pdus:
+        if rng.random() < 0.3:
+            stream.append(random_control(rng))
+            continue
+        afi = rng.choice((Afi.IPV4, Afi.IPV6))
+        for _ in range(rng.randint(1, 8)):
+            stream.append(
+                PrefixPdu(rng.random() < 0.7, random_vrp(rng, afi))
+            )
+    return stream
+
+
+def both(data: bytes):
+    """Decode with both codecs; assert they agree; return the result."""
+    try:
+        expected = reference.decode_pdus(data)
+    except PduDecodeError as exc:
+        with pytest.raises(PduDecodeError) as caught:
+            decode_pdus(data)
+        assert str(caught.value) == str(exc)
+        raise
+    try:
+        got = decode_pdus(data)
+    except PduDecodeError as exc:
+        pytest.fail(f"only the production codec rejects these bytes: {exc}")
+    assert got == expected
+    # Equal as tuples is not enough for the PDU the router queues as is.
+    assert [type(p) for p in got[0]] == [type(p) for p in expected[0]]
+    return got
+
+
+class TestWellFormedStreams:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_whole(self, seed):
+        stream = random_stream(random.Random(seed), 300)
+        blob = b"".join(reference.encode_pdu(p) for p in stream)
+        assert both(blob) == (stream, b"")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_encoders_agree(self, seed):
+        for pdu in random_stream(random.Random(100 + seed), 300):
+            assert encode_pdu(pdu) == reference.encode_pdu(pdu)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_split_at_every_byte_boundary(self, seed):
+        stream = random_stream(random.Random(200 + seed), 30)
+        blob = b"".join(reference.encode_pdu(p) for p in stream)
+        for cut in range(len(blob) + 1):
+            head, rest = both(blob[:cut])
+            tail, leftover = both(rest + blob[cut:])
+            assert head + tail == stream and leftover == b""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_chunks(self, seed):
+        rng = random.Random(300 + seed)
+        stream = random_stream(rng, 200)
+        blob = b"".join(reference.encode_pdu(p) for p in stream)
+        decoded, buffer, at = [], b"", 0
+        while at < len(blob):
+            step = rng.choice((1, 3, 7, 8, 19, 20, 21, 32, 33, 64, 500))
+            pdus, buffer = both(buffer + blob[at : at + step])
+            decoded += pdus
+            at += step
+        assert decoded == stream and buffer == b""
+
+    def test_reserved_and_flag_bits_are_read_alike(self):
+        # Non-zero reserved fields and stray flag bits inside a run.
+        vrp = VRP(Prefix.parse("10.0.0.0/8"), 8, ASN(1))
+        plain = bytearray(encode_pdu(PrefixPdu(True, vrp)))
+        odd_session = bytearray(plain); odd_session[2:4] = b"\xab\xcd"
+        odd_zero = bytearray(plain); odd_zero[11] = 0xFF
+        flags_fe = bytearray(plain); flags_fe[8] = 0xFE
+        flags_ff = bytearray(plain); flags_ff[8] = 0xFF
+        blob = bytes(plain + odd_session + plain + odd_zero + flags_fe
+                     + flags_ff + plain)
+        pdus, rest = both(blob)
+        assert [p.announce for p in pdus] == [
+            True, True, True, True, False, True, True
+        ]
+        assert {p.vrp for p in pdus} == {vrp} and rest == b""
+
+
+def _header(pdu_type, length, session_or_flags=0, version=0):
+    return struct.pack(">BBHI", version, pdu_type, session_or_flags, length)
+
+
+def _prefix(pdu_type, flags, length, max_length, address: bytes, asn=1):
+    body = bytes((flags, length, max_length, 0)) + address + struct.pack(
+        ">I", asn
+    )
+    return _header(pdu_type, 8 + len(body)) + body
+
+
+MALFORMED = {
+    "wrong version": _header(2, 8, version=1),
+    "unknown type": _header(99, 8),
+    "unknown type, huge length": _header(5, 0xFFFFFFFF),
+    "impossible length": _header(2, 2),
+    "impossible length, unknown type": _header(99, 7),
+    "reset query with a body": _header(2, 9) + b"\0",
+    "cache response with a body": _header(3, 12) + b"\0" * 4,
+    "cache reset with a body": _header(8, 0xFFFFFFFF),
+    "ipv4 prefix too short": _header(4, 10) + b"\0\0",
+    "ipv4 prefix too long": _header(4, 32) + b"\0" * 24,
+    "ipv6 prefix too short": _header(6, 20) + b"\0" * 12,
+    "prefix length of 4 GiB": _header(4, 0xFFFFFFFF) + b"\0" * 100000,
+    "serial notify truncated": _header(0, 10) + b"\0\0",
+    "serial query too long": _header(1, 16) + b"\0" * 8,
+    "end of data too long": _header(7, 1 << 20),
+    "ipv4 host bits": _prefix(4, 1, 24, 24, bytes([10, 0, 0, 1])),
+    "ipv6 host bits": _prefix(6, 1, 32, 48, b"\x20\x01\x0d\xb8" + b"\1" * 12),
+    "ipv4 prefix length 33": _prefix(4, 1, 33, 33, bytes(4)),
+    "ipv6 prefix length 129": _prefix(6, 1, 129, 129, bytes(16)),
+    "maxLength below length": _prefix(4, 1, 16, 8, bytes([10, 0, 0, 0])),
+    "maxLength above 32": _prefix(4, 1, 16, 33, bytes([10, 0, 0, 0])),
+    "maxLength above 128": _prefix(6, 0, 16, 129, bytes(16)),
+    "error report truncated": _header(10, 12) + b"\0" * 4,
+    "error report past the cap": _header(10, MAX_ERROR_REPORT_LENGTH + 1),
+    "error report, text overruns":
+        _header(10, 19) + bytes(4) + (5000).to_bytes(4, "big") + b"abc",
+    "error report, text short of the body":
+        _header(10, 22) + bytes(4) + (3).to_bytes(4, "big") + b"abcdef",
+    "error report, encapsulated PDU overruns":
+        _header(10, 24) + (9).to_bytes(4, "big") + b"\0" * 12,
+}
+
+GOOD_V4 = encode_pdu(PrefixPdu(True, VRP(Prefix.parse("10.0.0.0/8"), 8, ASN(1))))
+GOOD_V6 = encode_pdu(
+    PrefixPdu(True, VRP(Prefix.parse("2001:db8::/32"), 48, ASN(2)))
+)
+
+
+class TestMalformedStreams:
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_same_error_text(self, name):
+        with pytest.raises(PduDecodeError) as alone:
+            both(MALFORMED[name])
+        # Behind well-formed PDUs — inside and right after a prefix run —
+        # the verdict is the same and nothing decoded before it escapes.
+        for lead in (GOOD_V4, GOOD_V4 * 3, GOOD_V6 * 2 + GOOD_V4,
+                     encode_pdu(CacheResponse(1)) + GOOD_V6):
+            with pytest.raises(PduDecodeError) as behind:
+                both(lead + MALFORMED[name])
+            assert str(behind.value) == str(alone.value)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_same_error_however_it_arrives(self, name):
+        """Cut anywhere: both codecs wait alike, then fail alike."""
+        blob = GOOD_V4 * 2 + MALFORMED[name][:64]
+        for cut in range(len(blob)):
+            try:
+                _pdus, rest = both(blob[:cut])
+            except PduDecodeError:
+                continue
+            with pytest.raises(PduDecodeError):
+                both(rest + blob[cut:])
+
+
+def synced_pair(vrps):
+    server = RtrCacheServer()
+    server.update(VrpSet(vrps))
+    pipe = DuplexPipe()
+    server.attach(pipe)
+    client = RtrRouterClient(pipe)
+    client.connect()
+    server.process()
+    return server, client
+
+
+class TestRouterOnPoisonedBurst:
+    def test_valid_burst_then_garbage_in_one_read(self):
+        rng = random.Random(7)
+        server, client = synced_pair({random_vrp(rng) for _ in range(50)})
+        client.pipe.to_router.send(b"\x99\x00\x00\x07chaos!")
+        client.process()
+        # The read failed as a whole: nothing of the burst was applied.
+        assert client.state is RouterState.FAILED
+        assert client.vrp_count == 0 and client.serial == 0
+        assert len(client.errors) == 1
+        sent, rest = decode_pdus(client.pipe.to_cache.receive())
+        assert rest == b""
+        assert sent == [
+            ErrorReport(error_code=0, text="unsupported RTR version 153")
+        ]
+
+    def test_oversized_length_does_not_grow_the_router_buffer(self):
+        _server, client = synced_pair(set())
+        client.process()
+        assert client.state is RouterState.SYNCED
+        client.pipe.to_router.send(_header(4, 0xFFFFFFFF) + b"\0" * 100000)
+        client.process()
+        assert client.state is RouterState.FAILED
+        assert client._receive_buffer == b""
+
+
+class TestBurstBytes:
+    def make_table(self, seed, count):
+        rng = random.Random(seed)
+        return {random_vrp(rng) for _ in range(count)}
+
+    def test_snapshot_burst_is_the_reference_encoding_in_vrp_order(self):
+        table = self.make_table(11, 400)
+        server = RtrCacheServer(session_id=9)
+        server.update(VrpSet(table))
+        burst, count = server._snapshot_burst()
+        expected = [CacheResponse(9)] + [
+            PrefixPdu(True, vrp) for vrp in sorted(table)
+        ] + [EndOfData(9, server.serial)]
+        assert count == len(table)
+        assert burst == b"".join(reference.encode_pdu(p) for p in expected)
+
+    def test_order_survives_churn(self):
+        rng = random.Random(12)
+        table = self.make_table(12, 300)
+        server = RtrCacheServer()
+        server.update(VrpSet(table))
+        for _ in range(10):
+            leaving = set(rng.sample(sorted(table), 40))
+            arriving = {random_vrp(rng) for _ in range(40)}
+            server.apply_delta(arriving, leaving)
+            table = (table - leaving) | arriving
+            assert server._sorted == sorted(table)
+
+    def test_delta_burst_is_the_reference_encoding(self):
+        rng = random.Random(13)
+        table = self.make_table(13, 300)
+        server, client = synced_pair(table)
+        client.process()
+        leaving = set(rng.sample(sorted(table), 60))
+        arriving = {random_vrp(rng) for _ in range(60)} - table
+        server.apply_delta(arriving, leaving)
+        client.process()       # Serial Notify -> Serial Query
+        server.process()
+        burst = client.pipe.to_router.receive()
+        expected = (
+            [CacheResponse(server.session_id)]
+            + [PrefixPdu(False, vrp) for vrp in sorted(leaving)]
+            + [PrefixPdu(True, vrp) for vrp in sorted(arriving)]
+            + [EndOfData(server.session_id, server.serial)]
+        )
+        assert burst == b"".join(reference.encode_pdu(p) for p in expected)
+
+    def test_encode_prefixes_is_the_concatenation(self):
+        vrps = sorted(self.make_table(14, 200))
+        for announce in (True, False):
+            assert encode_prefixes(announce, vrps) == b"".join(
+                reference.encode_pdu(PrefixPdu(announce, v)) for v in vrps
+            )
+        assert encode_prefixes(True, ()) == b""
+
+
+def test_wire_order_is_vrp_order():
+    """10,000 VRPs of both families, ties on every field included."""
+    rng = random.Random(2013)
+    vrps = []
+    while len(vrps) < 10000:
+        vrp = random_vrp(rng)
+        vrps.append(vrp)
+        prefix = vrp.prefix
+        # Same prefix, other maxLength / ASN; same network, other length.
+        vrps.append(VRP(prefix, rng.randint(prefix.length, prefix.afi.bits),
+                        vrp.asn))
+        vrps.append(VRP(prefix, vrp.max_length, ASN(rng.getrandbits(32))))
+        if prefix.length < prefix.afi.bits:
+            vrps.append(VRP(
+                Prefix(prefix.afi, prefix.network, prefix.length + 1),
+                prefix.afi.bits, vrp.asn,
+            ))
+    rng.shuffle(vrps)
+    assert {v.prefix.afi for v in vrps} == {Afi.IPV4, Afi.IPV6}
+    assert sorted(vrps, key=_wire_order) == sorted(vrps)
