@@ -56,7 +56,7 @@ def _measure(scale: str) -> dict:
         fetcher = Fetcher(world.registry, world.clock,
                           metrics=MetricsRegistry())
         rp = RelyingParty(world.trust_anchors, fetcher,
-                          metrics=fetcher.metrics, lean=True)
+                          metrics=fetcher.metrics)
         for kind in ("cold", "rerefresh"):
             verifies = _verify_total()
             start = time.perf_counter()
@@ -121,7 +121,7 @@ def test_write_artifact():
     write_artifact("BENCH_discovery.json", json.dumps({
         "experiment": "discovery",
         "pins": pins,
-        "unit": "seconds (best of %d fresh serial lean relying parties)"
+        "unit": "seconds (best of %d fresh serial relying parties)"
                 % REPEATS,
         "scales": scales,
     }, indent=2) + "\n")

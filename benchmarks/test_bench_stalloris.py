@@ -94,7 +94,7 @@ def test_scheduler_overhead_on_clean_refresh():
     def make_rp(schedule=None):
         fetcher = Fetcher(world.registry, world.clock,
                           metrics=MetricsRegistry())
-        return RelyingParty(world.trust_anchors, fetcher, lean=True,
+        return RelyingParty(world.trust_anchors, fetcher,
                             schedule=schedule, metrics=fetcher.metrics)
 
     make_rp().refresh()  # warm-up: page in code paths, steady-state CPU

@@ -132,6 +132,7 @@ from .rp import (
     PathValidator,
     RefreshReport,
     RelyingParty,
+    RoaEvidence,
     Route,
     RouteValidity,
     SuspendersRelyingParty,
@@ -160,7 +161,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
@@ -180,7 +181,8 @@ __all__ = [
     "PlannedFault", "Prefix", "PrefixTrie", "QueryService", "QueryStatus",
     "RateLimitConfig", "RefreshReport", "RelyingParty", "RepositoryRegistry",
     "RepositoryServer", "ResilienceConfig", "ResourceCertificate",
-    "ResourceSet", "ResponseCache", "RetryPolicy", "Roa", "Route",
+    "ResourceSet", "ResponseCache", "RetryPolicy", "Roa", "RoaEvidence",
+    "Route",
     "RouteValidity", "RsyncUri", "RtrCacheServer", "RtrRouterClient",
     "SchedulerConfig",
     "SessionMux", "ShardRouter", "Span", "StallConfig", "StallDetector",

@@ -49,10 +49,9 @@ a deterministic :class:`EncodingError` instead of an interpreter
 :func:`repro.repository.faults.nested_bomb`).
 
 The previous recursive codec is preserved verbatim (plus the same nesting
-cap) as :mod:`repro.crypto.encoding_reference`; the differential fuzz
-suite under ``tests/crypto/`` pins this engine byte-identical to it on
-random value trees and agreement on every malformed-input rejection
-class.
+cap) as ``tests/crypto/reference_codec.py``; the differential fuzz suite
+next to it pins this engine byte-identical to it on random value trees
+and agreement on every malformed-input rejection class.
 """
 
 from __future__ import annotations

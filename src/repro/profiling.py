@@ -64,7 +64,6 @@ class ProfileReport:
     scale: str
     seed: int
     mode: str                 # "serial" / "incremental"
-    lean: bool
     roa_count: int
     authority_count: int
     vrp_count: int
@@ -91,8 +90,7 @@ class ProfileReport:
         """The text artifact: a header block and the ranked tables."""
         lines = [
             f"Profiled refresh over the {self.scale!r} deployment "
-            f"(seed {self.seed}, {self.mode} mode"
-            f"{', lean' if self.lean else ''})",
+            f"(seed {self.seed}, {self.mode} mode)",
             "",
             f"deployment: {self.roa_count} ROAs across "
             f"{self.authority_count} authorities "
@@ -119,7 +117,6 @@ class ProfileReport:
             "scale": self.scale,
             "seed": self.seed,
             "mode": self.mode,
-            "lean": self.lean,
             "roa_count": self.roa_count,
             "authority_count": self.authority_count,
             "vrp_count": self.vrp_count,
@@ -186,7 +183,6 @@ def profile_refresh(
     seed: int | None = None,
     top: int = 15,
     mode: str = "serial",
-    lean: bool = True,
 ) -> ProfileReport:
     """Build a deployment, profile one full refresh, rank the hotspots.
 
@@ -204,10 +200,9 @@ def profile_refresh(
     the drop the second build would reuse the first build's keys and
     keygen, its dominant cost, would vanish from the table.
 
-    *lean* defaults to True (the streaming relying party) because that
-    is the configuration the Internet scales are meant to run in; pass
-    ``lean=False`` to profile object retention too.  *mode* is the
-    relying party's (:data:`~repro.rp.ENGINE_MODES`).
+    The relying party is the default one (what ``benchmarks/e2e`` and
+    the ``refresh`` command run); *mode* is its
+    :data:`~repro.rp.ENGINE_MODES` switch.
     """
     from .crypto import KeyFactory
     from .repository import Fetcher
@@ -229,7 +224,7 @@ def profile_refresh(
     fetcher = Fetcher(world.registry, world.clock)
     rp = RelyingParty(
         world.trust_anchors, fetcher, metrics=fetcher.metrics,
-        mode=mode, lean=lean,
+        mode=mode,
     )
     profiler = cProfile.Profile()
     refresh_start = time.perf_counter()
@@ -243,7 +238,6 @@ def profile_refresh(
         scale=scale,
         seed=config.seed,
         mode=rp.mode,
-        lean=lean,
         roa_count=world.roa_count(),
         authority_count=len(world.authorities()),
         vrp_count=len(report.vrps),

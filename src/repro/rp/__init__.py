@@ -15,6 +15,7 @@ from .incremental import (
     IncrementalState,
     ParseMemo,
     PointResult,
+    RoaEvidence,
     VerificationMemo,
 )
 from .lta import LocalOverrides, classify_with_overrides
@@ -42,6 +43,7 @@ __all__ = [
     "OriginValidationOutcome",
     "ParseMemo",
     "PointResult",
+    "RoaEvidence",
     "VerificationMemo",
     "RetainedVrp",
     "SuspendersRelyingParty",

@@ -63,13 +63,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..crypto import RsaPublicKey, sha256_hex
 from ..rpki.errors import ObjectFormatError
 from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
 from ..rpki.parse import parse_object
-from ..rpki.roa import Roa
 from ..telemetry import MetricsRegistry, default_registry
 from .vrp import VRP, VrpSet
 
@@ -78,6 +78,7 @@ __all__ = [
     "IncrementalState",
     "ParseMemo",
     "PointResult",
+    "RoaEvidence",
     "VerificationMemo",
     "time_signature",
 ]
@@ -195,22 +196,36 @@ class ParseMemo:
         return obj
 
 
+class RoaEvidence(NamedTuple):
+    """What an accepted ROA leaves behind once its parse is dropped.
+
+    Enough to say later where a VRP came from and whether its
+    disappearance was corroborated (Suspenders): the file it was read
+    from, its EE certificate's serial (what a CRL would name), the ROA's
+    own expiry, and the VRPs it asserted.
+    """
+
+    file_name: str
+    ee_serial: int
+    not_after: int
+    vrps: tuple[VRP, ...]
+
+
 @dataclass(frozen=True)
 class PointResult:
     """One publication point's local validation outcome, replayable.
 
     *Local* means everything the point itself contributed to the
     :class:`~repro.rp.pathval.ValidationRun` — issues, accepted child CA
-    certificates (in file order; the caller recurses into them), ROAs and
-    their VRPs, the validated contact — but nothing from child subtrees.
+    certificates (in file order; the caller recurses into them), one
+    :class:`RoaEvidence` per accepted ROA (which carries its VRPs), the
+    validated contact — but nothing from child subtrees.
 
     ``fingerprint`` is the exact reuse key (issuer certificate hash,
     strictness policy, per-copy content digests); ``boundaries`` and
     ``time_sig`` encode the time-window status; ``verify_count`` is how
     many signature checks the cold computation performed, credited to the
-    skipped-verifications counter on every reuse.  ``roa_count`` is
-    ``len(roas)`` as validated — a streaming validator with no state
-    drops the parsed ROAs and keeps only the count.
+    skipped-verifications counter on every reuse.
     """
 
     fingerprint: tuple
@@ -219,11 +234,14 @@ class PointResult:
     selected_uri: str
     issues: tuple = ()
     children: tuple = ()
-    roas: tuple[Roa, ...] = ()
-    vrps: tuple[VRP, ...] = ()
+    roas: tuple[RoaEvidence, ...] = ()
     contact: GhostbustersRecord | None = None
     verify_count: int = 0
-    roa_count: int = 0
+
+    @property
+    def vrps(self) -> tuple[VRP, ...]:
+        """Every VRP the point's ROAs asserted, in file order."""
+        return tuple(vrp for roa in self.roas for vrp in roa.vrps)
 
 
 class IncrementalState:

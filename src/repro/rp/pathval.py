@@ -35,7 +35,7 @@ oracle the tests compare the stateful path against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain
 
 from ..crypto import RsaPublicKey, sha256_hex
@@ -51,7 +51,12 @@ from ..rpki.parse import parse_object
 from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
 from ..rpki.roa import Roa
-from .incremental import IncrementalState, PointResult, time_signature
+from .incremental import (
+    IncrementalState,
+    PointResult,
+    RoaEvidence,
+    time_signature,
+)
 from .vrp import VRP, VrpSet
 
 __all__ = [
@@ -93,23 +98,27 @@ class ValidationRun:
 
     vrps: VrpSet = field(default_factory=VrpSet)
     validated_cas: list[ResourceCertificate] = field(default_factory=list)
-    validated_roas: list[Roa] = field(default_factory=list)
     issues: list[ValidationIssue] = field(default_factory=list)
-    # Where each validated ROA was found: roa.hash_hex -> point URI.
-    # Suspenders uses this to check revocation corroboration later.
-    roa_locations: dict[str, str] = field(default_factory=dict)
+    # What every accepted ROA left behind, grouped by the publication
+    # point (selected copy's URI) it was read from, in walk order.  With
+    # an IncrementalState every run's ``vrps`` is the same live index,
+    # so this is the field two such runs are told apart by.
+    roas: list[tuple[str, tuple[RoaEvidence, ...]]] = field(
+        default_factory=list
+    )
     # Validated Ghostbusters contact per publication point URI.
     contacts: dict[str, GhostbustersRecord] = field(default_factory=dict)
-    # Count of validated ROAs — equals len(validated_roas) except under
-    # a lean (streaming) validator, which counts without retaining the
-    # parsed Roa objects.
-    roa_count: int = 0
     # How this walk changed ``vrps``: against the previous walk's table
     # with an IncrementalState attached, against an empty one without.
     # A record of the transition, not part of the outcome two runs are
     # compared by.
     announced: tuple[VRP, ...] = field(default=(), compare=False)
     withdrawn: tuple[VRP, ...] = field(default=(), compare=False)
+
+    @property
+    def roa_count(self) -> int:
+        """How many ROAs this walk accepted."""
+        return sum(len(evidence) for _, evidence in self.roas)
 
     def errors(self) -> list[ValidationIssue]:
         return [i for i in self.issues if i.severity is Severity.ERROR]
@@ -143,14 +152,6 @@ class PathValidator:
         computed points take the identical code path, so a stateful
         walk's output is byte-for-byte equal to the cold one's — but its
         ``vrps`` is the state's one index, edited by the next walk.
-    collect_objects:
-        If False (the *lean* streaming mode), validated ROA objects and
-        their locations are counted but not retained on the
-        :class:`ValidationRun` — only VRPs, CA certificates, issues and
-        contacts survive the walk.  At Internet scale this is the
-        difference between O(point) and O(deployment) peak memory for a
-        stateless refresh; layers that need the objects themselves
-        (Suspenders corroboration, the monitor) keep the default True.
     """
 
     def __init__(
@@ -160,13 +161,11 @@ class PathValidator:
         strict_manifests: bool = False,
         metrics: MetricsRegistry | None = None,
         incremental: IncrementalState | None = None,
-        collect_objects: bool = True,
     ):
         if not trust_anchors:
             raise ValueError("at least one trust anchor is required")
         self.trust_anchors = list(trust_anchors)
         self.strict_manifests = strict_manifests
-        self.collect_objects = collect_objects
         self.incremental = incremental
         self._verify_calls = 0
         self.metrics = metrics if metrics is not None else default_registry()
@@ -270,11 +269,6 @@ class PathValidator:
         if state is not None:
             state.count_validated()
             state.store(ca_cert.subject_key_id, entry)
-        elif not self.collect_objects:
-            # Nothing reads the parsed ROAs again; held until the walk is
-            # assembled they would make a streaming refresh's peak
-            # memory O(deployment) instead of O(point).
-            entry = replace(entry, roas=())
         return entry
 
     def _count(self, result: ValidationRun) -> None:
@@ -331,7 +325,7 @@ class PathValidator:
             ))
             return self._finish_point(
                 ca_cert, cache_files, None, now, fingerprint, point_uri,
-                issues, [], [], [], None, verify_before,
+                issues, [], [], None, verify_before,
             )
         if point_uri != _normalize(ca_cert.sia):
             issues.append(ValidationIssue(
@@ -342,8 +336,7 @@ class PathValidator:
         crl = self._load_crl(point_uri, files, ca_cert, now, issues)
         usable = self._apply_manifest(point_uri, files, ca_cert, now, issues)
         children: list[ResourceCertificate] = []
-        roas: list[Roa] = []
-        vrps: list[VRP] = []
+        roas: list[RoaEvidence] = []
         contact: GhostbustersRecord | None = None
         if usable is not None:  # strict mode may discard the point whole
             for file_name in sorted(usable):
@@ -380,13 +373,22 @@ class PathValidator:
                             point_uri, file_name, obj, ca_cert, crl, now, issues
                         )
                         if roa is not None:
-                            roas.append(roa)
-                            for roa_prefix in roa.prefixes:
-                                vrps.append(VRP(
+                            # Keep the evidence, not the parse: a held
+                            # Roa is ~7 KB, and holding every one until
+                            # the walk is assembled makes a refresh's
+                            # peak memory O(deployment), not O(point).
+                            asserted = tuple(
+                                VRP(
                                     prefix=roa_prefix.prefix,
                                     max_length=roa_prefix.effective_max_length,
                                     asn=roa.asn,
-                                ))
+                                )
+                                for roa_prefix in roa.prefixes
+                            )
+                            roas.append(RoaEvidence(
+                                file_name, roa.ee_cert.serial,
+                                roa.not_after, asserted,
+                            ))
                     elif isinstance(obj, GhostbustersRecord):
                         record = self._check_ghostbusters(
                             point_uri, file_name, obj, ca_cert, crl, now, issues
@@ -408,7 +410,7 @@ class PathValidator:
                     continue
         return self._finish_point(
             ca_cert, cache_files, files, now, fingerprint, point_uri,
-            issues, children, roas, vrps, contact, verify_before,
+            issues, children, roas, contact, verify_before,
         )
 
     def _finish_point(
@@ -421,8 +423,7 @@ class PathValidator:
         point_uri: str,
         issues: list[ValidationIssue],
         children: list[ResourceCertificate],
-        roas: list[Roa],
-        vrps: list[VRP],
+        roas: list[RoaEvidence],
         contact: GhostbustersRecord | None,
         verify_before: int,
     ) -> PointResult:
@@ -441,10 +442,8 @@ class PathValidator:
             issues=tuple(issues),
             children=tuple(children),
             roas=tuple(roas),
-            vrps=tuple(vrps),
             contact=contact,
             verify_count=self._verify_calls - verify_before,
-            roa_count=len(roas),
         )
 
     def _quarantined_point(
@@ -471,7 +470,6 @@ class PathValidator:
             issues=(issue,),
             children=(),
             roas=(),
-            vrps=(),
             contact=None,
             verify_count=0,
         )
@@ -918,11 +916,7 @@ class ValidationWalk:
         result.issues.extend(entry.issues)
         if entry.contact is not None:
             result.contacts[entry.selected_uri] = entry.contact
-        result.roa_count += entry.roa_count
-        if self._validator.collect_objects:
-            for roa in entry.roas:
-                result.validated_roas.append(roa)
-                result.roa_locations[roa.hash_hex] = entry.selected_uri
+        result.roas.append((entry.selected_uri, entry.roas))
         for child in entry.children:
             result.validated_cas.append(child)
             self._emit(child, result, emitted, depth + 1)

@@ -175,15 +175,6 @@ class RelyingParty:
 
         Validation *results* are identical in both modes; only the work
         done to produce them changes.
-    lean:
-        Streaming refresh: validated ROA objects are counted but not
-        retained on the :class:`~repro.rp.pathval.ValidationRun` (only
-        VRPs, CA certificates, issues and contacts survive).  With
-        ``mode="serial"`` this bounds refresh peak memory by the largest
-        single publication point instead of the whole deployment — the
-        Internet-scale configuration.  Layers that need the parsed
-        objects (Suspenders corroboration, the monitor's ROA diffing)
-        must keep the default False.
     metrics:
         Telemetry registry shared with this RP's cache and validator
         (None → the process-global default registry).  Give each relying
@@ -202,7 +193,6 @@ class RelyingParty:
         schedule: SchedulerConfig | FetchScheduler | None = None,
         strict_manifests: bool = False,
         mode: str = "serial",
-        lean: bool = False,
         metrics: MetricsRegistry | None = None,
     ):
         if fetch_budget is not None and fetch_budget < 1:
@@ -212,7 +202,6 @@ class RelyingParty:
                 f"mode must be one of {ENGINE_MODES}, got {mode!r}"
             )
         self.mode = mode
-        self.lean = lean
         self.fetcher = fetcher
         self.fetch_budget = fetch_budget
         self.metrics = metrics if metrics is not None else default_registry()
@@ -231,7 +220,6 @@ class RelyingParty:
         self.validator = PathValidator(
             trust_anchors, strict_manifests=strict_manifests,
             metrics=self.metrics, incremental=self.incremental_state,
-            collect_objects=not lean,
         )
         self._clock = clock if clock is not None else fetcher.clock
         self._last_run: ValidationRun | None = None

@@ -107,20 +107,13 @@ class SuspendersRelyingParty:
             ):
                 del self._retained[vrp]  # authority followed up properly
 
-        # Update provenance from this run's validated ROAs.
-        self._provenance = {}
-        run = report.run
-        for roa in run.validated_roas:
-            point = run.roa_locations.get(roa.hash_hex, "")
-            for roa_prefix in roa.prefixes:
-                vrp = VRP(
-                    roa_prefix.prefix,
-                    roa_prefix.effective_max_length,
-                    roa.asn,
-                )
-                self._provenance[vrp] = (
-                    roa.ee_cert.serial, roa.not_after, point
-                )
+        # Update provenance from the evidence this run's ROAs left.
+        self._provenance = {
+            vrp: (roa.ee_serial, roa.not_after, point)
+            for point, evidence in report.run.roas
+            for roa in evidence
+            for vrp in roa.vrps
+        }
         return report
 
     def _revocations_in_cache(self) -> dict[str, frozenset[int]]:

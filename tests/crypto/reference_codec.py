@@ -3,9 +3,9 @@
 This is the pre-engine codec from :mod:`repro.crypto.encoding`, kept
 verbatim as the differential-testing oracle.  The production engine is a
 single-buffer iterative encoder plus a zero-copy ``memoryview`` decoder;
-the fuzz suite under ``tests/crypto/`` pins the two byte-identical on
-random value trees and in agreement on every malformed-input rejection
-class.
+``test_encoding_differential.py`` pins the two byte-identical on random
+value trees and in agreement on every malformed-input rejection class.
+It is not imported by ``src/``.
 
 The only deliberate change from the historical code is the explicit
 :data:`~repro.crypto.encoding.MAX_NESTING` container-depth cap (shared
@@ -14,8 +14,8 @@ recursion limit, which raised ``RecursionError`` at an interpreter-
 configurable depth; a deterministic :class:`EncodingError` at a fixed
 depth keeps the two codecs' rejection behavior comparable.
 
-Do not use this module on hot paths — it materializes every container
-body twice on encode and copies a slice per child on decode.
+It materializes every container body twice on encode and copies a
+slice per child on decode.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from __future__ import annotations
 import struct
 from typing import Any
 
-from .encoding import MAX_NESTING
-from .errors import EncodingError
+from repro.crypto.encoding import MAX_NESTING
+from repro.crypto.errors import EncodingError
 
 __all__ = ["encode", "decode", "MAX_NESTING"]
 

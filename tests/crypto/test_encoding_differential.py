@@ -2,7 +2,7 @@
 
 CURE and "The Fault in Our Drafts" (PAPERS.md) found real relying-party
 bugs exactly where object codecs were rewritten for speed; the defense
-here is an oracle.  :mod:`repro.crypto.encoding_reference` preserves the
+here is an oracle.  ``reference_codec.py`` next to this file preserves the
 original recursive codec verbatim, and this suite pins the production
 engine (:mod:`repro.crypto.encoding`) to it three ways:
 
@@ -24,8 +24,9 @@ import random
 import pytest
 
 from repro.crypto import encoding as engine
-from repro.crypto import encoding_reference as reference
 from repro.crypto.errors import EncodingError
+
+from . import reference_codec as reference
 
 N_VALUES = 1500
 MUTATIONS_PER_VALUE = 4

@@ -10,6 +10,8 @@ relying party that keeps validation state, one that does not, and the
 cold ``PathValidator.run`` oracle produce identical walks.
 """
 
+import gc
+
 import pytest
 
 from repro.crypto import KeyFactory
@@ -20,7 +22,10 @@ from repro.modelgen import (
     build_deployment,
 )
 from repro.repository import Fetcher
-from repro.rp import PathValidator, RelyingParty, VrpSet
+from repro.rp import PathValidator, RelyingParty
+from repro.rpki import Roa
+
+from ..rp.test_roa_evidence import check_evidence
 
 # Small enough to build in ~a second, flat like the Internet scales.
 TINY_FLAT = DeploymentConfig(
@@ -171,7 +176,7 @@ class TestInternetSmallEquivalence:
                 run.vrps.content_hash(),
                 list(run.issues),
                 [cert.hash_hex for cert in run.validated_cas],
-                sorted(roa.hash_hex for roa in run.validated_roas),
+                run.roas,
             )
 
         rp_serial, serial_report = _refresh(world)
@@ -186,12 +191,21 @@ class TestInternetSmallEquivalence:
         assert len(rp_serial.vrps) == world.roa_count()
         assert signature(serial_report.run) == signature(oracle)
         assert signature(warm_report.run) == signature(oracle)
+        assert serial_report.run == oracle == warm_report.run
+        # Every evidence row against a fresh parse of the bytes it names.
+        assert (
+            check_evidence(rp_serial, serial_report.run)
+            == serial_report.run.roa_count
+            == world.roa_count()
+        )
 
-    def test_lean_refresh_counts_without_retaining(self, world):
-        rp, report = _refresh(world, lean=True)
-        assert report.run.validated_roas == []
-        assert report.run.roa_locations == {}
+    def test_refresh_keeps_no_parsed_roas(self, world):
+        def live_roas():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is Roa)
+
+        before = live_roas()
+        rp, report = _refresh(world)
+        assert live_roas() <= before
         assert report.run.roa_count == world.roa_count()
         assert len(rp.vrps) == world.roa_count()
-        assert VrpSet(report.run.vrps).content_hash() \
-            == rp.vrps.content_hash()

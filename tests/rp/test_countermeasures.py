@@ -134,8 +134,10 @@ class TestMultiplePublicationPoints:
 
 
 class TestSuspenders:
+    mode = "serial"
+
     def make(self, world, grace=3 * HOUR):
-        rp = make_rp(world)
+        rp = make_rp(world, mode=self.mode)
         return SuspendersRelyingParty(rp, world.clock, grace_seconds=grace)
 
     def test_rejects_nonpositive_grace(self, world):
@@ -228,6 +230,13 @@ class TestSuspenders:
         assert srp.retained == []
 
 
+class TestSuspendersIncremental(TestSuspenders):
+    """Same retentions over the relying party whose ``run.vrps`` is one
+    live index shared by every refresh."""
+
+    mode = "incremental"
+
+
 class TestLocalOverrides:
     FIGURE2 = VrpSet(VRP.parse(t, a) for t, a in [
         ("63.174.16.0/20", 17054),
@@ -295,11 +304,13 @@ class TestSuspendersUnderChurn:
     """The fail-safe's documented cost: sloppy-but-benign deletions also
     linger, while proper retirements clear instantly."""
 
+    mode = "serial"
+
     def test_sloppy_retirement_lingers(self, world):
         from repro.monitor import ChurnConfig, ChurnEngine
 
-        srp = SuspendersRelyingParty(make_rp(world), world.clock,
-                                     grace_seconds=6 * HOUR)
+        srp = SuspendersRelyingParty(make_rp(world, mode=self.mode),
+                                     world.clock, grace_seconds=6 * HOUR)
         srp.refresh()
         before_count = len(srp.vrps)
         churn = ChurnEngine(
@@ -325,8 +336,8 @@ class TestSuspendersUnderChurn:
     def test_proper_retirement_lands_immediately(self, world):
         from repro.monitor import ChurnConfig, ChurnEngine
 
-        srp = SuspendersRelyingParty(make_rp(world), world.clock,
-                                     grace_seconds=6 * HOUR)
+        srp = SuspendersRelyingParty(make_rp(world, mode=self.mode),
+                                     world.clock, grace_seconds=6 * HOUR)
         srp.refresh()
         before_count = len(srp.vrps)
         churn = ChurnEngine(
@@ -341,3 +352,7 @@ class TestSuspendersUnderChurn:
         srp.refresh()
         assert len(srp.vrps) == before_count - 1
         assert srp.retained == []
+
+
+class TestSuspendersUnderChurnIncremental(TestSuspendersUnderChurn):
+    mode = "incremental"

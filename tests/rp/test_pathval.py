@@ -38,7 +38,7 @@ class TestHappyPath:
         assert report.run.errors() == []
         # ARIN + Sprint + ETB + Continental CA certs validated.
         assert len(report.run.validated_cas) == 4
-        assert len(report.run.validated_roas) == 8
+        assert report.run.roa_count == 8
 
     def test_discovery_is_iterative(self, world):
         rp = make_rp(world)

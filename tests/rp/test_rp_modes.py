@@ -9,7 +9,7 @@ import pytest
 
 from repro.modelgen import build_figure2
 from repro.repository import Fetcher
-from repro.rp import ENGINE_MODES, RelyingParty
+from repro.rp import ENGINE_MODES, PathValidator, RelyingParty
 from repro.telemetry import MetricsRegistry
 
 
@@ -51,6 +51,13 @@ class TestModeKnob:
     def test_incremental_keyword_rejected(self, world):
         with pytest.raises(TypeError, match="incremental"):
             make_rp(world, incremental=True)
+
+    def test_object_retention_switches_rejected(self, world):
+        # A validation result has one shape; nothing selects another.
+        with pytest.raises(TypeError, match="lean"):
+            make_rp(world, lean=True)
+        with pytest.raises(TypeError, match="collect_objects"):
+            PathValidator(world.trust_anchors, collect_objects=False)
 
     def test_incremental_mode_refreshes(self, world):
         # The knob must actually keep the state: a second refresh in

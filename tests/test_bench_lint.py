@@ -94,7 +94,7 @@ def test_lint_catches_invalid_json(tmp_path):
 def _profile_payload(**overrides):
     payload = {
         "scale": "internet-small", "seed": 0, "mode": "serial",
-        "lean": True, "roa_count": 10000, "authority_count": 205,
+        "roa_count": 10000, "authority_count": 205,
         "vrp_count": 10000, "rounds": 2,
         "build_seconds": 6.0, "refresh_seconds": 3.5,
         "hotspots": [{"location": "repro/crypto/encoding.py:1(decode)",
@@ -124,13 +124,23 @@ def test_lint_catches_profile_missing_fields(tmp_path):
     _bench_stub(tmp_path)
     payload = _profile_payload()
     del payload["build_seconds"], payload["build_hotspots"]
-    payload["lean"] = "yes"
+    payload["rounds"] = True
     _write(tmp_path, "PROFILE_refresh.json", payload)
     problems = check_bench.check_all(tmp_path)
     assert len(problems) == 3
     assert any("'build_seconds'" in p for p in problems)
     assert any("'build_hotspots'" in p for p in problems)
-    assert any("'lean'" in p for p in problems)
+    assert any("'rounds'" in p for p in problems)
+
+
+def test_lint_rejects_profile_of_a_deleted_option(tmp_path):
+    # A report written when RelyingParty still had ``lean`` describes a
+    # program that no longer exists; regenerate it, do not keep it.
+    _bench_stub(tmp_path)
+    _write(tmp_path, "PROFILE_refresh.json",
+           _profile_payload(**{"lean": True}))
+    problems = check_bench.check_all(tmp_path)
+    assert len(problems) == 1 and "unknown field 'lean'" in problems[0]
 
 
 def test_lint_catches_profile_bad_hotspot_rows(tmp_path):

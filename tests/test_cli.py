@@ -256,7 +256,7 @@ class TestRtrCommand:
     def test_profile_smoke(self, capsys):
         out = run(capsys, "profile", "--top", "5")
         assert "Profiled refresh over the 'small' deployment" in out
-        assert "serial mode, lean" in out
+        assert "serial mode)" in out
         assert "top 5 refresh functions by self time" in out
         assert "top 5 world-build functions by self time" in out
         assert "tools/profile_refresh.py" in out

@@ -115,13 +115,13 @@ def check_artifact(path: pathlib.Path) -> list[str]:
     return problems
 
 
-# Scalar fields a ProfileReport JSON must carry, with their types.
-# (bool is checked before int: bool is an int subclass in Python.)
+# Scalar fields a ProfileReport JSON must carry, with their types; any
+# other top-level key (a report written before an option was deleted,
+# say) is rejected.
 _PROFILE_FIELDS: dict[str, type | tuple[type, ...]] = {
     "scale": str,
     "seed": int,
     "mode": str,
-    "lean": bool,
     "roa_count": int,
     "authority_count": int,
     "vrp_count": int,
@@ -129,6 +129,8 @@ _PROFILE_FIELDS: dict[str, type | tuple[type, ...]] = {
     "build_seconds": (int, float),
     "refresh_seconds": (int, float),
 }
+
+_HOTSPOT_TABLES = ("hotspots", "build_hotspots")
 
 _HOTSPOT_FIELDS: dict[str, type | tuple[type, ...]] = {
     "location": str,
@@ -139,7 +141,7 @@ _HOTSPOT_FIELDS: dict[str, type | tuple[type, ...]] = {
 
 
 def _typed(value, expected) -> bool:
-    if expected is not bool and isinstance(value, bool):
+    if isinstance(value, bool):  # an int subclass; no field is a bool
         return False
     return isinstance(value, expected)
 
@@ -178,8 +180,10 @@ def check_profile(path: pathlib.Path) -> list[str]:
     for name, expected in _PROFILE_FIELDS.items():
         if not _typed(data.get(name), expected):
             problems.append(f"{rel}: field {name!r} missing or mistyped")
-    _check_hotspot_table(rel, data, "hotspots", problems)
-    _check_hotspot_table(rel, data, "build_hotspots", problems)
+    for name in sorted(set(data) - {*_PROFILE_FIELDS, *_HOTSPOT_TABLES}):
+        problems.append(f"{rel}: unknown field {name!r}")
+    for table in _HOTSPOT_TABLES:
+        _check_hotspot_table(rel, data, table, problems)
     return problems
 
 

@@ -45,10 +45,6 @@ def main(argv: list[str] | None = None) -> int:
         help="relying-party mode (default: serial, no state kept)",
     )
     parser.add_argument(
-        "--full-objects", action="store_true",
-        help="retain validated ROA objects (profile the non-lean path)",
-    )
-    parser.add_argument(
         "--output", type=pathlib.Path, default=None, metavar="FILE",
         help="also write the report as JSON to FILE",
     )
@@ -61,7 +57,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         top=args.top,
         mode=args.mode,
-        lean=not args.full_objects,
     )
     print(report.render())
     if args.output is not None:
