@@ -49,7 +49,7 @@ def _service_over(world, **rp_kwargs):
     rp = RelyingParty(world.trust_anchors, fetcher, world.clock,
                       metrics=registry, **rp_kwargs)
     service = QueryService(rp, metrics=registry, config=ApiConfig(
-        shards=4, cache_capacity=8192, rate_limit=None,
+        cache_capacity=8192, rate_limit=None,
     ))
     return rp, service
 
@@ -172,7 +172,7 @@ def test_internet_scale_throughput():
     """Re-bench the qps floor at an Internet-scale VRP count (10^4).
 
     The mixed stream is longer than the LRU, so most queries miss the
-    response cache and the floor is carried by the shard tries and ASN
+    response cache and the floor is carried by the prefix tries and ASN
     indexes themselves — a strictly harder configuration than the
     cache-served medium deployment above.
     """

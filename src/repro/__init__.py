@@ -51,7 +51,6 @@ from .api import (
     QueryStatus,
     RateLimitConfig,
     ResponseCache,
-    ShardRouter,
     TokenBucket,
     VrpDiff,
 )
@@ -161,7 +160,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
@@ -185,7 +184,7 @@ __all__ = [
     "Route",
     "RouteValidity", "RsyncUri", "RtrCacheServer", "RtrRouterClient",
     "SchedulerConfig",
-    "SessionMux", "ShardRouter", "Span", "StallConfig", "StallDetector",
+    "SessionMux", "Span", "StallConfig", "StallDetector",
     "StallorisConfig", "StallorisReport",
     "SuspendersRelyingParty", "TokenBucket", "VRP", "ValidationRun",
     "Violation", "VrpDiff", "VrpSet", "YEAR", "__version__",

@@ -9,7 +9,7 @@ per-ASN VRP lookups, RFC 6811 classification of arbitrary announcements
 history/diff queries across refreshes — all on the simulated clock, so
 identical runs serve identical answers.
 
-The serving layer is built from three production idioms:
+The serving layer is built from two production idioms:
 
 - **Deterministic token-bucket rate limiting** per client
   (:mod:`repro.api.ratelimit`) — refill is a pure function of the
@@ -19,8 +19,11 @@ The serving layer is built from three production idioms:
   nothing keeps every entry warm, and any VRP change rotates the key so
   stale answers can never be served — the content-addressed idiom of the
   incremental engine, applied to responses.
-- **N-shard request routing** with per-shard telemetry counters and
-  histograms (:mod:`repro.api.shard`).
+
+Requests are answered in order by the one service object, and its
+request / cache / response-size telemetry is labelled by endpoint and
+outcome only.  There is no request routing: a partition of the query-key
+space that shares one thread and one VRP index is not a unit of work.
 
 See docs/api_service.md for the walkthrough and
 ``benchmarks/test_bench_api.py`` for the sustained-throughput pin and
@@ -37,7 +40,6 @@ from .service import (
     QueryStatus,
     VrpDiff,
 )
-from .shard import ShardRouter
 
 __all__ = [
     "ApiConfig",
@@ -48,7 +50,6 @@ __all__ = [
     "QueryStatus",
     "RateLimitConfig",
     "ResponseCache",
-    "ShardRouter",
     "TokenBucket",
     "VrpDiff",
 ]

@@ -35,12 +35,12 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..rp import RelyingParty
-from ..rp.origin import OriginValidationOutcome, validate
+from ..rp.origin import validate
 from ..rp.vrp import VRP, VrpSet
 from ..simtime import Clock
 from ..telemetry import MetricsRegistry, default_registry
+from .cache import ResponseCache
 from .ratelimit import RateLimitConfig, TokenBucket
-from .shard import ShardRouter
 
 __all__ = [
     "ApiConfig",
@@ -55,6 +55,11 @@ __all__ = [
 # least-recently-seen client's bucket is dropped (and refills on return).
 _MAX_TRACKED_CLIENTS = 4096
 
+# Response-size buckets: answers are usually a handful of VRPs; the tail
+# (lookup_asn over a big holder) is what the histogram is for.
+RESPONSE_VRP_BUCKETS: tuple[float, ...] = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0,
+                                           64.0, 256.0)
+
 
 class QueryStatus:
     """Response outcomes (string constants, stable API)."""
@@ -68,16 +73,13 @@ class QueryStatus:
 class ApiConfig:
     """Shape of one query service."""
 
-    shards: int = 4                 # logical request-routing partitions
-    cache_capacity: int = 4096      # response-cache entries, all shards
+    cache_capacity: int = 4096      # response-cache entries
     history_depth: int = 32         # refresh epochs kept for diff queries
     rate_limit: RateLimitConfig | None = field(
         default_factory=RateLimitConfig
     )                               # None disables rate limiting
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"need at least one shard: {self.shards}")
         if self.history_depth < 1:
             raise ValueError(f"history depth must be >= 1: {self.history_depth}")
 
@@ -117,7 +119,6 @@ class ApiResponse:
     content_hash: str            # VRP set fingerprint the answer is for
     payload: object              # endpoint-specific; None unless OK
     cached: bool                 # answered from the response cache
-    shard: int                   # shard that handled the request
 
     @property
     def ok(self) -> bool:
@@ -139,9 +140,7 @@ class QueryService:
         self.config = config if config is not None else ApiConfig()
         self._clock = clock if clock is not None else rp.clock
         self.metrics = metrics if metrics is not None else default_registry()
-        self._router = ShardRouter(
-            self.config.shards, self.config.cache_capacity, self.metrics
-        )
+        self._cache = ResponseCache(self.config.cache_capacity)
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
         self._history: deque[HistoryEntry] = deque(
             maxlen=self.config.history_depth
@@ -157,6 +156,26 @@ class QueryService:
         self._m_serial = self.metrics.gauge(
             "repro_api_serial", help="current served epoch serial"
         )
+        self._m_requests = self.metrics.counter(
+            "repro_api_requests_total",
+            help="query-plane requests, by endpoint kind and outcome",
+            labelnames=("kind", "status"),
+        )
+        # Counter children are bound once per (kind, status) at first use,
+        # so counting a request is one dict lookup and one increment.
+        self._bound_requests: dict[tuple[str, str], object] = {}
+        cache_metric = self.metrics.counter(
+            "repro_api_cache_total",
+            help="response-cache lookups, by result",
+            labelnames=("result",),
+        )
+        self._m_cache_hit = cache_metric.labels(result="hit")
+        self._m_cache_miss = cache_metric.labels(result="miss")
+        self._m_response_vrps = self.metrics.histogram(
+            "repro_api_response_vrps",
+            buckets=RESPONSE_VRP_BUCKETS,
+            help="VRPs per served answer (response-size distribution)",
+        ).sample()
         # Net table change of the refreshes since the served epoch.
         self._pending_added: set[VRP] = set()
         self._pending_removed: set[VRP] = set()
@@ -243,58 +262,62 @@ class QueryService:
             self._buckets.move_to_end(client)
         return bucket.try_acquire(now)
 
-    def _serve(self, kind, cache_epoch, query_key, compute, size_of, client):
-        """The shared request path: sync, route, rate-limit, cache, count.
+    def _count_request(self, kind: str, status: str) -> None:
+        child = self._bound_requests.get((kind, status))
+        if child is None:
+            child = self._bound_requests[(kind, status)] = (
+                self._m_requests.labels(kind=kind, status=status)
+            )
+        child.inc()
 
-        *cache_epoch* is the key's first component: the content hash for
-        content queries (same content → same answer, even across an
-        A→B→A flap), the serial for history-shaped queries (whose answer
-        depends on the ring, not just the content).
+    def _serve(self, kind, query_key, compute, size_of, client,
+               *, by_serial=False):
+        """The one request path: sync, rate-limit, cache, compute, count.
+
+        The cache key's first component is the content hash (same
+        content → same answer, even across an A→B→A flap) or, with
+        *by_serial*, the serial, for history-shaped queries whose answer
+        depends on the ring, not just the content.
         """
-        shard = self._router.route(query_key)
+        self._sync()
         if not self._allow(client, self._clock.now):
-            shard.count_request(kind, QueryStatus.RATE_LIMITED)
+            self._count_request(kind, QueryStatus.RATE_LIMITED)
             self._m_rate_limited.inc()
             return ApiResponse(
                 status=QueryStatus.RATE_LIMITED, serial=self._serial,
                 content_hash=self._hash, payload=None, cached=False,
-                shard=shard.index,
             )
-        key = (cache_epoch, kind, query_key)
-        payload = shard.cache.get(key)
+        key = (self._serial if by_serial else self._hash, kind, query_key)
+        payload = self._cache.get(key)
         cached = payload is not None
-        shard.count_cache("hit" if cached else "miss")
-        if not cached:
+        if cached:
+            self._m_cache_hit.inc()
+        else:
+            self._m_cache_miss.inc()
             payload = compute()
-            shard.cache.put(key, payload)
-        shard.count_request(kind, QueryStatus.OK)
-        shard.observe_response_size(size_of(payload))
+            self._cache.put(key, payload)
+        self._count_request(kind, QueryStatus.OK)
+        self._m_response_vrps.observe(float(size_of(payload)))
         return ApiResponse(
             status=QueryStatus.OK, serial=self._serial,
             content_hash=self._hash, payload=payload, cached=cached,
-            shard=shard.index,
         )
 
     # -- endpoints -----------------------------------------------------------
 
     def lookup_prefix(self, prefix, *, client: str = "anonymous") -> ApiResponse:
         """The covering VRPs of *prefix* (any origin), least-specific first."""
-        self._sync()
-        text = str(prefix)
-        vrps = self._vrps
         return self._serve(
-            "lookup_prefix", self._hash, text,
-            lambda: tuple(vrps.covering(_as_prefix(prefix))),
+            "lookup_prefix", str(prefix),
+            lambda: tuple(self._vrps.covering(_as_prefix(prefix))),
             len, client,
         )
 
     def lookup_asn(self, asn, *, client: str = "anonymous") -> ApiResponse:
         """Every VRP authorizing origin *asn*, sorted."""
-        self._sync()
-        vrps = self._vrps
         return self._serve(
-            "lookup_asn", self._hash, f"AS{int(asn)}",
-            lambda: vrps.by_asn(asn),
+            "lookup_asn", f"AS{int(asn)}",
+            lambda: self._vrps.by_asn(asn),
             len, client,
         )
 
@@ -302,24 +325,20 @@ class QueryService:
         self, prefix, origin, *, client: str = "anonymous"
     ) -> ApiResponse:
         """RFC 6811 validation of one announcement, with evidence."""
-        self._sync()
-        vrps = self._vrps
         return self._serve(
-            "validate", self._hash, f"{prefix}|AS{int(origin)}",
-            lambda: validate(prefix, origin, vrps),
+            "validate", f"{prefix}|AS{int(origin)}",
+            lambda: validate(prefix, origin, self._vrps),
             lambda outcome: len(outcome.covering),
             client,
         )
 
     def history(self, *, client: str = "anonymous") -> ApiResponse:
         """The served-epoch ring, oldest first (bounded by history_depth)."""
-        self._sync()
-        entries = tuple(self._history)
         return self._serve(
-            "history", self._serial, "history",
-            lambda: entries,
+            "history", "history",
+            lambda: tuple(self._history),
             lambda payload: 0,
-            client,
+            client, by_serial=True,
         )
 
     def diff(
@@ -332,36 +351,31 @@ class QueryService:
         the bounded-memory tradeoff, mirroring an RTR cache's Cache Reset
         when a router is too far behind.
         """
-        self._sync()
-        to_serial = self._serial if to_serial is None else to_serial
-        query_key = f"diff|{from_serial}|{to_serial}"
-        shard = self._router.route(query_key)
+        current = self.serial           # adopts any pending refresh
+        to_serial = current if to_serial is None else to_serial
         oldest = self._history[0].serial
-        if not (oldest - 1 <= from_serial <= to_serial <= self._serial):
-            shard.count_request("diff", QueryStatus.UNKNOWN_SERIAL)
+        if not (oldest - 1 <= from_serial <= to_serial <= current):
+            self._count_request("diff", QueryStatus.UNKNOWN_SERIAL)
             return ApiResponse(
-                status=QueryStatus.UNKNOWN_SERIAL, serial=self._serial,
+                status=QueryStatus.UNKNOWN_SERIAL, serial=current,
                 content_hash=self._hash, payload=None, cached=False,
-                shard=shard.index,
             )
-        entries = [e for e in self._history
-                   if from_serial < e.serial <= to_serial]
         return self._serve(
-            "diff", self._serial, query_key,
-            lambda: _net_diff(from_serial, to_serial, entries),
+            "diff", f"diff|{from_serial}|{to_serial}",
+            lambda: _net_diff(from_serial, to_serial, (
+                e for e in self._history
+                if from_serial < e.serial <= to_serial
+            )),
             lambda payload: len(payload.added) + len(payload.removed),
-            client,
+            client, by_serial=True,
         )
 
     # -- introspection -------------------------------------------------------
 
-    def cache_stats(self):
-        """Aggregated (hits, misses, evictions) across all shards."""
-        return self._router.cache_stats()
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._router)
+    def cache_stats(self) -> tuple[int, int, int]:
+        """The response cache's (hits, misses, evictions)."""
+        stats = self._cache.stats
+        return stats.hits, stats.misses, stats.evictions
 
 
 def _as_prefix(prefix):

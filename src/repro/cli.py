@@ -571,17 +571,14 @@ def cmd_api(args) -> None:
     rp = _build_rp(world, mode="incremental")
     # The unthrottled service for the classification and diff sections;
     # rate limiting gets its own dedicated demo below.
-    service = QueryService(rp, config=ApiConfig(
-        shards=4, cache_capacity=4096, rate_limit=None,
-    ))
+    service = QueryService(rp, config=ApiConfig(rate_limit=None))
     world.clock.advance(HOUR)
     service.refresh()
     vrps = sorted(rp.vrps)
     print(f"Origin-validation query plane over the {scale!r} deployment "
           f"(seed {config.seed})\n")
     print(f"epoch serial {service.serial}: {len(vrps)} VRPs, "
-          f"content hash {service.content_hash[:16]}..., "
-          f"{service.shard_count} shards")
+          f"content hash {service.content_hash[:16]}...")
 
     print("\n== RFC 6811 classification (every VRP, then a forged origin) ==")
     states = {"valid": 0, "invalid": 0, "unknown": 0}

@@ -57,28 +57,44 @@ class PrefixTrie(Generic[V]):
     def __len__(self) -> int:
         return self._size
 
-    def __bool__(self) -> bool:
-        return self._size > 0
+    def _descend(self, prefix: Prefix, create: bool = False) -> list[_Node[V]]:
+        """The nodes on the path from the root toward *prefix*, root first.
 
-    def _check(self, prefix: Prefix) -> None:
+        Without *create* the walk stops at the first missing child, so
+        the path is ``prefix.length + 1`` nodes long exactly when the
+        prefix's own node exists; with it the missing nodes are made.
+        Every per-prefix operation is this walk plus what it does with
+        the nodes.
+        """
         if prefix.afi is not self._afi:
             raise ValueError(
                 f"prefix {prefix} is {prefix.afi.name}, trie is {self._afi.name}"
             )
+        node = self._root
+        path = [node]
+        length = prefix.length
+        key = prefix.network >> (self._afi.bits - length)
+        for shift in range(length - 1, -1, -1):
+            bit = (key >> shift) & 1
+            child = node.children[bit]
+            if child is None:
+                if not create:
+                    break
+                child = node.children[bit] = _Node()
+            path.append(child)
+            node = child
+        return path
+
+    def _find(self, prefix: Prefix) -> _Node[V] | None:
+        """The node at exactly *prefix* (with or without a value)."""
+        path = self._descend(prefix)
+        return path[-1] if len(path) > prefix.length else None
 
     # -- mutation ----------------------------------------------------------
 
     def insert(self, prefix: Prefix, value: V) -> None:
         """Map *prefix* to *value*, overwriting any existing mapping."""
-        self._check(prefix)
-        node = self._root
-        for position in range(prefix.length):
-            bit = prefix.bit_at(position)
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
+        node = self._descend(prefix, create=True)[-1]
         if not node.has_value:
             self._size += 1
         node.value = value
@@ -91,17 +107,7 @@ class PrefixTrie(Generic[V]):
         bulk-build fast path for bucket-of-list indexes (``VrpSet``
         construction walks this once per VRP).
         """
-        self._check(prefix)
-        node = self._root
-        network = prefix.network
-        shift = self._afi.bits - 1
-        for position in range(prefix.length):
-            bit = (network >> (shift - position)) & 1
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
+        node = self._descend(prefix, create=True)[-1]
         if not node.has_value:
             node.value = factory()
             node.has_value = True
@@ -115,54 +121,41 @@ class PrefixTrie(Generic[V]):
         long-lived tries (the relying party's cache across churn) do not
         leak nodes.
         """
-        self._check(prefix)
-        path: list[tuple[_Node[V], int]] = []
-        node = self._root
-        for position in range(prefix.length):
-            bit = prefix.bit_at(position)
-            child = node.children[bit]
-            if child is None:
-                raise KeyError(str(prefix))
-            path.append((node, bit))
-            node = child
-        if not node.has_value:
+        path = self._descend(prefix)
+        node = path[-1]
+        if len(path) <= prefix.length or not node.has_value:
             raise KeyError(str(prefix))
         value = node.value
         node.value = None
         node.has_value = False
         self._size -= 1
-        # Prune now-empty leaf chain.
-        current = node
-        for parent, bit in reversed(path):
-            if current.has_value or any(current.children):
+        # Prune the now-empty leaf chain, deepest node first.
+        while len(path) > 1:
+            node = path.pop()
+            if node.has_value or any(node.children):
                 break
-            parent.children[bit] = None
-            current = parent
+            siblings = path[-1].children
+            siblings[0 if siblings[0] is node else 1] = None
         return value  # type: ignore[return-value]
 
     # -- exact queries -------------------------------------------------------
 
     def get(self, prefix: Prefix, default: V | None = None) -> V | None:
         """The value mapped at exactly *prefix*, or *default*."""
-        self._check(prefix)
-        node = self._root
-        for position in range(prefix.length):
-            child = node.children[prefix.bit_at(position)]
-            if child is None:
-                return default
-            node = child
-        return node.value if node.has_value else default
+        node = self._find(prefix)
+        if node is None or not node.has_value:
+            return default
+        return node.value
 
     def __contains__(self, prefix: Prefix) -> bool:
-        sentinel = object()
-        return self.get(prefix, sentinel) is not sentinel  # type: ignore[arg-type]
+        node = self._find(prefix)
+        return node is not None and node.has_value
 
     def __getitem__(self, prefix: Prefix) -> V:
-        sentinel = object()
-        value = self.get(prefix, sentinel)  # type: ignore[arg-type]
-        if value is sentinel:
+        node = self._find(prefix)
+        if node is None or not node.has_value:
             raise KeyError(str(prefix))
-        return value  # type: ignore[return-value]
+        return node.value  # type: ignore[return-value]
 
     def __setitem__(self, prefix: Prefix, value: V) -> None:
         self.insert(prefix, value)
@@ -175,21 +168,13 @@ class PrefixTrie(Generic[V]):
         Yields shortest (least specific) first.  This is the query behind
         "is there a covering ROA?" in route-validity classification.
         """
-        self._check(prefix)
-        node = self._root
-        network = 0
-        bits = self._afi.bits
-        if node.has_value:
-            yield Prefix(self._afi, 0, 0), node.value  # type: ignore[misc]
-        for position in range(prefix.length):
-            bit = prefix.bit_at(position)
-            child = node.children[bit]
-            if child is None:
-                return
-            network |= bit << (bits - 1 - position)
-            node = child
+        afi = self._afi
+        network = prefix.network
+        for depth, node in enumerate(self._descend(prefix)):
             if node.has_value:
-                yield Prefix(self._afi, network, position + 1), node.value  # type: ignore[misc]
+                host_bits = afi.bits - depth
+                stored = Prefix(afi, network >> host_bits << host_bits, depth)
+                yield stored, node.value  # type: ignore[misc]
 
     def longest_match(self, prefix: Prefix) -> tuple[Prefix, V] | None:
         """The most-specific stored prefix covering *prefix*, if any.
@@ -208,14 +193,9 @@ class PrefixTrie(Generic[V]):
         Pre-order (shortest first, low branch before high).  The whack
         planner uses this to enumerate a certificate subtree.
         """
-        self._check(prefix)
-        node = self._root
-        for position in range(prefix.length):
-            child = node.children[prefix.bit_at(position)]
-            if child is None:
-                return
-            node = child
-        yield from self._walk(node, prefix.network, prefix.length)
+        node = self._find(prefix)
+        if node is not None:
+            yield from self._walk(node, prefix.network, prefix.length)
 
     def _walk(
         self, node: _Node[V], network: int, depth: int
@@ -290,9 +270,6 @@ class PrefixMap(Generic[V]):
 
     def __len__(self) -> int:
         return sum(len(t) for t in self._tries.values())
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
 
     def __contains__(self, prefix: Prefix) -> bool:
         return prefix in self._trie(prefix)

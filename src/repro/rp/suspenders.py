@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..repository.uri import RsyncUri
 from ..rpki.ca import CRL_FILE
 from ..rpki.crl import Crl
 from ..rpki.errors import ObjectFormatError
@@ -78,15 +79,21 @@ class SuspendersRelyingParty:
         report = self.rp.refresh()
         now = self._clock.now
         natural = report.run.vrps
-        revoked_by_point = self._revocations_in_cache()
 
-        # Which previously known VRPs vanished this cycle?
-        for vrp, (ee_serial, not_after, point) in self._provenance.items():
-            if vrp in natural or vrp in self._retained:
-                continue
-            if not_after < now:
-                continue  # natural expiry: honored immediately
-            if ee_serial in revoked_by_point.get(point, frozenset()):
+        # Which previously known VRPs vanished this cycle, unexpired?
+        vanished = {
+            vrp: evidence for vrp, evidence in self._provenance.items()
+            if vrp not in natural and vrp not in self._retained
+            and evidence[1] >= now  # natural expiry: honored immediately
+        }
+        revoked_by_point = self._verified_revocations(
+            {point for _, _, point in vanished.values()}
+            | {entry.home_point for entry in self._retained.values()},
+            report.run.validated_cas, now,
+        )
+
+        for vrp, (ee_serial, not_after, point) in vanished.items():
+            if ee_serial in revoked_by_point[point]:
                 continue  # transparent revocation: honored immediately
             self._retained[vrp] = RetainedVrp(
                 vrp=vrp,
@@ -102,9 +109,7 @@ class SuspendersRelyingParty:
             entry = self._retained[vrp]
             if vrp in natural or not entry.active(now):
                 del self._retained[vrp]
-            elif entry.ee_serial in revoked_by_point.get(
-                entry.home_point, frozenset()
-            ):
+            elif entry.ee_serial in revoked_by_point[entry.home_point]:
                 del self._retained[vrp]  # authority followed up properly
 
         # Update provenance from the evidence this run's ROAs left.
@@ -116,20 +121,40 @@ class SuspendersRelyingParty:
         }
         return report
 
-    def _revocations_in_cache(self) -> dict[str, frozenset[int]]:
-        """Per publication point, the serials its cached CRL revokes."""
-        out: dict[str, frozenset[int]] = {}
-        for uri, files in self.rp.cache.all_files().items():
-            data = files.get(CRL_FILE)
+    def _verified_revocations(
+        self, points: set[str], validated_cas, now: int
+    ) -> dict[str, frozenset[int]]:
+        """Per point in *points*, the serials its cached CRL revokes.
+
+        A CRL corroborates a disappearance only if it verifies under the
+        key of a CA this run validated for that point: whoever can delete
+        a ROA from a publication point can drop any bytes named
+        ``ca.crl`` beside the hole, and the validator rejects those same
+        bytes (``crl-bad-signature``).
+        """
+        revoked: dict[str, frozenset[int]] = dict.fromkeys(points, frozenset())
+        if not points:
+            return revoked
+        keys: dict[str, list] = {}
+        for ca in validated_cas:
+            for uri in ca.all_publication_uris:
+                keys.setdefault(str(RsyncUri.parse(uri)), []).append(
+                    ca.subject_key
+                )
+        for point in points:
+            entry = self.rp.cache.serve(point, now)
+            data = None if entry is None else entry.files.get(CRL_FILE)
             if data is None:
                 continue
             try:
                 crl = parse_object(data)
             except ObjectFormatError:
                 continue
-            if isinstance(crl, Crl):
-                out[uri] = crl.revoked_serials
-        return out
+            if isinstance(crl, Crl) and any(
+                crl.verify_signature(key) for key in keys.get(point, ())
+            ):
+                revoked[point] = crl.revoked_serials
+        return revoked
 
     # -- classification surface -------------------------------------------------
 

@@ -56,12 +56,6 @@ _ENCODE_CACHE_MISSES = default_registry().counter(
 )
 
 
-def _restore(cls: type, payload: dict, signature: bytes,
-             encoded_payload: bytes) -> "SignedObject":
-    """Unpickle entry point: rebuild without re-encoding the payload."""
-    return cls(payload, signature, encoded_payload=encoded_payload)
-
-
 def resource_set_to_data(resources: ResourceSet) -> list:
     """Encode a ResourceSet as ``[[afi, start, end], ...]`` (sorted)."""
     return [[r.afi.value, r.start, r.end] for r in resources.ranges]
@@ -178,23 +172,16 @@ class SignedObject:
         return self._wire
 
     @classmethod
-    def bytes_to_parts(cls, blob: bytes) -> tuple[dict, bytes]:
-        """Split a serialized object into (payload, signature).
-
-        Raises :class:`ObjectFormatError` on any structural problem; this
-        is the choke point through which every fetched byte string passes,
-        so corruption injected by the fault layer surfaces here.
-        """
-        payload, signature, _encoded_payload = cls.split_wire(blob)
-        return payload, signature
-
-    @classmethod
     def split_wire(cls, blob: bytes) -> tuple[dict, bytes, bytes]:
         """Split a serialized object into (payload, signature, payload bytes).
 
         The third element is the payload's exact canonical encoding — a
         slice of *blob* — suitable for the ``encoded_payload`` constructor
         argument, so parsing never re-encodes what it just decoded.
+
+        Raises :class:`ObjectFormatError` on any structural problem; this
+        is the choke point through which every fetched byte string passes,
+        so corruption injected by the fault layer surfaces here.
         """
         try:
             decoded = decode(blob)
@@ -249,9 +236,3 @@ class SignedObject:
 
     def __hash__(self) -> int:
         return hash(self._hash_hex)
-
-    def __reduce__(self):
-        # Ship the cached payload encoding with the pickle so worker-pool
-        # round trips rebuild the object without re-encoding it.
-        return (_restore, (type(self), self._payload, self._signature,
-                           self._encoded_payload))

@@ -26,6 +26,7 @@ tree.  Registered names are a *stable public API* (see docs/telemetry.md).
 from __future__ import annotations
 
 import re
+from collections import deque
 from typing import Iterator
 
 __all__ = [
@@ -247,6 +248,12 @@ class Histogram(Metric):
 # in-process spans land in the 0 bucket — that is expected and correct.
 DEFAULT_TIME_BUCKETS: tuple[float, ...] = (0.0, 1.0, 60.0, 3600.0, 86400.0)
 
+# Spans a registry keeps: the newest this many, older ones fall off the
+# front.  A relying party traces one span per refresh for as long as it
+# runs, and its memory must not grow with its uptime; the histograms the
+# spans are observed into keep the whole run's totals either way.
+MAX_SPANS = 1024
+
 
 class MetricsRegistry:
     """A namespace of metrics plus the span log of its traces.
@@ -260,7 +267,9 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: dict[str, Metric] = {}
-        self.spans: list = []  # list[Span]; appended by trace()
+        # The newest MAX_SPANS Span objects, oldest first; appended by
+        # trace().
+        self.spans: deque = deque(maxlen=MAX_SPANS)
 
     # -- registration ------------------------------------------------------
 
@@ -330,8 +339,9 @@ class MetricsRegistry:
         """Context manager timing a block in *simulated* seconds.
 
         Records a :class:`~repro.telemetry.tracing.Span` in :attr:`spans`
-        and observes the duration into the histogram *name* (auto-created
-        with :data:`DEFAULT_TIME_BUCKETS`).  *clock* is anything with a
+        (which keeps the newest :data:`MAX_SPANS`) and observes the
+        duration into the histogram *name* (auto-created with
+        :data:`DEFAULT_TIME_BUCKETS`).  *clock* is anything with a
         ``.now`` in seconds — in practice :class:`repro.simtime.Clock`,
         which is what keeps traces deterministic.
         """

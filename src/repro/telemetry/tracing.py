@@ -58,7 +58,7 @@ class Span:
 
 
 @contextmanager
-def trace_into(spans: list, histogram, clock, labelvalues: dict):
+def trace_into(spans, histogram, clock, labelvalues: dict):
     """Implementation behind :meth:`MetricsRegistry.trace`.
 
     Appends the span immediately (so an exception mid-block still leaves

@@ -128,7 +128,6 @@ class TestConsistency:
         second = service.validate_route(vrp.prefix, vrp.asn)
         assert not first.cached and second.cached
         assert first.payload == second.payload
-        assert first.shard == second.shard
 
     def test_changed_epoch_misses_the_cache(self, world, rp):
         service = make_service(rp)
@@ -215,6 +214,65 @@ class TestRateLimiting:
         service = make_service(rp, rate_limit=None)
         service.refresh()
         assert all(service.lookup_asn(1, client="c").ok for _ in range(500))
+
+
+class TestConfig:
+    def test_sharding_is_gone(self):
+        with pytest.raises(TypeError):
+            ApiConfig(shards=4)
+
+    def test_cache_holds_exactly_its_capacity(self, rp):
+        service = make_service(rp, cache_capacity=5, rate_limit=None)
+        service.refresh()
+        for asn in range(1, 6):
+            service.lookup_asn(asn)
+        assert all(service.lookup_asn(asn).cached for asn in range(1, 6))
+        assert service.cache_stats() == (5, 5, 0)
+        service.lookup_asn(6)          # N+1: the oldest answer goes
+        assert service.cache_stats() == (5, 6, 1)
+        assert not service.lookup_asn(1).cached
+        assert service.lookup_asn(6).cached
+
+
+class TestTelemetry:
+    def test_request_counter_by_kind_and_status(self, rp):
+        service = make_service(
+            rp, rate_limit=RateLimitConfig(capacity=2, refill_per_second=0),
+        )
+        service.refresh()
+        vrp = next(iter(rp.vrps))
+        statuses = [service.validate_route(vrp.prefix, vrp.asn).status
+                    for _ in range(3)]
+        assert statuses == ["ok", "ok", "rate-limited"]
+        assert service.diff(99, client="monitor").status == "unknown-serial"
+        counter = service.metrics.get("repro_api_requests_total")
+        assert counter.labelnames == ("kind", "status")
+        assert counter.value(kind="validate", status="ok") == 2
+        assert counter.value(kind="validate", status="rate-limited") == 1
+        assert counter.value(kind="diff", status="unknown-serial") == 1
+
+    @staticmethod
+    def two_misses_and_a_hit(rp):
+        service = make_service(rp, rate_limit=None)
+        service.refresh()
+        vrp = next(iter(rp.vrps))
+        service.lookup_prefix(vrp.prefix)           # miss
+        service.lookup_prefix(vrp.prefix)           # hit
+        service.lookup_asn(vrp.asn)                 # miss
+        return service
+
+    def test_cache_counter_and_histogram(self, rp):
+        service = self.two_misses_and_a_hit(rp)
+        cache = service.metrics.get("repro_api_cache_total")
+        assert cache.labelnames == ("result",)
+        assert cache.value(result="hit") == 1
+        assert cache.value(result="miss") == 2
+        histogram = service.metrics.get("repro_api_response_vrps")
+        assert histogram.labelnames == ()
+        assert histogram.sample().count == 3
+
+    def test_cache_stats_totals(self, rp):
+        assert self.two_misses_and_a_hit(rp).cache_stats() == (1, 2, 0)
 
 
 class TestCoveringAtLoad:

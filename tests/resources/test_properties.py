@@ -6,6 +6,7 @@ really removes exactly the hole, decomposition is exact, tries agree with
 brute force.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,17 @@ def v4_prefixes(draw, min_length=0, max_length=32):
     addr = draw(v4_address)
     network = (addr >> (32 - length)) << (32 - length) if length else 0
     return Prefix(Afi.IPV4, network, length)
+
+
+@st.composite
+def nested_prefixes(draw, afi):
+    """Prefixes from one small corner of *afi*, so draws nest and collide."""
+    length = draw(st.sampled_from(
+        (0, 1, 2, 3, 4, 5, 8, afi.bits - 1, afi.bits)))
+    address = (draw(st.integers(0, 31)) << (afi.bits - 5)) | draw(
+        st.sampled_from((0, afi.max_address >> 5)))
+    host_bits = afi.bits - length
+    return Prefix(afi, address >> host_bits << host_bits, length)
 
 
 @st.composite
@@ -228,3 +240,47 @@ def test_trie_insert_remove_all_leaves_empty(stored):
         assert trie.remove(prefix) == str(prefix)
     assert len(trie) == 0
     assert list(trie.items()) == []
+
+
+@given(st.sampled_from(list(Afi)), st.data())
+@settings(max_examples=150)
+def test_trie_interleaved_edits_match_dict_scan(afi, data):
+    """insert / get_or_insert / remove in any order, every query checked
+    against a scan of a plain dict after every edit, in both families."""
+    edits = data.draw(st.lists(
+        st.tuples(st.sampled_from(("insert", "get_or_insert", "remove")),
+                  nested_prefixes(afi)),
+        max_size=30))
+    probes = data.draw(st.lists(nested_prefixes(afi), min_size=1, max_size=3))
+    trie = PrefixTrie(afi)
+    oracle = {}
+    for step, (edit, prefix) in enumerate(edits):
+        if edit == "insert":
+            trie.insert(prefix, step)
+            oracle[prefix] = step
+        elif edit == "get_or_insert":
+            assert trie.get_or_insert(prefix, lambda: step) == (
+                oracle.setdefault(prefix, step))
+        elif prefix in oracle:
+            assert trie.remove(prefix) == oracle.pop(prefix)
+        else:
+            with pytest.raises(KeyError):
+                trie.remove(prefix)
+        assert len(trie) == len(oracle)
+        for probe in (prefix, *probes):
+            assert trie.get(probe) == oracle.get(probe)
+            assert (probe in trie) == (probe in oracle)
+            covering = sorted(
+                ((k, v) for k, v in oracle.items() if k.covers(probe)),
+                key=lambda hit: hit[0].length)
+            assert list(trie.covering(probe)) == covering
+            assert trie.longest_match(probe) == (
+                covering[-1] if covering else None)
+            # Pre-order: a prefix before what it covers, low branch first.
+            assert list(trie.covered_by(probe)) == sorted(
+                ((k, v) for k, v in oracle.items() if probe.covers(k)),
+                key=lambda hit: (hit[0].network, hit[0].length))
+    for prefix in oracle:
+        trie.remove(prefix)
+    assert len(trie) == 0
+    assert trie._root.children == [None, None]   # every branch was pruned

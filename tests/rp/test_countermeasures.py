@@ -18,6 +18,8 @@ from repro.rp import (
     classify_with_overrides,
     validate,
 )
+from repro.rpki.ca import CRL_FILE
+from repro.rpki.crl import build_crl
 from repro.simtime import DAY, HOUR
 
 
@@ -191,6 +193,29 @@ class TestSuspenders:
         assert srp.classify_parts("63.174.16.0/20", 17054) is not (
             RouteValidity.VALID
         )
+
+    def test_forged_crl_does_not_cancel_retention(self, world, key_factory):
+        # Whoever can delete the ROA from the publication point can also
+        # drop a "CRL" naming its EE serial beside the hole.  It is not
+        # signed by Continental, so it corroborates nothing.
+        srp = self.make(world)
+        srp.refresh()
+        serial = world.target20.ee_cert.serial
+        world.continental.delete_object(world.target20_name)
+        forged = build_crl(
+            issuer_key=key_factory.next_keypair(),
+            issuer_key_id=world.continental.key_id,
+            revoked_serials={serial},
+            serial=999,
+            this_update=world.clock.now,
+            next_update=world.clock.now + DAY,
+        )
+        world.continental.publication_point.put(CRL_FILE, forged.to_bytes())
+        world.clock.advance(HOUR)
+        report = srp.refresh()
+        assert report.run.has_issue("crl-bad-signature")
+        assert [r.ee_serial for r in srp.retained] == [serial]
+        assert srp.classify_parts("63.174.16.0/20", 17054) is RouteValidity.VALID
 
     def test_natural_expiry_honored_immediately(self, world):
         srp = self.make(world, grace=365 * DAY)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.simtime import Clock
 from repro.telemetry import MetricsRegistry, Span, default_registry, trace
+from repro.telemetry.metrics import MAX_SPANS
 
 
 @pytest.fixture
@@ -84,13 +85,47 @@ class TestSpanSerialization:
         assert str(span) == "repro_x_seconds[5..9] a=b"
 
 
+class TestSpanLogBound:
+    """The span log keeps the newest MAX_SPANS and nothing else grows."""
+
+    @staticmethod
+    def trace_n(registry, clock, count):
+        for _ in range(count):
+            with registry.trace("repro_work_seconds", clock):
+                clock.advance(1)
+
+    def test_at_the_bound_nothing_is_dropped(self, registry):
+        self.trace_n(registry, Clock(), MAX_SPANS)
+        assert [s.start for s in registry.spans] == list(range(MAX_SPANS))
+
+    def test_past_the_bound_the_newest_stay_newest_last(self, registry):
+        total = 10 * MAX_SPANS
+        self.trace_n(registry, Clock(), total)
+        assert len(registry.spans) == MAX_SPANS
+        assert [s.start for s in registry.spans] == list(
+            range(total - MAX_SPANS, total))
+        # The histogram still counts every traced block.
+        assert registry.get("repro_work_seconds").sample().count == total
+
+    def test_full_log_renders_round_trips_and_resets(self, registry):
+        self.trace_n(registry, Clock(), MAX_SPANS + 3)
+        assert registry.render_text().count("# span ") == MAX_SPANS
+        clone = MetricsRegistry.from_dict(registry.to_dict())
+        assert list(clone.spans) == list(registry.spans)
+        assert clone.spans.maxlen == MAX_SPANS
+        registry.reset()
+        assert len(registry.spans) == 0
+        self.trace_n(registry, Clock(), 1)
+        assert len(registry.spans) == 1
+
+
 class TestModuleLevelTrace:
     def test_defaults_to_global_registry(self):
         clock = Clock()
-        before = len(default_registry().spans)
-        with trace("repro_test_module_seconds", clock):
+        with trace("repro_test_module_seconds", clock) as span:
             clock.advance(1)
-        assert len(default_registry().spans) == before + 1
+        # Not a length check: the process-wide log may already be full.
+        assert default_registry().spans[-1] is span
 
     def test_explicit_registry_wins(self):
         own = MetricsRegistry()

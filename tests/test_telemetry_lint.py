@@ -4,7 +4,8 @@ Fails the test suite if any module under ``src/repro`` registers a metric
 whose name breaks the ``repro_``/snake_case rule, reads the wall clock
 (``time.time()`` and friends) instead of the simulated Clock, or
 constructs a worker pool at module scope instead of context-managing it
-inside a function.
+inside a function — or if a metric's registered label names differ from
+the ones its row in ``docs/telemetry.md`` lists.
 """
 
 import pathlib
@@ -134,3 +135,62 @@ def test_lint_accepts_broad_except_that_contains(tmp_path):
         "    pass\n"  # narrow except: pass is allowed
     )
     assert check_telemetry_names.check_file(good) == []
+
+
+def test_docs_list_every_metric_with_its_label_names():
+    problems = check_telemetry_names.check_label_docs()
+    assert problems == [], "\n".join(problems)
+
+
+_DOC_HEADER = "| Metric | Type | Labels | Meaning |\n|---|---|---|---|\n"
+
+
+def _label_docs_problems(tmp_path, source, rows):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "service.py").write_text(source)
+    doc = tmp_path / "telemetry.md"
+    doc.write_text(_DOC_HEADER + rows)
+    return check_telemetry_names.check_label_docs(src, doc)
+
+
+def test_lint_catches_a_row_that_still_lists_a_dropped_label(tmp_path):
+    problems = _label_docs_problems(
+        tmp_path,
+        "registry.counter('repro_api_cache_total', help='lookups',\n"
+        "                 labelnames=('result',))\n",
+        "| `repro_api_cache_total` | counter | `shard`, `result` = `hit` "
+        "\\| `miss` | response-cache lookups |\n",
+    )
+    assert len(problems) == 1
+    assert "['result']" in problems[0] and "'shard'" in problems[0]
+
+
+def test_lint_catches_undocumented_and_conflicting_registrations(tmp_path):
+    problems = _label_docs_problems(
+        tmp_path,
+        "registry.gauge('repro_api_serial')\n"
+        "registry.counter('repro_x_total', labelnames=('kind',))\n"
+        "registry.counter('repro_x_total', labelnames=('kind', 'why'))\n"
+        "registry.counter('repro_y_total', labelnames=NAMES)\n",
+        "| `repro_x_total` | counter | `kind` = `a` \\| `b` | things |\n"
+        "| `repro_y_total` | counter | — | things |\n",
+    )
+    assert len(problems) == 4
+    assert "repro_api_serial: no row" in problems[0]
+    assert "elsewhere with ('kind',)" in problems[1]
+    assert "lists ['kind']" in problems[2]
+    assert "literal tuple" in problems[3]
+
+
+def test_lint_accepts_matching_rows_and_trace_labels(tmp_path):
+    assert _label_docs_problems(
+        tmp_path,
+        "registry.counter('repro_x_total', labelnames=('kind', 'status'))\n"
+        "registry.gauge('repro_depth')\n"
+        "with registry.trace('repro_phase_seconds', clock, stage='a'):\n"
+        "    pass\n",
+        "| `repro_x_total` | counter | `kind` = `a` \\| `b`, `status` | x |\n"
+        "| `repro_depth` | gauge | — | depth |\n"
+        "| `repro_phase_seconds` | histogram | `stage` | time |\n",
+    ) == []

@@ -37,6 +37,15 @@ Statically checks every module under ``src/repro``:
    degradation, ``continue`` a loop); silently discarding the exception
    is not.
 
+5. **Documented label sets.**  The ``labelnames=`` literal of every
+   registration (for ``trace(...)``, its label keyword names) is read
+   from the AST and compared with the *Labels* column of the metric's
+   row in ``docs/telemetry.md``: every registered name needs a row, the
+   row must name exactly the registered labels, and two registrations
+   of one name must agree.  Label names are a stable public API, so a
+   label that is dropped (or added) without its row changing is a
+   broken promise to whoever built a dashboard from the docs.
+
 Run directly (``python tools/check_telemetry_names.py``, exit 1 on
 problems) or via the tier-1 test ``tests/test_telemetry_lint.py``.
 """
@@ -65,6 +74,11 @@ POOL_MODULES = ("multiprocessing", "concurrent.futures")
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
+TELEMETRY_DOC = REPO_ROOT / "docs" / "telemetry.md"
+# A docs/telemetry.md table row: | `name` | type | labels | meaning |.
+# Cells are split on unescaped pipes (label values are listed with \|).
+_DOC_CELL_SPLIT = re.compile(r"(?<!\\)\|")
+_DOC_LABEL_RE = re.compile(r"^`([a-z][a-z0-9_]*)`")
 
 
 def _call_name(node: ast.Call) -> str | None:
@@ -88,32 +102,43 @@ def _is_time_module_call(node: ast.Call) -> bool:
     )
 
 
+def _literal_metric_name(node: ast.Call) -> str | None:
+    """The name a metric-factory call registers, if it is a string literal."""
+    if _call_name(node) in METRIC_FACTORIES and node.args:
+        first = node.args[0]
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            return first.value
+    return None
+
+
+def _relative(path: pathlib.Path) -> pathlib.Path:
+    try:
+        return path.relative_to(REPO_ROOT)
+    except ValueError:
+        return path
+
+
 def check_file(path: pathlib.Path) -> list[str]:
     problems: list[str] = []
-    try:
-        rel = path.relative_to(REPO_ROOT)
-    except ValueError:
-        rel = path
+    rel = _relative(path)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         name = _call_name(node)
-        if name in METRIC_FACTORIES and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                metric_name = first.value
-                if not METRIC_NAME_RE.match(metric_name):
-                    problems.append(
-                        f"{rel}:{node.lineno}: metric name {metric_name!r} "
-                        "must be snake_case with the 'repro_' prefix"
-                    )
-                suffix = FACTORY_SUFFIXES.get(name)
-                if suffix and not metric_name.endswith(suffix):
-                    problems.append(
-                        f"{rel}:{node.lineno}: {name}() metric "
-                        f"{metric_name!r} must end in '{suffix}'"
-                    )
+        metric_name = _literal_metric_name(node)
+        if metric_name is not None:
+            if not METRIC_NAME_RE.match(metric_name):
+                problems.append(
+                    f"{rel}:{node.lineno}: metric name {metric_name!r} "
+                    "must be snake_case with the 'repro_' prefix"
+                )
+            suffix = FACTORY_SUFFIXES.get(name)
+            if suffix and not metric_name.endswith(suffix):
+                problems.append(
+                    f"{rel}:{node.lineno}: {name}() metric "
+                    f"{metric_name!r} must end in '{suffix}'"
+                )
         if _is_time_module_call(node) \
                 and rel.as_posix() not in WALL_CLOCK_EXEMPT:
             problems.append(
@@ -186,8 +211,82 @@ def check_tree(root: pathlib.Path = SRC_ROOT) -> list[str]:
     return problems
 
 
+def registered_labels(path: pathlib.Path) -> list[tuple[str, int, tuple]]:
+    """``(metric name, line, label names)`` per literal-name registration.
+
+    Labels come from the ``labelnames=`` keyword (absent means none);
+    for ``trace(...)`` they are the label keyword names.  A
+    ``labelnames=`` that is not a literal tuple/list of strings yields
+    ``None`` in place of the labels, which :func:`check_label_docs`
+    reports: the lint cannot vouch for what it cannot read.
+    """
+    found = []
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        name = (_literal_metric_name(node)
+                if isinstance(node, ast.Call) else None)
+        if name is None:
+            continue
+        labels: tuple | None = ()
+        if _call_name(node) == "trace":
+            labels = tuple(k.arg for k in node.keywords
+                           if k.arg not in (None, "registry"))
+        for keyword in node.keywords:
+            if keyword.arg == "labelnames":
+                try:
+                    labels = tuple(ast.literal_eval(keyword.value))
+                except ValueError:
+                    labels = None
+        found.append((name, node.lineno, labels))
+    return found
+
+
+def documented_labels(text: str) -> dict[str, set[str]]:
+    """Metric name -> label names, from the inventory tables of *text*."""
+    rows: dict[str, set[str]] = {}
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in _DOC_CELL_SPLIT.split(line)]
+        # A row is | `repro_x` | type | labels | meaning |: six cells.
+        if len(cells) < 6 or not cells[1].startswith("`repro_"):
+            continue
+        labels = (_DOC_LABEL_RE.match(part.strip())
+                  for part in cells[3].split(","))
+        rows[cells[1].strip("`")] = {m.group(1) for m in labels if m}
+    return rows
+
+
+def check_label_docs(
+    root: pathlib.Path = SRC_ROOT, doc: pathlib.Path = TELEMETRY_DOC
+) -> list[str]:
+    problems: list[str] = []
+    documented = documented_labels(doc.read_text(encoding="utf-8"))
+    seen: dict[str, tuple] = {}
+    for path in sorted(root.rglob("*.py")):
+        for name, lineno, labels in registered_labels(path):
+            where = f"{_relative(path)}:{lineno}: {name}"
+            if labels is None:
+                problems.append(
+                    f"{where}: labelnames= must be a literal tuple of "
+                    "strings so the docs lint can read it"
+                )
+                continue
+            if seen.setdefault(name, labels) != labels:
+                problems.append(
+                    f"{where}: registered with labels {labels}, "
+                    f"elsewhere with {seen[name]}"
+                )
+            if name not in documented:
+                problems.append(f"{where}: no row in {doc.name}")
+            elif documented[name] != set(labels):
+                problems.append(
+                    f"{where}: registered with labels {sorted(labels)} but "
+                    f"{doc.name} lists {sorted(documented[name])}"
+                )
+    return problems
+
+
 def main() -> int:
-    problems = check_tree()
+    problems = check_tree() + check_label_docs()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
