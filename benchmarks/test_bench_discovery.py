@@ -26,8 +26,7 @@ import pytest
 
 from conftest import write_artifact
 
-from repro.modelgen import build_deployment
-from repro.profiling import resolve_scale
+from repro.modelgen import build_deployment, resolve_scale
 from repro.repository import Fetcher
 from repro.rp import RelyingParty
 from repro.simtime import HOUR

@@ -6,22 +6,12 @@ the paper's example hierarchy, and asserts the census the figure shows.
 
 from conftest import write_artifact
 
-from repro.modelgen import build_figure2
-from repro.repository import Fetcher
-from repro.rp import RelyingParty
-
-
-def build_and_validate():
-    world = build_figure2()
-    rp = RelyingParty(
-        world.trust_anchors, Fetcher(world.registry, world.clock), world.clock
-    )
-    report = rp.refresh()
-    return world, rp, report
+from repro.experiments import figure2
 
 
 def test_fig2_model(benchmark):
-    world, rp, report = benchmark(build_and_validate)
+    model = benchmark(figure2)
+    world, rp, report = model.world, model.rp, model.report
 
     # The hierarchy of Figure 2.
     assert world.sprint.parent is world.arin
@@ -38,10 +28,4 @@ def test_fig2_model(benchmark):
     assert len(rp.vrps) == 8
     assert len(report.run.validated_cas) == 4
 
-    lines = ["Figure 2 — excerpt of a model RPKI", ""]
-    for ca in world.authorities():
-        parent = ca.parent.handle if ca.parent else "(trust anchor)"
-        lines.append(f"{ca.handle:<24} {str(ca.resources):<34} parent: {parent}")
-        for roa in ca.issued_roas.values():
-            lines.append(f"    ROA {roa.describe()}")
-    write_artifact("fig2_model.txt", "\n".join(lines))
+    write_artifact("fig2_model.txt", model.render())

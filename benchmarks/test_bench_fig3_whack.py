@@ -8,29 +8,10 @@ for the blunt revocation alternative.
 
 from conftest import write_artifact
 
-from repro.core import (
-    WhackMethod,
-    collateral_of_revocation,
-    execute_whack,
-    plan_whack,
-)
-from repro.modelgen import build_figure2
+from repro.core import WhackMethod
+from repro.experiments import figure3, revocation_collateral
 from repro.repository import Fetcher
 from repro.rp import RelyingParty, RouteValidity
-
-
-def whack_target20():
-    world = build_figure2()
-    plan = plan_whack(world.sprint, world.target20, world.continental)
-    execute_whack(plan)
-    return world, plan
-
-
-def whack_target22():
-    world = build_figure2()
-    plan = plan_whack(world.sprint, world.target22, world.continental)
-    execute_whack(plan)
-    return world, plan
 
 
 def classify_all(world):
@@ -42,7 +23,7 @@ def classify_all(world):
 
 
 def test_fig3_grandchild_whack(benchmark):
-    world, plan = benchmark(whack_target20)
+    world, plan = benchmark(figure3, 20)
     assert plan.method is WhackMethod.OVERWRITE_SHRINK
     assert plan.collateral_count == 0
     assert plan.suspicious_reissue_count == 0
@@ -52,15 +33,13 @@ def test_fig3_grandchild_whack(benchmark):
     assert rp.classify_parts("63.174.16.0/22", 7341) is RouteValidity.VALID
 
     # Contrast with the blunt instrument.
-    fresh = build_figure2()
-    blunt = collateral_of_revocation(fresh.continental, fresh.target20)
-    assert len([d for d in blunt if d.kind == "roa"]) == 4
+    assert len(revocation_collateral()) == 4
 
     write_artifact("fig3_whack_target20.txt", plan.describe())
 
 
 def test_fig3_make_before_break(benchmark):
-    world, plan = benchmark(whack_target22)
+    world, plan = benchmark(figure3, 22)
     assert plan.method is WhackMethod.MAKE_BEFORE_BREAK
     assert plan.suspicious_reissue_count == 1
     assert plan.collateral_count == 0

@@ -8,21 +8,13 @@ function of how coarse the target's ROA protection is.
 
 from conftest import write_artifact
 
-from repro.core import MIN_ROUTABLE_V4, whack_blast_radius
-from repro.rp import VRP, VrpSet
-
-
-def sweep():
-    rows = []
-    for roa_length in (24, 20, 16, 12):
-        vrps = VrpSet([VRP.parse(f"63.160.0.0/{roa_length}", 17054)])
-        radius = whack_blast_radius("63.160.0.77", vrps)
-        rows.append((roa_length, radius))
-    return rows
+from repro.core import MIN_ROUTABLE_V4
+from repro.experiments import granularity
 
 
 def test_granularity_sweep(benchmark):
-    rows = benchmark(sweep)
+    sweep = benchmark(granularity)
+    rows = sweep.rows
 
     # The paper's floor: at least 256 addresses per takedown.
     assert MIN_ROUTABLE_V4 == 24
@@ -34,17 +26,4 @@ def test_granularity_sweep(benchmark):
     disturbances = [radius.disturbed_addresses for _l, radius in rows]
     assert disturbances == [256, 4096, 65536, 2**20]
 
-    lines = [
-        "Section 7 — takedown granularity (target: one address)",
-        "",
-        f"{'ROA length':<12}{'addresses disturbed':>22}"
-        f"{'minimum takedown unit':>24}",
-    ]
-    for length, radius in rows:
-        lines.append(
-            f"/{length:<11}{radius.disturbed_addresses:>22}"
-            f"{radius.minimum_unreachable:>24}"
-        )
-    lines.append("")
-    lines.append("domain-name seizure equivalent: 1 name")
-    write_artifact("granularity.txt", "\n".join(lines))
+    write_artifact("granularity.txt", sweep.render())

@@ -10,56 +10,12 @@ the paper predicts.
 
 from conftest import write_artifact
 
-from repro.core import execute_whack, plan_whack
-from repro.modelgen import build_figure2
-from repro.monitor import (
-    AlertKind,
-    ChurnConfig,
-    ChurnEngine,
-    DetectionExperiment,
-)
-
-
-def run_campaign(sloppy_prob):
-    world = build_figure2()
-    churn = ChurnEngine(
-        world.authorities(),
-        config=ChurnConfig(
-            renew_rate=0.4, new_roa_rate=0.2, retire_rate=0.15,
-            sloppy_delete_prob=sloppy_prob,
-        ),
-        seed=11,
-        # Keep the attack targets (and the /20 the MBB attack reissues)
-        # out of benign retirement so the injected attacks are the only
-        # thing that ever whacks them.
-        protected={world.target20.describe(), world.target22.describe()},
-    )
-    experiment = DetectionExperiment(
-        registry=world.registry, churn=churn, clock=world.clock
-    )
-
-    def attack_shrink():
-        plan = plan_whack(world.sprint, world.target20, world.continental)
-        execute_whack(plan)
-        return [world.target20.describe()]
-
-    def attack_mbb():
-        plan = plan_whack(world.sprint, world.target22, world.continental)
-        execute_whack(plan)
-        # Ground truth includes the suspiciously reissued objects: the
-        # monitor flagging those IS detecting this attack.
-        return [world.target22.describe()] + [
-            d.description for d in plan.reissued
-        ]
-
-    attacks = {3: attack_shrink, 7: attack_mbb}
-    for epoch in range(10):
-        experiment.run_epoch(attacks.get(epoch))
-    return experiment.score()
+from repro.experiments import monitor_detection
+from repro.monitor import AlertKind
 
 
 def test_monitor_detects_whacks_in_clean_churn(benchmark):
-    score = benchmark(run_campaign, 0.0)
+    score = benchmark(monitor_detection, 0.0).score()
     # With disciplined operators (every retirement on the CRL), shrink
     # detection is perfect.
     assert score.recall == 1.0
@@ -69,7 +25,7 @@ def test_monitor_detects_whacks_in_clean_churn(benchmark):
 
 
 def test_monitor_precision_degrades_with_sloppy_churn(benchmark):
-    score = benchmark(run_campaign, 0.8)
+    score = benchmark(monitor_detection, 0.8).score()
     # Attacks are still always caught...
     assert score.recall == 1.0
     # ...but sloppy deletions are indistinguishable from stealthy whacks,

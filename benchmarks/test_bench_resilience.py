@@ -18,67 +18,11 @@ two runs of the same scenario.
 
 from conftest import write_artifact
 
-from repro.modelgen import build_figure2
-from repro.monitor import StallDetector
-from repro.repository import (
-    PERSISTENT,
-    BreakerState,
-    FaultInjector,
-    FaultKind,
-    Fetcher,
-    ResilienceConfig,
-)
-from repro.rp import RelyingParty
-from repro.simtime import HOUR
+from repro.experiments import CONTINENTAL_POINT, ETB_POINT, stalled_authority
+from repro.repository import BreakerState, FaultKind
 from repro.telemetry import MetricsRegistry
 
-STALLED = "rsync://continental.example/repo/"
-FLAKY = "rsync://etb.example/repo/"
 EPOCHS = 6
-GRACE = 4 * HOUR
-
-
-def run_scenario(resilient: bool, seed: int = 17):
-    """One warm refresh, then EPOCHS refreshes under a persistent stall.
-
-    Returns (per-epoch fetch costs in simulated seconds, rp, fetcher,
-    detector, per-epoch alert lists, metrics registry, artifact text).
-    """
-    world = build_figure2()
-    faults = FaultInjector(seed=seed)
-    metrics = MetricsRegistry()
-    config = ResilienceConfig()
-    if resilient:
-        fetcher = Fetcher(world.registry, world.clock, faults=faults,
-                          resilience=config, metrics=metrics)
-        rp = RelyingParty(world.trust_anchors, fetcher, stale_grace=GRACE,
-                          fetch_budget=10 * 60, metrics=metrics)
-    else:
-        fetcher = Fetcher(world.registry, world.clock, faults=faults,
-                          metrics=metrics)
-        rp = RelyingParty(world.trust_anchors, fetcher, metrics=metrics)
-    detector = StallDetector(metrics=metrics)
-
-    rp.refresh()  # healthy warm-up: cache fully populated
-    faults.schedule(FaultKind.STALL, STALLED, count=PERSISTENT)
-    faults.schedule(FaultKind.FLAKY, FLAKY, count=1)  # one benign blip
-
-    costs, alert_log, lines = [], [], []
-    for epoch in range(1, EPOCHS + 1):
-        world.clock.advance(HOUR)
-        before = world.clock.now
-        report = rp.refresh()
-        costs.append(world.clock.now - before)
-        alerts = detector.observe(report.fetches)
-        alert_log.append(alerts)
-        lines.append(
-            f"epoch {epoch}: cost={costs[-1]}s vrps={len(rp.vrps)} "
-            f"stale={len(report.stale_points)} "
-            f"expired={len(report.expired_points)} "
-            f"alerts={[a.kind.value for a in alerts]}"
-        )
-    artifact = "\n".join(lines) + "\n"
-    return costs, rp, fetcher, detector, alert_log, metrics, artifact
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +31,8 @@ def run_scenario(resilient: bool, seed: int = 17):
 
 
 def test_unprotected_cost_grows_linearly():
-    costs, rp, fetcher, _, _, _, _ = run_scenario(resilient=False)
+    run = stalled_authority(resilient=False)
+    costs, rp, fetcher = run.costs, run.rp, run.fetcher
     # Every epoch burns the full single-attempt timeout on the stall:
     # cumulative cost is exactly linear in the number of refreshes.
     assert costs == [fetcher.attempt_timeout] * EPOCHS
@@ -97,7 +42,8 @@ def test_unprotected_cost_grows_linearly():
 
 
 def test_resilient_cost_bounded_by_deadline_times_retry_cap():
-    costs, rp, fetcher, _, _, _, _ = run_scenario(resilient=True)
+    run = stalled_authority(resilient=True)
+    costs, rp, fetcher = run.costs, run.rp, run.fetcher
     policy = fetcher.resilience.retry
     bound = policy.worst_case_seconds()
     # Acceptance criterion: refresh cost under a stalling authority is
@@ -115,8 +61,8 @@ def test_resilient_cost_bounded_by_deadline_times_retry_cap():
 
 
 def test_stale_serve_then_expiry_is_observable():
-    _, rp, _, _, _, metrics, _ = run_scenario(resilient=True)
-    report = rp.last_run
+    metrics = MetricsRegistry()
+    report = stalled_authority(resilient=True, metrics=metrics).rp.last_run
     assert report is not None
     assert metrics.get("repro_cache_stale_serves_total").value() > 0
     assert metrics.get("repro_cache_expired_drops_total").value() > 0
@@ -128,18 +74,19 @@ def test_stale_serve_then_expiry_is_observable():
 
 
 def test_monitor_flags_stall_but_not_background_churn():
-    _, _, _, detector, alert_log, _, _ = run_scenario(resilient=True)
+    run = stalled_authority(resilient=True)
+    detector, alert_log = run.detector, run.alert_log
     threshold = detector.config.alert_threshold
     # Quiet until the streak reaches the threshold...
     for epoch_alerts in alert_log[: threshold - 1]:
         assert epoch_alerts == []
     # ...then pages on the stalled point every epoch the stall persists.
     for epoch_alerts in alert_log[threshold - 1:]:
-        assert [a.point_uri for a in epoch_alerts] == [STALLED]
+        assert [a.point_uri for a in epoch_alerts] == [CONTINENTAL_POINT]
         assert all(a.is_suspicious for a in epoch_alerts)
     # The one-off flaky fetch never accumulates a streak.
-    assert detector.stalled_points() == [STALLED]
-    assert detector.consecutive.get(FLAKY, 0) < threshold
+    assert detector.stalled_points() == [CONTINENTAL_POINT]
+    assert detector.consecutive.get(ETB_POINT, 0) < threshold
 
 
 # ---------------------------------------------------------------------------
@@ -148,20 +95,22 @@ def test_monitor_flags_stall_but_not_background_churn():
 
 
 def test_scenario_is_deterministic(artifacts_dir):
-    first = run_scenario(resilient=True)
-    second = run_scenario(resilient=True)
-    assert first[6] == second[6]  # artifact text
-    assert first[0] == second[0]  # per-epoch costs
+    registries = MetricsRegistry(), MetricsRegistry()
+    first, second = (
+        stalled_authority(resilient=True, metrics=m) for m in registries
+    )
+    assert first.render() == second.render()  # artifact text
+    assert first.costs == second.costs
     assert (
-        first[5].render_text() == second[5].render_text()
+        registries[0].render_text() == registries[1].render_text()
     )  # full telemetry registry, spans included
-    write_artifact("resilience_stall.txt", first[6])
+    write_artifact("resilience_stall.txt", first.render())
 
 
 def test_fault_sequence_is_seed_deterministic():
     runs = []
     for _ in range(2):
-        _, _, fetcher, _, _, _, _ = run_scenario(resilient=True, seed=23)
+        fetcher = stalled_authority(resilient=True, seed=23).fetcher
         runs.append(list(fetcher.faults.applied))
     assert runs[0] == runs[1]
     # A different seed may reorder the FLAKY coin flips — but the
@@ -175,9 +124,5 @@ def test_fault_sequence_is_seed_deterministic():
 
 
 def test_bench_resilient_refresh_under_stall(benchmark):
-    def run():
-        costs, *_ = run_scenario(resilient=True)
-        return costs
-
-    costs = benchmark(run)
-    assert len(costs) == EPOCHS
+    run = benchmark(stalled_authority, resilient=True)
+    assert len(run.costs) == EPOCHS

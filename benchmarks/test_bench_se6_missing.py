@@ -10,28 +10,14 @@ to quantify how much of the RPKI sits in the dangerous covered position.
 from conftest import write_artifact
 
 from repro.core import missing_roa_impact
+from repro.experiments import side_effect6
 from repro.modelgen import DeploymentConfig, build_deployment
 from repro.rp import VRP, RouteValidity, VrpSet
 
-FIGURE2_VRPS = [
-    ("63.161.0.0/16-24", 1239),
-    ("63.162.0.0/16-24", 1239),
-    ("63.168.93.0/24", 19429),
-    ("63.174.16.0/20", 17054),
-    ("63.174.16.0/22", 7341),
-    ("63.174.20.0/24", 17054),
-    ("63.174.28.0/24", 17054),
-    ("63.174.30.0/24", 17054),
-]
-
-
-def analyze_figure2():
-    vrps = VrpSet(VRP.parse(t, a) for t, a in FIGURE2_VRPS)
-    return {str(v): missing_roa_impact(vrps, v) for v in vrps}
-
 
 def test_se6_figure2(benchmark):
-    impacts = benchmark(analyze_figure2)
+    table = benchmark(side_effect6)
+    impacts = table.impacts
 
     # The paper's example: the covered /22 goes invalid when missing.
     assert impacts["(63.174.16.0/22, AS7341)"].resulting_state is (
@@ -44,10 +30,7 @@ def test_se6_figure2(benchmark):
     invalid_count = sum(1 for i in impacts.values() if i.becomes_invalid)
     assert invalid_count == 4  # the four ROAs under the /20 umbrella
 
-    lines = ["Side Effect 6 — what happens when each Figure 2 ROA goes missing", ""]
-    for name, impact in sorted(impacts.items()):
-        lines.append(f"{name:<28} -> {impact.resulting_state.value}")
-    write_artifact("se6_missing.txt", "\n".join(lines))
+    write_artifact("se6_missing.txt", table.render())
 
 
 def test_se6_deployment_exposure(benchmark):

@@ -7,39 +7,12 @@ route) and asserts the paper's chain of events under both policies.
 from conftest import write_artifact
 
 from repro.bgp import LocalPolicy
-from repro.core import ClosedLoopSimulation, RepositoryDependencyGraph
-from repro.modelgen import build_figure2, figure2_bgp
-from repro.repository import FaultInjector, FaultKind
-
-
-def run_loop(policy):
-    world = build_figure2()
-    world.sprint.issue_roa(1239, "63.160.0.0/12-13")  # condition (b)
-    graph, originations, rp_asn = figure2_bgp()
-    faults = FaultInjector(seed=7)
-    loop = ClosedLoopSimulation(
-        registry=world.registry,
-        authorities=[world.arin],
-        graph=graph,
-        originations=originations,
-        rp_asn=rp_asn,
-        policy=policy,
-        clock=world.clock,
-        faults=faults,
-    )
-    loop.step()
-    faults.schedule(
-        FaultKind.CORRUPT,
-        "rsync://continental.example/repo/",
-        file_name=world.target20_name,
-    )
-    for _ in range(5):
-        loop.step()
-    return world, loop
+from repro.experiments import circular_dependencies, side_effect7
 
 
 def test_se7_drop_invalid_persistent(benchmark):
-    world, loop = benchmark(run_loop, LocalPolicy.DROP_INVALID)
+    run = benchmark(side_effect7, LocalPolicy.DROP_INVALID)
+    loop = run.loop
     # The fault was transient; the failure is not.
     assert not loop.route_is_valid("63.174.16.0/20", 17054)
     assert not loop.can_reach("63.174.23.0", 17054)
@@ -47,32 +20,21 @@ def test_se7_drop_invalid_persistent(benchmark):
         "rsync://continental.example/repo/"
     ]
 
-    lines = ["Side Effect 7 under drop-invalid", ""]
-    lines += [str(r) for r in loop.epochs]
-    write_artifact("se7_drop_invalid.txt", "\n".join(lines))
+    write_artifact("se7_drop_invalid.txt", run.render())
 
 
 def test_se7_depref_invalid_heals(benchmark):
-    world, loop = benchmark(run_loop, LocalPolicy.DEPREF_INVALID)
+    run = benchmark(side_effect7, LocalPolicy.DEPREF_INVALID)
+    loop = run.loop
     assert loop.route_is_valid("63.174.16.0/20", 17054)
     assert loop.can_reach("63.174.23.0", 17054)
     assert not loop.epochs[-1].unreachable_points
 
-    lines = ["Side Effect 7 under depref-invalid", ""]
-    lines += [str(r) for r in loop.epochs]
-    write_artifact("se7_depref_invalid.txt", "\n".join(lines))
+    write_artifact("se7_depref_invalid.txt", run.render())
 
 
 def test_se7_static_analysis(benchmark):
-    def analyze():
-        world = build_figure2()
-        world.sprint.issue_roa(1239, "63.160.0.0/12-13")
-        graph, originations, _ = figure2_bgp()
-        return RepositoryDependencyGraph.build(
-            world.registry, [world.arin], originations
-        )
-
-    analysis = benchmark(analyze)
+    analysis = benchmark(circular_dependencies)
     traps = [c for c in analysis.cycles() if c.is_persistent_failure_trap]
     assert len(traps) == 1
     assert traps[0].cycle == ("rsync://continental.example/repo/",)

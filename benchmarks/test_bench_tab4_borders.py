@@ -7,17 +7,13 @@ synthetic deployment.
 
 from conftest import write_artifact
 
+from repro.experiments import table4
 from repro.jurisdiction import TABLE4_ROWS, cross_border_audit, render_table4
-from repro.modelgen import DeploymentConfig, build_deployment, build_table4_world
-
-
-def audit_table4_world():
-    world = build_table4_world()
-    return world, cross_border_audit(world.roots, world.as_country)
+from repro.modelgen import DeploymentConfig, build_deployment
 
 
 def test_tab4_paper_rows(benchmark):
-    world, findings = benchmark(audit_table4_world)
+    _world, findings = benchmark(table4)
 
     by_holder = {f.holder: f for f in findings if f.crosses_border}
     assert len(by_holder) == len(TABLE4_ROWS)

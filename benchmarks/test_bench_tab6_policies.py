@@ -6,31 +6,12 @@ reference topology) and asserts the paper's verdicts cell by cell.
 
 from conftest import write_artifact
 
-from repro.bgp import AsGraph, LocalPolicy
-from repro.core import TradeoffScenario, run_tradeoff
-
-
-def build_scenario():
-    graph = AsGraph.from_links(
-        provider_links=[
-            (100, 10), (100, 20), (200, 20), (200, 30),
-            (10, 1), (20, 2), (30, 3), (10, 4), (30, 666),
-        ],
-        peer_links=[(100, 200)],
-    )
-    return TradeoffScenario.build(
-        graph,
-        victim_prefix="10.4.0.0/16",
-        victim=4,
-        attacker=666,
-        covering_prefix="10.0.0.0/8",
-        covering_origin=10,
-    )
+from repro.bgp import LocalPolicy
+from repro.experiments import table6
 
 
 def test_tab6_policy_tradeoff(benchmark):
-    scenario = build_scenario()
-    table = benchmark(run_tradeoff, scenario)
+    table = benchmark(table6)
 
     drop_bgp = table.cell(LocalPolicy.DROP_INVALID, "routing-attack")
     drop_rpki = table.cell(LocalPolicy.DROP_INVALID, "rpki-manipulation")

@@ -13,19 +13,20 @@ beyond the nine hand-picked rows.
 Run:  python examples/border_audit.py
 """
 
+from repro.core import subtree_roas
+from repro.experiments import table4
 from repro.jurisdiction import (
     RIR,
     cross_border_audit,
     in_jurisdiction,
     render_table4,
 )
-from repro.modelgen import DeploymentConfig, build_deployment, build_table4_world
+from repro.modelgen import DeploymentConfig, build_deployment
 
 
 def main() -> None:
-    # -- the paper's nine rows, reproduced -------------------------------
-    world = build_table4_world()
-    findings = cross_border_audit(world.roots, world.as_country)
+    # -- the paper's nine rows, reproduced (python -m repro tab4) ----------
+    world, findings = table4()
     print("Table 4 — RCs & the countries they cover that are outside")
     print("the jurisdiction of their parent RIR")
     print("=" * 64)
@@ -34,8 +35,6 @@ def main() -> None:
     # -- whacking power across borders -------------------------------------
     print("\nWhat this means (Section 3.2):")
     arin = next(root for root, rir in world.roots if rir is RIR.ARIN)
-    from repro.core import subtree_roas
-
     foreign = [
         (roa.describe(), world.as_country[roa.asn])
         for _h, _n, roa in subtree_roas(arin)

@@ -14,65 +14,44 @@ to the repository becomes invalid, so the repository can never be fetched
 again, so the ROA stays missing — forever, until manual intervention.
 The same fault under depref-invalid heals by itself.
 
+Both halves are ``repro.experiments`` scenarios (``circular_dependencies``
+and ``side_effect7``, what ``python -m repro se7`` prints); this script
+only narrates them.
+
 Run:  python examples/circular_dependency.py
 """
 
 from repro.bgp import LocalPolicy
-from repro.core import ClosedLoopSimulation, RepositoryDependencyGraph
-from repro.modelgen import build_figure2, figure2_bgp
-from repro.repository import FaultInjector, FaultKind
+from repro.experiments import circular_dependencies, side_effect7
 
 
-def run_loop(policy: LocalPolicy) -> None:
-    world = build_figure2()
-    world.sprint.issue_roa(1239, "63.160.0.0/12-13")  # condition (b)
-    graph, originations, rp_asn = figure2_bgp()
-    faults = FaultInjector(seed=7)
-    loop = ClosedLoopSimulation(
-        registry=world.registry,
-        authorities=[world.arin],
-        graph=graph,
-        originations=originations,
-        rp_asn=rp_asn,
-        policy=policy,
-        clock=world.clock,
-        faults=faults,
-    )
+def narrate_loop(policy: LocalPolicy) -> None:
+    loop = side_effect7(policy).loop
 
     print(f"\nrelying-party policy: {policy.value}")
     print("-" * 60)
-    for epoch in range(6):
-        if epoch == 1:
-            print("  !! injecting ONE corrupted fetch of the self-hosted ROA")
-            faults.schedule(
-                FaultKind.CORRUPT,
-                "rsync://continental.example/repo/",
-                file_name=world.target20_name,
-            )
-        report = loop.step()
-        valid = loop.route_is_valid("63.174.16.0/20", 17054)
-        reach = loop.can_reach("63.174.23.0", 17054)
+    for report in loop.epochs:
+        if report.epoch == 1:
+            print("  !! ONE corrupted fetch of the self-hosted ROA")
+        # The only route this world can invalidate is the one to
+        # Continental's own repository.
+        route = "INVALID" if report.invalid_routes else "VALID  "
+        fetch = "FAILED" if report.unreachable_points else "ok"
         print(
-            f"  epoch {epoch}: {report.vrp_count} VRPs | "
-            f"route to repo {'VALID  ' if valid else 'INVALID'} | "
-            f"repo {'reachable' if reach else 'UNREACHABLE'}"
+            f"  epoch {report.epoch}: {report.vrp_count} VRPs | "
+            f"route to repo {route} | repo fetch {fetch}"
         )
     outcome = (
-        "PERSISTENT FAILURE — the fault never heals"
-        if not loop.can_reach("63.174.23.0", 17054)
-        else "recovered by itself"
+        "recovered by itself"
+        if loop.can_reach("63.174.23.0", 17054)
+        else "PERSISTENT FAILURE — the fault never heals"
     )
     print(f"  => {outcome}")
 
 
 def main() -> None:
     # First, the static analysis: where are the traps?
-    world = build_figure2()
-    world.sprint.issue_roa(1239, "63.160.0.0/12-13")
-    graph, originations, _ = figure2_bgp()
-    analysis = RepositoryDependencyGraph.build(
-        world.registry, [world.arin], originations
-    )
+    analysis = circular_dependencies()
     print("Static dependency analysis")
     print("==========================")
     for risk in analysis.cycles():
@@ -85,8 +64,8 @@ def main() -> None:
             print(f"                 is stored at {edge.dependency} itself")
 
     # Then the dynamic loop, under both policies.
-    run_loop(LocalPolicy.DROP_INVALID)
-    run_loop(LocalPolicy.DEPREF_INVALID)
+    narrate_loop(LocalPolicy.DROP_INVALID)
+    narrate_loop(LocalPolicy.DEPREF_INVALID)
 
 
 if __name__ == "__main__":

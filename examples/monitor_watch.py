@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """A monitoring watchtower over a churning RPKI (the open problem).
 
-Runs the Figure 2 world through twelve epochs of realistic churn —
-renewals, new customer ROAs, retirements (some done sloppily, without CRL
-entries) — with two whack attacks hidden at epochs 4 and 8.  An
+Runs the Figure 2 world through ten epochs of realistic churn —
+renewals, new customer ROAs, retirements (most done sloppily, without CRL
+entries) — with two whack attacks hidden at epochs 3 and 7.  An
 out-of-band monitor snapshots every epoch, diffs, and classifies; at the
-end the run is scored against ground truth.
+end the run is scored against ground truth.  The campaign is
+``repro.experiments.monitor_detection(0.8)`` — the sloppy half of
+``python -m repro monitor`` and the run behind ``monitor_sloppy.txt``.
 
 This is the experiment behind the paper's Section 3.1 remark that
 "distinguishing between abusive behavior and normal RPKI churn could be
@@ -16,52 +18,22 @@ stealthy-deletion alarm, dragging precision down.
 Run:  python examples/monitor_watch.py
 """
 
-from repro.core import execute_whack, plan_whack
-from repro.modelgen import build_figure2
-from repro.monitor import ChurnConfig, ChurnEngine, DetectionExperiment
+from repro.experiments import monitor_detection
 
 
 def main() -> None:
-    world = build_figure2()
-    churn = ChurnEngine(
-        world.authorities(),
-        config=ChurnConfig(
-            renew_rate=0.4,
-            new_roa_rate=0.25,
-            retire_rate=0.15,
-            sloppy_delete_prob=0.5,   # half the operators skip the CRL
-        ),
-        seed=42,
-        protected={world.target20.describe(), world.target22.describe()},
-    )
-    experiment = DetectionExperiment(
-        registry=world.registry, churn=churn, clock=world.clock
-    )
-
-    def attack_shrink():
-        plan = plan_whack(world.sprint, world.target20, world.continental)
-        execute_whack(plan)
-        return [world.target20.describe()]
-
-    def attack_mbb():
-        plan = plan_whack(world.sprint, world.target22, world.continental)
-        execute_whack(plan)
-        return [world.target22.describe()] + [
-            d.description for d in plan.reissued
-        ]
-
-    attacks = {4: attack_shrink, 8: attack_mbb}
+    # 80% of benign retirements skip the CRL.
+    experiment = monitor_detection(sloppy_prob=0.8)
 
     print("epoch  churn  alerts (suspicious ones marked)")
     print("-" * 64)
-    for epoch in range(12):
-        report = experiment.run_epoch(attacks.get(epoch))
-        attack_marker = "  << ATTACK INJECTED" if epoch in attacks else ""
-        print(f"{epoch:>5}  {report.churn_events:>5}  "
-              f"{len(report.alerts)} alert(s){attack_marker}")
+    for report in experiment.history:
+        marker = "  << ATTACK INJECTED" if report.attacked_payloads else ""
+        print(f"{report.epoch:>5}  {report.churn_events:>5}  "
+              f"{len(report.alerts)} alert(s){marker}")
         for alert in report.alerts:
-            marker = " !!" if alert.is_suspicious else "   "
-            print(f"      {marker} {alert}")
+            flag = " !!" if alert.is_suspicious else "   "
+            print(f"      {flag} {alert}")
 
     print("\nFinal score")
     print("-" * 64)

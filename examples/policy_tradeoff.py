@@ -4,35 +4,22 @@
 Runs the paper's Section 5 experiment on a small Internet: a victim, an
 attacker mounting a subprefix hijack (the BGP threat) and a manipulator
 whacking the victim's ROA while a covering ROA survives (the RPKI
-threat), crossed with both relying-party policies.
+threat), crossed with both relying-party policies.  The scenario is
+``repro.experiments.table6`` — the one ``python -m repro tab6`` prints
+and ``benchmarks/test_bench_tab6_policies.py`` asserts on.
 
 Run:  python examples/policy_tradeoff.py
 """
 
-from repro.bgp import AsGraph, LocalPolicy
-from repro.core import TradeoffScenario, run_tradeoff
+from repro.bgp import LocalPolicy
+from repro.experiments import table6
 
 
 def main() -> None:
     # The reference topology: two tier-1s, three mid-tier providers,
-    # stubs, a victim (AS 4) and an attacker (AS 666).
-    graph = AsGraph.from_links(
-        provider_links=[
-            (100, 10), (100, 20), (200, 20), (200, 30),
-            (10, 1), (20, 2), (30, 3), (10, 4), (30, 666),
-        ],
-        peer_links=[(100, 200)],
-    )
-    scenario = TradeoffScenario.build(
-        graph,
-        victim_prefix="10.4.0.0/16",
-        victim=4,
-        attacker=666,
-        covering_prefix="10.0.0.0/8",   # the ROA that survives the whack
-        covering_origin=10,
-    )
-
-    table = run_tradeoff(scenario)
+    # stubs, a victim (AS 4) and an attacker (AS 666); the covering ROA
+    # (10.0.0.0/8, AS 10) survives the whack.
+    table = table6()
     print("Table 6 — impact of different local policies")
     print("=" * 64)
     print(table.render())

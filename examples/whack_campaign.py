@@ -11,10 +11,13 @@ Demonstrates, against the Figure 2 RPKI:
    make-before-break and leaves the suspicious-reissue fingerprint that
    the monitor (the paper's proposed countermeasure) detects.
 
+The whacks are ``repro.experiments.figure3`` (what ``python -m repro
+fig3`` prints); this script adds the relying-party and monitor views.
+
 Run:  python examples/whack_campaign.py
 """
 
-from repro.core import collateral_of_revocation, execute_whack, plan_whack
+from repro.experiments import figure3, revocation_collateral
 from repro.modelgen import build_figure2
 from repro.monitor import analyze, diff_snapshots, take_snapshot
 from repro.repository import Fetcher
@@ -29,43 +32,39 @@ def fresh_rp(world):
     return rp
 
 
+def monitor_alerts(world):
+    """What an out-of-band monitor sees: the pristine Figure 2 world (every
+    ``figure3`` whack starts from one) diffed against *world* after it."""
+    before = take_snapshot(build_figure2().registry, world.clock.now)
+    after = take_snapshot(world.registry, world.clock.now)
+    return analyze(diff_snapshots(before, after), before, after)
+
+
 def main() -> None:
     # -- 1. why revocation is a blunt instrument ---------------------------
-    world = build_figure2()
-    damage = collateral_of_revocation(world.continental, world.target20)
+    damage = revocation_collateral()
     print("Option 1: revoke Continental Broadband's RC")
-    print(f"  collateral: {len([d for d in damage if d.kind == 'roa'])} "
-          "other ROAs whacked:")
+    print(f"  collateral: {len(damage)} other ROAs whacked:")
     for item in damage:
-        if item.kind == "roa":
-            print(f"    - {item}")
+        print(f"    - {item}")
 
     # -- 2. targeted grandchild whacking (Side Effect 3) --------------------
     print("\nOption 2: targeted whack of (63.174.16.0/20, AS 17054)")
-    plan = plan_whack(world.sprint, world.target20, world.continental)
+    world, plan = figure3(20)
     print("  " + plan.describe().replace("\n", "\n  "))
-    before = take_snapshot(world.registry, world.clock.now)
-    execute_whack(plan)
     rp = fresh_rp(world)
     print(f"  route (63.174.16.0/20, AS17054) is now: "
           f"{rp.classify_parts('63.174.16.0/20', 17054).value}")
     print(f"  surviving VRPs: {len(rp.vrps)} of 8 "
           "(only the target was whacked)")
-
-    # what a monitor would see
-    after = take_snapshot(world.registry, world.clock.now)
-    alerts = analyze(diff_snapshots(before, after), before, after)
     print("  monitor alerts:")
-    for alert in alerts:
+    for alert in monitor_alerts(world):
         print(f"    {alert}")
 
     # -- 3. make-before-break (Figure 3) -------------------------------------
     print("\nOption 3: whack (63.174.16.0/22, AS 7341) — no clean hole exists")
-    world = build_figure2()  # fresh world
-    plan = plan_whack(world.sprint, world.target22, world.continental)
+    world, plan = figure3(22)
     print("  " + plan.describe().replace("\n", "\n  "))
-    before = take_snapshot(world.registry, world.clock.now)
-    execute_whack(plan)
     rp = fresh_rp(world)
     print(f"  route (63.174.16.0/22, AS7341)  -> "
           f"{rp.classify_parts('63.174.16.0/22', 7341).value} "
@@ -73,11 +72,8 @@ def main() -> None:
     print(f"  route (63.174.16.0/20, AS17054) -> "
           f"{rp.classify_parts('63.174.16.0/20', 17054).value} "
           "(kept alive by Sprint's make-before-break reissue)")
-
-    after = take_snapshot(world.registry, world.clock.now)
-    alerts = analyze(diff_snapshots(before, after), before, after)
     print("  monitor alerts (note the critical fingerprint):")
-    for alert in alerts:
+    for alert in monitor_alerts(world):
         print(f"    {alert}")
 
 

@@ -16,6 +16,7 @@ Layering (import order is strictly bottom-up)::
                                    \\------------ core / monitor / jurisdiction
                                                   modelgen (fixtures & generators)
                                                   chaos (fault campaigns over all of it)
+                                                  experiments (one function per paper figure/table)
 
 **This module is the stable public API.**  Everything re-exported here —
 the names in ``__all__`` — is the documented entry point::
@@ -160,7 +161,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [

@@ -23,25 +23,47 @@
     python -m repro all             # everything, in order
 
 Every command is deterministic (fixed seeds) and prints a self-contained
-text artifact; the same computations back the pytest benchmarks.  Every
-command accepts the same option trio: ``--emit-metrics`` / ``--json``
-appends the rendered telemetry registry (see docs/telemetry.md for the
-metric inventory), ``--seed N`` reseeds whatever randomness the command
-consumes, and ``--scale`` sizes its generated deployment — the
-hierarchical shapes (``small`` / ``medium`` / ``large``) or the flat
-Internet-scale family (``internet-small`` / ``internet`` /
-``internet-large``, 10⁴–10⁵ ROAs; see
-:data:`repro.modelgen.INTERNET_SCALES`).  Commands pinned to the paper's
-hand-built fixtures (fig2, fig5, tab4, ...) accept the trio for
-uniformity but regenerate the published artifact regardless of seed or
-scale.
+text artifact.  The paper commands (fig2 ... resilience) print the
+``render()`` of one :mod:`repro.experiments` function — the call whose
+output ``benchmarks/test_bench_*.py`` commits under
+``benchmarks/artifacts/`` — so their stdout contains that file verbatim;
+the system walkthroughs (perf ... profile) are implemented here.
+``tools/check_docs.py`` keeps the list above and ``_COMMANDS`` in step.
+
+Every command accepts the same option trio: ``--emit-metrics`` /
+``--json`` appends the rendered telemetry registry (docs/telemetry.md),
+``--seed N`` reseeds whatever randomness the command consumes, and
+``--scale`` sizes its generated deployment (either family of
+:func:`repro.modelgen.resolve_scale`).  Commands over the paper's
+hand-built fixtures accept ``--scale`` for uniformity and ignore it.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import Callable
+
+from . import experiments
+from .api import ApiConfig, QueryService, RateLimitConfig
+from .chaos import (
+    CampaignConfig, StallorisConfig, measure_stalloris, run_campaign,
+    shrink_plan,
+)
+from .core import demonstrate_all
+from .jurisdiction import render_table4
+from .modelgen import (
+    HIERARCHICAL_SCALES, INTERNET_SCALES, DeploymentConfig, build_deployment,
+    resolve_scale,
+)
+from .profiling import profile_refresh
+from .repository import Fetcher
+from .rp import RelyingParty
+from .rtr import (
+    CacheChain, DuplexPipe, RouterState, RtrCacheServer, RtrRouterClient,
+)
+from .simtime import HOUR
+from .telemetry import default_registry
+from .telemetry.render import registry_from_dict
 
 __all__ = ["main"]
 
@@ -51,309 +73,146 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 
 
-def _build_rp(world, **opts):
-    """One relying party wired to *world*, telemetry and faults included.
-
-    The shared boilerplate every command needs: a
-    :class:`~repro.repository.Fetcher` over the world's registry and
-    clock, handed to a :class:`~repro.rp.RelyingParty`.  Keyword options
-    are split between the two constructors: ``reachability``, ``faults``
-    and ``metrics`` go to the fetcher; everything else (``keep_stale``,
-    ``strict_manifests``) to the relying party, which shares the same
-    telemetry registry.
-    """
-    from .repository import Fetcher
-    from .rp import RelyingParty
-
-    fetcher_opts = {
-        key: opts.pop(key)
-        for key in ("reachability", "faults", "metrics")
-        if key in opts
-    }
-    fetcher = Fetcher(world.registry, world.clock, **fetcher_opts)
-    return RelyingParty(
-        world.trust_anchors, fetcher,
-        metrics=fetcher.metrics, **opts,
-    )
-
-
 def _seed(args, default: int) -> int:
     """The command's seed: ``--seed`` when given, its pinned default else."""
-    value = getattr(args, "seed", None)
-    return default if value is None else value
+    return default if args.seed is None else args.seed
 
 
 def _scale(args, default: str) -> str:
     """The command's deployment scale, same resolution as :func:`_seed`."""
-    value = getattr(args, "scale", None)
-    return default if value is None else value
+    return default if args.scale is None else args.scale
+
+
+def _rsa_verifies(registry) -> float:
+    """RSA verifications *registry* has counted so far, either outcome."""
+    verify = registry.get("repro_crypto_verify_total")
+    return verify.value(outcome="accepted") + verify.value(outcome="rejected")
+
+
+def _build_rp(world, **opts):
+    """One relying party over *world*, reporting to the default registry
+    (what ``--emit-metrics`` renders)."""
+    return RelyingParty(
+        world.trust_anchors, Fetcher(world.registry, world.clock), **opts
+    )
+
+
+def _generated_world(args, default_scale: str, default_seed: int, **rp_opts):
+    """``--scale``/``--seed`` resolved to a generated deployment (either
+    family, see :func:`repro.modelgen.resolve_scale`) and a relying party
+    over it.  Returns ``(scale_name, config, world, rp)``."""
+    scale = _scale(args, default_scale)
+    config = resolve_scale(scale, _seed(args, default_seed))
+    world = build_deployment(config)
+    return scale, config, world, _build_rp(world, **rp_opts)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# paper commands: a title, one repro.experiments result, a line of commentary
 # ---------------------------------------------------------------------------
 
 
 def cmd_fig2(_args) -> None:
-    from .modelgen import build_figure2
-
-    world = build_figure2()
-    print("Figure 2 — excerpt of a model RPKI\n")
-    for ca in world.authorities():
-        parent = ca.parent.handle if ca.parent else "(trust anchor)"
-        print(f"{ca.handle:<24} {str(ca.resources):<36} parent: {parent}")
-        for roa in ca.issued_roas.values():
-            print(f"    ROA {roa.describe()}")
-    rp = _build_rp(world)
-    report = rp.refresh()
-    print(f"\nrelying party: {len(rp.vrps)} VRPs, "
-          f"{len(report.run.errors())} errors")
+    model = experiments.figure2()
+    print(model.render())
+    print(f"\nrelying party: {len(model.rp.vrps)} VRPs, "
+          f"{len(model.report.run.errors())} errors")
 
 
 def cmd_fig3(_args) -> None:
-    from .core import collateral_of_revocation, execute_whack, plan_whack
-    from .modelgen import build_figure2
-
-    world = build_figure2()
-    blunt = collateral_of_revocation(world.continental, world.target20)
     print("Revoking Continental Broadband's RC would whack "
-          f"{len([d for d in blunt if d.kind == 'roa'])} additional ROAs.\n")
-    for target_name, target in [
-        ("grandchild target (Side Effect 3)", world.target20),
-        ("overlapped target (Figure 3)", world.target22),
-    ]:
-        fresh = build_figure2()
-        fresh_target = (
-            fresh.target20 if target is world.target20 else fresh.target22
-        )
-        plan = plan_whack(fresh.sprint, fresh_target, fresh.continental)
-        print(f"== {target_name} ==")
+          f"{len(experiments.revocation_collateral())} additional ROAs.\n")
+    for title, target in (("grandchild target (Side Effect 3)", 20),
+                          ("overlapped target (Figure 3)", 22)):
+        _world, plan = experiments.figure3(target)
+        print(f"== {title} ==")
         print(plan.describe())
-        execute_whack(plan)
         print()
 
 
 def cmd_fig5(args) -> None:
-    from .core import validity_matrix
-    from .rp import VRP, VrpSet
-
-    specs = [
-        ("63.161.0.0/16-24", 1239), ("63.162.0.0/16-24", 1239),
-        ("63.168.93.0/24", 19429), ("63.174.16.0/20", 17054),
-        ("63.174.16.0/22", 7341), ("63.174.20.0/24", 17054),
-        ("63.174.28.0/24", 17054), ("63.174.30.0/24", 17054),
-    ]
     if args.right:
-        specs.append(("63.160.0.0/12-13", 1239))
         print("Figure 5 (right): with ROA (63.160.0.0/12-13, AS 1239)\n")
     else:
         print("Figure 5 (left): the Figure 2 ROAs\n")
-    vrps = VrpSet(VRP.parse(t, a) for t, a in specs)
-    matrix = validity_matrix(
-        vrps, "63.160.0.0/12",
-        lengths=[12, 13, 16, 20, 22, 24],
-        origins=[1239, 17054, 7341],
-    )
-    print(matrix.render())
+    print(experiments.figure5(args.right).render())
 
 
 def cmd_tab4(_args) -> None:
-    from .jurisdiction import cross_border_audit, render_table4
-    from .modelgen import build_table4_world
-
-    world = build_table4_world()
-    findings = cross_border_audit(world.roots, world.as_country)
+    _world, findings = experiments.table4()
     print("Table 4 — RCs & the countries they cover outside the\n"
           "jurisdiction of their parent RIR\n")
     print(render_table4(findings))
 
 
 def cmd_tab6(_args) -> None:
-    from .bgp import AsGraph
-    from .core import TradeoffScenario, run_tradeoff
-
-    graph = AsGraph.from_links(
-        provider_links=[
-            (100, 10), (100, 20), (200, 20), (200, 30),
-            (10, 1), (20, 2), (30, 3), (10, 4), (30, 666),
-        ],
-        peer_links=[(100, 200)],
-    )
-    scenario = TradeoffScenario.build(
-        graph, "10.4.0.0/16", 4, 666,
-        covering_prefix="10.0.0.0/8", covering_origin=10,
-    )
     print("Table 6 — impact of different local policies\n")
-    print(run_tradeoff(scenario).render())
+    print(experiments.table6().render())
 
 
 def cmd_se6(_args) -> None:
-    from .core import missing_roa_impact
-    from .rp import VRP, VrpSet
-
-    specs = [
-        ("63.161.0.0/16-24", 1239), ("63.162.0.0/16-24", 1239),
-        ("63.168.93.0/24", 19429), ("63.174.16.0/20", 17054),
-        ("63.174.16.0/22", 7341), ("63.174.20.0/24", 17054),
-        ("63.174.28.0/24", 17054), ("63.174.30.0/24", 17054),
-    ]
-    vrps = VrpSet(VRP.parse(t, a) for t, a in specs)
-    print("Side Effect 6 — route state if each ROA goes missing\n")
-    for vrp in vrps:
-        impact = missing_roa_impact(vrps, vrp)
-        marker = "  <-- invalid, not unknown!" if impact.becomes_invalid else ""
-        print(f"{str(vrp):<30} -> {impact.resulting_state.value}{marker}")
+    table = experiments.side_effect6()
+    print(table.render())
+    covered = sum(i.becomes_invalid for i in table.impacts.values())
+    print(f"\n=> {covered} of {len(table.impacts)} routes end up invalid, "
+          "not unknown! — a covering ROA\n   outlives the missing one.")
 
 
 def cmd_se7(args) -> None:
-    from .bgp import LocalPolicy
-    from .core import ClosedLoopSimulation
-    from .modelgen import build_figure2, figure2_bgp
-    from .repository import FaultInjector, FaultKind
-
-    policy = LocalPolicy(args.policy)
-    world = build_figure2()
-    world.sprint.issue_roa(1239, "63.160.0.0/12-13")
-    graph, originations, rp_asn = figure2_bgp()
-    faults = FaultInjector(seed=_seed(args, 7))
-    loop = ClosedLoopSimulation(
-        registry=world.registry, authorities=[world.arin],
-        graph=graph, originations=originations, rp_asn=rp_asn,
-        policy=policy, clock=world.clock, faults=faults,
-    )
-    print(f"Side Effect 7 closed loop under {policy.value}\n")
-    for epoch in range(6):
-        if epoch == 1:
-            print("!! injecting one corrupted fetch of the self-hosted ROA")
-            faults.schedule(
-                FaultKind.CORRUPT, "rsync://continental.example/repo/",
-                file_name=world.target20_name,
-            )
-        report = loop.step()
-        state = "VALID" if loop.route_is_valid("63.174.16.0/20", 17054) \
-            else "INVALID"
-        reach = "reachable" if loop.can_reach("63.174.23.0", 17054) \
-            else "UNREACHABLE"
-        print(f"epoch {epoch}: {report.vrp_count} VRPs | repo route {state} "
-              f"| repo {reach}")
-    healed = loop.can_reach("63.174.23.0", 17054)
-    print("\n=> " + ("recovered" if healed else
-                     "PERSISTENT FAILURE (manual intervention required)"))
+    run = experiments.side_effect7(args.policy, seed=_seed(args, 7))
+    print(run.render())
+    print("\n(one corrupted fetch of Continental's self-hosted ROA, "
+          "injected after epoch 0)")
+    healed = run.loop.can_reach("63.174.23.0", 17054)
+    print("=> " + ("recovered" if healed else
+                   "PERSISTENT FAILURE (manual intervention required)"))
 
 
 def cmd_monitor(args) -> None:
-    from .core import execute_whack, plan_whack
-    from .modelgen import build_figure2
-    from .monitor import ChurnConfig, ChurnEngine, DetectionExperiment
-
-    world = build_figure2()
-    churn = ChurnEngine(
-        world.authorities(),
-        config=ChurnConfig(sloppy_delete_prob=0.5),
-        seed=_seed(args, 11),
-        protected={world.target20.describe(), world.target22.describe()},
-    )
-    experiment = DetectionExperiment(
-        registry=world.registry, churn=churn, clock=world.clock
-    )
-
-    def attack():
-        plan = plan_whack(world.sprint, world.target20, world.continental)
-        execute_whack(plan)
-        return [world.target20.describe()]
-
-    for epoch in range(8):
-        experiment.run_epoch(attack if epoch == 4 else None)
-    print("Whack detection amid churn (attack at epoch 4, 50% sloppy ops)\n")
-    print(experiment.score().render())
+    seed = _seed(args, 11)
+    print("Whack detection amid churn (10 epochs; whacks hidden at "
+          "epochs 3 and 7)\n")
+    for title, sloppy_prob in (
+        ("disciplined operators: every retirement on the CRL", 0.0),
+        ("sloppy operators: 80% of retirements skip the CRL", 0.8),
+    ):
+        print(f"== {title}")
+        experiment = experiments.monitor_detection(sloppy_prob, seed)
+        print(experiment.score().render())
+        print()
+    print("=> the whacks are caught either way; what sloppy churn costs is\n"
+          "   precision — a benign deletion without a CRL entry raises the\n"
+          "   same stealthy-deletion alarm as an attack.")
 
 
 def cmd_granularity(_args) -> None:
-    from .core import whack_blast_radius
-    from .rp import VRP, VrpSet
-
-    print("Section 7 — takedown granularity (target: one address)\n")
-    print(f"{'ROA length':<12}{'addresses disturbed':>22}"
-          f"{'minimum takedown unit':>24}")
-    for roa_length in (24, 20, 16, 12):
-        vrps = VrpSet([VRP.parse(f"63.160.0.0/{roa_length}", 17054)])
-        radius = whack_blast_radius("63.160.0.77", vrps)
-        print(f"/{roa_length:<11}{radius.disturbed_addresses:>22}"
-              f"{radius.minimum_unreachable:>24}")
-    print("\ndomain-name seizure equivalent: 1 name")
+    print(experiments.granularity().render())
 
 
 def cmd_resilience(args) -> None:
-    from .modelgen import build_figure2
-    from .monitor import StallDetector
-    from .repository import (
-        PERSISTENT,
-        FaultInjector,
-        FaultKind,
-        Fetcher,
-        ResilienceConfig,
-    )
-    from .rp import RelyingParty
-    from .simtime import HOUR
-
-    stalled = "rsync://continental.example/repo/"
-    flaky = "rsync://etb.example/repo/"
-    config = ResilienceConfig()
-    epochs = args.epochs
-
-    def run_variant(resilient: bool) -> tuple[list[str], int]:
-        world = build_figure2()
-        faults = FaultInjector(seed=_seed(args, 17))
-        if resilient:
-            fetcher = Fetcher(world.registry, world.clock, faults=faults,
-                              resilience=config)
-            rp = RelyingParty(world.trust_anchors, fetcher,
-                              stale_grace=4 * HOUR, fetch_budget=10 * 60)
-        else:
-            fetcher = Fetcher(world.registry, world.clock, faults=faults)
-            rp = RelyingParty(world.trust_anchors, fetcher)
-        detector = StallDetector()
-        rp.refresh()  # epoch 0: healthy warm-up, cache fully populated
-        faults.schedule(FaultKind.STALL, stalled, count=PERSISTENT)
-        faults.schedule(FaultKind.FLAKY, flaky, count=1)  # one benign blip
-        rows, total = [], 0
-        for epoch in range(1, epochs + 1):
-            world.clock.advance(HOUR)
-            before = world.clock.now
-            report = rp.refresh()
-            cost = world.clock.now - before
-            total += cost
-            alerts = detector.observe(report.fetches)
-            breaker = fetcher.breakers.get("continental.example")
-            state = breaker.state.value if breaker else "-"
-            flagged = ",".join(sorted({a.kind.value for a in alerts})) or "-"
-            rows.append(
-                f"{epoch:>5}  {cost:>15}  {len(rp.vrps):>4}  "
-                f"{len(report.stale_points):>5}  {len(report.expired_points):>7}  "
-                f"{state:<9}  {flagged}"
-            )
-        return rows, total
-
     print("Stalled authority (Stalloris-style) vs. the fetch pipeline\n")
-    print(f"stall target: {stalled} (persistent, from epoch 1)")
-    print(f"benign churn: one transient flaky fetch of {flaky} at epoch 1\n")
-    header = ("epoch  refresh-cost(s)  VRPs  stale  expired  breaker    alerts")
+    print(f"stall target: {experiments.CONTINENTAL_POINT} "
+          "(persistent, from epoch 1)")
+    print("benign churn: one transient flaky fetch of "
+          f"{experiments.ETB_POINT} at epoch 1\n")
     for resilient in (False, True):
+        run = experiments.stalled_authority(
+            resilient, args.epochs, _seed(args, 17))
         if resilient:
-            retry = config.retry
+            retry = run.fetcher.resilience.retry
             print(f"== resilient fetcher ({retry.attempt_deadline} s deadline "
                   f"x {retry.max_attempts} attempts, per-host breaker, "
                   "4 h stale grace)")
+            bound = (f"bounded by worst-case {retry.worst_case_seconds()} "
+                     "s/refresh")
         else:
-            print("== unprotected fetcher (single attempt, 3600 s timeout, "
+            print("== unprotected fetcher (single attempt, "
+                  f"{run.fetcher.attempt_timeout} s timeout, "
                   "stale served forever)")
-        rows, total = run_variant(resilient)
-        print(header)
-        for row in rows:
-            print(row)
-        bound = (f"bounded by worst-case {config.retry.worst_case_seconds()} "
-                 "s/refresh" if resilient else "grows linearly with the stall")
-        print(f"total simulated seconds fetching: {total} ({bound})\n")
+            bound = "grows linearly with the stall"
+        print(run.render(), end="")
+        print(f"total simulated seconds fetching: {sum(run.costs)} "
+              f"({bound})\n")
     print("=> the unprotected RP burns its whole refresh interval on the\n"
           "   stalled point every cycle; the resilient RP caps the cost,\n"
           "   opens the breaker, serves stale data through the grace window,\n"
@@ -362,38 +221,13 @@ def cmd_resilience(args) -> None:
           "   observable Stalloris endpoint.")
 
 
-_REFRESH_SCALES = {
-    "small": dict(isps_per_rir=2, customers_per_isp=1, suballocation_depth=1),
-    "medium": dict(isps_per_rir=4, customers_per_isp=2, suballocation_depth=2),
-    "large": dict(isps_per_rir=8, customers_per_isp=2, suballocation_depth=3),
-}
-
-# The flat Internet-scale family lives in repro.modelgen.INTERNET_SCALES;
-# its names are repeated here (they are part of the CLI surface) so the
-# parser can offer them without importing modelgen at startup.
-_INTERNET_SCALE_NAMES = ("internet-small", "internet", "internet-large")
-
-
-def _deployment_config(args, default_scale: str, default_seed: int):
-    """Resolve ``--scale``/``--seed`` to a DeploymentConfig, either family.
-
-    Hierarchical names index :data:`_REFRESH_SCALES`; Internet-scale
-    names resolve through :func:`repro.profiling.resolve_scale` to the
-    flat generator's configs.  Returns ``(scale_name, config)``.
-    """
-    from .profiling import resolve_scale
-
-    scale = _scale(args, default_scale)
-    return scale, resolve_scale(scale, _seed(args, default_seed))
+# ---------------------------------------------------------------------------
+# system walkthroughs: implemented here, over a generated deployment
+# ---------------------------------------------------------------------------
 
 
 def cmd_refresh(args) -> None:
-    from .modelgen import build_deployment
-    from .simtime import HOUR
-
-    scale, config = _deployment_config(args, "medium", 21)
-    world = build_deployment(config)
-    rp = _build_rp(world)
+    scale, config, world, rp = _generated_world(args, "medium", 21)
     registry = rp.metrics
     world.clock.advance(HOUR)
     report = rp.refresh()
@@ -401,11 +235,8 @@ def cmd_refresh(args) -> None:
     print(f"deployment: {world.roa_count()} ROAs across "
           f"{len(world.authorities())} authorities "
           f"(suballocation depth {config.suballocation_depth})")
-    counter = registry.get("repro_crypto_verify_total")
-    verifies = (counter.value(outcome="accepted")
-                + counter.value(outcome="rejected"))
     print(f"discovery rounds: {report.rounds}")
-    print(f"RSA verifications: {int(verifies)}")
+    print(f"RSA verifications: {int(_rsa_verifies(registry))}")
     print(f"validated CAs: {len(report.run.validated_cas)}  "
           f"ROAs: {report.run.roa_count}  "
           f"VRPs: {len(report.vrps)}  "
@@ -413,14 +244,11 @@ def cmd_refresh(args) -> None:
 
 
 def cmd_perf(args) -> None:
-    from .modelgen import DeploymentConfig, build_deployment
-    from .simtime import HOUR
-
     # --scale swaps in the shared deployment shapes (either family); the
     # default keeps the historical perf deployment (6 ISPs/RIR, 2
     # customers each).
-    if getattr(args, "scale", None):
-        _scale_name, config = _deployment_config(args, args.scale, 21)
+    if args.scale:
+        config = resolve_scale(args.scale, _seed(args, 21))
     else:
         config = DeploymentConfig(
             seed=_seed(args, 21), isps_per_rir=6, customers_per_isp=2,
@@ -429,18 +257,15 @@ def cmd_perf(args) -> None:
     rp = _build_rp(world, mode="incremental")
     registry = rp.metrics
 
-    def verify_total() -> float:
-        counter = registry.get("repro_crypto_verify_total")
-        return (counter.value(outcome="accepted")
-                + counter.value(outcome="rejected"))
+    memo = registry.get("repro_incremental_verify_memo_total")
+    points = registry.get("repro_incremental_points_total")
 
-    def memo_counts() -> tuple[float, float]:
-        memo = registry.get("repro_incremental_verify_memo_total")
-        return memo.value(result="hit"), memo.value(result="miss")
-
-    def point_counts() -> tuple[float, float]:
-        points = registry.get("repro_incremental_points_total")
-        return points.value(outcome="reused"), points.value(outcome="validated")
+    def counts() -> tuple[float, ...]:
+        """(verifies, memo hits, memo misses, points reused, validated)"""
+        return (_rsa_verifies(registry),
+                memo.value(result="hit"), memo.value(result="miss"),
+                points.value(outcome="reused"),
+                points.value(outcome="validated"))
 
     epochs = args.epochs
     churn_epoch = epochs // 2
@@ -457,7 +282,7 @@ def cmd_perf(args) -> None:
           f"epoch {churn_epoch}\n")
     print("epoch  kind   RSA-verifies  memo-hit-rate  "
           "points reused/validated  VRPs")
-    cold_verifies = warm_verifies = 0.0
+    cold_verifies = warm_verifies = 0
     for epoch in range(epochs):
         kind = "cold"
         if epoch > 0:
@@ -466,32 +291,34 @@ def cmd_perf(args) -> None:
         if epoch == churn_epoch:
             churned_ca.renew_roa(roa_name)
             kind = "churn"
-        v0, (h0, m0), (r0, c0) = verify_total(), memo_counts(), point_counts()
+        before = counts()
         report = rp.refresh()
-        v1, (h1, m1), (r1, c1) = verify_total(), memo_counts(), point_counts()
-        lookups = (h1 - h0) + (m1 - m0)
-        hit_rate = (h1 - h0) / lookups if lookups else 0.0
+        verifies, hits, misses, reused, validated = (
+            int(after - was) for after, was in zip(counts(), before))
+        hit_rate = hits / (hits + misses) if hits + misses else 0.0
         if epoch == 0:
-            cold_verifies = v1 - v0
+            cold_verifies = verifies
         elif epoch == 1:
-            warm_verifies = v1 - v0
-        print(f"{epoch:>5}  {kind:<5}  {int(v1 - v0):>12}  "
-              f"{hit_rate:>12.1%}  {int(r1 - r0):>13}/{int(c1 - c0)}"
+            warm_verifies = verifies
+        print(f"{epoch:>5}  {kind:<5}  {verifies:>12}  "
+              f"{hit_rate:>12.1%}  {reused:>13}/{validated}"
               f"  {len(report.vrps):>4}")
-    print(f"\n=> zero-churn warm refresh: {int(warm_verifies)} RSA "
-          f"verifications (cold start needed {int(cold_verifies)});\n"
+    print(f"\n=> zero-churn warm refresh: {warm_verifies} RSA "
+          f"verifications (cold start needed {cold_verifies});\n"
           "   renewing one ROA revalidates one publication point — cost\n"
           "   tracks churn, not repository size (docs/performance.md).")
 
 
 def cmd_chaos(args) -> None:
-    from .chaos import CampaignConfig, run_campaign, shrink_plan
-
     config = CampaignConfig(seed=_seed(args, 7), cycles=args.cycles)
     print(f"Chaos campaign: seed {config.seed}, {config.cycles} cycles — "
           "serial vs incremental\nrelying parties, a scheduled "
           "RP, plus an RTR router, under one\nseeded fault plan\n")
     result = run_campaign(config)
+    # The campaign counts on a private registry (the shrink re-runs must
+    # not add up); publish the main run's repro_chaos_* totals where
+    # --emit-metrics looks.
+    registry_from_dict(default_registry(), result.metrics.to_dict())
     print(f"fault plan ({len(result.plan)} faults):")
     print(result.plan.describe())
     print()
@@ -529,8 +356,6 @@ def cmd_chaos(args) -> None:
 
 
 def cmd_stalloris(args) -> None:
-    from .chaos import StallorisConfig, measure_stalloris
-
     config = StallorisConfig(
         seed=_seed(args, 1),
         amplification_points=args.points,
@@ -562,13 +387,8 @@ def cmd_stalloris(args) -> None:
 
 
 def cmd_api(args) -> None:
-    from .api import ApiConfig, QueryService, RateLimitConfig
-    from .modelgen import build_deployment
-    from .simtime import HOUR
-
-    scale, config = _deployment_config(args, "small", 7)
-    world = build_deployment(config)
-    rp = _build_rp(world, mode="incremental")
+    scale, config, world, rp = _generated_world(
+        args, "small", 7, mode="incremental")
     # The unthrottled service for the classification and diff sections;
     # rate limiting gets its own dedicated demo below.
     service = QueryService(rp, config=ApiConfig(rate_limit=None))
@@ -629,15 +449,8 @@ def cmd_api(args) -> None:
 
 
 def cmd_rtr(args) -> None:
-    from .modelgen import build_deployment
-    from .rtr import (
-        CacheChain, DuplexPipe, RouterState, RtrCacheServer, RtrRouterClient,
-    )
-    from .simtime import HOUR
-
-    scale, config = _deployment_config(args, "small", 7)
-    world = build_deployment(config)
-    rp = _build_rp(world, mode="incremental")
+    scale, config, world, rp = _generated_world(
+        args, "small", 7, mode="incremental")
     world.clock.advance(HOUR)
     rp.refresh()
 
@@ -739,8 +552,6 @@ def cmd_rtr(args) -> None:
 
 
 def cmd_profile(args) -> None:
-    from .profiling import profile_refresh
-
     report = profile_refresh(
         _scale(args, "small"),
         seed=_seed(args, 21),
@@ -753,8 +564,6 @@ def cmd_profile(args) -> None:
 
 
 def cmd_sideeffects(_args) -> None:
-    from .core import demonstrate_all
-
     print("The seven side effects, demonstrated\n")
     for report in demonstrate_all():
         print(report.render())
@@ -762,43 +571,63 @@ def cmd_sideeffects(_args) -> None:
 
 
 def cmd_all(args) -> None:
-    for name, command in _COMMANDS.items():
+    for name, _help, handler in _COMMANDS:
         if name == "all":
             continue
         print("=" * 70)
         print(f"== {name}")
         print("=" * 70)
-        command(args)
+        handler(args)
         print()
 
 
-_COMMANDS: dict[str, Callable] = {
-    "fig2": cmd_fig2,
-    "fig3": cmd_fig3,
-    "fig5": cmd_fig5,
-    "tab4": cmd_tab4,
-    "tab6": cmd_tab6,
-    "se6": cmd_se6,
-    "se7": cmd_se7,
-    "monitor": cmd_monitor,
-    "granularity": cmd_granularity,
-    "sideeffects": cmd_sideeffects,
-    "resilience": cmd_resilience,
-    "perf": cmd_perf,
-    "refresh": cmd_refresh,
-    "chaos": cmd_chaos,
-    "stalloris": cmd_stalloris,
-    "api": cmd_api,
-    "rtr": cmd_rtr,
-    "profile": cmd_profile,
-    "all": cmd_all,
-}
+# The command table, in `all` order: (name, one-line help, handler).  The
+# parser, `all` and the docs lint (tools/check_docs.py, by AST) read it.
+_COMMANDS: tuple[tuple[str, str, Callable], ...] = (
+    ("fig2", "the model RPKI of Figure 2", cmd_fig2),
+    ("fig3", "both whacking walkthroughs", cmd_fig3),
+    ("fig5", "route-validity matrices", cmd_fig5),
+    ("tab4", "the cross-border audit", cmd_tab4),
+    ("tab6", "the policy-tradeoff table", cmd_tab6),
+    ("se6", "missing-ROA impact analysis", cmd_se6),
+    ("se7", "transient fault, persistent failure: the closed loop", cmd_se7),
+    ("monitor", "whacks-in-churn detection scores", cmd_monitor),
+    ("granularity", "Section 7 takedown-granularity sweep", cmd_granularity),
+    ("sideeffects", "all seven side effects, demonstrated", cmd_sideeffects),
+    ("resilience", "stalled authority vs. resilient fetcher", cmd_resilience),
+    ("perf", "cold vs. warm incremental revalidation", cmd_perf),
+    ("refresh", "one refresh cycle over a generated world", cmd_refresh),
+    ("chaos", "Byzantine fault campaign + shrink demo", cmd_chaos),
+    ("stalloris", "amplified slowdown vs. fetch scheduler", cmd_stalloris),
+    ("api", "the origin-validation query plane", cmd_api),
+    ("rtr", "router-fleet fan-out over chained caches", cmd_rtr),
+    ("profile", "cProfile a refresh, rank the hotspots", cmd_profile),
+    ("all", "everything, in order", cmd_all),
+)
 
 
-# Command-specific flags: (flag, the commands whose handlers read it,
-# argparse spec).  build_parser attaches each row to those commands and
-# to 'all', which runs every handler with one namespace.
-_OPTIONS: tuple[tuple[str, tuple[str, ...], dict], ...] = (
+# The flag table: (flag, the commands whose handlers read it — None for
+# the trio every command accepts — and the argparse spec).  build_parser
+# attaches each row to those commands and to 'all', which runs every
+# handler with one namespace.
+_OPTIONS: tuple[tuple[str, tuple[str, ...] | None, dict], ...] = (
+    ("--emit-metrics", None, dict(
+        action="store_true",
+        help="append the rendered telemetry registry to the artifact")),
+    ("--json", None, dict(
+        action="store_true",
+        help="render the telemetry registry as JSON (implies "
+             "--emit-metrics)")),
+    ("--seed", None, dict(
+        type=int, default=None, metavar="N",
+        help="reseed the command's randomness (fault plans, churn, "
+             "generated deployments)")),
+    ("--scale", None, dict(
+        choices=[*HIERARCHICAL_SCALES, *INTERNET_SCALES], default=None,
+        help="deployment size for commands that generate one (refresh, "
+             "perf, api, rtr, profile): a hierarchical shape or a flat "
+             "Internet-scale family member (internet-small = 10^4 ROAs); "
+             "ignored by the paper's hand-built fixtures")),
     ("--right", ("fig5",), dict(
         action="store_true",
         help="Figure 5 right panel (adds the /12-13 ROA)")),
@@ -840,48 +669,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Regenerate the paper's tables and figures.",
     )
-    # The shared option trio: every subcommand accepts --json (telemetry
-    # rendering), --seed, and --scale, resolved against per-command
-    # pinned defaults by _seed()/_scale().
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--emit-metrics", action="store_true",
-        help="append the rendered telemetry registry to the artifact",
-    )
-    common.add_argument(
-        "--json", action="store_true",
-        help="render the telemetry registry as JSON (implies --emit-metrics)",
-    )
-    common.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="reseed the command's randomness (fault plans, churn, "
-             "generated deployments); commands pinned to the paper's "
-             "fixtures regenerate the published artifact regardless",
-    )
-    common.add_argument(
-        "--scale",
-        choices=sorted(_REFRESH_SCALES) + list(_INTERNET_SCALE_NAMES),
-        default=None,
-        help="deployment size for commands that generate one (refresh, "
-             "perf, api, rtr, profile): a hierarchical shape or a flat "
-             "Internet-scale family member (internet-small = 10^4 ROAs); "
-             "ignored by the paper-pinned fixtures",
-    )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub = subparsers.add_parser(
-            name, parents=[common], help=f"run the {name} experiment",
-        )
+    for name, help_text, handler in _COMMANDS:
+        sub = subparsers.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
         for flag, commands, spec in _OPTIONS:
-            if name == "all" or name in commands:
+            if commands is None or name == "all" or name in commands:
                 sub.add_argument(flag, **spec)
     return parser
 
 
 def _emit_metrics(as_json: bool) -> None:
     """Append the default registry (everything the command touched)."""
-    from .telemetry import default_registry
-
     registry = default_registry()
     print()
     print("=" * 70)
@@ -896,16 +695,11 @@ def _emit_metrics(as_json: bool) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
-        if args.json:
-            args.emit_metrics = True
-        if args.emit_metrics:
+        args.handler(args)
+        if args.emit_metrics or args.json:
             _emit_metrics(args.json)
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; that is not an error.
         return 0
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -25,7 +25,7 @@ reproduces them exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..crypto import KeyFactory
 from ..jurisdiction.regions import RIR, region_of
@@ -36,8 +36,9 @@ from ..rpki import CertificateAuthority
 from ..rpki.roa import RoaPrefix
 from ..simtime import Clock
 
-__all__ = ["DeploymentConfig", "DeploymentWorld", "INTERNET_SCALES",
-           "build_deployment", "build_table4_world"]
+__all__ = ["DeploymentConfig", "DeploymentWorld", "HIERARCHICAL_SCALES",
+           "INTERNET_SCALES", "build_deployment", "build_table4_world",
+           "resolve_scale"]
 
 # Representative /8 blocks per RIR (a subset of the real IANA allocations).
 _RIR_BLOCKS: dict[RIR, tuple[str, ...]] = {
@@ -190,6 +191,33 @@ INTERNET_SCALES: dict[str, DeploymentConfig] = {
         roas_per_customer=0, flat=True, shared_ee_keys=True,
     ),
 }
+
+# The hierarchical shapes: RIR -> ISP -> customer -> sub-CA chains, tens
+# to hundreds of ROAs; what the walkthroughs and the discovery benchmark
+# run when delegation depth, not volume, is the point.
+HIERARCHICAL_SCALES: dict[str, DeploymentConfig] = {
+    "small": DeploymentConfig(
+        isps_per_rir=2, customers_per_isp=1, suballocation_depth=1),
+    "medium": DeploymentConfig(
+        isps_per_rir=4, customers_per_isp=2, suballocation_depth=2),
+    "large": DeploymentConfig(
+        isps_per_rir=8, customers_per_isp=2, suballocation_depth=3),
+}
+
+
+def resolve_scale(scale: str, seed: int | None = None) -> DeploymentConfig:
+    """The :class:`DeploymentConfig` a ``--scale`` name stands for.
+
+    Accepts both families — :data:`INTERNET_SCALES` and
+    :data:`HIERARCHICAL_SCALES`; *seed* overrides the preset's seed when
+    given.  An unknown name raises :class:`KeyError` naming every valid
+    one.
+    """
+    config = INTERNET_SCALES.get(scale) or HIERARCHICAL_SCALES.get(scale)
+    if config is None:
+        known = sorted(INTERNET_SCALES) + sorted(HIERARCHICAL_SCALES)
+        raise KeyError(f"unknown scale {scale!r} (expected one of {known})")
+    return config if seed is None else replace(config, seed=seed)
 
 
 def build_deployment(

@@ -34,9 +34,9 @@ from __future__ import annotations
 import cProfile
 import pstats
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-__all__ = ["Hotspot", "ProfileReport", "profile_refresh", "resolve_scale"]
+__all__ = ["Hotspot", "ProfileReport", "profile_refresh"]
 
 
 @dataclass(frozen=True)
@@ -130,30 +130,6 @@ class ProfileReport:
         }
 
 
-def resolve_scale(scale: str, seed: int | None = None):
-    """A :class:`~repro.modelgen.DeploymentConfig` for a scale name.
-
-    Accepts both families: the Internet-scale flat deployments
-    (``internet-small`` / ``internet`` / ``internet-large``, from
-    :data:`~repro.modelgen.INTERNET_SCALES`) and the CLI's hierarchical
-    shapes (``small`` / ``medium`` / ``large``).  *seed* overrides the
-    config's seed when given.
-    """
-    from .cli import _REFRESH_SCALES
-    from .modelgen import INTERNET_SCALES, DeploymentConfig
-
-    if scale in INTERNET_SCALES:
-        config = INTERNET_SCALES[scale]
-        return config if seed is None else replace(config, seed=seed)
-    if scale in _REFRESH_SCALES:
-        kwargs = dict(_REFRESH_SCALES[scale])
-        if seed is not None:
-            kwargs["seed"] = seed
-        return DeploymentConfig(**kwargs)
-    known = sorted(INTERNET_SCALES) + sorted(_REFRESH_SCALES)
-    raise KeyError(f"unknown scale {scale!r} (expected one of {known})")
-
-
 def _shorten(filename: str) -> str:
     """Trim an absolute path to its repo-relative tail for readability."""
     for marker in ("/src/repro/", "/repro/"):
@@ -205,13 +181,12 @@ def profile_refresh(
     :data:`~repro.rp.ENGINE_MODES` switch.
     """
     from .crypto import KeyFactory
+    from .modelgen import build_deployment, resolve_scale
     from .repository import Fetcher
     from .rp import RelyingParty
 
     config = resolve_scale(scale, seed)
     build_start = time.perf_counter()
-    from .modelgen import build_deployment
-
     world = build_deployment(config)
     build_seconds = time.perf_counter() - build_start
 

@@ -165,12 +165,6 @@ class Prefix:
         for network in range(self._network, self.broadcast + 1, step):
             yield Prefix(self._afi, network, length)
 
-    def bit_at(self, position: int) -> int:
-        """The address bit at 0-based *position* from the most significant end."""
-        if not 0 <= position < self._afi.bits:
-            raise PrefixValueError(f"bit position out of range: {position}")
-        return (self._network >> (self._afi.bits - 1 - position)) & 1
-
     # -- dunder -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

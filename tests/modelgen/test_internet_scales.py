@@ -17,9 +17,11 @@ import pytest
 from repro.crypto import KeyFactory
 from repro.jurisdiction.regions import RIR
 from repro.modelgen import (
+    HIERARCHICAL_SCALES,
     INTERNET_SCALES,
     DeploymentConfig,
     build_deployment,
+    resolve_scale,
 )
 from repro.repository import Fetcher
 from repro.rp import PathValidator, RelyingParty
@@ -117,6 +119,14 @@ class TestInternetScalesRegistry:
         config = INTERNET_SCALES[name]
         roas = len(config.rirs) * config.isps_per_rir * config.roas_per_isp
         assert roas == self.EXPECTED_ROAS[name]
+
+    def test_unknown_scale_names_every_valid_one(self):
+        with pytest.raises(KeyError) as exc:
+            resolve_scale("galactic")
+        for name in (*INTERNET_SCALES, *HIERARCHICAL_SCALES):
+            assert repr(name) in str(exc.value)
+        assert resolve_scale("small", 9).seed == 9
+        assert resolve_scale("internet") is INTERNET_SCALES["internet"]
 
 
 class TestDeterminism:

@@ -101,12 +101,6 @@ class TestNavigation:
         with pytest.raises(PrefixValueError):
             list(Prefix.parse("10.0.0.0/16").subprefixes(33))
 
-    def test_bit_at(self):
-        p = Prefix.parse("128.0.0.0/1")
-        assert p.bit_at(0) == 1
-        q = Prefix.parse("63.160.0.0/12")  # 63 = 00111111
-        assert [q.bit_at(i) for i in range(8)] == [0, 0, 1, 1, 1, 1, 1, 1]
-
 
 class TestValueSemantics:
     def test_equality_and_hash(self):

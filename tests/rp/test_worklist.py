@@ -9,9 +9,8 @@ same walk over a fixed snapshot and serves here as the cold oracle.
 
 import pytest
 
-from repro.modelgen import build_deployment, build_figure2
+from repro.modelgen import build_deployment, build_figure2, resolve_scale
 from repro.modelgen.figure2 import build_deep_hierarchy
-from repro.profiling import resolve_scale
 from repro.repository import (
     FaultInjector,
     FaultKind,

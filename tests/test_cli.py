@@ -1,9 +1,25 @@
-"""Tests for the experiment CLI (python -m repro ...)."""
+"""Tests for the experiment CLI (python -m repro ...).
+
+The paper commands are pinned to the committed artifacts: each prints
+the ``render()`` of the ``repro.experiments`` function whose output the
+matching benchmark wrote to ``benchmarks/artifacts/``, so its stdout
+must contain that file byte for byte.
+"""
+
+import pathlib
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.telemetry import reset_default_metrics
+
+ARTIFACTS = pathlib.Path(__file__).resolve().parent.parent / (
+    "benchmarks/artifacts")
+
+
+def artifact(name: str) -> str:
+    return (ARTIFACTS / name).read_text(encoding="utf-8")
 
 
 @pytest.fixture(autouse=True)
@@ -27,47 +43,61 @@ class TestCli:
         out = run(capsys, "fig2")
         assert "Continental Broadband" in out
         assert "8 VRPs, 0 errors" in out
+        assert artifact("fig2_model.txt") in out
 
     def test_fig3(self, capsys):
         out = run(capsys, "fig3")
         assert "4 additional ROAs" in out
         assert "overwrite-shrink" in out
         assert "make-before-break" in out
+        assert artifact("fig3_whack_target20.txt") in out
+        assert artifact("fig3_whack_target22.txt") in out
 
     def test_fig5_left(self, capsys):
         out = run(capsys, "fig5")
         assert "Figure 5 (left)" in out
         assert "unknown" in out
+        assert artifact("fig5_left.txt") in out
 
     def test_fig5_right(self, capsys):
         out = run(capsys, "fig5", "--right")
         assert "Figure 5 (right)" in out
         lines = [l for l in out.splitlines() if l.startswith("63.160.0.0/12 ")]
         assert lines and "valid" in lines[0]
+        assert artifact("fig5_right.txt") in out
 
     def test_tab4(self, capsys):
         out = run(capsys, "tab4")
         assert "Resilans" in out and "IN,US" in out
+        assert artifact("tab4_borders.txt") in out
 
     def test_tab6(self, capsys):
         out = run(capsys, "tab6")
         assert "drop-invalid" in out and "depref-invalid" in out
+        assert artifact("tab6_policies.txt") in out
 
     def test_se6(self, capsys):
         out = run(capsys, "se6")
         assert "invalid, not unknown!" in out
+        assert artifact("se6_missing.txt") in out
 
     def test_se7_drop(self, capsys):
         out = run(capsys, "se7", "--policy", "drop-invalid")
         assert "PERSISTENT FAILURE" in out
+        assert artifact("se7_drop_invalid.txt") in out
 
     def test_se7_depref(self, capsys):
         out = run(capsys, "se7", "--policy", "depref-invalid")
         assert "recovered" in out
+        assert artifact("se7_depref_invalid.txt") in out
 
     def test_monitor(self, capsys):
         out = run(capsys, "monitor")
         assert "recall" in out and "precision" in out
+        clean, sloppy = artifact("monitor_clean.txt"), artifact(
+            "monitor_sloppy.txt")
+        assert clean in out and sloppy in out
+        assert out.index(clean) < out.index(sloppy)
 
     def test_resilience(self, capsys):
         out = run(capsys, "resilience", "--epochs", "4")
@@ -78,6 +108,9 @@ class TestCli:
         assert "14400 (grows linearly" in out
         # ...while the resilient one is bounded by the retry policy.
         assert "bounded by worst-case 107 s/refresh" in out
+        # --epochs 4 is the first four of the artifact's six epochs.
+        first_four = artifact("resilience_stall.txt").splitlines(True)[:4]
+        assert "".join(first_four) in out
 
     def test_resilience_emit_metrics(self, capsys):
         out = run(capsys, "resilience", "--epochs", "4", "--emit-metrics")
@@ -104,7 +137,8 @@ class TestCli:
         assert 0 < int(churn_rows[0][2]) < 20
 
     def test_chaos_smoke(self, capsys):
-        out = run(capsys, "chaos", "--seed", "7", "--cycles", "3")
+        out = run(capsys, "chaos", "--seed", "7", "--cycles", "3",
+                  "--emit-metrics")
         assert "Chaos campaign: seed 7, 3 cycles" in out
         assert ("invariants: safety, equivalence, bounded-interference, "
                 "no-crash — held every cycle") in out
@@ -118,6 +152,11 @@ class TestCli:
         assert len(shrunk) == 1
         minimal = int(shrunk[0].split(" plan to ")[1].split()[0])
         assert 1 <= minimal <= 3
+        # --emit-metrics shows the main campaign's own counters (they
+        # live on CampaignResult.metrics, not the default registry) and
+        # none of the staged demo's or the shrink re-runs'.
+        assert "repro_chaos_cycles_total 3" in out
+        assert "repro_chaos_faults_scheduled_total" in out
 
     def test_stalloris_smoke(self, capsys):
         out = run(capsys, "stalloris", "--attack-cycles", "3")
@@ -180,6 +219,23 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_all_runs_every_row(self, capsys, monkeypatch):
+        # `all` is a loop over the command table: every other row's
+        # handler runs once, in table order, under a `== name` banner.
+        # Stub handlers keep this free.
+        called = []
+        stubs = tuple(
+            (name, text, handler if name == "all"
+             else lambda _args, name=name: called.append(name))
+            for name, text, handler in cli._COMMANDS
+        )
+        monkeypatch.setattr(cli, "_COMMANDS", stubs)
+        out = run(capsys, "all")
+        names = [name for name, _text, _handler in stubs if name != "all"]
+        assert called == names
+        assert [line[3:] for line in out.splitlines()
+                if line.startswith("== ")] == names
+
 
 class TestEmitMetrics:
     def test_fig2_emit_metrics_appends_registry(self, capsys):
@@ -207,7 +263,8 @@ class TestEmitMetrics:
 
     def test_monitor_emit_metrics(self, capsys):
         out = run(capsys, "monitor", "--emit-metrics")
-        assert "repro_monitor_epochs_total 8" in out
+        # Two ten-epoch campaigns: clean churn, then sloppy.
+        assert "repro_monitor_epochs_total 20" in out
         assert "repro_monitor_alerts_total" in out
 
 

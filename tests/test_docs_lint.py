@@ -1,9 +1,11 @@
 """Tier-1 hook for the docs lint (tools/check_docs.py).
 
 Fails the suite if any module under ``src/repro`` lacks a docstring, any
-internal markdown link in docs/ (or the top-level pages) is broken, or
-any ``python -m repro <subcommand>`` mentioned in the docs no longer
-exists in ``repro.cli``.
+internal markdown link in docs/ (or the top-level pages) is broken, any
+``python -m repro <subcommand>`` mentioned in the docs no longer exists
+in ``repro.cli``, the ``repro.cli`` docstring's command list and its
+table disagree, or EXPERIMENTS.md names an artifact that is not in
+``benchmarks/artifacts/``.
 """
 
 import pathlib
@@ -70,7 +72,9 @@ def test_cli_table_parse_matches_registry():
     sys.path.insert(0, src)
     try:
         cli = importlib.import_module("repro.cli")
-        assert check_docs.cli_subcommands() == set(cli._COMMANDS)
+        assert check_docs.cli_subcommands() == {
+            name for name, _help, _handler in cli._COMMANDS
+        }
     finally:
         sys.path.remove(src)
 
@@ -85,3 +89,40 @@ def test_lint_catches_unknown_subcommand(tmp_path, monkeypatch):
     problems = check_docs.check_cli_mentions(tmp_path)
     assert len(problems) == 1
     assert "bogus" in problems[0] and "rtr" not in problems[0].split("->")[1]
+
+
+def test_cli_docstring_matches_table():
+    problems = check_docs.check_cli_docstring()
+    assert problems == [], "\n".join(problems)
+
+
+def test_lint_catches_cli_docstring_drift(tmp_path):
+    cli = tmp_path / "cli.py"
+    cli.write_text(
+        '"""::\n\n    python -m repro fig2   # listed and registered\n'
+        '    python -m repro ghost  # listed only\n"""\n'
+        '_COMMANDS = (("fig2", "help", print), ("rtr", "help", print))\n'
+    )
+    problems = check_docs.check_cli_docstring(cli)
+    assert len(problems) == 2
+    assert "`ghost`" in problems[0] and "no such row" in problems[0]
+    assert "`rtr`" in problems[1] and "missing from" in problems[1]
+
+
+def test_every_named_artifact_exists():
+    problems = check_docs.check_artifact_mentions()
+    assert problems == [], "\n".join(problems)
+
+
+def test_lint_catches_missing_artifact(tmp_path):
+    artifacts = tmp_path / "benchmarks" / "artifacts"
+    artifacts.mkdir(parents=True)
+    (artifacts / "fig2_model.txt").write_text("x")
+    (artifacts / "ablation_cache.txt").write_text("x")
+    (tmp_path / "EXPERIMENTS.md").write_text(
+        "- **bench**: `b.py` · artifact `fig2_model.txt`\n"
+        "- **bench**: `c.py` · artifacts\n"
+        "  `ablation_*.txt`, `gone.txt` · docs `docs/x.md`\n"
+    )
+    problems = check_docs.check_artifact_mentions(tmp_path)
+    assert len(problems) == 1 and "`gone.txt`" in problems[0]

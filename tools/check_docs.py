@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Docs lint: docstrings present, links resolve, CLI mentions exist.
+"""Docs lint: docstrings present, links resolve, CLI and artifact
+mentions exist.
 
-Three checks, all cheap enough to live in tier-1:
+Five checks, all cheap enough to live in tier-1:
 
 1. **Docstrings.**  Every module under ``src/repro`` (packages included)
    must open with a non-empty docstring.  The API reference in
@@ -19,6 +20,14 @@ Three checks, all cheap enough to live in tier-1:
    exists in ``repro.cli`` (read by AST from the ``_COMMANDS`` table, so
    the lint never imports the package).  Placeholders like
    ``python -m repro <cmd>`` are skipped.
+
+4. **CLI docstring drift.**  The command list at the top of the
+   ``repro.cli`` module docstring and the ``_COMMANDS`` table name the
+   same commands — neither may have one the other lacks.
+
+5. **Artifact drift.**  Every ``artifact `<file>``` / ``artifacts
+   `<a>`, `<b>``` named in EXPERIMENTS.md exists under
+   ``benchmarks/artifacts/`` (``*`` globs allowed).
 
 Run directly (``python tools/check_docs.py``, exit 1 on problems) or via
 the tier-1 test ``tests/test_docs_lint.py``.
@@ -47,6 +56,12 @@ _EXTERNAL = ("http://", "https://", "mailto:")
 # "python -m repro <word>" — the word must be a real subcommand.  Only
 # bare command words are captured; placeholders like "<cmd>" don't match.
 _CLI_RE = re.compile(r"python\s+-m\s+repro\s+([A-Za-z0-9_-]+)")
+
+# "artifact `a.txt`" / "artifacts\n  `a.txt`, `b.json`" — the run of
+# backticked file names after the word, then each name in the run.
+_ARTIFACT_RUN_RE = re.compile(
+    r"\bartifacts?((?:[\s,]*`[^`\s]+\.(?:txt|json)`)+)")
+_ARTIFACT_NAME_RE = re.compile(r"`([^`]+)`")
 
 
 def check_docstrings(src_root: pathlib.Path = SRC_ROOT) -> list[str]:
@@ -103,16 +118,16 @@ def check_links(repo_root: pathlib.Path = REPO_ROOT) -> list[str]:
 def cli_subcommands(
     cli_path: pathlib.Path | None = None,
 ) -> set[str]:
-    """The keys of ``_COMMANDS`` in ``repro.cli``, read without importing.
+    """The command names in ``repro.cli``'s table, read without importing.
 
-    The table is a module-level ``_COMMANDS: dict = {"name": handler,
-    ...}`` assignment; its string keys are the registered subcommands.
+    The table is a module-level ``_COMMANDS = ((name, help, handler),
+    ...)`` assignment; the first element of each row is the registered
+    subcommand.
     """
     if cli_path is None:
         cli_path = SRC_ROOT / "cli.py"
     tree = ast.parse(cli_path.read_text(encoding="utf-8"))
-    for node in ast.walk(tree):
-        targets = []
+    for node in tree.body:
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -120,13 +135,46 @@ def cli_subcommands(
         else:
             continue
         names = {t.id for t in targets if isinstance(t, ast.Name)}
-        if "_COMMANDS" not in names or not isinstance(node.value, ast.Dict):
+        if "_COMMANDS" not in names or not isinstance(node.value, ast.Tuple):
             continue
         return {
-            key.value for key in node.value.keys
-            if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            row.elts[0].value for row in node.value.elts
+            if isinstance(row, ast.Tuple) and row.elts
+            and isinstance(row.elts[0], ast.Constant)
+            and isinstance(row.elts[0].value, str)
         }
-    raise LookupError(f"no _COMMANDS dict found in {cli_path}")
+    raise LookupError(f"no _COMMANDS table found in {cli_path}")
+
+
+def check_cli_docstring(cli_path: pathlib.Path | None = None) -> list[str]:
+    """The module docstring's command list and the table agree."""
+    if cli_path is None:
+        cli_path = SRC_ROOT / "cli.py"
+    tree = ast.parse(cli_path.read_text(encoding="utf-8"))
+    listed = set(_CLI_RE.findall(ast.get_docstring(tree) or ""))
+    table = cli_subcommands(cli_path)
+    return [
+        f"{cli_path.name}: docstring lists `{name}` but _COMMANDS has no "
+        "such row" for name in sorted(listed - table)
+    ] + [
+        f"{cli_path.name}: _COMMANDS row `{name}` is missing from the "
+        "module docstring's command list" for name in sorted(table - listed)
+    ]
+
+
+def check_artifact_mentions(repo_root: pathlib.Path = REPO_ROOT) -> list[str]:
+    """Every artifact EXPERIMENTS.md names exists in benchmarks/artifacts."""
+    page = repo_root / "EXPERIMENTS.md"
+    artifacts = repo_root / "benchmarks" / "artifacts"
+    problems = []
+    for run in _ARTIFACT_RUN_RE.findall(page.read_text(encoding="utf-8")):
+        for name in _ARTIFACT_NAME_RE.findall(run):
+            if not any(artifacts.glob(name)):
+                problems.append(
+                    f"{page.name}: names artifact `{name}` but "
+                    f"benchmarks/artifacts/ has no such file"
+                )
+    return problems
 
 
 def check_cli_mentions(repo_root: pathlib.Path = REPO_ROOT) -> list[str]:
@@ -147,7 +195,8 @@ def check_cli_mentions(repo_root: pathlib.Path = REPO_ROOT) -> list[str]:
 
 
 def check_all() -> list[str]:
-    return check_docstrings() + check_links() + check_cli_mentions()
+    return (check_docstrings() + check_links() + check_cli_mentions()
+            + check_cli_docstring() + check_artifact_mentions())
 
 
 def main() -> int:
@@ -158,7 +207,7 @@ def main() -> int:
         print(f"{len(problems)} docs problem(s)", file=sys.stderr)
         return 1
     print("docs lint ok: every module documented, every link resolves, "
-          "every CLI mention exists")
+          "every CLI and artifact mention exists")
     return 0
 
 
