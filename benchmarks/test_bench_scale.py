@@ -23,7 +23,12 @@ Two families:
      deployment size, the same constant the hierarchical worlds pin;
    - a default refresh's peak memory stays bounded by a small constant
      plus a per-ROA term far below parsed-object size (no
-     full-deployment materialization).
+     full-deployment materialization);
+   - one cold refresh of the 2,500-ROA world of ``benchmarks/e2e`` reads
+     every object in one pass: **zero** generic ``decode`` node visits,
+     **zero** ``encode`` calls, at most one ``sha256_hex`` per parsed
+     object plus one per publication point, and the same 5,165 RSA
+     verifications as ever.
 
    ``REPRO_BENCH_SCALE=full`` extends the sweep to ``internet`` and
    ``internet-large`` (10⁵ ROAs; minutes of keygen+build).
@@ -32,8 +37,10 @@ Artifacts: ``scale_sweep.txt`` and ``BENCH_scale.json`` under
 ``benchmarks/artifacts/``.
 """
 
+import dataclasses
 import json
 import os
+import sys
 import time
 import tracemalloc
 
@@ -41,6 +48,8 @@ import pytest
 
 from conftest import write_artifact
 
+from repro.crypto import encode, sha256_hex
+from repro.crypto import encoding as ctlv
 from repro.modelgen import INTERNET_SCALES, DeploymentConfig, build_deployment
 from repro.repository import Fetcher
 from repro.rp import RelyingParty
@@ -71,6 +80,17 @@ CHURN_VERIFIES = 4             # manifest + CRL + EE cert + ROA, any scale
 # 2x that.  A held parse is ~7 KB/ROA (86 MB at 10^4), far past it.
 PEAK_BASE_BYTES = 2_000_000
 PEAK_PER_ROA_BYTES = 2_000
+
+# One cold refresh of the e2e `bench` world (internet-small's shape at a
+# quarter of its width): 2,500 ROAs + 2,500 embedded EE certificates +
+# 50 RCs + 55 CRLs + 55 manifests in 55 publication points.
+BENCH_WORLD = dataclasses.replace(
+    INTERNET_SCALES["internet-small"], isps_per_rir=10,
+)
+COLD_PARSED_OBJECTS = 5_160
+COLD_POINTS = 55
+COLD_RSA_VERIFIES = 5_165      # + the five trust anchors' self-signatures
+MAX_COLD_SHA256_HEX = COLD_PARSED_OBJECTS + COLD_POINTS   # 15,800 before
 
 _RESULTS: dict[str, tuple[int, int]] = {}
 _INTERNET: dict[str, dict] = {}
@@ -235,11 +255,64 @@ def test_internet_warm_and_churn_verifies_pinned():
          CHURN_VERIFIES, "==")
 
 
+def _count_calls(patch, function) -> list:
+    """Count calls of *function* through every ``repro`` module's name
+    for it (callers bind it with ``from ... import``)."""
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return function(*args, **kwargs)
+
+    name = function.__name__
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, name, None) is function):
+            patch.setattr(module, name, counted)
+    return calls
+
+
+def test_cold_refresh_reads_each_object_once(monkeypatch):
+    """Counts, not seconds: a noisy box cannot blur these."""
+    world = build_deployment(BENCH_WORLD)
+    rp = RelyingParty(
+        world.trust_anchors, Fetcher(world.registry, world.clock),
+        mode="incremental",
+    )
+    # The trust anchors are configured, not fetched: a relying party
+    # hashes each once for its lifetime (5 more on a first-ever refresh).
+    for anchor in world.trust_anchors:
+        anchor.hash_hex
+    before = _verify_total()
+    with monkeypatch.context() as patch:
+        generic_nodes = _count_calls(patch, ctlv._decode_one)
+        encodes = _count_calls(patch, encode)
+        digests = _count_calls(patch, sha256_hex)
+        report = rp.refresh()
+    verifies = _verify_total() - before
+
+    assert report.run.errors() == []
+    assert report.run.roa_count == world.roa_count() == 2_500
+    memo = rp.incremental_state.parse_memo
+    assert (memo.misses, memo.hits) == (2_660, 0)   # one lookup per file
+    assert len(generic_nodes) == 0, "a refresh went through generic decode"
+    assert len(encodes) == 0, "a refresh re-encoded something it had read"
+    assert len(digests) <= MAX_COLD_SHA256_HEX
+    assert verifies == COLD_RSA_VERIFIES
+
+    _pin("cold_generic_decode_nodes", len(generic_nodes), 0, "==")
+    _pin("cold_encode_calls", len(encodes), 0, "==")
+    _pin("cold_sha256_hex_calls", len(digests), MAX_COLD_SHA256_HEX, "<=")
+    _pin("cold_rsa_verifies", int(verifies), COLD_RSA_VERIFIES, "==")
+
+
 def test_write_artifact():
     assert "internet-small" in _INTERNET
     for name in ("cold_refresh_seconds", "cold_per_vrp_ms",
                  "streaming_peak_mb", "warm_zero_churn_rsa_verifies",
-                 "one_roa_churn_rsa_verifies"):
+                 "one_roa_churn_rsa_verifies", "cold_generic_decode_nodes",
+                 "cold_encode_calls", "cold_sha256_hex_calls",
+                 "cold_rsa_verifies"):
         assert name in _PINS, f"pin {name} never recorded"
     write_artifact("BENCH_scale.json", json.dumps({
         "experiment": "scale",

@@ -42,6 +42,12 @@ are built for throughput:
 - Integer minimality is checked arithmetically (the payload length must
   equal the canonical width for the decoded value) instead of re-encoding
   every integer and comparing bytes.
+- The typed leaf readers (:func:`read_int`, :func:`read_str`,
+  :func:`read_bytes`, :func:`open_container`, :func:`read_header`) read
+  one value of a *declared* type at an offset.  They are what the
+  per-type object readers of :mod:`repro.rpki` are written in: a refresh
+  goes from wire bytes to typed objects through them and never builds
+  the generic tree :func:`decode` returns.
 
 Nesting is capped at :data:`MAX_NESTING` containers in both directions —
 a deterministic :class:`EncodingError` instead of an interpreter
@@ -59,9 +65,13 @@ from __future__ import annotations
 import struct
 from typing import Any
 
-from .errors import EncodingError
+from .errors import EncodingError, SchemaError
 
-__all__ = ["encode", "encode_parts", "decode", "toplevel_spans", "MAX_NESTING"]
+__all__ = [
+    "encode", "encode_parts", "decode", "MAX_NESTING",
+    "read_header", "read_int", "read_str", "read_bytes", "open_container",
+    "LIST", "MAP",
+]
 
 _LEN = struct.Struct(">I")
 _HDR = struct.Struct(">BI")  # tag byte + 4-byte length, packed in one call
@@ -223,34 +233,6 @@ def encode_parts(*encoded_items: bytes) -> bytes:
     return b"".join((b"L", _LEN.pack(body_length), *encoded_items))
 
 
-def toplevel_spans(data: bytes) -> list[tuple[int, int]]:
-    """Byte spans ``(start, end)`` of each item of a top-level CTLV list.
-
-    Walks headers only — payloads are not validated (run :func:`decode`
-    for that); the spans let a caller slice an item's exact canonical
-    bytes out of the wire form without re-encoding it.
-    """
-    total = len(data)
-    if total < 5 or data[0] != 76:  # b"L"
-        raise EncodingError("not a CTLV list")
-    (body_length,) = _LEN.unpack_from(data, 1)
-    end = 5 + body_length
-    if end != total:
-        raise EncodingError("list length does not cover the input")
-    spans: list[tuple[int, int]] = []
-    cursor = 5
-    while cursor < end:
-        if cursor + 5 > end:
-            raise EncodingError("truncated header")
-        (length,) = _LEN.unpack_from(data, cursor + 1)
-        item_end = cursor + 5 + length
-        if item_end > end:
-            raise EncodingError("truncated payload")
-        spans.append((cursor, item_end))
-        cursor = item_end
-    return spans
-
-
 def decode(data: bytes) -> Any:
     """Decode one CTLV value; rejects trailing bytes and duplicate map keys.
 
@@ -346,3 +328,137 @@ def _decode_one(
             raise EncodingError("tag b'F' must have empty payload")
         return False, end
     raise EncodingError(f"unknown tag {bytes(buf[offset:offset + 1])!r}")
+
+
+# -- typed leaf readers -------------------------------------------------------
+#
+# What a schema-directed reader (repro.rpki's per-type object readers) is
+# built from: each reads ONE value of a declared type at *offset*, no
+# further than *limit* (the end of the enclosing container, never past
+# ``len(buf)``), and returns ``(value, end_offset)``.  They carry
+# _decode_one's checks and messages for the type they read; any other
+# well-formed tag there is a :class:`SchemaError` — the bytes may still
+# be CTLV, they are just not what the caller's schema declares.  A
+# reader that also matches map keys as constant byte strings in their
+# one canonical order gets "keys strictly sorted, no duplicates" by
+# construction, and reads at most a fixed number of containers deep, so
+# neither the sort check nor the nesting cap appears here.
+
+#: Container tags for :func:`open_container`.
+LIST = 76
+MAP = 77
+
+_TAG_NAMES = {
+    78: "null", 84: "a boolean", 70: "a boolean", 73: "an integer",
+    66: "a byte string", 83: "a string", LIST: "a list", MAP: "a map",
+}
+
+_unpack_header = _HDR.unpack_from
+_int_from_bytes = int.from_bytes
+
+
+def _unexpected(wanted: int, tag: int) -> SchemaError:
+    found = _TAG_NAMES.get(tag, f"tag {bytes((tag,))!r}")
+    return SchemaError(f"expected {_TAG_NAMES[wanted]}, found {found}")
+
+
+def _no_header(wanted: int, offset: int, limit: int) -> Exception:
+    """Why fewer than five bytes are left at *offset*.
+
+    Part of a header is the codec's business; nothing at all is a
+    container that ended before the value the caller declared — which
+    the generic decoder, reading no schema, never notices.
+    """
+    if offset < limit:
+        return EncodingError("truncated header")
+    what = _TAG_NAMES.get(wanted, "a value")
+    return SchemaError(f"expected {what}, found the end of the container")
+
+
+def read_header(buf: bytes, offset: int, limit: int) -> tuple[int, int, int]:
+    """``(tag, payload_start, payload_end)`` of the value at *offset*."""
+    start = offset + 5
+    if start > limit:
+        raise _no_header(0, offset, limit)
+    tag, length = _unpack_header(buf, offset)
+    end = start + length
+    if end > limit:
+        raise EncodingError("truncated payload")
+    return tag, start, end
+
+
+def read_int(buf: bytes, offset: int, limit: int) -> tuple[int, int]:
+    """The minimally encoded integer at *offset*."""
+    start = offset + 5
+    if start > limit:
+        raise _no_header(73, offset, limit)
+    tag, length = _unpack_header(buf, offset)
+    end = start + length
+    if end > limit:
+        raise EncodingError("truncated payload")
+    if tag != 73:
+        raise _unexpected(73, tag)
+    if length == 1:
+        # Most integers in an object (address families, prefix lengths,
+        # small serials) are this case.  Every single byte is minimal
+        # except 0x80: the encoder gives -128 a spare sign byte.
+        value = buf[start]
+        if value < 128:
+            return value, end
+        if value == 128:
+            raise EncodingError("non-minimal integer encoding")
+        return value - 256, end
+    if not length:
+        raise EncodingError("empty integer payload")
+    value = _int_from_bytes(buf[start:end], "big", signed=True)
+    if (value.bit_length() + 8) >> 3 != length:
+        raise EncodingError("non-minimal integer encoding")
+    return value, end
+
+
+def read_str(buf: bytes, offset: int, limit: int) -> tuple[str, int]:
+    """The UTF-8 string at *offset*."""
+    start = offset + 5
+    if start > limit:
+        raise _no_header(83, offset, limit)
+    tag, length = _unpack_header(buf, offset)
+    end = start + length
+    if end > limit:
+        raise EncodingError("truncated payload")
+    if tag != 83:
+        raise _unexpected(83, tag)
+    try:
+        return str(buf[start:end], "utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise EncodingError("invalid UTF-8 in string") from exc
+
+
+def read_bytes(buf: bytes, offset: int, limit: int) -> tuple[bytes, int]:
+    """The byte string at *offset*."""
+    start = offset + 5
+    if start > limit:
+        raise _no_header(66, offset, limit)
+    tag, length = _unpack_header(buf, offset)
+    end = start + length
+    if end > limit:
+        raise EncodingError("truncated payload")
+    if tag != 66:
+        raise _unexpected(66, tag)
+    return buf[start:end], end
+
+
+def open_container(
+    buf: bytes, offset: int, limit: int, tag: int
+) -> tuple[int, int]:
+    """``(body_start, body_end)`` of the :data:`LIST` or :data:`MAP` at
+    *offset*; the caller reads the children against ``body_end``."""
+    start = offset + 5
+    if start > limit:
+        raise _no_header(tag, offset, limit)
+    found, length = _unpack_header(buf, offset)
+    end = start + length
+    if end > limit:
+        raise EncodingError("truncated payload")
+    if found != tag:
+        raise _unexpected(tag, found)
+    return start, end

@@ -17,3 +17,15 @@ class SignatureError(CryptoError):
 
 class EncodingError(CryptoError):
     """A value could not be canonically encoded or decoded."""
+
+
+class SchemaError(CryptoError):
+    """Bytes that are not what a typed reader's schema declares there.
+
+    Raised by the leaf readers of :mod:`repro.crypto.encoding` for a
+    value of another type than the one asked for.  Distinct from
+    :class:`EncodingError`: the bytes may be perfectly canonical CTLV.
+    ``field`` is filled in by whoever knows which field was being read.
+    """
+
+    field: str | None = None

@@ -17,6 +17,7 @@ import random
 import threading
 from dataclasses import dataclass, field
 
+from ..memo import GenerationMemo
 from .encoding import encode
 from .hashing import fingerprint, sha256
 from .rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
@@ -28,8 +29,7 @@ __all__ = ["KeyPair", "KeyFactory", "key_id_of"]
 # so build_certificate derives the same key id tens of thousands of times;
 # the id is a pure function of (modulus, exponent).  Bounded so a run that
 # churns through endless throwaway keys cannot grow it without limit.
-_KEY_ID_MEMO: dict[tuple[int, int], str] = {}
-_KEY_ID_MEMO_MAX = 65536
+_KEY_ID_MEMO: GenerationMemo[tuple[int, int], str] = GenerationMemo(65536)
 
 
 def key_id_of(public: RsaPublicKey) -> str:
@@ -38,9 +38,7 @@ def key_id_of(public: RsaPublicKey) -> str:
     key_id = _KEY_ID_MEMO.get(memo_key)
     if key_id is None:
         key_id = fingerprint(encode(public.to_dict()), length=20)
-        if len(_KEY_ID_MEMO) >= _KEY_ID_MEMO_MAX:
-            _KEY_ID_MEMO.clear()
-        _KEY_ID_MEMO[memo_key] = key_id
+        _KEY_ID_MEMO.put(memo_key, key_id)
     return key_id
 
 

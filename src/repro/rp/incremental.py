@@ -53,10 +53,10 @@ property ``tests/rp/test_incremental.py`` enforces after whacking,
 revocation, and expiry events, and ``benchmarks/test_bench_incremental.py``
 pins the zero-churn/zero-verification headline claim.
 
-Memos are bounded (``max_entries``); when a memo fills up it is cleared
-wholesale — crude, but deterministic and safe (a memo is only ever an
-optimization).  All decisions are instrumented; see docs/performance.md
-for how to read the metrics.
+Memos are bounded (``max_entries`` per generation, two generations: see
+:class:`repro.memo.GenerationMemo`), so a working set past the bound
+loses its oldest entries, not everything.  All decisions are
+instrumented; see docs/performance.md for how to read the metrics.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..crypto import RsaPublicKey, sha256_hex
+from ..memo import GenerationMemo
 from ..rpki.errors import ObjectFormatError
 from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
@@ -119,10 +120,15 @@ class VerificationMemo:
     """
 
     def __init__(self, *, max_entries: int | None = DEFAULT_MEMO_ENTRIES):
-        self._verdicts: dict[tuple[str, tuple[int, int]], bool] = {}
-        self.max_entries = max_entries
+        self._verdicts: GenerationMemo[
+            tuple[str, tuple[int, int]], bool
+        ] = GenerationMemo(max_entries)
         self.hits = 0
         self.misses = 0
+
+    @property
+    def max_entries(self) -> int | None:
+        return self._verdicts.max_entries
 
     def __len__(self) -> int:
         return len(self._verdicts)
@@ -136,9 +142,7 @@ class VerificationMemo:
             return verdict
         self.misses += 1
         verdict = obj.verify_signature(key)
-        if self.max_entries is not None and len(self._verdicts) >= self.max_entries:
-            self._verdicts.clear()
-        self._verdicts[memo_key] = verdict
+        self._verdicts.put(memo_key, verdict)
         return verdict
 
 
@@ -157,18 +161,27 @@ class ParseMemo:
         max_entries: int | None = DEFAULT_MEMO_ENTRIES,
         max_object_bytes: int | None = DEFAULT_MAX_OBJECT_BYTES,
     ):
-        self._objects: dict[str, SignedObject | str] = {}
-        self.max_entries = max_entries
+        self._objects: GenerationMemo[str, SignedObject | str] = (
+            GenerationMemo(max_entries)
+        )
         self.max_object_bytes = max_object_bytes
         self.hits = 0
         self.misses = 0
         self.oversized = 0
 
+    @property
+    def max_entries(self) -> int | None:
+        return self._objects.max_entries
+
     def __len__(self) -> int:
         return len(self._objects)
 
-    def parse(self, data: bytes) -> SignedObject:
-        """Memoized parse; raises :class:`ObjectFormatError` like the real one."""
+    def parse(self, data: bytes, digest: str | None = None) -> SignedObject:
+        """Memoized parse; raises :class:`ObjectFormatError` like the real one.
+
+        *digest* is the SHA-256 hex of *data* if the caller already has
+        it; it keys the memo and becomes the object's ``hash_hex``.
+        """
         if (
             self.max_object_bytes is not None
             and len(data) > self.max_object_bytes
@@ -176,8 +189,9 @@ class ParseMemo:
             # Too big to be worth remembering (and possibly hostile):
             # parse without touching the memo at all.
             self.oversized += 1
-            return parse_object(data)
-        digest = sha256_hex(data)
+            return parse_object(data, digest)
+        if digest is None:
+            digest = sha256_hex(data)
         cached = self._objects.get(digest)
         if cached is not None:
             self.hits += 1
@@ -185,14 +199,12 @@ class ParseMemo:
                 raise ObjectFormatError(cached)
             return cached
         self.misses += 1
-        if self.max_entries is not None and len(self._objects) >= self.max_entries:
-            self._objects.clear()
         try:
-            obj = parse_object(data)
+            obj = parse_object(data, digest)
         except ObjectFormatError as exc:
-            self._objects[digest] = str(exc)
+            self._objects.put(digest, str(exc))
             raise
-        self._objects[digest] = obj
+        self._objects.put(digest, obj)
         return obj
 
 
@@ -272,6 +284,9 @@ class IncrementalState:
         self.vrps = VrpSet()
         self.emitted: dict[str, PointResult] = {}
         self.metrics = metrics if metrics is not None else default_registry()
+        # (verify hits, verify misses, parse hits, parse misses) already
+        # booked into the counters below; see book_memos().
+        self._booked = (0, 0, 0, 0)
         self._m_verify_memo = self.metrics.counter(
             "repro_incremental_verify_memo_total",
             help="verification-memo lookups, by result",
@@ -302,22 +317,28 @@ class IncrementalState:
             labelnames=("memo",),
         )
 
-    # -- memo fronts (instrumented) -----------------------------------------
+    # -- memo telemetry -------------------------------------------------------
 
-    def verify_object(self, obj: SignedObject, key: RsaPublicKey) -> bool:
-        before = self.verify_memo.hits
-        verdict = self.verify_memo.verify_object(obj, key)
-        hit = self.verify_memo.hits > before
-        self._m_verify_memo.inc(result="hit" if hit else "miss")
-        return verdict
+    def book_memos(self) -> None:
+        """Book the memo lookups made since the last call, once per walk.
 
-    def parse(self, data: bytes) -> SignedObject:
-        before = self.parse_memo.hits
-        try:
-            return self.parse_memo.parse(data)
-        finally:
-            hit = self.parse_memo.hits > before
-            self._m_parse_memo.inc(result="hit" if hit else "miss")
+        The memos count their own hits and misses as plain integers; the
+        labelled counters are brought up to date here instead of on
+        every lookup.
+        """
+        verify, parse = self.verify_memo, self.parse_memo
+        # A blob too big for the memo was looked up and not found.
+        totals = (verify.hits, verify.misses,
+                  parse.hits, parse.misses + parse.oversized)
+        counters = (self._m_verify_memo, self._m_verify_memo,
+                    self._m_parse_memo, self._m_parse_memo)
+        for counter, result, total, booked in zip(
+            counters, ("hit", "miss", "hit", "miss"), totals, self._booked
+        ):
+            if total > booked:
+                counter.inc(total - booked, result=result)
+        self._booked = totals
+        self._update_gauges()
 
     # -- the dirty-point check ----------------------------------------------
 
@@ -373,7 +394,9 @@ class IncrementalState:
         replace the emitted ones assertion for assertion — withdraw all,
         announce all, net change empty if nothing else moved.
         """
+        self.book_memos()
         self.verify_memo = VerificationMemo(max_entries=self.verify_memo.max_entries)
         self.parse_memo = ParseMemo(max_entries=self.parse_memo.max_entries)
+        self._booked = (0, 0, 0, 0)
         self.points.clear()
         self._update_gauges()

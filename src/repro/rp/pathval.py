@@ -40,7 +40,6 @@ from itertools import chain
 
 from ..crypto import RsaPublicKey, sha256_hex
 from ..repository.cache import point_digest
-from ..repository.uri import RsyncUri
 from ..telemetry import MetricsRegistry, default_registry
 from ..rpki.ca import CRL_FILE, MANIFEST_FILE
 from ..rpki.cert import ResourceCertificate
@@ -213,14 +212,18 @@ class PathValidator:
         """Signature check, via the incremental state's memo when attached."""
         self._verify_calls += 1
         if self.incremental is not None:
-            return self.incremental.verify_object(obj, key)
+            return self.incremental.verify_memo.verify_object(obj, key)
         return obj.verify_signature(key)
 
-    def _parse(self, data: bytes) -> SignedObject:
-        """Parse, via the incremental state's memo when attached."""
+    def _parse(self, data: bytes, digest: str | None = None) -> SignedObject:
+        """Parse, via the incremental state's memo when attached.
+
+        *digest* is the SHA-256 hex of *data* when the caller has it: the
+        memo's key and the parsed object's ``hash_hex``, computed once.
+        """
         if self.incremental is not None:
-            return self.incremental.parse(data)
-        return parse_object(data)
+            return self.incremental.parse_memo.parse(data, digest)
+        return parse_object(data, digest)
 
     # -- internals ----------------------------------------------------------
 
@@ -301,7 +304,7 @@ class PathValidator:
         copies = tuple(
             (uri, digests.get(uri, "") if digests is not None
              else point_digest(cache_files[uri]))
-            for uri in (_normalize(u) for u in ca_cert.all_publication_uris)
+            for uri in ca_cert.all_publication_uris
             if uri in cache_files
         )
         return (ca_cert.hash_hex, self.strict_manifests, copies)
@@ -317,24 +320,25 @@ class PathValidator:
         issues: list[ValidationIssue] = []
         verify_before = self._verify_calls
 
-        point_uri, files = self._select_point_copy(ca_cert, cache_files, now)
-        if files is None:
+        copy = self._select_point_copy(ca_cert, cache_files, now)
+        if copy is None:
             issues.append(ValidationIssue(
-                Severity.ERROR, _normalize(ca_cert.sia), "", "point-missing",
+                Severity.ERROR, ca_cert.sia, "", "point-missing",
                 f"publication point of {ca_cert.subject!r} absent from cache",
             ))
             return self._finish_point(
-                ca_cert, cache_files, None, now, fingerprint, point_uri,
+                ca_cert, cache_files, None, now, fingerprint,
                 issues, [], [], None, verify_before,
             )
-        if point_uri != _normalize(ca_cert.sia):
+        point_uri = copy.uri
+        if point_uri != ca_cert.sia:
             issues.append(ValidationIssue(
-                Severity.WARNING, _normalize(ca_cert.sia), "", "using-mirror",
+                Severity.WARNING, ca_cert.sia, "", "using-mirror",
                 f"primary copy unusable or absent; using mirror {point_uri}",
             ))
 
-        crl = self._load_crl(point_uri, files, ca_cert, now, issues)
-        usable = self._apply_manifest(point_uri, files, ca_cert, now, issues)
+        crl = self._load_crl(copy, ca_cert, now, issues)
+        usable = self._apply_manifest(copy, ca_cert, now, issues)
         children: list[ResourceCertificate] = []
         roas: list[RoaEvidence] = []
         contact: GhostbustersRecord | None = None
@@ -342,9 +346,8 @@ class PathValidator:
             for file_name in sorted(usable):
                 if file_name in (CRL_FILE, MANIFEST_FILE):
                     continue
-                data = usable[file_name]
                 try:
-                    obj = self._parse(data)
+                    obj = self._parse_file(copy, file_name)
                 except ObjectFormatError as exc:
                     issues.append(ValidationIssue(
                         Severity.ERROR, point_uri, file_name, "parse-failed",
@@ -373,10 +376,10 @@ class PathValidator:
                             point_uri, file_name, obj, ca_cert, crl, now, issues
                         )
                         if roa is not None:
-                            # Keep the evidence, not the parse: a held
-                            # Roa is ~7 KB, and holding every one until
-                            # the walk is assembled makes a refresh's
-                            # peak memory O(deployment), not O(point).
+                            # Keep the evidence, not the parse: holding
+                            # every Roa until the walk is assembled makes
+                            # a refresh's peak memory O(deployment), not
+                            # O(point).
                             asserted = tuple(
                                 VRP(
                                     prefix=roa_prefix.prefix,
@@ -409,18 +412,26 @@ class PathValidator:
                     ))
                     continue
         return self._finish_point(
-            ca_cert, cache_files, files, now, fingerprint, point_uri,
+            ca_cert, cache_files, copy, now, fingerprint,
             issues, children, roas, contact, verify_before,
         )
+
+    def _parse_file(self, copy: "_PointCopy", file_name: str) -> SignedObject:
+        """Parse one file of *copy*, once per judgement, under its digest."""
+        obj = copy.parsed.get(file_name)
+        if obj is None:
+            obj = copy.parsed[file_name] = self._parse(
+                copy.files[file_name], copy.digests[file_name]
+            )
+        return obj
 
     def _finish_point(
         self,
         ca_cert: ResourceCertificate,
         cache_files: dict[str, dict[str, bytes]],
-        selected_files: dict[str, bytes] | None,
+        selected: "_PointCopy | None",
         now: int,
         fingerprint: tuple,
-        point_uri: str,
         issues: list[ValidationIssue],
         children: list[ResourceCertificate],
         roas: list[RoaEvidence],
@@ -430,7 +441,7 @@ class PathValidator:
         """Package a point's outcome, with its time-reuse signature."""
         if self.incremental is not None:
             boundaries = self._collect_boundaries(
-                ca_cert, cache_files, selected_files
+                ca_cert, cache_files, selected
             )
         else:
             boundaries = ()  # never consulted without an IncrementalState
@@ -438,7 +449,7 @@ class PathValidator:
             fingerprint=fingerprint,
             boundaries=boundaries,
             time_sig=time_signature(boundaries, now),
-            selected_uri=point_uri,
+            selected_uri=ca_cert.sia if selected is None else selected.uri,
             issues=tuple(issues),
             children=tuple(children),
             roas=tuple(roas),
@@ -459,14 +470,14 @@ class PathValidator:
         retries the point from scratch instead of replaying the failure.
         """
         issue = ValidationIssue(
-            Severity.ERROR, _normalize(ca_cert.sia), "", "point-quarantined",
+            Severity.ERROR, ca_cert.sia, "", "point-quarantined",
             f"validation raised {type(exc).__name__}: {exc}",
         )
         return PointResult(
             fingerprint=fingerprint,
             boundaries=(),
             time_sig=time_signature((), now),
-            selected_uri=_normalize(ca_cert.sia),
+            selected_uri=ca_cert.sia,
             issues=(issue,),
             children=(),
             roas=(),
@@ -478,7 +489,7 @@ class PathValidator:
         self,
         ca_cert: ResourceCertificate,
         cache_files: dict[str, dict[str, bytes]],
-        selected_files: dict[str, bytes] | None,
+        selected: "_PointCopy | None",
     ) -> tuple[int, ...]:
         """Every time boundary this point's verdicts could depend on.
 
@@ -493,6 +504,11 @@ class PathValidator:
         revalidation, never a stale reuse.  Unparseable bytes contribute
         nothing: their outcome cannot depend on time, and any byte change
         is caught by the content fingerprint instead.
+
+        The selected copy's windows come from the objects the judgement
+        already parsed; only a file it never opened (dropped on a hash
+        mismatch, or the whole point discarded in strict mode) is parsed
+        here.
         """
         bounds: set[int] = set()
 
@@ -500,7 +516,8 @@ class PathValidator:
             bounds.add(obj.not_before)
             bounds.add(obj.not_after)
 
-        for uri in (_normalize(u) for u in ca_cert.all_publication_uris):
+        selected_files = None if selected is None else selected.files
+        for uri in ca_cert.all_publication_uris:
             files = cache_files.get(uri)
             if files is None or files is selected_files:
                 continue
@@ -513,15 +530,16 @@ class PathValidator:
                 continue  # unparseable bytes contribute no boundaries
             if isinstance(mirror_manifest, Manifest):
                 add(mirror_manifest)
-        for data in (selected_files or {}).values():
-            try:
-                obj = self._parse(data)
-            except Exception:
-                continue  # unparseable bytes contribute no boundaries
-            add(obj)
-            ee = getattr(obj, "ee_cert", None)
-            if ee is not None:
-                add(ee)
+        if selected is not None:
+            for file_name in selected.files:
+                try:
+                    obj = self._parse_file(selected, file_name)
+                except Exception:
+                    continue  # unparseable bytes contribute no boundaries
+                add(obj)
+                ee = getattr(obj, "ee_cert", None)
+                if ee is not None:
+                    add(ee)
         return tuple(sorted(bounds))
 
     def _select_point_copy(
@@ -529,7 +547,7 @@ class PathValidator:
         ca_cert: ResourceCertificate,
         cache_files: dict[str, dict[str, bytes]],
         now: int,
-    ) -> tuple[str, dict[str, bytes] | None]:
+    ) -> "_PointCopy | None":
         """Pick which cached copy of a CA's publication point to use.
 
         Candidates are the primary SIA then each mirror.  A copy is
@@ -537,30 +555,27 @@ class PathValidator:
         is current, and every listed file is present with a matching
         hash.  The first consistent copy wins; if none is consistent, the
         first cached copy (primary preferred) is returned so its problems
-        surface as ordinary validation issues.
+        surface as ordinary validation issues.  None: nothing is cached.
         """
-        candidates = [_normalize(u) for u in ca_cert.all_publication_uris]
-        first_present: tuple[str, dict[str, bytes]] | None = None
-        for uri in candidates:
+        first_present: _PointCopy | None = None
+        for uri in ca_cert.all_publication_uris:
             files = cache_files.get(uri)
             if files is None:
                 continue
+            copy = _PointCopy(uri, files)
             if first_present is None:
-                first_present = (uri, files)
-            if self._copy_is_consistent(files, ca_cert, now):
-                return uri, files
-        if first_present is not None:
-            return first_present
-        return _normalize(ca_cert.sia), None
+                first_present = copy
+            if self._copy_is_consistent(copy, ca_cert, now):
+                return copy
+        return first_present
 
     def _copy_is_consistent(
-        self, files: dict[str, bytes], ca_cert: ResourceCertificate, now: int
+        self, copy: "_PointCopy", ca_cert: ResourceCertificate, now: int
     ) -> bool:
-        data = files.get(MANIFEST_FILE)
-        if data is None:
+        if MANIFEST_FILE not in copy.files:
             return False
         try:
-            manifest = self._parse(data)
+            manifest = self._parse_file(copy, MANIFEST_FILE)
         except Exception:
             return False  # an unparseable manifest is an inconsistent copy
         if not isinstance(manifest, Manifest):
@@ -569,24 +584,24 @@ class PathValidator:
             return False
         if manifest.next_update < now:
             return False
-        on_disk = {name for name in files if name != MANIFEST_FILE}
+        digests = copy.digests
+        on_disk = {name for name in digests if name != MANIFEST_FILE}
         if manifest.file_names != on_disk:
             return False
         return all(
-            sha256_hex(files[name]) == manifest.hash_of(name)
-            for name in on_disk
+            digests[name] == manifest.hash_of(name) for name in on_disk
         )
 
-    def _load_crl(self, point_uri, files, ca_cert, now, issues) -> Crl | None:
-        data = files.get(CRL_FILE)
-        if data is None:
+    def _load_crl(self, copy, ca_cert, now, issues) -> Crl | None:
+        point_uri = copy.uri
+        if CRL_FILE not in copy.files:
             issues.append(ValidationIssue(
                 Severity.WARNING, point_uri, CRL_FILE, "crl-missing",
                 "no CRL at publication point; revocation cannot be checked",
             ))
             return None
         try:
-            crl = self._parse(data)
+            crl = self._parse_file(copy, CRL_FILE)
         except Exception as exc:
             issues.append(ValidationIssue(
                 Severity.ERROR, point_uri, CRL_FILE, "crl-parse-failed", str(exc),
@@ -608,16 +623,16 @@ class PathValidator:
         return crl
 
     def _apply_manifest(
-        self, point_uri, files, ca_cert, now, issues
-    ) -> dict[str, bytes] | None:
-        """Check manifest consistency; returns the usable file dict.
+        self, copy, ca_cert, now, issues
+    ) -> set[str] | None:
+        """Check manifest consistency; returns the usable file names.
 
         Returns None if strict mode discards the whole point.
         """
+        point_uri = copy.uri
         strict_fail: str | None = None
-        data = files.get(MANIFEST_FILE)
         manifest: Manifest | None = None
-        if data is None:
+        if MANIFEST_FILE not in copy.files:
             issues.append(ValidationIssue(
                 Severity.WARNING, point_uri, MANIFEST_FILE, "manifest-missing",
                 "no manifest; cannot detect missing or extra objects",
@@ -625,7 +640,7 @@ class PathValidator:
             strict_fail = "manifest-missing"
         else:
             try:
-                parsed = self._parse(data)
+                parsed = self._parse_file(copy, MANIFEST_FILE)
                 manifest = parsed if isinstance(parsed, Manifest) else None
             except Exception:
                 manifest = None
@@ -639,7 +654,7 @@ class PathValidator:
                 manifest = None
                 strict_fail = "manifest-bad"
 
-        usable = {k: v for k, v in files.items() if k != MANIFEST_FILE}
+        usable = {name for name in copy.files if name != MANIFEST_FILE}
         if manifest is not None:
             if manifest.next_update < now:
                 issues.append(ValidationIssue(
@@ -661,12 +676,12 @@ class PathValidator:
                     "file present but not listed in manifest",
                 ))
             for file_name in sorted(on_disk & listed):
-                if sha256_hex(usable[file_name]) != manifest.hash_of(file_name):
+                if copy.digests[file_name] != manifest.hash_of(file_name):
                     issues.append(ValidationIssue(
                         Severity.ERROR, point_uri, file_name, "hash-mismatch",
                         "file bytes do not match the manifest hash",
                     ))
-                    del usable[file_name]
+                    usable.discard(file_name)
                     strict_fail = strict_fail or "hash-mismatch"
 
         if self.strict_manifests and strict_fail is not None:
@@ -826,7 +841,7 @@ class ValidationWalk:
     def publication_uris(self) -> set[str]:
         """Every publication URI (mirrors included) of the frontier's CAs."""
         return {
-            _normalize(uri)
+            uri
             for ca_cert in self.frontier
             for uri in ca_cert.all_publication_uris
         }
@@ -889,6 +904,7 @@ class ValidationWalk:
         )
         if state is not None:
             state.emitted = emitted
+            state.book_memos()
         self._validator._count(result)
         return result
 
@@ -922,6 +938,20 @@ class ValidationWalk:
             self._emit(child, result, emitted, depth + 1)
 
 
-def _normalize(sia: str) -> str:
-    """Normalize an SIA string to the cache's canonical URI form."""
-    return str(RsyncUri.parse(sia))
+class _PointCopy:
+    """One cached copy of a publication point while it is being judged.
+
+    Every file is hashed once, here; that digest then serves the
+    manifest comparison, the parse memo's key and the parsed object's
+    ``hash_hex``.  ``parsed`` holds what the judgement has opened so far.
+    """
+
+    __slots__ = ("uri", "files", "digests", "parsed")
+
+    def __init__(self, uri: str, files: dict[str, bytes]):
+        self.uri = uri
+        self.files = files
+        self.digests = {
+            name: sha256_hex(data) for name, data in files.items()
+        }
+        self.parsed: dict[str, SignedObject] = {}

@@ -9,43 +9,145 @@ one-time-use certificate that signs a single ROA (paper, footnote 3).
 
 from __future__ import annotations
 
-from ..crypto import KeyPair, RsaPublicKey, key_id_of
-from ..resources import AsnSet, ResourceSet
+from ..crypto import KeyPair, RsaPublicKey, encode, key_id_of
+from ..crypto.encoding import (
+    LIST,
+    MAP,
+    open_container,
+    read_bytes,
+    read_int,
+    read_str,
+)
+from ..crypto.errors import SchemaError
+from ..resources import AddressRange, Afi, AsnRange, AsnSet, ResourceSet
 from .errors import ObjectFormatError
 from .objects import (
     SignedObject,
-    asn_set_from_data,
     asn_set_to_data,
-    resource_set_from_data,
+    key_error,
     resource_set_to_data,
+    schema,
 )
 
 __all__ = ["ResourceCertificate", "EECertificate", "build_certificate"]
+
+_AFI_BY_CODE = {afi.value: afi for afi in Afi}
+
+
+def address_family(code: int) -> Afi:
+    """The family with IANA codepoint *code* (an integer, never a bool)."""
+    afi = _AFI_BY_CODE.get(code)
+    if afi is None:
+        raise SchemaError(f"unknown address family {code}")
+    return afi
+
+
+def _rsync_uri(text: str) -> str:
+    """*text* in the cache's canonical URI form; junk is a schema error."""
+    # Imported here: repro.repository builds on this package.
+    from ..repository.errors import UriError
+    from ..repository.uri import RsyncUri
+
+    try:
+        return str(RsyncUri.parse(text))
+    except UriError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def _read_sia(buf: bytes, offset: int, limit: int) -> tuple[str, int]:
+    # Judged here, once, so nothing downstream dereferences a URI the
+    # walk would choke on.  EE certificates carry no SIA.
+    text, end = read_str(buf, offset, limit)
+    return (_rsync_uri(text) if text else text), end
+
+
+def _read_mirrors(buf: bytes, offset: int, limit: int
+                  ) -> tuple[tuple[str, ...], int]:
+    cursor, end = open_container(buf, offset, limit, LIST)
+    mirrors = []
+    while cursor < end:
+        text, cursor = read_str(buf, cursor, end)
+        mirrors.append(_rsync_uri(text))
+    return tuple(mirrors), end
+
+
+_E, _N = encode("e"), encode("n")
+
+
+def _read_public_key(buf: bytes, offset: int, limit: int
+                     ) -> tuple[RsaPublicKey, int]:
+    cursor, end = open_container(buf, offset, limit, MAP)
+    if not buf.startswith(_E, cursor):
+        raise key_error(buf, cursor, end, _E)
+    exponent, cursor = read_int(buf, cursor + len(_E), end)
+    if not buf.startswith(_N, cursor):
+        raise key_error(buf, cursor, end, _N)
+    modulus, cursor = read_int(buf, cursor + len(_N), end)
+    if cursor != end:
+        raise key_error(buf, cursor, end, None)
+    return RsaPublicKey(modulus, exponent), end
+
+
+def _read_as_resources(buf: bytes, offset: int, limit: int
+                       ) -> tuple[AsnSet, int]:
+    cursor, end = open_container(buf, offset, limit, LIST)
+    ranges = []
+    while cursor < end:
+        cursor, item_end = open_container(buf, cursor, end, LIST)
+        first, cursor = read_int(buf, cursor, item_end)
+        last, cursor = read_int(buf, cursor, item_end)
+        if cursor != item_end:
+            raise SchemaError("an AS range is [start, end]")
+        ranges.append(AsnRange(first, last))
+    return AsnSet(ranges), end
+
+
+def _read_ip_resources(buf: bytes, offset: int, limit: int
+                       ) -> tuple[ResourceSet, int]:
+    cursor, end = open_container(buf, offset, limit, LIST)
+    ranges = []
+    while cursor < end:
+        cursor, item_end = open_container(buf, cursor, end, LIST)
+        afi, cursor = read_int(buf, cursor, item_end)
+        first, cursor = read_int(buf, cursor, item_end)
+        last, cursor = read_int(buf, cursor, item_end)
+        if cursor != item_end:
+            raise SchemaError("an address range is [afi, start, end]")
+        ranges.append(AddressRange(address_family(afi), first, last))
+    return ResourceSet(ranges), end
+
+
+_CERTIFICATE_FIELDS = dict(
+    subject=read_str,
+    subject_key=_read_public_key,
+    subject_key_id=read_str,
+    ip_resources=_read_ip_resources,
+    as_resources=_read_as_resources,
+    sia=_read_sia,
+    sia_mirrors=_read_mirrors,
+    crldp=read_str,
+)
 
 
 class _BaseCertificate(SignedObject):
     """Shared accessors for RC and EE certificates."""
 
-    __slots__ = ("_ip_resources", "_as_resources")
-
-    def __init__(self, payload: dict, signature: bytes, *,
-                 encoded_payload: bytes | None = None):
-        super().__init__(payload, signature, encoded_payload=encoded_payload)
-        self._ip_resources = resource_set_from_data(payload["ip_resources"])
-        self._as_resources = asn_set_from_data(payload["as_resources"])
+    __slots__ = ("_subject", "_subject_key", "_subject_key_id",
+                 "_ip_resources", "_as_resources", "_sia", "_sia_mirrors",
+                 "_crldp")
 
     @property
     def subject(self) -> str:
         """The subject's handle (human-readable authority name)."""
-        return self.payload["subject"]
+        return self._subject
 
     @property
     def subject_key(self) -> RsaPublicKey:
-        return RsaPublicKey.from_dict(self.payload["subject_key"])
+        return self._subject_key
 
     @property
     def subject_key_id(self) -> str:
-        return self.payload["subject_key_id"]
+        return self._subject_key_id
 
     @property
     def ip_resources(self) -> ResourceSet:
@@ -60,8 +162,11 @@ class _BaseCertificate(SignedObject):
     @property
     def sia(self) -> str:
         """Subject Information Access: URI of the subject's publication
-        point — where objects *issued by the subject* are published."""
-        return self.payload["sia"]
+        point — where objects *issued by the subject* are published.
+
+        Empty (EE certificates) or a canonical ``rsync://host/path/``.
+        """
+        return self._sia
 
     @property
     def sia_mirrors(self) -> tuple[str, ...]:
@@ -71,24 +176,24 @@ class _BaseCertificate(SignedObject):
         paper cites as a step toward hardening delivery): a relying party
         that cannot reach the primary SIA tries these in order.
         """
-        return tuple(self.payload.get("sia_mirrors", []))
+        return self._sia_mirrors
 
     @property
     def all_publication_uris(self) -> tuple[str, ...]:
         """Primary SIA followed by mirrors (empty SIA yields nothing)."""
-        if not self.sia:
+        if not self._sia:
             return ()
-        return (self.sia, *self.sia_mirrors)
+        return (self._sia, *self._sia_mirrors)
 
     @property
     def crldp(self) -> str:
         """CRL distribution point: URI of the *issuer's* CRL."""
-        return self.payload["crldp"]
+        return self._crldp
 
     @property
     def is_self_signed(self) -> bool:
         """True for trust anchors (issuer key == subject key)."""
-        return self.issuer_key_id == self.subject_key_id
+        return self._issuer_key_id == self._subject_key_id
 
     def __repr__(self) -> str:
         return (
@@ -102,6 +207,7 @@ class ResourceCertificate(_BaseCertificate):
 
     TYPE = "rc"
     __slots__ = ()
+    _SCHEMA = schema(TYPE, **_CERTIFICATE_FIELDS)
 
 
 class EECertificate(_BaseCertificate):
@@ -109,6 +215,16 @@ class EECertificate(_BaseCertificate):
 
     TYPE = "ee"
     __slots__ = ()
+    _SCHEMA = schema(TYPE, **_CERTIFICATE_FIELDS)
+
+
+def read_embedded_ee(buf: bytes, offset: int, limit: int
+                     ) -> tuple[EECertificate, int]:
+    """The EE certificate a ROA or Ghostbusters record carries as bytes."""
+    blob, end = read_bytes(buf, offset, limit)
+    ee_cert = EECertificate.__new__(EECertificate)
+    ee_cert._read_wire(blob, None)
+    return ee_cert, end
 
 
 def build_certificate(
@@ -155,8 +271,6 @@ def build_certificate(
         "sia_mirrors": list(sia_mirrors or []),
         "crldp": crldp,
     }
-    from ..crypto import encode  # local import to keep module deps one-way
-
     encoded_payload = encode(payload)
     signature = issuer_key.sign(encoded_payload)
     return cls(payload, signature, encoded_payload=encoded_payload)

@@ -10,9 +10,20 @@ monitor layer compares both channels to tell the two apart.
 from __future__ import annotations
 
 from ..crypto import KeyPair, encode
-from .objects import SignedObject
+from ..crypto.encoding import LIST, open_container, read_int
+from .objects import SignedObject, schema
 
 __all__ = ["Crl", "build_crl"]
+
+
+def _read_serials(buf: bytes, offset: int, limit: int
+                  ) -> tuple[frozenset[int], int]:
+    cursor, end = open_container(buf, offset, limit, LIST)
+    serials = []
+    while cursor < end:
+        serial, cursor = read_int(buf, cursor, end)
+        serials.append(serial)
+    return frozenset(serials), end
 
 
 class Crl(SignedObject):
@@ -20,33 +31,30 @@ class Crl(SignedObject):
 
     TYPE = "crl"
 
-    __slots__ = ("_revoked",)
+    __slots__ = ("_revoked_serials",)
 
-    def __init__(self, payload: dict, signature: bytes, *,
-                 encoded_payload: bytes | None = None):
-        super().__init__(payload, signature, encoded_payload=encoded_payload)
-        self._revoked = frozenset(payload["revoked_serials"])
+    _SCHEMA = schema(TYPE, revoked_serials=_read_serials)
 
     @property
     def revoked_serials(self) -> frozenset[int]:
-        return self._revoked
+        return self._revoked_serials
 
     def is_revoked(self, serial: int) -> bool:
-        return serial in self._revoked
+        return serial in self._revoked_serials
 
     @property
     def this_update(self) -> int:
-        return self.payload["not_before"]
+        return self._not_before
 
     @property
     def next_update(self) -> int:
         """When the next CRL is due; a CRL older than this is stale."""
-        return self.payload["not_after"]
+        return self._not_after
 
     def __repr__(self) -> str:
         return (
             f"Crl(issuer={self.issuer_key_id!r}, serial={self.serial}, "
-            f"revoked={sorted(self._revoked)})"
+            f"revoked={sorted(self._revoked_serials)})"
         )
 
 

@@ -15,9 +15,9 @@ publishing CA.
 from __future__ import annotations
 
 from ..crypto import KeyPair, encode
-from .cert import EECertificate
-from .errors import ObjectFormatError
-from .objects import SignedObject
+from ..crypto.errors import SchemaError
+from .cert import EECertificate, read_embedded_ee
+from .objects import SignedObject, read_str_map, schema
 
 __all__ = ["GhostbustersRecord", "build_ghostbusters", "GHOSTBUSTERS_FILE"]
 
@@ -26,44 +26,38 @@ GHOSTBUSTERS_FILE = "ca.gbr"
 _ALLOWED_FIELDS = frozenset({"fn", "org", "email", "tel", "adr"})
 
 
+def _read_vcard(buf: bytes, offset: int, limit: int
+                ) -> tuple[dict[str, str], int]:
+    vcard, end = read_str_map(buf, offset, limit)
+    if "fn" not in vcard:
+        raise SchemaError("ghostbusters record needs a vCard with fn")
+    unknown = set(vcard) - _ALLOWED_FIELDS
+    if unknown:
+        raise SchemaError(f"unknown vCard fields: {sorted(unknown)}")
+    return vcard, end
+
+
 class GhostbustersRecord(SignedObject):
     """A signed contact card for one authority."""
 
     TYPE = "gbr"
 
-    __slots__ = ("_ee_cert",)
+    __slots__ = ("_vcard", "_ee_cert")
 
-    def __init__(self, payload: dict, signature: bytes, *,
-                 encoded_payload: bytes | None = None,
-                 ee_cert: EECertificate | None = None):
-        super().__init__(payload, signature, encoded_payload=encoded_payload)
-        vcard = payload.get("vcard")
-        if not isinstance(vcard, dict) or "fn" not in vcard:
-            raise ObjectFormatError("ghostbusters record needs a vCard with fn")
-        unknown = set(vcard) - _ALLOWED_FIELDS
-        if unknown:
-            raise ObjectFormatError(f"unknown vCard fields: {sorted(unknown)}")
-        if ee_cert is None:
-            ee_payload, ee_signature, ee_encoded = SignedObject.split_wire(
-                payload["ee_cert"]
-            )
-            ee_cert = EECertificate(
-                ee_payload, ee_signature, encoded_payload=ee_encoded
-            )
-        self._ee_cert = ee_cert
+    _SCHEMA = schema(TYPE, vcard=_read_vcard, ee_cert=read_embedded_ee)
 
     @property
     def vcard(self) -> dict[str, str]:
-        return dict(self.payload["vcard"])
+        return dict(self._vcard)
 
     @property
     def full_name(self) -> str:
         """The vCard FN field — the responsible party's name."""
-        return self.payload["vcard"]["fn"]
+        return self._vcard["fn"]
 
     @property
     def email(self) -> str | None:
-        return self.payload["vcard"].get("email")
+        return self._vcard.get("email")
 
     @property
     def ee_cert(self) -> EECertificate:
@@ -95,5 +89,4 @@ def build_ghostbusters(
     encoded_payload = encode(payload)
     signature = ee_key.sign(encoded_payload)
     return GhostbustersRecord(payload, signature,
-                              encoded_payload=encoded_payload,
-                              ee_cert=ee_cert)
+                              encoded_payload=encoded_payload)

@@ -15,7 +15,7 @@ what action should be taken", paper Section 4); the relying party in
 from __future__ import annotations
 
 from ..crypto import KeyPair, encode
-from .objects import SignedObject
+from .objects import SignedObject, read_str_map, schema
 
 __all__ = ["Manifest", "build_manifest"]
 
@@ -27,10 +27,7 @@ class Manifest(SignedObject):
 
     __slots__ = ("_entries",)
 
-    def __init__(self, payload: dict, signature: bytes, *,
-                 encoded_payload: bytes | None = None):
-        super().__init__(payload, signature, encoded_payload=encoded_payload)
-        self._entries = dict(payload["entries"])
+    _SCHEMA = schema(TYPE, entries=read_str_map)
 
     @property
     def entries(self) -> dict[str, str]:
@@ -46,11 +43,11 @@ class Manifest(SignedObject):
 
     @property
     def this_update(self) -> int:
-        return self.payload["not_before"]
+        return self._not_before
 
     @property
     def next_update(self) -> int:
-        return self.payload["not_after"]
+        return self._not_after
 
     def __repr__(self) -> str:
         return (

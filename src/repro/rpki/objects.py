@@ -6,6 +6,11 @@ encoding.  The payload layouts mirror the fields of the production profiles
 (RFC 6487 certificates, RFC 6482 ROAs, RFC 5280 CRLs, RFC 6486 manifests)
 at the granularity the paper's analysis needs.
 
+An object is read from its wire form in one pass (``_read_wire``,
+directed by the type's :func:`schema` of typed field readers, themselves
+built from the leaf readers of :mod:`repro.crypto.encoding`); the
+payload dictionary exists only on demand, as ``SignedObject.payload``.
+
 Objects are immutable once constructed; "overwriting" an object in a
 repository (the stealthy-revocation primitive of Side Effect 2) means
 publishing a *different* object under the same file name, never mutating
@@ -14,38 +19,35 @@ one in place.
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..crypto import RsaPublicKey, decode, encode, sha256_hex
-from ..crypto.encoding import encode_parts, toplevel_spans
-from ..resources import (
-    AddressRange,
-    Afi,
-    AsnRange,
-    AsnSet,
-    Prefix,
-    ResourceSet,
+from ..crypto.encoding import (
+    LIST,
+    MAP,
+    encode_parts,
+    open_container,
+    read_header,
+    read_int,
+    read_str,
 )
+from ..crypto.errors import EncodingError, SchemaError
+from ..resources import AsnSet, Prefix, ResourceSet
 from ..telemetry import default_registry
 from .errors import ObjectFormatError
 
 __all__ = [
     "SignedObject",
     "resource_set_to_data",
-    "resource_set_from_data",
     "asn_set_to_data",
-    "asn_set_from_data",
     "prefix_to_data",
-    "prefix_from_data",
 ]
 
-# Canonical-bytes memo telemetry.  RPKI objects are immutable, so the
-# encoded payload computed at issuance (the bytes the builder signed) or
-# at parse time (a slice of the fetched wire form) is *the* canonical
-# encoding forever — a miss means a constructor had to re-encode its
-# payload from the dictionary.  Bound to the process-global registry at
-# import time (the default registry is a permanent singleton, only ever
-# reset in place), same as repro.crypto.rsa's counters.
+# Canonical-bytes memo telemetry for the dict constructor (builders and
+# hand-built objects; parsing fetched bytes never constructs from a
+# dictionary).  A miss means the constructor had to encode its payload
+# itself instead of reusing the bytes the builder signed.  Bound to the
+# process-global registry at import time (the default registry is a
+# permanent singleton, only ever reset in place), same as
+# repro.crypto.rsa's counters.
 _ENCODE_CACHE_HITS = default_registry().counter(
     "repro_crypto_encode_cache_hits_total",
     help="SignedObject constructions that reused pre-encoded payload bytes",
@@ -61,37 +63,9 @@ def resource_set_to_data(resources: ResourceSet) -> list:
     return [[r.afi.value, r.start, r.end] for r in resources.ranges]
 
 
-def resource_set_from_data(data: Any) -> ResourceSet:
-    """Decode the output of :func:`resource_set_to_data`."""
-    if not isinstance(data, list):
-        raise ObjectFormatError(f"resource set must be a list, got {type(data)}")
-    ranges = []
-    for item in data:
-        try:
-            afi_value, start, end = item
-            ranges.append(AddressRange(Afi(afi_value), start, end))
-        except (TypeError, ValueError) as exc:
-            raise ObjectFormatError(f"bad resource range {item!r}: {exc}") from exc
-    return ResourceSet(ranges)
-
-
 def asn_set_to_data(asns: AsnSet) -> list:
     """Encode an AsnSet as ``[[start, end], ...]`` (sorted)."""
     return [[r.start, r.end] for r in asns.ranges]
-
-
-def asn_set_from_data(data: Any) -> AsnSet:
-    """Decode the output of :func:`asn_set_to_data`."""
-    if not isinstance(data, list):
-        raise ObjectFormatError(f"ASN set must be a list, got {type(data)}")
-    ranges = []
-    for item in data:
-        try:
-            start, end = item
-            ranges.append(AsnRange(start, end))
-        except (TypeError, ValueError) as exc:
-            raise ObjectFormatError(f"bad ASN range {item!r}: {exc}") from exc
-    return AsnSet(ranges)
 
 
 def prefix_to_data(prefix: Prefix) -> list:
@@ -99,133 +73,262 @@ def prefix_to_data(prefix: Prefix) -> list:
     return [prefix.afi.value, prefix.network, prefix.length]
 
 
-def prefix_from_data(data: Any) -> Prefix:
-    """Decode the output of :func:`prefix_to_data`."""
+_TYPE_KEY = encode("type")
+
+
+def type_pair(type_tag: str) -> bytes:
+    """The encoded ``"type": type_tag`` pair, matched as one constant."""
+    return _TYPE_KEY + encode(type_tag)
+
+
+def schema(type_tag: str, **readers) -> tuple:
+    """The payload schema of one object type: its fields in wire order.
+
+    *readers* maps each of the type's own payload keys to the reader of
+    its value — a function ``(buf, offset, limit) -> (value, end)``
+    whose result goes into the slot ``_<key>``; the four fields every
+    signed object has (``serial``, ``issuer_key_id``, ``not_before``,
+    ``not_after``) are added here.  CTLV sorts map keys by their encoded
+    bytes, and every builder emits every key, so a payload has exactly
+    one key sequence; it is computed here, not written out by hand.
+    Each row is ``(encoded key, its length, reader, slot)``; the
+    ``type`` row carries the whole pair as its key and no reader.
+    """
+    readers.update(serial=read_int, issuer_key_id=read_str,
+                   not_before=read_int, not_after=read_int)
+    rows = [(type_pair(type_tag), None, "")]
+    rows += [(encode(name), read, "_" + name) for name, read in readers.items()]
+    rows.sort(key=lambda row: row[0])
+    return tuple((key, len(key), read, slot) for key, read, slot in rows)
+
+
+def key_error(buf: bytes, offset: int, end: int, expected: bytes | None
+              ) -> SchemaError:
+    """Why the map key at *offset* is not *expected* (None: map over)."""
+    if expected is not None and expected.startswith(_TYPE_KEY) \
+            and buf.startswith(_TYPE_KEY, offset):
+        found, _ = read_str(buf, offset + len(_TYPE_KEY), end)
+        wanted, _ = read_str(expected, len(_TYPE_KEY), len(expected))
+        return SchemaError(f"payload type {found!r} != expected {wanted!r}")
+    wanted = None if expected is None else read_str(expected, 0, len(expected))[0]
+    if offset >= end:
+        return SchemaError(f"missing key {wanted!r}")
+    found, _ = read_str(buf, offset, end)
+    if wanted is None:
+        return SchemaError(f"unexpected key {found!r}")
+    return SchemaError(f"expected key {wanted!r}, found {found!r}")
+
+
+def read_str_map(buf: bytes, offset: int, limit: int
+                 ) -> tuple[dict[str, str], int]:
+    """The string-to-string map at *offset* (manifest entries, a vCard).
+
+    Its keys are data, not schema, so the codec's "strictly sorted by
+    encoded bytes" rule is checked here instead of holding by
+    construction.
+    """
+    cursor, end = open_container(buf, offset, limit, MAP)
+    result: dict[str, str] = {}
+    previous = b""
+    while cursor < end:
+        key_at = cursor
+        key, cursor = read_str(buf, cursor, end)
+        key_bytes = buf[key_at:cursor]
+        if key_bytes <= previous:
+            raise EncodingError("map keys not strictly sorted")
+        previous = key_bytes
+        result[key], cursor = read_str(buf, cursor, end)
+    return result, end
+
+
+def _rejection(blob: bytes, type_tag: str, complaint: SchemaError
+               ) -> ObjectFormatError:
+    """The error for bytes a reader's schema does not describe.
+
+    Reject path only.  The codec is asked first: bytes that are not
+    canonical CTLV at all are reported with its complaint, whichever
+    field the reader happened to stop at.
+    """
     try:
-        afi_value, network, length = data
-        return Prefix(Afi(afi_value), network, length)
-    except (TypeError, ValueError) as exc:
-        raise ObjectFormatError(f"bad prefix {data!r}: {exc}") from exc
+        decoded = decode(blob)
+    except EncodingError as exc:
+        return ObjectFormatError(f"undecodable object: {exc}")
+    if (
+        not isinstance(decoded, list)
+        or len(decoded) != 2
+        or not isinstance(decoded[0], dict)
+        or not isinstance(decoded[1], bytes)
+    ):
+        return ObjectFormatError("object is not [payload, signature]")
+    if not type_tag:
+        # An alien type tag, or a known one on another type's layout.
+        return ObjectFormatError(
+            "not the payload of any object type "
+            f"(its type is {decoded[0].get('type')!r})"
+        )
+    field = complaint.field
+    where = "payload" if field is None else f"field {field!r}"
+    return ObjectFormatError(f"malformed {type_tag} {where}: {complaint}")
 
 
 class SignedObject:
     """Base class: a canonical payload plus a signature over its encoding.
 
-    Subclasses define ``TYPE`` (the payload's ``"type"`` discriminator) and
-    expose typed accessors over ``self.payload``.  Equality and hashing are
-    by serialized bytes, so two objects are "the same object" exactly when
-    a manifest hash or monitor diff would say so.
+    Subclasses define ``TYPE`` (the payload's ``"type"`` discriminator)
+    and ``_SCHEMA``, the payload's fields and their typed readers, which
+    ``_read_payload`` walks straight into the slots the accessors
+    return.  Equality and hashing are by serialized bytes, so
+    two objects are "the same object" exactly when a manifest hash or
+    monitor diff would say so.
     """
 
     TYPE = ""
+    #: The type's :func:`schema`.  None: bytes of no known type.
+    _SCHEMA: tuple | None = None
 
-    __slots__ = ("_payload", "_signature", "_encoded_payload", "_wire",
-                 "_hash_hex")
+    __slots__ = ("_wire", "_signed_end", "_hash_hex", "_serial",
+                 "_issuer_key_id", "_not_before", "_not_after")
 
     def __init__(self, payload: dict, signature: bytes, *,
                  encoded_payload: bytes | None = None):
-        if self.TYPE and payload.get("type") != self.TYPE:
-            raise ObjectFormatError(
-                f"payload type {payload.get('type')!r} != expected {self.TYPE!r}"
-            )
-        self._payload = payload
-        self._signature = signature
         if encoded_payload is None:
             _ENCODE_CACHE_MISSES.inc()
             encoded_payload = encode(payload)
         else:
             _ENCODE_CACHE_HITS.inc()
-        self._encoded_payload = encoded_payload
-        # The full wire form is [payload, signature]; with the payload
-        # bytes in hand it is a header + concatenation, never a re-encode.
-        self._wire = encode_parts(encoded_payload, encode(signature))
-        self._hash_hex = sha256_hex(self._wire)
+        # The wire form is [payload, signature]; with the payload bytes
+        # in hand it is a header + concatenation.  The fields are then
+        # read from it exactly as from fetched bytes.
+        self._read_wire(
+            encode_parts(encoded_payload, encode(signature)), None
+        )
+
+    def _read_wire(self, blob: bytes, digest: str | None) -> None:
+        """Fill this object from its wire form ``[payload, signature]`` in one pass.
+
+        The single entry to every per-type reader — ``parse_object``, the
+        embedded EE certificate of a ROA, and the dict constructor (which
+        encodes first) all come through here — so a field is extracted in
+        exactly one place per type.  The reader accepts only the canonical
+        encoding, so *blob* is the unique encoding of what was read: it is
+        kept as ``to_bytes()`` and never rebuilt, and *digest* (the caller's
+        SHA-256 of *blob*, if it has one) is kept as ``hash_hex``.
+
+        Every rejection is an :class:`ObjectFormatError`.
+        """
+        try:
+            total = len(blob)
+            body, end = open_container(blob, 0, total, LIST)
+            fields, signed_end = open_container(blob, body, end, MAP)
+            self._read_payload(blob, fields, signed_end)
+            tag, _start, signature_end = read_header(blob, signed_end, end)
+            if tag != 66 or signature_end != end:
+                raise SchemaError("object is not [payload, signature]")
+            if end != total:
+                raise EncodingError(f"{total - end} trailing bytes after value")
+        except EncodingError as exc:
+            raise ObjectFormatError(f"undecodable object: {exc}") from exc
+        except SchemaError as exc:
+            raise _rejection(blob, self.TYPE, exc) from exc
+        except ObjectFormatError:
+            raise
+        except Exception as exc:  # a value the resource algebra refuses
+            raise ObjectFormatError(f"malformed {self.TYPE} object: {exc}") from exc
+        self._wire = blob
+        self._signed_end = signed_end
+        self._hash_hex = digest
+
+    def _read_payload(self, buf: bytes, offset: int, end: int) -> None:
+        """Read the payload map body ``buf[offset:end]`` into the slots.
+
+        One walk by the schema's key sequence: a key is matched as a
+        constant byte string, never decoded — so "keys strictly sorted,
+        no duplicates" holds by construction — and its value is read by
+        the field's typed reader straight into its slot.
+        """
+        if self._SCHEMA is None:
+            raise SchemaError("no object type has this layout")
+        for key, size, read, slot in self._SCHEMA:
+            if not buf.startswith(key, offset):
+                raise key_error(buf, offset, end, key)
+            if read is None:        # the type pair: all constant
+                offset += size
+                continue
+            try:
+                value, offset = read(buf, offset + size, end)
+            except SchemaError as exc:
+                if exc.field is None:
+                    exc.field = slot[1:]
+                raise
+            setattr(self, slot, value)
+        if offset != end:
+            raise key_error(buf, offset, end, None)
 
     # -- signing surface -----------------------------------------------------
 
     @property
     def payload(self) -> dict:
-        """The payload dictionary.  Treat as read-only."""
-        return self._payload
+        """The payload as a plain dictionary, decoded on demand.
+
+        Nothing on the validation path reads it; it is for inspection
+        and for tooling that rebuilds an altered object.
+        """
+        return decode(self.signed_bytes)
 
     @property
     def signature(self) -> bytes:
-        return self._signature
+        return self._wire[self._signed_end + 5:]
 
     @property
     def signed_bytes(self) -> bytes:
         """The exact bytes the signature covers."""
-        return self._encoded_payload
+        return self._wire[5:self._signed_end]
 
     def verify_signature(self, public_key: RsaPublicKey) -> bool:
         """True iff the signature verifies under *public_key*."""
-        return public_key.verify(self._encoded_payload, self._signature)
+        wire, signed_end = self._wire, self._signed_end
+        return public_key.verify(wire[5:signed_end], wire[signed_end + 5:])
 
     # -- wire form -------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """Serialize the whole object (payload + signature).
 
-        Cached at construction — objects are immutable, so publication,
-        manifest hashing, and equality all reuse the same bytes.
+        The bytes the object was read from — objects are immutable, so
+        publication, manifest hashing, and equality all reuse them.
         """
         return self._wire
-
-    @classmethod
-    def split_wire(cls, blob: bytes) -> tuple[dict, bytes, bytes]:
-        """Split a serialized object into (payload, signature, payload bytes).
-
-        The third element is the payload's exact canonical encoding — a
-        slice of *blob* — suitable for the ``encoded_payload`` constructor
-        argument, so parsing never re-encodes what it just decoded.
-
-        Raises :class:`ObjectFormatError` on any structural problem; this
-        is the choke point through which every fetched byte string passes,
-        so corruption injected by the fault layer surfaces here.
-        """
-        try:
-            decoded = decode(blob)
-        except Exception as exc:
-            raise ObjectFormatError(f"undecodable object: {exc}") from exc
-        if (
-            not isinstance(decoded, list)
-            or len(decoded) != 2
-            or not isinstance(decoded[0], dict)
-            or not isinstance(decoded[1], bytes)
-        ):
-            raise ObjectFormatError("object is not [payload, signature]")
-        # decode() proved blob is a well-formed two-item list, so the
-        # span walk cannot fail; item 0's span is the payload's bytes.
-        start, end = toplevel_spans(blob)[0]
-        return decoded[0], decoded[1], blob[start:end]
 
     @property
     def hash_hex(self) -> str:
         """SHA-256 of the serialized object — the manifest entry value."""
-        return self._hash_hex
+        digest = self._hash_hex
+        if digest is None:
+            digest = self._hash_hex = sha256_hex(self._wire)
+        return digest
 
     # -- common payload fields ----------------------------------------------------
 
     @property
     def serial(self) -> int:
-        return self._payload["serial"]
+        return self._serial
 
     @property
     def issuer_key_id(self) -> str:
         """Key identifier of the signing authority."""
-        return self._payload["issuer_key_id"]
+        return self._issuer_key_id
 
     @property
     def not_before(self) -> int:
-        return self._payload["not_before"]
+        return self._not_before
 
     @property
     def not_after(self) -> int:
-        return self._payload["not_after"]
+        return self._not_after
 
     def is_current(self, now: int) -> bool:
         """True iff *now* falls inside the validity window."""
-        return self.not_before <= now <= self.not_after
+        return self._not_before <= now <= self._not_after
 
     # -- value semantics --------------------------------------------------------
 
@@ -235,4 +338,4 @@ class SignedObject:
         return self._wire == other._wire
 
     def __hash__(self) -> int:
-        return hash(self._hash_hex)
+        return hash(self._wire)

@@ -8,12 +8,14 @@ paper analyzes.
 
 from __future__ import annotations
 
+import struct
+
+from ..crypto import encode
 from .cert import EECertificate, ResourceCertificate
 from .crl import Crl
-from .errors import ObjectFormatError
 from .ghostbusters import GhostbustersRecord
 from .manifest import Manifest
-from .objects import SignedObject
+from .objects import SignedObject, type_pair
 from .roa import Roa
 
 __all__ = ["parse_object", "OBJECT_TYPES"]
@@ -27,24 +29,56 @@ OBJECT_TYPES: dict[str, type[SignedObject]] = {
     Manifest.TYPE: Manifest,
 }
 
+# Which reader gets the bytes is read off where the canonical key order
+# puts the ``type`` pair: first in a CRL, manifest or Ghostbusters
+# record, after ``asn`` in a ROA (the only payload starting with it),
+# after ``sia`` in a certificate.  A wrong guess costs nothing: the
+# reader it selects rejects the bytes.
+_BODY = 10      # [ list header, map header ] precede the first key
+_LENGTH = struct.Struct(">I")
+_ASN_KEY = encode("asn")
+_SIA_KEY = encode("sia")
+_BY_LEADING_TYPE = {
+    type_pair(cls.TYPE): cls for cls in (Crl, Manifest, GhostbustersRecord)
+}
+_CERTIFICATE_BY_TYPE = {
+    type_pair(cls.TYPE): cls for cls in (ResourceCertificate, EECertificate)
+}
+_LEADING_PAIR = len(type_pair(Crl.TYPE))
+_CERTIFICATE_PAIR = len(type_pair(EECertificate.TYPE))
+_SIA_VALUE = _BODY + len(_SIA_KEY)
 
-def parse_object(blob: bytes) -> SignedObject:
+
+def _class_of(blob: bytes) -> type[SignedObject] | None:
+    if blob.startswith(_ASN_KEY, _BODY):
+        return Roa
+    if blob.startswith(_SIA_KEY, _BODY) and len(blob) >= _SIA_VALUE + 5:
+        # Past the SIA string (tag byte, 4-byte length, text) to the pair.
+        type_at = _SIA_VALUE + 5 + _LENGTH.unpack_from(blob, _SIA_VALUE + 1)[0]
+        return _CERTIFICATE_BY_TYPE.get(
+            blob[type_at:type_at + _CERTIFICATE_PAIR]
+        )
+    return _BY_LEADING_TYPE.get(blob[_BODY:_BODY + _LEADING_PAIR])
+
+
+def parse_object(blob: bytes, digest: str | None = None) -> SignedObject:
     """Parse serialized bytes into the right :class:`SignedObject` subclass.
 
+    One pass: the type's reader walks *blob* once, straight into the
+    typed object, which keeps *blob* itself as its wire form.  *digest*
+    is the SHA-256 hex of *blob* if the caller already has it (a relying
+    party hashes every fetched file once, for the manifest check); it
+    becomes the object's ``hash_hex`` instead of being computed again.
+
     Raises :class:`ObjectFormatError` for anything structurally wrong:
-    undecodable bytes, unknown type tags, or payloads that fail the
-    subclass's own field validation.
+    undecodable bytes, unknown type tags, or payloads that are not the
+    type's exact field set.
     """
-    payload, signature, encoded_payload = SignedObject.split_wire(blob)
-    type_tag = payload.get("type")
-    cls = OBJECT_TYPES.get(type_tag)
-    if cls is None:
-        raise ObjectFormatError(f"unknown object type {type_tag!r}")
-    try:
-        # The payload bytes are a slice of *blob* — the constructor reuses
-        # them instead of re-encoding the dictionary it was handed.
-        return cls(payload, signature, encoded_payload=encoded_payload)
-    except ObjectFormatError:
-        raise
-    except Exception as exc:
-        raise ObjectFormatError(f"malformed {type_tag} object: {exc}") from exc
+    if type(blob) is not bytes:
+        blob = bytes(blob)
+    # Bytes of no known type are read as a bare SignedObject, whose
+    # reader rejects them once the framing has been judged.
+    cls = _class_of(blob) or SignedObject
+    obj = cls.__new__(cls)
+    obj._read_wire(blob, digest)
+    return obj

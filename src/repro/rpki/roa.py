@@ -14,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto import KeyPair, encode
+from ..crypto.encoding import LIST, open_container, read_int
+from ..crypto.errors import SchemaError
 from ..resources import ASN, Prefix, ResourceSet
-from .cert import EECertificate
+from .cert import EECertificate, address_family, read_embedded_ee
 from .errors import ObjectFormatError
-from .objects import SignedObject, prefix_from_data, prefix_to_data
+from .objects import SignedObject, prefix_to_data, schema
 
 __all__ = ["RoaPrefix", "Roa", "build_roa"]
 
@@ -62,37 +64,53 @@ class RoaPrefix:
         return f"{self.prefix}-{self.max_length}"
 
 
+def _read_asn(buf: bytes, offset: int, limit: int) -> tuple[ASN, int]:
+    value, end = read_int(buf, offset, limit)
+    return ASN(value), end
+
+
+def _read_prefixes(buf: bytes, offset: int, limit: int
+                   ) -> tuple[tuple[RoaPrefix, ...], int]:
+    cursor, end = open_container(buf, offset, limit, LIST)
+    if cursor == end:
+        raise SchemaError("a ROA must name at least one prefix")
+    prefixes = []
+    while cursor < end:
+        cursor, entry_end = open_container(buf, cursor, end, LIST)
+        cursor, prefix_end = open_container(buf, cursor, entry_end, LIST)
+        afi, cursor = read_int(buf, cursor, prefix_end)
+        network, cursor = read_int(buf, cursor, prefix_end)
+        length, cursor = read_int(buf, cursor, prefix_end)
+        if cursor != prefix_end:
+            raise SchemaError("a prefix is [afi, network, length]")
+        max_length, cursor = read_int(buf, cursor, entry_end)
+        if cursor != entry_end:
+            raise SchemaError("a ROA prefix is [prefix, maxLength]")
+        if max_length < -1:
+            raise SchemaError(f"maxLength {max_length}: unspecified is -1")
+        prefixes.append(RoaPrefix(
+            Prefix(address_family(afi), network, length),
+            None if max_length < 0 else max_length,
+        ))
+    return tuple(prefixes), end
+
+
 class Roa(SignedObject):
     """A signed Route Origin Authorization with its embedded EE certificate."""
 
     TYPE = "roa"
 
-    __slots__ = ("_prefixes", "_ee_cert")
+    __slots__ = ("_asn", "_prefixes", "_ee_cert")
 
-    def __init__(self, payload: dict, signature: bytes, *,
-                 encoded_payload: bytes | None = None,
-                 ee_cert: EECertificate | None = None):
-        super().__init__(payload, signature, encoded_payload=encoded_payload)
-        self._prefixes = tuple(
-            RoaPrefix(prefix_from_data(p), max_length if max_length >= 0 else None)
-            for p, max_length in payload["prefixes"]
-        )
-        if ee_cert is None:
-            # Untrusted path (parsing fetched bytes): re-parse the
-            # embedded certificate.  Its payload bytes are a slice of
-            # the embedded wire form, so no re-encode happens.
-            ee_payload, ee_signature, ee_encoded = SignedObject.split_wire(
-                payload["ee_cert"]
-            )
-            ee_cert = EECertificate(
-                ee_payload, ee_signature, encoded_payload=ee_encoded
-            )
-        self._ee_cert = ee_cert
+    _SCHEMA = schema(
+        TYPE, asn=_read_asn, prefixes=_read_prefixes,
+        ee_cert=read_embedded_ee,
+    )
 
     @property
     def asn(self) -> ASN:
         """The single origin AS this ROA authorizes."""
-        return ASN(self.payload["asn"])
+        return self._asn
 
     @property
     def prefixes(self) -> tuple[RoaPrefix, ...]:
@@ -148,7 +166,4 @@ def build_roa(
     }
     encoded_payload = encode(payload)
     signature = ee_key.sign(encoded_payload)
-    # The builder holds the EE certificate it just embedded — hand the
-    # object through so construction skips re-parsing its own bytes.
-    return Roa(payload, signature, encoded_payload=encoded_payload,
-               ee_cert=ee_cert)
+    return Roa(payload, signature, encoded_payload=encoded_payload)

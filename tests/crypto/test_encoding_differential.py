@@ -35,6 +35,34 @@ SEED = 0xC7111
 _KEY_POOL = ["type", "serial", "n", "e", "sia", "", "aaa", "zzz"]
 
 
+# Every named malformed-input class, as (name, bytes).  Also planted
+# inside whole RPKI objects by tests/rpki/test_parse_differential.py.
+MALFORMED_CLASSES = [
+    ("truncated_header", b"I\x00\x00"),
+    ("truncated_payload", b"B\x00\x00\x00\x05abc"),
+    ("trailing_bytes", b"N\x00\x00\x00\x00X"),
+    ("empty_int", b"I\x00\x00\x00\x00"),
+    ("padded_positive_int", b"I\x00\x00\x00\x02\x00\x01"),
+    ("padded_negative_int", b"I\x00\x00\x00\x02\xff\xff"),
+    # -128's canonical form keeps a spare sign byte (b"\xff\x80");
+    # the width-minimal two's complement b"\x80" must be rejected.
+    ("tight_negative_int", b"I\x00\x00\x00\x01\x80"),
+    ("payload_on_null", b"N\x00\x00\x00\x01x"),
+    ("payload_on_true", b"T\x00\x00\x00\x01x"),
+    ("payload_on_false", b"F\x00\x00\x00\x01x"),
+    ("bad_utf8", b"S\x00\x00\x00\x02\xff\xfe"),
+    ("unknown_tag", b"Z\x00\x00\x00\x00"),
+    ("unsorted_map_keys",
+     b"M\x00\x00\x00\x14"
+     b"I\x00\x00\x00\x01\x02" b"N\x00\x00\x00\x00"
+     b"I\x00\x00\x00\x01\x01" b"N\x00\x00\x00\x00"),
+    ("duplicate_map_keys",
+     b"M\x00\x00\x00\x14"
+     b"I\x00\x00\x00\x01\x01" b"N\x00\x00\x00\x00"
+     b"I\x00\x00\x00\x01\x01" b"N\x00\x00\x00\x00"),
+]
+
+
 def _random_scalar(rng: random.Random):
     kind = rng.randrange(7)
     if kind == 0:
@@ -153,30 +181,7 @@ class TestRejectionAgreement:
         # The mutator must actually exercise both outcomes.
         assert accepted > 0 and rejected > 0
 
-    @pytest.mark.parametrize("name,blob", [
-        ("truncated_header", b"I\x00\x00"),
-        ("truncated_payload", b"B\x00\x00\x00\x05abc"),
-        ("trailing_bytes", b"N\x00\x00\x00\x00X"),
-        ("empty_int", b"I\x00\x00\x00\x00"),
-        ("padded_positive_int", b"I\x00\x00\x00\x02\x00\x01"),
-        ("padded_negative_int", b"I\x00\x00\x00\x02\xff\xff"),
-        # -128's canonical form keeps a spare sign byte (b"\xff\x80");
-        # the width-minimal two's complement b"\x80" must be rejected.
-        ("tight_negative_int", b"I\x00\x00\x00\x01\x80"),
-        ("payload_on_null", b"N\x00\x00\x00\x01x"),
-        ("payload_on_true", b"T\x00\x00\x00\x01x"),
-        ("payload_on_false", b"F\x00\x00\x00\x01x"),
-        ("bad_utf8", b"S\x00\x00\x00\x02\xff\xfe"),
-        ("unknown_tag", b"Z\x00\x00\x00\x00"),
-        ("unsorted_map_keys",
-         b"M\x00\x00\x00\x14"
-         b"I\x00\x00\x00\x01\x02" b"N\x00\x00\x00\x00"
-         b"I\x00\x00\x00\x01\x01" b"N\x00\x00\x00\x00"),
-        ("duplicate_map_keys",
-         b"M\x00\x00\x00\x14"
-         b"I\x00\x00\x00\x01\x01" b"N\x00\x00\x00\x00"
-         b"I\x00\x00\x00\x01\x01" b"N\x00\x00\x00\x00"),
-    ])
+    @pytest.mark.parametrize("name,blob", MALFORMED_CLASSES)
     def test_named_malformed_classes_rejected_by_both(self, name, blob):
         ok_new, _ = _decode_outcome(engine, blob)
         ok_old, _ = _decode_outcome(reference, blob)

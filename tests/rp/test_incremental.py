@@ -24,6 +24,7 @@ from repro.rp import (
 from repro.rp.incremental import time_signature
 from repro.rpki.errors import ObjectFormatError
 from repro.simtime import DAY, HOUR
+from repro.telemetry import MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -84,10 +85,54 @@ class TestMemoUnits:
     def test_verification_memo_bounded(self, world):
         anchor = world.trust_anchors[0]
         sprint = world.sprint.certificate
+        etb = world.etb.certificate
         memo = VerificationMemo(max_entries=1)
         memo.verify_object(anchor, anchor.subject_key)
-        memo.verify_object(sprint, anchor.subject_key)  # full: clears first
-        assert len(memo) == 1
+        # Full: the first entry becomes the previous generation...
+        memo.verify_object(sprint, anchor.subject_key)
+        assert len(memo) == 2
+        # ...and is dropped at the next turn-over: two generations of
+        # max_entries each is the most the memo ever holds.
+        memo.verify_object(etb, anchor.subject_key)
+        assert len(memo) == 2
+        assert memo.max_entries == 1
+
+    def test_warm_pass_one_past_the_bound_still_hits(self, world):
+        # Size the memos one entry short of what a cold pass needs, then
+        # dirty every point (as a clock step across a validity edge
+        # would).  A memo that clears itself wholesale re-verified every
+        # object on the second pass; two generations keep all but none.
+        snapshot = {
+            ca.sia: {
+                name: ca.publication_point.get(name)
+                for name in ca.publication_point.names()
+            }
+            for ca in world.authorities()
+        }
+        now = world.clock.now
+        sizing = IncrementalState(metrics=MetricsRegistry())
+        PathValidator(world.trust_anchors, incremental=sizing).run(
+            snapshot, now
+        )
+        objects = len(sizing.verify_memo)
+        assert objects == sizing.verify_memo.misses > 20
+
+        state = IncrementalState(
+            metrics=MetricsRegistry(), max_entries=objects - 1
+        )
+        validator = PathValidator(world.trust_anchors, incremental=state)
+        cold = validator.run(snapshot, now)
+        cold_verifies = state.verify_memo.misses
+        assert cold_verifies == objects
+        state.points.clear()
+        warm = validator.run(snapshot, now)
+        assert warm == cold
+        warm_verifies = state.verify_memo.misses - cold_verifies
+        assert warm_verifies < cold_verifies
+        assert warm_verifies == 0
+        assert state.verify_memo.hits >= objects
+        assert state.parse_memo.hits > 0
+        assert len(state.verify_memo) <= 2 * (objects - 1)
 
     def test_parse_memo_returns_same_object(self, world):
         data = world.sprint.certificate.to_bytes()

@@ -1,0 +1,89 @@
+"""Hand-forged wire bytes: what a misbehaving authority can publish.
+
+The builders in :mod:`repro.rpki` only make well-formed objects, and the
+typed constructors refuse anything else — but an authority signs with
+its *own* key whatever bytes it likes.  These helpers make such bytes
+(any payload dictionary, validly signed) and put them on a CA's
+publication point under a manifest that vouches for them.
+"""
+
+from __future__ import annotations
+
+from repro.crypto import KeyFactory, KeyPair, encode, sha256_hex
+from repro.resources import Afi, ResourceSet
+from repro.rpki import (
+    MANIFEST_FILE,
+    CertificateAuthority,
+    build_certificate,
+    build_manifest,
+)
+from repro.simtime import DAY
+
+NETWORK = (63 << 24) | (174 << 16) | (16 << 8)     # 63.174.16.0
+
+_EE_KEY = KeyFactory(seed=777, bits=512).next_keypair()
+
+
+def forge(payload: dict, key: KeyPair) -> bytes:
+    """Canonical ``[payload, signature]`` bytes, signed with *key*."""
+    return encode([payload, key.sign(encode(payload))])
+
+
+def reforge(obj, key: KeyPair, **changes) -> bytes:
+    """*obj*'s payload with *changes* applied, re-signed with *key*.
+
+    A value of ``...`` deletes the key.
+    """
+    payload = obj.payload
+    for name, value in changes.items():
+        if value is ...:
+            del payload[name]
+        else:
+            payload[name] = value
+    return forge(payload, key)
+
+
+def publish_forged(ca: CertificateAuthority, files: dict[str, bytes]) -> None:
+    """Write *files* onto *ca*'s point and re-sign its manifest over them."""
+    point = ca.publication_point
+    for name, data in files.items():
+        point.put(name, data)
+    entries = {
+        name: sha256_hex(point.get(name))
+        for name in point.names() if name != MANIFEST_FILE
+    }
+    old = ca.publication_point.get(MANIFEST_FILE)
+    now = ca._clock.now
+    manifest = build_manifest(
+        issuer_key=ca.key, issuer_key_id=ca.key_id, entries=entries,
+        serial=10_000 + len(old or b""), this_update=now,
+        next_update=now + DAY,
+    )
+    point.put(MANIFEST_FILE, manifest.to_bytes())
+
+
+def roa_bytes(world, **changes) -> bytes:
+    """A ROA under Continental's key (Figure 2 world), validly signed,
+    its payload as the builder would make it but for *changes*."""
+    ca, now = world.continental, world.clock.now
+    ee_cert = build_certificate(
+        issuer_key=ca.key, issuer_key_id=ca.key_id, subject="forged-ee",
+        subject_key=_EE_KEY.public,
+        ip_resources=ResourceSet.parse("63.174.16.0/20"), serial=9_001,
+        not_before=now, not_after=now + DAY, sia="", crldp=ca.crl_uri,
+        is_ca=False,
+    )
+    payload = {
+        "type": "roa", "serial": 9_002,
+        "issuer_key_id": ee_cert.subject_key_id, "asn": 64_999,
+        "prefixes": [[[Afi.IPV4.value, NETWORK, 20], 24]],
+        "ee_cert": ee_cert.to_bytes(),
+        "not_before": now, "not_after": now + DAY,
+    }
+    payload.update(changes)
+    return forge(payload, _EE_KEY)
+
+
+def cert_bytes(world, **changes) -> bytes:
+    """ETB's certificate re-signed by Sprint with *changes* applied."""
+    return reforge(world.etb.certificate, world.sprint.key, **changes)
