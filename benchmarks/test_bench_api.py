@@ -172,7 +172,7 @@ def test_internet_scale_throughput():
     """Re-bench the qps floor at an Internet-scale VRP count (10^4).
 
     The mixed stream is longer than the LRU, so most queries miss the
-    response cache and the floor is carried by the prefix tries and ASN
+    response cache and the floor is carried by the prefix index and ASN
     indexes themselves — a strictly harder configuration than the
     cache-served medium deployment above.
     """

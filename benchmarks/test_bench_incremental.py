@@ -20,7 +20,7 @@ Two claims are asserted, not just timed:
    cold cost more than doubles between them.
 3. **The table is edited, not rebuilt.**  At ``internet-small`` (10^4
    VRPs) a one-ROA refresh plus the first answer builds no ``VrpSet``,
-   walks the trie no more often than the re-judged point has VRPs,
+   edits the prefix index no more often than the re-judged point has VRPs,
    re-hashes at most two fingerprint buckets and sorts nothing the size
    of the table; an idle refresh edits nothing.  Counts, so a noisy box
    cannot blur them (``BENCH_incremental.json``).

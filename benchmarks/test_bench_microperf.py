@@ -1,6 +1,6 @@
 """Micro-benchmarks of the hot paths under the experiments.
 
-These keep the substrate honest — origin validation and trie lookups
+These keep the substrate honest — origin validation and prefix lookups
 are the per-route costs a relying party pays on every BGP update, and
 signing/verification dominate model construction.  Most are plain
 pytest-benchmark timings; the CTLV serialization section additionally
@@ -16,7 +16,7 @@ import time
 from conftest import write_artifact
 
 from repro.crypto import decode, encode, generate_keypair
-from repro.resources import ASN, Afi, Prefix, PrefixTrie
+from repro.resources import ASN, Afi, Prefix, PrefixMap
 from repro.rp import VRP, Route, VrpSet, validate
 from repro.rpki import parse_object
 
@@ -55,17 +55,17 @@ def test_origin_validation_throughput(benchmark):
 
 def test_trie_longest_match(benchmark):
     rng = random.Random(5)
-    trie = PrefixTrie(Afi.IPV4)
+    table = PrefixMap()
     for i in range(2000):
         length = rng.randint(8, 24)
         network = (rng.getrandbits(32) >> (32 - length)) << (32 - length)
-        trie.insert(Prefix(Afi.IPV4, network, length), i)
+        table.insert(Prefix(Afi.IPV4, network, length), i)
     probes = [
         Prefix(Afi.IPV4, rng.getrandbits(32), 32) for _ in range(1000)
     ]
 
     def lookup_all():
-        return [trie.longest_match(p) for p in probes]
+        return [table.longest_match(p) for p in probes]
 
     hits = benchmark(lookup_all)
     assert len(hits) == 1000

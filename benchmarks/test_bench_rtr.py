@@ -370,7 +370,7 @@ def test_internet_scale_chain_delta(monkeypatch):
     """A one-VRP delta through a synced 2x2 chain costs O(delta) at 10^4.
 
     Each chained cache forwards the burst it was handed; none rebuilds
-    a table-sized ``VrpSet`` (10^4 trie walks per hop) to rediscover it.
+    a table-sized ``VrpSet`` (10^4 index inserts per hop) to rediscover it.
     The count is the claim, the seconds keep it honest.
     """
     world, rp, _metrics = _internet_rp()

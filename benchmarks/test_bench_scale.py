@@ -28,7 +28,10 @@ Two families:
      every object in one pass: **zero** generic ``decode`` node visits,
      **zero** ``encode`` calls, at most one ``sha256_hex`` per parsed
      object plus one per publication point, and the same 5,165 RSA
-     verifications as ever.
+     verifications as ever;
+   - over that world's VRP table, finding the covering VRPs of a route
+     takes at most one table probe per prefix length in use and builds
+     no ``Prefix``.
 
    ``REPRO_BENCH_SCALE=full`` extends the sweep to ``internet`` and
    ``internet-large`` (10⁵ ROAs; minutes of keygen+build).
@@ -40,6 +43,7 @@ Artifacts: ``scale_sweep.txt`` and ``BENCH_scale.json`` under
 import dataclasses
 import json
 import os
+import random
 import sys
 import time
 import tracemalloc
@@ -52,7 +56,8 @@ from repro.crypto import encode, sha256_hex
 from repro.crypto import encoding as ctlv
 from repro.modelgen import INTERNET_SCALES, DeploymentConfig, build_deployment
 from repro.repository import Fetcher
-from repro.rp import RelyingParty
+from repro.resources import ASN, Afi, Prefix
+from repro.rp import VRP, RelyingParty, VrpSet
 from repro.simtime import HOUR
 from repro.telemetry import default_registry
 
@@ -74,10 +79,10 @@ MAX_COLD_SECONDS = 60.0        # internet-small cold refresh: ~3.5 s
 MAX_COLD_PER_VRP_MS = 3.0      # ~0.35 ms/VRP measured
 WARM_VERIFIES = 0              # zero-churn incremental refresh
 CHURN_VERIFIES = 4             # manifest + CRL + EE cert + ROA, any scale
-# Streaming peak: small constant + per-ROA term.  Measured 2.9 MB at
-# 2,500 ROAs and 11.1 MB at 10^4 (~1.1 KB/ROA: VRP set + trie + the
-# RoaEvidence rows + one point's transient parses); the bound is under
-# 2x that.  A held parse is ~7 KB/ROA (86 MB at 10^4), far past it.
+# Streaming peak: small constant + per-ROA term.  Measured 8.7 MB at
+# 10^4 ROAs (~0.9 KB/ROA: VRP set + its index + the
+# RoaEvidence rows + one point's transient parses); the bound is 2.5x
+# that.  A held parse is ~7 KB/ROA (86 MB at 10^4), far past it.
 PEAK_BASE_BYTES = 2_000_000
 PEAK_PER_ROA_BYTES = 2_000
 
@@ -91,6 +96,8 @@ COLD_PARSED_OBJECTS = 5_160
 COLD_POINTS = 55
 COLD_RSA_VERIFIES = 5_165      # + the five trust anchors' self-signatures
 MAX_COLD_SHA256_HEX = COLD_PARSED_OBJECTS + COLD_POINTS   # 15,800 before
+
+COVERING_QUERIES = 2_000
 
 _RESULTS: dict[str, tuple[int, int]] = {}
 _INTERNET: dict[str, dict] = {}
@@ -305,6 +312,69 @@ def test_cold_refresh_reads_each_object_once(monkeypatch):
     _pin("cold_sha256_hex_calls", len(digests), MAX_COLD_SHA256_HEX, "<=")
     _pin("cold_rsa_verifies", int(verifies), COLD_RSA_VERIFIES, "==")
 
+    # The generated world stores one prefix length (/24), so the same
+    # count is also taken over a seeded table of thirteen.
+    rng = random.Random(89)
+    mixed = VrpSet(
+        VRP(Prefix(Afi.IPV4, rng.getrandbits(length) << (32 - length), length),
+            32, ASN(64_500))
+        for length in (rng.randint(12, 24) for _ in range(2_500)))
+    _covering_probes("bench", rp.vrps)
+    _covering_probes("mixed", mixed)
+
+
+def _covering_probes(name: str, vrps: VrpSet) -> None:
+    """Counts again: what one ``covering()`` costs over *vrps*, by
+    ``sys.setprofile`` — probes are ``dict.get`` on the index's own
+    tables, builds are ``Prefix.__init__`` frames."""
+    index = vrps._index
+    tables = {id(table) for table in index._tables[Afi.IPV4].values()}
+    lengths_in_use = len(tables)
+    rng = random.Random(97)
+    stored = sorted(vrps)
+    queries = []
+    for _ in range(COVERING_QUERIES // 2):
+        # A route inside a VRP (a hit, announced too specifically or
+        # not), and one anywhere (nearly always a miss).
+        inside = rng.choice(stored).prefix
+        length = rng.randint(inside.length, 32)
+        host_bits = 32 - length
+        network = inside.network | (
+            rng.getrandbits(32 - inside.length) >> host_bits << host_bits
+            if length > inside.length else 0)
+        queries.append(Prefix(Afi.IPV4, network, length))
+        length = rng.randint(8, 32)
+        queries.append(Prefix(
+            Afi.IPV4, rng.getrandbits(length) << (32 - length), length))
+    counts = {"probes": 0, "built": 0}
+    build = Prefix.__init__.__code__
+
+    def watch(frame, event, arg):
+        if event == "c_call":
+            if arg.__name__ == "get" and id(arg.__self__) in tables:
+                counts["probes"] += 1
+        elif event == "call" and frame.f_code is build:
+            counts["built"] += 1
+
+    worst = hits = 0
+    for query in queries:
+        before = counts["probes"]
+        sys.setprofile(watch)
+        try:
+            found = list(index.covering(query))
+        finally:
+            sys.setprofile(None)
+        worst = max(worst, counts["probes"] - before)
+        hits += bool(found)
+        assert [bucket[0].prefix for _, bucket in found] == sorted(
+            {vrp.prefix for vrp in stored if vrp.prefix.covers(query)},
+            key=lambda prefix: prefix.length)
+    assert 0 < hits < len(queries)
+    assert worst <= lengths_in_use <= 33
+    assert counts["built"] == 0
+    _pin(f"covering_max_probes_per_query_{name}", worst, lengths_in_use, "<=")
+    _pin(f"covering_prefixes_built_{name}", counts["built"], 0, "==")
+
 
 def test_write_artifact():
     assert "internet-small" in _INTERNET
@@ -312,7 +382,10 @@ def test_write_artifact():
                  "streaming_peak_mb", "warm_zero_churn_rsa_verifies",
                  "one_roa_churn_rsa_verifies", "cold_generic_decode_nodes",
                  "cold_encode_calls", "cold_sha256_hex_calls",
-                 "cold_rsa_verifies"):
+                 "cold_rsa_verifies", "covering_max_probes_per_query_bench",
+                 "covering_max_probes_per_query_mixed",
+                 "covering_prefixes_built_bench",
+                 "covering_prefixes_built_mixed"):
         assert name in _PINS, f"pin {name} never recorded"
     write_artifact("BENCH_scale.json", json.dumps({
         "experiment": "scale",

@@ -122,7 +122,7 @@ from .repository import (
     always_reachable,
     nested_bomb,
 )
-from .resources import ASN, Afi, Prefix, PrefixTrie, ResourceSet
+from .resources import ASN, Afi, Prefix, ResourceSet
 from .rp import (
     ENGINE_MODES,
     VRP,
@@ -161,7 +161,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
@@ -178,7 +178,7 @@ __all__ = [
     "INTERNET_SCALES", "IncrementalState", "KeyFactory", "LocalCache",
     "MetricsRegistry",
     "OriginValidationOutcome", "PERSISTENT", "PathValidator",
-    "PlannedFault", "Prefix", "PrefixTrie", "QueryService", "QueryStatus",
+    "PlannedFault", "Prefix", "QueryService", "QueryStatus",
     "RateLimitConfig", "RefreshReport", "RelyingParty", "RepositoryRegistry",
     "RepositoryServer", "ResilienceConfig", "ResourceCertificate",
     "ResourceSet", "ResponseCache", "RetryPolicy", "Roa", "RoaEvidence",

@@ -127,7 +127,7 @@ class Rib:
         return hit[1] if hit else None
 
     def routes(self) -> tuple[Announcement, ...]:
-        """Every selected route, in trie order (cached until mutation)."""
+        """Every selected route, in address order (cached until mutation)."""
         if self._routes_view is None:
             self._routes_view = tuple(
                 route for _, route in self._routes.items()
@@ -135,7 +135,7 @@ class Rib:
         return self._routes_view
 
     def prefixes(self) -> tuple[Prefix, ...]:
-        """Every routed prefix, in trie order (cached until mutation)."""
+        """Every routed prefix, in address order (cached until mutation)."""
         if self._prefixes_view is None:
             self._prefixes_view = tuple(self._routes.keys())
         return self._prefixes_view

@@ -3,7 +3,7 @@
 This package is the arithmetic substrate of the reproduction: prefixes with
 the paper's covering relation, arbitrary address ranges and RFC 3779-style
 resource sets (the representation that makes targeted whacking possible),
-AS-number sets, and radix tries for covering/longest-match queries.
+AS-number sets, and the prefix map for covering/longest-match queries.
 """
 
 from .asn import AS_MAX, ASN, AsnRange, AsnSet
@@ -19,7 +19,7 @@ from .errors import (
 from .ipaddr import Afi, format_address, parse_address
 from .prefix import Prefix
 from .ranges import AddressRange, ResourceSet
-from .trie import PrefixMap, PrefixTrie
+from .prefixmap import PrefixMap
 
 __all__ = [
     "AS_MAX",
@@ -34,7 +34,6 @@ __all__ = [
     "Prefix",
     "PrefixMap",
     "PrefixParseError",
-    "PrefixTrie",
     "PrefixValueError",
     "RangeValueError",
     "ResourceError",

@@ -2,7 +2,7 @@
 
 Addresses are represented as plain integers tagged with an address family
 (:class:`Afi`).  Keeping the representation primitive makes the higher layers
-(prefixes, ranges, resource sets, tries) fast and trivially hashable, which
+(prefixes, ranges, resource sets, prefix maps) fast and trivially hashable, which
 matters because relying-party validation repeatedly compares thousands of
 resource sets.
 
@@ -40,7 +40,7 @@ class Afi(enum.Enum):
 
     ``bits`` (32 or 128) and ``max_address`` (the highest representable
     address as an integer) are plain attributes set once per member:
-    every ``Prefix`` built and every trie step reads them.
+    every ``Prefix`` built and every prefix-map edit reads them.
     """
 
     IPV4 = 1

@@ -9,6 +9,7 @@ whacking attacks, so it lives here, close to the representation.
 from __future__ import annotations
 
 import functools
+import sys
 from typing import Iterator
 
 from .errors import PrefixParseError, PrefixValueError
@@ -16,14 +17,30 @@ from .ipaddr import Afi, format_address, parse_address
 
 __all__ = ["Prefix"]
 
+# CPython hashes an int modulo ``sys.hash_info.modulus`` (2**61 - 1), and
+# a tuple of ints by an unkeyed mix that can be run backwards, so whoever
+# chooses a wide integer chooses its hash: the 4,000 IPv6 addresses
+# ``base + i * (2**61 - 1)`` fit one /55 and all hash alike, and cutting
+# them into limbs only moves the attack to a twenty-line inversion.
+# Prefixes are chosen by the authorities under validation, so an integer
+# too wide to hash as itself is hashed as bytes — the interpreter's
+# keyed hash, its defence for strings a peer chooses.
+INT_HASH_MODULUS = sys.hash_info.modulus
+
+
+def hash_key(value: int) -> int | bytes:
+    """Non-negative *value* (< 2**128) as a dictionary key with a hash
+    its chooser cannot aim; distinct values give distinct keys."""
+    return value if value < INT_HASH_MODULUS else value.to_bytes(16, "big")
+
 
 @functools.total_ordering
 class Prefix:
     """An immutable IP prefix (network address + length).
 
     Instances are hashable and totally ordered (by family, then network
-    address, then length — i.e. lexicographic trie order), so they can be
-    used directly as dictionary keys and in sorted containers.
+    address, then length: a prefix sorts before what it covers), so they
+    can be used directly as dictionary keys and in sorted containers.
 
     >>> p = Prefix.parse("63.160.0.0/12")
     >>> p.covers(Prefix.parse("63.168.93.0/24"))
@@ -186,12 +203,17 @@ class Prefix:
         )
 
     def __hash__(self) -> int:
-        # Cached: prefixes are dict keys on every trie/VRP hot path, and
+        # Cached: prefixes are dict keys on every VRP hot path, and
         # hashing a 3-tuple per probe dominates bulk-set construction.
         if self._hash == -1:
             # The family as its width: an int hashes in C, an enum
-            # member through a Python-level ``Enum.__hash__``.
-            value = hash((self._afi.bits, self._network, self._length))
+            # member through a Python-level ``Enum.__hash__``.  The
+            # network as hash_key() has it, inline: IPv4 never gets
+            # there, and 20,000 prefixes are hashed per RTR snapshot.
+            network = self._network
+            if network >= INT_HASH_MODULUS:
+                network = network.to_bytes(16, "big")
+            value = hash((self._afi.bits, network, self._length))
             self._hash = value if value != -1 else -2
         return self._hash
 

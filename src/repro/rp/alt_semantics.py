@@ -66,7 +66,7 @@ class DispositionVrp:
 
 
 class DispositionVrpSet:
-    """A trie-indexed set of disposition-annotated VRPs."""
+    """A prefix-indexed set of disposition-annotated VRPs."""
 
     def __init__(self, entries: list[DispositionVrp] | None = None):
         self._plain = VrpSet()

@@ -47,7 +47,7 @@ def validate(
 ) -> OriginValidationOutcome:
     """RFC 6811 origin validation of one announcement, with evidence.
 
-    The unified entry point: one trie walk collects every *covering* VRP
+    The unified entry point: one index query collects every *covering* VRP
     (any origin) and every *matching* VRP (covers, within maxLength, same
     AS), and the state falls out of the two lists — matching present →
     valid; covering but no match → invalid; neither → unknown.  The

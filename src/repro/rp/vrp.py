@@ -1,9 +1,9 @@
 """Validated ROA payloads (VRPs) and the indexed set route validation uses.
 
 Path validation reduces every valid ROA to one or more VRPs — the triple
-``(prefix, maxLength, asn)`` of RFC 6811.  :class:`VrpSet` indexes them in
-a radix trie so that finding the *covering* VRPs of a route (the central
-query of origin validation) is a single trie walk.
+``(prefix, maxLength, asn)`` of RFC 6811.  :class:`VrpSet` indexes them by
+prefix so that finding the *covering* VRPs of a route (the central query
+of origin validation) is one hash probe per prefix length in use.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class _Fingerprint:
 
 
 class VrpSet:
-    """A trie-indexed collection of VRPs that can be edited in place.
+    """A prefix-indexed collection of VRPs that can be edited in place.
 
     One VRP may be asserted more than once — by two ROAs, or from two
     publication points — so the set counts assertions: a VRP is a member
@@ -138,7 +138,7 @@ class VrpSet:
     through it.
 
     Answers depend on content only, never on the edits that led to it:
-    the trie's per-prefix buckets are kept sorted, the per-ASN index is
+    the index's per-prefix buckets are kept sorted, the per-ASN index is
     patched by each edit, and the sorted and frozenset views are dropped
     by an edit and rebuilt on next use.  :meth:`as_frozenset` is
     therefore the immutable snapshot of the table as of the call.

@@ -9,21 +9,35 @@ monitor layer compares both channels to tell the two apart.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from ..crypto import KeyPair, encode
 from ..crypto.encoding import LIST, open_container, read_int
+from ..crypto.errors import SchemaError
 from .objects import SignedObject, schema
 
 __all__ = ["Crl", "build_crl"]
 
 
 def _read_serials(buf: bytes, offset: int, limit: int
-                  ) -> tuple[frozenset[int], int]:
+                  ) -> tuple[tuple[int, ...], int]:
+    """The revoked serials, which must be strictly ascending.
+
+    The serials are the issuer's to choose, and CPython hashes an int
+    modulo 2**61 - 1: 16,000 of them congruent to each other take
+    seconds to put in a set.  ``build_crl`` emits them sorted, so the
+    order is required and the list is searched, never hashed, here.
+    """
     cursor, end = open_container(buf, offset, limit, LIST)
-    serials = []
+    serials: list[int] = []
     while cursor < end:
         serial, cursor = read_int(buf, cursor, end)
+        if serials and serial <= serials[-1]:
+            raise SchemaError(
+                f"serial {serial} after {serials[-1]}: not strictly ascending"
+            )
         serials.append(serial)
-    return frozenset(serials), end
+    return tuple(serials), end
 
 
 class Crl(SignedObject):
@@ -31,16 +45,24 @@ class Crl(SignedObject):
 
     TYPE = "crl"
 
-    __slots__ = ("_revoked_serials",)
+    __slots__ = ("_revoked_serials", "_revoked_set")
 
     _SCHEMA = schema(TYPE, revoked_serials=_read_serials)
 
     @property
     def revoked_serials(self) -> frozenset[int]:
-        return self._revoked_serials
+        """The serials as a set, built on first use: for set algebra
+        over CRLs already validated, not for the validator's checks."""
+        try:
+            return self._revoked_set
+        except AttributeError:
+            self._revoked_set = frozenset(self._revoked_serials)
+            return self._revoked_set
 
     def is_revoked(self, serial: int) -> bool:
-        return serial in self._revoked_serials
+        serials = self._revoked_serials
+        at = bisect_left(serials, serial)
+        return at < len(serials) and serials[at] == serial
 
     @property
     def this_update(self) -> int:
@@ -54,7 +76,7 @@ class Crl(SignedObject):
     def __repr__(self) -> str:
         return (
             f"Crl(issuer={self.issuer_key_id!r}, serial={self.serial}, "
-            f"revoked={sorted(self._revoked_serials)})"
+            f"revoked={list(self._revoked_serials)})"
         )
 
 

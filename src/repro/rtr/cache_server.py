@@ -11,7 +11,7 @@ delta.
 The served table is a plain set plus its sorted order, both maintained
 in place by :meth:`RtrCacheServer.apply_delta`, so installing a change
 costs O(delta), not O(table): an RTR cache answers serial and reset
-queries, never covering-prefix lookups, and holds no trie.
+queries, never covering-prefix lookups, and holds no prefix index.
 
 Three serving-scale mechanisms (see docs/rtr.md):
 

@@ -277,7 +277,7 @@ class TestTelemetry:
 
 class TestCoveringAtLoad:
     def test_covering_matches_brute_force_under_query_storm(self):
-        # VrpSet.covering is the query plane's hot path; check the trie
+        # VrpSet.covering is the query plane's hot path; check the index
         # against the O(n) definition across a large randomized set.
         rng = random.Random(99)
         from repro.rp import VRP
@@ -298,6 +298,6 @@ class TestCoveringAtLoad:
                 probes.append(Prefix(vrp.prefix.afi, vrp.prefix.network,
                                      vrp.prefix.length + 2))
         for prefix in probes:
-            trie = sorted(vrps.covering(prefix))
+            indexed = sorted(vrps.covering(prefix))
             brute = sorted(v for v in vrps if v.covers(prefix))
-            assert trie == brute
+            assert indexed == brute

@@ -292,7 +292,7 @@ class TestRibLookup:
         rib.install(Announcement.originate(p("10.0.0.0/8"), 1))
         rib.install(Announcement.originate(p("10.4.0.0/16"), 1))
         routes, prefixes = rib.routes(), rib.prefixes()
-        assert prefixes == (p("10.0.0.0/8"), p("10.4.0.0/16"))  # trie order
+        assert prefixes == (p("10.0.0.0/8"), p("10.4.0.0/16"))  # address order
         # Read-only calls serve the same tuple objects — no rebuild.
         assert rib.routes() is routes
         assert rib.prefixes() is prefixes

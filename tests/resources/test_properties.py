@@ -2,8 +2,8 @@
 
 These pin down the algebraic laws that the whacking attacks and route
 validity logic silently rely on: normalization is canonical, subtraction
-really removes exactly the hole, decomposition is exact, tries agree with
-brute force.
+really removes exactly the hole, decomposition is exact, the prefix map
+agrees with brute force.
 """
 
 import pytest
@@ -16,7 +16,7 @@ from repro.resources import (
     AsnRange,
     AsnSet,
     Prefix,
-    PrefixTrie,
+    PrefixMap,
     ResourceSet,
 )
 from repro.resources.ipaddr import format_ipv4, format_ipv6, parse_ipv4, parse_ipv6
@@ -36,10 +36,14 @@ def v4_prefixes(draw, min_length=0, max_length=32):
 
 
 @st.composite
-def nested_prefixes(draw, afi):
-    """Prefixes from one small corner of *afi*, so draws nest and collide."""
+def nested_prefixes(draw):
+    """Prefixes from one small corner of either family, so draws nest and
+    collide; the IPv6 lengths sit on both sides of the 60-bit limb
+    boundaries of the map's keys."""
+    afi = draw(st.sampled_from(list(Afi)))
     length = draw(st.sampled_from(
-        (0, 1, 2, 3, 4, 5, 8, afi.bits - 1, afi.bits)))
+        (0, 1, 2, 3, 4, 5, 8, afi.bits - 1, afi.bits)
+        + ((59, 60, 61, 120, 121) if afi is Afi.IPV6 else ())))
     address = (draw(st.integers(0, 31)) << (afi.bits - 5)) | draw(
         st.sampled_from((0, afi.max_address >> 5)))
     host_bits = afi.bits - length
@@ -202,85 +206,74 @@ def test_asn_subtract_union_roundtrip(xs, ys):
         assert not any(h.overlaps(r) for h in b.ranges)
 
 
-# -- trie vs brute force --------------------------------------------------------
+# -- prefix map vs brute force ------------------------------------------------
 
 
 @given(st.lists(v4_prefixes(min_length=1, max_length=24), max_size=20), v4_prefixes())
 @settings(max_examples=150)
 def test_trie_covering_matches_bruteforce(stored, probe):
-    trie = PrefixTrie(Afi.IPV4)
+    index = PrefixMap()
     payload = {}
     for i, prefix in enumerate(stored):
-        trie.insert(prefix, i)
-        payload[prefix] = i  # last write wins, like the trie
-    got = {k for k, _ in trie.covering(probe)}
+        index.insert(prefix, i)
+        payload[prefix] = i  # last write wins, like the map
+    got = {k for k, _ in index.covering(probe)}
     expected = {k for k in payload if k.covers(probe)}
-    assert got == expected
-
-
-@given(st.lists(v4_prefixes(min_length=1, max_length=24), max_size=20), v4_prefixes())
-@settings(max_examples=150)
-def test_trie_covered_by_matches_bruteforce(stored, probe):
-    trie = PrefixTrie(Afi.IPV4)
-    for i, prefix in enumerate(stored):
-        trie.insert(prefix, i)
-    got = {k for k, _ in trie.covered_by(probe)}
-    expected = {k for k in set(stored) if probe.covers(k)}
     assert got == expected
 
 
 @given(st.lists(v4_prefixes(min_length=1, max_length=28), min_size=1, max_size=20))
 def test_trie_insert_remove_all_leaves_empty(stored):
-    trie = PrefixTrie(Afi.IPV4)
+    index = PrefixMap()
     unique = list(dict.fromkeys(stored))
     for prefix in unique:
-        trie.insert(prefix, str(prefix))
-    assert len(trie) == len(unique)
+        index.insert(prefix, str(prefix))
+    assert len(index) == len(unique)
     for prefix in unique:
-        assert trie.remove(prefix) == str(prefix)
-    assert len(trie) == 0
-    assert list(trie.items()) == []
+        assert index.remove(prefix) == str(prefix)
+    assert len(index) == 0
+    assert list(index.items()) == []
 
 
-@given(st.sampled_from(list(Afi)), st.data())
+@given(st.data())
 @settings(max_examples=150)
-def test_trie_interleaved_edits_match_dict_scan(afi, data):
-    """insert / get_or_insert / remove in any order, every query checked
-    against a scan of a plain dict after every edit, in both families."""
+def test_trie_interleaved_edits_match_dict_scan(data):
+    """insert / get_or_insert / remove in any order, both families in one
+    map, every query checked against a scan of a plain dict after every
+    edit.  Removals are drawn often enough that lengths empty and refill."""
     edits = data.draw(st.lists(
         st.tuples(st.sampled_from(("insert", "get_or_insert", "remove")),
-                  nested_prefixes(afi)),
+                  nested_prefixes()),
         max_size=30))
-    probes = data.draw(st.lists(nested_prefixes(afi), min_size=1, max_size=3))
-    trie = PrefixTrie(afi)
+    probes = data.draw(st.lists(nested_prefixes(), min_size=1, max_size=3))
+    index = PrefixMap()
     oracle = {}
     for step, (edit, prefix) in enumerate(edits):
         if edit == "insert":
-            trie.insert(prefix, step)
+            index.insert(prefix, step)
             oracle[prefix] = step
         elif edit == "get_or_insert":
-            assert trie.get_or_insert(prefix, lambda: step) == (
+            assert index.get_or_insert(prefix, lambda: step) == (
                 oracle.setdefault(prefix, step))
         elif prefix in oracle:
-            assert trie.remove(prefix) == oracle.pop(prefix)
+            assert index.remove(prefix) == oracle.pop(prefix)
         else:
             with pytest.raises(KeyError):
-                trie.remove(prefix)
-        assert len(trie) == len(oracle)
+                index.remove(prefix)
+        assert len(index) == len(oracle)
+        # A prefix before what it covers, low half first, IPv4 first.
+        assert list(index.items()) == sorted(oracle.items())
         for probe in (prefix, *probes):
-            assert trie.get(probe) == oracle.get(probe)
-            assert (probe in trie) == (probe in oracle)
+            assert index.get(probe) == oracle.get(probe)
+            assert (probe in index) == (probe in oracle)
             covering = sorted(
                 ((k, v) for k, v in oracle.items() if k.covers(probe)),
                 key=lambda hit: hit[0].length)
-            assert list(trie.covering(probe)) == covering
-            assert trie.longest_match(probe) == (
+            assert list(index.covering(probe)) == covering
+            assert index.longest_match(probe) == (
                 covering[-1] if covering else None)
-            # Pre-order: a prefix before what it covers, low branch first.
-            assert list(trie.covered_by(probe)) == sorted(
-                ((k, v) for k, v in oracle.items() if probe.covers(k)),
-                key=lambda hit: (hit[0].network, hit[0].length))
     for prefix in oracle:
-        trie.remove(prefix)
-    assert len(trie) == 0
-    assert trie._root.children == [None, None]   # every branch was pruned
+        index.remove(prefix)
+    assert len(index) == 0
+    # Every length went out of use with its last prefix.
+    assert all(not levels for levels in index._levels.values())

@@ -12,10 +12,12 @@ from __future__ import annotations
 from repro.crypto import KeyFactory, KeyPair, encode, sha256_hex
 from repro.resources import Afi, ResourceSet
 from repro.rpki import (
+    CRL_FILE,
     MANIFEST_FILE,
     CertificateAuthority,
     build_certificate,
     build_manifest,
+    parse_object,
 )
 from repro.simtime import DAY
 
@@ -87,3 +89,10 @@ def roa_bytes(world, **changes) -> bytes:
 def cert_bytes(world, **changes) -> bytes:
     """ETB's certificate re-signed by Sprint with *changes* applied."""
     return reforge(world.etb.certificate, world.sprint.key, **changes)
+
+
+def crl_bytes(world, serials: list[int]) -> bytes:
+    """Continental's CRL re-signed with *serials*, in the order given."""
+    ca = world.continental
+    current = parse_object(ca.publication_point.get(CRL_FILE))
+    return reforge(current, ca.key, revoked_serials=serials)

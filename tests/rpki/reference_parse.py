@@ -16,7 +16,7 @@ shares no line of parsing code with production.
 ``tests/rpki/test_parse_differential.py`` pins production to it.  The
 accessors that still read the payload lazily (``payload[...]`` in a
 property) are part of the record: a missing key surfaced there, late,
-as ``KeyError`` — see the five tightenings in that test.
+as ``KeyError`` — see the named tightenings in that test.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ from repro.rpki import (
 
 from ..crypto.test_encoding_differential import MALFORMED_CLASSES
 from . import reference_parse
-from .forge import NETWORK, cert_bytes, roa_bytes
+from .forge import NETWORK, cert_bytes, crl_bytes, roa_bytes
 
 SEED = 0xD1FF
 FACTORY = KeyFactory(seed=SEED, bits=512)
@@ -346,6 +346,10 @@ def tightening(reference) -> str | None:
             return "zero-prefixes"
         if any(max_length < -1 for _, max_length in payload["prefixes"]):
             return "max-length-below-minus-one"
+    if reference.TYPE == "crl":
+        serials = payload["revoked_serials"]
+        if any(later <= earlier for earlier, later in zip(serials, serials[1:])):
+            return "crl-serials-not-ascending"
     if reference.TYPE in ("rc", "ee"):
         try:
             for uri in reference.all_publication_uris:
@@ -428,6 +432,7 @@ class TestNeverLooser:
             "wrong-tag": cert_bytes(world, serial="7"),
             "hostile-sia": cert_bytes(world, sia="http://evil.example/x"),
             "late-value-error": roa_bytes(world, asn=-5),
+            "crl-serials-not-ascending": crl_bytes(world, [9, 3]),
         }
         for expected, blob in cases.items():
             assert outcome(parse_object, blob)[0] is None, expected

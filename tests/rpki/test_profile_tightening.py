@@ -1,4 +1,4 @@
-"""Five payload shapes no builder emits, now rejected on purpose.
+"""Six payload shapes no builder emits, now rejected on purpose.
 
 The generic decode-then-extract path (kept as ``reference_parse.py``)
 accepted each of these, by accident of how dictionaries and enums
@@ -7,8 +7,12 @@ fields, and a schema-directed reader has to decide either way — so each
 is an :class:`ObjectFormatError` naming the field, the file becomes one
 ``parse-failed`` issue, and its siblings validate.  Every test records
 the previous behaviour in its docstring and checks it against the
-reference; ``test_parse_differential.py`` names these five as the only
-ways production may reject what the reference accepts.
+reference; ``test_parse_differential.py`` names these six as the only
+ways production may reject what the reference accepts.  (The sixth, a
+CRL whose serials are not strictly ascending, has its own reason: the
+reader keeps the serials in the order given and searches them, so that
+validation never hashes an integer the issuer chose —
+``tests/test_hash_flooding.py``.)
 """
 
 import pytest
@@ -17,10 +21,10 @@ from repro.modelgen import build_figure2
 from repro.repository import Fetcher
 from repro.resources import Afi
 from repro.rp import RelyingParty
-from repro.rpki import ObjectFormatError, parse_object
+from repro.rpki import CRL_FILE, ObjectFormatError, parse_object
 
 from . import reference_parse
-from .forge import NETWORK, cert_bytes, publish_forged, roa_bytes
+from .forge import NETWORK, cert_bytes, crl_bytes, publish_forged, roa_bytes
 
 CONTINENTAL = "rsync://continental.example/repo/"
 
@@ -96,6 +100,28 @@ def test_missing_key_or_wrong_tag_field(world, changes, field):
     else:
         assert reference.serial == "7"
     rejected(blob, field)
+
+
+@pytest.mark.parametrize("serials", [[9, 3], [3, 9, 9]])
+def test_crl_serials_out_of_order_or_repeated(world, serials):
+    """Was: any order, any repeats — the reader made a frozenset."""
+    assert parse_object(crl_bytes(world, [3, 9])).is_revoked(9)
+    blob = crl_bytes(world, serials)
+    assert reference_parse.parse_object(blob).revoked_serials == {3, 9}
+    assert "not strictly ascending" in rejected(blob, "'revoked_serials'")
+
+
+def test_unsorted_crl_is_one_issue_at_its_own_point():
+    world = build_figure2()
+    publish_forged(world.continental, {CRL_FILE: crl_bytes(world, [9, 3])})
+    rp = RelyingParty(
+        world.trust_anchors, Fetcher(world.registry, world.clock), world.clock
+    )
+    report = rp.refresh()
+    assert [(i.point_uri, i.file_name, i.code) for i in report.run.errors()
+            ] == [(CONTINENTAL, CRL_FILE, "crl-parse-failed")]
+    # Nothing changes verdict: an unreadable CRL revokes nothing.
+    assert len(rp.vrps) == 8
 
 
 def test_each_is_one_parse_failed_issue_and_siblings_validate():
