@@ -445,6 +445,15 @@ def _wire_table() -> list[VRP]:
 
 
 @contextlib.contextmanager
+def _profiling(profile, calls):
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
 def _python_calls(*names):
     """Count Python-level calls of functions called *names*, any class.
 
@@ -455,26 +464,47 @@ def _python_calls(*names):
 
     def profile(frame, event, _arg):
         if event == "call" and frame.f_code.co_name in names:
-            owner = frame.f_locals.get("self")
-            calls[f"{type(owner).__name__}.{frame.f_code.co_name}"] += 1
+            owner = frame.f_locals.get("cls") or type(
+                frame.f_locals.get("self"))
+            calls[f"{owner.__name__}.{frame.f_code.co_name}"] += 1
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        yield calls
-    finally:
-        sys.setprofile(previous)
+    return _profiling(profile, calls)
+
+
+# The C entry points that order things: whatever Python frame starts
+# while one of them runs is a sort key or an ordering dunder.
+_ORDERING = {"sorted", "sort", "bisect_left", "bisect_right",
+             "insort_left", "insort_right", "min", "max"}
+
+
+def _python_calls_while_ordering():
+    """Count Python frames entered from inside a C sort or bisection."""
+    calls: collections.Counter = collections.Counter()
+    ordering = 0
+
+    def profile(frame, event, arg):
+        nonlocal ordering
+        if event == "call":
+            if ordering:
+                calls[frame.f_code.co_qualname] += 1
+        elif event.startswith("c_") and arg.__name__ in _ORDERING:
+            ordering += 1 if event == "c_call" else -1
+
+    return _profiling(profile, calls)
 
 
 def test_wire_plane_object_and_compare_counts():
-    """The codec's two claims as counts a noisy box cannot blur.
+    """The wire plane's claims as counts a noisy box cannot blur.
 
-    A router runs one range-checking ``__post_init__`` — the ``VRP``'s —
-    per prefix PDU it applies, not a second one on a PDU object holding
-    a copy of the same three fields; and a cache installing a 500-VRP
-    delta keeps its served order without one Python-level ordering call
-    (through ``VRP.__lt__`` / ``Prefix.__lt__`` that is ~9,300 calls per
-    install).
+    Per prefix PDU it applies, a router builds exactly one range-checked
+    ``VRP`` — from the record's integers — and nothing else: no
+    ``Prefix``, no ``ASN``, no ``__post_init__``, and not the slow
+    ``VRP(prefix, max_length, asn)`` constructor either.  A cache
+    installing a 500-VRP delta keeps its served order without one
+    Python-level ordering call and without one Python-level sort key (a
+    ``VRP`` is the tuple that sorts; as an object holding a ``Prefix``
+    and an ``ASN`` it cost ~9,300 ``__lt__`` calls per install, keyed
+    ~9,200 key calls).
     """
     table = _wire_table()
     root = RtrCacheServer(metrics=MetricsRegistry())
@@ -491,21 +521,22 @@ def test_wire_plane_object_and_compare_counts():
         client.connect()
         sessions.append(client)
     root.process()
-    with _python_calls("__init__", "__post_init__") as built:
+    with _python_calls(
+        "__init__", "__post_init__", "__new__", "from_integers"
+    ) as built:
         for client in sessions:
             client.process()
     applied = sum(client.vrp_count for client in sessions)
     assert applied == WIRE_SESSIONS * WIRE_VRPS
     assert all(c.state is RouterState.SYNCED for c in sessions)
-    # One of each value type per prefix PDU, the two PDUs that frame
-    # each burst, and nothing else constructed.
+    # One VRP from integers per prefix PDU, the two PDUs that frame each
+    # burst, and nothing else constructed at Python level.
     assert built == {
-        "VRP.__post_init__": applied, "VRP.__init__": applied,
-        "Prefix.__init__": applied, "ASN.__init__": applied,
+        "VRP.from_integers": applied,
         "CacheResponse.__init__": WIRE_SESSIONS,
         "EndOfData.__init__": WIRE_SESSIONS,
     }, built
-    checked = sum(n for name, n in built.items() if "__post_init__" in name)
+    checked = built["VRP.from_integers"]
 
     delta = table[:: WIRE_VRPS // WIRE_DELTA]
     assert len(delta) == WIRE_DELTA
@@ -514,6 +545,11 @@ def test_wire_plane_object_and_compare_counts():
             root.apply_delta(announced, withdrawn)
             chain.pump()
     assert not compares, f"Python-level compares in bulk deltas: {compares}"
+    with _python_calls_while_ordering() as keyed:
+        for announced, withdrawn in (((), delta), (delta, ())):
+            root.apply_delta(announced, withdrawn)
+            chain.pump()
+    assert not keyed, f"Python-level sort keys in bulk deltas: {keyed}"
     truth = frozenset(table)
     assert all(c.current_vrps() == truth for c in chain.caches())
     _WIRE_RESULTS.update({
@@ -522,10 +558,14 @@ def test_wire_plane_object_and_compare_counts():
         "prefix_pdus_applied": applied,
         "range_checked_objects_built": checked,
         "router_objects_per_prefix_pdu": checked / applied,
+        "prefix_and_asn_objects_built": sum(
+            n for name, n in built.items()
+            if name.startswith(("Prefix.", "ASN."))),
         "bulk_delta_vrps": WIRE_DELTA,
         "bulk_deltas": 2,
         "caches": 1 + len(chain.caches()),
         "python_compares": sum(compares.values()),
+        "python_sort_key_calls": sum(keyed.values()),
     })
 
 
@@ -563,8 +603,16 @@ def test_write_artifact():
                 "measured": _WIRE_RESULTS["router_objects_per_prefix_pdu"],
                 "bound": 1, "op": "==",
             },
+            "router_prefix_and_asn_objects_per_sync": {
+                "measured": _WIRE_RESULTS["prefix_and_asn_objects_built"],
+                "bound": 0, "op": "==",
+            },
             "chain_python_compares_per_bulk_delta": {
                 "measured": _WIRE_RESULTS["python_compares"],
+                "bound": 0, "op": "==",
+            },
+            "chain_python_sort_key_calls_per_bulk_delta": {
+                "measured": _WIRE_RESULTS["python_sort_key_calls"],
                 "bound": 0, "op": "==",
             },
             "chain_one_vrp_delta_seconds": {

@@ -203,17 +203,14 @@ class Prefix:
         )
 
     def __hash__(self) -> int:
-        # Cached: prefixes are dict keys on every VRP hot path, and
-        # hashing a 3-tuple per probe dominates bulk-set construction.
+        # Cached: a prefix held as a dictionary key (a BGP table's) is
+        # hashed again on every probe.
         if self._hash == -1:
             # The family as its width: an int hashes in C, an enum
-            # member through a Python-level ``Enum.__hash__``.  The
-            # network as hash_key() has it, inline: IPv4 never gets
-            # there, and 20,000 prefixes are hashed per RTR snapshot.
-            network = self._network
-            if network >= INT_HASH_MODULUS:
-                network = network.to_bytes(16, "big")
-            value = hash((self._afi.bits, network, self._length))
+            # member through a Python-level ``Enum.__hash__``.
+            value = hash(
+                (self._afi.bits, hash_key(self._network), self._length)
+            )
             self._hash = value if value != -1 else -2
         return self._hash
 

@@ -61,9 +61,11 @@ def validate(
     route = Route(prefix, ASN(int(origin)))
     covering: list[VRP] = []
     matching: list[VRP] = []
+    # A VRP is (bits, network, length, maxLength, AS number).
+    length, origin_as = prefix.length, route.origin.value
     for vrp in vrps.covering(prefix):
         covering.append(vrp)
-        if prefix.length <= vrp.max_length and vrp.asn == route.origin:
+        if length <= vrp[3] and vrp[4] == origin_as:
             matching.append(vrp)
     if matching:
         state = RouteValidity.VALID

@@ -1,38 +1,73 @@
 """Validated ROA payloads (VRPs) and the indexed set route validation uses.
 
 Path validation reduces every valid ROA to one or more VRPs — the triple
-``(prefix, maxLength, asn)`` of RFC 6811.  :class:`VrpSet` indexes them by
-prefix so that finding the *covering* VRPs of a route (the central query
-of origin validation) is one hash probe per prefix length in use.
+``(prefix, maxLength, asn)`` of RFC 6811, held as the five integers it
+comes to.  :class:`VrpSet` indexes them by prefix so that finding the
+*covering* VRPs of a route (the central query of origin validation) is
+one hash probe per prefix length in use.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 from zlib import crc32
 
 from ..crypto.hashing import sha256, sha256_hex
-from ..resources import ASN, Prefix, PrefixMap
+from ..resources import AS_MAX, ASN, Afi, Prefix, PrefixMap
 
 __all__ = ["VRP", "VrpSet"]
 
 
-@dataclass(frozen=True, order=True)
-class VRP:
-    """One validated ROA payload: prefix, maxLength, origin ASN."""
+class VRP(tuple):
+    """One validated ROA payload: prefix, maxLength, origin ASN.
 
-    prefix: Prefix
-    max_length: int
-    asn: ASN
+    A VRP *is* the tuple ``(address bits, network, prefix length,
+    maxLength, AS number)``: the tuple type compares, hashes and sorts
+    it, in the order RTR serves and the fingerprint sorts.  An IPv4
+    network is an ``int``; an IPv6 network is its 16 wire bytes, which
+    order as the integer does and whose hash an authority cannot pick by
+    picking the network (:func:`repro.resources.prefix.hash_key`).
+    ``prefix`` and ``asn`` are views built per access.  A VRP equals the
+    plain tuple of its fields; nothing relies on that.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.prefix.length <= self.max_length <= self.prefix.afi.bits:
+    __slots__ = ()
+
+    def __new__(cls, prefix: Prefix, max_length: int, asn: ASN) -> "VRP":
+        return cls.from_integers(
+            prefix.afi, prefix.network, prefix.length, max_length, asn.value
+        )
+
+    @classmethod
+    def from_integers(
+        cls, afi: Afi, network: int, length: int, max_length: int, asn: int
+    ) -> "VRP":
+        """The VRP of five integers, under the range checks of ``Prefix``
+        and ``ASN`` without building either; a refused field set goes to
+        their constructors, so the complaint is theirs."""
+        bits = afi.bits
+        if not (
+            0 <= length <= max_length <= bits
+            and 0 <= network <= afi.max_address
+            and not network & ((1 << (bits - length)) - 1)
+            and 0 <= asn <= AS_MAX
+        ):
+            prefix = Prefix(afi, network, length)
+            ASN(asn)  # either refuses in its own words; else maxLength
             raise ValueError(
-                f"maxLength {self.max_length} out of range for {self.prefix}"
+                f"maxLength {max_length} out of range for {prefix}"
             )
+        return tuple.__new__(cls, (
+            bits, network if bits == 32 else network.to_bytes(16, "big"),
+            length, max_length, asn,
+        ))
+
+    def __getnewargs__(self) -> tuple[Prefix, int, ASN]:
+        # copy and pickle rebuild through __new__, which takes the views.
+        return self.prefix, self[3], self.asn
 
     @classmethod
     def parse(cls, text: str, asn: ASN | int) -> "VRP":
@@ -46,6 +81,18 @@ class VRP:
             asn=ASN(int(asn)),
         )
 
+    @property
+    def prefix(self) -> Prefix:
+        if self[0] == 32:
+            return Prefix(Afi.IPV4, self[1], self[2])
+        return Prefix(Afi.IPV6, int.from_bytes(self[1], "big"), self[2])
+
+    max_length = property(itemgetter(3), doc="The ROA's maxLength.")
+
+    @property
+    def asn(self) -> ASN:
+        return ASN(self[4])
+
     def covers(self, prefix: Prefix) -> bool:
         """True if this VRP is a *covering* ROA for the prefix (any ASN)."""
         return self.prefix.covers(prefix)
@@ -53,15 +100,22 @@ class VRP:
     def matches(self, prefix: Prefix, origin: ASN) -> bool:
         """The RFC 6811 *matching* test: covers, within maxLength, same AS."""
         return (
-            self.prefix.covers(prefix)
-            and prefix.length <= self.max_length
-            and self.asn == origin
+            prefix.length <= self[3]
+            and self[4] == int(origin)
+            and self.prefix.covers(prefix)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"VRP(prefix={self.prefix!r}, max_length={self[3]!r}, "
+            f"asn={self.asn!r})"
         )
 
     def __str__(self) -> str:
-        if self.max_length == self.prefix.length:
-            return f"({self.prefix}, {self.asn})"
-        return f"({self.prefix}-{self.max_length}, {self.asn})"
+        prefix = self.prefix
+        if self[3] == prefix.length:
+            return f"({prefix}, {self.asn})"
+        return f"({prefix}-{self[3]}, {self.asn})"
 
 
 # Buckets of the content fingerprint's fixed partition.
@@ -70,11 +124,12 @@ _FINGERPRINT_BUCKETS = 256
 
 def _canonical_line(vrp: VRP) -> bytes:
     """The one byte string that stands for *vrp* in the fingerprint."""
-    prefix = vrp.prefix
-    return (
-        f"{prefix.afi.value}:{prefix.network:x}/{prefix.length}"
-        f"-{vrp.max_length}:{int(vrp.asn)}"
-    ).encode("ascii")
+    bits, network, length, max_length, asn = vrp
+    if bits == 32:
+        return b"1:%x/%d-%d:%d" % (network, length, max_length, asn)
+    return b"2:%x/%d-%d:%d" % (
+        int.from_bytes(network, "big"), length, max_length, asn
+    )
 
 
 class _Fingerprint:
@@ -150,7 +205,8 @@ class VrpSet:
         self._members: dict[VRP, int] = {}
         self._sorted: list[VRP] | None = None
         self._frozen: frozenset[VRP] | None = None
-        self._by_asn: dict[ASN, tuple[VRP, ...]] | None = None
+        # AS number -> its VRPs, sorted.
+        self._by_asn: dict[int, tuple[VRP, ...]] | None = None
         self._fingerprint: _Fingerprint | None = None
         self.apply_delta(vrps, ())
 
@@ -194,10 +250,11 @@ class VrpSet:
         index = self._index
         for vrp in gone:
             del counts[vrp]
-            bucket = index[vrp.prefix]
+            prefix = vrp.prefix
+            bucket = index[prefix]
             bucket.remove(vrp)
             if not bucket:
-                index.remove(vrp.prefix)
+                index.remove(prefix)
         for vrp in came:
             insort(index.get_or_insert(vrp.prefix, list), vrp)
         if gone or came:
@@ -211,13 +268,13 @@ class VrpSet:
 
     def _patch_by_asn(self, came: list[VRP], gone: list[VRP]) -> None:
         by_asn = self._by_asn
-        touched: dict[ASN, set[VRP]] = {
-            vrp.asn: set(by_asn.get(vrp.asn, ())) for vrp in chain(gone, came)
+        touched: dict[int, set[VRP]] = {
+            vrp[4]: set(by_asn.get(vrp[4], ())) for vrp in chain(gone, came)
         }
         for vrp in gone:
-            touched[vrp.asn].discard(vrp)
+            touched[vrp[4]].discard(vrp)
         for vrp in came:
-            touched[vrp.asn].add(vrp)
+            touched[vrp[4]].add(vrp)
         for asn, group in touched.items():
             if group:
                 by_asn[asn] = tuple(sorted(group))
@@ -263,11 +320,11 @@ class VrpSet:
         patched by every later edit.
         """
         if self._by_asn is None:
-            index: dict[ASN, list[VRP]] = {}
+            index: dict[int, list[VRP]] = {}
             for vrp in self._sorted_view():
-                index.setdefault(vrp.asn, []).append(vrp)
+                index.setdefault(vrp[4], []).append(vrp)
             self._by_asn = {a: tuple(vs) for a, vs in index.items()}
-        return self._by_asn.get(ASN(int(asn)), ())
+        return self._by_asn.get(int(asn), ())
 
     def __iter__(self) -> Iterator[VRP]:
         return iter(self._sorted_view())

@@ -11,7 +11,9 @@ delta.
 The served table is a plain set plus its sorted order, both maintained
 in place by :meth:`RtrCacheServer.apply_delta`, so installing a change
 costs O(delta), not O(table): an RTR cache answers serial and reset
-queries, never covering-prefix lookups, and holds no prefix index.
+queries, never covering-prefix lookups, and holds no prefix index.  The
+order is the VRPs' own (a :class:`~repro.rp.vrp.VRP` is a tuple), so
+sorting and bisecting take no key.
 
 Three serving-scale mechanisms (see docs/rtr.md):
 
@@ -75,21 +77,6 @@ def _pdu_label(pdu: Pdu) -> str:
         ).lstrip("_")
         _PDU_LABELS[type(pdu)] = label
     return label
-
-
-def _wire_order(vrp: VRP) -> tuple[int, int, int, int, int]:
-    """Sort key for the served order: the order of ``VRP.__lt__``.
-
-    Five integers compared by the tuple type itself, where comparing
-    two VRPs walks ``VRP`` -> ``Prefix`` -> ``Afi`` -> ``ASN`` through
-    Python-level ``__lt__`` and ``__eq__`` on every probe.  The family
-    goes in as its address width, which orders as its AFI code does.
-    """
-    prefix = vrp.prefix
-    return (
-        prefix.afi.bits, prefix.network, prefix.length,
-        vrp.max_length, vrp.asn.value,
-    )
 
 
 @dataclass
@@ -202,10 +189,9 @@ class RtrCacheServer:
         target = vrps.as_frozenset()
         served = self.current_vrps()
         serial = self.apply_delta(target - served, served - target)
-        # Equal content now, so *target* is the served set, frozen.  It
-        # also holds the caller's own VRP objects: a relying party hands
-        # most of them over again next refresh, and the next diff then
-        # matches them by identity instead of comparing field by field.
+        # Equal content now, so *target* is the served set, frozen, and
+        # holds the caller's own VRP objects: the next diff matches most
+        # of them by identity.
         self._frozen = target
         return serial
 
@@ -231,16 +217,16 @@ class RtrCacheServer:
             return self.serial
         served -= leaving
         served |= arriving
-        announced = sorted(arriving, key=_wire_order)
-        withdrawn = sorted(leaving, key=_wire_order)
+        announced = sorted(arriving)
+        withdrawn = sorted(leaving)
         # The snapshot burst is served in sorted order; keeping that
         # order by bisection costs O(log table) comparisons per changed
         # VRP where re-sorting per serial would compare the whole table.
         order = self._sorted
         for vrp in withdrawn:
-            del order[bisect_left(order, _wire_order(vrp), key=_wire_order)]
+            del order[bisect_left(order, vrp)]
         for vrp in announced:
-            insort(order, vrp, key=_wire_order)
+            insort(order, vrp)
         self.serial += 1
         self._frozen = None
         self._snapshot = None

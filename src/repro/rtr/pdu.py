@@ -38,7 +38,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..resources import ASN, Afi, Prefix
+from ..resources import Afi
 from ..rp.vrp import VRP
 
 __all__ = [
@@ -96,18 +96,17 @@ _FIXED_LENGTH = {
 }
 
 # A whole prefix PDU as one record: header, flags, prefix length,
-# maxLength, a zero byte, address, ASN.  Both directions use it.
+# maxLength, a zero byte, address (as a VRP holds it: an integer for
+# IPv4, 16 bytes for IPv6), ASN.  Both directions use it.
 _PREFIX_RECORD = {
-    PduType.IPV4_PREFIX: (struct.Struct(">8sBBBx4sI"), Afi.IPV4),
+    PduType.IPV4_PREFIX: (struct.Struct(">8sBBBxII"), Afi.IPV4),
     PduType.IPV6_PREFIX: (struct.Struct(">8sBBBx16sI"), Afi.IPV6),
 }
 
-# Per family: the record's packer, its constant header, address bytes.
+# Per family, by address width: the record's packer, its constant header.
 _PREFIX_PACK = {
-    afi: (
-        record.pack,
-        _HEADER.pack(RTR_VERSION, pdu_type, 0, record.size),
-        afi.bits // 8,
+    afi.bits: (
+        record.pack, _HEADER.pack(RTR_VERSION, pdu_type, 0, record.size)
     )
     for pdu_type, (record, afi) in _PREFIX_RECORD.items()
 }
@@ -185,16 +184,13 @@ def _packet(pdu_type: PduType, session_or_flags: int, body: bytes) -> bytes:
 
 
 def encode_prefixes(announce: bool, vrps: Iterable[VRP]) -> bytes:
-    """The prefix PDUs announcing (or withdrawing) *vrps*, in order."""
+    """The prefix PDUs announcing (or withdrawing) *vrps*, in order:
+    a VRP's five fields are the record's, packed as they are held."""
     flags = 1 if announce else 0
     parts = []
-    for vrp in vrps:
-        prefix = vrp.prefix
-        pack, header, address_bytes = _PREFIX_PACK[prefix.afi]
-        parts.append(pack(
-            header, flags, prefix.length, vrp.max_length,
-            prefix.network.to_bytes(address_bytes, "big"), vrp.asn.value,
-        ))
+    for bits, network, length, max_length, asn in vrps:
+        pack, header = _PREFIX_PACK[bits]
+        parts.append(pack(header, flags, length, max_length, network, asn))
     return b"".join(parts)
 
 
@@ -249,6 +245,7 @@ def decode_pdus(data: bytes) -> tuple[list[Pdu], bytes]:
     """
     pdus: list[Pdu] = []
     append = pdus.append
+    from_integers = VRP.from_integers
     offset, end = 0, len(data)
     while end - offset >= _HEADER.size:
         version, pdu_type, session_or_flags, length = _HEADER.unpack_from(
@@ -265,6 +262,7 @@ def decode_pdus(data: bytes) -> tuple[list[Pdu], bytes]:
             # complete record in sight and stop at the first whose
             # header is not the one just checked.
             record, afi = _PREFIX_RECORD[pdu_type]
+            wide = afi is Afi.IPV6
             header = data[offset : offset + _HEADER.size]
             run = (end - offset) // length * length
             records = record.iter_unpack(
@@ -276,11 +274,10 @@ def decode_pdus(data: bytes) -> tuple[list[Pdu], bytes]:
                 ) in records:
                     if seen != header:
                         break
-                    append(PrefixPdu(flags & 1 == 1, VRP(
-                        Prefix(afi, int.from_bytes(address, "big"),
-                               prefix_length),
-                        max_length,
-                        ASN(asn),
+                    if wide:
+                        address = int.from_bytes(address, "big")
+                    append(PrefixPdu(flags & 1 == 1, from_integers(
+                        afi, address, prefix_length, max_length, asn
                     )))
                     offset += length
             except ValueError as exc:

@@ -1,5 +1,8 @@
 """Unit tests for AddressRange and ResourceSet, incl. Figure 3 hole-punch."""
 
+import math
+import random
+
 import pytest
 
 from repro.resources import (
@@ -170,3 +173,86 @@ class TestResourceSet:
     def test_iteration_sorted(self):
         rs = ResourceSet.parse("192.0.2.0/24", "10.0.0.0/24")
         assert [str(r) for r in rs] == ["10.0.0.0/24", "192.0.2.0/24"]
+
+
+def scan_covers(mine: ResourceSet, theirs: ResourceSet) -> bool:
+    """``ResourceSet.covers`` as it was: every range against every range."""
+    return all(
+        any(m.covers(r) for m in mine.ranges) for r in theirs.ranges
+    )
+
+
+def scattered(rng, afi, count, *, step=4096, width=256):
+    """*count* ranges of *afi*, none adjacent to the next — low in the
+    family's space, so the two families hold overlapping integers."""
+    base = 1 + rng.getrandbits(8)
+    return [
+        AddressRange(afi, base + i * step, base + i * step + rng.randrange(width))
+        for i in range(count)
+    ]
+
+
+class TestCoversAtSize:
+    """One validly signed ROA over n scattered prefixes must not cost
+    n**2 to judge: ``covers`` bisects its sorted, disjoint ranges."""
+
+    def test_4000_by_4000_is_counted_in_bisections_not_in_pairs(
+        self, monkeypatch
+    ):
+        rng = random.Random(24)
+        ranges = scattered(rng, Afi.IPV4, 4_000)
+        mine, theirs = ResourceSet(ranges), ResourceSet(ranges)
+        assert len(mine) == len(theirs) == 4_000
+        calls = []
+        inner = AddressRange.covers
+
+        def counted(self, other):
+            calls.append(None)
+            return inner(self, other)
+
+        monkeypatch.setattr(AddressRange, "covers", counted)
+        assert mine.covers(theirs)
+        assert len(calls) <= 4_000 * (math.log2(4_000) + 2)
+        # The last range alone is where the old scan did worst.
+        del calls[:]
+        assert mine.covers(ranges[-1])
+        assert len(calls) <= math.log2(4_000) + 2
+
+    def test_answers_equal_the_scan(self):
+        rng = random.Random(2013)
+        for _ in range(200):
+            afi = rng.choice((Afi.IPV4, Afi.IPV6))
+            held = scattered(rng, afi, rng.randint(1, 40))
+            other_afi = Afi.IPV6 if afi is Afi.IPV4 else Afi.IPV4
+            mine = ResourceSet(held + scattered(rng, other_afi, 3))
+            pick = rng.choice(held)
+            low, high = held[0], held[-1]
+            probes = [
+                ResourceSet(rng.sample(held, rng.randint(0, len(held)))),
+                ResourceSet([pick]),
+                ResourceSet([AddressRange(afi, pick.start, pick.start)]),
+                ResourceSet([AddressRange(afi, pick.end, pick.end)]),
+                # One address short at either end.
+                ResourceSet([AddressRange(afi, pick.start - 1, pick.end)]),
+                ResourceSet([AddressRange(afi, pick.start, pick.end + 1)]),
+                ResourceSet([AddressRange(afi, low.start - 1, low.start - 1)]),
+                ResourceSet([AddressRange(afi, high.end + 1, high.end + 1)]),
+                # Straddling two of mine, and all of them.
+                ResourceSet([AddressRange(afi, low.start, high.end)]),
+                ResourceSet([AddressRange(afi, pick.start, pick.end + 4096)]),
+                # The other family: same integers, and its own ranges.
+                ResourceSet([AddressRange(other_afi, pick.start, pick.end)]),
+                ResourceSet(mine.ranges[-3:]),
+                ResourceSet(held + [AddressRange(afi, high.end + 2,
+                                                 high.end + 2)]),
+                ResourceSet.empty(),
+            ]
+            for theirs in probes:
+                assert mine.covers(theirs) == scan_covers(mine, theirs), (
+                    mine, theirs)
+                assert ResourceSet.empty().covers(theirs) == theirs.is_empty()
+            for range_ in probes[1].ranges + probes[4].ranges:
+                assert mine.covers(range_) == any(
+                    m.covers(range_) for m in mine.ranges)
+            for prefix in pick.to_prefixes():
+                assert mine.covers(prefix)

@@ -45,6 +45,22 @@ _BODY_SIZE = {
 }
 
 
+def wire_order(vrp: VRP) -> tuple[int, int, int, int, int]:
+    """The served order, spelled out: family, network, length, maxLength,
+    AS number — five integers read off the views.
+
+    This was ``repro.rtr.cache_server._wire_order``, the sort key of the
+    served table while a ``VRP`` was an object holding a ``Prefix`` and
+    an ``ASN``; a ``VRP`` is now a tuple that sorts this way by itself,
+    and this key is what says so.
+    """
+    prefix = vrp.prefix
+    return (
+        prefix.afi.value, prefix.network, prefix.length,
+        vrp.max_length, int(vrp.asn),
+    )
+
+
 def _packet(pdu_type: PduType, session_or_flags: int, body: bytes) -> bytes:
     return _HEADER.pack(0, pdu_type, session_or_flags, 8 + len(body)) + body
 

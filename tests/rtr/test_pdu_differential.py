@@ -33,9 +33,8 @@ from repro.rtr import (
     encode_pdu,
     encode_prefixes,
 )
-from repro.rtr.cache_server import _wire_order
-
 from . import reference_codec as reference
+from .reference_codec import wire_order as _wire_order
 
 
 def random_vrp(rng: random.Random, afi: Afi | None = None) -> VRP:

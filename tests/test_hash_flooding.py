@@ -131,6 +131,78 @@ class TestPrefixes:
         assert len({hash(key) for key in table}) >= 3_990
 
 
+def as_vrps(hosts):
+    return [VRP(host, 128, ORIGIN) for host in hosts]
+
+
+def sync_a_router(vrps):
+    """A cache installs *vrps* as one delta; a router takes the burst."""
+    cache = RtrCacheServer(metrics=MetricsRegistry())
+    pipe = DuplexPipe()
+    cache.attach(pipe)
+    router = RtrRouterClient(pipe)
+    router.connect()
+    installing = time.perf_counter()
+    cache.apply_delta(vrps, ())
+    cache.process()
+    applying = time.perf_counter()
+    router.process()
+    done = time.perf_counter()
+    assert router.vrp_count == cache.vrp_count == len(vrps)
+    return installing, applying, done
+
+
+class TestVrps:
+    """A VRP is the tuple of its five fields and hashes as one: the
+    network in it must not be an ``int`` its authority picked."""
+
+    HOSTILE = [congruent_hosts, inverted_tuple_hash_hosts]
+
+    @pytest.mark.parametrize("hostile", HOSTILE)
+    def test_vrps_hash_apart(self, hostile):
+        vrps = as_vrps(hostile(4_000))
+        assert len({hash(vrp) for vrp in vrps}) >= 3_990
+        # Through the integer constructor (the RTR decoder's) as well.
+        wired = [VRP.from_integers(Afi.IPV6, vrp.prefix.network, 128, 128,
+                                   int(ORIGIN)) for vrp in vrps]
+        assert wired == vrps
+        assert len({hash(vrp) for vrp in wired}) >= 3_990
+
+    def test_the_network_in_the_tuple_is_bytes_for_ipv6_and_int_for_ipv4(self):
+        low = Prefix(Afi.IPV6, 5, 128)               # below 2**61 - 1 too
+        for host in [low, *congruent_hosts(50), *honest_hosts(50)]:
+            for vrp in (VRP(host, 128, ORIGIN), VRP.from_integers(
+                    Afi.IPV6, host.network, 128, 128, int(ORIGIN))):
+                assert type(vrp[1]) is bytes and len(vrp[1]) == 16
+                assert vrp[1] == host.network.to_bytes(16, "big")
+        narrow = VRP.parse("63.174.16.0/20", ORIGIN)
+        assert type(narrow[1]) is int
+        assert type(VRP.from_integers(
+            Afi.IPV4, narrow[1], 20, 20, 1)[1]) is int
+
+    @pytest.mark.parametrize("hostile", HOSTILE)
+    def test_a_set_of_them_builds_at_honest_cost(self, hostile):
+        # (A VrpSet of them: TestPrefixes, above.)
+        honest, flood = as_vrps(honest_hosts(4_000)), as_vrps(hostile(4_000))
+        assert best_of_three(lambda: set(flood)) < 5 * best_of_three(
+            lambda: set(honest))
+        assert len(set(flood)) == 4_000
+
+    @pytest.mark.parametrize("hostile", HOSTILE)
+    def test_cache_install_and_router_apply_at_honest_cost(self, hostile):
+        honest, flood = as_vrps(honest_hosts(4_000)), as_vrps(hostile(4_000))
+
+        def best(vrps):
+            runs = [sync_a_router(vrps) for _ in range(3)]
+            return (min(b - a for a, b, _ in runs),
+                    min(c - b for _, b, c in runs))
+
+        (honest_install, honest_apply) = best(honest)
+        (flood_install, flood_apply) = best(flood)
+        assert flood_install < 5 * honest_install
+        assert flood_apply < 5 * honest_apply
+
+
 def ipv6_world(hosts):
     """A trust anchor, one /48 holder under it, and one ROA over *hosts*."""
     clock = Clock()
