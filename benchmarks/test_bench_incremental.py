@@ -7,7 +7,7 @@ scale (the ROADMAP north star): with :class:`repro.rp.IncrementalState`
 attached, a refresh's *cryptographic* cost is proportional to what
 changed, not to how much is cached.
 
-Two claims are asserted, not just timed:
+Three claims are asserted, not just timed:
 
 1. **Zero churn, zero verifications.**  A warm refresh over an unchanged
    repository performs exactly 0 RSA signature verifications (measured by
@@ -22,8 +22,11 @@ Two claims are asserted, not just timed:
    VRPs) a one-ROA refresh plus the first answer builds no ``VrpSet``,
    edits the prefix index no more often than the re-judged point has VRPs,
    re-hashes at most two fingerprint buckets and sorts nothing the size
-   of the table; an idle refresh edits nothing.  Counts, so a noisy box
-   cannot blur them (``BENCH_incremental.json``).
+   of the table; it re-judges one publication point and reads one ROA —
+   the new one — from bytes, the rest of that point's ROAs from their
+   rows.  An idle refresh a tick later edits nothing, re-judges no point
+   and verifies no signature.  Counts, so a noisy box cannot blur them
+   (``BENCH_incremental.json``).
 """
 
 import builtins
@@ -40,6 +43,7 @@ from repro.repository import Fetcher
 from repro.resources import PrefixMap
 from repro.rp import RelyingParty, VrpSet
 from repro.rp.vrp import _Fingerprint
+from repro.rpki import Roa
 from repro.simtime import HOUR
 from repro.telemetry import MetricsRegistry
 
@@ -139,8 +143,9 @@ class _Calls:
     def __init__(self, patch):
         self.vrpset_builds = self.trie_inserts = self.trie_removes = 0
         self.bucket_digests = self.fingerprint_edits = 0
-        self.largest_sort = 0
+        self.largest_sort = self.roas_parsed = 0
         self._count(patch, VrpSet, "__init__", "vrpset_builds")
+        self._count(patch, Roa, "_read_payload", "roas_parsed")
         self._count(patch, PrefixMap, "get_or_insert", "trie_inserts")
         self._count(patch, PrefixMap, "remove", "trie_removes")
         self._count(patch, _Fingerprint, "_bucket_digest", "bucket_digests")
@@ -188,13 +193,20 @@ def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
         == "invalid"
     service.lookup_asn(65200)
 
+    points = metrics.get("repro_incremental_points_total")
+
+    def validated() -> float:
+        return points.value(outcome="validated")
+
     world.clock.advance(HOUR)
     donor.issue_roa(65200, str(prefix), name="handoff.roa")
     point_vrps = sum(len(roa.prefixes) for roa in donor.issued_roas.values())
+    before = validated()
     with monkeypatch.context() as patch:
         churn = _Calls(patch)
         report = rp.refresh()
         answer = service.validate_route(str(prefix), 65200)
+    churn_points = validated() - before
     assert answer.payload.state.value == "valid"
     assert len(report.announced) == 1 and not report.withdrawn
     assert service.lookup_asn(65200).payload == report.announced
@@ -202,14 +214,24 @@ def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
     assert churn.trie_inserts <= point_vrps
     assert churn.bucket_digests <= 2
     assert churn.largest_sort < table // 10
+    # One point re-judged, and of its ROAs only the new one read from
+    # bytes: every other one is judged again from its row.
+    assert churn_points == 1
+    assert churn.roas_parsed == 1
 
+    # A tick after the publish instant: the re-judged point's new starts
+    # were reached when it was judged, so it is replayed like the rest.
     world.clock.advance(HOUR)
+    before, verifies = validated(), _verify_total()
     with monkeypatch.context() as patch:
         idle = _Calls(patch)
         report = rp.refresh()
         service.validate_route(str(prefix), 65200)
+    idle_points, idle_verifies = validated() - before, _verify_total() - verifies
     assert not report.announced and not report.withdrawn
     assert idle.index_edits == 0 and idle.vrpset_builds == 0
+    assert idle_points == 0
+    assert idle_verifies == 0
 
     write_artifact("BENCH_incremental.json", json.dumps({
         "experiment": "incremental",
@@ -230,6 +252,18 @@ def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
             },
             "idle_index_edits": {
                 "measured": idle.index_edits, "bound": 0, "op": "==",
+            },
+            "handoff_points_validated": {
+                "measured": int(churn_points), "bound": 1, "op": "==",
+            },
+            "handoff_roas_parsed": {
+                "measured": churn.roas_parsed, "bound": 1, "op": "==",
+            },
+            "idle_points_validated": {
+                "measured": int(idle_points), "bound": 0, "op": "==",
+            },
+            "idle_rsa_verifies": {
+                "measured": int(idle_verifies), "bound": 0, "op": "==",
             },
         },
         "handoff": {

@@ -218,7 +218,6 @@ def test_internet_warm_and_churn_verifies_pinned():
         world.trust_anchors, Fetcher(world.registry, world.clock),
         mode="incremental",
     )
-    world.clock.advance(HOUR)   # step off the objects' not_before instants
     rp.refresh()                # cold: populates memos and point results
 
     world.clock.advance(HOUR)

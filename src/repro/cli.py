@@ -271,10 +271,6 @@ def cmd_perf(args) -> None:
     churn_epoch = epochs // 2
     churned_ca = next(ca for ca in world.authorities() if ca.issued_roas)
     roa_name = next(iter(churned_ca.issued_roas))
-    # Step off the objects' exact not_before instants: a run performed
-    # while now sits *on* a validity boundary is conservatively
-    # revalidated after the boundary passes (see repro.rp.incremental).
-    world.clock.advance(HOUR)
 
     print("Incremental validation: cold start, then steady-state refreshes\n")
     print(f"deployment: {world.roa_count()} ROAs across "

@@ -181,10 +181,9 @@ class LocalCache:
         entry.last_attempt = result.fetched_at
         entry.last_status = result.status
         if result.ok:
-            new_files = dict(result.files)
-            if new_files != entry.files or not entry.content_digest:
-                entry.files = new_files
-                entry.content_digest = point_digest(new_files)
+            if result.files != entry.files or not entry.content_digest:
+                entry.files = dict(result.files)
+                entry.content_digest = point_digest(entry.files)
             entry.last_success = result.fetched_at
             self._m_updates.inc(effect="hit")
         elif self.keep_stale:

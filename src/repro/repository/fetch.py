@@ -264,11 +264,7 @@ class Fetcher:
             if self.faults.point_unreachable(uri_text):
                 return FetchStatus.FAULTED, {}
 
-        files: dict[str, bytes] = {}
-        for name in point.names():
-            data = point.get(name)
-            assert data is not None
-            files[name] = data
+        files = point.snapshot()
         if self.faults is not None:
             # Byzantine rewrites act on the whole assembled view first,
             # then per-file kinds damage whatever that view contains.
@@ -294,5 +290,5 @@ class Fetcher:
         self._m_fetches.inc(status=result.status.value)
         if result.files:
             self._m_objects.inc(len(result.files))
-            self._m_bytes.inc(sum(len(data) for data in result.files.values()))
+            self._m_bytes.inc(sum(map(len, result.files.values())))
         return result

@@ -17,7 +17,13 @@ same property, without changing a single validation verdict:
 - :class:`ParseMemo` — parsing is a pure function of the bytes.  Cached
   bytes that did not change parse to the same (immutable) object, so the
   memo returns the previously built object; parse *failures* are cached
-  too (corrupt bytes stay corrupt).
+  too (corrupt bytes stay corrupt).  ROAs are the exception: see rows.
+- :class:`RoaRow` — everything judging a ROA reads except ``now`` and
+  the CRL is a pure function of the ROA's bytes and its issuing
+  certificate, so it is kept under ``(file SHA-256, issuer hash)`` in
+  place of the parsed ROA.  A re-judged point judges an unchanged ROA
+  from its row — no parse, no verification — and kept state is O(VRPs),
+  not O(object trees).
 - :class:`PointResult` / :class:`IncrementalState` — the per-publication-
   point unit of reuse.  A point's validation outcome is a pure function
   of (issuing certificate, strictness policy, the bytes of every cached
@@ -42,15 +48,18 @@ otherwise it is discarded and the point revalidated from bytes:
 - ``time``: ``now`` is on the same side of every validity boundary
   (``not_before`` / ``not_after`` of each parseable object, including
   embedded EE certificates; CRL and manifest ``next_update``) that the
-  original computation could have observed.  Clock movement past any
-  expiry or staleness edge dirties the point.
+  original computation could have observed — exactly, see
+  :func:`time_signature`.  Clock movement past any start, expiry or
+  staleness edge dirties the point; movement that crosses none does not.
 - ``policy``: the manifest-strictness policy is unchanged.
 
 Because reuse replays the exact issues, certificates, ROAs, and VRPs the
-cold computation produced, an incremental run is byte-for-byte identical
-to a cold :meth:`repro.rp.PathValidator.run` on the same cache — the
-property ``tests/rp/test_incremental.py`` enforces after whacking,
-revocation, and expiry events, and ``benchmarks/test_bench_incremental.py``
+cold computation produced — and no issue text names the instant it was
+judged at — an incremental run is byte-for-byte identical to a cold
+:meth:`repro.rp.PathValidator.run` on the same cache: the property
+``tests/rp/test_incremental.py`` enforces after whacking, revocation,
+and expiry events, ``tests/rp/test_roa_rows.py`` at every boundary
+``b - 1``, ``b``, ``b + 1``, and ``benchmarks/test_bench_incremental.py``
 pins the zero-churn/zero-verification headline claim.
 
 Memos are bounded (``max_entries`` per generation, two generations: see
@@ -71,6 +80,7 @@ from ..rpki.errors import ObjectFormatError
 from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
 from ..rpki.parse import parse_object
+from ..rpki.roa import Roa
 from ..telemetry import MetricsRegistry, default_registry
 from .vrp import VRP, VrpSet
 
@@ -80,6 +90,7 @@ __all__ = [
     "ParseMemo",
     "PointResult",
     "RoaEvidence",
+    "RoaRow",
     "VerificationMemo",
     "time_signature",
 ]
@@ -95,18 +106,23 @@ DEFAULT_MEMO_ENTRIES = 65536
 DEFAULT_MAX_OBJECT_BYTES = 16 << 10
 
 
-def time_signature(boundaries: tuple[int, ...], now: int) -> tuple[int, int]:
+def time_signature(
+    boundaries: tuple[tuple[int, ...], tuple[int, ...]], now: int
+) -> tuple[int, int]:
     """Which side of every boundary *now* falls on, as two counts.
 
-    *boundaries* must be sorted.  Every time predicate the validator
-    evaluates (``not_before <= now``, ``now <= not_after``,
-    ``next_update < now``) flips only when ``now`` crosses one of the
-    collected boundary values, so two instants with the same
-    ``(how many boundaries are < now, how many are <= now)`` counts make
-    every predicate evaluate identically — the cached verdicts still
-    hold.  Works in both directions (clocks here can be rewound).
+    *boundaries* is ``(starts, ends)``, each sorted: the ``not_before``
+    values and the ``not_after`` values (``next_update`` aliases
+    ``not_after``).  The validator evaluates exactly ``start <= now``,
+    ``now <= end`` and ``end < now``, so the starts that hold are the
+    first ``bisect_right(starts, now)`` and the ends passed are the
+    first ``bisect_left(ends, now)``: two instants with equal counts make
+    every predicate evaluate identically, and the cached verdicts still
+    hold.  Exact for any ordered ``now``, in both directions (clocks here
+    can be rewound).
     """
-    return (bisect_left(boundaries, now), bisect_right(boundaries, now))
+    starts, ends = boundaries
+    return (bisect_right(starts, now), bisect_left(ends, now))
 
 
 class VerificationMemo:
@@ -152,7 +168,9 @@ class ParseMemo:
     Parsed objects are immutable (:class:`SignedObject` freezes payload
     access by convention and equality is by serialized bytes), so sharing
     one instance across runs is safe.  Failures are cached as the error
-    message and re-raised as a fresh :class:`ObjectFormatError`.
+    message and re-raised as a fresh :class:`ObjectFormatError`.  A
+    parsed ROA is returned but not held: what a ROA leaves behind is
+    its :class:`RoaRow`.
     """
 
     def __init__(
@@ -204,7 +222,8 @@ class ParseMemo:
         except ObjectFormatError as exc:
             self._objects.put(digest, str(exc))
             raise
-        self._objects.put(digest, obj)
+        if not isinstance(obj, Roa):  # a ROA is kept as its RoaRow instead
+            self._objects.put(digest, obj)
         return obj
 
 
@@ -223,6 +242,29 @@ class RoaEvidence(NamedTuple):
     vrps: tuple[VRP, ...]
 
 
+class RoaRow(NamedTuple):
+    """Everything judging a ROA reads besides ``now`` and the issuer's CRL.
+
+    A function of the ROA's bytes and its issuing certificate alone, so
+    an :class:`IncrementalState` keeps it under ``(file SHA-256, issuer
+    hash_hex)`` in place of the parsed ROA: the asserted VRPs (none once
+    a check failed — that ROA is never accepted), the EE serial, the
+    EE's and the ROA's validity windows, and the first failing check
+    among issuer match, EE signature, CA-covers-EE, ROA signature and
+    EE-covers-ROA as ``(severity, code, message)`` — ``early`` when it
+    comes before the time and CRL checks.
+    """
+
+    vrps: tuple[VRP, ...]
+    ee_serial: int
+    ee_not_before: int
+    ee_not_after: int
+    not_before: int
+    not_after: int
+    failure: tuple | None
+    early: bool
+
+
 @dataclass(frozen=True)
 class PointResult:
     """One publication point's local validation outcome, replayable.
@@ -234,14 +276,15 @@ class PointResult:
     validated contact — but nothing from child subtrees.
 
     ``fingerprint`` is the exact reuse key (issuer certificate hash,
-    strictness policy, per-copy content digests); ``boundaries`` and
-    ``time_sig`` encode the time-window status; ``verify_count`` is how
-    many signature checks the cold computation performed, credited to the
-    skipped-verifications counter on every reuse.
+    strictness policy, per-copy content digests); ``boundaries`` (the
+    sorted ``(starts, ends)`` of :func:`time_signature`) and ``time_sig``
+    encode the time-window status; ``verify_count`` is how many signature
+    checks the judgement performed, credited to the skipped-verifications
+    counter on every reuse.
     """
 
     fingerprint: tuple
-    boundaries: tuple[int, ...]
+    boundaries: tuple[tuple[int, ...], tuple[int, ...]]
     time_sig: tuple[int, int]
     selected_uri: str
     issues: tuple = ()
@@ -273,6 +316,10 @@ class IncrementalState:
     ):
         self.verify_memo = VerificationMemo(max_entries=max_entries)
         self.parse_memo = ParseMemo(max_entries=max_entries)
+        # (ROA file SHA-256, issuer hash_hex) -> RoaRow; see PathValidator.
+        self.roa_rows: GenerationMemo[tuple[str, str], RoaRow] = (
+            GenerationMemo(max_entries)
+        )
         # Point cache keyed by the issuing CA's subject key id: one CA,
         # one publication point (mirrors are copies inside one result).
         self.points: dict[str, PointResult] = {}
@@ -383,6 +430,7 @@ class IncrementalState:
     def _update_gauges(self) -> None:
         self._m_entries.set(len(self.verify_memo), memo="verify")
         self._m_entries.set(len(self.parse_memo), memo="parse")
+        self._m_entries.set(len(self.roa_rows), memo="roa_rows")
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -397,6 +445,7 @@ class IncrementalState:
         self.book_memos()
         self.verify_memo = VerificationMemo(max_entries=self.verify_memo.max_entries)
         self.parse_memo = ParseMemo(max_entries=self.parse_memo.max_entries)
+        self.roa_rows = GenerationMemo(self.roa_rows.max_entries)
         self._booked = (0, 0, 0, 0)
         self.points.clear()
         self._update_gauges()

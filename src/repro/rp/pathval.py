@@ -54,6 +54,7 @@ from .incremental import (
     IncrementalState,
     PointResult,
     RoaEvidence,
+    RoaRow,
     time_signature,
 )
 from .vrp import VRP, VrpSet
@@ -241,7 +242,8 @@ class PathValidator:
         if not anchor.is_current(now):
             return ValidationIssue(
                 Severity.ERROR, anchor.sia, "", "ta-expired",
-                f"trust anchor {anchor.subject!r} not valid at t={now}",
+                f"trust anchor {anchor.subject!r} is outside its validity "
+                f"window [{anchor.not_before}, {anchor.not_after}]",
             )
         return None
 
@@ -342,12 +344,19 @@ class PathValidator:
         children: list[ResourceCertificate] = []
         roas: list[RoaEvidence] = []
         contact: GhostbustersRecord | None = None
+        rows = None if self.incremental is None else self.incremental.roa_rows
         if usable is not None:  # strict mode may discard the point whole
             for file_name in sorted(usable):
                 if file_name in (CRL_FILE, MANIFEST_FILE):
                     continue
+                # A ROA judged before under this issuer is judged again
+                # from its row: nothing is parsed or verified.
+                row_key = (copy.digests[file_name], ca_cert.hash_hex)
+                row = None if rows is None else rows.get(row_key)
                 try:
-                    obj = self._parse_file(copy, file_name)
+                    obj = row if row is not None else self._parse_file(
+                        copy, file_name
+                    )
                 except ObjectFormatError as exc:
                     issues.append(ValidationIssue(
                         Severity.ERROR, point_uri, file_name, "parse-failed",
@@ -365,33 +374,26 @@ class PathValidator:
                     ))
                     continue
                 try:
-                    if isinstance(obj, ResourceCertificate):
+                    if isinstance(obj, Roa):
+                        row = self._roa_row(obj, ca_cert)
+                        if rows is not None:
+                            rows.put(row_key, row)
+                    if row is not None:
+                        # A ROA leaves its row and its evidence, never
+                        # its parse: holding every Roa makes memory
+                        # O(deployment), not O(VRPs).
+                        copy.rows[file_name] = row
+                        evidence = self._judge_roa(
+                            row, copy, file_name, crl, now, issues
+                        )
+                        if evidence is not None:
+                            roas.append(evidence)
+                    elif isinstance(obj, ResourceCertificate):
                         child = self._check_child_cert(
                             point_uri, file_name, obj, ca_cert, crl, now, issues
                         )
                         if child is not None:
                             children.append(child)
-                    elif isinstance(obj, Roa):
-                        roa = self._check_roa(
-                            point_uri, file_name, obj, ca_cert, crl, now, issues
-                        )
-                        if roa is not None:
-                            # Keep the evidence, not the parse: holding
-                            # every Roa until the walk is assembled makes
-                            # a refresh's peak memory O(deployment), not
-                            # O(point).
-                            asserted = tuple(
-                                VRP(
-                                    prefix=roa_prefix.prefix,
-                                    max_length=roa_prefix.effective_max_length,
-                                    asn=roa.asn,
-                                )
-                                for roa_prefix in roa.prefixes
-                            )
-                            roas.append(RoaEvidence(
-                                file_name, roa.ee_cert.serial,
-                                roa.not_after, asserted,
-                            ))
                     elif isinstance(obj, GhostbustersRecord):
                         record = self._check_ghostbusters(
                             point_uri, file_name, obj, ca_cert, crl, now, issues
@@ -444,7 +446,7 @@ class PathValidator:
                 ca_cert, cache_files, selected
             )
         else:
-            boundaries = ()  # never consulted without an IncrementalState
+            boundaries = ((), ())  # never consulted without an IncrementalState
         return PointResult(
             fingerprint=fingerprint,
             boundaries=boundaries,
@@ -475,8 +477,8 @@ class PathValidator:
         )
         return PointResult(
             fingerprint=fingerprint,
-            boundaries=(),
-            time_sig=time_signature((), now),
+            boundaries=((), ()),
+            time_sig=(0, 0),
             selected_uri=ca_cert.sia,
             issues=(issue,),
             children=(),
@@ -490,7 +492,7 @@ class PathValidator:
         ca_cert: ResourceCertificate,
         cache_files: dict[str, dict[str, bytes]],
         selected: "_PointCopy | None",
-    ) -> tuple[int, ...]:
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Every time boundary this point's verdicts could depend on.
 
         Each time predicate the point evaluates — ``not_before <= now``,
@@ -503,18 +505,20 @@ class PathValidator:
         is collected — extra boundaries cause at worst a spurious
         revalidation, never a stale reuse.  Unparseable bytes contribute
         nothing: their outcome cannot depend on time, and any byte change
-        is caught by the content fingerprint instead.
+        is caught by the content fingerprint instead.  Returned as the
+        sorted ``(starts, ends)`` :func:`time_signature` bisects.
 
-        The selected copy's windows come from the objects the judgement
-        already parsed; only a file it never opened (dropped on a hash
-        mismatch, or the whole point discarded in strict mode) is parsed
-        here.
+        The selected copy's windows come from the rows and objects the
+        judgement already had; only a file it never opened (dropped on a
+        hash mismatch, or the whole point discarded in strict mode) is
+        parsed here.
         """
-        bounds: set[int] = set()
+        starts: set[int] = set()
+        ends: set[int] = set()
 
         def add(obj: SignedObject) -> None:
-            bounds.add(obj.not_before)
-            bounds.add(obj.not_after)
+            starts.add(obj.not_before)
+            ends.add(obj.not_after)
 
         selected_files = None if selected is None else selected.files
         for uri in ca_cert.all_publication_uris:
@@ -532,6 +536,11 @@ class PathValidator:
                 add(mirror_manifest)
         if selected is not None:
             for file_name in selected.files:
+                row = selected.rows.get(file_name)
+                if row is not None:
+                    starts.update((row.ee_not_before, row.not_before))
+                    ends.update((row.ee_not_after, row.not_after))
+                    continue
                 try:
                     obj = self._parse_file(selected, file_name)
                 except Exception:
@@ -540,7 +549,7 @@ class PathValidator:
                 ee = getattr(obj, "ee_cert", None)
                 if ee is not None:
                     add(ee)
-        return tuple(sorted(bounds))
+        return tuple(sorted(starts)), tuple(sorted(ends))
 
     def _select_point_copy(
         self,
@@ -618,7 +627,7 @@ class PathValidator:
         if crl.next_update < now:
             issues.append(ValidationIssue(
                 Severity.WARNING, point_uri, CRL_FILE, "crl-stale",
-                f"CRL nextUpdate {crl.next_update} is in the past (now {now})",
+                f"CRL nextUpdate {crl.next_update} is in the past",
             ))
         return crl
 
@@ -659,7 +668,7 @@ class PathValidator:
             if manifest.next_update < now:
                 issues.append(ValidationIssue(
                     Severity.WARNING, point_uri, MANIFEST_FILE, "manifest-stale",
-                    f"manifest nextUpdate {manifest.next_update} < now {now}",
+                    f"manifest nextUpdate {manifest.next_update} is in the past",
                 ))
                 strict_fail = strict_fail or "manifest-stale"
             on_disk = set(usable)
@@ -710,7 +719,8 @@ class PathValidator:
         if not cert.is_current(now):
             issues.append(ValidationIssue(
                 Severity.ERROR, point_uri, file_name, "expired",
-                f"certificate for {cert.subject!r} not valid at t={now}",
+                f"certificate for {cert.subject!r} is outside its validity "
+                f"window [{cert.not_before}, {cert.not_after}]",
             ))
             return None
         if crl is not None and crl.is_revoked(cert.serial):
@@ -728,53 +738,75 @@ class PathValidator:
             return None
         return cert
 
-    def _check_roa(
-        self, point_uri, file_name, roa, ca_cert, crl, now, issues
-    ) -> Roa | None:
+    def _roa_row(self, roa: Roa, ca_cert: ResourceCertificate) -> RoaRow:
+        """Judge a ROA, step one: every check that ignores ``now`` and CRL.
+
+        The checks run in the order :meth:`_judge_roa` reports them and
+        stop at the first failure; one that raises is recorded where it
+        raised, as the ``object-quarantined`` issue containment would
+        have made of it.
+        """
         ee = roa.ee_cert
-        if ee.issuer_key_id != ca_cert.subject_key_id:
+        failure, early = None, True
+        try:
+            if ee.issuer_key_id != ca_cert.subject_key_id:
+                failure = (Severity.WARNING, "wrong-issuer",
+                           "ROA's EE certificate names a different issuer")
+            elif not self._verify(ee, ca_cert.subject_key):
+                failure = (Severity.ERROR, "ee-bad-signature",
+                           "embedded EE certificate fails signature check")
+            else:
+                early = False
+                if not ca_cert.ip_resources.covers(ee.ip_resources):
+                    failure = (Severity.ERROR, "overclaim",
+                               f"ROA {roa.describe()} EE claims resources "
+                               "the CA lacks")
+                elif not self._verify(roa, ee.subject_key):
+                    failure = (Severity.ERROR, "roa-bad-signature",
+                               "ROA fails signature check under its EE key")
+                elif not ee.ip_resources.covers(roa.resources()):
+                    failure = (Severity.ERROR, "roa-overclaim",
+                               "ROA names prefixes outside its EE certificate")
+        except Exception as exc:
+            failure = (Severity.ERROR, "object-quarantined",
+                       f"{type(exc).__name__}: {exc}")
+        asserted = () if failure is not None else tuple(
+            VRP(roa_prefix.prefix, roa_prefix.effective_max_length, roa.asn)
+            for roa_prefix in roa.prefixes
+        )
+        return RoaRow(asserted, ee.serial, ee.not_before, ee.not_after,
+                      roa.not_before, roa.not_after, failure, early)
+
+    def _judge_roa(
+        self, row: RoaRow, copy: "_PointCopy", file_name, crl, now, issues
+    ) -> RoaEvidence | None:
+        """Judge a ROA, step two: its row against *now* and the CRL.
+
+        Reports the first failure in the order wrong-issuer,
+        ee-bad-signature, expired, revoked, overclaim, roa-bad-signature,
+        roa-overclaim.  Only the time and CRL texts name the ROA, so only
+        they read it again.
+        """
+        failure = row.failure
+        if failure is None or not row.early:
+            start = max(row.ee_not_before, row.not_before)
+            end = min(row.ee_not_after, row.not_after)
+            code = None
+            if not start <= now <= end:
+                code = "expired"
+                text = f"is outside its validity window [{start}, {end}]"
+            elif crl is not None and crl.is_revoked(row.ee_serial):
+                code, text = "revoked", f"EE serial {row.ee_serial} is revoked"
+            if code is not None:
+                roa = self._parse_file(copy, file_name)
+                failure = (Severity.ERROR, code, f"ROA {roa.describe()} {text}")
+        if failure is not None:
+            severity, code, message = failure
             issues.append(ValidationIssue(
-                Severity.WARNING, point_uri, file_name, "wrong-issuer",
-                "ROA's EE certificate names a different issuer",
+                severity, copy.uri, file_name, code, message,
             ))
             return None
-        if not self._verify(ee, ca_cert.subject_key):
-            issues.append(ValidationIssue(
-                Severity.ERROR, point_uri, file_name, "ee-bad-signature",
-                "embedded EE certificate fails signature check",
-            ))
-            return None
-        if not ee.is_current(now) or not roa.is_current(now):
-            issues.append(ValidationIssue(
-                Severity.ERROR, point_uri, file_name, "expired",
-                f"ROA {roa.describe()} not valid at t={now}",
-            ))
-            return None
-        if crl is not None and crl.is_revoked(ee.serial):
-            issues.append(ValidationIssue(
-                Severity.ERROR, point_uri, file_name, "revoked",
-                f"ROA {roa.describe()} EE serial {ee.serial} is revoked",
-            ))
-            return None
-        if not ca_cert.ip_resources.covers(ee.ip_resources):
-            issues.append(ValidationIssue(
-                Severity.ERROR, point_uri, file_name, "overclaim",
-                f"ROA {roa.describe()} EE claims resources the CA lacks",
-            ))
-            return None
-        if not self._verify(roa, ee.subject_key):
-            issues.append(ValidationIssue(
-                Severity.ERROR, point_uri, file_name, "roa-bad-signature",
-                "ROA fails signature check under its EE key",
-            ))
-            return None
-        if not ee.ip_resources.covers(roa.resources()):
-            issues.append(ValidationIssue(
-                Severity.ERROR, point_uri, file_name, "roa-overclaim",
-                "ROA names prefixes outside its EE certificate",
-            ))
-            return None
-        return roa
+        return RoaEvidence(file_name, row.ee_serial, row.not_after, row.vrps)
 
     def _check_ghostbusters(
         self, point_uri, file_name, record, ca_cert, crl, now, issues
@@ -942,11 +974,12 @@ class _PointCopy:
     """One cached copy of a publication point while it is being judged.
 
     Every file is hashed once, here; that digest then serves the
-    manifest comparison, the parse memo's key and the parsed object's
-    ``hash_hex``.  ``parsed`` holds what the judgement has opened so far.
+    manifest comparison, the parse memo's and the ROA rows' key and the
+    parsed object's ``hash_hex``.  ``parsed`` holds what the judgement
+    has opened so far, ``rows`` the ROA rows it judged.
     """
 
-    __slots__ = ("uri", "files", "digests", "parsed")
+    __slots__ = ("uri", "files", "digests", "parsed", "rows")
 
     def __init__(self, uri: str, files: dict[str, bytes]):
         self.uri = uri
@@ -955,3 +988,4 @@ class _PointCopy:
             name: sha256_hex(data) for name, data in files.items()
         }
         self.parsed: dict[str, SignedObject] = {}
+        self.rows: dict[str, RoaRow] = {}

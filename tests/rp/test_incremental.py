@@ -23,6 +23,7 @@ from repro.rp import (
 )
 from repro.rp.incremental import time_signature
 from repro.rpki.errors import ObjectFormatError
+from repro.rpki.roa import Roa
 from repro.simtime import DAY, HOUR
 from repro.telemetry import MetricsRegistry
 
@@ -53,6 +54,19 @@ def cold_run(rp, world):
     )
     now = world.clock.now
     return validator.run(rp.cache.all_files(now), now)
+
+
+def count_roa_parses(monkeypatch) -> list:
+    """From now on, one list entry per ROA read from its bytes."""
+    parses: list = []
+    read = Roa._read_payload
+
+    def counted(roa, *args):
+        parses.append(roa)
+        return read(roa, *args)
+
+    monkeypatch.setattr(Roa, "_read_payload", counted)
+    return parses
 
 
 class TestMemoUnits:
@@ -97,16 +111,15 @@ class TestMemoUnits:
         assert len(memo) == 2
         assert memo.max_entries == 1
 
-    def test_warm_pass_one_past_the_bound_still_hits(self, world):
-        # Size the memos one entry short of what a cold pass needs, then
-        # dirty every point (as a clock step across a validity edge
-        # would).  A memo that clears itself wholesale re-verified every
-        # object on the second pass; two generations keep all but none.
+    @staticmethod
+    def warm_pass_one_past(world, monkeypatch, short_of: str):
+        """Size the memos one entry short of what a cold pass stores — in
+        verify verdicts (the largest memo) or in ROA rows — then dirty
+        every point (as a clock step across a validity edge would) and
+        judge again.  Returns (verdicts, rows, RSA verifications and ROA
+        parses of the second pass)."""
         snapshot = {
-            ca.sia: {
-                name: ca.publication_point.get(name)
-                for name in ca.publication_point.names()
-            }
+            ca.sia: ca.publication_point.snapshot()
             for ca in world.authorities()
         }
         now = world.clock.now
@@ -114,25 +127,41 @@ class TestMemoUnits:
         PathValidator(world.trust_anchors, incremental=sizing).run(
             snapshot, now
         )
-        objects = len(sizing.verify_memo)
-        assert objects == sizing.verify_memo.misses > 20
+        verdicts, rows = len(sizing.verify_memo), len(sizing.roa_rows)
+        assert verdicts == sizing.verify_memo.misses > 20
+        assert rows == 8  # Figure 2 publishes eight ROAs
+        bound = (verdicts if short_of == "verdicts" else rows) - 1
 
-        state = IncrementalState(
-            metrics=MetricsRegistry(), max_entries=objects - 1
-        )
+        state = IncrementalState(metrics=MetricsRegistry(), max_entries=bound)
         validator = PathValidator(world.trust_anchors, incremental=state)
         cold = validator.run(snapshot, now)
-        cold_verifies = state.verify_memo.misses
-        assert cold_verifies == objects
+        assert state.verify_memo.misses == verdicts
         state.points.clear()
+        roa_parses = count_roa_parses(monkeypatch)
         warm = validator.run(snapshot, now)
         assert warm == cold
-        warm_verifies = state.verify_memo.misses - cold_verifies
-        assert warm_verifies < cold_verifies
-        assert warm_verifies == 0
-        assert state.verify_memo.hits >= objects
-        assert state.parse_memo.hits > 0
-        assert len(state.verify_memo) <= 2 * (objects - 1)
+        assert len(state.roa_rows) <= 2 * bound
+        return (verdicts, rows, state.verify_memo.misses - verdicts,
+                len(roa_parses))
+
+    def test_warm_pass_one_past_the_bound_still_hits(self, world, monkeypatch):
+        # A memo that clears itself wholesale re-verified every object on
+        # the second pass; two generations keep all but none — and the
+        # rows answer every ROA before a verdict is looked up.
+        _, _, verifies, roa_parses = self.warm_pass_one_past(
+            world, monkeypatch, "verdicts"
+        )
+        assert verifies == 0
+        assert roa_parses == 0
+
+    def test_rows_one_past_their_bound_still_hit(self, world, monkeypatch):
+        verdicts, rows, verifies, roa_parses = self.warm_pass_one_past(
+            world, monkeypatch, "rows"
+        )
+        assert roa_parses == 0
+        # Far past their own bound the verdicts re-verify some
+        # certificates, CRLs and manifests — never a ROA or its EE.
+        assert verifies <= verdicts - 2 * rows
 
     def test_parse_memo_returns_same_object(self, world):
         data = world.sprint.certificate.to_bytes()
@@ -150,13 +179,27 @@ class TestMemoUnits:
         assert (memo.hits, memo.misses) == (1, 1)
 
     def test_time_signature_flips_only_at_boundaries(self):
-        boundaries = (10, 20, 20, 30)
-        assert time_signature(boundaries, 15) == time_signature(boundaries, 19)
-        assert time_signature(boundaries, 19) != time_signature(boundaries, 20)
-        # Sitting exactly on a boundary differs from either side — the
-        # inclusive/exclusive distinction the two bisects encode.
-        assert time_signature(boundaries, 20) != time_signature(boundaries, 21)
-        assert time_signature(boundaries, 5) != time_signature(boundaries, 15)
+        starts, ends = (10, 20), (20, 30)
+
+        def sig(now):
+            return time_signature((starts, ends), now)
+
+        assert sig(15) == sig(19)
+        # At a start equals after it (``not_before <= now`` already
+        # holds); at an end differs from after it (``now <= not_after``
+        # stops holding).
+        assert sig(9) != sig(10) == sig(11)
+        assert sig(29) == sig(30) != sig(31)
+        assert sig(19) != sig(20) != sig(21)
+        # Exact: equal signatures iff every predicate the validator
+        # evaluates agrees, for any two instants either side of the edges.
+        def predicates(now):
+            return (tuple(start <= now for start in starts)
+                    + tuple(now <= end for end in ends))
+
+        for a in range(5, 36):
+            for b in range(5, 36):
+                assert (sig(a) == sig(b)) == (predicates(a) == predicates(b))
 
 
 class TestZeroChurnRefresh:
@@ -264,16 +307,14 @@ class TestAttackSafety:
 
     def test_small_clock_advance_still_reuses(self, world):
         rp = make_rp(world, mode="incremental")
-        # Step off the objects' shared not_before instant: a point judged
-        # while now sits *on* a boundary is (conservatively) re-judged
-        # once the boundary has passed.
-        world.clock.advance(1 * HOUR)
+        # Judged at the objects' shared publish instant (their not_before),
+        # replayed the next second: a start once reached stays reached.
         first = rp.refresh()
         points = rp.metrics.get("repro_incremental_points_total")
         judged = len(first.run.validated_cas)
         assert points.value(outcome="validated") == judged
         assert points.value(outcome="reused") == 0
-        world.clock.advance(1 * HOUR)  # no validity edge crossed
+        world.clock.advance(1)  # no validity edge crossed
         report = self.assert_matches_cold(rp, world)
         assert points.value(outcome="reused") == judged
         assert points.value(outcome="validated") == judged
