@@ -15,6 +15,11 @@ Two claims:
    epoch machinery may make answers fast; they must never make them
    stale.
 
+Plus the request path's *counts*, which a noisy machine cannot blur: a
+cache hit parses nothing and classifies nothing, a miss parses once and
+queries the index once, no request resolves a label child, and the
+registry's tallies agree with each other.
+
 Artifact: ``BENCH_api.json`` under ``benchmarks/artifacts/``.
 """
 
@@ -27,10 +32,12 @@ from conftest import write_artifact
 from repro.api import ApiConfig, QueryService
 from repro.modelgen import INTERNET_SCALES, DeploymentConfig, build_deployment
 from repro.repository import FaultInjector, FaultKind, Fetcher
-from repro.rp import RelyingParty
-from repro.rp.origin import validate
+from repro.resources import Prefix
+from repro.rp import RelyingParty, VrpSet
+from repro.rp.origin import OriginValidationOutcome, validate
 from repro.simtime import HOUR
 from repro.telemetry import MetricsRegistry
+from repro.telemetry.metrics import Metric
 
 MEDIUM = DeploymentConfig(
     isps_per_rir=4, customers_per_isp=2, suballocation_depth=1, seed=21,
@@ -222,9 +229,90 @@ def test_internet_scale_throughput():
     }
 
 
+def _calls(run, *targets) -> list[int]:
+    """How many times ``run()`` calls each ``(owner, name)`` function."""
+    counts = [0] * len(targets)
+    saved = [owner.__dict__[name] for owner, name in targets]
+    for index, ((owner, name), raw) in enumerate(zip(targets, saved)):
+        wrap = type(raw) if isinstance(raw, (classmethod, staticmethod)) \
+            else (lambda function: function)
+        function = getattr(raw, "__func__", raw)
+
+        def counting(*args, _function=function, _index=index, **kwargs):
+            counts[_index] += 1
+            return _function(*args, **kwargs)
+
+        setattr(owner, name, wrap(counting))
+    try:
+        run()
+    finally:
+        for (owner, name), raw in zip(targets, saved):
+            setattr(owner, name, raw)
+    return counts
+
+
+def test_request_path_counts():
+    world = build_deployment(MEDIUM)
+    rp, service = _service_over(world, mode="incremental")
+    world.clock.advance(HOUR)
+    service.refresh()
+    vrps = sorted(rp.vrps)
+    queries = [(str(vrp.prefix), int(vrp.asn)) for vrp in vrps]
+    watched = ((Prefix, "parse"), (OriginValidationOutcome, "__new__"),
+               (VrpSet, "covering"), (Metric, "labels"))
+
+    def ask_all(origin=None):
+        for prefix, asn in queries:
+            service.validate_route(prefix, asn if origin is None else origin)
+            service.lookup_prefix(prefix)
+
+    misses = _calls(ask_all, *watched)       # warm-up: every query a miss
+    hits = _calls(ask_all, *watched)
+    forged = _calls(lambda: [service.validate_route(prefix, 64666)
+                             for prefix, _ in queries], *watched)
+    n = len(queries)
+    assert misses == [2 * n, n, 2 * n, 0]
+    assert hits == [0, 0, 0, 0]
+    assert forged == [n, n, n, 0]
+
+    metrics = service.metrics
+    cache_hits, cache_misses, _ = service.cache_stats()
+    ok = int(sum(child.value for labels, child in
+                 metrics.get("repro_api_requests_total").samples()
+                 if labels["status"] == "ok"))
+    sizes = metrics.get("repro_api_response_vrps").sample().count
+    cache = metrics.get("repro_api_cache_total")
+    assert (cache.value(result="hit"), cache.value(result="miss")) == (
+        cache_hits, cache_misses)
+    assert cache_hits + cache_misses == ok == sizes == 5 * n
+    _RESULTS["request_path"] = {
+        "queries_per_pass": 2 * n,
+        "calls_per_pass": {
+            phase: dict(zip(("prefix_parse", "outcomes_built",
+                             "covering_queries", "labels"), counts))
+            for phase, counts in (("miss", misses), ("hit", hits),
+                                  ("forged_origin_miss", forged))
+        },
+        "ok_requests": ok,
+        "response_vrps_count": sizes,
+        "cache_hits_plus_misses": cache_hits + cache_misses,
+    }
+    _RESULTS["pins"] = {
+        "hit_prefix_parses": hits[0],
+        "hit_outcomes_built": hits[1],
+        "validate_miss_parses": forged[0] / n,
+        "validate_miss_covering_queries": forged[2] / n,
+        "request_path_labels_calls": misses[3] + hits[3] + forged[3],
+        "response_vrps_count_minus_ok": sizes - ok,
+        "cache_lookups_minus_ok": cache_hits + cache_misses - ok,
+    }
+
+
 def test_write_artifact():
     assert "throughput" in _RESULTS and "campaign" in _RESULTS
-    assert "internet" in _RESULTS
+    assert "internet" in _RESULTS and "request_path" in _RESULTS
+    counts = _RESULTS.pop("pins")
+    exact = {"validate_miss_parses": 1, "validate_miss_covering_queries": 1}
     write_artifact("BENCH_api.json", json.dumps({
         "experiment": "api",
         "pins": {
@@ -240,6 +328,9 @@ def test_write_artifact():
                 "measured": _RESULTS["campaign"]["divergences"],
                 "bound": 0, "op": "==",
             },
+            **{name: {"measured": measured, "bound": exact.get(name, 0),
+                      "op": "=="}
+               for name, measured in counts.items()},
         },
         **_RESULTS,
     }, indent=2) + "\n")

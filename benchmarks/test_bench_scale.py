@@ -327,7 +327,7 @@ def _covering_probes(name: str, vrps: VrpSet) -> None:
     ``sys.setprofile`` — probes are ``dict.get`` on the index's own
     tables, builds are ``Prefix.__init__`` frames."""
     index = vrps._index
-    tables = {id(table) for table in index._tables[Afi.IPV4].values()}
+    tables = {id(table) for table in index._tables[Afi.IPV4.bits].values()}
     lengths_in_use = len(tables)
     rng = random.Random(97)
     stored = sorted(vrps)

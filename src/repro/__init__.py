@@ -161,7 +161,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.22.0"
+__version__ = "1.23.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [

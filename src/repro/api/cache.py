@@ -21,12 +21,13 @@ from typing import Hashable
 
 __all__ = ["CacheStats", "ResponseCache"]
 
-_MISS = object()
-
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction accounting for one cache instance."""
+    """Hit/miss/eviction accounting for one cache instance.
+
+    A miss is counted by the :meth:`ResponseCache.put` of a new key: a
+    lookup whose answer was never computed is not a miss."""
 
     hits: int = 0
     misses: int = 0
@@ -54,25 +55,26 @@ class ResponseCache:
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
 
     def get(self, key: Hashable):
-        """The cached answer for *key*, or ``None`` on miss.
+        """The cached answer for *key*, or ``None`` if there is none.
 
         ``None`` is never a legal cached value here (every API answer is
-        a response object), so the sentinel collapses to ``None`` safely.
+        a response object), so it marks the absence safely.
         """
-        value = self._entries.get(key, _MISS)
-        if value is _MISS:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
         return value
 
     def put(self, key: Hashable, value: object) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+        else:
+            self.stats.misses += 1
+        entries[key] = value
+        if len(entries) > self.capacity:
+            entries.popitem(last=False)
             self.stats.evictions += 1
 
     def __len__(self) -> int:

@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
+from ..resources import Prefix
 from ..rp import RelyingParty
 from ..rp.origin import validate
 from ..rp.vrp import VRP, VrpSet
@@ -110,9 +111,12 @@ class VrpDiff:
         return not self.added and not self.removed
 
 
-@dataclass(frozen=True)
-class ApiResponse:
-    """Envelope every endpoint returns."""
+class ApiResponse(NamedTuple):
+    """Envelope every endpoint returns.
+
+    An immutable value: it compares and hashes as the tuple of its five
+    fields, and equals that plain tuple.
+    """
 
     status: str                  # a QueryStatus constant
     serial: int                  # served epoch
@@ -141,6 +145,7 @@ class QueryService:
         self._clock = clock if clock is not None else rp.clock
         self.metrics = metrics if metrics is not None else default_registry()
         self._cache = ResponseCache(self.config.cache_capacity)
+        self._limit = self.config.rate_limit
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
         self._history: deque[HistoryEntry] = deque(
             maxlen=self.config.history_depth
@@ -161,16 +166,22 @@ class QueryService:
             help="query-plane requests, by endpoint kind and outcome",
             labelnames=("kind", "status"),
         )
-        # Counter children are bound once per (kind, status) at first use,
-        # so counting a request is one dict lookup and one increment.
-        self._bound_requests: dict[tuple[str, str], object] = {}
+        # Bound once: counting a served request is one increment.
+        self._m_ok = {
+            kind: self._m_requests.bind(kind=kind, status=QueryStatus.OK)
+            for kind in ("validate", "lookup_prefix", "lookup_asn",
+                         "history", "diff")
+        }
+        # The cache keeps the one tally of its hits and misses; the
+        # registry reads it.
         cache_metric = self.metrics.counter(
             "repro_api_cache_total",
             help="response-cache lookups, by result",
             labelnames=("result",),
         )
-        self._m_cache_hit = cache_metric.labels(result="hit")
-        self._m_cache_miss = cache_metric.labels(result="miss")
+        stats = self._cache.stats
+        cache_metric.pull(lambda: stats.hits, result="hit")
+        cache_metric.pull(lambda: stats.misses, result="miss")
         self._m_response_vrps = self.metrics.histogram(
             "repro_api_response_vrps",
             buckets=RESPONSE_VRP_BUCKETS,
@@ -250,96 +261,70 @@ class QueryService:
     # -- the request path ----------------------------------------------------
 
     def _allow(self, client: str, now: int) -> bool:
-        limit = self.config.rate_limit
-        if limit is None:
-            return True
         bucket = self._buckets.get(client)
         if bucket is None:
-            bucket = self._buckets[client] = TokenBucket(limit, now=now)
+            bucket = self._buckets[client] = TokenBucket(self._limit, now=now)
             if len(self._buckets) > _MAX_TRACKED_CLIENTS:
                 self._buckets.popitem(last=False)
         else:
             self._buckets.move_to_end(client)
         return bucket.try_acquire(now)
 
-    def _count_request(self, kind: str, status: str) -> None:
-        child = self._bound_requests.get((kind, status))
-        if child is None:
-            child = self._bound_requests[(kind, status)] = (
-                self._m_requests.labels(kind=kind, status=status)
-            )
-        child.inc()
+    def _refuse(self, kind: str, status: str) -> ApiResponse:
+        self._m_requests.inc(kind=kind, status=status)
+        return ApiResponse(status, self._serial, self._hash, None, False)
 
-    def _serve(self, kind, query_key, compute, size_of, client,
-               *, by_serial=False):
+    def _serve(self, kind, text, client, answer, *args, by_serial=False):
         """The one request path: sync, rate-limit, cache, compute, count.
 
-        The cache key's first component is the content hash (same
-        content → same answer, even across an A→B→A flap) or, with
-        *by_serial*, the serial, for history-shaped queries whose answer
-        depends on the ring, not just the content.
+        The cache key is ``(epoch, kind, text)``, its first component the
+        content hash (same content → same answer, even across an A→B→A
+        flap) or, with *by_serial*, the serial, for history-shaped
+        queries whose answer depends on the ring, not just the content.
+        On a miss ``answer(self, *args)`` computes ``(payload, VRPs in
+        it)`` and the cache keeps that pair, so a hit computes nothing.
         """
-        self._sync()
-        if not self._allow(client, self._clock.now):
-            self._count_request(kind, QueryStatus.RATE_LIMITED)
+        if self._stale:
+            self._sync()
+        if self._limit is not None and not self._allow(client, self._clock.now):
             self._m_rate_limited.inc()
-            return ApiResponse(
-                status=QueryStatus.RATE_LIMITED, serial=self._serial,
-                content_hash=self._hash, payload=None, cached=False,
-            )
-        key = (self._serial if by_serial else self._hash, kind, query_key)
-        payload = self._cache.get(key)
-        cached = payload is not None
-        if cached:
-            self._m_cache_hit.inc()
-        else:
-            self._m_cache_miss.inc()
-            payload = compute()
-            self._cache.put(key, payload)
-        self._count_request(kind, QueryStatus.OK)
-        self._m_response_vrps.observe(float(size_of(payload)))
+            return self._refuse(kind, QueryStatus.RATE_LIMITED)
+        key = (self._serial if by_serial else self._hash, kind, text)
+        entry = self._cache.get(key)
+        cached = entry is not None
+        if not cached:
+            entry = answer(self, *args)
+            self._cache.put(key, entry)
+        self._m_ok[kind].inc()
+        self._m_response_vrps.observe(entry[1])
         return ApiResponse(
-            status=QueryStatus.OK, serial=self._serial,
-            content_hash=self._hash, payload=payload, cached=cached,
+            QueryStatus.OK, self._serial, self._hash, entry[0], cached
         )
 
     # -- endpoints -----------------------------------------------------------
 
     def lookup_prefix(self, prefix, *, client: str = "anonymous") -> ApiResponse:
         """The covering VRPs of *prefix* (any origin), least-specific first."""
-        return self._serve(
-            "lookup_prefix", str(prefix),
-            lambda: tuple(self._vrps.covering(_as_prefix(prefix))),
-            len, client,
-        )
+        text = str(prefix)
+        return self._serve("lookup_prefix", text, client,
+                           QueryService._covering, prefix, text)
 
     def lookup_asn(self, asn, *, client: str = "anonymous") -> ApiResponse:
         """Every VRP authorizing origin *asn*, sorted."""
-        return self._serve(
-            "lookup_asn", f"AS{int(asn)}",
-            lambda: self._vrps.by_asn(asn),
-            len, client,
-        )
+        return self._serve("lookup_asn", f"AS{int(asn)}", client,
+                           QueryService._by_asn, asn)
 
     def validate_route(
         self, prefix, origin, *, client: str = "anonymous"
     ) -> ApiResponse:
         """RFC 6811 validation of one announcement, with evidence."""
-        return self._serve(
-            "validate", f"{prefix}|AS{int(origin)}",
-            lambda: validate(prefix, origin, self._vrps),
-            lambda outcome: len(outcome.covering),
-            client,
-        )
+        return self._serve("validate", f"{prefix}|AS{int(origin)}", client,
+                           QueryService._validated, prefix, origin)
 
     def history(self, *, client: str = "anonymous") -> ApiResponse:
         """The served-epoch ring, oldest first (bounded by history_depth)."""
-        return self._serve(
-            "history", "history",
-            lambda: tuple(self._history),
-            lambda payload: 0,
-            client, by_serial=True,
-        )
+        return self._serve("history", "history", client,
+                           QueryService._ring, by_serial=True)
 
     def diff(
         self, from_serial: int, to_serial: int | None = None,
@@ -355,20 +340,49 @@ class QueryService:
         to_serial = current if to_serial is None else to_serial
         oldest = self._history[0].serial
         if not (oldest - 1 <= from_serial <= to_serial <= current):
-            self._count_request("diff", QueryStatus.UNKNOWN_SERIAL)
-            return ApiResponse(
-                status=QueryStatus.UNKNOWN_SERIAL, serial=current,
-                content_hash=self._hash, payload=None, cached=False,
-            )
-        return self._serve(
-            "diff", f"diff|{from_serial}|{to_serial}",
-            lambda: _net_diff(from_serial, to_serial, (
-                e for e in self._history
-                if from_serial < e.serial <= to_serial
-            )),
-            lambda payload: len(payload.added) + len(payload.removed),
-            client, by_serial=True,
+            return self._refuse("diff", QueryStatus.UNKNOWN_SERIAL)
+        return self._serve("diff", f"diff|{from_serial}|{to_serial}", client,
+                           QueryService._net_diff, from_serial, to_serial,
+                           by_serial=True)
+
+    # -- what a miss computes: (payload, VRPs in it) ---------------------------
+
+    def _covering(self, prefix, text: str):
+        if not isinstance(prefix, Prefix):
+            prefix = Prefix.parse(text)
+        payload = tuple(self._vrps.covering(prefix))
+        return payload, len(payload)
+
+    def _by_asn(self, asn):
+        payload = self._vrps.by_asn(asn)
+        return payload, len(payload)
+
+    def _validated(self, prefix, origin):
+        outcome = validate(prefix, origin, self._vrps)
+        return outcome, len(outcome.covering)
+
+    def _ring(self):
+        return tuple(self._history), 0
+
+    def _net_diff(self, from_serial: int, to_serial: int):
+        """Fold per-epoch deltas into one net added/removed pair.
+
+        A VRP added then removed (or vice versa) inside the window cancels
+        out, so the diff describes the *net* change — what a monitor
+        comparing only the endpoints would see.
+        """
+        net_added: set[VRP] = set()
+        net_removed: set[VRP] = set()
+        for entry in self._history:
+            if from_serial < entry.serial <= to_serial:
+                _fold(net_added, net_removed, entry.added, entry.removed)
+        payload = VrpDiff(
+            from_serial=from_serial,
+            to_serial=to_serial,
+            added=tuple(sorted(net_added)),
+            removed=tuple(sorted(net_removed)),
         )
+        return payload, len(payload.added) + len(payload.removed)
 
     # -- introspection -------------------------------------------------------
 
@@ -376,33 +390,6 @@ class QueryService:
         """The response cache's (hits, misses, evictions)."""
         stats = self._cache.stats
         return stats.hits, stats.misses, stats.evictions
-
-
-def _as_prefix(prefix):
-    from ..resources import Prefix
-
-    return prefix if isinstance(prefix, Prefix) else Prefix.parse(str(prefix))
-
-
-def _net_diff(
-    from_serial: int, to_serial: int, entries: Iterable[HistoryEntry]
-) -> VrpDiff:
-    """Fold per-epoch deltas into one net added/removed pair.
-
-    A VRP added then removed (or vice versa) inside the window cancels
-    out, so the diff describes the *net* change — what a monitor
-    comparing only the endpoints would see.
-    """
-    net_added: set[VRP] = set()
-    net_removed: set[VRP] = set()
-    for entry in entries:
-        _fold(net_added, net_removed, entry.added, entry.removed)
-    return VrpDiff(
-        from_serial=from_serial,
-        to_serial=to_serial,
-        added=tuple(sorted(net_added)),
-        removed=tuple(sorted(net_removed)),
-    )
 
 
 def _fold(

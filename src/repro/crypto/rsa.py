@@ -29,10 +29,8 @@ __all__ = [
 
 # Keys are frozen dataclasses with no injection point, so signature
 # telemetry binds to the process-global registry at import time (the
-# default registry is a permanent singleton, only ever reset in place).
-# Label children are resolved per call, never cached: Metric.reset()
-# drops its children, and a child bound before the reset would keep
-# counting into an object the registry no longer reads.
+# default registry is a permanent singleton, only ever reset in place;
+# a reset zeroes a bound child and keeps it the one the registry reads).
 _SIGN_TOTAL = default_registry().counter(
     "repro_crypto_sign_total", help="RSA signatures produced"
 )
@@ -44,6 +42,8 @@ _VERIFY_TOTAL = default_registry().counter(
 _KEYGEN_TOTAL = default_registry().counter(
     "repro_crypto_keygen_total", help="RSA keypairs generated"
 )
+_VERIFIED = {True: _VERIFY_TOTAL.bind(outcome="accepted"),
+             False: _VERIFY_TOTAL.bind(outcome="rejected")}
 
 # SHA-256 DigestInfo prefix from RFC 8017, kept verbatim so padded messages
 # are structured exactly like real PKCS#1 v1.5 signatures.
@@ -87,7 +87,7 @@ class RsaPublicKey:
         so relying-party code can treat any bad signature uniformly.
         """
         ok = self._check_signature(message, signature)
-        _VERIFY_TOTAL.labels(outcome="accepted" if ok else "rejected").inc()
+        _VERIFIED[ok].inc()
         return ok
 
     def _check_signature(self, message: bytes, signature: bytes) -> bool:

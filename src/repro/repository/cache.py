@@ -155,11 +155,13 @@ class LocalCache:
         self.stale_grace = stale_grace
         self._points: dict[str, CachedPoint] = {}
         self.metrics = metrics if metrics is not None else default_registry()
-        self._m_updates = self.metrics.counter(
+        updates = self.metrics.counter(
             "repro_cache_updates_total",
             help="fetch results folded into the cache, by effect",
             labelnames=("effect",),
         )
+        self._m_hit, self._m_stale_keep, self._m_evict = (
+            updates.bind(effect=e) for e in ("hit", "stale_keep", "evict"))
         self._m_points = self.metrics.gauge(
             "repro_cache_points", help="publication points currently cached"
         )
@@ -185,15 +187,15 @@ class LocalCache:
                 entry.files = dict(result.files)
                 entry.content_digest = point_digest(entry.files)
             entry.last_success = result.fetched_at
-            self._m_updates.inc(effect="hit")
+            self._m_hit.inc()
         elif self.keep_stale:
             # Failed refresh, last good copy kept — the paper's deployed-RP
             # default, and the state Stalloris-style attacks try to force.
-            self._m_updates.inc(effect="stale_keep")
+            self._m_stale_keep.inc()
         else:
             entry.files = {}
             entry.content_digest = ""
-            self._m_updates.inc(effect="evict")
+            self._m_evict.inc()
         self._m_points.set(len(self._points))
         return entry
 
@@ -291,7 +293,7 @@ class LocalCache:
     def forget(self, uri: str) -> None:
         """Drop a point from the cache entirely."""
         if self._points.pop(uri, None) is not None:
-            self._m_updates.inc(effect="evict")
+            self._m_evict.inc()
             self._m_points.set(len(self._points))
 
     def __len__(self) -> int:

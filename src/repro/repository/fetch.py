@@ -146,11 +146,12 @@ class Fetcher:
         self.resilience = resilience
         self.breakers: dict[str, CircuitBreaker] = {}
         self.metrics = metrics if metrics is not None else default_registry()
-        self._m_fetches = self.metrics.counter(
+        fetches = self.metrics.counter(
             "repro_fetch_total",
             help="publication-point fetches by outcome",
             labelnames=("status",),
         )
+        self._m_fetches = {s: fetches.bind(status=s.value) for s in FetchStatus}
         self._m_bytes = self.metrics.counter(
             "repro_fetch_bytes_total", help="bytes delivered by successful fetches"
         )
@@ -287,7 +288,7 @@ class Fetcher:
         """Account for a finished fetch.  The result itself is the
         caller's: a fetcher lives as long as its relying party, and a
         kept result would pin every superseded manifest and CRL."""
-        self._m_fetches.inc(status=result.status.value)
+        self._m_fetches[result.status].inc()
         if result.files:
             self._m_objects.inc(len(result.files))
             self._m_bytes.inc(sum(map(len, result.files.values())))

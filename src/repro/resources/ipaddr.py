@@ -14,7 +14,6 @@ from address parsing to route validity is auditable in one codebase.
 from __future__ import annotations
 
 import enum
-import re
 
 from .errors import AddressParseError
 
@@ -27,8 +26,6 @@ __all__ = [
     "format_ipv4",
     "format_ipv6",
 ]
-
-_V4_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
 
 
 class Afi(enum.Enum):
@@ -61,19 +58,28 @@ def parse_ipv4(text: str) -> int:
     """Parse a dotted-quad IPv4 address into an integer.
 
     Raises :class:`AddressParseError` for anything that is not exactly four
-    decimal octets in range.  Leading zeros are accepted (``010.0.0.1`` is
-    octet 10), matching the behaviour of common router configuration parsers.
+    ASCII decimal octets in range.  Leading zeros are accepted (``010.0.0.1``
+    is octet 10), matching the behaviour of common router configuration
+    parsers.
     """
-    match = _V4_RE.match(text.strip())
-    if match is None:
-        raise AddressParseError(f"not an IPv4 address: {text!r}")
-    value = 0
-    for octet_text in match.groups():
-        octet = int(octet_text)
-        if octet > 255:
-            raise AddressParseError(f"IPv4 octet out of range in {text!r}")
-        value = (value << 8) | octet
-    return value
+    return ipv4_value(text.strip())
+
+
+def ipv4_value(text: str) -> int:
+    """:func:`parse_ipv4` of text that is the dotted quad and nothing else."""
+    try:
+        a, b, c, d = text.split(".")
+        # Unrolled: a loop over the octets costs more than the rest.
+        if not (text.isascii() and a.isdigit() and b.isdigit()
+                and c.isdigit() and d.isdigit() and len(a) < 4
+                and len(b) < 4 and len(c) < 4 and len(d) < 4):
+            raise ValueError(text)
+    except ValueError:
+        raise AddressParseError(f"not an IPv4 address: {text!r}") from None
+    a, b, c, d = int(a), int(b), int(c), int(d)
+    if a > 255 or b > 255 or c > 255 or d > 255:
+        raise AddressParseError(f"IPv4 octet out of range in {text!r}")
+    return a << 24 | b << 16 | c << 8 | d
 
 
 def format_ipv4(value: int) -> str:

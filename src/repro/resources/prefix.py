@@ -13,7 +13,7 @@ import sys
 from typing import Iterator
 
 from .errors import PrefixParseError, PrefixValueError
-from .ipaddr import Afi, format_address, parse_address
+from .ipaddr import Afi, format_address, ipv4_value, parse_address, parse_ipv6
 
 __all__ = ["Prefix"]
 
@@ -68,20 +68,33 @@ class Prefix:
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
-        """Parse ``"a.b.c.d/len"`` (or IPv6 equivalent) into a prefix."""
+        """Parse ``"a.b.c.d/len"`` (or IPv6 equivalent) into a prefix.
+
+        Surrounding whitespace is ignored; the length, like an IPv4 octet,
+        is ASCII decimal digits (leading zeros allowed).
+        """
         address_text, slash, length_text = text.strip().partition("/")
         if not slash:
             raise PrefixParseError(f"missing '/length' in {text!r}")
+        v6 = ":" in address_text
         try:
-            afi, network = parse_address(address_text)
+            network = parse_ipv6(address_text) if v6 else ipv4_value(address_text)
         except ValueError as exc:
             raise PrefixParseError(f"bad address in {text!r}: {exc}") from exc
         try:
+            if not (length_text.isascii() and length_text.isdigit()):
+                raise ValueError(length_text)
             length = int(length_text)
         except ValueError as exc:
             raise PrefixParseError(f"bad length in {text!r}") from exc
+        if not v6 and length <= 32 and not network & ((1 << (32 - length)) - 1):
+            # ipv4_value checked every octet: nothing is left to check.
+            prefix = object.__new__(cls)
+            prefix._afi, prefix._network = Afi.IPV4, network
+            prefix._length, prefix._hash = length, -1
+            return prefix
         try:
-            return cls(afi, network, length)
+            return cls(Afi.IPV6 if v6 else Afi.IPV4, network, length)
         except PrefixValueError as exc:
             raise PrefixParseError(str(exc)) from exc
 

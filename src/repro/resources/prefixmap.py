@@ -49,30 +49,30 @@ class PrefixMap(Generic[V]):
     """
 
     def __init__(self) -> None:
-        # family -> prefix length -> significant bits -> (prefix, value)
-        self._tables: dict[Afi, dict[int, dict]] = {afi: {} for afi in Afi}
-        # family -> (length, host bits, table) per length in use, ascending.
-        self._levels: dict[Afi, tuple] = {afi: () for afi in Afi}
+        # Families are keyed by width: an Afi member hashes in Python.
+        # width -> prefix length -> significant bits -> (prefix, value)
+        self._tables: dict[int, dict[int, dict]] = {afi.bits: {} for afi in Afi}
+        # width -> (length, host bits, table) per length in use, ascending.
+        self._levels: dict[int, tuple] = {afi.bits: () for afi in Afi}
         self._size = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def _relevel(self, afi: Afi) -> None:
-        """A length of *afi* came into use or went out of it."""
-        tables = self._tables[afi]
-        self._levels[afi] = tuple(
-            (length, afi.bits - length, tables[length])
-            for length in sorted(tables)
+    def _relevel(self, bits: int) -> None:
+        """A length of the *bits*-wide family came into use or went out."""
+        tables = self._tables[bits]
+        self._levels[bits] = tuple(
+            (length, bits - length, tables[length]) for length in sorted(tables)
         )
 
     def _table(self, prefix: Prefix) -> dict:
         """The table of *prefix*'s length, put into use if it was not."""
-        tables = self._tables[prefix.afi]
+        tables = self._tables[prefix.afi.bits]
         table = tables.get(prefix.length)
         if table is None:
             table = tables[prefix.length] = {}
-            self._relevel(prefix.afi)
+            self._relevel(prefix.afi.bits)
         return table
 
     # -- mutation ----------------------------------------------------------
@@ -103,7 +103,7 @@ class PrefixMap(Generic[V]):
         Raises :class:`KeyError` if absent.  A length's table goes with
         its last prefix, so queries probe only lengths that hold one.
         """
-        tables = self._tables[prefix.afi]
+        tables = self._tables[prefix.afi.bits]
         table = tables.get(prefix.length)
         hit = None if table is None else table.pop(_key(prefix), None)
         if hit is None:
@@ -111,13 +111,13 @@ class PrefixMap(Generic[V]):
         self._size -= 1
         if not table:
             del tables[prefix.length]
-            self._relevel(prefix.afi)
+            self._relevel(prefix.afi.bits)
         return hit[1]
 
     # -- exact queries -------------------------------------------------------
 
     def _find(self, prefix: Prefix) -> tuple[Prefix, V] | None:
-        table = self._tables[prefix.afi].get(prefix.length)
+        table = self._tables[prefix.afi.bits].get(prefix.length)
         return None if table is None else table.get(_key(prefix))
 
     def get(self, prefix: Prefix, default: V | None = None) -> V | None:
@@ -143,7 +143,7 @@ class PrefixMap(Generic[V]):
         "is there a covering ROA?" in route-validity classification.
         """
         network, longest = prefix.network, prefix.length
-        for length, host_bits, table in self._levels[prefix.afi]:
+        for length, host_bits, table in self._levels[prefix.afi.bits]:
             if length > longest:
                 break
             bits = network >> host_bits

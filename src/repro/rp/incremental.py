@@ -334,35 +334,45 @@ class IncrementalState:
         # (verify hits, verify misses, parse hits, parse misses) already
         # booked into the counters below; see book_memos().
         self._booked = (0, 0, 0, 0)
-        self._m_verify_memo = self.metrics.counter(
+        verify_memo = self.metrics.counter(
             "repro_incremental_verify_memo_total",
             help="verification-memo lookups, by result",
             labelnames=("result",),
         )
-        self._m_parse_memo = self.metrics.counter(
+        parse_memo = self.metrics.counter(
             "repro_incremental_parse_memo_total",
             help="parse-memo lookups, by result",
             labelnames=("result",),
         )
-        self._m_points = self.metrics.counter(
+        # Label children are bound once: the refresh path resolves none.
+        self._m_memos = [memo.bind(result=result) for memo in (
+            verify_memo, parse_memo) for result in ("hit", "miss")]
+        points = self.metrics.counter(
             "repro_incremental_points_total",
             help="publication points handled per run, reused vs revalidated",
             labelnames=("outcome",),
         )
-        self._m_invalidations = self.metrics.counter(
+        self._m_points = {outcome: points.bind(outcome=outcome)
+                          for outcome in ("reused", "validated")}
+        invalidations = self.metrics.counter(
             "repro_incremental_invalidations_total",
             help="why a cached point result could not be reused",
             labelnames=("reason",),
         )
+        self._m_invalidations = {
+            reason: invalidations.bind(reason=reason)
+            for reason in ("new", "issuer", "policy", "content", "time")}
         self._m_skipped = self.metrics.counter(
             "repro_incremental_skipped_verifications_total",
             help="signature checks avoided by replaying cached point results",
         )
-        self._m_entries = self.metrics.gauge(
+        entries = self.metrics.gauge(
             "repro_incremental_memo_entries",
             help="entries currently held, by memo",
             labelnames=("memo",),
         )
+        self._m_entries = [entries.bind(memo=memo)
+                           for memo in ("verify", "parse", "roa_rows")]
 
     # -- memo telemetry -------------------------------------------------------
 
@@ -377,13 +387,9 @@ class IncrementalState:
         # A blob too big for the memo was looked up and not found.
         totals = (verify.hits, verify.misses,
                   parse.hits, parse.misses + parse.oversized)
-        counters = (self._m_verify_memo, self._m_verify_memo,
-                    self._m_parse_memo, self._m_parse_memo)
-        for counter, result, total, booked in zip(
-            counters, ("hit", "miss", "hit", "miss"), totals, self._booked
-        ):
+        for counter, total, booked in zip(self._m_memos, totals, self._booked):
             if total > booked:
-                counter.inc(total - booked, result=result)
+                counter.inc(total - booked)
         self._booked = totals
         self._update_gauges()
 
@@ -396,7 +402,7 @@ class IncrementalState:
         """
         entry = self.points.get(ca_key_id)
         if entry is None:
-            self._m_invalidations.inc(reason="new")
+            self._m_invalidations["new"].inc()
             return None
         if entry.fingerprint != fingerprint:
             # Order mirrors the fingerprint layout in PathValidator:
@@ -407,10 +413,10 @@ class IncrementalState:
                 reason = "policy"
             else:
                 reason = "content"
-            self._m_invalidations.inc(reason=reason)
+            self._m_invalidations[reason].inc()
             return None
         if time_signature(entry.boundaries, now) != entry.time_sig:
-            self._m_invalidations.inc(reason="time")
+            self._m_invalidations["time"].inc()
             return None
         return entry
 
@@ -420,17 +426,18 @@ class IncrementalState:
         self._update_gauges()
 
     def count_reused(self, entry: PointResult) -> None:
-        self._m_points.inc(outcome="reused")
+        self._m_points["reused"].inc()
         if entry.verify_count:
             self._m_skipped.inc(entry.verify_count)
 
     def count_validated(self) -> None:
-        self._m_points.inc(outcome="validated")
+        self._m_points["validated"].inc()
 
     def _update_gauges(self) -> None:
-        self._m_entries.set(len(self.verify_memo), memo="verify")
-        self._m_entries.set(len(self.parse_memo), memo="parse")
-        self._m_entries.set(len(self.roa_rows), memo="roa_rows")
+        verify, parse, roa_rows = self._m_entries
+        verify.set(len(self.verify_memo))
+        parse.set(len(self.parse_memo))
+        roa_rows.set(len(self.roa_rows))
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ layer and the ``repro.api`` query plane call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..resources import ASN, Prefix
 from .states import Route, RouteValidity
@@ -29,9 +29,12 @@ from .vrp import VRP, VrpSet
 __all__ = ["OriginValidationOutcome", "validate"]
 
 
-@dataclass(frozen=True)
-class OriginValidationOutcome:
-    """A classification together with the evidence behind it."""
+class OriginValidationOutcome(NamedTuple):
+    """A classification together with the evidence behind it.
+
+    An immutable value: it compares and hashes as the tuple ``(route,
+    state, matching, covering)``, and equals that plain tuple.
+    """
 
     route: Route
     state: RouteValidity
@@ -58,24 +61,16 @@ def validate(
     """
     if not isinstance(prefix, Prefix):
         prefix = Prefix.parse(prefix)
-    route = Route(prefix, ASN(int(origin)))
-    covering: list[VRP] = []
-    matching: list[VRP] = []
+    origin = ASN(int(origin))
+    covering = tuple(vrps.covering(prefix))
     # A VRP is (bits, network, length, maxLength, AS number).
-    length, origin_as = prefix.length, route.origin.value
-    for vrp in vrps.covering(prefix):
-        covering.append(vrp)
-        if length <= vrp[3] and vrp[4] == origin_as:
-            matching.append(vrp)
+    length, origin_as = prefix.length, origin.value
+    matching = tuple([vrp for vrp in covering
+                      if length <= vrp[3] and vrp[4] == origin_as])
     if matching:
         state = RouteValidity.VALID
     elif covering:
         state = RouteValidity.INVALID
     else:
         state = RouteValidity.UNKNOWN
-    return OriginValidationOutcome(
-        route=route,
-        state=state,
-        matching=tuple(matching),
-        covering=tuple(covering),
-    )
+    return OriginValidationOutcome(Route(prefix, origin), state, matching, covering)

@@ -174,11 +174,13 @@ class PathValidator:
             help="certificate-tree walks completed (one per refresh or "
                  "PathValidator.run call)",
         )
-        self._m_objects = self.metrics.counter(
+        objects = self.metrics.counter(
             "repro_validation_objects_total",
             help="objects accepted by path validation, by type",
             labelnames=("type",),
         )
+        self._m_cas, self._m_roas, self._m_contacts = (
+            objects.bind(type=t) for t in ("ca", "roa", "ghostbusters"))
         self._m_issues = self.metrics.counter(
             "repro_validation_issues_total",
             help="validation issues recorded, by severity",
@@ -280,11 +282,11 @@ class PathValidator:
         """Book one finished walk into the telemetry registry."""
         self._m_runs.inc()
         if result.validated_cas:
-            self._m_objects.inc(len(result.validated_cas), type="ca")
+            self._m_cas.inc(len(result.validated_cas))
         if result.roa_count:
-            self._m_objects.inc(result.roa_count, type="roa")
+            self._m_roas.inc(result.roa_count)
         if result.contacts:
-            self._m_objects.inc(len(result.contacts), type="ghostbusters")
+            self._m_contacts.inc(len(result.contacts))
         for severity in Severity:
             count = sum(1 for i in result.issues if i.severity is severity)
             if count:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..resources import ASN, Prefix
 
@@ -43,9 +43,12 @@ _RANKS = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class Route:
-    """A BGP route as the paper defines it: an IP prefix and an origin AS."""
+class Route(NamedTuple):
+    """A BGP route as the paper defines it: an IP prefix and an origin AS.
+
+    An immutable value: it compares, sorts and hashes as the tuple
+    ``(prefix, origin)``, and equals that plain tuple.
+    """
 
     prefix: Prefix
     origin: ASN

@@ -13,7 +13,7 @@ Two properties matter more here than in an ordinary metrics library:
   come from the simulated :class:`repro.simtime.Clock` via
   :meth:`MetricsRegistry.trace`, so two identical runs render identical
   registries byte for byte (renderers sort everything).
-- **Hot-path cost.**  A bound child (:meth:`Metric.labels`) increments with
+- **Hot-path cost.**  A bound child (:meth:`Metric.bind`) increments with
   one attribute add — ``benchmarks/test_bench_telemetry.py`` holds the
   per-increment cost under 5% of the cheapest instrumented operation.
 
@@ -26,8 +26,10 @@ tree.  Registered names are a *stable public API* (see docs/telemetry.md).
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import deque
-from typing import Iterator
+from itertools import accumulate
+from typing import Callable, Iterator
 
 __all__ = [
     "Counter",
@@ -53,8 +55,11 @@ class Metric:
 
     A metric with no ``labelnames`` has exactly one child (the empty label
     set); a labeled metric lazily creates one child per distinct label
-    value combination.  Children are the fast path: resolve once with
-    :meth:`labels`, then increment/observe the returned child directly.
+    value combination.  Children are the fast path: bind once with
+    :meth:`bind`, then increment/observe the returned child directly.
+    A child is *parked* (not rendered) from :meth:`bind` or :meth:`reset`
+    until its next event, so a binding outlives a reset and neither adds
+    a zero-valued series.
     """
 
     TYPE = "untyped"
@@ -75,17 +80,26 @@ class Metric:
     def _child_class(self):  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def labels(self, **labelvalues: str) -> object:
-        """The child for one label-value combination (created on demand)."""
+    def _key(self, labelvalues: dict[str, str]) -> tuple[str, ...]:
         if set(labelvalues) != set(self.labelnames):
             raise MetricError(
                 f"{self.name}: expected labels {self.labelnames}, "
                 f"got {tuple(sorted(labelvalues))}"
             )
-        key = tuple(str(labelvalues[n]) for n in self.labelnames)
+        return tuple(str(labelvalues[n]) for n in self.labelnames)
+
+    def bind(self, **labelvalues: str) -> object:
+        """The child for one label-value combination, to keep and count into."""
+        key = self._key(labelvalues)
         child = self._children.get(key)
         if child is None:
             child = self._children[key] = self._child_class()()
+        return child
+
+    def labels(self, **labelvalues: str) -> object:
+        """:meth:`bind`, and the child is rendered from now on."""
+        child = self.bind(**labelvalues)
+        child.parked = False
         return child
 
     def _default_child(self):
@@ -96,28 +110,54 @@ class Metric:
                     f"{self.name} requires labels {self.labelnames}"
                 )
             child = self._children[()] = self._child_class()()
+        child.parked = False
         return child
 
     def samples(self) -> Iterator[tuple[dict[str, str], object]]:
-        """Yield ``(labels_dict, child)`` sorted by label values."""
+        """Yield ``(labels_dict, child)`` unparked, sorted by label values."""
         for key in sorted(self._children):
-            yield dict(zip(self.labelnames, key)), self._children[key]
+            child = self._children[key]
+            if not child.parked:
+                yield dict(zip(self.labelnames, key)), child
 
     def reset(self) -> None:
-        """Drop every child (values return to zero, registration stays)."""
-        self._children.clear()
+        """Zero and park every child; registration and bindings stay."""
+        for child in self._children.values():
+            child.zero()
 
 
 class _CounterChild:
-    __slots__ = ("value",)
+    __slots__ = ("value", "parked")
 
     def __init__(self):
-        self.value = 0.0
+        self.zero()
+
+    def zero(self) -> None:
+        self.value, self.parked = 0.0, True
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise MetricError("counters can only go up")
         self.value += amount
+        self.parked = False
+
+
+class _PulledChild:
+    # A counter child whose events are tallied elsewhere: its sources' sum.
+    __slots__ = ("sources", "base", "shown")
+
+    def __init__(self):
+        self.sources: list[Callable[[], int]] = []
+        self.base, self.shown = 0, True
+
+    value = property(lambda self: float(
+        sum(read() for read in self.sources) - self.base))
+    # Parked once reset, until a source counts again.
+    parked = property(lambda self: not (self.shown or self.value),
+                      lambda self, parked: setattr(self, "shown", not parked))
+
+    def zero(self) -> None:
+        self.base, self.shown = self.base + self.value, False
 
 
 class Counter(Metric):
@@ -127,6 +167,16 @@ class Counter(Metric):
 
     def _child_class(self):
         return _CounterChild
+
+    def pull(self, read: Callable[[], int], **labelvalues: str) -> None:
+        """Count ``read()``, a tally its owner keeps, into the child for
+        *labelvalues* whenever the registry is read; sources sum."""
+        child = self._children.setdefault(self._key(labelvalues),
+                                          _PulledChild())
+        if not isinstance(child, _PulledChild):
+            raise MetricError(f"{self.name}: {labelvalues} is counted here")
+        child.sources.append(read)
+        child.parked = False
 
     def inc(self, amount: float = 1.0, **labelvalues: str) -> None:
         if labelvalues:
@@ -140,20 +190,17 @@ class Counter(Metric):
         return self._default_child().value
 
 
-class _GaugeChild:
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
+class _GaugeChild(_CounterChild):
+    __slots__ = ()
 
     def set(self, value: float) -> None:
-        self.value = value
+        self.value, self.parked = value, False
 
     def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
+        self.set(self.value + amount)
 
     def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+        self.set(self.value - amount)
 
 
 class Gauge(Metric):
@@ -186,20 +233,34 @@ class Gauge(Metric):
 
 
 class _HistogramChild:
-    __slots__ = ("bucket_counts", "sum", "count", "_uppers")
+    # Counts per bucket, the last past every bound; bucket_counts sums them.
+    __slots__ = ("_counts", "sum", "count", "parked", "_uppers")
 
     def __init__(self, uppers: tuple[float, ...] = ()):
         self._uppers = uppers
-        self.bucket_counts = [0] * len(uppers)
-        self.sum = 0.0
-        self.count = 0
+        self.zero()
+
+    def zero(self) -> None:
+        self._counts = [0] * (len(self._uppers) + 1)
+        self.sum, self.count, self.parked = 0.0, 0, True
+
+    @property
+    def bucket_counts(self) -> list[int]:
+        return list(accumulate(self._counts[:-1]))
+
+    @bucket_counts.setter
+    def bucket_counts(self, cumulative: list[int]) -> None:
+        self._counts = [b - a for a, b in zip([0, *cumulative], cumulative)]
+        self._counts.append(0)
 
     def observe(self, value: float) -> None:
         self.sum += value
         self.count += 1
-        for i, upper in enumerate(self._uppers):
-            if value <= upper:
-                self.bucket_counts[i] += 1
+        # NaN is <= no bound: it counts past the last one, as +inf does.
+        self._counts[
+            bisect_left(self._uppers, value) if value == value else -1
+        ] += 1
+        self.parked = False
 
 
 class Histogram(Metric):

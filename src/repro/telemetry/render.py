@@ -128,7 +128,7 @@ def registry_from_dict(registry, data: dict):
             )
             for sample in entry["samples"]:
                 child = metric.sample(**sample["labels"])
-                child.bucket_counts[:] = list(sample["bucket_counts"])
+                child.bucket_counts = list(sample["bucket_counts"])
                 child.sum = sample["sum"]
                 child.count = sample["count"]
         else:

@@ -127,7 +127,7 @@ class TestPrefixes:
         index = PrefixMap()
         for host in congruent_hosts(4_000):
             index.insert(host, None)
-        (table,) = index._tables[Afi.IPV6].values()
+        (table,) = index._tables[Afi.IPV6.bits].values()
         assert len({hash(key) for key in table}) >= 3_990
 
 
