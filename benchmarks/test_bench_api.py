@@ -49,12 +49,12 @@ CHAOS_CYCLES = 100
 _RESULTS: dict[str, dict] = {}
 
 
-def _service_over(world, **rp_kwargs):
+def _service_over(world, faults=None):
     registry = MetricsRegistry()
     fetcher = Fetcher(world.registry, world.clock, metrics=registry,
-                      faults=rp_kwargs.pop("faults", None))
+                      faults=faults)
     rp = RelyingParty(world.trust_anchors, fetcher, world.clock,
-                      metrics=registry, **rp_kwargs)
+                      metrics=registry)
     service = QueryService(rp, metrics=registry, config=ApiConfig(
         cache_capacity=8192, rate_limit=None,
     ))
@@ -63,7 +63,7 @@ def _service_over(world, **rp_kwargs):
 
 def test_sustained_throughput_over_10k_qps():
     world = build_deployment(MEDIUM)
-    rp, service = _service_over(world, mode="incremental")
+    rp, service = _service_over(world)
     world.clock.advance(HOUR)
     service.refresh()
 
@@ -131,7 +131,7 @@ def _mutate(rng, world):
 def test_100_cycle_campaign_serves_zero_stale_answers():
     world = build_deployment(MEDIUM)
     faults = FaultInjector(seed=9, background_rate=0.02)
-    rp, service = _service_over(world, mode="incremental", faults=faults)
+    rp, service = _service_over(world, faults=faults)
     world.clock.advance(HOUR)
     service.refresh()
 
@@ -184,7 +184,7 @@ def test_internet_scale_throughput():
     cache-served medium deployment above.
     """
     world = build_deployment(INTERNET_SCALES["internet-small"])
-    rp, service = _service_over(world, mode="incremental")
+    rp, service = _service_over(world)
     world.clock.advance(HOUR)
     service.refresh()
 
@@ -253,7 +253,7 @@ def _calls(run, *targets) -> list[int]:
 
 def test_request_path_counts():
     world = build_deployment(MEDIUM)
-    rp, service = _service_over(world, mode="incremental")
+    rp, service = _service_over(world)
     world.clock.advance(HOUR)
     service.refresh()
     vrps = sorted(rp.vrps)

@@ -11,8 +11,8 @@ Two claims:
    service on the relying party itself.
 
 2. **Invariants at scale.**  The 200-cycle seeded campaign, mixing every
-   timing and Byzantine fault kind across serial / incremental relying
-   parties and an RTR pair, completes with zero unhandled
+   timing and Byzantine fault kind across a faulted relying party, its
+   cold twin and an RTR pair, completes with zero unhandled
    exceptions and the safety + equivalence invariants intact every cycle
    — the acceptance sweep for the chaos harness.
 

@@ -67,7 +67,6 @@ def _incremental_rp(world) -> RelyingParty:
         world.trust_anchors,
         Fetcher(world.registry, world.clock),
         world.clock,
-        mode="incremental",
     )
 
 
@@ -180,7 +179,7 @@ def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
     rp = RelyingParty(
         world.trust_anchors,
         Fetcher(world.registry, world.clock, metrics=metrics),
-        mode="incremental", metrics=metrics,
+        metrics=metrics,
     )
     rp.refresh()
     service = QueryService(rp, config=ApiConfig(rate_limit=None),

@@ -80,8 +80,7 @@ def _run_fleet() -> dict:
     metrics = MetricsRegistry()
     fetcher = Fetcher(world.registry, world.clock, faults=faults,
                       metrics=metrics, identity="bench-rtr")
-    rp = RelyingParty(world.trust_anchors, fetcher, mode="incremental",
-                      metrics=metrics)
+    rp = RelyingParty(world.trust_anchors, fetcher, metrics=metrics)
     world.clock.advance(HOUR)
     rp.refresh()
 
@@ -270,8 +269,7 @@ def _internet_rp():
         world = build_deployment(INTERNET_SCALES["internet-small"])
         metrics = MetricsRegistry()
         fetcher = Fetcher(world.registry, world.clock, metrics=metrics)
-        rp = RelyingParty(world.trust_anchors, fetcher, mode="incremental",
-                          metrics=metrics)
+        rp = RelyingParty(world.trust_anchors, fetcher, metrics=metrics)
         world.clock.advance(HOUR)
         rp.refresh()
         _INTERNET_RP.append((world, rp, metrics))

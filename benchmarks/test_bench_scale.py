@@ -15,10 +15,8 @@ Two families:
    10⁴–10⁵ ROAs) pins the projected-deployment claims in
    ``BENCH_scale.json``:
 
-   - a cold serial refresh completes inside a wall-clock and per-VRP
-     budget;
-   - a warm zero-churn incremental refresh performs **zero** RSA
-     verifications;
+   - a cold refresh completes inside a wall-clock and per-VRP budget;
+   - a warm zero-churn refresh performs **zero** RSA verifications;
    - renewing one ROA costs exactly **4** RSA verifications — O(1) in
      deployment size, the same constant the hierarchical worlds pin;
    - a default refresh's peak memory stays bounded by a small constant
@@ -216,7 +214,6 @@ def test_internet_warm_and_churn_verifies_pinned():
     world, _build_seconds = _world("internet-small")
     rp = RelyingParty(
         world.trust_anchors, Fetcher(world.registry, world.clock),
-        mode="incremental",
     )
     rp.refresh()                # cold: populates memos and point results
 
@@ -283,7 +280,6 @@ def test_cold_refresh_reads_each_object_once(monkeypatch):
     world = build_deployment(BENCH_WORLD)
     rp = RelyingParty(
         world.trust_anchors, Fetcher(world.registry, world.clock),
-        mode="incremental",
     )
     # The trust anchors are configured, not fetched: a relying party
     # hashes each once for its lifetime (5 more on a first-ever refresh).

@@ -13,8 +13,7 @@ Three claims, pinned in ``BENCH_stalloris.json``:
 2. **The scheduler bounds the damage.**  The per-authority deadline
    scheduler defers the attacker's slow children instead, so unrelated
    authorities' staleness stays pinned under the fairness bound — the
-   victims never downgrade, with or without validation state kept
-   across refreshes (serial / incremental).
+   victims never downgrade.
 
 3. **Defense is nearly free.**  On a clean ``internet-small`` refresh
    (10^4 ROAs, no faults) the scheduled relying party stays within
@@ -43,7 +42,6 @@ from repro.repository.scheduler import SchedulerConfig
 from repro.rp import RelyingParty
 from repro.telemetry import MetricsRegistry
 
-ENGINES = ("serial", "incremental")
 CONFIG = StallorisConfig()          # 8 amplified points, 5 attack cycles
 OVERHEAD_BOUND = 1.10
 CAMPAIGN_CYCLES = 200
@@ -60,32 +58,29 @@ def _report():
 def test_unscheduled_fetcher_downgrades_to_stale():
     report = _report()
     assert report.amplifier_points == CONFIG.amplification_points
-    for engine in ENGINES:
-        run = report.run(engine, scheduled=False)
-        # The global budget is spent inside the attacker's subtree: the
-        # victims are skipped wholesale, every cycle.
-        assert all(skipped > 0 for skipped in run.skipped)
-        # Their cached data ages one full attack cycle per cycle...
-        ages = run.victim_age
-        step = CONFIG.gap_seconds + 2 * CONFIG.attempt_timeout
-        assert all(b - a == step for a, b in zip(ages, ages[1:]))
-        # ...and crosses the downgrade threshold: the attack lands.
-        assert run.time_to_stale is not None
-        assert ages[-1] > CONFIG.stale_grace
-    _STATE["budget"] = report.run("serial", scheduled=False)
+    run = report.run(scheduled=False)
+    # The global budget is spent inside the attacker's subtree: the
+    # victims are skipped wholesale, every cycle.
+    assert all(skipped > 0 for skipped in run.skipped)
+    # Their cached data ages one full attack cycle per cycle...
+    ages = run.victim_age
+    step = CONFIG.gap_seconds + 2 * CONFIG.attempt_timeout
+    assert all(b - a == step for a, b in zip(ages, ages[1:]))
+    # ...and crosses the downgrade threshold: the attack lands.
+    assert run.time_to_stale is not None
+    assert ages[-1] > CONFIG.stale_grace
+    _STATE["budget"] = run
 
 
 def test_scheduled_fetcher_holds_the_fairness_bound():
-    report = _report()
-    for engine in ENGINES:
-        run = report.run(engine, scheduled=True)
-        # The attacker's children are deferred, not waited on...
-        assert max(run.deferred) > 0
-        # ...so unrelated authorities never age past the stale grace:
-        # no time-to-stale downgrade, on any engine.
-        assert run.time_to_stale is None
-        assert max(run.victim_age) <= CONFIG.stale_grace
-    _STATE["scheduled"] = report.run("serial", scheduled=True)
+    run = _report().run(scheduled=True)
+    # The attacker's children are deferred, not waited on...
+    assert max(run.deferred) > 0
+    # ...so unrelated authorities never age past the stale grace: no
+    # time-to-stale downgrade.
+    assert run.time_to_stale is None
+    assert max(run.victim_age) <= CONFIG.stale_grace
+    _STATE["scheduled"] = run
 
 
 def test_scheduler_overhead_on_clean_refresh():

@@ -124,7 +124,6 @@ from .repository import (
 )
 from .resources import ASN, Afi, Prefix, ResourceSet
 from .rp import (
-    ENGINE_MODES,
     VRP,
     DegradationReport,
     IncrementalState,
@@ -161,7 +160,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
@@ -171,7 +170,7 @@ __all__ = [
     "ChainedRtrCache", "ChurnConfig",
     "ChurnEngine", "CircuitBreaker", "Clock", "ClosedLoopSimulation",
     "Counter", "DAY", "DegradationReport", "DeploymentConfig",
-    "DetectionExperiment", "DuplexPipe", "ENGINE_MODES", "FaultInjector",
+    "DetectionExperiment", "DuplexPipe", "FaultInjector",
     "FaultKind", "FaultPlan", "FetchResult", "FetchScheduler", "FetchStatus",
     "Fetcher",
     "Figure2World", "Gauge", "HOUR", "Histogram", "HistoryEntry",

@@ -4,12 +4,13 @@ One campaign builds **four identically seeded worlds** and runs them in
 clock lockstep for N refresh cycles:
 
 - *clean*: no faults at all; the ground truth.
-- *serial*, *incremental*: a relying party that keeps no validation
-  state between refreshes and one that does, both fed the **identical**
-  seeded fault plan through their own
+- *faulted*, *cold*: a relying party that keeps its validation state
+  across refreshes and its cold twin — the same class, which clears that
+  state (``incremental_state.clear()``) before every refresh — both fed
+  the **identical** seeded fault plan through their own
   :class:`~repro.repository.faults.FaultInjector` (same seed, same fetch
   order, therefore the same fault stream).
-- *scheduled*: a serial relying party running the
+- *scheduled*: a relying party running the
   :class:`~repro.repository.scheduler.FetchScheduler` defense under the
   same fault plan.  Its fetch order legitimately diverges (deferral is
   the whole point), so it is exempt from the equivalence invariant but
@@ -17,7 +18,7 @@ clock lockstep for N refresh cycles:
   a slow or amplifying authority must not starve *unrelated*
   authorities' publication points beyond a configured staleness bound.
 
-An RTR fan-out rides on the serial variant: the cache + router pair,
+An RTR fan-out rides on the faulted variant: the cache + router pair,
 plus a :class:`~repro.rtr.CacheChain` of non-validating caches
 re-serving the cache's beliefs tier by tier — with its own chaos:
 garbage bytes mid-session, abrupt channel closes, and severed chain
@@ -27,9 +28,10 @@ After every cycle three invariants are checked:
 
 - **safety** — each faulted variant's VRP set is a subset of the clean
   run's: faults may *remove* validated origins, never invent them.
-- **equivalence** — keeping state never changes a verdict: the serial
-  and incremental RPs agree exactly under the identical fault plan, the
-  attached router's table matches
+- **equivalence** — keeping state never changes a verdict: the faulted
+  RP and its cold twin agree exactly under the identical fault plan
+  (the one warm-vs-cold check under composed timing and Byzantine
+  faults), the attached router's table matches
   after resync, and **every chained cache in every tier** serves exactly
   the validating RP's set once pumped.
 - **no-crash** — nothing anywhere raises out of the cycle: a violation
@@ -76,11 +78,6 @@ __all__ = [
     "run_campaign",
     "shrink_plan",
 ]
-
-# The faulted relying parties compared against clean: fresh state every
-# refresh vs. state kept across refreshes.
-_VARIANTS = ("serial", "incremental")
-
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -166,12 +163,17 @@ class CampaignResult:
 
 
 class _Variant:
-    """One relying party (plus optional fault injector) over one world."""
+    """One relying party (plus optional fault injector) over one world.
+
+    A *cold* variant forgets its validation state before every refresh.
+    """
 
     def __init__(self, name: str, world, config: CampaignConfig,
-                 *, faulted: bool, schedule: SchedulerConfig | None = None):
+                 *, faulted: bool, cold: bool = False,
+                 schedule: SchedulerConfig | None = None):
         self.name = name
         self.world = world
+        self.cold = cold
         self.metrics = MetricsRegistry()
         self.faults = (
             FaultInjector(seed=config.seed) if faulted else None
@@ -185,10 +187,14 @@ class _Variant:
         )
         self.rp = RelyingParty(
             world.trust_anchors, fetcher,
-            mode=(name if name in _VARIANTS else "serial"),
             schedule=schedule,
             metrics=self.metrics,
         )
+
+    def refresh(self):
+        if self.cold:
+            self.rp.incremental_state.clear()
+        return self.rp.refresh()
 
     def vrp_set(self) -> frozenset:
         return self.rp.vrps.as_frozenset()
@@ -223,22 +229,23 @@ class _Campaign:
         self.clean = _Variant(
             "clean", build_deployment(deployment), config, faulted=False
         )
-        self.faulted = [
-            _Variant(name, build_deployment(deployment), config, faulted=True)
-            for name in _VARIANTS
-        ]
-        # The defense under test: a serial RP running the fetch scheduler
+        self.faulted = _Variant(
+            "faulted", build_deployment(deployment), config, faulted=True
+        )
+        self.cold = _Variant(
+            "cold", build_deployment(deployment), config, faulted=True,
+            cold=True,
+        )
+        # The defense under test: an RP running the fetch scheduler
         # with an authority budget of one attempt deadline — enough for a
         # first contact plus a recovery probe per slow host per cycle.
         self.scheduled = _Variant(
             "scheduled", build_deployment(deployment), config, faulted=True,
             schedule=SchedulerConfig(authority_budget=config.attempt_timeout),
         )
-        self.worlds = (
-            [self.clean.world]
-            + [v.world for v in self.faulted]
-            + [self.scheduled.world]
-        )
+        self.under_faults = (self.faulted, self.cold, self.scheduled)
+        self.variants = (self.clean, *self.under_faults)
+        self.worlds = [variant.world for variant in self.variants]
         self.t0 = self.scheduled.world.clock.now
 
         points = sorted(
@@ -281,15 +288,13 @@ class _Campaign:
             if ca.issued_roas
         ]
 
-        # RTR rides on the serial variant.
-        self.server = RtrCacheServer(
-            metrics=self.faulted[0].metrics
-        )
+        # RTR rides on the faulted variant.
+        self.server = RtrCacheServer(metrics=self.faulted.metrics)
         self.pipe: DuplexPipe | None = None
         self.router: RtrRouterClient | None = None
         self.rtr_rng = random.Random(config.seed ^ 0x52545221)
         self._attach_router()
-        # The fan-out tree: non-validating caches re-serving the serial
+        # The fan-out tree: non-validating caches re-serving the faulted
         # variant's beliefs, checked tier by tier every cycle.
         self.chain: CacheChain | None = None
         if config.rtr_tiers > 0:
@@ -360,7 +365,7 @@ class _Campaign:
 
     def _schedule(self, cycle: int) -> None:
         active = self.plan.active_at(cycle)
-        for variant in [*self.faulted, self.scheduled]:
+        for variant in self.under_faults:
             variant.faults.clear()
             for planned in active:
                 planned.schedule_on(variant.faults)
@@ -370,7 +375,7 @@ class _Campaign:
     def _rtr_cycle(self, result: CampaignResult, report) -> None:
         """Sync the router, with seeded session-level chaos.
 
-        *report* is the serial variant's refresh: its net table change
+        *report* is the faulted variant's refresh: its net table change
         is what the cache installs (the server starts as empty as the
         relying party does, so no bootstrap ``update`` is needed).
         """
@@ -420,7 +425,7 @@ class _Campaign:
         result.clean_vrps = len(self.clean.rp.vrps)
         if self.chain is not None:
             result.chain_caches = len(self.chain.caches())
-        for variant in self.faulted:
+        for variant in (self.faulted, self.cold):
             result.faults_fired += (
                 len(variant.faults.applied) + variant.faults.applied_dropped
             )
@@ -432,26 +437,21 @@ class _Campaign:
             self._churn(cycle)
             self._plant(cycle)
             self._schedule(cycle)
-            reports = {}
-            reports["clean"] = self.clean.rp.refresh()
-            for variant in self.faulted:
-                reports[variant.name] = variant.rp.refresh()
-            reports["scheduled"] = self.scheduled.rp.refresh()
-            serial = self.faulted[0]
+            reports = {variant.name: variant.refresh()
+                       for variant in self.variants}
+            report = reports["faulted"]
             result.quarantined_objects += len(
-                reports["serial"].degradation.quarantined_objects
+                report.degradation.quarantined_objects
             )
-            result.degraded_points += len(
-                reports["serial"].degradation.degraded_points
-            )
-            self._rtr_cycle(result, reports["serial"])
+            result.degraded_points += len(report.degradation.degraded_points)
+            self._rtr_cycle(result, report)
         except Exception as exc:  # the no-crash invariant itself
             return Violation(
                 cycle, "no-crash", f"{type(exc).__name__}: {exc}"
             )
 
         clean_set = self.clean.vrp_set()
-        for variant in [*self.faulted, self.scheduled]:
+        for variant in self.under_faults:
             extras = variant.vrp_set() - clean_set
             if extras:
                 shown = ", ".join(str(v) for v in sorted(extras)[:3])
@@ -460,32 +460,31 @@ class _Campaign:
                     f"{variant.name} RP accepted {len(extras)} VRP(s) the "
                     f"clean run never produced: {shown}",
                 )
-        serial_set = serial.vrp_set()
-        for variant in self.faulted[1:]:
-            if variant.vrp_set() != serial_set:
-                return Violation(
-                    cycle, "equivalence",
-                    f"{variant.name} RP diverged from serial under the "
-                    f"identical fault plan "
-                    f"({len(variant.vrp_set())} vs {len(serial_set)} VRPs)",
-                )
+        faulted_set, cold_set = self.faulted.vrp_set(), self.cold.vrp_set()
+        if cold_set != faulted_set:
+            return Violation(
+                cycle, "equivalence",
+                f"faulted RP diverged from its cold twin under the "
+                f"identical fault plan "
+                f"({len(faulted_set)} vs {len(cold_set)} VRPs)",
+            )
         router_set = self.router.vrp_set().as_frozenset()
-        if router_set != serial_set:
+        if router_set != faulted_set:
             return Violation(
                 cycle, "equivalence",
                 f"router table diverged from its cache after resync "
-                f"({len(router_set)} vs {len(serial_set)} VRPs)",
+                f"({len(router_set)} vs {len(faulted_set)} VRPs)",
             )
         if self.chain is not None:
             for tier_index in range(self.chain.tiers):
                 for position, cache in enumerate(self.chain.tier(tier_index)):
                     served = cache.current_vrps()
-                    if served != serial_set:
+                    if served != faulted_set:
                         return Violation(
                             cycle, "equivalence",
                             f"chained cache tier {tier_index} #{position} "
                             f"diverged from the validating RP "
-                            f"({len(served)} vs {len(serial_set)} VRPs)",
+                            f"({len(served)} vs {len(faulted_set)} VRPs)",
                         )
         return self._check_interference(cycle, result)
 

@@ -3,8 +3,7 @@
 This module stages the delegation-tree amplification attack end to end
 and measures its one observable harm — *unrelated authorities' data going
 stale* — with and without the :class:`~repro.repository.scheduler.
-FetchScheduler` defense, with and without validation state kept across
-refreshes.
+FetchScheduler` defense.
 
 The attack (PAPERS.md, "Stalloris: RPKI downgrade attack"): one
 misbehaving authority mints many delegated publication points
@@ -48,10 +47,6 @@ __all__ = [
     "StallorisReport",
     "measure_stalloris",
 ]
-
-# Relying-party modes measured; each gets an unscheduled and a scheduled run.
-_ENGINES = ("serial", "incremental")
-
 
 @dataclass(frozen=True)
 class StallorisConfig:
@@ -101,9 +96,8 @@ class StallorisConfig:
 
 @dataclass
 class StallorisRun:
-    """One engine x defense measurement: per-cycle series and downgrades."""
+    """One defense posture's measurement: per-cycle series and downgrades."""
 
-    engine: str
     scheduled: bool
     victim_age: list[int] = field(default_factory=list)    # per cycle, max
     fetch_seconds: list[int] = field(default_factory=list)  # per cycle
@@ -116,11 +110,10 @@ class StallorisRun:
 
     @property
     def name(self) -> str:
-        return f"{self.engine}/{'scheduled' if self.scheduled else 'budget'}"
+        return "scheduled" if self.scheduled else "budget"
 
     def as_dict(self) -> dict:
         return {
-            "engine": self.engine,
             "scheduled": self.scheduled,
             "victim_age": list(self.victim_age),
             "fetch_seconds": list(self.fetch_seconds),
@@ -140,11 +133,11 @@ class StallorisReport:
     amplifier_points: int = 0
     runs: list[StallorisRun] = field(default_factory=list)
 
-    def run(self, engine: str, scheduled: bool) -> StallorisRun:
+    def run(self, scheduled: bool) -> StallorisRun:
         for candidate in self.runs:
-            if candidate.engine == engine and candidate.scheduled == scheduled:
+            if candidate.scheduled == scheduled:
                 return candidate
-        raise KeyError(f"no run {engine}/{scheduled}")
+        raise KeyError(f"no run scheduled={scheduled}")
 
     def render(self) -> str:
         lines = [
@@ -168,18 +161,15 @@ class StallorisReport:
 
 
 def measure_stalloris(config: StallorisConfig) -> StallorisReport:
-    """Run the attack against every engine, with and without the defense."""
+    """Run the attack with and without the defense."""
     report = StallorisReport(config=config)
-    for engine in _ENGINES:
-        for scheduled in (False, True):
-            run = _measure_one(config, engine, scheduled, report)
-            report.runs.append(run)
+    for scheduled in (False, True):
+        report.runs.append(_measure_one(config, scheduled, report))
     return report
 
 
 def _measure_one(
     config: StallorisConfig,
-    engine: str,
     scheduled: bool,
     report: StallorisReport,
 ) -> StallorisRun:
@@ -191,16 +181,15 @@ def _measure_one(
         world.registry, world.clock,
         faults=faults,
         attempt_timeout=config.attempt_timeout,
-        identity=f"stalloris-{engine}",
+        identity="stalloris",
     )
     rp = RelyingParty(
         world.trust_anchors, fetcher,
-        mode=engine,
         stale_grace=config.stale_grace,
         fetch_budget=(None if scheduled else config.fetch_budget),
         schedule=(config.scheduler() if scheduled else None),
     )
-    run = StallorisRun(engine=engine, scheduled=scheduled)
+    run = StallorisRun(scheduled=scheduled)
 
     rp.refresh()  # healthy warm-up: every point cached and fresh
     # The attack: stall every *child* point.  The prefix deliberately

@@ -89,22 +89,22 @@ def _rsa_verifies(registry) -> float:
     return verify.value(outcome="accepted") + verify.value(outcome="rejected")
 
 
-def _build_rp(world, **opts):
+def _build_rp(world):
     """One relying party over *world*, reporting to the default registry
     (what ``--emit-metrics`` renders)."""
     return RelyingParty(
-        world.trust_anchors, Fetcher(world.registry, world.clock), **opts
+        world.trust_anchors, Fetcher(world.registry, world.clock)
     )
 
 
-def _generated_world(args, default_scale: str, default_seed: int, **rp_opts):
+def _generated_world(args, default_scale: str, default_seed: int):
     """``--scale``/``--seed`` resolved to a generated deployment (either
     family, see :func:`repro.modelgen.resolve_scale`) and a relying party
     over it.  Returns ``(scale_name, config, world, rp)``."""
     scale = _scale(args, default_scale)
     config = resolve_scale(scale, _seed(args, default_seed))
     world = build_deployment(config)
-    return scale, config, world, _build_rp(world, **rp_opts)
+    return scale, config, world, _build_rp(world)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def cmd_perf(args) -> None:
             seed=_seed(args, 21), isps_per_rir=6, customers_per_isp=2,
         )
     world = build_deployment(config)
-    rp = _build_rp(world, mode="incremental")
+    rp = _build_rp(world)
     registry = rp.metrics
 
     memo = registry.get("repro_incremental_verify_memo_total")
@@ -308,7 +308,7 @@ def cmd_perf(args) -> None:
 def cmd_chaos(args) -> None:
     config = CampaignConfig(seed=_seed(args, 7), cycles=args.cycles)
     print(f"Chaos campaign: seed {config.seed}, {config.cycles} cycles — "
-          "serial vs incremental\nrelying parties, a scheduled "
+          "a faulted relying party\nvs its cold twin, a scheduled "
           "RP, plus an RTR router, under one\nseeded fault plan\n")
     result = run_campaign(config)
     # The campaign counts on a private registry (the shrink re-runs must
@@ -360,13 +360,13 @@ def cmd_stalloris(args) -> None:
     print("Stalloris-grade slowdown: one authority's delegation tree turns "
           "into\n"
           f"{config.amplification_points} stalled publication points; "
-          "both modes measured with the global\n"
+          "measured with the global\n"
           f"fetch budget ({config.fetch_budget}s) and with the per-authority "
           f"scheduler ({config.attempt_timeout}s/host)\n")
     report = measure_stalloris(config)
     print(report.render())
-    budget = report.run("serial", False)
-    sched = report.run("serial", True)
+    budget = report.run(False)
+    sched = report.run(True)
     print()
     print(f"=> the budgeted fetcher burns {config.fetch_budget}s/cycle "
           "inside the attacker's subtree\n"
@@ -383,8 +383,7 @@ def cmd_stalloris(args) -> None:
 
 
 def cmd_api(args) -> None:
-    scale, config, world, rp = _generated_world(
-        args, "small", 7, mode="incremental")
+    scale, config, world, rp = _generated_world(args, "small", 7)
     # The unthrottled service for the classification and diff sections;
     # rate limiting gets its own dedicated demo below.
     service = QueryService(rp, config=ApiConfig(rate_limit=None))
@@ -445,8 +444,7 @@ def cmd_api(args) -> None:
 
 
 def cmd_rtr(args) -> None:
-    scale, config, world, rp = _generated_world(
-        args, "small", 7, mode="incremental")
+    scale, config, world, rp = _generated_world(args, "small", 7)
     world.clock.advance(HOUR)
     rp.refresh()
 

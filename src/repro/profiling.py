@@ -63,7 +63,6 @@ class ProfileReport:
 
     scale: str
     seed: int
-    mode: str                 # "serial" / "incremental"
     roa_count: int
     authority_count: int
     vrp_count: int
@@ -90,7 +89,7 @@ class ProfileReport:
         """The text artifact: a header block and the ranked tables."""
         lines = [
             f"Profiled refresh over the {self.scale!r} deployment "
-            f"(seed {self.seed}, {self.mode} mode)",
+            f"(seed {self.seed})",
             "",
             f"deployment: {self.roa_count} ROAs across "
             f"{self.authority_count} authorities "
@@ -116,7 +115,6 @@ class ProfileReport:
         return {
             "scale": self.scale,
             "seed": self.seed,
-            "mode": self.mode,
             "roa_count": self.roa_count,
             "authority_count": self.authority_count,
             "vrp_count": self.vrp_count,
@@ -158,7 +156,6 @@ def profile_refresh(
     *,
     seed: int | None = None,
     top: int = 15,
-    mode: str = "serial",
 ) -> ProfileReport:
     """Build a deployment, profile one full refresh, rank the hotspots.
 
@@ -176,9 +173,9 @@ def profile_refresh(
     the drop the second build would reuse the first build's keys and
     keygen, its dominant cost, would vanish from the table.
 
-    The relying party is the default one (what ``benchmarks/e2e`` and
-    the ``refresh`` command run); *mode* is its
-    :data:`~repro.rp.ENGINE_MODES` switch.
+    The relying party is the default one, what ``benchmarks/e2e`` and
+    the ``refresh`` command run; its refresh is cold because it is the
+    first.
     """
     from .crypto import KeyFactory
     from .modelgen import build_deployment, resolve_scale
@@ -199,7 +196,6 @@ def profile_refresh(
     fetcher = Fetcher(world.registry, world.clock)
     rp = RelyingParty(
         world.trust_anchors, fetcher, metrics=fetcher.metrics,
-        mode=mode,
     )
     profiler = cProfile.Profile()
     refresh_start = time.perf_counter()
@@ -212,7 +208,6 @@ def profile_refresh(
     return ProfileReport(
         scale=scale,
         seed=config.seed,
-        mode=rp.mode,
         roa_count=world.roa_count(),
         authority_count=len(world.authorities()),
         vrp_count=len(report.vrps),

@@ -36,8 +36,8 @@ attempt deadline per child.
    recovery is detected: when the authority speeds back up, the probe's
    cheap result pulls the EWMA down and the subtree is readmitted.
 
-The scheduler is wired into :meth:`repro.rp.RelyingParty.refresh` for
-both engine modes behind the ``schedule=`` knob; the default
+The scheduler is wired into :meth:`repro.rp.RelyingParty.refresh`
+behind the ``schedule=`` knob; the default
 (``None``) preserves the historical plain-sorted fetch order
 byte-identically.
 """

@@ -93,10 +93,17 @@ def parse_ipv6(text: str) -> int:
     """Parse an IPv6 address (RFC 4291 text form) into an integer.
 
     Supports ``::`` compression and an embedded IPv4 tail
-    (``::ffff:192.0.2.1``).  Zone identifiers are rejected; they have no
-    meaning in routing announcements.
+    (``::ffff:192.0.2.1``).  A hextet is one to four ASCII hex digits:
+    no sign, ``_``, whitespace or another script's digits, all of which
+    ``int(piece, 16)`` would take.  Zone identifiers are rejected; they
+    have no meaning in routing announcements.  Surrounding whitespace is
+    ignored.
     """
-    text = text.strip()
+    return ipv6_value(text.strip())
+
+
+def ipv6_value(text: str) -> int:
+    """:func:`parse_ipv6` of text that is the address and nothing else."""
     if "%" in text:
         raise AddressParseError(f"zone identifiers not supported: {text!r}")
     if text.count("::") > 1:
@@ -132,11 +139,12 @@ def _parse_hextet_run(run: str, original: str) -> list[int]:
         if "." in piece:
             if index != len(pieces) - 1:
                 raise AddressParseError(f"embedded IPv4 not last in {original!r}")
-            v4 = parse_ipv4(piece)
+            v4 = ipv4_value(piece)
             groups.append(v4 >> 16)
             groups.append(v4 & 0xFFFF)
             continue
-        if not piece or len(piece) > 4:
+        # ASCII letters and digits only; int() then refuses g-z.
+        if not (len(piece) < 5 and piece.isascii() and piece.isalnum()):
             raise AddressParseError(f"bad hextet {piece!r} in {original!r}")
         try:
             groups.append(int(piece, 16))

@@ -13,7 +13,7 @@ import sys
 from typing import Iterator
 
 from .errors import PrefixParseError, PrefixValueError
-from .ipaddr import Afi, format_address, ipv4_value, parse_address, parse_ipv6
+from .ipaddr import Afi, format_address, ipv4_value, ipv6_value, parse_address
 
 __all__ = ["Prefix"]
 
@@ -71,14 +71,15 @@ class Prefix:
         """Parse ``"a.b.c.d/len"`` (or IPv6 equivalent) into a prefix.
 
         Surrounding whitespace is ignored; the length, like an IPv4 octet,
-        is ASCII decimal digits (leading zeros allowed).
+        is ASCII decimal digits (leading zeros allowed), and an IPv6
+        hextet is one to four ASCII hex digits.
         """
         address_text, slash, length_text = text.strip().partition("/")
         if not slash:
             raise PrefixParseError(f"missing '/length' in {text!r}")
         v6 = ":" in address_text
         try:
-            network = parse_ipv6(address_text) if v6 else ipv4_value(address_text)
+            network = ipv6_value(address_text) if v6 else ipv4_value(address_text)
         except ValueError as exc:
             raise PrefixParseError(f"bad address in {text!r}: {exc}") from exc
         try:

@@ -22,7 +22,6 @@ from .lta import LocalOverrides, classify_with_overrides
 from .origin import OriginValidationOutcome, validate
 from .pathval import PathValidator, Severity, ValidationIssue, ValidationRun
 from .relying_party import (
-    ENGINE_MODES,
     DegradationReport,
     RefreshReport,
     RelyingParty,
@@ -34,7 +33,6 @@ from .vrp import VRP, VrpSet
 __all__ = [
     "DispositionVrp",
     "DispositionVrpSet",
-    "ENGINE_MODES",
     "LocalOverrides",
     "SubprefixDisposition",
     "classify_disposition",

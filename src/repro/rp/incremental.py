@@ -55,12 +55,14 @@ otherwise it is discarded and the point revalidated from bytes:
 
 Because reuse replays the exact issues, certificates, ROAs, and VRPs the
 cold computation produced — and no issue text names the instant it was
-judged at — an incremental run is byte-for-byte identical to a cold
+judged at — a warm run is byte-for-byte identical to a cold
 :meth:`repro.rp.PathValidator.run` on the same cache: the property
 ``tests/rp/test_incremental.py`` enforces after whacking, revocation,
 and expiry events, ``tests/rp/test_roa_rows.py`` at every boundary
 ``b - 1``, ``b``, ``b + 1``, and ``benchmarks/test_bench_incremental.py``
-pins the zero-churn/zero-verification headline claim.
+pins the zero-churn/zero-verification headline claim.  The cold verdicts
+themselves are pinned to an independent reference validator
+(``tests/rp/reference_validator.py``).
 
 Memos are bounded (``max_entries`` per generation, two generations: see
 :class:`repro.memo.GenerationMemo`), so a working set past the bound
@@ -302,10 +304,10 @@ class PointResult:
 class IncrementalState:
     """Everything a validator carries across runs to validate incrementally.
 
-    Hand one instance to :class:`~repro.rp.PathValidator` (or let
-    :class:`~repro.rp.RelyingParty` build one with ``mode="incremental"``)
-    and keep it alive across refreshes; dropping it is always safe and
-    merely makes the next run cold.
+    Every :class:`~repro.rp.PathValidator` and
+    :class:`~repro.rp.RelyingParty` holds one for its lifetime (pass
+    one to :class:`~repro.rp.PathValidator` to share it); :meth:`clear`
+    is always safe and merely makes the next run cold.
     """
 
     def __init__(

@@ -25,11 +25,13 @@ judges every reached CA's point exactly once, from whatever is served
 for it at that moment; the relying party fetches each level's points
 just before the walk judges them, while :meth:`PathValidator.run` walks
 a fixed snapshot.  The per-point unit is exactly what
-:mod:`repro.rp.incremental` keeps — hand the validator an
-:class:`~repro.rp.incremental.IncrementalState` and unchanged points are
+:mod:`repro.rp.incremental` keeps: every validator carries an
+:class:`~repro.rp.incremental.IncrementalState`, and unchanged points are
 replayed from the previous walk instead of being re-parsed and
-re-verified.  With no state attached every walk is cold: that is the
-oracle the tests compare the stateful path against.
+re-verified.  A new validator's first walk (or one after
+``IncrementalState.clear()``) is cold; the oracle the tests hold it to
+is the reference validator under ``tests/rp/``, which shares none of
+this code.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from ..rpki.cert import ResourceCertificate
 from ..rpki.crl import Crl
 from ..rpki.errors import ObjectFormatError
 from ..rpki.manifest import Manifest
-from ..rpki.parse import parse_object
 from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
 from ..rpki.roa import Roa
@@ -100,16 +101,15 @@ class ValidationRun:
     validated_cas: list[ResourceCertificate] = field(default_factory=list)
     issues: list[ValidationIssue] = field(default_factory=list)
     # What every accepted ROA left behind, grouped by the publication
-    # point (selected copy's URI) it was read from, in walk order.  With
-    # an IncrementalState every run's ``vrps`` is the same live index,
-    # so this is the field two such runs are told apart by.
+    # point (selected copy's URI) it was read from, in walk order.  Every
+    # run of one validator shares its state's live ``vrps`` index, so
+    # this is the field two such runs are told apart by.
     roas: list[tuple[str, tuple[RoaEvidence, ...]]] = field(
         default_factory=list
     )
     # Validated Ghostbusters contact per publication point URI.
     contacts: dict[str, GhostbustersRecord] = field(default_factory=dict)
-    # How this walk changed ``vrps``: against the previous walk's table
-    # with an IncrementalState attached, against an empty one without.
+    # How this walk changed ``vrps`` against the previous walk's table.
     # A record of the transition, not part of the outcome two runs are
     # compared by.
     announced: tuple[VRP, ...] = field(default=(), compare=False)
@@ -146,12 +146,13 @@ class PathValidator:
         as warnings — the lenient end of the "what to do about incomplete
         information?" tradeoff.
     incremental:
-        An :class:`~repro.rp.incremental.IncrementalState` to carry memos,
-        per-point results and the VRP index across walks.  ``None``
-        (default) validates cold every time.  Replayed and freshly
-        computed points take the identical code path, so a stateful
-        walk's output is byte-for-byte equal to the cold one's — but its
-        ``vrps`` is the state's one index, edited by the next walk.
+        The :class:`~repro.rp.incremental.IncrementalState` that carries
+        memos, per-point results and the VRP index across walks; ``None``
+        (default) builds a fresh one, so a new validator's first walk is
+        cold.  Replayed and freshly computed points take the identical
+        code path, so a warm walk's output is byte-for-byte equal to a
+        cold one's — but its ``vrps`` is the state's one index, edited by
+        the next walk.
     """
 
     def __init__(
@@ -166,9 +167,12 @@ class PathValidator:
             raise ValueError("at least one trust anchor is required")
         self.trust_anchors = list(trust_anchors)
         self.strict_manifests = strict_manifests
-        self.incremental = incremental
         self._verify_calls = 0
         self.metrics = metrics if metrics is not None else default_registry()
+        self.incremental = (
+            incremental if incremental is not None
+            else IncrementalState(metrics=self.metrics)
+        )
         self._m_runs = self.metrics.counter(
             "repro_validation_runs_total",
             help="certificate-tree walks completed (one per refresh or "
@@ -201,8 +205,8 @@ class PathValidator:
         *cache_files* maps publication point URI → file name → bytes
         (the shape of :meth:`repro.repository.LocalCache.all_files`).
         *digests* optionally maps point URI → content digest (the shape
-        of :meth:`repro.repository.LocalCache.digests`); used only with
-        an incremental state, and computed from the bytes when absent.
+        of :meth:`repro.repository.LocalCache.digests`), the points'
+        reuse key; computed from the bytes when absent.
         """
         walk = ValidationWalk(self, now)
         while walk.frontier:
@@ -212,21 +216,17 @@ class PathValidator:
     # -- memo-aware primitives ----------------------------------------------
 
     def _verify(self, obj: SignedObject, key: RsaPublicKey) -> bool:
-        """Signature check, via the incremental state's memo when attached."""
+        """Signature check, via the state's verification memo."""
         self._verify_calls += 1
-        if self.incremental is not None:
-            return self.incremental.verify_memo.verify_object(obj, key)
-        return obj.verify_signature(key)
+        return self.incremental.verify_memo.verify_object(obj, key)
 
     def _parse(self, data: bytes, digest: str | None = None) -> SignedObject:
-        """Parse, via the incremental state's memo when attached.
+        """Parse, via the state's parse memo.
 
         *digest* is the SHA-256 hex of *data* when the caller has it: the
         memo's key and the parsed object's ``hash_hex``, computed once.
         """
-        if self.incremental is not None:
-            return self.incremental.parse_memo.parse(data, digest)
-        return parse_object(data, digest)
+        return self.incremental.parse_memo.parse(data, digest)
 
     # -- internals ----------------------------------------------------------
 
@@ -262,20 +262,17 @@ class PathValidator:
         publication point through this one function, at most once.
         """
         state = self.incremental
-        fingerprint: tuple = ()
-        if state is not None:
-            fingerprint = self._point_fingerprint(ca_cert, cache_files, digests)
-            entry = state.lookup(ca_cert.subject_key_id, fingerprint, now)
-            if entry is not None:
-                state.count_reused(entry)
-                return entry
+        fingerprint = self._point_fingerprint(ca_cert, cache_files, digests)
+        entry = state.lookup(ca_cert.subject_key_id, fingerprint, now)
+        if entry is not None:
+            state.count_reused(entry)
+            return entry
         try:
             entry = self._validate_point(ca_cert, cache_files, now, fingerprint)
         except Exception as exc:  # containment: one bad point ≠ dead run
             return self._quarantined_point(ca_cert, fingerprint, now, exc)
-        if state is not None:
-            state.count_validated()
-            state.store(ca_cert.subject_key_id, entry)
+        state.count_validated()
+        state.store(ca_cert.subject_key_id, entry)
         return entry
 
     def _count(self, result: ValidationRun) -> None:
@@ -346,7 +343,7 @@ class PathValidator:
         children: list[ResourceCertificate] = []
         roas: list[RoaEvidence] = []
         contact: GhostbustersRecord | None = None
-        rows = None if self.incremental is None else self.incremental.roa_rows
+        rows = self.incremental.roa_rows
         if usable is not None:  # strict mode may discard the point whole
             for file_name in sorted(usable):
                 if file_name in (CRL_FILE, MANIFEST_FILE):
@@ -354,7 +351,7 @@ class PathValidator:
                 # A ROA judged before under this issuer is judged again
                 # from its row: nothing is parsed or verified.
                 row_key = (copy.digests[file_name], ca_cert.hash_hex)
-                row = None if rows is None else rows.get(row_key)
+                row = rows.get(row_key)
                 try:
                     obj = row if row is not None else self._parse_file(
                         copy, file_name
@@ -378,8 +375,7 @@ class PathValidator:
                 try:
                     if isinstance(obj, Roa):
                         row = self._roa_row(obj, ca_cert)
-                        if rows is not None:
-                            rows.put(row_key, row)
+                        rows.put(row_key, row)
                     if row is not None:
                         # A ROA leaves its row and its evidence, never
                         # its parse: holding every Roa makes memory
@@ -443,12 +439,7 @@ class PathValidator:
         verify_before: int,
     ) -> PointResult:
         """Package a point's outcome, with its time-reuse signature."""
-        if self.incremental is not None:
-            boundaries = self._collect_boundaries(
-                ca_cert, cache_files, selected
-            )
-        else:
-            boundaries = ((), ())  # never consulted without an IncrementalState
+        boundaries = self._collect_boundaries(ca_cert, cache_files, selected)
         return PointResult(
             fingerprint=fingerprint,
             boundaries=boundaries,
@@ -908,15 +899,13 @@ class ValidationWalk:
         walk's point result is compared with the one emitted last time —
         the same object was replayed and contributes nothing; a
         different one, or a key no longer emitted, withdraws the old
-        result's VRPs and announces the new one's.  Without an
-        incremental state "last time" is empty and so is the index, and
-        the same edit is a bulk build.  The edit is the last thing to
-        happen: a walk that raised anywhere left the index alone.
+        result's VRPs and announces the new one's.  On a new state "last
+        time" is empty and so is the index, and the same edit is a bulk
+        build.  The edit is the last thing to happen: a walk that raised
+        anywhere left the index alone.
         """
         state = self._validator.incremental
-        index, last = (
-            (VrpSet(), {}) if state is None else (state.vrps, state.emitted)
-        )
+        index, last = state.vrps, state.emitted
         result = ValidationRun(vrps=index)
         emitted: dict[str, PointResult] = {}
         for anchor, issue in self._anchors:
@@ -936,9 +925,8 @@ class ValidationWalk:
         result.announced, result.withdrawn = index.apply_delta(
             chain.from_iterable(announced), chain.from_iterable(withdrawn)
         )
-        if state is not None:
-            state.emitted = emitted
-            state.book_memos()
+        state.emitted = emitted
+        state.book_memos()
         self._validator._count(result)
         return result
 

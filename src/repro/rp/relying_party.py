@@ -33,15 +33,10 @@ from .pathval import PathValidator, ValidationRun, ValidationWalk
 from .states import Route, RouteValidity
 from .vrp import VRP, VrpSet
 
-__all__ = ["ENGINE_MODES", "RelyingParty", "RefreshReport",
-           "DegradationReport"]
+__all__ = ["RelyingParty", "RefreshReport", "DegradationReport"]
 
 # Called with a refresh's net (announced, withdrawn).
 DeltaListener = Callable[[tuple[VRP, ...], tuple[VRP, ...]], None]
-
-# The one persistence switch: whether a relying party keeps validation
-# state (memos + per-point results) from one refresh to the next.
-ENGINE_MODES = ("serial", "incremental")
 
 # Issue codes that mean "this object's bytes were rejected and the object
 # was excluded while its siblings kept validating" — the containment
@@ -156,25 +151,19 @@ class RelyingParty:
         per-authority time budget, so one slow delegation subtree cannot
         monopolize the refresh.  Over-budget points are *deferred*:
         listed on :attr:`RefreshReport.deferred`, recorded as degraded,
-        and served from stale-cache grace like a failed fetch.  Works
-        in both modes.  ``None`` (the default) keeps the historical
-        plain-sorted fetch order byte-identically.
+        and served from stale-cache grace like a failed fetch.  ``None``
+        (the default) keeps the historical plain-sorted fetch order
+        byte-identically.
     strict_manifests:
         Validator policy on manifest trouble (see :class:`PathValidator`).
     mode:
-        Whether validation state outlives a refresh, one of
-        :data:`ENGINE_MODES`:
-
-        - ``"serial"`` (the default) — no state kept: every refresh
-          parses and verifies every point it walks.
-        - ``"incremental"`` — keep an
-          :class:`~repro.rp.incremental.IncrementalState` across
-          refreshes so unchanged publication points are replayed instead
-          of re-validated (see :mod:`repro.rp.incremental` for the exact
-          invalidation rules).
-
-        Validation *results* are identical in both modes; only the work
-        done to produce them changes.
+        Accepted only as ``"incremental"``, its one value; slated for
+        removal.  Validation state always outlives a refresh: an
+        :class:`~repro.rp.incremental.IncrementalState`
+        (:attr:`incremental_state`) replays unchanged publication points
+        instead of re-validating them (see :mod:`repro.rp.incremental`
+        for the exact invalidation rules).  ``incremental_state.clear()``
+        makes the next refresh cold.
     metrics:
         Telemetry registry shared with this RP's cache and validator
         (None → the process-global default registry).  Give each relying
@@ -192,16 +181,16 @@ class RelyingParty:
         fetch_budget: int | None = None,
         schedule: SchedulerConfig | FetchScheduler | None = None,
         strict_manifests: bool = False,
-        mode: str = "serial",
+        mode: str = "incremental",
         metrics: MetricsRegistry | None = None,
     ):
         if fetch_budget is not None and fetch_budget < 1:
             raise ValueError(f"bad fetch budget {fetch_budget}")
-        if mode not in ENGINE_MODES:
+        if mode != "incremental":
             raise ValueError(
-                f"mode must be one of {ENGINE_MODES}, got {mode!r}"
+                f"mode {mode!r} is gone: validation state is always kept; "
+                "call rp.incremental_state.clear() for a cold refresh"
             )
-        self.mode = mode
         self.fetcher = fetcher
         self.fetch_budget = fetch_budget
         self.metrics = metrics if metrics is not None else default_registry()
@@ -213,20 +202,13 @@ class RelyingParty:
             self.scheduler = None
         self.cache = LocalCache(keep_stale=keep_stale, stale_grace=stale_grace,
                                 metrics=self.metrics)
-        self.incremental_state = (
-            IncrementalState(metrics=self.metrics)
-            if mode == "incremental" else None
-        )
+        self.incremental_state = IncrementalState(metrics=self.metrics)
         self.validator = PathValidator(
             trust_anchors, strict_manifests=strict_manifests,
             metrics=self.metrics, incremental=self.incremental_state,
         )
         self._clock = clock if clock is not None else fetcher.clock
         self._last_run: ValidationRun | None = None
-        self._vrps = (
-            VrpSet() if self.incremental_state is None
-            else self.incremental_state.vrps
-        )
         self._subscribers: list[DeltaListener] = []
         self._m_refreshes = self.metrics.counter(
             "repro_rp_refresh_total", help="completed refresh cycles"
@@ -279,7 +261,7 @@ class RelyingParty:
         """One full synchronize-and-validate cycle."""
         # ``run`` is a stand-in until the walk finishes (sharing the
         # current table saves building an empty one per refresh).
-        report = RefreshReport(run=ValidationRun(vrps=self._vrps))
+        report = RefreshReport(run=ValidationRun(vrps=self.vrps))
         clock = self._clock
         scheduler = self.scheduler
         start = clock.now
@@ -359,23 +341,11 @@ class RelyingParty:
         report.deferred = sorted(deferred)
         report.freshness = self.cache.classify(clock.now)
         report.run = run
-        if self.incremental_state is None:
-            # The walk built this table from nothing; what changed is
-            # its difference from the previous refresh's table.
-            previous = self._vrps.as_frozenset()
-            report.announced = tuple(
-                vrp for vrp in run.announced if vrp not in previous
-            )
-            report.withdrawn = tuple(
-                sorted(previous - run.vrps.as_frozenset())
-            )
-        else:
-            report.announced, report.withdrawn = run.announced, run.withdrawn
+        report.announced, report.withdrawn = run.announced, run.withdrawn
         report.degradation = self._degradation(
             report.fetches, run, report.deferred
         )
         self._last_run = run
-        self._vrps = run.vrps
         self._m_refreshes.inc()
         self._m_rounds.inc(report.rounds)
         self._m_vrps.set(len(run.vrps))
@@ -437,15 +407,14 @@ class RelyingParty:
     def vrps(self) -> VrpSet:
         """The VRPs from the most recent refresh (empty before the first).
 
-        Aliasing contract.  With ``mode="incremental"`` this, every
-        ``report.vrps`` and every ``run.vrps`` are one object, the live
-        index: the next :meth:`refresh` edits it in place, so anything
-        that must outlive a refresh takes ``as_frozenset()``, the
-        immutable snapshot of the epoch it was called in (what
-        ``RtrCacheServer.update`` adopts).  With ``mode="serial"`` each
-        refresh builds a new set and earlier ones keep their value.
+        Aliasing contract: this, every ``report.vrps`` and every
+        ``run.vrps`` are one object, the live index, for the relying
+        party's lifetime.  The next :meth:`refresh` edits it in place, so
+        anything that must outlive a refresh takes ``as_frozenset()``,
+        the immutable snapshot of the epoch it was called in (what
+        ``RtrCacheServer.update`` adopts).
         """
-        return self._vrps
+        return self.incremental_state.vrps
 
     @property
     def last_run(self) -> ValidationRun | None:

@@ -45,7 +45,7 @@ def rp(world):
     return RelyingParty(
         world.trust_anchors,
         Fetcher(world.registry, world.clock, metrics=registry),
-        world.clock, mode="incremental", metrics=registry,
+        world.clock, metrics=registry,
     )
 
 

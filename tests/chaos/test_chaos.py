@@ -221,18 +221,18 @@ class TestStallorisHarness:
         report = measure_stalloris(StallorisConfig(cycles=4))
         assert report.amplifier_host
         assert report.amplifier_points == 8
-        for engine in ("serial", "incremental"):
-            budget = report.run(engine, scheduled=False)
-            scheduled = report.run(engine, scheduled=True)
-            # Unscheduled: victim age grows one full cycle per cycle and
-            # crosses the stale grace — the time-to-stale downgrade.
-            ages = budget.victim_age
-            assert all(b - a == 2100 for a, b in zip(ages, ages[1:]))
-            assert budget.time_to_stale is not None
-            # Scheduled: victim age pinned at one burst, never downgrades.
-            assert scheduled.time_to_stale is None
-            assert max(scheduled.victim_age) <= 2 * 1200
-            assert max(scheduled.deferred) > 0
+        assert [run.name for run in report.runs] == ["budget", "scheduled"]
+        budget = report.run(scheduled=False)
+        scheduled = report.run(scheduled=True)
+        # Unscheduled: victim age grows one full cycle per cycle and
+        # crosses the stale grace — the time-to-stale downgrade.
+        ages = budget.victim_age
+        assert all(b - a == 2100 for a, b in zip(ages, ages[1:]))
+        assert budget.time_to_stale is not None
+        # Scheduled: victim age pinned at one burst, never downgrades.
+        assert scheduled.time_to_stale is None
+        assert max(scheduled.victim_age) <= 2 * 1200
+        assert max(scheduled.deferred) > 0
 
     def test_harness_is_deterministic(self):
         from repro.chaos import StallorisConfig, measure_stalloris
@@ -255,7 +255,11 @@ class TestStallorisHarness:
         with pytest.raises(ValueError):
             StallorisConfig(cycles=0)
         with pytest.raises(KeyError):
-            report.run("serial", None)
+            report.run(None)
+        # One relying party: a run is named by its defense alone.
+        with pytest.raises(TypeError):
+            report.run("serial", False)
+        assert "engine" not in report.runs[0].as_dict()
 
 
 class TestFanOutTopology:

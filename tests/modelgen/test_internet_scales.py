@@ -6,8 +6,8 @@ suballocation recursion — which is what lets
 :data:`repro.modelgen.INTERNET_SCALES` reach 10⁴–10⁵ ROAs in O(n).
 These tests pin the family's arithmetic, its determinism (same seed ⇒
 identical world), and the equivalence claim at ``internet-small``: a
-relying party that keeps validation state, one that does not, and the
-cold ``PathValidator.run`` oracle produce identical walks.
+relying party's cold refresh, its warm re-refresh and a new validator's
+``PathValidator.run`` produce identical walks.
 """
 
 import gc
@@ -36,9 +36,9 @@ TINY_FLAT = DeploymentConfig(
 )
 
 
-def _refresh(world, **kwargs):
+def _refresh(world):
     rp = RelyingParty(
-        world.trust_anchors, Fetcher(world.registry, world.clock), **kwargs,
+        world.trust_anchors, Fetcher(world.registry, world.clock),
     )
     return rp, rp.refresh()
 
@@ -174,7 +174,8 @@ class TestDeterminism:
 
 
 class TestInternetSmallEquivalence:
-    """The heavyweight pin: both modes and the cold oracle agree at 10^4 ROAs."""
+    """The heavyweight pin: cold, warm and a new validator agree at 10^4
+    ROAs."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -189,23 +190,23 @@ class TestInternetSmallEquivalence:
                 run.roas,
             )
 
-        rp_serial, serial_report = _refresh(world)
-        rp_persistent, _cold = _refresh(world, mode="incremental")
-        warm_report = rp_persistent.refresh()   # replayed from kept state
+        rp, cold_report = _refresh(world)
+        cold = signature(cold_report.run)       # before the index moves on
+        warm_report = rp.refresh()              # replayed from kept state
         now = world.clock.now
         oracle = PathValidator(world.trust_anchors).run(
-            rp_serial.cache.all_files(now), now
+            rp.cache.all_files(now), now
         )
 
-        assert serial_report.run.issues == []
-        assert len(rp_serial.vrps) == world.roa_count()
-        assert signature(serial_report.run) == signature(oracle)
+        assert cold_report.run.issues == []
+        assert len(rp.vrps) == world.roa_count()
+        assert cold == signature(oracle)
         assert signature(warm_report.run) == signature(oracle)
-        assert serial_report.run == oracle == warm_report.run
+        assert cold_report.run == oracle == warm_report.run
         # Every evidence row against a fresh parse of the bytes it names.
         assert (
-            check_evidence(rp_serial, serial_report.run)
-            == serial_report.run.roa_count
+            check_evidence(rp, cold_report.run)
+            == cold_report.run.roa_count
             == world.roa_count()
         )
 

@@ -1,22 +1,26 @@
 """``Prefix.parse`` and ``parse_ipv4`` against their predecessors.
 
 The predecessors (``reference_prefix.py``) read IPv4 with a ``\\d``
-regex and the length with ``int()``.  The shipped parser splits the
-text itself and takes ASCII decimal digits only, so four classes of
-spelling that used to parse are refused on purpose — each spelling was
-also its own response-cache entry for one prefix:
+regex, each IPv6 hextet with ``int(piece, 16)`` and the length with
+``int()``.  The shipped parser splits the text itself and takes ASCII
+digits only (decimal for octets and lengths, one to four hex digits per
+hextet), so four classes of spelling that used to parse are refused on
+purpose — each spelling was also its own response-cache entry for one
+prefix:
 
-1. a sign on the length (``10.0.0.0/+8``, ``0.0.0.0/-0``);
-2. an underscore in the length (``10.0.0.0/0_8``);
-3. whitespace inside the text (``10.0.0.0/ 8``, ``10.0.0.0 /8``) —
-   around it is still stripped;
-4. another script's digits in an octet or the length
-   (``١٠.0.0.0/8``, Arabic-Indic).
+1. a sign on the length or a hextet (``10.0.0.0/+8``, ``0.0.0.0/-0``,
+   ``2001:+db8::/32``, ``2001:-0::/32``);
+2. an underscore in the length or a hextet (``10.0.0.0/0_8``,
+   ``2001:d_b8::/32``);
+3. whitespace inside the text (``10.0.0.0/ 8``, ``10.0.0.0 /8``,
+   ``2001: db8::/32``, ``2001:db8 ::/32``) — around it is still
+   stripped;
+4. another script's digits in an octet, a hextet or the length
+   (``١٠.0.0.0/8``, ``٢001:db8::/32``, Arabic-Indic).
 
 On every other input — seeded random text and the hand-picked corners
 below — the two parsers agree on the prefix or on the error, message
-included.  IPv6 addresses still go through ``parse_ipv6``; only their
-length is tightened.
+included.
 """
 
 import random
@@ -46,21 +50,35 @@ def loosely_numeric(field: str) -> bool:
     return not (field.isascii() and field.isdigit())
 
 
+def loosely_hex(piece: str) -> bool:
+    """``int(piece, 16)`` takes the hextet-sized *piece*, but it is not
+    ASCII hex digits."""
+    try:
+        int(piece, 16)
+    except ValueError:
+        return False
+    return len(piece) <= 4 and not (piece.isascii() and piece.isalnum())
+
+
 def tightened(text: str) -> bool:
     r"""*text* is in one of the four refused classes: a length ``int()``
-    takes that is not ASCII digits, or an IPv4 address with whitespace
-    before the slash or an octet of another script's digits (which
-    ``\d`` matched)."""
+    takes that is not ASCII digits; an address with whitespace before the
+    slash; an IPv4 octet of another script's digits (which ``\d``
+    matched); or an IPv6 hextet ``int(piece, 16)`` takes that is not
+    ASCII hex, or an embedded IPv4 tail with whitespace around it."""
     address, slash, length = text.strip().partition("/")
     if not slash:
         return False
-    if loosely_numeric(length):
+    if loosely_numeric(length) or address != address.strip():
         return True
-    return ":" not in address and (
-        address != address.strip()
-        or any(not octet.isascii() and octet.isdecimal()
+    if ":" in address:
+        pieces = address.split(":")
+        return any(
+            piece != piece.strip() if "." in piece else loosely_hex(piece)
+            for piece in pieces
+        )
+    return any(not octet.isascii() and octet.isdecimal()
                for octet in address.split("."))
-    )
 
 
 HAND_PICKED = [
@@ -82,14 +100,18 @@ HAND_PICKED = [
     "10.0.0.1/8", "10.0.0.1/31", "2001:db8::1/64",
     # IPv6 corners parse_ipv6 decides
     "2001:db8::%eth0/32", "1::2::3/64", "g::/16", "12345::/16", ":::/8",
-    "2001:db8:: /32",
-    # a signed hextet: parse_ipv6 returns a negative network, which the
-    # constructor refuses
-    "afe:-69d:449f:afcb:4588:3dd:4800:0/102", "-1::/16",
+    "2001:DB8::/32", "::ffff:1.2.3/120", "1.2.3.4::/16",
     # the four tightened classes
     "10.0.0.0/+8", "0.0.0.0/-0", "::/+0", "10.0.0.0/0_8", "10.0.0.0/ 8",
     "10.0.0.0 /8", "10.0.0.0/8 /8", "10.0. 0.0/8", "١٠.0.0.0/8",
     "10.0.0.0/٨", "10.0.0.0/\u00a08", "10.0.0.0\u2003/8",
+    # ... in IPv6: the reference took a signed hextet to a negative
+    # network, which the constructor refused with another message
+    "2001:+db8::/32", "2001:-0::/32", "-1::/16",
+    "afe:-69d:449f:afcb:4588:3dd:4800:0/102", "2001:d_b8::/32",
+    "2001: db8::/32", "2001:db8 ::/32", "2001:db8:: /32",
+    "::ffff: 192.0.2.0/120", "2001:db8::\u00a0/32", "٢001:db8::/32",
+    "2001:db8::٠/128",
 ]
 
 ALPHABET = "0123456789" * 4 + "....////::abcdefx +-_\t\u00a0٠١²"
@@ -190,3 +212,25 @@ class TestTightenedSpellings:
         self.refused("١٠.0.0.0/8", "10.0.0.0/8")
         self.refused("10.0.0.0/٨", "10.0.0.0/8")
         assert Prefix.parse("010.0.0.0/08") == Prefix.parse("10.0.0.0/8")
+
+    # IPv6: the same classes, one hextet at a time.
+
+    def test_a_sign_in_a_hextet(self):
+        self.refused("2001:+db8::/32", "2001:db8::/32")
+
+    def test_a_minus_on_a_zero_hextet(self):
+        self.refused("2001:-0::/32", "2001::/32")
+
+    def test_an_underscore_in_a_hextet(self):
+        self.refused("2001:d_b8::/32", "2001:db8::/32")
+
+    def test_whitespace_inside_an_ipv6_address(self):
+        self.refused("2001: db8::/32", "2001:db8::/32")
+        self.refused("2001:db8 ::/32", "2001:db8::/32")
+        self.refused("2001:db8:: /32", "2001:db8::/32")
+        assert Prefix.parse(" 2001:DB8::/32\n") == Prefix.parse("2001:db8::/32")
+
+    def test_another_scripts_digits_in_a_hextet(self):
+        self.refused("٢001:db8::/32", "2001:db8::/32")
+        assert Prefix.parse("::ffff:192.0.2.0/120") == Prefix.parse(
+            "::ffff:c000:200/120")

@@ -98,7 +98,7 @@ class TestIncrementalMemoNotPoisoned:
         faults.schedule(
             FaultKind.CORRUPT, CONTINENTAL, file_name=world.target20_name
         )
-        rp = make_rp(world, faults=faults, mode="incremental")
+        rp = make_rp(world, faults=faults)
         rp.refresh()
         assert len(rp.vrps) == 7
         # The memo is content-addressed, so the poisoned digest can never
@@ -113,7 +113,7 @@ class TestIncrementalMemoNotPoisoned:
         faults.schedule(
             FaultKind.OVERSIZED, CONTINENTAL, file_name=world.target20_name
         )
-        rp = make_rp(world, faults=faults, mode="incremental")
+        rp = make_rp(world, faults=faults)
         report = rp.refresh()
         memo = rp.incremental_state.parse_memo
         # The size guard fired: the bomb was parsed (and rejected)

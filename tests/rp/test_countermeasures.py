@@ -136,10 +136,8 @@ class TestMultiplePublicationPoints:
 
 
 class TestSuspenders:
-    mode = "serial"
-
     def make(self, world, grace=3 * HOUR):
-        rp = make_rp(world, mode=self.mode)
+        rp = make_rp(world)
         return SuspendersRelyingParty(rp, world.clock, grace_seconds=grace)
 
     def test_rejects_nonpositive_grace(self, world):
@@ -255,13 +253,6 @@ class TestSuspenders:
         assert srp.retained == []
 
 
-class TestSuspendersIncremental(TestSuspenders):
-    """Same retentions over the relying party whose ``run.vrps`` is one
-    live index shared by every refresh."""
-
-    mode = "incremental"
-
-
 class TestLocalOverrides:
     FIGURE2 = VrpSet(VRP.parse(t, a) for t, a in [
         ("63.174.16.0/20", 17054),
@@ -329,13 +320,11 @@ class TestSuspendersUnderChurn:
     """The fail-safe's documented cost: sloppy-but-benign deletions also
     linger, while proper retirements clear instantly."""
 
-    mode = "serial"
-
     def test_sloppy_retirement_lingers(self, world):
         from repro.monitor import ChurnConfig, ChurnEngine
 
-        srp = SuspendersRelyingParty(make_rp(world, mode=self.mode),
-                                     world.clock, grace_seconds=6 * HOUR)
+        srp = SuspendersRelyingParty(make_rp(world), world.clock,
+                                     grace_seconds=6 * HOUR)
         srp.refresh()
         before_count = len(srp.vrps)
         churn = ChurnEngine(
@@ -361,8 +350,8 @@ class TestSuspendersUnderChurn:
     def test_proper_retirement_lands_immediately(self, world):
         from repro.monitor import ChurnConfig, ChurnEngine
 
-        srp = SuspendersRelyingParty(make_rp(world, mode=self.mode),
-                                     world.clock, grace_seconds=6 * HOUR)
+        srp = SuspendersRelyingParty(make_rp(world), world.clock,
+                                     grace_seconds=6 * HOUR)
         srp.refresh()
         before_count = len(srp.vrps)
         churn = ChurnEngine(
@@ -377,7 +366,3 @@ class TestSuspendersUnderChurn:
         srp.refresh()
         assert len(srp.vrps) == before_count - 1
         assert srp.retained == []
-
-
-class TestSuspendersUnderChurnIncremental(TestSuspendersUnderChurn):
-    mode = "incremental"

@@ -1,10 +1,10 @@
 """The delta hand-off: one VRP index edited in place, pinned to the oracle.
 
-A relying party with ``mode="incremental"`` owns one :class:`VrpSet` for
-its lifetime; every refresh edits it by the net ``(announced,
-withdrawn)`` of that refresh and hands the same pair to the serving
-planes.  A ``mode="serial"`` relying party builds its table from nothing
-every time and is the oracle: after any sequence of events the two must
+A relying party owns one :class:`VrpSet` for its lifetime; every refresh
+edits it by the net ``(announced, withdrawn)`` of that refresh and hands
+the same pair to the serving planes.  The oracle is its cold twin: the
+same relying party, fed the same faults, that clears its validation
+state before every refresh.  After any sequence of events the two must
 agree on every answer, and the reported deltas must be exactly the
 differences between consecutive oracle tables.
 """
@@ -52,16 +52,16 @@ class Harness:
         self.world = build_figure2()
         self.ee_key = self.world.key_factory.next_keypair()
         self.injectors = [FaultInjector(seed=seed), FaultInjector(seed=seed)]
-        self.serial, self.inplace = (
+        self.oracle, self.inplace = (
             RelyingParty(
                 self.world.trust_anchors,
                 Fetcher(self.world.registry, self.world.clock, faults=faults,
                         metrics=metrics),
-                mode=mode, metrics=metrics,
+                metrics=metrics,
             )
-            for mode, faults, metrics in (
-                ("serial", self.injectors[0], MetricsRegistry()),
-                ("incremental", self.injectors[1], MetricsRegistry()),
+            for faults, metrics in (
+                (self.injectors[0], MetricsRegistry()),
+                (self.injectors[1], MetricsRegistry()),
             )
         )
         self.index = self.inplace.vrps
@@ -141,12 +141,17 @@ class Harness:
 
     # -- the comparison ----------------------------------------------------
 
+    def cold_refresh(self):
+        """The oracle's refresh, with every memo forgotten first."""
+        self.oracle.incremental_state.clear()
+        return self.oracle.refresh()
+
     def refresh_and_compare(self) -> None:
-        before = self.serial.vrps.as_frozenset()
+        before = self.oracle.vrps.as_frozenset()
         serial_before = self.service.serial
-        oracle_report = self.serial.refresh()
+        oracle_report = self.cold_refresh()
         report = self.inplace.refresh()
-        oracle, index = self.serial.vrps, self.inplace.vrps
+        oracle, index = self.oracle.vrps, self.inplace.vrps
         now = oracle.as_frozenset()
 
         assert index is self.index and report.vrps is index
@@ -213,7 +218,7 @@ def test_every_event_kind_changes_what_it_should():
     size = len(table())
     harness.world.continental.roll_key()
     report = harness.inplace.refresh()
-    harness.serial.refresh()
+    harness.cold_refresh()
     assert not report.announced and not report.withdrawn
     assert len(table()) == size
     harness.whack_child()
@@ -232,7 +237,7 @@ def test_forgetting_all_state_withdraws_and_announces_everything_net_nothing():
     members = {id(vrp) for vrp in harness.index.as_frozenset()}
     harness.forget()
     report = harness.inplace.refresh()
-    harness.serial.refresh()
+    harness.cold_refresh()
     assert report.announced == () and report.withdrawn == ()
     points = harness.inplace.metrics.get("repro_incremental_points_total")
     assert points.value(outcome="reused") == 0
@@ -280,29 +285,32 @@ def test_a_refresh_that_raises_leaves_the_previous_epoch(monkeypatch):
 def test_vrps_before_the_first_refresh_is_one_object():
     """Regression: ``rp.vrps`` used to build a new empty set per call."""
     world = build_figure2()
-    for mode in ("serial", "incremental"):
-        rp = RelyingParty(
-            world.trust_anchors, Fetcher(world.registry, world.clock),
-            mode=mode, metrics=MetricsRegistry(),
-        )
-        assert rp.vrps is rp.vrps and len(rp.vrps) == 0
-        service = QueryService(rp, metrics=MetricsRegistry())
-        assert service.serial == 0
-        report = rp.refresh()
-        assert len(report.announced) == len(rp.vrps) == 8
-        assert service.serial == 1
+    rp = RelyingParty(
+        world.trust_anchors, Fetcher(world.registry, world.clock),
+        metrics=MetricsRegistry(),
+    )
+    assert rp.vrps is rp.vrps and len(rp.vrps) == 0
+    service = QueryService(rp, metrics=MetricsRegistry())
+    assert service.serial == 0
+    report = rp.refresh()
+    assert len(report.announced) == len(rp.vrps) == 8
+    assert service.serial == 1
     assert rp.vrps is rp.incremental_state.vrps
 
 
-def test_serial_mode_keeps_one_value_per_refresh():
+def test_an_epoch_outlives_the_refresh_that_edits_the_index():
+    """The one aliasing contract: ``vrps`` is the live index, and
+    ``as_frozenset()`` keeps the epoch it was taken in."""
     world = build_figure2()
     rp = RelyingParty(world.trust_anchors,
                       Fetcher(world.registry, world.clock),
                       metrics=MetricsRegistry())
     first = rp.refresh().vrps
+    epoch = first.as_frozenset()
     world.continental.revoke_roa(world.target20_name)
     second = rp.refresh().vrps
-    assert first is not second and len(first) == 8 and len(second) == 7
+    assert first is second is rp.vrps and len(second) == 7
+    assert len(epoch) == 8 and second.as_frozenset() < epoch
 
 
 def test_vrp_changes_are_counted_by_kind():
@@ -310,7 +318,7 @@ def test_vrp_changes_are_counted_by_kind():
     metrics = MetricsRegistry()
     rp = RelyingParty(world.trust_anchors,
                       Fetcher(world.registry, world.clock, metrics=metrics),
-                      mode="incremental", metrics=metrics)
+                      metrics=metrics)
     rp.refresh()
     world.continental.revoke_roa(world.target20_name)
     rp.refresh()

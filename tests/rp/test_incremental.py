@@ -51,6 +51,7 @@ def cold_run(rp, world):
     validator = PathValidator(
         rp.validator.trust_anchors,
         strict_manifests=rp.validator.strict_manifests,
+        metrics=MetricsRegistry(),
     )
     now = world.clock.now
     return validator.run(rp.cache.all_files(now), now)
@@ -204,7 +205,7 @@ class TestMemoUnits:
 
 class TestZeroChurnRefresh:
     def test_warm_refresh_is_equal_and_verification_free(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         first = rp.refresh()
         verify = rp.metrics.get("repro_crypto_verify_total")
         before = (verify.value(outcome="accepted")
@@ -220,7 +221,7 @@ class TestZeroChurnRefresh:
         assert second.run == cold_run(rp, world)
 
     def test_points_reported_reused(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         points = rp.metrics.get("repro_incremental_points_total")
         validated_cold = points.value(outcome="validated")
@@ -228,13 +229,27 @@ class TestZeroChurnRefresh:
         assert points.value(outcome="validated") == validated_cold
         assert points.value(outcome="reused") > 0
 
-    def test_incremental_off_keeps_validator_stateless(self, world):
-        rp = make_rp(world)
-        assert rp.incremental_state is None
-        assert rp.validator.incremental is None
-        first = rp.refresh()
-        second = rp.refresh()
-        assert first.run == second.run
+    def test_a_validator_built_without_a_state_keeps_its_own(self, world):
+        # ``incremental=None`` means a fresh state, never none: the first
+        # run is cold, the second replays it.
+        snapshot = {ca.sia: ca.publication_point.snapshot()
+                    for ca in world.authorities()}
+        now = world.clock.now
+        validator = PathValidator(world.trust_anchors)
+        assert isinstance(validator.incremental, IncrementalState)
+        verify = validator.metrics.get("repro_crypto_verify_total")
+
+        def verifies() -> float:
+            return (verify.value(outcome="accepted")
+                    + verify.value(outcome="rejected"))
+
+        before = verifies()
+        first = validator.run(snapshot, now)
+        cold = verifies() - before
+        second = validator.run(snapshot, now)
+        assert cold > 20
+        assert verifies() - before == cold
+        assert second == first
 
 
 class TestAttackSafety:
@@ -246,7 +261,7 @@ class TestAttackSafety:
         return report
 
     def test_roa_whack_propagates(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         whacked = world.continental.roa_named(world.target20_name)
         world.continental.revoke_roa(world.target20_name)
@@ -257,7 +272,7 @@ class TestAttackSafety:
                        asn=whacked.asn) not in report.vrps
 
     def test_roa_shrink_propagates(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         baseline = rp.refresh()
         old = world.continental.roa_named(world.target22_name)
         world.continental.revoke_roa(world.target22_name)
@@ -269,7 +284,7 @@ class TestAttackSafety:
         assert VRP.parse("63.174.16.0/22", old.asn) not in report.vrps
 
     def test_crl_revocation_kills_subtree(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         world.sprint.revoke_cert(world.continental.certificate)
         report = self.assert_matches_cold(rp, world)
@@ -277,7 +292,7 @@ class TestAttackSafety:
         assert len(report.vrps) == 3
 
     def test_republished_revoked_cert_rejected_via_crl(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         old_cert = world.continental.certificate
         world.sprint.revoke_cert(old_cert)
@@ -291,7 +306,7 @@ class TestAttackSafety:
         assert report.run.has_issue("revoked")
 
     def test_clock_advance_past_expiry(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         world.clock.advance(91 * DAY)  # past every 90-day ROA window
         report = self.assert_matches_cold(rp, world)
@@ -299,14 +314,14 @@ class TestAttackSafety:
         assert report.run.has_issue("expired")
 
     def test_clock_advance_past_manifest_window(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         world.clock.advance(2 * DAY)  # beyond the 1-day manifest window
         report = self.assert_matches_cold(rp, world)
         assert report.run.has_issue("manifest-stale")
 
     def test_small_clock_advance_still_reuses(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         # Judged at the objects' shared publish instant (their not_before),
         # replayed the next second: a start once reached stays reached.
         first = rp.refresh()
@@ -321,7 +336,7 @@ class TestAttackSafety:
         assert len(report.vrps) == 8
 
     def test_renewal_after_expiry(self, world):
-        rp = make_rp(world, mode="incremental")
+        rp = make_rp(world)
         rp.refresh()
         world.clock.advance(91 * DAY)
         rp.refresh()
@@ -338,7 +353,7 @@ class TestAttackSafety:
             "rsync://continental.example/repo/",
             file_name=world.target20_name,
         )
-        rp = make_rp(world, faults=faults, mode="incremental")
+        rp = make_rp(world, faults=faults)
         rp.refresh()
         files = rp.cache.all_files(world.clock.now)
         now = world.clock.now

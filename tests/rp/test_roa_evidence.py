@@ -4,8 +4,8 @@ A walk drops every parsed ROA as soon as its point is judged and keeps
 ``(file name, EE serial, not_after, VRPs)`` on ``ValidationRun.roas``.
 The pin is differential: re-parse the cached bytes the evidence points
 at and require the same facts; and the field takes part in run equality,
-so the cold oracle, a stateless refresh and a replayed one must agree on
-it.
+so a new validator, a cleared refresh and a replayed one must agree on
+it, and with the reference validator.
 """
 
 import pytest
@@ -13,10 +13,12 @@ import pytest
 from repro.core import execute_whack, plan_whack
 from repro.modelgen import build_figure2
 from repro.repository import Fetcher
-from repro.rp import ENGINE_MODES, VRP, PathValidator, RelyingParty
+from repro.rp import VRP, PathValidator, RelyingParty
 from repro.rpki import Roa
 from repro.rpki.parse import parse_object
 from repro.simtime import HOUR
+
+from .reference_validator import assert_agrees
 
 
 def check_evidence(rp, run) -> int:
@@ -50,9 +52,8 @@ def make_rp(world, **kwargs):
     return RelyingParty(world.trust_anchors, fetcher, world.clock, **kwargs)
 
 
-@pytest.mark.parametrize("mode", ENGINE_MODES)
-def test_evidence_matches_cached_bytes(world, mode):
-    rp = make_rp(world, mode=mode)
+def test_evidence_matches_cached_bytes(world):
+    rp = make_rp(world)
     run = rp.refresh().run
     assert check_evidence(rp, run) == run.roa_count == 8
     asserted = [v for _, rows in run.roas for row in rows for v in row.vrps]
@@ -60,25 +61,26 @@ def test_evidence_matches_cached_bytes(world, mode):
 
 
 def test_cold_oracle_serial_and_incremental_agree(world):
-    serial, kept = make_rp(world), make_rp(world, mode="incremental")
-    serial.refresh()
+    cleared, kept = make_rp(world), make_rp(world)
+    cleared.refresh()
     kept.refresh()
     execute_whack(plan_whack(world.sprint, world.target20, world.continental))
     world.clock.advance(HOUR)
     now = world.clock.now
-    serial_run, kept_run = serial.refresh().run, kept.refresh().run
-    oracle = PathValidator(world.trust_anchors).run(
-        serial.cache.all_files(now), now
-    )
-    assert oracle.roas == serial_run.roas == kept_run.roas
-    assert oracle == serial_run == kept_run
+    cleared.incremental_state.clear()
+    cleared_run, kept_run = cleared.refresh().run, kept.refresh().run
+    files = cleared.cache.all_files(now)
+    oracle = PathValidator(world.trust_anchors).run(files, now)
+    assert oracle.roas == cleared_run.roas == kept_run.roas
+    assert oracle == cleared_run == kept_run
+    assert_agrees(oracle, world.trust_anchors, files, now)
     assert check_evidence(kept, kept_run) == kept_run.roa_count
 
 
 def test_roas_take_part_in_run_equality(world):
-    # An incremental relying party's runs all share one live ``vrps``
-    # index; after a ROA disappears they differ only here.
-    rp = make_rp(world, mode="incremental")
+    # A relying party's runs all share one live ``vrps`` index; after a
+    # ROA disappears they differ only here.
+    rp = make_rp(world)
     before = rp.refresh().run
     world.continental.delete_object(world.target20_name)
     world.clock.advance(HOUR)

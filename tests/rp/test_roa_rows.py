@@ -1,13 +1,14 @@
 """ROA verdict rows and the exact time signature, pinned to the cold oracle.
 
-A stateful relying party judges an unchanged ROA again from its row (a
-function of the ROA's bytes and its issuing certificate, kept under
-both) and replays a publication point while ``now`` stays on the same
-side of every start and end its objects carry.  Neither may change a
-word a cold validator would say: after every event below, and at every
-collected boundary ``b`` at ``b - 1``, ``b`` and ``b + 1``, the stateful
-run must equal a serial cold :meth:`PathValidator.run` field for field,
-issue texts included.
+A relying party judges an unchanged ROA again from its row (a function
+of the ROA's bytes and its issuing certificate, kept under both) and
+replays a publication point while ``now`` stays on the same side of
+every start and end its objects carry.  Neither may change a word a cold
+validator would say: after every event below, and at every collected
+boundary ``b`` at ``b - 1``, ``b`` and ``b + 1``, the warm run must
+equal a new validator's cold :meth:`PathValidator.run` field for field,
+issue texts included — and that cold run must reach the reference
+validator's verdicts (``reference_validator.py``).
 """
 
 import dataclasses
@@ -33,6 +34,7 @@ from repro.simtime import DAY, HOUR
 from repro.telemetry import MetricsRegistry
 
 from ..rpki.forge import crl_bytes, publish_forged
+from .reference_validator import assert_agrees
 from .test_incremental import count_roa_parses
 
 SEEDS = range(8)
@@ -53,15 +55,21 @@ def stateful_rp(world) -> RelyingParty:
     return RelyingParty(
         world.trust_anchors,
         Fetcher(world.registry, world.clock, metrics=metrics),
-        mode="incremental", metrics=metrics,
+        metrics=metrics,
     )
 
 
-def cold(rp, now):
-    """What a validator with no state says about *rp*'s cache at *now*."""
+def cold(rp, now, *, reference=True):
+    """What a new validator says about *rp*'s cache at *now* — once it
+    has been checked against the reference validator, unless told not
+    to."""
     validator = PathValidator(rp.validator.trust_anchors,
                               metrics=MetricsRegistry())
-    return validator.run(rp.cache.all_files(now), now)
+    files = rp.cache.all_files(now)
+    run = validator.run(files, now)
+    if reference:
+        assert_agrees(run, validator.trust_anchors, files, now)
+    return run
 
 
 def issue_codes(run, file_name) -> list[str]:
@@ -165,7 +173,7 @@ class Harness:
         now = self.world.clock.now
         assert self.rp.refresh().run == cold(self.rp, now)
 
-    def sweep(self, sample: int) -> None:
+    def sweep(self, sample: int, *, reference: bool) -> None:
         """The stateful validator at b - 1, b, b + 1 of some boundaries —
         backwards in time as well as forwards."""
         files, digests = self.rp.cache.all_files(), self.rp.cache.digests()
@@ -174,7 +182,7 @@ class Harness:
             for at in (b - 1, b, b + 1):
                 if at >= 0:
                     warm = self.rp.validator.run(files, at, digests=digests)
-                    assert warm == cold(self.rp, at), at
+                    assert warm == cold(self.rp, at, reference=reference), at
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -183,9 +191,10 @@ def test_stateful_runs_equal_the_cold_oracle_at_every_boundary(seed):
     for _ in range(STEPS):
         harness.step()
         harness.compare()
-        harness.sweep(sample=min(2, len(harness.boundaries())))
-    # Once, every collected boundary.
-    harness.sweep(sample=len(harness.boundaries()))
+        harness.sweep(sample=min(2, len(harness.boundaries())),
+                      reference=False)
+    # Once, every collected boundary, the reference validator included.
+    harness.sweep(sample=len(harness.boundaries()), reference=True)
 
 
 def test_replayed_issue_texts_carry_no_stale_instant():
@@ -201,7 +210,7 @@ def test_replayed_issue_texts_carry_no_stale_instant():
     world.clock.advance(HOUR)
     report = rp.refresh()
     assert report.run.has_issue("crl-stale")
-    assert report.run == cold(rp, world.clock.now)
+    assert report.run == cold(rp, world.clock.now, reference=False)
 
 
 # -- the check order, which a row must keep --------------------------------

@@ -1,7 +1,8 @@
-"""The one persistence switch of RelyingParty.
+"""One relying party: validation state is always kept.
 
-``mode="serial"`` keeps no validation state between refreshes,
-``mode="incremental"`` keeps it; nothing else selects an engine, and the
+Every ``RelyingParty`` carries an ``IncrementalState`` for its lifetime;
+``incremental_state.clear()`` is how a caller asks for a cold refresh.
+``mode`` survives only as its one legal value, ``"incremental"``, and the
 retired spellings fail loudly instead of being silently ignored.
 """
 
@@ -9,7 +10,7 @@ import pytest
 
 from repro.modelgen import build_figure2
 from repro.repository import Fetcher
-from repro.rp import ENGINE_MODES, PathValidator, RelyingParty
+from repro.rp import IncrementalState, PathValidator, RelyingParty
 from repro.telemetry import MetricsRegistry
 
 
@@ -27,17 +28,21 @@ def world():
 
 class TestModeKnob:
     def test_engine_modes_constant(self):
-        assert ENGINE_MODES == ("serial", "incremental")
+        with pytest.raises(ImportError):
+            from repro import ENGINE_MODES  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.rp import ENGINE_MODES  # noqa: F401, F811
 
-    def test_default_is_serial(self, world):
-        rp = make_rp(world)
-        assert rp.mode == "serial"
-        assert rp.incremental_state is None
+    def test_serial_mode_rejected(self, world):
+        with pytest.raises(ValueError, match=r"incremental_state\.clear\(\)"):
+            make_rp(world, mode="serial")
 
     def test_incremental_mode(self, world):
         rp = make_rp(world, mode="incremental")
-        assert rp.mode == "incremental"
-        assert rp.incremental_state is not None
+        assert not hasattr(rp, "mode")
+        assert isinstance(rp.incremental_state, IncrementalState)
+        assert rp.validator.incremental is rp.incremental_state
+        assert rp.vrps is rp.incremental_state.vrps
 
     def test_unknown_mode_rejected(self, world):
         for mode in ("turbo", "parallel", None):
@@ -46,7 +51,7 @@ class TestModeKnob:
 
     def test_serial_with_workers_rejected(self, world):
         with pytest.raises(TypeError, match="workers"):
-            make_rp(world, mode="serial", workers=4)
+            make_rp(world, workers=4)
 
     def test_incremental_keyword_rejected(self, world):
         with pytest.raises(TypeError, match="incremental"):
@@ -60,12 +65,20 @@ class TestModeKnob:
             PathValidator(world.trust_anchors, collect_objects=False)
 
     def test_incremental_mode_refreshes(self, world):
-        # The knob must actually keep the state: a second refresh in
-        # incremental mode reuses the memoized validation work.
-        rp = make_rp(world, mode="incremental")
+        # The state is kept: a second refresh reuses the memoized
+        # validation work, and clearing it makes the next one cold.
+        rp = make_rp(world)
         rp.refresh()
         first = len(rp.vrps)
         rp.refresh()
         assert len(rp.vrps) == first
         points = rp.metrics.get("repro_incremental_points_total")
-        assert points.value(outcome="reused") > 0
+        reused = points.value(outcome="reused")
+        assert reused > 0
+        validated = points.value(outcome="validated")
+        rp.incremental_state.clear()
+        report = rp.refresh()
+        assert points.value(outcome="reused") == reused
+        assert points.value(outcome="validated") == 2 * validated
+        assert len(rp.vrps) == first
+        assert report.announced == () and report.withdrawn == ()

@@ -295,7 +295,7 @@ class TestSameBytesSameAnswers:
             INTERNET_SCALES["internet-small"], isps_per_rir=10, seed=0))
         rp = RelyingParty(
             world.trust_anchors, Fetcher(world.registry, world.clock),
-            mode="incremental", metrics=MetricsRegistry(),
+            metrics=MetricsRegistry(),
         )
         rp.refresh()
         assert len(rp.vrps) == 2_500

@@ -84,6 +84,7 @@ class TestCostIndependentOfDepth:
         cold_verifies = rsa_verifies() - before
         cold_keys = list(keys)
         keys.clear()
+        rp.incremental_state.clear()  # a cold re-refresh, cache full
         again = rp.refresh()
         assert cold.rounds == again.rounds == 6   # depth 5 below the anchors
         assert cold_verifies > 0
@@ -105,20 +106,19 @@ class TestCostIndependentOfDepth:
 class TestModesAgreeWithTheOracle:
     @pytest.mark.parametrize("name", ["figure2", "large"])
     def test_fresh_persistent_and_cold_oracle_agree(self, name, large_world):
+        """A refresh over a full cache, warm and after ``clear()``, walks
+        what a new validator walks over the same snapshot."""
         world = build_figure2() if name == "figure2" else large_world
         now = world.clock.now
-        signatures = {}
-        for mode in ("serial", "incremental"):
-            rp = make_rp(world, mode=mode)
-            rp.refresh()
-            signatures[mode] = walk_signature(rp.refresh().run)
+        rp = make_rp(world)
+        rp.refresh()
+        warm = walk_signature(rp.refresh().run)
+        rp.incremental_state.clear()
+        cleared = walk_signature(rp.refresh().run)
         oracle = PathValidator(world.trust_anchors, metrics=MetricsRegistry())
-        signatures["oracle"] = walk_signature(
-            oracle.run(rp.cache.all_files(now), now)
-        )
-        assert signatures["serial"] == signatures["incremental"]
-        assert signatures["serial"] == signatures["oracle"]
-        assert signatures["oracle"][1] == []
+        cold = walk_signature(oracle.run(rp.cache.all_files(now), now))
+        assert warm == cleared == cold
+        assert cold[1] == []
 
 
 class TestBudgetAndDeferral:
@@ -130,10 +130,9 @@ class TestBudgetAndDeferral:
         world.clock.advance(HOUR)
         return rp, faults
 
-    @pytest.mark.parametrize("mode", ["serial", "incremental"])
-    def test_budget_trip_mid_level_serves_the_cached_subtree(self, mode):
+    def test_budget_trip_mid_level_serves_the_cached_subtree(self):
         world, _smallbiz = build_deep_hierarchy()
-        rp, faults = self.warm(world, mode=mode, fetch_budget=10)
+        rp, faults = self.warm(world, fetch_budget=10)
         faults.schedule(FaultKind.DELAY, CONTINENTAL, delay_seconds=60)
         report = rp.refresh()
         assert report.budget_exhausted
@@ -228,31 +227,24 @@ class TestJudgedOnArrival:
         )
 
     def test_delay_crossing_a_validity_edge_mid_refresh(self):
-        reports = {}
-        for mode in ("serial", "incremental"):
-            world = build_figure2()
-            faults = FaultInjector()
-            rp = make_rp(world, faults=faults, mode=mode)
-            rp.refresh()
-            manifest = rp.validator._parse(
-                rp.cache.point("rsync://arin.example/repo/").files[
-                    MANIFEST_FILE
-                ]
-            )
-            # Start 30 s before every manifest's next_update; Sprint's
-            # fetch then takes 60 s, carrying the clock across the edge.
-            world.clock.advance(manifest.next_update - 30 - world.clock.now)
-            faults.schedule(
-                FaultKind.DELAY, "rsync://sprint.example/repo/",
-                delay_seconds=60,
-            )
-            reports[mode] = rp.refresh()
-            assert world.clock.now == manifest.next_update + 30
-        serial, incremental = reports["serial"], reports["incremental"]
-        assert walk_signature(serial.run) == walk_signature(incremental.run)
+        world = build_figure2()
+        faults = FaultInjector()
+        rp = make_rp(world, faults=faults)
+        rp.refresh()
+        manifest = rp.validator._parse(
+            rp.cache.point("rsync://arin.example/repo/").files[MANIFEST_FILE]
+        )
+        # Start 30 s before every manifest's next_update; Sprint's fetch
+        # then takes 60 s, carrying the clock across the edge.
+        world.clock.advance(manifest.next_update - 30 - world.clock.now)
+        faults.schedule(
+            FaultKind.DELAY, "rsync://sprint.example/repo/", delay_seconds=60,
+        )
+        report = rp.refresh()
+        assert world.clock.now == manifest.next_update + 30
         # ARIN's point arrived (and was judged) before the edge; Sprint's
         # and everything below it after.
-        assert self.stale_manifests(serial.run) == [
+        assert self.stale_manifests(report.run) == [
             CONTINENTAL, ETB, "rsync://sprint.example/repo/",
         ]
         # A cold walk at the refresh's *last* instant judges ARIN stale

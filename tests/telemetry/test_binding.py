@@ -108,7 +108,7 @@ def figure2_rp():
     registry = MetricsRegistry()
     rp = RelyingParty(world.trust_anchors,
                       Fetcher(world.registry, world.clock, metrics=registry),
-                      mode="incremental", metrics=registry)
+                      metrics=registry)
     return world, rp
 
 

@@ -93,7 +93,7 @@ def test_lint_catches_invalid_json(tmp_path):
 
 def _profile_payload(**overrides):
     payload = {
-        "scale": "internet-small", "seed": 0, "mode": "serial",
+        "scale": "internet-small", "seed": 0,
         "roa_count": 10000, "authority_count": 205,
         "vrp_count": 10000, "rounds": 2,
         "build_seconds": 6.0, "refresh_seconds": 3.5,
@@ -134,13 +134,16 @@ def test_lint_catches_profile_missing_fields(tmp_path):
 
 
 def test_lint_rejects_profile_of_a_deleted_option(tmp_path):
-    # A report written when RelyingParty still had ``lean`` describes a
-    # program that no longer exists; regenerate it, do not keep it.
+    # A report written when RelyingParty still had ``lean`` (or a
+    # ``mode``) describes a program that no longer exists; regenerate
+    # it, do not keep it.
     _bench_stub(tmp_path)
-    _write(tmp_path, "PROFILE_refresh.json",
-           _profile_payload(**{"lean": True}))
-    problems = check_bench.check_all(tmp_path)
-    assert len(problems) == 1 and "unknown field 'lean'" in problems[0]
+    for option, value in (("lean", True), ("mode", "serial")):
+        _write(tmp_path, "PROFILE_refresh.json",
+               _profile_payload(**{option: value}))
+        problems = check_bench.check_all(tmp_path)
+        assert len(problems) == 1, problems
+        assert f"unknown field {option!r}" in problems[0]
 
 
 def test_lint_catches_profile_bad_hotspot_rows(tmp_path):

@@ -72,4 +72,4 @@ class TestFacade:
 
         assert repro.QueryService is DeepService
         assert repro.validate is deep_validate
-        assert "serial" in repro.ENGINE_MODES
+        assert not hasattr(repro, "ENGINE_MODES")

@@ -232,7 +232,7 @@ def bring_up(hosts):
     clock, registry, root, holder = ipv6_world(hosts)
     rp = RelyingParty(
         [root.certificate], Fetcher(registry, clock), clock,
-        mode="incremental", metrics=MetricsRegistry(),
+        metrics=MetricsRegistry(),
     )
     cache = RtrCacheServer(metrics=MetricsRegistry())
     pipe = DuplexPipe()

@@ -41,10 +41,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--top", type=int, default=20,
                         help="hotspot rows to keep (default 20)")
     parser.add_argument(
-        "--mode", choices=["serial", "incremental"], default="serial",
-        help="relying-party mode (default: serial, no state kept)",
-    )
-    parser.add_argument(
         "--output", type=pathlib.Path, default=None, metavar="FILE",
         help="also write the report as JSON to FILE",
     )
@@ -56,7 +52,6 @@ def main(argv: list[str] | None = None) -> int:
         args.scale,
         seed=args.seed,
         top=args.top,
-        mode=args.mode,
     )
     print(report.render())
     if args.output is not None:
