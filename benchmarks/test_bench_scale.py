@@ -79,7 +79,7 @@ WARM_VERIFIES = 0              # zero-churn incremental refresh
 CHURN_VERIFIES = 4             # manifest + CRL + EE cert + ROA, any scale
 # Streaming peak: small constant + per-ROA term.  Measured 8.7 MB at
 # 10^4 ROAs (~0.9 KB/ROA: VRP set + its index + the
-# RoaEvidence rows + one point's transient parses); the bound is 2.5x
+# ROA rows + one point's transient parses); the bound is 2.5x
 # that.  A held parse is ~7 KB/ROA (86 MB at 10^4), far past it.
 PEAK_BASE_BYTES = 2_000_000
 PEAK_PER_ROA_BYTES = 2_000

@@ -131,7 +131,6 @@ from .rp import (
     PathValidator,
     RefreshReport,
     RelyingParty,
-    RoaEvidence,
     Route,
     RouteValidity,
     SuspendersRelyingParty,
@@ -160,7 +159,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.24.0"
+__version__ = "1.25.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
@@ -180,8 +179,7 @@ __all__ = [
     "PlannedFault", "Prefix", "QueryService", "QueryStatus",
     "RateLimitConfig", "RefreshReport", "RelyingParty", "RepositoryRegistry",
     "RepositoryServer", "ResilienceConfig", "ResourceCertificate",
-    "ResourceSet", "ResponseCache", "RetryPolicy", "Roa", "RoaEvidence",
-    "Route",
+    "ResourceSet", "ResponseCache", "RetryPolicy", "Roa", "Route",
     "RouteValidity", "RsyncUri", "RtrCacheServer", "RtrRouterClient",
     "SchedulerConfig",
     "SessionMux", "Span", "StallConfig", "StallDetector",

@@ -153,14 +153,18 @@ def analyze(
             return None
 
     alerts: list[Alert] = []
-    after_revoked = after.revoked_serials()
+    after_crls = after.point_crls()
+
+    def revoked_at(point_uri: str, serial: int) -> bool:
+        crl = after_crls.get(point_uri)
+        return crl is not None and crl.is_revoked(serial)
 
     # -- withdrawals: transparent vs stealthy --------------------------------
     whacked_payloads: set[str] = set()
     for record in diff.removed_roas():
         assert isinstance(record.obj, Roa)
         serial = record.obj.ee_cert.serial
-        revoked_here = serial in after_revoked.get(record.point_uri, frozenset())
+        revoked_here = revoked_at(record.point_uri, serial)
         whacked_payloads.add(record.obj.describe())
         if revoked_here:
             alerts.append(Alert(
@@ -177,8 +181,7 @@ def analyze(
                 contact=contact_of(record.point_uri),
             ))
     for record in diff.removed_certs():
-        serial = record.obj.serial
-        revoked_here = serial in after_revoked.get(record.point_uri, frozenset())
+        revoked_here = revoked_at(record.point_uri, record.obj.serial)
         kind = (
             AlertKind.TRANSPARENT_REVOCATION if revoked_here
             else AlertKind.STEALTHY_DELETION

@@ -67,7 +67,7 @@ class SnapshotDiff:
     removed: list[ObjectRecord] = field(default_factory=list)
     cert_changes: list[CertChange] = field(default_factory=list)
     roa_changes: list[RoaChange] = field(default_factory=list)
-    newly_revoked: dict[str, set[int]] = field(default_factory=dict)
+    newly_revoked: dict[str, tuple[int, ...]] = field(default_factory=dict)
 
     @property
     def is_empty(self) -> bool:
@@ -124,10 +124,15 @@ def diff_snapshots(before: RpkiSnapshot, after: RpkiSnapshot) -> SnapshotDiff:
         # CRL/manifest churn is expected on every publish; the revocation
         # delta below captures the meaningful part.
 
-    before_revoked = before.revoked_serials()
-    after_revoked = after.revoked_serials()
-    for uri, serials in after_revoked.items():
-        delta = set(serials) - set(before_revoked.get(uri, frozenset()))
+    # Serials are the authority's to choose, so they are bisected in the
+    # ascending order the parser enforces, never put in a set.
+    before_crls = before.point_crls()
+    for uri, crl in after.point_crls().items():
+        old = before_crls.get(uri)
+        delta = tuple(
+            serial for serial in crl.revoked_serials
+            if old is None or not old.is_revoked(serial)
+        )
         if delta:
             diff.newly_revoked[uri] = delta
     return diff

@@ -70,13 +70,9 @@ class RpkiSnapshot:
                 return record.obj
         return None
 
-    def revoked_serials(self) -> dict[str, frozenset[int]]:
-        """Per point URI, the serials its CRL currently revokes."""
-        out: dict[str, frozenset[int]] = {}
-        for record in self.crls():
-            assert isinstance(record.obj, Crl)
-            out[record.point_uri] = record.obj.revoked_serials
-        return out
+    def point_crls(self) -> dict[str, Crl]:
+        """Per point URI, the CRL published there (ask it ``is_revoked``)."""
+        return {record.point_uri: record.obj for record in self.crls()}
 
     def roa_payload_index(self) -> dict[str, list[ObjectRecord]]:
         """ROAs indexed by their payload signature '(prefixes, asn)'.

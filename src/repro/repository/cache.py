@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
 
 from ..crypto import sha256_hex
 from ..telemetry import MetricsRegistry, default_registry
 from .fetch import FetchResult, FetchStatus
 
-__all__ = ["CacheFreshness", "CachedPoint", "CacheSnapshot", "LocalCache",
-           "point_digest"]
+__all__ = ["CacheFreshness", "CachedPoint", "LocalCache", "point_digest"]
 
 
 def point_digest(files: dict[str, bytes]) -> str:
@@ -87,50 +85,6 @@ class CachedPoint:
         if grace is None or now - self.last_success <= grace:
             return CacheFreshness.STALE
         return CacheFreshness.EXPIRED
-
-
-class CacheSnapshot(Mapping):
-    """A zero-copy, read-only view of the servable cache contents.
-
-    Maps point URI → file dict exactly like the dict
-    :meth:`LocalCache.all_files` returns, but serves references to the
-    cache's own per-point file dicts instead of copying each one —
-    at Internet scale the copies, not the objects, were the refresh's
-    peak-memory driver (one full snapshot copy per discovery round).
-
-    The view is *keyed* eagerly (the serving decision — grace window,
-    never-fetched omission — is frozen at construction) and *valued*
-    lazily by reference; treat it as immutable and do not hold it across
-    cache updates.
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: dict[str, CachedPoint]):
-        self._entries = entries
-
-    def __getitem__(self, uri: str) -> dict[str, bytes]:
-        return self._entries[uri].files
-
-    def get(self, uri: str, default=None):
-        entry = self._entries.get(uri)
-        return entry.files if entry is not None else default
-
-    def __contains__(self, uri: object) -> bool:
-        return uri in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def items(self) -> Iterator[tuple[str, dict[str, bytes]]]:  # type: ignore[override]
-        for uri, entry in self._entries.items():
-            yield uri, entry.files
-
-    def keys(self):  # type: ignore[override]
-        return self._entries.keys()
 
 
 class LocalCache:
@@ -263,18 +217,18 @@ class LocalCache:
             if self._servable(entry, now)
         }
 
-    def snapshot(self, now: int | None = None) -> CacheSnapshot:
-        """A :class:`CacheSnapshot` of everything servable — zero copies.
+    def snapshot(self, now: int | None = None) -> dict[str, dict[str, bytes]]:
+        """Everything servable at *now*, without copying a file dict.
 
-        Same serving rules and counters as :meth:`all_files`, but the
-        returned mapping references the cache's file dicts instead of
-        duplicating them.
+        Same serving rule and counters as :meth:`all_files`, but the
+        values are the cache's own file dicts: read them, do not mutate
+        them or hold them across cache updates.
         """
-        return CacheSnapshot({
-            uri: entry
+        return {
+            uri: entry.files
             for uri, entry in self._points.items()
             if self._servable(entry, now)
-        })
+        }
 
     def digests(self, now: int | None = None) -> dict[str, str]:
         """Content digest of every point :meth:`all_files` would serve.

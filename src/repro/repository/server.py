@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from ..resources import ASN, Afi, Prefix, parse_address
-from ..rpki.publication import DEFAULT_HISTORY_LIMIT, InMemoryPublicationPoint
+from ..rpki.publication import InMemoryPublicationPoint
 from .errors import MountError, UnknownHostError
 from .uri import RsyncUri
 
@@ -61,14 +61,8 @@ class HostedPublicationPoint(InMemoryPublicationPoint):
     ROA may be what makes this server reachable).
     """
 
-    def __init__(
-        self,
-        server: "RepositoryServer",
-        uri: RsyncUri,
-        *,
-        history_limit: int = DEFAULT_HISTORY_LIMIT,
-    ):
-        super().__init__(history_limit=history_limit)
+    def __init__(self, server: "RepositoryServer", uri: RsyncUri):
+        super().__init__()
         self._server = server
         self._uri = uri
 

@@ -15,7 +15,6 @@ from .incremental import (
     IncrementalState,
     ParseMemo,
     PointResult,
-    RoaEvidence,
     VerificationMemo,
 )
 from .lta import LocalOverrides, classify_with_overrides
@@ -41,7 +40,6 @@ __all__ = [
     "OriginValidationOutcome",
     "ParseMemo",
     "PointResult",
-    "RoaEvidence",
     "VerificationMemo",
     "RetainedVrp",
     "SuspendersRelyingParty",

@@ -78,6 +78,7 @@ from typing import NamedTuple
 
 from ..crypto import RsaPublicKey, sha256_hex
 from ..memo import GenerationMemo
+from ..rpki.crl import Crl
 from ..rpki.errors import ObjectFormatError
 from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
@@ -91,7 +92,6 @@ __all__ = [
     "IncrementalState",
     "ParseMemo",
     "PointResult",
-    "RoaEvidence",
     "RoaRow",
     "VerificationMemo",
     "time_signature",
@@ -172,19 +172,14 @@ class ParseMemo:
     one instance across runs is safe.  Failures are cached as the error
     message and re-raised as a fresh :class:`ObjectFormatError`.  A
     parsed ROA is returned but not held: what a ROA leaves behind is
-    its :class:`RoaRow`.
+    its :class:`RoaRow`.  A blob over :data:`DEFAULT_MAX_OBJECT_BYTES`
+    is parsed without touching the memo.
     """
 
-    def __init__(
-        self,
-        *,
-        max_entries: int | None = DEFAULT_MEMO_ENTRIES,
-        max_object_bytes: int | None = DEFAULT_MAX_OBJECT_BYTES,
-    ):
+    def __init__(self, *, max_entries: int | None = DEFAULT_MEMO_ENTRIES):
         self._objects: GenerationMemo[str, SignedObject | str] = (
             GenerationMemo(max_entries)
         )
-        self.max_object_bytes = max_object_bytes
         self.hits = 0
         self.misses = 0
         self.oversized = 0
@@ -202,10 +197,7 @@ class ParseMemo:
         *digest* is the SHA-256 hex of *data* if the caller already has
         it; it keys the memo and becomes the object's ``hash_hex``.
         """
-        if (
-            self.max_object_bytes is not None
-            and len(data) > self.max_object_bytes
-        ):
+        if len(data) > DEFAULT_MAX_OBJECT_BYTES:
             # Too big to be worth remembering (and possibly hostile):
             # parse without touching the memo at all.
             self.oversized += 1
@@ -229,21 +221,6 @@ class ParseMemo:
         return obj
 
 
-class RoaEvidence(NamedTuple):
-    """What an accepted ROA leaves behind once its parse is dropped.
-
-    Enough to say later where a VRP came from and whether its
-    disappearance was corroborated (Suspenders): the file it was read
-    from, its EE certificate's serial (what a CRL would name), the ROA's
-    own expiry, and the VRPs it asserted.
-    """
-
-    file_name: str
-    ee_serial: int
-    not_after: int
-    vrps: tuple[VRP, ...]
-
-
 class RoaRow(NamedTuple):
     """Everything judging a ROA reads besides ``now`` and the issuer's CRL.
 
@@ -255,6 +232,10 @@ class RoaRow(NamedTuple):
     among issuer match, EE signature, CA-covers-EE, ROA signature and
     EE-covers-ROA as ``(severity, code, message)`` — ``early`` when it
     comes before the time and CRL checks.
+
+    The row is also what an accepted ROA leaves behind (its ``failure``
+    is then None): where a VRP came from, and whether its disappearance
+    was corroborated by a CRL naming ``ee_serial`` (Suspenders).
     """
 
     vrps: tuple[VRP, ...]
@@ -274,8 +255,10 @@ class PointResult:
     *Local* means everything the point itself contributed to the
     :class:`~repro.rp.pathval.ValidationRun` — issues, accepted child CA
     certificates (in file order; the caller recurses into them), one
-    :class:`RoaEvidence` per accepted ROA (which carries its VRPs), the
-    validated contact — but nothing from child subtrees.
+    ``(file name, RoaRow)`` per accepted ROA (the row carries its VRPs),
+    the validated contact, the CRL the point was judged against (signed
+    by its CA; kept when stale, None when missing, unparsable or badly
+    signed) — but nothing from child subtrees.
 
     ``fingerprint`` is the exact reuse key (issuer certificate hash,
     strictness policy, per-copy content digests); ``boundaries`` (the
@@ -291,14 +274,15 @@ class PointResult:
     selected_uri: str
     issues: tuple = ()
     children: tuple = ()
-    roas: tuple[RoaEvidence, ...] = ()
+    roas: tuple[tuple[str, RoaRow], ...] = ()
     contact: GhostbustersRecord | None = None
+    crl: Crl | None = None
     verify_count: int = 0
 
     @property
     def vrps(self) -> tuple[VRP, ...]:
         """Every VRP the point's ROAs asserted, in file order."""
-        return tuple(vrp for roa in self.roas for vrp in roa.vrps)
+        return tuple(vrp for _, row in self.roas for vrp in row.vrps)
 
 
 class IncrementalState:

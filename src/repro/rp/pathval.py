@@ -19,7 +19,7 @@ paper's entire Section 4 is about what those conditions do to routing.
 
 Validation is organized around *publication points*: each accepted CA
 certificate leads to one point, whose local outcome (issues, accepted
-children, ROAs, VRPs, contact) is computed as a unit.  A
+children, ROA rows, VRPs, contact, CRL) is computed as a unit.  A
 :class:`ValidationWalk` visits the certificate tree level by level and
 judges every reached CA's point exactly once, from whatever is served
 for it at that moment; the relying party fetches each level's points
@@ -51,13 +51,7 @@ from ..rpki.manifest import Manifest
 from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
 from ..rpki.roa import Roa
-from .incremental import (
-    IncrementalState,
-    PointResult,
-    RoaEvidence,
-    RoaRow,
-    time_signature,
-)
+from .incremental import IncrementalState, PointResult, RoaRow, time_signature
 from .vrp import VRP, VrpSet
 
 __all__ = [
@@ -100,15 +94,18 @@ class ValidationRun:
     vrps: VrpSet = field(default_factory=VrpSet)
     validated_cas: list[ResourceCertificate] = field(default_factory=list)
     issues: list[ValidationIssue] = field(default_factory=list)
-    # What every accepted ROA left behind, grouped by the publication
-    # point (selected copy's URI) it was read from, in walk order.  Every
-    # run of one validator shares its state's live ``vrps`` index, so
-    # this is the field two such runs are told apart by.
-    roas: list[tuple[str, tuple[RoaEvidence, ...]]] = field(
+    # Every accepted ROA as (file name, its RoaRow), grouped by the
+    # publication point (selected copy's URI) it was read from, in walk
+    # order.  Every run of one validator shares its state's live
+    # ``vrps`` index, so this is the field two such runs are told apart by.
+    roas: list[tuple[str, tuple[tuple[str, RoaRow], ...]]] = field(
         default_factory=list
     )
     # Validated Ghostbusters contact per publication point URI.
     contacts: dict[str, GhostbustersRecord] = field(default_factory=dict)
+    # The CRL each validated CA's point was judged against, signed by
+    # that CA, under every publication URI of the CA (mirrors included).
+    crls: dict[str, Crl] = field(default_factory=dict)
     # How this walk changed ``vrps`` against the previous walk's table.
     # A record of the transition, not part of the outcome two runs are
     # compared by.
@@ -329,7 +326,7 @@ class PathValidator:
             ))
             return self._finish_point(
                 ca_cert, cache_files, None, now, fingerprint,
-                issues, [], [], None, verify_before,
+                issues, [], [], None, None, verify_before,
             )
         point_uri = copy.uri
         if point_uri != ca_cert.sia:
@@ -341,7 +338,7 @@ class PathValidator:
         crl = self._load_crl(copy, ca_cert, now, issues)
         usable = self._apply_manifest(copy, ca_cert, now, issues)
         children: list[ResourceCertificate] = []
-        roas: list[RoaEvidence] = []
+        roas: list[tuple[str, RoaRow]] = []
         contact: GhostbustersRecord | None = None
         rows = self.incremental.roa_rows
         if usable is not None:  # strict mode may discard the point whole
@@ -377,15 +374,13 @@ class PathValidator:
                         row = self._roa_row(obj, ca_cert)
                         rows.put(row_key, row)
                     if row is not None:
-                        # A ROA leaves its row and its evidence, never
-                        # its parse: holding every Roa makes memory
-                        # O(deployment), not O(VRPs).
+                        # A ROA leaves its row, never its parse: holding
+                        # every Roa makes memory O(deployment), not O(VRPs).
                         copy.rows[file_name] = row
-                        evidence = self._judge_roa(
+                        if self._judge_roa(
                             row, copy, file_name, crl, now, issues
-                        )
-                        if evidence is not None:
-                            roas.append(evidence)
+                        ):
+                            roas.append((file_name, row))
                     elif isinstance(obj, ResourceCertificate):
                         child = self._check_child_cert(
                             point_uri, file_name, obj, ca_cert, crl, now, issues
@@ -413,7 +408,7 @@ class PathValidator:
                     continue
         return self._finish_point(
             ca_cert, cache_files, copy, now, fingerprint,
-            issues, children, roas, contact, verify_before,
+            issues, children, roas, contact, crl, verify_before,
         )
 
     def _parse_file(self, copy: "_PointCopy", file_name: str) -> SignedObject:
@@ -434,8 +429,9 @@ class PathValidator:
         fingerprint: tuple,
         issues: list[ValidationIssue],
         children: list[ResourceCertificate],
-        roas: list[RoaEvidence],
+        roas: list[tuple[str, RoaRow]],
         contact: GhostbustersRecord | None,
+        crl: Crl | None,
         verify_before: int,
     ) -> PointResult:
         """Package a point's outcome, with its time-reuse signature."""
@@ -449,6 +445,7 @@ class PathValidator:
             children=tuple(children),
             roas=tuple(roas),
             contact=contact,
+            crl=crl,
             verify_count=self._verify_calls - verify_before,
         )
 
@@ -474,10 +471,6 @@ class PathValidator:
             time_sig=(0, 0),
             selected_uri=ca_cert.sia,
             issues=(issue,),
-            children=(),
-            roas=(),
-            contact=None,
-            verify_count=0,
         )
 
     def _collect_boundaries(
@@ -772,13 +765,13 @@ class PathValidator:
 
     def _judge_roa(
         self, row: RoaRow, copy: "_PointCopy", file_name, crl, now, issues
-    ) -> RoaEvidence | None:
+    ) -> bool:
         """Judge a ROA, step two: its row against *now* and the CRL.
 
-        Reports the first failure in the order wrong-issuer,
-        ee-bad-signature, expired, revoked, overclaim, roa-bad-signature,
-        roa-overclaim.  Only the time and CRL texts name the ROA, so only
-        they read it again.
+        True if the ROA is accepted.  Otherwise reports the first failure
+        in the order wrong-issuer, ee-bad-signature, expired, revoked,
+        overclaim, roa-bad-signature, roa-overclaim.  Only the time and
+        CRL texts name the ROA, so only they read it again.
         """
         failure = row.failure
         if failure is None or not row.early:
@@ -798,8 +791,8 @@ class PathValidator:
             issues.append(ValidationIssue(
                 severity, copy.uri, file_name, code, message,
             ))
-            return None
-        return RoaEvidence(file_name, row.ee_serial, row.not_after, row.vrps)
+            return False
+        return True
 
     def _check_ghostbusters(
         self, point_uri, file_name, record, ca_cert, crl, now, issues
@@ -954,6 +947,9 @@ class ValidationWalk:
         result.issues.extend(entry.issues)
         if entry.contact is not None:
             result.contacts[entry.selected_uri] = entry.contact
+        if entry.crl is not None:
+            for uri in ca_cert.all_publication_uris:
+                result.crls[uri] = entry.crl
         result.roas.append((entry.selected_uri, entry.roas))
         for child in entry.children:
             result.validated_cas.append(child)

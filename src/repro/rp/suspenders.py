@@ -27,11 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..repository.uri import RsyncUri
-from ..rpki.ca import CRL_FILE
-from ..rpki.crl import Crl
-from ..rpki.errors import ObjectFormatError
-from ..rpki.parse import parse_object
 from .origin import validate
 from .relying_party import RefreshReport, RelyingParty
 from .states import Route, RouteValidity
@@ -79,6 +74,15 @@ class SuspendersRelyingParty:
         report = self.rp.refresh()
         now = self._clock.now
         natural = report.run.vrps
+        # The CRL the validator judged each point against, verified under
+        # the key of a CA this run validated: whoever can delete a ROA
+        # can drop any bytes named ``ca.crl`` beside the hole, and those
+        # never get here (``crl-bad-signature``).
+        crls = report.run.crls
+
+        def revoked(point: str, ee_serial: int) -> bool:
+            crl = crls.get(point)
+            return crl is not None and crl.is_revoked(ee_serial)
 
         # Which previously known VRPs vanished this cycle, unexpired?
         vanished = {
@@ -86,14 +90,9 @@ class SuspendersRelyingParty:
             if vrp not in natural and vrp not in self._retained
             and evidence[1] >= now  # natural expiry: honored immediately
         }
-        revoked_by_point = self._verified_revocations(
-            {point for _, _, point in vanished.values()}
-            | {entry.home_point for entry in self._retained.values()},
-            report.run.validated_cas, now,
-        )
 
         for vrp, (ee_serial, not_after, point) in vanished.items():
-            if ee_serial in revoked_by_point[point]:
+            if revoked(point, ee_serial):
                 continue  # transparent revocation: honored immediately
             self._retained[vrp] = RetainedVrp(
                 vrp=vrp,
@@ -109,52 +108,17 @@ class SuspendersRelyingParty:
             entry = self._retained[vrp]
             if vrp in natural or not entry.active(now):
                 del self._retained[vrp]
-            elif entry.ee_serial in revoked_by_point[entry.home_point]:
+            elif revoked(entry.home_point, entry.ee_serial):
                 del self._retained[vrp]  # authority followed up properly
 
-        # Update provenance from the evidence this run's ROAs left.
+        # Update provenance from the rows this run's ROAs left.
         self._provenance = {
-            vrp: (roa.ee_serial, roa.not_after, point)
-            for point, evidence in report.run.roas
-            for roa in evidence
-            for vrp in roa.vrps
+            vrp: (row.ee_serial, row.not_after, point)
+            for point, rows in report.run.roas
+            for _, row in rows
+            for vrp in row.vrps
         }
         return report
-
-    def _verified_revocations(
-        self, points: set[str], validated_cas, now: int
-    ) -> dict[str, frozenset[int]]:
-        """Per point in *points*, the serials its cached CRL revokes.
-
-        A CRL corroborates a disappearance only if it verifies under the
-        key of a CA this run validated for that point: whoever can delete
-        a ROA from a publication point can drop any bytes named
-        ``ca.crl`` beside the hole, and the validator rejects those same
-        bytes (``crl-bad-signature``).
-        """
-        revoked: dict[str, frozenset[int]] = dict.fromkeys(points, frozenset())
-        if not points:
-            return revoked
-        keys: dict[str, list] = {}
-        for ca in validated_cas:
-            for uri in ca.all_publication_uris:
-                keys.setdefault(str(RsyncUri.parse(uri)), []).append(
-                    ca.subject_key
-                )
-        for point in points:
-            entry = self.rp.cache.serve(point, now)
-            data = None if entry is None else entry.files.get(CRL_FILE)
-            if data is None:
-                continue
-            try:
-                crl = parse_object(data)
-            except ObjectFormatError:
-                continue
-            if isinstance(crl, Crl) and any(
-                crl.verify_signature(key) for key in keys.get(point, ())
-            ):
-                revoked[point] = crl.revoked_serials
-        return revoked
 
     # -- classification surface -------------------------------------------------
 

@@ -45,19 +45,14 @@ class Crl(SignedObject):
 
     TYPE = "crl"
 
-    __slots__ = ("_revoked_serials", "_revoked_set")
+    __slots__ = ("_revoked_serials",)
 
     _SCHEMA = schema(TYPE, revoked_serials=_read_serials)
 
     @property
-    def revoked_serials(self) -> frozenset[int]:
-        """The serials as a set, built on first use: for set algebra
-        over CRLs already validated, not for the validator's checks."""
-        try:
-            return self._revoked_set
-        except AttributeError:
-            self._revoked_set = frozenset(self._revoked_serials)
-            return self._revoked_set
+    def revoked_serials(self) -> tuple[int, ...]:
+        """The revoked serials, strictly ascending (the parser's rule)."""
+        return self._revoked_serials
 
     def is_revoked(self, serial: int) -> bool:
         serials = self._revoked_serials

@@ -49,12 +49,12 @@ class InMemoryPublicationPoint:
     stale-but-signed, internally consistent, semantically outdated.
     """
 
-    def __init__(self, *, history_limit: int = DEFAULT_HISTORY_LIMIT) -> None:
-        if history_limit < 1:
-            raise ValueError(f"history limit must be >= 1, got {history_limit}")
+    def __init__(self) -> None:
         self._files: dict[str, bytes] = {}
         self._revision = 0
-        self._history: deque[dict[str, bytes]] = deque(maxlen=history_limit)
+        self._history: deque[dict[str, bytes]] = deque(
+            maxlen=DEFAULT_HISTORY_LIMIT
+        )
 
     @property
     def revision(self) -> int:

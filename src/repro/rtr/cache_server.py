@@ -22,7 +22,7 @@ Three serving-scale mechanisms (see docs/rtr.md):
   sessions), not O(fleet), and one chatty session cannot starve its
   siblings.
 - **Delta compaction.**  The history window is bounded both in serials
-  (``history_window``) and in total delta VRPs (``max_history_vrps``);
+  (``history_window``) and in total delta VRPs (``MAX_HISTORY_VRPS``);
   compacted-away serials are answered with Cache Reset — the client
   re-syncs from the snapshot instead of the cache replaying unbounded
   history (the Stalloris-shaped memory attack this forecloses).
@@ -61,7 +61,8 @@ from .pdu import (
 __all__ = ["RtrCacheServer"]
 
 _DEFAULT_HISTORY_WINDOW = 16
-_DEFAULT_MAX_HISTORY_VRPS = 4096
+# Delta VRPs kept across the history window, whatever its length.
+MAX_HISTORY_VRPS = 4096
 
 # CamelCase PDU class name -> snake_case label value, cached because the
 # lookup sits on the per-PDU send path.
@@ -109,19 +110,14 @@ class RtrCacheServer:
         *,
         session_id: int = 1,
         history_window: int = _DEFAULT_HISTORY_WINDOW,
-        max_history_vrps: int = _DEFAULT_MAX_HISTORY_VRPS,
-        fairness_budget: int | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         if not 0 <= session_id <= 0xFFFF:
             raise ValueError(f"session id out of range: {session_id}")
         if history_window < 1:
             raise ValueError("history window must be at least 1")
-        if max_history_vrps < 1:
-            raise ValueError("history VRP bound must be at least 1")
         self.session_id = session_id
         self.history_window = history_window
-        self.max_history_vrps = max_history_vrps
         self.serial = 0
         self._vrps: set[VRP] = set()
         self._sorted: list[VRP] = []
@@ -130,10 +126,7 @@ class RtrCacheServer:
         self._history_vrps = 0
         self._snapshot: tuple[int, bytes, int] | None = None
         self.metrics = metrics if metrics is not None else default_registry()
-        mux_budget = {} if fairness_budget is None else {
-            "fairness_budget": fairness_budget
-        }
-        self.mux = SessionMux(metrics=self.metrics, **mux_budget)
+        self.mux = SessionMux(metrics=self.metrics)
         self._m_pdus = self.metrics.counter(
             "repro_rtr_pdus_sent_total",
             help="PDUs sent to router sessions, by PDU type",
@@ -250,7 +243,7 @@ class RtrCacheServer:
             oldest = min(self._history)
             if oldest <= floor:
                 reason = "window"
-            elif self._history_vrps > self.max_history_vrps:
+            elif self._history_vrps > MAX_HISTORY_VRPS:
                 reason = "size"
             else:
                 break

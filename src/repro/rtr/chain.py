@@ -46,18 +46,11 @@ class ChainedRtrCache:
         self,
         upstream: RtrCacheServer,
         *,
-        session_id: int = 1,
-        history_window: int | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         self.upstream = upstream
         self.metrics = metrics if metrics is not None else upstream.metrics
-        server_opts = {} if history_window is None else {
-            "history_window": history_window
-        }
-        self.server = RtrCacheServer(
-            session_id=session_id, metrics=self.metrics, **server_opts
-        )
+        self.server = RtrCacheServer(metrics=self.metrics)
         self._m_reconnects = self.metrics.counter(
             "repro_rtr_chain_reconnects_total",
             help="chained-cache upstream sessions re-established after "

@@ -21,10 +21,10 @@ be wrong on both.  This module reaches the same verdicts a second way:
 
 :func:`validate` answers with what a relying party's verdicts come down
 to — the VRP set, per publication point the evidence its accepted ROAs
-left (the fields of ``RoaEvidence`` as a plain tuple), and the multiset
-of ``(point_uri, file_name, code)`` issues.  Issue texts and severities
-are not compared.  ``test_reference_differential.py`` pins the shipped
-validator to it.
+left as ``(file, EE serial, ROA not_after, VRPs)``, and the multiset of
+``(point_uri, file_name, code)`` issues.  Issue texts and severities are
+not compared.  ``test_reference_differential.py`` pins the shipped
+validator to it, projecting those four fields out of each ROA row.
 """
 
 from __future__ import annotations
@@ -60,6 +60,9 @@ class ReferenceRun:
     # per walked point, in walk order.
     roas: list = field(default_factory=list)
     issues: Counter = field(default_factory=Counter)
+    # Publication URI (mirrors too) -> hash of the CRL its CA's point was
+    # judged against, for every walked point that had one.
+    crls: dict = field(default_factory=dict)
 
 
 def parse(blob: bytes):
@@ -91,14 +94,16 @@ def validate(
             return  # one key, one walk (self-recertification loops)
         walked.add(ca.subject_key_id)
         try:
-            point_uri, issues, evidence, children = judge_point(
+            point_uri, issues, evidence, children, crl = judge_point(
                 ca, snapshot, now, strict_manifests
             )
         except Exception:
-            point_uri, evidence, children = canonical(ca.sia), (), []
+            point_uri, evidence, children, crl = canonical(ca.sia), (), [], None
             issues = [(point_uri, "", "point-quarantined")]
         run.issues.update(issues)
         run.roas.append((point_uri, tuple(evidence)))
+        if crl is not None:
+            run.crls.update(dict.fromkeys(ca.all_publication_uris, crl.hash_hex))
         for child in children:
             descend(child, depth + 1)
 
@@ -124,7 +129,13 @@ def assert_agrees(
     reference = validate(trust_anchors, snapshot, now,
                          strict_manifests=strict_manifests)
     assert run.vrps.as_frozenset() == reference.vrps
-    assert run.roas == reference.roas
+    assert [
+        (point, tuple((file_name, row.ee_serial, row.not_after, row.vrps)
+                      for file_name, row in rows))
+        for point, rows in run.roas
+    ] == reference.roas
+    assert {uri: crl.hash_hex for uri, crl in run.crls.items()} \
+        == reference.crls
     assert Counter((issue.point_uri, issue.file_name, issue.code)
                    for issue in run.issues) == reference.issues
 
@@ -150,13 +161,13 @@ def consistent(files: dict[str, bytes], ca, now: int) -> bool:
 
 def judge_point(ca, snapshot, now, strict_manifests):
     """One CA's publication point: ``(selected URI, issues, ROA evidence,
-    accepted child certificates)``."""
+    accepted child certificates, the CRL judged against or None)``."""
     sia = canonical(ca.sia)
     issues: list[tuple[str, str, str]] = []
     present = [canonical(uri) for uri in ca.all_publication_uris
                if canonical(uri) in snapshot]
     if not present:
-        return sia, [(sia, "", "point-missing")], [], []
+        return sia, [(sia, "", "point-missing")], [], [], None
     point = next((uri for uri in present
                   if consistent(snapshot[uri], ca, now)), present[0])
     if point != sia:
@@ -216,7 +227,7 @@ def judge_point(ca, snapshot, now, strict_manifests):
                 trouble = True
     if strict_manifests and trouble:
         issue(MANIFEST_FILE, "point-discarded")
-        return point, issues, [], []
+        return point, issues, [], [], crl
 
     evidence, children = [], []
     for name in sorted(usable - {CRL_FILE}):
@@ -249,7 +260,7 @@ def judge_point(ca, snapshot, now, strict_manifests):
             code = "object-quarantined"
         if code is not None:
             issue(name, code)
-    return point, issues, evidence, children
+    return point, issues, evidence, children, crl
 
 
 def roa_failure(roa, ca, crl, now: int) -> str | None:

@@ -18,6 +18,7 @@ from repro.repository import (
     nested_bomb,
 )
 from repro.rp import DegradationReport, RelyingParty, VRP
+from repro.rp.incremental import DEFAULT_MAX_OBJECT_BYTES
 from repro.simtime import HOUR
 
 CONTINENTAL = "rsync://continental.example/repo/"
@@ -120,7 +121,7 @@ class TestIncrementalMemoNotPoisoned:
         # without being digested or cached.
         assert memo.oversized >= 1
         bomb = nested_bomb()
-        assert len(bomb) > memo.max_object_bytes
+        assert len(bomb) > DEFAULT_MAX_OBJECT_BYTES
         assert world.target20_name in {
             f for _, f, _ in report.degradation.quarantined_objects
         }

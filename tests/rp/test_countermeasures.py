@@ -5,6 +5,7 @@ multiple publication points, Suspenders, and local trust-anchor overrides.
 import pytest
 
 from repro.core import execute_whack, plan_whack
+from repro.crypto import RsaPublicKey
 from repro.modelgen import build_figure2
 from repro.repository import FaultInjector, FaultKind, Fetcher
 from repro.rp import (
@@ -366,3 +367,69 @@ class TestSuspendersUnderChurn:
         srp.refresh()
         assert len(srp.vrps) == before_count - 1
         assert srp.retained == []
+
+
+class TestSuspendersReadsTheRun:
+    """Corroboration comes from the CRL the validator judged each point
+    against (``ValidationRun.crls``): Suspenders parses nothing and
+    verifies nothing of its own."""
+
+    def test_refresh_verifies_only_what_its_relying_party_does(
+        self, world, monkeypatch
+    ):
+        srp = SuspendersRelyingParty(make_rp(world), world.clock,
+                                     grace_seconds=10 * HOUR)
+        srp.refresh()
+        world.continental.delete_object(world.target20_name)
+        world.clock.advance(HOUR)
+        srp.refresh()
+        assert len(srp.retained) == 1
+
+        verifies = []
+        verify = RsaPublicKey.verify
+        monkeypatch.setattr(RsaPublicKey, "verify", lambda key, *args: (
+            verifies.append(key), verify(key, *args))[1])
+        by_rp = []
+        rp_refresh = srp.rp.refresh
+
+        def counted_refresh():
+            before = len(verifies)
+            report = rp_refresh()
+            by_rp.append(len(verifies) - before)
+            return report
+
+        monkeypatch.setattr(srp.rp, "refresh", counted_refresh)
+        by_srp = []
+        for change in (lambda: None,
+                       lambda: world.continental.issue_roa(
+                           64500, "63.174.24.0/24")):
+            change()
+            world.clock.advance(HOUR)
+            before = len(verifies)
+            srp.refresh()
+            by_srp.append(len(verifies) - before)
+            assert len(srp.retained) == 1
+        assert by_srp == by_rp
+        assert by_rp[1] > 0
+
+    def test_revocation_honoured_across_a_switch_to_the_mirror(self, world):
+        primary = world.continental.sia
+        mirror_uri = TestMultiplePublicationPoints().add_mirror(world)
+        faults = FaultInjector(seed=2)
+        srp = SuspendersRelyingParty(make_rp(world, faults=faults),
+                                     world.clock, grace_seconds=10 * HOUR)
+        assert not srp.refresh().run.has_issue("using-mirror")
+        serial = world.target20.ee_cert.serial
+        world.continental.revoke_roa(world.target20_name)
+        # The primary copy goes inconsistent; the mirror is selected.
+        faults.schedule(FaultKind.CORRUPT, primary,
+                        file_name=world.target22_name)
+        world.clock.advance(HOUR)
+        run = srp.refresh().run
+        assert run.has_issue("using-mirror")
+        assert run.crls[primary] is run.crls[mirror_uri]
+        assert run.crls[primary].is_revoked(serial)
+        assert srp.retained == []
+        assert srp.classify_parts("63.174.16.0/20", 17054) is not (
+            RouteValidity.VALID
+        )

@@ -214,7 +214,7 @@ class TestCrl:
         )
         again = parse_object(crl.to_bytes())
         assert isinstance(again, Crl)
-        assert again.revoked_serials == frozenset({5})
+        assert again.revoked_serials == (5,)
 
 
 class TestManifest:

@@ -4,8 +4,10 @@ import warnings
 
 import pytest
 
+from repro.resources import Afi
 from repro.rp import VRP, VrpSet
 from repro.rtr import DuplexPipe, RouterState, RtrCacheServer, RtrRouterClient
+from repro.rtr.cache_server import MAX_HISTORY_VRPS
 
 
 def vrps(*specs):
@@ -321,14 +323,17 @@ class TestDeltaCompaction:
             "repro_rtr_compactions_total").value(reason="window") > 0
 
     def test_history_bounded_by_vrp_size(self):
-        server = RtrCacheServer(history_window=64, max_history_vrps=4)
-        base = []
-        for i in range(6):
-            base.append((f"10.{i}.0.0/16", 64512 + i))
-            server.update(vrps(*base))
-        assert server.delta_history_vrps <= 4
-        assert server.metrics.get(
-            "repro_rtr_compactions_total").value(reason="size") > 0
+        # At the shipped bound: a history of exactly MAX_HISTORY_VRPS
+        # stays, one VRP past it compacts the oldest delta away.
+        server = RtrCacheServer(history_window=64)
+        compactions = server.metrics.get("repro_rtr_compactions_total")
+        server.apply_delta(block(MAX_HISTORY_VRPS), [])
+        assert server.delta_history_vrps == MAX_HISTORY_VRPS
+        assert compactions.value(reason="size") == 0
+        server.apply_delta(block(1, first=MAX_HISTORY_VRPS), [])
+        assert server.delta_history_vrps == 1
+        assert server.delta_history_serials == 1
+        assert compactions.value(reason="size") == 1
 
     def test_compacted_serial_answered_with_reset(self):
         server, client = make_pair(history_window=2)
@@ -404,6 +409,12 @@ def parsed(*specs):
     return [VRP.parse(text, asn) for text, asn in specs]
 
 
+def block(count, first=0):
+    """*count* distinct /24 VRPs inside 10.0.0.0/8, from the *first*-th."""
+    return [VRP.from_integers(Afi.IPV4, (10 << 24) | (i << 8), 24, 24, 64512)
+            for i in range(first, first + count)]
+
+
 EXTRA = ("10.0.0.0/16", 64512)
 
 
@@ -448,18 +459,17 @@ class TestApplyDelta:
         assert server.current_vrps() == frozenset(parsed(*FIGURE2, EXTRA))
 
     def test_gauges_match_after_mixed_update_and_delta_installs(self):
-        server, _client = make_pair(history_window=3, max_history_vrps=6)
+        server, _client = make_pair(history_window=3)
         registry = server.metrics
-        table = list(FIGURE2)
+        table = parsed(*FIGURE2)
         for i in range(6):
-            spec = (f"10.{i}.0.0/16", 64512 + i)
+            added = block(1_000, first=1_000 * i)
+            table.extend(added)
             if i % 2:
-                table.append(spec)
-                server.update(vrps(*table))
+                server.update(VrpSet(table))
             else:
-                table.append(spec)
-                server.apply_delta(parsed(spec), [])
-            assert server.current_vrps() == vrps(*table).as_frozenset()
+                server.apply_delta(added, [])
+            assert server.current_vrps() == frozenset(table)
             assert server.vrp_count == len(table)
             assert registry.get("repro_rtr_vrps").value() == len(table)
             assert registry.get(
@@ -470,6 +480,6 @@ class TestApplyDelta:
                     server.delta_history_vrps)
         assert server.serial == 7
         assert server.delta_history_serials <= 3
-        assert server.delta_history_vrps <= 6
+        assert server.delta_history_vrps <= 3_000
         assert registry.get(
             "repro_rtr_compactions_total").value(reason="window") > 0

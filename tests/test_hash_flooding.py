@@ -5,8 +5,9 @@ certificate serial is wider than that and is picked by whoever signs the
 object, so ``base + i * (2**61 - 1)`` for ``i`` in 0..n is n validly
 signed values with *one* hash — a quadratic build of every set and
 dictionary they land in: the relying party's VRP index, its RTR cache
-and every router behind it (through a ROA), a frozenset of revoked
-serials re-parsed on every refresh (through a CRL).
+and every router behind it (through a ROA), and any set of revoked
+serials (through a CRL: the monitor's diff and Suspenders' corroboration
+read the ascending serials by bisection instead).
 
 Ratios are against an honest input of the same size, best of three,
 with a bound an order of magnitude below what the flood used to cost
@@ -19,14 +20,23 @@ import time
 import pytest
 
 from repro.crypto import KeyFactory
+from repro.monitor import AlertKind, analyze, diff_snapshots, take_snapshot
 from repro.repository import Fetcher, HostLocator, RepositoryRegistry
 from repro.resources import ASN, Afi, Prefix, PrefixMap, ResourceSet
-from repro.rp import RelyingParty
+from repro.rp import RelyingParty, SuspendersRelyingParty
 from repro.rp.vrp import VRP, VrpSet
-from repro.rpki import CertificateAuthority, RoaPrefix, build_crl, parse_object
+from repro.rpki import (
+    CRL_FILE,
+    CertificateAuthority,
+    RoaPrefix,
+    build_crl,
+    parse_object,
+)
 from repro.rtr import DuplexPipe, RtrCacheServer, RtrRouterClient
-from repro.simtime import Clock
+from repro.simtime import HOUR, Clock
 from repro.telemetry import MetricsRegistry
+
+from .rpki.forge import publish_forged, reforge
 
 MODULUS = sys.hash_info.modulus                      # 2**61 - 1 on CPython
 HOLDING = Prefix.parse("2001:db8:1::/48")            # any /48 holder will do
@@ -282,6 +292,9 @@ class TestThroughARoa:
 
 
 SERIALS = 16_000
+# Lists, not sets: a set of FLOOD is the very thing that takes seconds.
+FLOOD = [7 + i * MODULUS for i in range(SERIALS)]
+HONEST = list(range(7, 7 + SERIALS))
 
 
 def crl_of(serials):
@@ -292,27 +305,76 @@ def crl_of(serials):
     ).to_bytes()
 
 
+def publish_crl(ca, serials):
+    """*ca*'s CRL re-signed by *ca* over *serials*, under a new manifest."""
+    current = parse_object(ca.publication_point.get(CRL_FILE))
+    publish_forged(ca, {CRL_FILE: reforge(current, ca.key,
+                                          revoked_serials=serials)})
+
+
 class TestThroughACrl:
     def test_congruent_serials_parse_at_honest_cost_and_bisect(self):
         # ~240 KB: above the parse memo's object bound, so this CRL is
-        # read again on every refresh.  (A list, not a set: the set is
-        # the very thing that takes seconds to build.)
-        flood = [7 + i * MODULUS for i in range(SERIALS)]
-        honest = list(range(7, 7 + SERIALS))
-        flood_blob, honest_blob = crl_of(flood), crl_of(honest)
+        # read again on every refresh.
+        flood_blob, honest_blob = crl_of(FLOOD), crl_of(HONEST)
         assert best_of_three(lambda: parse_object(flood_blob)) < (
             10 * best_of_three(lambda: parse_object(honest_blob)))
         crl = parse_object(flood_blob)
-        for revoked in (flood[0], flood[SERIALS // 2], flood[-1]):
+        for revoked in (FLOOD[0], FLOOD[SERIALS // 2], FLOOD[-1]):
             assert crl.is_revoked(revoked)
-        for standing in (0, 6, 8, flood[1] - 1, flood[-1] + 1,
-                         flood[-1] + MODULUS):
+        for standing in (0, 6, 8, FLOOD[1] - 1, FLOOD[-1] + 1,
+                         FLOOD[-1] + MODULUS):
             assert not crl.is_revoked(standing)
 
-    def test_revoked_serials_is_still_a_frozenset(self):
+    def test_revoked_serials_is_the_ascending_tuple(self):
         crl = parse_object(crl_of([3, 9, 70_000]))
-        assert crl.revoked_serials == frozenset({3, 9, 70_000})
+        assert crl.revoked_serials == (3, 9, 70_000)
         assert crl.revoked_serials is crl.revoked_serials
         assert (crl.is_revoked(9), crl.is_revoked(4)) == (True, False)
         empty = parse_object(crl_of([]))
-        assert not empty.is_revoked(0) and empty.revoked_serials == frozenset()
+        assert not empty.is_revoked(0) and empty.revoked_serials == ()
+
+    def test_monitor_diff_and_alerts_at_honest_cost(self):
+        def watch(serials):
+            clock, registry, root, holder = ipv6_world(honest_hosts(1))
+            before = take_snapshot(registry, clock.now)
+            holder.delete_object(next(iter(holder.issued_roas)))
+            publish_crl(holder, serials)
+            clock.advance(1)
+
+            def work():
+                after = take_snapshot(registry, clock.now)
+                diff = diff_snapshots(before, after)
+                return diff, analyze(diff, before, after)
+            return work
+
+        flood_work, honest_work = watch(FLOOD), watch(HONEST)
+        assert best_of_three(flood_work) < 5 * best_of_three(honest_work)
+        diff, alerts = flood_work()
+        assert diff.newly_revoked == {"rsync://holder.example/repo/":
+                                      tuple(FLOOD)}
+        assert [alert.kind for alert in alerts] == [
+            AlertKind.STEALTHY_DELETION]
+
+    def test_suspenders_refresh_at_honest_cost(self):
+        def retaining(serials):
+            clock, registry, root, holder = ipv6_world(honest_hosts(1))
+            srp = SuspendersRelyingParty(
+                RelyingParty([root.certificate], Fetcher(registry, clock),
+                             clock, metrics=MetricsRegistry()),
+                clock, grace_seconds=10 * HOUR,
+            )
+            srp.refresh()
+            # A stealthy deletion beside a validly signed CRL that does
+            # not name the ROA: the VRP is retained at this point.
+            holder.delete_object(next(iter(holder.issued_roas)))
+            publish_crl(holder, serials)
+            clock.advance(1)
+            srp.refresh()
+            assert [r.home_point for r in srp.retained] == [holder.sia]
+            return srp
+
+        flood_srp, honest_srp = retaining(FLOOD), retaining(HONEST)
+        assert best_of_three(flood_srp.refresh) < (
+            5 * best_of_three(honest_srp.refresh))
+        assert len(flood_srp.retained) == 1
