@@ -27,9 +27,15 @@ Three claims are asserted, not just timed:
    rows.  An idle refresh a tick later edits nothing, re-judges no point
    and verifies no signature.  Counts, so a noisy box cannot blur them
    (``BENCH_incremental.json``).
+4. **A refresh walks only what changed.**  The one-ROA refresh copies
+   one publication point's files from its repository, digests one and
+   is delivered one point's bytes; the idle refresh copies, digests and
+   is delivered nothing — the same counts on a world a quarter as wide,
+   so per-refresh work tracks changed points, not total points.
 """
 
 import builtins
+import dataclasses
 import json
 
 import pytest
@@ -39,9 +45,11 @@ from conftest import write_artifact
 from repro import default_registry
 from repro.api import ApiConfig, QueryService
 from repro.modelgen import INTERNET_SCALES, DeploymentConfig, build_deployment
-from repro.repository import Fetcher
+from repro.repository import Fetcher, HostedPublicationPoint
+from repro.repository import cache as repository_cache
 from repro.resources import PrefixMap
 from repro.rp import RelyingParty, VrpSet
+from repro.rp import pathval
 from repro.rp.vrp import _Fingerprint
 from repro.rpki import Roa
 from repro.simtime import HOUR
@@ -143,6 +151,10 @@ class _Calls:
         self.vrpset_builds = self.trie_inserts = self.trie_removes = 0
         self.bucket_digests = self.fingerprint_edits = 0
         self.largest_sort = self.roas_parsed = 0
+        self.point_copies = self.point_digests = 0
+        self._count(patch, HostedPublicationPoint, "snapshot", "point_copies")
+        self._count(patch, repository_cache, "point_digest", "point_digests")
+        self._count(patch, pathval, "point_digest", "point_digests")
         self._count(patch, VrpSet, "__init__", "vrpset_builds")
         self._count(patch, Roa, "_read_payload", "roas_parsed")
         self._count(patch, PrefixMap, "get_or_insert", "trie_inserts")
@@ -172,15 +184,58 @@ class _Calls:
         return self.trie_inserts + self.trie_removes + self.fingerprint_edits
 
 
-def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
-    """Claim 3 of the module docstring, at 10^4 VRPs."""
-    world = build_deployment(INTERNET_SCALES["internet-small"])
+def _stateful_rp(world) -> RelyingParty:
     metrics = MetricsRegistry()
-    rp = RelyingParty(
+    return RelyingParty(
         world.trust_anchors,
         Fetcher(world.registry, world.clock, metrics=metrics),
         metrics=metrics,
     )
+
+
+def _fetched_bytes(rp) -> float:
+    return rp.metrics.get("repro_fetch_bytes_total").value()
+
+
+def _refresh_work(rp, calls: "_Calls", before: float,
+                  points_before: float) -> tuple:
+    """(point copies, point digests, bytes delivered, points validated)
+    of one refresh, from its counters' values *before* it."""
+    points = rp.metrics.get("repro_incremental_points_total")
+    return (calls.point_copies, calls.point_digests,
+            _fetched_bytes(rp) - before,
+            points.value(outcome="validated") - points_before)
+
+
+def _point_bytes(ca) -> int:
+    return sum(map(len, ca.publication_point.snapshot().values()))
+
+
+def _handoff_then_idle(world, monkeypatch) -> tuple[tuple, tuple]:
+    """The refresh work of one new ROA, then of an idle tick."""
+    rp = _stateful_rp(world)
+    rp.refresh()
+    points = rp.metrics.get("repro_incremental_points_total")
+    donor = next(ca for ca in world.authorities() if ca.issued_roas)
+    prefix = donor.issued_roas[sorted(donor.issued_roas)[0]].prefixes[0].prefix
+    work = []
+    for change in (lambda: donor.issue_roa(65200, str(prefix)), lambda: None):
+        world.clock.advance(HOUR)
+        change()
+        before, validated = _fetched_bytes(rp), points.value(outcome="validated")
+        with monkeypatch.context() as patch:
+            calls = _Calls(patch)
+            rp.refresh()
+        work.append(_refresh_work(rp, calls, before, validated))
+    assert work[0][2] == _point_bytes(donor)
+    return work[0][:2] + work[0][3:], work[1]
+
+
+def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
+    """Claims 3 and 4 of the module docstring, at 10^4 VRPs."""
+    world = build_deployment(INTERNET_SCALES["internet-small"])
+    rp = _stateful_rp(world)
+    metrics = rp.metrics
     rp.refresh()
     service = QueryService(rp, config=ApiConfig(rate_limit=None),
                            metrics=metrics)
@@ -200,12 +255,13 @@ def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
     world.clock.advance(HOUR)
     donor.issue_roa(65200, str(prefix), name="handoff.roa")
     point_vrps = sum(len(roa.prefixes) for roa in donor.issued_roas.values())
-    before = validated()
+    before, delivered = validated(), _fetched_bytes(rp)
     with monkeypatch.context() as patch:
         churn = _Calls(patch)
         report = rp.refresh()
         answer = service.validate_route(str(prefix), 65200)
     churn_points = validated() - before
+    churn_work = _refresh_work(rp, churn, delivered, before)
     assert answer.payload.state.value == "valid"
     assert len(report.announced) == 1 and not report.withdrawn
     assert service.lookup_asn(65200).payload == report.announced
@@ -217,20 +273,30 @@ def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
     # bytes: every other one is judged again from its row.
     assert churn_points == 1
     assert churn.roas_parsed == 1
+    # The one changed point is the one copied, digested and delivered.
+    assert churn.point_copies == churn.point_digests == 1
+    assert churn_work[2] == _point_bytes(donor)
 
     # A tick after the publish instant: the re-judged point's new starts
     # were reached when it was judged, so it is replayed like the rest.
     world.clock.advance(HOUR)
-    before, verifies = validated(), _verify_total()
+    before, verifies, delivered = validated(), _verify_total(), _fetched_bytes(rp)
     with monkeypatch.context() as patch:
         idle = _Calls(patch)
         report = rp.refresh()
         service.validate_route(str(prefix), 65200)
     idle_points, idle_verifies = validated() - before, _verify_total() - verifies
+    idle_work = _refresh_work(rp, idle, delivered, before)
     assert not report.announced and not report.withdrawn
     assert idle.index_edits == 0 and idle.vrpset_builds == 0
     assert idle_points == 0
     assert idle_verifies == 0
+    assert idle_work == (0, 0, 0, 0)
+    # A quarter of the width (55 points for 205): the same work.
+    narrow = build_deployment(dataclasses.replace(
+        INTERNET_SCALES["internet-small"], isps_per_rir=10))
+    assert _handoff_then_idle(narrow, monkeypatch) == (
+        churn_work[:2] + churn_work[3:], idle_work)
 
     write_artifact("BENCH_incremental.json", json.dumps({
         "experiment": "incremental",
@@ -264,11 +330,24 @@ def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
             "idle_rsa_verifies": {
                 "measured": int(idle_verifies), "bound": 0, "op": "==",
             },
+            "handoff_point_copies": {
+                "measured": churn.point_copies, "bound": 1, "op": "==",
+            },
+            "idle_point_copies": {
+                "measured": idle.point_copies, "bound": 0, "op": "==",
+            },
+            "idle_point_digests": {
+                "measured": idle.point_digests, "bound": 0, "op": "==",
+            },
+            "idle_fetch_bytes": {
+                "measured": int(idle_work[2]), "bound": 0, "op": "==",
+            },
         },
         "handoff": {
             "scale": "internet-small",
             "vrps": table,
             "rejudged_point_vrps": point_vrps,
+            "rejudged_point_bytes": int(churn_work[2]),
             "trie_removes": churn.trie_removes,
             "idle_largest_sort": idle.largest_sort,
         },

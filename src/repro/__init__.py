@@ -159,7 +159,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [

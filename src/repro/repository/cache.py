@@ -70,6 +70,9 @@ class CachedPoint:
     # Content digest of ``files``, maintained by LocalCache.update() so
     # consumers (the incremental validator) never re-hash unchanged points.
     content_digest: str = ""
+    # The point's (session, revision) ``files`` is the faithful copy of;
+    # None when unknown or when a fault may have rewritten the bytes.
+    serial: tuple[int, int] | None = None
 
     @property
     def stale(self) -> bool:
@@ -114,11 +117,12 @@ class LocalCache:
             help="fetch results folded into the cache, by effect",
             labelnames=("effect",),
         )
-        self._m_hit, self._m_stale_keep, self._m_evict = (
-            updates.bind(effect=e) for e in ("hit", "stale_keep", "evict"))
+        self._m_hit, self._m_unchanged, self._m_stale_keep, self._m_evict = (
+            updates.bind(effect=e)
+            for e in ("hit", "unchanged", "stale_keep", "evict"))
         self._m_points = self.metrics.gauge(
             "repro_cache_points", help="publication points currently cached"
-        )
+        ).bind()
         self._m_stale_serves = self.metrics.counter(
             "repro_cache_stale_serves_total",
             help="stale points served to the validator within the grace "
@@ -132,14 +136,25 @@ class LocalCache:
         )
 
     def update(self, result: FetchResult) -> CachedPoint:
-        """Fold one fetch result into the cache."""
-        entry = self._points.setdefault(result.uri, CachedPoint(uri=result.uri))
+        """Fold one fetch result into the cache.
+
+        A not-modified result (``result.unchanged``) only stamps the
+        entry: its files are current.  Otherwise a successful result's
+        file dict is adopted as the entry's own, unless equal to it.
+        """
+        entry = self._points.get(result.uri)
+        if entry is None:
+            entry = self._points[result.uri] = CachedPoint(uri=result.uri)
         entry.last_attempt = result.fetched_at
         entry.last_status = result.status
-        if result.ok:
+        if result.unchanged:
+            entry.last_success = result.fetched_at
+            self._m_unchanged.inc()
+        elif result.ok:
             if result.files != entry.files or not entry.content_digest:
-                entry.files = dict(result.files)
+                entry.files = result.files
                 entry.content_digest = point_digest(entry.files)
+            entry.serial = result.serial
             entry.last_success = result.fetched_at
             self._m_hit.inc()
         elif self.keep_stale:
@@ -149,6 +164,7 @@ class LocalCache:
         else:
             entry.files = {}
             entry.content_digest = ""
+            entry.serial = None
             self._m_evict.inc()
         self._m_points.set(len(self._points))
         return entry

@@ -244,6 +244,21 @@ class FaultInjector:
 
     # -- application (called by the fetcher) ------------------------------------
 
+    def touches(self, point_uri: str) -> bool:
+        """Could this plan act on a fetch of *point_uri* right now?
+
+        True under a background rate, or when any scheduled fault of any
+        kind — timing, availability, Byzantine or per-file — still
+        matches the point.  Consumes nothing; a fetch it is False for
+        sees exactly the point's contents.
+        """
+        if self.background_rate:
+            return True
+        return any(
+            fault.remaining and point_uri.startswith(fault.uri_prefix)
+            for fault in self._faults
+        )
+
     def point_delay(self, point_uri: str) -> int | None:
         """Consume a timing fault due for this point, for one attempt.
 

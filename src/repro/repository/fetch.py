@@ -73,7 +73,10 @@ class FetchResult:
     *attempts* counts tries within this one call (1 without a resilience
     config; 0 when the circuit breaker short-circuited before any try).
     *elapsed* is the simulated seconds the whole call cost, backoff
-    included.
+    included.  *serial* is the point's ``(session, revision)`` when
+    *files* is exactly what the point holds under it (None when a fault
+    could have rewritten them); *unchanged* marks a not-modified fetch:
+    the caller's copy at that serial is current and *files* is empty.
     """
 
     uri: str
@@ -82,6 +85,8 @@ class FetchResult:
     fetched_at: int = 0
     attempts: int = 1
     elapsed: int = 0
+    serial: tuple[int, int] | None = None
+    unchanged: bool = False
 
     @property
     def ok(self) -> bool:
@@ -145,6 +150,9 @@ class Fetcher:
         self.attempt_timeout = attempt_timeout
         self.resilience = resilience
         self.breakers: dict[str, CircuitBreaker] = {}
+        # Each URI a caller names, parsed once: (parsed, normalized text).
+        # One entry per publication point fetched, as in the cache.
+        self._parsed: dict[str | RsyncUri, tuple[RsyncUri, str]] = {}
         self.metrics = metrics if metrics is not None else default_registry()
         fetches = self.metrics.counter(
             "repro_fetch_total",
@@ -192,7 +200,9 @@ class Fetcher:
             )
         return breaker
 
-    def fetch_point(self, uri: str | RsyncUri) -> FetchResult:
+    def fetch_point(
+        self, uri: str | RsyncUri, *, serial: tuple[int, int] | None = None
+    ) -> FetchResult:
         """Sync one publication point directory.
 
         Never raises for delivery problems — failure is data here (the
@@ -200,9 +210,17 @@ class Fetcher:
         is the paper's Section 4).  With a resilience config this is the
         whole retry loop: attempt, back off, re-attempt, up to the retry
         cap or until the host's circuit breaker opens.
+
+        *serial* is the ``(session, revision)`` of the caller's copy.
+        When the point still has it and no fault could touch the fetch,
+        the result is ``OK`` and *unchanged*, with no files: nothing is
+        copied or counted.  Routing, timing and breakers act either way.
         """
-        parsed = uri if isinstance(uri, RsyncUri) else RsyncUri.parse(uri)
-        uri_text = str(parsed)
+        known = self._parsed.get(uri)
+        if known is None:
+            parsed = uri if isinstance(uri, RsyncUri) else RsyncUri.parse(uri)
+            known = self._parsed[uri] = (parsed, str(parsed))
+        parsed, uri_text = known
         policy = self.resilience
         breaker = self.breaker_for(parsed.host)
         deadline = (
@@ -224,7 +242,9 @@ class Fetcher:
                         elapsed=self._clock.now - start,
                     ))
             attempts += 1
-            status, files = self._attempt(parsed, uri_text, deadline)
+            status, files, served = self._attempt(
+                parsed, uri_text, deadline, serial
+            )
             if breaker is not None:
                 transition = breaker.record(
                     status is FetchStatus.OK, self._clock.now
@@ -235,54 +255,68 @@ class Fetcher:
                 return self._count(FetchResult(
                     uri_text, status, files, fetched_at=self._clock.now,
                     attempts=attempts, elapsed=self._clock.now - start,
+                    serial=served,
+                    unchanged=served is not None and served == serial,
                 ))
             self._m_retries.inc()
             self._clock.advance(policy.retry.backoff(attempts, salt=uri_text))
 
     def _attempt(
-        self, parsed: RsyncUri, uri_text: str, deadline: int
-    ) -> tuple[FetchStatus, dict[str, bytes]]:
-        """One try at the publication point, bounded by *deadline*."""
+        self,
+        parsed: RsyncUri,
+        uri_text: str,
+        deadline: int,
+        serial: tuple[int, int] | None,
+    ) -> tuple[FetchStatus, dict[str, bytes], tuple[int, int] | None]:
+        """One try at the publication point, bounded by *deadline*.
+
+        Returns the status, the files served and the point's serial when
+        those files are its faithful contents.  A point at *serial* is
+        served as no files.
+        """
         try:
             point = self._registry.resolve(parsed)
         except UnknownHostError:
-            return FetchStatus.UNKNOWN_HOST, {}
+            return FetchStatus.UNKNOWN_HOST, {}, None
 
         if not self.reachability(point.server.locator):
-            return FetchStatus.UNREACHABLE, {}
+            return FetchStatus.UNREACHABLE, {}, None
 
-        if self.faults is not None:
-            delay = self.faults.point_delay(uri_text)
-            if delay is None or delay > deadline:
-                # Stalled or too slow: the attempt burns its whole deadline.
-                self._clock.advance(deadline)
-                self._m_deadline_misses.inc()
-                return FetchStatus.TIMEOUT, {}
-            if delay:
-                self._clock.advance(delay)
-            if self.faults.attempt_fails(uri_text):
-                return FetchStatus.FAULTED, {}
-            if self.faults.point_unreachable(uri_text):
-                return FetchStatus.FAULTED, {}
+        faults = self.faults
+        if faults is None or not faults.touches(uri_text):
+            current = point.serial
+            if current == serial:
+                return FetchStatus.OK, {}, current
+            return FetchStatus.OK, point.snapshot(), current
 
-        files = point.snapshot()
-        if self.faults is not None:
-            # Byzantine rewrites act on the whole assembled view first,
-            # then per-file kinds damage whatever that view contains.
-            checkpoints = getattr(point, "checkpoints", None)
-            files = self.faults.filter_point(
-                uri_text, files,
-                identity=self.identity,
-                history=checkpoints() if checkpoints is not None else (),
-            )
-            served: dict[str, bytes] = {}
-            for name in sorted(files):
-                filtered = self.faults.filter_file(uri_text, name, files[name])
-                if filtered is None:
-                    continue  # dropped
-                served[name] = filtered
-            files = served
-        return FetchStatus.OK, files
+        delay = faults.point_delay(uri_text)
+        if delay is None or delay > deadline:
+            # Stalled or too slow: the attempt burns its whole deadline.
+            self._clock.advance(deadline)
+            self._m_deadline_misses.inc()
+            return FetchStatus.TIMEOUT, {}, None
+        if delay:
+            self._clock.advance(delay)
+        if faults.attempt_fails(uri_text):
+            return FetchStatus.FAULTED, {}, None
+        if faults.point_unreachable(uri_text):
+            return FetchStatus.FAULTED, {}, None
+
+        # Byzantine rewrites act on the whole assembled view first, then
+        # per-file kinds damage whatever that view contains.
+        checkpoints = getattr(point, "checkpoints", None)
+        files = faults.filter_point(
+            uri_text, point.snapshot(),
+            identity=self.identity,
+            history=checkpoints() if checkpoints is not None else (),
+        )
+        served: dict[str, bytes] = {}
+        for name in sorted(files):
+            filtered = faults.filter_file(uri_text, name, files[name])
+            if filtered is None:
+                continue  # dropped
+            served[name] = filtered
+        return FetchStatus.OK, served, None
 
     def _count(self, result: FetchResult) -> FetchResult:
         """Account for a finished fetch.  The result itself is the

@@ -28,9 +28,10 @@ same property, without changing a single validation verdict:
   point unit of reuse.  A point's validation outcome is a pure function
   of (issuing certificate, strictness policy, the bytes of every cached
   copy, and which side of each time boundary ``now`` falls on).  The
-  validator stores each point's local outcome with that exact
-  fingerprint; a later run replays it verbatim when nothing it depends on
-  moved, and recomputes it (a *dirty* point) otherwise.
+  validator stores each point's local outcome with exactly those
+  dependencies; a later run replays it verbatim when nothing it depends
+  on moved — one check, :meth:`IncrementalState.lookup` — and recomputes
+  it (a *dirty* point) otherwise.
 
 Invalidation rules — the attack-safety contract
 -----------------------------------------------
@@ -49,8 +50,10 @@ otherwise it is discarded and the point revalidated from bytes:
   (``not_before`` / ``not_after`` of each parseable object, including
   embedded EE certificates; CRL and manifest ``next_update``) that the
   original computation could have observed — exactly, see
-  :func:`time_signature`.  Clock movement past any start, expiry or
-  staleness edge dirties the point; movement that crosses none does not.
+  :func:`time_signature`, whose constant stretch around the judging
+  instant is the half-open :func:`time_window` kept with the result.
+  Clock movement past any start, expiry or staleness edge dirties the
+  point; movement that crosses none does not.
 - ``policy``: the manifest-strictness policy is unchanged.
 
 Because reuse replays the exact issues, certificates, ROAs, and VRPs the
@@ -73,7 +76,8 @@ instrumented; see docs/performance.md for how to read the metrics.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import inf
 from typing import NamedTuple
 
 from ..crypto import RsaPublicKey, sha256_hex
@@ -95,6 +99,7 @@ __all__ = [
     "RoaRow",
     "VerificationMemo",
     "time_signature",
+    "time_window",
 ]
 
 # Generous for any simulated deployment; bounds long-running monitors.
@@ -125,6 +130,28 @@ def time_signature(
     """
     starts, ends = boundaries
     return (bisect_right(starts, now), bisect_left(ends, now))
+
+
+def time_window(
+    boundaries: tuple[tuple[int, ...], tuple[int, ...]], now: int
+) -> tuple[float, float]:
+    """The instants whose :func:`time_signature` equals *now*'s: ``[lo, hi)``.
+
+    With ``(i, j)`` the signature at *now*, ``bisect_right(starts, t)``
+    stays ``i`` exactly for ``starts[i-1] <= t < starts[i]``, and
+    ``bisect_left(ends, t)`` stays ``j`` exactly for ``ends[j-1] < t <=
+    ends[j]``, which on integer instants is ``ends[j-1] + 1 <= t <
+    ends[j] + 1``.  The window is the intersection of the two (a missing
+    neighbour is unbounded), so ``lo <= t < hi`` holds iff the signature
+    at ``t`` equals the one at *now* — in both directions, a rewound
+    clock included.
+    """
+    starts, ends = boundaries
+    i, j = time_signature(boundaries, now)
+    lo = max(starts[i - 1] if i else -inf, ends[j - 1] + 1 if j else -inf)
+    hi = min(starts[i] if i < len(starts) else inf,
+             ends[j] + 1 if j < len(ends) else inf)
+    return lo, hi
 
 
 class VerificationMemo:
@@ -258,25 +285,31 @@ class PointResult:
     ``(file name, RoaRow)`` per accepted ROA (the row carries its VRPs),
     the validated contact, the CRL the point was judged against (signed
     by its CA; kept when stale, None when missing, unparsable or badly
-    signed) — but nothing from child subtrees.
+    signed) under every publication URI of the CA (``crls``) — but
+    nothing from child subtrees.
 
-    ``fingerprint`` is the exact reuse key (issuer certificate hash,
-    strictness policy, per-copy content digests); ``boundaries`` (the
-    sorted ``(starts, ends)`` of :func:`time_signature`) and ``time_sig``
-    encode the time-window status; ``verify_count`` is how many signature
-    checks the judgement performed, credited to the skipped-verifications
-    counter on every reuse.
+    What the outcome depends on is kept beside it: the issuing
+    certificate's ``issuer`` hash, the ``strict`` manifest policy,
+    ``copies`` — ``(uri, content digest or None when absent)`` per
+    publication URI of the CA, primary first — and ``window``, the
+    half-open ``[lo, hi)`` of :func:`time_window` over ``boundaries``
+    (the sorted ``(starts, ends)`` of :func:`time_signature`).
+    ``verify_count`` is how many signature checks the judgement
+    performed, credited to the skipped-verifications counter on every
+    reuse.
     """
 
-    fingerprint: tuple
+    issuer: str
+    strict: bool
+    copies: tuple[tuple[str, str | None], ...]
     boundaries: tuple[tuple[int, ...], tuple[int, ...]]
-    time_sig: tuple[int, int]
+    window: tuple[float, float]
     selected_uri: str
     issues: tuple = ()
     children: tuple = ()
     roas: tuple[tuple[str, RoaRow], ...] = ()
     contact: GhostbustersRecord | None = None
-    crl: Crl | None = None
+    crls: dict[str, Crl] = field(default_factory=dict)
     verify_count: int = 0
 
     @property
@@ -318,8 +351,11 @@ class IncrementalState:
         self.emitted: dict[str, PointResult] = {}
         self.metrics = metrics if metrics is not None else default_registry()
         # (verify hits, verify misses, parse hits, parse misses) already
-        # booked into the counters below; see book_memos().
+        # booked into the counters below; see book().
         self._booked = (0, 0, 0, 0)
+        # Points replayed and validated, and the signature checks the
+        # replays skipped, since the last book().
+        self._reused = self._validated = self._skipped = 0
         verify_memo = self.metrics.counter(
             "repro_incremental_verify_memo_total",
             help="verification-memo lookups, by result",
@@ -360,14 +396,15 @@ class IncrementalState:
         self._m_entries = [entries.bind(memo=memo)
                            for memo in ("verify", "parse", "roa_rows")]
 
-    # -- memo telemetry -------------------------------------------------------
+    # -- telemetry -----------------------------------------------------------
 
-    def book_memos(self) -> None:
-        """Book the memo lookups made since the last call, once per walk.
+    def book(self) -> None:
+        """Book what the walk since the last call did, once per walk.
 
-        The memos count their own hits and misses as plain integers; the
-        labelled counters are brought up to date here instead of on
-        every lookup.
+        The memos count their own hits and misses, and :meth:`lookup` /
+        :meth:`store` the points replayed and validated, as plain
+        integers; the labelled counters are brought up to date here
+        instead of on every lookup.
         """
         verify, parse = self.verify_memo, self.parse_memo
         # A blob too big for the memo was looked up and not found.
@@ -377,47 +414,62 @@ class IncrementalState:
             if total > booked:
                 counter.inc(total - booked)
         self._booked = totals
+        if self._reused:
+            self._m_points["reused"].inc(self._reused)
+        if self._validated:
+            self._m_points["validated"].inc(self._validated)
+        if self._skipped:
+            self._m_skipped.inc(self._skipped)
+        self._reused = self._validated = self._skipped = 0
         self._update_gauges()
 
     # -- the dirty-point check ----------------------------------------------
 
-    def lookup(self, ca_key_id: str, fingerprint: tuple, now: int) -> PointResult | None:
-        """The cached result for this CA's point, if still valid at *now*.
+    def lookup(
+        self,
+        ca_key_id: str,
+        issuer: str,
+        strict: bool,
+        digests: dict[str, str],
+        now: int,
+    ) -> PointResult | None:
+        """The kept result for this CA's point, if still valid at *now*.
 
-        Returns None — after counting why — when the point is dirty.
+        The one clean-point check: the issuing certificate (*issuer*, its
+        hash) and the manifest policy are the ones stored, every
+        publication URI serves the digest stored for it (*digests* maps
+        each served URI to its content digest), and *now* lies in the
+        stored window.  Returns None — after counting why — when the
+        point is dirty.
         """
         entry = self.points.get(ca_key_id)
+        reason = None
         if entry is None:
-            self._m_invalidations["new"].inc()
-            return None
-        if entry.fingerprint != fingerprint:
-            # Order mirrors the fingerprint layout in PathValidator:
-            # (issuer hash, policy, copies).
-            if entry.fingerprint[0] != fingerprint[0]:
-                reason = "issuer"
-            elif entry.fingerprint[1] != fingerprint[1]:
-                reason = "policy"
+            reason = "new"
+        elif entry.issuer != issuer:
+            reason = "issuer"
+        elif entry.strict != strict:
+            reason = "policy"
+        else:
+            for uri, digest in entry.copies:
+                if digests.get(uri) != digest:
+                    reason = "content"
+                    break
             else:
-                reason = "content"
+                lo, hi = entry.window
+                if not lo <= now < hi:
+                    reason = "time"
+        if reason is not None:
             self._m_invalidations[reason].inc()
             return None
-        if time_signature(entry.boundaries, now) != entry.time_sig:
-            self._m_invalidations["time"].inc()
-            return None
+        self._reused += 1
+        self._skipped += entry.verify_count
         return entry
 
     def store(self, ca_key_id: str, entry: PointResult) -> None:
-        """Cache *entry* for *ca_key_id*."""
+        """Keep *entry*, a freshly validated result, for *ca_key_id*."""
         self.points[ca_key_id] = entry
-        self._update_gauges()
-
-    def count_reused(self, entry: PointResult) -> None:
-        self._m_points["reused"].inc()
-        if entry.verify_count:
-            self._m_skipped.inc(entry.verify_count)
-
-    def count_validated(self) -> None:
-        self._m_points["validated"].inc()
+        self._validated += 1
 
     def _update_gauges(self) -> None:
         verify, parse, roa_rows = self._m_entries
@@ -435,7 +487,7 @@ class IncrementalState:
         replace the emitted ones assertion for assertion — withdraw all,
         announce all, net change empty if nothing else moved.
         """
-        self.book_memos()
+        self.book()
         self.verify_memo = VerificationMemo(max_entries=self.verify_memo.max_entries)
         self.parse_memo = ParseMemo(max_entries=self.parse_memo.max_entries)
         self.roa_rows = GenerationMemo(self.roa_rows.max_entries)

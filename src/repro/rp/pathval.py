@@ -51,7 +51,7 @@ from ..rpki.manifest import Manifest
 from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
 from ..rpki.roa import Roa
-from .incremental import IncrementalState, PointResult, RoaRow, time_signature
+from .incremental import IncrementalState, PointResult, RoaRow, time_window
 from .vrp import VRP, VrpSet
 
 __all__ = [
@@ -201,10 +201,12 @@ class PathValidator:
         snapshot judged at the single instant *now* and with no fetching.
         *cache_files* maps publication point URI → file name → bytes
         (the shape of :meth:`repro.repository.LocalCache.all_files`).
-        *digests* optionally maps point URI → content digest (the shape
-        of :meth:`repro.repository.LocalCache.digests`), the points'
-        reuse key; computed from the bytes when absent.
+        *digests* optionally maps every one of those URIs to its content
+        digest (the shape of :meth:`repro.repository.LocalCache.digests`),
+        the points' reuse key; computed from the bytes when absent.
         """
+        if digests is None:
+            digests = _digests_of(cache_files)
         walk = ValidationWalk(self, now)
         while walk.frontier:
             walk.step(cache_files, now, digests)
@@ -250,26 +252,28 @@ class PathValidator:
         self,
         ca_cert: ResourceCertificate,
         cache_files: dict[str, dict[str, bytes]],
-        digests: dict[str, str] | None,
+        digests: dict[str, str],
         now: int,
     ) -> PointResult:
         """The per-point step: replay the kept result, or validate and keep.
 
         Every walk — a refresh's or :meth:`run`'s — judges each CA's
-        publication point through this one function, at most once.
+        publication point through this one function, at most once.  A
+        clean point costs the one check of
+        :meth:`IncrementalState.lookup <repro.rp.incremental.IncrementalState.lookup>`.
         """
         state = self.incremental
-        fingerprint = self._point_fingerprint(ca_cert, cache_files, digests)
-        entry = state.lookup(ca_cert.subject_key_id, fingerprint, now)
+        key_id = ca_cert.subject_key_id
+        entry = state.lookup(
+            key_id, ca_cert.hash_hex, self.strict_manifests, digests, now
+        )
         if entry is not None:
-            state.count_reused(entry)
             return entry
         try:
-            entry = self._validate_point(ca_cert, cache_files, now, fingerprint)
+            entry = self._validate_point(ca_cert, cache_files, digests, now)
         except Exception as exc:  # containment: one bad point ≠ dead run
-            return self._quarantined_point(ca_cert, fingerprint, now, exc)
-        state.count_validated()
-        state.store(ca_cert.subject_key_id, entry)
+            return self._quarantined_point(ca_cert, exc)
+        state.store(key_id, entry)
         return entry
 
     def _count(self, result: ValidationRun) -> None:
@@ -286,33 +290,12 @@ class PathValidator:
             if count:
                 self._m_issues.inc(count, severity=severity.value)
 
-    def _point_fingerprint(
-        self,
-        ca_cert: ResourceCertificate,
-        cache_files: dict[str, dict[str, bytes]],
-        digests: dict[str, str] | None,
-    ) -> tuple:
-        """The exact reuse key for one CA's publication point.
-
-        Covers the issuing certificate (byte hash — a reissued or shrunk
-        parent always dirties the point, and the issuer CRL lives *in*
-        the point so content covers it), the strictness policy, and the
-        content digest of every cached copy, primary and mirrors alike.
-        """
-        copies = tuple(
-            (uri, digests.get(uri, "") if digests is not None
-             else point_digest(cache_files[uri]))
-            for uri in ca_cert.all_publication_uris
-            if uri in cache_files
-        )
-        return (ca_cert.hash_hex, self.strict_manifests, copies)
-
     def _validate_point(
         self,
         ca_cert: ResourceCertificate,
         cache_files: dict[str, dict[str, bytes]],
+        digests: dict[str, str],
         now: int,
-        fingerprint: tuple,
     ) -> PointResult:
         """Cold-validate one publication point into a replayable result."""
         issues: list[ValidationIssue] = []
@@ -325,7 +308,7 @@ class PathValidator:
                 f"publication point of {ca_cert.subject!r} absent from cache",
             ))
             return self._finish_point(
-                ca_cert, cache_files, None, now, fingerprint,
+                ca_cert, cache_files, digests, None, now,
                 issues, [], [], None, None, verify_before,
             )
         point_uri = copy.uri
@@ -407,7 +390,7 @@ class PathValidator:
                     ))
                     continue
         return self._finish_point(
-            ca_cert, cache_files, copy, now, fingerprint,
+            ca_cert, cache_files, digests, copy, now,
             issues, children, roas, contact, crl, verify_before,
         )
 
@@ -424,9 +407,9 @@ class PathValidator:
         self,
         ca_cert: ResourceCertificate,
         cache_files: dict[str, dict[str, bytes]],
+        digests: dict[str, str],
         selected: "_PointCopy | None",
         now: int,
-        fingerprint: tuple,
         issues: list[ValidationIssue],
         children: list[ResourceCertificate],
         roas: list[tuple[str, RoaRow]],
@@ -434,27 +417,26 @@ class PathValidator:
         crl: Crl | None,
         verify_before: int,
     ) -> PointResult:
-        """Package a point's outcome, with its time-reuse signature."""
+        """Package a point's outcome with what its reuse depends on."""
         boundaries = self._collect_boundaries(ca_cert, cache_files, selected)
+        uris = ca_cert.all_publication_uris
         return PointResult(
-            fingerprint=fingerprint,
+            issuer=ca_cert.hash_hex,
+            strict=self.strict_manifests,
+            copies=tuple((uri, digests.get(uri)) for uri in uris),
             boundaries=boundaries,
-            time_sig=time_signature(boundaries, now),
+            window=time_window(boundaries, now),
             selected_uri=ca_cert.sia if selected is None else selected.uri,
             issues=tuple(issues),
             children=tuple(children),
             roas=tuple(roas),
             contact=contact,
-            crl=crl,
+            crls={} if crl is None else dict.fromkeys(uris, crl),
             verify_count=self._verify_calls - verify_before,
         )
 
     def _quarantined_point(
-        self,
-        ca_cert: ResourceCertificate,
-        fingerprint: tuple,
-        now: int,
-        exc: Exception,
+        self, ca_cert: ResourceCertificate, exc: Exception
     ) -> PointResult:
         """A replayable empty result for a point whose validation raised.
 
@@ -466,9 +448,11 @@ class PathValidator:
             f"validation raised {type(exc).__name__}: {exc}",
         )
         return PointResult(
-            fingerprint=fingerprint,
+            issuer=ca_cert.hash_hex,
+            strict=self.strict_manifests,
+            copies=(),
             boundaries=((), ()),
-            time_sig=(0, 0),
+            window=(0, 0),
             selected_uri=ca_cert.sia,
             issues=(issue,),
         )
@@ -870,7 +854,13 @@ class ValidationWalk:
         now: int,
         digests: dict[str, str] | None = None,
     ) -> None:
-        """Judge the frontier's points from *cache_files* at *now*."""
+        """Judge the frontier's points from *cache_files* at *now*.
+
+        *digests* maps every URI of *cache_files* to its content digest
+        (computed from the bytes when absent).
+        """
+        if digests is None:
+            digests = _digests_of(cache_files)
         children: list[ResourceCertificate] = []
         if self._depth <= _MAX_DEPTH:
             for ca_cert in self.frontier:
@@ -906,7 +896,7 @@ class ValidationWalk:
                 result.issues.append(issue)
                 continue
             result.validated_cas.append(anchor)
-            self._emit(anchor, result, emitted, depth=0)
+            self._emit(anchor, result, emitted)
         withdrawn = [
             entry.vrps for key_id, entry in last.items()
             if emitted.get(key_id) is not entry
@@ -919,41 +909,56 @@ class ValidationWalk:
             chain.from_iterable(announced), chain.from_iterable(withdrawn)
         )
         state.emitted = emitted
-        state.book_memos()
+        state.book()
         self._validator._count(result)
         return result
 
     def _emit(
         self,
-        ca_cert: ResourceCertificate,
+        anchor: ResourceCertificate,
         result: ValidationRun,
         emitted: dict[str, PointResult],
-        depth: int,
     ) -> None:
-        """Apply one judged point's local outcome, then its subtree's."""
-        if depth > _MAX_DEPTH:
-            result.issues.append(ValidationIssue(
-                Severity.ERROR, ca_cert.sia, "", "depth-exceeded",
-                "certificate chain deeper than the validator allows",
-            ))
-            return
-        key_id = ca_cert.subject_key_id
-        judged = self._points.get(key_id)
-        if key_id in emitted or judged is None or judged[0] is not ca_cert:
-            return  # this key's point belongs to another certificate
-        entry = emitted[key_id] = judged[1]
-        # Replayed and freshly computed results take the identical path, so
-        # warm output is byte-for-byte equal to cold output by construction.
-        result.issues.extend(entry.issues)
-        if entry.contact is not None:
-            result.contacts[entry.selected_uri] = entry.contact
-        if entry.crl is not None:
-            for uri in ca_cert.all_publication_uris:
-                result.crls[uri] = entry.crl
-        result.roas.append((entry.selected_uri, entry.roas))
-        for child in entry.children:
-            result.validated_cas.append(child)
-            self._emit(child, result, emitted, depth + 1)
+        """Apply the judged points under *anchor*, depth-first.
+
+        Each point's local outcome goes in before its children's
+        subtrees, children in file order, and every child certificate is
+        listed as it is reached — the order of a recursive descent, kept
+        on an explicit stack.  Replayed and freshly computed results take
+        the identical path, so warm output equals cold output by
+        construction.
+        """
+        points = self._points
+        issues, cas = result.issues, result.validated_cas
+        stack = [(anchor, 0)]
+        while stack:
+            ca_cert, depth = stack.pop()
+            if depth:
+                cas.append(ca_cert)
+                if depth > _MAX_DEPTH:
+                    issues.append(ValidationIssue(
+                        Severity.ERROR, ca_cert.sia, "", "depth-exceeded",
+                        "certificate chain deeper than the validator allows",
+                    ))
+                    continue
+            key_id = ca_cert.subject_key_id
+            judged = points.get(key_id)
+            if key_id in emitted or judged is None or judged[0] is not ca_cert:
+                continue  # this key's point belongs to another certificate
+            entry = emitted[key_id] = judged[1]
+            issues.extend(entry.issues)
+            if entry.contact is not None:
+                result.contacts[entry.selected_uri] = entry.contact
+            result.crls.update(entry.crls)
+            result.roas.append((entry.selected_uri, entry.roas))
+            if entry.children:
+                depth += 1
+                stack.extend((child, depth) for child in reversed(entry.children))
+
+
+def _digests_of(cache_files: dict[str, dict[str, bytes]]) -> dict[str, str]:
+    """The content digest of every point in *cache_files*."""
+    return {uri: point_digest(files) for uri, files in cache_files.items()}
 
 
 class _PointCopy:

@@ -312,8 +312,13 @@ class RelyingParty:
                             # last good copy keeps serving this cycle.
                             deferred.add(uri)
                             continue
+                    # The cached copy's serial: an unchanged point is
+                    # answered not-modified, with nothing copied.
+                    cached = self.cache.point(uri)
                     try:
-                        result = self.fetcher.fetch_point(uri)
+                        result = self.fetcher.fetch_point(
+                            uri, serial=None if cached is None else cached.serial
+                        )
                     except Exception:
                         # Containment: a crashing fetch degrades one point
                         # (recorded below via its FAULTED status), never

@@ -10,6 +10,7 @@ whose *reachability* the Section 6 circularity analysis cares about.
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 from typing import Iterator, Protocol, runtime_checkable
 
 __all__ = ["DEFAULT_HISTORY_LIMIT", "PublicationTarget", "InMemoryPublicationPoint"]
@@ -18,6 +19,9 @@ __all__ = ["DEFAULT_HISTORY_LIMIT", "PublicationTarget", "InMemoryPublicationPoi
 # several publish cycles; bounded so long campaigns don't accumulate
 # every state the point ever had.
 DEFAULT_HISTORY_LIMIT = 8
+
+# Session tokens: one per point object, never reused within a process.
+_SESSIONS = count(1)
 
 
 @runtime_checkable
@@ -41,8 +45,11 @@ class InMemoryPublicationPoint:
     """A plain dict-backed publication point.
 
     Used directly in unit tests and wrapped by the repository layer's
-    hosted points.  Keeps a monotonic revision counter so monitors can
-    cheaply detect "anything changed here?", and a bounded history of
+    hosted points.  Keeps RRDP-style (RFC 8182) versioning: a *session*
+    token unique to this point object and a *revision* serial bumped by
+    every mutation that changes a byte, so ``serial`` — the pair — is
+    equal exactly when nothing was written here since it was read (a
+    fetcher skips the copy then).  Also keeps a bounded history of
     *checkpoints* — consistent past states recorded by the CA after each
     publish — which is exactly what a replaying authority (or a
     compromised repository) can serve instead of the current content:
@@ -51,6 +58,7 @@ class InMemoryPublicationPoint:
 
     def __init__(self) -> None:
         self._files: dict[str, bytes] = {}
+        self._session = next(_SESSIONS)
         self._revision = 0
         self._history: deque[dict[str, bytes]] = deque(
             maxlen=DEFAULT_HISTORY_LIMIT
@@ -58,14 +66,21 @@ class InMemoryPublicationPoint:
 
     @property
     def revision(self) -> int:
-        """Bumped on every mutation."""
+        """Bumped by every mutation that changes the contents."""
         return self._revision
+
+    @property
+    def serial(self) -> tuple[int, int]:
+        """``(session, revision)``: equal only for the same point object
+        with the same contents since the serial was read."""
+        return self._session, self._revision
 
     def put(self, name: str, data: bytes) -> None:
         if not name:
             raise ValueError("publication file name must be non-empty")
-        self._files[name] = data
-        self._revision += 1
+        if self._files.get(name) != data:
+            self._files[name] = data
+            self._revision += 1
 
     def delete(self, name: str) -> None:
         if self._files.pop(name, None) is not None:

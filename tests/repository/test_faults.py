@@ -4,13 +4,26 @@ The monitor's detectability experiments and the resilience benchmark both
 lean on one property: given a seed and a fetch order, the injector
 applies *exactly* the same faults in the same order every run.  These
 tests pin that property directly on the injector, independent of the
-fetcher that normally drives it.
+fetcher that normally drives it — and pin that the fetcher never
+answers a fetch the plan could touch as not-modified, so the plan sees
+every fetch it saw before serials existed.
 """
 
 import pytest
 
-from repro.repository import PERSISTENT, Fault, FaultInjector, FaultKind
+from repro.modelgen import build_figure2
+from repro.repository import (
+    BYZANTINE_KINDS,
+    PERSISTENT,
+    Fault,
+    FaultInjector,
+    FaultKind,
+    Fetcher,
+)
 from repro.repository.faults import POINT_KINDS
+from repro.rp import RelyingParty
+from repro.rpki import CRL_FILE
+from repro.telemetry import MetricsRegistry
 
 POINT = "rsync://continental.example/repo/"
 OTHER = "rsync://sprint.example/repo/"
@@ -117,3 +130,70 @@ class TestScheduling:
         injector.schedule(FaultKind.STALL, POINT, count=PERSISTENT)
         injector.clear()
         assert injector.point_delay(POINT) == 0
+
+
+# -- the fetcher's full path -------------------------------------------------
+
+def faulted_world(faults):
+    world = build_figure2()
+    metrics = MetricsRegistry()
+    return world, Fetcher(world.registry, world.clock, faults=faults,
+                          metrics=metrics)
+
+
+class TestFaultsTakeTheFullPath:
+    @pytest.mark.parametrize("kind", list(FaultKind), ids=lambda k: k.value)
+    def test_a_fault_matching_the_point_defeats_the_serial(self, kind):
+        faults = FaultInjector(seed=5)
+        world, fetcher = faulted_world(faults)
+        uri, point = world.continental.sia, world.continental.publication_point
+        serial = fetcher.fetch_point(uri).serial
+        assert serial == point.serial
+        whole = kind in POINT_KINDS or kind in BYZANTINE_KINDS
+        faults.schedule(kind, uri,
+                        file_name=None if whole else next(point.names()))
+        result = fetcher.fetch_point(uri, serial=serial)
+        assert not result.unchanged and result.serial is None
+        assert [k for _, _, k in faults.applied] == [kind]
+
+    def test_a_background_rate_defeats_the_serial(self):
+        faults = FaultInjector(seed=5, background_rate=0.01)
+        world, fetcher = faulted_world(faults)
+        uri = world.continental.sia
+        first = fetcher.fetch_point(uri)
+        assert first.serial is None
+        again = fetcher.fetch_point(
+            uri, serial=world.continental.publication_point.serial)
+        assert not again.unchanged and again.files
+
+    def test_a_fault_elsewhere_leaves_the_point_not_modified(self):
+        faults = FaultInjector(seed=5)
+        world, fetcher = faulted_world(faults)
+        uri = world.continental.sia
+        faults.schedule(FaultKind.STALL, world.sprint.sia, count=PERSISTENT)
+        faults.schedule(FaultKind.CORRUPT, world.sprint.sia,
+                        file_name=CRL_FILE, count=PERSISTENT)
+        serial = fetcher.fetch_point(uri).serial
+        assert fetcher.fetch_point(uri, serial=serial).unchanged
+        assert not faults.applied
+
+    @pytest.mark.parametrize(
+        "kind", (FaultKind.CORRUPT, FaultKind.TRUNCATE, FaultKind.DROP),
+        ids=lambda k: k.value)
+    def test_a_one_shot_file_fault_heals_on_the_next_refresh(self, kind):
+        """The damaged copy is stored without a serial, so the next fetch
+        is a full one and the cache is byte-equal to the server again."""
+        faults = FaultInjector(seed=5)
+        world, fetcher = faulted_world(faults)
+        rp = RelyingParty(world.trust_anchors, fetcher,
+                          metrics=fetcher.metrics)
+        rp.refresh()
+        uri, point = world.continental.sia, world.continental.publication_point
+        faults.schedule(kind, uri, file_name=next(point.names()))
+        rp.refresh()
+        cached = rp.cache.point(uri)
+        assert cached.files != point.snapshot() and cached.serial is None
+        rp.refresh()
+        cached = rp.cache.point(uri)
+        assert cached.files == point.snapshot()
+        assert cached.serial == point.serial

@@ -172,6 +172,50 @@ class TestFetcher:
         assert fetches.value(status="ok") == 1
         assert fetches.value(status="unknown-host") == 1
 
+    def test_a_current_serial_is_answered_not_modified(self):
+        _, point, _, fetcher = self.setup_world(metrics=MetricsRegistry())
+        uri = "rsync://continental/repo/"
+        first = fetcher.fetch_point(uri)
+        assert first.serial == point.serial and not first.unchanged
+        delivered = fetcher.metrics.get("repro_fetch_bytes_total").value()
+        again = fetcher.fetch_point(uri, serial=first.serial)
+        assert again.ok and again.unchanged and again.files == {}
+        assert fetcher.metrics.get("repro_fetch_bytes_total").value() == (
+            delivered)
+        assert fetcher.metrics.get("repro_fetch_total").value(status="ok") == 2
+        point.put("a.roa", b"roa-bytes")        # the same bytes: same serial
+        assert fetcher.fetch_point(uri, serial=first.serial).unchanged
+        point.put("a.roa", b"roa-bytes-v2")
+        changed = fetcher.fetch_point(uri, serial=first.serial)
+        assert not changed.unchanged
+        assert changed.files["a.roa"] == b"roa-bytes-v2"
+
+    def test_a_remounted_point_is_never_not_modified(self):
+        """The serial names the point object: a new point at the same URI,
+        same files and same revision count, is fetched in full."""
+        registry, point, _, fetcher = self.setup_world()
+        uri = "rsync://continental/repo/"
+        serial = fetcher.fetch_point(uri).serial
+        server = registry.by_host("continental")
+        del server._points["repo"]
+        remounted = server.mount(uri)
+        for name in point.names():
+            remounted.put(name, point.get(name))
+        assert remounted.revision == point.revision
+        result = fetcher.fetch_point(uri, serial=serial)
+        assert not result.unchanged
+        assert result.files == point.snapshot()
+        assert result.serial == remounted.serial != serial
+
+    def test_each_uri_is_parsed_once(self, monkeypatch):
+        _, _, _, fetcher = self.setup_world()
+        parses, parse = [], RsyncUri.parse.__func__
+        monkeypatch.setattr(RsyncUri, "parse", classmethod(
+            lambda cls, text: (parses.append(text), parse(cls, text))[1]))
+        for _ in range(3):
+            fetcher.fetch_point("rsync://continental/repo/")
+        assert parses == ["rsync://continental/repo/"]
+
     def test_long_lived_fetcher_retains_no_results(self):
         """A fetcher lives as long as its relying party; every result it
         kept would pin that refresh's manifest and CRL bytes for good."""
@@ -182,8 +226,8 @@ class TestFetcher:
         handed_out = []
         fetch_point = fetcher.fetch_point
 
-        def tracked(uri):
-            result = fetch_point(uri)
+        def tracked(uri, **kwargs):
+            result = fetch_point(uri, **kwargs)
             handed_out.append(weakref.ref(result))
             return result
 

@@ -7,6 +7,8 @@ authority) controls: whacking, revocation, expiry.  A memo that survives
 any of those is a vulnerability, not an optimization.
 """
 
+import random
+
 import pytest
 
 from repro import reset_default_metrics
@@ -21,7 +23,7 @@ from repro.rp import (
     VerificationMemo,
     VrpSet,
 )
-from repro.rp.incremental import time_signature
+from repro.rp.incremental import time_signature, time_window
 from repro.rpki.errors import ObjectFormatError
 from repro.rpki.roa import Roa
 from repro.simtime import DAY, HOUR
@@ -201,6 +203,21 @@ class TestMemoUnits:
         for a in range(5, 36):
             for b in range(5, 36):
                 assert (sig(a) == sig(b)) == (predicates(a) == predicates(b))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_time_window_is_exactly_where_the_signature_holds(self, seed):
+        """``[lo, hi)`` from one instant, in both directions, with edges
+        shared by a start and an end and with empty sides."""
+        rng = random.Random(seed)
+        starts = tuple(sorted(rng.sample(range(40), rng.randrange(4))))
+        ends = tuple(sorted(rng.sample(range(40), rng.randrange(4))))
+        for now in range(-2, 43):
+            lo, hi = time_window((starts, ends), now)
+            assert lo <= now < hi
+            for t in range(-5, 46):
+                assert (lo <= t < hi) == (
+                    time_signature((starts, ends), t)
+                    == time_signature((starts, ends), now)), (now, t)
 
 
 class TestZeroChurnRefresh:

@@ -9,6 +9,11 @@ boundary ``b`` at ``b - 1``, ``b`` and ``b + 1``, the warm run must
 equal a new validator's cold :meth:`PathValidator.run` field for field,
 issue texts included — and that cold run must reach the reference
 validator's verdicts (``reference_validator.py``).
+
+The events include two a relying party cannot see coming: a repository
+that changes bytes without bumping its serial (the stale copy is served
+and judged, never the server's), and a repository host that drops off
+the network and comes back with its serial unchanged.
 """
 
 import dataclasses
@@ -19,16 +24,19 @@ import pytest
 
 from repro.crypto import KeyFactory
 from repro.modelgen import INTERNET_SCALES, build_deployment, build_figure2
-from repro.repository import Fetcher
+from repro.repository import Fetcher, HostedPublicationPoint
+from repro.repository.cache import CacheFreshness
 from repro.resources import ResourceSet
 from repro.rp import PathValidator, RelyingParty
 from repro.rpki import (
     CRL_FILE,
+    MANIFEST_FILE,
     IssuanceError,
     Roa,
     RoaPrefix,
     build_certificate,
     build_roa,
+    parse_object,
 )
 from repro.simtime import DAY, HOUR
 from repro.telemetry import MetricsRegistry
@@ -48,6 +56,16 @@ POOLS = {
 FULL, SHRUNK = (ResourceSet.parse(text)
                 for text in ("63.174.16.0/20", "63.174.16.0/22"))
 EE_KEY = KeyFactory(seed=2525, bits=512).next_keypair()
+
+
+class SerialLiar(HostedPublicationPoint):
+    """A repository that writes new bytes under its old serial."""
+
+    def put(self, name: str, data: bytes) -> None:
+        self._files[name] = data
+
+    def delete(self, name: str) -> None:
+        self._files.pop(name, None)
 
 
 def stateful_rp(world) -> RelyingParty:
@@ -83,6 +101,8 @@ class Harness:
         self.rng = random.Random(seed)
         self.world = build_figure2()
         self.rp = stateful_rp(self.world)
+        self.down: set = set()                    # unreachable locators
+        self.rp.fetcher.reachability = lambda locator: locator not in self.down
         self.issued: list[tuple[str, str]] = []   # (authority, file name)
         self.compare()
 
@@ -152,8 +172,31 @@ class Harness:
             target = min(ahead[:3], key=lambda b: self.rng.random())
             self.world.clock.at_least(target + self.rng.choice((-1, 0, 1)))
 
+    def lie_about_serial(self) -> None:
+        """The next change lands under its repository's old serial."""
+        points = [self.authority(name).publication_point for name in POOLS]
+        for point in points:
+            point.__class__ = SerialLiar
+        try:
+            self.rng.choice((Harness.issue, Harness.revoke, Harness.renew))(
+                self)
+        finally:
+            for point in points:
+                point.__class__ = HostedPublicationPoint
+
+    def flip_reachability(self) -> None:
+        """A repository host drops off the network, or the one down is
+        back with whatever serial it had."""
+        if self.down:
+            self.down.clear()
+        else:
+            servers = sorted(self.world.registry.servers(),
+                             key=lambda server: server.host)
+            self.down.add(self.rng.choice(servers).locator)
+
     EVENTS = (issue, issue, revoke, renew, reissue_parent, crl_names_an_ee,
-              second_ca, land_on_a_boundary, land_on_a_boundary)
+              second_ca, land_on_a_boundary, land_on_a_boundary,
+              lie_about_serial, flip_reachability)
 
     def step(self) -> None:
         self.rng.choice(self.EVENTS)(self)
@@ -211,6 +254,80 @@ def test_replayed_issue_texts_carry_no_stale_instant():
     report = rp.refresh()
     assert report.run.has_issue("crl-stale")
     assert report.run == cold(rp, world.clock.now, reference=False)
+
+
+# -- what a repository can hide ----------------------------------------------
+
+def cached_next_update(rp, uri) -> int:
+    """The earlier of the cached copy's manifest and CRL nextUpdate."""
+    files = rp.cache.point(uri).files
+    return min(parse_object(files[name]).next_update
+               for name in (MANIFEST_FILE, CRL_FILE))
+
+
+def test_a_serial_liar_is_served_stale_until_its_next_update():
+    """Bytes changed under an unchanged serial never reach the relying
+    party: it keeps judging its copy, replays it while that copy is
+    current, and re-walks it into ``manifest-stale`` / ``crl-stale``
+    past the copy's nextUpdate — never raising, always equal to cold."""
+    world = build_figure2()
+    rp = stateful_rp(world)
+    rp.refresh()
+    continental = world.continental
+    uri, point = continental.sia, continental.publication_point
+    held = dict(rp.cache.point(uri).files)
+    points = rp.metrics.get("repro_incremental_points_total")
+    point.__class__ = SerialLiar
+    world.clock.advance(HOUR)
+    continental.issue_roa(64_500, "63.174.24.0/24", ee_key=EE_KEY)
+    assert point.snapshot() != held
+    boundary = cached_next_update(rp, uri)
+    for at in (world.clock.now, boundary):
+        world.clock.at_least(at)
+        validated = points.value(outcome="validated")
+        run = rp.refresh().run
+        assert rp.cache.point(uri).files == held
+        assert points.value(outcome="validated") == validated
+        assert not [i for i in run.issues if i.point_uri == uri]
+        assert run == cold(rp, world.clock.now)
+    world.clock.advance(1)
+    validated = points.value(outcome="validated")
+    run = rp.refresh().run
+    assert points.value(outcome="validated") > validated
+    assert {"manifest-stale", "crl-stale"} <= {
+        i.code for i in run.issues if i.point_uri == uri}
+    # What the liar serves is current; what the relying party holds is not.
+    assert parse_object(point.get(MANIFEST_FILE)).next_update > world.clock.now
+    assert run == cold(rp, world.clock.now)
+
+
+def test_a_host_back_online_is_fresh_without_a_copy(monkeypatch):
+    """Unreachable, then reachable with its serial unchanged: the point
+    is served stale in between, then answered not-modified — FRESH,
+    replayed, nothing copied."""
+    world = build_figure2()
+    rp = stateful_rp(world)
+    uri = world.continental.sia
+    down = set()
+    rp.fetcher.reachability = lambda at: at not in down
+    rp.refresh()
+    down.add(world.registry.resolve(uri).server.locator)
+    world.clock.advance(1)
+    report = rp.refresh()
+    assert report.freshness[uri] is CacheFreshness.STALE
+    assert report.run == cold(rp, world.clock.now)
+    down.clear()
+    points = rp.metrics.get("repro_incremental_points_total")
+    validated = points.value(outcome="validated")
+    copies = []
+    monkeypatch.setattr(HostedPublicationPoint, "snapshot", lambda self: (
+        copies.append(self), dict(self._files))[1])
+    world.clock.advance(1)
+    report = rp.refresh()
+    assert [r.unchanged for r in report.fetches if r.uri == uri] == [True]
+    assert report.freshness[uri] is CacheFreshness.FRESH
+    assert copies == [] and points.value(outcome="validated") == validated
+    assert report.run == cold(rp, world.clock.now)
 
 
 # -- the check order, which a row must keep --------------------------------

@@ -58,6 +58,13 @@ class TestPublicationPoint:
         assert point.revision == 3
         point.delete("a")  # deleting nothing does not count
         assert point.revision == 3
+        point.put("a", b"3")
+        point.put("a", b"3")  # nor does writing the bytes already there
+        assert point.revision == 4
+        # The serial is the pair, and the session names this point object.
+        session, revision = point.serial
+        assert revision == 4
+        assert InMemoryPublicationPoint().serial[0] != session
 
     def test_rejects_empty_name(self):
         from repro.rpki import InMemoryPublicationPoint
