@@ -5,7 +5,7 @@ publication point that *stalls* instead of failing costs an unprotected
 relying party its entire per-attempt timeout on every refresh — cost
 linear in the number of refreshes — while a fetcher with deadlines,
 capped backoff, and a per-host circuit breaker pays at most
-``RetryPolicy.worst_case_seconds()`` per refresh, and after the breaker
+``resilience.WORST_CASE_SECONDS`` per refresh, and after the breaker
 opens almost nothing.  The relying party meanwhile serves stale cache
 inside its grace window, then visibly downgrades (VRPs drop) when the
 window expires, and the monitor's stall detector pages on the sustained
@@ -19,7 +19,13 @@ two runs of the same scenario.
 from conftest import write_artifact
 
 from repro.experiments import CONTINENTAL_POINT, ETB_POINT, stalled_authority
+from repro.monitor.stall import ALERT_THRESHOLD
 from repro.repository import BreakerState, FaultKind
+from repro.repository.resilience import (
+    ATTEMPT_DEADLINE,
+    MAX_ATTEMPTS,
+    WORST_CASE_SECONDS,
+)
 from repro.telemetry import MetricsRegistry
 
 EPOCHS = 6
@@ -44,12 +50,11 @@ def test_unprotected_cost_grows_linearly():
 def test_resilient_cost_bounded_by_deadline_times_retry_cap():
     run = stalled_authority(resilient=True)
     costs, rp, fetcher = run.costs, run.rp, run.fetcher
-    policy = fetcher.resilience.retry
-    bound = policy.worst_case_seconds()
+    bound = WORST_CASE_SECONDS
     # Acceptance criterion: refresh cost under a stalling authority is
     # bounded by deadline x retry cap (+ capped jittered backoff).
     assert all(cost <= bound for cost in costs), (costs, bound)
-    assert bound < 2 * policy.max_attempts * policy.attempt_deadline
+    assert bound < 2 * MAX_ATTEMPTS * ATTEMPT_DEADLINE
     # Once the breaker opens the per-refresh cost collapses to (at most)
     # one half-open probe; total stays far below the unprotected line.
     breaker = fetcher.breakers["continental.example"]
@@ -76,7 +81,7 @@ def test_stale_serve_then_expiry_is_observable():
 def test_monitor_flags_stall_but_not_background_churn():
     run = stalled_authority(resilient=True)
     detector, alert_log = run.detector, run.alert_log
-    threshold = detector.config.alert_threshold
+    threshold = ALERT_THRESHOLD
     # Quiet until the streak reaches the threshold...
     for epoch_alerts in alert_log[: threshold - 1]:
         assert epoch_alerts == []

@@ -93,7 +93,6 @@ from .monitor import (
     ChurnConfig,
     ChurnEngine,
     DetectionExperiment,
-    StallConfig,
     StallDetector,
     analyze,
     diff_snapshots,
@@ -102,7 +101,6 @@ from .monitor import (
 from .repository import (
     BYZANTINE_KINDS,
     PERSISTENT,
-    BreakerPolicy,
     BreakerState,
     CacheFreshness,
     CircuitBreaker,
@@ -115,8 +113,6 @@ from .repository import (
     LocalCache,
     RepositoryRegistry,
     RepositoryServer,
-    ResilienceConfig,
-    RetryPolicy,
     RsyncUri,
     SchedulerConfig,
     always_reachable,
@@ -159,12 +155,12 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.26.0"
+__version__ = "1.27.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
     "ASN", "Afi", "ApiConfig", "ApiResponse", "BYZANTINE_KINDS",
-    "BreakerPolicy", "BreakerState", "CacheChain", "CacheFreshness",
+    "BreakerState", "CacheChain", "CacheFreshness",
     "CacheStats", "CampaignConfig", "CampaignResult", "CertificateAuthority",
     "ChainedRtrCache", "ChurnConfig",
     "ChurnEngine", "CircuitBreaker", "Clock", "ClosedLoopSimulation",
@@ -178,11 +174,11 @@ __all__ = [
     "OriginValidationOutcome", "PERSISTENT", "PathValidator",
     "PlannedFault", "Prefix", "QueryService", "QueryStatus",
     "RateLimitConfig", "RefreshReport", "RelyingParty", "RepositoryRegistry",
-    "RepositoryServer", "ResilienceConfig", "ResourceCertificate",
-    "ResourceSet", "ResponseCache", "RetryPolicy", "Roa", "Route",
+    "RepositoryServer", "ResourceCertificate",
+    "ResourceSet", "ResponseCache", "Roa", "Route",
     "RouteValidity", "RsyncUri", "RtrCacheServer", "RtrRouterClient",
     "SchedulerConfig",
-    "SessionMux", "Span", "StallConfig", "StallDetector",
+    "SessionMux", "Span", "StallDetector",
     "StallorisConfig", "StallorisReport",
     "SuspendersRelyingParty", "TokenBucket", "VRP", "ValidationRun",
     "Violation", "VrpDiff", "VrpSet", "YEAR", "__version__",

@@ -24,7 +24,7 @@ re-serving the cache's beliefs tier by tier — with its own chaos:
 garbage bytes mid-session, abrupt channel closes, and severed chain
 links (which must heal by reconnecting).
 
-After every cycle three invariants are checked:
+After every cycle four invariants are checked:
 
 - **safety** — each faulted variant's VRP set is a subset of the clean
   run's: faults may *remove* validated origins, never invent them.
@@ -79,49 +79,55 @@ __all__ = [
     "shrink_plan",
 ]
 
+# The RTR fan-out riding on the faulted variant: chained-cache tiers
+# below the validating cache, and children per cache.
+RTR_TIERS = 1
+RTR_FANOUT = 2
+# Campaign re-executions one shrink may spend.
+MAX_SHRINK_RUNS = 200
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Shape of one campaign: world size, cycle count, chaos knobs."""
+    """Shape of one campaign: seed, cycle count, and what is staged.
+
+    *plant_violation* stages the stealthy-delete + replay demo;
+    *amplification_points* has one authority mint that many delegated
+    slow points (the Stalloris shape).  The world (two RIRs, one ISP
+    and one customer each, one ROA apiece), the timings and the RTR
+    fan-out are fixed.
+    """
 
     seed: int = 7
     cycles: int = 20
-    gap_seconds: int = 900       # simulated time between cycles
-    attempt_timeout: int = 600   # fetcher deadline (bounds STALL cost)
-    rir_count: int = 2           # breadth of the generated deployment
-    isps_per_rir: int = 1
-    customers_per_isp: int = 1
-    plant_violation: bool = False  # stage the stealthy-delete + replay demo
-    rtr_tiers: int = 1           # chained-cache fan-out depth (0 = none)
-    rtr_fanout: int = 2          # children per cache in the chain
-    # Stalloris knobs: delegated slow points minted by one authority, and
-    # the staleness bound the scheduled variant must hold for points no
-    # timing fault recently covered (None derives one from the timings).
+    plant_violation: bool = False
     amplification_points: int = 0
-    interference_bound: int | None = None
+
+    gap_seconds = 900       # simulated time between cycles
+    attempt_timeout = 600   # fetcher deadline (bounds STALL cost)
 
     def deployment(self) -> DeploymentConfig:
         return DeploymentConfig(
             seed=self.seed,
-            rirs=tuple(RIR)[: max(1, self.rir_count)],
-            isps_per_rir=self.isps_per_rir,
-            customers_per_isp=self.customers_per_isp,
+            rirs=tuple(RIR)[:2],
+            isps_per_rir=1,
+            customers_per_isp=1,
             roas_per_isp=1,
             roas_per_customer=1,
             amplification_points=self.amplification_points,
         )
 
-    def effective_interference_bound(self) -> int:
-        """The bound actually enforced (derived unless configured).
+    @property
+    def interference_bound(self) -> int:
+        """The staleness bound the scheduled variant must hold.
 
-        The derivation covers the scheduled relying party's worst case:
-        an unrelated point refreshes every cycle, so its age stays under
-        one cycle gap plus a few authority-budget-sized fetch bursts on
-        either side of its own fetch — while an *unscheduled* starved
-        point's age grows by a full cycle every cycle and crosses any
-        fixed bound.
+        It covers the scheduled relying party's worst case for points no
+        timing fault recently covered: an unrelated point refreshes every
+        cycle, so its age stays under one cycle gap plus a few
+        authority-budget-sized fetch bursts on either side of its own
+        fetch — while an *unscheduled* starved point's age grows by a
+        full cycle every cycle and crosses any fixed bound.
         """
-        if self.interference_bound is not None:
-            return self.interference_bound
         return 4 * (self.gap_seconds + 2 * self.attempt_timeout)
 
 
@@ -296,13 +302,9 @@ class _Campaign:
         self._attach_router()
         # The fan-out tree: non-validating caches re-serving the faulted
         # variant's beliefs, checked tier by tier every cycle.
-        self.chain: CacheChain | None = None
-        if config.rtr_tiers > 0:
-            self.chain = CacheChain(
-                self.server,
-                tiers=config.rtr_tiers,
-                fanout=config.rtr_fanout,
-            )
+        self.chain = CacheChain(
+            self.server, tiers=RTR_TIERS, fanout=RTR_FANOUT
+        )
 
     # -- plumbing ------------------------------------------------------------
 
@@ -396,7 +398,7 @@ class _Campaign:
             self._attach_router()
         if self.router.state is RouterState.FAILED or self.pipe.closed:
             self._attach_router()
-        if self.chain is not None and self.rtr_rng.random() < 0.1:
+        if self.rtr_rng.random() < 0.1:
             # Sever a random chain link; the next pump must heal it
             # with a reconnect and a full resync.
             caches = self.chain.caches()
@@ -407,8 +409,7 @@ class _Campaign:
         self.router.process()   # Serial Notify -> router polls
         self.server.process()   # answer the Serial Query
         self.router.process()   # apply the delta
-        if self.chain is not None:
-            self.chain.pump()   # propagate down every tier
+        self.chain.pump()       # propagate down every tier
 
     # -- the loop ------------------------------------------------------------
 
@@ -423,8 +424,7 @@ class _Campaign:
                 self._m_violations.inc(invariant=violation.invariant)
                 break
         result.clean_vrps = len(self.clean.rp.vrps)
-        if self.chain is not None:
-            result.chain_caches = len(self.chain.caches())
+        result.chain_caches = len(self.chain.caches())
         for variant in (self.faulted, self.cold):
             result.faults_fired += (
                 len(variant.faults.applied) + variant.faults.applied_dropped
@@ -475,17 +475,16 @@ class _Campaign:
                 f"router table diverged from its cache after resync "
                 f"({len(router_set)} vs {len(faulted_set)} VRPs)",
             )
-        if self.chain is not None:
-            for tier_index in range(self.chain.tiers):
-                for position, cache in enumerate(self.chain.tier(tier_index)):
-                    served = cache.current_vrps()
-                    if served != faulted_set:
-                        return Violation(
-                            cycle, "equivalence",
-                            f"chained cache tier {tier_index} #{position} "
-                            f"diverged from the validating RP "
-                            f"({len(served)} vs {len(faulted_set)} VRPs)",
-                        )
+        for tier_index in range(self.chain.tiers):
+            for position, cache in enumerate(self.chain.tier(tier_index)):
+                served = cache.current_vrps()
+                if served != faulted_set:
+                    return Violation(
+                        cycle, "equivalence",
+                        f"chained cache tier {tier_index} #{position} "
+                        f"diverged from the validating RP "
+                        f"({len(served)} vs {len(faulted_set)} VRPs)",
+                    )
         return self._check_interference(cycle, result)
 
     def _check_interference(
@@ -497,12 +496,12 @@ class _Campaign:
         availability kinds, including AMPLIFY's subtree prefixes) are
         exempt — the attacker may of course cost *itself* freshness.
         Every other cached point must have refreshed successfully within
-        the configured bound; staleness there means one authority's
-        slowness leaked onto its neighbors.  The lookback window covers
-        every cycle whose fault could still legitimately age a point at
-        the bound.
+        :attr:`CampaignConfig.interference_bound`; staleness there means
+        one authority's slowness leaked onto its neighbors.  The lookback
+        window covers every cycle whose fault could still legitimately age
+        a point at the bound.
         """
-        bound = self.config.effective_interference_bound()
+        bound = self.config.interference_bound
         result.interference_bound = bound
         now = self.scheduled.world.clock.now
         lookback = bound // self.config.gap_seconds + 2
@@ -542,17 +541,15 @@ def run_campaign(
 
 
 def shrink_plan(
-    config: CampaignConfig,
-    plan: FaultPlan,
-    *,
-    max_runs: int = 200,
+    config: CampaignConfig, plan: FaultPlan
 ) -> tuple[FaultPlan, int]:
     """Delta-debug *plan* to a minimal still-violating reproducer.
 
     Returns ``(minimal plan, campaigns executed)``.  Strategy: confirm
     the violation, drop everything scheduled after the violating cycle,
     try each fault alone, then greedily remove entries one at a time
-    until no single removal still violates.
+    until no single removal still violates — at most
+    :data:`MAX_SHRINK_RUNS` campaigns in all.
     """
     runs = 0
 
@@ -577,7 +574,7 @@ def shrink_plan(
         best = truncated
 
     for index in range(len(best.faults)):
-        if runs >= max_runs:
+        if runs >= MAX_SHRINK_RUNS:
             return best, runs
         single = FaultPlan(
             seed=best.seed, cycles=best.cycles,
@@ -587,10 +584,10 @@ def shrink_plan(
             return single, runs
 
     improved = True
-    while improved and runs < max_runs:
+    while improved and runs < MAX_SHRINK_RUNS:
         improved = False
         for index in range(len(best.faults)):
-            if runs >= max_runs:
+            if runs >= MAX_SHRINK_RUNS:
                 break
             candidate = best.without(index)
             if violates(candidate):

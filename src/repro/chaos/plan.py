@@ -59,7 +59,6 @@ class PlannedFault:
     point_uri: str
     persistent: bool = False
     delay_seconds: int = 0
-    fail_rate: float = 1.0
 
     def active_at(self, cycle: int) -> bool:
         if self.persistent:
@@ -79,7 +78,6 @@ class PlannedFault:
             self.point_uri,
             count=count,
             delay_seconds=self.delay_seconds,
-            fail_rate=self.fail_rate,
         )
 
     def describe(self) -> str:
@@ -131,16 +129,10 @@ class FaultPlan:
         )
 
 
-def build_plan(
-    seed: int,
-    cycles: int,
-    point_uris: Sequence[str],
-    *,
-    max_per_cycle: int = 2,
-) -> FaultPlan:
+def build_plan(seed: int, cycles: int, point_uris: Sequence[str]) -> FaultPlan:
     """A deterministic randomized plan over *point_uris*.
 
-    Each cycle draws 0–*max_per_cycle* faults (biased toward one) from
+    Each cycle draws zero, one or two faults (biased toward one) from
     :data:`FAULT_MENU`, each aimed at a seeded choice of point.  The same
     ``(seed, cycles, point_uris)`` always yields the identical plan.
     """
@@ -150,7 +142,7 @@ def build_plan(
         raise ValueError("cannot plan faults with no publication points")
     rng = random.Random(seed)
     targets = sorted(point_uris)
-    weights = (0,) + (1,) * max_per_cycle + tuple(range(2, max_per_cycle + 1))
+    weights = (0, 1, 1, 2)  # faults drawn per cycle
     faults: list[PlannedFault] = []
     for cycle in range(cycles):
         for _ in range(rng.choice(weights)):

@@ -50,25 +50,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StallorisConfig:
-    """Shape of one Stalloris measurement.
+    """Shape of one Stalloris measurement: seed, attack size, cycles.
 
-    The defaults make the attack decisive without being slow: eight
-    stalled children cost ``8 x attempt_timeout`` = 4800 simulated
-    seconds against a 1200-second global budget, so the unscheduled
-    fetcher exhausts its budget inside the attacker's subtree from the
-    first attacked cycle on.
+    The world (two RIRs, two ISPs each with one customer, one ROA apiece)
+    and the timings are fixed, and make the attack decisive without
+    being slow: eight stalled children cost ``8 x attempt_timeout`` =
+    4800 simulated seconds against a 1200-second global budget, so the
+    unscheduled fetcher exhausts its budget inside the attacker's subtree
+    from the first attacked cycle on.
     """
 
     seed: int = 1
     amplification_points: int = 8
     cycles: int = 5             # attacked refresh cycles after the warm-up
-    gap_seconds: int = 900      # simulated time between refreshes
-    attempt_timeout: int = 600  # fetcher deadline; bounds one stall's cost
-    fetch_budget: int = 1200    # the unscheduled RP's global budget
-    stale_grace: int = 3600     # downgrade threshold for victim age
-    rir_count: int = 2
-    isps_per_rir: int = 2
-    customers_per_isp: int = 1
+
+    gap_seconds = 900           # simulated time between refreshes
+    attempt_timeout = 600       # fetcher deadline; bounds one stall's cost
+    fetch_budget = 1200         # the unscheduled RP's global budget
+    stale_grace = 3600          # downgrade threshold for victim age
 
     def __post_init__(self) -> None:
         if self.amplification_points < 1:
@@ -79,9 +78,9 @@ class StallorisConfig:
     def deployment(self) -> DeploymentConfig:
         return DeploymentConfig(
             seed=self.seed,
-            rirs=tuple(RIR)[: max(1, self.rir_count)],
-            isps_per_rir=self.isps_per_rir,
-            customers_per_isp=self.customers_per_isp,
+            rirs=tuple(RIR)[:2],
+            isps_per_rir=2,
+            customers_per_isp=1,
             roas_per_isp=1,
             roas_per_customer=1,
             amplification_points=self.amplification_points,

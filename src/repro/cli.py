@@ -56,7 +56,7 @@ from .modelgen import (
     resolve_scale,
 )
 from .profiling import profile_refresh
-from .repository import Fetcher
+from .repository import Fetcher, resilience
 from .rp import RelyingParty
 from .rtr import (
     CacheChain, DuplexPipe, RouterState, RtrCacheServer, RtrRouterClient,
@@ -199,11 +199,10 @@ def cmd_resilience(args) -> None:
         run = experiments.stalled_authority(
             resilient, args.epochs, _seed(args, 17))
         if resilient:
-            retry = run.fetcher.resilience.retry
-            print(f"== resilient fetcher ({retry.attempt_deadline} s deadline "
-                  f"x {retry.max_attempts} attempts, per-host breaker, "
-                  "4 h stale grace)")
-            bound = (f"bounded by worst-case {retry.worst_case_seconds()} "
+            print(f"== resilient fetcher ({resilience.ATTEMPT_DEADLINE} s "
+                  f"deadline x {resilience.MAX_ATTEMPTS} attempts, per-host "
+                  "breaker, 4 h stale grace)")
+            bound = (f"bounded by worst-case {resilience.WORST_CASE_SECONDS} "
                      "s/refresh")
         else:
             print("== unprotected fetcher (single attempt, "

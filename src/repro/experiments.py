@@ -35,9 +35,7 @@ from .modelgen import (
 from .monitor import (
     Alert, ChurnConfig, ChurnEngine, DetectionExperiment, StallDetector,
 )
-from .repository import (
-    PERSISTENT, FaultInjector, FaultKind, Fetcher, ResilienceConfig,
-)
+from .repository import PERSISTENT, FaultInjector, FaultKind, Fetcher
 from .rp import VRP, RefreshReport, RelyingParty, VrpSet
 from .simtime import HOUR
 from .telemetry import MetricsRegistry
@@ -337,7 +335,7 @@ def stalled_authority(
     faults = FaultInjector(seed=seed)
     fetcher = Fetcher(
         world.registry, world.clock, faults=faults, metrics=metrics,
-        resilience=ResilienceConfig() if resilient else None,
+        resilient=resilient,
     )
     posture = dict(stale_grace=4 * HOUR, fetch_budget=600) if resilient else {}
     rp = RelyingParty(

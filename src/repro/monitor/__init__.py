@@ -17,7 +17,7 @@ from .churn import ChurnConfig, ChurnEngine, ChurnEvent
 from .diff import CertChange, RoaChange, SnapshotDiff, diff_snapshots
 from .experiment import DetectionExperiment, DetectionScore, EpochAlerts
 from .snapshot import ObjectRecord, RpkiSnapshot, take_snapshot
-from .stall import StallConfig, StallDetector
+from .stall import StallDetector
 
 __all__ = [
     "Alert",
@@ -33,7 +33,6 @@ __all__ = [
     "RoaChange",
     "RpkiSnapshot",
     "SnapshotDiff",
-    "StallConfig",
     "StallDetector",
     "analyze",
     "detect_equivocation",

@@ -11,12 +11,12 @@ its routes downgrade to unknown.
 :class:`StallDetector` folds in each refresh cycle's
 :class:`~repro.repository.fetch.FetchResult` list and raises a
 :data:`~repro.monitor.alerts.AlertKind.SUSTAINED_STALL` alert once a
-point's consecutive-degraded streak reaches the configured threshold.
+point's consecutive-degraded streak reaches :data:`ALERT_THRESHOLD`.
 Below the threshold nothing fires, which is what keeps background churn
 (one-off flaky fetches, transient unreachability) out of the pager.
 
 The detector also aggregates stalled points per authority (rsync host):
-when one host accounts for ``amplification_threshold`` or more
+when one host accounts for :data:`AMPLIFICATION_THRESHOLD` or more
 simultaneously stalled points, it raises a single
 :data:`~repro.monitor.alerts.AlertKind.AMPLIFIED_STALL` alert for the
 host — the delegation-tree amplification fingerprint (one misbehaving
@@ -26,14 +26,17 @@ cost), which per-point alerts alone would drown in noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..repository.fetch import FetchResult, FetchStatus
 from ..repository.uri import RsyncUri
 from ..telemetry import MetricsRegistry, default_registry
 from .alerts import Alert, AlertKind
 
-__all__ = ["DEGRADED_STATUSES", "StallConfig", "StallDetector"]
+__all__ = [
+    "ALERT_THRESHOLD",
+    "AMPLIFICATION_THRESHOLD",
+    "DEGRADED_STATUSES",
+    "StallDetector",
+]
 
 # Fetch outcomes that count as "the point did not deliver this epoch".
 DEGRADED_STATUSES = frozenset({
@@ -44,23 +47,11 @@ DEGRADED_STATUSES = frozenset({
     FetchStatus.UNKNOWN_HOST,
 })
 
-
-@dataclass(frozen=True)
-class StallConfig:
-    """When a degraded streak becomes an alert."""
-
-    alert_threshold: int = 3   # consecutive degraded epochs before paging
-    # Simultaneously stalled points on one host before the aggregated
-    # amplified-stall alert fires alongside the per-point pages.
-    amplification_threshold: int = 3
-
-    def __post_init__(self) -> None:
-        if self.alert_threshold < 1:
-            raise ValueError(f"bad alert threshold {self.alert_threshold}")
-        if self.amplification_threshold < 2:
-            raise ValueError(
-                f"bad amplification threshold {self.amplification_threshold}"
-            )
+# Consecutive degraded epochs before a point pages.
+ALERT_THRESHOLD = 3
+# Simultaneously stalled points on one host before the aggregated
+# amplified-stall alert fires alongside the per-point pages.
+AMPLIFICATION_THRESHOLD = 3
 
 
 class StallDetector:
@@ -70,19 +61,13 @@ class StallDetector:
     ``detector.observe(report.fetches)``).  A point's streak grows by one
     per epoch in which its *latest* fetch outcome was degraded and resets
     to zero on any successful delivery.  While a streak is at or past
-    ``alert_threshold`` the epoch yields a ``SUSTAINED_STALL`` alert for
+    :data:`ALERT_THRESHOLD` the epoch yields a ``SUSTAINED_STALL`` alert for
     that point — re-raised every epoch the stall persists, because a
     monitor that pages once and goes quiet is how Side Effect 6 outages
     become permanent.
     """
 
-    def __init__(
-        self,
-        *,
-        config: StallConfig | None = None,
-        metrics: MetricsRegistry | None = None,
-    ):
-        self.config = config if config is not None else StallConfig()
+    def __init__(self, *, metrics: MetricsRegistry | None = None):
         self.consecutive: dict[str, int] = {}
         self.history: list[list[Alert]] = []
         self.metrics = metrics if metrics is not None else default_registry()
@@ -108,7 +93,7 @@ class StallDetector:
             if result.status in DEGRADED_STATUSES:
                 streak = self.consecutive.get(uri, 0) + 1
                 self.consecutive[uri] = streak
-                if streak >= self.config.alert_threshold:
+                if streak >= ALERT_THRESHOLD:
                     alerts.append(Alert(
                         AlertKind.SUSTAINED_STALL, uri, uri,
                         f"degraded for {streak} consecutive refresh epochs "
@@ -123,7 +108,7 @@ class StallDetector:
             by_host.setdefault(RsyncUri.parse(uri).host, []).append(uri)
         for host in sorted(by_host):
             stalled = by_host[host]
-            if len(stalled) < self.config.amplification_threshold:
+            if len(stalled) < AMPLIFICATION_THRESHOLD:
                 continue
             alerts.append(Alert(
                 AlertKind.AMPLIFIED_STALL, stalled[0], host,
@@ -142,5 +127,5 @@ class StallDetector:
         """Points currently at or past the alert threshold, sorted."""
         return sorted(
             uri for uri, streak in self.consecutive.items()
-            if streak >= self.config.alert_threshold
+            if streak >= ALERT_THRESHOLD
         )

@@ -17,13 +17,7 @@ from .faults import (
     nested_bomb,
 )
 from .fetch import FetchResult, FetchStatus, Fetcher, always_reachable
-from .resilience import (
-    BreakerPolicy,
-    BreakerState,
-    CircuitBreaker,
-    ResilienceConfig,
-    RetryPolicy,
-)
+from .resilience import BreakerState, CircuitBreaker
 from .scheduler import FetchScheduler, SchedulerConfig
 from .server import (
     HostLocator,
@@ -36,7 +30,6 @@ from .uri import RsyncUri
 __all__ = [
     "BYZANTINE_KINDS",
     "PERSISTENT",
-    "BreakerPolicy",
     "BreakerState",
     "CacheFreshness",
     "CachedPoint",
@@ -55,8 +48,6 @@ __all__ = [
     "RepositoryError",
     "RepositoryRegistry",
     "RepositoryServer",
-    "ResilienceConfig",
-    "RetryPolicy",
     "RsyncUri",
     "SchedulerConfig",
     "UnknownHostError",

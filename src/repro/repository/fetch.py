@@ -13,9 +13,10 @@ Delivery can also be *slow*, not just absent: timing faults
 :data:`~repro.repository.faults.FaultKind.STALL`) cost simulated seconds,
 bounded by the fetcher's per-attempt deadline.  An unprotected fetcher
 waits out its (long) default timeout every time — the Stalloris failure
-mode — while a fetcher given a :class:`~repro.repository.resilience.ResilienceConfig`
-retries with capped, deterministically jittered backoff and trips a
-per-host circuit breaker so a misbehaving authority's cost is bounded.
+mode — while a ``resilient`` fetcher retries with capped,
+deterministically jittered backoff and trips a per-host circuit breaker
+(:mod:`repro.repository.resilience`) so a misbehaving authority's cost
+is bounded.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..simtime import HOUR, Clock
 from ..telemetry import MetricsRegistry, default_registry
 from .errors import UnknownHostError
 from .faults import FaultInjector
-from .resilience import CircuitBreaker, ResilienceConfig
+from . import resilience
 from .server import HostLocator, RepositoryRegistry
 from .uri import RsyncUri
 
@@ -70,9 +71,9 @@ RETRYABLE = frozenset({
 class FetchResult:
     """Outcome of syncing one publication point.
 
-    *attempts* counts tries within this one call (1 without a resilience
-    config; 0 when the circuit breaker short-circuited before any try).
-    *elapsed* is the simulated seconds the whole call cost, backoff
+    *attempts* counts tries within this one call (1 for a fetcher that
+    is not resilient; 0 when the circuit breaker short-circuited before
+    any try).  *elapsed* is the simulated seconds the whole call cost, backoff
     included.  *serial* is the point's ``(session, revision)`` when
     *files* is exactly what the point holds under it (None when a fault
     could have rewritten them); *unchanged* marks a not-modified fetch:
@@ -110,14 +111,14 @@ class Fetcher:
     faults:
         Optional fault injector applied to everything fetched.
     attempt_timeout:
-        Deadline in simulated seconds for a single attempt when *no*
-        resilience config is given (default: one hour — the unprotected
-        RP that waits out a stalling authority).
-    resilience:
-        Optional :class:`~repro.repository.resilience.ResilienceConfig`;
-        enables the retry/backoff loop and the per-host circuit breakers
-        (exposed as :attr:`breakers`), and replaces *attempt_timeout*
-        with the policy's per-attempt deadline.
+        Deadline in simulated seconds for a single attempt of a fetcher
+        that is not *resilient* (default: one hour — the unprotected RP
+        that waits out a stalling authority).
+    resilient:
+        Enables the :mod:`~repro.repository.resilience` policy: the
+        retry/backoff loop and the per-host circuit breakers (exposed as
+        :attr:`breakers`), with its per-attempt deadline in place of
+        *attempt_timeout*.
     metrics:
         Telemetry registry for fetch counters (None → the process-global
         default registry).
@@ -136,7 +137,7 @@ class Fetcher:
         reachability: ReachabilityPredicate = always_reachable,
         faults: FaultInjector | None = None,
         attempt_timeout: int = DEFAULT_ATTEMPT_TIMEOUT,
-        resilience: ResilienceConfig | None = None,
+        resilient: bool = False,
         metrics: MetricsRegistry | None = None,
         identity: str = "",
     ):
@@ -148,8 +149,8 @@ class Fetcher:
         self.faults = faults
         self.identity = identity
         self.attempt_timeout = attempt_timeout
-        self.resilience = resilience
-        self.breakers: dict[str, CircuitBreaker] = {}
+        self.resilient = resilient
+        self.breakers: dict[str, resilience.CircuitBreaker] = {}
         # Each URI a caller names, parsed once: (parsed, normalized text).
         # One entry per publication point fetched, as in the cache.
         self._parsed: dict[str | RsyncUri, tuple[RsyncUri, str]] = {}
@@ -189,15 +190,13 @@ class Fetcher:
         """The simulated clock stamping this fetcher's results."""
         return self._clock
 
-    def breaker_for(self, host: str) -> CircuitBreaker | None:
-        """The host's circuit breaker (None without a resilience config)."""
-        if self.resilience is None:
+    def breaker_for(self, host: str) -> resilience.CircuitBreaker | None:
+        """The host's circuit breaker (None for a fetcher not resilient)."""
+        if not self.resilient:
             return None
         breaker = self.breakers.get(host)
         if breaker is None:
-            breaker = self.breakers[host] = CircuitBreaker(
-                host, self.resilience.breaker
-            )
+            breaker = self.breakers[host] = resilience.CircuitBreaker(host)
         return breaker
 
     def fetch_point(
@@ -207,8 +206,8 @@ class Fetcher:
 
         Never raises for delivery problems — failure is data here (the
         relying party must decide what missing information *means*, which
-        is the paper's Section 4).  With a resilience config this is the
-        whole retry loop: attempt, back off, re-attempt, up to the retry
+        is the paper's Section 4).  A resilient fetcher runs the whole
+        retry loop here: attempt, back off, re-attempt, up to the retry
         cap or until the host's circuit breaker opens.
 
         *serial* is the ``(session, revision)`` of the caller's copy.
@@ -221,12 +220,13 @@ class Fetcher:
             parsed = uri if isinstance(uri, RsyncUri) else RsyncUri.parse(uri)
             known = self._parsed[uri] = (parsed, str(parsed))
         parsed, uri_text = known
-        policy = self.resilience
         breaker = self.breaker_for(parsed.host)
-        deadline = (
-            policy.retry.attempt_deadline if policy else self.attempt_timeout
-        )
-        max_attempts = policy.retry.max_attempts if policy else 1
+        if self.resilient:
+            deadline, max_attempts = (
+                resilience.ATTEMPT_DEADLINE, resilience.MAX_ATTEMPTS
+            )
+        else:
+            deadline, max_attempts = self.attempt_timeout, 1
         start = self._clock.now
         attempts = 0
         while True:
@@ -259,7 +259,7 @@ class Fetcher:
                     unchanged=served is not None and served == serial,
                 ))
             self._m_retries.inc()
-            self._clock.advance(policy.retry.backoff(attempts, salt=uri_text))
+            self._clock.advance(resilience.backoff(attempts, salt=uri_text))
 
     def _attempt(
         self,

@@ -5,104 +5,82 @@ very routes it protects; later work showed the *availability* half of
 that risk in practice: a publication point that answers slowly (Stalloris)
 degrades a relying party just as surely as one that is unreachable,
 because the RP burns its refresh interval waiting.  This module is the
-defensive half — the policy objects a :class:`~repro.repository.fetch.Fetcher`
+defensive half — the one policy a resilient
+:class:`~repro.repository.fetch.Fetcher` (``Fetcher(..., resilient=True)``)
 uses to bound how much simulated time a misbehaving authority can cost:
 
-- :class:`RetryPolicy` — per-attempt deadline, retry cap, and capped
-  exponential backoff with *deterministic* jitter (hash of the target
-  URI and attempt number, no wall clock, no shared RNG), so two runs of
-  the same scenario advance the simulated clock identically.
-- :class:`BreakerPolicy` / :class:`CircuitBreaker` — a per-host breaker
-  that stops paying the deadline for a host that keeps failing, probes
-  it again after a reset timeout (half-open), and records every state
-  transition for telemetry.
-- :class:`ResilienceConfig` — the bundle a call site hands to
-  ``Fetcher(..., resilience=...)``.
+- a per-attempt deadline and a retry cap (:data:`ATTEMPT_DEADLINE`,
+  :data:`MAX_ATTEMPTS`), with capped exponential :func:`backoff` under
+  *deterministic* jitter (hash of the target URI and attempt number, no
+  wall clock, no shared RNG), so two runs of the same scenario advance
+  the simulated clock identically;
+- :class:`CircuitBreaker` — a per-host breaker that stops paying the
+  deadline for a host that keeps failing, probes it again after
+  :data:`RESET_TIMEOUT` (half-open), and records every state transition
+  for telemetry.
 
 Everything here is pure policy over integers: no I/O, no wall clock,
-nothing non-deterministic.  See ``docs/resilience.md`` for the knobs and
-a worked walkthrough.
+nothing non-deterministic.  See ``docs/resilience.md`` for the numbers
+and a worked walkthrough.
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
 
 __all__ = [
-    "BreakerPolicy",
+    "ATTEMPT_DEADLINE",
     "BreakerState",
     "CircuitBreaker",
-    "ResilienceConfig",
-    "RetryPolicy",
+    "FAILURE_THRESHOLD",
+    "MAX_ATTEMPTS",
+    "RESET_TIMEOUT",
+    "WORST_CASE_SECONDS",
+    "backoff",
 ]
 
+# All durations are simulated seconds.
+MAX_ATTEMPTS = 3          # tries per fetch_point call
+ATTEMPT_DEADLINE = 30     # what one stalled or too-slow attempt burns
+BASE_BACKOFF = 4          # wait before the first retry
+BACKOFF_MULTIPLIER = 2    # growth per retry
+MAX_BACKOFF = 60          # backoff cap
+JITTER_FRACTION = 0.25    # ± share of each backoff, derived from the salt
+FAILURE_THRESHOLD = 5     # consecutive failures that open a host's breaker
+RESET_TIMEOUT = 600       # seconds a breaker stays open before one probe
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Deadline, retry cap, and capped exponential backoff with jitter.
 
-    All durations are *simulated* seconds.  Backoff before retry *n*
-    (n = 1 after the first failure) is::
+def _raw_backoff(retry: int) -> int:
+    return min(MAX_BACKOFF, BASE_BACKOFF * BACKOFF_MULTIPLIER ** (retry - 1))
 
-        min(max_backoff, base_backoff * backoff_multiplier ** (n - 1))
 
-    jittered by up to ``±jitter_fraction`` of itself.  The jitter is
-    deterministic — derived from SHA-256 of the salt (in practice the
-    publication-point URI) and the attempt number — so retries desynchronize
-    across points without making runs irreproducible.
+def backoff(retry: int, salt: str = "") -> int:
+    """Seconds to wait before retry number *retry* (1-based).
+
+    ``min(MAX_BACKOFF, BASE_BACKOFF * BACKOFF_MULTIPLIER ** (retry - 1))``
+    jittered by up to ``±JITTER_FRACTION`` of itself.  The jitter is
+    SHA-256 of the salt (in practice the publication-point URI) and the
+    retry number, so retries desynchronize across points without making
+    runs irreproducible.
     """
+    if retry < 1:
+        raise ValueError(f"retry numbers start at 1: {retry}")
+    raw = _raw_backoff(retry)
+    digest = hashlib.sha256(f"{salt}|{retry}".encode()).digest()
+    unit = int.from_bytes(digest[:8], "big") / 2**64  # [0, 1)
+    jitter = raw * JITTER_FRACTION * (2.0 * unit - 1.0)
+    return max(0, int(round(raw + jitter)))
 
-    max_attempts: int = 3
-    attempt_deadline: int = 30
-    base_backoff: int = 4
-    backoff_multiplier: float = 2.0
-    max_backoff: int = 60
-    jitter_fraction: float = 0.25
 
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"need at least one attempt: {self.max_attempts}")
-        if self.attempt_deadline < 1:
-            raise ValueError(f"bad attempt deadline {self.attempt_deadline}")
-        if self.base_backoff < 0 or self.max_backoff < 0:
-            raise ValueError("backoff bounds cannot be negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError(f"bad multiplier {self.backoff_multiplier}")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ValueError(f"bad jitter fraction {self.jitter_fraction}")
-
-    def _raw_backoff(self, retry: int) -> float:
-        return min(
-            float(self.max_backoff),
-            self.base_backoff * self.backoff_multiplier ** (retry - 1),
-        )
-
-    def backoff(self, retry: int, salt: str = "") -> int:
-        """Seconds to wait before retry number *retry* (1-based)."""
-        if retry < 1:
-            raise ValueError(f"retry numbers start at 1: {retry}")
-        raw = self._raw_backoff(retry)
-        if not self.jitter_fraction:
-            return int(round(raw))
-        digest = hashlib.sha256(f"{salt}|{retry}".encode()).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2**64  # [0, 1)
-        jitter = raw * self.jitter_fraction * (2.0 * unit - 1.0)
-        return max(0, int(round(raw + jitter)))
-
-    def worst_case_seconds(self) -> int:
-        """Upper bound on simulated seconds one ``fetch_point`` can cost.
-
-        Every attempt missing its deadline, every backoff at maximum
-        jitter (plus rounding slack).  The resilience benchmark asserts a
-        stalled authority never costs a refresh more than this.
-        """
-        total = self.max_attempts * self.attempt_deadline
-        for retry in range(1, self.max_attempts):
-            raw = self._raw_backoff(retry)
-            total += int(raw * (1.0 + self.jitter_fraction)) + 1
-        return total
+# Upper bound on simulated seconds one resilient ``fetch_point`` can cost:
+# every attempt missing its deadline, every backoff at maximum jitter
+# (plus rounding slack).  The resilience benchmark asserts a stalled
+# authority never costs a refresh more than this.
+WORST_CASE_SECONDS = MAX_ATTEMPTS * ATTEMPT_DEADLINE + sum(
+    int(_raw_backoff(retry) * (1.0 + JITTER_FRACTION)) + 1
+    for retry in range(1, MAX_ATTEMPTS)
+)
 
 
 class BreakerState(enum.Enum):
@@ -110,24 +88,7 @@ class BreakerState(enum.Enum):
 
     CLOSED = "closed"        # traffic flows; consecutive failures counted
     OPEN = "open"            # host is skipped until the reset timeout passes
-    HALF_OPEN = "half-open"  # probing: one success closes, one failure reopens
-
-
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """When to open a host's breaker and when to probe it again."""
-
-    failure_threshold: int = 5   # consecutive failures that open the breaker
-    reset_timeout: int = 600     # simulated seconds OPEN before a probe
-    half_open_successes: int = 1  # probe successes needed to close again
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ValueError(f"bad failure threshold {self.failure_threshold}")
-        if self.reset_timeout < 0:
-            raise ValueError(f"bad reset timeout {self.reset_timeout}")
-        if self.half_open_successes < 1:
-            raise ValueError(f"bad probe count {self.half_open_successes}")
+    HALF_OPEN = "half-open"  # one probe: success closes, failure reopens
 
 
 class CircuitBreaker:
@@ -141,13 +102,10 @@ class CircuitBreaker:
     ``(timestamp, state)`` pairs for inspection and artifacts.
     """
 
-    def __init__(self, host: str, policy: BreakerPolicy | None = None):
+    def __init__(self, host: str):
         self.host = host
-        self.policy = policy if policy is not None else BreakerPolicy()
         self.state = BreakerState.CLOSED
         self.failures = 0    # consecutive failures while CLOSED
-        self.successes = 0   # consecutive probe successes while HALF_OPEN
-        self.probing = 0     # half-open probes admitted but not yet recorded
         self.opened_at = -1
         self.transitions: list[tuple[int, BreakerState]] = []
 
@@ -158,42 +116,29 @@ class CircuitBreaker:
 
     def allow(self, now: int) -> tuple[bool, BreakerState | None]:
         """May the host be contacted at *now*?  -> (allowed, transition)."""
-        if self.state is BreakerState.OPEN:
-            if now - self.opened_at >= self.policy.reset_timeout:
-                self.probing = 1
-                return True, self._move(BreakerState.HALF_OPEN, now)
-            return False, None
-        if self.state is BreakerState.HALF_OPEN:
-            # Admit at most the probes the policy needs to close.  Without
-            # this cap every allow() before the first record() was let
-            # through, re-flooding a host that has not proven itself yet.
-            if self.probing >= self.policy.half_open_successes:
-                return False, None
-            self.probing += 1
+        if self.state is BreakerState.CLOSED:
             return True, None
-        return True, None
+        if self.state is BreakerState.OPEN \
+                and now - self.opened_at >= RESET_TIMEOUT:
+            return True, self._move(BreakerState.HALF_OPEN, now)
+        # Open, or half-open with its one probe not yet recorded: a host
+        # that has not proven itself is not re-flooded.
+        return False, None
 
     def record(self, ok: bool, now: int) -> BreakerState | None:
         """Fold one attempt outcome in; returns the transition, if any."""
         if ok:
             self.failures = 0
             if self.state is BreakerState.HALF_OPEN:
-                self.probing = max(0, self.probing - 1)
-                self.successes += 1
-                if self.successes >= self.policy.half_open_successes:
-                    self.successes = 0
-                    self.probing = 0
-                    return self._move(BreakerState.CLOSED, now)
+                return self._move(BreakerState.CLOSED, now)
             return None
-        self.successes = 0
         if self.state is BreakerState.HALF_OPEN:
-            self.probing = 0
             self.opened_at = now
             return self._move(BreakerState.OPEN, now)
         self.failures += 1
         if (
             self.state is BreakerState.CLOSED
-            and self.failures >= self.policy.failure_threshold
+            and self.failures >= FAILURE_THRESHOLD
         ):
             self.opened_at = now
             return self._move(BreakerState.OPEN, now)
@@ -204,11 +149,3 @@ class CircuitBreaker:
             f"CircuitBreaker(host={self.host!r}, state={self.state.value}, "
             f"failures={self.failures})"
         )
-
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Everything a :class:`Fetcher` needs to survive misbehaving hosts."""
-
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)

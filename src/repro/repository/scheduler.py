@@ -13,11 +13,10 @@ attempt deadline per child.
 
 1. **Priority ordering** (:meth:`FetchScheduler.order`): points are
    fetched stalest-first — never-successfully-fetched points first (the
-   cache has nothing to serve for them), then by
-   ``staleness x authority weight`` descending, breaking ties by the
-   point's past-latency EWMA (cheap expected fetches first) and finally
-   by URI.  A slow subtree cannot *starve* fresh-but-aging points by
-   sorting ahead of them.
+   cache has nothing to serve for them), then by staleness descending,
+   breaking ties by the point's past-latency EWMA (cheap expected
+   fetches first) and finally by URI.  A slow subtree cannot *starve*
+   fresh-but-aging points by sorting ahead of them.
 
 2. **Per-authority budgets** (:meth:`FetchScheduler.admit`): each
    authority (rsync host) gets ``authority_budget`` simulated seconds of
@@ -31,10 +30,11 @@ attempt deadline per child.
 3. **Graceful degradation**: a deferred point is not an error — the
    relying party leaves its last-known-good copy in the cache and the
    stale-grace machinery serves it, exactly like a failed fetch, while
-   every other authority refreshes at full speed.  ``probes_per_cycle``
-   fetches per over-budget host are still admitted each cycle so
-   recovery is detected: when the authority speeds back up, the probe's
-   cheap result pulls the EWMA down and the subtree is readmitted.
+   every other authority refreshes at full speed.  One fetch per
+   over-budget host (:data:`PROBES_PER_CYCLE`) is still admitted each
+   cycle so recovery is detected: when the authority speeds back up,
+   the probe's cheap result pulls the EWMA down and the subtree is
+   readmitted.
 
 The scheduler is wired into :meth:`repro.rp.RelyingParty.refresh`
 behind the ``schedule=`` knob; the default
@@ -44,8 +44,8 @@ byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..telemetry import MetricsRegistry, default_registry
 from .uri import RsyncUri
@@ -55,58 +55,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache -> fetch)
 
 __all__ = ["SchedulerConfig", "FetchScheduler"]
 
+# Fetches still admitted per cycle to a host that is (or is predicted to
+# go) over budget: the recovery probe that notices a host sped back up.
+PROBES_PER_CYCLE = 1
+# Weight of the newest observation in the per-point latency EWMA.
+EWMA_ALPHA = 0.5
+
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Tuning knobs for one :class:`FetchScheduler`.
+    """The one setting of a :class:`FetchScheduler`.
 
     authority_budget:
         Simulated seconds of fetch spend one authority (rsync host) may
         cost per refresh cycle before its remaining points are deferred.
-    authority_max_points:
-        Optional hard cap on fetches admitted per authority per cycle —
-        a concurrency-style bound for delegation trees so wide that even
-        zero-cost fetches should not monopolize a round.  ``None`` (the
-        default) leaves point counts unbounded.
-    probes_per_cycle:
-        Fetches still admitted per cycle to a host that is (or is
-        predicted to go) over budget — the recovery probes.  ``0``
-        disables probing; deferred hosts then only return via EWMA
-        history aging out, so keep it ≥ 1.
-    ewma_alpha:
-        Smoothing factor for the per-point latency EWMA (weight of the
-        newest observation).
-    authority_weights:
-        Optional host → weight mapping for the priority formula;
-        unlisted hosts weigh 1.0.  A higher weight makes an authority's
-        staleness count for more, pulling its points forward in the
-        fetch order.
     """
 
     authority_budget: int = 600
-    authority_max_points: int | None = None
-    probes_per_cycle: int = 1
-    ewma_alpha: float = 0.5
-    authority_weights: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.authority_budget < 1:
             raise ValueError(f"bad authority budget {self.authority_budget}")
-        if self.authority_max_points is not None \
-                and self.authority_max_points < 1:
-            raise ValueError(
-                f"bad authority point cap {self.authority_max_points}"
-            )
-        if self.probes_per_cycle < 0:
-            raise ValueError(f"bad probe count {self.probes_per_cycle}")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(f"bad EWMA alpha {self.ewma_alpha}")
-        for host, weight in self.authority_weights.items():
-            if weight <= 0:
-                raise ValueError(f"bad weight {weight} for {host}")
-
-    def weight_for(self, host: str) -> float:
-        return self.authority_weights.get(host, 1.0)
 
 
 class FetchScheduler:
@@ -119,17 +88,16 @@ class FetchScheduler:
 
     def __init__(
         self,
-        config: SchedulerConfig | None = None,
+        config: SchedulerConfig,
         *,
         metrics: MetricsRegistry | None = None,
     ):
-        self.config = config if config is not None else SchedulerConfig()
+        self.config = config
         self.metrics = metrics if metrics is not None else default_registry()
         # Point URI -> smoothed observed fetch cost in simulated seconds.
         self._ewma: dict[str, float] = {}
         # Per-cycle, per-host accounting (reset by begin_cycle).
         self._spent: dict[str, int] = {}
-        self._admitted: dict[str, int] = {}
         self._probes: dict[str, int] = {}
         self._m_admitted = self.metrics.counter(
             "repro_sched_admitted_total",
@@ -150,7 +118,6 @@ class FetchScheduler:
     def begin_cycle(self) -> None:
         """Reset per-cycle budget accounting (latency history persists)."""
         self._spent.clear()
-        self._admitted.clear()
         self._probes.clear()
 
     def order(
@@ -159,8 +126,8 @@ class FetchScheduler:
         """*pending* in fetch-priority order.
 
         Never-successfully-fetched points first (nothing cached to fall
-        back on), then stalest-first weighted by authority weight, then
-        cheapest expected cost, then URI — fully deterministic.
+        back on), then stalest-first, then cheapest expected cost, then
+        URI — fully deterministic.
         """
 
         def priority(uri: str) -> tuple:
@@ -168,9 +135,7 @@ class FetchScheduler:
             entry = cache.point(uri)
             if entry is None or entry.last_success < 0:
                 return (0, 0.0, expected, uri)
-            weight = self.config.weight_for(self.authority_of(uri))
-            staleness = now - entry.last_success
-            return (1, -staleness * weight, expected, uri)
+            return (1, entry.last_success - now, expected, uri)
 
         return sorted(pending, key=priority)
 
@@ -179,32 +144,25 @@ class FetchScheduler:
     ) -> bool:
         """Whether to fetch *uri* this cycle, or defer it to stale grace.
 
-        Deferral reasons, in check order: the authority's per-cycle
-        point cap is reached; the authority is over (or predicted over)
-        its time budget with its recovery probes used up; or the
-        expected cost exceeds *remaining_budget* — the relying party's
-        remaining global fetch budget, when it runs one.
+        Deferral reasons, in check order: the expected cost exceeds
+        *remaining_budget* — the relying party's remaining global fetch
+        budget, when it runs one; or the authority is over (or predicted
+        over) its time budget with its recovery probe used up.
         """
-        config = self.config
         host = self.authority_of(uri)
         expected = self._ewma.get(uri, 0.0)
-        if config.authority_max_points is not None \
-                and self._admitted.get(host, 0) >= config.authority_max_points:
-            self._m_deferred.inc(reason="authority-points")
-            return False
         if remaining_budget is not None and expected > remaining_budget:
             self._m_deferred.inc(reason="global-budget")
             return False
         spent = self._spent.get(host, 0)
-        if spent + expected >= config.authority_budget:
-            if self._probes.get(host, 0) >= config.probes_per_cycle:
+        if spent + expected >= self.config.authority_budget:
+            if self._probes.get(host, 0) >= PROBES_PER_CYCLE:
                 self._m_deferred.inc(reason="authority-budget")
                 return False
             self._probes[host] = self._probes.get(host, 0) + 1
             kind = "probe"
         else:
             kind = "scheduled"
-        self._admitted[host] = self._admitted.get(host, 0) + 1
         self._m_admitted.inc(kind=kind)
         return True
 
@@ -216,8 +174,9 @@ class FetchScheduler:
         if previous is None:
             self._ewma[uri] = float(elapsed)
         else:
-            alpha = self.config.ewma_alpha
-            self._ewma[uri] = alpha * elapsed + (1.0 - alpha) * previous
+            self._ewma[uri] = (
+                EWMA_ALPHA * elapsed + (1.0 - EWMA_ALPHA) * previous
+            )
 
     # -- introspection -------------------------------------------------------
 

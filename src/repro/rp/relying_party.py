@@ -146,8 +146,8 @@ class RelyingParty:
         Optional fetch scheduling, the Stalloris defense: a
         :class:`~repro.repository.scheduler.SchedulerConfig` (or a
         prebuilt :class:`~repro.repository.scheduler.FetchScheduler`)
-        that orders each round's fetches by priority (staleness x
-        authority weight, then past-latency EWMA) and enforces a
+        that orders each round's fetches by priority (staleness, then
+        past-latency EWMA) and enforces a
         per-authority time budget, so one slow delegation subtree cannot
         monopolize the refresh.  Over-budget points are *deferred*:
         listed on :attr:`RefreshReport.deferred`, recorded as degraded,

@@ -11,7 +11,6 @@ import pytest
 
 from repro.repository import (
     PERSISTENT,
-    BreakerPolicy,
     BreakerState,
     CacheFreshness,
     CircuitBreaker,
@@ -23,8 +22,14 @@ from repro.repository import (
     HostLocator,
     LocalCache,
     RepositoryRegistry,
-    ResilienceConfig,
-    RetryPolicy,
+)
+from repro.repository.resilience import (
+    ATTEMPT_DEADLINE,
+    FAILURE_THRESHOLD,
+    MAX_ATTEMPTS,
+    RESET_TIMEOUT,
+    WORST_CASE_SECONDS,
+    backoff,
 )
 from repro.simtime import Clock
 from repro.telemetry import MetricsRegistry
@@ -41,157 +46,130 @@ def make_world(files=(("a.roa", b"payload"),)):
     return registry, point
 
 
-def make_fetcher(registry, *, faults=None, resilience=None, **kw):
+def make_fetcher(registry, *, faults=None, resilient=False, **kw):
     return Fetcher(
-        registry, Clock(), faults=faults, resilience=resilience,
+        registry, Clock(), faults=faults, resilient=resilient,
         metrics=MetricsRegistry(), **kw,
     )
 
 
 URI = "rsync://continental/repo/"
+SALTS = [f"rsync://host{i}.example/repo/" for i in range(32)]
 
 
 class TestRetryPolicy:
     def test_backoff_is_capped_exponential(self):
-        policy = RetryPolicy(base_backoff=4, backoff_multiplier=2.0,
-                             max_backoff=10, jitter_fraction=0.0)
-        assert policy.backoff(1) == 4
-        assert policy.backoff(2) == 8
-        assert policy.backoff(3) == 10  # capped
-        assert policy.backoff(9) == 10
+        # 4 s doubling per retry, capped at 60 s, each within ±25 % (+1 s
+        # of rounding) of that: retry 9 would be 1024 s uncapped.
+        for retry, raw in ((1, 4), (2, 8), (3, 16), (5, 60), (9, 60)):
+            for salt in SALTS:
+                assert abs(backoff(retry, salt=salt) - raw) <= raw * 0.25 + 1
 
     def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(jitter_fraction=0.25)
         for retry in (1, 2, 5):
-            first = policy.backoff(retry, salt="rsync://x/")
-            assert first == policy.backoff(retry, salt="rsync://x/")
-            raw = min(policy.max_backoff,
-                      policy.base_backoff * policy.backoff_multiplier ** (retry - 1))
-            assert abs(first - raw) <= raw * policy.jitter_fraction + 1
+            first = backoff(retry, salt="rsync://x/")
+            assert first == backoff(retry, salt="rsync://x/")
+            raw = min(60, 4 * 2 ** (retry - 1))
+            assert abs(first - raw) <= raw * 0.25 + 1
 
     def test_jitter_varies_with_salt(self):
-        policy = RetryPolicy(base_backoff=60, max_backoff=600,
-                             jitter_fraction=0.25)
-        values = {policy.backoff(2, salt=f"rsync://host{i}/") for i in range(16)}
+        values = {backoff(4, salt=salt) for salt in SALTS[:16]}
         assert len(values) > 1  # retries desynchronize across points
 
     def test_worst_case_bounds_every_schedule(self):
-        policy = RetryPolicy()
-        worst = policy.worst_case_seconds()
-        total = policy.max_attempts * policy.attempt_deadline
-        for retry in range(1, policy.max_attempts):
-            total += policy.backoff(retry, salt="rsync://anything/")
-        assert total <= worst
+        for salt in SALTS:
+            total = MAX_ATTEMPTS * ATTEMPT_DEADLINE + sum(
+                backoff(retry, salt=salt) for retry in range(1, MAX_ATTEMPTS)
+            )
+            assert total <= WORST_CASE_SECONDS
+        # 3 x 30 s deadlines + (4 + 1) + (8 + 3) s of backoff at most.
+        assert WORST_CASE_SECONDS == 107
 
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_fraction=1.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_multiplier=0.5)
+            backoff(0)
+        # The policy is one fixed schedule: the knob objects are gone.
+        import repro
+        import repro.repository as repository
+        for name in ("RetryPolicy", "BreakerPolicy", "ResilienceConfig"):
+            assert not hasattr(repository, name)
+            assert not hasattr(repro, name)
+        with pytest.raises(ImportError):
+            from repro.repository.resilience import RetryPolicy  # noqa: F401
 
     def test_jitter_is_pinned_across_runs(self):
         # The jitter is SHA-256 of (salt, retry) — no interpreter state,
         # no PYTHONHASHSEED dependence — so the schedule is a constant of
         # the codebase.  These golden values catch algorithm drift.
-        policy = RetryPolicy()
-        salt = "rsync://continental/repo/"
-        assert [policy.backoff(r, salt=salt) for r in (1, 2)] == [5, 7]
+        assert [backoff(r, salt=URI) for r in (1, 2)] == [5, 7]
 
-    def test_backoff_schedule_survives_pickle_round_trip(self):
-        # Worker processes receive their RetryPolicy by pickling; the
-        # schedule a worker computes must be bit-identical to the
-        # parent's, or parallel refreshes would advance their clocks
-        # differently from serial ones.
-        import pickle
 
-        policy = RetryPolicy()
-        clone = pickle.loads(pickle.dumps(policy))
-        assert clone == policy
-        salts = [f"rsync://host{i}.example/repo/" for i in range(8)]
-        schedule = [policy.backoff(retry, salt=salt)
-                    for salt in salts for retry in (1, 2, 3)]
-        assert schedule == [clone.backoff(retry, salt=salt)
-                            for salt in salts for retry in (1, 2, 3)]
+def opened(at=0):
+    """A breaker that just opened at *at*."""
+    breaker = CircuitBreaker("h")
+    for _ in range(FAILURE_THRESHOLD):
+        breaker.record(False, at)
+    assert breaker.state is BreakerState.OPEN
+    return breaker
 
 
 class TestCircuitBreaker:
     def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker("h", BreakerPolicy(failure_threshold=3))
-        assert breaker.record(False, 0) is None
-        assert breaker.record(False, 1) is None
-        assert breaker.record(False, 2) is BreakerState.OPEN
-        assert breaker.allow(3) == (False, None)
+        breaker = CircuitBreaker("h")
+        for now in range(FAILURE_THRESHOLD - 1):
+            assert breaker.record(False, now) is None
+        assert breaker.record(False, 9) is BreakerState.OPEN
+        assert breaker.allow(10) == (False, None)
 
     def test_success_resets_the_streak(self):
-        breaker = CircuitBreaker("h", BreakerPolicy(failure_threshold=2))
-        breaker.record(False, 0)
-        breaker.record(True, 1)
-        assert breaker.record(False, 2) is None  # streak restarted
+        breaker = CircuitBreaker("h")
+        for now in range(FAILURE_THRESHOLD - 1):
+            breaker.record(False, now)
+        breaker.record(True, 10)
+        for now in range(FAILURE_THRESHOLD - 1):  # streak restarted
+            assert breaker.record(False, 11 + now) is None
         assert breaker.state is BreakerState.CLOSED
 
     def test_half_open_probe_then_close(self):
-        policy = BreakerPolicy(failure_threshold=1, reset_timeout=100)
-        breaker = CircuitBreaker("h", policy)
-        breaker.record(False, 0)
-        assert breaker.state is BreakerState.OPEN
-        allowed, transition = breaker.allow(100)
+        breaker = opened(at=0)
+        assert breaker.allow(RESET_TIMEOUT - 1) == (False, None)
+        allowed, transition = breaker.allow(RESET_TIMEOUT)
         assert allowed and transition is BreakerState.HALF_OPEN
-        assert breaker.record(True, 101) is BreakerState.CLOSED
+        assert breaker.record(True, RESET_TIMEOUT + 1) is BreakerState.CLOSED
 
     def test_half_open_failure_reopens(self):
-        policy = BreakerPolicy(failure_threshold=1, reset_timeout=10)
-        breaker = CircuitBreaker("h", policy)
-        breaker.record(False, 0)
-        breaker.allow(10)
-        assert breaker.record(False, 11) is BreakerState.OPEN
-        assert breaker.opened_at == 11  # reset timer restarts from the probe
-        assert breaker.allow(12) == (False, None)
+        breaker = opened(at=0)
+        breaker.allow(RESET_TIMEOUT)
+        assert breaker.record(False, 611) is BreakerState.OPEN
+        assert breaker.opened_at == 611  # reset timer restarts from the probe
+        assert breaker.allow(612) == (False, None)
         assert [state for _, state in breaker.transitions] == [
             BreakerState.OPEN, BreakerState.HALF_OPEN, BreakerState.OPEN,
         ]
 
     def test_half_open_admits_only_the_policy_probe_count(self):
-        # The re-entry edge case: before the first probe's outcome is
-        # recorded, further allow() calls must NOT be admitted — a
-        # half-open breaker grants exactly half_open_successes in-flight
-        # probes, not unlimited traffic.
-        policy = BreakerPolicy(failure_threshold=1, reset_timeout=10)
-        breaker = CircuitBreaker("h", policy)
-        breaker.record(False, 0)
-        allowed, transition = breaker.allow(10)
+        # The re-entry edge case: before the probe's outcome is recorded,
+        # further allow() calls must NOT be admitted — a half-open
+        # breaker grants exactly one in-flight probe, not unlimited
+        # traffic.
+        breaker = opened(at=0)
+        allowed, transition = breaker.allow(RESET_TIMEOUT)
         assert allowed and transition is BreakerState.HALF_OPEN
-        assert breaker.allow(10) == (False, None)  # probe still in flight
-        assert breaker.allow(11) == (False, None)
-        assert breaker.record(True, 12) is BreakerState.CLOSED
-        assert breaker.allow(13) == (True, None)  # closed: traffic flows
-
-    def test_half_open_multi_probe_accounting(self):
-        policy = BreakerPolicy(
-            failure_threshold=1, reset_timeout=10, half_open_successes=2,
-        )
-        breaker = CircuitBreaker("h", policy)
-        breaker.record(False, 0)
-        breaker.allow(10)  # -> HALF_OPEN, first probe admitted
-        assert breaker.allow(10) == (True, None)   # second concurrent probe
-        assert breaker.allow(10) == (False, None)  # third: over the cap
-        assert breaker.record(True, 11) is None    # 1 of 2 successes
-        assert breaker.allow(11) == (True, None)   # a slot freed up
-        assert breaker.record(True, 12) is BreakerState.CLOSED
+        assert breaker.allow(RESET_TIMEOUT) == (False, None)  # in flight
+        assert breaker.allow(RESET_TIMEOUT + 1) == (False, None)
+        assert breaker.record(True, RESET_TIMEOUT + 2) is BreakerState.CLOSED
+        assert breaker.allow(RESET_TIMEOUT + 3) == (True, None)  # closed
 
     def test_reopen_after_probe_failure_resets_probe_accounting(self):
-        policy = BreakerPolicy(failure_threshold=1, reset_timeout=10)
-        breaker = CircuitBreaker("h", policy)
-        breaker.record(False, 0)
-        breaker.allow(10)
-        assert breaker.record(False, 11) is BreakerState.OPEN
-        assert breaker.probing == 0
+        breaker = opened(at=0)
+        breaker.allow(RESET_TIMEOUT)
+        assert breaker.record(False, 611) is BreakerState.OPEN
         # The next half-open episode starts with a fresh probe grant.
-        allowed, transition = breaker.allow(21)
+        assert breaker.allow(611 + RESET_TIMEOUT - 1) == (False, None)
+        allowed, transition = breaker.allow(611 + RESET_TIMEOUT)
         assert allowed and transition is BreakerState.HALF_OPEN
-        assert breaker.allow(21) == (False, None)
-        assert breaker.record(True, 22) is BreakerState.CLOSED
+        assert breaker.allow(611 + RESET_TIMEOUT) == (False, None)
+        assert breaker.record(True, 1300) is BreakerState.CLOSED
 
 
 class TestFetcherRetries:
@@ -208,8 +186,7 @@ class TestFetcherRetries:
         registry, _ = make_world()
         faults = FaultInjector()
         faults.schedule(FaultKind.FLAKY, URI, count=1)  # first attempt only
-        fetcher = make_fetcher(registry, faults=faults,
-                               resilience=ResilienceConfig())
+        fetcher = make_fetcher(registry, faults=faults, resilient=True)
         result = fetcher.fetch_point(URI)
         assert result.ok and result.attempts == 2
         assert result.elapsed > 0  # the backoff wait advanced the clock
@@ -219,24 +196,20 @@ class TestFetcherRetries:
         registry, _ = make_world()
         faults = FaultInjector()
         faults.schedule(FaultKind.STALL, URI, count=PERSISTENT)
-        config = ResilienceConfig(
-            retry=RetryPolicy(max_attempts=2, attempt_deadline=30,
-                              jitter_fraction=0.0, base_backoff=5),
-        )
-        fetcher = make_fetcher(registry, faults=faults, resilience=config)
+        fetcher = make_fetcher(registry, faults=faults, resilient=True)
         result = fetcher.fetch_point(URI)
         assert result.status is FetchStatus.TIMEOUT
-        assert result.attempts == 2
-        assert result.elapsed == 30 + 5 + 30  # deadline, backoff, deadline
+        assert result.attempts == MAX_ATTEMPTS == 3
+        # deadline, backoff, deadline, backoff, deadline
+        assert result.elapsed == 30 + 5 + 30 + 7 + 30
         misses = fetcher.metrics.get("repro_fetch_deadline_misses_total")
-        assert misses.value() == 2
+        assert misses.value() == 3
 
     def test_delay_within_deadline_succeeds_and_costs_time(self):
         registry, _ = make_world()
         faults = FaultInjector()
         faults.schedule(FaultKind.DELAY, URI, delay_seconds=10)
-        fetcher = make_fetcher(registry, faults=faults,
-                               resilience=ResilienceConfig())
+        fetcher = make_fetcher(registry, faults=faults, resilient=True)
         result = fetcher.fetch_point(URI)
         assert result.ok and result.elapsed == 10
         assert fetcher.clock.now == 10
@@ -245,8 +218,7 @@ class TestFetcherRetries:
         registry, _ = make_world()
         faults = FaultInjector()
         faults.schedule(FaultKind.DELAY, URI, delay_seconds=50, count=1)
-        config = ResilienceConfig(retry=RetryPolicy(attempt_deadline=30))
-        fetcher = make_fetcher(registry, faults=faults, resilience=config)
+        fetcher = make_fetcher(registry, faults=faults, resilient=True)
         result = fetcher.fetch_point(URI)
         # First attempt times out (50 > 30), second succeeds (fault spent).
         assert result.ok and result.attempts == 2
@@ -264,18 +236,18 @@ class TestFetcherRetries:
         registry, _ = make_world()
         faults = FaultInjector()
         faults.schedule(FaultKind.STALL, URI, count=PERSISTENT)
-        config = ResilienceConfig(
-            retry=RetryPolicy(max_attempts=2, attempt_deadline=10),
-            breaker=BreakerPolicy(failure_threshold=2, reset_timeout=10_000),
-        )
-        fetcher = make_fetcher(registry, faults=faults, resilience=config)
+        fetcher = make_fetcher(registry, faults=faults, resilient=True)
         first = fetcher.fetch_point(URI)
-        assert first.status is FetchStatus.TIMEOUT  # 2 failures -> open
+        assert first.status is FetchStatus.TIMEOUT  # 3 failures
         second = fetcher.fetch_point(URI)
+        # The fifth failure opens the breaker; the third try is skipped.
         assert second.status is FetchStatus.BREAKER_OPEN
-        assert second.attempts == 0 and second.elapsed == 0
+        assert second.attempts == 2
+        third = fetcher.fetch_point(URI)
+        assert third.status is FetchStatus.BREAKER_OPEN
+        assert third.attempts == 0 and third.elapsed == 0
         skips = fetcher.metrics.get("repro_fetch_breaker_skips_total")
-        assert skips.value() == 1
+        assert skips.value() == 2
         transitions = fetcher.metrics.get("repro_breaker_transitions_total")
         assert transitions.value(state="open") == 1
 
@@ -283,15 +255,12 @@ class TestFetcherRetries:
         registry, point = make_world()
         faults = FaultInjector()
         stall = faults.schedule(FaultKind.STALL, URI, count=PERSISTENT)
-        config = ResilienceConfig(
-            retry=RetryPolicy(max_attempts=1, attempt_deadline=10),
-            breaker=BreakerPolicy(failure_threshold=1, reset_timeout=60),
-        )
-        fetcher = make_fetcher(registry, faults=faults, resilience=config)
-        assert fetcher.fetch_point(URI).status is FetchStatus.TIMEOUT
+        fetcher = make_fetcher(registry, faults=faults, resilient=True)
+        fetcher.fetch_point(URI)
+        assert fetcher.fetch_point(URI).status is FetchStatus.BREAKER_OPEN
         assert fetcher.breakers["continental"].state is BreakerState.OPEN
         stall.remaining = 0  # authority recovers
-        fetcher.clock.advance(60)
+        fetcher.clock.advance(RESET_TIMEOUT)
         result = fetcher.fetch_point(URI)  # half-open probe succeeds
         assert result.ok
         assert fetcher.breakers["continental"].state is BreakerState.CLOSED
@@ -312,23 +281,20 @@ class TestFetchResultEdgeCases:
 
     def test_unknown_host_is_not_retried(self):
         registry, _ = make_world()
-        fetcher = make_fetcher(registry, resilience=ResilienceConfig())
+        fetcher = make_fetcher(registry, resilient=True)
         result = fetcher.fetch_point("rsync://no-such-host/repo/")
         assert result.status is FetchStatus.UNKNOWN_HOST
         assert result.attempts == 1  # permanent within a refresh: no retry
 
     def test_unknown_host_after_breaker_open(self):
         registry, _ = make_world()
-        config = ResilienceConfig(
-            breaker=BreakerPolicy(failure_threshold=2, reset_timeout=10_000),
-        )
-        fetcher = make_fetcher(registry, resilience=config)
+        fetcher = make_fetcher(registry, resilient=True)
         uri = "rsync://no-such-host/repo/"
-        assert fetcher.fetch_point(uri).status is FetchStatus.UNKNOWN_HOST
-        assert fetcher.fetch_point(uri).status is FetchStatus.UNKNOWN_HOST
-        third = fetcher.fetch_point(uri)
-        assert third.status is FetchStatus.BREAKER_OPEN
-        assert third.attempts == 0 and third.files == {}
+        for _ in range(FAILURE_THRESHOLD):
+            assert fetcher.fetch_point(uri).status is FetchStatus.UNKNOWN_HOST
+        after = fetcher.fetch_point(uri)
+        assert after.status is FetchStatus.BREAKER_OPEN
+        assert after.attempts == 0 and after.files == {}
         assert fetcher.breakers["no-such-host"].state is BreakerState.OPEN
 
 

@@ -1,7 +1,7 @@
 """Unit tests for the deadline-aware fetch scheduler.
 
 The defense half of the Stalloris reproduction: priority ordering
-(stalest-first, weighted), per-authority time budgets with recovery
+(stalest-first), per-authority time budgets with recovery
 probes, and the relying-party wiring — including the contract that
 ``schedule=None`` leaves the historical fetch behavior untouched.
 """
@@ -48,19 +48,14 @@ class TestSchedulerConfig:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             SchedulerConfig(authority_budget=0)
-        with pytest.raises(ValueError):
-            SchedulerConfig(authority_max_points=0)
-        with pytest.raises(ValueError):
-            SchedulerConfig(probes_per_cycle=-1)
-        with pytest.raises(ValueError):
-            SchedulerConfig(ewma_alpha=0.0)
-        with pytest.raises(ValueError):
-            SchedulerConfig(authority_weights={"h": -1.0})
 
     def test_weight_defaults_to_one(self):
-        config = SchedulerConfig(authority_weights={"alpha.example": 3.0})
-        assert config.weight_for("alpha.example") == 3.0
-        assert config.weight_for("beta.example") == 1.0
+        # Every authority weighs the same: equally stale points on
+        # different hosts sort by URI alone.
+        scheduler = make_scheduler()
+        cache = make_cache((B1, 100), (A1, 100))
+        assert scheduler.order({A1, B1}, cache, now=200) == [A1, B1]
+        assert not hasattr(SchedulerConfig(), "weight_for")
 
 
 class TestOrdering:
@@ -76,12 +71,6 @@ class TestOrdering:
         scheduler = make_scheduler()
         cache = make_cache((A1, 50), (B1, 150))
         assert scheduler.order({A1, B1}, cache, now=200) == [A1, B1]
-
-    def test_authority_weight_scales_staleness(self):
-        # beta is half as stale but weighs 3x: it sorts first.
-        scheduler = make_scheduler(authority_weights={"beta.example": 3.0})
-        cache = make_cache((A1, 100), (B1, 150))
-        assert scheduler.order({A1, B1}, cache, now=200) == [B1, A1]
 
     def test_cheap_expected_cost_breaks_ties(self):
         scheduler = make_scheduler()
@@ -103,7 +92,7 @@ class TestAdmission:
             scheduler.record(uri, 0)  # healthy: zero simulated cost
 
     def test_over_budget_host_gets_probes_then_defers(self):
-        scheduler = make_scheduler(authority_budget=600, probes_per_cycle=1)
+        scheduler = make_scheduler(authority_budget=600)
         assert scheduler.admit(A1)
         scheduler.record(A1, 600)  # one stalled deadline: budget consumed
         assert scheduler.admit(A2)      # the recovery probe
@@ -111,24 +100,36 @@ class TestAdmission:
         assert scheduler.admit(B1)      # other authorities unaffected
 
     def test_budget_boundary_is_inclusive(self):
-        # spent == budget must already defer (with probes off): otherwise
-        # a zero-EWMA point slips in a third deadline burn per cycle.
-        scheduler = make_scheduler(authority_budget=600, probes_per_cycle=0)
+        # spent == budget is already over: the next admission is the
+        # recovery probe, not a scheduled fetch — otherwise a zero-EWMA
+        # point slips in a third deadline burn per cycle.
+        scheduler = make_scheduler(authority_budget=600)
         assert scheduler.admit(A1)
         scheduler.record(A1, 600)
-        assert not scheduler.admit(A2)
+        assert scheduler.admit(A2)
+        admitted = scheduler.metrics.get("repro_sched_admitted_total")
+        assert admitted.value(kind="probe") == 1
+        assert admitted.value(kind="scheduled") == 1
 
     def test_predicted_cost_counts_against_budget(self):
-        scheduler = make_scheduler(authority_budget=600, probes_per_cycle=0)
+        scheduler = make_scheduler(authority_budget=600)
         scheduler.record(A1, 600)  # EWMA now predicts a 600 s fetch
         scheduler.begin_cycle()    # spend resets, history persists
-        assert not scheduler.admit(A1)  # 0 spent + 600 predicted >= 600
+        # 0 spent + 600 predicted >= 600: only the probe gets through.
+        assert scheduler.admit(A1)
+        assert not scheduler.admit(A1)
+        admitted = scheduler.metrics.get("repro_sched_admitted_total")
+        assert admitted.value(kind="probe") == 1
+        assert admitted.value(kind="scheduled") == 0
 
     def test_authority_point_cap(self):
-        scheduler = make_scheduler(authority_max_points=1)
-        assert scheduler.admit(A1)
-        assert not scheduler.admit(A2)  # same host, cap reached
-        assert scheduler.admit(B1)
+        # Time is the only budget: an authority's healthy points are never
+        # capped by count, however many it publishes.
+        scheduler = make_scheduler()
+        for index in range(64):
+            uri = f"rsync://alpha.example/repo/{index}/"
+            assert scheduler.admit(uri)
+            scheduler.record(uri, 0)
 
     def test_global_budget_defers_expensive_fetches(self):
         scheduler = make_scheduler(authority_budget=10_000)
@@ -146,7 +147,7 @@ class TestAdmission:
         assert scheduler.expected_cost(A1) == 600.0
 
     def test_ewma_blends_observations(self):
-        scheduler = make_scheduler(ewma_alpha=0.5)
+        scheduler = make_scheduler()
         scheduler.record(A1, 600)
         assert scheduler.expected_cost(A1) == 600.0  # first observation
         scheduler.record(A1, 0)  # the host recovered
@@ -155,9 +156,10 @@ class TestAdmission:
         assert scheduler.expected_cost(A1) == 150.0
 
     def test_deferral_metrics_by_reason(self):
-        scheduler = make_scheduler(authority_budget=600, probes_per_cycle=0)
+        scheduler = make_scheduler(authority_budget=600)
         scheduler.admit(A1)
         scheduler.record(A1, 600)
+        scheduler.admit(A2)   # the recovery probe
         scheduler.admit(A2)   # deferred: authority-budget
         scheduler.record(B1, 600)
         scheduler.begin_cycle()

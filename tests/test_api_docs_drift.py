@@ -37,4 +37,4 @@ def test_build_covers_facade_and_every_package():
     # Spot-check the resilience additions made it into the reference.
     assert "`repro.repository.resilience`" in text
     assert "`repro.monitor.stall`" in text
-    assert "RetryPolicy" in text and "StallDetector" in text
+    assert "CircuitBreaker" in text and "StallDetector" in text
