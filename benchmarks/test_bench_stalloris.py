@@ -17,7 +17,8 @@ Three claims, pinned in ``BENCH_stalloris.json``:
 
 3. **Defense is nearly free.**  On a clean ``internet-small`` refresh
    (10^4 ROAs, no faults) the scheduled relying party stays within
-   **1.10x** of the unscheduled one, with byte-identical VRP output.
+   **1.10x** of the unscheduled one in CPU time (the median ratio of
+   five alternating pairs), with byte-identical VRP output.
 
 Plus the acceptance sweep: a 200-cycle seeded chaos campaign mixing
 AMPLIFY with the full timing + Byzantine menu completes with zero
@@ -25,6 +26,7 @@ safety / equivalence / bounded-interference / no-crash violations.
 """
 
 import json
+import statistics
 import time
 
 from conftest import write_artifact
@@ -38,12 +40,12 @@ from repro.chaos import (
 )
 from repro.modelgen import INTERNET_SCALES, build_deployment
 from repro.repository import Fetcher
-from repro.repository.scheduler import SchedulerConfig
 from repro.rp import RelyingParty
 from repro.telemetry import MetricsRegistry
 
 CONFIG = StallorisConfig()          # 8 amplified points, 5 attack cycles
 OVERHEAD_BOUND = 1.10
+OVERHEAD_PAIRS = 5
 CAMPAIGN_CYCLES = 200
 
 _STATE: dict[str, object] = {}
@@ -86,40 +88,46 @@ def test_scheduled_fetcher_holds_the_fairness_bound():
 def test_scheduler_overhead_on_clean_refresh():
     world = build_deployment(INTERNET_SCALES["internet-small"])
 
-    def make_rp(schedule=None):
+    def timed_refresh(scheduled):
         fetcher = Fetcher(world.registry, world.clock,
                           metrics=MetricsRegistry())
-        return RelyingParty(world.trust_anchors, fetcher,
-                            schedule=schedule, metrics=fetcher.metrics)
+        rp = RelyingParty(world.trust_anchors, fetcher,
+                          scheduled=scheduled, metrics=fetcher.metrics)
+        start = time.process_time()
+        report = rp.refresh()
+        return rp, report, time.process_time() - start
 
-    make_rp().refresh()  # warm-up: page in code paths, steady-state CPU
+    timed_refresh(False)  # warm-up: page in code paths, steady-state CPU
 
-    base_rp = make_rp()
-    start = time.perf_counter()
-    base_report = base_rp.refresh()
-    base_seconds = time.perf_counter() - start
+    # Alternating pairs on CPU time, judged by their median ratio: one
+    # wall-clock sample per side read scheduling noise, not the scheduler.
+    base_times, sched_times, ratios = [], [], []
+    for pair in range(OVERHEAD_PAIRS):
+        order = (False, True) if pair % 2 == 0 else (True, False)
+        runs = {scheduled: timed_refresh(scheduled) for scheduled in order}
+        base_rp, base_report, base_seconds = runs[False]
+        sched_rp, sched_report, sched_seconds = runs[True]
+        # Identical output: a clean world gives the scheduler nothing to do.
+        assert sched_report.deferred == []
+        assert sched_rp.vrps.as_frozenset() == base_rp.vrps.as_frozenset()
+        assert [f.uri for f in sched_report.fetches] == \
+            [f.uri for f in base_report.fetches]
+        base_times.append(base_seconds)
+        sched_times.append(sched_seconds)
+        ratios.append(sched_seconds / base_seconds)
 
-    sched_rp = make_rp(schedule=SchedulerConfig())
-    start = time.perf_counter()
-    sched_report = sched_rp.refresh()
-    sched_seconds = time.perf_counter() - start
-
-    # Identical output: a clean world gives the scheduler nothing to do.
-    assert sched_report.deferred == []
-    assert sched_rp.vrps.as_frozenset() == base_rp.vrps.as_frozenset()
-    assert [f.uri for f in sched_report.fetches] == \
-        [f.uri for f in base_report.fetches]
-
-    ratio = sched_seconds / base_seconds
+    ratio = statistics.median(ratios)
     assert ratio <= OVERHEAD_BOUND, (
-        f"scheduler overhead {ratio:.3f}x on a clean internet-small "
-        f"refresh ({sched_seconds:.3f}s vs {base_seconds:.3f}s)"
+        f"scheduler overhead {ratio:.3f}x (median of {OVERHEAD_PAIRS} "
+        f"pairs, {sorted(round(r, 3) for r in ratios)}) on a clean "
+        f"internet-small refresh"
     )
     _STATE["overhead"] = {
         "scale": "internet-small",
         "roas": world.roa_count(),
-        "unscheduled_seconds": round(base_seconds, 4),
-        "scheduled_seconds": round(sched_seconds, 4),
+        "pairs": OVERHEAD_PAIRS,
+        "unscheduled_seconds": round(statistics.median(base_times), 4),
+        "scheduled_seconds": round(statistics.median(sched_times), 4),
         "ratio": round(ratio, 3),
     }
 

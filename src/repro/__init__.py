@@ -114,7 +114,6 @@ from .repository import (
     RepositoryRegistry,
     RepositoryServer,
     RsyncUri,
-    SchedulerConfig,
     always_reachable,
     nested_bomb,
 )
@@ -155,7 +154,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.27.0"
+__version__ = "1.28.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
@@ -177,7 +176,6 @@ __all__ = [
     "RepositoryServer", "ResourceCertificate",
     "ResourceSet", "ResponseCache", "Roa", "Route",
     "RouteValidity", "RsyncUri", "RtrCacheServer", "RtrRouterClient",
-    "SchedulerConfig",
     "SessionMux", "Span", "StallDetector",
     "StallorisConfig", "StallorisReport",
     "SuspendersRelyingParty", "TokenBucket", "VRP", "ValidationRun",

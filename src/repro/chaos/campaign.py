@@ -57,7 +57,6 @@ from ..jurisdiction.regions import RIR
 from ..modelgen import DeploymentConfig, build_deployment
 from ..repository import Fetcher, FaultInjector
 from ..repository.faults import POINT_KINDS
-from ..repository.scheduler import SchedulerConfig
 from ..repository.uri import RsyncUri
 from ..rp import RelyingParty
 from ..rtr import (
@@ -176,7 +175,7 @@ class _Variant:
 
     def __init__(self, name: str, world, config: CampaignConfig,
                  *, faulted: bool, cold: bool = False,
-                 schedule: SchedulerConfig | None = None):
+                 scheduled: bool = False):
         self.name = name
         self.world = world
         self.cold = cold
@@ -193,7 +192,7 @@ class _Variant:
         )
         self.rp = RelyingParty(
             world.trust_anchors, fetcher,
-            schedule=schedule,
+            scheduled=scheduled,
             metrics=self.metrics,
         )
 
@@ -242,12 +241,12 @@ class _Campaign:
             "cold", build_deployment(deployment), config, faulted=True,
             cold=True,
         )
-        # The defense under test: an RP running the fetch scheduler
-        # with an authority budget of one attempt deadline — enough for a
+        # The defense under test: an RP running the fetch scheduler,
+        # whose authority budget is one attempt deadline — enough for a
         # first contact plus a recovery probe per slow host per cycle.
         self.scheduled = _Variant(
             "scheduled", build_deployment(deployment), config, faulted=True,
-            schedule=SchedulerConfig(authority_budget=config.attempt_timeout),
+            scheduled=True,
         )
         self.under_faults = (self.faulted, self.cold, self.scheduled)
         self.variants = (self.clean, *self.under_faults)

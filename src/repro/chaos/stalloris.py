@@ -37,7 +37,6 @@ from ..jurisdiction.regions import RIR
 from ..modelgen import DeploymentConfig, build_deployment
 from ..repository import Fetcher, FaultInjector
 from ..repository.faults import PERSISTENT, FaultKind
-from ..repository.scheduler import SchedulerConfig
 from ..repository.uri import RsyncUri
 from ..rp import RelyingParty
 
@@ -85,12 +84,6 @@ class StallorisConfig:
             roas_per_customer=1,
             amplification_points=self.amplification_points,
         )
-
-    def scheduler(self) -> SchedulerConfig:
-        """The defense posture: the per-authority budget *replaces* the
-        global budget (one attempt deadline per host per cycle — a first
-        contact plus a recovery probe for a slow host)."""
-        return SchedulerConfig(authority_budget=self.attempt_timeout)
 
 
 @dataclass
@@ -186,7 +179,7 @@ def _measure_one(
         world.trust_anchors, fetcher,
         stale_grace=config.stale_grace,
         fetch_budget=(None if scheduled else config.fetch_budget),
-        schedule=(config.scheduler() if scheduled else None),
+        scheduled=scheduled,
     )
     run = StallorisRun(scheduled=scheduled)
 

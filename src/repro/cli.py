@@ -57,6 +57,7 @@ from .modelgen import (
 )
 from .profiling import profile_refresh
 from .repository import Fetcher, resilience
+from .repository.scheduler import AUTHORITY_BUDGET
 from .rp import RelyingParty
 from .rtr import (
     CacheChain, DuplexPipe, RouterState, RtrCacheServer, RtrRouterClient,
@@ -361,7 +362,7 @@ def cmd_stalloris(args) -> None:
           f"{config.amplification_points} stalled publication points; "
           "measured with the global\n"
           f"fetch budget ({config.fetch_budget}s) and with the per-authority "
-          f"scheduler ({config.attempt_timeout}s/host)\n")
+          f"scheduler ({AUTHORITY_BUDGET}s/host)\n")
     report = measure_stalloris(config)
     print(report.render())
     budget = report.run(False)

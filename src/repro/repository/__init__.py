@@ -18,7 +18,7 @@ from .faults import (
 )
 from .fetch import FetchResult, FetchStatus, Fetcher, always_reachable
 from .resilience import BreakerState, CircuitBreaker
-from .scheduler import FetchScheduler, SchedulerConfig
+from .scheduler import FetchScheduler
 from .server import (
     HostLocator,
     HostedPublicationPoint,
@@ -49,7 +49,6 @@ __all__ = [
     "RepositoryRegistry",
     "RepositoryServer",
     "RsyncUri",
-    "SchedulerConfig",
     "UnknownHostError",
     "UriError",
     "always_reachable",

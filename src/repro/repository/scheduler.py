@@ -19,8 +19,8 @@ attempt deadline per child.
    fresh-but-aging points by sorting ahead of them.
 
 2. **Per-authority budgets** (:meth:`FetchScheduler.admit`): each
-   authority (rsync host) gets ``authority_budget`` simulated seconds of
-   fetch spend per refresh cycle, measured from actual
+   authority (rsync host) gets :data:`AUTHORITY_BUDGET` simulated
+   seconds of fetch spend per refresh cycle, measured from actual
    :class:`~repro.repository.fetch.FetchResult.elapsed` cost.  Once a
    host is over budget — or its per-point latency EWMA predicts the next
    fetch would take it over — further points on that host are *deferred*
@@ -36,15 +36,15 @@ attempt deadline per child.
    the probe's cheap result pulls the EWMA down and the subtree is
    readmitted.
 
-The scheduler is wired into :meth:`repro.rp.RelyingParty.refresh`
-behind the ``schedule=`` knob; the default
-(``None``) preserves the historical plain-sorted fetch order
-byte-identically.
+A relying party built with ``RelyingParty(scheduled=True)`` owns one
+scheduler and fetches every round through it; the default fetches in
+plain URI order and admits everything.  The relying party's own
+``fetch_budget``, when it has one, is checked by the relying party, not
+here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..telemetry import MetricsRegistry, default_registry
@@ -53,29 +53,17 @@ from .uri import RsyncUri
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache -> fetch)
     from .cache import LocalCache
 
-__all__ = ["SchedulerConfig", "FetchScheduler"]
+__all__ = ["FetchScheduler"]
 
+# Simulated seconds of fetch spend one authority (rsync host) may cost per
+# refresh cycle before its remaining points are deferred: one attempt
+# deadline, enough for a first contact plus a recovery probe.
+AUTHORITY_BUDGET = 600
 # Fetches still admitted per cycle to a host that is (or is predicted to
 # go) over budget: the recovery probe that notices a host sped back up.
 PROBES_PER_CYCLE = 1
 # Weight of the newest observation in the per-point latency EWMA.
 EWMA_ALPHA = 0.5
-
-
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """The one setting of a :class:`FetchScheduler`.
-
-    authority_budget:
-        Simulated seconds of fetch spend one authority (rsync host) may
-        cost per refresh cycle before its remaining points are deferred.
-    """
-
-    authority_budget: int = 600
-
-    def __post_init__(self) -> None:
-        if self.authority_budget < 1:
-            raise ValueError(f"bad authority budget {self.authority_budget}")
 
 
 class FetchScheduler:
@@ -86,13 +74,7 @@ class FetchScheduler:
     :meth:`begin_cycle`.
     """
 
-    def __init__(
-        self,
-        config: SchedulerConfig,
-        *,
-        metrics: MetricsRegistry | None = None,
-    ):
-        self.config = config
+    def __init__(self, *, metrics: MetricsRegistry | None = None):
         self.metrics = metrics if metrics is not None else default_registry()
         # Point URI -> smoothed observed fetch cost in simulated seconds.
         self._ewma: dict[str, float] = {}
@@ -139,23 +121,16 @@ class FetchScheduler:
 
         return sorted(pending, key=priority)
 
-    def admit(
-        self, uri: str, *, remaining_budget: int | None = None
-    ) -> bool:
+    def admit(self, uri: str) -> bool:
         """Whether to fetch *uri* this cycle, or defer it to stale grace.
 
-        Deferral reasons, in check order: the expected cost exceeds
-        *remaining_budget* — the relying party's remaining global fetch
-        budget, when it runs one; or the authority is over (or predicted
-        over) its time budget with its recovery probe used up.
+        A point is deferred when its authority is over (or predicted
+        over) :data:`AUTHORITY_BUDGET` with its recovery probe used up.
         """
         host = self.authority_of(uri)
         expected = self._ewma.get(uri, 0.0)
-        if remaining_budget is not None and expected > remaining_budget:
-            self._m_deferred.inc(reason="global-budget")
-            return False
         spent = self._spent.get(host, 0)
-        if spent + expected >= self.config.authority_budget:
+        if spent + expected >= AUTHORITY_BUDGET:
             if self._probes.get(host, 0) >= PROBES_PER_CYCLE:
                 self._m_deferred.inc(reason="authority-budget")
                 return False

@@ -22,9 +22,11 @@ certificate leads to one point, whose local outcome (issues, accepted
 children, ROA rows, VRPs, contact, CRL) is computed as a unit.  A
 :class:`ValidationWalk` visits the certificate tree level by level and
 judges every reached CA's point exactly once, from whatever is served
-for it at that moment; the relying party fetches each level's points
-just before the walk judges them, while :meth:`PathValidator.run` walks
-a fixed snapshot.  The per-point unit is exactly what
+for it at that moment, keyed by the served points' content digests.
+The relying party fetches each level's points in one round just before
+the walk judges them and hands over the cache's digests, while
+:meth:`PathValidator.run` walks a fixed snapshot and computes the
+digests from its bytes.  The per-point unit is exactly what
 :mod:`repro.rp.incremental` keeps: every validator carries an
 :class:`~repro.rp.incremental.IncrementalState`, and unchanged points are
 replayed from the previous walk instead of being re-parsed and
@@ -206,7 +208,9 @@ class PathValidator:
         the points' reuse key; computed from the bytes when absent.
         """
         if digests is None:
-            digests = _digests_of(cache_files)
+            digests = {
+                uri: point_digest(files) for uri, files in cache_files.items()
+            }
         walk = ValidationWalk(self, now)
         while walk.frontier:
             walk.step(cache_files, now, digests)
@@ -852,15 +856,13 @@ class ValidationWalk:
         self,
         cache_files: dict[str, dict[str, bytes]],
         now: int,
-        digests: dict[str, str] | None = None,
+        digests: dict[str, str],
     ) -> None:
         """Judge the frontier's points from *cache_files* at *now*.
 
-        *digests* maps every URI of *cache_files* to its content digest
-        (computed from the bytes when absent).
+        *digests* maps every URI of *cache_files* to its content digest,
+        the points' reuse key.
         """
-        if digests is None:
-            digests = _digests_of(cache_files)
         children: list[ResourceCertificate] = []
         if self._depth <= _MAX_DEPTH:
             for ca_cert in self.frontier:
@@ -954,11 +956,6 @@ class ValidationWalk:
             if entry.children:
                 depth += 1
                 stack.extend((child, depth) for child in reversed(entry.children))
-
-
-def _digests_of(cache_files: dict[str, dict[str, bytes]]) -> dict[str, str]:
-    """The content digest of every point in *cache_files*."""
-    return {uri: point_digest(files) for uri, files in cache_files.items()}
 
 
 class _PointCopy:

@@ -14,16 +14,24 @@ whatever the cache then serves for it.  A point that cannot be fetched
 (unreachable, faulted, over budget) leaves whatever the cache already
 had — or nothing, which is exactly the "missing information" condition
 whose consequences Section 4 of the paper analyzes.
+
+Each level is one fetch round over the URIs the walk has not reached
+before.  The round's policy is chosen once, when the relying party is
+built: plain URI order admitting everything, or the Stalloris defense's
+:class:`~repro.repository.scheduler.FetchScheduler`.  The fetch budget
+is checked in the round alone, before each fetch; once it runs out,
+every URI still to come is skipped and served from the cache.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ..repository.cache import CacheFreshness, LocalCache
 from ..repository.fetch import Fetcher, FetchResult, FetchStatus
-from ..repository.scheduler import FetchScheduler, SchedulerConfig
+from ..repository.scheduler import FetchScheduler
 from ..rpki.cert import ResourceCertificate
 from ..simtime import Clock
 from ..telemetry import MetricsRegistry, default_registry
@@ -82,12 +90,12 @@ class RefreshReport:
     run: ValidationRun
     fetches: list[FetchResult] = field(default_factory=list)
     rounds: int = 0
-    budget_exhausted: bool = False
+    # Points left unfetched once the fetch budget ran out, sorted.
     skipped: list[str] = field(default_factory=list)
     freshness: dict[str, CacheFreshness] = field(default_factory=dict)
     degradation: DegradationReport = field(default_factory=DegradationReport)
-    # Points the fetch scheduler deferred to stale-cache grace this cycle
-    # (always empty without a ``schedule=`` config).
+    # Points the fetch scheduler deferred to stale-cache grace this cycle,
+    # sorted (always empty unless ``scheduled=True``).
     deferred: list[str] = field(default_factory=list)
     # The net change of the VRP table since the previous refresh — what
     # the serving planes (QueryService, RtrCacheServer.apply_delta)
@@ -98,6 +106,11 @@ class RefreshReport:
     @property
     def vrps(self) -> VrpSet:
         return self.run.vrps
+
+    @property
+    def budget_exhausted(self) -> bool:
+        """Whether the fetch budget ran out: some point was skipped."""
+        return bool(self.skipped)
 
     @property
     def elapsed(self) -> int:
@@ -115,6 +128,27 @@ class RefreshReport:
         """Points withheld from validation: stale beyond the grace window."""
         return [uri for uri, f in self.freshness.items()
                 if f is CacheFreshness.EXPIRED]
+
+
+class _PlainOrder:
+    """The unscheduled fetch policy: plain URI order, every fetch admitted.
+
+    It answers the calls the fetch round makes of a
+    :class:`~repro.repository.scheduler.FetchScheduler`, and keeps no
+    state.
+    """
+
+    def begin_cycle(self) -> None:
+        pass
+
+    def order(self, pending: set[str], cache: LocalCache, now: int) -> list[str]:
+        return sorted(pending)
+
+    def admit(self, uri: str) -> bool:
+        return True
+
+    def record(self, uri: str, elapsed: int) -> None:
+        pass
 
 
 class RelyingParty:
@@ -142,18 +176,17 @@ class RelyingParty:
         per-attempt deadline is small.  Once exhausted, remaining points
         are skipped and validation falls back to the cache — the
         stale-serve path.  ``None`` (default) never stops fetching.
-    schedule:
-        Optional fetch scheduling, the Stalloris defense: a
-        :class:`~repro.repository.scheduler.SchedulerConfig` (or a
-        prebuilt :class:`~repro.repository.scheduler.FetchScheduler`)
-        that orders each round's fetches by priority (staleness, then
-        past-latency EWMA) and enforces a
-        per-authority time budget, so one slow delegation subtree cannot
-        monopolize the refresh.  Over-budget points are *deferred*:
-        listed on :attr:`RefreshReport.deferred`, recorded as degraded,
-        and served from stale-cache grace like a failed fetch.  ``None``
-        (the default) keeps the historical plain-sorted fetch order
-        byte-identically.
+    scheduled:
+        Fetch scheduling, the Stalloris defense: the relying party owns a
+        :class:`~repro.repository.scheduler.FetchScheduler`
+        (:attr:`scheduler`) that orders each round's fetches by priority
+        (staleness, then past-latency EWMA) and holds every authority to
+        :data:`~repro.repository.scheduler.AUTHORITY_BUDGET`, so one slow
+        delegation subtree cannot monopolize the refresh.  Over-budget
+        points are *deferred*: listed on :attr:`RefreshReport.deferred`,
+        recorded as degraded, and served from stale-cache grace like a
+        failed fetch.  ``False`` (the default) fetches in plain URI order
+        and admits everything.
     strict_manifests:
         Validator policy on manifest trouble (see :class:`PathValidator`).
     mode:
@@ -179,7 +212,7 @@ class RelyingParty:
         keep_stale: bool = True,
         stale_grace: int | None = None,
         fetch_budget: int | None = None,
-        schedule: SchedulerConfig | FetchScheduler | None = None,
+        scheduled: bool = False,
         strict_manifests: bool = False,
         mode: str = "incremental",
         metrics: MetricsRegistry | None = None,
@@ -194,12 +227,14 @@ class RelyingParty:
         self.fetcher = fetcher
         self.fetch_budget = fetch_budget
         self.metrics = metrics if metrics is not None else default_registry()
-        if isinstance(schedule, FetchScheduler):
-            self.scheduler: FetchScheduler | None = schedule
-        elif schedule is not None:
-            self.scheduler = FetchScheduler(schedule, metrics=self.metrics)
-        else:
-            self.scheduler = None
+        self.scheduler = (
+            FetchScheduler(metrics=self.metrics) if scheduled else None
+        )
+        # The fetch round's policy, chosen once: ordering, admission and
+        # cost recording.
+        self._policy: FetchScheduler | _PlainOrder = (
+            self.scheduler if scheduled else _PlainOrder()
+        )
         self.cache = LocalCache(keep_stale=keep_stale, stale_grace=stale_grace,
                                 metrics=self.metrics)
         self.incremental_state = IncrementalState(metrics=self.metrics)
@@ -263,87 +298,38 @@ class RelyingParty:
         # current table saves building an empty one per refresh).
         report = RefreshReport(run=ValidationRun(vrps=self.vrps))
         clock = self._clock
-        scheduler = self.scheduler
         start = clock.now
-        fetched: set[str] = set()
-        deferred: set[str] = set()
-        skipped: set[str] = set()
+        deadline = (
+            math.inf if self.fetch_budget is None else start + self.fetch_budget
+        )
+        # Every publication URI this refresh has reached: each is fetched,
+        # deferred or skipped once, then served once.
+        visited: set[str] = set()
         # What the cache served this refresh, read once per point at the
         # instant its level was judged; the file dicts are the cache's
-        # own (zero copies).  *read* also remembers the unservable URIs.
+        # own (zero copies).
         files: dict[str, dict[str, bytes]] = {}
         digests: dict[str, str] = {}
-        read: set[str] = set()
-        if scheduler is not None:
-            scheduler.begin_cycle()
+        self._policy.begin_cycle()
         with self.metrics.trace("repro_rp_refresh_seconds", clock):
             walk = ValidationWalk(self.validator, start)
             while walk.frontier:
-                uris = walk.publication_uris()
-                pending = uris - fetched - deferred
-                ordered: list[str] = []
-                if report.budget_exhausted:
-                    # Budget gone: keep walking the cached subtree
-                    # without fetching (the stale-fallback path).
-                    skipped |= pending
-                elif pending:
-                    report.rounds += 1
-                    ordered = (
-                        sorted(pending) if scheduler is None
-                        else scheduler.order(pending, self.cache, clock.now)
-                    )
-                for uri in ordered:
-                    if (
-                        self.fetch_budget is not None
-                        and clock.now - start >= self.fetch_budget
-                    ):
-                        report.budget_exhausted = True
-                        skipped |= pending - fetched
-                        break
-                    if scheduler is not None:
-                        remaining = (
-                            None if self.fetch_budget is None
-                            else self.fetch_budget - (clock.now - start)
-                        )
-                        if not scheduler.admit(
-                            uri, remaining_budget=remaining
-                        ):
-                            # Deferred to stale-cache grace: the cache's
-                            # last good copy keeps serving this cycle.
-                            deferred.add(uri)
-                            continue
-                    # The cached copy's serial: an unchanged point is
-                    # answered not-modified, with nothing copied.
-                    cached = self.cache.point(uri)
-                    try:
-                        result = self.fetcher.fetch_point(
-                            uri, serial=None if cached is None else cached.serial
-                        )
-                    except Exception:
-                        # Containment: a crashing fetch degrades one point
-                        # (recorded below via its FAULTED status), never
-                        # the whole refresh.
-                        result = FetchResult(
-                            uri, FetchStatus.FAULTED, fetched_at=clock.now,
-                        )
-                    self.cache.update(result)
-                    report.fetches.append(result)
-                    fetched.add(uri)
-                    if scheduler is not None:
-                        scheduler.record(uri, result.elapsed)
+                new = walk.publication_uris() - visited
+                visited |= new
+                if new:
+                    self._fetch_round(new, report, deadline)
                 now = clock.now
-                for uri in uris - read:
+                for uri in new:
                     point = self.cache.serve(uri, now)
                     if point is not None:
                         files[uri] = point.files
                         digests[uri] = point.content_digest
-                read |= uris
                 walk.step(files, now, digests)
             run = walk.finish()
-        if report.budget_exhausted:
-            report.skipped = sorted(skipped)
+        if report.skipped:
+            report.skipped.sort()
             self._m_budget_exhausted.inc()
-        report.deferred = sorted(deferred)
+        report.deferred.sort()
         report.freshness = self.cache.classify(clock.now)
         report.run = run
         report.announced, report.withdrawn = run.announced, run.withdrawn
@@ -365,6 +351,46 @@ class RelyingParty:
         for listener in self._subscribers:
             listener(report.announced, report.withdrawn)
         return report
+
+    def _fetch_round(
+        self, pending: set[str], report: RefreshReport, deadline: float
+    ) -> None:
+        """Fetch one level's *pending* URIs into the cache.
+
+        Each URI ends on exactly one of the report's lists: ``fetches``,
+        ``deferred`` (the policy said not this cycle; the cache's last
+        good copy keeps serving) or ``skipped`` (the fetch budget ran out
+        at *deadline*; from then on every round skips whole).
+        """
+        if report.skipped:
+            report.skipped.extend(pending)
+            return
+        report.rounds += 1
+        clock, cache, policy = self._clock, self.cache, self._policy
+        ordered = policy.order(pending, cache, clock.now)
+        for index, uri in enumerate(ordered):
+            if clock.now >= deadline:
+                report.skipped.extend(ordered[index:])
+                return
+            if not policy.admit(uri):
+                report.deferred.append(uri)
+                continue
+            # The cached copy's serial: an unchanged point is answered
+            # not-modified, with nothing copied.
+            cached = cache.point(uri)
+            try:
+                result = self.fetcher.fetch_point(
+                    uri, serial=None if cached is None else cached.serial
+                )
+            except Exception:
+                # Containment: a crashing fetch degrades one point (via
+                # its FAULTED status), never the whole refresh.
+                result = FetchResult(
+                    uri, FetchStatus.FAULTED, fetched_at=clock.now,
+                )
+            cache.update(result)
+            report.fetches.append(result)
+            policy.record(uri, result.elapsed)
 
     @staticmethod
     def _degradation(

@@ -2,8 +2,8 @@
 
 The defense half of the Stalloris reproduction: priority ordering
 (stalest-first), per-authority time budgets with recovery
-probes, and the relying-party wiring — including the contract that
-``schedule=None`` leaves the historical fetch behavior untouched.
+probes, and the relying-party wiring — including the contract that an
+unscheduled relying party (the default) fetches in plain URI order.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from repro.repository import (
     Fetcher,
     LocalCache,
 )
-from repro.repository.scheduler import FetchScheduler, SchedulerConfig
+from repro.repository.scheduler import AUTHORITY_BUDGET, FetchScheduler
 from repro.rp import RelyingParty
 from repro.telemetry import MetricsRegistry
 
@@ -35,8 +35,8 @@ def make_cache(*specs):
     return cache
 
 
-def make_scheduler(**kw):
-    return FetchScheduler(SchedulerConfig(**kw), metrics=MetricsRegistry())
+def make_scheduler():
+    return FetchScheduler(metrics=MetricsRegistry())
 
 
 A1 = "rsync://alpha.example/repo/"
@@ -46,8 +46,11 @@ B1 = "rsync://beta.example/repo/"
 
 class TestSchedulerConfig:
     def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            SchedulerConfig(authority_budget=0)
+        # The authority budget is a constant, one attempt deadline; no
+        # caller can set it, let alone set it wrong.
+        assert AUTHORITY_BUDGET == 600
+        with pytest.raises(TypeError):
+            FetchScheduler(authority_budget=0)
 
     def test_weight_defaults_to_one(self):
         # Every authority weighs the same: equally stale points on
@@ -55,7 +58,7 @@ class TestSchedulerConfig:
         scheduler = make_scheduler()
         cache = make_cache((B1, 100), (A1, 100))
         assert scheduler.order({A1, B1}, cache, now=200) == [A1, B1]
-        assert not hasattr(SchedulerConfig(), "weight_for")
+        assert not hasattr(scheduler, "weight_for")
 
 
 class TestOrdering:
@@ -86,13 +89,13 @@ class TestOrdering:
 
 class TestAdmission:
     def test_healthy_fetches_never_deferred(self):
-        scheduler = make_scheduler(authority_budget=600)
+        scheduler = make_scheduler()
         for uri in (A1, A2, B1):
             assert scheduler.admit(uri)
             scheduler.record(uri, 0)  # healthy: zero simulated cost
 
     def test_over_budget_host_gets_probes_then_defers(self):
-        scheduler = make_scheduler(authority_budget=600)
+        scheduler = make_scheduler()
         assert scheduler.admit(A1)
         scheduler.record(A1, 600)  # one stalled deadline: budget consumed
         assert scheduler.admit(A2)      # the recovery probe
@@ -103,7 +106,7 @@ class TestAdmission:
         # spent == budget is already over: the next admission is the
         # recovery probe, not a scheduled fetch — otherwise a zero-EWMA
         # point slips in a third deadline burn per cycle.
-        scheduler = make_scheduler(authority_budget=600)
+        scheduler = make_scheduler()
         assert scheduler.admit(A1)
         scheduler.record(A1, 600)
         assert scheduler.admit(A2)
@@ -112,7 +115,7 @@ class TestAdmission:
         assert admitted.value(kind="scheduled") == 1
 
     def test_predicted_cost_counts_against_budget(self):
-        scheduler = make_scheduler(authority_budget=600)
+        scheduler = make_scheduler()
         scheduler.record(A1, 600)  # EWMA now predicts a 600 s fetch
         scheduler.begin_cycle()    # spend resets, history persists
         # 0 spent + 600 predicted >= 600: only the probe gets through.
@@ -131,15 +134,8 @@ class TestAdmission:
             assert scheduler.admit(uri)
             scheduler.record(uri, 0)
 
-    def test_global_budget_defers_expensive_fetches(self):
-        scheduler = make_scheduler(authority_budget=10_000)
-        scheduler.record(A1, 600)
-        scheduler.begin_cycle()
-        assert not scheduler.admit(A1, remaining_budget=100)
-        assert scheduler.admit(A1, remaining_budget=600)
-
     def test_begin_cycle_resets_spend_not_history(self):
-        scheduler = make_scheduler(authority_budget=600)
+        scheduler = make_scheduler()
         scheduler.record(A1, 600)
         assert scheduler.spend() == {"alpha.example": 600}
         scheduler.begin_cycle()
@@ -156,17 +152,13 @@ class TestAdmission:
         assert scheduler.expected_cost(A1) == 150.0
 
     def test_deferral_metrics_by_reason(self):
-        scheduler = make_scheduler(authority_budget=600)
+        scheduler = make_scheduler()
         scheduler.admit(A1)
         scheduler.record(A1, 600)
         scheduler.admit(A2)   # the recovery probe
         scheduler.admit(A2)   # deferred: authority-budget
-        scheduler.record(B1, 600)
-        scheduler.begin_cycle()
-        scheduler.admit(B1, remaining_budget=100)  # deferred: global-budget
         deferred = scheduler.metrics.get("repro_sched_deferred_total")
         assert deferred.value(reason="authority-budget") == 1
-        assert deferred.value(reason="global-budget") == 1
         admitted = scheduler.metrics.get("repro_sched_admitted_total")
         assert admitted.value(kind="scheduled") == 1
 
@@ -180,11 +172,11 @@ def amplified_world(points=4):
 
 
 class TestRelyingPartyWiring:
-    def make_rp(self, world, *, faults=None, schedule=None, **kw):
+    def make_rp(self, world, *, faults=None, **kw):
         fetcher = Fetcher(world.registry, world.clock, faults=faults,
                           attempt_timeout=600, metrics=MetricsRegistry())
         return RelyingParty(world.trust_anchors, fetcher,
-                            schedule=schedule, metrics=fetcher.metrics, **kw)
+                            metrics=fetcher.metrics, **kw)
 
     def test_default_has_no_scheduler_and_no_deferrals(self):
         world = amplified_world()
@@ -194,13 +186,13 @@ class TestRelyingPartyWiring:
         assert report.deferred == []
 
     def test_off_path_output_identical_to_unscheduled(self):
-        # schedule=None must not change a single byte of the refresh
-        # output relative to an RP built before the knob existed.
+        # scheduled=False is the default, byte for byte: plain URI order,
+        # every fetch admitted.
         config = DeploymentConfig(seed=1, isps_per_rir=2, customers_per_isp=1,
                                   amplification_points=4)
         w1, w2 = build_deployment(config), build_deployment(config)
         rp1 = self.make_rp(w1)
-        rp2 = self.make_rp(w2, schedule=None)
+        rp2 = self.make_rp(w2, scheduled=False)
         r1, r2 = rp1.refresh(), rp2.refresh()
         assert rp1.vrps.as_frozenset() == rp2.vrps.as_frozenset()
         assert rp1.cache.digests(0) == rp2.cache.digests(0)
@@ -210,10 +202,7 @@ class TestRelyingPartyWiring:
     def test_scheduler_defers_amplified_subtree_and_reports_it(self):
         world = amplified_world(points=6)
         faults = FaultInjector(seed=1)
-        rp = self.make_rp(
-            world, faults=faults,
-            schedule=SchedulerConfig(authority_budget=600),
-        )
+        rp = self.make_rp(world, faults=faults, scheduled=True)
         rp.refresh()  # healthy warm-up
         faults.schedule(
             FaultKind.AMPLIFY,
@@ -230,12 +219,12 @@ class TestRelyingPartyWiring:
         reasons = dict(report.degradation.degraded_points)
         assert any(r == "budget-deferred" for r in reasons.values())
 
-    def test_scheduler_instance_can_be_shared(self):
+    def test_scheduled_rp_owns_its_scheduler(self):
         world = amplified_world()
-        scheduler = FetchScheduler(SchedulerConfig(),
-                                   metrics=MetricsRegistry())
-        rp = self.make_rp(world, schedule=scheduler)
-        assert rp.scheduler is scheduler
+        rp = self.make_rp(world, scheduled=True)
+        scheduler = rp.scheduler
+        assert isinstance(scheduler, FetchScheduler)
+        assert scheduler.metrics is rp.metrics
         rp.refresh()
         # Healthy world: every fetch recorded, zero simulated cost.
         assert scheduler.spend()

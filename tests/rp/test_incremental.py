@@ -411,12 +411,16 @@ class TestRefreshSkippedBookkeeping:
         assert report.skipped == sorted(set(report.skipped))
         fetched = {f.uri for f in report.fetches}
         assert not fetched & set(report.skipped)
+        assert report.budget_exhausted == bool(report.skipped)
+        assert set(report.deferred).isdisjoint(report.skipped)
 
     def test_no_budget_no_skips(self, world):
         rp = make_rp(world)
         report = rp.refresh()
         assert report.skipped == []
         assert not report.budget_exhausted
+        assert report.budget_exhausted == bool(report.skipped)
+        assert set(report.deferred).isdisjoint(report.skipped)
 
 
 class TestVrpSetDeltas:

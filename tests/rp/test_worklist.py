@@ -15,9 +15,7 @@ from repro.repository import (
     FaultInjector,
     FaultKind,
     Fetcher,
-    FetchScheduler,
     HostLocator,
-    SchedulerConfig,
 )
 from repro.resources import ResourceSet
 from repro.rp import PathValidator, RelyingParty
@@ -131,11 +129,21 @@ class TestBudgetAndDeferral:
         return rp, faults
 
     def test_budget_trip_mid_level_serves_the_cached_subtree(self):
+        self.check_budget_trip(scheduled=False)
+
+    def test_budget_trip_mid_level_serves_the_cached_subtree_scheduled(self):
+        """The fetch budget and the scheduler together: the round, not the
+        scheduler, skips once the budget is spent."""
+        self.check_budget_trip(scheduled=True)
+
+    def check_budget_trip(self, scheduled):
         world, _smallbiz = build_deep_hierarchy()
-        rp, faults = self.warm(world, fetch_budget=10)
+        rp, faults = self.warm(world, fetch_budget=10, scheduled=scheduled)
         faults.schedule(FaultKind.DELAY, CONTINENTAL, delay_seconds=60)
         report = rp.refresh()
         assert report.budget_exhausted
+        assert report.budget_exhausted == bool(report.skipped)
+        assert set(report.deferred).isdisjoint(report.skipped)
         # Continental's slow fetch ate the budget mid-level: ETB (same
         # level, later in sort order) and SmallBiz (one level down) were
         # never fetched, yet both subtrees were walked from the cache.
@@ -146,18 +154,10 @@ class TestBudgetAndDeferral:
         assert len(report.run.validated_cas) == 5
 
     def test_deferred_point_still_reveals_its_cached_children(self):
-        class Deferring(FetchScheduler):
-            deferred_uris: frozenset = frozenset()
-
-            def admit(self, uri, *, remaining_budget=None):
-                return uri not in self.deferred_uris and super().admit(
-                    uri, remaining_budget=remaining_budget
-                )
-
         world, _smallbiz = build_deep_hierarchy()
-        scheduler = Deferring(SchedulerConfig(), metrics=MetricsRegistry())
-        rp, _faults = self.warm(world, schedule=scheduler)
-        scheduler.deferred_uris = frozenset({CONTINENTAL})
+        rp, _faults = self.warm(world, scheduled=True)
+        admit = rp.scheduler.admit
+        rp.scheduler.admit = lambda uri: uri != CONTINENTAL and admit(uri)
         report = rp.refresh()
         assert report.deferred == [CONTINENTAL]
         # SmallBiz is known only through Continental's *cached* point —

@@ -1,5 +1,8 @@
 """Options no caller ever set are constants: passing one is a TypeError.
 
+A configuration class left with no such option is gone: importing it is
+an ImportError.
+
 Each bound still holds at its shipped value; the tests that exercise it
 (``tests/rtr/test_session.py::TestDeltaCompaction``,
 ``tests/rp/test_containment.py``, ``tests/test_simtime.py``) run at that
@@ -27,10 +30,10 @@ from repro.repository import (
     HostedPublicationPoint,
     HostLocator,
     RepositoryRegistry,
+    FetchScheduler,
     RsyncUri,
-    SchedulerConfig,
 )
-from repro.rp import ParseMemo
+from repro.rp import ParseMemo, RelyingParty
 from repro.rpki import InMemoryPublicationPoint
 from repro.rpki.publication import DEFAULT_HISTORY_LIMIT
 from repro.rtr import ChainedRtrCache, RtrCacheServer
@@ -64,10 +67,22 @@ REMOVED = {
     "Fetcher(resilience=)":
         lambda: Fetcher(RepositoryRegistry(), Clock(), resilience=None),
     "CircuitBreaker(policy)": lambda: CircuitBreaker("h", None),
-    "SchedulerConfig(authority_max_points=)": lambda: SchedulerConfig(authority_max_points=1),
-    "SchedulerConfig(probes_per_cycle=)": lambda: SchedulerConfig(probes_per_cycle=1),
-    "SchedulerConfig(ewma_alpha=)": lambda: SchedulerConfig(ewma_alpha=0.5),
-    "SchedulerConfig(authority_weights=)": lambda: SchedulerConfig(authority_weights={}),
+    # SchedulerConfig is gone (see GONE); the options it shed stay off
+    # the scheduler that now holds its one value as a constant.
+    "SchedulerConfig(authority_max_points=)":
+        lambda: FetchScheduler(authority_max_points=1),
+    "SchedulerConfig(probes_per_cycle=)":
+        lambda: FetchScheduler(probes_per_cycle=1),
+    "SchedulerConfig(ewma_alpha=)": lambda: FetchScheduler(ewma_alpha=0.5),
+    "SchedulerConfig(authority_weights=)":
+        lambda: FetchScheduler(authority_weights={}),
+    "RelyingParty(schedule=)":
+        lambda: RelyingParty([], Fetcher(RepositoryRegistry(), Clock()),
+                             schedule=None),
+    "FetchScheduler(config)": lambda: FetchScheduler(None),
+    "FetchScheduler.admit(remaining_budget=)":
+        lambda: FetchScheduler(metrics=MetricsRegistry()).admit(
+            "rsync://a.example/repo/", remaining_budget=1),
     "StallDetector(config=)": lambda: StallDetector(config=None),
     "CampaignConfig(interference_bound=)": lambda: CampaignConfig(interference_bound=1),
     "CampaignConfig(gap_seconds=)": lambda: CampaignConfig(gap_seconds=1),
@@ -97,6 +112,23 @@ REMOVED = {
 def test_removed_option_is_a_type_error(make):
     with pytest.raises(TypeError):
         make()
+
+
+def import_scheduler_config():
+    from repro.repository.scheduler import SchedulerConfig  # noqa: F401
+
+
+# Classes no caller outside the tests ever configured: importing one is an
+# ImportError.
+GONE = {
+    "SchedulerConfig": import_scheduler_config,
+}
+
+
+@pytest.mark.parametrize("load", GONE.values(), ids=GONE.keys())
+def test_removed_name_is_an_import_error(load):
+    with pytest.raises(ImportError):
+        load()
 
 
 def test_the_constants_are_in_force():
