@@ -51,7 +51,7 @@ from repro.resources import PrefixMap
 from repro.rp import RelyingParty, VrpSet
 from repro.rp import pathval
 from repro.rp.vrp import _Fingerprint
-from repro.rpki import Roa
+from repro.rpki import roa as roa_module
 from repro.simtime import HOUR
 from repro.telemetry import MetricsRegistry
 
@@ -156,7 +156,10 @@ class _Calls:
         self._count(patch, repository_cache, "point_digest", "point_digests")
         self._count(patch, pathval, "point_digest", "point_digests")
         self._count(patch, VrpSet, "__init__", "vrpset_builds")
-        self._count(patch, Roa, "_read_payload", "roas_parsed")
+        # A ROA is read from its bytes by read_roa alone: straight to its
+        # row by the validator, or into a Roa object.
+        for module in (roa_module, pathval):
+            self._count(patch, module, "read_roa", "roas_parsed")
         self._count(patch, PrefixMap, "get_or_insert", "trie_inserts")
         self._count(patch, PrefixMap, "remove", "trie_removes")
         self._count(patch, _Fingerprint, "_bucket_digest", "bucket_digests")

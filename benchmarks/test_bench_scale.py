@@ -56,6 +56,7 @@ from repro.modelgen import INTERNET_SCALES, DeploymentConfig, build_deployment
 from repro.repository import Fetcher
 from repro.resources import ASN, Afi, Prefix
 from repro.rp import VRP, RelyingParty, VrpSet
+from repro.rpki.roa import read_roa
 from repro.simtime import HOUR
 from repro.telemetry import default_registry
 
@@ -290,13 +291,16 @@ def test_cold_refresh_reads_each_object_once(monkeypatch):
         generic_nodes = _count_calls(patch, ctlv._decode_one)
         encodes = _count_calls(patch, encode)
         digests = _count_calls(patch, sha256_hex)
+        roa_reads = _count_calls(patch, read_roa)
         report = rp.refresh()
     verifies = _verify_total() - before
 
     assert report.run.errors() == []
     assert report.run.roa_count == world.roa_count() == 2_500
+    # One read per file: a ROA straight to its row, anything else
+    # through the parse memo.
     memo = rp.incremental_state.parse_memo
-    assert (memo.misses, memo.hits) == (2_660, 0)   # one lookup per file
+    assert (len(roa_reads), memo.misses, memo.hits) == (2_500, 160, 0)
     assert len(generic_nodes) == 0, "a refresh went through generic decode"
     assert len(encodes) == 0, "a refresh re-encoded something it had read"
     assert len(digests) <= MAX_COLD_SHA256_HEX

@@ -154,7 +154,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.28.0"
+__version__ = "1.29.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [

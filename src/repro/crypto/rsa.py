@@ -12,6 +12,7 @@ constant-time guarantees, and default key sizes are chosen for test speed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -92,13 +93,14 @@ class RsaPublicKey:
 
     def _check_signature(self, message: bytes, signature: bytes) -> bool:
         """The uninstrumented check (benchmarked against :meth:`verify`)."""
-        if len(signature) != self.modulus_bytes:
+        size = self.modulus_bytes
+        if len(signature) != size:
             return False
         sig_int = int.from_bytes(signature, "big")
         if sig_int >= self.modulus:
             return False
         recovered = pow(sig_int, self.exponent, self.modulus)
-        expected = int.from_bytes(_pad(message, self.modulus_bytes), "big")
+        expected = int.from_bytes(_pad(message, size), "big")
         return recovered == expected
 
     def to_dict(self) -> dict:
@@ -222,10 +224,18 @@ def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> RsaPr
 
 def _pad(message: bytes, target_length: int) -> bytes:
     """EMSA-PKCS1-v1_5 encoding of SHA-256(message)."""
-    digest_info = _SHA256_DIGEST_INFO + sha256(message)
-    padding_length = target_length - len(digest_info) - 3
+    return _padding_prefix(target_length) + sha256(message)
+
+
+# Bounded: an authority picks its key sizes, so it picks the lengths.
+@functools.lru_cache(maxsize=16)
+def _padding_prefix(target_length: int) -> bytes:
+    """EMSA-PKCS1-v1_5 encoding, up to the digest, for a modulus of
+    *target_length* bytes."""
+    # Framing (3 bytes), DigestInfo and the 32-byte digest are fixed.
+    padding_length = target_length - 3 - len(_SHA256_DIGEST_INFO) - 32
     if padding_length < 8:
         raise SignatureError(
             f"modulus too small for SHA-256 DigestInfo ({target_length} bytes)"
         )
-    return b"\x00\x01" + b"\xff" * padding_length + b"\x00" + digest_info
+    return b"\x00\x01" + b"\xff" * padding_length + b"\x00" + _SHA256_DIGEST_INFO

@@ -132,8 +132,10 @@ def analyze(
     *before* snapshot — the victim's own card, as it stood pre-incident).
     """
 
+    contacts = before.contacts()
+
     def contact_of(point_uri: str) -> str | None:
-        record = before.contact_for(point_uri)
+        record = contacts.get(point_uri)
         if record is None:
             return None
         email = record.email
@@ -165,18 +167,17 @@ def analyze(
         assert isinstance(record.obj, Roa)
         serial = record.obj.ee_cert.serial
         revoked_here = revoked_at(record.point_uri, serial)
-        whacked_payloads.add(record.obj.describe())
+        payload = record.obj.describe()
+        whacked_payloads.add(payload)
         if revoked_here:
             alerts.append(Alert(
-                AlertKind.TRANSPARENT_REVOCATION, record.point_uri,
-                record.obj.describe(),
+                AlertKind.TRANSPARENT_REVOCATION, record.point_uri, payload,
                 f"ROA withdrawn with CRL entry for EE serial {serial}",
                 contact=contact_of(record.point_uri),
             ))
         else:
             alerts.append(Alert(
-                AlertKind.STEALTHY_DELETION, record.point_uri,
-                record.obj.describe(),
+                AlertKind.STEALTHY_DELETION, record.point_uri, payload,
                 "ROA vanished with no corresponding CRL entry",
                 contact=contact_of(record.point_uri),
             ))

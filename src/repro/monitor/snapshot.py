@@ -60,15 +60,15 @@ class RpkiSnapshot:
     def manifests(self) -> list[ObjectRecord]:
         return [r for r in self.records.values() if isinstance(r.obj, Manifest)]
 
-    def contact_for(self, point_uri: str) -> GhostbustersRecord | None:
-        """The Ghostbusters record published at a point, if any —
-        the person to call about an alert concerning that point."""
+    def contacts(self) -> dict[str, GhostbustersRecord]:
+        """Per point URI, the Ghostbusters record published there (the
+        first, if several) — the person to call about an alert
+        concerning that point.  One pass; look alerts up in the result."""
+        index: dict[str, GhostbustersRecord] = {}
         for record in self.records.values():
-            if record.point_uri == point_uri and isinstance(
-                record.obj, GhostbustersRecord
-            ):
-                return record.obj
-        return None
+            if isinstance(record.obj, GhostbustersRecord):
+                index.setdefault(record.point_uri, record.obj)
+        return index
 
     def point_crls(self) -> dict[str, Crl]:
         """Per point URI, the CRL published there (ask it ``is_revoked``)."""

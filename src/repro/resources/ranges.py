@@ -266,14 +266,22 @@ class ResourceSet:
         if isinstance(other, Prefix):
             other = AddressRange.from_prefix(other)
         if isinstance(other, AddressRange):
-            # Sorted and disjoint: only the last range that starts at or
-            # before *other* can hold it.  (A scan here made one ROA over
-            # n scattered prefixes cost n**2 to judge.)
-            at = bisect_right(
-                self._ranges, (other._afi.value, other._start), key=_start_of
-            )
-            return at > 0 and self._ranges[at - 1].covers(other)
+            return self.covers_span(other._afi, other._start, other._end)
         return all(self.covers(r) for r in other._ranges)
+
+    def covers_span(self, afi: Afi, start: int, end: int) -> bool:
+        """``covers(AddressRange(afi, start, end))`` for a valid range,
+        without building it."""
+        # Sorted and disjoint: only the last range that starts at or
+        # before the span can hold it.  (A scan here made one ROA over
+        # n scattered prefixes cost n**2 to judge.)
+        ranges = self._ranges
+        at = bisect_right(ranges, (afi.value, start), key=_start_of)
+        if not at:
+            return False
+        holder = ranges[at - 1]
+        return holder._afi is afi and holder._start <= start \
+            and end <= holder._end
 
     def covers_address(self, afi: Afi, address: int) -> bool:
         """True if one integer address is in the set."""

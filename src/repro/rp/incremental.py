@@ -180,13 +180,22 @@ class VerificationMemo:
 
     def verify_object(self, obj: SignedObject, key: RsaPublicKey) -> bool:
         """Memoized ``obj.verify_signature(key)``."""
-        memo_key = (obj.hash_hex, key.cache_key)
+        return self.verify(obj.hash_hex, key, obj.verify_signature)
+
+    def verify(self, digest: str, key: RsaPublicKey, check) -> bool:
+        """The verdict for the bytes hashing to *digest* under *key*.
+
+        Remembered, or ``check(key)`` and remembered.  *digest* is the
+        ``hash_hex`` of the object checked, or the SHA-256 hex of wire
+        bytes read but not built into one, so the two share verdicts.
+        """
+        memo_key = (digest, key.cache_key)
         verdict = self._verdicts.get(memo_key)
         if verdict is not None:
             self.hits += 1
             return verdict
         self.misses += 1
-        verdict = obj.verify_signature(key)
+        verdict = check(key)
         self._verdicts.put(memo_key, verdict)
         return verdict
 

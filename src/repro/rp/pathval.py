@@ -51,8 +51,9 @@ from ..rpki.crl import Crl
 from ..rpki.errors import ObjectFormatError
 from ..rpki.manifest import Manifest
 from ..rpki.ghostbusters import GhostbustersRecord
-from ..rpki.objects import SignedObject
-from ..rpki.roa import Roa
+from ..rpki.objects import SignedObject, verify_wire
+from ..rpki.parse import class_of
+from ..rpki.roa import Roa, RoaRead, read_roa, roa_of
 from .incremental import IncrementalState, PointResult, RoaRow, time_window
 from .vrp import VRP, VrpSet
 
@@ -223,6 +224,15 @@ class PathValidator:
         self._verify_calls += 1
         return self.incremental.verify_memo.verify_object(obj, key)
 
+    def _verify_wire(self, digest: str, wire: bytes, signed_end: int,
+                     key: RsaPublicKey) -> bool:
+        """Signature check of a wire form read but not built, via the
+        same memo (*digest* is the SHA-256 hex of *wire*)."""
+        self._verify_calls += 1
+        return self.incremental.verify_memo.verify(
+            digest, key, lambda key: verify_wire(wire, signed_end, key)
+        )
+
     def _parse(self, data: bytes, digest: str | None = None) -> SignedObject:
         """Parse, via the state's parse memo.
 
@@ -333,13 +343,19 @@ class PathValidator:
                 if file_name in (CRL_FILE, MANIFEST_FILE):
                     continue
                 # A ROA judged before under this issuer is judged again
-                # from its row: nothing is parsed or verified.
+                # from its row: nothing is parsed or verified.  A new one
+                # is read straight to its row; no Roa is built.
                 row_key = (copy.digests[file_name], ca_cert.hash_hex)
                 row = rows.get(row_key)
                 try:
-                    obj = row if row is not None else self._parse_file(
-                        copy, file_name
-                    )
+                    blob = copy.files[file_name]
+                    if row is None and class_of(blob) is Roa:
+                        row = self._roa_row(
+                            read_roa(blob), copy.digests[file_name], ca_cert
+                        )
+                        rows.put(row_key, row)
+                    elif row is None:
+                        obj = self._parse_file(copy, file_name)
                 except ObjectFormatError as exc:
                     issues.append(ValidationIssue(
                         Severity.ERROR, point_uri, file_name, "parse-failed",
@@ -357,9 +373,6 @@ class PathValidator:
                     ))
                     continue
                 try:
-                    if isinstance(obj, Roa):
-                        row = self._roa_row(obj, ca_cert)
-                        rows.put(row_key, row)
                     if row is not None:
                         # A ROA leaves its row, never its parse: holding
                         # every Roa makes memory O(deployment), not O(VRPs).
@@ -712,11 +725,18 @@ class PathValidator:
             return None
         return cert
 
-    def _roa_row(self, roa: Roa, ca_cert: ResourceCertificate) -> RoaRow:
+    def _roa_row(
+        self, roa: RoaRead, digest: str, ca_cert: ResourceCertificate
+    ) -> RoaRow:
         """Judge a ROA, step one: every check that ignores ``now`` and CRL.
 
-        The checks run in the order :meth:`_judge_roa` reports them and
-        stop at the first failure; one that raises is recorded where it
+        From its :func:`read_roa` (*digest* the SHA-256 hex of its
+        bytes): no ``Roa``, ``EECertificate``, prefix or ROA resource set
+        is built.  Both signatures are verified over the wire slices,
+        through the memo, under the digests the objects would hash to;
+        the ROA is covered by its EE certificate prefix by prefix.  The
+        checks run in the order :meth:`_judge_roa` reports them and stop
+        at the first failure; one that raises is recorded where it
         raised, as the ``object-quarantined`` issue containment would
         have made of it.
         """
@@ -726,27 +746,36 @@ class PathValidator:
             if ee.issuer_key_id != ca_cert.subject_key_id:
                 failure = (Severity.WARNING, "wrong-issuer",
                            "ROA's EE certificate names a different issuer")
-            elif not self._verify(ee, ca_cert.subject_key):
+            elif not self._verify_wire(sha256_hex(ee.wire), ee.wire,
+                                       ee.signed_end, ca_cert.subject_key):
                 failure = (Severity.ERROR, "ee-bad-signature",
                            "embedded EE certificate fails signature check")
             else:
                 early = False
+                covers = ee.ip_resources.covers_span
                 if not ca_cert.ip_resources.covers(ee.ip_resources):
                     failure = (Severity.ERROR, "overclaim",
-                               f"ROA {roa.describe()} EE claims resources "
-                               "the CA lacks")
-                elif not self._verify(roa, ee.subject_key):
+                               f"ROA {roa_of(roa).describe()} EE claims "
+                               "resources the CA lacks")
+                elif not self._verify_wire(digest, roa.wire, roa.signed_end,
+                                           ee.subject_key):
                     failure = (Severity.ERROR, "roa-bad-signature",
                                "ROA fails signature check under its EE key")
-                elif not ee.ip_resources.covers(roa.resources()):
+                elif not all(
+                    covers(afi, network,
+                           network | ((1 << (afi.bits - length)) - 1))
+                    for afi, network, length, _ in roa.prefixes
+                ):
                     failure = (Severity.ERROR, "roa-overclaim",
                                "ROA names prefixes outside its EE certificate")
         except Exception as exc:
             failure = (Severity.ERROR, "object-quarantined",
                        f"{type(exc).__name__}: {exc}")
+        asn = roa.asn.value
         asserted = () if failure is not None else tuple(
-            VRP(roa_prefix.prefix, roa_prefix.effective_max_length, roa.asn)
-            for roa_prefix in roa.prefixes
+            VRP.from_integers(afi, network, length,
+                              length if max_length < 0 else max_length, asn)
+            for afi, network, length, max_length in roa.prefixes
         )
         return RoaRow(asserted, ee.serial, ee.not_before, ee.not_after,
                       roa.not_before, roa.not_after, failure, early)

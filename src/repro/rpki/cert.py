@@ -25,6 +25,8 @@ from .objects import (
     SignedObject,
     asn_set_to_data,
     key_error,
+    read_signed,
+    record_type,
     resource_set_to_data,
     schema,
 )
@@ -218,13 +220,33 @@ class EECertificate(_BaseCertificate):
     _SCHEMA = schema(TYPE, **_CERTIFICATE_FIELDS)
 
 
+#: What :func:`read_ee` returns: an EE certificate's fields, unbuilt.
+EeRead = record_type("EeRead", EECertificate._SCHEMA)
+
+
+def read_ee(buf: bytes, offset: int, limit: int) -> tuple[EeRead, int]:
+    """Read the EE certificate a ROA or Ghostbusters record embeds.
+
+    The result is an :data:`EeRead`; its ``wire`` is the EE's own wire
+    form.
+    """
+    blob, end = read_bytes(buf, offset, limit)
+    return EeRead._make(read_signed(blob, EECertificate._SCHEMA,
+                                    EECertificate.TYPE)), end
+
+
+def embedded_ee(read: EeRead) -> EECertificate:
+    """The :class:`EECertificate` of a :func:`read_ee` result."""
+    ee_cert = EECertificate.__new__(EECertificate)
+    ee_cert._fill(read, None)
+    return ee_cert
+
+
 def read_embedded_ee(buf: bytes, offset: int, limit: int
                      ) -> tuple[EECertificate, int]:
-    """The EE certificate a ROA or Ghostbusters record carries as bytes."""
-    blob, end = read_bytes(buf, offset, limit)
-    ee_cert = EECertificate.__new__(EECertificate)
-    ee_cert._read_wire(blob, None)
-    return ee_cert, end
+    """The embedded EE certificate at *offset*, built (Ghostbusters)."""
+    read, end = read_ee(buf, offset, limit)
+    return embedded_ee(read), end
 
 
 def build_certificate(

@@ -6,7 +6,7 @@ encoding.  The payload layouts mirror the fields of the production profiles
 (RFC 6487 certificates, RFC 6482 ROAs, RFC 5280 CRLs, RFC 6486 manifests)
 at the granularity the paper's analysis needs.
 
-An object is read from its wire form in one pass (``_read_wire``,
+An object is read from its wire form in one pass (:func:`read_signed`,
 directed by the type's :func:`schema` of typed field readers, themselves
 built from the leaf readers of :mod:`repro.crypto.encoding`); the
 payload dictionary exists only on demand, as ``SignedObject.payload``.
@@ -18,6 +18,8 @@ one in place.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from ..crypto import RsaPublicKey, decode, encode, sha256_hex
 from ..crypto.encoding import (
@@ -36,6 +38,9 @@ from .errors import ObjectFormatError
 
 __all__ = [
     "SignedObject",
+    "read_signed",
+    "record_type",
+    "verify_wire",
     "resource_set_to_data",
     "asn_set_to_data",
     "prefix_to_data",
@@ -171,13 +176,103 @@ def _rejection(blob: bytes, type_tag: str, complaint: SchemaError
     return ObjectFormatError(f"malformed {type_tag} {where}: {complaint}")
 
 
+def record_type(name: str, rows: tuple) -> type:
+    """The named tuple one :func:`read_signed` by *rows* fills.
+
+    Its fields are the schema's in wire order, then ``wire`` and
+    ``signed_end``.  The order is computed from the schema, so a reader
+    that keeps the raw values (:func:`repro.rpki.roa.read_roa`) names
+    them without restating the key sequence.
+    """
+    fields = (slot[1:] for _key, _size, read, slot in rows if read)
+    return namedtuple(name, (*fields, "wire", "signed_end"))
+
+
+def read_signed(blob: bytes, rows: tuple | None, type_tag: str) -> list:
+    """Read the wire form ``[payload, signature]`` by *rows* in one pass.
+
+    Returns the payload's values in wire order (the fields of
+    :func:`record_type`), then *blob* and the offset where the signed
+    bytes end.  The single entry to every per-type reader — each object
+    class, :func:`repro.rpki.roa.read_roa` and the embedded EE
+    certificate all come through here — so a field is extracted in
+    exactly one place per type.  The reader accepts only the canonical
+    encoding, so *blob* is the unique encoding of what was read.
+
+    *rows* None (bytes of no known type) rejects once the framing has
+    been judged.  Every rejection is an :class:`ObjectFormatError`.
+    """
+    try:
+        total = len(blob)
+        body, end = open_container(blob, 0, total, LIST)
+        fields, signed_end = open_container(blob, body, end, MAP)
+        values = _read_payload(rows, blob, fields, signed_end)
+        tag, _start, signature_end = read_header(blob, signed_end, end)
+        if tag != 66 or signature_end != end:
+            raise SchemaError("object is not [payload, signature]")
+        if end != total:
+            raise EncodingError(f"{total - end} trailing bytes after value")
+    except EncodingError as exc:
+        raise ObjectFormatError(f"undecodable object: {exc}") from exc
+    except SchemaError as exc:
+        raise _rejection(blob, type_tag, exc) from exc
+    except ObjectFormatError:
+        raise
+    except Exception as exc:  # a value the resource algebra refuses
+        raise ObjectFormatError(f"malformed {type_tag} object: {exc}") from exc
+    values.append(blob)
+    values.append(signed_end)
+    return values
+
+
+def _read_payload(rows: tuple | None, buf: bytes, offset: int, end: int
+                  ) -> list:
+    """The values of the payload map body ``buf[offset:end]``.
+
+    One walk by the schema's key sequence: a key is matched as a
+    constant byte string, never decoded — so "keys strictly sorted,
+    no duplicates" holds by construction — and its value is read by
+    the field's typed reader.
+    """
+    if rows is None:
+        raise SchemaError("no object type has this layout")
+    values = []
+    append, startswith = values.append, buf.startswith
+    for key, size, read, slot in rows:
+        if not startswith(key, offset):
+            raise key_error(buf, offset, end, key)
+        if read is None:        # the type pair: all constant
+            offset += size
+            continue
+        try:
+            value, offset = read(buf, offset + size, end)
+        except SchemaError as exc:
+            if exc.field is None:
+                exc.field = slot[1:]
+            raise
+        append(value)
+    if offset != end:
+        raise key_error(buf, offset, end, None)
+    return values
+
+
+def verify_wire(wire: bytes, signed_end: int, public_key: RsaPublicKey
+                ) -> bool:
+    """True iff a wire form's signature verifies under *public_key*.
+
+    *wire* is ``[payload, signature]`` and its signed bytes end at
+    *signed_end*.
+    """
+    return public_key.verify(wire[5:signed_end], wire[signed_end + 5:])
+
+
 class SignedObject:
     """Base class: a canonical payload plus a signature over its encoding.
 
     Subclasses define ``TYPE`` (the payload's ``"type"`` discriminator)
     and ``_SCHEMA``, the payload's fields and their typed readers, which
-    ``_read_payload`` walks straight into the slots the accessors
-    return.  Equality and hashing are by serialized bytes, so
+    :func:`read_signed` walks; each value goes into the slot the
+    accessor returns.  Equality and hashing are by serialized bytes, so
     two objects are "the same object" exactly when a manifest hash or
     monitor diff would say so.
     """
@@ -185,6 +280,8 @@ class SignedObject:
     TYPE = ""
     #: The type's :func:`schema`.  None: bytes of no known type.
     _SCHEMA: tuple | None = None
+    #: The slot of each schema field, in wire order.
+    _FIELDS: tuple[str, ...] = ()
 
     __slots__ = ("_wire", "_signed_end", "_hash_hex", "_serial",
                  "_issuer_key_id", "_not_before", "_not_after")
@@ -203,66 +300,25 @@ class SignedObject:
             encode_parts(encoded_payload, encode(signature)), None
         )
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls._SCHEMA is not None:
+            cls._FIELDS = tuple(row[3] for row in cls._SCHEMA if row[2])
+
     def _read_wire(self, blob: bytes, digest: str | None) -> None:
-        """Fill this object from its wire form ``[payload, signature]`` in one pass.
+        """Fill this object from its wire form *blob* (:func:`read_signed`).
 
-        The single entry to every per-type reader — ``parse_object``, the
-        embedded EE certificate of a ROA, and the dict constructor (which
-        encodes first) all come through here — so a field is extracted in
-        exactly one place per type.  The reader accepts only the canonical
-        encoding, so *blob* is the unique encoding of what was read: it is
-        kept as ``to_bytes()`` and never rebuilt, and *digest* (the caller's
-        SHA-256 of *blob*, if it has one) is kept as ``hash_hex``.
-
-        Every rejection is an :class:`ObjectFormatError`.
+        *blob* is kept as ``to_bytes()`` and never rebuilt, and *digest*
+        (the caller's SHA-256 of *blob*, if it has one) as ``hash_hex``.
         """
-        try:
-            total = len(blob)
-            body, end = open_container(blob, 0, total, LIST)
-            fields, signed_end = open_container(blob, body, end, MAP)
-            self._read_payload(blob, fields, signed_end)
-            tag, _start, signature_end = read_header(blob, signed_end, end)
-            if tag != 66 or signature_end != end:
-                raise SchemaError("object is not [payload, signature]")
-            if end != total:
-                raise EncodingError(f"{total - end} trailing bytes after value")
-        except EncodingError as exc:
-            raise ObjectFormatError(f"undecodable object: {exc}") from exc
-        except SchemaError as exc:
-            raise _rejection(blob, self.TYPE, exc) from exc
-        except ObjectFormatError:
-            raise
-        except Exception as exc:  # a value the resource algebra refuses
-            raise ObjectFormatError(f"malformed {self.TYPE} object: {exc}") from exc
-        self._wire = blob
-        self._signed_end = signed_end
-        self._hash_hex = digest
+        self._fill(read_signed(blob, self._SCHEMA, self.TYPE), digest)
 
-    def _read_payload(self, buf: bytes, offset: int, end: int) -> None:
-        """Read the payload map body ``buf[offset:end]`` into the slots.
-
-        One walk by the schema's key sequence: a key is matched as a
-        constant byte string, never decoded — so "keys strictly sorted,
-        no duplicates" holds by construction — and its value is read by
-        the field's typed reader straight into its slot.
-        """
-        if self._SCHEMA is None:
-            raise SchemaError("no object type has this layout")
-        for key, size, read, slot in self._SCHEMA:
-            if not buf.startswith(key, offset):
-                raise key_error(buf, offset, end, key)
-            if read is None:        # the type pair: all constant
-                offset += size
-                continue
-            try:
-                value, offset = read(buf, offset + size, end)
-            except SchemaError as exc:
-                if exc.field is None:
-                    exc.field = slot[1:]
-                raise
+    def _fill(self, read, digest: str | None) -> None:
+        """Set the slots from a :func:`read_signed` result."""
+        for slot, value in zip(self._FIELDS, read):
             setattr(self, slot, value)
-        if offset != end:
-            raise key_error(buf, offset, end, None)
+        self._wire, self._signed_end = read[-2:]
+        self._hash_hex = digest
 
     # -- signing surface -----------------------------------------------------
 
@@ -286,8 +342,7 @@ class SignedObject:
 
     def verify_signature(self, public_key: RsaPublicKey) -> bool:
         """True iff the signature verifies under *public_key*."""
-        wire, signed_end = self._wire, self._signed_end
-        return public_key.verify(wire[5:signed_end], wire[signed_end + 5:])
+        return verify_wire(self._wire, self._signed_end, public_key)
 
     # -- wire form -------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from .manifest import Manifest
 from .objects import SignedObject, type_pair
 from .roa import Roa
 
-__all__ = ["parse_object", "OBJECT_TYPES"]
+__all__ = ["parse_object", "class_of", "OBJECT_TYPES"]
 
 OBJECT_TYPES: dict[str, type[SignedObject]] = {
     ResourceCertificate.TYPE: ResourceCertificate,
@@ -49,7 +49,12 @@ _CERTIFICATE_PAIR = len(type_pair(EECertificate.TYPE))
 _SIA_VALUE = _BODY + len(_SIA_KEY)
 
 
-def _class_of(blob: bytes) -> type[SignedObject] | None:
+def class_of(blob: bytes) -> type[SignedObject] | None:
+    """The class whose reader *blob* goes to (None: no known type).
+
+    Read off the layout alone, never the file name; the reader it
+    selects still judges the bytes.
+    """
     if blob.startswith(_ASN_KEY, _BODY):
         return Roa
     if blob.startswith(_SIA_KEY, _BODY) and len(blob) >= _SIA_VALUE + 5:
@@ -78,7 +83,7 @@ def parse_object(blob: bytes, digest: str | None = None) -> SignedObject:
         blob = bytes(blob)
     # Bytes of no known type are read as a bare SignedObject, whose
     # reader rejects them once the framing has been judged.
-    cls = _class_of(blob) or SignedObject
+    cls = class_of(blob) or SignedObject
     obj = cls.__new__(cls)
     obj._read_wire(blob, digest)
     return obj

@@ -16,12 +16,18 @@ from dataclasses import dataclass
 from ..crypto import KeyPair, encode
 from ..crypto.encoding import LIST, open_container, read_int
 from ..crypto.errors import SchemaError
-from ..resources import ASN, Prefix, ResourceSet
-from .cert import EECertificate, address_family, read_embedded_ee
+from ..resources import ASN, Afi, Prefix, ResourceSet
+from .cert import EECertificate, address_family, embedded_ee, read_ee
 from .errors import ObjectFormatError
-from .objects import SignedObject, prefix_to_data, schema
+from .objects import (
+    SignedObject,
+    prefix_to_data,
+    read_signed,
+    record_type,
+    schema,
+)
 
-__all__ = ["RoaPrefix", "Roa", "build_roa"]
+__all__ = ["RoaPrefix", "Roa", "RoaRead", "build_roa", "read_roa", "roa_of"]
 
 
 @dataclass(frozen=True)
@@ -38,10 +44,9 @@ class RoaPrefix:
 
     def __post_init__(self) -> None:
         if self.max_length is not None:
-            if not self.prefix.length <= self.max_length <= self.prefix.afi.bits:
-                raise ObjectFormatError(
-                    f"maxLength {self.max_length} invalid for {self.prefix}"
-                )
+            prefix = self.prefix
+            _check_max_length(prefix.afi, prefix.network, prefix.length,
+                              self.max_length)
 
     @property
     def effective_max_length(self) -> int:
@@ -64,13 +69,27 @@ class RoaPrefix:
         return f"{self.prefix}-{self.max_length}"
 
 
+def _check_max_length(afi: Afi, network: int, length: int,
+                      max_length: int) -> None:
+    """Refuse a maxLength shorter than its prefix or longer than the
+    family's addresses."""
+    if not length <= max_length <= afi.bits:
+        raise ObjectFormatError(
+            f"maxLength {max_length} invalid for {Prefix(afi, network, length)}"
+        )
+
+
 def _read_asn(buf: bytes, offset: int, limit: int) -> tuple[ASN, int]:
     value, end = read_int(buf, offset, limit)
     return ASN(value), end
 
 
 def _read_prefixes(buf: bytes, offset: int, limit: int
-                   ) -> tuple[tuple[RoaPrefix, ...], int]:
+                   ) -> tuple[tuple[tuple[Afi, int, int, int], ...], int]:
+    """``(afi, network, length, maxLength)`` per entry, maxLength -1 when
+    unspecified, under the checks of ``Prefix`` (its constructor, the
+    one statement of the rule) and ``RoaPrefix``, refused in their
+    words."""
     cursor, end = open_container(buf, offset, limit, LIST)
     if cursor == end:
         raise SchemaError("a ROA must name at least one prefix")
@@ -88,24 +107,41 @@ def _read_prefixes(buf: bytes, offset: int, limit: int
             raise SchemaError("a ROA prefix is [prefix, maxLength]")
         if max_length < -1:
             raise SchemaError(f"maxLength {max_length}: unspecified is -1")
-        prefixes.append(RoaPrefix(
-            Prefix(address_family(afi), network, length),
-            None if max_length < 0 else max_length,
-        ))
+        family = address_family(afi)
+        Prefix(family, network, length)  # the check; not kept
+        if max_length >= 0:
+            _check_max_length(family, network, length, max_length)
+        prefixes.append((family, network, length, max_length))
     return tuple(prefixes), end
 
 
 class Roa(SignedObject):
-    """A signed Route Origin Authorization with its embedded EE certificate."""
+    """A signed Route Origin Authorization with its embedded EE certificate.
+
+    Read through :func:`read_roa`; the object adds the typed views
+    (``ASN``, ``RoaPrefix``, ``EECertificate``) its accessors return.
+    """
 
     TYPE = "roa"
 
     __slots__ = ("_asn", "_prefixes", "_ee_cert")
 
     _SCHEMA = schema(
-        TYPE, asn=_read_asn, prefixes=_read_prefixes,
-        ee_cert=read_embedded_ee,
+        TYPE, asn=_read_asn, prefixes=_read_prefixes, ee_cert=read_ee,
     )
+
+    def _read_wire(self, blob: bytes, digest: str | None) -> None:
+        self._fill(read_roa(blob), digest)
+
+    def _fill(self, read: "RoaRead", digest: str | None) -> None:
+        super()._fill(read, digest)
+        # The raw fields, replaced by the typed views the accessors return.
+        self._prefixes = tuple(
+            RoaPrefix(Prefix(afi, network, length),
+                      None if max_length < 0 else max_length)
+            for afi, network, length, max_length in read.prefixes
+        )
+        self._ee_cert = embedded_ee(read.ee_cert)
 
     @property
     def asn(self) -> ASN:
@@ -132,6 +168,33 @@ class Roa(SignedObject):
 
     def __repr__(self) -> str:
         return f"Roa{self.describe()}"
+
+
+#: What :func:`read_roa` returns: the ROA's fields in wire order —
+#: ``asn`` an ``ASN``, ``prefixes`` the tuples of ``_read_prefixes``,
+#: ``ee_cert`` an :data:`~repro.rpki.cert.EeRead` — then ``wire`` and
+#: ``signed_end``.
+RoaRead = record_type("RoaRead", Roa._SCHEMA)
+
+
+def read_roa(blob: bytes) -> RoaRead:
+    """Read a ROA's wire bytes, and its embedded EE's, in one pass.
+
+    The one ROA field extraction: :class:`Roa` is built from it, and a
+    relying party judges a ROA from it without building one.  It makes
+    every check the object makes (tags, lengths, minimal integers,
+    UTF-8, key sequence, URIs, address family, prefix, maxLength and
+    AS ranges) and rejects as :class:`ObjectFormatError` in the same
+    words.
+    """
+    return RoaRead._make(read_signed(blob, Roa._SCHEMA, Roa.TYPE))
+
+
+def roa_of(read: RoaRead) -> Roa:
+    """The :class:`Roa` of a :func:`read_roa` result, read no further."""
+    roa = Roa.__new__(Roa)
+    roa._fill(read, None)
+    return roa
 
 
 def build_roa(

@@ -9,6 +9,7 @@ from repro.crypto import (
     KeyFactory,
     KeyPair,
     KeySizeError,
+    SignatureError,
     generate_keypair,
     key_id_of,
 )
@@ -55,6 +56,14 @@ class TestSignVerify:
         n_bytes = keypair.public.modulus_bytes
         too_big = (keypair.public.modulus + 1).to_bytes(n_bytes, "big")
         assert not keypair.public.verify(b"msg", too_big)
+
+    def test_a_modulus_too_small_for_the_digest_raises_past_the_length_check(
+            self):
+        small = generate_keypair(256, random.Random(9)).public
+        assert small.modulus_bytes == 32
+        assert not small.verify(b"msg", b"")
+        with pytest.raises(SignatureError, match=r"too small .* \(32 bytes\)"):
+            small.verify(b"msg", bytes(32))
 
 
 class TestKeygen:

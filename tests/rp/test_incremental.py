@@ -24,8 +24,9 @@ from repro.rp import (
     VrpSet,
 )
 from repro.rp.incremental import time_signature, time_window
+from repro.rp import pathval as pathval_module
+from repro.rpki import roa as roa_module
 from repro.rpki.errors import ObjectFormatError
-from repro.rpki.roa import Roa
 from repro.simtime import DAY, HOUR
 from repro.telemetry import MetricsRegistry
 
@@ -60,15 +61,18 @@ def cold_run(rp, world):
 
 
 def count_roa_parses(monkeypatch) -> list:
-    """From now on, one list entry per ROA read from its bytes."""
+    """From now on, one list entry (its bytes) per ROA read from its
+    bytes: by the validator straight to a row, or by building a ``Roa``
+    — both go through ``read_roa``."""
     parses: list = []
-    read = Roa._read_payload
+    read = roa_module.read_roa
 
-    def counted(roa, *args):
-        parses.append(roa)
-        return read(roa, *args)
+    def counted(blob):
+        parses.append(blob)
+        return read(blob)
 
-    monkeypatch.setattr(Roa, "_read_payload", counted)
+    for module in (roa_module, pathval_module):
+        monkeypatch.setattr(module, "read_roa", counted)
     return parses
 
 

@@ -383,16 +383,21 @@ def test_a_bad_ee_signature_keeps_failing_from_its_row(monkeypatch):
     roa = publish_roa(world, "stray.roa", ee_signer=world.sprint.key)
     assert issue_codes(rp.refresh().run, "stray.roa") == ["ee-bad-signature"]
     # Dirty the point with an unrelated change; the row answers again.
-    publish_roa(world, "other.roa", serial=9_201)
-    verified, verify = [], rp.validator._verify
-    monkeypatch.setattr(rp.validator, "_verify", lambda obj, key: (
-        verified.append(obj), verify(obj, key))[1])
+    other = publish_roa(world, "other.roa", serial=9_201)
+    # Every signature check, of an object or of wire bytes read but not
+    # built, asks the verification memo under the digest of what it
+    # checks.
+    memo = rp.incremental_state.verify_memo
+    verified, verify = [], memo.verify
+    monkeypatch.setattr(memo, "verify", lambda digest, key, check: (
+        verified.append(digest), verify(digest, key, check))[1])
     roa_parses = count_roa_parses(monkeypatch)
     run = rp.refresh().run
     assert issue_codes(run, "stray.roa") == ["ee-bad-signature"]
-    assert roa.ee_cert not in verified and roa not in verified
-    assert [parsed.to_bytes() for parsed in roa_parses] == [
-        world.continental.publication_point.get("other.roa")]
+    assert roa.ee_cert.hash_hex not in verified
+    assert roa.hash_hex not in verified
+    assert other.hash_hex in verified and other.ee_cert.hash_hex in verified
+    assert roa_parses == [world.continental.publication_point.get("other.roa")]
     monkeypatch.undo()
     assert run == cold(rp, world.clock.now)
 

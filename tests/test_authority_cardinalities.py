@@ -1,0 +1,177 @@
+"""Counts an authority chooses, at the cost of an honest input that size.
+
+The paper's adversary is an authority signing objects it is entitled to
+sign, so every count it picks must cost what an honest input of the same
+size costs (bound ~5x), at two sizes.  Cost is counted in operations —
+Python function calls, and the snapshot records a monitor walks — so a
+pin reads the same on every run and every box, and RSA, which both
+sides pay, cannot hide a superlinear term:
+
+- **prefixes per ROA** — one ROA naming N scattered prefixes against N
+  one-prefix ROAs, from the relying party's read of the bytes through
+  the row, the VRP index and an RTR burst to a router.  The ROA is
+  judged prefix by prefix against its EE certificate's ranges by
+  bisection; a scan there made one such ROA cost N**2, which shows as
+  its calls growing faster than the honest side's from one size to the
+  next.
+- **withdrawals per monitor epoch** — an authority deleting N of its
+  ROAs with no CRL entry (N stealthy-deletion alerts) against one
+  issuing N new ROAs.  Each alert looks up its point's contact in an
+  index built once per snapshot; a scan of every record per alert made
+  the epoch cost N**2, which shows as records walked per alert.
+"""
+
+import cProfile
+
+from repro.crypto import KeyFactory
+from repro.monitor import AlertKind, analyze, diff_snapshots, take_snapshot
+from repro.repository import Fetcher, HostLocator, RepositoryRegistry
+from repro.resources import ASN, Afi, Prefix, ResourceSet
+from repro.rp import RelyingParty
+from repro.rpki import CertificateAuthority, RoaPrefix
+from repro.rtr import DuplexPipe, RtrCacheServer, RtrRouterClient
+from repro.simtime import Clock
+from repro.telemetry import MetricsRegistry
+
+ORIGIN = ASN(64_500)
+HOLDING = Prefix.parse("10.0.0.0/8")
+SIZES = (100, 400)
+EE_KEY = KeyFactory(seed=4_242, bits=512).next_keypair()
+
+
+def scattered(count):
+    """*count* /24s inside HOLDING, every other one: no two ranges of the
+    EE certificate's resources merge, so the ROA's prefixes are judged
+    one by one."""
+    return [RoaPrefix(Prefix(Afi.IPV4, HOLDING.network + (i << 9), 24))
+            for i in range(count)]
+
+
+def holder_world():
+    """A trust anchor and one authority holding HOLDING, nothing issued."""
+    clock = Clock()
+    registry = RepositoryRegistry()
+    servers = [
+        registry.create_server(host, HostLocator.parse(address, 64_496))
+        for host, address in (("root.example", "192.0.2.1"),
+                              ("holder.example", "192.0.2.2"))
+    ]
+    root = CertificateAuthority.create_trust_anchor(
+        handle="root", ip_resources=ResourceSet.parse("10.0.0.0/8"),
+        clock=clock, key_factory=KeyFactory(seed=23, bits=512),
+        sia="rsync://root.example/repo/",
+        publication_point=servers[0].mount("rsync://root.example/repo/"),
+    )
+    holder = root.issue_child_authority(
+        "holder", ResourceSet.parse(str(HOLDING)),
+        sia="rsync://holder.example/repo/",
+        publication_point=servers[1].mount("rsync://holder.example/repo/"),
+    )
+    return clock, registry, root, holder
+
+
+def issue_each(holder, prefixes):
+    """One one-prefix ROA per prefix; returns their file names."""
+    with holder.deferred_publication():
+        return [holder.issue_roa(ORIGIN, [prefix], ee_key=EE_KEY)[0]
+                for prefix in prefixes]
+
+
+def python_calls(work) -> int:
+    """The Python function calls *work* makes."""
+    profile = cProfile.Profile(builtins=False)
+    profile.enable()
+    try:
+        work()
+    finally:
+        profile.disable()
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+class Walked(dict):
+    """A snapshot's records, counting each one a walk of them yields."""
+
+    visits = 0
+
+    def _walk(self, walk):
+        for item in walk():
+            self.visits += 1
+            yield item
+
+    def __iter__(self):
+        return self._walk(super().__iter__)
+
+    def values(self):
+        return self._walk(super().values)
+
+    def items(self):
+        return self._walk(super().items)
+
+
+def refresh_to_a_router(clock, registry, root, expected):
+    """A new relying party's cold refresh, into an RTR cache and on to a
+    router; the work the timer sees."""
+    rp = RelyingParty([root.certificate], Fetcher(registry, clock), clock,
+                      metrics=MetricsRegistry())
+    cache = RtrCacheServer(metrics=MetricsRegistry())
+    pipe = DuplexPipe()
+    cache.attach(pipe)
+    router = RtrRouterClient(pipe)
+    router.connect()
+    report = rp.refresh()
+    cache.apply_delta(report.announced, report.withdrawn)
+    for _ in range(3):
+        cache.process()
+        router.process()
+    assert report.run.errors() == []
+    assert router.vrp_count == len(rp.vrps) == expected
+
+
+def test_prefixes_per_roa_cost_what_one_prefix_roas_cost():
+    calls = {}
+    for count in SIZES:
+        prefixes = scattered(count)
+        hostile = holder_world()
+        hostile[3].issue_roa(ORIGIN, prefixes, ee_key=EE_KEY)
+        honest = holder_world()
+        issue_each(honest[3], prefixes)
+        calls[count] = (
+            python_calls(lambda: refresh_to_a_router(*hostile[:3], count)),
+            python_calls(lambda: refresh_to_a_router(*honest[:3], count)),
+        )
+    for hostile_calls, honest_calls in calls.values():
+        assert hostile_calls < 5 * honest_calls
+    (small_hostile, small_honest), (large_hostile, large_honest) = (
+        calls[count] for count in SIZES)
+    # Linear (to a log factor) as the honest side is: a per-prefix scan
+    # of the EE certificate's ranges more than doubles this growth.
+    assert large_hostile / small_hostile < 1.5 * large_honest / small_honest
+
+
+def test_stealthy_withdrawals_cost_what_issues_cost():
+    for count in SIZES:
+        clock, registry, _root, holder = holder_world()
+        empty = take_snapshot(registry, clock.now)
+        names = issue_each(holder, scattered(count))
+        full = take_snapshot(registry, clock.now)
+        with holder.deferred_publication():
+            for name in names:
+                holder.delete_object(name)
+        whacked = take_snapshot(registry, clock.now)
+
+        withdrawn = diff_snapshots(full, whacked)
+        issued = diff_snapshots(empty, full)
+        assert analyze(issued, empty, full) == []
+        hostile_calls = python_calls(lambda: analyze(withdrawn, full, whacked))
+        honest_calls = python_calls(lambda: analyze(issued, empty, full))
+        assert hostile_calls < 5 * honest_calls
+
+        # Each snapshot is walked at most four times, not once per alert.
+        for snapshot in (full, whacked):
+            snapshot.records = Walked(snapshot.records)
+        alerts = analyze(withdrawn, full, whacked)
+        assert [alert.kind for alert in alerts] == (
+            [AlertKind.STEALTHY_DELETION] * count)
+        assert alerts[0].contact is None
+        walked = full.records.visits + whacked.records.visits
+        assert walked <= 4 * (len(full.records) + len(whacked.records))
