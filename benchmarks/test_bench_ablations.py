@@ -32,7 +32,7 @@ from repro.simtime import HOUR
 def make_rp(world, **kwargs):
     fetcher = Fetcher(world.registry, world.clock,
                       faults=kwargs.pop("faults", None))
-    return RelyingParty(world.trust_anchors, fetcher, world.clock, **kwargs)
+    return RelyingParty(world.trust_anchors, fetcher, **kwargs)
 
 
 def test_ablation_countermeasures_vs_whack(benchmark):
@@ -160,7 +160,7 @@ def test_ablation_cache_policy(benchmark):
                 world.registry, world.clock,
                 reachability=lambda loc: reachable_flag["ok"],
             )
-            rp = RelyingParty(world.trust_anchors, fetcher, world.clock,
+            rp = RelyingParty(world.trust_anchors, fetcher,
                               keep_stale=keep)
             rp.refresh()
             reachable_flag["ok"] = False

@@ -53,7 +53,7 @@ def _service_over(world, faults=None):
     registry = MetricsRegistry()
     fetcher = Fetcher(world.registry, world.clock, metrics=registry,
                       faults=faults)
-    rp = RelyingParty(world.trust_anchors, fetcher, world.clock,
+    rp = RelyingParty(world.trust_anchors, fetcher,
                       metrics=registry)
     service = QueryService(rp, metrics=registry, config=ApiConfig(
         cache_capacity=8192, rate_limit=None,

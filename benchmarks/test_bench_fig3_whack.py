@@ -16,7 +16,7 @@ from repro.rp import RelyingParty, RouteValidity
 
 def classify_all(world):
     rp = RelyingParty(
-        world.trust_anchors, Fetcher(world.registry, world.clock), world.clock
+        world.trust_anchors, Fetcher(world.registry, world.clock)
     )
     rp.refresh()
     return rp

@@ -74,7 +74,6 @@ def _incremental_rp(world) -> RelyingParty:
     return RelyingParty(
         world.trust_anchors,
         Fetcher(world.registry, world.clock),
-        world.clock,
     )
 
 

@@ -131,7 +131,6 @@ def test_scale_validation(benchmark, scale):
         rp = RelyingParty(
             world.trust_anchors,
             Fetcher(world.registry, world.clock),
-            world.clock,
         )
         report = rp.refresh()
         return rp, report

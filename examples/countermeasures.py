@@ -31,7 +31,7 @@ from repro.simtime import HOUR
 
 def make_rp(world, faults=None):
     fetcher = Fetcher(world.registry, world.clock, faults=faults)
-    return RelyingParty(world.trust_anchors, fetcher, world.clock)
+    return RelyingParty(world.trust_anchors, fetcher)
 
 
 def show(label, state):

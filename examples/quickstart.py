@@ -28,7 +28,7 @@ def main() -> None:
 
     # 2. A relying party syncs the repositories and validates everything.
     fetcher = Fetcher(world.registry, world.clock)
-    rp = RelyingParty(world.trust_anchors, fetcher, world.clock)
+    rp = RelyingParty(world.trust_anchors, fetcher)
     report = rp.refresh()
     print(f"\nRelying party: {report.rounds} discovery rounds, "
           f"{len(rp.vrps)} validated ROA payloads, "

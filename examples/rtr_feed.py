@@ -38,7 +38,7 @@ def show_router(name, router):
 def main() -> None:
     world = build_figure2()
     rp = RelyingParty(
-        world.trust_anchors, Fetcher(world.registry, world.clock), world.clock
+        world.trust_anchors, Fetcher(world.registry, world.clock)
     )
     rp.refresh()
 

@@ -26,7 +26,7 @@ from repro.rp import RelyingParty
 
 def fresh_rp(world):
     rp = RelyingParty(
-        world.trust_anchors, Fetcher(world.registry, world.clock), world.clock
+        world.trust_anchors, Fetcher(world.registry, world.clock)
     )
     rp.refresh()
     return rp

@@ -114,7 +114,6 @@ from .repository import (
     RepositoryRegistry,
     RepositoryServer,
     RsyncUri,
-    always_reachable,
     nested_bomb,
 )
 from .resources import ASN, Afi, Prefix, ResourceSet
@@ -150,11 +149,10 @@ from .telemetry import (
     MetricsRegistry,
     Span,
     default_registry,
-    reset_default_metrics,
     trace,
 )
 
-__version__ = "1.29.0"
+__version__ = "1.30.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
@@ -180,12 +178,12 @@ __all__ = [
     "StallorisConfig", "StallorisReport",
     "SuspendersRelyingParty", "TokenBucket", "VRP", "ValidationRun",
     "Violation", "VrpDiff", "VrpSet", "YEAR", "__version__",
-    "always_reachable", "analyze", "build_deployment", "build_figure2",
+    "analyze", "build_deployment", "build_figure2",
     "build_plan", "build_table4_world", "collateral_of_revocation",
     "cross_border_audit", "default_registry", "demonstrate_all",
     "diff_snapshots", "execute_whack", "figure2_bgp",
     "generate_keypair", "measure_stalloris", "missing_roa_impact",
-    "nested_bomb", "plan_whack", "render_table4", "reset_default_metrics",
+    "nested_bomb", "plan_whack", "render_table4",
     "run_campaign",
     "shrink_plan", "take_snapshot", "trace", "validate", "validity_matrix",
     "whack_blast_radius",

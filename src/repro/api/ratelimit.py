@@ -58,10 +58,10 @@ class TokenBucket:
         self._refill(now)
         return self._tokens
 
-    def try_acquire(self, now: int, amount: float = 1.0) -> bool:
-        """Spend *amount* tokens if available; False means rate-limited."""
+    def try_acquire(self, now: int) -> bool:
+        """Spend one token if available; False means rate-limited."""
         self._refill(now)
-        if self._tokens >= amount:
-            self._tokens -= amount
+        if self._tokens >= 1:
+            self._tokens -= 1
             return True
         return False

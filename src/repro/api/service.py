@@ -7,8 +7,8 @@ endpoints, all deterministic on the simulated clock:
 - ``lookup_asn(asn)`` — every VRP authorizing an origin AS;
 - ``validate_route(prefix, origin)`` — full RFC 6811 validation with
   evidence, via the unified :func:`repro.rp.origin.validate`;
-- ``history()`` — the bounded ring of refresh epochs (serial, content
-  hash, added/removed VRPs);
+- ``history()`` — the newest :data:`HISTORY_DEPTH` refresh epochs
+  (serial, content hash, added/removed VRPs);
 - ``diff(from_serial)`` — the net VRP change between two served epochs,
   the monitor-facing "what did the authorities just do to me" query.
 
@@ -38,7 +38,6 @@ from ..resources import Prefix
 from ..rp import RelyingParty
 from ..rp.origin import validate
 from ..rp.vrp import VRP, VrpSet
-from ..simtime import Clock
 from ..telemetry import MetricsRegistry, default_registry
 from .cache import ResponseCache
 from .ratelimit import RateLimitConfig, TokenBucket
@@ -70,19 +69,18 @@ class QueryStatus:
     UNKNOWN_SERIAL = "unknown-serial"
 
 
+# Refresh epochs a query service keeps for diff and history queries.
+HISTORY_DEPTH = 32
+
+
 @dataclass(frozen=True)
 class ApiConfig:
     """Shape of one query service."""
 
     cache_capacity: int = 4096      # response-cache entries
-    history_depth: int = 32         # refresh epochs kept for diff queries
     rate_limit: RateLimitConfig | None = field(
         default_factory=RateLimitConfig
     )                               # None disables rate limiting
-
-    def __post_init__(self) -> None:
-        if self.history_depth < 1:
-            raise ValueError(f"history depth must be >= 1: {self.history_depth}")
 
 
 @dataclass(frozen=True)
@@ -130,26 +128,23 @@ class ApiResponse(NamedTuple):
 
 
 class QueryService:
-    """Origin-validation-as-a-service over one relying party."""
+    """Origin-validation-as-a-service over one relying party, on its clock."""
 
     def __init__(
         self,
         rp: RelyingParty,
         *,
         config: ApiConfig | None = None,
-        clock: Clock | None = None,
         metrics: MetricsRegistry | None = None,
     ):
         self.rp = rp
         self.config = config if config is not None else ApiConfig()
-        self._clock = clock if clock is not None else rp.clock
+        self._clock = rp.clock
         self.metrics = metrics if metrics is not None else default_registry()
         self._cache = ResponseCache(self.config.cache_capacity)
         self._limit = self.config.rate_limit
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
-        self._history: deque[HistoryEntry] = deque(
-            maxlen=self.config.history_depth
-        )
+        self._history: deque[HistoryEntry] = deque(maxlen=HISTORY_DEPTH)
         self._m_refreshes = self.metrics.counter(
             "repro_api_refreshes_total",
             help="refresh cycles driven through the query service",
@@ -322,7 +317,7 @@ class QueryService:
                            QueryService._validated, prefix, origin)
 
     def history(self, *, client: str = "anonymous") -> ApiResponse:
-        """The served-epoch ring, oldest first (bounded by history_depth)."""
+        """The served-epoch ring, oldest first (bounded by HISTORY_DEPTH)."""
         return self._serve("history", "history", client,
                            QueryService._ring, by_serial=True)
 

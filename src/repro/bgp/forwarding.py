@@ -17,6 +17,10 @@ from .propagation import RoutingOutcome
 
 __all__ = ["DeliveryOutcome", "forward", "reachable"]
 
+# Hops a packet may take before the walk gives up (a guard: loops are
+# caught by the visited set long before).
+MAX_HOPS = 64
+
 
 @dataclass(frozen=True)
 class DeliveryOutcome:
@@ -38,15 +42,14 @@ def forward(
     outcome: RoutingOutcome,
     source: ASN | int,
     destination: str | Prefix,
-    *,
-    max_hops: int = 64,
 ) -> DeliveryOutcome:
     """Trace a packet from *source* toward *destination* (an address).
 
     *destination* may be an address string or a host prefix.  The packet
     terminates at the first AS that originates the route its own RIB
     matches — the origin's network delivers locally.  If some hop has no
-    covering route, the packet is blackholed there.
+    covering route, the packet is blackholed there.  A walk still going
+    after :data:`MAX_HOPS` hops counts as a loop.
     """
     source = ASN(int(source))
     if isinstance(destination, str):
@@ -60,7 +63,7 @@ def forward(
     hops: list[ASN] = [source]
     visited = {source}
     current = source
-    for _ in range(max_hops):
+    for _ in range(MAX_HOPS):
         route = outcome.rib_of(current).lookup(destination)
         if route is None:
             return DeliveryOutcome(

@@ -18,6 +18,10 @@ from .topology import AsGraph
 
 __all__ = ["TopologyConfig", "generate_topology"]
 
+MID_PROVIDERS = 2       # tier-1 providers per mid-tier AS
+STUB_PROVIDERS = 2      # mid-tier providers per stub AS
+MID_PEERING_PROB = 0.2  # chance that two mid-tier ASes peer
+
 
 @dataclass(frozen=True)
 class TopologyConfig:
@@ -27,9 +31,6 @@ class TopologyConfig:
     tier1_count: int = 4
     mid_count: int = 12
     stub_count: int = 40
-    mid_providers: int = 2     # providers per mid-tier AS
-    stub_providers: int = 2    # providers per stub AS
-    mid_peering_prob: float = 0.2
 
     def __post_init__(self) -> None:
         if self.tier1_count < 1 or self.mid_count < 1 or self.stub_count < 1:
@@ -68,19 +69,19 @@ def generate_topology(config: TopologyConfig = TopologyConfig()) -> GeneratedTop
 
     # Mid tier: multi-homed into distinct tier-1s.
     for asn in mid:
-        providers = rng.sample(tier1, min(config.mid_providers, len(tier1)))
+        providers = rng.sample(tier1, min(MID_PROVIDERS, len(tier1)))
         for provider in providers:
             graph.add_provider(customer=asn, provider=provider)
 
     # Some lateral peering at the mid tier.
     for i, left in enumerate(mid):
         for right in mid[i + 1:]:
-            if rng.random() < config.mid_peering_prob:
+            if rng.random() < MID_PEERING_PROB:
                 graph.add_peering(left, right)
 
     # Stubs: multi-homed into distinct mid-tier providers.
     for asn in stubs:
-        providers = rng.sample(mid, min(config.stub_providers, len(mid)))
+        providers = rng.sample(mid, min(STUB_PROVIDERS, len(mid)))
         for provider in providers:
             graph.add_provider(customer=asn, provider=provider)
 

@@ -261,7 +261,7 @@ class ClosedLoopSimulation:
         trust_anchors = [
             root.certificate for root in authorities if root.parent is None
         ]
-        self.rp = RelyingParty(trust_anchors, self.fetcher, clock)
+        self.rp = RelyingParty(trust_anchors, self.fetcher)
         self.epochs: list[EpochReport] = []
 
     # -- the loop's two half-steps -------------------------------------------

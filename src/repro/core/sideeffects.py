@@ -48,7 +48,6 @@ def _rp_for(world, **kwargs):
     rp = RelyingParty(
         world.trust_anchors,
         Fetcher(world.registry, world.clock, faults=kwargs.pop("faults", None)),
-        world.clock,
         **kwargs,
     )
     rp.refresh()

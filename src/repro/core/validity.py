@@ -81,13 +81,14 @@ def validity_matrix(
     *,
     lengths: Iterable[int] | None = None,
     origins: Iterable[ASN | int] = (),
-    include_other: bool = True,
 ) -> ValidityMatrix:
     """Classify *base* and all its subprefixes for each origin of interest.
 
     *lengths* defaults to every length from the base's own down to /24 —
     "the smallest IPv4 prefix length which is globally routable in BGP"
-    (paper, Section 2), which is why the figure stops there.
+    (paper, Section 2), which is why the figure stops there.  The
+    origins end with :data:`OTHER_ORIGIN`, the figure's "any other AS"
+    row.
     """
     if isinstance(base, str):
         base = Prefix.parse(base)
@@ -96,8 +97,7 @@ def validity_matrix(
     lengths = tuple(lengths)
 
     origin_list = [ASN(int(o)) for o in origins]
-    if include_other:
-        origin_list.append(OTHER_ORIGIN)
+    origin_list.append(OTHER_ORIGIN)
 
     cells: dict[tuple[Prefix, ASN], RouteValidity] = {}
     for length in lengths:

@@ -265,13 +265,12 @@ def plan_whack(
     manipulator: CertificateAuthority,
     target: Roa,
     target_holder: CertificateAuthority,
-    *,
-    allow_reissue: bool = True,
 ) -> WhackPlan:
     """Plan the cheapest whack of *target* available to *manipulator*.
 
-    ``allow_reissue=False`` forbids make-before-break, in which case an
-    unavoidable damage set becomes collateral (the blunt outcome).
+    Damage the hole cannot avoid is reissued (make-before-break), never
+    left as collateral; the blunt alternative is revocation, measured by
+    :func:`repro.experiments.revocation_collateral`.
     """
     if target_holder is manipulator:
         return WhackPlan(
@@ -318,11 +317,7 @@ def plan_whack(
         for holder, _n, roa in damaged_roas
     ]
     if method is WhackMethod.MAKE_BEFORE_BREAK:
-        if allow_reissue:
-            plan.reissued = described_certs + described_roas
-        else:
-            plan.collateral = described_certs + described_roas
-            plan.method = WhackMethod.OVERWRITE_SHRINK
+        plan.reissued = described_certs + described_roas
     return plan
 
 

@@ -29,7 +29,7 @@ __all__ = ["KeyPair", "KeyFactory", "key_id_of"]
 # so build_certificate derives the same key id tens of thousands of times;
 # the id is a pure function of (modulus, exponent).  Bounded so a run that
 # churns through endless throwaway keys cannot grow it without limit.
-_KEY_ID_MEMO: GenerationMemo[tuple[int, int], str] = GenerationMemo(65536)
+_KEY_ID_MEMO: GenerationMemo[tuple[int, int], str] = GenerationMemo()
 
 
 def key_id_of(public: RsaPublicKey) -> str:

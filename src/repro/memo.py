@@ -8,18 +8,23 @@ makes a working set one entry past its bound recompute every entry on
 every pass.
 
 :class:`GenerationMemo` keeps two dictionaries.  Insertions go to the
-*current* generation; when it holds ``max_entries`` keys it becomes the
-*previous* generation and the old previous one is dropped.  A lookup
+*current* generation; when it holds :data:`MAX_ENTRIES` keys it becomes
+the *previous* generation and the old previous one is dropped.  A lookup
 that finds its key only in the previous generation promotes it, so
-whatever was used during the last ``max_entries`` insertions survives
-the next turn-over.  At most ``2 * max_entries`` entries are held.
+whatever was used during the last :data:`MAX_ENTRIES` insertions
+survives the next turn-over.  At most ``2 * MAX_ENTRIES`` entries are
+held.  Every memo shares that one bound.
 """
 
 from __future__ import annotations
 
 from typing import Generic, Hashable, TypeVar
 
-__all__ = ["GenerationMemo"]
+__all__ = ["MAX_ENTRIES", "GenerationMemo"]
+
+# Keys per generation of every memo.  Generous for any simulated
+# deployment; bounds long-running relying parties and monitors.
+MAX_ENTRIES = 65536
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -28,10 +33,9 @@ V = TypeVar("V")
 class GenerationMemo(Generic[K, V]):
     """Two-generation bounded mapping.  Values must not be ``None``."""
 
-    __slots__ = ("max_entries", "_current", "_previous")
+    __slots__ = ("_current", "_previous")
 
-    def __init__(self, max_entries: int | None):
-        self.max_entries = max_entries
+    def __init__(self):
         self._current: dict[K, V] = {}
         self._previous: dict[K, V] = {}
 
@@ -48,7 +52,7 @@ class GenerationMemo(Generic[K, V]):
 
     def put(self, key: K, value: V) -> None:
         current = self._current
-        if self.max_entries is not None and len(current) >= self.max_entries:
+        if len(current) >= MAX_ENTRIES:
             self._previous = current
             current = self._current = {}
         current[key] = value

@@ -81,10 +81,11 @@ class DeploymentConfig:
     tiers (``customers_per_isp``/``roas_per_customer``/
     ``suballocation_depth`` are ignored).  Allocations are computed
     arithmetically and every authority publishes once, so construction
-    is O(total ROAs).  ``shared_ee_keys`` (flat only) signs all of an
-    authority's ROAs with one EE keypair, cutting keygen from O(ROAs)
-    to O(authorities) — validation semantics are unchanged because each
-    ROA still carries its own EE certificate.
+    is O(total ROAs), and each authority signs all of its ROAs with one
+    EE keypair, cutting keygen from O(ROAs) to O(authorities) —
+    validation semantics are unchanged because each ROA still carries
+    its own EE certificate.  Keys are 512-bit (the
+    :class:`~repro.crypto.KeyFactory` default).
     """
 
     seed: int = 0
@@ -95,16 +96,10 @@ class DeploymentConfig:
     roas_per_customer: int = 1
     suballocation_depth: int = 0
     cross_border_rate: float = 0.15
-    key_bits: int = 512
     flat: bool = False
-    shared_ee_keys: bool = False
     amplification_points: int = 0
 
     def __post_init__(self) -> None:
-        if self.shared_ee_keys and not self.flat:
-            raise ValueError(
-                "shared_ee_keys requires the flat generator (flat=True)"
-            )
         if self.amplification_points:
             if self.amplification_points < 0:
                 raise ValueError(
@@ -178,17 +173,17 @@ INTERNET_SCALES: dict[str, DeploymentConfig] = {
     # 5 × 40 × 50 = 10,000 ROAs across 205 authorities.
     "internet-small": DeploymentConfig(
         isps_per_rir=40, customers_per_isp=0, roas_per_isp=50,
-        roas_per_customer=0, flat=True, shared_ee_keys=True,
+        roas_per_customer=0, flat=True,
     ),
     # 5 × 100 × 60 = 30,000 ROAs across 505 authorities.
     "internet": DeploymentConfig(
         isps_per_rir=100, customers_per_isp=0, roas_per_isp=60,
-        roas_per_customer=0, flat=True, shared_ee_keys=True,
+        roas_per_customer=0, flat=True,
     ),
     # 5 × 200 × 100 = 100,000 ROAs across 1005 authorities.
     "internet-large": DeploymentConfig(
         isps_per_rir=200, customers_per_isp=0, roas_per_isp=100,
-        roas_per_customer=0, flat=True, shared_ee_keys=True,
+        roas_per_customer=0, flat=True,
     ),
 }
 
@@ -226,7 +221,7 @@ def build_deployment(
     """Generate a deployment per *config*, reproducibly."""
     rng = random.Random(config.seed)
     clock = Clock()
-    key_factory = KeyFactory(seed=config.seed + 77000, bits=config.key_bits)
+    key_factory = KeyFactory(seed=config.seed + 77000)
     registry = RepositoryRegistry()
     world = DeploymentWorld(
         clock=clock, key_factory=key_factory, registry=registry
@@ -399,8 +394,8 @@ def _build_flat(
       generator scans over the block's subprefixes);
     - every authority syncs its publication point exactly once
       (``deferred_publication``), so issuance is not O(k²) per point;
-    - with ``shared_ee_keys`` each authority draws one EE keypair for
-      all its ROAs, so keygen is O(authorities), not O(ROAs).
+    - each authority draws one EE keypair for all its ROAs, so keygen
+      is O(authorities), not O(ROAs).
     """
     registry = world.registry
     clock = world.clock
@@ -447,10 +442,7 @@ def _build_flat(
                 world.as_country[isp_asn] = _pick_country(
                     rng, region, all_countries, config.cross_border_rate
                 )
-                ee_key = (
-                    key_factory.next_keypair()
-                    if config.shared_ee_keys else None
-                )
+                ee_key = key_factory.next_keypair()
                 with isp.deferred_publication():
                     for roa_index in range(config.roas_per_isp):
                         prefix = _subprefix_at(allocation, 24, roa_index)

@@ -87,10 +87,10 @@ class Figure2World:
         return [self.arin, self.sprint, self.etb, self.continental]
 
 
-def build_figure2(*, seed: int = 2013, key_bits: int = 512) -> Figure2World:
+def build_figure2(*, seed: int = 2013) -> Figure2World:
     """Construct the Figure 2 world from scratch, reproducibly."""
     clock = Clock()
-    key_factory = KeyFactory(seed=seed, bits=key_bits)
+    key_factory = KeyFactory(seed=seed)
     registry = RepositoryRegistry()
 
     arin_server = registry.create_server(
@@ -228,7 +228,7 @@ def figure2_bgp():
     return graph, originations, int(AS_RELYING_PARTY)
 
 
-def build_deep_hierarchy(*, seed: int = 2014, key_bits: int = 512):
+def build_deep_hierarchy(*, seed: int = 2014):
     """A four-level chain for Side Effect 4's "and beyond" case.
 
     ARIN -> Sprint -> Continental Broadband -> SmallBiz: SmallBiz is a
@@ -238,7 +238,7 @@ def build_deep_hierarchy(*, seed: int = 2014, key_bits: int = 512):
 
     Returns the Figure2World plus the extra authority (as a pair).
     """
-    world = build_figure2(seed=seed, key_bits=key_bits)
+    world = build_figure2(seed=seed)
     server = world.registry.create_server(
         "smallbiz.example", HostLocator.parse("63.174.18.10", 64700)
     )

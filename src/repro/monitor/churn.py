@@ -19,6 +19,9 @@ from ..rpki import CertificateAuthority
 
 __all__ = ["ChurnConfig", "ChurnEvent", "ChurnEngine"]
 
+# Length of the prefix a benign new ROA authorizes.
+NEW_ROA_LENGTH = 24
+
 
 @dataclass(frozen=True)
 class ChurnConfig:
@@ -28,7 +31,6 @@ class ChurnConfig:
     new_roa_rate: float = 0.15
     retire_rate: float = 0.1
     sloppy_delete_prob: float = 0.25   # retirements done without a CRL entry
-    new_roa_length: int = 24
 
 
 @dataclass(frozen=True)
@@ -142,10 +144,10 @@ class ChurnEngine:
         free = authority.resources.subtract(occupied)
         candidates = [
             p for p in free.prefixes()
-            if p.length <= self.config.new_roa_length
+            if p.length <= NEW_ROA_LENGTH
         ]
         if not candidates:
             return None
         block = self._rng.choice(candidates)
-        subs = list(block.subprefixes(self.config.new_roa_length))
+        subs = list(block.subprefixes(NEW_ROA_LENGTH))
         return self._rng.choice(subs[: min(len(subs), 64)])

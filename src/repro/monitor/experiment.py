@@ -6,7 +6,7 @@ epochs.  An attacked ROA counts as *detected* if some suspicious alert in
 the attack epoch names its payload (or the certificate shrink that killed
 it).  Churn-only epochs that raise suspicious alerts contribute false
 positives — which, thanks to sloppy operators who delete instead of
-revoking, they do.
+revoking, they do.  An epoch is one simulated hour (:data:`EPOCH_SECONDS`).
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ from .diff import diff_snapshots
 from .snapshot import RpkiSnapshot, take_snapshot
 
 __all__ = ["EpochAlerts", "DetectionScore", "DetectionExperiment"]
+
+# Simulated seconds between two monitor snapshots.
+EPOCH_SECONDS = HOUR
 
 # An attack is a callable that mutates the world and returns the payload
 # descriptions (Roa.describe() strings) of the ROAs it whacked.
@@ -87,13 +90,11 @@ class DetectionExperiment:
         registry: RepositoryRegistry,
         churn: ChurnEngine,
         clock: Clock,
-        epoch_seconds: int = HOUR,
         metrics: MetricsRegistry | None = None,
     ):
         self.registry = registry
         self.churn = churn
         self.clock = clock
-        self.epoch_seconds = epoch_seconds
         self.history: list[EpochAlerts] = []
         self._last_snapshot: RpkiSnapshot = take_snapshot(registry, clock.now)
         self.metrics = metrics if metrics is not None else default_registry()
@@ -120,7 +121,7 @@ class DetectionExperiment:
 
     def run_epoch(self, attack: AttackFn | None = None) -> EpochAlerts:
         """One epoch: churn, optional attack, snapshot, diff, classify."""
-        self.clock.advance(self.epoch_seconds)
+        self.clock.advance(EPOCH_SECONDS)
         churn_events = self.churn.tick()
         attacked = attack() if attack is not None else []
 

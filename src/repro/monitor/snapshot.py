@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from ..repository import RepositoryRegistry
 from ..rpki import Crl, GhostbustersRecord, Manifest, ResourceCertificate, Roa, SignedObject
+from ..rpki.ca import CRL_FILE
 from ..rpki.errors import ObjectFormatError
 from ..rpki.parse import parse_object
 
@@ -71,8 +72,17 @@ class RpkiSnapshot:
         return index
 
     def point_crls(self) -> dict[str, Crl]:
-        """Per point URI, the CRL published there (ask it ``is_revoked``)."""
-        return {record.point_uri: record.obj for record in self.crls()}
+        """Per point URI, the CRL published there (ask it ``is_revoked``).
+
+        Only the CRL at :data:`~repro.rpki.ca.CRL_FILE` counts, the one
+        file a relying party reads revocations from: a CRL-typed object
+        under any other name is a decoy that must not turn a stealthy
+        deletion into a transparent revocation.
+        """
+        return {
+            uri: record.obj for (uri, name), record in self.records.items()
+            if name == CRL_FILE and isinstance(record.obj, Crl)
+        }
 
     def roa_payload_index(self) -> dict[str, list[ObjectRecord]]:
         """ROAs indexed by their payload signature '(prefixes, asn)'.

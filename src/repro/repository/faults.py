@@ -13,8 +13,8 @@ and deterministic:
 - *timing* faults (:data:`FaultKind.DELAY`, :data:`FaultKind.STALL`,
   :data:`FaultKind.FLAKY`) that model the Stalloris-style availability
   attacks the resilience layer defends against: a publication point that
-  answers slowly, hangs past any deadline, or fails a seeded fraction of
-  attempts; and
+  answers slowly, hangs past any deadline, or fails the attempts a
+  scheduled fault matches; and
 - the *amplified* timing fault (:data:`FaultKind.AMPLIFY`): one
   misbehaving authority makes its entire delegation subtree slow at
   once.  Faults match by URI *prefix*, so a single AMPLIFY scheduled on
@@ -78,6 +78,10 @@ __all__ = [
 # misbehaving authority rather than a transient error).
 PERSISTENT = -1
 
+# Entries the applied log keeps: the newest this many, older ones fall
+# off the front (counted in ``applied_dropped``).
+APPLIED_LIMIT = 256
+
 
 class FaultKind(enum.Enum):
     """What goes wrong with one fetched file (or one whole fetch)."""
@@ -88,7 +92,7 @@ class FaultKind(enum.Enum):
     UNREACHABLE = "unreachable"  # the whole publication point fetch fails
     DELAY = "delay"        # the fetch succeeds but costs simulated seconds
     STALL = "stall"        # the fetch hangs past any deadline (Stalloris)
-    FLAKY = "flaky"        # the attempt fails with a seeded probability
+    FLAKY = "flaky"        # each matched attempt fails (retry can recover)
     AMPLIFY = "amplify"    # a whole delegation subtree turns slow at once
     # Byzantine authority kinds: well-formed, semantically adversarial.
     SPLIT_VIEW = "split-view"            # per-identity equivocation
@@ -143,9 +147,7 @@ class Fault:
     """A scheduled fault: applies to *remaining* further matching fetches.
 
     ``remaining < 0`` (see :data:`PERSISTENT`) never exhausts.
-    *delay_seconds* is the cost of a :data:`FaultKind.DELAY`;
-    *fail_rate* the per-attempt failure probability of a
-    :data:`FaultKind.FLAKY` (1.0 = every attempt).
+    *delay_seconds* is the cost of a :data:`FaultKind.DELAY`.
     """
 
     kind: FaultKind
@@ -153,7 +155,6 @@ class Fault:
     remaining: int = 1       # one-shot by default (a *transient* error)
     file_name: str | None = None  # restrict to one file, else whole point
     delay_seconds: int = 0
-    fail_rate: float = 1.0
 
     def matches(self, point_uri: str, file_name: str | None) -> bool:
         if self.remaining == 0:
@@ -176,15 +177,14 @@ class FaultInjector:
 
     *background_rate* applies :class:`FaultKind.DROP` independently to
     each fetched file with the given probability, from a seeded stream —
-    the "error-prone Internet" baseline.  Scheduled faults are exact;
-    :data:`FaultKind.FLAKY` draws from the same seeded stream, so the
-    whole fault sequence is a pure function of the seed and the fetch
-    order (``tests/repository/test_faults.py`` pins this).
+    the "error-prone Internet" baseline.  Scheduled faults are exact, so
+    the whole fault sequence is a pure function of the seed and the fetch
+    order (``tests/repository/test_faults.py`` pins this).  The applied
+    log keeps the newest :data:`APPLIED_LIMIT` entries.
     """
 
     seed: int = 0
     background_rate: float = 0.0
-    applied_limit: int | None = 256
     _faults: list[Fault] = field(default_factory=list)
     _rng: random.Random = field(init=False)
     applied: "deque[tuple[str, str, FaultKind]]" = field(init=False)
@@ -193,17 +193,12 @@ class FaultInjector:
     def __post_init__(self) -> None:
         if not 0.0 <= self.background_rate <= 1.0:
             raise ValueError(f"bad background rate {self.background_rate}")
-        if self.applied_limit is not None and self.applied_limit < 1:
-            raise ValueError(f"bad applied limit {self.applied_limit}")
         self._rng = random.Random(self.seed)
-        self.applied = deque(maxlen=self.applied_limit)
+        self.applied = deque(maxlen=APPLIED_LIMIT)
 
     def _record(self, point_uri: str, file_name: str, kind: FaultKind) -> None:
         """Append to the bounded applied log, counting what falls off."""
-        if (
-            self.applied.maxlen is not None
-            and len(self.applied) == self.applied.maxlen
-        ):
+        if len(self.applied) == self.applied.maxlen:
             self.applied_dropped += 1
         self.applied.append((point_uri, file_name, kind))
 
@@ -217,24 +212,19 @@ class FaultInjector:
         file_name: str | None = None,
         count: int = 1,
         delay_seconds: int = 0,
-        fail_rate: float = 1.0,
     ) -> Fault:
         """Schedule *count* occurrences of *kind* against a point or file.
 
         ``count=PERSISTENT`` never exhausts.  *delay_seconds* only makes
         sense for :data:`FaultKind.DELAY` and :data:`FaultKind.AMPLIFY`
-        (where ``0`` means the whole subtree stalls); *fail_rate* only
-        for :data:`FaultKind.FLAKY`.
+        (where ``0`` means the whole subtree stalls).
         """
         if kind in (FaultKind.DELAY, FaultKind.AMPLIFY) and delay_seconds < 0:
             raise ValueError(f"bad delay {delay_seconds}")
-        if not 0.0 <= fail_rate <= 1.0:
-            raise ValueError(f"bad fail rate {fail_rate}")
         if kind in POINT_KINDS | BYZANTINE_KINDS and file_name is not None:
             raise ValueError(f"{kind.value} faults apply to whole points")
         fault = Fault(kind=kind, uri_prefix=point_uri, remaining=count,
-                      file_name=file_name, delay_seconds=delay_seconds,
-                      fail_rate=fail_rate)
+                      file_name=file_name, delay_seconds=delay_seconds)
         self._faults.append(fault)
         return fault
 
@@ -284,16 +274,12 @@ class FaultInjector:
         return 0
 
     def attempt_fails(self, point_uri: str) -> bool:
-        """Consume a FLAKY fault for one attempt; seeded coin flip."""
+        """Consume a FLAKY fault for one attempt, which then fails."""
         for fault in self._faults:
-            if fault.kind is not FaultKind.FLAKY:
-                continue
-            if fault.matches(point_uri, None):
+            if fault.kind is FaultKind.FLAKY and fault.matches(point_uri, None):
                 fault.consume()
-                if self._rng.random() < fault.fail_rate:
-                    self._record(point_uri, "", fault.kind)
-                    return True
-                return False
+                self._record(point_uri, "", fault.kind)
+                return True
         return False
 
     def point_unreachable(self, point_uri: str) -> bool:

@@ -67,9 +67,9 @@ pins the zero-churn/zero-verification headline claim.  The cold verdicts
 themselves are pinned to an independent reference validator
 (``tests/rp/reference_validator.py``).
 
-Memos are bounded (``max_entries`` per generation, two generations: see
-:class:`repro.memo.GenerationMemo`), so a working set past the bound
-loses its oldest entries, not everything.  All decisions are
+Memos are bounded (:data:`repro.memo.MAX_ENTRIES` per generation, two
+generations: see :class:`repro.memo.GenerationMemo`), so a working set
+past the bound loses its oldest entries, not everything.  All decisions are
 instrumented; see docs/performance.md for how to read the metrics.
 """
 
@@ -92,7 +92,6 @@ from ..telemetry import MetricsRegistry, default_registry
 from .vrp import VRP, VrpSet
 
 __all__ = [
-    "DEFAULT_MEMO_ENTRIES",
     "IncrementalState",
     "ParseMemo",
     "PointResult",
@@ -101,9 +100,6 @@ __all__ = [
     "time_signature",
     "time_window",
 ]
-
-# Generous for any simulated deployment; bounds long-running monitors.
-DEFAULT_MEMO_ENTRIES = 65536
 
 # Blobs above this size bypass the parse memo entirely: a decoder-bomb
 # payload (repository/faults.nested_bomb) must not pin memory in — or
@@ -164,16 +160,12 @@ class VerificationMemo:
     pure recomputation, skipped.
     """
 
-    def __init__(self, *, max_entries: int | None = DEFAULT_MEMO_ENTRIES):
+    def __init__(self):
         self._verdicts: GenerationMemo[
             tuple[str, tuple[int, int]], bool
-        ] = GenerationMemo(max_entries)
+        ] = GenerationMemo()
         self.hits = 0
         self.misses = 0
-
-    @property
-    def max_entries(self) -> int | None:
-        return self._verdicts.max_entries
 
     def __len__(self) -> int:
         return len(self._verdicts)
@@ -212,17 +204,13 @@ class ParseMemo:
     is parsed without touching the memo.
     """
 
-    def __init__(self, *, max_entries: int | None = DEFAULT_MEMO_ENTRIES):
+    def __init__(self):
         self._objects: GenerationMemo[str, SignedObject | str] = (
-            GenerationMemo(max_entries)
+            GenerationMemo()
         )
         self.hits = 0
         self.misses = 0
         self.oversized = 0
-
-    @property
-    def max_entries(self) -> int | None:
-        return self._objects.max_entries
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -336,17 +324,12 @@ class IncrementalState:
     is always safe and merely makes the next run cold.
     """
 
-    def __init__(
-        self,
-        *,
-        metrics: MetricsRegistry | None = None,
-        max_entries: int | None = DEFAULT_MEMO_ENTRIES,
-    ):
-        self.verify_memo = VerificationMemo(max_entries=max_entries)
-        self.parse_memo = ParseMemo(max_entries=max_entries)
+    def __init__(self, *, metrics: MetricsRegistry | None = None):
+        self.verify_memo = VerificationMemo()
+        self.parse_memo = ParseMemo()
         # (ROA file SHA-256, issuer hash_hex) -> RoaRow; see PathValidator.
         self.roa_rows: GenerationMemo[tuple[str, str], RoaRow] = (
-            GenerationMemo(max_entries)
+            GenerationMemo()
         )
         # Point cache keyed by the issuing CA's subject key id: one CA,
         # one publication point (mirrors are copies inside one result).
@@ -497,9 +480,9 @@ class IncrementalState:
         announce all, net change empty if nothing else moved.
         """
         self.book()
-        self.verify_memo = VerificationMemo(max_entries=self.verify_memo.max_entries)
-        self.parse_memo = ParseMemo(max_entries=self.parse_memo.max_entries)
-        self.roa_rows = GenerationMemo(self.roa_rows.max_entries)
+        self.verify_memo = VerificationMemo()
+        self.parse_memo = ParseMemo()
+        self.roa_rows = GenerationMemo()
         self._booked = (0, 0, 0, 0)
         self.points.clear()
         self._update_gauges()

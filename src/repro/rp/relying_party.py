@@ -33,7 +33,6 @@ from ..repository.cache import CacheFreshness, LocalCache
 from ..repository.fetch import Fetcher, FetchResult, FetchStatus
 from ..repository.scheduler import FetchScheduler
 from ..rpki.cert import ResourceCertificate
-from ..simtime import Clock
 from ..telemetry import MetricsRegistry, default_registry
 from .incremental import IncrementalState
 from .origin import OriginValidationOutcome, validate
@@ -160,10 +159,8 @@ class RelyingParty:
         Out-of-band configured self-signed certificates.
     fetcher:
         The delivery path (carries the routing-reachability predicate and
-        the fault model).
-    clock:
-        Simulated time; ``None`` (the default) reuses the fetcher's clock,
-        which is almost always what a call site wants.
+        the fault model).  Its clock is the relying party's: ``now`` is
+        judged on the clock fetches are timed on.
     keep_stale:
         Cache policy on failed refresh (see :class:`LocalCache`).
     stale_grace:
@@ -207,7 +204,6 @@ class RelyingParty:
         self,
         trust_anchors: list[ResourceCertificate],
         fetcher: Fetcher,
-        clock: Clock | None = None,
         *,
         keep_stale: bool = True,
         stale_grace: int | None = None,
@@ -242,7 +238,7 @@ class RelyingParty:
             trust_anchors, strict_manifests=strict_manifests,
             metrics=self.metrics, incremental=self.incremental_state,
         )
-        self._clock = clock if clock is not None else fetcher.clock
+        self._clock = fetcher.clock
         self._last_run: ValidationRun | None = None
         self._subscribers: list[DeltaListener] = []
         self._m_refreshes = self.metrics.counter(

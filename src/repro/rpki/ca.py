@@ -272,11 +272,9 @@ class CertificateAuthority:
         sia: str,
         sia_mirrors: list[str] | None = None,
         validity: int,
-        enforce_coverage: bool = True,
     ) -> ResourceCertificate:
         """Issue (or reissue) a child RC and publish it."""
-        if enforce_coverage:
-            self._require_coverage(ip_resources, as_resources)
+        self._require_coverage(ip_resources, as_resources)
         now = self._clock.now
         certificate = build_certificate(
             issuer_key=self._key,
@@ -645,14 +643,13 @@ class CertificateAuthority:
                 self._publish_pending = False
                 self.publish()
 
-    def publish(self, *, update_manifest: bool = True) -> None:
+    def publish(self) -> None:
         """Synchronize the publication point with current issued objects.
 
-        Writes every current child RC and ROA, a fresh CRL, and (unless
-        *update_manifest* is false — fault injection) a fresh manifest
-        covering exactly those files.  Files no longer issued are removed.
-        Inside :meth:`deferred_publication` the sync is postponed to the
-        context exit.
+        Writes every current child RC and ROA, a fresh CRL, and a fresh
+        manifest covering exactly those files.  Files no longer issued are
+        removed.  Inside :meth:`deferred_publication` the sync is
+        postponed to the context exit.
         """
         if self._publish_deferred:
             self._publish_pending = True
@@ -685,20 +682,15 @@ class CertificateAuthority:
         desired[CRL_FILE] = crl.to_bytes()
         entries[CRL_FILE] = crl.hash_hex
 
-        if update_manifest:
-            manifest = build_manifest(
-                issuer_key=self._key,
-                issuer_key_id=self.key_id,
-                entries=entries,
-                serial=self._take_serial(),
-                this_update=now,
-                next_update=now + _DEFAULT_CRL_WINDOW,
-            )
-            desired[MANIFEST_FILE] = manifest.to_bytes()
-        else:
-            existing = point.get(MANIFEST_FILE)
-            if existing is not None:
-                desired[MANIFEST_FILE] = existing
+        manifest = build_manifest(
+            issuer_key=self._key,
+            issuer_key_id=self.key_id,
+            entries=entries,
+            serial=self._take_serial(),
+            this_update=now,
+            next_update=now + _DEFAULT_CRL_WINDOW,
+        )
+        desired[MANIFEST_FILE] = manifest.to_bytes()
 
         targets = [point] + [target for _uri, target in self._mirrors]
         for target in targets:

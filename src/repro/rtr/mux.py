@@ -11,7 +11,7 @@ serving loop — on the simulated clock, with no threads.
 
 Fairness: a single chatty (or hostile, Stalloris-style slow-feeding)
 session must not starve its siblings, so each ready session is drained
-at most ``fairness_budget`` PDUs per tick.  Left-over decoded PDUs stay
+at most :data:`FAIRNESS_BUDGET` PDUs per tick.  Left-over decoded PDUs stay
 queued on the session and the session stays ready, guaranteeing every
 session makes progress every tick regardless of how much one peer sends.
 
@@ -33,7 +33,8 @@ from .pdu import Pdu, PduDecodeError, decode_pdus
 
 __all__ = ["MuxEvent", "MuxSession", "SessionMux"]
 
-_DEFAULT_FAIRNESS_BUDGET = 64
+# PDUs one ready session may hand upstream per tick.
+FAIRNESS_BUDGET = 64
 
 
 @dataclass
@@ -69,15 +70,7 @@ class MuxEvent:
 class SessionMux:
     """Drains all attached sessions per tick, fairly, event-driven."""
 
-    def __init__(
-        self,
-        *,
-        fairness_budget: int = _DEFAULT_FAIRNESS_BUDGET,
-        metrics: MetricsRegistry | None = None,
-    ):
-        if fairness_budget < 1:
-            raise ValueError("fairness budget must be at least 1")
-        self.fairness_budget = fairness_budget
+    def __init__(self, *, metrics: MetricsRegistry | None = None):
         self._sessions: dict[int, MuxSession] = {}
         self._ready: set[int] = set()
         self._next_sid = 0
@@ -205,7 +198,7 @@ class SessionMux:
         if not session.pending:
             return None
         batch: list[Pdu] = []
-        while session.pending and len(batch) < self.fairness_budget:
+        while session.pending and len(batch) < FAIRNESS_BUDGET:
             batch.append(session.pending.popleft())
         self._m_drained.inc(len(batch))
         if session.pending or session.receive_buffer or closed:

@@ -18,6 +18,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
+from repro.api import service as service_module
 from repro.api.ratelimit import TokenBucket
 from repro.api.service import (
     _MAX_TRACKED_CLIENTS,
@@ -90,15 +91,15 @@ class ApiResponse:
 
 
 class ReferenceQueryService(QueryService):
-    def __init__(self, rp, *, config=None, clock=None, metrics=None):
+    def __init__(self, rp, *, config=None, metrics=None):
         self.rp = rp
         self.config = config if config is not None else ApiConfig()
-        self._clock = clock if clock is not None else rp.clock
+        self._clock = rp.clock
         self.metrics = metrics if metrics is not None else default_registry()
         self._cache = ResponseCache(self.config.cache_capacity)
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
         self._history: deque[HistoryEntry] = deque(
-            maxlen=self.config.history_depth
+            maxlen=service_module.HISTORY_DEPTH
         )
         self._m_refreshes = self.metrics.counter(
             "repro_api_refreshes_total",

@@ -44,8 +44,7 @@ def rp(world):
     registry = MetricsRegistry()
     return RelyingParty(
         world.trust_anchors,
-        Fetcher(world.registry, world.clock, metrics=registry),
-        world.clock, metrics=registry,
+        Fetcher(world.registry, world.clock, metrics=registry), metrics=registry,
     )
 
 
@@ -93,10 +92,11 @@ def requests(rng, rp, count):
             yield endpoint, args, {"client": client}
 
 
-def test_replay_matches_the_previous_path(world, rp):
+def test_replay_matches_the_previous_path(world, rp, monkeypatch):
     rp.refresh()
+    monkeypatch.setattr(service_module, "HISTORY_DEPTH", 3)
     new, old = both(
-        rp, cache_capacity=48, history_depth=3,
+        rp, cache_capacity=48,
         rate_limit=RateLimitConfig(capacity=40, refill_per_second=0.5),
     )
     rng = random.Random(26)

@@ -16,6 +16,7 @@ from repro.api import (
     QueryStatus,
     RateLimitConfig,
 )
+from repro.api import service as service_module
 from repro.modelgen import DeploymentConfig, build_deployment
 from repro.repository import Fetcher
 from repro.resources import Prefix
@@ -36,7 +37,7 @@ def world():
 def rp(world):
     registry = MetricsRegistry()
     fetcher = Fetcher(world.registry, world.clock, metrics=registry)
-    return RelyingParty(world.trust_anchors, fetcher, world.clock,
+    return RelyingParty(world.trust_anchors, fetcher,
                         metrics=registry)
 
 
@@ -82,8 +83,9 @@ class TestEpochs:
         assert entries[2].removed
         assert set(entries[2].removed) == before - set(rp.vrps)
 
-    def test_history_ring_is_bounded(self, world, rp):
-        service = make_service(rp, history_depth=3)
+    def test_history_ring_is_bounded(self, world, rp, monkeypatch):
+        monkeypatch.setattr(service_module, "HISTORY_DEPTH", 3)
+        service = make_service(rp)
         service.refresh()
         for _ in range(4):
             whack_a_roa(world)
@@ -175,8 +177,9 @@ class TestDiff:
         diff = service.diff(1).payload
         assert diff.empty
 
-    def test_unknown_serials_rejected(self, world, rp):
-        service = make_service(rp, history_depth=2)
+    def test_unknown_serials_rejected(self, world, rp, monkeypatch):
+        monkeypatch.setattr(service_module, "HISTORY_DEPTH", 2)
+        service = make_service(rp)
         service.refresh()
         assert service.diff(7).status == QueryStatus.UNKNOWN_SERIAL
         for _ in range(3):

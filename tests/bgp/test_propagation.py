@@ -398,10 +398,11 @@ class TestForwardingEdgeCases:
         assert not delivery.delivered
         assert delivery.hops[:3] == (ASN(1), ASN(2), ASN(1))
 
-    def test_max_hops_guard(self):
-        """A long non-repeating chain is cut off at max_hops."""
-        from repro.bgp import Rib, RoutingOutcome
+    def test_max_hops_guard(self, monkeypatch):
+        """A long non-repeating chain is cut off at MAX_HOPS."""
+        from repro.bgp import Rib, RoutingOutcome, forwarding
 
+        monkeypatch.setattr(forwarding, "MAX_HOPS", 5)
         outcome = RoutingOutcome()
         chain_length = 10
         for index in range(chain_length):
@@ -412,7 +413,7 @@ class TestForwardingEdgeCases:
                 (next_asn, ASN(999)), Relationship.PEER,
             ))
             outcome.ribs[ASN(index + 1)] = rib
-        delivery = forward(outcome, 1, "10.1.2.3", max_hops=5)
+        delivery = forward(outcome, 1, "10.1.2.3")
         assert not delivery.delivered
 
     def test_prefix_destination_normalized_to_host(self):

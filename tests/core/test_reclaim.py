@@ -23,7 +23,7 @@ class TestReclamation:
         assert len(report.whacked_roas) == 5
         # The RPKI now reflects the eviction.
         rp = RelyingParty(
-            world.trust_anchors, Fetcher(world.registry, world.clock), world.clock
+            world.trust_anchors, Fetcher(world.registry, world.clock)
         )
         rp.refresh()
         assert len(rp.vrps) == 3

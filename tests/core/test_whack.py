@@ -24,7 +24,7 @@ def world():
 
 def fresh_rp(world):
     rp = RelyingParty(
-        world.trust_anchors, Fetcher(world.registry, world.clock), world.clock
+        world.trust_anchors, Fetcher(world.registry, world.clock)
     )
     rp.refresh()
     return rp
@@ -83,13 +83,6 @@ class TestPlanSelection:
         assert plan.suspicious_reissue_count == 1  # the /20 ROA (Figure 3)
         assert plan.collateral_count == 0
         assert "63.174.16.0/20" in plan.reissued[0].description
-
-    def test_reissue_forbidden_turns_damage_into_collateral(self, world):
-        plan = plan_whack(
-            world.sprint, world.target22, world.continental, allow_reissue=False
-        )
-        assert plan.collateral_count == 1
-        assert plan.suspicious_reissue_count == 0
 
     def test_non_ancestor_rejected(self, world):
         with pytest.raises(WhackError):

@@ -32,7 +32,7 @@ from ..rp.test_roa_evidence import check_evidence
 # Small enough to build in ~a second, flat like the Internet scales.
 TINY_FLAT = DeploymentConfig(
     isps_per_rir=6, customers_per_isp=0, roas_per_isp=8,
-    roas_per_customer=0, flat=True, shared_ee_keys=True, seed=33,
+    roas_per_customer=0, flat=True, seed=33,
 )
 
 
@@ -88,10 +88,6 @@ class TestFlatGenerator:
 
 
 class TestConfigValidation:
-    def test_shared_ee_keys_requires_flat(self):
-        with pytest.raises(ValueError, match="flat"):
-            DeploymentConfig(shared_ee_keys=True)
-
     def test_flat_bounds_roas_per_isp(self):
         with pytest.raises(ValueError):
             DeploymentConfig(flat=True, roas_per_isp=257)
@@ -111,7 +107,7 @@ class TestInternetScalesRegistry:
     def test_family_shape(self):
         assert set(INTERNET_SCALES) == set(self.EXPECTED_ROAS)
         for config in INTERNET_SCALES.values():
-            assert config.flat and config.shared_ee_keys
+            assert config.flat
             assert config.customers_per_isp == 0
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_ROAS))

@@ -109,7 +109,6 @@ class TestDeployment:
         rp = RelyingParty(
             world.trust_anchors,
             Fetcher(world.registry, world.clock),
-            world.clock,
         )
         report = rp.refresh()
         assert report.run.errors() == []
@@ -154,7 +153,6 @@ class TestTable4World:
         rp = RelyingParty(
             world.trust_anchors,
             Fetcher(world.registry, world.clock),
-            world.clock,
         )
         report = rp.refresh()
         assert report.run.errors() == []
@@ -188,7 +186,6 @@ class TestAmplifier:
         rp = RelyingParty(
             world.trust_anchors,
             Fetcher(world.registry, world.clock),
-            world.clock,
         )
         rp.refresh()
         amp_asns = {65000 + i for i in range(6)}

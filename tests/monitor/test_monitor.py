@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import execute_whack, plan_whack
+from repro.crypto import KeyFactory, key_id_of
 from repro.modelgen import build_figure2
 from repro.monitor import (
     AlertKind,
@@ -13,6 +14,8 @@ from repro.monitor import (
     diff_snapshots,
     take_snapshot,
 )
+from repro.rpki.crl import build_crl
+from repro.simtime import HOUR
 
 
 @pytest.fixture
@@ -106,6 +109,29 @@ class TestAlerts:
         assert len(stealthy) == 1
         assert "63.174.16.0/22" in stealthy[0].subject
         assert stealthy[0].is_suspicious
+
+    @pytest.mark.parametrize("decoy", [False, True])
+    def test_decoy_crl_does_not_hide_a_stealthy_deletion(self, world, decoy):
+        # Sprint deletes one of its ROAs with no CRL entry.  A CRL under
+        # another file name, signed by an unrelated key and listing that
+        # ROA's EE serial, is not the point's CRL: the relying party reads
+        # only ca.crl, and so does the monitor.
+        sprint = world.sprint
+        name, roa = next(iter(sprint.issued_roas.items()))
+        before = snap(world)
+        sprint.delete_object(name)
+        if decoy:
+            stranger = KeyFactory(seed=99).next_keypair()
+            crl = build_crl(
+                issuer_key=stranger, issuer_key_id=key_id_of(stranger.public),
+                revoked_serials={roa.ee_cert.serial}, serial=1,
+                this_update=world.clock.now,
+                next_update=world.clock.now + HOUR,
+            )
+            sprint.publication_point.put("zz.crl", crl.to_bytes())
+        _, alerts, _ = diff_and_alerts(world, before)
+        kinds = [a.kind for a in alerts if a.subject == roa.describe()]
+        assert kinds == [AlertKind.STEALTHY_DELETION]
 
     def test_renewal_is_info(self, world):
         before = snap(world)

@@ -46,7 +46,7 @@ def drive(injector, rounds=20):
 
 def build(seed):
     injector = FaultInjector(seed=seed, background_rate=0.3)
-    injector.schedule(FaultKind.FLAKY, POINT, count=PERSISTENT, fail_rate=0.5)
+    injector.schedule(FaultKind.FLAKY, POINT, count=PERSISTENT)
     injector.schedule(FaultKind.DELAY, OTHER, count=3, delay_seconds=7)
     injector.schedule(FaultKind.CORRUPT, POINT, file_name="a.roa", count=2)
     return injector
@@ -61,21 +61,23 @@ class TestSeedDeterminism:
         assert first.applied  # the scenario actually exercised faults
 
     def test_different_seed_diverges(self):
-        # 20 rounds of 50%-flaky plus 30% background drops: the chance
+        # 20 rounds of 30% background drops over four files: the chance
         # two different seeds produce identical streams is negligible.
         assert drive(build(seed=1)) != drive(build(seed=2))
 
     def test_seeded_stream_independent_of_scheduling_time(self):
         """Scheduling more exact faults does not perturb the RNG stream."""
-        plain = FaultInjector(seed=7)
-        busy = FaultInjector(seed=7)
+        plain = FaultInjector(seed=7, background_rate=0.5)
+        busy = FaultInjector(seed=7, background_rate=0.5)
         busy.schedule(FaultKind.STALL, OTHER, count=PERSISTENT)
         busy.schedule(FaultKind.DROP, OTHER, file_name="x.roa")
-        plain.schedule(FaultKind.FLAKY, POINT, count=5, fail_rate=0.5)
-        busy.schedule(FaultKind.FLAKY, POINT, count=5, fail_rate=0.5)
-        flips_plain = [plain.attempt_fails(POINT) for _ in range(5)]
-        flips_busy = [busy.attempt_fails(POINT) for _ in range(5)]
-        assert flips_plain == flips_busy
+        busy.schedule(FaultKind.FLAKY, POINT, count=5)
+        drops_plain = [plain.filter_file(POINT, f"{i}.roa", b"x")
+                       for i in range(20)]
+        drops_busy = [busy.filter_file(POINT, f"{i}.roa", b"x")
+                      for i in range(20)]
+        assert drops_plain == drops_busy
+        assert None in drops_plain and b"x" in drops_plain
 
 
 class TestScheduling:
@@ -96,13 +98,14 @@ class TestScheduling:
         assert injector.point_delay(POINT) == 9
         assert injector.point_delay(POINT) == 0
 
-    def test_flaky_rate_zero_never_fails_but_consumes(self):
+    def test_flaky_fails_every_matched_attempt(self):
         injector = FaultInjector(seed=3)
-        fault = injector.schedule(FaultKind.FLAKY, POINT, count=2,
-                                  fail_rate=0.0)
-        assert not injector.attempt_fails(POINT)
-        assert not injector.attempt_fails(POINT)
+        fault = injector.schedule(FaultKind.FLAKY, POINT, count=2)
+        assert [injector.attempt_fails(POINT) for _ in range(3)] == [
+            True, True, False
+        ]
         assert fault.remaining == 0
+        assert not injector.attempt_fails(OTHER)
 
     def test_point_kinds_reject_file_scoping(self):
         injector = FaultInjector()
@@ -114,8 +117,6 @@ class TestScheduling:
         injector = FaultInjector()
         with pytest.raises(ValueError):
             injector.schedule(FaultKind.DELAY, POINT, delay_seconds=-1)
-        with pytest.raises(ValueError):
-            injector.schedule(FaultKind.FLAKY, POINT, fail_rate=1.5)
         with pytest.raises(ValueError):
             FaultInjector(background_rate=2.0)
 

@@ -31,7 +31,7 @@ def world():
 
 def make_rp(world, faults=None, **kwargs):
     fetcher = Fetcher(world.registry, world.clock, faults=faults)
-    return RelyingParty(world.trust_anchors, fetcher, world.clock, **kwargs)
+    return RelyingParty(world.trust_anchors, fetcher, **kwargs)
 
 
 class TestCorruptContainment:
@@ -145,7 +145,7 @@ class TestComposedFaultDegradation:
 
         faults = FaultInjector(seed=3)
         fetcher = Fetcher(world.registry, world.clock, faults=faults)
-        rp = RelyingParty(world.trust_anchors, fetcher, world.clock,
+        rp = RelyingParty(world.trust_anchors, fetcher,
                           stale_grace=8 * HOUR)
         rp.refresh()  # healthy warm-up: everything cached
         world.continental.renew_roa(world.target20_name)

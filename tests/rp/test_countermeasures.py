@@ -36,7 +36,7 @@ def world():
 def make_rp(world, **kwargs):
     fetcher = Fetcher(world.registry, world.clock,
                       faults=kwargs.pop("faults", None))
-    return RelyingParty(world.trust_anchors, fetcher, world.clock, **kwargs)
+    return RelyingParty(world.trust_anchors, fetcher, **kwargs)
 
 
 class TestMultiplePublicationPoints:
@@ -78,7 +78,7 @@ class TestMultiplePublicationPoints:
             world.registry, world.clock,
             reachability=lambda loc: loc.host_prefix != continental_host,
         )
-        rp = RelyingParty(world.trust_anchors, fetcher, world.clock)
+        rp = RelyingParty(world.trust_anchors, fetcher)
         report = rp.refresh()
         # Without the mirror this scenario loses all 5 Continental ROAs
         # (see TestUnreachableRepository in test_pathval).  With it:

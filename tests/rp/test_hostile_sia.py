@@ -66,7 +66,6 @@ def test_refresh_completes_and_records_the_certificate(shape):
     plant_evil_child(world, **SHAPES[shape])
     rp = RelyingParty(
         world.trust_anchors, Fetcher(world.registry, world.clock),
-        world.clock,
     )
     for cold in (True, False, True):  # it used to raise on every cycle
         if cold:

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro import reset_default_metrics
+from repro import memo as memo_module
 from repro.modelgen import build_figure2
 from repro.repository import FaultInjector, FaultKind, Fetcher
 from repro.rp import (
@@ -28,6 +28,7 @@ from repro.rp import pathval as pathval_module
 from repro.rpki import roa as roa_module
 from repro.rpki.errors import ObjectFormatError
 from repro.simtime import DAY, HOUR
+from repro.telemetry import reset_default_metrics
 from repro.telemetry import MetricsRegistry
 
 
@@ -46,7 +47,7 @@ def world():
 def make_rp(world, **kwargs):
     fetcher = Fetcher(world.registry, world.clock,
                       faults=kwargs.pop("faults", None))
-    return RelyingParty(world.trust_anchors, fetcher, world.clock, **kwargs)
+    return RelyingParty(world.trust_anchors, fetcher, **kwargs)
 
 
 def cold_run(rp, world):
@@ -103,20 +104,20 @@ class TestMemoUnits:
         ) is False
         assert len(memo) == 2
 
-    def test_verification_memo_bounded(self, world):
+    def test_verification_memo_bounded(self, world, monkeypatch):
         anchor = world.trust_anchors[0]
         sprint = world.sprint.certificate
         etb = world.etb.certificate
-        memo = VerificationMemo(max_entries=1)
+        monkeypatch.setattr(memo_module, "MAX_ENTRIES", 1)
+        memo = VerificationMemo()
         memo.verify_object(anchor, anchor.subject_key)
         # Full: the first entry becomes the previous generation...
         memo.verify_object(sprint, anchor.subject_key)
         assert len(memo) == 2
         # ...and is dropped at the next turn-over: two generations of
-        # max_entries each is the most the memo ever holds.
+        # MAX_ENTRIES each is the most the memo ever holds.
         memo.verify_object(etb, anchor.subject_key)
         assert len(memo) == 2
-        assert memo.max_entries == 1
 
     @staticmethod
     def warm_pass_one_past(world, monkeypatch, short_of: str):
@@ -139,7 +140,8 @@ class TestMemoUnits:
         assert rows == 8  # Figure 2 publishes eight ROAs
         bound = (verdicts if short_of == "verdicts" else rows) - 1
 
-        state = IncrementalState(metrics=MetricsRegistry(), max_entries=bound)
+        monkeypatch.setattr(memo_module, "MAX_ENTRIES", bound)
+        state = IncrementalState(metrics=MetricsRegistry())
         validator = PathValidator(world.trust_anchors, incremental=state)
         cold = validator.run(snapshot, now)
         assert state.verify_memo.misses == verdicts

@@ -27,7 +27,7 @@ def world():
 def make_rp(world, **kwargs):
     fetcher = Fetcher(world.registry, world.clock,
                       faults=kwargs.pop("faults", None))
-    return RelyingParty(world.trust_anchors, fetcher, world.clock, **kwargs)
+    return RelyingParty(world.trust_anchors, fetcher, **kwargs)
 
 
 class TestHappyPath:
@@ -255,7 +255,7 @@ class TestUnreachableRepository:
             reachability=lambda locator: locator.host_prefix
             != Prefix.parse("63.174.23.0/32"),
         )
-        rp = RelyingParty(world.trust_anchors, fetcher, world.clock)
+        rp = RelyingParty(world.trust_anchors, fetcher)
         report = rp.refresh()
         assert len(rp.vrps) == 3  # Continental's point never arrived
         assert report.run.has_issue("point-missing")
@@ -267,7 +267,7 @@ class TestUnreachableRepository:
             world.clock,
             reachability=lambda locator: reachable["ok"],
         )
-        rp = RelyingParty(world.trust_anchors, fetcher, world.clock)
+        rp = RelyingParty(world.trust_anchors, fetcher)
         rp.refresh()
         assert len(rp.vrps) == 8
         reachable["ok"] = False
@@ -284,7 +284,7 @@ class TestUnreachableRepository:
             reachability=lambda locator: reachable["ok"],
         )
         rp = RelyingParty(
-            world.trust_anchors, fetcher, world.clock, keep_stale=False
+            world.trust_anchors, fetcher, keep_stale=False
         )
         rp.refresh()
         reachable["ok"] = False

@@ -56,7 +56,7 @@ def world():
 
 def make_rp(world, **kwargs):
     fetcher = Fetcher(world.registry, world.clock)
-    return RelyingParty(world.trust_anchors, fetcher, world.clock, **kwargs)
+    return RelyingParty(world.trust_anchors, fetcher, **kwargs)
 
 
 def test_evidence_matches_cached_bytes(world):

@@ -17,7 +17,7 @@ from repro.telemetry import MetricsRegistry
 def make_rp(world, **kwargs):
     registry = kwargs.pop("metrics", None) or MetricsRegistry()
     fetcher = Fetcher(world.registry, world.clock, metrics=registry)
-    return RelyingParty(world.trust_anchors, fetcher, world.clock,
+    return RelyingParty(world.trust_anchors, fetcher,
                         metrics=registry, **kwargs)
 
 

@@ -133,18 +133,6 @@ class TestManifestConsistency:
         for file_name in on_disk:
             assert manifest.hash_of(file_name) == sha256_hex(point.get(file_name))
 
-    def test_publish_without_manifest_update_goes_stale(self, sprint):
-        stale = sprint.publication_point.get(MANIFEST_FILE)
-        sprint.issue_roa(1239, "63.161.0.0/16")
-        sprint.publish(update_manifest=False)
-        # publish() inside issue_roa refreshed it; force staleness manually.
-        name, _ = sprint.issue_roa(1239, "63.162.0.0/16")
-        sprint._issued_roas.pop(name)
-        sprint.publish(update_manifest=False)
-        manifest = parse_object(sprint.publication_point.get(MANIFEST_FILE))
-        assert name in manifest.file_names  # manifest still lists it
-        assert sprint.publication_point.get(name) is None  # file is gone
-
 
 class TestRevocation:
     def test_transparent_revocation_hits_crl(self, sprint, continental):

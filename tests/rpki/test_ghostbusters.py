@@ -64,7 +64,6 @@ class TestValidation:
         world.continental.set_contact(CONTACT)
         rp = RelyingParty(
             world.trust_anchors, Fetcher(world.registry, world.clock),
-            world.clock,
         )
         report = rp.refresh()
         contacts = report.run.contacts
@@ -84,7 +83,6 @@ class TestValidation:
         )
         rp = RelyingParty(
             world.trust_anchors, Fetcher(world.registry, world.clock),
-            world.clock,
         )
         report = rp.refresh()
         assert "rsync://sprint.example/repo/" not in report.run.contacts
@@ -96,7 +94,6 @@ class TestValidation:
         world.continental.set_contact(CONTACT, validity=3600)
         rp = RelyingParty(
             world.trust_anchors, Fetcher(world.registry, world.clock),
-            world.clock,
         )
         world.clock.advance(7200)
         # Keep the rest of the RPKI alive by renewing nothing: the ROAs are
@@ -115,7 +112,6 @@ class TestValidation:
                                  world.continental))
         rp = RelyingParty(
             world.trust_anchors, Fetcher(world.registry, world.clock),
-            world.clock,
         )
         report = rp.refresh()
         assert "rsync://continental.example/repo/" in report.run.contacts

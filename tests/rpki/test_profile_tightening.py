@@ -115,7 +115,7 @@ def test_unsorted_crl_is_one_issue_at_its_own_point():
     world = build_figure2()
     publish_forged(world.continental, {CRL_FILE: crl_bytes(world, [9, 3])})
     rp = RelyingParty(
-        world.trust_anchors, Fetcher(world.registry, world.clock), world.clock
+        world.trust_anchors, Fetcher(world.registry, world.clock)
     )
     report = rp.refresh()
     assert [(i.point_uri, i.file_name, i.code) for i in report.run.errors()
@@ -135,7 +135,7 @@ def test_each_is_one_parse_failed_issue_and_siblings_validate():
     }
     publish_forged(world.continental, forged)
     rp = RelyingParty(
-        world.trust_anchors, Fetcher(world.registry, world.clock), world.clock
+        world.trust_anchors, Fetcher(world.registry, world.clock)
     )
     report = rp.refresh()
     assert sorted(

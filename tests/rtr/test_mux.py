@@ -2,14 +2,13 @@
 
 import struct
 
-import pytest
-
 from repro.rtr import (
     MAX_ERROR_REPORT_LENGTH,
     DuplexPipe,
     RtrCacheServer,
     SessionMux,
 )
+from repro.rtr import mux as mux_module
 from repro.rtr.pdu import ResetQuery, SerialQuery, encode_pdu
 from repro.telemetry import MetricsRegistry
 
@@ -76,8 +75,9 @@ class TestReadiness:
 
 
 class TestFairness:
-    def test_budget_limits_batch_size(self):
-        mux = SessionMux(fairness_budget=3)
+    def test_budget_limits_batch_size(self, monkeypatch):
+        monkeypatch.setattr(mux_module, "FAIRNESS_BUDGET", 3)
+        mux = SessionMux()
         pipe, session = attach_one(mux)
         for _ in range(8):
             pipe.to_cache.send(encode_pdu(ResetQuery()))
@@ -86,8 +86,9 @@ class TestFairness:
         assert mux.poll() == []
         assert not session.pending
 
-    def test_chatty_session_does_not_starve_sibling(self):
-        mux = SessionMux(fairness_budget=2)
+    def test_chatty_session_does_not_starve_sibling(self, monkeypatch):
+        monkeypatch.setattr(mux_module, "FAIRNESS_BUDGET", 2)
+        mux = SessionMux()
         noisy, _ = attach_one(mux)
         quiet, quiet_session = attach_one(mux)
         for _ in range(10):
@@ -96,10 +97,6 @@ class TestFairness:
         events = mux.poll()
         served = {event.session.sid for event in events}
         assert quiet_session.sid in served
-
-    def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            SessionMux(fairness_budget=0)
 
 
 class TestLifecycle:
@@ -217,9 +214,10 @@ class TestBroadcast:
 
 
 class TestTelemetry:
-    def test_mux_metrics_move(self):
+    def test_mux_metrics_move(self, monkeypatch):
         registry = MetricsRegistry()
-        mux = SessionMux(fairness_budget=1, metrics=registry)
+        monkeypatch.setattr(mux_module, "FAIRNESS_BUDGET", 1)
+        mux = SessionMux(metrics=registry)
         pipe, _session = attach_one(mux)
         pipe.to_cache.send(encode_pdu(ResetQuery()) * 2)
         mux.poll()  # first of two PDUs; deferred

@@ -283,7 +283,6 @@ class TestEndToEndWithRelyingParty:
         world = build_figure2()
         rp = RelyingParty(
             world.trust_anchors, Fetcher(world.registry, world.clock),
-            world.clock,
         )
         rp.refresh()
 

@@ -9,7 +9,8 @@ its label children once instead of resolving them per event.
 
 import pytest
 
-from repro import RelyingParty, build_figure2, reset_default_metrics
+from repro import RelyingParty, build_figure2
+from repro.telemetry import reset_default_metrics
 from repro.repository import Fetcher
 from repro.telemetry import MetricError, MetricsRegistry, default_registry
 from repro.telemetry.metrics import Metric

@@ -111,7 +111,7 @@ class Walked(dict):
 def refresh_to_a_router(clock, registry, root, expected):
     """A new relying party's cold refresh, into an RTR cache and on to a
     router; the work the timer sees."""
-    rp = RelyingParty([root.certificate], Fetcher(registry, clock), clock,
+    rp = RelyingParty([root.certificate], Fetcher(registry, clock),
                       metrics=MetricsRegistry())
     cache = RtrCacheServer(metrics=MetricsRegistry())
     pipe = DuplexPipe()

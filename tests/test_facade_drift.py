@@ -2,7 +2,8 @@
 
 Fails the suite when ``repro.__all__`` lists a name that does not
 resolve, is missing from docs/API.md, is duplicated, or breaks the
-sorted-by-construction invariant.
+sorted-by-construction invariant — or when a facade option is set by no
+call outside ``tests/`` and has no allowlist row.
 """
 
 import pathlib
@@ -47,3 +48,32 @@ def test_lint_catches_duplicates(monkeypatch):
     monkeypatch.setattr(repro, "__all__", repro.__all__ + [repro.__all__[0]])
     problems = check_facade.check_facade()
     assert any("more than once" in p for p in problems)
+
+
+def test_every_option_has_a_caller():
+    problems = check_facade.check_options()
+    assert problems == [], "\n".join(problems)
+
+
+def knob(first, second=2, *, third=3):
+    """A facade function whose options the fixture below sets, or not."""
+
+
+def test_lint_rejects_an_option_only_tests_set(monkeypatch, tmp_path):
+    import repro
+
+    monkeypatch.setattr(repro, "knob", knob, raising=False)
+    monkeypatch.setattr(repro, "__all__", repro.__all__ + ["knob"])
+    (tmp_path / "caller.py").write_text(
+        "knob(1, 5)\n"            # sets second, by position
+        "repro.knob(1, third=3)\n"  # restates third's default
+    )
+    problems = check_facade.check_options(
+        allowlist={"knob.first": "no such option"}, roots=(tmp_path,)
+    )
+    knob_problems = [p for p in problems if "knob." in p]
+    assert knob_problems == [
+        "option knob.third is set by no call outside tests/: make it a "
+        "constant, or give it an OPTION_ALLOWLIST row with a reason",
+        "OPTION_ALLOWLIST row knob.first names no facade option",
+    ]

@@ -241,7 +241,7 @@ def bring_up(hosts):
     """Cold refresh of ipv6_world(hosts) into an RTR cache and a router."""
     clock, registry, root, holder = ipv6_world(hosts)
     rp = RelyingParty(
-        [root.certificate], Fetcher(registry, clock), clock,
+        [root.certificate], Fetcher(registry, clock),
         metrics=MetricsRegistry(),
     )
     cache = RtrCacheServer(metrics=MetricsRegistry())
@@ -360,8 +360,7 @@ class TestThroughACrl:
         def retaining(serials):
             clock, registry, root, holder = ipv6_world(honest_hosts(1))
             srp = SuspendersRelyingParty(
-                RelyingParty([root.certificate], Fetcher(registry, clock),
-                             clock, metrics=MetricsRegistry()),
+                RelyingParty([root.certificate], Fetcher(registry, clock), metrics=MetricsRegistry()),
                 clock, grace_seconds=10 * HOUR,
             )
             srp.refresh()

@@ -47,7 +47,7 @@ def story():
     # what makes a later whack of the /20 produce INVALID, not unknown.
     world.sprint.issue_roa(1239, "63.160.0.0/12-13")
     rp = RelyingParty(
-        world.trust_anchors, Fetcher(world.registry, world.clock), world.clock
+        world.trust_anchors, Fetcher(world.registry, world.clock)
     )
     report = rp.refresh()
     record["bootstrap_vrps"] = len(rp.vrps)

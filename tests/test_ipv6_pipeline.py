@@ -49,7 +49,7 @@ def v6_world():
 
 
 def make_rp(clock, registry, rir):
-    rp = RelyingParty([rir.certificate], Fetcher(registry, clock), clock)
+    rp = RelyingParty([rir.certificate], Fetcher(registry, clock))
     rp.refresh()
     return rp
 

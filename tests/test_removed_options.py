@@ -1,7 +1,8 @@
-"""Options no caller ever set are constants: passing one is a TypeError.
+"""Options no caller outside the tests set are constants or derived.
 
-A configuration class left with no such option is gone: importing it is
-an ImportError.
+Passing one is a TypeError.  A configuration class left with no such
+option is gone, and so is a name nothing outside the tests imported:
+importing one is an ImportError.
 
 Each bound still holds at its shipped value; the tests that exercise it
 (``tests/rtr/test_session.py::TestDeltaCompaction``,
@@ -10,10 +11,22 @@ value.  So do the fetch defenses (``tests/repository/test_resilience.py``,
 ``tests/repository/test_scheduler.py``), the stall monitor
 (``tests/monitor/test_stall.py``) and the chaos harness
 (``tests/chaos/test_chaos.py``), whose settings only tests ever set.
+The tests that exercise a bound below its shipped value patch the module
+constant: the memo bound (``tests/test_memo.py``,
+``tests/rp/test_incremental.py``), the applied-fault log
+(``tests/repository/test_repository.py``), the mux fairness budget
+(``tests/rtr/test_mux.py``), the query history ring
+(``tests/api/test_service.py``, ``tests/api/test_request_path.py``) and
+the forwarding hop guard (``tests/bgp/test_propagation.py``).
+``tools/check_facade.py`` keeps new facade options honest the same way.
 """
 
 import pytest
 
+from repro import memo
+from repro.api import ApiConfig, QueryService, RateLimitConfig, TokenBucket
+from repro.api import service as api_service
+from repro.bgp import TopologyConfig, forward, forwarding, gen
 from repro.chaos import (
     CampaignConfig,
     FaultPlan,
@@ -22,9 +35,24 @@ from repro.chaos import (
     build_plan,
     shrink_plan,
 )
-from repro.monitor import StallDetector
+from repro.core import OTHER_ORIGIN, plan_whack, validity_matrix
+from repro.memo import GenerationMemo
+from repro.modelgen import (
+    DeploymentConfig,
+    build_deep_hierarchy,
+    build_figure2,
+)
+from repro.monitor import (
+    ChurnConfig,
+    DetectionExperiment,
+    StallDetector,
+    churn,
+    experiment,
+)
 from repro.repository import (
     CircuitBreaker,
+    Fault,
+    FaultInjector,
     FaultKind,
     Fetcher,
     HostedPublicationPoint,
@@ -33,12 +61,21 @@ from repro.repository import (
     FetchScheduler,
     RsyncUri,
 )
-from repro.rp import ParseMemo, RelyingParty
-from repro.rpki import InMemoryPublicationPoint
+from repro.repository import faults
+from repro.rp import (
+    IncrementalState,
+    ParseMemo,
+    RelyingParty,
+    VerificationMemo,
+    VrpSet,
+)
+from repro.rpki import CertificateAuthority, InMemoryPublicationPoint
 from repro.rpki.publication import DEFAULT_HISTORY_LIMIT
-from repro.rtr import ChainedRtrCache, RtrCacheServer
-from repro.simtime import Clock
+from repro.rtr import ChainedRtrCache, RtrCacheServer, SessionMux, mux
+from repro.simtime import HOUR, Clock
 from repro.telemetry import MetricsRegistry
+
+POINT = "rsync://a.example/repo/"
 
 
 def hosted(**options):
@@ -51,6 +88,13 @@ def hosted(**options):
 def chained(**options):
     return ChainedRtrCache(RtrCacheServer(metrics=MetricsRegistry()),
                            **options)
+
+
+def figure2_rp():
+    world = build_figure2()
+    return RelyingParty(world.trust_anchors,
+                        Fetcher(world.registry, world.clock),
+                        metrics=MetricsRegistry())
 
 
 REMOVED = {
@@ -105,6 +149,55 @@ REMOVED = {
         7, 1, ["rsync://a.example/repo/"], max_per_cycle=1),
     "PlannedFault(fail_rate=)": lambda: PlannedFault(
         0, FaultKind.FLAKY, "rsync://a.example/repo/", fail_rate=0.5),
+    # The relying party's clock is its fetcher's; the query service's is
+    # the relying party's.
+    "RelyingParty(clock=)": lambda: RelyingParty(
+        [], Fetcher(RepositoryRegistry(), Clock()), clock=Clock()),
+    "QueryService(clock=)": lambda: QueryService(
+        figure2_rp(), metrics=MetricsRegistry(), clock=Clock()),
+    # One memo bound, repro.memo.MAX_ENTRIES.
+    "GenerationMemo(max_entries)": lambda: GenerationMemo(8),
+    "IncrementalState(max_entries=)": lambda: IncrementalState(
+        metrics=MetricsRegistry(), max_entries=8),
+    "VerificationMemo(max_entries=)": lambda: VerificationMemo(max_entries=8),
+    "ParseMemo(max_entries=)": lambda: ParseMemo(max_entries=8),
+    # FLAKY fails every attempt it matches; the applied log keeps
+    # faults.APPLIED_LIMIT entries.
+    "FaultInjector.schedule(fail_rate=)": lambda: FaultInjector().schedule(
+        FaultKind.FLAKY, POINT, fail_rate=0.5),
+    "Fault(fail_rate=)": lambda: Fault(FaultKind.FLAKY, POINT, fail_rate=0.5),
+    "FaultInjector(applied_limit=)": lambda: FaultInjector(applied_limit=8),
+    "SessionMux(fairness_budget=)": lambda: SessionMux(fairness_budget=8),
+    "ApiConfig(history_depth=)": lambda: ApiConfig(history_depth=8),
+    "TokenBucket.try_acquire(amount=)": lambda: TokenBucket(
+        RateLimitConfig()).try_acquire(0, amount=2),
+    "DeploymentConfig(key_bits=)": lambda: DeploymentConfig(key_bits=1024),
+    "build_figure2(key_bits=)": lambda: build_figure2(key_bits=1024),
+    "build_deep_hierarchy(key_bits=)":
+        lambda: build_deep_hierarchy(key_bits=1024),
+    "DeploymentConfig(shared_ee_keys=)":
+        lambda: DeploymentConfig(flat=True, shared_ee_keys=False),
+    "TopologyConfig(mid_providers=)": lambda: TopologyConfig(mid_providers=1),
+    "TopologyConfig(stub_providers=)":
+        lambda: TopologyConfig(stub_providers=1),
+    "TopologyConfig(mid_peering_prob=)":
+        lambda: TopologyConfig(mid_peering_prob=0.5),
+    "ChurnConfig(new_roa_length=)": lambda: ChurnConfig(new_roa_length=16),
+    "DetectionExperiment(epoch_seconds=)": lambda: DetectionExperiment(
+        registry=RepositoryRegistry(), churn=None, clock=Clock(),
+        epoch_seconds=1, metrics=MetricsRegistry()),
+    "validity_matrix(include_other=)": lambda: validity_matrix(
+        VrpSet(), "10.0.0.0/24", include_other=False),
+    "forward(max_hops=)": lambda: forward(None, 1, "10.0.0.1", max_hops=1),
+    "plan_whack(allow_reissue=)":
+        lambda: plan_whack(None, None, None, allow_reissue=False),
+    "CertificateAuthority.publish(update_manifest=)":
+        lambda: CertificateAuthority.publish(None, update_manifest=False),
+    "CertificateAuthority._issue_rc(enforce_coverage=)":
+        lambda: CertificateAuthority._issue_rc(
+            None, subject="x", subject_public_key=None, ip_resources=None,
+            as_resources=None, sia=POINT, validity=1,
+            enforce_coverage=False),
 }
 
 
@@ -118,10 +211,27 @@ def import_scheduler_config():
     from repro.repository.scheduler import SchedulerConfig  # noqa: F401
 
 
-# Classes no caller outside the tests ever configured: importing one is an
+def import_default_memo_entries():
+    from repro.rp.incremental import DEFAULT_MEMO_ENTRIES  # noqa: F401
+
+
+def import_always_reachable_from_facade():
+    from repro import always_reachable  # noqa: F401
+
+
+def import_reset_default_metrics_from_facade():
+    from repro import reset_default_metrics  # noqa: F401
+
+
+# Classes no caller outside the tests ever configured, the memo bound's
+# old name, and facade names nothing outside the tests imported (they
+# stay in repro.repository and repro.telemetry): importing one is an
 # ImportError.
 GONE = {
     "SchedulerConfig": import_scheduler_config,
+    "DEFAULT_MEMO_ENTRIES": import_default_memo_entries,
+    "repro.always_reachable": import_always_reachable_from_facade,
+    "repro.reset_default_metrics": import_reset_default_metrics_from_facade,
 }
 
 
@@ -134,3 +244,19 @@ def test_removed_name_is_an_import_error(load):
 def test_the_constants_are_in_force():
     assert InMemoryPublicationPoint()._history.maxlen == DEFAULT_HISTORY_LIMIT
     assert hosted()._history.maxlen == DEFAULT_HISTORY_LIMIT
+    assert memo.MAX_ENTRIES == 65536
+    assert faults.APPLIED_LIMIT == 256
+    assert FaultInjector().applied.maxlen == faults.APPLIED_LIMIT
+    assert mux.FAIRNESS_BUDGET == 64
+    assert api_service.HISTORY_DEPTH == 32
+    rp = figure2_rp()
+    assert rp.clock is rp.fetcher.clock
+    service = QueryService(rp, metrics=MetricsRegistry())
+    assert service._history.maxlen == api_service.HISTORY_DEPTH
+    assert service._clock is rp.clock
+    assert (gen.MID_PROVIDERS, gen.STUB_PROVIDERS, gen.MID_PEERING_PROB) == (
+        2, 2, 0.2)
+    assert churn.NEW_ROA_LENGTH == 24
+    assert experiment.EPOCH_SECONDS == HOUR
+    assert forwarding.MAX_HOPS == 64
+    assert validity_matrix(VrpSet(), "10.0.0.0/24").origins == (OTHER_ORIGIN,)

@@ -131,7 +131,6 @@ class CaMachine(RuleBasedStateMachine):
         rp = RelyingParty(
             [self.root.certificate],
             Fetcher(self.registry, self.clock),
-            self.clock,
         )
         rp.refresh()
         expected = set()

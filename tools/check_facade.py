@@ -2,8 +2,9 @@
 """Facade-drift lint: ``repro.__all__`` vs. reality vs. the docs.
 
 The facade (``src/repro/__init__.py``) promises that its ``__all__`` is
-the complete, documented, stable public API.  Three ways that promise
-can silently rot, three checks:
+the complete, documented, stable public API, and that every option it
+offers is one somebody uses.  Four ways that promise can silently rot,
+four checks:
 
 1. **Every name resolves.**  A name listed in ``__all__`` but missing
    from the module (a deleted re-export, a typo) breaks
@@ -14,6 +15,16 @@ can silently rot, three checks:
 3. **The list is sorted and duplicate-free.**  Sorted-by-construction
    keeps diffs reviewable (one insertion per new export) and makes the
    completeness check in code review a scan, not a puzzle.
+4. **Every option has a caller.**  A defaulted parameter of a facade
+   function, of a facade class's ``__init__`` (dataclasses excepted) or
+   of a field of a facade ``*Config`` dataclass must be set by some call
+   under ``src/``, ``benchmarks/``, ``examples/`` or ``tools/`` — by
+   keyword, by position, or (for a config field) through
+   ``dataclasses.replace``.  Passing a literal equal to the default does
+   not count.  A setting only ``tests/`` sets is a constant waiting to
+   happen; one that stays anyway sits in :data:`OPTION_ALLOWLIST` with
+   its reason.  Calls are matched by the callee's name, by AST (no
+   imports of the scanned files).
 
 Run directly (``PYTHONPATH=src python tools/check_facade.py``, exit 1 on
 drift) or via the tier-1 test ``tests/test_facade_drift.py``.
@@ -21,22 +32,56 @@ drift) or via the tier-1 test ``tests/test_facade_drift.py``.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import enum
+import inspect
 import pathlib
 import re
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 API_DOC = REPO_ROOT / "docs" / "API.md"
+CALLER_DIRS = ("src", "benchmarks", "examples", "tools")
+
+# Facade options no call outside tests/ sets, kept anyway: "Owner.option"
+# -> why.  Owner is the facade name (function or class).
+OPTION_ALLOWLIST: dict[str, str] = {
+    "RelyingParty.mode": "removed after the benchmark-only PR",
+    "RelyingParty.strict_manifests":
+        "set both ways by benchmarks/test_bench_ablations.py, through "
+        "make_rp(**kwargs)",
+    "Counter.help": "passed by MetricsRegistry.counter, through cls(...)",
+    "Counter.labelnames": "passed by MetricsRegistry.counter, through cls(...)",
+    "Gauge.help": "passed by MetricsRegistry.gauge, through cls(...)",
+    "Gauge.labelnames": "passed by MetricsRegistry.gauge, through cls(...)",
+    "ResourceCertificate.encoded_payload":
+        "passed by the wire reader, through cls(...)",
+    "DetectionExperiment.metrics":
+        "the telemetry registry, injected like every other component's",
+    "KeyFactory.bits": "tests mint 256-bit keys to probe the key-size check",
+    "DeploymentConfig.cross_border_rate":
+        "the Table 4 bench and examples/border_audit.py spell out the "
+        "paper's 15 %",
+    "Clock.start": "next caller audit: only tests start a clock past 0",
+    "build_table4_world.seed": "next caller audit: only tests reseed it",
+    "nested_bomb.depth": "next caller audit: only tests size the bomb",
+    "trace.registry": "next caller audit: only tests pass a registry",
+}
 
 
-def check_facade() -> list[str]:
-    """Every drift problem in the facade; empty means healthy."""
+def _import_repro():
     sys.path.insert(0, str(REPO_ROOT / "src"))
     try:
         import repro
     finally:
         sys.path.pop(0)
+    return repro
 
+
+def check_facade() -> list[str]:
+    """Every name-level drift problem in the facade; empty means healthy."""
+    repro = _import_repro()
     problems: list[str] = []
     names = list(repro.__all__)
 
@@ -77,8 +122,134 @@ def check_facade() -> list[str]:
     return problems
 
 
+def facade_options(repro) -> list[tuple[str, str, int | None, object]]:
+    """``(owner, option, position, default)`` for every defaulted option.
+
+    *position* is the index a positional argument lands on, or None for
+    a keyword-only option.
+    """
+    options = []
+    for owner in repro.__all__:
+        obj = getattr(repro, owner, None)
+        if inspect.isclass(obj) and dataclasses.is_dataclass(obj):
+            if not owner.endswith("Config"):
+                continue
+            fields = [f for f in dataclasses.fields(obj) if f.init]
+            for position, f in enumerate(fields):
+                if f.default is not dataclasses.MISSING:
+                    default = f.default
+                elif f.default_factory is not dataclasses.MISSING:
+                    default = dataclasses.MISSING  # never a literal
+                else:
+                    continue
+                options.append((owner, f.name, None if f.kw_only else position,
+                                default))
+            continue
+        if inspect.isclass(obj):
+            if issubclass(obj, enum.Enum) or not inspect.isfunction(obj.__init__):
+                continue
+            function, skip = obj.__init__, 1
+        elif inspect.isfunction(obj):
+            function, skip = obj, 0
+        else:
+            continue
+        params = list(inspect.signature(function).parameters.values())[skip:]
+        for position, param in enumerate(params):
+            if param.default is inspect.Parameter.empty:
+                continue
+            positional = param.kind in (param.POSITIONAL_ONLY,
+                                        param.POSITIONAL_OR_KEYWORD)
+            options.append((owner, param.name,
+                            position if positional else None, param.default))
+    return options
+
+
+def _argument(call: ast.Call, name: str, position: int | None):
+    """The expression *call* passes for an option, or None."""
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
+    if position is None:
+        return None
+    for index, arg in enumerate(call.args[:position + 1]):
+        if isinstance(arg, ast.Starred) or index == position:
+            return arg  # a *args splat may reach the option
+    return None
+
+
+def _sets(value: ast.expr | None, default: object) -> bool:
+    """Does passing *value* set the option (not just restate its default)?"""
+    return value is not None and not (
+        isinstance(value, ast.Constant)
+        and type(value.value) is type(default)
+        and value.value == default
+    )
+
+
+def set_options(
+    options: list[tuple[str, str, int | None, object]],
+    roots: tuple[pathlib.Path, ...],
+) -> set[tuple[str, str]]:
+    """The ``(owner, option)`` pairs some call under *roots* sets."""
+    by_owner: dict[str, list[tuple[str, int | None, object]]] = {}
+    by_field: dict[str, list[tuple[str, object]]] = {}
+    for owner, name, position, default in options:
+        by_owner.setdefault(owner, []).append((name, position, default))
+        if owner.endswith("Config"):
+            by_field.setdefault(name, []).append((owner, default))
+    found: set[tuple[str, str]] = set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for call in ast.walk(tree):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                callee = (func.id if isinstance(func, ast.Name)
+                          else func.attr if isinstance(func, ast.Attribute)
+                          else None)
+                if callee == "replace":
+                    for keyword in call.keywords:
+                        for owner, default in by_field.get(keyword.arg, ()):
+                            if _sets(keyword.value, default):
+                                found.add((owner, keyword.arg))
+                    continue
+                for name, position, default in by_owner.get(callee, ()):
+                    if _sets(_argument(call, name, position), default):
+                        found.add((callee, name))
+    return found
+
+
+def check_options(
+    allowlist: dict[str, str] = OPTION_ALLOWLIST,
+    roots: tuple[pathlib.Path, ...] = tuple(
+        REPO_ROOT / d for d in CALLER_DIRS),
+) -> list[str]:
+    """Every facade option with no caller outside tests/ and no reason."""
+    options = facade_options(_import_repro())
+    found = set_options(options, roots)
+    problems = []
+    for owner, name, _position, _default in options:
+        key = f"{owner}.{name}"
+        if (owner, name) in found:
+            if key in allowlist:
+                problems.append(f"option {key} has a caller now: drop its "
+                                "OPTION_ALLOWLIST row")
+        elif key not in allowlist:
+            problems.append(
+                f"option {key} is set by no call outside tests/: make it a "
+                "constant, or give it an OPTION_ALLOWLIST row with a reason"
+            )
+    known = {f"{owner}.{name}" for owner, name, _p, _d in options}
+    for key in allowlist:
+        if key not in known:
+            problems.append(f"OPTION_ALLOWLIST row {key} names no facade "
+                            "option")
+    return problems
+
+
 def main() -> int:
-    problems = check_facade()
+    problems = check_facade() + check_options()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
