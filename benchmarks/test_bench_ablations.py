@@ -53,8 +53,7 @@ def test_ablation_countermeasures_vs_whack(benchmark):
 
         # Suspenders
         world = build_figure2()
-        srp = SuspendersRelyingParty(make_rp(world), world.clock,
-                                     grace_seconds=24 * HOUR)
+        srp = SuspendersRelyingParty(make_rp(world), grace_seconds=24 * HOUR)
         srp.refresh()
         execute_whack(plan_whack(world.sprint, world.target20,
                                  world.continental))

@@ -55,8 +55,7 @@ def main() -> None:
 
     # -- 2. Suspenders --------------------------------------------------------
     world = build_figure2()
-    srp = SuspendersRelyingParty(make_rp(world), world.clock,
-                                 grace_seconds=24 * HOUR)
+    srp = SuspendersRelyingParty(make_rp(world), grace_seconds=24 * HOUR)
     srp.refresh()
     execute_whack(plan_whack(world.sprint, world.target20, world.continental))
     world.clock.advance(HOUR)

@@ -9,6 +9,7 @@ on top decides what looks abusive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..resources import ResourceSet
 from ..rpki import Crl, ResourceCertificate, Roa
@@ -26,8 +27,10 @@ class CertChange:
     before: ResourceCertificate
     after: ResourceCertificate
 
-    @property
+    @cached_property
     def lost_resources(self) -> ResourceSet:
+        """The address space the new certificate no longer holds;
+        computed once, however often ``shrank`` and the alerts ask."""
         return self.before.ip_resources.subtract(self.after.ip_resources)
 
     @property

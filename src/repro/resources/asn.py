@@ -3,14 +3,21 @@
 RPKI certificates may carry AS-number resources alongside IP resources
 (RFC 3779); ROAs bind one origin ASN to a prefix.  We model 32-bit ASNs
 (RFC 6793) throughout.
+
+:class:`AsnRange` and :class:`AsnSet` are thin types over the interval
+algebra of :mod:`repro.resources.intervals`, the one the address sets
+use: a single AS number or range is answered by one bisection, ``covers``
+and ``overlaps`` of a set by one bisection per range, and ``subtract``,
+``intersect`` and ``union`` by one linear merge, O(n + m).
 """
 
 from __future__ import annotations
 
+import enum
 import functools
-from typing import Iterable, Iterator
 
 from .errors import AsnValueError
+from .intervals import Interval, IntervalSet
 
 __all__ = ["ASN", "AsnRange", "AsnSet", "AS_MAX"]
 
@@ -73,11 +80,19 @@ class ASN:
         return f"ASN({self._value})"
 
 
-@functools.total_ordering
-class AsnRange:
+class _AsNumbers(enum.Enum):
+    """AS numbers as an interval family, beside the two address families
+    of :class:`~repro.resources.ipaddr.Afi`."""
+
+    ASN = 0
+
+
+class AsnRange(Interval):
     """An inclusive range of AS numbers."""
 
     __slots__ = ("_start", "_end")
+
+    _afi = _AsNumbers.ASN
 
     def __init__(self, start: int, end: int):
         if not 0 <= start <= end <= AS_MAX:
@@ -85,44 +100,16 @@ class AsnRange:
         self._start = start
         self._end = end
 
+    def _with(self, start: int, end: int) -> "AsnRange":
+        return AsnRange(start, end)
+
     @classmethod
     def single(cls, asn: ASN | int) -> "AsnRange":
         value = int(asn)
         return cls(value, value)
 
-    @property
-    def start(self) -> int:
-        return self._start
-
-    @property
-    def end(self) -> int:
-        return self._end
-
-    @property
-    def size(self) -> int:
-        return self._end - self._start + 1
-
-    def covers(self, other: "AsnRange") -> bool:
-        return self._start <= other._start and other._end <= self._end
-
     def contains(self, asn: ASN | int) -> bool:
         return self._start <= int(asn) <= self._end
-
-    def overlaps(self, other: "AsnRange") -> bool:
-        return self._start <= other._end and other._start <= self._end
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AsnRange):
-            return NotImplemented
-        return self._start == other._start and self._end == other._end
-
-    def __lt__(self, other: "AsnRange") -> bool:
-        if not isinstance(other, AsnRange):
-            return NotImplemented
-        return (self._start, self._end) < (other._start, other._end)
-
-    def __hash__(self) -> int:
-        return hash(("AsnRange", self._start, self._end))
 
     def __str__(self) -> str:
         if self._start == self._end:
@@ -133,17 +120,23 @@ class AsnRange:
         return f"AsnRange({self._start}, {self._end})"
 
 
-class AsnSet:
+class AsnSet(IntervalSet):
     """An immutable, normalized set of AS numbers.
 
-    Mirrors :class:`repro.resources.ranges.ResourceSet` for the AS-number
-    side of RFC 3779 resource extensions.
+    The AS-number side of an RFC 3779 resource extension.  ``covers``,
+    ``overlaps``, ``subtract``, ``intersect`` and ``union`` take another
+    set, an :class:`AsnRange`, an :class:`ASN` or an int.
     """
 
-    __slots__ = ("_ranges",)
+    __slots__ = ()
 
-    def __init__(self, ranges: Iterable[AsnRange] = ()):
-        self._ranges = _normalize(ranges)
+    _MEMBERS = (ASN, int)
+
+    @staticmethod
+    def _interval_of(item: object) -> AsnRange | None:
+        if isinstance(item, (ASN, int)):
+            return AsnRange.single(item)
+        return item if isinstance(item, AsnRange) else None
 
     @classmethod
     def of(cls, *asns: ASN | int) -> "AsnSet":
@@ -153,89 +146,5 @@ class AsnSet:
     def universe(cls) -> "AsnSet":
         return cls([AsnRange(0, AS_MAX)])
 
-    @classmethod
-    def empty(cls) -> "AsnSet":
-        return cls()
-
-    @property
-    def ranges(self) -> tuple[AsnRange, ...]:
-        return self._ranges
-
-    @property
-    def size(self) -> int:
-        return sum(r.size for r in self._ranges)
-
-    def is_empty(self) -> bool:
-        return not self._ranges
-
-    def covers(self, other: "AsnSet | AsnRange | ASN | int") -> bool:
-        if isinstance(other, (ASN, int)):
-            other = AsnRange.single(other)
-        if isinstance(other, AsnRange):
-            return any(mine.covers(other) for mine in self._ranges)
-        return all(self.covers(r) for r in other._ranges)
-
-    def union(self, other: "AsnSet") -> "AsnSet":
-        return AsnSet(self._ranges + other._ranges)
-
-    def subtract(self, other: "AsnSet | AsnRange | ASN | int") -> "AsnSet":
-        if isinstance(other, (ASN, int)):
-            other = AsnSet([AsnRange.single(other)])
-        elif isinstance(other, AsnRange):
-            other = AsnSet([other])
-        remaining = list(self._ranges)
-        for hole in other._ranges:
-            next_remaining: list[AsnRange] = []
-            for piece in remaining:
-                next_remaining.extend(_subtract_one(piece, hole))
-            remaining = next_remaining
-        return AsnSet(remaining)
-
-    def __contains__(self, item: object) -> bool:
-        if isinstance(item, (ASN, int)):
-            return self.covers(item)
-        return False
-
-    def __iter__(self) -> Iterator[AsnRange]:
-        return iter(self._ranges)
-
-    def __len__(self) -> int:
-        return len(self._ranges)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AsnSet):
-            return NotImplemented
-        return self._ranges == other._ranges
-
-    def __hash__(self) -> int:
-        return hash(self._ranges)
-
-    def __str__(self) -> str:
-        if not self._ranges:
-            return "{}"
-        return "{" + ", ".join(str(r) for r in self._ranges) + "}"
-
     def __repr__(self) -> str:
         return f"AsnSet({list(self._ranges)!r})"
-
-
-def _normalize(ranges: Iterable[AsnRange]) -> tuple[AsnRange, ...]:
-    merged: list[AsnRange] = []
-    for range_ in sorted(ranges):
-        if merged and range_.start <= merged[-1].end + 1:
-            if range_.end > merged[-1].end:
-                merged[-1] = AsnRange(merged[-1].start, range_.end)
-            continue
-        merged.append(range_)
-    return tuple(merged)
-
-
-def _subtract_one(piece: AsnRange, hole: AsnRange) -> list[AsnRange]:
-    if not piece.overlaps(hole):
-        return [piece]
-    out: list[AsnRange] = []
-    if piece.start < hole.start:
-        out.append(AsnRange(piece.start, hole.start - 1))
-    if hole.end < piece.end:
-        out.append(AsnRange(hole.end + 1, piece.end))
-    return out

@@ -8,26 +8,27 @@ shrinks Continental Broadband's certificate to the two ranges
 hole around the target ROA.  :class:`ResourceSet` is the algebra that makes
 such hole-punching a one-line operation (:meth:`ResourceSet.subtract`).
 
-Ranges are stored normalized: sorted, non-overlapping, non-adjacent.  All
-set operations preserve that invariant, which the property-based tests pin
-down.
+Both types are thin: the algebra is :mod:`repro.resources.intervals`,
+shared with the AS-number sets.  Ranges are stored normalized (sorted,
+non-overlapping, non-adjacent), which the property-based tests pin down;
+a prefix or a single range is answered by one bisection, ``covers`` and
+``overlaps`` of a set by one bisection per range, and ``subtract``,
+``intersect`` and ``union`` by one linear merge, O(n + m).
 """
 
 from __future__ import annotations
 
-import functools
-from bisect import bisect_right
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import AfiMismatchError, RangeValueError
+from .intervals import Interval, IntervalSet
 from .ipaddr import Afi, format_address, parse_address
 from .prefix import Prefix
 
 __all__ = ["AddressRange", "ResourceSet"]
 
 
-@functools.total_ordering
-class AddressRange:
+class AddressRange(Interval):
     """An immutable, inclusive range of IP addresses of one family.
 
     ``AddressRange`` is the primitive unit of an RFC 3779 resource
@@ -45,6 +46,9 @@ class AddressRange:
         self._afi = afi
         self._start = start
         self._end = end
+
+    def _with(self, start: int, end: int) -> "AddressRange":
+        return AddressRange(self._afi, start, end)
 
     # -- constructors -----------------------------------------------------
 
@@ -76,28 +80,7 @@ class AddressRange:
     def afi(self) -> Afi:
         return self._afi
 
-    @property
-    def start(self) -> int:
-        return self._start
-
-    @property
-    def end(self) -> int:
-        return self._end
-
-    @property
-    def size(self) -> int:
-        """Number of addresses in the range."""
-        return self._end - self._start + 1
-
     # -- relations -----------------------------------------------------------
-
-    def covers(self, other: "AddressRange") -> bool:
-        """True if *other* lies entirely inside this range."""
-        return (
-            self._afi is other._afi
-            and self._start <= other._start
-            and other._end <= self._end
-        )
 
     def covers_prefix(self, prefix: Prefix) -> bool:
         """True if the whole *prefix* lies inside this range."""
@@ -106,14 +89,6 @@ class AddressRange:
     def contains_address(self, address: int) -> bool:
         """True if the integer *address* lies inside this range."""
         return self._start <= address <= self._end
-
-    def overlaps(self, other: "AddressRange") -> bool:
-        """True if the ranges share at least one address."""
-        return (
-            self._afi is other._afi
-            and self._start <= other._end
-            and other._start <= self._end
-        )
 
     def adjacent_to(self, other: "AddressRange") -> bool:
         """True if the ranges touch end-to-start with no gap."""
@@ -153,27 +128,6 @@ class AddressRange:
 
     # -- dunder -------------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AddressRange):
-            return NotImplemented
-        return (
-            self._afi is other._afi
-            and self._start == other._start
-            and self._end == other._end
-        )
-
-    def __lt__(self, other: "AddressRange") -> bool:
-        if not isinstance(other, AddressRange):
-            return NotImplemented
-        return (self._afi.value, self._start, self._end) < (
-            other._afi.value,
-            other._start,
-            other._end,
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._afi, self._start, self._end))
-
     def __str__(self) -> str:
         as_prefix = self.as_prefix()
         if as_prefix is not None:
@@ -187,11 +141,7 @@ class AddressRange:
         return f"AddressRange({str(self)!r})"
 
 
-def _start_of(r: AddressRange) -> tuple[int, int]:
-    return r._afi.value, r._start
-
-
-class ResourceSet:
+class ResourceSet(IntervalSet):
     """An immutable, normalized set of IP addresses (both families allowed).
 
     This is the value type of an RPKI certificate's resource extension.
@@ -203,14 +153,23 @@ class ResourceSet:
       (:meth:`subtract`) and checks the remainder still covers every other
       descendant object (:meth:`covers`).
 
-    The internal representation is a sorted tuple of disjoint,
-    non-adjacent :class:`AddressRange` values per family.
+    ``covers``, ``overlaps``, ``subtract``, ``intersect`` and ``union``
+    take another set, an :class:`AddressRange` or a :class:`Prefix`:
+    ``sprint_rc.resources.subtract(target_roa.prefix)`` is precisely the
+    Figure 3 manipulation.  The internal representation is a sorted
+    tuple of disjoint, non-adjacent :class:`AddressRange` values, IPv4
+    before IPv6.
     """
 
-    __slots__ = ("_ranges",)
+    __slots__ = ()
 
-    def __init__(self, ranges: Iterable[AddressRange] = ()):
-        self._ranges: tuple[AddressRange, ...] = _normalize(ranges)
+    _MEMBERS = (Prefix, AddressRange)
+
+    @staticmethod
+    def _interval_of(item: object) -> AddressRange | None:
+        if isinstance(item, Prefix):
+            return AddressRange.from_prefix(item)
+        return item if isinstance(item, AddressRange) else None
 
     # -- constructors ----------------------------------------------------
 
@@ -231,161 +190,16 @@ class ResourceSet:
         """The set of every address of one family (what IANA holds)."""
         return cls([AddressRange(afi, 0, afi.max_address)])
 
-    @classmethod
-    def empty(cls) -> "ResourceSet":
-        return cls()
-
     # -- accessors ---------------------------------------------------------
-
-    @property
-    def ranges(self) -> tuple[AddressRange, ...]:
-        """The normalized ranges, sorted by family then address."""
-        return self._ranges
-
-    @property
-    def size(self) -> int:
-        """Total number of addresses across all ranges."""
-        return sum(r.size for r in self._ranges)
-
-    def is_empty(self) -> bool:
-        return not self._ranges
 
     def prefixes(self) -> Iterator[Prefix]:
         """Minimal CIDR decomposition of the whole set, in order."""
         for range_ in self._ranges:
             yield from range_.to_prefixes()
 
-    # -- relations ------------------------------------------------------------
-
-    def covers(self, other: "ResourceSet | AddressRange | Prefix") -> bool:
-        """True if every address of *other* is in this set.
-
-        An empty set is covered by anything (vacuous truth), matching the
-        RFC 3779 subset requirement for certificates with empty deltas.
-        """
-        if isinstance(other, Prefix):
-            other = AddressRange.from_prefix(other)
-        if isinstance(other, AddressRange):
-            return self.covers_span(other._afi, other._start, other._end)
-        return all(self.covers(r) for r in other._ranges)
-
-    def covers_span(self, afi: Afi, start: int, end: int) -> bool:
-        """``covers(AddressRange(afi, start, end))`` for a valid range,
-        without building it."""
-        # Sorted and disjoint: only the last range that starts at or
-        # before the span can hold it.  (A scan here made one ROA over
-        # n scattered prefixes cost n**2 to judge.)
-        ranges = self._ranges
-        at = bisect_right(ranges, (afi.value, start), key=_start_of)
-        if not at:
-            return False
-        holder = ranges[at - 1]
-        return holder._afi is afi and holder._start <= start \
-            and end <= holder._end
-
     def covers_address(self, afi: Afi, address: int) -> bool:
         """True if one integer address is in the set."""
-        return any(
-            r.afi is afi and r.contains_address(address) for r in self._ranges
-        )
-
-    def overlaps(self, other: "ResourceSet | AddressRange | Prefix") -> bool:
-        """True if the two sets share at least one address."""
-        if isinstance(other, Prefix):
-            other = AddressRange.from_prefix(other)
-        if isinstance(other, AddressRange):
-            return any(mine.overlaps(other) for mine in self._ranges)
-        return any(self.overlaps(r) for r in other._ranges)
-
-    # -- algebra ------------------------------------------------------------
-
-    def union(self, other: "ResourceSet") -> "ResourceSet":
-        """Set union (normalizing merges adjacency automatically)."""
-        return ResourceSet(self._ranges + other._ranges)
-
-    def subtract(self, other: "ResourceSet | AddressRange | Prefix") -> "ResourceSet":
-        """Remove *other*'s addresses — the hole-punching primitive.
-
-        ``sprint_rc.resources.subtract(target_roa.prefix)`` is precisely the
-        Figure 3 manipulation.
-        """
-        if isinstance(other, Prefix):
-            other = ResourceSet([AddressRange.from_prefix(other)])
-        elif isinstance(other, AddressRange):
-            other = ResourceSet([other])
-        remaining = list(self._ranges)
-        for hole in other._ranges:
-            next_remaining: list[AddressRange] = []
-            for piece in remaining:
-                next_remaining.extend(_range_subtract(piece, hole))
-            remaining = next_remaining
-        return ResourceSet(remaining)
-
-    def intersect(self, other: "ResourceSet") -> "ResourceSet":
-        """Set intersection."""
-        out: list[AddressRange] = []
-        for a in self._ranges:
-            for b in other._ranges:
-                if a.overlaps(b):
-                    out.append(
-                        AddressRange(a.afi, max(a.start, b.start), min(a.end, b.end))
-                    )
-        return ResourceSet(out)
-
-    # -- dunder -------------------------------------------------------------
-
-    def __contains__(self, item: object) -> bool:
-        if isinstance(item, Prefix):
-            return self.covers(item)
-        if isinstance(item, AddressRange):
-            return self.covers(item)
-        return False
-
-    def __iter__(self) -> Iterator[AddressRange]:
-        return iter(self._ranges)
-
-    def __len__(self) -> int:
-        return len(self._ranges)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ResourceSet):
-            return NotImplemented
-        return self._ranges == other._ranges
-
-    def __hash__(self) -> int:
-        return hash(self._ranges)
-
-    def __str__(self) -> str:
-        if not self._ranges:
-            return "{}"
-        return "{" + ", ".join(str(r) for r in self._ranges) + "}"
+        return self.covers_span(afi, address, address)
 
     def __repr__(self) -> str:
         return f"ResourceSet({', '.join(repr(str(r)) for r in self._ranges)})"
-
-
-def _normalize(ranges: Iterable[AddressRange]) -> tuple[AddressRange, ...]:
-    """Sort, merge overlaps and adjacency; the ResourceSet invariant."""
-    ordered: Sequence[AddressRange] = sorted(ranges)
-    merged: list[AddressRange] = []
-    for range_ in ordered:
-        if merged:
-            last = merged[-1]
-            if last.afi is range_.afi and range_.start <= last.end + 1:
-                if range_.end > last.end:
-                    merged[-1] = AddressRange(last.afi, last.start, range_.end)
-                continue
-        merged.append(range_)
-    return tuple(merged)
-
-
-def _range_subtract(piece: AddressRange, hole: AddressRange) -> list[AddressRange]:
-    """Subtract one range from another, returning 0, 1 or 2 remainders."""
-    if not piece.overlaps(hole):
-        return [piece]
-    out: list[AddressRange] = []
-    if piece.start < hole.start:
-        out.append(AddressRange(piece.afi, piece.start, hole.start - 1))
-    if hole.end < piece.end:
-        out.append(AddressRange(piece.afi, hole.end + 1, piece.end))
-    return out

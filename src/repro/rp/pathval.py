@@ -315,8 +315,8 @@ class PathValidator:
         issues: list[ValidationIssue] = []
         verify_before = self._verify_calls
 
-        copy = self._select_point_copy(ca_cert, cache_files, now)
-        if copy is None:
+        selected = self._select_point_copy(ca_cert, cache_files, now)
+        if selected is None:
             issues.append(ValidationIssue(
                 Severity.ERROR, ca_cert.sia, "", "point-missing",
                 f"publication point of {ca_cert.subject!r} absent from cache",
@@ -325,6 +325,7 @@ class PathValidator:
                 ca_cert, cache_files, digests, None, now,
                 issues, [], [], None, None, verify_before,
             )
+        copy, manifest_issues, usable = selected
         point_uri = copy.uri
         if point_uri != ca_cert.sia:
             issues.append(ValidationIssue(
@@ -333,7 +334,7 @@ class PathValidator:
             ))
 
         crl = self._load_crl(copy, ca_cert, now, issues)
-        usable = self._apply_manifest(copy, ca_cert, now, issues)
+        issues.extend(manifest_issues)
         children: list[ResourceCertificate] = []
         roas: list[tuple[str, RoaRow]] = []
         contact: GhostbustersRecord | None = None
@@ -543,50 +544,32 @@ class PathValidator:
         ca_cert: ResourceCertificate,
         cache_files: dict[str, dict[str, bytes]],
         now: int,
-    ) -> "_PointCopy | None":
+    ) -> "tuple[_PointCopy, list[ValidationIssue], set[str] | None] | None":
         """Pick which cached copy of a CA's publication point to use.
 
-        Candidates are the primary SIA then each mirror.  A copy is
-        *consistent* when its manifest parses, verifies under the CA key,
-        is current, and every listed file is present with a matching
-        hash.  The first consistent copy wins; if none is consistent, the
-        first cached copy (primary preferred) is returned so its problems
-        surface as ordinary validation issues.  None: nothing is cached.
+        Candidates are the primary SIA then each mirror, each judged once
+        by :meth:`_apply_manifest`.  A copy is *consistent* when that
+        judgement records no issue: its manifest parses, verifies under
+        the CA key, is current, and lists exactly the files present, each
+        with a matching hash.  The first consistent copy wins; if none
+        is, the first cached copy (primary preferred) is used so its
+        problems surface as ordinary validation issues.  Returns the copy
+        with its manifest issues and usable file names, or None if
+        nothing is cached.
         """
-        first_present: _PointCopy | None = None
+        first_present = None
         for uri in ca_cert.all_publication_uris:
             files = cache_files.get(uri)
             if files is None:
                 continue
             copy = _PointCopy(uri, files)
+            issues: list[ValidationIssue] = []
+            usable = self._apply_manifest(copy, ca_cert, now, issues)
+            if not issues:
+                return copy, issues, usable
             if first_present is None:
-                first_present = copy
-            if self._copy_is_consistent(copy, ca_cert, now):
-                return copy
+                first_present = copy, issues, usable
         return first_present
-
-    def _copy_is_consistent(
-        self, copy: "_PointCopy", ca_cert: ResourceCertificate, now: int
-    ) -> bool:
-        if MANIFEST_FILE not in copy.files:
-            return False
-        try:
-            manifest = self._parse_file(copy, MANIFEST_FILE)
-        except Exception:
-            return False  # an unparseable manifest is an inconsistent copy
-        if not isinstance(manifest, Manifest):
-            return False
-        if not self._verify(manifest, ca_cert.subject_key):
-            return False
-        if manifest.next_update < now:
-            return False
-        digests = copy.digests
-        on_disk = {name for name in digests if name != MANIFEST_FILE}
-        if manifest.file_names != on_disk:
-            return False
-        return all(
-            digests[name] == manifest.hash_of(name) for name in on_disk
-        )
 
     def _load_crl(self, copy, ca_cert, now, issues) -> Crl | None:
         point_uri = copy.uri

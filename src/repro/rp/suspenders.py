@@ -56,14 +56,16 @@ class SuspendersRelyingParty:
     Use exactly like a relying party: :meth:`refresh` then
     :meth:`classify`.  The effective VRP set is the natural validation
     output plus any retained VRPs still inside their grace window.
+    Retention is judged on the relying party's own clock, the one its
+    validity checks run on.
     """
 
-    def __init__(self, rp: RelyingParty, clock, *, grace_seconds: int):
+    def __init__(self, rp: RelyingParty, *, grace_seconds: int):
         if grace_seconds <= 0:
             raise ValueError(f"grace period must be positive: {grace_seconds}")
         self.rp = rp
         self.grace_seconds = grace_seconds
-        self._clock = clock
+        self._clock = rp.clock
         self._retained: dict[VRP, RetainedVrp] = {}
         # The previous run's evidence: vrp -> (ee_serial, not_after, point).
         self._provenance: dict[VRP, tuple[int, int, str]] = {}

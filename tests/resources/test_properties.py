@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.resources import (
+    AS_MAX,
+    ASN,
     Afi,
     AddressRange,
     AsnRange,
@@ -20,6 +22,8 @@ from repro.resources import (
     ResourceSet,
 )
 from repro.resources.ipaddr import format_ipv4, format_ipv6, parse_ipv4, parse_ipv6
+
+from . import reference_ranges
 
 # -- strategies ------------------------------------------------------------
 
@@ -204,6 +208,65 @@ def test_asn_subtract_union_roundtrip(xs, ys):
     assert a.covers(d)
     for r in d.ranges:
         assert not any(h.overlaps(r) for h in b.ranges)
+
+
+# -- one algebra vs the two nested-loop copies it replaced --------------------
+
+
+def corner_bounds(draw, top):
+    """Two ordered bounds inside a 64-wide corner at either end of
+    ``[0, top]``, so draws overlap, touch, nest and hit the edges."""
+    base = draw(st.sampled_from((0, top - 63)))
+    low, high = sorted((draw(st.integers(0, 63)), draw(st.integers(0, 63))))
+    return base + low, base + high
+
+
+@st.composite
+def corner_address_ranges(draw):
+    afi = draw(st.sampled_from(list(Afi)))
+    return AddressRange(afi, *corner_bounds(draw, afi.max_address))
+
+
+@st.composite
+def corner_asn_ranges(draw):
+    return AsnRange(*corner_bounds(draw, AS_MAX))
+
+
+def assert_same_set(new, old):
+    assert new.ranges == old.ranges
+    assert (str(new), repr(new)) == (str(old), repr(old))
+
+
+def assert_agree(shipped, reference, xs, ys, singles):
+    """Every operation of *shipped* over ranges *xs* (and *ys*, or one
+    of *singles*) answers as *reference* does."""
+    new_a, new_b = shipped(xs), shipped(ys)
+    old_a, old_b = reference(xs), reference(ys)
+    assert_same_set(new_a, old_a)
+    assert_same_set(new_b, old_b)
+    for new_arg, old_arg in [(new_b, old_b)] + [(s, s) for s in singles]:
+        assert new_a.covers(new_arg) == old_a.covers(old_arg), old_arg
+        assert new_a.overlaps(new_arg) == old_a.overlaps(old_arg), old_arg
+        assert_same_set(new_a.subtract(new_arg), old_a.subtract(old_arg))
+    assert_same_set(new_a.intersect(new_b), old_a.intersect(old_b))
+    assert_same_set(new_a.union(new_b), old_a.union(old_b))
+
+
+@given(st.lists(corner_address_ranges(), max_size=8),
+       st.lists(corner_address_ranges(), max_size=8))
+@settings(max_examples=200)
+def test_resource_set_agrees_with_the_reference(xs, ys):
+    prefixes = [p for y in ys[:2] for p in y.to_prefixes()][:4]
+    assert_agree(ResourceSet, reference_ranges.ResourceSet, xs, ys,
+                 ys + prefixes)
+
+
+@given(st.lists(corner_asn_ranges(), max_size=8),
+       st.lists(corner_asn_ranges(), max_size=8))
+@settings(max_examples=200)
+def test_asn_set_agrees_with_the_reference(xs, ys):
+    numbers = [y.start for y in ys[:2]] + [ASN(y.end) for y in ys[:2]]
+    assert_agree(AsnSet, reference_ranges.AsnSet, xs, ys, ys + numbers)
 
 
 # -- prefix map vs brute force ------------------------------------------------

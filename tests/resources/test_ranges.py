@@ -1,5 +1,6 @@
 """Unit tests for AddressRange and ResourceSet, incl. Figure 3 hole-punch."""
 
+import cProfile
 import math
 import random
 
@@ -9,6 +10,8 @@ from repro.resources import (
     AddressRange,
     Afi,
     AfiMismatchError,
+    AsnRange,
+    AsnSet,
     Prefix,
     RangeValueError,
     ResourceSet,
@@ -256,3 +259,74 @@ class TestCoversAtSize:
                     m.covers(range_) for m in mine.ranges)
             for prefix in pick.to_prefixes():
                 assert mine.covers(prefix)
+
+
+def python_calls(work) -> int:
+    """The Python function calls *work* makes."""
+    profile = cProfile.Profile(builtins=False)
+    profile.enable()
+    try:
+        work()
+    finally:
+        profile.disable()
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+class TestAlgebraAtSize:
+    """An authority chooses how many ranges it signs, and a monitor
+    subtracts a reissued certificate's set from the old one: no set
+    operation may cost n**2.  Each set-against-set operation is one
+    linear merge, so its calls at most about double with n; every range
+    against every range quadruples them.  A holder of n ranges covering
+    each of n one-range sets is n bisections, not n walks of its ranges:
+    that is a CA judging each one-prefix ROA or one-range child it signs."""
+
+    SIZES = (500, 1_000)
+
+    @staticmethod
+    def operations(count):
+        rng = random.Random(count)
+        ranges = scattered(rng, Afi.IPV4, count)
+        mine = ResourceSet(ranges)
+        # Each of theirs overlaps the top of one of mine and runs on into
+        # the gap after it.
+        straddling = ResourceSet(
+            AddressRange(Afi.IPV4, r.end, r.end + 100) for r in ranges)
+        # Interleaved with mine and touching none: no early exit.
+        between = ResourceSet(
+            AddressRange(Afi.IPV4, r.end + 1_000, r.end + 1_100)
+            for r in ranges)
+        asns = AsnSet(AsnRange(r.start, r.end) for r in ranges)
+        assert len(mine) == len(straddling) == len(between) == count
+        # The top range last: a walk from the bottom does its worst.
+        singles = [ResourceSet([r]) for r in reversed(ranges)]
+        asn_singles = [AsnSet([r]) for r in reversed(asns.ranges)]
+        return {
+            "subtract": lambda: mine.subtract(straddling),
+            "intersect": lambda: mine.intersect(straddling),
+            "overlaps": lambda: mine.overlaps(between),
+            "AsnSet.covers": lambda: asns.covers(AsnSet(asns.ranges)),
+            "covers each one-range set": lambda: all(
+                mine.covers(one) for one in singles),
+            "AsnSet.covers each one-range set": lambda: all(
+                asns.covers(one) for one in asn_singles),
+        }
+
+    def test_set_operations_grow_linearly(self):
+        small, large = (
+            {name: python_calls(work)
+             for name, work in self.operations(count).items()}
+            for count in self.SIZES)
+        for name in small:
+            assert large[name] <= 2.5 * small[name], (
+                name, small[name], large[name])
+
+    def test_answers(self):
+        ops = self.operations(500)
+        assert len(ops["intersect"]()) == 500
+        assert ops["subtract"]().union(ops["intersect"]()) == ResourceSet(
+            scattered(random.Random(500), Afi.IPV4, 500))
+        assert ops["overlaps"]() is False
+        assert ops["AsnSet.covers"]() is True
+        assert ops["covers each one-range set"]() is True
+        assert ops["AsnSet.covers each one-range set"]() is True

@@ -139,12 +139,11 @@ class TestMultiplePublicationPoints:
 class TestSuspenders:
     def make(self, world, grace=3 * HOUR):
         rp = make_rp(world)
-        return SuspendersRelyingParty(rp, world.clock, grace_seconds=grace)
+        return SuspendersRelyingParty(rp, grace_seconds=grace)
 
     def test_rejects_nonpositive_grace(self, world):
         with pytest.raises(ValueError):
-            SuspendersRelyingParty(make_rp(world), world.clock,
-                                   grace_seconds=0)
+            SuspendersRelyingParty(make_rp(world), grace_seconds=0)
 
     def test_steady_state_matches_plain_rp(self, world):
         srp = self.make(world)
@@ -324,8 +323,7 @@ class TestSuspendersUnderChurn:
     def test_sloppy_retirement_lingers(self, world):
         from repro.monitor import ChurnConfig, ChurnEngine
 
-        srp = SuspendersRelyingParty(make_rp(world), world.clock,
-                                     grace_seconds=6 * HOUR)
+        srp = SuspendersRelyingParty(make_rp(world), grace_seconds=6 * HOUR)
         srp.refresh()
         before_count = len(srp.vrps)
         churn = ChurnEngine(
@@ -351,8 +349,7 @@ class TestSuspendersUnderChurn:
     def test_proper_retirement_lands_immediately(self, world):
         from repro.monitor import ChurnConfig, ChurnEngine
 
-        srp = SuspendersRelyingParty(make_rp(world), world.clock,
-                                     grace_seconds=6 * HOUR)
+        srp = SuspendersRelyingParty(make_rp(world), grace_seconds=6 * HOUR)
         srp.refresh()
         before_count = len(srp.vrps)
         churn = ChurnEngine(
@@ -377,8 +374,7 @@ class TestSuspendersReadsTheRun:
     def test_refresh_verifies_only_what_its_relying_party_does(
         self, world, monkeypatch
     ):
-        srp = SuspendersRelyingParty(make_rp(world), world.clock,
-                                     grace_seconds=10 * HOUR)
+        srp = SuspendersRelyingParty(make_rp(world), grace_seconds=10 * HOUR)
         srp.refresh()
         world.continental.delete_object(world.target20_name)
         world.clock.advance(HOUR)
@@ -417,7 +413,7 @@ class TestSuspendersReadsTheRun:
         mirror_uri = TestMultiplePublicationPoints().add_mirror(world)
         faults = FaultInjector(seed=2)
         srp = SuspendersRelyingParty(make_rp(world, faults=faults),
-                                     world.clock, grace_seconds=10 * HOUR)
+                                     grace_seconds=10 * HOUR)
         assert not srp.refresh().run.has_issue("using-mirror")
         serial = world.target20.ee_cert.serial
         world.continental.revoke_roa(world.target20_name)

@@ -275,6 +275,72 @@ class TestZeroChurnRefresh:
         assert second == first
 
 
+class TestOneJudgementPerManifest:
+    """Choosing a point's copy judges its manifest; validating the point
+    reuses that judgement instead of parsing and verifying it again."""
+
+    @staticmethod
+    def refresh_counting(rp, monkeypatch):
+        """Refresh *rp*: its report and, per validated point, its
+        ``verify_count`` and the verification-memo misses and hits its
+        validation made."""
+        memo = rp.incremental_state.verify_memo
+        points = []
+        validate = PathValidator._validate_point
+
+        def counted(self, *args):
+            misses, hits = memo.misses, memo.hits
+            result = validate(self, *args)
+            points.append((result.verify_count, memo.misses - misses,
+                           memo.hits - hits))
+            return result
+
+        monkeypatch.setattr(PathValidator, "_validate_point", counted)
+        report = rp.refresh()
+        monkeypatch.setattr(PathValidator, "_validate_point", validate)
+        return report, points
+
+    def test_cold_refresh_verifies_each_signature_once(
+        self, world, monkeypatch
+    ):
+        rp = make_rp(world)
+        _, points = self.refresh_counting(rp, monkeypatch)
+        memo = rp.incremental_state.verify_memo
+        assert points and memo.misses > 0
+        assert memo.hits == 0
+        assert all(count == misses for count, misses, _ in points), points
+        counter = rp.metrics.get("repro_incremental_verify_memo_total")
+        assert counter.value(result="hit") == 0
+        # A replay skips exactly the verifications the points made.
+        world.clock.advance(1)
+        rp.refresh()
+        skipped = rp.metrics.get(
+            "repro_incremental_skipped_verifications_total")
+        assert skipped.value() == sum(count for count, _, _ in points)
+
+    def test_a_rejected_primary_costs_only_its_own_manifest(
+        self, world, monkeypatch
+    ):
+        sprint_server = world.registry.by_host("sprint.example")
+        mirror_uri = "rsync://sprint.example/mirror/continental/"
+        world.continental.enable_mirror(
+            mirror_uri, sprint_server.mount(mirror_uri))
+        faults = FaultInjector(seed=2)
+        faults.schedule(
+            FaultKind.CORRUPT, "rsync://continental.example/repo/",
+            file_name=world.target20_name,
+        )
+        rp = make_rp(world, faults=faults)
+        report, points = self.refresh_counting(rp, monkeypatch)
+        assert report.run.has_issue("using-mirror")
+        assert all(count == misses + hits
+                   for count, misses, hits in points), points
+        # The one lookup found in the memo is the mirror's manifest,
+        # byte for byte the primary's: judged under both copies, verified
+        # once.
+        assert rp.incremental_state.verify_memo.hits == 1
+
+
 class TestAttackSafety:
     """After every adversarial event, warm output == cold output."""
 

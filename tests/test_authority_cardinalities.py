@@ -19,6 +19,12 @@ sides pay, cannot hide a superlinear term:
   issuing N new ROAs.  Each alert looks up its point's contact in an
   index built once per snapshot; a scan of every record per alert made
   the epoch cost N**2, which shows as records walked per alert.
+- **resource ranges per certificate** — one child RC holding N scattered
+  ranges, reissued with one range removed, against N one-range child
+  RCs, each renewed, over one monitor epoch (snapshot, diff, analyze).
+  The lost space is one subtraction, a linear merge of the two sorted
+  range tuples; subtracting every range from every range made the epoch
+  cost N**2.
 """
 
 import cProfile
@@ -26,7 +32,7 @@ import cProfile
 from repro.crypto import KeyFactory
 from repro.monitor import AlertKind, analyze, diff_snapshots, take_snapshot
 from repro.repository import Fetcher, HostLocator, RepositoryRegistry
-from repro.resources import ASN, Afi, Prefix, ResourceSet
+from repro.resources import ASN, AddressRange, Afi, Prefix, ResourceSet
 from repro.rp import RelyingParty
 from repro.rpki import CertificateAuthority, RoaPrefix
 from repro.rtr import DuplexPipe, RtrCacheServer, RtrRouterClient
@@ -175,3 +181,37 @@ def test_stealthy_withdrawals_cost_what_issues_cost():
         assert alerts[0].contact is None
         walked = full.records.visits + whacked.records.visits
         assert walked <= 4 * (len(full.records) + len(whacked.records))
+
+
+def test_ranges_per_certificate_cost_what_one_range_certificates_cost():
+    for count in SIZES:
+        ranges = [AddressRange.from_prefix(roa_prefix.prefix)
+                  for roa_prefix in scattered(count)]
+        hostile_clock, hostile_registry, _root, hostile = holder_world()
+        victim = hostile.issue_child_authority("victim", ResourceSet(ranges))
+        hostile_before = take_snapshot(hostile_registry, hostile_clock.now)
+        hostile.overwrite_child_cert(
+            victim.key_id, victim.resources.subtract(ranges[count // 2]))
+
+        honest_clock, honest_registry, _root, honest = holder_world()
+        with honest.deferred_publication():
+            children = [honest.issue_child_authority(
+                f"customer-{i}", ResourceSet([range_]))
+                for i, range_ in enumerate(ranges)]
+        honest_before = take_snapshot(honest_registry, honest_clock.now)
+        with honest.deferred_publication():
+            for child in children:
+                honest.overwrite_child_cert(child.key_id, child.resources)
+
+        def epoch(registry, clock, before):
+            after = take_snapshot(registry, clock.now)
+            return analyze(diff_snapshots(before, after), before, after)
+
+        alerts = []
+        hostile_calls = python_calls(lambda: alerts.extend(
+            epoch(hostile_registry, hostile_clock, hostile_before)))
+        assert [alert.kind for alert in alerts] == [AlertKind.RC_SHRUNK]
+        assert alerts[0].detail == f"lost {ResourceSet([ranges[count // 2]])}"
+        honest_calls = python_calls(
+            lambda: epoch(honest_registry, honest_clock, honest_before))
+        assert hostile_calls < 5 * honest_calls

@@ -361,7 +361,7 @@ class TestThroughACrl:
             clock, registry, root, holder = ipv6_world(honest_hosts(1))
             srp = SuspendersRelyingParty(
                 RelyingParty([root.certificate], Fetcher(registry, clock), metrics=MetricsRegistry()),
-                clock, grace_seconds=10 * HOUR,
+                grace_seconds=10 * HOUR,
             )
             srp.refresh()
             # A stealthy deletion beside a validly signed CRL that does

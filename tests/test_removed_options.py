@@ -66,6 +66,7 @@ from repro.rp import (
     IncrementalState,
     ParseMemo,
     RelyingParty,
+    SuspendersRelyingParty,
     VerificationMemo,
     VrpSet,
 )
@@ -155,6 +156,9 @@ REMOVED = {
         [], Fetcher(RepositoryRegistry(), Clock()), clock=Clock()),
     "QueryService(clock=)": lambda: QueryService(
         figure2_rp(), metrics=MetricsRegistry(), clock=Clock()),
+    # Suspenders judges retention on its relying party's clock.
+    "SuspendersRelyingParty(rp, clock)": lambda: SuspendersRelyingParty(
+        figure2_rp(), Clock(), grace_seconds=HOUR),
     # One memo bound, repro.memo.MAX_ENTRIES.
     "GenerationMemo(max_entries)": lambda: GenerationMemo(8),
     "IncrementalState(max_entries=)": lambda: IncrementalState(
