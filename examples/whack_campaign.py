@@ -35,8 +35,11 @@ def fresh_rp(world):
 def monitor_alerts(world):
     """What an out-of-band monitor sees: the pristine Figure 2 world (every
     ``figure3`` whack starts from one) diffed against *world* after it."""
-    before = take_snapshot(build_figure2().registry, world.clock.now)
-    after = take_snapshot(world.registry, world.clock.now)
+    pristine = build_figure2()
+    before = take_snapshot(pristine.registry, world.clock.now,
+                           trust_anchors=pristine.trust_anchors)
+    after = take_snapshot(world.registry, world.clock.now,
+                          trust_anchors=world.trust_anchors)
     return analyze(diff_snapshots(before, after), before, after)
 
 

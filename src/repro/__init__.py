@@ -152,7 +152,7 @@ from .telemetry import (
     trace,
 )
 
-__version__ = "1.31.0"
+__version__ = "1.32.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [

@@ -85,9 +85,11 @@ def demonstrate_side_effect_2() -> SideEffectReport:
 
     report = SideEffectReport(2, "stealthy revocation of a child's object")
     world = _fresh_world()
-    before = take_snapshot(world.registry, world.clock.now)
+    before = take_snapshot(world.registry, world.clock.now,
+                           trust_anchors=world.trust_anchors)
     world.continental.delete_object(world.target22_name)
-    after = take_snapshot(world.registry, world.clock.now)
+    after = take_snapshot(world.registry, world.clock.now,
+                           trust_anchors=world.trust_anchors)
     rp = _rp_for(world)
     report.check(
         len(rp.vrps) == 7 and not rp.last_run.errors(),

@@ -253,7 +253,8 @@ def monitor_detection(
         protected={roa.describe() for roa in targets.values()},
     )
     experiment = DetectionExperiment(
-        registry=world.registry, churn=churn, clock=world.clock)
+        registry=world.registry, trust_anchors=world.trust_anchors,
+        churn=churn, clock=world.clock)
 
     def whack(target):
         def attack() -> list[str]:

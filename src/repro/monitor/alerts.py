@@ -155,18 +155,21 @@ def analyze(
             return None
 
     alerts: list[Alert] = []
-    after_crls = after.point_crls()
+    after_crls = after.point_crls
 
-    def revoked_at(point_uri: str, serial: int) -> bool:
+    def revoked_at(point_uri: str, obj) -> bool:
+        """Whether the point's CRL revokes *obj*: a serial is revoked only
+        by the CRL of the key that issued it."""
         crl = after_crls.get(point_uri)
-        return crl is not None and crl.is_revoked(serial)
+        return (crl is not None and crl.issuer_key_id == obj.issuer_key_id
+                and crl.is_revoked(obj.serial))
 
     # -- withdrawals: transparent vs stealthy --------------------------------
     whacked_payloads: set[str] = set()
     for record in diff.removed_roas():
         assert isinstance(record.obj, Roa)
         serial = record.obj.ee_cert.serial
-        revoked_here = revoked_at(record.point_uri, serial)
+        revoked_here = revoked_at(record.point_uri, record.obj.ee_cert)
         payload = record.obj.describe()
         whacked_payloads.add(payload)
         if revoked_here:
@@ -182,7 +185,7 @@ def analyze(
                 contact=contact_of(record.point_uri),
             ))
     for record in diff.removed_certs():
-        revoked_here = revoked_at(record.point_uri, record.obj.serial)
+        revoked_here = revoked_at(record.point_uri, record.obj)
         kind = (
             AlertKind.TRANSPARENT_REVOCATION if revoked_here
             else AlertKind.STEALTHY_DELETION

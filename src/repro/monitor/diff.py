@@ -129,8 +129,8 @@ def diff_snapshots(before: RpkiSnapshot, after: RpkiSnapshot) -> SnapshotDiff:
 
     # Serials are the authority's to choose, so they are bisected in the
     # ascending order the parser enforces, never put in a set.
-    before_crls = before.point_crls()
-    for uri, crl in after.point_crls().items():
+    before_crls = before.point_crls
+    for uri, crl in after.point_crls.items():
         old = before_crls.get(uri)
         delta = tuple(
             serial for serial in crl.revoked_serials

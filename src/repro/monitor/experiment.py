@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..repository import RepositoryRegistry
+from ..rpki import ResourceCertificate
 from ..simtime import Clock, HOUR
 from ..telemetry import MetricsRegistry, default_registry
 from .alerts import Alert, AlertKind, analyze
@@ -88,15 +89,18 @@ class DetectionExperiment:
         self,
         *,
         registry: RepositoryRegistry,
+        trust_anchors: list[ResourceCertificate],
         churn: ChurnEngine,
         clock: Clock,
         metrics: MetricsRegistry | None = None,
     ):
         self.registry = registry
+        self.trust_anchors = trust_anchors
         self.churn = churn
         self.clock = clock
         self.history: list[EpochAlerts] = []
-        self._last_snapshot: RpkiSnapshot = take_snapshot(registry, clock.now)
+        self._last_snapshot: RpkiSnapshot = take_snapshot(
+            registry, clock.now, trust_anchors=trust_anchors)
         self.metrics = metrics if metrics is not None else default_registry()
         self._m_epochs = self.metrics.counter(
             "repro_monitor_epochs_total", help="monitor epochs executed"
@@ -125,7 +129,8 @@ class DetectionExperiment:
         churn_events = self.churn.tick()
         attacked = attack() if attack is not None else []
 
-        snapshot = take_snapshot(self.registry, self.clock.now)
+        snapshot = take_snapshot(
+            self.registry, self.clock.now, trust_anchors=self.trust_anchors)
         diff = diff_snapshots(self._last_snapshot, snapshot)
         alerts = analyze(diff, self._last_snapshot, snapshot)
         self._last_snapshot = snapshot

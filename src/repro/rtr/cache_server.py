@@ -321,6 +321,8 @@ class RtrCacheServer:
             if event.closed:
                 continue
             for pdu in event.pdus:
+                if not session.alive:
+                    break  # dropped by an earlier PDU of this batch
                 try:
                     self._handle(session, pdu)
                 except Exception as exc:
@@ -330,7 +332,6 @@ class RtrCacheServer:
                         text=f"internal error: {type(exc).__name__}",
                     ))
                     self.mux.drop(session)
-                    break
 
     # -- protocol ----------------------------------------------------------
 

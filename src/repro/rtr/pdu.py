@@ -242,9 +242,32 @@ def decode_pdus(data: bytes) -> tuple[list[Pdu], bytes]:
     TCP connection RTR really runs over).  The remainder never holds
     more than one PDU of a legal length: a header that announces any
     other length raises before a byte of its body is waited for.
+
+    A run of :func:`_decode_runs` is spelled out here as one
+    :class:`PrefixPdu` per record.
     """
+    items, rest = _decode_runs(data)
     pdus: list[Pdu] = []
-    append = pdus.append
+    for item in items:
+        if type(item) is tuple:
+            announce, vrps = item
+            pdus.extend([PrefixPdu(announce, vrp) for vrp in vrps])
+        else:
+            pdus.append(item)
+    return pdus, rest
+
+
+def _decode_runs(
+    data: bytes,
+) -> tuple[list[Pdu | tuple[bool, list[VRP]]], bytes]:
+    """The one decoder behind :func:`decode_pdus`: the same PDUs, the
+    same remainder and the same checks and error text, except that each
+    stretch of consecutive prefix PDUs of one header and one flag comes
+    as one run ``(announce, [VRP, ...])`` — a plain ``tuple``, which no
+    PDU is — in wire order.  A router applies a burst a run at a time.
+    """
+    items: list[Pdu | tuple[bool, list[VRP]]] = []
+    append = items.append
     from_integers = VRP.from_integers
     offset, end = 0, len(data)
     while end - offset >= _HEADER.size:
@@ -259,26 +282,33 @@ def decode_pdus(data: bytes) -> tuple[list[Pdu], bytes]:
             break  # incomplete PDU; wait for more bytes
         if pdu_type in _PREFIX_RECORD:
             # A burst is long runs of one prefix type: unpack every
-            # complete record in sight and stop at the first whose
-            # header is not the one just checked.
+            # complete record in sight, stop at the first whose header
+            # is not the one just checked, and start a run where the
+            # flag changes.
             record, afi = _PREFIX_RECORD[pdu_type]
             wide = afi is Afi.IPV6
             header = data[offset : offset + _HEADER.size]
-            run = (end - offset) // length * length
+            span = (end - offset) // length * length
             records = record.iter_unpack(
-                memoryview(data)[offset : offset + run]
+                memoryview(data)[offset : offset + span]
             )
+            flag = -1
             try:
                 for (
                     seen, flags, prefix_length, max_length, address, asn
                 ) in records:
                     if seen != header:
                         break
+                    if flags & 1 != flag:
+                        flag = flags & 1
+                        run: list[VRP] = []
+                        add = run.append
+                        append((flag == 1, run))
                     if wide:
                         address = int.from_bytes(address, "big")
-                    append(PrefixPdu(flags & 1 == 1, from_integers(
+                    add(from_integers(
                         afi, address, prefix_length, max_length, asn
-                    )))
+                    ))
                     offset += length
             except ValueError as exc:
                 raise PduDecodeError(f"bad prefix PDU: {exc}") from exc
@@ -298,7 +328,7 @@ def decode_pdus(data: bytes) -> tuple[list[Pdu], bytes]:
                 session_or_flags, *_U32.unpack_from(data, offset + _HEADER.size)
             ))
         offset += length
-    return pdus, data[offset:]
+    return items, data[offset:]
 
 
 def _check_length(pdu_type: int, length: int) -> None:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
+from itertools import compress
+from operator import not_
 
 from ..rp.vrp import VRP, VrpSet
 from .channel import ChannelClosed, DuplexPipe
@@ -22,11 +24,10 @@ from .pdu import (
     ErrorReport,
     Pdu,
     PduDecodeError,
-    PrefixPdu,
     ResetQuery,
     SerialNotify,
     SerialQuery,
-    decode_pdus,
+    _decode_runs,
     encode_pdu,
 )
 
@@ -65,8 +66,9 @@ class RtrRouterClient:
         self.session_id: int | None = None
         self._vrps: set[VRP] = set()
         # PDU application is order-sensitive: the same VRP may be announced
-        # at one serial and withdrawn at a later one within a single burst.
-        self._pending: list[PrefixPdu] = []
+        # at one serial and withdrawn at a later one within a single burst,
+        # so the burst's runs of prefix PDUs queue in wire order.
+        self._pending: list[tuple[bool, list[VRP]]] = []
         self._burst_is_reset = False
         self._receive_buffer = b""
         self.errors: list[str] = []
@@ -108,22 +110,22 @@ class RtrRouterClient:
             self._fail("connection closed")
             return
         try:
-            pdus, self._receive_buffer = decode_pdus(data)
+            items, self._receive_buffer = _decode_runs(data)
         except PduDecodeError as exc:
             self._send(ErrorReport(error_code=0, text=str(exc)))
             self._fail(f"undecodable bytes from cache: {exc}")
             return
-        for pdu in pdus:
-            self._handle(pdu)
+        for item in items:
+            # A burst is almost all prefix PDUs, read as (announce, [vrp,
+            # ...]) runs and queued as they are until End of Data.
+            if type(item) is tuple:
+                self._pending.append(item)
+            else:
+                self._handle(item)
 
     # -- state machine -------------------------------------------------------------
 
     def _handle(self, pdu: Pdu) -> None:
-        # A burst is almost all prefix PDUs, and one already is the
-        # (announce, vrp) pair queued until End of Data.
-        if type(pdu) is PrefixPdu:
-            self._pending.append(pdu)
-            return
         if isinstance(pdu, SerialNotify):
             if self.state is RouterState.SYNCED:
                 self.session_id = pdu.session_id
@@ -141,21 +143,24 @@ class RtrRouterClient:
         if isinstance(pdu, EndOfData):
             if self._burst_is_reset:
                 self._vrps = set()
-            for announce, vrp in self._pending:
+            for announce, run in self._pending:
                 if announce:
-                    self._vrps.add(vrp)
+                    self._vrps.update(run)
                 else:
-                    self._vrps.discard(vrp)
+                    self._vrps.difference_update(run)
             self.serial = pdu.serial
             self.session_id = pdu.session_id
             self.state = RouterState.SYNCED
             if self._on_burst is not None:
-                # The last PDU naming a VRP decides its fate in the burst.
-                fate = {vrp: announce for announce, vrp in self._pending}
+                # The last PDU naming a VRP decides its fate in the burst;
+                # its first one, where it stands in the lists.
+                fate: dict[VRP, bool] = {}
+                for announce, run in self._pending:
+                    fate.update(dict.fromkeys(run, announce))
                 self._on_burst(
                     self._burst_is_reset,
-                    [vrp for vrp, announce in fate.items() if announce],
-                    [vrp for vrp, announce in fate.items() if not announce],
+                    list(compress(fate, fate.values())),
+                    list(compress(fate, map(not_, fate.values()))),
                 )
             self._pending.clear()
             return

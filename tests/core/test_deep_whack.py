@@ -117,9 +117,11 @@ class TestGreatGrandparentWhack:
 
         world, smallbiz = deep
         _name, target = smallbiz.find_roa("63.174.18.0/24", 64700)
-        before = take_snapshot(world.registry, world.clock.now)
+        before = take_snapshot(world.registry, world.clock.now,
+                               trust_anchors=world.trust_anchors)
         execute_whack(plan_whack(world.arin, target, smallbiz))
-        after = take_snapshot(world.registry, world.clock.now)
+        after = take_snapshot(world.registry, world.clock.now,
+                               trust_anchors=world.trust_anchors)
         alerts = analyze(diff_snapshots(before, after), before, after)
         kinds = {a.kind for a in alerts}
         assert AlertKind.RC_SHRUNK in kinds

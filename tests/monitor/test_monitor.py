@@ -24,7 +24,8 @@ def world():
 
 
 def snap(world):
-    return take_snapshot(world.registry, world.clock.now)
+    return take_snapshot(world.registry, world.clock.now,
+                         trust_anchors=world.trust_anchors)
 
 
 def diff_and_alerts(world, before):
@@ -133,6 +134,69 @@ class TestAlerts:
         kinds = [a.kind for a in alerts if a.subject == roa.describe()]
         assert kinds == [AlertKind.STEALTHY_DELETION]
 
+    def test_forged_ca_crl_does_not_hide_a_stealthy_deletion(self, world):
+        # The same deletion, and in place of Sprint's ca.crl one that
+        # names Sprint's key and lists the ROA's EE serial but was signed
+        # by another key.  It does not verify under the Sprint certificate
+        # the snapshot holds, so the relying party would refuse it
+        # (crl-bad-signature), and so does the monitor.
+        sprint = world.sprint
+        name, roa = next(iter(sprint.issued_roas.items()))
+        before = snap(world)
+        sprint.delete_object(name)
+        forger = KeyFactory(seed=99).next_keypair()
+        forged = build_crl(
+            issuer_key=forger, issuer_key_id=sprint.key_id,
+            revoked_serials={roa.ee_cert.serial}, serial=2,
+            this_update=world.clock.now, next_update=world.clock.now + HOUR,
+        )
+        sprint.publication_point.put("ca.crl", forged.to_bytes())
+        _, alerts, after = diff_and_alerts(world, before)
+        assert after.records[(str(sprint.publication_point.uri), "ca.crl")
+                             ].obj.is_revoked(roa.ee_cert.serial)
+        assert str(sprint.publication_point.uri) not in after.point_crls
+        kinds = [a.kind for a in alerts if a.subject == roa.describe()]
+        assert kinds == [AlertKind.STEALTHY_DELETION]
+
+    def test_a_second_certificate_for_the_point_revokes_nothing_of_its_owner(
+            self, world):
+        # ARIN mints a second certificate naming Sprint's point, for a key
+        # ARIN holds, and signs a ca.crl with that key listing the deleted
+        # ROA's EE serial.  That CRL verifies, but a serial is revoked only
+        # by the key that issued it, and Sprint's key issued this one.
+        sprint = world.sprint
+        name, roa = next(iter(sprint.issued_roas.items()))
+        rogue = KeyFactory(seed=99).next_keypair()
+        world.arin._issue_rc(
+            subject=sprint.handle, subject_public_key=rogue.public,
+            ip_resources=sprint.resources, as_resources=None,
+            sia=str(sprint.publication_point.uri), validity=HOUR,
+        )
+        before = snap(world)
+        sprint.delete_object(name)
+        forged = build_crl(
+            issuer_key=rogue, issuer_key_id=key_id_of(rogue.public),
+            revoked_serials={roa.ee_cert.serial}, serial=2,
+            this_update=world.clock.now, next_update=world.clock.now + HOUR,
+        )
+        sprint.publication_point.put("ca.crl", forged.to_bytes())
+        _, alerts, after = diff_and_alerts(world, before)
+        assert after.point_crls[str(sprint.publication_point.uri)] == forged
+        kinds = [a.kind for a in alerts if a.subject == roa.describe()]
+        assert kinds == [AlertKind.STEALTHY_DELETION]
+
+    def test_a_trust_anchors_revocation_is_transparent(self, world):
+        # No repository publishes ARIN's self-signed certificate; the
+        # monitor has it as a relying party does, from its trust anchors,
+        # and so believes ARIN's own ca.crl.
+        name, roa = world.arin.issue_roa(64500, "63.1.0.0/16")
+        before = snap(world)
+        world.arin.revoke_roa(name)
+        _, alerts, after = diff_and_alerts(world, before)
+        assert str(world.arin.publication_point.uri) in after.point_crls
+        kinds = [a.kind for a in alerts if a.subject == roa.describe()]
+        assert kinds == [AlertKind.TRANSPARENT_REVOCATION]
+
     def test_renewal_is_info(self, world):
         before = snap(world)
         world.continental.renew_roa(world.target22_name)
@@ -211,7 +275,8 @@ class TestDetectionExperiment:
             seed=11,
         )
         experiment = DetectionExperiment(
-            registry=world.registry, churn=churn, clock=world.clock
+            registry=world.registry, trust_anchors=world.trust_anchors,
+            churn=churn, clock=world.clock,
         )
 
         def attack():

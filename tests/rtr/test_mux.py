@@ -2,6 +2,7 @@
 
 import struct
 
+from repro.rp.vrp import VRP
 from repro.rtr import (
     MAX_ERROR_REPORT_LENGTH,
     DuplexPipe,
@@ -9,7 +10,15 @@ from repro.rtr import (
     SessionMux,
 )
 from repro.rtr import mux as mux_module
-from repro.rtr.pdu import ResetQuery, SerialQuery, encode_pdu
+from repro.rtr.pdu import (
+    ErrorReport,
+    PrefixPdu,
+    ResetQuery,
+    SerialQuery,
+    decode_pdus,
+    encode_pdu,
+    encode_prefixes,
+)
 from repro.telemetry import MetricsRegistry
 
 
@@ -97,6 +106,40 @@ class TestFairness:
         events = mux.poll()
         served = {event.session.sid for event in events}
         assert quiet_session.sid in served
+
+
+class TestPrefixPdusFromARouter:
+    """A router has no business sending prefix PDUs; a run of them is
+    still one PDU each to the mux, and a protocol error to the cache."""
+
+    VRPS = [VRP.parse(f"10.{i}.0.0/16", 64500) for i in range(8)]
+
+    def test_each_counts_against_the_fairness_budget(self, monkeypatch):
+        monkeypatch.setattr(mux_module, "FAIRNESS_BUDGET", 3)
+        registry = MetricsRegistry()
+        mux = SessionMux(metrics=registry)
+        pipe, session = attach_one(mux)
+        pipe.to_cache.send(encode_prefixes(True, self.VRPS))
+        batches = [mux.poll()[0].pdus for _ in range(3)]
+        assert [len(batch) for batch in batches] == [3, 3, 2]
+        assert [pdu for batch in batches for pdu in batch] == [
+            PrefixPdu(True, vrp) for vrp in self.VRPS]
+        assert mux.poll() == [] and not session.pending
+        assert registry.get("repro_rtr_pdus_drained_total").value() == 8
+        assert registry.get("repro_rtr_deferred_sessions_total").value() == 2
+
+    def test_the_cache_drops_the_router_with_error_code_3(self):
+        registry = MetricsRegistry()
+        server = RtrCacheServer(metrics=registry)
+        pipe = DuplexPipe()
+        server.attach(pipe)
+        pipe.to_cache.send(encode_prefixes(False, self.VRPS))
+        server.process()
+        assert decode_pdus(pipe.to_router.receive()) == (
+            [ErrorReport(error_code=3, text="unexpected PrefixPdu")], b"")
+        assert registry.get("repro_rtr_errors_total").value(
+            kind="protocol") == 1
+        assert server.session_count == 0
 
 
 class TestLifecycle:

@@ -1,10 +1,12 @@
-"""The production RTR codec pinned to the per-PDU reference loop.
+"""The production RTR codec and router pinned to the per-PDU references.
 
 ``repro.rtr.pdu`` reads prefix PDUs a run at a time with one ``Struct``
 and packs them the same way; ``reference_codec`` is the loop it replaced,
-one header and one field at a time.  Everything here is seeded: equal
-PDUs, equal remainder and equal error text on every stream, however the
-stream is cut.
+one header and one field at a time.  ``RtrRouterClient`` applies a burst
+a run of one flag at a time; ``reference_router`` is the router it
+replaced, one PDU at a time.  Everything here is seeded: equal PDUs,
+equal remainder and equal error text on every stream, and an equal
+router after every read, however the stream is cut.
 """
 
 import random
@@ -33,8 +35,10 @@ from repro.rtr import (
     encode_pdu,
     encode_prefixes,
 )
+from repro.rtr.pdu import _decode_runs
 from . import reference_codec as reference
 from .reference_codec import wire_order as _wire_order
+from .reference_router import ReferenceRouter
 
 
 def random_vrp(rng: random.Random, afi: Afi | None = None) -> VRP:
@@ -336,3 +340,172 @@ def test_wire_order_is_vrp_order():
     rng.shuffle(vrps)
     assert {v.prefix.afi for v in vrps} == {Afi.IPV4, Afi.IPV6}
     assert sorted(vrps, key=_wire_order) == sorted(vrps)
+
+
+# ---------------------------------------------------------------------------
+# the router: runs applied at End of Data, pinned to the per-PDU router
+# ---------------------------------------------------------------------------
+
+
+def cache_stream(rng: random.Random, bursts: int) -> list:
+    """What a cache, a hostile one included, may send a router: bursts
+    over a small pool of VRPs of both families, so flags flip, a VRP is
+    announced and withdrawn (either way round) in one burst and
+    duplicates abound; a Cache Response, a Cache Reset or a Serial
+    Notify now and then in mid-burst, and now and then a new session."""
+    pool = [random_vrp(rng) for _ in range(10)]
+    session = rng.getrandbits(16)
+    stream, serial = [], rng.getrandbits(31)
+    for _ in range(bursts):
+        stream.append(CacheResponse(session))
+        for _ in range(rng.randint(0, 6)):
+            roll = rng.random()
+            if roll < 0.06:
+                if rng.random() < 0.2:
+                    session = (session + 1) & 0xFFFF
+                stream.append(CacheResponse(session))
+            elif roll < 0.1:
+                stream.append(CacheReset())
+            elif roll < 0.13:
+                stream.append(SerialNotify(session, serial))
+            else:
+                afi = rng.choice((Afi.IPV4, Afi.IPV6))
+                family = [v for v in pool if v.prefix.afi is afi] or [
+                    random_vrp(rng, afi)]
+                announce = rng.random() < 0.6
+                for _ in range(rng.randint(1, 5)):
+                    if rng.random() < 0.4:
+                        announce = not announce
+                    stream.append(PrefixPdu(announce, rng.choice(family)))
+        serial = (serial + 1) & 0xFFFFFFFF
+        stream.append(EndOfData(session, serial))
+        if rng.random() < 0.7:
+            # A synced router polls: the next burst is incremental.
+            stream.append(SerialNotify(session, serial))
+    return stream
+
+
+A4 = VRP.parse("10.0.0.0/8", 1)
+B4 = VRP.parse("192.0.2.0/24-28", 2)
+C6 = VRP.parse("2001:db8::/32-48", 3)
+D6 = VRP.parse("2001:db8:1::/48", 4)
+
+
+def _burst(session, serial, *prefixes):
+    return ([CacheResponse(session)]
+            + [PrefixPdu(sign == "+", vrp) for sign, vrp in prefixes]
+            + [EndOfData(session, serial)])
+
+
+# Each case a burst after the reset burst that installs A4, C6.
+NAMED_BURSTS = {
+    "flag flip on every PDU": _burst(
+        7, 2, ("+", B4), ("-", A4), ("+", D6), ("-", C6), ("+", A4)),
+    "announced then withdrawn": _burst(
+        7, 2, ("+", B4), ("+", D6), ("-", B4)),
+    "withdrawn then announced": _burst(
+        7, 2, ("-", A4), ("+", A4), ("-", C6), ("+", C6), ("-", C6)),
+    "duplicates": _burst(
+        7, 2, ("+", B4), ("+", B4), ("+", B4), ("-", A4), ("-", A4),
+        ("+", B4)),
+    "interleaved families": _burst(
+        7, 2, ("+", B4), ("+", D6), ("+", B4), ("-", C6), ("-", A4),
+        ("+", C6)),
+    "cache response in mid-burst": [CacheResponse(7), PrefixPdu(True, B4),
+                                    PrefixPdu(False, A4)]
+    + _burst(7, 2, ("+", D6)),
+    "new session in mid-burst": [CacheResponse(7), PrefixPdu(True, B4)]
+    + _burst(8, 9, ("+", D6), ("+", A4)),
+    "cache reset in mid-burst": [CacheResponse(7), PrefixPdu(True, B4),
+                                 CacheReset(), PrefixPdu(False, A4),
+                                 PrefixPdu(True, D6), EndOfData(7, 2)],
+}
+
+
+class RouterPair:
+    """A production router and the per-PDU reference, fed alike."""
+
+    def __init__(self):
+        self.bursts, self.reference_bursts = [], []
+        self.router = RtrRouterClient(
+            DuplexPipe(), on_burst=lambda *burst: self.bursts.append(burst))
+        self.reference = ReferenceRouter(
+            DuplexPipe(),
+            on_burst=lambda *burst: self.reference_bursts.append(burst))
+        self.router.connect()
+        self.reference.connect()
+        self.check()
+
+    def feed(self, chunk: bytes) -> None:
+        for router in (self.router, self.reference):
+            router.pipe.to_router.send(chunk)
+            router.process()
+        self.check()
+
+    def check(self) -> None:
+        router, reference = self.router, self.reference
+        assert router._vrps == reference.vrps
+        assert (router.state, router.serial, router.session_id) == (
+            reference.state, reference.serial, reference.session_id)
+        assert [(announce, vrp) for announce, run in router._pending
+                for vrp in run] == reference.pending
+        assert router._receive_buffer == reference._receive_buffer
+        assert router.errors == reference.errors
+        # Every (reset, announced, withdrawn), lists in order.
+        assert self.bursts == self.reference_bursts
+        assert (router.pipe.to_cache.receive()
+                == reference.pipe.to_cache.receive())
+
+
+def _wire(stream) -> bytes:
+    return b"".join(reference.encode_pdu(p) for p in stream)
+
+
+class TestRouterAgainstReference:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_chunks(self, seed):
+        rng = random.Random(500 + seed)
+        blob = _wire(cache_stream(rng, 40))
+        pair, at = RouterPair(), 0
+        while at < len(blob):
+            step = rng.choice((1, 7, 8, 20, 31, 32, 33, 100, 1000))
+            pair.feed(blob[at : at + step])
+            at += step
+        assert pair.router.state is not RouterState.FAILED
+        resets = [reset for reset, _announced, _withdrawn in pair.bursts]
+        assert len(resets) == 40 and 0 < sum(resets) < 40
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_cut_at_every_byte(self, seed):
+        blob = _wire(cache_stream(random.Random(600 + seed), 3))
+        for cut in range(len(blob) + 1):
+            pair = RouterPair()
+            pair.feed(blob[:cut])
+            pair.feed(blob[cut:])
+
+    @pytest.mark.parametrize("name", sorted(NAMED_BURSTS))
+    def test_named_burst_cut_at_every_byte(self, name):
+        blob = _wire(_burst(7, 1, ("+", A4), ("+", C6))
+                     + NAMED_BURSTS[name])
+        whole = RouterPair()
+        whole.feed(blob)
+        assert len(whole.bursts) == 2
+        for cut in range(len(blob) + 1):
+            pair = RouterPair()
+            pair.feed(blob[:cut])
+            pair.feed(blob[cut:])
+            assert pair.bursts == whole.bursts
+
+    def test_a_run_is_one_flag_of_one_family(self):
+        stream = NAMED_BURSTS["interleaved families"][1:-1]
+        items, rest = _decode_runs(_wire(stream))
+        assert rest == b"" and items == [
+            (True, [B4]), (True, [D6]), (True, [B4]), (False, [C6]),
+            (False, [A4]), (True, [C6]),
+        ]
+        flips = NAMED_BURSTS["flag flip on every PDU"][1:-1]
+        assert _decode_runs(_wire(flips))[0] == [
+            (p.announce, [p.vrp]) for p in flips]
+        items, _rest = _decode_runs(_wire(
+            NAMED_BURSTS["duplicates"][1:-1]))
+        assert items == [(True, [B4] * 3), (False, [A4] * 2), (True, [B4])]

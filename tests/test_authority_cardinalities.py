@@ -25,17 +25,36 @@ sides pay, cannot hide a superlinear term:
   The lost space is one subtraction, a linear merge of the two sorted
   range tuples; subtracting every range from every range made the epoch
   cost N**2.
+- **prefix PDUs a hostile cache sends a router** — one burst whose flag
+  flips on every PDU, and one announcing one VRP N times, against the
+  honest burst of N announces.  A router queues a burst as runs of one
+  flag and applies each run with one set operation at End of Data, so
+  the hostile bursts are counted in C calls too (per run, not per PDU,
+  is where their cost would hide); the honest sync makes one
+  ``VRP.from_integers`` per PDU and no other Python frame that grows
+  with N.
 """
 
 import cProfile
+import gc
+from collections import Counter
 
 from repro.crypto import KeyFactory
 from repro.monitor import AlertKind, analyze, diff_snapshots, take_snapshot
 from repro.repository import Fetcher, HostLocator, RepositoryRegistry
 from repro.resources import ASN, AddressRange, Afi, Prefix, ResourceSet
 from repro.rp import RelyingParty
+from repro.rp.vrp import VRP
 from repro.rpki import CertificateAuthority, RoaPrefix
-from repro.rtr import DuplexPipe, RtrCacheServer, RtrRouterClient
+from repro.rtr import (
+    CacheResponse,
+    DuplexPipe,
+    EndOfData,
+    PrefixPdu,
+    RtrCacheServer,
+    RtrRouterClient,
+    encode_pdu,
+)
 from repro.simtime import Clock
 from repro.telemetry import MetricsRegistry
 
@@ -83,15 +102,38 @@ def issue_each(holder, prefixes):
                 for prefix in prefixes]
 
 
-def python_calls(work) -> int:
-    """The Python function calls *work* makes."""
-    profile = cProfile.Profile(builtins=False)
+def snapshot_of(world):
+    """What a monitor starting from a :func:`holder_world`'s trust
+    anchor sees in its repositories now."""
+    clock, registry, root, _holder = world
+    return take_snapshot(registry, clock.now,
+                         trust_anchors=[root.certificate])
+
+
+def calls_by_function(work, *, builtins=False) -> Counter:
+    """The calls *work* makes, by function: Python functions by code
+    object, and C functions too (by description) when *builtins*.  The
+    collector is off meanwhile, so no garbage-collection callback is
+    counted."""
+    profile = cProfile.Profile(builtins=builtins)
+    collecting = gc.isenabled()
+    gc.disable()
     profile.enable()
     try:
         work()
     finally:
         profile.disable()
-    return sum(entry.callcount for entry in profile.getstats())
+        if collecting:
+            gc.enable()
+    calls = Counter()
+    for entry in profile.getstats():
+        calls[entry.code] += entry.callcount
+    return calls
+
+
+def python_calls(work) -> int:
+    """The Python function calls *work* makes."""
+    return calls_by_function(work).total()
 
 
 class Walked(dict):
@@ -156,14 +198,15 @@ def test_prefixes_per_roa_cost_what_one_prefix_roas_cost():
 
 def test_stealthy_withdrawals_cost_what_issues_cost():
     for count in SIZES:
-        clock, registry, _root, holder = holder_world()
-        empty = take_snapshot(registry, clock.now)
+        world = holder_world()
+        holder = world[3]
+        empty = snapshot_of(world)
         names = issue_each(holder, scattered(count))
-        full = take_snapshot(registry, clock.now)
+        full = snapshot_of(world)
         with holder.deferred_publication():
             for name in names:
                 holder.delete_object(name)
-        whacked = take_snapshot(registry, clock.now)
+        whacked = snapshot_of(world)
 
         withdrawn = diff_snapshots(full, whacked)
         issued = diff_snapshots(empty, full)
@@ -187,31 +230,78 @@ def test_ranges_per_certificate_cost_what_one_range_certificates_cost():
     for count in SIZES:
         ranges = [AddressRange.from_prefix(roa_prefix.prefix)
                   for roa_prefix in scattered(count)]
-        hostile_clock, hostile_registry, _root, hostile = holder_world()
+        hostile_world = holder_world()
+        hostile = hostile_world[3]
         victim = hostile.issue_child_authority("victim", ResourceSet(ranges))
-        hostile_before = take_snapshot(hostile_registry, hostile_clock.now)
+        hostile_before = snapshot_of(hostile_world)
         hostile.overwrite_child_cert(
             victim.key_id, victim.resources.subtract(ranges[count // 2]))
 
-        honest_clock, honest_registry, _root, honest = holder_world()
+        honest_world = holder_world()
+        honest = honest_world[3]
         with honest.deferred_publication():
             children = [honest.issue_child_authority(
                 f"customer-{i}", ResourceSet([range_]))
                 for i, range_ in enumerate(ranges)]
-        honest_before = take_snapshot(honest_registry, honest_clock.now)
+        honest_before = snapshot_of(honest_world)
         with honest.deferred_publication():
             for child in children:
                 honest.overwrite_child_cert(child.key_id, child.resources)
 
-        def epoch(registry, clock, before):
-            after = take_snapshot(registry, clock.now)
+        def epoch(world, before):
+            after = snapshot_of(world)
             return analyze(diff_snapshots(before, after), before, after)
 
         alerts = []
         hostile_calls = python_calls(lambda: alerts.extend(
-            epoch(hostile_registry, hostile_clock, hostile_before)))
+            epoch(hostile_world, hostile_before)))
         assert [alert.kind for alert in alerts] == [AlertKind.RC_SHRUNK]
         assert alerts[0].detail == f"lost {ResourceSet([ranges[count // 2]])}"
         honest_calls = python_calls(
-            lambda: epoch(honest_registry, honest_clock, honest_before))
+            lambda: epoch(honest_world, honest_before))
         assert hostile_calls < 5 * honest_calls
+
+
+def burst_to_a_router(pdus, *, builtins=False, chained=False) -> Counter:
+    """The calls one router makes reading a reset burst of *pdus* and
+    applying it; *chained*, it also hands the burst on, as a chained
+    cache does."""
+    router = RtrRouterClient(DuplexPipe(), on_burst=(
+        (lambda reset, announced, withdrawn: None) if chained else None))
+    router.connect()
+    router.pipe.to_router.send(b"".join(map(encode_pdu, (
+        CacheResponse(1), *pdus, EndOfData(1, 1)))))
+    calls = calls_by_function(router.process, builtins=builtins)
+    assert router.serial == 1 and router.errors == []
+    return calls
+
+
+def table_of(count):
+    return [VRP(roa_prefix.prefix, 24, ORIGIN)
+            for roa_prefix in scattered(count)]
+
+
+def test_a_router_full_sync_is_one_vrp_per_prefix_pdu():
+    others = []
+    for count in (500, 2_000):
+        calls = burst_to_a_router(
+            [PrefixPdu(True, vrp) for vrp in table_of(count)])
+        assert calls.pop(VRP.from_integers.__code__) == count
+        others.append(calls)
+    # No PDU object, no dispatch, no apply step per PDU: whatever else
+    # runs at Python level runs as often for 2,000 PDUs as for 500.
+    assert others[0] == others[1]
+
+
+def test_prefix_pdus_a_hostile_cache_sends_cost_what_honest_ones_cost():
+    for count in (500, 2_000):
+        table = table_of(count)
+        honest = [PrefixPdu(True, vrp) for vrp in table]
+        flips = [PrefixPdu(i % 2 == 0, vrp) for i, vrp in enumerate(table)]
+        duplicates = [PrefixPdu(True, table[0])] * count
+        for chained in (False, True):
+            honest_calls, flips_calls, duplicates_calls = (
+                burst_to_a_router(pdus, builtins=True, chained=chained).total()
+                for pdus in (honest, flips, duplicates))
+            assert flips_calls < 5 * honest_calls
+            assert duplicates_calls < 5 * honest_calls

@@ -337,13 +337,15 @@ class TestThroughACrl:
     def test_monitor_diff_and_alerts_at_honest_cost(self):
         def watch(serials):
             clock, registry, root, holder = ipv6_world(honest_hosts(1))
-            before = take_snapshot(registry, clock.now)
+            before = take_snapshot(registry, clock.now,
+                                   trust_anchors=[root.certificate])
             holder.delete_object(next(iter(holder.issued_roas)))
             publish_crl(holder, serials)
             clock.advance(1)
 
             def work():
-                after = take_snapshot(registry, clock.now)
+                after = take_snapshot(registry, clock.now,
+                                   trust_anchors=[root.certificate])
                 diff = diff_snapshots(before, after)
                 return diff, analyze(diff, before, after)
             return work

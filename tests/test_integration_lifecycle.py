@@ -88,14 +88,16 @@ def story():
     record["post_rollover_errors"] = len(rp.last_run.errors())
 
     # -- phase 3: the attack ----------------------------------------------------
-    before = take_snapshot(world.registry, world.clock.now)
+    before = take_snapshot(world.registry, world.clock.now,
+                           trust_anchors=world.trust_anchors)
     plan = plan_whack(world.sprint, world.target20, world.continental)
     execute_whack(plan)
     record["plan_collateral"] = plan.collateral_count
     world.clock.advance(HOUR)
 
     # -- phase 4: detection --------------------------------------------------------
-    after = take_snapshot(world.registry, world.clock.now)
+    after = take_snapshot(world.registry, world.clock.now,
+                           trust_anchors=world.trust_anchors)
     alerts = analyze(diff_snapshots(before, after), before, after)
     record["alerts"] = alerts
 

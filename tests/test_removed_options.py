@@ -188,8 +188,8 @@ REMOVED = {
         lambda: TopologyConfig(mid_peering_prob=0.5),
     "ChurnConfig(new_roa_length=)": lambda: ChurnConfig(new_roa_length=16),
     "DetectionExperiment(epoch_seconds=)": lambda: DetectionExperiment(
-        registry=RepositoryRegistry(), churn=None, clock=Clock(),
-        epoch_seconds=1, metrics=MetricsRegistry()),
+        registry=RepositoryRegistry(), trust_anchors=[], churn=None,
+        clock=Clock(), epoch_seconds=1, metrics=MetricsRegistry()),
     "validity_matrix(include_other=)": lambda: validity_matrix(
         VrpSet(), "10.0.0.0/24", include_other=False),
     "forward(max_hops=)": lambda: forward(None, 1, "10.0.0.1", max_hops=1),
