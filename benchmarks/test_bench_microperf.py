@@ -107,18 +107,15 @@ def test_rtr_full_sync(benchmark):
 
 def test_rtr_codec_throughput(benchmark):
     """Encode + decode a 1000-PDU burst."""
-    from repro.rtr import PrefixPdu, decode_pdus, encode_pdu
+    from repro.rtr import decode_runs, encode_prefixes
 
-    vrps = build_vrp_set(count=1000, seed=8)
-    pdus = [PrefixPdu(True, v) for v in vrps]
+    vrps = list(build_vrp_set(count=1000, seed=8))
 
     def roundtrip():
-        blob = b"".join(encode_pdu(p) for p in pdus)
-        decoded, rest = decode_pdus(blob)
-        return decoded, rest
+        return decode_runs(encode_prefixes(True, vrps))
 
     decoded, rest = benchmark(roundtrip)
-    assert len(decoded) == len(pdus) and rest == b""
+    assert decoded == [(True, vrps)] and rest == b""
 
 
 def test_vrpset_bulk_construction_10k(benchmark):

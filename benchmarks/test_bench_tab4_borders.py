@@ -27,8 +27,7 @@ def test_tab4_paper_rows(benchmark):
 def test_tab4_synthetic_aggregate(benchmark):
     def run():
         world = build_deployment(DeploymentConfig(
-            isps_per_rir=6, customers_per_isp=2, cross_border_rate=0.15,
-            seed=3,
+            isps_per_rir=6, customers_per_isp=2, seed=3,
         ))
         return cross_border_audit(world.roots, world.as_country)
 

@@ -49,7 +49,7 @@ def main() -> None:
     # -- the aggregate claim on synthetic deployments -------------------------
     print("\nSynthetic full-deployment audit (15% cross-border allocation):")
     synthetic = build_deployment(DeploymentConfig(
-        isps_per_rir=6, customers_per_isp=2, cross_border_rate=0.15, seed=3
+        isps_per_rir=6, customers_per_isp=2, seed=3
     ))
     synthetic_findings = cross_border_audit(
         synthetic.roots, synthetic.as_country

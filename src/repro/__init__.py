@@ -31,7 +31,7 @@ the names in ``__all__`` — is the documented entry point::
 Subpackages stay importable for the long tail (``repro.core``,
 ``repro.bgp``, ...), but code written against the facade will not break
 as internals move.  Telemetry (``default_registry``, ``MetricsRegistry``,
-``trace``) is part of the facade and its *metric names* are likewise a
+``Span``) is part of the facade and its *metric names* are likewise a
 stability guarantee — see docs/telemetry.md.
 
 ``__all__`` is kept **sorted and complete** — every re-export appears in
@@ -149,10 +149,9 @@ from .telemetry import (
     MetricsRegistry,
     Span,
     default_registry,
-    trace,
 )
 
-__version__ = "1.32.0"
+__version__ = "1.33.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [
@@ -185,6 +184,6 @@ __all__ = [
     "generate_keypair", "measure_stalloris", "missing_roa_impact",
     "nested_bomb", "plan_whack", "render_table4",
     "run_campaign",
-    "shrink_plan", "take_snapshot", "trace", "validate", "validity_matrix",
+    "shrink_plan", "take_snapshot", "validate", "validity_matrix",
     "whack_blast_radius",
 ]

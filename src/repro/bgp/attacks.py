@@ -61,32 +61,18 @@ def subprefix_hijack(
     victim_prefix: str | Prefix,
     victim: ASN | int,
     attacker: ASN | int,
-    *,
-    subprefix: str | Prefix | None = None,
 ) -> Hijack:
     """The attacker originates a subprefix of the victim's prefix.
 
     Without RPKI filtering this wins *everywhere*: longest-prefix-match
-    forwarding prefers the more specific route at every hop.  By default
-    the attacker announces the low half (one bit longer); pass *subprefix*
-    to choose another.
+    forwarding prefers the more specific route at every hop.  The
+    attacker announces the low half (one bit longer).
     """
     prefix = (
         victim_prefix if isinstance(victim_prefix, Prefix)
         else Prefix.parse(victim_prefix)
     )
-    if subprefix is None:
-        attack_prefix = prefix.children()[0]
-    else:
-        attack_prefix = (
-            subprefix if isinstance(subprefix, Prefix)
-            else Prefix.parse(subprefix)
-        )
-        if not prefix.covers(attack_prefix) or attack_prefix == prefix:
-            raise ValueError(
-                f"{attack_prefix} is not a proper subprefix of {prefix}"
-            )
     return Hijack(
         victim=Origination(prefix, ASN(int(victim))),
-        attack=Origination(attack_prefix, ASN(int(attacker))),
+        attack=Origination(prefix.children()[0], ASN(int(attacker))),
     )

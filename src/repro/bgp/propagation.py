@@ -59,8 +59,6 @@ def propagate(
     graph: AsGraph,
     originations: list[Origination],
     policies: dict[ASN, SelectionPolicy] | None = None,
-    *,
-    default_policy: SelectionPolicy | None = None,
 ) -> RoutingOutcome:
     """Run BGP to convergence.
 
@@ -72,10 +70,9 @@ def propagate(
         Who announces what (victims, hijackers, everyone).
     policies:
         Per-AS selection policies; ASes not in the map (or all ASes, if
-        the map is None) use *default_policy*, which itself defaults to
-        plain Gao–Rexford with the RPKI off.
+        the map is None) use plain Gao–Rexford with the RPKI off.
     """
-    default_policy = default_policy or SelectionPolicy(LocalPolicy.RPKI_OFF)
+    default_policy = SelectionPolicy(LocalPolicy.RPKI_OFF)
     policies = policies or {}
 
     def policy_of(asn: ASN) -> SelectionPolicy:

@@ -8,7 +8,7 @@ RFC 6489, rotates).
 :class:`KeyFactory` hands out reproducible keypairs from a seed.  A model
 RPKI can contain thousands of authorities; generating RSA keys one by one
 dominates runtime, so the factory also maintains a pool of pre-generated
-keys per (seed, bits) pair, shared process-wide.
+keys per seed, shared process-wide.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ __all__ = ["KeyPair", "KeyFactory", "key_id_of"]
 # the id is a pure function of (modulus, exponent).  Bounded so a run that
 # churns through endless throwaway keys cannot grow it without limit.
 _KEY_ID_MEMO: GenerationMemo[tuple[int, int], str] = GenerationMemo()
+
+# The modulus size of every factory's keys.  It is also hashed into each
+# key's stream seed, so the key stream stays the one it always was.
+KEY_BITS = 512
 
 
 def key_id_of(public: RsaPublicKey) -> str:
@@ -70,11 +74,11 @@ class KeyPair:
 class KeyFactory:
     """Reproducible keypair source.
 
-    Two factories built with the same ``(seed, bits)`` produce the same
+    Two factories built with the same seed produce the same
     sequence of keypairs, so an entire simulated RPKI — object hashes,
     signatures, manifests — is a pure function of its seed.
 
-    A process-wide cache keyed by ``(seed, bits, index)`` means re-running
+    A process-wide cache keyed by ``(seed, KEY_BITS, index)`` means re-running
     a scenario (every test, every benchmark iteration) reuses keys instead
     of paying keygen again.
     """
@@ -82,14 +86,9 @@ class KeyFactory:
     _cache: dict[tuple[int, int, int], KeyPair] = {}
     _cache_lock = threading.Lock()
 
-    def __init__(self, seed: int = 0, bits: int = 512):
+    def __init__(self, seed: int = 0):
         self._seed = seed
-        self._bits = bits
         self._index = 0
-
-    @property
-    def bits(self) -> int:
-        return self._bits
 
     @property
     def issued(self) -> int:
@@ -100,13 +99,13 @@ class KeyFactory:
         """The next keypair in this factory's deterministic sequence."""
         index = self._index
         self._index += 1
-        cache_key = (self._seed, self._bits, index)
+        cache_key = (self._seed, KEY_BITS, index)
         with self._cache_lock:
             cached = self._cache.get(cache_key)
         if cached is not None:
             return cached
         rng = random.Random(self.stream_seed(index))
-        pair = KeyPair(private=generate_keypair(self._bits, rng))
+        pair = KeyPair(private=generate_keypair(KEY_BITS, rng))
         with self._cache_lock:
             self._cache[cache_key] = pair
         return pair
@@ -118,7 +117,7 @@ class KeyFactory:
         whether or not keys #0..k-1 came from the process-wide cache.
         """
         return int.from_bytes(
-            sha256(encode([self._seed, self._bits, index])), "big"
+            sha256(encode([self._seed, KEY_BITS, index])), "big"
         )
 
     @classmethod

@@ -40,16 +40,16 @@ _PRIMORIAL = math.prod(_SIEVED_PRIMES)
 _SMALL_PRIME_SET = frozenset(_SIEVED_PRIMES)
 
 
-def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Strong probable-prime test: gcd prefilter, base 2, random witnesses.
 
     Candidates sharing a factor with the primes-below-2048 primorial are
     rejected with a single ``gcd``; survivors face a base-2 strong
     Miller–Rabin round (which rejects virtually every remaining
     composite without spending a witness draw) and then
-    ``_MILLER_RABIN_ROUNDS`` rounds with witnesses drawn from *rng* —
-    by default a PRNG seeded with the candidate itself, so the verdict
-    for a given ``n`` is deterministic and independent of call order.
+    ``_MILLER_RABIN_ROUNDS`` rounds with witnesses drawn from a PRNG
+    seeded with the candidate itself, so the verdict for a given ``n``
+    is deterministic and independent of call order.
     Combined error probability is far below ``4**-_MILLER_RABIN_ROUNDS``
     (base-2 strong pseudoprimes are already vanishingly rare).
     """
@@ -79,7 +79,7 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
 
     if not strong_round(2):
         return False
-    rng = rng or random.Random(n)  # deterministic witnesses per candidate
+    rng = random.Random(n)  # deterministic witnesses per candidate
     for _ in range(_MILLER_RABIN_ROUNDS):
         if not strong_round(rng.randrange(3, n - 1)):
             return False

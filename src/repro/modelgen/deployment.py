@@ -9,7 +9,8 @@ generates such models at any scale, deterministically from a seed:
 - ISPs (LIR-level authorities) holding allocations inside their RIR's
   space, each with a publication point, customer suballocations and ROAs,
 - country tags for every AS, drawn from the RIR's service region with a
-  configurable cross-border rate (the Section 3.2 phenomenon).
+  cross-border rate of :data:`CROSS_BORDER_RATE` (the Section 3.2
+  phenomenon).
 
 :func:`build_deployment` scales from tens to thousands of ROAs in its
 hierarchical shape; the ``flat`` generator family (``config.flat``, the
@@ -39,6 +40,10 @@ from ..simtime import Clock
 __all__ = ["DeploymentConfig", "DeploymentWorld", "HIERARCHICAL_SCALES",
            "INTERNET_SCALES", "build_deployment", "build_table4_world",
            "resolve_scale"]
+
+# The share of ASes tagged with a country outside their RIR's service
+# region: the paper's 15 %.
+CROSS_BORDER_RATE = 0.15
 
 # Representative /8 blocks per RIR (a subset of the real IANA allocations).
 _RIR_BLOCKS: dict[RIR, tuple[str, ...]] = {
@@ -84,8 +89,8 @@ class DeploymentConfig:
     is O(total ROAs), and each authority signs all of its ROAs with one
     EE keypair, cutting keygen from O(ROAs) to O(authorities) —
     validation semantics are unchanged because each ROA still carries
-    its own EE certificate.  Keys are 512-bit (the
-    :class:`~repro.crypto.KeyFactory` default).
+    its own EE certificate.  Keys are 512-bit, as every
+    :class:`~repro.crypto.KeyFactory`'s are.
     """
 
     seed: int = 0
@@ -95,7 +100,6 @@ class DeploymentConfig:
     roas_per_isp: int = 2
     roas_per_customer: int = 1
     suballocation_depth: int = 0
-    cross_border_rate: float = 0.15
     flat: bool = False
     amplification_points: int = 0
 
@@ -272,7 +276,7 @@ def build_deployment(
                 publication_point=server.mount(f"rsync://{host}/repo/"),
             )
             world.as_country[isp_asn] = _pick_country(
-                rng, region, all_countries, config.cross_border_rate
+                rng, region, all_countries
             )
 
             twenties = list(allocation.subprefixes(20))
@@ -296,7 +300,7 @@ def build_deployment(
                     ),
                 )
                 world.as_country[customer_asn] = _pick_country(
-                    rng, region, all_countries, config.cross_border_rate
+                    rng, region, all_countries
                 )
                 slash24s = customer_alloc.subprefixes(24)
                 for roa_index in range(config.roas_per_customer):
@@ -440,7 +444,7 @@ def _build_flat(
                     publication_point=server.mount(f"rsync://{host}/repo/"),
                 )
                 world.as_country[isp_asn] = _pick_country(
-                    rng, region, all_countries, config.cross_border_rate
+                    rng, region, all_countries
                 )
                 ee_key = key_factory.next_keypair()
                 with isp.deferred_publication():
@@ -451,7 +455,7 @@ def _build_flat(
                         )
 
 
-def build_table4_world(*, seed: int = 4) -> DeploymentWorld:
+def build_table4_world() -> DeploymentWorld:
     """A model RPKI seeded with the paper's nine Table 4 RCs.
 
     Each holder gets an RC under its parent RIR for exactly the prefix the
@@ -460,7 +464,7 @@ def build_table4_world(*, seed: int = 4) -> DeploymentWorld:
     every row and no spurious ones.
     """
     clock = Clock()
-    key_factory = KeyFactory(seed=seed + 88000, bits=512)
+    key_factory = KeyFactory(seed=88004)
     registry = RepositoryRegistry()
     world = DeploymentWorld(
         clock=clock, key_factory=key_factory, registry=registry
@@ -551,9 +555,8 @@ def _pick_country(
     rng: random.Random,
     region: list[str],
     all_countries: list[str],
-    cross_border_rate: float,
 ) -> str:
-    if rng.random() < cross_border_rate:
+    if rng.random() < CROSS_BORDER_RATE:
         outside = [c for c in all_countries if c not in region]
         return rng.choice(outside)
     return rng.choice(region)

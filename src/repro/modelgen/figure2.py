@@ -228,7 +228,7 @@ def figure2_bgp():
     return graph, originations, int(AS_RELYING_PARTY)
 
 
-def build_deep_hierarchy(*, seed: int = 2014):
+def build_deep_hierarchy():
     """A four-level chain for Side Effect 4's "and beyond" case.
 
     ARIN -> Sprint -> Continental Broadband -> SmallBiz: SmallBiz is a
@@ -238,7 +238,7 @@ def build_deep_hierarchy(*, seed: int = 2014):
 
     Returns the Figure2World plus the extra authority (as a pair).
     """
-    world = build_figure2(seed=seed)
+    world = build_figure2(seed=2014)
     server = world.registry.create_server(
         "smallbiz.example", HostLocator.parse("63.174.18.10", 64700)
     )

@@ -123,9 +123,12 @@ BYZANTINE_KINDS = frozenset({
 
 _LEN = struct.Struct(">I")
 
+# How deep nested_bomb() nests its lists.
+BOMB_DEPTH = 4000
 
-def nested_bomb(depth: int = 4000) -> bytes:
-    """CTLV bytes of a list nested *depth* levels deep (~5 bytes/level).
+
+def nested_bomb() -> bytes:
+    """CTLV bytes of a list nested ``BOMB_DEPTH`` levels deep (~5 B/level).
 
     Structurally valid framing, so nothing rejects it for free — the
     decoder in :mod:`repro.crypto.encoding` starts walking and bails with
@@ -137,7 +140,7 @@ def nested_bomb(depth: int = 4000) -> bytes:
     found crashing production relying parties.
     """
     data = b"N" + _LEN.pack(0)
-    for _ in range(depth):
+    for _ in range(BOMB_DEPTH):
         data = b"L" + _LEN.pack(len(data)) + data
     return data
 

@@ -182,19 +182,16 @@ def format_ipv6(value: int) -> str:
     return f"{head}::{tail}"
 
 
-def parse_address(text: str, afi: Afi | None = None) -> tuple[Afi, int]:
+def parse_address(text: str) -> tuple[Afi, int]:
     """Parse an address of either family, returning ``(afi, value)``.
 
-    If *afi* is given, only that family is attempted and a mismatching
-    string raises :class:`AddressParseError`.
+    A colon makes it IPv6.  To insist on one family, call that family's
+    parser (:func:`parse_ipv4`, :func:`parse_ipv6`).
     """
     text = text.strip()
-    looks_v6 = ":" in text
-    if afi is Afi.IPV4 or (afi is None and not looks_v6):
-        return Afi.IPV4, parse_ipv4(text)
-    if afi is Afi.IPV6 or (afi is None and looks_v6):
+    if ":" in text:
         return Afi.IPV6, parse_ipv6(text)
-    raise AddressParseError(f"cannot parse {text!r} as {afi}")
+    return Afi.IPV4, parse_ipv4(text)
 
 
 def format_address(afi: Afi, value: int) -> str:

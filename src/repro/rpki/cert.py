@@ -24,6 +24,7 @@ from .errors import ObjectFormatError
 from .objects import (
     SignedObject,
     asn_set_to_data,
+    build_signed,
     key_error,
     read_signed,
     record_type,
@@ -293,6 +294,4 @@ def build_certificate(
         "sia_mirrors": list(sia_mirrors or []),
         "crldp": crldp,
     }
-    encoded_payload = encode(payload)
-    signature = issuer_key.sign(encoded_payload)
-    return cls(payload, signature, encoded_payload=encoded_payload)
+    return build_signed(cls, payload, issuer_key)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from ..crypto import KeyPair, encode
+from ..crypto import KeyPair
 from ..crypto.encoding import LIST, open_container, read_int
 from ..crypto.errors import SchemaError
-from .objects import SignedObject, schema
+from .objects import SignedObject, build_signed, schema
 
 __all__ = ["Crl", "build_crl"]
 
@@ -93,6 +93,4 @@ def build_crl(
         "not_before": this_update,
         "not_after": next_update,
     }
-    encoded_payload = encode(payload)
-    signature = issuer_key.sign(encoded_payload)
-    return Crl(payload, signature, encoded_payload=encoded_payload)
+    return build_signed(Crl, payload, issuer_key)

@@ -14,10 +14,10 @@ publishing CA.
 
 from __future__ import annotations
 
-from ..crypto import KeyPair, encode
+from ..crypto import KeyPair
 from ..crypto.errors import SchemaError
 from .cert import EECertificate, read_embedded_ee
-from .objects import SignedObject, read_str_map, schema
+from .objects import SignedObject, build_signed, read_str_map, schema
 
 __all__ = ["GhostbustersRecord", "build_ghostbusters", "GHOSTBUSTERS_FILE"]
 
@@ -86,7 +86,4 @@ def build_ghostbusters(
         "not_before": not_before,
         "not_after": not_after,
     }
-    encoded_payload = encode(payload)
-    signature = ee_key.sign(encoded_payload)
-    return GhostbustersRecord(payload, signature,
-                              encoded_payload=encoded_payload)
+    return build_signed(GhostbustersRecord, payload, ee_key)

@@ -14,8 +14,8 @@ what action should be taken", paper Section 4); the relying party in
 
 from __future__ import annotations
 
-from ..crypto import KeyPair, encode
-from .objects import SignedObject, read_str_map, schema
+from ..crypto import KeyPair
+from .objects import SignedObject, build_signed, read_str_map, schema
 
 __all__ = ["Manifest", "build_manifest"]
 
@@ -74,6 +74,4 @@ def build_manifest(
         "not_before": this_update,
         "not_after": next_update,
     }
-    encoded_payload = encode(payload)
-    signature = issuer_key.sign(encoded_payload)
-    return Manifest(payload, signature, encoded_payload=encoded_payload)
+    return build_signed(Manifest, payload, issuer_key)

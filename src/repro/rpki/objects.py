@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from ..crypto import RsaPublicKey, decode, encode, sha256_hex
+from ..crypto import KeyPair, RsaPublicKey, decode, encode, sha256_hex
 from ..crypto.encoding import (
     LIST,
     MAP,
@@ -33,11 +33,11 @@ from ..crypto.encoding import (
 )
 from ..crypto.errors import EncodingError, SchemaError
 from ..resources import AsnSet, Prefix, ResourceSet
-from ..telemetry import default_registry
 from .errors import ObjectFormatError
 
 __all__ = [
     "SignedObject",
+    "build_signed",
     "read_signed",
     "record_type",
     "verify_wire",
@@ -45,23 +45,6 @@ __all__ = [
     "asn_set_to_data",
     "prefix_to_data",
 ]
-
-# Canonical-bytes memo telemetry for the dict constructor (builders and
-# hand-built objects; parsing fetched bytes never constructs from a
-# dictionary).  A miss means the constructor had to encode its payload
-# itself instead of reusing the bytes the builder signed.  Bound to the
-# process-global registry at import time (the default registry is a
-# permanent singleton, only ever reset in place), same as
-# repro.crypto.rsa's counters.
-_ENCODE_CACHE_HITS = default_registry().counter(
-    "repro_crypto_encode_cache_hits_total",
-    help="SignedObject constructions that reused pre-encoded payload bytes",
-)
-_ENCODE_CACHE_MISSES = default_registry().counter(
-    "repro_crypto_encode_cache_misses_total",
-    help="SignedObject constructions that had to re-encode their payload",
-)
-
 
 def resource_set_to_data(resources: ResourceSet) -> list:
     """Encode a ResourceSet as ``[[afi, start, end], ...]`` (sorted)."""
@@ -256,6 +239,16 @@ def _read_payload(rows: tuple | None, buf: bytes, offset: int, end: int
     return values
 
 
+def build_signed(cls: type, payload: dict, signer: KeyPair) -> "SignedObject":
+    """The *cls* object whose payload is *payload*, signed by *signer*.
+
+    Encode, sign the encoding, and read the object from the two — the
+    one way every builder makes a signed object.
+    """
+    encoded_payload = encode(payload)
+    return cls(encoded_payload, signer.sign(encoded_payload))
+
+
 def verify_wire(wire: bytes, signed_end: int, public_key: RsaPublicKey
                 ) -> bool:
     """True iff a wire form's signature verifies under *public_key*.
@@ -286,13 +279,7 @@ class SignedObject:
     __slots__ = ("_wire", "_signed_end", "_hash_hex", "_serial",
                  "_issuer_key_id", "_not_before", "_not_after")
 
-    def __init__(self, payload: dict, signature: bytes, *,
-                 encoded_payload: bytes | None = None):
-        if encoded_payload is None:
-            _ENCODE_CACHE_MISSES.inc()
-            encoded_payload = encode(payload)
-        else:
-            _ENCODE_CACHE_HITS.inc()
+    def __init__(self, encoded_payload: bytes, signature: bytes):
         # The wire form is [payload, signature]; with the payload bytes
         # in hand it is a header + concatenation.  The fields are then
         # read from it exactly as from fetched bytes.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..crypto import KeyPair, encode
+from ..crypto import KeyPair
 from ..crypto.encoding import LIST, open_container, read_int
 from ..crypto.errors import SchemaError
 from ..resources import ASN, Afi, Prefix, ResourceSet
@@ -21,6 +21,7 @@ from .cert import EECertificate, address_family, embedded_ee, read_ee
 from .errors import ObjectFormatError
 from .objects import (
     SignedObject,
+    build_signed,
     prefix_to_data,
     read_signed,
     record_type,
@@ -227,6 +228,4 @@ def build_roa(
         "not_before": not_before,
         "not_after": not_after,
     }
-    encoded_payload = encode(payload)
-    signature = ee_key.sign(encoded_payload)
-    return Roa(payload, signature, encoded_payload=encoded_payload)
+    return build_signed(Roa, payload, ee_key)

@@ -21,12 +21,11 @@ from .pdu import (
     Pdu,
     PduDecodeError,
     PduType,
-    PrefixPdu,
     ResetQuery,
     RTR_VERSION,
     SerialNotify,
     SerialQuery,
-    decode_pdus,
+    decode_runs,
     encode_pdu,
     encode_prefixes,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "Pdu",
     "PduDecodeError",
     "PduType",
-    "PrefixPdu",
     "RTR_VERSION",
     "ResetQuery",
     "RouterState",
@@ -57,7 +55,7 @@ __all__ = [
     "SerialNotify",
     "SerialQuery",
     "SessionMux",
-    "decode_pdus",
+    "decode_runs",
     "encode_pdu",
     "encode_prefixes",
 ]

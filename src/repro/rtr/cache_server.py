@@ -335,7 +335,9 @@ class RtrCacheServer:
 
     # -- protocol ----------------------------------------------------------
 
-    def _handle(self, session: MuxSession, pdu: Pdu) -> None:
+    def _handle(
+        self, session: MuxSession, pdu: Pdu | tuple[bool, list[VRP]]
+    ) -> None:
         if isinstance(pdu, ResetQuery):
             self._send_full(session)
         elif isinstance(pdu, SerialQuery):
@@ -343,11 +345,13 @@ class RtrCacheServer:
         elif isinstance(pdu, ErrorReport):
             self.mux.drop(session)
         # Anything else from a router is a protocol violation; RFC 6810
-        # says send an Error Report and drop the session.
-        elif not isinstance(pdu, (SerialNotify,)):
+        # says send an Error Report and drop the session.  A run of
+        # prefix PDUs is a plain tuple, named for what was on the wire.
+        elif not isinstance(pdu, SerialNotify):
+            name = "PrefixPdu" if type(pdu) is tuple else type(pdu).__name__
             self._m_errors.inc(kind="protocol")
             self._send_final(session, ErrorReport(
-                error_code=3, text=f"unexpected {type(pdu).__name__}",
+                error_code=3, text=f"unexpected {name}",
             ))
             self.mux.drop(session)
 

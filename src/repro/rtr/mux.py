@@ -11,9 +11,12 @@ serving loop — on the simulated clock, with no threads.
 
 Fairness: a single chatty (or hostile, Stalloris-style slow-feeding)
 session must not starve its siblings, so each ready session is drained
-at most :data:`FAIRNESS_BUDGET` PDUs per tick.  Left-over decoded PDUs stay
-queued on the session and the session stays ready, guaranteeing every
-session makes progress every tick regardless of how much one peer sends.
+at most :data:`FAIRNESS_BUDGET` PDUs per tick.  The mux reads what
+:func:`repro.rtr.pdu.decode_runs` reads: a run of prefix PDUs counts
+as the PDUs in it, and one longer than what is left of the budget is
+split there.  Left-over decoded PDUs stay queued on the session and the
+session stays ready, guaranteeing every session makes progress every
+tick regardless of how much one peer sends.
 
 The mux owns transport concerns only — readiness, stream reassembly,
 decode errors, closed channels, fan-out writes.  Protocol semantics
@@ -27,9 +30,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..rp.vrp import VRP
 from ..telemetry import MetricsRegistry, default_registry
 from .channel import ChannelClosed, DuplexPipe
-from .pdu import Pdu, PduDecodeError, decode_pdus
+from .pdu import Pdu, PduDecodeError, decode_runs
 
 __all__ = ["MuxEvent", "MuxSession", "SessionMux"]
 
@@ -44,7 +48,7 @@ class MuxSession:
     sid: int
     pipe: DuplexPipe
     receive_buffer: bytes = b""
-    pending: deque[Pdu] = field(default_factory=deque)
+    pending: deque[Pdu | tuple[bool, list[VRP]]] = field(default_factory=deque)
     alive: bool = True
 
     def send(self, encoded: bytes) -> None:
@@ -56,13 +60,15 @@ class MuxSession:
 class MuxEvent:
     """What one ready session produced in one tick.
 
-    Exactly one of three shapes: a batch of decoded ``pdus``, a fatal
-    ``error`` string (undecodable bytes — the session's buffers are
-    already cleared), or ``closed`` (the peer hung up).
+    Exactly one of three shapes: a batch of decoded ``pdus`` (a run of
+    prefix PDUs as one ``(announce, [VRP, ...])`` item, as
+    :func:`~repro.rtr.pdu.decode_runs` reads it), a fatal ``error``
+    string (undecodable bytes — the session's buffers are already
+    cleared), or ``closed`` (the peer hung up).
     """
 
     session: MuxSession
-    pdus: tuple[Pdu, ...] = ()
+    pdus: tuple[Pdu | tuple[bool, list[VRP]], ...] = ()
     error: str | None = None
     closed: bool = False
 
@@ -186,25 +192,36 @@ class SessionMux:
         closed = closed or session.pipe.closed
         if data:
             try:
-                pdus, session.receive_buffer = decode_pdus(data)
+                items, session.receive_buffer = decode_runs(data)
             except PduDecodeError as exc:
                 self.drop(session)
                 return MuxEvent(session=session, error=str(exc))
-            session.pending.extend(pdus)
-        if closed and not session.pending:
+            session.pending.extend(items)
+        pending = session.pending
+        if closed and not pending:
             self.drop(session)
             self._m_session_events.inc(event="closed")
             return MuxEvent(session=session, closed=True)
-        if not session.pending:
+        if not pending:
             return None
-        batch: list[Pdu] = []
-        while session.pending and len(batch) < FAIRNESS_BUDGET:
-            batch.append(session.pending.popleft())
-        self._m_drained.inc(len(batch))
-        if session.pending or session.receive_buffer or closed:
+        batch = []
+        room = FAIRNESS_BUDGET
+        while pending and room:
+            item = pending.popleft()
+            if type(item) is tuple:
+                announce, run = item
+                if len(run) > room:
+                    pending.appendleft((announce, run[room:]))
+                    item = (announce, run[:room])
+                room -= len(item[1])
+            else:
+                room -= 1
+            batch.append(item)
+        self._m_drained.inc(FAIRNESS_BUDGET - room)
+        if pending or session.receive_buffer or closed:
             # More work than one fair share: stay ready, continue next
             # tick so siblings get their turn first.
             self._ready.add(session.sid)
-            if session.pending:
+            if pending:
                 self._m_deferred.inc()
         return MuxEvent(session=session, pdus=tuple(batch))

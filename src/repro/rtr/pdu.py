@@ -36,7 +36,6 @@ import enum
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from ..resources import Afi
 from ..rp.vrp import VRP
@@ -49,14 +48,13 @@ __all__ = [
     "SerialQuery",
     "ResetQuery",
     "CacheResponse",
-    "PrefixPdu",
     "EndOfData",
     "CacheReset",
     "ErrorReport",
     "Pdu",
     "encode_pdu",
     "encode_prefixes",
-    "decode_pdus",
+    "decode_runs",
     "PduDecodeError",
 ]
 
@@ -138,17 +136,6 @@ class CacheResponse:
     session_id: int
 
 
-class PrefixPdu(NamedTuple):
-    """One VRP on the wire: announce (flags bit 0 = 1) or withdraw (= 0).
-
-    The VRP is the payload itself, built and range-checked once; a
-    router queues the PDU as the ``(announce, vrp)`` pair it is.
-    """
-
-    announce: bool
-    vrp: VRP
-
-
 @dataclass(frozen=True)
 class EndOfData:
     session_id: int
@@ -166,9 +153,11 @@ class ErrorReport:
     text: str = ""
 
 
+# Every PDU but the prefix PDUs, which travel as runs: packed by
+# encode_prefixes, read by decode_runs.
 Pdu = (
     SerialNotify | SerialQuery | ResetQuery | CacheResponse
-    | PrefixPdu | EndOfData | CacheReset | ErrorReport
+    | EndOfData | CacheReset | ErrorReport
 )
 
 
@@ -196,8 +185,6 @@ def encode_prefixes(announce: bool, vrps: Iterable[VRP]) -> bytes:
 
 def encode_pdu(pdu: Pdu) -> bytes:
     """Serialize one PDU to RFC 6810 wire bytes."""
-    if isinstance(pdu, PrefixPdu):
-        return encode_prefixes(pdu.announce, (pdu.vrp,))
     if isinstance(pdu, SerialNotify):
         return _packet(PduType.SERIAL_NOTIFY, pdu.session_id,
                        _U32.pack(pdu.serial))
@@ -234,37 +221,22 @@ _WITH_SERIAL = {
 }
 
 
-def decode_pdus(data: bytes) -> tuple[list[Pdu], bytes]:
+def decode_runs(
+    data: bytes,
+) -> tuple[list[Pdu | tuple[bool, list[VRP]]], bytes]:
     """Decode as many complete PDUs as *data* contains.
 
-    Returns ``(pdus, remainder)`` — the remainder is a partial trailing
+    Each stretch of consecutive prefix PDUs of one header and one flag
+    comes as one run ``(announce, [VRP, ...])`` — a plain ``tuple``,
+    which no PDU is — and every other PDU as itself, in wire order.  A
+    router applies a burst a run at a time; the mux counts a run's PDUs
+    against its fairness budget.
+
+    Returns ``(items, remainder)`` — the remainder is a partial trailing
     PDU to be retried once more bytes arrive (stream semantics, like the
     TCP connection RTR really runs over).  The remainder never holds
     more than one PDU of a legal length: a header that announces any
     other length raises before a byte of its body is waited for.
-
-    A run of :func:`_decode_runs` is spelled out here as one
-    :class:`PrefixPdu` per record.
-    """
-    items, rest = _decode_runs(data)
-    pdus: list[Pdu] = []
-    for item in items:
-        if type(item) is tuple:
-            announce, vrps = item
-            pdus.extend([PrefixPdu(announce, vrp) for vrp in vrps])
-        else:
-            pdus.append(item)
-    return pdus, rest
-
-
-def _decode_runs(
-    data: bytes,
-) -> tuple[list[Pdu | tuple[bool, list[VRP]]], bytes]:
-    """The one decoder behind :func:`decode_pdus`: the same PDUs, the
-    same remainder and the same checks and error text, except that each
-    stretch of consecutive prefix PDUs of one header and one flag comes
-    as one run ``(announce, [VRP, ...])`` — a plain ``tuple``, which no
-    PDU is — in wire order.  A router applies a burst a run at a time.
     """
     items: list[Pdu | tuple[bool, list[VRP]]] = []
     append = items.append

@@ -27,7 +27,7 @@ from .pdu import (
     ResetQuery,
     SerialNotify,
     SerialQuery,
-    _decode_runs,
+    decode_runs,
     encode_pdu,
 )
 
@@ -88,17 +88,17 @@ class RtrRouterClient:
     def connect(self) -> None:
         """Start the session with a full reset synchronization."""
         self._burst_is_reset = True
-        self._send(ResetQuery())
         self.state = RouterState.SYNCING
+        self._send(ResetQuery())
 
     def poll(self) -> None:
         """Ask for changes since our serial (routers also poll on a timer)."""
         if self.session_id is None:
             self.connect()
             return
-        self._send(SerialQuery(self.session_id, self.serial))
         self._burst_is_reset = False
         self.state = RouterState.SYNCING
+        self._send(SerialQuery(self.session_id, self.serial))
 
     def process(self) -> None:
         """Consume everything the cache has sent since the last call."""
@@ -110,7 +110,7 @@ class RtrRouterClient:
             self._fail("connection closed")
             return
         try:
-            items, self._receive_buffer = _decode_runs(data)
+            items, self._receive_buffer = decode_runs(data)
         except PduDecodeError as exc:
             self._send(ErrorReport(error_code=0, text=str(exc)))
             self._fail(f"undecodable bytes from cache: {exc}")
@@ -122,6 +122,8 @@ class RtrRouterClient:
                 self._pending.append(item)
             else:
                 self._handle(item)
+                if self.state is RouterState.FAILED:
+                    return  # a fatal error ends the session mid-read
 
     # -- state machine -------------------------------------------------------------
 
@@ -166,8 +168,8 @@ class RtrRouterClient:
             return
         if isinstance(pdu, CacheReset):
             self._burst_is_reset = True
-            self._send(ResetQuery())
             self.state = RouterState.SYNCING
+            self._send(ResetQuery())
             return
         if isinstance(pdu, ErrorReport):
             self._fail(f"cache error {pdu.error_code}: {pdu.text}")

@@ -19,14 +19,12 @@ YEAR = 365 * DAY
 
 
 class Clock:
-    """A monotonically advancing simulated clock."""
+    """A monotonically advancing simulated clock, started at the epoch."""
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: int = 0):
-        if start < 0:
-            raise ValueError(f"clock cannot start before the epoch: {start}")
-        self._now = start
+    def __init__(self):
+        self._now = 0
 
     @property
     def now(self) -> int:

@@ -25,7 +25,7 @@ from .metrics import (
     reset_default_metrics,
 )
 from .render import render_json, render_text
-from .tracing import Span, trace
+from .tracing import Span
 
 __all__ = [
     "DEFAULT_TIME_BUCKETS",
@@ -40,5 +40,4 @@ __all__ = [
     "render_json",
     "render_text",
     "reset_default_metrics",
-    "trace",
 ]

@@ -59,12 +59,13 @@ class Metric:
     :meth:`bind`, then increment/observe the returned child directly.
     A child is *parked* (not rendered) from :meth:`bind` or :meth:`reset`
     until its next event, so a binding outlives a reset and neither adds
-    a zero-valued series.
+    a zero-valued series.  A :class:`MetricsRegistry` makes every metric,
+    and always passes its help text and label names.
     """
 
     TYPE = "untyped"
 
-    def __init__(self, name: str, help: str = "", labelnames: tuple[str, ...] = ()):
+    def __init__(self, name: str, help: str, labelnames: tuple[str, ...]):
         if not METRIC_NAME_RE.match(name):
             raise MetricError(
                 f"metric name {name!r} must be snake_case with the 'repro_' prefix"
@@ -277,8 +278,8 @@ class Histogram(Metric):
         self,
         name: str,
         buckets: tuple[float, ...],
-        help: str = "",
-        labelnames: tuple[str, ...] = (),
+        help: str,
+        labelnames: tuple[str, ...],
     ):
         uppers = tuple(float(b) for b in buckets)
         if not uppers:

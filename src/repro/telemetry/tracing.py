@@ -13,7 +13,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-__all__ = ["Span", "trace"]
+__all__ = ["Span"]
 
 
 @dataclass
@@ -72,16 +72,3 @@ def trace_into(spans, histogram, clock, labelvalues: dict):
     finally:
         span.end = clock.now
         histogram.observe(span.duration, **labelvalues)
-
-
-def trace(name: str, clock, registry=None, **labelvalues: str):
-    """Module-level convenience: trace into *registry* (default global).
-
-    Equivalent to ``(registry or default_registry()).trace(...)`` — the
-    facade exports this so application code can write
-    ``with repro.trace("repro_my_phase_seconds", clock): ...``.
-    """
-    from .metrics import default_registry
-
-    target = registry if registry is not None else default_registry()
-    return target.trace(name, clock, **labelvalues)

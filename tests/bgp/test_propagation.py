@@ -157,18 +157,6 @@ class TestHijacks:
         # Addresses in the other half still reach the victim.
         assert reachable(outcome, 1, "10.4.200.1", 4)
 
-    def test_subprefix_hijack_explicit_subprefix(self):
-        hijack = subprefix_hijack(
-            "10.4.0.0/16", victim=4, attacker=666, subprefix="10.4.32.0/24"
-        )
-        assert hijack.attack.prefix == p("10.4.32.0/24")
-
-    def test_subprefix_must_be_proper(self):
-        with pytest.raises(ValueError):
-            subprefix_hijack("10.0.0.0/8", 1, 2, subprefix="10.0.0.0/8")
-        with pytest.raises(ValueError):
-            subprefix_hijack("10.0.0.0/8", 1, 2, subprefix="11.0.0.0/9")
-
 
 class TestRpkiPolicies:
     """Route validity feeding selection: the Table 6 mechanics."""

@@ -16,4 +16,4 @@ def clock():
 def key_factory():
     """A reproducible key factory; keys are pooled process-wide, so tests
     sharing this seed are fast after the first run."""
-    return KeyFactory(seed=1000, bits=512)
+    return KeyFactory(seed=1000)

@@ -9,6 +9,7 @@ from repro.modelgen import (
     build_table4_world,
     figure2_bgp,
 )
+from repro.modelgen import deployment
 from repro.repository import Fetcher
 from repro.resources import Prefix, ResourceSet
 from repro.rp import RelyingParty
@@ -128,18 +129,20 @@ class TestDeployment:
                                                 customers_per_isp=2))
         assert big.roa_count() > small.roa_count()
 
-    def test_cross_border_rate_zero(self):
+    def test_cross_border_rate_zero(self, monkeypatch):
+        monkeypatch.setattr(deployment, "CROSS_BORDER_RATE", 0.0)
         world = build_deployment(DeploymentConfig(
-            isps_per_rir=2, customers_per_isp=1, cross_border_rate=0.0
+            isps_per_rir=2, customers_per_isp=1
         ))
         from repro.jurisdiction import cross_border_audit
 
         findings = cross_border_audit(world.roots, world.as_country)
         assert not any(f.crosses_border for f in findings)
 
-    def test_cross_border_rate_high(self):
+    def test_cross_border_rate_high(self, monkeypatch):
+        monkeypatch.setattr(deployment, "CROSS_BORDER_RATE", 1.0)
         world = build_deployment(DeploymentConfig(
-            isps_per_rir=2, customers_per_isp=1, cross_border_rate=1.0
+            isps_per_rir=2, customers_per_isp=1
         ))
         from repro.jurisdiction import cross_border_audit
 

@@ -129,7 +129,8 @@ class TestFetcher:
         point = server.mount("rsync://continental/repo/")
         point.put("a.roa", b"roa-bytes")
         point.put("b.cer", b"cer-bytes")
-        clock = Clock(start=100)
+        clock = Clock()
+        clock.advance(100)
         fetcher = Fetcher(registry, clock, **fetcher_kwargs)
         return registry, point, clock, fetcher
 

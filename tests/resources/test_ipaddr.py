@@ -80,7 +80,7 @@ class TestParseAddress:
 
     def test_forced_family_mismatch(self):
         with pytest.raises(AddressParseError):
-            parse_address("::1", afi=Afi.IPV4)
+            parse_ipv4("::1")
 
     def test_format_roundtrip(self):
         for text in ["10.1.2.3", "2001:db8::42"]:

@@ -34,7 +34,7 @@ def plant_evil_child(world, *, sia, sia_mirrors):
     """Sprint signs a child certificate with a hostile SIA and lists it."""
     sprint = world.sprint
     template = world.continental.certificate.payload
-    subject_key = KeyFactory(seed=666, bits=512).next_keypair()
+    subject_key = KeyFactory(seed=666).next_keypair()
     payload = dict(
         template,
         serial=9_999,

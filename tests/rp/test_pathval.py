@@ -75,7 +75,7 @@ class TestCryptoRejections:
         from repro.rpki import build_certificate, build_roa
         from repro.rpki.roa import RoaPrefix
 
-        rogue_factory = KeyFactory(seed=666, bits=512)
+        rogue_factory = KeyFactory(seed=666)
         rogue = rogue_factory.next_keypair()
         rogue_ee = rogue_factory.next_keypair()
         ee_cert = build_certificate(

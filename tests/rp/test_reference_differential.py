@@ -33,7 +33,7 @@ from .reference_validator import assert_agrees
 from .test_hostile_sia import SHAPES, plant_evil_child
 from .test_roa_rows import publish_roa
 
-FORGER = KeyFactory(seed=4242, bits=512)
+FORGER = KeyFactory(seed=4242)
 
 
 def snapshot_of(world) -> dict[str, dict[str, bytes]]:

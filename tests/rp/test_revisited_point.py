@@ -25,7 +25,7 @@ LOOP_FILE = "loop.cer"
 def plant_loop_child(world):
     """Sprint signs a fresh-key child whose SIA is ARIN's point."""
     template = world.continental.certificate.payload
-    subject_key = KeyFactory(seed=667, bits=512).next_keypair()
+    subject_key = KeyFactory(seed=667).next_keypair()
     payload = dict(
         template,
         serial=9_998,

@@ -55,7 +55,7 @@ POOLS = {
 }
 FULL, SHRUNK = (ResourceSet.parse(text)
                 for text in ("63.174.16.0/20", "63.174.16.0/22"))
-EE_KEY = KeyFactory(seed=2525, bits=512).next_keypair()
+EE_KEY = KeyFactory(seed=2525).next_keypair()
 
 
 class SerialLiar(HostedPublicationPoint):

@@ -23,7 +23,7 @@ from repro.simtime import DAY
 
 NETWORK = (63 << 24) | (174 << 16) | (16 << 8)     # 63.174.16.0
 
-_EE_KEY = KeyFactory(seed=777, bits=512).next_keypair()
+_EE_KEY = KeyFactory(seed=777).next_keypair()
 
 
 def forge(payload: dict, key: KeyPair) -> bytes:

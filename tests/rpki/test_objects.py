@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto import KeyFactory
+from repro.crypto import KeyFactory, encode
 from repro.resources import ASN, AsnSet, Prefix, ResourceSet
 from repro.rpki import (
     Crl,
@@ -22,7 +22,7 @@ from repro.rpki.objects import asn_set_to_data, resource_set_to_data
 
 from .reference_parse import asn_set_from_data, resource_set_from_data
 
-FACTORY = KeyFactory(seed=42, bits=512)
+FACTORY = KeyFactory(seed=42)
 ISSUER = FACTORY.next_keypair()
 SUBJECT = FACTORY.next_keypair()
 EE = FACTORY.next_keypair()
@@ -284,5 +284,5 @@ class TestParseObject:
         rc = make_rc()
         payload = dict(rc.payload)
         payload["subject"] = "Evil"
-        tampered = ResourceCertificate(payload, rc.signature)
+        tampered = ResourceCertificate(encode(payload), rc.signature)
         assert not tampered.verify_signature(ISSUER.public)

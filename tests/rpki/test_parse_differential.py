@@ -51,7 +51,7 @@ from . import reference_parse
 from .forge import NETWORK, cert_bytes, crl_bytes, roa_bytes
 
 SEED = 0xD1FF
-FACTORY = KeyFactory(seed=SEED, bits=512)
+FACTORY = KeyFactory(seed=SEED)
 ISSUER, SUBJECT, EE = (FACTORY.next_keypair() for _ in range(3))
 
 COMMON = ("serial", "issuer_key_id", "not_before", "not_after")

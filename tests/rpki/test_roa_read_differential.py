@@ -46,7 +46,7 @@ from repro.rpki import (
 )
 from repro.rpki.parse import class_of
 from repro.rpki.roa import read_roa
-from repro.crypto import KeyFactory, encode, sha256_hex
+from repro.crypto import KeyPair, encode, generate_keypair, sha256_hex
 from repro.telemetry import MetricsRegistry
 
 from . import reference_parse
@@ -212,7 +212,7 @@ class TestNeverLooser:
 
 # -- each check failing ----------------------------------------------------------
 
-SMALL_KEY = KeyFactory(seed=SEED, bits=256).next_keypair()
+SMALL_KEY = KeyPair(generate_keypair(256, random.Random(SEED)))
 
 
 def forged_roa(*, ee_key=EE, ee_signer=ISSUER, issuer_key_id=None,

@@ -7,11 +7,15 @@ header, one ``_decode_one`` call, one field at a time — kept here, under
 agree with (``test_pdu_differential.py``).  It carries the same rules:
 a fixed-size type is judged on its header, Error Report is capped and
 parsed by the RFC 6810 §5.10 layout.  It is not imported by ``src/``.
+
+Its prefix PDU is :class:`PrefixPdu`, one VRP each; ``repro.rtr`` has no
+such type, since it reads and writes prefix PDUs a run at a time.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import NamedTuple
 
 from repro.resources import ASN, Afi, Prefix
 from repro.rp.vrp import VRP
@@ -23,7 +27,6 @@ from repro.rtr import (
     Pdu,
     PduDecodeError,
     PduType,
-    PrefixPdu,
     ResetQuery,
     SerialNotify,
     SerialQuery,
@@ -31,6 +34,14 @@ from repro.rtr import (
 from repro.rtr.pdu import MAX_ERROR_REPORT_LENGTH
 
 _HEADER = struct.Struct(">BBHI")
+
+
+class PrefixPdu(NamedTuple):
+    """One VRP on the wire: announce (flags bit 0 = 1) or withdraw (= 0)."""
+
+    announce: bool
+    vrp: VRP
+
 
 # Body size of every fixed-size type (RFC 6810 §5).
 _BODY_SIZE = {

@@ -18,7 +18,6 @@ from repro.rtr import (
     EndOfData,
     ErrorReport,
     PduDecodeError,
-    PrefixPdu,
     ResetQuery,
     RouterState,
     SerialNotify,
@@ -27,6 +26,7 @@ from repro.rtr import (
 from repro.rtr.channel import ChannelClosed
 
 from . import reference_codec as reference
+from .reference_codec import PrefixPdu
 
 
 class ReferenceRouter:
@@ -46,16 +46,16 @@ class ReferenceRouter:
 
     def connect(self):
         self._burst_is_reset = True
-        self._send(ResetQuery())
         self.state = RouterState.SYNCING
+        self._send(ResetQuery())
 
     def poll(self):
         if self.session_id is None:
             self.connect()
             return
-        self._send(SerialQuery(self.session_id, self.serial))
         self._burst_is_reset = False
         self.state = RouterState.SYNCING
+        self._send(SerialQuery(self.session_id, self.serial))
 
     def process(self):
         if self.state is RouterState.FAILED:
@@ -73,6 +73,8 @@ class ReferenceRouter:
             return
         for pdu in pdus:
             self._handle(pdu)
+            if self.state is RouterState.FAILED:
+                return
 
     def _handle(self, pdu):
         if isinstance(pdu, PrefixPdu):
@@ -108,8 +110,8 @@ class ReferenceRouter:
             self.pending.clear()
         elif isinstance(pdu, CacheReset):
             self._burst_is_reset = True
-            self._send(ResetQuery())
             self.state = RouterState.SYNCING
+            self._send(ResetQuery())
         elif isinstance(pdu, ErrorReport):
             self._fail(f"cache error {pdu.error_code}: {pdu.text}")
 

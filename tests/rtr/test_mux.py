@@ -12,14 +12,14 @@ from repro.rtr import (
 from repro.rtr import mux as mux_module
 from repro.rtr.pdu import (
     ErrorReport,
-    PrefixPdu,
     ResetQuery,
     SerialQuery,
-    decode_pdus,
     encode_pdu,
     encode_prefixes,
 )
 from repro.telemetry import MetricsRegistry
+
+from .per_pdu import PrefixPdu, decode_pdus, expand
 
 
 def attach_one(mux):
@@ -109,8 +109,9 @@ class TestFairness:
 
 
 class TestPrefixPdusFromARouter:
-    """A router has no business sending prefix PDUs; a run of them is
-    still one PDU each to the mux, and a protocol error to the cache."""
+    """A router has no business sending prefix PDUs; a run of them
+    counts one PDU each against the mux's fairness budget, and is a
+    protocol error to the cache."""
 
     VRPS = [VRP.parse(f"10.{i}.0.0/16", 64500) for i in range(8)]
 
@@ -120,7 +121,7 @@ class TestPrefixPdusFromARouter:
         mux = SessionMux(metrics=registry)
         pipe, session = attach_one(mux)
         pipe.to_cache.send(encode_prefixes(True, self.VRPS))
-        batches = [mux.poll()[0].pdus for _ in range(3)]
+        batches = [expand(mux.poll()[0].pdus) for _ in range(3)]
         assert [len(batch) for batch in batches] == [3, 3, 2]
         assert [pdu for batch in batches for pdu in batch] == [
             PrefixPdu(True, vrp) for vrp in self.VRPS]

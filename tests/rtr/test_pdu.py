@@ -15,13 +15,12 @@ from repro.rtr import (
     EndOfData,
     ErrorReport,
     PduDecodeError,
-    PrefixPdu,
     ResetQuery,
     SerialNotify,
     SerialQuery,
-    decode_pdus,
-    encode_pdu,
 )
+
+from .per_pdu import PrefixPdu, decode_pdus, encode_pdu
 
 ALL_PDUS = [
     SerialNotify(session_id=7, serial=42),

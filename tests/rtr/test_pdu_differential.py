@@ -24,19 +24,17 @@ from repro.rtr import (
     ErrorReport,
     MAX_ERROR_REPORT_LENGTH,
     PduDecodeError,
-    PrefixPdu,
     ResetQuery,
     RouterState,
     RtrCacheServer,
     RtrRouterClient,
     SerialNotify,
     SerialQuery,
-    decode_pdus,
-    encode_pdu,
+    decode_runs,
     encode_prefixes,
 )
-from repro.rtr.pdu import _decode_runs
 from . import reference_codec as reference
+from .per_pdu import PrefixPdu, decode_pdus, encode_pdu
 from .reference_codec import wire_order as _wire_order
 from .reference_router import ReferenceRouter
 
@@ -422,6 +420,15 @@ NAMED_BURSTS = {
 }
 
 
+# Each case a burst after the same reset burst that the cache cuts short
+# with a fatal Error Report: the router stops there.
+FATAL_BURSTS = {
+    "error report in mid-burst": [
+        CacheResponse(7), ErrorReport(2, "no data"), PrefixPdu(True, B4),
+        EndOfData(7, 5)],
+}
+
+
 class RouterPair:
     """A production router and the per-PDU reference, fed alike."""
 
@@ -496,16 +503,28 @@ class TestRouterAgainstReference:
             pair.feed(blob[cut:])
             assert pair.bursts == whole.bursts
 
+    @pytest.mark.parametrize("name", sorted(FATAL_BURSTS))
+    def test_fatal_burst_cut_at_every_byte(self, name):
+        blob = _wire(_burst(7, 1, ("+", A4), ("+", C6))
+                     + FATAL_BURSTS[name])
+        for cut in range(len(blob) + 1):
+            pair = RouterPair()
+            pair.feed(blob[:cut])
+            pair.feed(blob[cut:])
+            assert pair.router.state is RouterState.FAILED
+            assert pair.router._vrps == {A4, C6} and pair.router.serial == 1
+            assert len(pair.bursts) == 1
+
     def test_a_run_is_one_flag_of_one_family(self):
         stream = NAMED_BURSTS["interleaved families"][1:-1]
-        items, rest = _decode_runs(_wire(stream))
+        items, rest = decode_runs(_wire(stream))
         assert rest == b"" and items == [
             (True, [B4]), (True, [D6]), (True, [B4]), (False, [C6]),
             (False, [A4]), (True, [C6]),
         ]
         flips = NAMED_BURSTS["flag flip on every PDU"][1:-1]
-        assert _decode_runs(_wire(flips))[0] == [
+        assert decode_runs(_wire(flips))[0] == [
             (p.announce, [p.vrp]) for p in flips]
-        items, _rest = _decode_runs(_wire(
+        items, _rest = decode_runs(_wire(
             NAMED_BURSTS["duplicates"][1:-1]))
         assert items == [(True, [B4] * 3), (False, [A4] * 2), (True, [B4])]

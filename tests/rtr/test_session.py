@@ -6,7 +6,20 @@ import pytest
 
 from repro.resources import Afi
 from repro.rp import VRP, VrpSet
-from repro.rtr import DuplexPipe, RouterState, RtrCacheServer, RtrRouterClient
+from repro.rtr import (
+    CacheResponse,
+    ChainedRtrCache,
+    DuplexPipe,
+    EndOfData,
+    ErrorReport,
+    RouterState,
+    RtrCacheServer,
+    RtrRouterClient,
+    SerialNotify,
+    decode_runs,
+    encode_pdu,
+    encode_prefixes,
+)
 from repro.rtr.cache_server import MAX_HISTORY_VRPS
 
 
@@ -191,11 +204,84 @@ class TestFailureModes:
         client.process()
         assert client.state is RouterState.FAILED
 
+    def test_a_poll_into_a_closed_channel_stays_failed(self):
+        server, client = make_pair()
+        client.connect()
+        pump(server, client)
+        client.pipe.close()
+        client.poll()
+        assert client.state is RouterState.FAILED
+
     def test_bad_server_args(self):
         with pytest.raises(ValueError):
             RtrCacheServer(session_id=70000)
         with pytest.raises(ValueError):
             RtrCacheServer(history_window=0)
+
+
+def hostile_read(session_id: int, serial: int) -> bytes:
+    """One read of a Cache Response, an Error Report, a prefix PDU and
+    an End of Data: everything after the Error Report comes too late."""
+    return (encode_pdu(CacheResponse(session_id))
+            + encode_pdu(ErrorReport(error_code=2, text="no data"))
+            + encode_prefixes(True, [VRP.parse("10.0.0.0/8", 64500)])
+            + encode_pdu(EndOfData(session_id, serial)))
+
+
+class TestFatalErrorEndsTheRead:
+    """A cache's Error Report is fatal: nothing after it in the same read
+    is applied to the table or handed on."""
+
+    def test_a_router_stops_at_the_error_report(self):
+        bursts = []
+        server = RtrCacheServer()
+        server.update(vrps(*FIGURE2))
+        pipe = DuplexPipe()
+        server.attach(pipe)
+        client = RtrRouterClient(
+            pipe, on_burst=lambda *burst: bursts.append(burst))
+        client.connect()
+        pump(server, client)
+        assert client.state is RouterState.SYNCED and len(bursts) == 1
+        table, serial = client.vrp_set(), client.serial
+        pipe.to_router.send(hostile_read(client.session_id, serial + 5))
+        client.process()
+        assert client.state is RouterState.FAILED
+        assert client.vrp_set() == table and client.serial == serial
+        assert len(bursts) == 1
+        assert client.errors == ["cache error 2: no data"]
+
+    def test_a_chained_cache_forwards_nothing(self):
+        upstream = RtrCacheServer()
+        upstream.update(vrps(*FIGURE2))
+        chained = ChainedRtrCache(upstream)
+        upstream.process()
+        chained.pump()
+        assert chained.client.state is RouterState.SYNCED
+        served, serial = chained.current_vrps(), chained.server.serial
+        chained.pipe.to_router.send(hostile_read(
+            chained.client.session_id, chained.client.serial + 5))
+        chained.client.process()
+        assert chained.client.state is RouterState.FAILED
+        assert chained.current_vrps() == served
+        assert chained.server.serial == serial
+
+    def test_a_poll_the_cache_cannot_hear_ends_the_read(self):
+        server, client = make_pair()
+        client.connect()
+        pump(server, client)
+        table, serial = client.vrp_set(), client.serial
+        # The cache hung up on us; its last words were a notify and a
+        # burst.  Answering the notify fails, and the burst is not read.
+        client.pipe.to_cache.close()
+        client.pipe.to_router.send(
+            encode_pdu(SerialNotify(client.session_id, serial + 1))
+            + encode_pdu(CacheResponse(client.session_id))
+            + encode_prefixes(True, [VRP.parse("10.0.0.0/8", 64500)])
+            + encode_pdu(EndOfData(client.session_id, serial + 1)))
+        client.process()
+        assert client.state is RouterState.FAILED
+        assert client.vrp_set() == table and client.serial == serial
 
 
 class TestMalformedPduHandling:
@@ -224,15 +310,13 @@ class TestMalformedPduHandling:
         assert errors.value(kind="decode") == 1
 
     def test_error_report_sent_before_drop(self):
-        from repro.rtr import ErrorReport, decode_pdus
-
         server, client, _ = self.make_instrumented_pair()
         client.connect()
         pump(server, client)
         client.pipe.to_cache.send(b"\xff" * 9)
         server.process()
         raw = client.pipe.to_router.receive()
-        pdus, _ = decode_pdus(raw)
+        pdus, _ = decode_runs(raw)
         assert any(isinstance(p, ErrorReport) for p in pdus)
 
     def test_dead_session_ignored_afterwards(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simtime import Clock
-from repro.telemetry import MetricsRegistry, Span, default_registry, trace
+from repro.telemetry import MetricsRegistry, Span
 from repro.telemetry.metrics import MAX_SPANS
 
 
@@ -14,7 +14,8 @@ def registry():
 
 class TestSpanTiming:
     def test_duration_is_simulated_elapsed_time(self, registry):
-        clock = Clock(start=100)
+        clock = Clock()
+        clock.advance(100)
         with registry.trace("repro_work_seconds", clock) as span:
             clock.advance(42)
         assert span.start == 100 and span.end == 142
@@ -117,19 +118,3 @@ class TestSpanLogBound:
         assert len(registry.spans) == 0
         self.trace_n(registry, Clock(), 1)
         assert len(registry.spans) == 1
-
-
-class TestModuleLevelTrace:
-    def test_defaults_to_global_registry(self):
-        clock = Clock()
-        with trace("repro_test_module_seconds", clock) as span:
-            clock.advance(1)
-        # Not a length check: the process-wide log may already be full.
-        assert default_registry().spans[-1] is span
-
-    def test_explicit_registry_wins(self):
-        own = MetricsRegistry()
-        clock = Clock()
-        with trace("repro_test_module_seconds", clock, registry=own):
-            pass
-        assert len(own.spans) == 1

@@ -50,18 +50,18 @@ from repro.rtr import (
     CacheResponse,
     DuplexPipe,
     EndOfData,
-    PrefixPdu,
     RtrCacheServer,
     RtrRouterClient,
-    encode_pdu,
 )
 from repro.simtime import Clock
 from repro.telemetry import MetricsRegistry
 
+from .rtr.per_pdu import PrefixPdu, encode_pdu
+
 ORIGIN = ASN(64_500)
 HOLDING = Prefix.parse("10.0.0.0/8")
 SIZES = (100, 400)
-EE_KEY = KeyFactory(seed=4_242, bits=512).next_keypair()
+EE_KEY = KeyFactory(seed=4_242).next_keypair()
 
 
 def scattered(count):
@@ -83,7 +83,7 @@ def holder_world():
     ]
     root = CertificateAuthority.create_trust_anchor(
         handle="root", ip_resources=ResourceSet.parse("10.0.0.0/8"),
-        clock=clock, key_factory=KeyFactory(seed=23, bits=512),
+        clock=clock, key_factory=KeyFactory(seed=23),
         sia="rsync://root.example/repo/",
         publication_point=servers[0].mount("rsync://root.example/repo/"),
     )

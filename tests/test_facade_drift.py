@@ -2,8 +2,9 @@
 
 Fails the suite when ``repro.__all__`` lists a name that does not
 resolve, is missing from docs/API.md, is duplicated, or breaks the
-sorted-by-construction invariant — or when a facade option is set by no
-call outside ``tests/`` and has no allowlist row.
+sorted-by-construction invariant — or when an option of a name the
+facade or a subpackage exports is set by no call outside ``tests/`` and
+has no allowlist row.
 """
 
 import pathlib
@@ -76,4 +77,18 @@ def test_lint_rejects_an_option_only_tests_set(monkeypatch, tmp_path):
         "option knob.third is set by no call outside tests/: make it a "
         "constant, or give it an OPTION_ALLOWLIST row with a reason",
         "OPTION_ALLOWLIST row knob.first names no facade option",
+    ]
+
+
+def test_lint_reads_every_subpackage_all(monkeypatch, tmp_path):
+    import repro.core
+
+    monkeypatch.setattr(repro.core, "knob", knob, raising=False)
+    monkeypatch.setattr(repro.core, "__all__", repro.core.__all__ + ["knob"])
+    assert "knob" not in repro.__all__
+    (tmp_path / "caller.py").write_text("knob(1, 5)\n")
+    problems = check_facade.check_options(allowlist={}, roots=(tmp_path,))
+    assert [p for p in problems if "knob." in p] == [
+        "option knob.third is set by no call outside tests/: make it a "
+        "constant, or give it an OPTION_ALLOWLIST row with a reason",
     ]

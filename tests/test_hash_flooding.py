@@ -216,7 +216,7 @@ class TestVrps:
 def ipv6_world(hosts):
     """A trust anchor, one /48 holder under it, and one ROA over *hosts*."""
     clock = Clock()
-    keys = KeyFactory(seed=23, bits=512)
+    keys = KeyFactory(seed=23)
     registry = RepositoryRegistry()
     root_server = registry.create_server(
         "root.example", HostLocator.parse("192.0.2.1", 64_496))
@@ -298,7 +298,7 @@ HONEST = list(range(7, 7 + SERIALS))
 
 
 def crl_of(serials):
-    key = KeyFactory(seed=29, bits=512).next_keypair()
+    key = KeyFactory(seed=29).next_keypair()
     return build_crl(
         issuer_key=key, issuer_key_id="k", revoked_serials=serials,
         serial=1, this_update=0, next_update=10,

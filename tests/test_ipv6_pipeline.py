@@ -21,7 +21,7 @@ from repro.simtime import Clock
 @pytest.fixture
 def v6_world():
     clock = Clock()
-    factory = KeyFactory(seed=6666, bits=512)
+    factory = KeyFactory(seed=6666)
     registry = RepositoryRegistry()
     rir_server = registry.create_server(
         "rir6.example", HostLocator.parse("2001:db8:ffff::1", 64496)

@@ -68,7 +68,7 @@ def test_a_hit_in_the_previous_generation_is_promoted(monkeypatch):
 def test_key_id_memo_survives_its_bound(monkeypatch):
     small = bounded(monkeypatch, 2)
     monkeypatch.setattr(keys, "_KEY_ID_MEMO", small)
-    factory = KeyFactory(seed=42, bits=512)
+    factory = KeyFactory(seed=42)
     publics = [factory.next_keypair().public for _ in range(3)]
     first = [keys.key_id_of(public) for public in publics]
     for _ in range(3):

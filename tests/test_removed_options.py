@@ -16,8 +16,9 @@ constant: the memo bound (``tests/test_memo.py``,
 ``tests/rp/test_incremental.py``), the applied-fault log
 (``tests/repository/test_repository.py``), the mux fairness budget
 (``tests/rtr/test_mux.py``), the query history ring
-(``tests/api/test_service.py``, ``tests/api/test_request_path.py``) and
-the forwarding hop guard (``tests/bgp/test_propagation.py``).
+(``tests/api/test_service.py``, ``tests/api/test_request_path.py``),
+the forwarding hop guard (``tests/bgp/test_propagation.py``) and the
+cross-border rate, at 0 and 1 (``tests/modelgen/test_modelgen.py``).
 ``tools/check_facade.py`` keeps new facade options honest the same way.
 """
 
@@ -26,7 +27,15 @@ import pytest
 from repro import memo
 from repro.api import ApiConfig, QueryService, RateLimitConfig, TokenBucket
 from repro.api import service as api_service
-from repro.bgp import TopologyConfig, forward, forwarding, gen
+from repro.bgp import (
+    AsGraph,
+    TopologyConfig,
+    forward,
+    forwarding,
+    gen,
+    propagate,
+    subprefix_hijack,
+)
 from repro.chaos import (
     CampaignConfig,
     FaultPlan,
@@ -36,11 +45,14 @@ from repro.chaos import (
     shrink_plan,
 )
 from repro.core import OTHER_ORIGIN, plan_whack, validity_matrix
+from repro.crypto import KeyFactory, is_probable_prime, keys
 from repro.memo import GenerationMemo
 from repro.modelgen import (
     DeploymentConfig,
     build_deep_hierarchy,
     build_figure2,
+    build_table4_world,
+    deployment,
 )
 from repro.monitor import (
     ChurnConfig,
@@ -61,7 +73,8 @@ from repro.repository import (
     FetchScheduler,
     RsyncUri,
 )
-from repro.repository import faults
+from repro.repository import faults, nested_bomb
+from repro.resources import parse_address
 from repro.rp import (
     IncrementalState,
     ParseMemo,
@@ -70,11 +83,17 @@ from repro.rp import (
     VerificationMemo,
     VrpSet,
 )
-from repro.rpki import CertificateAuthority, InMemoryPublicationPoint
+from repro.rpki import (
+    CertificateAuthority,
+    EECertificate,
+    InMemoryPublicationPoint,
+    ResourceCertificate,
+    SignedObject,
+)
 from repro.rpki.publication import DEFAULT_HISTORY_LIMIT
 from repro.rtr import ChainedRtrCache, RtrCacheServer, SessionMux, mux
 from repro.simtime import HOUR, Clock
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import Metric, MetricsRegistry
 
 POINT = "rsync://a.example/repo/"
 
@@ -202,6 +221,32 @@ REMOVED = {
             None, subject="x", subject_public_key=None, ip_resources=None,
             as_resources=None, sia=POINT, validity=1,
             enforce_coverage=False),
+    # A clock starts at the epoch; tests advance() it.
+    "Clock(start=)": lambda: Clock(start=100),
+    "build_table4_world(seed=)": lambda: build_table4_world(seed=4),
+    "nested_bomb(depth=)": lambda: nested_bomb(depth=8),
+    "DeploymentConfig(cross_border_rate=)":
+        lambda: DeploymentConfig(cross_border_rate=0.15),
+    # Every factory's keys are keys.KEY_BITS wide.
+    "KeyFactory(bits=)": lambda: KeyFactory(seed=1, bits=256),
+    # A signed object is built from its encoded payload and signature.
+    "ResourceCertificate(payload dict)":
+        lambda: ResourceCertificate({"type": "rc"}, b"signature"),
+    "SignedObject(encoded_payload=)": lambda: SignedObject(
+        {}, b"signature", encoded_payload=b""),
+    "EECertificate(encoded_payload=)": lambda: EECertificate(
+        {}, b"signature", encoded_payload=b""),
+    # Options of subpackage exports that no caller outside the tests set.
+    "is_probable_prime(rng=)": lambda: is_probable_prime(7, rng=None),
+    "build_deep_hierarchy(seed=)": lambda: build_deep_hierarchy(seed=2014),
+    "parse_address(afi=)": lambda: parse_address("::1", afi=None),
+    "propagate(default_policy=)": lambda: propagate(
+        AsGraph(), [], default_policy=None),
+    "subprefix_hijack(subprefix=)": lambda: subprefix_hijack(
+        "10.0.0.0/8", 1, 2, subprefix="10.0.0.0/9"),
+    # A registry makes every metric and always passes both.
+    "Metric(help=) omitted": lambda: Metric("repro_x_total", labelnames=()),
+    "Metric(labelnames=) omitted": lambda: Metric("repro_x_total", help=""),
 }
 
 
@@ -227,15 +272,37 @@ def import_reset_default_metrics_from_facade():
     from repro import reset_default_metrics  # noqa: F401
 
 
+def import_trace_from_facade():
+    from repro import trace  # noqa: F401
+
+
+def import_trace_from_telemetry():
+    from repro.telemetry import trace  # noqa: F401
+
+
+def import_decode_pdus():
+    from repro.rtr import decode_pdus  # noqa: F401
+
+
+def import_prefix_pdu():
+    from repro.rtr import PrefixPdu  # noqa: F401
+
+
 # Classes no caller outside the tests ever configured, the memo bound's
-# old name, and facade names nothing outside the tests imported (they
-# stay in repro.repository and repro.telemetry): importing one is an
-# ImportError.
+# old name, facade names nothing outside the tests imported (the first
+# two stay in repro.repository and repro.telemetry), the module-level
+# trace (MetricsRegistry.trace stays), and the per-PDU view of the RTR
+# decoder (decode_runs is the one decoder; PrefixPdu lives on in the
+# tests' reference codec): importing one is an ImportError.
 GONE = {
     "SchedulerConfig": import_scheduler_config,
     "DEFAULT_MEMO_ENTRIES": import_default_memo_entries,
     "repro.always_reachable": import_always_reachable_from_facade,
     "repro.reset_default_metrics": import_reset_default_metrics_from_facade,
+    "repro.trace": import_trace_from_facade,
+    "repro.telemetry.trace": import_trace_from_telemetry,
+    "repro.rtr.decode_pdus": import_decode_pdus,
+    "repro.rtr.PrefixPdu": import_prefix_pdu,
 }
 
 
@@ -264,3 +331,7 @@ def test_the_constants_are_in_force():
     assert experiment.EPOCH_SECONDS == HOUR
     assert forwarding.MAX_HOPS == 64
     assert validity_matrix(VrpSet(), "10.0.0.0/24").origins == (OTHER_ORIGIN,)
+    assert Clock().now == 0
+    assert faults.BOMB_DEPTH == 4000
+    assert deployment.CROSS_BORDER_RATE == 0.15
+    assert keys.KEY_BITS == 512

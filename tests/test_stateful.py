@@ -54,7 +54,7 @@ class CaMachine(RuleBasedStateMachine):
             handle="ROOT",
             ip_resources=ResourceSet.parse("10.0.0.0/8"),
             clock=self.clock,
-            key_factory=KeyFactory(seed=4242, bits=512),
+            key_factory=KeyFactory(seed=4242),
             sia="rsync://root.example/repo/",
             publication_point=server.mount("rsync://root.example/repo/"),
         )

@@ -15,11 +15,12 @@ four checks:
 3. **The list is sorted and duplicate-free.**  Sorted-by-construction
    keeps diffs reviewable (one insertion per new export) and makes the
    completeness check in code review a scan, not a puzzle.
-4. **Every option has a caller.**  A defaulted parameter of a facade
-   function, of a facade class's ``__init__`` (dataclasses excepted) or
-   of a field of a facade ``*Config`` dataclass must be set by some call
-   under ``src/``, ``benchmarks/``, ``examples/`` or ``tools/`` — by
-   keyword, by position, or (for a config field) through
+4. **Every option has a caller.**  A defaulted parameter of an exported
+   function, of an exported class's ``__init__`` (dataclasses excepted)
+   or of a field of an exported ``*Config`` dataclass — exported by the
+   facade or by any ``repro.*`` subpackage's ``__all__`` — must be set
+   by some call under ``src/``, ``benchmarks/``, ``examples/`` or
+   ``tools/`` — by keyword, by position, or (for a config field) through
    ``dataclasses.replace``.  Passing a literal equal to the default does
    not count.  A setting only ``tests/`` sets is a constant waiting to
    happen; one that stays anyway sits in :data:`OPTION_ALLOWLIST` with
@@ -35,8 +36,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import enum
+import importlib
 import inspect
 import pathlib
+import pkgutil
 import re
 import sys
 
@@ -44,29 +47,19 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 API_DOC = REPO_ROOT / "docs" / "API.md"
 CALLER_DIRS = ("src", "benchmarks", "examples", "tools")
 
-# Facade options no call outside tests/ sets, kept anyway: "Owner.option"
-# -> why.  Owner is the facade name (function or class).
+# Exported options no call outside tests/ sets, kept anyway:
+# "Owner.option" -> why.  Owner is the exported name (function or class).
 OPTION_ALLOWLIST: dict[str, str] = {
     "RelyingParty.mode": "removed after the benchmark-only PR",
     "RelyingParty.strict_manifests":
         "set both ways by benchmarks/test_bench_ablations.py, through "
         "make_rp(**kwargs)",
-    "Counter.help": "passed by MetricsRegistry.counter, through cls(...)",
-    "Counter.labelnames": "passed by MetricsRegistry.counter, through cls(...)",
-    "Gauge.help": "passed by MetricsRegistry.gauge, through cls(...)",
-    "Gauge.labelnames": "passed by MetricsRegistry.gauge, through cls(...)",
-    "ResourceCertificate.encoded_payload":
-        "passed by the wire reader, through cls(...)",
     "DetectionExperiment.metrics":
         "the telemetry registry, injected like every other component's",
-    "KeyFactory.bits": "tests mint 256-bit keys to probe the key-size check",
-    "DeploymentConfig.cross_border_rate":
-        "the Table 4 bench and examples/border_audit.py spell out the "
-        "paper's 15 %",
-    "Clock.start": "next caller audit: only tests start a clock past 0",
-    "build_table4_world.seed": "next caller audit: only tests reseed it",
-    "nested_bomb.depth": "next caller audit: only tests size the bomb",
-    "trace.registry": "next caller audit: only tests pass a registry",
+    "plan_rollout.existing":
+        "the ROAs already published: data, not a setting; without it the "
+        "advisor cannot warn that a new ROA is covered by an existing one "
+        "(Side Effect 6)",
 }
 
 
@@ -122,15 +115,26 @@ def check_facade() -> list[str]:
     return problems
 
 
+def exported(repro) -> dict[str, object]:
+    """Every name in ``repro.__all__`` or a ``repro.*`` subpackage's."""
+    names = {name: getattr(repro, name, None) for name in repro.__all__}
+    for module in pkgutil.iter_modules(repro.__path__):
+        if module.ispkg:
+            package = importlib.import_module(f"repro.{module.name}")
+            for name in package.__all__:
+                names.setdefault(name, getattr(package, name))
+    return names
+
+
 def facade_options(repro) -> list[tuple[str, str, int | None, object]]:
-    """``(owner, option, position, default)`` for every defaulted option.
+    """``(owner, option, position, default)`` for every defaulted option
+    of an :func:`exported` name.
 
     *position* is the index a positional argument lands on, or None for
     a keyword-only option.
     """
     options = []
-    for owner in repro.__all__:
-        obj = getattr(repro, owner, None)
+    for owner, obj in exported(repro).items():
         if inspect.isclass(obj) and dataclasses.is_dataclass(obj):
             if not owner.endswith("Config"):
                 continue
@@ -225,7 +229,7 @@ def check_options(
     roots: tuple[pathlib.Path, ...] = tuple(
         REPO_ROOT / d for d in CALLER_DIRS),
 ) -> list[str]:
-    """Every facade option with no caller outside tests/ and no reason."""
+    """Every exported option with no caller outside tests/ and no reason."""
     options = facade_options(_import_repro())
     found = set_options(options, roots)
     problems = []
