@@ -8,15 +8,13 @@ paper's contribution on top: the ROA-whacking attack taxonomy, the seven
 side-effect analyses, the circular-dependency failure mode, the
 cross-jurisdiction audit, and a monitoring layer for detecting manipulation.
 
-Layering (import order is strictly bottom-up)::
+Layering: import order is strictly bottom-up, in the order of the layer
+table in docs/architecture.md (``tools/check_layers.py`` checks it)::
 
-    telemetry / simtime (substrate: metrics, simulated time)
-    resources -> crypto -> rpki -> repository -> rp -> bgp -> rtr
-                                   \\- api (the origin-validation query plane)
-                                   \\------------ core / monitor / jurisdiction
-                                                  modelgen (fixtures & generators)
-                                                  chaos (fault campaigns over all of it)
-                                                  experiments (one function per paper figure/table)
+    simtime / telemetry / memo (substrate: simulated time, metrics, memos)
+    resources -> crypto -> rpki -> repository -> rp -> api -> bgp -> rtr
+    core -> monitor -> jurisdiction -> modelgen -> chaos -> experiments
+    profiling -> repro (this facade) -> cli
 
 **This module is the stable public API.**  Everything re-exported here —
 the names in ``__all__`` — is the documented entry point::
@@ -71,7 +69,6 @@ from .chaos import (
 from .core import (
     ClosedLoopSimulation,
     collateral_of_revocation,
-    demonstrate_all,
     execute_whack,
     missing_roa_impact,
     plan_whack,
@@ -79,6 +76,7 @@ from .core import (
     whack_blast_radius,
 )
 from .crypto import KeyFactory, generate_keypair
+from .experiments import demonstrate_all
 from .jurisdiction import cross_border_audit, render_table4
 from .modelgen import (
     INTERNET_SCALES,
@@ -113,7 +111,6 @@ from .repository import (
     LocalCache,
     RepositoryRegistry,
     RepositoryServer,
-    RsyncUri,
     nested_bomb,
 )
 from .resources import ASN, Afi, Prefix, ResourceSet
@@ -132,7 +129,7 @@ from .rp import (
     VrpSet,
     validate,
 )
-from .rpki import CertificateAuthority, ResourceCertificate, Roa
+from .rpki import CertificateAuthority, ResourceCertificate, Roa, RsyncUri
 from .rtr import (
     CacheChain,
     ChainedRtrCache,

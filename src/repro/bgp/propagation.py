@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..resources import ASN, Prefix
+from ..rp.states import RouteValidity
 from .errors import AnnouncementError, TopologyError
 from .policy import LocalPolicy, SelectionPolicy
 from .routes import Announcement, Rib
@@ -111,8 +112,6 @@ def propagate(
                 """Cross-prefix context for SELECTIVE_DROP: does this AS
                 currently hold a VALID route whose prefix covers the
                 candidate's (and that is not the candidate itself)?"""
-                from ..rp.states import RouteValidity
-
                 for held in _selected.values():
                     if held.prefix != announcement.prefix and not (
                         held.prefix.covers(announcement.prefix)

@@ -57,7 +57,7 @@ from ..jurisdiction.regions import RIR
 from ..modelgen import DeploymentConfig, build_deployment
 from ..repository import Fetcher, FaultInjector
 from ..repository.faults import POINT_KINDS
-from ..repository.uri import RsyncUri
+from ..rpki import RsyncUri
 from ..rp import RelyingParty
 from ..rtr import (
     CacheChain,

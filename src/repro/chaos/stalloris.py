@@ -37,7 +37,7 @@ from ..jurisdiction.regions import RIR
 from ..modelgen import DeploymentConfig, build_deployment
 from ..repository import Fetcher, FaultInjector
 from ..repository.faults import PERSISTENT, FaultKind
-from ..repository.uri import RsyncUri
+from ..rpki import RsyncUri
 from ..rp import RelyingParty
 
 __all__ = [

@@ -49,7 +49,6 @@ from .chaos import (
     CampaignConfig, StallorisConfig, measure_stalloris, run_campaign,
     shrink_plan,
 )
-from .core import demonstrate_all
 from .jurisdiction import render_table4
 from .modelgen import (
     HIERARCHICAL_SCALES, INTERNET_SCALES, DeploymentConfig, build_deployment,
@@ -559,7 +558,7 @@ def cmd_profile(args) -> None:
 
 def cmd_sideeffects(_args) -> None:
     print("The seven side effects, demonstrated\n")
-    for report in demonstrate_all():
+    for report in experiments.demonstrate_all():
         print(report.render())
         print()
 

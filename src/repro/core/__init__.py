@@ -30,18 +30,6 @@ from .missing import (
     safe_issuance_order,
 )
 from .reclaim import ReclamationReport, reclaim_space, reissuance_candidates
-from .sideeffects import (
-    SIDE_EFFECTS,
-    SideEffectReport,
-    demonstrate,
-    demonstrate_all,
-)
-from .timeline import (
-    ScheduledAction,
-    TimelineEpoch,
-    TimelineReport,
-    TimelineRunner,
-)
 from .tradeoff import TradeoffCell, TradeoffScenario, TradeoffTable, run_tradeoff
 from .validity import (
     OTHER_ORIGIN,
@@ -78,17 +66,9 @@ __all__ = [
     "MatrixCell",
     "OTHER_ORIGIN",
     "ReclamationReport",
-    "SIDE_EFFECTS",
-    "SideEffectReport",
-    "demonstrate",
-    "demonstrate_all",
     "RepositoryDependencyGraph",
     "RoaRemovalImpact",
     "ScenarioError",
-    "ScheduledAction",
-    "TimelineEpoch",
-    "TimelineReport",
-    "TimelineRunner",
     "TradeoffCell",
     "TradeoffScenario",
     "TradeoffTable",

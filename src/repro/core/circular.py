@@ -37,8 +37,8 @@ from ..bgp import (
 )
 from ..repository import Fetcher, FaultInjector, HostLocator, RepositoryRegistry
 from ..resources import ASN, format_address
-from ..rp import RelyingParty, Route, RouteValidity, VrpSet, validate
-from ..rpki import CertificateAuthority
+from ..rp import VRP, RelyingParty, Route, RouteValidity, VrpSet, validate
+from ..rpki import CertificateAuthority, RsyncUri
 from ..simtime import Clock
 from .whack import subtree_roas
 
@@ -109,8 +109,6 @@ class RepositoryDependencyGraph:
             for holder, _name, roa in subtree_roas(root):
                 uri = _point_uri(holder)
                 for rp_entry in roa.prefixes:
-                    from ..rp import VRP
-
                     vrp = VRP(
                         prefix=rp_entry.prefix,
                         max_length=rp_entry.effective_max_length,
@@ -170,8 +168,6 @@ class RepositoryDependencyGraph:
 
 
 def _point_uri(authority: CertificateAuthority) -> str:
-    from ..repository.uri import RsyncUri
-
     return str(RsyncUri.parse(authority.sia))
 
 

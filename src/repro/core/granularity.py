@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..resources import Afi, Prefix, parse_address
+from ..resources import Afi, Prefix, ResourceSet, parse_address
 from ..rp import VRP, VrpSet
 
 __all__ = ["MIN_ROUTABLE_V4", "BlastRadius", "whack_blast_radius"]
@@ -74,8 +74,6 @@ def whack_blast_radius(target_address: str, vrps: VrpSet) -> BlastRadius:
     target = Prefix(afi, value, afi.bits)
 
     whacked = tuple(sorted(vrps.covering(target)))
-    from ..resources import ResourceSet
-
     disturbed = ResourceSet.from_prefixes(v.prefix for v in whacked)
 
     floor_length = MIN_ROUTABLE_V4 if afi is Afi.IPV4 else 48

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..resources import Prefix, ResourceSet
-from ..rpki import CertificateAuthority
+from ..rpki import CertificateAuthority, cert_file_name
 from .errors import ScenarioError
 from .whack import DamagedObject, collateral_of_revocation, subtree_roas
 
@@ -113,8 +113,6 @@ def reissuance_candidates(
         parent = authority.parent
         if parent is None:
             return True
-        from ..rpki import cert_file_name
-
         return cert_file_name(authority.certificate) in parent.issued_certs
 
     def visit(authority: CertificateAuthority) -> None:

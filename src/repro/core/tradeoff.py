@@ -26,12 +26,13 @@ from ..bgp import (
     AsGraph,
     LocalPolicy,
     Origination,
+    forward,
     policy_table,
     propagate,
     reachable,
     subprefix_hijack,
 )
-from ..resources import ASN, Prefix
+from ..resources import ASN, Prefix, format_address
 from ..rp import VRP, Route, VrpSet, validate
 
 __all__ = ["TradeoffScenario", "TradeoffCell", "TradeoffTable", "run_tradeoff"]
@@ -132,8 +133,6 @@ def _measure(
     ]
     reached = 0
     hijacked = 0
-    from ..bgp import forward
-
     for observer in observers:
         if reachable(outcome, observer, probe_address, scenario.victim):
             reached += 1
@@ -152,8 +151,6 @@ def run_tradeoff(scenario: TradeoffScenario) -> TradeoffTable:
         scenario.victim_prefix, scenario.victim, scenario.attacker
     )
     probe_prefix = attack.attack.prefix
-    from ..resources import format_address
-
     probe_address = format_address(
         probe_prefix.afi, probe_prefix.network | 1
     )

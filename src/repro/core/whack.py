@@ -140,10 +140,8 @@ def subtree_roas(
     authority: CertificateAuthority,
 ) -> list[tuple[CertificateAuthority, str, Roa]]:
     """Every ROA issued in *authority*'s subtree, (holder, name, roa)."""
-    out = [(authority, name, roa) for name, roa in authority.issued_roas.items()]
-    for child in authority.children():
-        out.extend(subtree_roas(child))
-    return out
+    return [(holder, name, roa) for holder in authority.subtree()
+            for name, roa in holder.issued_roas.items()]
 
 
 def collateral_of_revocation(
@@ -194,11 +192,9 @@ def _subtree_objects(
     Includes the authority's own RC, every descendant RC, and every ROA.
     """
     out: list[tuple[str, CertificateAuthority, object]] = []
-    out.append(("rc", authority, authority.certificate))
-    for _name, roa in authority.issued_roas.items():
-        out.append(("roa", authority, roa))
-    for child in authority.children():
-        out.extend(_subtree_objects(child))
+    for holder in authority.subtree():
+        out.append(("rc", holder, holder.certificate))
+        out += [("roa", holder, roa) for roa in holder.issued_roas.values()]
     return out
 
 
@@ -390,11 +386,6 @@ def _find_issuer(
     root: CertificateAuthority, cert: ResourceCertificate
 ) -> CertificateAuthority | None:
     """The authority in root's subtree that published *cert*."""
-    for name, issued in root.issued_certs.items():
-        if name == cert_file_name(cert):
-            return root
-    for child in root.children():
-        found = _find_issuer(child, cert)
-        if found is not None:
-            return found
-    return None
+    name = cert_file_name(cert)
+    return next(
+        (ca for ca in root.subtree() if name in ca.issued_certs), None)

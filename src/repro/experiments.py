@@ -13,6 +13,13 @@ claims on the result and commits ``render()`` under
 prints the same ``render()`` plus a line of commentary; ``examples/*.py``
 narrate the result.  They can disagree about prose, never about the
 experiment.
+
+The catalogue of all seven side effects closes the module: each
+``demonstrate_side_effect_N`` drives its scenario (reusing the ones
+above where the paper does) and returns a :class:`SideEffectReport`
+whose ``claims`` are checked facts — a report is only returned if the
+side effect actually manifested.  ``python -m repro sideeffects`` prints
+:func:`demonstrate_all`.
 """
 
 from __future__ import annotations
@@ -22,9 +29,10 @@ from dataclasses import dataclass, field
 from .bgp import AsGraph, LocalPolicy
 from .core import (
     BlastRadius, ClosedLoopSimulation, DamagedObject,
-    RepositoryDependencyGraph, RoaRemovalImpact, TradeoffScenario,
-    TradeoffTable, ValidityMatrix, WhackPlan, collateral_of_revocation,
-    execute_whack, missing_roa_impact, plan_whack, run_tradeoff,
+    RepositoryDependencyGraph, RoaRemovalImpact, ScenarioError,
+    TradeoffScenario, TradeoffTable, ValidityMatrix, WhackMethod, WhackPlan,
+    collateral_of_revocation, execute_whack, missing_roa_impact,
+    new_roa_impact, plan_whack, reclaim_space, run_tradeoff,
     validity_matrix, whack_blast_radius,
 )
 from .jurisdiction import CrossBorderFinding, cross_border_audit
@@ -34,19 +42,20 @@ from .modelgen import (
 )
 from .monitor import (
     Alert, ChurnConfig, ChurnEngine, DetectionExperiment, StallDetector,
+    analyze, diff_snapshots, take_snapshot,
 )
 from .repository import PERSISTENT, FaultInjector, FaultKind, Fetcher
-from .rp import VRP, RefreshReport, RelyingParty, VrpSet
+from .rp import VRP, RefreshReport, RelyingParty, RouteValidity, VrpSet
 from .simtime import HOUR
 from .telemetry import MetricsRegistry
 
 __all__ = [
     "CONTINENTAL_POINT", "ETB_POINT", "FIGURE2_VRPS", "FIGURE5_RIGHT_ROA",
     "ClosedLoopRun", "Figure2Model", "GranularitySweep", "MissingRoaTable",
-    "StalledAuthorityRun", "circular_dependencies", "figure2",
-    "figure2_vrps", "figure3", "figure5", "granularity",
-    "monitor_detection", "revocation_collateral", "side_effect6",
-    "side_effect7", "stalled_authority", "table4", "table6",
+    "SideEffectReport", "StalledAuthorityRun", "circular_dependencies",
+    "demonstrate_all", "figure2", "figure2_vrps", "figure3", "figure5",
+    "granularity", "monitor_detection", "revocation_collateral",
+    "side_effect6", "side_effect7", "stalled_authority", "table4", "table6",
 ]
 
 # What a relying party derives from the Figure 2 world: its eight ROAs
@@ -361,3 +370,183 @@ def stalled_authority(
             f"alerts={[a.kind.value for a in alerts]}"
         )
     return run
+
+
+# ---------------------------------------------------------------------------
+# the side-effect catalogue
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class SideEffectReport:
+    """One side effect's demonstration: the claims it checked."""
+
+    number: int
+    title: str
+    claims: list[str] = field(default_factory=list)
+
+    def check(self, condition: bool, claim: str) -> None:
+        """Record a claim, insisting that it actually held."""
+        if not condition:
+            raise ScenarioError(
+                f"side effect {self.number} failed to manifest: {claim}"
+            )
+        self.claims.append(claim)
+
+    def render(self) -> str:
+        lines = [f"Side Effect {self.number}: {self.title}"]
+        lines += [f"  - {claim}" for claim in self.claims]
+        return "\n".join(lines)
+
+
+def demonstrate_side_effect_1() -> SideEffectReport:
+    """Unilateral reclamation of IP address allocations, with little recourse."""
+    report = SideEffectReport(1, "unilateral reclamation, little recourse")
+    world = build_figure2()
+    outcome = reclaim_space(world.sprint, world.continental,
+                            roots=[world.arin])
+    report.check(
+        str(outcome.reclaimed) == "{63.174.16.0/20}",
+        "Sprint reclaimed Continental Broadband's entire /20 by revoking "
+        "one certificate",
+    )
+    report.check(
+        len(outcome.whacked_roas) == 5,
+        "all five of the tenant's ROAs were whacked in the process",
+    )
+    report.check(
+        outcome.recourse == ["ARIN", "Sprint"],
+        "only the ancestor chain (ARIN, Sprint) can reissue the space — "
+        "no web-PKI-style third party exists",
+    )
+    return report
+
+
+def demonstrate_side_effect_2() -> SideEffectReport:
+    """Stealthy revocation of a child's object."""
+    report = SideEffectReport(2, "stealthy revocation of a child's object")
+    world = build_figure2()
+    before = take_snapshot(world.registry, world.clock.now,
+                           trust_anchors=world.trust_anchors)
+    world.continental.delete_object(world.target22_name)
+    after = take_snapshot(world.registry, world.clock.now,
+                          trust_anchors=world.trust_anchors)
+    rp = RelyingParty(world.trust_anchors, Fetcher(world.registry, world.clock))
+    rp.refresh()
+    report.check(
+        len(rp.vrps) == 7 and not rp.last_run.errors(),
+        "the ROA vanished and validation still looks perfectly clean",
+    )
+    alerts = analyze(diff_snapshots(before, after), before, after)
+    report.check(
+        any(a.kind.value == "stealthy-deletion" for a in alerts),
+        "only a diff-based monitor notices: no CRL entry was ever written",
+    )
+    return report
+
+
+def demonstrate_side_effect_3() -> SideEffectReport:
+    """Targeted whacking of a grandchild ROA: Figure 3's clean hole."""
+    report = SideEffectReport(3, "targeted whacking of a grandchild")
+    world, plan = figure3(20)
+    report.check(
+        plan.method is WhackMethod.OVERWRITE_SHRINK,
+        "Sprint can whack its grandchild ROA by shrinking Continental's RC",
+    )
+    report.check(plan.collateral_count == 0,
+                 "the hole overlaps no other object: zero collateral damage")
+    rp = RelyingParty(world.trust_anchors, Fetcher(world.registry, world.clock))
+    rp.refresh()
+    report.check(
+        rp.classify_parts("63.174.16.0/20", 17054) is not RouteValidity.VALID
+        and len(rp.vrps) == 7,
+        "after execution only the target ROA is gone",
+    )
+    return report
+
+
+def demonstrate_side_effect_4() -> SideEffectReport:
+    """Whacking of great-grandchildren and beyond."""
+    report = SideEffectReport(4, "whacking great-grandchildren and beyond")
+    world = build_figure2()
+    grandparent_plan = plan_whack(world.sprint, world.target20,
+                                  world.continental)
+    great_plan = plan_whack(world.arin, world.target20, world.continental)
+    report.check(
+        great_plan.shrink_child is world.sprint,
+        "ARIN reaches the target by overwriting its own child (Sprint)",
+    )
+    report.check(
+        great_plan.suspicious_reissue_count
+        > grandparent_plan.suspicious_reissue_count,
+        "deeper whacking requires more suspiciously-reissued objects "
+        f"({great_plan.suspicious_reissue_count} vs "
+        f"{grandparent_plan.suspicious_reissue_count}) — easier to detect",
+    )
+    return report
+
+
+def demonstrate_side_effect_5() -> SideEffectReport:
+    """A new ROA can cause many routes to become invalid: Figure 5's
+    right-hand ROA over the Figure 2 VRPs."""
+    report = SideEffectReport(5, "a new ROA invalidates previously unknown routes")
+    impact = new_roa_impact(
+        figure2_vrps(), VRP.parse(*FIGURE5_RIGHT_ROA), probe_length=16)
+    report.check(
+        impact.newly_invalid_prefixes >= 12,
+        f"issuing (63.160.0.0/12-13, AS 1239) flips "
+        f"{impact.newly_invalid_prefixes} of {impact.probe_count} probed /16 "
+        "routes from unknown to invalid",
+    )
+    return report
+
+
+def demonstrate_side_effect_6() -> SideEffectReport:
+    """A missing ROA can cause a route to become invalid."""
+    report = SideEffectReport(6, "a missing ROA makes a route invalid")
+    world = build_figure2()
+    faults = FaultInjector(seed=1)
+    faults.schedule(
+        FaultKind.DROP, CONTINENTAL_POINT, file_name=world.target22_name)
+    rp = RelyingParty(
+        world.trust_anchors,
+        Fetcher(world.registry, world.clock, faults=faults))
+    rp.refresh()
+    report.check(
+        rp.classify_parts("63.174.16.0/22", 7341) is RouteValidity.INVALID,
+        "one dropped fetch and the /22 route is INVALID — not unknown — "
+        "because the /20 ROA covers it",
+    )
+    report.check(
+        rp.last_run.has_issue("manifest-file-missing"),
+        "the manifest is the only thing that even noticed the file missing",
+    )
+    return report
+
+
+def demonstrate_side_effect_7() -> SideEffectReport:
+    """Transient faults cause long-term failures: :func:`side_effect7`
+    under drop-invalid, the fault at epoch 1."""
+    report = SideEffectReport(7, "transient faults become persistent failures")
+    epochs = side_effect7(LocalPolicy.DROP_INVALID).loop.epochs
+    report.check(
+        CONTINENTAL_POINT in epochs[4].unreachable_points,
+        "one corrupted fetch of the self-hosted ROA, and the repository is "
+        "unreachable three epochs after the fault cleared",
+    )
+    report.check(
+        epochs[-1].unreachable_points == [CONTINENTAL_POINT],
+        "the relying party keeps trying and keeps failing: the missing ROA "
+        "is stored behind the route it would validate",
+    )
+    return report
+
+
+def demonstrate_all() -> list[SideEffectReport]:
+    """Run the whole catalogue, in order."""
+    return [run() for run in (
+        demonstrate_side_effect_1, demonstrate_side_effect_2,
+        demonstrate_side_effect_3, demonstrate_side_effect_4,
+        demonstrate_side_effect_5, demonstrate_side_effect_6,
+        demonstrate_side_effect_7,
+    )]

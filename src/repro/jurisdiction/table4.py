@@ -90,32 +90,26 @@ def cross_border_audit(
     sorted by descending count of out-of-region countries (the paper
     lists its most salient examples).
     """
-    from ..core.whack import subtree_roas
-
     findings: list[CrossBorderFinding] = []
-
-    def visit(authority: CertificateAuthority, rir: RIR) -> None:
-        countries: set[str] = set()
-        for _holder, _name, roa in subtree_roas(authority):
-            country = as_country.get(roa.asn)
-            if country:
-                countries.add(country.upper())
-        outside = sorted(
-            c for c in countries if not in_jurisdiction(rir, c)
-        )
-        findings.append(CrossBorderFinding(
-            holder=authority.handle,
-            rc_prefixes=str(authority.resources),
-            parent_rir=rir,
-            all_countries=tuple(sorted(countries)),
-            outside_countries=tuple(outside),
-        ))
-        for child in authority.children():
-            visit(child, rir)
-
     for root, rir in roots:
         for child in root.children():
-            visit(child, rir)
+            for authority in child.subtree():
+                countries = {
+                    country.upper()
+                    for holder in authority.subtree()
+                    for roa in holder.issued_roas.values()
+                    if (country := as_country.get(roa.asn))
+                }
+                outside = sorted(
+                    c for c in countries if not in_jurisdiction(rir, c)
+                )
+                findings.append(CrossBorderFinding(
+                    holder=authority.handle,
+                    rc_prefixes=str(authority.resources),
+                    parent_rir=rir,
+                    all_countries=tuple(sorted(countries)),
+                    outside_countries=tuple(outside),
+                ))
 
     findings.sort(key=lambda f: (-len(f.outside_countries), f.holder))
     return findings

@@ -32,7 +32,7 @@ from ..crypto import KeyFactory
 from ..jurisdiction.regions import RIR, region_of
 from ..jurisdiction.table4 import TABLE4_ROWS
 from ..repository import HostLocator, RepositoryRegistry
-from ..resources import ASN, Prefix, ResourceSet
+from ..resources import ASN, Prefix, ResourceSet, format_address
 from ..rpki import CertificateAuthority
 from ..rpki.roa import RoaPrefix
 from ..simtime import Clock
@@ -154,16 +154,7 @@ class DeploymentWorld:
         return [root.certificate for root, _rir in self.roots]
 
     def authorities(self) -> list[CertificateAuthority]:
-        out: list[CertificateAuthority] = []
-
-        def visit(authority: CertificateAuthority) -> None:
-            out.append(authority)
-            for child in authority.children():
-                visit(child)
-
-        for root, _rir in self.roots:
-            visit(root)
-        return out
+        return [ca for root, _rir in self.roots for ca in root.subtree()]
 
     def roa_count(self) -> int:
         return sum(len(a.issued_roas) for a in self.authorities())
@@ -523,8 +514,6 @@ def build_table4_world() -> DeploymentWorld:
 
 
 def _locator_inside(prefix: Prefix, *, asn: int, offset: int) -> HostLocator:
-    from ..resources import format_address
-
     address = format_address(prefix.afi, prefix.network + offset)
     return HostLocator.parse(address, asn)
 

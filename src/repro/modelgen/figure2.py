@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..bgp import AsGraph, Origination
 from ..crypto import KeyFactory
 from ..repository import HostLocator, RepositoryRegistry
 from ..resources import ASN, ResourceSet
@@ -201,8 +202,6 @@ def figure2_bgp():
       rsync delivery has routes to run over — including Continental
       Broadband's own /20, which contains its repository (Section 6).
     """
-    from ..bgp import AsGraph, Origination
-
     graph = AsGraph.from_links(
         provider_links=[
             (int(AS_TIER1), int(AS_ARIN_HOST)),

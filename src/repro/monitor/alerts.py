@@ -51,7 +51,7 @@ import enum
 from dataclasses import dataclass
 
 from ..repository.cache import point_digest
-from ..rpki import Manifest, Roa
+from ..rpki import Manifest, Roa, RsyncUri
 from .diff import SnapshotDiff
 from .snapshot import RpkiSnapshot
 
@@ -147,8 +147,6 @@ def analyze(
         point where the change was observed."""
         if not cert.sia:
             return None
-        from ..repository.uri import RsyncUri
-
         try:
             return contact_of(str(RsyncUri.parse(cert.sia)))
         except Exception:

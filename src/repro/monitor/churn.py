@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..resources import Prefix, ResourceSet
-from ..rpki import CertificateAuthority
+from ..rpki import CertificateAuthority, IssuanceError
 
 __all__ = ["ChurnConfig", "ChurnEvent", "ChurnEngine"]
 
@@ -85,8 +85,6 @@ class ChurnEngine:
     # -- operations ------------------------------------------------------------
 
     def _maybe_renew(self, authority: CertificateAuthority) -> list[ChurnEvent]:
-        from ..rpki import IssuanceError
-
         roas = list(authority.issued_roas)
         if not roas or self._rng.random() >= self.config.renew_rate:
             return []

@@ -27,7 +27,7 @@ cost), which per-point alerts alone would drown in noise.
 from __future__ import annotations
 
 from ..repository.fetch import FetchResult, FetchStatus
-from ..repository.uri import RsyncUri
+from ..rpki import RsyncUri
 from ..telemetry import MetricsRegistry, default_registry
 from .alerts import Alert, AlertKind
 

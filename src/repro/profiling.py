@@ -36,6 +36,11 @@ import pstats
 import time
 from dataclasses import dataclass, field
 
+from .crypto import KeyFactory
+from .modelgen import build_deployment, resolve_scale
+from .repository import Fetcher
+from .rp import RelyingParty
+
 __all__ = ["Hotspot", "ProfileReport", "profile_refresh"]
 
 
@@ -177,11 +182,6 @@ def profile_refresh(
     the ``refresh`` command run; its refresh is cold because it is the
     first.
     """
-    from .crypto import KeyFactory
-    from .modelgen import build_deployment, resolve_scale
-    from .repository import Fetcher
-    from .rp import RelyingParty
-
     config = resolve_scale(scale, seed)
     build_start = time.perf_counter()
     world = build_deployment(config)

@@ -7,7 +7,7 @@ paper's Section 6 circularity physically lives.
 """
 
 from .cache import CachedPoint, CacheFreshness, LocalCache, point_digest
-from .errors import MountError, RepositoryError, UnknownHostError, UriError
+from .errors import MountError, RepositoryError, UnknownHostError
 from .faults import (
     BYZANTINE_KINDS,
     PERSISTENT,
@@ -25,7 +25,6 @@ from .server import (
     RepositoryRegistry,
     RepositoryServer,
 )
-from .uri import RsyncUri
 
 __all__ = [
     "BYZANTINE_KINDS",
@@ -48,9 +47,7 @@ __all__ = [
     "RepositoryError",
     "RepositoryRegistry",
     "RepositoryServer",
-    "RsyncUri",
     "UnknownHostError",
-    "UriError",
     "always_reachable",
     "nested_bomb",
     "point_digest",

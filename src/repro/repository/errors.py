@@ -7,10 +7,6 @@ class RepositoryError(Exception):
     """Base class for repository-layer errors."""
 
 
-class UriError(RepositoryError):
-    """A publication URI was malformed."""
-
-
 class UnknownHostError(RepositoryError):
     """A fetch referenced a repository host that is not registered."""
 

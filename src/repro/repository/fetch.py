@@ -25,13 +25,13 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..rpki.uri import RsyncUri
 from ..simtime import HOUR, Clock
 from ..telemetry import MetricsRegistry, default_registry
 from .errors import UnknownHostError
 from .faults import FaultInjector
 from . import resilience
 from .server import HostLocator, RepositoryRegistry
-from .uri import RsyncUri
 
 __all__ = ["FetchStatus", "FetchResult", "Fetcher", "always_reachable"]
 

@@ -47,8 +47,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..rpki.uri import RsyncUri
 from ..telemetry import MetricsRegistry, default_registry
-from .uri import RsyncUri
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache -> fetch)
     from .cache import LocalCache

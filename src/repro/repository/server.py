@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from ..resources import ASN, Afi, Prefix, parse_address
+from ..resources import ASN, Afi, Prefix, format_address, parse_address
 from ..rpki.publication import InMemoryPublicationPoint
+from ..rpki.uri import RsyncUri
 from .errors import MountError, UnknownHostError
-from .uri import RsyncUri
 
 __all__ = ["HostLocator", "RepositoryServer", "HostedPublicationPoint", "RepositoryRegistry"]
 
@@ -46,8 +46,6 @@ class HostLocator:
         return Prefix(self.afi, self.address, self.afi.bits)
 
     def __str__(self) -> str:
-        from ..resources import format_address
-
         return f"{format_address(self.afi, self.address)} ({self.origin_asn})"
 
 

@@ -17,6 +17,7 @@ from zlib import crc32
 
 from ..crypto.hashing import sha256, sha256_hex
 from ..resources import AS_MAX, ASN, Afi, Prefix, PrefixMap
+from ..rpki.roa import RoaPrefix
 
 __all__ = ["VRP", "VrpSet"]
 
@@ -72,8 +73,6 @@ class VRP(tuple):
     @classmethod
     def parse(cls, text: str, asn: ASN | int) -> "VRP":
         """Parse the paper's ``"63.160.0.0/12-13"`` notation."""
-        from ..rpki.roa import RoaPrefix
-
         roa_prefix = RoaPrefix.parse(text)
         return cls(
             prefix=roa_prefix.prefix,

@@ -15,12 +15,14 @@ from .errors import (
     RevocationError,
     RolloverError,
     RpkiError,
+    UriError,
 )
 from .manifest import Manifest, build_manifest
 from .objects import SignedObject
 from .parse import parse_object
 from .publication import InMemoryPublicationPoint, PublicationTarget
 from .roa import Roa, RoaPrefix, build_roa
+from .uri import RsyncUri
 
 __all__ = [
     "CRL_FILE",
@@ -42,7 +44,9 @@ __all__ = [
     "RoaPrefix",
     "RolloverError",
     "RpkiError",
+    "RsyncUri",
     "SignedObject",
+    "UriError",
     "build_certificate",
     "build_crl",
     "build_manifest",

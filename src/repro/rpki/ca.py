@@ -177,15 +177,19 @@ class CertificateAuthority:
         """Child *authorities* created through this engine."""
         return iter(self._children.values())
 
+    def subtree(self) -> Iterator["CertificateAuthority"]:
+        """This authority, then its descendants: depth-first, preorder,
+        children in the order they were created."""
+        stack = [self]
+        while stack:
+            authority = stack.pop()
+            yield authority
+            stack.extend(reversed(authority._children.values()))
+
     def find_descendant(self, handle: str) -> "CertificateAuthority | None":
         """Depth-first search of the authority subtree by handle."""
-        if self.handle == handle:
-            return self
-        for child in self._children.values():
-            found = child.find_descendant(handle)
-            if found is not None:
-                return found
-        return None
+        return next(
+            (ca for ca in self.subtree() if ca.handle == handle), None)
 
     # -- issued-object views ------------------------------------------------------
 

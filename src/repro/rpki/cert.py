@@ -20,7 +20,7 @@ from ..crypto.encoding import (
 )
 from ..crypto.errors import SchemaError
 from ..resources import AddressRange, Afi, AsnRange, AsnSet, ResourceSet
-from .errors import ObjectFormatError
+from .errors import ObjectFormatError, UriError
 from .objects import (
     SignedObject,
     asn_set_to_data,
@@ -31,6 +31,7 @@ from .objects import (
     resource_set_to_data,
     schema,
 )
+from .uri import RsyncUri
 
 __all__ = ["ResourceCertificate", "EECertificate", "build_certificate"]
 
@@ -47,10 +48,6 @@ def address_family(code: int) -> Afi:
 
 def _rsync_uri(text: str) -> str:
     """*text* in the cache's canonical URI form; junk is a schema error."""
-    # Imported here: repro.repository builds on this package.
-    from ..repository.errors import UriError
-    from ..repository.uri import RsyncUri
-
     try:
         return str(RsyncUri.parse(text))
     except UriError as exc:

@@ -7,6 +7,10 @@ class RpkiError(Exception):
     """Base class for all RPKI-layer errors."""
 
 
+class UriError(RpkiError):
+    """A publication URI was malformed."""
+
+
 class ObjectFormatError(RpkiError):
     """A serialized RPKI object was malformed."""
 

@@ -389,6 +389,13 @@ class RtrCacheServer:
             self._send(session, CacheResponse(self.session_id))
             self._send(session, EndOfData(self.session_id, self.serial))
             return
+        if query.serial > self.serial:
+            # A serial this cache never issued: no incremental update
+            # leads from it, and "no changes" would leave the router
+            # keeping a table the cache never served.
+            self._m_resets.inc(reason="ahead")
+            self._send(session, CacheReset())
+            return
         needed = range(query.serial + 1, self.serial + 1)
         if not all(s in self._history for s in needed):
             # The client is behind the compacted window: snapshot re-sync

@@ -4,9 +4,15 @@ transient-fault-to-persistent-failure loop."""
 import pytest
 
 from repro.bgp import LocalPolicy
-from repro.core import ClosedLoopSimulation, RepositoryDependencyGraph
+from repro.core import (
+    ClosedLoopSimulation,
+    RepositoryDependencyGraph,
+    execute_whack,
+    plan_whack,
+)
 from repro.modelgen import build_figure2, figure2_bgp
 from repro.repository import FaultInjector, FaultKind
+from repro.rp import RouteValidity
 
 
 @pytest.fixture
@@ -90,6 +96,21 @@ class TestClosedLoopHealthy:
         assert all(not r.unreachable_points for r in reports)
         assert loop.route_is_valid("63.174.16.0/20", 17054)
         assert loop.can_reach("63.174.23.0", 17054)
+
+    def test_scheduled_whack_flips_the_route(self, setup):
+        """A whack between epochs 1 and 2 shows in the next epoch."""
+        world, graph, originations, rp_asn = setup
+        world.sprint.issue_roa(1239, "63.160.0.0/12-13")
+        loop = make_loop(world, graph, originations, rp_asn,
+                         LocalPolicy.DROP_INVALID)
+        states = []
+        for epoch in range(4):
+            if epoch == 2:
+                execute_whack(plan_whack(
+                    world.sprint, world.target20, world.continental))
+            loop.step()
+            states.append(loop.rp.classify_parts("63.174.16.0/20", 17054))
+        assert states == [RouteValidity.VALID] * 2 + [RouteValidity.INVALID] * 2
 
 
 class TestSideEffect7:

@@ -17,13 +17,12 @@ from repro.repository import (
     LocalCache,
     MountError,
     RepositoryRegistry,
-    RsyncUri,
     UnknownHostError,
-    UriError,
     nested_bomb,
 )
 from repro.repository import faults as faults_module
 from repro.rp import RelyingParty
+from repro.rpki import RsyncUri, UriError
 from repro.simtime import HOUR, Clock
 from repro.telemetry import MetricsRegistry
 

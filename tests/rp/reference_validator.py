@@ -33,9 +33,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.crypto import sha256_hex
-from repro.repository.uri import RsyncUri
 from repro.rp.vrp import VRP
-from repro.rpki import CRL_FILE, MANIFEST_FILE, ObjectFormatError
+from repro.rpki import CRL_FILE, MANIFEST_FILE, ObjectFormatError, RsyncUri
 
 from ..rpki import reference_parse
 from ..rpki.reference_parse import (

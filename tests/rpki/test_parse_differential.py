@@ -32,12 +32,12 @@ import pytest
 
 from repro.crypto import KeyFactory, encode, sha256_hex
 from repro.modelgen import INTERNET_SCALES, build_deployment
-from repro.repository.errors import UriError
-from repro.repository.uri import RsyncUri
 from repro.resources import AsnSet, ResourceSet
 from repro.rpki import (
     ObjectFormatError,
     RoaPrefix,
+    RsyncUri,
+    UriError,
     build_certificate,
     build_crl,
     build_ghostbusters,

@@ -21,6 +21,7 @@ from repro.rtr import (
     encode_prefixes,
 )
 from repro.rtr.cache_server import MAX_HISTORY_VRPS
+from repro.telemetry import MetricsRegistry
 
 
 def vrps(*specs):
@@ -150,6 +151,34 @@ class TestCacheResetPaths:
         pump(server, client)
         assert client.state is RouterState.SYNCED
         assert client.vrp_count == 3
+
+    def test_serial_ahead_of_the_cache_forces_reset(self):
+        """A router re-pointed from a cache at serial 7 to one at serial 1
+        (same session id) asks for changes since a serial this cache never
+        issued: it gets Cache Reset, not "no changes", and ends holding
+        exactly this cache's table."""
+        metrics = MetricsRegistry()
+        server, client = make_pair(metrics=metrics)
+        other = RtrCacheServer(metrics=MetricsRegistry())
+        for i in range(7):
+            other.update(vrps((f"10.{i}.0.0/16", 64512 + i)))
+        assert (server.serial, other.serial) == (1, 7)
+        assert other.session_id == server.session_id
+        client.pipe = DuplexPipe()
+        other.attach(client.pipe)
+        client.connect()
+        pump(other, client)
+        assert (client.serial, client.vrp_count) == (7, 1)
+
+        client.pipe = DuplexPipe()
+        server.attach(client.pipe)
+        client.poll()
+        pump(server, client)
+        assert client.state is RouterState.SYNCED
+        assert client.serial == server.serial == 1
+        assert client.vrp_set().as_frozenset() == vrps(*FIGURE2).as_frozenset()
+        resets = metrics.get("repro_rtr_cache_resets_total")
+        assert resets.value(reason="ahead") == 1
 
 
 class TestMultipleRouters:

@@ -71,7 +71,6 @@ from repro.repository import (
     HostLocator,
     RepositoryRegistry,
     FetchScheduler,
-    RsyncUri,
 )
 from repro.repository import faults, nested_bomb
 from repro.resources import parse_address
@@ -88,6 +87,7 @@ from repro.rpki import (
     EECertificate,
     InMemoryPublicationPoint,
     ResourceCertificate,
+    RsyncUri,
     SignedObject,
 )
 from repro.rpki.publication import DEFAULT_HISTORY_LIMIT
@@ -288,12 +288,56 @@ def import_prefix_pdu():
     from repro.rtr import PrefixPdu  # noqa: F401
 
 
+def import_sideeffects_module():
+    import repro.core.sideeffects  # noqa: F401
+
+
+def import_demonstrate():
+    from repro.core import demonstrate  # noqa: F401
+
+
+def import_demonstrate_all_from_core():
+    from repro.core import demonstrate_all  # noqa: F401
+
+
+def import_side_effects_table():
+    from repro.core import SIDE_EFFECTS  # noqa: F401
+
+
+def import_side_effect_report_from_core():
+    from repro.core import SideEffectReport  # noqa: F401
+
+
+def import_timeline_module():
+    import repro.core.timeline  # noqa: F401
+
+
+def import_timeline_runner():
+    from repro.core import TimelineRunner  # noqa: F401
+
+
+def import_uri_module_from_repository():
+    import repro.repository.uri  # noqa: F401
+
+
+def import_rsync_uri_from_repository():
+    from repro.repository import RsyncUri  # noqa: F401
+
+
+def import_uri_error_from_repository():
+    from repro.repository import UriError  # noqa: F401
+
+
 # Classes no caller outside the tests ever configured, the memo bound's
 # old name, facade names nothing outside the tests imported (the first
 # two stay in repro.repository and repro.telemetry), the module-level
 # trace (MetricsRegistry.trace stays), and the per-PDU view of the RTR
 # decoder (decode_runs is the one decoder; PrefixPdu lives on in the
-# tests' reference codec): importing one is an ImportError.
+# tests' reference codec), the side-effect catalogue's old home (it is
+# in repro.experiments, where demonstrate_all and SideEffectReport
+# stay), the test-only timeline runner, and the URI module's old home
+# (RsyncUri and UriError are in repro.rpki): importing one is an
+# ImportError.
 GONE = {
     "SchedulerConfig": import_scheduler_config,
     "DEFAULT_MEMO_ENTRIES": import_default_memo_entries,
@@ -303,6 +347,16 @@ GONE = {
     "repro.telemetry.trace": import_trace_from_telemetry,
     "repro.rtr.decode_pdus": import_decode_pdus,
     "repro.rtr.PrefixPdu": import_prefix_pdu,
+    "repro.core.sideeffects": import_sideeffects_module,
+    "repro.core.demonstrate": import_demonstrate,
+    "repro.core.demonstrate_all": import_demonstrate_all_from_core,
+    "repro.core.SIDE_EFFECTS": import_side_effects_table,
+    "repro.core.SideEffectReport": import_side_effect_report_from_core,
+    "repro.core.timeline": import_timeline_module,
+    "repro.core.TimelineRunner": import_timeline_runner,
+    "repro.repository.uri": import_uri_module_from_repository,
+    "repro.repository.RsyncUri": import_rsync_uri_from_repository,
+    "repro.repository.UriError": import_uri_error_from_repository,
 }
 
 
