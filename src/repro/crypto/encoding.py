@@ -33,8 +33,7 @@ are built for throughput:
   and copies it into the parent (the old recursive codec built every
   container twice).  Map pairs are emitted in iteration order and the
   body is rebuilt in sorted-key order only when iteration order was not
-  already canonical — which it almost always is, because the builders in
-  :mod:`repro.rpki` construct payload dictionaries deterministically.
+  already canonical.
 - :func:`decode` is a zero-copy decoder: one :class:`memoryview` over the
   input plus an offset cursor.  Container children decode against an
   explicit ``limit`` instead of a per-child ``data[:end]`` slice copy,
@@ -48,6 +47,13 @@ are built for throughput:
   per-type object readers of :mod:`repro.rpki` are written in: a refresh
   goes from wire bytes to typed objects through them and never builds
   the generic tree :func:`decode` returns.
+- The typed leaf writers (:func:`write_int`, :func:`write_str`,
+  :func:`write_bytes`, :func:`write_container`) are their inverse: each
+  returns the bytes :func:`encode` gives one value of a declared type,
+  and a container is its header, with the length of a body the caller
+  has already written, then that body.  An authority builds its objects
+  through them and never builds the payload dictionary :func:`encode`
+  walks.
 
 Nesting is capped at :data:`MAX_NESTING` containers in both directions —
 a deterministic :class:`EncodingError` instead of an interpreter
@@ -68,8 +74,9 @@ from typing import Any
 from .errors import EncodingError, SchemaError
 
 __all__ = [
-    "encode", "encode_parts", "decode", "MAX_NESTING",
+    "encode", "decode", "MAX_NESTING",
     "read_header", "read_int", "read_str", "read_bytes", "open_container",
+    "write_int", "write_str", "write_bytes", "write_container",
     "LIST", "MAP",
 ]
 
@@ -193,8 +200,7 @@ def _close_map(out: bytearray, body_start: int, spans: list) -> None:
 
     Pairs were written in dict-iteration order.  Canonical CTLV sorts
     pairs by encoded key bytes, so verify order in place and rebuild the
-    body only when iteration order was not already sorted (rare: payload
-    builders construct their dictionaries deterministically).
+    body only when iteration order was not already sorted.
     """
     key_start = body_start
     previous: bytearray | None = None
@@ -217,20 +223,6 @@ def _close_map(out: bytearray, body_start: int, spans: list) -> None:
         for _key_bytes, chunk in pairs:
             out += chunk
     _LEN.pack_into(out, body_start - 4, len(out) - body_start)
-
-
-def encode_parts(*encoded_items: bytes) -> bytes:
-    """Encode a CTLV list whose items are *already* canonically encoded.
-
-    The canonical-bytes fast path of :class:`repro.rpki.SignedObject`:
-    an object's wire form is ``[payload, signature]``, and the payload's
-    encoding is cached at issuance/parse time — so the wire form is a
-    header plus concatenation, never a re-encode.
-    """
-    body_length = 0
-    for item in encoded_items:
-        body_length += len(item)
-    return b"".join((b"L", _LEN.pack(body_length), *encoded_items))
 
 
 def decode(data: bytes) -> Any:
@@ -462,3 +454,40 @@ def open_container(
     if found != tag:
         raise _unexpected(tag, found)
     return start, end
+
+
+# -- typed leaf writers -------------------------------------------------------
+#
+# The inverse of the readers above: each returns exactly the bytes
+# :func:`encode` gives one value of the declared type, so an object built
+# from them is byte-identical to one encoded from its payload dictionary.
+# A map body is written by the caller in canonical key order (encoded key
+# bytes ascending, which puts shorter keys first); nothing here sorts.
+
+_pack_header = _HDR.pack
+
+
+def write_int(value: int) -> bytes:
+    """The encoding of the integer *value* (minimal two's complement)."""
+    width = (value.bit_length() + 8) >> 3
+    return _pack_header(73, width) + value.to_bytes(width, "big", signed=True)
+
+
+def write_str(value: str) -> bytes:
+    """The encoding of the string *value* (UTF-8)."""
+    payload = value.encode()
+    return _pack_header(83, len(payload)) + payload
+
+
+def write_bytes(value: bytes) -> bytes:
+    """The encoding of the byte string *value*."""
+    return _pack_header(66, len(value)) + value
+
+
+def write_container(tag: int, body: bytes) -> bytes:
+    """The :data:`LIST` or :data:`MAP` *tag* around an encoded *body*.
+
+    *body* is the container's items (or key/value pairs), each already
+    encoded, concatenated.
+    """
+    return _pack_header(tag, len(body)) + body

@@ -22,16 +22,19 @@ inconsistent state (fault injection for Side Effect 6 experiments).
 from __future__ import annotations
 
 import contextlib
+from bisect import bisect_left
 from typing import Iterator
 
 from ..crypto import KeyFactory, KeyPair, RsaPublicKey
+from ..crypto.encoding import LIST, MAP, write_container, write_int, write_str
 from ..resources import ASN, AsnSet, ResourceSet
 from ..simtime import Clock, DAY, YEAR
 from .cert import EECertificate, ResourceCertificate, build_certificate
-from .crl import build_crl
+from .crl import Crl
 from .errors import IssuanceError, RevocationError, RolloverError
 from .ghostbusters import GHOSTBUSTERS_FILE, GhostbustersRecord, build_ghostbusters
-from .manifest import build_manifest
+from .manifest import Manifest
+from .objects import build_signed
 from .publication import InMemoryPublicationPoint, PublicationTarget
 from .roa import Roa, RoaPrefix, build_roa
 
@@ -75,7 +78,16 @@ class CertificateAuthority:
             else InMemoryPublicationPoint()
         )
         self._next_serial = 1
-        self._revoked_serials: set[int] = set()
+        # Every serial this authority revoked, ascending, and each one's
+        # encoding in the same order (see _revoke): a CRL joins them.
+        self._revoked_serials: list[int] = []
+        self._revoked_encoded: list[bytes] = []
+        # The manifest's listing as of the last publish, by file name:
+        # the wire bytes listed (what a publish compares to see what
+        # changed), their SHA-256 and the encoded (name, hash) pair.
+        self._listed: dict[str, bytes] = {}
+        self._hashes: dict[str, str] = {}
+        self._entries: dict[str, bytes] = {}
         # Mirror publication points (multiple-publication-points support):
         # (uri, target) pairs that publish() keeps in sync with the primary.
         self._mirrors: list[tuple[str, PublicationTarget]] = []
@@ -453,16 +465,24 @@ class CertificateAuthority:
                 f"{self.handle} did not issue (or no longer publishes) "
                 f"certificate serial {certificate.serial}"
             )
-        self._revoked_serials.add(certificate.serial)
+        self._revoke(certificate.serial)
         del self._issued_certs[name]
         self.publish()
 
     def revoke_roa(self, name: str) -> None:
         """Transparently revoke a ROA (via its EE cert serial) and withdraw it."""
         roa = self.roa_named(name)
-        self._revoked_serials.add(roa.ee_cert.serial)
+        self._revoke(roa.ee_cert.serial)
         del self._issued_roas[name]
         self.publish()
+
+    def _revoke(self, serial: int) -> None:
+        """Put *serial* on the CRL from the next publish on (once)."""
+        serials = self._revoked_serials
+        at = bisect_left(serials, serial)
+        if at == len(serials) or serials[at] != serial:
+            serials.insert(at, serial)
+            self._revoked_encoded.insert(at, write_int(serial))
 
     # -- revocation: the stealthy channels (Side Effect 2) ------------------------------
 
@@ -526,7 +546,14 @@ class CertificateAuthority:
         """
         if self._parent is None and not self._certificate.is_self_signed:
             raise RolloverError(f"{self.handle} has no parent to re-certify it")
-        new_key = self._key_factory.next_keypair()
+        # One publish of this point, at the end: every state in between
+        # (new key, some products reissued) is one no honest publish
+        # means to make, and a replaying repository could serve it.
+        with self.deferred_publication():
+            self._reissue_under(self._key_factory.next_keypair())
+
+    def _reissue_under(self, new_key: KeyPair) -> None:
+        """:meth:`roll_key` to *new_key*, its publishes deferred."""
         old_certs = list(self._issued_certs.values())
         old_roas = dict(self._issued_roas)
 
@@ -654,6 +681,14 @@ class CertificateAuthority:
         manifest covering exactly those files.  Files no longer issued are
         removed.  Inside :meth:`deferred_publication` the sync is
         postponed to the context exit.
+
+        A publish costs what changed.  Every object keeps its wire bytes
+        and SHA-256, the authority keeps each manifest entry and each
+        revoked serial encoded, and only the entries of files whose
+        bytes changed are encoded again; the rest of the CRL and the
+        manifest is joined from those pieces.  The signatures still
+        cover every byte.  Each target is compared with the whole
+        desired state, so a tampered point is repaired.
         """
         if self._publish_deferred:
             self._publish_pending = True
@@ -661,49 +696,54 @@ class CertificateAuthority:
         point = self.publication_point
         now = self._clock.now
 
-        # Wire bytes and SHA-256 are both cached on the objects, so a sync
-        # collects references — no per-publish re-encoding or re-hashing.
-        desired: dict[str, bytes] = {}
-        entries: dict[str, str] = {}
-        for name, certificate in self._issued_certs.items():
-            desired[name] = certificate.to_bytes()
-            entries[name] = certificate.hash_hex
-        for name, roa in self._issued_roas.items():
-            desired[name] = roa.to_bytes()
-            entries[name] = roa.hash_hex
+        issued = {**self._issued_certs, **self._issued_roas}
         if self._contact is not None:
-            desired[GHOSTBUSTERS_FILE] = self._contact.to_bytes()
-            entries[GHOSTBUSTERS_FILE] = self._contact.hash_hex
+            issued[GHOSTBUSTERS_FILE] = self._contact
+        files = {name: obj._wire for name, obj in issued.items()}
+        hashes, entries = self._hashes, self._entries
+        for name in self._listed.keys() - files.keys():
+            del hashes[name], entries[name]
+        for name, _wire in files.items() - self._listed.items():
+            digest = hashes[name] = issued[name].hash_hex
+            entries[name] = write_str(name) + write_str(digest)
+        self._listed = files
 
-        crl = build_crl(
-            issuer_key=self._key,
-            issuer_key_id=self.key_id,
-            revoked_serials=self._revoked_serials,
+        crl = build_signed(Crl, self._key, dict(
             serial=self._take_serial(),
-            this_update=now,
-            next_update=now + _DEFAULT_CRL_WINDOW,
-        )
-        desired[CRL_FILE] = crl.to_bytes()
-        entries[CRL_FILE] = crl.hash_hex
-
-        manifest = build_manifest(
-            issuer_key=self._key,
             issuer_key_id=self.key_id,
-            entries=entries,
-            serial=self._take_serial(),
-            this_update=now,
-            next_update=now + _DEFAULT_CRL_WINDOW,
-        )
-        desired[MANIFEST_FILE] = manifest.to_bytes()
+            revoked_serials=tuple(self._revoked_serials),
+            not_before=now,
+            not_after=now + _DEFAULT_CRL_WINDOW,
+        ), {"revoked_serials": write_container(
+            LIST, b"".join(self._revoked_encoded))})
+        digest = hashes[CRL_FILE] = crl.hash_hex
+        entries[CRL_FILE] = write_str(CRL_FILE) + write_str(digest)
 
+        # Canonical order is by encoded name, and each entry starts with
+        # its encoded name, so sorting by entry sorts the names.
+        names = sorted(entries, key=entries.__getitem__)
+        manifest = build_signed(Manifest, self._key, dict(
+            serial=self._take_serial(),
+            issuer_key_id=self.key_id,
+            entries=dict(zip(names, map(hashes.__getitem__, names))),
+            not_before=now,
+            not_after=now + _DEFAULT_CRL_WINDOW,
+        ), {"entries": write_container(
+            MAP, b"".join(map(entries.__getitem__, names)))})
+
+        desired = {**files, CRL_FILE: crl.to_bytes(),
+                   MANIFEST_FILE: manifest.to_bytes()}
         targets = [point] + [target for _uri, target in self._mirrors]
         for target in targets:
-            for name in list(target.names()):
-                if name not in desired:
-                    target.delete(name)
-            for name, data in desired.items():
-                if target.get(name) != data:
-                    target.put(name, data)
+            current = target.snapshot()
+            if current != desired:
+                for name in current:
+                    if name not in desired:
+                        target.delete(name)
+                have = current.items()
+                for name, data in desired.items():
+                    if (name, data) not in have:
+                        target.put(name, data)
             # Record a consistent historical state on targets that keep
             # history (the replay-fault substrate); plain dict-backed
             # targets without checkpoints are fine too.

@@ -9,7 +9,7 @@ one-time-use certificate that signs a single ROA (paper, footnote 3).
 
 from __future__ import annotations
 
-from ..crypto import KeyPair, RsaPublicKey, encode, key_id_of
+from ..crypto import KeyPair, RsaPublicKey, key_id_of
 from ..crypto.encoding import (
     LIST,
     MAP,
@@ -17,18 +17,20 @@ from ..crypto.encoding import (
     read_bytes,
     read_int,
     read_str,
+    write_bytes,
+    write_container,
+    write_int,
+    write_str,
 )
 from ..crypto.errors import SchemaError
 from ..resources import AddressRange, Afi, AsnRange, AsnSet, ResourceSet
 from .errors import ObjectFormatError, UriError
 from .objects import (
     SignedObject,
-    asn_set_to_data,
     build_signed,
     key_error,
     read_signed,
     record_type,
-    resource_set_to_data,
     schema,
 )
 from .uri import RsyncUri
@@ -71,7 +73,11 @@ def _read_mirrors(buf: bytes, offset: int, limit: int
     return tuple(mirrors), end
 
 
-_E, _N = encode("e"), encode("n")
+def _write_mirrors(mirrors: tuple[str, ...]) -> bytes:
+    return write_container(LIST, b"".join(map(write_str, mirrors)))
+
+
+_E, _N = write_str("e"), write_str("n")
 
 
 def _read_public_key(buf: bytes, offset: int, limit: int
@@ -88,6 +94,11 @@ def _read_public_key(buf: bytes, offset: int, limit: int
     return RsaPublicKey(modulus, exponent), end
 
 
+def _write_public_key(key: RsaPublicKey) -> bytes:
+    return write_container(MAP, b"".join(
+        (_E, write_int(key.exponent), _N, write_int(key.modulus))))
+
+
 def _read_as_resources(buf: bytes, offset: int, limit: int
                        ) -> tuple[AsnSet, int]:
     cursor, end = open_container(buf, offset, limit, LIST)
@@ -100,6 +111,12 @@ def _read_as_resources(buf: bytes, offset: int, limit: int
             raise SchemaError("an AS range is [start, end]")
         ranges.append(AsnRange(first, last))
     return AsnSet(ranges), end
+
+
+def _write_as_resources(asns: AsnSet) -> bytes:
+    return write_container(LIST, b"".join(
+        write_container(LIST, write_int(r.start) + write_int(r.end))
+        for r in asns.ranges))
 
 
 def _read_ip_resources(buf: bytes, offset: int, limit: int
@@ -117,15 +134,22 @@ def _read_ip_resources(buf: bytes, offset: int, limit: int
     return ResourceSet(ranges), end
 
 
+def _write_ip_resources(resources: ResourceSet) -> bytes:
+    return write_container(LIST, b"".join(
+        write_container(LIST, write_int(r.afi.value) + write_int(r.start)
+                        + write_int(r.end))
+        for r in resources.ranges))
+
+
 _CERTIFICATE_FIELDS = dict(
-    subject=read_str,
-    subject_key=_read_public_key,
-    subject_key_id=read_str,
-    ip_resources=_read_ip_resources,
-    as_resources=_read_as_resources,
-    sia=_read_sia,
-    sia_mirrors=_read_mirrors,
-    crldp=read_str,
+    subject=(read_str, write_str),
+    subject_key=(_read_public_key, _write_public_key),
+    subject_key_id=(read_str, write_str),
+    ip_resources=(_read_ip_resources, _write_ip_resources),
+    as_resources=(_read_as_resources, _write_as_resources),
+    sia=(_read_sia, write_str),
+    sia_mirrors=(_read_mirrors, _write_mirrors),
+    crldp=(read_str, write_str),
 )
 
 
@@ -247,6 +271,11 @@ def read_embedded_ee(buf: bytes, offset: int, limit: int
     return embedded_ee(read), end
 
 
+def write_embedded_ee(ee_cert: EECertificate) -> bytes:
+    """The field embedding *ee_cert*: its wire form, as a byte string."""
+    return write_bytes(ee_cert.to_bytes())
+
+
 def build_certificate(
     *,
     issuer_key: KeyPair,
@@ -276,19 +305,32 @@ def build_certificate(
             f"certificate expires ({not_after}) before it starts ({not_before})"
         )
     cls = ResourceCertificate if is_ca else EECertificate
-    payload = {
-        "type": cls.TYPE,
-        "serial": serial,
-        "issuer_key_id": issuer_key_id,
-        "subject": subject,
-        "subject_key": subject_key.to_dict(),
-        "subject_key_id": key_id_of(subject_key),
-        "ip_resources": resource_set_to_data(ip_resources),
-        "as_resources": asn_set_to_data(as_resources or AsnSet.empty()),
-        "not_before": not_before,
-        "not_after": not_after,
-        "sia": sia,
-        "sia_mirrors": list(sia_mirrors or []),
-        "crldp": crldp,
-    }
-    return build_signed(cls, payload, issuer_key)
+    mirrors = tuple(sia_mirrors or ())
+    fields = dict(
+        serial=serial,
+        issuer_key_id=issuer_key_id,
+        subject=subject,
+        subject_key=subject_key,
+        subject_key_id=key_id_of(subject_key),
+        ip_resources=ip_resources,
+        as_resources=as_resources or AsnSet.empty(),
+        not_before=not_before,
+        not_after=not_after,
+        sia=_uri_view(cls, "sia", sia) if sia else sia,
+        sia_mirrors=tuple(_uri_view(cls, "sia_mirrors", uri)
+                          for uri in mirrors),
+        crldp=crldp,
+    )
+    # The bytes carry the URIs as given; the slots, as a reader keeps them.
+    written = {"sia": write_str(sia), "sia_mirrors": _write_mirrors(mirrors)}
+    return build_signed(cls, issuer_key, fields, written)
+
+
+def _uri_view(cls: type, field: str, text: str) -> str:
+    """The canonical form of *text* a reader of the *field* keeps,
+    refused in its words."""
+    try:
+        return _rsync_uri(text)
+    except SchemaError as exc:
+        raise ObjectFormatError(
+            f"malformed {cls.TYPE} field {field!r}: {exc}") from exc

@@ -12,7 +12,13 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from ..crypto import KeyPair
-from ..crypto.encoding import LIST, open_container, read_int
+from ..crypto.encoding import (
+    LIST,
+    open_container,
+    read_int,
+    write_container,
+    write_int,
+)
 from ..crypto.errors import SchemaError
 from .objects import SignedObject, build_signed, schema
 
@@ -40,6 +46,11 @@ def _read_serials(buf: bytes, offset: int, limit: int
     return tuple(serials), end
 
 
+def _write_serials(serials: tuple[int, ...]) -> bytes:
+    """The revoked serials, ascending as given."""
+    return write_container(LIST, b"".join(map(write_int, serials)))
+
+
 class Crl(SignedObject):
     """A signed list of revoked certificate serial numbers."""
 
@@ -47,7 +58,7 @@ class Crl(SignedObject):
 
     __slots__ = ("_revoked_serials",)
 
-    _SCHEMA = schema(TYPE, revoked_serials=_read_serials)
+    _SCHEMA = schema(TYPE, revoked_serials=(_read_serials, _write_serials))
 
     @property
     def revoked_serials(self) -> tuple[int, ...]:
@@ -85,12 +96,10 @@ def build_crl(
     next_update: int,
 ) -> Crl:
     """Sign a CRL covering the given revoked serial numbers."""
-    payload = {
-        "type": Crl.TYPE,
-        "serial": serial,
-        "issuer_key_id": issuer_key_id,
-        "revoked_serials": sorted(revoked_serials),
-        "not_before": this_update,
-        "not_after": next_update,
-    }
-    return build_signed(Crl, payload, issuer_key)
+    return build_signed(Crl, issuer_key, dict(
+        serial=serial,
+        issuer_key_id=issuer_key_id,
+        revoked_serials=tuple(sorted(revoked_serials)),
+        not_before=this_update,
+        not_after=next_update,
+    ))

@@ -16,8 +16,16 @@ from __future__ import annotations
 
 from ..crypto import KeyPair
 from ..crypto.errors import SchemaError
-from .cert import EECertificate, read_embedded_ee
-from .objects import SignedObject, build_signed, read_str_map, schema
+from .cert import EECertificate, read_embedded_ee, write_embedded_ee
+from .errors import ObjectFormatError
+from .objects import (
+    SignedObject,
+    build_signed,
+    read_str_map,
+    schema,
+    str_map,
+    write_str_map,
+)
 
 __all__ = ["GhostbustersRecord", "build_ghostbusters", "GHOSTBUSTERS_FILE"]
 
@@ -29,12 +37,16 @@ _ALLOWED_FIELDS = frozenset({"fn", "org", "email", "tel", "adr"})
 def _read_vcard(buf: bytes, offset: int, limit: int
                 ) -> tuple[dict[str, str], int]:
     vcard, end = read_str_map(buf, offset, limit)
+    _check_vcard(vcard)
+    return vcard, end
+
+
+def _check_vcard(vcard: dict[str, str]) -> None:
     if "fn" not in vcard:
         raise SchemaError("ghostbusters record needs a vCard with fn")
     unknown = set(vcard) - _ALLOWED_FIELDS
     if unknown:
         raise SchemaError(f"unknown vCard fields: {sorted(unknown)}")
-    return vcard, end
 
 
 class GhostbustersRecord(SignedObject):
@@ -44,7 +56,8 @@ class GhostbustersRecord(SignedObject):
 
     __slots__ = ("_vcard", "_ee_cert")
 
-    _SCHEMA = schema(TYPE, vcard=_read_vcard, ee_cert=read_embedded_ee)
+    _SCHEMA = schema(TYPE, vcard=(_read_vcard, write_str_map),
+                     ee_cert=(read_embedded_ee, write_embedded_ee))
 
     @property
     def vcard(self) -> dict[str, str]:
@@ -77,13 +90,17 @@ def build_ghostbusters(
     not_after: int,
 ) -> GhostbustersRecord:
     """Sign a Ghostbusters record with its EE key."""
-    payload = {
-        "type": GhostbustersRecord.TYPE,
-        "serial": serial,
-        "issuer_key_id": ee_cert.subject_key_id,
-        "vcard": dict(vcard),
-        "ee_cert": ee_cert.to_bytes(),
-        "not_before": not_before,
-        "not_after": not_after,
-    }
-    return build_signed(GhostbustersRecord, payload, ee_key)
+    try:
+        _check_vcard(vcard)
+    except SchemaError as exc:
+        raise ObjectFormatError(
+            f"malformed {GhostbustersRecord.TYPE} field 'vcard': {exc}"
+        ) from exc
+    return build_signed(GhostbustersRecord, ee_key, dict(
+        serial=serial,
+        issuer_key_id=ee_cert.subject_key_id,
+        vcard=str_map(vcard),
+        ee_cert=ee_cert,
+        not_before=not_before,
+        not_after=not_after,
+    ))

@@ -15,7 +15,14 @@ what action should be taken", paper Section 4); the relying party in
 from __future__ import annotations
 
 from ..crypto import KeyPair
-from .objects import SignedObject, build_signed, read_str_map, schema
+from .objects import (
+    SignedObject,
+    build_signed,
+    read_str_map,
+    schema,
+    str_map,
+    write_str_map,
+)
 
 __all__ = ["Manifest", "build_manifest"]
 
@@ -27,7 +34,7 @@ class Manifest(SignedObject):
 
     __slots__ = ("_entries",)
 
-    _SCHEMA = schema(TYPE, entries=read_str_map)
+    _SCHEMA = schema(TYPE, entries=(read_str_map, write_str_map))
 
     @property
     def entries(self) -> dict[str, str]:
@@ -66,12 +73,10 @@ def build_manifest(
     next_update: int,
 ) -> Manifest:
     """Sign a manifest over a file-name → SHA-256-hex listing."""
-    payload = {
-        "type": Manifest.TYPE,
-        "serial": serial,
-        "issuer_key_id": issuer_key_id,
-        "entries": dict(sorted(entries.items())),
-        "not_before": this_update,
-        "not_after": next_update,
-    }
-    return build_signed(Manifest, payload, issuer_key)
+    return build_signed(Manifest, issuer_key, dict(
+        serial=serial,
+        issuer_key_id=issuer_key_id,
+        entries=str_map(entries),
+        not_before=this_update,
+        not_after=next_update,
+    ))

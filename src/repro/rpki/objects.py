@@ -1,15 +1,18 @@
 """The signed-object core of the model RPKI.
 
 Every RPKI object — resource certificate, EE certificate, ROA, CRL,
-manifest — is a canonical payload dictionary plus an RSA signature over its
+manifest — is a canonical payload map plus an RSA signature over its
 encoding.  The payload layouts mirror the fields of the production profiles
 (RFC 6487 certificates, RFC 6482 ROAs, RFC 5280 CRLs, RFC 6486 manifests)
 at the granularity the paper's analysis needs.
 
-An object is read from its wire form in one pass (:func:`read_signed`,
-directed by the type's :func:`schema` of typed field readers, themselves
-built from the leaf readers of :mod:`repro.crypto.encoding`); the
-payload dictionary exists only on demand, as ``SignedObject.payload``.
+Each type declares its fields once, in a :func:`schema` whose rows carry
+a typed reader and a typed writer per field.  An object is read from its
+wire form in one pass (:func:`read_signed`, by the readers, themselves
+built from the leaf readers of :mod:`repro.crypto.encoding`), and built
+from the values in hand in one pass (:func:`build_signed`, by the
+writers): no payload dictionary exists on either path, only on demand,
+as ``SignedObject.payload``.
 
 Objects are immutable once constructed; "overwriting" an object in a
 repository (the stealthy-revocation primitive of Side Effect 2) means
@@ -20,19 +23,23 @@ one in place.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Mapping
+from types import MappingProxyType
 
-from ..crypto import KeyPair, RsaPublicKey, decode, encode, sha256_hex
+from ..crypto import KeyPair, RsaPublicKey, decode, sha256_hex
 from ..crypto.encoding import (
     LIST,
     MAP,
-    encode_parts,
     open_container,
     read_header,
     read_int,
     read_str,
+    write_bytes,
+    write_container,
+    write_int,
+    write_str,
 )
 from ..crypto.errors import EncodingError, SchemaError
-from ..resources import AsnSet, Prefix, ResourceSet
 from .errors import ObjectFormatError
 
 __all__ = [
@@ -41,53 +48,41 @@ __all__ = [
     "read_signed",
     "record_type",
     "verify_wire",
-    "resource_set_to_data",
-    "asn_set_to_data",
-    "prefix_to_data",
 ]
 
-def resource_set_to_data(resources: ResourceSet) -> list:
-    """Encode a ResourceSet as ``[[afi, start, end], ...]`` (sorted)."""
-    return [[r.afi.value, r.start, r.end] for r in resources.ranges]
-
-
-def asn_set_to_data(asns: AsnSet) -> list:
-    """Encode an AsnSet as ``[[start, end], ...]`` (sorted)."""
-    return [[r.start, r.end] for r in asns.ranges]
-
-
-def prefix_to_data(prefix: Prefix) -> list:
-    """Encode a Prefix as ``[afi, network, length]``."""
-    return [prefix.afi.value, prefix.network, prefix.length]
-
-
-_TYPE_KEY = encode("type")
+_TYPE_KEY = write_str("type")
 
 
 def type_pair(type_tag: str) -> bytes:
     """The encoded ``"type": type_tag`` pair, matched as one constant."""
-    return _TYPE_KEY + encode(type_tag)
+    return _TYPE_KEY + write_str(type_tag)
 
 
-def schema(type_tag: str, **readers) -> tuple:
+def schema(type_tag: str, **fields) -> tuple:
     """The payload schema of one object type: its fields in wire order.
 
-    *readers* maps each of the type's own payload keys to the reader of
-    its value — a function ``(buf, offset, limit) -> (value, end)``
-    whose result goes into the slot ``_<key>``; the four fields every
-    signed object has (``serial``, ``issuer_key_id``, ``not_before``,
-    ``not_after``) are added here.  CTLV sorts map keys by their encoded
-    bytes, and every builder emits every key, so a payload has exactly
-    one key sequence; it is computed here, not written out by hand.
-    Each row is ``(encoded key, its length, reader, slot)``; the
-    ``type`` row carries the whole pair as its key and no reader.
+    *fields* maps each of the type's own payload keys to ``(reader,
+    writer)``.  The reader is a function ``(buf, offset, limit) ->
+    (value, end)`` whose result goes into the slot ``_<key>``; the
+    writer is its inverse, from the value the slot holds to the bytes of
+    the field.  The four fields every signed object has (``serial``,
+    ``issuer_key_id``, ``not_before``, ``not_after``) are added here.
+    CTLV sorts map keys by their encoded bytes, and every object has
+    every key, so a payload has exactly one key sequence; it is computed
+    here, not written out by hand.  Each row is ``(encoded key, its
+    length, reader, writer, field name, slot)``; the ``type`` row
+    carries the whole pair as its key and neither reader nor writer.
     """
-    readers.update(serial=read_int, issuer_key_id=read_str,
-                   not_before=read_int, not_after=read_int)
-    rows = [(type_pair(type_tag), None, "")]
-    rows += [(encode(name), read, "_" + name) for name, read in readers.items()]
+    fields.update(serial=(read_int, write_int),
+                  issuer_key_id=(read_str, write_str),
+                  not_before=(read_int, write_int),
+                  not_after=(read_int, write_int))
+    rows = [(type_pair(type_tag), None, None, "")]
+    rows += [(write_str(name), read, write, name)
+             for name, (read, write) in fields.items()]
     rows.sort(key=lambda row: row[0])
-    return tuple((key, len(key), read, slot) for key, read, slot in rows)
+    return tuple((key, len(key), read, write, name, name and "_" + name)
+                 for key, read, write, name in rows)
 
 
 def key_error(buf: bytes, offset: int, end: int, expected: bytes | None
@@ -129,6 +124,28 @@ def read_str_map(buf: bytes, offset: int, limit: int
     return result, end
 
 
+def write_str_map(mapping: dict[str, str]) -> bytes:
+    """The string-to-string map *mapping*, pairs in canonical order.
+
+    Canonical order is by encoded key, so by key length first:
+    ``"ca.crl"`` before ``"roa-10.roa"``.  A pair's bytes begin with its
+    encoded key, and no encoded key is a prefix of another (each starts
+    with its length), so sorting the pairs sorts the keys.
+    """
+    return write_container(MAP, b"".join(sorted(
+        write_str(key) + write_str(value) for key, value in mapping.items()
+    )))
+
+
+def _encoded_key(item: tuple[str, str]) -> bytes:
+    return write_str(item[0])
+
+
+def str_map(mapping: dict[str, str]) -> dict[str, str]:
+    """*mapping* in the order :func:`read_str_map` returns it."""
+    return dict(sorted(mapping.items(), key=_encoded_key))
+
+
 def _rejection(blob: bytes, type_tag: str, complaint: SchemaError
                ) -> ObjectFormatError:
     """The error for bytes a reader's schema does not describe.
@@ -167,7 +184,7 @@ def record_type(name: str, rows: tuple) -> type:
     that keeps the raw values (:func:`repro.rpki.roa.read_roa`) names
     them without restating the key sequence.
     """
-    fields = (slot[1:] for _key, _size, read, slot in rows if read)
+    fields = (name for _key, _size, read, _write, name, _slot in rows if read)
     return namedtuple(name, (*fields, "wire", "signed_end"))
 
 
@@ -221,7 +238,7 @@ def _read_payload(rows: tuple | None, buf: bytes, offset: int, end: int
         raise SchemaError("no object type has this layout")
     values = []
     append, startswith = values.append, buf.startswith
-    for key, size, read, slot in rows:
+    for key, size, read, _write, name, _slot in rows:
         if not startswith(key, offset):
             raise key_error(buf, offset, end, key)
         if read is None:        # the type pair: all constant
@@ -231,7 +248,7 @@ def _read_payload(rows: tuple | None, buf: bytes, offset: int, end: int
             value, offset = read(buf, offset + size, end)
         except SchemaError as exc:
             if exc.field is None:
-                exc.field = slot[1:]
+                exc.field = name
             raise
         append(value)
     if offset != end:
@@ -239,14 +256,36 @@ def _read_payload(rows: tuple | None, buf: bytes, offset: int, end: int
     return values
 
 
-def build_signed(cls: type, payload: dict, signer: KeyPair) -> "SignedObject":
-    """The *cls* object whose payload is *payload*, signed by *signer*.
+def build_signed(cls: type, signer: KeyPair, fields: dict,
+                 written: Mapping[str, bytes] = MappingProxyType({})
+                 ) -> "SignedObject":
+    """The *cls* object written from its field values, signed by *signer*.
 
-    Encode, sign the encoding, and read the object from the two — the
-    one way every builder makes a signed object.
+    *fields* maps each field of the type's schema to the value its
+    accessor returns (``RoaPrefix`` tuples, the ``EECertificate`` in
+    hand, a ``ResourceSet``, ...).  Each is written by its schema row in
+    wire order, the payload is signed, and ``[payload, signature]`` is
+    assembled around it, so the object is filled from the values
+    themselves: nothing is read back.  *written* gives fields whose
+    bytes the caller already holds (the CA keeps its CRL's serials and
+    its manifest's entries encoded one by one); they are joined in as
+    they are.  The one way every builder makes a signed object.
     """
-    encoded_payload = encode(payload)
-    return cls(encoded_payload, signer.sign(encoded_payload))
+    obj = cls.__new__(cls)
+    parts = []
+    append = parts.append
+    for key, _size, _read, write, name, slot in cls._SCHEMA:
+        append(key)
+        if write is not None:
+            value = fields[name]
+            setattr(obj, slot, value)
+            append(written[name] if name in written else write(value))
+    payload = write_container(MAP, b"".join(parts))
+    obj._wire = write_container(
+        LIST, payload + write_bytes(signer.sign(payload)))
+    obj._signed_end = 5 + len(payload)
+    obj._hash_hex = None        # hashed once, when a manifest lists it
+    return obj
 
 
 def verify_wire(wire: bytes, signed_end: int, public_key: RsaPublicKey
@@ -263,11 +302,11 @@ class SignedObject:
     """Base class: a canonical payload plus a signature over its encoding.
 
     Subclasses define ``TYPE`` (the payload's ``"type"`` discriminator)
-    and ``_SCHEMA``, the payload's fields and their typed readers, which
-    :func:`read_signed` walks; each value goes into the slot the
-    accessor returns.  Equality and hashing are by serialized bytes, so
-    two objects are "the same object" exactly when a manifest hash or
-    monitor diff would say so.
+    and ``_SCHEMA``, the payload's fields with their typed readers and
+    writers, which :func:`read_signed` and :func:`build_signed` walk;
+    each value goes into the slot the accessor returns.  Equality and
+    hashing are by serialized bytes, so two objects are "the same
+    object" exactly when a manifest hash or monitor diff would say so.
     """
 
     TYPE = ""
@@ -280,17 +319,16 @@ class SignedObject:
                  "_issuer_key_id", "_not_before", "_not_after")
 
     def __init__(self, encoded_payload: bytes, signature: bytes):
-        # The wire form is [payload, signature]; with the payload bytes
-        # in hand it is a header + concatenation.  The fields are then
-        # read from it exactly as from fetched bytes.
-        self._read_wire(
-            encode_parts(encoded_payload, encode(signature)), None
-        )
+        # Bytes from outside (forge tooling, tests): the wire form is
+        # [payload, signature], a header + concatenation, and the fields
+        # are read from it exactly as from fetched bytes.
+        self._read_wire(write_container(
+            LIST, encoded_payload + write_bytes(signature)), None)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         if cls._SCHEMA is not None:
-            cls._FIELDS = tuple(row[3] for row in cls._SCHEMA if row[2])
+            cls._FIELDS = tuple(row[5] for row in cls._SCHEMA if row[2])
 
     def _read_wire(self, blob: bytes, digest: str | None) -> None:
         """Fill this object from its wire form *blob* (:func:`read_signed`).

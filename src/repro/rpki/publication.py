@@ -40,6 +40,9 @@ class PublicationTarget(Protocol):
     def names(self) -> Iterator[str]:
         """All current file names."""
 
+    def snapshot(self) -> dict[str, bytes]:
+        """A copy of the full current contents, by file name."""
+
 
 class InMemoryPublicationPoint:
     """A plain dict-backed publication point.

@@ -14,19 +14,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..crypto import KeyPair
-from ..crypto.encoding import LIST, open_container, read_int
+from ..crypto.encoding import (
+    LIST,
+    open_container,
+    read_int,
+    write_container,
+    write_int,
+)
 from ..crypto.errors import SchemaError
 from ..resources import ASN, Afi, Prefix, ResourceSet
-from .cert import EECertificate, address_family, embedded_ee, read_ee
-from .errors import ObjectFormatError
-from .objects import (
-    SignedObject,
-    build_signed,
-    prefix_to_data,
-    read_signed,
-    record_type,
-    schema,
+from .cert import (
+    EECertificate,
+    address_family,
+    embedded_ee,
+    read_ee,
+    write_embedded_ee,
 )
+from .errors import ObjectFormatError
+from .objects import SignedObject, build_signed, read_signed, record_type, schema
 
 __all__ = ["RoaPrefix", "Roa", "RoaRead", "build_roa", "read_roa", "roa_of"]
 
@@ -85,6 +90,10 @@ def _read_asn(buf: bytes, offset: int, limit: int) -> tuple[ASN, int]:
     return ASN(value), end
 
 
+def _write_asn(asn: ASN) -> bytes:
+    return write_int(int(asn))
+
+
 def _read_prefixes(buf: bytes, offset: int, limit: int
                    ) -> tuple[tuple[tuple[Afi, int, int, int], ...], int]:
     """``(afi, network, length, maxLength)`` per entry, maxLength -1 when
@@ -116,6 +125,20 @@ def _read_prefixes(buf: bytes, offset: int, limit: int
     return tuple(prefixes), end
 
 
+def _write_prefixes(prefixes: tuple[RoaPrefix, ...]) -> bytes:
+    """``[[afi, network, length], maxLength]`` per entry, maxLength -1
+    when unspecified."""
+    entries = []
+    for entry in prefixes:
+        prefix, max_length = entry.prefix, entry.max_length
+        address = write_container(LIST, write_int(prefix.afi.value)
+                                  + write_int(prefix.network)
+                                  + write_int(prefix.length))
+        entries.append(write_container(LIST, address + write_int(
+            -1 if max_length is None else max_length)))
+    return write_container(LIST, b"".join(entries))
+
+
 class Roa(SignedObject):
     """A signed Route Origin Authorization with its embedded EE certificate.
 
@@ -128,7 +151,10 @@ class Roa(SignedObject):
     __slots__ = ("_asn", "_prefixes", "_ee_cert")
 
     _SCHEMA = schema(
-        TYPE, asn=_read_asn, prefixes=_read_prefixes, ee_cert=read_ee,
+        TYPE,
+        asn=(_read_asn, _write_asn),
+        prefixes=(_read_prefixes, _write_prefixes),
+        ee_cert=(read_ee, write_embedded_ee),
     )
 
     def _read_wire(self, blob: bytes, digest: str | None) -> None:
@@ -215,17 +241,12 @@ def build_roa(
     """
     if not prefixes:
         raise ObjectFormatError("a ROA must name at least one prefix")
-    payload = {
-        "type": Roa.TYPE,
-        "serial": serial,
-        "issuer_key_id": ee_cert.subject_key_id,
-        "asn": int(asn),
-        "prefixes": [
-            [prefix_to_data(rp.prefix), -1 if rp.max_length is None else rp.max_length]
-            for rp in prefixes
-        ],
-        "ee_cert": ee_cert.to_bytes(),
-        "not_before": not_before,
-        "not_after": not_after,
-    }
-    return build_signed(Roa, payload, ee_key)
+    return build_signed(Roa, ee_key, dict(
+        serial=serial,
+        issuer_key_id=ee_cert.subject_key_id,
+        asn=ASN(int(asn)),
+        prefixes=tuple(prefixes),
+        ee_cert=ee_cert,
+        not_before=not_before,
+        not_after=not_after,
+    ))

@@ -11,6 +11,7 @@ relying party's cold refresh, its warm re-refresh and a new validator's
 """
 
 import gc
+import hashlib
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.modelgen import (
     INTERNET_SCALES,
     DeploymentConfig,
     build_deployment,
+    build_figure2,
     resolve_scale,
 )
 from repro.repository import Fetcher
@@ -36,6 +38,20 @@ TINY_FLAT = DeploymentConfig(
 )
 
 
+def published_digest(*worlds) -> str:
+    """SHA-256 over every file every authority of *worlds* published:
+    URI, name, length and bytes, in URI and name order."""
+    digest = hashlib.sha256()
+    for world in worlds:
+        for server in sorted(world.registry.servers(), key=lambda s: s.host):
+            for point in sorted(server.points(), key=lambda p: str(p.uri)):
+                for name in sorted(point.names()):
+                    data = point.get(name)
+                    digest.update(f"{point.uri}{name}\0{len(data)}\0".encode())
+                    digest.update(data)
+    return digest.hexdigest()
+
+
 def _refresh(world):
     rp = RelyingParty(
         world.trust_anchors, Fetcher(world.registry, world.clock),
@@ -47,6 +63,12 @@ class TestFlatGenerator:
     @pytest.fixture(scope="class")
     def world(self):
         return build_deployment(TINY_FLAT)
+
+    def test_published_bytes_are_pinned(self, world):
+        # Every certificate, ROA, CRL and manifest a builder writes, byte
+        # for byte, as the dict-and-encode builders wrote them.
+        assert published_digest(build_figure2(), world) == (
+            "f6cd3eb305262f5ecac228963b5e274ec2e9487975e76521c1045a7a1d63864f")
 
     def test_census(self, world):
         rirs = len(TINY_FLAT.rirs)

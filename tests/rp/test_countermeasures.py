@@ -246,7 +246,7 @@ class TestSuspenders:
         srp.refresh()
         assert len(srp.retained) == 1
         # The authority follows up with a proper CRL entry.
-        world.continental._revoked_serials.add(roa.ee_cert.serial)
+        world.continental._revoke(roa.ee_cert.serial)
         world.continental.publish()
         world.clock.advance(HOUR)
         srp.refresh()

@@ -150,8 +150,7 @@ class Harness:
         if self.issued:
             name, file_name = self.rng.choice(self.issued)
             authority = self.authority(name)
-            authority._revoked_serials.add(
-                authority.roa_named(file_name).ee_cert.serial)
+            authority._revoke(authority.roa_named(file_name).ee_cert.serial)
             authority.publish()
 
     def second_ca(self) -> None:

@@ -218,6 +218,25 @@ class TestKeyRollover:
         assert arin.certificate.is_self_signed
         assert sprint.certificate.issuer_key_id == arin.key_id
 
+    def test_rollover_publishes_one_consistent_state(self, sprint, continental):
+        with sprint.deferred_publication():
+            names = {sprint.issue_roa(1239, f"63.{160 + i}.0.0/16")[0]
+                     for i in range(8)}
+        point = sprint.publication_point
+        before = point.checkpoints()
+        sprint.roll_key()
+        after = point.checkpoints()
+        # One new checkpoint; the pre-rollover state is still there to
+        # replay, and no half-rolled state was ever recorded.
+        assert after[:-1] == before
+        state = after[-1]
+        manifest = parse_object(state[MANIFEST_FILE])
+        assert manifest.issuer_key_id == sprint.key_id
+        assert names <= manifest.file_names == set(state) - {MANIFEST_FILE}
+        for name in names:
+            assert parse_object(state[name]).ee_cert.issuer_key_id == \
+                sprint.key_id
+
 
 class TestDeferredPublication:
     """Bulk issuance batches per-mutation publishes into one sync."""

@@ -18,8 +18,7 @@ from repro.rpki import (
     build_roa,
     parse_object,
 )
-from repro.rpki.objects import asn_set_to_data, resource_set_to_data
-
+from .reference_build import asn_set_to_data, resource_set_to_data
 from .reference_parse import asn_set_from_data, resource_set_from_data
 
 FACTORY = KeyFactory(seed=42)

@@ -40,12 +40,14 @@ import gc
 from collections import Counter
 
 from repro.crypto import KeyFactory
+from repro.crypto.encoding import encode
 from repro.monitor import AlertKind, analyze, diff_snapshots, take_snapshot
 from repro.repository import Fetcher, HostLocator, RepositoryRegistry
 from repro.resources import ASN, AddressRange, Afi, Prefix, ResourceSet
 from repro.rp import RelyingParty
 from repro.rp.vrp import VRP
 from repro.rpki import CertificateAuthority, RoaPrefix
+from repro.rpki.objects import _read_payload, build_signed, read_signed, read_str_map
 from repro.rtr import (
     CacheResponse,
     DuplexPipe,
@@ -305,3 +307,53 @@ def test_prefix_pdus_a_hostile_cache_sends_cost_what_honest_ones_cost():
                 for pdus in (honest, flips, duplicates))
             assert flips_calls < 5 * honest_calls
             assert duplicates_calls < 5 * honest_calls
+
+
+def a_point_holding(count, *, revoked=0):
+    """A :func:`holder_world`'s holder publishing *count* one-prefix
+    ROAs after revoking *revoked* more, and two prefixes it has not
+    used."""
+    holder = holder_world()[3]
+    prefixes = scattered(count + revoked + 2)
+    names = issue_each(holder, prefixes[:count + revoked])
+    with holder.deferred_publication():
+        for name in names[count:]:
+            holder.revoke_roa(name)
+    return holder, prefixes[-2:]
+
+
+def issue_and_revoke(holder, prefix):
+    name, _roa = holder.issue_roa(ORIGIN, [prefix], ee_key=EE_KEY)
+    holder.revoke_roa(name)
+
+
+def test_a_publish_writes_its_objects_and_reads_none_back():
+    holder, (warm, measured) = a_point_holding(50)
+    issue_and_revoke(holder, warm)
+    calls = calls_by_function(lambda: issue_and_revoke(holder, measured))
+    for function in (encode, read_signed, _read_payload, read_str_map):
+        assert calls[function.__code__] == 0, function.__name__
+    # The EE certificate, the ROA, and a CRL and a manifest per publish.
+    assert calls[build_signed.__code__] == 6
+
+
+def test_an_issue_costs_what_changed_not_what_the_point_holds():
+    calls = {}
+    for count in (50, 200):
+        holder, (warm, measured) = a_point_holding(count)
+        issue_and_revoke(holder, warm)
+        calls[count] = calls_by_function(
+            lambda: holder.issue_roa(ORIGIN, [measured], ee_key=EE_KEY),
+            builtins=True).total()
+    assert calls[200] <= 1.2 * calls[50]
+
+
+def test_a_publish_costs_nothing_per_serial_ever_revoked():
+    calls = {}
+    for revoked in (0, 400):
+        holder, (warm, measured) = a_point_holding(50, revoked=revoked)
+        issue_and_revoke(holder, warm)
+        name, _roa = holder.issue_roa(ORIGIN, [measured], ee_key=EE_KEY)
+        calls[revoked] = calls_by_function(
+            lambda: holder.revoke_roa(name), builtins=True).total()
+    assert calls[400] <= 1.1 * calls[0]

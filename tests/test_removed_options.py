@@ -328,6 +328,22 @@ def import_uri_error_from_repository():
     from repro.repository import UriError  # noqa: F401
 
 
+def import_resource_set_to_data():
+    from repro.rpki.objects import resource_set_to_data  # noqa: F401
+
+
+def import_asn_set_to_data():
+    from repro.rpki.objects import asn_set_to_data  # noqa: F401
+
+
+def import_prefix_to_data():
+    from repro.rpki.objects import prefix_to_data  # noqa: F401
+
+
+def import_encode_parts():
+    from repro.crypto.encoding import encode_parts  # noqa: F401
+
+
 # Classes no caller outside the tests ever configured, the memo bound's
 # old name, facade names nothing outside the tests imported (the first
 # two stay in repro.repository and repro.telemetry), the module-level
@@ -335,9 +351,11 @@ def import_uri_error_from_repository():
 # decoder (decode_runs is the one decoder; PrefixPdu lives on in the
 # tests' reference codec), the side-effect catalogue's old home (it is
 # in repro.experiments, where demonstrate_all and SideEffectReport
-# stay), the test-only timeline runner, and the URI module's old home
-# (RsyncUri and UriError are in repro.rpki): importing one is an
-# ImportError.
+# stay), the test-only timeline runner, the URI module's old home
+# (RsyncUri and UriError are in repro.rpki), and the payload-dictionary
+# helpers and list joiner the schema-directed writer replaced (the
+# dict-and-encode builders live on in tests/rpki/reference_build.py):
+# importing one is an ImportError.
 GONE = {
     "SchedulerConfig": import_scheduler_config,
     "DEFAULT_MEMO_ENTRIES": import_default_memo_entries,
@@ -357,6 +375,10 @@ GONE = {
     "repro.repository.uri": import_uri_module_from_repository,
     "repro.repository.RsyncUri": import_rsync_uri_from_repository,
     "repro.repository.UriError": import_uri_error_from_repository,
+    "repro.rpki.objects.resource_set_to_data": import_resource_set_to_data,
+    "repro.rpki.objects.asn_set_to_data": import_asn_set_to_data,
+    "repro.rpki.objects.prefix_to_data": import_prefix_to_data,
+    "repro.crypto.encoding.encode_parts": import_encode_parts,
 }
 
 
