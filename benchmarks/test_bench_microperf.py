@@ -115,7 +115,8 @@ def test_rtr_codec_throughput(benchmark):
         return decode_runs(encode_prefixes(True, vrps))
 
     decoded, rest = benchmark(roundtrip)
-    assert decoded == [(True, vrps)] and rest == b""
+    # One IPv4 stretch: an announce flag per VRP beside the VRPs.
+    assert decoded == [(b"\1" * len(vrps), vrps)] and rest == b""
 
 
 def test_vrpset_bulk_construction_10k(benchmark):

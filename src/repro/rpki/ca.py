@@ -348,7 +348,20 @@ class CertificateAuthority:
         many EE certificates — validation only checks issuer linkage and
         the signature, so bulk world generation shares one EE key per
         authority instead of generating one per ROA.
+
+        *name* may be a ROA's (an overwrite, as :meth:`renew_roa` makes)
+        but no other object's: not the CRL's, the manifest's, the
+        Ghostbusters record's or a child certificate's, which would keep
+        the file while the manifest listed the ROA's hash under it.
         """
+        if name is not None and (
+            name in (CRL_FILE, MANIFEST_FILE, GHOSTBUSTERS_FILE)
+            or name in self._issued_certs
+        ):
+            raise IssuanceError(
+                f"{self.handle} cannot publish a ROA as {name!r}: "
+                f"another of its objects has that name"
+            )
         roa_prefixes = _coerce_roa_prefixes(prefixes)
         roa_resources = ResourceSet.from_prefixes(rp.prefix for rp in roa_prefixes)
         self._require_coverage(roa_resources, None)

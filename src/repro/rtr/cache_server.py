@@ -54,6 +54,7 @@ from .pdu import (
     ResetQuery,
     SerialNotify,
     SerialQuery,
+    Stretch,
     encode_pdu,
     encode_prefixes,
 )
@@ -336,7 +337,7 @@ class RtrCacheServer:
     # -- protocol ----------------------------------------------------------
 
     def _handle(
-        self, session: MuxSession, pdu: Pdu | tuple[bool, list[VRP]]
+        self, session: MuxSession, pdu: Pdu | Stretch
     ) -> None:
         if isinstance(pdu, ResetQuery):
             self._send_full(session)
@@ -345,7 +346,7 @@ class RtrCacheServer:
         elif isinstance(pdu, ErrorReport):
             self.mux.drop(session)
         # Anything else from a router is a protocol violation; RFC 6810
-        # says send an Error Report and drop the session.  A run of
+        # says send an Error Report and drop the session.  A stretch of
         # prefix PDUs is a plain tuple, named for what was on the wire.
         elif not isinstance(pdu, SerialNotify):
             name = "PrefixPdu" if type(pdu) is tuple else type(pdu).__name__

@@ -12,11 +12,12 @@ serving loop — on the simulated clock, with no threads.
 Fairness: a single chatty (or hostile, Stalloris-style slow-feeding)
 session must not starve its siblings, so each ready session is drained
 at most :data:`FAIRNESS_BUDGET` PDUs per tick.  The mux reads what
-:func:`repro.rtr.pdu.decode_runs` reads: a run of prefix PDUs counts
-as the PDUs in it, and one longer than what is left of the budget is
-split there.  Left-over decoded PDUs stay queued on the session and the
-session stays ready, guaranteeing every session makes progress every
-tick regardless of how much one peer sends.
+:func:`repro.rtr.pdu.decode_runs` reads: a stretch of prefix PDUs
+counts as the PDUs in it, and one longer than what is left of the
+budget is split there, its flag column and its VRP list alike.
+Left-over decoded PDUs stay queued on the session and the session stays
+ready, guaranteeing every session makes progress every tick regardless
+of how much one peer sends.
 
 The mux owns transport concerns only — readiness, stream reassembly,
 decode errors, closed channels, fan-out writes.  Protocol semantics
@@ -30,10 +31,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..rp.vrp import VRP
 from ..telemetry import MetricsRegistry, default_registry
 from .channel import ChannelClosed, DuplexPipe
-from .pdu import Pdu, PduDecodeError, decode_runs
+from .pdu import Pdu, PduDecodeError, Stretch, decode_runs
 
 __all__ = ["MuxEvent", "MuxSession", "SessionMux"]
 
@@ -48,7 +48,7 @@ class MuxSession:
     sid: int
     pipe: DuplexPipe
     receive_buffer: bytes = b""
-    pending: deque[Pdu | tuple[bool, list[VRP]]] = field(default_factory=deque)
+    pending: deque[Pdu | Stretch] = field(default_factory=deque)
     alive: bool = True
 
     def send(self, encoded: bytes) -> None:
@@ -60,15 +60,15 @@ class MuxSession:
 class MuxEvent:
     """What one ready session produced in one tick.
 
-    Exactly one of three shapes: a batch of decoded ``pdus`` (a run of
-    prefix PDUs as one ``(announce, [VRP, ...])`` item, as
+    Exactly one of three shapes: a batch of decoded ``pdus`` (a stretch
+    of prefix PDUs as one ``(flags, [VRP, ...])`` item, as
     :func:`~repro.rtr.pdu.decode_runs` reads it), a fatal ``error``
     string (undecodable bytes — the session's buffers are already
     cleared), or ``closed`` (the peer hung up).
     """
 
     session: MuxSession
-    pdus: tuple[Pdu | tuple[bool, list[VRP]], ...] = ()
+    pdus: tuple[Pdu | Stretch, ...] = ()
     error: str | None = None
     closed: bool = False
 
@@ -209,10 +209,10 @@ class SessionMux:
         while pending and room:
             item = pending.popleft()
             if type(item) is tuple:
-                announce, run = item
+                flags, run = item
                 if len(run) > room:
-                    pending.appendleft((announce, run[room:]))
-                    item = (announce, run[:room])
+                    pending.appendleft((flags[room:], run[room:]))
+                    item = (flags[:room], run[:room])
                 room -= len(item[1])
             else:
                 room -= 1

@@ -6,9 +6,13 @@ ARIN -> Sprint -> {ETB S.A. ESP., Continental Broadband}.
 
 import pytest
 
+from repro.modelgen.figure2 import build_figure2
+from repro.repository import Fetcher
 from repro.resources import ASN, Prefix, ResourceSet
+from repro.rp import RelyingParty
 from repro.rpki import (
     CRL_FILE,
+    GHOSTBUSTERS_FILE,
     MANIFEST_FILE,
     CertificateAuthority,
     IssuanceError,
@@ -118,6 +122,39 @@ class TestRoaIssuance:
         assert renewed.prefixes == old.prefixes
         assert renewed.not_after > old.not_after
         assert sprint.publication_point.get(name) == renewed.to_bytes()
+
+
+class TestRoaFileName:
+    """A ROA may take any name but another object's file name."""
+
+    def test_the_manifests_name_is_refused_before_anything_is_signed(self):
+        world = build_figure2()
+        continental = world.continental
+        point = continental.publication_point
+        files, serial = point.snapshot(), continental._next_serial
+        with pytest.raises(IssuanceError, match="'ca.mft'"):
+            continental.issue_roa(64512, "63.174.16.0/24", name=MANIFEST_FILE)
+        assert point.snapshot() == files
+        assert continental._next_serial == serial
+        rp = RelyingParty(world.trust_anchors,
+                          Fetcher(world.registry, world.clock))
+        report = rp.refresh()
+        assert report.run.errors() == [] and len(rp.vrps) == 8
+
+    def test_no_other_object_name_is_taken(self, sprint, continental):
+        sprint.set_contact({"fn": "Sprint NOC"})
+        for name in (CRL_FILE, GHOSTBUSTERS_FILE,
+                     cert_file_name(continental.certificate)):
+            with pytest.raises(IssuanceError):
+                sprint.issue_roa(1239, "63.160.0.0/12", name=name)
+        assert sprint.issued_roas == {}
+
+    def test_a_named_roa_is_renewed_and_rolled_under_its_name(self, sprint):
+        name, _roa = sprint.issue_roa(1239, "63.160.0.0/12", name="own.roa")
+        sprint.renew_roa(name)
+        sprint.roll_key()
+        assert sprint.roa_named(name).ee_cert.issuer_key_id == sprint.key_id
+        assert set(sprint.issued_roas) == {name}
 
 
 class TestManifestConsistency:

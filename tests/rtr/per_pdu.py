@@ -1,8 +1,9 @@
 """The production RTR codec, one PDU at a time: the view tests read.
 
 ``repro.rtr.decode_runs`` hands each stretch of prefix PDUs of one header
-and one flag on as one run ``(announce, [VRP, ...])``.  Here
-:func:`decode_pdus` spells each run out as one :class:`PrefixPdu` per
+on as one item ``(flags, [VRP, ...])``: a flag column, 1 for an announce
+and 0 for a withdrawal, beside the VRPs in wire order.  Here
+:func:`decode_pdus` spells each stretch out as one :class:`PrefixPdu` per
 record, and :func:`encode_pdu` also packs a :class:`PrefixPdu`, through
 ``encode_prefixes`` as the cache does.  Everything else is the
 production codec's own.
@@ -21,15 +22,17 @@ def expand(items) -> list:
     pdus = []
     for item in items:
         if type(item) is tuple:
-            announce, vrps = item
-            pdus.extend(PrefixPdu(announce, vrp) for vrp in vrps)
+            flags, vrps = item
+            assert len(flags) == len(vrps) and set(flags) <= {0, 1}
+            pdus.extend(
+                PrefixPdu(flag == 1, vrp) for flag, vrp in zip(flags, vrps))
         else:
             pdus.append(item)
     return pdus
 
 
 def decode_pdus(data: bytes) -> tuple[list, bytes]:
-    """:func:`decode_runs`, with every run spelled out."""
+    """:func:`decode_runs`, with every stretch spelled out."""
     items, rest = decode_runs(data)
     return expand(items), rest
 

@@ -9,7 +9,7 @@ a fixed-size type is judged on its header, Error Report is capped and
 parsed by the RFC 6810 §5.10 layout.  It is not imported by ``src/``.
 
 Its prefix PDU is :class:`PrefixPdu`, one VRP each; ``repro.rtr`` has no
-such type, since it reads and writes prefix PDUs a run at a time.
+such type, since it reads and writes prefix PDUs a stretch at a time.
 """
 
 from __future__ import annotations

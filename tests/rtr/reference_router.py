@@ -1,7 +1,7 @@
 """The per-PDU reference router: the oracle ``RtrRouterClient`` is pinned to.
 
 This is the router state machine ``repro.rtr.router_client`` ran before
-it applied a burst a run at a time — every prefix PDU decoded to its own
+it applied a burst a stretch at a time — every prefix PDU decoded to its own
 ``PrefixPdu``, dispatched alone, queued alone and applied alone at End of
 Data, and the chained cache's ``(reset, announced, withdrawn)`` built
 from one dict entry per PDU — kept here, under ``tests/``, so the

@@ -1,12 +1,14 @@
 """The production RTR codec and router pinned to the per-PDU references.
 
-``repro.rtr.pdu`` reads prefix PDUs a run at a time with one ``Struct``
-and packs them the same way; ``reference_codec`` is the loop it replaced,
-one header and one field at a time.  ``RtrRouterClient`` applies a burst
-a run of one flag at a time; ``reference_router`` is the router it
-replaced, one PDU at a time.  Everything here is seeded: equal PDUs,
-equal remainder and equal error text on every stream, and an equal
-router after every read, however the stream is cut.
+``repro.rtr.pdu`` reads prefix PDUs a stretch of one header at a time,
+a column at a time, and packs them with one ``Struct``;
+``reference_codec`` is the loop it replaced, one header and one field at
+a time.  ``RtrRouterClient`` applies a burst a stretch at a time;
+``reference_router`` is the router it replaced, one PDU at a time.
+Everything here is seeded: equal PDUs, equal remainder and equal error
+text on every stream, and an equal router after every read, however the
+stream is cut — long stretches at record boundaries and one byte either
+side, short streams at every byte.
 """
 
 import random
@@ -30,11 +32,14 @@ from repro.rtr import (
     RtrRouterClient,
     SerialNotify,
     SerialQuery,
+    SessionMux,
     decode_runs,
     encode_prefixes,
 )
+from repro.rtr.mux import FAIRNESS_BUDGET
+from repro.telemetry import MetricsRegistry
 from . import reference_codec as reference
-from .per_pdu import PrefixPdu, decode_pdus, encode_pdu
+from .per_pdu import PrefixPdu, decode_pdus, encode_pdu, expand
 from .reference_codec import wire_order as _wire_order
 from .reference_router import ReferenceRouter
 
@@ -341,7 +346,7 @@ def test_wire_order_is_vrp_order():
 
 
 # ---------------------------------------------------------------------------
-# the router: runs applied at End of Data, pinned to the per-PDU router
+# the router: stretches applied at End of Data, pinned to the per-PDU router
 # ---------------------------------------------------------------------------
 
 
@@ -454,8 +459,7 @@ class RouterPair:
         assert router._vrps == reference.vrps
         assert (router.state, router.serial, router.session_id) == (
             reference.state, reference.serial, reference.session_id)
-        assert [(announce, vrp) for announce, run in router._pending
-                for vrp in run] == reference.pending
+        assert expand(router._pending) == reference.pending
         assert router._receive_buffer == reference._receive_buffer
         assert router.errors == reference.errors
         # Every (reset, announced, withdrawn), lists in order.
@@ -515,16 +519,166 @@ class TestRouterAgainstReference:
             assert pair.router._vrps == {A4, C6} and pair.router.serial == 1
             assert len(pair.bursts) == 1
 
-    def test_a_run_is_one_flag_of_one_family(self):
+    def test_a_stretch_is_one_header(self):
+        # The family changes on every PDU: a stretch each.
         stream = NAMED_BURSTS["interleaved families"][1:-1]
         items, rest = decode_runs(_wire(stream))
         assert rest == b"" and items == [
-            (True, [B4]), (True, [D6]), (True, [B4]), (False, [C6]),
-            (False, [A4]), (True, [C6]),
+            (b"\1", [B4]), (b"\1", [D6]), (b"\1", [B4]), (b"\0", [C6]),
+            (b"\0", [A4]), (b"\1", [C6]),
         ]
+        # The flag is a column: a flip does not end a stretch.
         flips = NAMED_BURSTS["flag flip on every PDU"][1:-1]
         assert decode_runs(_wire(flips))[0] == [
-            (p.announce, [p.vrp]) for p in flips]
+            (b"\1\0", [B4, A4]), (b"\1\0", [D6, C6]), (b"\1", [A4])]
         items, _rest = decode_runs(_wire(
             NAMED_BURSTS["duplicates"][1:-1]))
-        assert items == [(True, [B4] * 3), (False, [A4] * 2), (True, [B4])]
+        assert items == [(b"\1\1\1\0\0\1", [B4, B4, B4, A4, A4, B4])]
+
+
+# ---------------------------------------------------------------------------
+# long stretches: one header over hundreds of records
+# ---------------------------------------------------------------------------
+
+
+FAMILIES = pytest.mark.parametrize(
+    "afi", (Afi.IPV4, Afi.IPV6), ids=("ipv4", "ipv6"))
+STRETCH = 300
+
+
+def long_stretch(rng: random.Random, afi: Afi, count: int = STRETCH) -> list:
+    """*count* prefix PDUs of one family, flags at random, over a pool
+    small enough that a VRP is announced and withdrawn in one stretch."""
+    pool = [random_vrp(rng, afi) for _ in range(count // 4)]
+    return [PrefixPdu(rng.random() < 0.7, rng.choice(pool))
+            for _ in range(count)]
+
+
+def record_size(afi: Afi) -> int:
+    return 20 if afi is Afi.IPV4 else 32
+
+
+def cuts(lead: int, size: int, count: int) -> list[int]:
+    """Record boundaries of a stretch of *count* *size*-byte records
+    from byte *lead* on, and one byte either side: the first and last
+    few and every 37th in between."""
+    boundaries = sorted({*range(4), *range(0, count + 1, 37),
+                         *range(count - 3, count + 1)})
+    return [lead + i * size + step for i in boundaries for step in (-1, 0, 1)]
+
+
+# A refused record of each family, by what is wrong with it.
+REFUSED = {
+    Afi.IPV4: {
+        "host bits": (24, 24, bytes([10, 0, 0, 1])),
+        "maxLength below length": (16, 8, bytes([10, 0, 0, 0])),
+        "maxLength above the family's bits": (16, 33, bytes([10, 0, 0, 0])),
+    },
+    Afi.IPV6: {
+        "host bits": (32, 48, b"\x20\x01\x0d\xb8" + b"\1" * 12),
+        "maxLength below length": (48, 32, bytes(16)),
+        "maxLength above the family's bits": (16, 129, bytes(16)),
+    },
+}
+PLACES = {"first": 0, "middle": STRETCH // 2, "last": STRETCH - 1}
+
+
+def pdu_type(afi: Afi) -> int:
+    return 4 if afi is Afi.IPV4 else 6
+
+
+class TestLongStretches:
+    @FAMILIES
+    def test_codec_cut_at_record_boundaries(self, afi):
+        stream = ([CacheResponse(3)]
+                  + long_stretch(random.Random(700 + afi.value), afi)
+                  + [EndOfData(3, 4)])
+        blob = _wire(stream)
+        items, rest = decode_runs(blob)
+        assert rest == b"" and len(items) == 3
+        assert len(items[1][0]) == len(items[1][1]) == STRETCH
+        assert both(blob) == (stream, b"")
+        for cut in cuts(8, record_size(afi), STRETCH):
+            head, rest = both(blob[:cut])
+            tail, leftover = both(rest + blob[cut:])
+            assert head + tail == stream and leftover == b""
+
+    @FAMILIES
+    def test_router_cut_at_record_boundaries(self, afi):
+        rng = random.Random(710 + afi.value)
+        table = [PrefixPdu(True, random_vrp(rng, afi))
+                 for _ in range(STRETCH)]
+        blob = _wire([CacheResponse(3), *table, EndOfData(3, 4),
+                      CacheResponse(3), *long_stretch(rng, afi),
+                      EndOfData(3, 5)])
+        second = len(_wire([CacheResponse(3), *table, EndOfData(3, 4),
+                            CacheResponse(3)]))
+        for cut in cuts(second, record_size(afi), STRETCH):
+            pair = RouterPair()
+            pair.feed(blob[:cut])
+            pair.feed(blob[cut:])
+            assert pair.router.serial == 5 and len(pair.bursts) == 2
+
+    @FAMILIES
+    @pytest.mark.parametrize("place", sorted(PLACES))
+    @pytest.mark.parametrize("fault", sorted(REFUSED[Afi.IPV4]))
+    def test_refused_record(self, afi, place, fault):
+        records = [_wire([pdu]) for pdu in long_stretch(
+            random.Random(720 + afi.value), afi)]
+        records[PLACES[place]] = _prefix(
+            pdu_type(afi), 1, *REFUSED[afi][fault])
+        blob = b"".join(records)
+        with pytest.raises(PduDecodeError, match="^bad prefix PDU: "):
+            both(blob)
+        pair = RouterPair()
+        pair.feed(_wire([CacheResponse(3)]) + blob + _wire([EndOfData(3, 4)]))
+        assert pair.router.state is RouterState.FAILED
+
+    @FAMILIES
+    def test_zero_field_changes_mid_stretch(self, afi):
+        stream = long_stretch(random.Random(730 + afi.value), afi)
+        records = [bytearray(_wire([pdu])) for pdu in stream]
+        for record in records[STRETCH // 2:]:
+            record[2:4] = b"\x00\x07"
+        blob = b"".join(records)
+        assert both(blob) == (stream, b"")
+        items, _rest = decode_runs(blob)
+        assert [len(vrps) for _flags, vrps in items] == [
+            STRETCH // 2, STRETCH - STRETCH // 2]
+        pair = RouterPair()
+        pair.feed(_wire([CacheResponse(3)]) + blob + _wire([EndOfData(3, 4)]))
+        assert pair.router.vrp_count
+
+    @FAMILIES
+    def test_partial_trailing_record(self, afi):
+        stream = [CacheResponse(3)] + long_stretch(
+            random.Random(740 + afi.value), afi) + [EndOfData(3, 4)]
+        blob = _wire(stream)
+        size = record_size(afi)
+        end = len(blob) - 12  # the last record ends where End of Data starts
+        for short in (1, 8, size - 1):
+            pdus, rest = both(blob[:end - short])
+            assert pdus == stream[:-2] and len(rest) == size - short
+            pair = RouterPair()
+            pair.feed(blob[:end - short])
+            pair.feed(blob[end - short:])
+            assert pair.router.state is RouterState.SYNCED
+
+    @FAMILIES
+    def test_mux_splits_a_long_stretch(self, afi):
+        stream = long_stretch(random.Random(750 + afi.value), afi)
+        mux = SessionMux(metrics=MetricsRegistry())
+        pipe = DuplexPipe()
+        mux.attach(pipe)
+        pipe.to_cache.send(_wire(stream) + _wire(stream[:5])[:-3])
+        batches = []
+        while (events := mux.poll()):
+            batches.append(events[0].pdus)
+        sizes = [sum(len(item[1]) for item in batch) for batch in batches]
+        assert sizes == [FAIRNESS_BUDGET] * (STRETCH // FAIRNESS_BUDGET) + [
+            STRETCH % FAIRNESS_BUDGET + 4]
+        assert all(len(flags) == len(vrps)
+                   for batch in batches for flags, vrps in batch)
+        pdus, rest = reference.decode_pdus(_wire(stream + stream[:5])[:-3])
+        assert [pdu for batch in batches for pdu in expand(batch)] == pdus
+        assert mux.sessions()[0].receive_buffer == rest
