@@ -8,7 +8,7 @@ PKCS#1-v1.5-style padding, a canonical deterministic serialization
 Simulation-grade only — see :mod:`repro.crypto.rsa` for the caveats.
 """
 
-from .encoding import decode, encode
+from .encoding import decode
 from .errors import CryptoError, EncodingError, KeySizeError, SignatureError
 from .hashing import fingerprint, sha256, sha256_hex
 from .keys import KeyFactory, KeyPair, key_id_of
@@ -29,7 +29,6 @@ __all__ = [
     "RsaPublicKey",
     "SignatureError",
     "decode",
-    "encode",
     "fingerprint",
     "generate_keypair",
     "generate_prime",

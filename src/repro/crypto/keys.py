@@ -18,11 +18,11 @@ import threading
 from dataclasses import dataclass, field
 
 from ..memo import GenerationMemo
-from .encoding import encode
+from .encoding import LIST, MAP, write_container, write_int, write_str
 from .hashing import fingerprint, sha256
 from .rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
 
-__all__ = ["KeyPair", "KeyFactory", "key_id_of"]
+__all__ = ["KeyPair", "KeyFactory", "key_id_of", "write_public_key"]
 
 
 # key_id_of memo.  Internet-scale worlds share one EE key per authority,
@@ -36,12 +36,25 @@ _KEY_ID_MEMO: GenerationMemo[tuple[int, int], str] = GenerationMemo()
 KEY_BITS = 512
 
 
+_E, _N = write_str("e"), write_str("n")
+
+
+def write_public_key(public: RsaPublicKey) -> bytes:
+    """The wire form of *public*: the map ``{"e": exponent, "n": modulus}``.
+
+    What a certificate carries as its subject key, and what the key
+    identifier hashes.
+    """
+    return write_container(MAP, b"".join(
+        (_E, write_int(public.exponent), _N, write_int(public.modulus))))
+
+
 def key_id_of(public: RsaPublicKey) -> str:
     """The key identifier: a hex fingerprint of the canonical public key."""
     memo_key = (public.modulus, public.exponent)
     key_id = _KEY_ID_MEMO.get(memo_key)
     if key_id is None:
-        key_id = fingerprint(encode(public.to_dict()), length=20)
+        key_id = fingerprint(write_public_key(public), length=20)
         _KEY_ID_MEMO.put(memo_key, key_id)
     return key_id
 
@@ -117,7 +130,8 @@ class KeyFactory:
         whether or not keys #0..k-1 came from the process-wide cache.
         """
         return int.from_bytes(
-            sha256(encode([self._seed, KEY_BITS, index])), "big"
+            sha256(write_container(LIST, b"".join(
+                map(write_int, (self._seed, KEY_BITS, index))))), "big"
         )
 
     @classmethod

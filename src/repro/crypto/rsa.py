@@ -103,14 +103,6 @@ class RsaPublicKey:
         expected = int.from_bytes(_pad(message, size), "big")
         return recovered == expected
 
-    def to_dict(self) -> dict:
-        """Plain-data form for canonical encoding inside certificates."""
-        return {"n": self.modulus, "e": self.exponent}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RsaPublicKey":
-        return cls(modulus=data["n"], exponent=data["e"])
-
 
 @dataclass(frozen=True)
 class RsaPrivateKey:

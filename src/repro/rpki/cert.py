@@ -10,6 +10,7 @@ one-time-use certificate that signs a single ROA (paper, footnote 3).
 from __future__ import annotations
 
 from ..crypto import KeyPair, RsaPublicKey, key_id_of
+from ..crypto.keys import write_public_key
 from ..crypto.encoding import (
     LIST,
     MAP,
@@ -94,11 +95,6 @@ def _read_public_key(buf: bytes, offset: int, limit: int
     return RsaPublicKey(modulus, exponent), end
 
 
-def _write_public_key(key: RsaPublicKey) -> bytes:
-    return write_container(MAP, b"".join(
-        (_E, write_int(key.exponent), _N, write_int(key.modulus))))
-
-
 def _read_as_resources(buf: bytes, offset: int, limit: int
                        ) -> tuple[AsnSet, int]:
     cursor, end = open_container(buf, offset, limit, LIST)
@@ -143,7 +139,7 @@ def _write_ip_resources(resources: ResourceSet) -> bytes:
 
 _CERTIFICATE_FIELDS = dict(
     subject=(read_str, write_str),
-    subject_key=(_read_public_key, _write_public_key),
+    subject_key=(_read_public_key, write_public_key),
     subject_key_id=(read_str, write_str),
     ip_resources=(_read_ip_resources, _write_ip_resources),
     as_resources=(_read_as_resources, _write_as_resources),

@@ -351,8 +351,9 @@ class SignedObject:
     def payload(self) -> dict:
         """The payload as a plain dictionary, decoded on demand.
 
-        Nothing on the validation path reads it; it is for inspection
-        and for tooling that rebuilds an altered object.
+        Nothing on the validation path reads it; it is for inspection,
+        and the tests' forging helpers start from it to sign an altered
+        payload.
         """
         return decode(self.signed_bytes)
 

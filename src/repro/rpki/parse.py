@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import struct
 
-from ..crypto import encode
+from ..crypto.encoding import write_str
 from .cert import EECertificate, ResourceCertificate
 from .crl import Crl
 from .ghostbusters import GhostbustersRecord
@@ -36,8 +36,8 @@ OBJECT_TYPES: dict[str, type[SignedObject]] = {
 # reader it selects rejects the bytes.
 _BODY = 10      # [ list header, map header ] precede the first key
 _LENGTH = struct.Struct(">I")
-_ASN_KEY = encode("asn")
-_SIA_KEY = encode("sia")
+_ASN_KEY = write_str("asn")
+_SIA_KEY = write_str("sia")
 _BY_LEADING_TYPE = {
     type_pair(cls.TYPE): cls for cls in (Crl, Manifest, GhostbustersRecord)
 }

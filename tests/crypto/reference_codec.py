@@ -1,18 +1,24 @@
 """Reference CTLV codec: the original recursive implementation.
 
-This is the pre-engine codec from :mod:`repro.crypto.encoding`, kept
-verbatim as the differential-testing oracle.  The production engine is a
-single-buffer iterative encoder plus a zero-copy ``memoryview`` decoder;
-``test_encoding_differential.py`` pins the two byte-identical on random
-value trees and in agreement on every malformed-input rejection class.
-It is not imported by ``src/``.
+This is the first codec of :mod:`repro.crypto.encoding`, kept as the
+differential-testing oracle: ``test_encoding_differential.py`` pins the
+leaf writers byte-identical to its :func:`encode` and the generic walk,
+:func:`repro.crypto.decode`, to its :func:`decode` on random value trees
+and on every malformed-input rejection class.  ``src/`` has no encoder
+of arbitrary trees, so the tests and tools that need one (forged
+objects, the differential and property tests) use this one.  It is not
+imported by ``src/``.
 
-The only deliberate change from the historical code is the explicit
-:data:`~repro.crypto.encoding.MAX_NESTING` container-depth cap (shared
-with the engine).  The historical codec relied on the interpreter's
-recursion limit, which raised ``RecursionError`` at an interpreter-
-configurable depth; a deterministic :class:`EncodingError` at a fixed
-depth keeps the two codecs' rejection behavior comparable.
+Two deliberate changes from the historical code:
+
+- the explicit :data:`~repro.crypto.encoding.MAX_NESTING`
+  container-depth cap.  The historical codec relied on the interpreter's
+  recursion limit, which raised ``RecursionError`` at an interpreter-
+  configurable depth; a deterministic :class:`EncodingError` at a fixed
+  depth keeps the two decoders' rejection behavior comparable;
+- a map key that is a list or a map is an :class:`EncodingError`, with
+  the walk's message.  The historical decoder raised ``TypeError``
+  (unhashable) from building the dictionary.
 
 It materializes every container body twice on encode and copies a
 slice per child on decode.
@@ -154,6 +160,8 @@ def _decode_one(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
             key_bytes = data[key_start:cursor]
             if previous_key_bytes is not None and key_bytes <= previous_key_bytes:
                 raise EncodingError("map keys not strictly sorted")
+            if isinstance(key, (list, dict)):
+                raise EncodingError("map key is a container")
             previous_key_bytes = key_bytes
             value, cursor = _decode_one(data[:end], cursor, depth - 1)
             result[key] = value

@@ -5,7 +5,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import decode, encode, generate_keypair, sha256, sha256_hex
+from repro.crypto import decode, generate_keypair, sha256, sha256_hex
+
+from .reference_codec import encode
 
 # One shared small keypair; hypothesis runs many examples.
 _KEY = generate_keypair(512, random.Random(123))

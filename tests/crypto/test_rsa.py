@@ -91,10 +91,14 @@ class TestKeygen:
             generate_keypair(128)
 
     def test_public_dict_roundtrip(self, keypair):
-        from repro.crypto import RsaPublicKey
+        # A key's wire form is the map {"e": exponent, "n": modulus}.
+        from repro.crypto import RsaPublicKey, decode
+        from repro.crypto.keys import write_public_key
 
-        again = RsaPublicKey.from_dict(keypair.public.to_dict())
-        assert again == keypair.public
+        public = keypair.public
+        fields = decode(write_public_key(public))
+        assert fields == {"e": public.exponent, "n": public.modulus}
+        assert RsaPublicKey(fields["n"], fields["e"]) == public
 
 
 class TestKeyPairAndFactory:

@@ -39,7 +39,8 @@ def plant_evil_child(world, *, sia, sia_mirrors):
         template,
         serial=9_999,
         subject="evil",
-        subject_key=subject_key.public.to_dict(),
+        subject_key={"n": subject_key.public.modulus,
+                     "e": subject_key.public.exponent},
         subject_key_id=subject_key.key_id,
         not_after=world.clock.now + YEAR,
         sia=sia,

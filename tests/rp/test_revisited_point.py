@@ -30,7 +30,8 @@ def plant_loop_child(world):
         template,
         serial=9_998,
         subject="loop",
-        subject_key=subject_key.public.to_dict(),
+        subject_key={"n": subject_key.public.modulus,
+                     "e": subject_key.public.exponent},
         subject_key_id=subject_key.key_id,
         not_after=world.clock.now + YEAR,
         sia=ARIN,

@@ -9,7 +9,7 @@ publication point under a manifest that vouches for them.
 
 from __future__ import annotations
 
-from repro.crypto import KeyFactory, KeyPair, encode, sha256_hex
+from repro.crypto import KeyFactory, KeyPair, sha256_hex
 from repro.resources import Afi, ResourceSet
 from repro.rpki import (
     CRL_FILE,
@@ -21,9 +21,18 @@ from repro.rpki import (
 )
 from repro.simtime import DAY
 
+from ..crypto.reference_codec import encode
+
 NETWORK = (63 << 24) | (174 << 16) | (16 << 8)     # 63.174.16.0
 
 _EE_KEY = KeyFactory(seed=777).next_keypair()
+
+
+class HashableMap(dict):
+    """A map that can be a map key, which no payload dictionary allows:
+    encoded like any map, hashed by identity."""
+
+    __hash__ = object.__hash__
 
 
 def forge(payload: dict, key: KeyPair) -> bytes:

@@ -2,8 +2,9 @@
 
 Until the schema-directed writer, every builder in ``repro.rpki`` made a
 payload dictionary, encoded it with the generic canonical encoder
-(``repro.crypto.encode``, which walks the dictionary and checks or
-restores key order), signed the encoding and read the object back from
+(then ``repro.crypto.encode``, which walked the dictionary and checked or
+restored key order; its oracle, ``tests/crypto/reference_codec.py``,
+gives the same bytes and stands in for it here), signed the encoding and read the object back from
 the two through the type's reader.  This module is that path, the
 builders' code as it was (docstrings aside) — slow, obviously shaped
 like the payload dictionaries, and never imported by ``src/``.
@@ -14,7 +15,7 @@ same bytes for the same values, for every object type.
 
 from __future__ import annotations
 
-from repro.crypto import KeyPair, RsaPublicKey, encode, key_id_of
+from repro.crypto import KeyPair, RsaPublicKey, key_id_of
 from repro.resources import AsnSet, Prefix, ResourceSet
 from repro.rpki import (
     Crl,
@@ -27,6 +28,8 @@ from repro.rpki import (
     RoaPrefix,
 )
 from repro.rpki.objects import SignedObject
+
+from ..crypto.reference_codec import encode
 
 
 def resource_set_to_data(resources: ResourceSet) -> list:
@@ -76,7 +79,7 @@ def build_certificate(
         "serial": serial,
         "issuer_key_id": issuer_key_id,
         "subject": subject,
-        "subject_key": subject_key.to_dict(),
+        "subject_key": {"n": subject_key.modulus, "e": subject_key.exponent},
         "subject_key_id": key_id_of(subject_key),
         "ip_resources": resource_set_to_data(ip_resources),
         "as_resources": asn_set_to_data(as_resources or AsnSet.empty()),

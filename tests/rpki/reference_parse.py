@@ -199,7 +199,8 @@ class _ReferenceCertificate(ReferenceObject):
 
     @property
     def subject_key(self) -> RsaPublicKey:
-        return RsaPublicKey.from_dict(self.payload["subject_key"])
+        key = self.payload["subject_key"]
+        return RsaPublicKey(modulus=key["n"], exponent=key["e"])
 
     @property
     def subject_key_id(self) -> str:

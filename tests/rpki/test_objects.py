@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.crypto import KeyFactory, encode
+from repro.crypto import KeyFactory
 from repro.resources import ASN, AsnSet, Prefix, ResourceSet
 from repro.rpki import (
     Crl,
@@ -18,6 +18,7 @@ from repro.rpki import (
     build_roa,
     parse_object,
 )
+from ..crypto.reference_codec import encode
 from .reference_build import asn_set_to_data, resource_set_to_data
 from .reference_parse import asn_set_from_data, resource_set_from_data
 
@@ -265,15 +266,11 @@ class TestParseObject:
             parse_object(blob[: len(blob) // 2])
 
     def test_rejects_unknown_type(self):
-        from repro.crypto import encode
-
         blob = encode([{"type": "alien"}, b"sig"])
         with pytest.raises(ObjectFormatError):
             parse_object(blob)
 
     def test_rejects_wrong_shape(self):
-        from repro.crypto import encode
-
         with pytest.raises(ObjectFormatError):
             parse_object(encode({"type": "rc"}))
         with pytest.raises(ObjectFormatError):

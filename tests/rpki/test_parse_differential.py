@@ -22,6 +22,13 @@ suite pins ``repro.rpki.parse_object`` to it four ways:
 4. **Canonical** — ``parse_object(b).to_bytes() == b`` for every
    accepted mutant.
 
+And one check without the reference: **nothing but
+``ObjectFormatError``** — every object of the Figure 2 world, re-signed
+with one key, value or list element of its payload swapped for a value
+of each CTLV kind, containers included, parses or is refused with
+``ObjectFormatError``.  Byte noise almost never makes a well-formed
+container where a scalar stood, so the swaps are made on the payload.
+
 Everything is seeded; a failure prints what reproduces it.
 """
 
@@ -30,8 +37,8 @@ import random
 
 import pytest
 
-from repro.crypto import KeyFactory, encode, sha256_hex
-from repro.modelgen import INTERNET_SCALES, build_deployment
+from repro.crypto import KeyFactory, sha256_hex
+from repro.modelgen import INTERNET_SCALES, build_deployment, build_figure2
 from repro.resources import AsnSet, ResourceSet
 from repro.rpki import (
     ObjectFormatError,
@@ -46,9 +53,17 @@ from repro.rpki import (
     parse_object,
 )
 
+from ..crypto.reference_codec import encode
 from ..crypto.test_encoding_differential import MALFORMED_CLASSES
 from . import reference_parse
-from .forge import NETWORK, cert_bytes, crl_bytes, roa_bytes
+from .forge import (
+    NETWORK,
+    HashableMap,
+    cert_bytes,
+    crl_bytes,
+    forge,
+    roa_bytes,
+)
 
 SEED = 0xD1FF
 FACTORY = KeyFactory(seed=SEED)
@@ -441,3 +456,47 @@ class TestNeverLooser:
             assert outcome(parse_object, blob)[0] is None, expected
             reference = reference_parse.parse_object(blob)
             assert tightening(reference) == expected
+
+
+# -- nothing but ObjectFormatError ---------------------------------------------
+
+# One value of each CTLV kind, each hashable, so it can stand in for a
+# key as well as for a value or an element.
+KINDS = (None, True, False, 7, b"seven", "seven", (7,), HashableMap(seven=7))
+
+
+def swaps(value):
+    """Every copy of *value* with one key, value or element, at any
+    depth, replaced by each of :data:`KINDS`."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            others = {k: v for k, v in value.items() if k != key}
+            for kind in KINDS:
+                yield {**others, kind: item}
+                yield {**value, key: kind}
+            for inner in swaps(item):
+                yield {**value, key: inner}
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            for kind in KINDS:
+                yield [*value[:index], kind, *value[index + 1:]]
+            for inner in swaps(item):
+                yield [*value[:index], inner, *value[index + 1:]]
+
+
+class TestOnlyObjectFormatError:
+    def test_every_kind_in_every_payload_slot(self):
+        world = build_figure2()
+        objects = [parse_object(ca.publication_point.get(name))
+                   for ca in world.authorities()
+                   for name in ca.publication_point.names()]
+        objects += [obj.ee_cert for obj in objects if obj.TYPE == "roa"]
+        assert {obj.TYPE for obj in objects} == {
+            "rc", "ee", "roa", "crl", "mft"}
+        refusals = set()
+        for obj in objects:
+            for payload in swaps(obj.payload):
+                _, said = outcome(parse_object, forge(payload, EE))
+                refusals.add(said)
+        assert "undecodable object: map key is a container" in refusals
+        assert len(refusals) > 20

@@ -46,9 +46,10 @@ from repro.rpki import (
 )
 from repro.rpki.parse import class_of
 from repro.rpki.roa import read_roa
-from repro.crypto import KeyPair, encode, generate_keypair, sha256_hex
+from repro.crypto import KeyPair, generate_keypair, sha256_hex
 from repro.telemetry import MetricsRegistry
 
+from ..crypto.reference_codec import encode
 from . import reference_parse
 from .test_parse_differential import (
     EE,

@@ -38,6 +38,11 @@ sides pay, cannot hide a superlinear term:
   burst whose family alternates on every PDU is a stretch per PDU: its
   calls grow linearly and stay at or below the per-PDU decoder's, as
   a share of what the per-PDU reference router makes for it.
+- **entries in an object of no known type** — a signed list of N
+  manifest-shaped entries under an unknown type tag, against a manifest
+  of N entries.  The schema refuses it at the tag, and the reject path
+  then walks it whole with the generic decoder to say what is wrong, so
+  its calls per entry are pinned flat and near their measured value.
 """
 
 import cProfile
@@ -45,13 +50,19 @@ import gc
 from collections import Counter
 
 from repro.crypto import KeyFactory
-from repro.crypto.encoding import encode
+from repro.crypto import decode, sha256_hex
 from repro.monitor import AlertKind, analyze, diff_snapshots, take_snapshot
 from repro.repository import Fetcher, HostLocator, RepositoryRegistry
 from repro.resources import ASN, AddressRange, Afi, Prefix, ResourceSet
 from repro.rp import RelyingParty
 from repro.rp.vrp import VRP
-from repro.rpki import CertificateAuthority, RoaPrefix
+from repro.rpki import (
+    CertificateAuthority,
+    ObjectFormatError,
+    RoaPrefix,
+    build_manifest,
+    parse_object,
+)
 from repro.rpki.objects import _read_payload, build_signed, read_signed, read_str_map
 from repro.rtr import (
     CacheResponse,
@@ -63,6 +74,7 @@ from repro.rtr import (
 from repro.simtime import Clock
 from repro.telemetry import MetricsRegistry
 
+from .rpki.forge import forge
 from .rtr.per_pdu import PrefixPdu, encode_pdu
 from .rtr.reference_router import ReferenceRouter
 
@@ -368,7 +380,7 @@ def test_a_publish_writes_its_objects_and_reads_none_back():
     holder, (warm, measured) = a_point_holding(50)
     issue_and_revoke(holder, warm)
     calls = calls_by_function(lambda: issue_and_revoke(holder, measured))
-    for function in (encode, read_signed, _read_payload, read_str_map):
+    for function in (decode, read_signed, _read_payload, read_str_map):
         assert calls[function.__code__] == 0, function.__name__
     # The EE certificate, the ROA, and a CRL and a manifest per publish.
     assert calls[build_signed.__code__] == 6
@@ -394,3 +406,40 @@ def test_a_publish_costs_nothing_per_serial_ever_revoked():
         calls[revoked] = calls_by_function(
             lambda: holder.revoke_roa(name), builtins=True).total()
     assert calls[400] <= 1.1 * calls[0]
+
+
+# Measured: 6.10 Python calls per entry at 256 entries, 6.02 at 1,024
+# (a list, its two strings, and their headers).  Pinned with ~10 %
+# headroom.
+REJECT_CALLS_PER_ENTRY = 6.7
+
+
+def listing(count):
+    return {f"roa-{i}.roa": sha256_hex(b"%d" % i) for i in range(count)}
+
+
+def test_an_object_of_no_known_type_costs_what_its_entries_cost():
+    per_entry = {}
+    for count in (256, 1_024):
+        hostile = forge({"type": "alien", "entries": [
+            list(pair) for pair in listing(count).items()]}, EE_KEY)
+        honest = build_manifest(
+            issuer_key=EE_KEY, issuer_key_id=EE_KEY.key_id,
+            entries=listing(count), serial=1, this_update=0, next_update=1,
+        ).to_bytes()
+
+        def refuse():
+            try:
+                parse_object(hostile)
+            except ObjectFormatError as exc:
+                assert "its type is 'alien'" in str(exc)
+            else:
+                raise AssertionError("an alien type was accepted")
+
+        hostile_calls = python_calls(refuse)
+        honest_calls = python_calls(lambda: parse_object(honest))
+        assert hostile_calls < 5 * honest_calls
+        per_entry[count] = hostile_calls / count
+        assert per_entry[count] <= REJECT_CALLS_PER_ENTRY
+    # Flat: nothing on the reject path grows faster than the entries.
+    assert per_entry[1_024] <= 1.1 * per_entry[256]

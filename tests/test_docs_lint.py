@@ -4,8 +4,9 @@ Fails the suite if any module under ``src/repro`` lacks a docstring, any
 internal markdown link in docs/ (or the top-level pages) is broken, any
 ``python -m repro <subcommand>`` mentioned in the docs no longer exists
 in ``repro.cli``, the ``repro.cli`` docstring's command list and its
-table disagree, or EXPERIMENTS.md names an artifact that is not in
-``benchmarks/artifacts/``.
+table disagree, EXPERIMENTS.md names an artifact that is not in
+``benchmarks/artifacts/``, or a docs page names a test id that is not
+defined.
 """
 
 import pathlib
@@ -126,3 +127,34 @@ def test_lint_catches_missing_artifact(tmp_path):
     )
     problems = check_docs.check_artifact_mentions(tmp_path)
     assert len(problems) == 1 and "`gone.txt`" in problems[0]
+
+
+def test_every_named_test_id_exists():
+    problems = check_docs.check_test_ids()
+    assert problems == [], "\n".join(problems)
+
+
+def test_lint_catches_missing_test_id(tmp_path):
+    tests = tmp_path / "tests" / "rp"
+    tests.mkdir(parents=True)
+    (tests / "test_x.py").write_text(
+        "LIMIT = 3\n\n"
+        "def test_kept():\n    pass\n\n"
+        "class TestKept:\n    def test_method(self):\n        pass\n"
+    )
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "page.md").write_text(
+        "`tests/rp/test_x.py::test_kept`, `tests/rp/test_x.py::LIMIT`,\n"
+        "`tests/rp/test_x.py::TestKept::test_method`,\n"
+        "`tests/rp/test_x.py::TestKept::test_gone`,\n"
+        "`tests/rp/test_x.py::test_gone`, `tests/rp/test_y.py::test_kept`.\n"
+    )
+    (tmp_path / "CHANGES.md").write_text(
+        "Removed `tests/rp/test_x.py::test_old`.\n")
+    problems = check_docs.check_test_ids(tmp_path)
+    assert len(problems) == 3
+    assert all(problem.startswith("docs/page.md: ") for problem in problems)
+    assert "TestKept::test_gone" in problems[0]
+    assert "test_x.py::test_gone" in problems[1]
+    assert "test_y.py::test_kept" in problems[2]

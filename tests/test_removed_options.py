@@ -344,6 +344,10 @@ def import_encode_parts():
     from repro.crypto.encoding import encode_parts  # noqa: F401
 
 
+def import_encode():
+    from repro.crypto import encode  # noqa: F401
+
+
 # Classes no caller outside the tests ever configured, the memo bound's
 # old name, facade names nothing outside the tests imported (the first
 # two stay in repro.repository and repro.telemetry), the module-level
@@ -354,8 +358,10 @@ def import_encode_parts():
 # stay), the test-only timeline runner, the URI module's old home
 # (RsyncUri and UriError are in repro.rpki), and the payload-dictionary
 # helpers and list joiner the schema-directed writer replaced (the
-# dict-and-encode builders live on in tests/rpki/reference_build.py):
-# importing one is an ImportError.
+# dict-and-encode builders live on in tests/rpki/reference_build.py),
+# and the generic encoder the typed leaf writers replaced (it lives on
+# as tests/crypto/reference_codec.encode): importing one is an
+# ImportError.
 GONE = {
     "SchedulerConfig": import_scheduler_config,
     "DEFAULT_MEMO_ENTRIES": import_default_memo_entries,
@@ -379,6 +385,7 @@ GONE = {
     "repro.rpki.objects.asn_set_to_data": import_asn_set_to_data,
     "repro.rpki.objects.prefix_to_data": import_prefix_to_data,
     "repro.crypto.encoding.encode_parts": import_encode_parts,
+    "repro.crypto.encode": import_encode,
 }
 
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Docs lint: docstrings present, links resolve, CLI and artifact
-mentions exist.
+"""Docs lint: docstrings present, links resolve, CLI, artifact and
+test mentions exist.
 
-Five checks, all cheap enough to live in tier-1:
+Six checks, all cheap enough to live in tier-1:
 
 1. **Docstrings.**  Every module under ``src/repro`` (packages included)
    must open with a non-empty docstring.  The API reference in
@@ -28,6 +28,12 @@ Five checks, all cheap enough to live in tier-1:
 5. **Artifact drift.**  Every ``artifact `<file>``` / ``artifacts
    `<a>`, `<b>``` named in EXPERIMENTS.md exists under
    ``benchmarks/artifacts/`` (``*`` globs allowed).
+
+6. **Test-id drift.**  Every ``tests/<path>.py::Name`` or
+   ``benchmarks/<path>.py::Name`` id (``Name`` may be
+   ``Class::method``) named in the docs pages is defined in that file,
+   read by AST.  CHANGES.md is exempt: it names tests as they were when
+   each change landed.
 
 Run directly (``python tools/check_docs.py``, exit 1 on problems) or via
 the tier-1 test ``tests/test_docs_lint.py``.
@@ -62,6 +68,10 @@ _CLI_RE = re.compile(r"python\s+-m\s+repro\s+([A-Za-z0-9_-]+)")
 _ARTIFACT_RUN_RE = re.compile(
     r"\bartifacts?((?:[\s,]*`[^`\s]+\.(?:txt|json)`)+)")
 _ARTIFACT_NAME_RE = re.compile(r"`([^`]+)`")
+
+# "tests/rp/test_x.py::TestClass::test_name" — a file, then its names.
+_TEST_ID_RE = re.compile(
+    r"\b((?:tests|benchmarks)/[\w/]+\.py)((?:::\w+)+)")
 
 
 def check_docstrings(src_root: pathlib.Path = SRC_ROOT) -> list[str]:
@@ -194,9 +204,50 @@ def check_cli_mentions(repo_root: pathlib.Path = REPO_ROOT) -> list[str]:
     return problems
 
 
+def _defines(scope: list[ast.stmt], name: str) -> list[ast.stmt] | None:
+    """The body of what *scope* defines as *name* ([] for a value),
+    or None if it defines no such name."""
+    for node in scope:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and node.name == name:
+            return node.body if isinstance(node, ast.ClassDef) else []
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return []
+    return None
+
+
+def check_test_ids(repo_root: pathlib.Path = REPO_ROOT) -> list[str]:
+    """Every test id the docs pages name is defined where they say."""
+    problems = []
+    trees: dict[str, list[ast.stmt] | None] = {}
+    for page in markdown_files(repo_root):
+        if page.name == "CHANGES.md":
+            continue
+        rel = page.relative_to(repo_root) if page.is_relative_to(
+            repo_root) else page
+        for path, names in _TEST_ID_RE.findall(
+                page.read_text(encoding="utf-8")):
+            if path not in trees:
+                source = repo_root / path
+                trees[path] = ast.parse(
+                    source.read_text(encoding="utf-8")
+                ).body if source.is_file() else None
+            scope = trees[path]
+            for name in names.split("::")[1:]:
+                scope = None if scope is None else _defines(scope, name)
+            if scope is None:
+                problems.append(
+                    f"{rel}: names test `{path}{names}`, which does not exist")
+    return problems
+
+
 def check_all() -> list[str]:
     return (check_docstrings() + check_links() + check_cli_mentions()
-            + check_cli_docstring() + check_artifact_mentions())
+            + check_cli_docstring() + check_artifact_mentions()
+            + check_test_ids())
 
 
 def main() -> int:
@@ -207,7 +258,7 @@ def main() -> int:
         print(f"{len(problems)} docs problem(s)", file=sys.stderr)
         return 1
     print("docs lint ok: every module documented, every link resolves, "
-          "every CLI and artifact mention exists")
+          "every CLI, artifact and test mention exists")
     return 0
 
 
