@@ -34,8 +34,10 @@ stability guarantee — see docs/telemetry.md.
 
 ``__all__`` is kept **sorted and complete** — every re-export appears in
 it exactly once, every name resolves, and every name is documented in
-docs/API.md.  ``tools/check_facade.py`` enforces all three in tier-1, so
-the facade cannot drift from its documentation.
+docs/API.md.  ``tools/check_facade.py`` enforces those three in tier-1, so
+the facade cannot drift from its documentation; its other two checks
+hold every exported option and every def and class under ``src/repro``
+to a caller outside ``tests/``.
 
 See DESIGN.md for the full system inventory and the experiment index that
 maps every figure and table of the paper to a benchmark.

@@ -53,11 +53,6 @@ class TokenBucket:
             )
         self._last = max(self._last, now)
 
-    def peek(self, now: int) -> float:
-        """Tokens available at *now* (after refill), without spending."""
-        self._refill(now)
-        return self._tokens
-
     def try_acquire(self, now: int) -> bool:
         """Spend one token if available; False means rate-limited."""
         self._refill(now)

@@ -1,7 +1,7 @@
 """BGP simulation: topology, Gao–Rexford propagation, RPKI-aware policies,
 longest-prefix-match forwarding, and origin hijack attacks."""
 
-from .attacks import Hijack, prefix_hijack, subprefix_hijack
+from .attacks import Hijack, subprefix_hijack
 from .errors import AnnouncementError, BgpError, TopologyError
 from .forwarding import DeliveryOutcome, forward, reachable
 from .gen import GeneratedTopology, TopologyConfig, generate_topology
@@ -29,7 +29,6 @@ __all__ = [
     "TopologyError",
     "forward",
     "policy_table",
-    "prefix_hijack",
     "propagate",
     "reachable",
     "subprefix_hijack",

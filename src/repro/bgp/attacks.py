@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from ..resources import ASN, Prefix
 from .propagation import Origination
 
-__all__ = ["Hijack", "prefix_hijack", "subprefix_hijack"]
+__all__ = ["Hijack", "subprefix_hijack"]
 
 
 @dataclass(frozen=True)
@@ -37,24 +37,6 @@ class Hijack:
             f"{self.attack.origin} hijacks {self.attack.prefix} "
             f"from {self.victim.origin} ({self.victim.prefix})"
         )
-
-
-def prefix_hijack(
-    victim_prefix: str | Prefix, victim: ASN | int, attacker: ASN | int
-) -> Hijack:
-    """The attacker originates the victim's exact prefix.
-
-    Selection-level competition: each AS picks whichever origination its
-    policies prefer; the victim keeps the ASes "closer" to it.
-    """
-    prefix = (
-        victim_prefix if isinstance(victim_prefix, Prefix)
-        else Prefix.parse(victim_prefix)
-    )
-    return Hijack(
-        victim=Origination(prefix, ASN(int(victim))),
-        attack=Origination(prefix, ASN(int(attacker))),
-    )
 
 
 def subprefix_hijack(

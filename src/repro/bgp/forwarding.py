@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..resources import ASN, Afi, Prefix, parse_address
+from ..resources import ASN, Prefix, parse_address
 from .propagation import RoutingOutcome
 
 __all__ = ["DeliveryOutcome", "forward", "reachable"]

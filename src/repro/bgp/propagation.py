@@ -48,13 +48,6 @@ class RoutingOutcome:
     def rib_of(self, asn: ASN | int) -> Rib:
         return self.ribs[ASN(int(asn))]
 
-    def route_at(self, asn: ASN | int, prefix: Prefix) -> Announcement | None:
-        """The exact-prefix route selected at *asn* (None if none)."""
-        return self.rib_of(asn).route_for(prefix)
-
-    def has_route(self, asn: ASN | int, prefix: Prefix) -> bool:
-        return self.route_at(asn, prefix) is not None
-
 
 def propagate(
     graph: AsGraph,

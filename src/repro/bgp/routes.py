@@ -104,18 +104,6 @@ class Rib:
         self._routes_view = None
         self._prefixes_view = None
 
-    def withdraw(self, prefix: Prefix) -> None:
-        try:
-            self._routes.remove(prefix)
-        except KeyError:
-            return
-        self._routes_view = None
-        self._prefixes_view = None
-
-    def route_for(self, prefix: Prefix) -> Announcement | None:
-        """The route for exactly this prefix, if any."""
-        return self._routes.get(prefix)
-
     def lookup(self, prefix: Prefix) -> Announcement | None:
         """Longest-prefix-match: the most specific route covering *prefix*.
 

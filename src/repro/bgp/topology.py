@@ -91,15 +91,6 @@ class AsGraph:
     def __len__(self) -> int:
         return len(self._providers)
 
-    def providers_of(self, asn: ASN | int) -> set[ASN]:
-        return set(self._providers[ASN(int(asn))])
-
-    def customers_of(self, asn: ASN | int) -> set[ASN]:
-        return set(self._customers[ASN(int(asn))])
-
-    def peers_of(self, asn: ASN | int) -> set[ASN]:
-        return set(self._peers[ASN(int(asn))])
-
     def neighbors_of(self, asn: ASN | int) -> dict[ASN, Relationship]:
         """All neighbors with the *local* AS's view of the relationship."""
         asn = ASN(int(asn))
@@ -122,12 +113,6 @@ class AsGraph:
         if neighbor in self._providers[local]:
             return Relationship.PROVIDER
         raise TopologyError(f"{neighbor} is not adjacent to {local}")
-
-    def links(self) -> Iterator[tuple[ASN, ASN, Relationship]]:
-        """Every directed link (local, neighbor, neighbor's role for local)."""
-        for asn in self.ases():
-            for neighbor, rel in sorted(self.neighbors_of(asn).items()):
-                yield asn, neighbor, rel
 
     # -- convenience builders ------------------------------------------------------
 

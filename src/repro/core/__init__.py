@@ -33,7 +33,6 @@ from .reclaim import ReclamationReport, reclaim_space, reissuance_candidates
 from .tradeoff import TradeoffCell, TradeoffScenario, TradeoffTable, run_tradeoff
 from .validity import (
     OTHER_ORIGIN,
-    MatrixCell,
     ValidityMatrix,
     matrix_diff,
     validity_matrix,
@@ -63,7 +62,6 @@ __all__ = [
     "DamagedObject",
     "DependencyEdge",
     "EpochReport",
-    "MatrixCell",
     "OTHER_ORIGIN",
     "ReclamationReport",
     "RepositoryDependencyGraph",

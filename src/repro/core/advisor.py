@@ -51,12 +51,6 @@ class RolloutPlan:
     steps: list[VRP] = field(default_factory=list)
     warnings: list[RolloutWarning] = field(default_factory=list)
 
-    @property
-    def is_clean(self) -> bool:
-        return not any(
-            w.code == "invalidates-route" for w in self.warnings
-        )
-
     def render(self) -> str:
         lines = ["rollout order (most specific first):"]
         lines += [f"  {index + 1}. issue {vrp}" for index, vrp in

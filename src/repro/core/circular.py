@@ -160,12 +160,6 @@ class RepositoryDependencyGraph:
             risks.append(CircularRisk(cycle=tuple(cycle), covering_threat=threat))
         return risks
 
-    def self_hosted_points(self) -> list[str]:
-        """Points whose own route's ROA is stored at themselves."""
-        return [
-            risk.cycle[0] for risk in self.cycles() if len(risk.cycle) == 1
-        ]
-
 
 def _point_uri(authority: CertificateAuthority) -> str:
     return str(RsyncUri.parse(authority.sia))

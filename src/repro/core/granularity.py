@@ -43,11 +43,6 @@ class BlastRadius:
         same target would affect: exactly one."""
         return 1
 
-    @property
-    def amplification(self) -> int:
-        """Disturbed addresses per targeted address."""
-        return self.disturbed_addresses
-
     def describe(self) -> str:
         vrp_text = ", ".join(str(v) for v in self.whacked_vrps) or "none"
         return (

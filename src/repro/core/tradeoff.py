@@ -33,7 +33,7 @@ from ..bgp import (
     subprefix_hijack,
 )
 from ..resources import ASN, Prefix, format_address
-from ..rp import VRP, Route, VrpSet, validate
+from ..rp import VRP, VrpSet, validate
 
 __all__ = ["TradeoffScenario", "TradeoffCell", "TradeoffTable", "run_tradeoff"]
 

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from ..resources import ASN, Prefix
-from ..rp import Route, RouteValidity, VrpSet, validate
+from ..rp import RouteValidity, VrpSet, validate
 
 __all__ = [
-    "MatrixCell",
     "ValidityMatrix",
     "validity_matrix",
     "matrix_diff",
@@ -26,13 +25,6 @@ __all__ = [
 # A column for "any AS without ROAs of its own" — Figure 5's implicit
 # 'everyone else' case.  AS 64511 is documentation/reserved space.
 OTHER_ORIGIN = ASN(64511)
-
-
-@dataclass(frozen=True)
-class MatrixCell:
-    prefix: Prefix
-    origin: ASN
-    state: RouteValidity
 
 
 @dataclass

@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from ..resources import Prefix, ResourceSet
+from ..resources import Prefix
 from ..rpki import CertificateAuthority, ResourceCertificate, Roa, cert_file_name
 from ..rpki.roa import RoaPrefix
 from .errors import WhackError

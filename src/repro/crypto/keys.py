@@ -36,7 +36,9 @@ _KEY_ID_MEMO: GenerationMemo[tuple[int, int], str] = GenerationMemo()
 KEY_BITS = 512
 
 
-_E, _N = write_str("e"), write_str("n")
+# The two encoded map keys of a public key's wire form, in wire order:
+# written here, read by the certificate reader (repro.rpki.cert).
+EXPONENT_KEY, MODULUS_KEY = write_str("e"), write_str("n")
 
 
 def write_public_key(public: RsaPublicKey) -> bytes:
@@ -45,8 +47,10 @@ def write_public_key(public: RsaPublicKey) -> bytes:
     What a certificate carries as its subject key, and what the key
     identifier hashes.
     """
-    return write_container(MAP, b"".join(
-        (_E, write_int(public.exponent), _N, write_int(public.modulus))))
+    return write_container(MAP, b"".join((
+        EXPONENT_KEY, write_int(public.exponent),
+        MODULUS_KEY, write_int(public.modulus),
+    )))
 
 
 def key_id_of(public: RsaPublicKey) -> str:

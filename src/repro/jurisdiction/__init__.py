@@ -1,6 +1,6 @@
 """Jurisdiction analysis: RIR regions and the Table 4 cross-border audit."""
 
-from .regions import RIR, in_jurisdiction, region_of, rir_of_country
+from .regions import RIR, in_jurisdiction, region_of
 from .table4 import (
     TABLE4_ROWS,
     CrossBorderFinding,
@@ -18,5 +18,4 @@ __all__ = [
     "in_jurisdiction",
     "region_of",
     "render_table4",
-    "rir_of_country",
 ]

@@ -66,12 +66,3 @@ def in_jurisdiction(rir: RIR, country: str) -> bool:
     the conservative answer for a jurisdiction audit.
     """
     return country.upper() in _REGIONS[rir]
-
-
-def rir_of_country(country: str) -> RIR | None:
-    """The RIR whose region contains *country* (None if unmapped)."""
-    code = country.upper()
-    for rir, region in _REGIONS.items():
-        if code in region:
-            return rir
-    return None

@@ -9,7 +9,7 @@ from .deployment import (
     build_table4_world,
     resolve_scale,
 )
-from .figure2 import Figure2World, build_deep_hierarchy, build_figure2, figure2_bgp
+from .figure2 import Figure2World, build_figure2, figure2_bgp
 
 __all__ = [
     "DeploymentConfig",
@@ -17,7 +17,6 @@ __all__ = [
     "Figure2World",
     "HIERARCHICAL_SCALES",
     "INTERNET_SCALES",
-    "build_deep_hierarchy",
     "build_deployment",
     "build_figure2",
     "build_table4_world",

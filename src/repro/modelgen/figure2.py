@@ -88,10 +88,10 @@ class Figure2World:
         return [self.arin, self.sprint, self.etb, self.continental]
 
 
-def build_figure2(*, seed: int = 2013) -> Figure2World:
+def build_figure2() -> Figure2World:
     """Construct the Figure 2 world from scratch, reproducibly."""
     clock = Clock()
-    key_factory = KeyFactory(seed=seed)
+    key_factory = KeyFactory(seed=2013)
     registry = RepositoryRegistry()
 
     arin_server = registry.create_server(
@@ -225,30 +225,3 @@ def figure2_bgp():
         Origination.parse("200.75.51.0/24", AS_ETB),
     ]
     return graph, originations, int(AS_RELYING_PARTY)
-
-
-def build_deep_hierarchy():
-    """A four-level chain for Side Effect 4's "and beyond" case.
-
-    ARIN -> Sprint -> Continental Broadband -> SmallBiz: SmallBiz is a
-    Continental customer with its own publication point and two ROAs, so a
-    manipulator two *or three* levels up can be tested against a target
-    whose damage chain crosses multiple intermediate certificates.
-
-    Returns the Figure2World plus the extra authority (as a pair).
-    """
-    world = build_figure2(seed=2014)
-    server = world.registry.create_server(
-        "smallbiz.example", HostLocator.parse("63.174.18.10", 64700)
-    )
-    smallbiz = world.continental.issue_child_authority(
-        "SmallBiz",
-        ResourceSet.parse("63.174.18.0/23"),
-        sia="rsync://smallbiz.example/repo/",
-        publication_point=server.mount("rsync://smallbiz.example/repo/"),
-    )
-    name, _ = smallbiz.issue_roa(64700, "63.174.18.0/24")
-    world.roa_names["smallbiz-18"] = name
-    name, _ = smallbiz.issue_roa(64700, "63.174.19.0/24")
-    world.roa_names["smallbiz-19"] = name
-    return world, smallbiz

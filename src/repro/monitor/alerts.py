@@ -33,10 +33,16 @@ alert                      signature
                            content to different fetchers in the same epoch
                            — the split-view Byzantine fault, raised by
                            :func:`detect_equivocation` over vantage views.
+                           A standalone detector: only tests call it;
+                           neither :func:`analyze` nor
+                           ``DetectionExperiment`` runs it.
 ``MANIFEST_REPLAY``        a point's manifest ``thisUpdate`` moved backwards
                            between snapshots — a stale-but-signed past state
                            is being served, raised by
-                           :func:`detect_manifest_replay`.
+                           :func:`detect_manifest_replay`.  Standalone
+                           too: only tests call it; neither
+                           :func:`analyze` nor ``DetectionExperiment``
+                           runs it.
 =========================  ====================================================
 
 "Distinguishing between abusive behavior and normal RPKI churn could be

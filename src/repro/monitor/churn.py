@@ -12,7 +12,7 @@ makes the detection problem statistical rather than syntactic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..resources import Prefix, ResourceSet
 from ..rpki import CertificateAuthority, IssuanceError

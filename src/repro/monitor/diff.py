@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..resources import ResourceSet
-from ..rpki import Crl, ResourceCertificate, Roa
+from ..rpki import ResourceCertificate, Roa
 from .snapshot import ObjectRecord, RpkiSnapshot
 
 __all__ = ["CertChange", "RoaChange", "SnapshotDiff", "diff_snapshots"]
@@ -37,10 +37,6 @@ class CertChange:
     def shrank(self) -> bool:
         """True if the new certificate holds strictly less address space."""
         return not self.lost_resources.is_empty()
-
-    @property
-    def same_key(self) -> bool:
-        return self.before.subject_key_id == self.after.subject_key_id
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,7 @@ class LocalCache:
 
     *stale_grace* is the grace window in simulated seconds: how long
     after its last successful fetch a stale point keeps being served
-    (:meth:`serve`, :meth:`all_files`, :meth:`snapshot`).  ``None`` (the
+    (:meth:`serve`, :meth:`snapshot`).  ``None`` (the
     default) serves stale copies forever, the pre-grace behavior.
     """
 
@@ -221,24 +221,12 @@ class LocalCache:
             return None
         return entry
 
-    def all_files(self, now: int | None = None) -> dict[str, dict[str, bytes]]:
-        """Everything servable at *now*, keyed by point URI then file name.
-
-        One :meth:`serve` decision per cached point (counters included),
-        with every file dict copied.
-        """
-        return {
-            uri: dict(entry.files)
-            for uri, entry in self._points.items()
-            if self._servable(entry, now)
-        }
-
     def snapshot(self, now: int | None = None) -> dict[str, dict[str, bytes]]:
         """Everything servable at *now*, without copying a file dict.
 
-        Same serving rule and counters as :meth:`all_files`, but the
-        values are the cache's own file dicts: read them, do not mutate
-        them or hold them across cache updates.
+        Same serving rule and counters as :meth:`serve`, once per cached
+        point; the values are the cache's own file dicts: read them, do
+        not mutate them or hold them across cache updates.
         """
         return {
             uri: entry.files
@@ -247,7 +235,7 @@ class LocalCache:
         }
 
     def digests(self, now: int | None = None) -> dict[str, str]:
-        """Content digest of every point :meth:`all_files` would serve.
+        """Content digest of every point :meth:`snapshot` would serve.
 
         Mirrors the serving rules without touching the stale/expired
         counters, which belong to the actual serve.  The digests are
@@ -259,12 +247,6 @@ class LocalCache:
             for uri, entry in self._points.items()
             if self._servable(entry, now, count=False)
         }
-
-    def forget(self, uri: str) -> None:
-        """Drop a point from the cache entirely."""
-        if self._points.pop(uri, None) is not None:
-            self._m_evict.inc()
-            self._m_points.set(len(self._points))
 
     def __len__(self) -> int:
         return len(self._points)

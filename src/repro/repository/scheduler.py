@@ -154,11 +154,3 @@ class FetchScheduler:
             )
 
     # -- introspection -------------------------------------------------------
-
-    def expected_cost(self, uri: str) -> float:
-        """The point's current latency EWMA (0.0 before any observation)."""
-        return self._ewma.get(uri, 0.0)
-
-    def spend(self) -> dict[str, int]:
-        """This cycle's per-authority simulated-seconds spend so far."""
-        return dict(self._spent)

@@ -7,8 +7,8 @@ RPKI certificates may carry AS-number resources alongside IP resources
 :class:`AsnRange` and :class:`AsnSet` are thin types over the interval
 algebra of :mod:`repro.resources.intervals`, the one the address sets
 use: a single AS number or range is answered by one bisection, ``covers``
-and ``overlaps`` of a set by one bisection per range, and ``subtract``,
-``intersect`` and ``union`` by one linear merge, O(n + m).
+and ``overlaps`` of a set by one bisection per range, and ``subtract``
+and ``union`` by one linear merge, O(n + m).
 """
 
 from __future__ import annotations
@@ -108,9 +108,6 @@ class AsnRange(Interval):
         value = int(asn)
         return cls(value, value)
 
-    def contains(self, asn: ASN | int) -> bool:
-        return self._start <= int(asn) <= self._end
-
     def __str__(self) -> str:
         if self._start == self._end:
             return f"AS{self._start}"
@@ -137,14 +134,6 @@ class AsnSet(IntervalSet):
         if isinstance(item, (ASN, int)):
             return AsnRange.single(item)
         return item if isinstance(item, AsnRange) else None
-
-    @classmethod
-    def of(cls, *asns: ASN | int) -> "AsnSet":
-        return cls(AsnRange.single(a) for a in asns)
-
-    @classmethod
-    def universe(cls) -> "AsnSet":
-        return cls([AsnRange(0, AS_MAX)])
 
     def __repr__(self) -> str:
         return f"AsnSet({list(self._ranges)!r})"

@@ -13,7 +13,7 @@ argument (a prefix, a range, one AS number) is one bisection, O(log n).
 ``covers`` of a set is one bisection per range of the argument,
 O(m log n), so a one-range argument stays O(log n) however many ranges
 the holder signs; ``overlaps`` of a set bisects each range of the smaller
-set into the larger.  ``subtract``, ``intersect`` and ``union`` are one
+set into the larger.  ``subtract`` and ``union`` are one
 linear merge of the two sorted tuples, O(n + m).  An authority chooses
 how many ranges it signs, so nothing here compares every range with
 every range.
@@ -206,25 +206,6 @@ class IntervalSet:
                 out.append(piece)
             elif cursor <= piece._end:
                 out.append(piece._with(cursor, piece._end))
-        return type(self)(out)
-
-    def intersect(self, other):
-        """Set intersection."""
-        mine, theirs = self._ranges, self._ranges_of(other)
-        out: list[Interval] = []
-        i = j = 0
-        while i < len(mine) and j < len(theirs):
-            a, b = mine[i], theirs[j]
-            if _ends_before(a, b):
-                i += 1
-            elif _ends_before(b, a):
-                j += 1
-            else:
-                out.append(a._with(max(a._start, b._start), min(a._end, b._end)))
-                if a._end < b._end:
-                    i += 1
-                else:
-                    j += 1
         return type(self)(out)
 
     # -- dunder -------------------------------------------------------------

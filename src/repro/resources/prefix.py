@@ -13,7 +13,7 @@ import sys
 from typing import Iterator
 
 from .errors import PrefixParseError, PrefixValueError
-from .ipaddr import Afi, format_address, ipv4_value, ipv6_value, parse_address
+from .ipaddr import Afi, format_address, ipv4_value, ipv6_value
 
 __all__ = ["Prefix"]
 
@@ -99,12 +99,6 @@ class Prefix:
         except PrefixValueError as exc:
             raise PrefixParseError(str(exc)) from exc
 
-    @classmethod
-    def from_host(cls, text: str) -> "Prefix":
-        """Build a host prefix (/32 or /128) from a bare address."""
-        afi, value = parse_address(text)
-        return cls(afi, value, afi.bits)
-
     # -- accessors --------------------------------------------------------
 
     @property
@@ -145,10 +139,6 @@ class Prefix:
         return (other._network >> (self._afi.bits - self._length)) == (
             self._network >> (self._afi.bits - self._length)
         )
-
-    def covered_by(self, other: "Prefix") -> bool:
-        """True if this prefix is a subset of (or equal to) *other*."""
-        return other.covers(self)
 
     def overlaps(self, other: "Prefix") -> bool:
         """True if the two prefixes share any address."""

@@ -12,8 +12,8 @@ Both types are thin: the algebra is :mod:`repro.resources.intervals`,
 shared with the AS-number sets.  Ranges are stored normalized (sorted,
 non-overlapping, non-adjacent), which the property-based tests pin down;
 a prefix or a single range is answered by one bisection, ``covers`` and
-``overlaps`` of a set by one bisection per range, and ``subtract``,
-``intersect`` and ``union`` by one linear merge, O(n + m).
+``overlaps`` of a set by one bisection per range, and ``subtract``
+and ``union`` by one linear merge, O(n + m).
 """
 
 from __future__ import annotations
@@ -80,22 +80,6 @@ class AddressRange(Interval):
     def afi(self) -> Afi:
         return self._afi
 
-    # -- relations -----------------------------------------------------------
-
-    def covers_prefix(self, prefix: Prefix) -> bool:
-        """True if the whole *prefix* lies inside this range."""
-        return self.covers(AddressRange.from_prefix(prefix))
-
-    def contains_address(self, address: int) -> bool:
-        """True if the integer *address* lies inside this range."""
-        return self._start <= address <= self._end
-
-    def adjacent_to(self, other: "AddressRange") -> bool:
-        """True if the ranges touch end-to-start with no gap."""
-        if self._afi is not other._afi:
-            return False
-        return self._end + 1 == other._start or other._end + 1 == self._start
-
     # -- decomposition ---------------------------------------------------------
 
     def to_prefixes(self) -> Iterator[Prefix]:
@@ -153,7 +137,7 @@ class ResourceSet(IntervalSet):
       (:meth:`subtract`) and checks the remainder still covers every other
       descendant object (:meth:`covers`).
 
-    ``covers``, ``overlaps``, ``subtract``, ``intersect`` and ``union``
+    ``covers``, ``overlaps``, ``subtract`` and ``union``
     take another set, an :class:`AddressRange` or a :class:`Prefix`:
     ``sprint_rc.resources.subtract(target_roa.prefix)`` is precisely the
     Figure 3 manipulation.  The internal representation is a sorted
@@ -185,21 +169,12 @@ class ResourceSet(IntervalSet):
     def from_prefixes(cls, prefixes: Iterable[Prefix]) -> "ResourceSet":
         return cls(AddressRange.from_prefix(p) for p in prefixes)
 
-    @classmethod
-    def universe(cls, afi: Afi) -> "ResourceSet":
-        """The set of every address of one family (what IANA holds)."""
-        return cls([AddressRange(afi, 0, afi.max_address)])
-
     # -- accessors ---------------------------------------------------------
 
     def prefixes(self) -> Iterator[Prefix]:
         """Minimal CIDR decomposition of the whole set, in order."""
         for range_ in self._ranges:
             yield from range_.to_prefixes()
-
-    def covers_address(self, afi: Afi, address: int) -> bool:
-        """True if one integer address is in the set."""
-        return self.covers_span(afi, address, address)
 
     def __repr__(self) -> str:
         return f"ResourceSet({', '.join(repr(str(r)) for r in self._ranges)})"

@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..resources import ASN, Prefix
+from ..resources import Prefix
 from .states import Route, RouteValidity
 from .vrp import VRP, VrpSet
 

@@ -115,9 +115,12 @@ class LocalOverrides:
             ))
         assertions = data.get("locallyAddedAssertions", {})
         for item in assertions.get("prefixAssertions", []):
+            prefix = Prefix.parse(item["prefix"])
             overrides.pinned.append(VRP(
-                Prefix.parse(item["prefix"]),
-                item["maxPrefixLength"],
+                prefix,
+                # Optional (RFC 8416 section 3.4.1): absent, the bound is
+                # the prefix's own length.
+                item.get("maxPrefixLength", prefix.length),
                 ASN(item["asn"]),
             ))
         return overrides

@@ -203,7 +203,7 @@ class PathValidator:
         The same walk a relying party's refresh performs, over a fixed
         snapshot judged at the single instant *now* and with no fetching.
         *cache_files* maps publication point URI → file name → bytes
-        (the shape of :meth:`repro.repository.LocalCache.all_files`).
+        (the shape of :meth:`repro.repository.LocalCache.snapshot`).
         *digests* optionally maps every one of those URIs to its content
         digest (the shape of :meth:`repro.repository.LocalCache.digests`),
         the points' reuse key; computed from the bytes when absent.

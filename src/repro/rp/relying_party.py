@@ -107,11 +107,6 @@ class RefreshReport:
         return self.run.vrps
 
     @property
-    def budget_exhausted(self) -> bool:
-        """Whether the fetch budget ran out: some point was skipped."""
-        return bool(self.skipped)
-
-    @property
     def elapsed(self) -> int:
         """Simulated seconds this refresh spent fetching (incl. backoff)."""
         return sum(result.elapsed for result in self.fetches)

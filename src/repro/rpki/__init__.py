@@ -7,7 +7,7 @@ that issues, renews, revokes, overwrites, and publishes them.
 
 from .ca import CRL_FILE, MANIFEST_FILE, CertificateAuthority, cert_file_name
 from .cert import EECertificate, ResourceCertificate, build_certificate
-from .crl import Crl, build_crl
+from .crl import Crl
 from .ghostbusters import GHOSTBUSTERS_FILE, GhostbustersRecord, build_ghostbusters
 from .errors import (
     IssuanceError,
@@ -17,7 +17,7 @@ from .errors import (
     RpkiError,
     UriError,
 )
-from .manifest import Manifest, build_manifest
+from .manifest import Manifest
 from .objects import SignedObject
 from .parse import parse_object
 from .publication import InMemoryPublicationPoint, PublicationTarget
@@ -48,8 +48,6 @@ __all__ = [
     "SignedObject",
     "UriError",
     "build_certificate",
-    "build_crl",
-    "build_manifest",
     "build_roa",
     "cert_file_name",
     "parse_object",

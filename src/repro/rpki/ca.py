@@ -221,15 +221,6 @@ class CertificateAuthority:
         except KeyError:
             raise RevocationError(f"{self.handle} has no ROA named {name!r}") from None
 
-    def find_roa(self, prefix_text: str, asn: ASN | int) -> tuple[str, Roa] | None:
-        """Find an issued ROA by the paper's (prefix[-maxlen], ASN) notation."""
-        wanted = RoaPrefix.parse(prefix_text)
-        wanted_asn = ASN(int(asn))
-        for name, roa in self._issued_roas.items():
-            if roa.asn == wanted_asn and wanted in roa.prefixes:
-                return name, roa
-        return None
-
     # -- serials --------------------------------------------------------------------
 
     def _take_serial(self) -> int:
@@ -652,10 +643,6 @@ class CertificateAuthority:
                 validity=_DEFAULT_RC_VALIDITY,
             )
         self.publish()
-
-    @property
-    def mirror_uris(self) -> list[str]:
-        return [uri for uri, _target in self._mirrors]
 
     # -- publication ---------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ one-time-use certificate that signs a single ROA (paper, footnote 3).
 from __future__ import annotations
 
 from ..crypto import KeyPair, RsaPublicKey, key_id_of
-from ..crypto.keys import write_public_key
+from ..crypto.keys import EXPONENT_KEY, MODULUS_KEY, write_public_key
 from ..crypto.encoding import (
     LIST,
     MAP,
@@ -78,18 +78,15 @@ def _write_mirrors(mirrors: tuple[str, ...]) -> bytes:
     return write_container(LIST, b"".join(map(write_str, mirrors)))
 
 
-_E, _N = write_str("e"), write_str("n")
-
-
 def _read_public_key(buf: bytes, offset: int, limit: int
                      ) -> tuple[RsaPublicKey, int]:
     cursor, end = open_container(buf, offset, limit, MAP)
-    if not buf.startswith(_E, cursor):
-        raise key_error(buf, cursor, end, _E)
-    exponent, cursor = read_int(buf, cursor + len(_E), end)
-    if not buf.startswith(_N, cursor):
-        raise key_error(buf, cursor, end, _N)
-    modulus, cursor = read_int(buf, cursor + len(_N), end)
+    if not buf.startswith(EXPONENT_KEY, cursor):
+        raise key_error(buf, cursor, end, EXPONENT_KEY)
+    exponent, cursor = read_int(buf, cursor + len(EXPONENT_KEY), end)
+    if not buf.startswith(MODULUS_KEY, cursor):
+        raise key_error(buf, cursor, end, MODULUS_KEY)
+    modulus, cursor = read_int(buf, cursor + len(MODULUS_KEY), end)
     if cursor != end:
         raise key_error(buf, cursor, end, None)
     return RsaPublicKey(modulus, exponent), end

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from ..crypto import KeyPair
 from ..crypto.encoding import (
     LIST,
     open_container,
@@ -20,9 +19,9 @@ from ..crypto.encoding import (
     write_int,
 )
 from ..crypto.errors import SchemaError
-from .objects import SignedObject, build_signed, schema
+from .objects import SignedObject, schema
 
-__all__ = ["Crl", "build_crl"]
+__all__ = ["Crl"]
 
 
 def _read_serials(buf: bytes, offset: int, limit: int
@@ -31,7 +30,7 @@ def _read_serials(buf: bytes, offset: int, limit: int
 
     The serials are the issuer's to choose, and CPython hashes an int
     modulo 2**61 - 1: 16,000 of them congruent to each other take
-    seconds to put in a set.  ``build_crl`` emits them sorted, so the
+    seconds to put in a set.  An authority emits them sorted, so the
     order is required and the list is searched, never hashed, here.
     """
     cursor, end = open_container(buf, offset, limit, LIST)
@@ -84,22 +83,3 @@ class Crl(SignedObject):
             f"Crl(issuer={self.issuer_key_id!r}, serial={self.serial}, "
             f"revoked={list(self._revoked_serials)})"
         )
-
-
-def build_crl(
-    *,
-    issuer_key: KeyPair,
-    issuer_key_id: str,
-    revoked_serials: set[int],
-    serial: int,
-    this_update: int,
-    next_update: int,
-) -> Crl:
-    """Sign a CRL covering the given revoked serial numbers."""
-    return build_signed(Crl, issuer_key, dict(
-        serial=serial,
-        issuer_key_id=issuer_key_id,
-        revoked_serials=tuple(sorted(revoked_serials)),
-        not_before=this_update,
-        not_after=next_update,
-    ))

@@ -14,17 +14,9 @@ what action should be taken", paper Section 4); the relying party in
 
 from __future__ import annotations
 
-from ..crypto import KeyPair
-from .objects import (
-    SignedObject,
-    build_signed,
-    read_str_map,
-    schema,
-    str_map,
-    write_str_map,
-)
+from .objects import SignedObject, read_str_map, schema, write_str_map
 
-__all__ = ["Manifest", "build_manifest"]
+__all__ = ["Manifest"]
 
 
 class Manifest(SignedObject):
@@ -61,22 +53,3 @@ class Manifest(SignedObject):
             f"Manifest(issuer={self.issuer_key_id!r}, serial={self.serial}, "
             f"files={sorted(self._entries)})"
         )
-
-
-def build_manifest(
-    *,
-    issuer_key: KeyPair,
-    issuer_key_id: str,
-    entries: dict[str, str],
-    serial: int,
-    this_update: int,
-    next_update: int,
-) -> Manifest:
-    """Sign a manifest over a file-name → SHA-256-hex listing."""
-    return build_signed(Manifest, issuer_key, dict(
-        serial=serial,
-        issuer_key_id=issuer_key_id,
-        entries=str_map(entries),
-        not_before=this_update,
-        not_after=next_update,
-    ))

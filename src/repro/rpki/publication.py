@@ -68,11 +68,6 @@ class InMemoryPublicationPoint:
         )
 
     @property
-    def revision(self) -> int:
-        """Bumped by every mutation that changes the contents."""
-        return self._revision
-
-    @property
     def serial(self) -> tuple[int, int]:
         """``(session, revision)``: equal only for the same point object
         with the same contents since the serial was read."""

@@ -22,7 +22,6 @@ from .metrics import (
     MetricError,
     MetricsRegistry,
     default_registry,
-    reset_default_metrics,
 )
 from .render import render_json, render_text
 from .tracing import Span
@@ -39,5 +38,4 @@ __all__ = [
     "default_registry",
     "render_json",
     "render_text",
-    "reset_default_metrics",
 ]

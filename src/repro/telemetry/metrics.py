@@ -39,7 +39,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "default_registry",
-    "reset_default_metrics",
 ]
 
 METRIC_NAME_RE = re.compile(r"^repro_[a-z0-9]+(_[a-z0-9]+)*$")
@@ -200,9 +199,6 @@ class _GaugeChild(_CounterChild):
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self.value - amount)
-
 
 class Gauge(Metric):
     """A value that can go up and down (sizes, current serials)."""
@@ -223,9 +219,6 @@ class Gauge(Metric):
             self.labels(**labelvalues).inc(amount)
         else:
             self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0, **labelvalues: str) -> None:
-        self.inc(-amount, **labelvalues)
 
     def value(self, **labelvalues: str) -> float:
         if labelvalues:
@@ -457,8 +450,3 @@ _DEFAULT_REGISTRY = MetricsRegistry()
 def default_registry() -> MetricsRegistry:
     """The process-global registry that ``registry=None`` falls back to."""
     return _DEFAULT_REGISTRY
-
-
-def reset_default_metrics() -> None:
-    """Zero the default registry (tests and CLI determinism helper)."""
-    _DEFAULT_REGISTRY.reset()

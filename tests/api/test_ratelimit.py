@@ -22,7 +22,8 @@ class TestConfig:
 class TestTokenBucket:
     def test_starts_full(self):
         bucket = TokenBucket(RateLimitConfig(capacity=3, refill_per_second=1))
-        assert bucket.peek(0) == 3.0
+        admitted = [bucket.try_acquire(0) for _ in range(4)]
+        assert admitted == [True, True, True, False]
 
     def test_burst_then_rejects(self):
         bucket = TokenBucket(RateLimitConfig(capacity=3, refill_per_second=0))
@@ -36,13 +37,14 @@ class TestTokenBucket:
             assert bucket.try_acquire(0)
         assert not bucket.try_acquire(0)
         # 3 seconds => 6 tokens back, capped later at capacity.
-        assert bucket.peek(3) == 6.0
-        assert bucket.try_acquire(3)
+        admitted = [bucket.try_acquire(3) for _ in range(7)]
+        assert admitted == [True] * 6 + [False]
 
     def test_refill_caps_at_capacity(self):
         bucket = TokenBucket(RateLimitConfig(capacity=4, refill_per_second=1))
         bucket.try_acquire(0)
-        assert bucket.peek(1000) == 4.0
+        admitted = [bucket.try_acquire(1000) for _ in range(5)]
+        assert admitted == [True] * 4 + [False]
 
     def test_time_never_runs_backwards(self):
         # A stale timestamp must not refund tokens nor corrupt state.
@@ -51,7 +53,8 @@ class TestTokenBucket:
         assert bucket.try_acquire(10)
         assert bucket.try_acquire(10)
         assert not bucket.try_acquire(5)
-        assert bucket.peek(5) == 0.0
+        # One second after the last real instant: exactly one token back.
+        assert [bucket.try_acquire(11) for _ in range(2)] == [True, False]
 
     def test_fractional_rates(self):
         # One token per 10 simulated seconds.

@@ -10,15 +10,15 @@ class TestAsGraph:
     def test_add_provider(self):
         g = AsGraph()
         g.add_provider(customer=64512, provider=1239)
-        assert ASN(1239) in g.providers_of(64512)
-        assert ASN(64512) in g.customers_of(1239)
+        assert g.relationship(64512, 1239) is Relationship.PROVIDER
+        assert g.relationship(1239, 64512) is Relationship.CUSTOMER
         assert len(g) == 2
 
     def test_add_peering_symmetric(self):
         g = AsGraph()
         g.add_peering(1, 2)
-        assert ASN(2) in g.peers_of(1)
-        assert ASN(1) in g.peers_of(2)
+        assert g.relationship(1, 2) is Relationship.PEER
+        assert g.relationship(2, 1) is Relationship.PEER
 
     def test_self_links_rejected(self):
         g = AsGraph()
@@ -61,13 +61,6 @@ class TestAsGraph:
             < Relationship.PEER.preference
             < Relationship.PROVIDER.preference
         )
-
-    def test_links_enumeration(self):
-        g = AsGraph.from_links(provider_links=[(10, 1)], peer_links=[(10, 20)])
-        links = list(g.links())
-        assert (ASN(1), ASN(10), Relationship.PROVIDER) in links
-        assert (ASN(10), ASN(1), Relationship.CUSTOMER) in links
-        assert (ASN(10), ASN(20), Relationship.PEER) in links
 
     def test_contains_and_ases_sorted(self):
         g = AsGraph.from_links(provider_links=[(30, 2), (30, 1)])

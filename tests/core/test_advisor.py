@@ -34,7 +34,7 @@ class TestRolloutOrdering:
             [VRP.parse("63.168.93.0/24", 19429)],
             announced_routes=[Route.parse("63.168.93.0/24", 19429)],
         )
-        assert plan.is_clean
+        assert not any(w.code == "invalidates-route" for w in plan.warnings)
         assert plan.warnings == []
         assert "side-effect-free" in plan.render()
 
@@ -50,7 +50,7 @@ class TestSideEffect5Warnings:
                 Route.parse("63.160.0.0/12", 1239),    # covered by the plan
             ],
         )
-        assert not plan.is_clean
+        assert any(w.code == "invalidates-route" for w in plan.warnings)
         flagged = [w for w in plan.warnings if w.code == "invalidates-route"]
         assert len(flagged) == 1
         assert "63.163.0.0/16" in flagged[0].subject
@@ -65,7 +65,7 @@ class TestSideEffect5Warnings:
             ],
             announced_routes=[Route.parse("63.163.0.0/16", 64512)],
         )
-        assert plan.is_clean
+        assert not any(w.code == "invalidates-route" for w in plan.warnings)
 
     def test_already_invalid_route_not_reflagged(self):
         existing = VrpSet([VRP.parse("63.160.0.0/12-13", 1239)])

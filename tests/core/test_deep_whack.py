@@ -14,9 +14,10 @@ from repro.core import (
     plan_whack,
     subtree_roas,
 )
-from repro.modelgen import build_deep_hierarchy
 from repro.repository import Fetcher
 from repro.rp import RelyingParty, RouteValidity
+
+from ..helpers import build_deep_hierarchy, find_roa
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ class TestDeepWorld:
 class TestGreatGrandparentWhack:
     def test_sprint_whacks_smallbiz_roa(self, deep):
         world, smallbiz = deep
-        found = smallbiz.find_roa("63.174.18.0/24", 64700)
+        found = find_roa(smallbiz, "63.174.18.0/24", 64700)
         assert found is not None
         _name, target = found
 
@@ -81,7 +82,7 @@ class TestGreatGrandparentWhack:
     def test_arin_whacks_smallbiz_roa(self, deep):
         """Three levels of separation: two intermediate RCs in the chain."""
         world, smallbiz = deep
-        _name, target = smallbiz.find_roa("63.174.19.0/24", 64700)
+        _name, target = find_roa(smallbiz, "63.174.19.0/24", 64700)
 
         plan = plan_whack(world.arin, target, smallbiz)
         assert plan.shrink_child is world.sprint
@@ -102,7 +103,7 @@ class TestGreatGrandparentWhack:
         """'More suspiciously-reissued objects, and could be easier to
         detect' — the reissue count grows with manipulator distance."""
         world, smallbiz = deep
-        _n1, target = smallbiz.find_roa("63.174.18.0/24", 64700)
+        _n1, target = find_roa(smallbiz, "63.174.18.0/24", 64700)
         parent_plan = plan_whack(world.continental, target, smallbiz)
         grand_plan = plan_whack(world.sprint, target, smallbiz)
         great_plan = plan_whack(world.arin, target, smallbiz)
@@ -116,7 +117,7 @@ class TestGreatGrandparentWhack:
         from repro.monitor import AlertKind, analyze, diff_snapshots, take_snapshot
 
         world, smallbiz = deep
-        _name, target = smallbiz.find_roa("63.174.18.0/24", 64700)
+        _name, target = find_roa(smallbiz, "63.174.18.0/24", 64700)
         before = take_snapshot(world.registry, world.clock.now,
                                trust_anchors=world.trust_anchors)
         execute_whack(plan_whack(world.arin, target, smallbiz))

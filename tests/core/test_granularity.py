@@ -25,7 +25,7 @@ class TestBlastRadius:
         # "more coarse-grained than domain name seizures ... 256 addresses"
         assert radius.minimum_unreachable == 256
         assert radius.dns_seizure_equivalent == 1
-        assert radius.amplification == 256
+        assert radius.disturbed_addresses == 256
 
     def test_all_covering_vrps_must_die(self):
         radius = whack_blast_radius("63.174.17.55", FIGURE2)
@@ -55,7 +55,6 @@ class TestBlastRadius:
         coarse = vrps(("63.160.0.0/12-13", 1239))
         radius = whack_blast_radius("63.163.0.1", coarse)
         assert radius.disturbed_addresses == 2**20
-        assert radius.amplification == 2**20
 
     def test_ipv6_floor(self):
         radius = whack_blast_radius(

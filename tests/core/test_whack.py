@@ -16,6 +16,8 @@ from repro.repository import Fetcher
 from repro.resources import Prefix, ResourceSet
 from repro.rp import RelyingParty, RouteValidity
 
+from ..helpers import find_roa
+
 
 @pytest.fixture
 def world():
@@ -65,7 +67,7 @@ class TestHoleFinding:
 
 class TestPlanSelection:
     def test_own_roa_is_a_delete(self, world):
-        _, roa = world.sprint.find_roa("63.161.0.0/16-24", 1239)
+        _, roa = find_roa(world.sprint, "63.161.0.0/16-24", 1239)
         plan = plan_whack(world.sprint, roa, world.sprint)
         assert plan.method is WhackMethod.DELETE_OWN_ROA
         assert plan.collateral_count == 0
@@ -106,7 +108,7 @@ class TestPlanSelection:
 
 class TestExecution:
     def test_delete_own_roa(self, world):
-        _, roa = world.sprint.find_roa("63.161.0.0/16-24", 1239)
+        _, roa = find_roa(world.sprint, "63.161.0.0/16-24", 1239)
         plan = plan_whack(world.sprint, roa, world.sprint)
         execute_whack(plan)
         rp = fresh_rp(world)
@@ -146,7 +148,7 @@ class TestExecution:
         # The /20 route is still valid, via Sprint's suspicious reissue.
         assert rp.classify_parts("63.174.16.0/20", 17054) is RouteValidity.VALID
         # The reissued ROA now lives at Sprint's publication point.
-        assert world.sprint.find_roa("63.174.16.0/20", 17054) is not None
+        assert find_roa(world.sprint, "63.174.16.0/20", 17054) is not None
 
     def test_great_grandparent_execution(self, world):
         plan = plan_whack(world.arin, world.target20, world.continental)

@@ -29,6 +29,7 @@ from repro.repository import Fetcher
 from repro.rp import PathValidator, RelyingParty
 from repro.rpki import Roa
 
+from ..helpers import all_files
 from ..rp.test_roa_evidence import check_evidence
 
 # Small enough to build in ~a second, flat like the Internet scales.
@@ -213,7 +214,7 @@ class TestInternetSmallEquivalence:
         warm_report = rp.refresh()              # replayed from kept state
         now = world.clock.now
         oracle = PathValidator(world.trust_anchors).run(
-            rp.cache.all_files(now), now
+            all_files(rp.cache, now), now
         )
 
         assert cold_report.run.issues == []

@@ -69,8 +69,8 @@ class TestFigure2:
         assert int(server.locator.origin_asn) == 17054
 
     def test_reproducible(self):
-        a = build_figure2(seed=99)
-        b = build_figure2(seed=99)
+        a = build_figure2()
+        b = build_figure2()
         assert a.arin.key_id == b.arin.key_id
         assert a.target20.hash_hex == b.target20.hash_hex
 

@@ -34,6 +34,8 @@ from repro.repository.resilience import (
 from repro.simtime import Clock
 from repro.telemetry import MetricsRegistry
 
+from ..helpers import all_files
+
 
 def make_world(files=(("a.roa", b"payload"),)):
     registry = RepositoryRegistry()
@@ -276,8 +278,8 @@ class TestFetchResultEdgeCases:
         # empty directory, not missing information.
         cache = LocalCache(metrics=MetricsRegistry())
         cache.update(result)
-        assert cache.all_files() == {URI: {}}
-        assert cache.all_files(now=0) == {URI: {}}
+        assert all_files(cache) == {URI: {}}
+        assert all_files(cache, now=0) == {URI: {}}
 
     def test_unknown_host_is_not_retried(self):
         registry, _ = make_world()
@@ -322,16 +324,16 @@ class TestCacheGraceWindow:
         cache = LocalCache(stale_grace=100, metrics=metrics)
         self.fill(cache, at=0)
         self.fail(cache, at=50)
-        assert URI in cache.all_files(now=50)  # stale but in grace: served
+        assert URI in all_files(cache, now=50)  # stale but in grace: served
         assert metrics.get("repro_cache_stale_serves_total").value() == 1
-        assert cache.all_files(now=200) == {}  # grace over: withheld
+        assert all_files(cache, now=200) == {}  # grace over: withheld
         assert metrics.get("repro_cache_expired_drops_total").value() == 1
 
     def test_no_grace_serves_stale_forever(self):
         cache = LocalCache(metrics=MetricsRegistry())
         self.fill(cache, at=0)
         self.fail(cache, at=50)
-        assert URI in cache.all_files(now=10**9)
+        assert URI in all_files(cache, now=10**9)
         assert cache.classify(10**9)[URI] is CacheFreshness.STALE
 
 
@@ -349,7 +351,7 @@ class TestCacheSnapshot:
         cache = LocalCache(metrics=MetricsRegistry())
         self.fill(cache, at=0)
         snap = cache.snapshot()
-        assert dict(snap.items()) == cache.all_files()
+        assert dict(snap.items()) == all_files(cache)
         assert len(snap) == 1 and URI in snap
         assert list(snap) == [URI]
         assert snap.get("rsync://nobody/repo/") is None
@@ -360,7 +362,7 @@ class TestCacheSnapshot:
         snap = cache.snapshot()
         # all_files() copies each per-point dict; snapshot() must not.
         assert snap[URI] is cache.point(URI).files
-        assert cache.all_files()[URI] is not cache.point(URI).files
+        assert all_files(cache)[URI] is not cache.point(URI).files
 
     def test_never_fetched_omitted(self):
         cache = LocalCache(metrics=MetricsRegistry())

@@ -137,19 +137,19 @@ class TestAdmission:
     def test_begin_cycle_resets_spend_not_history(self):
         scheduler = make_scheduler()
         scheduler.record(A1, 600)
-        assert scheduler.spend() == {"alpha.example": 600}
+        assert scheduler._spent == {"alpha.example": 600}
         scheduler.begin_cycle()
-        assert scheduler.spend() == {}
-        assert scheduler.expected_cost(A1) == 600.0
+        assert scheduler._spent == {}
+        assert scheduler._ewma[A1] == 600.0
 
     def test_ewma_blends_observations(self):
         scheduler = make_scheduler()
         scheduler.record(A1, 600)
-        assert scheduler.expected_cost(A1) == 600.0  # first observation
+        assert scheduler._ewma[A1] == 600.0  # first observation
         scheduler.record(A1, 0)  # the host recovered
-        assert scheduler.expected_cost(A1) == 300.0
+        assert scheduler._ewma[A1] == 300.0
         scheduler.record(A1, 0)
-        assert scheduler.expected_cost(A1) == 150.0
+        assert scheduler._ewma[A1] == 150.0
 
     def test_deferral_metrics_by_reason(self):
         scheduler = make_scheduler()
@@ -227,5 +227,5 @@ class TestRelyingPartyWiring:
         assert scheduler.metrics is rp.metrics
         rp.refresh()
         # Healthy world: every fetch recorded, zero simulated cost.
-        assert scheduler.spend()
-        assert all(cost == 0 for cost in scheduler.spend().values())
+        assert scheduler._spent
+        assert all(cost == 0 for cost in scheduler._spent.values())

@@ -41,7 +41,7 @@ class TestAsnRange:
     def test_single(self):
         r = AsnRange.single(ASN(7341))
         assert r.size == 1
-        assert r.contains(7341)
+        assert (r.start, r.end) == (7341, 7341)
         assert str(r) == "AS7341"
 
     def test_covers_and_overlaps(self):
@@ -61,12 +61,12 @@ class TestAsnRange:
 
 class TestAsnSet:
     def test_of_and_normalize(self):
-        s = AsnSet.of(3, 1, 2)
+        s = AsnSet(AsnRange.single(a) for a in (3, 1, 2))
         assert len(s) == 1
         assert s.ranges[0] == AsnRange(1, 3)
 
     def test_covers(self):
-        s = AsnSet.of(1239, 17054)
+        s = AsnSet([AsnRange.single(1239), AsnRange.single(17054)])
         assert s.covers(ASN(1239))
         assert 17054 in s
         assert not s.covers(7341)
@@ -81,10 +81,7 @@ class TestAsnSet:
     def test_subtract_single_asn(self):
         s = AsnSet([AsnRange(1, 3)])
         t = s.subtract(2)
-        assert t == AsnSet.of(1, 3)
-
-    def test_universe(self):
-        assert AsnSet.universe().covers(AsnRange(0, AS_MAX))
+        assert t == AsnSet([AsnRange.single(1), AsnRange.single(3)])
 
     def test_empty(self):
         s = AsnSet.empty()
@@ -95,6 +92,6 @@ class TestAsnSet:
         assert AsnSet([AsnRange(1, 10), AsnRange(20, 29)]).size == 20
 
     def test_value_semantics(self):
-        a = AsnSet.of(1, 2, 3)
+        a = AsnSet(AsnRange.single(n) for n in (1, 2, 3))
         b = AsnSet([AsnRange(1, 3)])
         assert a == b and hash(a) == hash(b)

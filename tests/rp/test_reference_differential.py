@@ -24,11 +24,13 @@ from repro.modelgen import build_deployment, build_figure2, resolve_scale
 from repro.repository import FaultInjector, FaultKind, Fetcher, HostLocator
 from repro.resources import ResourceSet
 from repro.rp import PathValidator, RelyingParty
-from repro.rpki import CRL_FILE, build_crl
+from repro.rpki import CRL_FILE
 from repro.simtime import DAY, HOUR, YEAR
 from repro.telemetry import MetricsRegistry
 
+from ..helpers import all_files
 from ..rpki.forge import cert_bytes, crl_bytes, publish_forged, roa_bytes
+from ..rpki.reference_build import build_crl
 from .reference_validator import assert_agrees
 from .test_hostile_sia import SHAPES, plant_evil_child
 from .test_roa_rows import publish_roa
@@ -199,7 +201,7 @@ def test_cache_after_fault(kind):
     )
     rp.refresh()
     now = world.clock.now
-    cached = rp.cache.all_files(now)
+    cached = all_files(rp.cache, now)
     judged.check(cached)
     assert_agrees(rp.validator.run(cached, now), world.trust_anchors,
                   cached, now)
@@ -216,7 +218,7 @@ def test_small_deployment_cold_and_after_churn():
     def agree():
         report = rp.refresh()
         now = world.clock.now
-        cached = rp.cache.all_files(now)
+        cached = all_files(rp.cache, now)
         assert_agrees(report.run, world.trust_anchors, cached, now)
         assert report.run == PathValidator(
             world.trust_anchors, metrics=MetricsRegistry()).run(cached, now)

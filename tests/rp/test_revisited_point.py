@@ -16,6 +16,7 @@ from repro.rp import PathValidator, RelyingParty
 from repro.simtime import HOUR, YEAR
 from repro.telemetry import MetricsRegistry
 
+from ..helpers import all_files
 from ..rpki.forge import forge, publish_forged
 
 ARIN = "rsync://arin.example/repo/"
@@ -70,4 +71,4 @@ def test_uri_reached_at_two_depths_is_fetched_and_served_once():
     assert "loop" in [cert.subject for cert in report.run.validated_cas]
     now = world.clock.now
     oracle = PathValidator(world.trust_anchors, metrics=MetricsRegistry())
-    assert report.run == oracle.run(rp.cache.all_files(now), now)
+    assert report.run == oracle.run(all_files(rp.cache, now), now)

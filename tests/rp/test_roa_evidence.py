@@ -19,6 +19,7 @@ from repro.rpki import Roa
 from repro.rpki.parse import parse_object
 from repro.simtime import HOUR
 
+from ..helpers import all_files
 from .reference_validator import assert_agrees
 
 
@@ -84,7 +85,7 @@ def test_cold_oracle_serial_and_incremental_agree(world):
     now = world.clock.now
     cleared.incremental_state.clear()
     cleared_run, kept_run = cleared.refresh().run, kept.refresh().run
-    files = cleared.cache.all_files(now)
+    files = all_files(cleared.cache, now)
     oracle = PathValidator(world.trust_anchors).run(files, now)
     assert oracle.roas == cleared_run.roas == kept_run.roas
     assert oracle == cleared_run == kept_run

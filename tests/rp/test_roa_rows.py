@@ -41,6 +41,7 @@ from repro.rpki import (
 from repro.simtime import DAY, HOUR
 from repro.telemetry import MetricsRegistry
 
+from ..helpers import all_files
 from ..rpki.forge import crl_bytes, publish_forged
 from .reference_validator import assert_agrees
 from .test_incremental import count_roa_parses
@@ -83,7 +84,7 @@ def cold(rp, now, *, reference=True):
     to."""
     validator = PathValidator(rp.validator.trust_anchors,
                               metrics=MetricsRegistry())
-    files = rp.cache.all_files(now)
+    files = all_files(rp.cache, now)
     run = validator.run(files, now)
     if reference:
         assert_agrees(run, validator.trust_anchors, files, now)
@@ -218,7 +219,7 @@ class Harness:
     def sweep(self, sample: int, *, reference: bool) -> None:
         """The stateful validator at b - 1, b, b + 1 of some boundaries —
         backwards in time as well as forwards."""
-        files, digests = self.rp.cache.all_files(), self.rp.cache.digests()
+        files, digests = all_files(self.rp.cache), self.rp.cache.digests()
         picked = self.rng.sample(self.boundaries(), sample)
         for b in picked:
             for at in (b - 1, b, b + 1):

@@ -1,5 +1,7 @@
 """Tests for the SLURM-shaped (cf. RFC 8416) form of local overrides."""
 
+import pytest
+
 
 class TestSlurmSerialization:
     def test_roundtrip(self):
@@ -34,3 +36,21 @@ class TestSlurmSerialization:
 
         again = LocalOverrides.from_dict(LocalOverrides().to_dict())
         assert again.is_empty
+
+    def test_assertion_without_max_length_is_bounded_by_its_prefix(self):
+        # RFC 8416 section 3.4.1: maxPrefixLength is optional.
+        from repro.rp import VRP, LocalOverrides
+
+        overrides = LocalOverrides.from_dict({"locallyAddedAssertions": {
+            "prefixAssertions": [{"prefix": "10.0.0.0/8", "asn": 1}]}})
+        assert overrides.pinned == [VRP.parse("10.0.0.0/8", 1)]
+        assert overrides.pinned[0].max_length == 8
+
+    def test_assertion_max_length_out_of_range_is_refused(self):
+        from repro.rp import LocalOverrides
+
+        for bound in (7, 33):
+            with pytest.raises(ValueError, match="out of range"):
+                LocalOverrides.from_dict({"locallyAddedAssertions": {
+                    "prefixAssertions": [{"prefix": "10.0.0.0/8", "asn": 1,
+                                          "maxPrefixLength": bound}]}})

@@ -16,12 +16,12 @@ from repro.rpki import (
     MANIFEST_FILE,
     CertificateAuthority,
     build_certificate,
-    build_manifest,
     parse_object,
 )
 from repro.simtime import DAY
 
 from ..crypto.reference_codec import encode
+from .reference_build import build_manifest
 
 NETWORK = (63 << 24) | (174 << 16) | (16 << 8)     # 63.174.16.0
 

@@ -20,15 +20,15 @@ from repro.rpki import (
     CRL_FILE,
     MANIFEST_FILE,
     CertificateAuthority,
+    Crl,
+    Manifest,
     RoaPrefix,
     build_certificate,
-    build_crl,
     build_ghostbusters,
-    build_manifest,
     build_roa,
     parse_object,
 )
-from repro.rpki.objects import SignedObject
+from repro.rpki.objects import SignedObject, build_signed, str_map
 from repro.simtime import Clock
 
 from . import reference_build
@@ -163,7 +163,10 @@ def test_roas(data):
 def test_crls(revoked, serial, window):
     values = dict(issuer_key=ISSUER, issuer_key_id="k", revoked_serials=revoked,
                   serial=serial, this_update=window[0], next_update=window[1])
-    assert_same(build_crl(**values), reference_build.build_crl(**values))
+    crl = build_signed(Crl, ISSUER, dict(
+        serial=serial, issuer_key_id="k", revoked_serials=tuple(sorted(revoked)),
+        not_before=window[0], not_after=window[1]))
+    assert_same(crl, reference_build.build_crl(**values))
 
 
 file_names = st.text(min_size=1, max_size=16) | st.sampled_from(
@@ -176,7 +179,10 @@ file_names = st.text(min_size=1, max_size=16) | st.sampled_from(
 def test_manifests(entries, serial, window):
     values = dict(issuer_key=ISSUER, issuer_key_id="k", entries=entries,
                   serial=serial, this_update=window[0], next_update=window[1])
-    assert_same(build_manifest(**values), reference_build.build_manifest(**values))
+    manifest = build_signed(Manifest, ISSUER, dict(
+        serial=serial, issuer_key_id="k", entries=str_map(entries),
+        not_before=window[0], not_after=window[1]))
+    assert_same(manifest, reference_build.build_manifest(**values))
 
 
 @given(st.data(), st.dictionaries(

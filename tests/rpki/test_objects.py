@@ -3,7 +3,7 @@
 import pytest
 
 from repro.crypto import KeyFactory
-from repro.resources import ASN, AsnSet, Prefix, ResourceSet
+from repro.resources import ASN, AsnRange, AsnSet, Prefix, ResourceSet
 from repro.rpki import (
     Crl,
     EECertificate,
@@ -13,13 +13,16 @@ from repro.rpki import (
     Roa,
     RoaPrefix,
     build_certificate,
-    build_crl,
-    build_manifest,
     build_roa,
     parse_object,
 )
 from ..crypto.reference_codec import encode
-from .reference_build import asn_set_to_data, resource_set_to_data
+from .reference_build import (
+    asn_set_to_data,
+    build_crl,
+    build_manifest,
+    resource_set_to_data,
+)
 from .reference_parse import asn_set_from_data, resource_set_from_data
 
 FACTORY = KeyFactory(seed=42)
@@ -35,7 +38,7 @@ def make_rc(**overrides):
         subject="Sprint",
         subject_key=SUBJECT.public,
         ip_resources=ResourceSet.parse("63.160.0.0/12"),
-        as_resources=AsnSet.of(1239),
+        as_resources=AsnSet([AsnRange.single(1239)]),
         serial=7,
         not_before=0,
         not_after=1000,
@@ -74,7 +77,7 @@ class TestResourceDataCodec:
         assert resource_set_from_data(resource_set_to_data(rs)) == rs
 
     def test_asn_set_roundtrip(self):
-        asns = AsnSet.of(1239, 17054)
+        asns = AsnSet(map(AsnRange.single, (1239, 17054)))
         assert asn_set_from_data(asn_set_to_data(asns)) == asns
 
     def test_rejects_garbage(self):

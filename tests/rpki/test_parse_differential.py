@@ -39,16 +39,14 @@ import pytest
 
 from repro.crypto import KeyFactory, sha256_hex
 from repro.modelgen import INTERNET_SCALES, build_deployment, build_figure2
-from repro.resources import AsnSet, ResourceSet
+from repro.resources import AsnRange, AsnSet, ResourceSet
 from repro.rpki import (
     ObjectFormatError,
     RoaPrefix,
     RsyncUri,
     UriError,
     build_certificate,
-    build_crl,
     build_ghostbusters,
-    build_manifest,
     build_roa,
     parse_object,
 )
@@ -56,6 +54,7 @@ from repro.rpki import (
 from ..crypto.reference_codec import encode
 from ..crypto.test_encoding_differential import MALFORMED_CLASSES
 from . import reference_parse
+from .reference_build import build_crl, build_manifest
 from .forge import (
     NETWORK,
     HashableMap,
@@ -136,8 +135,9 @@ def certificate(**overrides):
         issuer_key=ISSUER, issuer_key_id=ISSUER.key_id, subject="edge",
         subject_key=SUBJECT.public,
         ip_resources=ResourceSet.parse("63.160.0.0/12", "2001:db8::/32"),
-        as_resources=AsnSet.of(1239, 17054), serial=7, not_before=0,
-        not_after=1000, sia="rsync://edge.example/repo/",
+        as_resources=AsnSet(map(AsnRange.single, (1239, 17054))),
+        serial=7, not_before=0, not_after=1000,
+        sia="rsync://edge.example/repo/",
         sia_mirrors=["rsync://mirror-a.example/edge/",
                      "rsync://mirror-b.example/edge/"],
         crldp="rsync://issuer.example/repo/ca.crl",

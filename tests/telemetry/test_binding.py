@@ -10,7 +10,6 @@ its label children once instead of resolving them per event.
 import pytest
 
 from repro import RelyingParty, build_figure2
-from repro.telemetry import reset_default_metrics
 from repro.repository import Fetcher
 from repro.telemetry import MetricError, MetricsRegistry, default_registry
 from repro.telemetry.metrics import Metric
@@ -54,13 +53,13 @@ class TestBind:
     def test_the_default_registry_keeps_module_bindings(self):
         from repro.crypto.rsa import _VERIFIED
 
-        reset_default_metrics()
+        default_registry().reset()
         assert "repro_crypto_verify_total{" not in (
             default_registry().render_text())
         _VERIFIED[True].inc()
         verify = default_registry().get("repro_crypto_verify_total")
         assert verify.value(outcome="accepted") == 1
-        reset_default_metrics()
+        default_registry().reset()
 
 
 class TestPull:

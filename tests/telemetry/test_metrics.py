@@ -8,7 +8,6 @@ from repro.telemetry import (
     MetricError,
     MetricsRegistry,
     default_registry,
-    reset_default_metrics,
 )
 
 
@@ -88,7 +87,7 @@ class TestGauge:
         gauge = registry.gauge("repro_cache_points")
         gauge.set(10)
         gauge.inc(5)
-        gauge.dec(3)
+        gauge.inc(-3)
         assert gauge.value() == 12
 
 
@@ -181,6 +180,6 @@ class TestDefaultRegistry:
         first = default_registry()
         counter = first.counter("repro_test_default_total")
         counter.inc()
-        reset_default_metrics()
+        default_registry().reset()
         assert default_registry() is first
         assert counter.value() == 0

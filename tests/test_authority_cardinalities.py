@@ -60,7 +60,6 @@ from repro.rpki import (
     CertificateAuthority,
     ObjectFormatError,
     RoaPrefix,
-    build_manifest,
     parse_object,
 )
 from repro.rpki.objects import _read_payload, build_signed, read_signed, read_str_map
@@ -75,6 +74,7 @@ from repro.simtime import Clock
 from repro.telemetry import MetricsRegistry
 
 from .rpki.forge import forge
+from .rpki.reference_build import build_manifest
 from .rtr.per_pdu import PrefixPdu, encode_pdu
 from .rtr.reference_router import ReferenceRouter
 

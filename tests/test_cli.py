@@ -12,7 +12,7 @@ import pytest
 
 from repro import cli
 from repro.cli import main
-from repro.telemetry import reset_default_metrics
+from repro.telemetry import default_registry
 
 ARTIFACTS = pathlib.Path(__file__).resolve().parent.parent / (
     "benchmarks/artifacts")
@@ -26,9 +26,9 @@ def artifact(name: str) -> str:
 def _fresh_default_registry():
     """Each CLI invocation starts from a zeroed process-global registry,
     like the fresh process a shell user gets."""
-    reset_default_metrics()
+    default_registry().reset()
     yield
-    reset_default_metrics()
+    default_registry().reset()
 
 
 def run(capsys, *argv):

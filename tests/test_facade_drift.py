@@ -4,7 +4,8 @@ Fails the suite when ``repro.__all__`` lists a name that does not
 resolve, is missing from docs/API.md, is duplicated, or breaks the
 sorted-by-construction invariant — or when an option of a name the
 facade or a subpackage exports is set by no call outside ``tests/`` and
-has no allowlist row.
+has no allowlist row, or when a def or class under ``src/repro`` is
+named by no file outside ``tests/`` and has no allowlist row.
 """
 
 import pathlib
@@ -91,4 +92,91 @@ def test_lint_reads_every_subpackage_all(monkeypatch, tmp_path):
     assert [p for p in problems if "knob." in p] == [
         "option knob.third is set by no call outside tests/: make it a "
         "constant, or give it an OPTION_ALLOWLIST row with a reason",
+    ]
+
+
+def test_every_definition_has_a_caller():
+    problems = check_facade.check_definitions()
+    assert problems == [], "\n".join(problems)
+
+
+def definition_problems(root, files, allowlist=None):
+    """Check 5 over a throwaway tree: package ``src/pkg`` and the caller
+    directories under *root*, plus a ``tests/`` that is never read."""
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return check_facade.check_definitions(
+        allowlist={} if allowlist is None else allowlist,
+        roots=tuple(root / d for d in check_facade.CALLER_DIRS),
+        package=root / "src" / "pkg",
+    )
+
+
+def unused(key, where):
+    return (f"definition {key} ({where}) has no caller outside tests/: "
+            "delete it, or give it a DEFINITION_ALLOWLIST row with a reason")
+
+
+def test_lint_reports_a_function_nothing_calls(tmp_path):
+    problems = definition_problems(tmp_path, {
+        "src/pkg/mod.py": (
+            "def used():\n    pass\n\n"
+            "def unused():\n    pass\n\n"
+            "class Box:\n"
+            "    def __len__(self):\n        return 0\n\n"  # dunder: exempt
+            "    def spare(self):\n        pass\n"
+        ),
+        "tools/run.py": "from pkg.mod import Box, used\nused()\nBox()\n",
+    })
+    assert problems == [unused("unused", "pkg/mod.py"),
+                        unused("Box.spare", "pkg/mod.py")]
+
+
+def test_lint_does_not_count_all_or_a_package_reexport(tmp_path):
+    problems = definition_problems(tmp_path, {
+        "src/pkg/__init__.py": (
+            "from .mod import exported\n\n__all__ = [\"exported\"]\n"),
+        "src/pkg/mod.py": "def exported():\n    pass\n",
+    })
+    assert problems == [unused("exported", "pkg/mod.py")]
+
+
+def test_lint_does_not_count_a_use_under_tests(tmp_path):
+    problems = definition_problems(tmp_path, {
+        "src/pkg/mod.py": "def helper():\n    pass\n",
+        "tests/test_mod.py": "from pkg.mod import helper\n\nhelper()\n",
+    })
+    assert problems == [unused("helper", "pkg/mod.py")]
+
+
+def test_lint_counts_a_getattr_string(tmp_path):
+    problems = definition_problems(tmp_path, {
+        "src/pkg/mod.py": "def cmd_run():\n    pass\n",
+        "src/pkg/cli.py": (
+            "from pkg import mod\n\n"
+            "def main():\n    getattr(mod, \"cmd_run\")()\n"),
+        "examples/demo.py": "from pkg.cli import main\n\nmain()\n",
+    })
+    assert problems == []
+
+
+def test_lint_honours_and_audits_the_allowlist(tmp_path):
+    files = {
+        "src/pkg/mod.py": (
+            "class Owner:\n"
+            "    def kept(self):\n        pass\n\n"
+            "    def called(self):\n        pass\n"),
+        "benchmarks/bench.py": "from pkg.mod import Owner\nOwner().called()\n",
+    }
+    problems = definition_problems(tmp_path, files, allowlist={
+        "Owner.kept": "exercised by tests only, on purpose",
+        "Owner.called": "stale: it has a caller",
+        "Owner.gone": "stale: no such definition",
+    })
+    assert problems == [
+        "definition Owner.called has a caller now: drop its "
+        "DEFINITION_ALLOWLIST row",
+        "DEFINITION_ALLOWLIST row Owner.gone names no definition",
     ]

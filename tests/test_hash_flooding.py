@@ -29,7 +29,6 @@ from repro.rpki import (
     CRL_FILE,
     CertificateAuthority,
     RoaPrefix,
-    build_crl,
     parse_object,
 )
 from repro.rtr import DuplexPipe, RtrCacheServer, RtrRouterClient
@@ -37,6 +36,7 @@ from repro.simtime import HOUR, Clock
 from repro.telemetry import MetricsRegistry
 
 from .rpki.forge import publish_forged, reforge
+from .rpki.reference_build import build_crl
 
 MODULUS = sys.hash_info.modulus                      # 2**61 - 1 on CPython
 HOLDING = Prefix.parse("2001:db8:1::/48")            # any /48 holder will do

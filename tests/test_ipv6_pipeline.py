@@ -17,6 +17,8 @@ from repro.rpki import CertificateAuthority
 from repro.rtr import DuplexPipe, RtrCacheServer, RtrRouterClient
 from repro.simtime import Clock
 
+from .helpers import find_roa
+
 
 @pytest.fixture
 def v6_world():
@@ -92,7 +94,7 @@ class TestV6Validation:
 class TestV6Whack:
     def test_grandchild_whack_over_v6(self, v6_world):
         clock, registry, rir, isp = v6_world
-        found = isp.find_roa("2001:db8:100:42::/64", 64502)
+        found = find_roa(isp, "2001:db8:100:42::/64", 64502)
         assert found is not None
         _, target = found
         plan = plan_whack(rir, target, isp)

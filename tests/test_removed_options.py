@@ -22,6 +22,8 @@ cross-border rate, at 0 and 1 (``tests/modelgen/test_modelgen.py``).
 ``tools/check_facade.py`` keeps new facade options honest the same way.
 """
 
+import importlib
+
 import pytest
 
 from repro import memo
@@ -49,7 +51,6 @@ from repro.crypto import KeyFactory, is_probable_prime, keys
 from repro.memo import GenerationMemo
 from repro.modelgen import (
     DeploymentConfig,
-    build_deep_hierarchy,
     build_figure2,
     build_table4_world,
     deployment,
@@ -94,6 +95,8 @@ from repro.rpki.publication import DEFAULT_HISTORY_LIMIT
 from repro.rtr import ChainedRtrCache, RtrCacheServer, SessionMux, mux
 from repro.simtime import HOUR, Clock
 from repro.telemetry import Metric, MetricsRegistry
+
+from .helpers import build_deep_hierarchy
 
 POINT = "rsync://a.example/repo/"
 
@@ -239,6 +242,7 @@ REMOVED = {
     # Options of subpackage exports that no caller outside the tests set.
     "is_probable_prime(rng=)": lambda: is_probable_prime(7, rng=None),
     "build_deep_hierarchy(seed=)": lambda: build_deep_hierarchy(seed=2014),
+    "build_figure2(seed=)": lambda: build_figure2(seed=2014),
     "parse_address(afi=)": lambda: parse_address("::1", afi=None),
     "propagate(default_policy=)": lambda: propagate(
         AsGraph(), [], default_policy=None),
@@ -348,6 +352,34 @@ def import_encode():
     from repro.crypto import encode  # noqa: F401
 
 
+def import_prefix_hijack():
+    from repro.bgp import prefix_hijack  # noqa: F401
+
+
+def import_matrix_cell():
+    from repro.core import MatrixCell  # noqa: F401
+
+
+def import_rir_of_country():
+    from repro.jurisdiction import rir_of_country  # noqa: F401
+
+
+def import_build_crl():
+    from repro.rpki import build_crl  # noqa: F401
+
+
+def import_build_manifest():
+    from repro.rpki import build_manifest  # noqa: F401
+
+
+def import_build_deep_hierarchy():
+    from repro.modelgen import build_deep_hierarchy  # noqa: F401
+
+
+def import_reset_default_metrics():
+    from repro.telemetry import reset_default_metrics  # noqa: F401
+
+
 # Classes no caller outside the tests ever configured, the memo bound's
 # old name, facade names nothing outside the tests imported (the first
 # two stay in repro.repository and repro.telemetry), the module-level
@@ -360,8 +392,11 @@ def import_encode():
 # helpers and list joiner the schema-directed writer replaced (the
 # dict-and-encode builders live on in tests/rpki/reference_build.py),
 # and the generic encoder the typed leaf writers replaced (it lives on
-# as tests/crypto/reference_codec.encode): importing one is an
-# ImportError.
+# as tests/crypto/reference_codec.encode), and the definitions nothing
+# outside the tests called (tools/check_facade.py check 5: the CRL and
+# manifest builders live on in tests/rpki/reference_build.py, the deep
+# hierarchy in tests/helpers.py, and a registry reset is
+# default_registry().reset()): importing one is an ImportError.
 GONE = {
     "SchedulerConfig": import_scheduler_config,
     "DEFAULT_MEMO_ENTRIES": import_default_memo_entries,
@@ -386,6 +421,13 @@ GONE = {
     "repro.rpki.objects.prefix_to_data": import_prefix_to_data,
     "repro.crypto.encoding.encode_parts": import_encode_parts,
     "repro.crypto.encode": import_encode,
+    "repro.bgp.prefix_hijack": import_prefix_hijack,
+    "repro.core.MatrixCell": import_matrix_cell,
+    "repro.jurisdiction.rir_of_country": import_rir_of_country,
+    "repro.rpki.build_crl": import_build_crl,
+    "repro.rpki.build_manifest": import_build_manifest,
+    "repro.modelgen.build_deep_hierarchy": import_build_deep_hierarchy,
+    "repro.telemetry.reset_default_metrics": import_reset_default_metrics,
 }
 
 
@@ -393,6 +435,54 @@ GONE = {
 def test_removed_name_is_an_import_error(load):
     with pytest.raises(ImportError):
         load()
+
+
+# Methods and properties nothing outside the tests called
+# (tools/check_facade.py check 5): reading one is an AttributeError.
+GONE_ATTRIBUTES = [
+    "repro.api.TokenBucket.peek",
+    "repro.bgp.AsGraph.customers_of",
+    "repro.bgp.AsGraph.links",
+    "repro.bgp.AsGraph.peers_of",
+    "repro.bgp.AsGraph.providers_of",
+    "repro.bgp.Rib.route_for",
+    "repro.bgp.Rib.withdraw",
+    "repro.bgp.RoutingOutcome.has_route",
+    "repro.bgp.RoutingOutcome.route_at",
+    "repro.core.BlastRadius.amplification",
+    "repro.core.RepositoryDependencyGraph.self_hosted_points",
+    "repro.core.RolloutPlan.is_clean",
+    "repro.monitor.CertChange.same_key",
+    "repro.repository.FetchScheduler.expected_cost",
+    "repro.repository.FetchScheduler.spend",
+    "repro.repository.LocalCache.all_files",
+    "repro.repository.LocalCache.forget",
+    "repro.resources.AddressRange.adjacent_to",
+    "repro.resources.AddressRange.contains_address",
+    "repro.resources.AddressRange.covers_prefix",
+    "repro.resources.AsnRange.contains",
+    "repro.resources.AsnSet.of",
+    "repro.resources.AsnSet.universe",
+    "repro.resources.Prefix.covered_by",
+    "repro.resources.Prefix.from_host",
+    "repro.resources.ResourceSet.covers_address",
+    "repro.resources.ResourceSet.intersect",
+    "repro.resources.ResourceSet.universe",
+    "repro.rp.RefreshReport.budget_exhausted",
+    "repro.rpki.CertificateAuthority.find_roa",
+    "repro.rpki.CertificateAuthority.mirror_uris",
+    "repro.rpki.InMemoryPublicationPoint.revision",
+    "repro.telemetry.Gauge.dec",
+    "repro.telemetry.metrics._GaugeChild.dec",
+]
+
+
+@pytest.mark.parametrize("path", GONE_ATTRIBUTES)
+def test_removed_definition_is_an_attribute_error(path):
+    module, owner, name = path.rsplit(".", 2)
+    cls = getattr(importlib.import_module(module), owner)
+    with pytest.raises(AttributeError):
+        getattr(cls, name)
 
 
 def test_the_constants_are_in_force():

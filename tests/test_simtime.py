@@ -53,18 +53,18 @@ class TestPublicationPoint:
         from repro.rpki import InMemoryPublicationPoint
 
         point = InMemoryPublicationPoint()
-        assert point.revision == 0
+        assert point.serial[1] == 0
         point.put("a", b"1")
-        assert point.revision == 1
+        assert point.serial[1] == 1
         point.put("a", b"2")  # overwrite still counts
-        assert point.revision == 2
+        assert point.serial[1] == 2
         point.delete("a")
-        assert point.revision == 3
+        assert point.serial[1] == 3
         point.delete("a")  # deleting nothing does not count
-        assert point.revision == 3
+        assert point.serial[1] == 3
         point.put("a", b"3")
         point.put("a", b"3")  # nor does writing the bytes already there
-        assert point.revision == 4
+        assert point.serial[1] == 4
         # The serial is the pair, and the session names this point object.
         session, revision = point.serial
         assert revision == 4

@@ -2,9 +2,10 @@
 """Facade-drift lint: ``repro.__all__`` vs. reality vs. the docs.
 
 The facade (``src/repro/__init__.py``) promises that its ``__all__`` is
-the complete, documented, stable public API, and that every option it
-offers is one somebody uses.  Four ways that promise can silently rot,
-four checks:
+the complete, documented, stable public API, that every option it
+offers is one somebody uses, and that the package behind it holds no
+code nothing runs.  Five ways that promise can silently rot, five
+checks:
 
 1. **Every name resolves.**  A name listed in ``__all__`` but missing
    from the module (a deleted re-export, a typo) breaks
@@ -26,6 +27,20 @@ four checks:
    happen; one that stays anyway sits in :data:`OPTION_ALLOWLIST` with
    its reason.  Calls are matched by the callee's name, by AST (no
    imports of the scanned files).
+5. **Every definition has a caller.**  Every ``def`` and ``class`` under
+   ``src/repro`` (dunder methods exempt) must be named somewhere under
+   ``src/``, ``benchmarks/``, ``examples/`` or ``tools/``: as a name, an
+   attribute, an imported name outside a package ``__init__.py``, or an
+   identifier-shaped string (``getattr`` dispatch).  ``__all__`` lists,
+   package re-exports and ``tests/`` do not count: a definition only
+   tests reach is a corner the program itself never runs.  One that
+   stays anyway sits in :data:`DEFINITION_ALLOWLIST` with its reason.
+   The match is by bare name, so a definition sharing its name with a
+   used one counts as used (``LocalOverrides.from_dict`` rides on
+   ``Span.from_dict``): the check can miss dead code, but it never
+   flags live code.
+
+Checks 4 and 5 parse each file once between them.
 
 Run directly (``PYTHONPATH=src python tools/check_facade.py``, exit 1 on
 drift) or via the tier-1 test ``tests/test_facade_drift.py``.
@@ -36,6 +51,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import enum
+import functools
 import importlib
 import inspect
 import pathlib
@@ -60,6 +76,35 @@ OPTION_ALLOWLIST: dict[str, str] = {
         "the ROAs already published: data, not a setting; without it the "
         "advisor cannot warn that a new ROA is covered by an existing one "
         "(Side Effect 6)",
+}
+
+# Definitions no file outside tests/ names, kept anyway: "Owner.name" ->
+# why.  Owner is the enclosing class (or function), none for a module's.
+DEFINITION_ALLOWLIST: dict[str, str] = {
+    "CertificateAuthority.roll_key":
+        "an authority's key rollover, which the paper's relying parties "
+        "must follow; covered by tests/test_integration_lifecycle.py and "
+        "tests/rp/test_delta_handoff.py",
+    "CertificateAuthority.set_contact":
+        "publishes the Ghostbusters record the monitor names a suspect "
+        "authority by; covered by tests/rpki/test_ghostbusters.py and "
+        "tests/monitor/test_monitor.py::TestContactEnrichment",
+    "detect_equivocation":
+        "the split-view detector, standalone: no monitor path runs it; "
+        "covered by tests/monitor/test_monitor.py::TestByzantineDetectors",
+    "detect_manifest_replay":
+        "the replay detector, standalone; covered by "
+        "tests/monitor/test_monitor.py::TestByzantineDetectors; ROADMAP's "
+        "manifest high-water mark item gives it the relying party as a "
+        "caller",
+    "LocalOverrides.filter":
+        "the local-trust-anchor draft's VRP filter, the in-code twin of a "
+        "SLURM prefixFilter; covered by tests/rp/test_countermeasures.py::"
+        "TestLocalOverrides and tests/rp/test_slurm.py",
+    "LocalOverrides.force":
+        "the local-trust-anchor draft's forced route state (router "
+        "configuration, not part of SLURM); covered by "
+        "tests/rp/test_countermeasures.py::TestLocalOverrides",
 }
 
 
@@ -190,6 +235,19 @@ def _sets(value: ast.expr | None, default: object) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(path: pathlib.Path) -> ast.Module:
+    """*path*'s syntax tree, parsed once for every check that reads it."""
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _sources(roots: tuple[pathlib.Path, ...]):
+    """``(path, tree)`` for every Python file under *roots*."""
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            yield path, _parse(path)
+
+
 def set_options(
     options: list[tuple[str, str, int | None, object]],
     roots: tuple[pathlib.Path, ...],
@@ -202,25 +260,23 @@ def set_options(
         if owner.endswith("Config"):
             by_field.setdefault(name, []).append((owner, default))
     found: set[tuple[str, str]] = set()
-    for root in roots:
-        for path in sorted(root.rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for call in ast.walk(tree):
-                if not isinstance(call, ast.Call):
-                    continue
-                func = call.func
-                callee = (func.id if isinstance(func, ast.Name)
-                          else func.attr if isinstance(func, ast.Attribute)
-                          else None)
-                if callee == "replace":
-                    for keyword in call.keywords:
-                        for owner, default in by_field.get(keyword.arg, ()):
-                            if _sets(keyword.value, default):
-                                found.add((owner, keyword.arg))
-                    continue
-                for name, position, default in by_owner.get(callee, ()):
-                    if _sets(_argument(call, name, position), default):
-                        found.add((callee, name))
+    for _path, tree in _sources(roots):
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            callee = (func.id if isinstance(func, ast.Name)
+                      else func.attr if isinstance(func, ast.Attribute)
+                      else None)
+            if callee == "replace":
+                for keyword in call.keywords:
+                    for owner, default in by_field.get(keyword.arg, ()):
+                        if _sets(keyword.value, default):
+                            found.add((owner, keyword.arg))
+                continue
+            for name, position, default in by_owner.get(callee, ()):
+                if _sets(_argument(call, name, position), default):
+                    found.add((callee, name))
     return found
 
 
@@ -252,8 +308,81 @@ def check_options(
     return problems
 
 
+def _definitions(node: ast.AST, owner: tuple[str, ...] = ()):
+    """``("Owner.name", name)`` for every def and class under *node*."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield ".".join(owner + (child.name,)), child.name
+            yield from _definitions(child, owner + (child.name,))
+        else:
+            yield from _definitions(child, owner)
+
+
+def _names(tree: ast.Module, package_init: bool):
+    """Every name *tree* uses: loads and stores, attributes, imported
+    names (not a package's re-exports) and identifier-shaped strings
+    (``getattr`` dispatch) — but not the strings of ``__all__`` or of
+    :data:`DEFINITION_ALLOWLIST`."""
+    listed = set()
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        if any(isinstance(t, ast.Name)
+               and t.id in ("__all__", "DEFINITION_ALLOWLIST")
+               for t in targets):
+            listed.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and not package_init:
+            yield from (alias.name for alias in node.names)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier() and id(node) not in listed):
+            yield node.value
+
+
+def check_definitions(
+    allowlist: dict[str, str] = DEFINITION_ALLOWLIST,
+    roots: tuple[pathlib.Path, ...] = tuple(
+        REPO_ROOT / d for d in CALLER_DIRS),
+    package: pathlib.Path = REPO_ROOT / "src" / "repro",
+) -> list[str]:
+    """Every def and class under *package* no file under *roots* names."""
+    used: set[str] = set()
+    for path, tree in _sources(roots):
+        used.update(_names(tree, path.name == "__init__.py"))
+    problems = []
+    known = set()
+    for path, tree in _sources((package,)):
+        for key, name in _definitions(tree):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            known.add(key)
+            if name in used:
+                if key in allowlist:
+                    problems.append(f"definition {key} has a caller now: "
+                                    "drop its DEFINITION_ALLOWLIST row")
+            elif key not in allowlist:
+                where = path.relative_to(package.parent)
+                problems.append(
+                    f"definition {key} ({where}) has no caller outside "
+                    "tests/: delete it, or give it a DEFINITION_ALLOWLIST "
+                    "row with a reason"
+                )
+    for key in allowlist:
+        if key not in known:
+            problems.append(f"DEFINITION_ALLOWLIST row {key} names no "
+                            "definition")
+    return problems
+
+
 def main() -> int:
-    problems = check_facade() + check_options()
+    problems = (check_facade() + check_options()
+                + check_definitions())
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
