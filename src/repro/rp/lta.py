@@ -9,7 +9,8 @@ ROA, *your own routers* can be configured to keep believing it.
 
 The model here is deliberately small and composable: a
 :class:`LocalOverrides` value transforms a validated VRP set — pins add
-VRPs, filters remove them, and forced states short-circuit classification
+VRPs, :class:`PrefixFilter` filters remove every VRP they match, and
+forced states short-circuit classification
 for specific (prefix, origin) pairs — and
 :func:`classify_with_overrides` applies the whole thing to one route.
 Overrides are local policy: they protect (or endanger) only the relying
@@ -19,13 +20,50 @@ party that configures them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..resources import ASN, Prefix
 from .origin import validate
 from .states import Route, RouteValidity
 from .vrp import VRP, VrpSet
 
-__all__ = ["LocalOverrides", "classify_with_overrides"]
+__all__ = ["LocalOverrides", "PrefixFilter", "classify_with_overrides"]
+
+
+class PrefixFilter(NamedTuple):
+    """One RFC 8416 prefix filter: a prefix, an origin ASN, or both.
+
+    It drops every VRP whose prefix is the filter's or more specific and
+    whose origin is the filter's (section 3.3.1); a field it leaves out
+    (``None``) matches every VRP, whatever its maxLength.
+    """
+
+    prefix: Prefix | None
+    asn: ASN | None
+
+    @classmethod
+    def parse(cls, prefix: str | None, asn: int | None) -> "PrefixFilter":
+        """The filter of an entry's ``prefix`` text and ``asn`` number."""
+        if prefix is None and asn is None:
+            raise ValueError("a prefix filter names a prefix, an ASN or both")
+        return cls(
+            None if prefix is None else Prefix.parse(prefix),
+            None if asn is None else ASN(asn),
+        )
+
+    def drops(self, vrp: VRP) -> bool:
+        return (self.asn is None or vrp.asn == self.asn) and (
+            self.prefix is None or self.prefix.covers(vrp.prefix)
+        )
+
+    def to_dict(self) -> dict:
+        """The RFC 8416 entry: the fields the filter names, no others."""
+        entry: dict = {}
+        if self.prefix is not None:
+            entry["prefix"] = str(self.prefix)
+        if self.asn is not None:
+            entry["asn"] = int(self.asn)
+        return entry
 
 
 @dataclass
@@ -34,14 +72,15 @@ class LocalOverrides:
 
     - ``pinned``: VRPs always present, whatever the RPKI currently says —
       the anti-whacking pin.
-    - ``filtered``: VRPs always removed — local distrust of a binding
-      believed to be manipulated (e.g. a hijacker's suspicious new ROA).
+    - ``filtered``: :class:`PrefixFilter` filters, each removing every
+      VRP it matches — local distrust of bindings believed to be
+      manipulated (e.g. a hijacker's suspicious new ROAs).
     - ``forced``: final states for exact (prefix, origin) routes,
       consulted before any VRP logic.
     """
 
     pinned: list[VRP] = field(default_factory=list)
-    filtered: list[VRP] = field(default_factory=list)
+    filtered: list[PrefixFilter] = field(default_factory=list)
     forced: dict[Route, RouteValidity] = field(default_factory=dict)
 
     # -- fluent construction ------------------------------------------------
@@ -51,9 +90,12 @@ class LocalOverrides:
         self.pinned.append(VRP.parse(prefix_text, asn))
         return self
 
-    def filter(self, prefix_text: str, asn: int) -> "LocalOverrides":
-        """Locally drop a VRP."""
-        self.filtered.append(VRP.parse(prefix_text, asn))
+    def filter(
+        self, prefix_text: str | None = None, asn: int | None = None
+    ) -> "LocalOverrides":
+        """Locally drop every VRP at or under *prefix_text* whose origin
+        is *asn*; either may be left out, not both."""
+        self.filtered.append(PrefixFilter.parse(prefix_text, asn))
         return self
 
     def force(
@@ -67,8 +109,10 @@ class LocalOverrides:
 
     def apply(self, vrps: VrpSet) -> VrpSet:
         """The effective VRP set under these overrides."""
-        filtered = set(self.filtered)
-        effective = VrpSet(v for v in vrps if v not in filtered)
+        filters = self.filtered
+        effective = VrpSet(
+            v for v in vrps if not any(f.drops(v) for f in filters)
+        )
         for vrp in self.pinned:
             effective.add(vrp)
         return effective
@@ -86,11 +130,7 @@ class LocalOverrides:
         return {
             "slurmVersion": 1,
             "validationOutputFilters": {
-                "prefixFilters": [
-                    {"prefix": str(v.prefix), "asn": int(v.asn),
-                     "maxPrefixLength": v.max_length}
-                    for v in self.filtered
-                ],
+                "prefixFilters": [f.to_dict() for f in self.filtered],
             },
             "locallyAddedAssertions": {
                 "prefixAssertions": [
@@ -108,10 +148,10 @@ class LocalOverrides:
         overrides = cls()
         filters = data.get("validationOutputFilters", {})
         for item in filters.get("prefixFilters", []):
-            overrides.filtered.append(VRP(
-                Prefix.parse(item["prefix"]),
-                item["maxPrefixLength"],
-                ASN(item["asn"]),
+            # RFC 8416 section 3.3.1: a prefix, an ASN or both; no
+            # maxPrefixLength.
+            overrides.filtered.append(PrefixFilter.parse(
+                item.get("prefix"), item.get("asn")
             ))
         assertions = data.get("locallyAddedAssertions", {})
         for item in assertions.get("prefixAssertions", []):

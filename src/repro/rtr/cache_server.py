@@ -8,12 +8,18 @@ changes the VRP set, :meth:`RtrCacheServer.update` bumps the serial and
 sends a Serial Notify down every session — the routers then pull the
 delta.
 
-The served table is a plain set plus its sorted order, both maintained
-in place by :meth:`RtrCacheServer.apply_delta`, so installing a change
-costs O(delta), not O(table): an RTR cache answers serial and reset
-queries, never covering-prefix lookups, and holds no prefix index.  The
-order is the VRPs' own (a :class:`~repro.rp.vrp.VRP` is a tuple), so
-sorting and bisecting take no key.
+The served table is a plain set, edited in place by
+:meth:`RtrCacheServer.apply_delta` with C-level set operations, so
+installing a change costs O(delta), not O(table): an RTR cache answers
+serial and reset queries, never covering-prefix lookups, and holds no
+prefix index.  The sorted order the snapshot burst is served in is the
+one consumer of that order, and it is O(table) anyway, so the order is
+settled there: the cache keeps the order as of the last snapshot plus
+the set of VRPs whose side has changed since (a withdrawal and a
+re-announcement in between cancel), and the next snapshot drops the
+departed, appends the arrived and sorts once, merging two sorted runs.
+The order is the VRPs' own (a :class:`~repro.rp.vrp.VRP` is a tuple),
+so sorting takes no key.
 
 Three serving-scale mechanisms (see docs/rtr.md):
 
@@ -28,7 +34,8 @@ Three serving-scale mechanisms (see docs/rtr.md):
   history (the Stalloris-shaped memory attack this forecloses).
 - **Burst caching.**  The full-snapshot burst and every delta burst are
   encoded once per serial and re-served as bytes, so syncing 1,000
-  routers costs one encoding plus 1,000 buffer appends.
+  routers costs one encoding plus 1,000 buffer appends.  A delta is
+  encoded as it is installed, so the history holds bytes, not VRPs.
 
 This is the last hop of the paper's Figure 1: the cache's beliefs,
 however they were manipulated, become every attached router's
@@ -37,9 +44,8 @@ route-validity oracle.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from itertools import filterfalse
 
 from ..rp.vrp import VRP, VrpSet
 from ..telemetry import MetricsRegistry, default_registry
@@ -81,28 +87,6 @@ def _pdu_label(pdu: Pdu) -> str:
     return label
 
 
-@dataclass
-class _Delta:
-    """One serial's change set, with its wire encoding cached."""
-
-    announced: list[VRP] = field(default_factory=list)
-    withdrawn: list[VRP] = field(default_factory=list)
-    encoded: bytes | None = None
-
-    @property
-    def size(self) -> int:
-        return len(self.announced) + len(self.withdrawn)
-
-    def encode(self) -> bytes:
-        """Withdrawals then announcements, encoded once and memoized."""
-        if self.encoded is None:
-            self.encoded = (
-                encode_prefixes(False, self.withdrawn)
-                + encode_prefixes(True, self.announced)
-            )
-        return self.encoded
-
-
 class RtrCacheServer:
     """An RTR cache serving the VRP set of one relying party."""
 
@@ -121,9 +105,13 @@ class RtrCacheServer:
         self.history_window = history_window
         self.serial = 0
         self._vrps: set[VRP] = set()
+        # The served order as of the last snapshot, and the VRPs it and
+        # the served set disagree on: arrived since, or withdrawn since.
         self._sorted: list[VRP] = []
+        self._changed: set[VRP] = set()
         self._frozen: frozenset[VRP] | None = None
-        self._history: dict[int, _Delta] = {}
+        # Serial -> (its prefix PDU count, their encoding).
+        self._history: dict[int, tuple[int, bytes]] = {}
         self._history_vrps = 0
         self._snapshot: tuple[int, bytes, int] | None = None
         self.metrics = metrics if metrics is not None else default_registry()
@@ -204,30 +192,34 @@ class RtrCacheServer:
         real change).
         """
         served = self._vrps
-        arriving = set(announced)
-        leaving = (set(withdrawn) - arriving) & served
-        arriving -= served
-        if not arriving and not leaving:
+        # In the caller's order, duplicates dropped: a chained cache
+        # hands on its upstream's wire order, which sorts in one pass.
+        announced = dict.fromkeys(announced)
+        withdrawn = list(filter(served.__contains__, filterfalse(
+            announced.__contains__, dict.fromkeys(withdrawn))))
+        announced = list(filterfalse(served.__contains__, announced))
+        if not announced and not withdrawn:
             return self.serial
-        served -= leaving
-        served |= arriving
-        announced = sorted(arriving)
-        withdrawn = sorted(leaving)
-        # The snapshot burst is served in sorted order; keeping that
-        # order by bisection costs O(log table) comparisons per changed
-        # VRP where re-sorting per serial would compare the whole table.
-        order = self._sorted
-        for vrp in withdrawn:
-            del order[bisect_left(order, vrp)]
-        for vrp in announced:
-            insort(order, vrp)
+        served.difference_update(withdrawn)
+        served.update(announced)
+        # Each VRP withdrawn was served and each announced was not, so
+        # each flips its side of the snapshot order: one returning to
+        # the side it was on cancels out.
+        self._changed.symmetric_difference_update(withdrawn)
+        self._changed.symmetric_difference_update(announced)
+        announced.sort()
+        withdrawn.sort()
         self.serial += 1
         self._frozen = None
         self._snapshot = None
         self._m_serial_bumps.inc()
         self._m_vrps.set(len(served))
-        self._history[self.serial] = _Delta(announced, withdrawn)
-        self._history_vrps += len(announced) + len(withdrawn)
+        # Encoded once, here — withdrawals, then announcements — so the
+        # history holds bytes, not VRPs.
+        size = len(announced) + len(withdrawn)
+        self._history[self.serial] = (size, encode_prefixes(
+            False, withdrawn) + encode_prefixes(True, announced))
+        self._history_vrps += size
         self._compact_history()
         self._notify_all()
         return self.serial
@@ -248,7 +240,7 @@ class RtrCacheServer:
                 reason = "size"
             else:
                 break
-            self._history_vrps -= self._history.pop(oldest).size
+            self._history_vrps -= self._history.pop(oldest)[0]
             self._m_compactions.inc(reason=reason)
         self._m_history_vrps.set(self._history_vrps)
         self._m_history_serials.set(len(self._history))
@@ -363,6 +355,16 @@ class RtrCacheServer:
         this serial is served the same cached bytes.
         """
         if self._snapshot is None or self._snapshot[0] != self.serial:
+            changed = self._changed
+            if changed:
+                # A changed VRP in the old order has left, one not in it
+                # has arrived: keep the rest, append the arrivals, and
+                # let one sort merge the two runs.
+                order = list(filterfalse(changed.__contains__, self._sorted))
+                order += filter(self._vrps.__contains__, changed)
+                order.sort()
+                self._sorted = order
+                changed.clear()
             burst = (
                 encode_pdu(CacheResponse(self.session_id))
                 + encode_prefixes(True, self._sorted)
@@ -407,12 +409,12 @@ class RtrCacheServer:
         deltas = [self._history[s] for s in needed]
         burst = b"".join(
             [encode_pdu(CacheResponse(self.session_id))]
-            + [delta.encode() for delta in deltas]
+            + [encoded for _size, encoded in deltas]
             + [encode_pdu(EndOfData(self.session_id, self.serial))]
         )
         if self._send_bytes(session, burst):
             self._count_label("cache_response")
-            prefixes = sum(delta.size for delta in deltas)
+            prefixes = sum(size for size, _encoded in deltas)
             if prefixes:
                 self._count_label("prefix_pdu", prefixes)
             self._count_label("end_of_data")

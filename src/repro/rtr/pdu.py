@@ -39,7 +39,7 @@ import sys
 from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from operator import and_, itemgetter, le, not_
 
 from ..resources import Afi
@@ -109,10 +109,16 @@ _PREFIX_TYPES = (
     (PduType.IPV6_PREFIX, Afi.IPV6, struct.Struct(">8sBBBx16sI")),
 )
 
-# Per family, by address width: the record's packer, its constant header.
-_PREFIX_PACK = {
-    afi.bits: (
-        record.pack, _HEADER.pack(RTR_VERSION, pdu_type, 0, record.size)
+# Per family, by address width and then by flags byte: one record as
+# its big-endian 32-bit words, header and flags filled in, the rest zero
+# (the encoder's template), and the record's length.
+_PREFIX_TEMPLATE = {
+    afi.bits: tuple(
+        (array("I", struct.unpack(f">{record.size // 4}I", record.pack(
+            _HEADER.pack(RTR_VERSION, pdu_type, 0, record.size),
+            flags, 0, 0, bytes(16) if afi is Afi.IPV6 else 0, 0,
+        ))), record.size)
+        for flags in (0, 1)
     )
     for pdu_type, afi, record in _PREFIX_TYPES
 }
@@ -225,13 +231,38 @@ def _packet(pdu_type: PduType, session_or_flags: int, body: bytes) -> bytes:
 
 
 def encode_prefixes(announce: bool, vrps: Iterable[VRP]) -> bytes:
-    """The prefix PDUs announcing (or withdrawing) *vrps*, in order:
-    a VRP's five fields are the record's, packed as they are held."""
+    """The prefix PDUs announcing (or withdrawing) *vrps*, in order.
+
+    Written a run of one family at a time, with no Python step per PDU:
+    the run's five fields are columns, the records start as copies of
+    one template, and each column is laid into them by stride slices —
+    addresses and ASNs as 32-bit words (an IPv6 address is four), the
+    lengths and maxLengths as bytes.
+    """
     flags = 1 if announce else 0
     parts = []
-    for bits, network, length, max_length, asn in vrps:
-        pack, header = _PREFIX_PACK[bits]
-        parts.append(pack(header, flags, length, max_length, network, asn))
+    for bits, run in groupby(vrps, _FIRST):
+        template, size = _PREFIX_TEMPLATE[bits][flags]
+        _bits, networks, lengths, max_lengths, asns = zip(*run)
+        stride = size // 4
+        words = template * len(asns)
+        words[stride - 1 :: stride] = array("I", asns)
+        if bits == 32:
+            words[3::stride] = array("I", networks)
+        else:
+            # The 16 wire bytes, read as words of their value: the whole
+            # record is swapped back to wire order below.
+            address = array("I", b"".join(networks))
+            if _LITTLE_ENDIAN:
+                address.byteswap()
+            for word in range(4):
+                words[3 + word :: stride] = address[word::4]
+        if _LITTLE_ENDIAN:
+            words.byteswap()
+        record = bytearray(words)
+        record[9::size] = bytes(lengths)
+        record[10::size] = bytes(max_lengths)
+        parts.append(record)
     return b"".join(parts)
 
 

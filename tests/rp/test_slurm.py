@@ -54,3 +54,72 @@ class TestSlurmSerialization:
                 LocalOverrides.from_dict({"locallyAddedAssertions": {
                     "prefixAssertions": [{"prefix": "10.0.0.0/8", "asn": 1,
                                           "maxPrefixLength": bound}]}})
+
+
+class TestPrefixFilters:
+    """RFC 8416 section 3.3.1: a filter names a prefix, an ASN or both,
+    never a maxPrefixLength, and drops every VRP it matches."""
+
+    VRPS = [
+        ("10.0.0.0/8", 1),
+        ("10.0.0.0/8-24", 2),
+        ("10.1.0.0/16", 1),
+        ("10.1.2.0/24-24", 2),
+        ("0.0.0.0/0-8", 1),       # less specific than 10.0.0.0/8
+        ("11.0.0.0/8", 1),        # beside it
+        ("2001:db8::/32", 1),     # the other family
+    ]
+
+    def kept(self, *filters):
+        from repro.rp import VRP, LocalOverrides, VrpSet
+
+        overrides = LocalOverrides.from_dict({"validationOutputFilters": {
+            "prefixFilters": list(filters)}})
+        vrps = VrpSet(VRP.parse(text, asn) for text, asn in self.VRPS)
+        return sorted(
+            (str(v.prefix), int(v.asn)) for v in overrides.apply(vrps)
+        )
+
+    def test_prefix_and_asn_drops_that_origin_at_or_under_the_prefix(self):
+        assert self.kept({"prefix": "10.0.0.0/8", "asn": 1}) == [
+            ("0.0.0.0/0", 1), ("10.0.0.0/8", 2), ("10.1.2.0/24", 2),
+            ("11.0.0.0/8", 1), ("2001:db8::/32", 1),
+        ]
+
+    def test_prefix_alone_drops_every_origin_under_it(self):
+        assert self.kept({"prefix": "10.0.0.0/8"}) == [
+            ("0.0.0.0/0", 1), ("11.0.0.0/8", 1), ("2001:db8::/32", 1),
+        ]
+
+    def test_asn_alone_drops_every_prefix_of_that_origin(self):
+        assert self.kept({"asn": 2}) == [
+            ("0.0.0.0/0", 1), ("10.0.0.0/8", 1), ("10.1.0.0/16", 1),
+            ("11.0.0.0/8", 1), ("2001:db8::/32", 1),
+        ]
+
+    def test_to_dict_writes_the_rfc_form_and_round_trips(self):
+        from repro.rp import LocalOverrides
+
+        overrides = (
+            LocalOverrides()
+            .filter("10.0.0.0/8", 1)
+            .filter("10.0.0.0/8")
+            .filter(asn=2)
+        )
+        data = overrides.to_dict()
+        assert data["validationOutputFilters"]["prefixFilters"] == [
+            {"prefix": "10.0.0.0/8", "asn": 1},
+            {"prefix": "10.0.0.0/8"},
+            {"asn": 2},
+        ]
+        again = LocalOverrides.from_dict(data)
+        assert again.filtered == overrides.filtered
+
+    def test_a_filter_naming_nothing_is_refused(self):
+        from repro.rp import LocalOverrides
+
+        with pytest.raises(ValueError, match="prefix, an ASN or both"):
+            LocalOverrides.from_dict({"validationOutputFilters": {
+                "prefixFilters": [{"comment": "matches everything?"}]}})
+        with pytest.raises(ValueError, match="prefix, an ASN or both"):
+            LocalOverrides().filter()

@@ -1,9 +1,9 @@
 """The production RTR codec and router pinned to the per-PDU references.
 
-``repro.rtr.pdu`` reads prefix PDUs a stretch of one header at a time,
-a column at a time, and packs them with one ``Struct``;
-``reference_codec`` is the loop it replaced, one header and one field at
-a time.  ``RtrRouterClient`` applies a burst a stretch at a time;
+``repro.rtr.pdu`` reads prefix PDUs a stretch of one header at a time
+and writes them a run of one family at a time, a column at a time both
+ways; ``reference_codec`` is the loop it replaced, one header and one
+field at a time.  ``RtrRouterClient`` applies a burst a stretch at a time;
 ``reference_router`` is the router it replaced, one PDU at a time.
 Everything here is seeded: equal PDUs, equal remainder and equal error
 text on every stream, and an equal router after every read, however the
@@ -283,17 +283,74 @@ class TestBurstBytes:
         assert count == len(table)
         assert burst == b"".join(reference.encode_pdu(p) for p in expected)
 
+    def snapshot_is(self, server, table):
+        burst, count = server._snapshot_burst()
+        expected = [CacheResponse(server.session_id)] + [
+            PrefixPdu(True, vrp) for vrp in sorted(table)
+        ] + [EndOfData(server.session_id, server.serial)]
+        assert count == len(table)
+        assert burst == b"".join(reference.encode_pdu(p) for p in expected)
+
     def test_order_survives_churn(self):
+        """The served order is settled when a snapshot asks for it, from
+        the last snapshot's order and whatever changed since — however
+        many deltas that was, and whichever side each VRP ended on."""
         rng = random.Random(12)
         table = self.make_table(12, 300)
+        assert {vrp[0] for vrp in table} == {32, 128}
         server = RtrCacheServer()
         server.update(VrpSet(table))
-        for _ in range(10):
-            leaving = set(rng.sample(sorted(table), 40))
-            arriving = {random_vrp(rng) for _ in range(40)}
-            server.apply_delta(arriving, leaving)
-            table = (table - leaving) | arriving
-            assert server._sorted == sorted(table)
+        self.snapshot_is(server, table)
+        for step in range(40):
+            leaving = rng.sample(sorted(table), rng.randint(0, 40))
+            arriving = [random_vrp(rng) for _ in range(rng.randint(0, 40))]
+            # Duplicates inside the delta, a VRP on both sides (served
+            # or not), withdrawals of VRPs never served.
+            arriving += arriving[: rng.randint(0, 5)]
+            leaving += leaving[: rng.randint(0, 5)]
+            both = rng.sample(sorted(table), 2) + arriving[:2]
+            leaving += both + [random_vrp(rng) for _ in range(3)]
+            arriving += both
+            rng.shuffle(arriving)
+            rng.shuffle(leaving)
+            serial = server.apply_delta(arriving, leaving)
+            gone = (table - set(arriving)) & set(leaving)
+            new = set(arriving) - table
+            table = (table - gone) | new
+            assert server.current_vrps() == table
+            # The delta recorded holds each effective change once.
+            if gone or new:
+                assert server._history[serial] == (len(gone) + len(new), (
+                    b"".join(reference.encode_pdu(PrefixPdu(False, vrp))
+                             for vrp in sorted(gone))
+                    + b"".join(reference.encode_pdu(PrefixPdu(True, vrp))
+                               for vrp in sorted(new))))
+            if rng.random() < 0.3:
+                self.snapshot_is(server, table)
+        self.snapshot_is(server, table)
+
+    def test_order_cancels_a_round_trip_between_snapshots(self):
+        rng = random.Random(15)
+        table = self.make_table(15, 100)
+        server = RtrCacheServer()
+        server.update(VrpSet(table))
+        self.snapshot_is(server, table)
+        served, fresh = sorted(table)[7], random_vrp(rng, Afi.IPV6)
+        assert fresh not in table
+        # Withdrawn and re-announced; announced and withdrawn again.
+        server.apply_delta((), [served])
+        server.apply_delta([served, fresh], ())
+        server.apply_delta((), [fresh])
+        assert server._changed == set()
+        self.snapshot_is(server, table)
+        # The same with a snapshot in between each step.
+        for announced, withdrawn, table in (
+            ((), [served], table - {served}),
+            ([served, fresh], (), table | {fresh}),
+            ((), [fresh], table),
+        ):
+            server.apply_delta(announced, withdrawn)
+            self.snapshot_is(server, table)
 
     def test_delta_burst_is_the_reference_encoding(self):
         rng = random.Random(13)
@@ -315,11 +372,23 @@ class TestBurstBytes:
         assert burst == b"".join(reference.encode_pdu(p) for p in expected)
 
     def test_encode_prefixes_is_the_concatenation(self):
+        """Any iterable, in any order, the families mixed however."""
+        rng = random.Random(14)
         vrps = sorted(self.make_table(14, 200))
+        shuffled = rng.sample(vrps, len(vrps))
+        v4 = [v for v in vrps if v[0] == 32]
+        v6 = [v for v in vrps if v[0] == 128]
+        alternating = [v for pair in zip(v4, v6) for v in pair]
+        assert len(alternating) > 50
         for announce in (True, False):
-            assert encode_prefixes(announce, vrps) == b"".join(
-                reference.encode_pdu(PrefixPdu(announce, v)) for v in vrps
-            )
+            for case in (vrps, shuffled, alternating, vrps[:1], v6[:1], []):
+                expected = b"".join(
+                    reference.encode_pdu(PrefixPdu(announce, v)) for v in case
+                )
+                assert encode_prefixes(announce, case) == expected
+                assert encode_prefixes(announce, iter(case)) == expected
+                assert encode_prefixes(
+                    announce, (v for v in case)) == expected
         assert encode_prefixes(True, ()) == b""
 
 

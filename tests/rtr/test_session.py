@@ -530,6 +530,13 @@ def block(count, first=0):
 EXTRA = ("10.0.0.0/16", 64512)
 
 
+def recorded(announced, withdrawn):
+    """What a cache's history holds for one serial's delta: its prefix
+    PDU count and their wire bytes, withdrawals first."""
+    return len(announced) + len(withdrawn), (
+        encode_prefixes(False, withdrawn) + encode_prefixes(True, announced))
+
+
 class TestApplyDelta:
     def test_installs_and_serves_the_delta(self):
         server, client = make_pair()
@@ -557,9 +564,7 @@ class TestApplyDelta:
             parsed(FIGURE2[0], EXTRA, EXTRA), parsed(("10.9.0.0/16", 64999)),
         )
         assert server.serial == 2
-        delta = server._history[2]
-        assert delta.announced == parsed(EXTRA)
-        assert delta.withdrawn == []
+        assert server._history[2] == recorded(parsed(EXTRA), [])
         assert server.delta_history_vrps == len(FIGURE2) + 1
 
     def test_vrp_on_both_sides_ends_up_announced(self):
@@ -567,7 +572,7 @@ class TestApplyDelta:
         present, absent = parsed(FIGURE2[0]), parsed(EXTRA)
         assert server.apply_delta(present, present) == 1   # stays: no change
         assert server.apply_delta(absent, absent) == 2     # a plain announce
-        assert server._history[2].withdrawn == []
+        assert server._history[2] == recorded(absent, [])
         assert server.current_vrps() == frozenset(parsed(*FIGURE2, EXTRA))
 
     def test_gauges_match_after_mixed_update_and_delta_installs(self):

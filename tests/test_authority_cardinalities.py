@@ -38,6 +38,15 @@ sides pay, cannot hide a superlinear term:
   burst whose family alternates on every PDU is a stretch per PDU: its
   calls grow linearly and stay at or below the per-PDU decoder's, as
   a share of what the per-PDU reference router makes for it.
+- **VRPs per authority through an RTR cache** — whatever an authority
+  makes a relying party believe, every cache hop installs as a delta,
+  encodes, and serves in its next snapshot.  A hop installing N changed
+  VRPs of both families (announced and withdrawn, in the sorted wire
+  order an upstream hands on) and encoding that delta into its history,
+  the encoder alone, and the settling of the served order for a
+  snapshot, each make the same Python and C calls for 2,000 VRPs as for
+  500.  Bisecting each VRP into the served order
+  and packing one PDU per VRP made them grow with N.
 - **entries in an object of no known type** — a signed list of N
   manifest-shaped entries under an unknown type tag, against a manifest
   of N entries.  The schema refuses it at the tag, and the reject path
@@ -69,6 +78,7 @@ from repro.rtr import (
     EndOfData,
     RtrCacheServer,
     RtrRouterClient,
+    encode_prefixes,
 )
 from repro.simtime import Clock
 from repro.telemetry import MetricsRegistry
@@ -342,6 +352,39 @@ def test_a_burst_alternating_families_costs_no_more_per_pdu():
         assert large <= 4.4 * small
         assert small <= share * reference_small
         assert large <= share * reference_large
+
+
+def both_families(count):
+    """*count* IPv4 and *count* IPv6 VRPs, sorted as a cache serves them."""
+    return sorted(table_of(count) + [
+        VRP(Prefix(Afi.IPV6, (0x2001_0DB8 << 96) | (i << 72), 56), 56, ORIGIN)
+        for i in range(count)])
+
+
+def test_a_cache_hop_costs_the_same_calls_whatever_the_delta_size():
+    costs = []
+    for count in (500, 2_000):
+        table = both_families(count)
+        served, fresh = table[0::2], table[1::2]
+        cache = RtrCacheServer(history_window=1, metrics=MetricsRegistry())
+        cache.apply_delta(served, ())
+        cache._snapshot_burst()
+        # Half the delta withdrawn, half announced: *count* in all.
+        announced, withdrawn = fresh[::2], served[::2]
+        # The install encodes the delta once, into the history; the
+        # encoder is counted alone too.
+        install = calls_by_function(
+            lambda: cache.apply_delta(announced, withdrawn), builtins=True)
+        assert len(announced) + len(withdrawn) == count
+        assert cache.serial == 2
+        encode = calls_by_function(lambda: (
+            encode_prefixes(False, withdrawn), encode_prefixes(True, announced)
+        ), builtins=True)
+        snapshot = calls_by_function(cache._snapshot_burst, builtins=True)
+        assert cache._snapshot_burst()[1] == count == cache.vrp_count
+        costs.append((install, encode, snapshot))
+    for small, large in zip(*costs):
+        assert small == large
 
 
 def test_prefix_pdus_a_hostile_cache_sends_cost_what_honest_ones_cost():

@@ -97,10 +97,6 @@ DEFINITION_ALLOWLIST: dict[str, str] = {
         "tests/monitor/test_monitor.py::TestByzantineDetectors; ROADMAP's "
         "manifest high-water mark item gives it the relying party as a "
         "caller",
-    "LocalOverrides.filter":
-        "the local-trust-anchor draft's VRP filter, the in-code twin of a "
-        "SLURM prefixFilter; covered by tests/rp/test_countermeasures.py::"
-        "TestLocalOverrides and tests/rp/test_slurm.py",
     "LocalOverrides.force":
         "the local-trust-anchor draft's forced route state (router "
         "configuration, not part of SLURM); covered by "
