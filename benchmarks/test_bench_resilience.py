@@ -108,7 +108,7 @@ def test_scenario_is_deterministic(artifacts_dir):
     assert first.costs == second.costs
     assert (
         registries[0].render_text() == registries[1].render_text()
-    )  # full telemetry registry, spans included
+    )  # full telemetry registry, trace trees included
     write_artifact("resilience_stall.txt", first.render())
 
 

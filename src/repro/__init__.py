@@ -29,7 +29,7 @@ the names in ``__all__`` — is the documented entry point::
 Subpackages stay importable for the long tail (``repro.core``,
 ``repro.bgp``, ...), but code written against the facade will not break
 as internals move.  Telemetry (``default_registry``, ``MetricsRegistry``,
-``Span``) is part of the facade and its *metric names* are likewise a
+``TraceNode``) is part of the facade and its *metric names* are likewise a
 stability guarantee — see docs/telemetry.md.
 
 ``__all__`` is kept **sorted and complete** — every re-export appears in
@@ -146,7 +146,7 @@ from .telemetry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    Span,
+    TraceNode,
     default_registry,
 )
 
@@ -172,9 +172,9 @@ __all__ = [
     "RepositoryServer", "ResourceCertificate",
     "ResourceSet", "ResponseCache", "Roa", "Route",
     "RouteValidity", "RsyncUri", "RtrCacheServer", "RtrRouterClient",
-    "SessionMux", "Span", "StallDetector",
+    "SessionMux", "StallDetector",
     "StallorisConfig", "StallorisReport",
-    "SuspendersRelyingParty", "TokenBucket", "VRP", "ValidationRun",
+    "SuspendersRelyingParty", "TokenBucket", "TraceNode", "VRP", "ValidationRun",
     "Violation", "VrpDiff", "VrpSet", "YEAR", "__version__",
     "analyze", "build_deployment", "build_figure2",
     "build_plan", "build_table4_world", "collateral_of_revocation",

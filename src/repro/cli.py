@@ -19,7 +19,7 @@
     python -m repro stalloris       # amplified slowdown vs. fetch scheduler
     python -m repro api             # the origin-validation query plane
     python -m repro rtr             # router-fleet fan-out over chained caches
-    python -m repro profile         # cProfile a refresh, rank the hotspots
+    python -m repro profile         # a timed refresh's stage table
     python -m repro all             # everything, in order
 
 Every command is deterministic (fixed seeds) and prints a self-contained
@@ -594,7 +594,7 @@ _COMMANDS: tuple[tuple[str, str, Callable], ...] = (
     ("stalloris", "amplified slowdown vs. fetch scheduler", cmd_stalloris),
     ("api", "the origin-validation query plane", cmd_api),
     ("rtr", "router-fleet fan-out over chained caches", cmd_rtr),
-    ("profile", "cProfile a refresh, rank the hotspots", cmd_profile),
+    ("profile", "time a refresh, read its stage table", cmd_profile),
     ("all", "everything, in order", cmd_all),
 )
 
@@ -633,7 +633,7 @@ _OPTIONS: tuple[tuple[str, tuple[str, ...] | None, dict], ...] = (
              "sweep)")),
     ("--top", ("profile",), dict(
         type=int, default=15,
-        help="hotspot rows to print (ranked by self time)")),
+        help="slowest publication points to list")),
     ("--cycles", ("chaos",), dict(
         type=int, default=20,
         help="refresh cycles to run in the chaos campaign")),

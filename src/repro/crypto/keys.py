@@ -137,9 +137,3 @@ class KeyFactory:
             sha256(write_container(LIST, b"".join(
                 map(write_int, (self._seed, KEY_BITS, index))))), "big"
         )
-
-    @classmethod
-    def clear_cache(cls) -> None:
-        """Drop the process-wide key cache (for memory-sensitive runs)."""
-        with cls._cache_lock:
-            cls._cache.clear()

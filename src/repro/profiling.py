@@ -1,65 +1,75 @@
-"""cProfile instrumentation for relying-party refresh at any scale.
+"""Where a relying-party refresh spends its time, read off its stage tree.
 
-The Internet-scale deployments (:data:`repro.modelgen.INTERNET_SCALES`)
-exist to answer a performance question: where does a full refresh spend
-its time once the repository holds 10⁴–10⁵ ROAs?  This module is the
-measuring instrument — it builds a deployment and runs one complete
-fetch-and-validate refresh, each phase under its own :mod:`cProfile`,
-and distills the profiles into ranked top-N hotspot tables (refresh
-and world build) small enough to read, diff, and archive next to the
-benchmark artifacts.
+A refresh records a stage tree (refresh → level → {fetch, judge → point
+→ stages}, see ``docs/telemetry.md``).  This module builds a deployment,
+runs one cold refresh against a registry given a timer
+(``time.process_time``) and reads the tree into a stage table — self
+seconds, calls, share and domain counts per stage — and the slowest
+publication points.  ``python -m repro profile`` prints it;
+``tools/profile_refresh.py`` also writes it as JSON
+(``benchmarks/artifacts/PROFILE_refresh.json``).
 
-Two front ends share it:
-
-- ``python -m repro profile [--scale internet-small]`` — the CLI
-  walkthrough; prints the hotspot table as a text artifact.
-- ``tools/profile_refresh.py`` — the harness; same measurement, plus a
-  JSON artifact (``--output``) for archival under
-  ``benchmarks/artifacts/``.
-
-Hotspots are ranked by *self* time (``tottime``): cumulative time blames
-every caller on the stack for the same samples, while self time points
-at the frame actually burning CPU — the thing to fix.  Each row keeps
-its cumulative time too, so callers-of-hot-callees remain visible.
-
-Determinism note: the ranked *functions* are stable for a given scale
-and seed, but the measured seconds are wall-clock and vary run to run —
-profile output is an investigation artifact, not a regression gate.
-Regression gates live in ``benchmarks/test_bench_scale.py``, pinned in
-counts (RSA verifications, bytes) rather than seconds.
+This is the one module that hands a registry a real clock (the
+determinism lint exempts it).  Its seconds vary run to run: a profile
+is an investigation artifact, not a regression gate; the gates live in
+``benchmarks/test_bench_scale.py``, pinned in counts.
 """
 
 from __future__ import annotations
 
-import cProfile
-import pstats
+import gc
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .crypto import KeyFactory
 from .modelgen import build_deployment, resolve_scale
 from .repository import Fetcher
 from .rp import RelyingParty
+from .telemetry import MetricsRegistry, TraceNode
 
-__all__ = ["Hotspot", "ProfileReport", "profile_refresh"]
+__all__ = ["ProfileReport", "profile_refresh", "stage_table"]
+
+# Pairs of timed and untimed cold refreshes behind the timer's cost.
+COST_PAIRS = 9
 
 
-@dataclass(frozen=True)
-class Hotspot:
-    """One ranked row of the profile: a function and its costs."""
+def stage_table(root: TraceNode) -> list[dict]:
+    """Self seconds, calls, share and counts per stage of a timed tree.
 
-    location: str    # "path/to/module.py:123(function)"
-    ncalls: int      # primitive call count
-    tottime: float   # self seconds (excludes callees)
-    cumtime: float   # cumulative seconds (includes callees)
+    Every node below *root* is one call of its stage (a stage node
+    counts its own ``calls``); what *root* spent outside all of them is
+    the ``unattributed`` row, so the rows' seconds add up to the
+    root's.  Most expensive first.
+    """
+    rows: dict[str, dict] = {}
+    for node in root.walk():
+        if node is root:
+            continue
+        row = rows.setdefault(node.stage, {
+            "stage": node.stage, "calls": 0, "seconds": 0.0, "counts": {},
+        })
+        row["calls"] += node.counts.get("calls", 1)
+        row["seconds"] += node.self_seconds
+        counts = row["counts"]
+        for name, value in node.counts.items():
+            if name != "calls":
+                counts[name] = counts.get(name, 0) + value
+    rows["unattributed"] = {
+        "stage": "unattributed", "calls": 1,
+        "seconds": root.self_seconds, "counts": {},
+    }
+    for row in rows.values():
+        row["share"] = round(row["seconds"] / root.seconds, 4)
+        row["seconds"] = round(row["seconds"], 6)
+    return sorted(rows.values(), key=lambda row: (-row["seconds"],
+                                                  row["stage"]))
 
-    def to_json(self) -> dict:
-        return {
-            "location": self.location,
-            "ncalls": self.ncalls,
-            "tottime": round(self.tottime, 6),
-            "cumtime": round(self.cumtime, 6),
-        }
+
+def _slowest_points(root: TraceNode, top: int) -> list[dict]:
+    points = [node for node in root.walk() if node.stage == "point"]
+    points.sort(key=lambda node: (-node.seconds, node.name))
+    return [{"point": node.name.partition(" ")[2],
+             "seconds": round(node.seconds, 6), "counts": dict(node.counts)}
+            for node in points[:top]]
 
 
 @dataclass
@@ -74,24 +84,21 @@ class ProfileReport:
     rounds: int
     build_seconds: float
     refresh_seconds: float
-    hotspots: list[Hotspot] = field(default_factory=list)
-    build_hotspots: list[Hotspot] = field(default_factory=list)
+    stages: list[dict] = field(default_factory=list)
+    slowest_points: list[dict] = field(default_factory=list)
+    # Medians of COST_PAIRS alternating cold refreshes, timed and not,
+    # and of their ratios.
+    timer_cost: dict = field(default_factory=dict)
 
-    @staticmethod
-    def _table(title: str, hotspots: list[Hotspot]) -> list[str]:
-        lines = [
-            title,
-            f"{'self(s)':>9}  {'cum(s)':>9}  {'calls':>9}  location",
-        ]
-        for spot in hotspots:
-            lines.append(
-                f"{spot.tottime:>9.3f}  {spot.cumtime:>9.3f}  "
-                f"{spot.ncalls:>9}  {spot.location}"
-            )
-        return lines
+    @property
+    def attributed_share(self) -> float:
+        """The refresh's share spent in named stages."""
+        return 1.0 - sum(row["share"] for row in self.stages
+                         if row["stage"] == "unattributed")
 
     def render(self) -> str:
-        """The text artifact: a header block and the ranked tables."""
+        """The text artifact: a header block, the stages, the points."""
+        cost = self.timer_cost
         lines = [
             f"Profiled refresh over the {self.scale!r} deployment "
             f"(seed {self.seed})",
@@ -99,61 +106,69 @@ class ProfileReport:
             f"deployment: {self.roa_count} ROAs across "
             f"{self.authority_count} authorities "
             f"(built in {self.build_seconds:.2f}s)",
-            f"refresh: {self.refresh_seconds:.2f}s, {self.rounds} discovery "
-            f"round(s), {self.vrp_count} VRPs",
+            f"refresh: {self.refresh_seconds:.3f}s of process CPU, "
+            f"{self.rounds} discovery round(s), {self.vrp_count} VRPs",
+            f"timer cost: {cost['ratio']:.3f}x a refresh with no timer "
+            f"(median of {cost['pairs']} alternating cold pairs' ratios)",
             "",
+            f"stages by self seconds ({self.attributed_share:.1%} of the "
+            "refresh in named stages):",
+            f"{'self(s)':>9}  {'share':>6}  {'calls':>7}  stage  counts",
         ]
-        lines += self._table(
-            f"top {len(self.hotspots)} refresh functions by self time:",
-            self.hotspots,
-        )
-        if self.build_hotspots:
-            lines.append("")
-            lines += self._table(
-                f"top {len(self.build_hotspots)} world-build functions "
-                "by self time:",
-                self.build_hotspots,
+        for row in self.stages:
+            counts = " ".join(f"{k}={v}" for k, v in sorted(
+                row["counts"].items()))
+            lines.append(
+                f"{row['seconds']:>9.4f}  {row['share']:>6.1%}  "
+                f"{row['calls']:>7}  {row['stage']}  {counts}".rstrip()
+            )
+        lines += [
+            "",
+            f"slowest {len(self.slowest_points)} points:",
+            f"{'secs':>9}  {'objects':>7}  {'verifies':>8}  point",
+        ]
+        for point in self.slowest_points:
+            counts = point["counts"]
+            lines.append(
+                f"{point['seconds']:>9.4f}  {counts['objects']:>7}  "
+                f"{counts['verifies']:>8}  {point['point']}"
             )
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "scale": self.scale,
-            "seed": self.seed,
-            "roa_count": self.roa_count,
-            "authority_count": self.authority_count,
-            "vrp_count": self.vrp_count,
-            "rounds": self.rounds,
-            "build_seconds": round(self.build_seconds, 3),
-            "refresh_seconds": round(self.refresh_seconds, 3),
-            "hotspots": [spot.to_json() for spot in self.hotspots],
-            "build_hotspots": [
-                spot.to_json() for spot in self.build_hotspots
-            ],
-        }
+        return {**asdict(self), "attributed_share": round(
+            self.attributed_share, 4)}
 
 
-def _shorten(filename: str) -> str:
-    """Trim an absolute path to its repo-relative tail for readability."""
-    for marker in ("/src/repro/", "/repro/"):
-        index = filename.rfind(marker)
-        if index >= 0:
-            return "repro/" + filename[index + len(marker):]
-    return filename.rsplit("/", 1)[-1]
+def _cold_refresh(world, metrics: MetricsRegistry):
+    """One refresh of a new relying party (the default one, what
+    ``benchmarks/e2e`` and the ``refresh`` command run): cold."""
+    fetcher = Fetcher(world.registry, world.clock, metrics=metrics)
+    return RelyingParty(world.trust_anchors, fetcher,
+                        metrics=metrics).refresh()
 
 
-def top_hotspots(stats: pstats.Stats, top: int) -> list[Hotspot]:
-    """The *top* rows of a :class:`pstats.Stats`, ranked by self time."""
-    rows = []
-    for (filename, lineno, name), entry in stats.stats.items():
-        _cc, ncalls, tottime, cumtime, _callers = entry
-        if filename == "~":  # builtins: "~:0(<built-in method ...>)"
-            location = name
-        else:
-            location = f"{_shorten(filename)}:{lineno}({name})"
-        rows.append(Hotspot(location, ncalls, tottime, cumtime))
-    rows.sort(key=lambda spot: (-spot.tottime, spot.location))
-    return rows[:top]
+def _timer_cost(world) -> dict:
+    """What the timer costs a cold refresh: COST_PAIRS pairs of refreshes
+    with and without it, each pair in the other order than the last.  The
+    ratio is the median of the pairs' ratios, so a box whose speed drifts
+    between pairs does not move it.  Each refresh starts from a collected
+    heap: a collection the previous one left due is not charged to it."""
+    pairs = []
+    for index in range(COST_PAIRS):
+        pair = {}
+        for timed in (index % 2 == 0, index % 2 == 1):
+            gc.collect()
+            start = time.process_time()
+            _cold_refresh(world, MetricsRegistry(
+                timer=time.process_time if timed else None))
+            pair[timed] = time.process_time() - start
+        pairs.append((pair[True], pair[False]))
+    middle = COST_PAIRS // 2
+    timed, untimed = (sorted(side)[middle] for side in zip(*pairs))
+    return {"pairs": COST_PAIRS, "timed_seconds": round(timed, 4),
+            "untimed_seconds": round(untimed, 4),
+            "ratio": round(sorted(t / u for t, u in pairs)[middle], 3)}
 
 
 def profile_refresh(
@@ -162,49 +177,23 @@ def profile_refresh(
     seed: int | None = None,
     top: int = 15,
 ) -> ProfileReport:
-    """Build a deployment, profile one full refresh, rank the hotspots.
+    """Build a deployment, time one cold refresh, read its stage tree.
 
-    The build and the refresh get **separate** hotspot tables — keygen
-    and signing would otherwise drown the refresh rows, and the two
-    phases have different owners (the authority side issues once; every
-    relying party pays the refresh on every cycle).  Both tables are
-    kept *top* rows deep.
-
-    ``build_seconds`` is measured on an *unprofiled* build so it stays
-    comparable to the pinned timings in ``BENCH_scale.json`` (cProfile
-    instrumentation inflates wall-clock ~50%).  The build hotspot table
-    comes from a second, profiled build after dropping the process-wide
-    key pool (:meth:`~repro.crypto.KeyFactory.clear_cache`) — without
-    the drop the second build would reuse the first build's keys and
-    keygen, its dominant cost, would vanish from the table.
-
-    The relying party is the default one, what ``benchmarks/e2e`` and
-    the ``refresh`` command run; its refresh is cold because it is the
-    first.
+    ``build_seconds`` is wall time, measured on a build no timer
+    touches; it stays comparable to the timings in
+    ``BENCH_scale.json``.  The refresh's seconds are process CPU, read
+    by the registry's timer at every node and stage of its tree; *top*
+    is how many of the slowest points to list.  The cost of the timer
+    is measured beside it, on the same world (:data:`COST_PAIRS`).
     """
     config = resolve_scale(scale, seed)
     build_start = time.perf_counter()
     world = build_deployment(config)
     build_seconds = time.perf_counter() - build_start
 
-    KeyFactory.clear_cache()
-    build_profiler = cProfile.Profile()
-    build_profiler.enable()
-    build_deployment(config)  # profiled rebuild, cold keys
-    build_profiler.disable()
-
-    fetcher = Fetcher(world.registry, world.clock)
-    rp = RelyingParty(
-        world.trust_anchors, fetcher, metrics=fetcher.metrics,
-    )
-    profiler = cProfile.Profile()
-    refresh_start = time.perf_counter()
-    profiler.enable()
-    report = rp.refresh()
-    profiler.disable()
-    refresh_seconds = time.perf_counter() - refresh_start
-
-    stats = pstats.Stats(profiler)
+    metrics = MetricsRegistry(timer=time.process_time)
+    report = _cold_refresh(world, metrics)
+    root = metrics.traces[-1]
     return ProfileReport(
         scale=scale,
         seed=config.seed,
@@ -212,8 +201,9 @@ def profile_refresh(
         authority_count=len(world.authorities()),
         vrp_count=len(report.vrps),
         rounds=report.rounds,
-        build_seconds=build_seconds,
-        refresh_seconds=refresh_seconds,
-        hotspots=top_hotspots(stats, top),
-        build_hotspots=top_hotspots(pstats.Stats(build_profiler), top),
+        build_seconds=round(build_seconds, 3),
+        refresh_seconds=round(root.seconds, 4),
+        stages=stage_table(root),
+        slowest_points=_slowest_points(root, top),
+        timer_cost=_timer_cost(world),
     )

@@ -8,11 +8,11 @@ paper's flipped threat model — if an authority above you can whack your
 ROA, *your own routers* can be configured to keep believing it.
 
 The model here is deliberately small and composable: a
-:class:`LocalOverrides` value transforms a validated VRP set — pins add
+:class:`LocalOverrides` value amends a validated VRP set — pins add
 VRPs, :class:`PrefixFilter` filters remove every VRP they match, and
-forced states short-circuit classification
-for specific (prefix, origin) pairs — and
-:func:`classify_with_overrides` applies the whole thing to one route.
+forced states short-circuit classification for specific (prefix,
+origin) pairs — and :func:`classify_with_overrides` applies the whole
+thing to one route, reading only the VRPs that cover it.
 Overrides are local policy: they protect (or endanger) only the relying
 party that configures them.
 """
@@ -105,18 +105,6 @@ class LocalOverrides:
         self.forced[Route(Prefix.parse(prefix_text), ASN(asn))] = state
         return self
 
-    # -- application ----------------------------------------------------------
-
-    def apply(self, vrps: VrpSet) -> VrpSet:
-        """The effective VRP set under these overrides."""
-        filters = self.filtered
-        effective = VrpSet(
-            v for v in vrps if not any(f.drops(v) for f in filters)
-        )
-        for vrp in self.pinned:
-            effective.add(vrp)
-        return effective
-
     @property
     def is_empty(self) -> bool:
         return not (self.pinned or self.filtered or self.forced)
@@ -172,9 +160,18 @@ def classify_with_overrides(
     """RFC 6811 classification under local overrides.
 
     Forced states win outright; otherwise classification runs against the
-    pinned-and-filtered VRP set.
+    pinned-and-filtered VRP set — built from the VRPs that cover the
+    route alone (the others cannot change its state): the table's, less
+    those a filter drops, and the pins'.  A route costs its covering
+    VRPs and the pins, not the table.
     """
     forced = overrides.forced.get(route)
     if forced is not None:
         return forced
-    return validate(route.prefix, route.origin, overrides.apply(vrps)).state
+    prefix, filters = route.prefix, overrides.filtered
+    covering = VrpSet(
+        vrp for vrp in vrps.covering(prefix)
+        if not any(f.drops(vrp) for f in filters)
+    )
+    covering.extend(VrpSet(overrides.pinned).covering(prefix))
+    return validate(prefix, route.origin, covering).state

@@ -190,6 +190,16 @@ class PathValidator:
             help="validation issues recorded, by severity",
             labelnames=("severity",),
         )
+        if self.metrics.timer is not None:
+            # A timed registry charges the work inside a point to its
+            # stages, at the calls every object goes through.
+            staged = self.metrics.staged
+            self._verify = staged("verify", self._verify)
+            self._verify_wire = staged("verify", self._verify_wire)
+            self._parse = staged("decode", self._parse)
+            self._read_roa = staged("decode", self._read_roa)
+            self._roa_row = staged("row-build", self._roa_row)
+            self._judge_roa = staged("row-judge", self._judge_roa)
 
     def run(
         self,
@@ -218,6 +228,10 @@ class PathValidator:
         return walk.finish()
 
     # -- memo-aware primitives ----------------------------------------------
+
+    def _read_roa(self, blob: bytes) -> RoaRead:
+        """A ROA's fields straight from its bytes (:func:`read_roa`)."""
+        return read_roa(blob)
 
     def _verify(self, obj: SignedObject, key: RsaPublicKey) -> bool:
         """Signature check, via the state's verification memo."""
@@ -274,7 +288,9 @@ class PathValidator:
         Every walk — a refresh's or :meth:`run`'s — judges each CA's
         publication point through this one function, at most once.  A
         clean point costs the one check of
-        :meth:`IncrementalState.lookup <repro.rp.incremental.IncrementalState.lookup>`.
+        :meth:`IncrementalState.lookup <repro.rp.incremental.IncrementalState.lookup>`
+        and is replayed; a point validated from bytes gets a trace node
+        of its own, with what it read and did.
         """
         state = self.incremental
         key_id = ca_cert.subject_key_id
@@ -283,11 +299,23 @@ class PathValidator:
         )
         if entry is not None:
             return entry
+        parse = state.parse_memo
+        hits = parse.hits
+        node = self.metrics.open("point " + ca_cert.sia, now)
         try:
-            entry = self._validate_point(ca_cert, cache_files, digests, now)
+            entry = self._validate_point(
+                ca_cert, cache_files, digests, now, node.counts
+            )
         except Exception as exc:  # containment: one bad point ≠ dead run
-            return self._quarantined_point(ca_cert, exc)
-        state.store(key_id, entry)
+            entry = self._quarantined_point(ca_cert, exc)
+        else:
+            state.store(key_id, entry)
+        files = cache_files.get(entry.selected_uri, {})
+        node.counts.update(
+            objects=len(files), bytes=sum(map(len, files.values())),
+            verifies=entry.verify_count, parse_hits=parse.hits - hits,
+        )
+        self.metrics.close(node, now)
         return entry
 
     def _count(self, result: ValidationRun) -> None:
@@ -310,8 +338,12 @@ class PathValidator:
         cache_files: dict[str, dict[str, bytes]],
         digests: dict[str, str],
         now: int,
+        counts: dict[str, int],
     ) -> PointResult:
-        """Cold-validate one publication point into a replayable result."""
+        """Cold-validate one publication point into a replayable result.
+
+        *counts* receives how many ROA rows were built and reused.
+        """
         issues: list[ValidationIssue] = []
         verify_before = self._verify_calls
 
@@ -339,6 +371,7 @@ class PathValidator:
         roas: list[tuple[str, RoaRow]] = []
         contact: GhostbustersRecord | None = None
         rows = self.incremental.roa_rows
+        built = reused = 0
         if usable is not None:  # strict mode may discard the point whole
             for file_name in sorted(usable):
                 if file_name in (CRL_FILE, MANIFEST_FILE):
@@ -350,12 +383,16 @@ class PathValidator:
                 row = rows.get(row_key)
                 try:
                     blob = copy.files[file_name]
-                    if row is None and class_of(blob) is Roa:
+                    if row is not None:
+                        reused += 1
+                    elif class_of(blob) is Roa:
                         row = self._roa_row(
-                            read_roa(blob), copy.digests[file_name], ca_cert
+                            self._read_roa(blob), copy.digests[file_name],
+                            ca_cert,
                         )
                         rows.put(row_key, row)
-                    elif row is None:
+                        built += 1
+                    else:
                         obj = self._parse_file(copy, file_name)
                 except ObjectFormatError as exc:
                     issues.append(ValidationIssue(
@@ -407,6 +444,7 @@ class PathValidator:
                         f"{type(exc).__name__}: {exc}",
                     ))
                     continue
+        counts.update(rows_built=built, rows_reused=reused)
         return self._finish_point(
             ca_cert, cache_files, digests, copy, now,
             issues, children, roas, contact, crl, verify_before,
@@ -852,6 +890,7 @@ class ValidationWalk:
         # Subject key id -> (the certificate judged for it, its outcome).
         self._points: dict[str, tuple[ResourceCertificate, PointResult]] = {}
         self._depth = 0
+        self._now = now
         self.frontier: list[ResourceCertificate] = [
             anchor for anchor, issue in self._anchors if issue is None
         ]
@@ -873,20 +912,29 @@ class ValidationWalk:
         """Judge the frontier's points from *cache_files* at *now*.
 
         *digests* maps every URI of *cache_files* to its content digest,
-        the points' reuse key.
+        the points' reuse key.  The judgement is one trace node: a point
+        replayed is a count on it, a point validated a node under it.
         """
+        validator = self._validator
+        state = validator.incremental
+        judge = validator.metrics.open("judge", now)
+        replayed = state._reused
         children: list[ResourceCertificate] = []
         if self._depth <= _MAX_DEPTH:
             for ca_cert in self.frontier:
                 key_id = ca_cert.subject_key_id
                 if key_id in self._points:
                     continue  # loop guard (malicious self-recertification)
-                entry = self._validator._judge_point(
+                entry = validator._judge_point(
                     ca_cert, cache_files, digests, now
                 )
                 self._points[key_id] = (ca_cert, entry)
                 children.extend(entry.children)
+        judge.counts.update(points=len(self.frontier),
+                            replayed=state._reused - replayed)
+        validator.metrics.close(judge, now)
         self._depth += 1
+        self._now = now
         self.frontier = children
 
     def finish(self) -> ValidationRun:
@@ -919,9 +967,14 @@ class ValidationWalk:
             entry.vrps for key_id, entry in emitted.items()
             if last.get(key_id) is not entry
         ]
+        metrics = self._validator.metrics
+        edit = metrics.open("vrp-edit", self._now)
         result.announced, result.withdrawn = index.apply_delta(
             chain.from_iterable(announced), chain.from_iterable(withdrawn)
         )
+        edit.counts.update(announced=len(result.announced),
+                           withdrawn=len(result.withdrawn))
+        metrics.close(edit, self._now)
         state.emitted = emitted
         state.book()
         self._validator._count(result)

@@ -302,9 +302,14 @@ class RelyingParty:
         files: dict[str, dict[str, bytes]] = {}
         digests: dict[str, str] = {}
         self._policy.begin_cycle()
-        with self.metrics.trace("repro_rp_refresh_seconds", clock):
+        metrics = self.metrics
+        # The refresh's stage tree: a node per tree level, its fetch
+        # round and its judgement (see docs/telemetry.md).
+        with metrics.trace("repro_rp_refresh_seconds", clock):
             walk = ValidationWalk(self.validator, start)
+            depth = 0
             while walk.frontier:
+                level = metrics.open(f"level {depth}", clock.now)
                 new = walk.publication_uris() - visited
                 visited |= new
                 if new:
@@ -316,6 +321,8 @@ class RelyingParty:
                         files[uri] = point.files
                         digests[uri] = point.content_digest
                 walk.step(files, now, digests)
+                metrics.close(level, now)
+                depth += 1
             run = walk.finish()
         if report.skipped:
             report.skipped.sort()
@@ -358,11 +365,13 @@ class RelyingParty:
             return
         report.rounds += 1
         clock, cache, policy = self._clock, self.cache, self._policy
+        fetch = self.metrics.open("fetch", clock.now)
+        fetched = unchanged = size = 0
         ordered = policy.order(pending, cache, clock.now)
         for index, uri in enumerate(ordered):
             if clock.now >= deadline:
                 report.skipped.extend(ordered[index:])
-                return
+                break
             if not policy.admit(uri):
                 report.deferred.append(uri)
                 continue
@@ -382,6 +391,12 @@ class RelyingParty:
             cache.update(result)
             report.fetches.append(result)
             policy.record(uri, result.elapsed)
+            fetched += 1
+            unchanged += result.unchanged
+            if result.files:
+                size += sum(map(len, result.files.values()))
+        fetch.counts.update(points=fetched, unchanged=unchanged, bytes=size)
+        self.metrics.close(fetch, clock.now)
 
     @staticmethod
     def _degradation(

@@ -144,11 +144,13 @@ class RtrCacheServer:
             "repro_rtr_delta_history_serials",
             help="serials retained in the delta window",
         )
-        self._m_compactions = self.metrics.counter(
+        compactions = self.metrics.counter(
             "repro_rtr_compactions_total",
             help="delta serials compacted away into the snapshot, by reason",
             labelnames=("reason",),
         )
+        self._m_compactions = {reason: compactions.bind(reason=reason)
+                               for reason in ("window", "size")}
         self._m_resets = self.metrics.counter(
             "repro_rtr_cache_resets_total",
             help="Cache Reset answers forcing a client snapshot re-sync, "
@@ -232,16 +234,19 @@ class RtrCacheServer:
         full re-sync, keeping cache memory bounded no matter the churn.
         """
         floor = self.serial - self.history_window
-        while self._history:
-            oldest = min(self._history)
+        history = self._history
+        while history:
+            # Serials are inserted in increasing order: the first key is
+            # the oldest.
+            oldest = next(iter(history))
             if oldest <= floor:
                 reason = "window"
             elif self._history_vrps > MAX_HISTORY_VRPS:
                 reason = "size"
             else:
                 break
-            self._history_vrps -= self._history.pop(oldest)[0]
-            self._m_compactions.inc(reason=reason)
+            self._history_vrps -= history.pop(oldest)[0]
+            self._m_compactions[reason].inc()
         self._m_history_vrps.set(self._history_vrps)
         self._m_history_serials.set(len(self._history))
 

@@ -2,11 +2,11 @@
 
 A dependency-free observability substrate: Prometheus-style counters,
 gauges, and fixed-bucket histograms in a :class:`MetricsRegistry`, plus
-:class:`Span` tracing driven by the simulated clock so that identical
-runs emit identical telemetry.  Every instrumented constructor takes a
-keyword-only ``registry`` (``None`` → the process-global
-:func:`default_registry`), which is how per-relying-party registries are
-wired.
+:class:`TraceNode` trees a refresh records about itself, timed by the
+simulated clock so that identical runs emit identical telemetry.  Every
+instrumented constructor takes a keyword-only ``registry`` (``None`` →
+the process-global :func:`default_registry`), which is how
+per-relying-party registries are wired.
 
 Metric names are a stable public API — see ``docs/telemetry.md`` for the
 full inventory and the naming rules (``repro_`` prefix, ``snake_case``)
@@ -24,7 +24,7 @@ from .metrics import (
     default_registry,
 )
 from .render import render_json, render_text
-from .tracing import Span
+from .tracing import TraceNode
 
 __all__ = [
     "DEFAULT_TIME_BUCKETS",
@@ -34,7 +34,7 @@ __all__ = [
     "Metric",
     "MetricError",
     "MetricsRegistry",
-    "Span",
+    "TraceNode",
     "default_registry",
     "render_json",
     "render_text",

@@ -9,10 +9,11 @@ scratch so the simulation stays free of runtime dependencies.
 
 Two properties matter more here than in an ordinary metrics library:
 
-- **Determinism.**  Nothing in this module reads the wall clock; durations
+- **Determinism.**  Nothing in this module reads a real clock; durations
   come from the simulated :class:`repro.simtime.Clock` via
   :meth:`MetricsRegistry.trace`, so two identical runs render identical
-  registries byte for byte (renderers sort everything).
+  registries byte for byte (renderers sort everything).  Timer seconds
+  join a trace only when the registry is built with a ``timer``.
 - **Hot-path cost.**  A bound child (:meth:`Metric.bind`) increments with
   one attribute add — ``benchmarks/test_bench_telemetry.py`` holds the
   per-increment cost under 5% of the cheapest instrumented operation.
@@ -28,8 +29,11 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import deque
+from contextlib import contextmanager
 from itertools import accumulate
 from typing import Callable, Iterator
+
+from .tracing import TraceNode
 
 __all__ = [
     "Counter",
@@ -300,31 +304,45 @@ class Histogram(Metric):
 
 # Simulated-seconds buckets for trace() histograms: instant, seconds, a
 # minute, an hour, a day.  Trace durations are simulated time, so most
-# in-process spans land in the 0 bucket — that is expected and correct.
+# in-process traces land in the 0 bucket — that is expected and correct.
 DEFAULT_TIME_BUCKETS: tuple[float, ...] = (0.0, 1.0, 60.0, 3600.0, 86400.0)
 
-# Spans a registry keeps: the newest this many, older ones fall off the
-# front.  A relying party traces one span per refresh for as long as it
-# runs, and its memory must not grow with its uptime; the histograms the
-# spans are observed into keep the whole run's totals either way.
-MAX_SPANS = 1024
+# Trace nodes a registry keeps, across all its trees.  A relying party
+# traces one tree per refresh for as long as it runs, and its memory must
+# not grow with its uptime: past the bound whole trees fall off the
+# front, oldest first, and a tree that alone fills it keeps its first
+# nodes.  An idle refresh is ~8 nodes; a cold one adds one per validated
+# point (about six when timed: its stages), so a timed cold ``internet``
+# refresh fits.  The histograms roots observe into keep the whole run's
+# totals either way.
+MAX_SPANS = 4096
 
 
 class MetricsRegistry:
-    """A namespace of metrics plus the span log of its traces.
+    """A namespace of metrics plus the trees of its traces.
 
     ``counter`` / ``gauge`` / ``histogram`` are get-or-create: calling
     them again with the same name returns the existing metric (and raises
     :class:`MetricError` if the existing registration disagrees on type,
     labels, or buckets).  That makes registration safe to repeat in every
     constructor that shares a registry.
+
+    *timer*, when given, is a clock every trace node also reads (its
+    ``seconds``), and it makes :meth:`staged` charge work to stages;
+    without one the trees hold simulated time and counts only.
     """
 
-    def __init__(self):
+    def __init__(self, timer: Callable[[], float] | None = None):
         self._metrics: dict[str, Metric] = {}
-        # The newest MAX_SPANS Span objects, oldest first; appended by
-        # trace().
-        self.spans: deque = deque(maxlen=MAX_SPANS)
+        self.timer = timer
+        # The kept trees, oldest first, the nodes each holds and all of
+        # them hold, and the open nodes, outermost first.
+        self.traces: deque[TraceNode] = deque()
+        self._sizes: deque[int] = deque()
+        self._nodes = 0
+        self._open: list[TraceNode] = []
+        # (parent, stage name) -> the stage node, while a node is open.
+        self._stages: dict[tuple, TraceNode] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -390,29 +408,115 @@ class MetricsRegistry:
 
     # -- tracing -----------------------------------------------------------
 
+    @contextmanager
     def trace(self, name: str, clock, **labelvalues: str):
-        """Context manager timing a block in *simulated* seconds.
+        """Context manager: a node *name* over a block, in simulated seconds.
 
-        Records a :class:`~repro.telemetry.tracing.Span` in :attr:`spans`
-        (which keeps the newest :data:`MAX_SPANS`) and observes the
-        duration into the histogram *name* (auto-created with
-        :data:`DEFAULT_TIME_BUCKETS`).  *clock* is anything with a
-        ``.now`` in seconds — in practice :class:`repro.simtime.Clock`,
-        which is what keeps traces deterministic.
+        The node opens under the node currently open, or as a new tree
+        in :attr:`traces`; on exit it closes (with every node still open
+        under it) and its duration is observed into the histogram *name*
+        (auto-created with :data:`DEFAULT_TIME_BUCKETS`).  *clock* is
+        anything with a ``.now`` in seconds — in practice
+        :class:`repro.simtime.Clock`, which keeps traces deterministic.
         """
-        from .tracing import trace_into
-
         histogram = self.histogram(
             name, labelnames=tuple(sorted(labelvalues))
         )
-        return trace_into(self.spans, histogram, clock, labelvalues)
+        open_ = self._open
+        node = self._push(TraceNode(name, clock.now),
+                          open_[-1].children if open_ else self.traces)
+        try:
+            yield node
+        finally:
+            self.close(node, clock.now)
+            histogram.observe(node.duration, **labelvalues)
+
+    def open(self, name: str, now: float) -> TraceNode:
+        """Open a node under the open one; :meth:`close` ends it.
+
+        Outside any trace the node is kept by no tree: a walk run on its
+        own costs a node, and records nothing.
+        """
+        open_ = self._open
+        return self._push(TraceNode(name, now),
+                          open_[-1].children if open_ else None)
+
+    def close(self, node: TraceNode, now: float) -> None:
+        """End *node* at *now*, and every node still open under it."""
+        timer = self.timer
+        stop = None if timer is None else timer()
+        open_ = self._open
+        while open_:
+            top = open_.pop()
+            top.end = now
+            if stop is not None:
+                top.seconds += stop
+            if top is node:
+                break
+        if not open_:
+            self._stages.clear()
+
+    def staged(self, stage: str, work: Callable) -> Callable:
+        """*work*, its calls and timer seconds added up in one node
+        *stage* under the node open when it runs (timed registries).
+
+        A stage run inside another is a node under it, so the outer
+        stage's self seconds leave the inner one's out.
+        """
+        timer, open_, stages = self.timer, self._open, self._stages
+
+        def timed(*args):
+            parent = open_[-1] if open_ else None
+            node = stages.get((parent, stage))
+            if node is None:
+                start = 0 if parent is None else parent.start
+                node = stages[parent, stage] = self._push(
+                    TraceNode(stage, start, start, {"calls": 0}),
+                    None if parent is None else parent.children)
+            else:
+                open_.append(node)
+                node.seconds -= timer()
+            node.counts["calls"] += 1
+            try:
+                return work(*args)
+            finally:
+                open_.pop()
+                node.seconds += timer()
+
+        return timed
+
+    def _push(self, node: TraceNode, siblings) -> TraceNode:
+        """Open *node*, kept in *siblings* if a kept tree has room."""
+        if siblings is None or (self._nodes >= MAX_SPANS
+                                and not self._make_room()):
+            node.children = None
+        else:
+            siblings.append(node)
+            self._nodes += 1
+            if siblings is self.traces:
+                self._sizes.append(1)
+            else:
+                self._sizes[-1] += 1
+        self._open.append(node)
+        if self.timer is not None:
+            node.seconds = -self.timer()
+        return node
+
+    def _make_room(self) -> bool:
+        """Drop whole closed trees, oldest first, until a node fits."""
+        traces, open_ = self.traces, self._open
+        while self._nodes >= MAX_SPANS and traces and (
+                not open_ or traces[0] is not open_[0]):
+            traces.popleft()
+            self._nodes -= self._sizes.popleft()
+        return self._nodes < MAX_SPANS
 
     # -- rendering / lifecycle ---------------------------------------------
 
-    def render_text(self, *, include_spans: bool = True) -> str:
+    def render_text(self) -> str:
         from .render import render_text
 
-        return render_text(self, include_spans=include_spans)
+        return render_text(self)
 
     def render_json(self, *, indent: int | None = None) -> str:
         from .render import render_json
@@ -431,10 +535,14 @@ class MetricsRegistry:
         return registry_from_dict(cls(), data)
 
     def reset(self) -> None:
-        """Zero every metric and clear the span log; registrations stay."""
+        """Zero every metric and drop every tree; registrations stay."""
         for metric in self._metrics.values():
             metric.reset()
-        self.spans.clear()
+        self.traces.clear()
+        self._sizes.clear()
+        self._open.clear()
+        self._stages.clear()
+        self._nodes = 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .tracing import Span
+from .tracing import TraceNode
 
 __all__ = ["render_text", "render_json", "registry_to_dict", "registry_from_dict"]
 
@@ -40,7 +40,7 @@ def _merged_labels(labels: dict[str, str], extra: dict[str, str]) -> str:
     return _label_text(merged)
 
 
-def render_text(registry, *, include_spans: bool = True) -> str:
+def render_text(registry) -> str:
     """The whole registry in Prometheus-style exposition text."""
     lines: list[str] = []
     for name in registry.names():
@@ -67,15 +67,21 @@ def render_text(registry, *, include_spans: bool = True) -> str:
                 lines.append(
                     f"{name}{_label_text(labels)} {_format_value(child.value)}"
                 )
-    if include_spans and registry.spans:
-        lines.append("# SPANS (simulated seconds)")
-        for span in registry.spans:
-            lines.append(f"# span {span}")
+    if registry.traces:
+        lines.append("# TRACES (simulated seconds, a node per line)")
+        for root in registry.traces:
+            _tree_lines(root, 0, lines)
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _tree_lines(node: TraceNode, depth: int, lines: list[str]) -> None:
+    lines.append(f"# trace {'  ' * depth}{node}")
+    for child in node.children:
+        _tree_lines(child, depth + 1, lines)
+
+
 def registry_to_dict(registry) -> dict:
-    """Lossless plain-data form of every metric and span."""
+    """Lossless plain-data form of every metric and trace."""
     metrics = []
     for name in registry.names():
         metric = registry.get(name)
@@ -101,7 +107,7 @@ def registry_to_dict(registry) -> dict:
         metrics.append(entry)
     return {
         "metrics": metrics,
-        "spans": [span.to_dict() for span in registry.spans],
+        "traces": [root.to_dict() for root in registry.traces],
     }
 
 
@@ -133,8 +139,11 @@ def registry_from_dict(registry, data: dict):
                 child.count = sample["count"]
         else:
             raise ValueError(f"unknown metric type {kind!r} for {name!r}")
-    for span_data in data.get("spans", []):
-        registry.spans.append(Span.from_dict(span_data))
+    for tree in data.get("traces", []):
+        root = TraceNode.from_dict(tree)
+        registry.traces.append(root)
+        registry._sizes.append(sum(1 for _ in root.walk()))
+        registry._nodes += registry._sizes[-1]
     return registry
 
 

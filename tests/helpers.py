@@ -2,16 +2,23 @@
 
 Nothing under ``src/`` needs these, so they live with the tests: the
 four-level Side Effect 4 world, a ROA lookup by the paper's notation,
-a copy of everything a cache serves, and the exact-prefix route an AS
-selected.
+a copy of everything a cache serves, the exact-prefix route an AS
+selected, and a drop of the process-wide key cache.
 """
 
 from __future__ import annotations
 
+from repro.crypto import KeyFactory
 from repro.modelgen import build_figure2
 from repro.repository import HostLocator
 from repro.resources import ASN, ResourceSet
 from repro.rpki import RoaPrefix
+
+
+def clear_key_cache() -> None:
+    """Drop every generated key: the next build generates its keys again."""
+    with KeyFactory._cache_lock:
+        KeyFactory._cache.clear()
 
 
 def build_deep_hierarchy():

@@ -15,7 +15,6 @@ import hashlib
 
 import pytest
 
-from repro.crypto import KeyFactory
 from repro.jurisdiction.regions import RIR
 from repro.modelgen import (
     HIERARCHICAL_SCALES,
@@ -29,7 +28,7 @@ from repro.repository import Fetcher
 from repro.rp import PathValidator, RelyingParty
 from repro.rpki import Roa
 
-from ..helpers import all_files
+from ..helpers import all_files, clear_key_cache
 from ..rp.test_roa_evidence import check_evidence
 
 # Small enough to build in ~a second, flat like the Internet scales.
@@ -169,13 +168,13 @@ class TestDeterminism:
             rirs=(RIR.APNIC,), isps_per_rir=2, customers_per_isp=1,
             suballocation_depth=1, seed=61,
         )
-        KeyFactory.clear_cache()
+        clear_key_cache()
         try:
             first = build_deployment(config)
-            KeyFactory.clear_cache()
+            clear_key_cache()
             second = build_deployment(config)
         finally:
-            KeyFactory.clear_cache()
+            clear_key_cache()
         assert (
             [ca.certificate.hash_hex for ca in first.authorities()]
             == [ca.certificate.hash_hex for ca in second.authorities()]

@@ -2,6 +2,8 @@
 multiple publication points, Suspenders, and local trust-anchor overrides.
 """
 
+import random
+
 import pytest
 
 from repro.core import execute_whack, plan_whack
@@ -310,11 +312,43 @@ class TestLocalOverrides:
         )
 
     def test_overrides_are_local_not_global(self):
-        # Applying overrides never mutates the input VRP set.
-        overrides = LocalOverrides().filter("63.174.16.0/22", 7341)
-        before = len(self.FIGURE2)
-        overrides.apply(self.FIGURE2)
-        assert len(self.FIGURE2) == before
+        # Classifying under overrides never mutates the input VRP set.
+        overrides = LocalOverrides().filter("63.174.16.0/22", 7341).pin(
+            "63.174.17.0/24", 64999)
+        before = self.FIGURE2.as_frozenset()
+        classify_with_overrides(Route.parse("63.174.17.0/24", 64999),
+                                self.FIGURE2, overrides)
+        assert self.FIGURE2.as_frozenset() == before
+
+    def test_agrees_with_the_whole_table_oracle(self):
+        # Filters by prefix, origin and both, pins inside and beside the
+        # table and a forced state, against routes at, under and around
+        # the table's prefixes.
+        from .reference_overrides import classify
+
+        rng = random.Random(43)
+
+        def text(length):
+            third, fourth = rng.randrange(4), rng.randrange(4)
+            return {16: f"10.{third}.0.0/16", 20: f"10.{third}.16.0/20",
+                    24: f"10.{third}.{fourth}.0/24"}[length]
+
+        table = VrpSet(
+            VRP.parse(text(length) + "-24", rng.randrange(1, 4))
+            for length in rng.choices((16, 20, 24), k=40)
+        )
+        overrides = (LocalOverrides().filter("10.1.0.0/16", 2).filter(asn=3)
+                     .filter("10.2.0.0/16").pin("10.1.0.0/16-24", 2)
+                     .pin("10.9.0.0/16", 1)
+                     .force("10.0.0.0/24", 9, RouteValidity.VALID))
+        routes = ["10.0.0.0/8", "10.9.0.0/24", "11.0.0.0/24"] + [
+            f"10.{third}.{rest}" for third in range(4)
+            for rest in ("0.0/16", "16.0/20", "0.0/24", "3.0/24", "16.0/24")]
+        for prefix in routes:
+            for origin in (1, 2, 3, 9):
+                route = Route.parse(prefix, origin)
+                assert classify_with_overrides(route, table, overrides) \
+                    is classify(route, table, overrides), route
 
 
 class TestSuspendersUnderChurn:

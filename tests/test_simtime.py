@@ -142,8 +142,10 @@ class TestKeyFactoryCache:
     def test_clear_cache(self):
         from repro.crypto import KeyFactory
 
+        from .helpers import clear_key_cache
+
         first = KeyFactory(seed=31337).next_keypair()
-        KeyFactory.clear_cache()
+        clear_key_cache()
         again = KeyFactory(seed=31337).next_keypair()
         # Same deterministic key material, but a fresh object.
         assert again.key_id == first.key_id

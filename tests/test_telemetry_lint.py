@@ -50,6 +50,14 @@ def test_lint_catches_wall_clock(tmp_path):
     assert len(problems) == 1 and "simulated Clock" in problems[0]
 
 
+def test_lint_catches_a_process_time_read(tmp_path):
+    # A registry's timer is process CPU time: only the profiler reads it.
+    bad = tmp_path / "bad.py"
+    bad.write_text("import time\nstart = time.process_time()\n")
+    problems = check_telemetry_names.check_file(bad)
+    assert len(problems) == 1 and "simulated Clock" in problems[0]
+
+
 def test_wall_clock_exemption_is_only_the_profiler():
     # repro.profiling measures real elapsed time by design; nothing else
     # under src/repro may join the exemption without justification here.

@@ -20,11 +20,12 @@ Anything else in the artifact — sections of measured values, configs,
 sweeps — is free-form.
 
 ``PROFILE_*.json`` investigation artifacts are checked for *shape*, not
-numbers: their seconds are wall-clock observations, not claims, but a
+numbers: their seconds are timer observations, not claims, but a
 regenerated profile must still carry the full report schema (deployment
-metadata plus ``hotspots`` and ``build_hotspots`` tables of
-``{location, ncalls, tottime, cumtime}`` rows) so docs/performance.md
-always has both tables to quote.
+metadata, the ``timer_cost`` medians, a non-empty ``stages`` table of
+``{stage, calls, seconds, share, counts}`` rows and ``slowest_points``
+rows of ``{point, seconds, counts}``) so docs/performance.md always has
+both tables to quote.
 
 Run directly (``python tools/check_bench.py``, exit 1 on problems) or
 via the tier-1 test ``tests/test_bench_lint.py``.
@@ -115,28 +116,26 @@ def check_artifact(path: pathlib.Path) -> list[str]:
     return problems
 
 
-# Scalar fields a ProfileReport JSON must carry, with their types; any
-# other top-level key (a report written before an option was deleted,
-# say) is rejected.
+_NUMBER = (int, float)
+
+# Fields a ProfileReport JSON must carry, with their types; any other
+# top-level key (a report written before an option was deleted, say) is
+# rejected.
 _PROFILE_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "scale": str,
-    "seed": int,
-    "roa_count": int,
-    "authority_count": int,
-    "vrp_count": int,
-    "rounds": int,
-    "build_seconds": (int, float),
-    "refresh_seconds": (int, float),
+    "scale": str, "seed": int, "roa_count": int, "authority_count": int,
+    "vrp_count": int, "rounds": int, "build_seconds": _NUMBER,
+    "refresh_seconds": _NUMBER, "attributed_share": _NUMBER,
+    "timer_cost": dict,
 }
 
-_HOTSPOT_TABLES = ("hotspots", "build_hotspots")
-
-_HOTSPOT_FIELDS: dict[str, type | tuple[type, ...]] = {
-    "location": str,
-    "ncalls": int,
-    "tottime": (int, float),
-    "cumtime": (int, float),
+# Row fields of the report's tables and of its timer_cost object.
+_PROFILE_ROWS: dict[str, dict[str, type | tuple[type, ...]]] = {
+    "stages": {"stage": str, "calls": int, "seconds": _NUMBER,
+               "share": _NUMBER, "counts": dict},
+    "slowest_points": {"point": str, "seconds": _NUMBER, "counts": dict},
 }
+_TIMER_COST_FIELDS = {"pairs": int, "timed_seconds": _NUMBER,
+                      "untimed_seconds": _NUMBER, "ratio": _NUMBER}
 
 
 def _typed(value, expected) -> bool:
@@ -145,23 +144,23 @@ def _typed(value, expected) -> bool:
     return isinstance(value, expected)
 
 
-def _check_hotspot_table(rel, data, field, problems) -> None:
-    table = data.get(field)
-    if not isinstance(table, list):
-        problems.append(f"{rel}: '{field}' must be a list of hotspot rows")
+def _check_fields(where, row, fields, problems) -> None:
+    for name, expected in fields.items():
+        if not _typed(row.get(name), expected):
+            problems.append(f"{where}: field {name!r} missing or mistyped")
+
+
+def _check_rows(rel, data, table, problems) -> None:
+    rows = data.get(table)
+    if not isinstance(rows, list) or not rows:
+        problems.append(f"{rel}: '{table}' must be a non-empty list of rows")
         return
-    if field == "hotspots" and not table:
-        problems.append(f"{rel}: 'hotspots' table is empty")
-    for index, row in enumerate(table):
+    for index, row in enumerate(rows):
         if not isinstance(row, dict):
-            problems.append(f"{rel}: {field}[{index}] is not an object")
+            problems.append(f"{rel}: {table}[{index}] is not an object")
             continue
-        for name, expected in _HOTSPOT_FIELDS.items():
-            if not _typed(row.get(name), expected):
-                problems.append(
-                    f"{rel}: {field}[{index}]: field {name!r} missing or "
-                    "mistyped"
-                )
+        _check_fields(f"{rel}: {table}[{index}]", row, _PROFILE_ROWS[table],
+                      problems)
 
 
 def check_profile(path: pathlib.Path) -> list[str]:
@@ -176,13 +175,14 @@ def check_profile(path: pathlib.Path) -> list[str]:
         return [f"{rel}: top level must be a JSON object"]
 
     problems = []
-    for name, expected in _PROFILE_FIELDS.items():
-        if not _typed(data.get(name), expected):
-            problems.append(f"{rel}: field {name!r} missing or mistyped")
-    for name in sorted(set(data) - {*_PROFILE_FIELDS, *_HOTSPOT_TABLES}):
+    _check_fields(rel, data, _PROFILE_FIELDS, problems)
+    for name in sorted(set(data) - {*_PROFILE_FIELDS, *_PROFILE_ROWS}):
         problems.append(f"{rel}: unknown field {name!r}")
-    for table in _HOTSPOT_TABLES:
-        _check_hotspot_table(rel, data, table, problems)
+    if isinstance(data.get("timer_cost"), dict):
+        _check_fields(f"{rel}: timer_cost", data["timer_cost"],
+                      _TIMER_COST_FIELDS, problems)
+    for table in _PROFILE_ROWS:
+        _check_rows(rel, data, table, problems)
     return problems
 
 

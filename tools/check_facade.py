@@ -37,7 +37,7 @@ checks:
    stays anyway sits in :data:`DEFINITION_ALLOWLIST` with its reason.
    The match is by bare name, so a definition sharing its name with a
    used one counts as used (``LocalOverrides.from_dict`` rides on
-   ``Span.from_dict``): the check can miss dead code, but it never
+   ``TraceNode.from_dict``): the check can miss dead code, but it never
    flags live code.
 
 Checks 4 and 5 parse each file once between them.

@@ -14,14 +14,14 @@ Statically checks every module under ``src/repro``:
    suffix to infer the metric's unit.
 
 2. **Determinism.**  No module may call ``time.time()``,
-   ``time.perf_counter()``, or ``time.monotonic()``: all durations must
-   come from the simulated :class:`repro.simtime.Clock`, otherwise two
-   identical runs would render different telemetry.  (Benchmarks and
-   tests may use wall clocks; this lint only covers ``src/repro``.)
-   One named exemption: ``repro.profiling`` *is* the wall-clock
-   instrument — its entire purpose is reporting where real CPU time
-   went — and its numbers land in investigation artifacts
-   (``PROFILE_*``), never in telemetry metrics.
+   ``time.perf_counter()``, ``time.process_time()`` or
+   ``time.monotonic()``: all durations must come from the simulated
+   :class:`repro.simtime.Clock`, otherwise two identical runs would
+   render different telemetry.  (Benchmarks and tests may use real
+   clocks; this lint only covers ``src/repro``.)  One named exemption:
+   ``repro.profiling`` hands a registry its timer — its entire purpose
+   is reporting where real CPU time went — and its numbers land in
+   investigation artifacts (``PROFILE_*``), never in telemetry metrics.
 
 3. **No process or thread pools.**  No module may import
    ``multiprocessing`` or ``concurrent.futures``, at any scope: the
@@ -63,11 +63,11 @@ METRIC_FACTORIES = {"counter", "gauge", "histogram", "trace"}
 # (``_total``); trace() produces duration histograms (``_seconds``).
 FACTORY_SUFFIXES = {"counter": "_total", "trace": "_seconds"}
 WALL_CLOCK_CALLS = {"time", "perf_counter", "monotonic", "monotonic_ns",
-                    "perf_counter_ns", "time_ns"}
+                    "perf_counter_ns", "time_ns", "process_time"}
 # Modules allowed to read the wall clock (relative to the repo root).
-# repro/profiling.py is the profiling harness: measuring real elapsed
-# time is its deliverable, and its output is a PROFILE_* investigation
-# artifact, not telemetry.
+# repro/profiling.py is the profiling harness: timing a refresh is its
+# deliverable, and its output is a PROFILE_* investigation artifact, not
+# telemetry.
 WALL_CLOCK_EXEMPT = frozenset({"src/repro/profiling.py"})
 # Packages whose import means a worker pool is being built.
 POOL_MODULES = ("multiprocessing", "concurrent.futures")

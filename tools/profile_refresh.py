@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Profile one relying-party refresh and archive the hotspot table.
+"""Profile one relying-party refresh and archive its stage table.
 
 The measurement lives in :mod:`repro.profiling`; this harness is the
 archival front end: it runs :func:`repro.profiling.profile_refresh`,
-prints the ranked text table, and (with ``--output``) writes the same
-report as JSON next to the benchmark artifacts::
+prints the stage table and the slowest points, and (with ``--output``)
+writes the same report as JSON next to the benchmark artifacts::
 
     PYTHONPATH=src python tools/profile_refresh.py \\
         --scale internet-small --top 20 \\
         --output benchmarks/artifacts/PROFILE_refresh.json
 
 The JSON artifact is an investigation record, not a regression gate —
-wall-clock seconds vary run to run; the pinned gates live in
+timer seconds vary run to run; the pinned gates live in
 ``benchmarks/test_bench_scale.py``.  ``python -m repro profile`` prints
 the same table without writing anything.
 """
@@ -29,7 +29,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="cProfile a full refresh, rank the hotspots.",
+        description="Time a cold refresh, read its stage table.",
     )
     parser.add_argument(
         "--scale", default="internet-small",
@@ -39,7 +39,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scale's pinned seed")
     parser.add_argument("--top", type=int, default=20,
-                        help="hotspot rows to keep (default 20)")
+                        help="slowest points to keep (default 20)")
     parser.add_argument(
         "--output", type=pathlib.Path, default=None, metavar="FILE",
         help="also write the report as JSON to FILE",
