@@ -541,10 +541,14 @@ def test_wire_plane_object_and_compare_counts():
 
     Per prefix PDU it applies, a router makes no Python-level
     construction at all: each stretch of one header is range-checked
-    and built into ``VRP`` tuples a column at a time, in C — no
-    ``VRP.from_integers``, no ``Prefix``, no ``ASN``, no
-    ``__post_init__``, and not the slow ``VRP(prefix, max_length, asn)``
-    constructor either.  A cache installing a 500-VRP delta keeps its
+    and built into plain ``(bits, network, length, maxLength, asn)``
+    tuples a column at a time, in C — no ``VRP.from_integers``, no
+    ``Prefix``, no ``ASN``, no ``__post_init__``, and not the slow
+    ``VRP(prefix, max_length, asn)`` constructor either.  Nor does it
+    keep one object per PDU that the cyclic collector walks: after a
+    collection no member of a router table or of a chained cache's
+    served set is tracked (a tuple of ints and bytes is untracked at its
+    first pass; a ``VRP``, a tuple subclass, never is).  A cache installing a 500-VRP delta keeps its
     served order without one Python-level ordering call and without one
     Python-level sort key (a ``VRP`` is the tuple that sorts; as an
     object holding a ``Prefix`` and an ``ASN`` it cost ~9,300 ``__lt__``
@@ -583,6 +587,12 @@ def test_wire_plane_object_and_compare_counts():
     }, built
     vrps_built = sum(
         n for name, n in built.items() if name.startswith("VRP."))
+    gc.collect()
+    tracked = sum(sum(map(gc.is_tracked, c._vrps)) for c in sessions)
+    served_tracked = sum(
+        sum(map(gc.is_tracked, cache.current_vrps()))
+        for cache in chain.caches())
+    assert tracked == served_tracked == 0, (tracked, served_tracked)
 
     delta = table[:: WIRE_VRPS // WIRE_DELTA]
     assert len(delta) == WIRE_DELTA
@@ -609,6 +619,7 @@ def test_wire_plane_object_and_compare_counts():
         "prefix_pdus_applied": applied,
         "python_vrp_constructions": vrps_built,
         "router_objects_per_prefix_pdu": vrps_built / applied,
+        "router_gc_tracked_per_prefix_pdu": tracked / applied,
         "prefix_and_asn_objects_built": sum(
             n for name, n in built.items()
             if name.startswith(("Prefix.", "ASN."))),
@@ -652,6 +663,10 @@ def test_write_artifact():
             },
             "router_objects_per_prefix_pdu": {
                 "measured": _WIRE_RESULTS["router_objects_per_prefix_pdu"],
+                "bound": 0, "op": "==",
+            },
+            "router_gc_tracked_objects_per_prefix_pdu": {
+                "measured": _WIRE_RESULTS["router_gc_tracked_per_prefix_pdu"],
                 "bound": 0, "op": "==",
             },
             "router_prefix_and_asn_objects_per_sync": {

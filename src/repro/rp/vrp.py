@@ -31,8 +31,12 @@ class VRP(tuple):
     network is an ``int``; an IPv6 network is its 16 wire bytes, which
     order as the integer does and whose hash an authority cannot pick by
     picking the network (:func:`repro.resources.prefix.hash_key`).
-    ``prefix`` and ``asn`` are views built per access.  A VRP equals the
-    plain tuple of its fields; nothing relies on that.
+    ``prefix`` and ``asn`` are views built per access.
+
+    A VRP equals, hashes and sorts as the plain tuple of its fields, and
+    the RTR wire plane relies on that: router tables and chained caches
+    hold those plain tuples (:data:`repro.rtr.pdu.VrpRecord`): the
+    cyclic garbage collector untracks them, and never untracks a ``VRP``.
     """
 
     __slots__ = ()

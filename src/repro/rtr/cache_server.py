@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import filterfalse
 
-from ..rp.vrp import VRP, VrpSet
+from ..rp.vrp import VrpSet
 from ..telemetry import MetricsRegistry, default_registry
 from .channel import ChannelClosed, DuplexPipe
 from .mux import MuxSession, SessionMux
@@ -61,6 +61,7 @@ from .pdu import (
     SerialNotify,
     SerialQuery,
     Stretch,
+    VrpRecord,
     encode_pdu,
     encode_prefixes,
 )
@@ -104,12 +105,13 @@ class RtrCacheServer:
         self.session_id = session_id
         self.history_window = history_window
         self.serial = 0
-        self._vrps: set[VRP] = set()
+        # VRPs, or a chained cache's records: see current_vrps().
+        self._vrps: set[VrpRecord] = set()
         # The served order as of the last snapshot, and the VRPs it and
         # the served set disagree on: arrived since, or withdrawn since.
-        self._sorted: list[VRP] = []
-        self._changed: set[VRP] = set()
-        self._frozen: frozenset[VRP] | None = None
+        self._sorted: list[VrpRecord] = []
+        self._changed: set[VrpRecord] = set()
+        self._frozen: frozenset[VrpRecord] | None = None
         # Serial -> (its prefix PDU count, their encoding).
         self._history: dict[int, tuple[int, bytes]] = {}
         self._history_vrps = 0
@@ -180,7 +182,7 @@ class RtrCacheServer:
         return serial
 
     def apply_delta(
-        self, announced: Iterable[VRP], withdrawn: Iterable[VRP]
+        self, announced: Iterable[VrpRecord], withdrawn: Iterable[VrpRecord]
     ) -> int:
         """Install a change set; returns the (possibly unchanged) serial.
 
@@ -264,11 +266,15 @@ class RtrCacheServer:
         """Total VRPs held across the retained delta window."""
         return self._history_vrps
 
-    def current_vrps(self) -> frozenset[VRP]:
+    def current_vrps(self) -> frozenset[VrpRecord]:
         """The served VRP set, frozen once per serial.
 
         The chained-tier equivalence probe, and what a chained cache
-        diffs a reset burst against.
+        diffs a reset burst against.  Its members are what was
+        installed: ``VRP`` objects at a cache its relying party updates,
+        and at a chained cache the plain
+        :data:`~repro.rtr.pdu.VrpRecord` tuples its upstream session
+        decoded, which equal and hash as those ``VRP`` objects.
         """
         if self._frozen is None:
             self._frozen = frozenset(self._vrps)

@@ -22,10 +22,10 @@ both do exactly that).
 
 from __future__ import annotations
 
-from ..rp.vrp import VRP
 from ..telemetry import MetricsRegistry
 from .cache_server import RtrCacheServer
 from .channel import DuplexPipe
+from .pdu import VrpRecord
 from .router_client import RouterState, RtrRouterClient
 
 __all__ = ["CacheChain", "ChainedRtrCache"]
@@ -67,7 +67,10 @@ class ChainedRtrCache:
         self.client.connect()
 
     def _forward(
-        self, reset: bool, announced: list[VRP], withdrawn: list[VRP]
+        self,
+        reset: bool,
+        announced: list[VrpRecord],
+        withdrawn: list[VrpRecord],
     ) -> None:
         """Re-serve one upstream burst downstream as its net delta."""
         if reset:
@@ -90,8 +93,9 @@ class ChainedRtrCache:
         self.client.process()
         self.server.process()
 
-    def current_vrps(self):
-        """The set this cache re-serves (the equivalence probe)."""
+    def current_vrps(self) -> frozenset[VrpRecord]:
+        """The set this cache re-serves (the equivalence probe): plain
+        field tuples, equal to the root's ``VRP`` objects."""
         return self.server.current_vrps()
 
 

@@ -61,7 +61,7 @@ class MuxEvent:
     """What one ready session produced in one tick.
 
     Exactly one of three shapes: a batch of decoded ``pdus`` (a stretch
-    of prefix PDUs as one ``(flags, [VRP, ...])`` item, as
+    of prefix PDUs as one ``(flags, [record, ...])`` item, as
     :func:`~repro.rtr.pdu.decode_runs` reads it), a fatal ``error``
     string (undecodable bytes — the session's buffers are already
     cleared), or ``closed`` (the peer hung up).

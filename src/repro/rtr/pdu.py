@@ -213,10 +213,17 @@ Pdu = (
     | EndOfData | CacheReset | ErrorReport
 )
 
+# One prefix PDU's VRP as router tables and chained caches hold it: the
+# plain tuple ``(address bits, network, length, maxLength, AS number)``
+# a ``VRP`` of the same fields equals and hashes as.  The cyclic garbage
+# collector untracks a tuple of ints and bytes at its first pass, and
+# never an instance of a tuple subclass such as ``VRP``.
+VrpRecord = tuple[int, int | bytes, int, int, int]
+
 # A stretch of prefix PDUs of one header, as decode_runs hands it on:
-# ``(flags, [VRP, ...])``, where ``flags[i]`` is 1 if the i-th PDU
-# announces its VRP and 0 if it withdraws it.
-Stretch = tuple[bytes, list[VRP]]
+# ``(flags, [record, ...])``, where ``flags[i]`` is 1 if the i-th PDU
+# announces its record and 0 if it withdraws it.
+Stretch = tuple[bytes, list[VrpRecord]]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +237,7 @@ def _packet(pdu_type: PduType, session_or_flags: int, body: bytes) -> bytes:
     ) + body
 
 
-def encode_prefixes(announce: bool, vrps: Iterable[VRP]) -> bytes:
+def encode_prefixes(announce: bool, vrps: Iterable[VrpRecord]) -> bytes:
     """The prefix PDUs announcing (or withdrawing) *vrps*, in order.
 
     Written a run of one family at a time, with no Python step per PDU:
@@ -308,10 +315,10 @@ def decode_runs(data: bytes) -> tuple[list[Pdu | Stretch], bytes]:
     """Decode as many complete PDUs as *data* contains.
 
     Each stretch of consecutive prefix PDUs of one header comes as one
-    :data:`Stretch` ``(flags, [VRP, ...])`` — a plain ``tuple``, which
-    no PDU is — and every other PDU as itself, in wire order.  A router
-    applies a burst a stretch at a time; the mux counts a stretch's PDUs
-    against its fairness budget.
+    :data:`Stretch` ``(flags, [record, ...])`` — a plain ``tuple``,
+    which no PDU is — and every other PDU as itself, in wire order.  A
+    router applies a burst a stretch at a time; the mux counts a
+    stretch's PDUs against its fairness budget.
 
     A stretch is read a column at a time, with no Python step per PDU:
     one pattern match finds where its header stops repeating, the
@@ -319,7 +326,9 @@ def decode_runs(data: bytes) -> tuple[list[Pdu | Stretch], bytes]:
     addresses and ASNs whole columns, and every range check
     ``VRP.from_integers`` makes is a C-level pass over the columns.  A
     refused stretch is handed to ``from_integers`` record by record, so
-    the error names the first refused record in its words.
+    the error names the first refused record in its words.  The records
+    are the tuples ``zip`` yields over the five columns: each a
+    :data:`VrpRecord`, not a ``VRP``.
 
     Returns ``(items, remainder)`` — the remainder is a partial trailing
     PDU to be retried once more bytes arrive (stream semantics, like the
@@ -366,9 +375,9 @@ def decode_runs(data: bytes) -> tuple[list[Pdu | Stretch], bytes]:
                 _refuse(afi, networks, lengths, max_lengths, asns)
             append((
                 run[8::length].translate(_ANNOUNCE_BIT),
-                list(map(tuple.__new__, repeat(VRP), zip(
+                list(zip(
                     repeat(afi.bits), networks, lengths, max_lengths, asns
-                ))),
+                )),
             ))
             offset = stop
             continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterable
-from itertools import compress
+from itertools import compress, repeat
 from operator import not_
 
 from ..rp.vrp import VRP, VrpSet
@@ -28,6 +28,7 @@ from .pdu import (
     SerialNotify,
     SerialQuery,
     Stretch,
+    VrpRecord,
     decode_runs,
     encode_pdu,
 )
@@ -36,11 +37,11 @@ __all__ = ["RouterState", "RtrRouterClient"]
 
 
 def _apply_folded(
-    vrps: set[VRP], stretches: Iterable[Stretch]
-) -> tuple[list[VRP], list[VRP]]:
-    """Apply *stretches* to *vrps* as one fold and return the VRPs they
-    announce and withdraw: the last PDU naming a VRP decides its fate,
-    its first one where it stands in the lists."""
+    vrps: set[VrpRecord], stretches: Iterable[Stretch]
+) -> tuple[list[VrpRecord], list[VrpRecord]]:
+    """Apply *stretches* to *vrps* as one fold and return the records
+    they announce and withdraw: the last PDU naming a VRP decides its
+    fate, its first one where it stands in the lists."""
     fate = {}
     for flags, run in stretches:
         fate.update(zip(run, flags))
@@ -61,27 +62,34 @@ class RouterState(enum.Enum):
 class RtrRouterClient:
     """One router's RTR session and VRP table.
 
+    The table holds each VRP as the plain tuple the wire decoder built
+    (a :data:`~repro.rtr.pdu.VrpRecord`), which the cyclic collector
+    stops walking; :meth:`vrp_set` builds the ``VRP`` objects a caller
+    reads.
+
     *on_burst*, if given, is called at every End of Data with
     ``(reset, announced, withdrawn)`` — the net effect of the burst just
-    applied, order already resolved; on a reset burst the table was
-    emptied first, so *announced* is the whole new table.  It is how a
-    chained cache re-serves exactly what it was handed instead of
-    rediscovering it from the table.  A plain router passes none and
-    keeps nothing beyond its table.
+    applied, as lists of those records, order already resolved; on a
+    reset burst the table was emptied first, so *announced* is the whole
+    new table.  It is how a chained cache re-serves exactly what it was
+    handed instead of rediscovering it from the table.  A plain router
+    passes none and keeps nothing beyond its table.
     """
 
     def __init__(
         self,
         pipe: DuplexPipe,
         *,
-        on_burst: Callable[[bool, list[VRP], list[VRP]], None] | None = None,
+        on_burst: Callable[
+            [bool, list[VrpRecord], list[VrpRecord]], None
+        ] | None = None,
     ):
         self.pipe = pipe
         self._on_burst = on_burst
         self.state = RouterState.IDLE
         self.serial = 0
         self.session_id: int | None = None
-        self._vrps: set[VRP] = set()
+        self._vrps: set[VrpRecord] = set()
         # PDU application is order-sensitive: the same VRP may be announced
         # at one serial and withdrawn at a later one within a single burst,
         # so the burst's stretches of prefix PDUs queue in wire order.
@@ -93,8 +101,9 @@ class RtrRouterClient:
     # -- queries -----------------------------------------------------------
 
     def vrp_set(self) -> VrpSet:
-        """The router's current validated-ROA table."""
-        return VrpSet(self._vrps)
+        """The router's current validated-ROA table, each member a
+        ``VRP`` built here from the record the table holds."""
+        return VrpSet(map(tuple.__new__, repeat(VRP), self._vrps))
 
     @property
     def vrp_count(self) -> int:

@@ -343,6 +343,9 @@ class MetricsRegistry:
         self._open: list[TraceNode] = []
         # (parent, stage name) -> the stage node, while a node is open.
         self._stages: dict[tuple, TraceNode] = {}
+        # (name, label names) -> the histogram trace() observes into,
+        # resolved and checked on its first trace only.
+        self._traced: dict[tuple, Histogram] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -419,9 +422,12 @@ class MetricsRegistry:
         anything with a ``.now`` in seconds — in practice
         :class:`repro.simtime.Clock`, which keeps traces deterministic.
         """
-        histogram = self.histogram(
-            name, labelnames=tuple(sorted(labelvalues))
-        )
+        key = (name, *sorted(labelvalues))
+        histogram = self._traced.get(key)
+        if histogram is None:
+            histogram = self._traced[key] = self.histogram(
+                name, labelnames=key[1:]
+            )
         open_ = self._open
         node = self._push(TraceNode(name, clock.now),
                           open_[-1].children if open_ else self.traces)

@@ -9,7 +9,7 @@ from repro import Fetcher, RelyingParty, build_figure2
 from repro.modelgen import INTERNET_SCALES, build_deployment
 from repro.profiling import stage_table
 from repro.simtime import Clock
-from repro.telemetry import MetricsRegistry, TraceNode, metrics
+from repro.telemetry import MetricError, MetricsRegistry, TraceNode, metrics
 
 # The bound the log tests run at: MAX_SPANS patched down, so that going
 # ten times past it stays cheap.
@@ -50,6 +50,29 @@ class TestSpanTiming:
         assert registry.traces[-1].name == "repro_work_seconds"
         sample = registry.get("repro_work_seconds").sample(phase="fetch")
         assert sample.sum == 5.0
+
+    def test_a_traced_histogram_is_resolved_once_and_still_checked(
+            self, registry):
+        clock = Clock()
+        for _ in range(3):
+            with registry.trace("repro_work_seconds", clock, phase="fetch"):
+                clock.advance(1)
+        traced = registry.get("repro_work_seconds")
+        assert registry._traced == {
+            ("repro_work_seconds", "phase"): traced}
+        assert traced.sample(phase="fetch").count == 3
+        # An explicit registration is checked against it as before.
+        assert registry.histogram(
+            "repro_work_seconds", labelnames=("phase",)) is traced
+        with pytest.raises(MetricError, match="conflicting histogram buckets"):
+            registry.histogram(
+                "repro_work_seconds", (1.0, 2.0), labelnames=("phase",))
+        with pytest.raises(MetricError, match="already registered with labels"):
+            registry.histogram("repro_work_seconds")
+        # So is a trace under other label names, on its first use.
+        with pytest.raises(MetricError, match="already registered with labels"):
+            with registry.trace("repro_work_seconds", clock):
+                pass
 
     def test_exception_still_closes_span(self, registry):
         clock = Clock()
