@@ -16,10 +16,11 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from hashlib import sha256 as _sha256
+from typing import NamedTuple
 
 from ..telemetry import default_registry
 from .errors import KeySizeError, SignatureError
-from .hashing import sha256
 from .prime import generate_prime
 
 __all__ = [
@@ -28,7 +29,7 @@ __all__ = [
     "generate_keypair",
 ]
 
-# Keys are frozen dataclasses with no injection point, so signature
+# Keys are immutable values with no injection point, so signature
 # telemetry binds to the process-global registry at import time (the
 # default registry is a permanent singleton, only ever reset in place;
 # a reset zeroes a bound child and keeps it the one the registry reads).
@@ -52,30 +53,32 @@ _SHA256_DIGEST_INFO = bytes.fromhex(
     "3031300d060960864801650304020105000420"
 )
 
-_PUBLIC_EXPONENT = 65537
-_MIN_MODULUS_BITS = 256
+# The key profile of RFC 7935 section 3.1: the public exponent is 65537
+# and the modulus 2048 bits.  The simulation signs with narrower keys for
+# speed (keys.KEY_BITS), so a certificate's key may be as narrow as
+# MIN_MODULUS_BITS, never wider than the RFC's 2048.  An authority picks
+# its keys, so without these bounds it would pick what each verification
+# of its objects costs: ``pow`` grows with the exponent's width and
+# superlinearly with the modulus's.
+PUBLIC_EXPONENT = 65537
+MIN_MODULUS_BITS = 256
+MAX_MODULUS_BITS = 2048
 
 
-@dataclass(frozen=True)
-class RsaPublicKey:
-    """An RSA public key (modulus, exponent)."""
+class RsaPublicKey(NamedTuple):
+    """An RSA public key (modulus, exponent).
+
+    A named tuple, so a key is its own exact fingerprint: the
+    verification memos key on it as they would on ``(modulus,
+    exponent)``, with no hashing of the key's bytes.
+    """
 
     modulus: int
-    exponent: int = _PUBLIC_EXPONENT
+    exponent: int = PUBLIC_EXPONENT
 
     @property
     def modulus_bits(self) -> int:
         return self.modulus.bit_length()
-
-    @property
-    def cache_key(self) -> tuple[int, int]:
-        """A cheap exact fingerprint of this key, for verification memos.
-
-        Signature verification is a pure function of ``(modulus, exponent,
-        message, signature)``; the raw integers identify the key without
-        any hashing, which matters on memo-lookup hot paths.
-        """
-        return (self.modulus, self.exponent)
 
     @property
     def modulus_bytes(self) -> int:
@@ -92,16 +95,22 @@ class RsaPublicKey:
         return ok
 
     def _check_signature(self, message: bytes, signature: bytes) -> bool:
-        """The uninstrumented check (benchmarked against :meth:`verify`)."""
-        size = self.modulus_bytes
+        """The uninstrumented check (benchmarked against :meth:`verify`).
+
+        The recovered representative is compared as bytes with the
+        padding :func:`_pad` makes: below the modulus, it has exactly
+        one big-endian form of the modulus's width.
+        """
+        modulus, exponent = self
+        size = (modulus.bit_length() + 7) >> 3
         if len(signature) != size:
             return False
         sig_int = int.from_bytes(signature, "big")
-        if sig_int >= self.modulus:
+        if sig_int >= modulus:
             return False
-        recovered = pow(sig_int, self.exponent, self.modulus)
-        expected = int.from_bytes(_pad(message, size), "big")
-        return recovered == expected
+        expected = _padding_prefix(size) + _sha256(message).digest()
+        return pow(sig_int, exponent, modulus).to_bytes(size, "big") \
+            == expected
 
 
 @dataclass(frozen=True)
@@ -176,9 +185,9 @@ def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> RsaPr
     enough that a full model RPKI signs in milliseconds, large enough that
     padding and DigestInfo fit comfortably.
     """
-    if bits < _MIN_MODULUS_BITS:
+    if bits < MIN_MODULUS_BITS:
         raise KeySizeError(
-            f"modulus must be at least {_MIN_MODULUS_BITS} bits, got {bits}"
+            f"modulus must be at least {MIN_MODULUS_BITS} bits, got {bits}"
         )
     rng = rng or random.Random()
     # Multi-prime RSA (RFC 8017): three roughly-third-width primes.  The
@@ -196,7 +205,7 @@ def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> RsaPr
             continue
         phi = math.prod(prime - 1 for prime in primes)
         try:
-            d = pow(_PUBLIC_EXPONENT, -1, phi)
+            d = pow(PUBLIC_EXPONENT, -1, phi)
         except ValueError:
             continue  # e not invertible mod phi; rare, retry
         p, q, *rest = primes
@@ -216,7 +225,7 @@ def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> RsaPr
 
 def _pad(message: bytes, target_length: int) -> bytes:
     """EMSA-PKCS1-v1_5 encoding of SHA-256(message)."""
-    return _padding_prefix(target_length) + sha256(message)
+    return _padding_prefix(target_length) + _sha256(message).digest()
 
 
 # Bounded: an authority picks its key sizes, so it picks the lengths.

@@ -82,9 +82,15 @@ class ASN:
 
 class _AsNumbers(enum.Enum):
     """AS numbers as an interval family, beside the two address families
-    of :class:`~repro.resources.ipaddr.Afi`."""
+    of :class:`~repro.resources.ipaddr.Afi` (``rank`` is the plain copy
+    of ``value`` the interval algebra orders by)."""
 
     ASN = 0
+
+    rank: int
+
+    def __init__(self, code: int):
+        self.rank = code
 
 
 class AsnRange(Interval):

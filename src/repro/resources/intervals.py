@@ -4,11 +4,15 @@ A resource extension is a set of integers of one or more *families* —
 IPv4 and IPv6 addresses (:class:`~repro.resources.ranges.ResourceSet`),
 AS numbers (:class:`~repro.resources.asn.AsnSet`) — held as a sorted
 tuple of disjoint, non-adjacent inclusive ranges.  A family is an enum
-member whose ``value`` ranks it; ranges of different families never
-cover, overlap or merge.  This is the one implementation of the algebra.
+member whose plain ``rank`` attribute orders it (an enum's ``value`` is
+a descriptor, several times slower to read on every key and bisection
+step); ranges of different families never cover, overlap or merge.
+This is the one implementation of the algebra.
 
 Costs, for a set of n ranges and an argument of m: building a set sorts
-once, O(m log m), and an already sorted input costs O(m); a single range
+once, O(m log m), an already sorted input costs O(m), and no range or
+one range costs no sort at all (a certificate's resources are usually
+one range, an EE certificate's AS numbers none); a single range
 argument (a prefix, a range, one AS number) is one bisection, O(log n).
 ``covers`` of a set is one bisection per range of the argument,
 O(m log n), so a one-range argument stays O(log n) however many ranges
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 __all__ = ["Interval", "IntervalSet"]
@@ -80,8 +85,8 @@ class Interval:
     def __lt__(self, other: "Interval") -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return (self._afi.value, self._start, self._end) < (
-            other._afi.value,
+        return (self._afi.rank, self._start, self._end) < (
+            other._afi.rank,
             other._start,
             other._end,
         )
@@ -90,8 +95,9 @@ class Interval:
         return hash((self._afi, self._start, self._end))
 
 
-def _start_of(r: Interval) -> tuple[int, int]:
-    return r._afi.value, r._start
+#: A range's sort key, ``(family rank, start)``: read in C, as every
+#: set build sorts by it and every bisection calls it per step.
+_start_of = attrgetter("_afi.rank", "_start")
 
 
 class IntervalSet:
@@ -107,9 +113,10 @@ class IntervalSet:
     _MEMBERS: tuple[type, ...] = ()
 
     def __init__(self, ranges: Iterable[Interval] = ()):
-        self._ranges: tuple[Interval, ...] = _merged(
-            sorted(ranges, key=_start_of)
-        )
+        ranges = tuple(ranges)
+        if len(ranges) > 1:
+            ranges = _merged(sorted(ranges, key=_start_of))
+        self._ranges: tuple[Interval, ...] = ranges
 
     def _ranges_of(self, other) -> tuple[Interval, ...]:
         single = self._interval_of(other)
@@ -143,11 +150,13 @@ class IntervalSet:
         RFC 3779 subset requirement for certificates with empty deltas.
         """
         single = self._interval_of(other)
+        covers_span = self.covers_span
         if single is not None:
-            return self.covers_span(single._afi, single._start, single._end)
-        return all(
-            self.covers_span(r._afi, r._start, r._end) for r in other._ranges
-        )
+            return covers_span(single._afi, single._start, single._end)
+        for r in other._ranges:
+            if not covers_span(r._afi, r._start, r._end):
+                return False
+        return True
 
     def covers_span(self, afi, start: int, end: int) -> bool:
         """``covers`` of the range ``[start, end]`` of family *afi*,
@@ -156,7 +165,7 @@ class IntervalSet:
         # before the span can hold it.  (A scan here made one ROA over
         # n scattered prefixes cost n**2 to judge.)
         ranges = self._ranges
-        at = bisect_right(ranges, (afi.value, start), key=_start_of)
+        at = bisect_right(ranges, (afi.rank, start), key=_start_of)
         if not at:
             return False
         holder = ranges[at - 1]
@@ -176,7 +185,7 @@ class IntervalSet:
         # The last range starting at or before the span's end is the one
         # that reaches furthest into it.
         ranges = self._ranges
-        at = bisect_right(ranges, (span._afi.value, span._end), key=_start_of)
+        at = bisect_right(ranges, (span._afi.rank, span._end), key=_start_of)
         return bool(at) and ranges[at - 1].overlaps(span)
 
     # -- algebra ------------------------------------------------------------
@@ -237,7 +246,7 @@ def _ends_before(a: Interval, b: Interval) -> bool:
     """True if all of *a* lies below *b*'s start (by family, then value)."""
     if a._afi is b._afi:
         return a._end < b._start
-    return a._afi.value < b._afi.value
+    return a._afi.rank < b._afi.rank
 
 
 def _merged(ordered: Iterable[Interval]) -> tuple[Interval, ...]:

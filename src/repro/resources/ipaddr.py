@@ -35,9 +35,11 @@ class Afi(enum.Enum):
     extensions (1 = IPv4, 2 = IPv6), so serialized objects carry the real
     on-the-wire identifiers.
 
-    ``bits`` (32 or 128) and ``max_address`` (the highest representable
-    address as an integer) are plain attributes set once per member:
-    every ``Prefix`` built and every prefix-map edit reads them.
+    ``bits`` (32 or 128), ``max_address`` (the highest representable
+    address as an integer) and ``rank`` (the ``value``, which orders the
+    families in a resource set) are plain attributes set once per
+    member: every ``Prefix`` built, every prefix-map edit and every
+    resource-set sort or bisection reads them.
     """
 
     IPV4 = 1
@@ -45,10 +47,12 @@ class Afi(enum.Enum):
 
     bits: int
     max_address: int
+    rank: int
 
     def __init__(self, code: int):
         self.bits = 32 if code == 1 else 128
         self.max_address = (1 << self.bits) - 1
+        self.rank = code
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Afi.{self.name}"

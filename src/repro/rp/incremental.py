@@ -85,7 +85,7 @@ from ..memo import GenerationMemo
 from ..rpki.crl import Crl
 from ..rpki.errors import ObjectFormatError
 from ..rpki.ghostbusters import GhostbustersRecord
-from ..rpki.objects import SignedObject
+from ..rpki.objects import SignedObject, verify_wire
 from ..rpki.parse import parse_object
 from ..rpki.roa import Roa
 from ..telemetry import MetricsRegistry, default_registry
@@ -153,16 +153,16 @@ def time_window(
 class VerificationMemo:
     """Content-addressed cache of signature-verification verdicts.
 
-    Keyed by ``(object hash, key fingerprint)``: the object's
-    ``hash_hex`` covers its signed bytes *and* its signature, and the key
-    fingerprint is the raw ``(modulus, exponent)`` pair, so a hit is
-    exactly a re-verification of the same bytes under the same key — a
-    pure recomputation, skipped.
+    Keyed by ``(object hash, key)``: the object's ``hash_hex`` covers
+    its signed bytes *and* its signature, and the key is the raw
+    ``(modulus, exponent)`` pair, so a hit is exactly a re-verification
+    of the same bytes under the same key — a pure recomputation,
+    skipped.
     """
 
     def __init__(self):
         self._verdicts: GenerationMemo[
-            tuple[str, tuple[int, int]], bool
+            tuple[str, RsaPublicKey], bool
         ] = GenerationMemo()
         self.hits = 0
         self.misses = 0
@@ -172,22 +172,24 @@ class VerificationMemo:
 
     def verify_object(self, obj: SignedObject, key: RsaPublicKey) -> bool:
         """Memoized ``obj.verify_signature(key)``."""
-        return self.verify(obj.hash_hex, key, obj.verify_signature)
+        return self.verify(obj.hash_hex, key, obj.to_bytes(), obj.signed_end)
 
-    def verify(self, digest: str, key: RsaPublicKey, check) -> bool:
-        """The verdict for the bytes hashing to *digest* under *key*.
+    def verify(self, digest: str, key: RsaPublicKey, wire: bytes,
+               signed_end: int) -> bool:
+        """The verdict on the wire form *wire* under *key*.
 
-        Remembered, or ``check(key)`` and remembered.  *digest* is the
-        ``hash_hex`` of the object checked, or the SHA-256 hex of wire
-        bytes read but not built into one, so the two share verdicts.
+        Remembered, or :func:`~repro.rpki.objects.verify_wire` and
+        remembered.  *digest* is the SHA-256 hex of *wire*: an object's
+        ``hash_hex``, or that of wire bytes read but not built into
+        one, so the two share verdicts.
         """
-        memo_key = (digest, key.cache_key)
+        memo_key = (digest, key)
         verdict = self._verdicts.get(memo_key)
         if verdict is not None:
             self.hits += 1
             return verdict
         self.misses += 1
-        verdict = check(key)
+        verdict = verify_wire(wire, signed_end, key)
         self._verdicts.put(memo_key, verdict)
         return verdict
 

@@ -51,7 +51,7 @@ from ..rpki.crl import Crl
 from ..rpki.errors import ObjectFormatError
 from ..rpki.manifest import Manifest
 from ..rpki.ghostbusters import GhostbustersRecord
-from ..rpki.objects import SignedObject, verify_wire
+from ..rpki.objects import SignedObject
 from ..rpki.parse import class_of
 from ..rpki.roa import Roa, RoaRead, read_roa, roa_of
 from .incremental import IncrementalState, PointResult, RoaRow, time_window
@@ -243,9 +243,8 @@ class PathValidator:
         """Signature check of a wire form read but not built, via the
         same memo (*digest* is the SHA-256 hex of *wire*)."""
         self._verify_calls += 1
-        return self.incremental.verify_memo.verify(
-            digest, key, lambda key: verify_wire(wire, signed_end, key)
-        )
+        return self.incremental.verify_memo.verify(digest, key, wire,
+                                                   signed_end)
 
     def _parse(self, data: bytes, digest: str | None = None) -> SignedObject:
         """Parse, via the state's parse memo.
@@ -773,7 +772,6 @@ class PathValidator:
                            "embedded EE certificate fails signature check")
             else:
                 early = False
-                covers = ee.ip_resources.covers_span
                 if not ca_cert.ip_resources.covers(ee.ip_resources):
                     failure = (Severity.ERROR, "overclaim",
                                f"ROA {roa_of(roa).describe()} EE claims "
@@ -782,22 +780,24 @@ class PathValidator:
                                            ee.subject_key):
                     failure = (Severity.ERROR, "roa-bad-signature",
                                "ROA fails signature check under its EE key")
-                elif not all(
-                    covers(afi, network,
-                           network | ((1 << (afi.bits - length)) - 1))
-                    for afi, network, length, _ in roa.prefixes
-                ):
-                    failure = (Severity.ERROR, "roa-overclaim",
-                               "ROA names prefixes outside its EE certificate")
+                else:
+                    covers = ee.ip_resources.covers_span
+                    for afi, network, length, _ in roa.prefixes:
+                        if not covers(afi, network, network
+                                      | ((1 << (afi.bits - length)) - 1)):
+                            failure = (Severity.ERROR, "roa-overclaim",
+                                       "ROA names prefixes outside its EE "
+                                       "certificate")
+                            break
         except Exception as exc:
             failure = (Severity.ERROR, "object-quarantined",
                        f"{type(exc).__name__}: {exc}")
-        asn = roa.asn.value
-        asserted = () if failure is not None else tuple(
+        asn = roa.asn
+        asserted = () if failure is not None else tuple([
             VRP.from_integers(afi, network, length,
                               length if max_length < 0 else max_length, asn)
             for afi, network, length, max_length in roa.prefixes
-        )
+        ])
         return RoaRow(asserted, ee.serial, ee.not_before, ee.not_after,
                       roa.not_before, roa.not_after, failure, early)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from ..crypto import KeyPair, RsaPublicKey, key_id_of
 from ..crypto.keys import EXPONENT_KEY, MODULUS_KEY, write_public_key
+from ..crypto.rsa import MAX_MODULUS_BITS, MIN_MODULUS_BITS, PUBLIC_EXPONENT
 from ..crypto.encoding import (
     LIST,
     MAP,
@@ -78,6 +79,11 @@ def _write_mirrors(mirrors: tuple[str, ...]) -> bytes:
     return write_container(LIST, b"".join(map(write_str, mirrors)))
 
 
+#: The moduli RFC 7935's key profile admits, as the simulation keeps it:
+#: positive, MIN_MODULUS_BITS to MAX_MODULUS_BITS wide.
+_PROFILE_MODULI = range(1 << (MIN_MODULUS_BITS - 1), 1 << MAX_MODULUS_BITS)
+
+
 def _read_public_key(buf: bytes, offset: int, limit: int
                      ) -> tuple[RsaPublicKey, int]:
     cursor, end = open_container(buf, offset, limit, MAP)
@@ -89,12 +95,28 @@ def _read_public_key(buf: bytes, offset: int, limit: int
     modulus, cursor = read_int(buf, cursor + len(MODULUS_KEY), end)
     if cursor != end:
         raise key_error(buf, cursor, end, None)
+    # RFC 7935's key profile, judged before any signature is checked
+    # under the key: its issuer would otherwise choose what that costs.
+    if exponent != PUBLIC_EXPONENT:
+        raise SchemaError(
+            f"RSA public exponent is not {PUBLIC_EXPONENT} (RFC 7935 3.1)")
+    if modulus not in _PROFILE_MODULI:
+        raise SchemaError(
+            f"RSA modulus is not a positive integer of {MIN_MODULUS_BITS} "
+            f"to {MAX_MODULUS_BITS} bits (RFC 7935 3.1)")
     return RsaPublicKey(modulus, exponent), end
+
+
+#: What an EE certificate's AS resources read to: no AS numbers, one
+#: shared immutable set.
+_NO_ASNS = AsnSet()
 
 
 def _read_as_resources(buf: bytes, offset: int, limit: int
                        ) -> tuple[AsnSet, int]:
     cursor, end = open_container(buf, offset, limit, LIST)
+    if cursor == end:
+        return _NO_ASNS, end
     ranges = []
     while cursor < end:
         cursor, item_end = open_container(buf, cursor, end, LIST)
@@ -246,8 +268,8 @@ def read_ee(buf: bytes, offset: int, limit: int) -> tuple[EeRead, int]:
     form.
     """
     blob, end = read_bytes(buf, offset, limit)
-    return EeRead._make(read_signed(blob, EECertificate._SCHEMA,
-                                    EECertificate.TYPE)), end
+    return tuple.__new__(EeRead, read_signed(blob, EECertificate._SCHEMA,
+                                             EECertificate.TYPE)), end
 
 
 def embedded_ee(read: EeRead) -> EECertificate:

@@ -182,7 +182,9 @@ def record_type(name: str, rows: tuple) -> type:
     Its fields are the schema's in wire order, then ``wire`` and
     ``signed_end``.  The order is computed from the schema, so a reader
     that keeps the raw values (:func:`repro.rpki.roa.read_roa`) names
-    them without restating the key sequence.
+    them without restating the key sequence, and makes its record of
+    the list :func:`read_signed` returns with ``tuple.__new__``: the
+    length check of ``_make`` holds by construction.
     """
     fields = (name for _key, _size, read, _write, name, _slot in rows if read)
     return namedtuple(name, (*fields, "wire", "signed_end"))
@@ -365,6 +367,12 @@ class SignedObject:
     def signed_bytes(self) -> bytes:
         """The exact bytes the signature covers."""
         return self._wire[5:self._signed_end]
+
+    @property
+    def signed_end(self) -> int:
+        """Where the signed bytes end in ``to_bytes()``
+        (:func:`verify_wire`)."""
+        return self._signed_end
 
     def verify_signature(self, public_key: RsaPublicKey) -> bool:
         """True iff the signature verifies under *public_key*."""

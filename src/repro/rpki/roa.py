@@ -22,7 +22,7 @@ from ..crypto.encoding import (
     write_int,
 )
 from ..crypto.errors import SchemaError
-from ..resources import ASN, Afi, Prefix, ResourceSet
+from ..resources import AS_MAX, ASN, Afi, Prefix, ResourceSet
 from .cert import (
     EECertificate,
     address_family,
@@ -85,9 +85,13 @@ def _check_max_length(afi: Afi, network: int, length: int,
         )
 
 
-def _read_asn(buf: bytes, offset: int, limit: int) -> tuple[ASN, int]:
+def _read_asn(buf: bytes, offset: int, limit: int) -> tuple[int, int]:
+    """The origin AS number, under the range check of ``ASN``, refused in
+    its words; :class:`Roa` builds the ``ASN`` its accessor returns."""
     value, end = read_int(buf, offset, limit)
-    return ASN(value), end
+    if not 0 <= value <= AS_MAX:
+        ASN(value)
+    return value, end
 
 
 def _write_asn(asn: ASN) -> bytes:
@@ -97,9 +101,13 @@ def _write_asn(asn: ASN) -> bytes:
 def _read_prefixes(buf: bytes, offset: int, limit: int
                    ) -> tuple[tuple[tuple[Afi, int, int, int], ...], int]:
     """``(afi, network, length, maxLength)`` per entry, maxLength -1 when
-    unspecified, under the checks of ``Prefix`` (its constructor, the
-    one statement of the rule) and ``RoaPrefix``, refused in their
-    words."""
+    unspecified, under the checks of ``Prefix`` and ``RoaPrefix``.
+
+    The ranges are tested as :meth:`repro.rp.vrp.VRP.from_integers`
+    tests them; an entry that fails goes to ``Prefix`` (its constructor,
+    the one statement of the rule) and then to ``RoaPrefix``'s check,
+    so the refusal is in their words, and no prefix is built otherwise.
+    """
     cursor, end = open_container(buf, offset, limit, LIST)
     if cursor == end:
         raise SchemaError("a ROA must name at least one prefix")
@@ -118,8 +126,11 @@ def _read_prefixes(buf: bytes, offset: int, limit: int
         if max_length < -1:
             raise SchemaError(f"maxLength {max_length}: unspecified is -1")
         family = address_family(afi)
-        Prefix(family, network, length)  # the check; not kept
-        if max_length >= 0:
+        bits = family.bits
+        if not (0 <= length <= bits and 0 <= network <= family.max_address
+                and not network & ((1 << (bits - length)) - 1)
+                and (max_length < 0 or length <= max_length <= bits)):
+            Prefix(family, network, length)
             _check_max_length(family, network, length, max_length)
         prefixes.append((family, network, length, max_length))
     return tuple(prefixes), end
@@ -163,6 +174,7 @@ class Roa(SignedObject):
     def _fill(self, read: "RoaRead", digest: str | None) -> None:
         super()._fill(read, digest)
         # The raw fields, replaced by the typed views the accessors return.
+        self._asn = ASN(read.asn)
         self._prefixes = tuple(
             RoaPrefix(Prefix(afi, network, length),
                       None if max_length < 0 else max_length)
@@ -198,7 +210,7 @@ class Roa(SignedObject):
 
 
 #: What :func:`read_roa` returns: the ROA's fields in wire order —
-#: ``asn`` an ``ASN``, ``prefixes`` the tuples of ``_read_prefixes``,
+#: ``asn`` an int, ``prefixes`` the tuples of ``_read_prefixes``,
 #: ``ee_cert`` an :data:`~repro.rpki.cert.EeRead` — then ``wire`` and
 #: ``signed_end``.
 RoaRead = record_type("RoaRead", Roa._SCHEMA)
@@ -214,7 +226,7 @@ def read_roa(blob: bytes) -> RoaRead:
     AS ranges) and rejects as :class:`ObjectFormatError` in the same
     words.
     """
-    return RoaRead._make(read_signed(blob, Roa._SCHEMA, Roa.TYPE))
+    return tuple.__new__(RoaRead, read_signed(blob, Roa._SCHEMA, Roa.TYPE))
 
 
 def roa_of(read: RoaRead) -> Roa:

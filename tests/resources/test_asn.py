@@ -2,7 +2,18 @@
 
 import pytest
 
-from repro.resources import AS_MAX, ASN, AsnRange, AsnSet, AsnValueError
+from repro.crypto import KeyFactory
+from repro.resources import (
+    AS_MAX,
+    ASN,
+    AsnRange,
+    AsnSet,
+    AsnValueError,
+    ResourceSet,
+)
+from repro.rpki import build_certificate, parse_object
+
+from . import reference_ranges
 
 
 class TestASN:
@@ -95,3 +106,53 @@ class TestAsnSet:
         a = AsnSet(AsnRange.single(n) for n in (1, 2, 3))
         b = AsnSet([AsnRange(1, 3)])
         assert a == b and hash(a) == hash(b)
+
+
+class TestBuild:
+    """Every build equals the sort-and-merge of the reference algebra,
+    the one-range and empty builds that skip it included."""
+
+    @pytest.mark.parametrize("ranges", [
+        [],
+        [AsnRange(7, 7)],
+        [AsnRange(50, 60), AsnRange(1, 4), AsnRange(20, 30)],
+        [AsnRange(10, 30), AsnRange(20, 40), AsnRange(15, 16)],
+        [AsnRange(21, 30), AsnRange(10, 20), AsnRange(0, 9)],
+    ], ids=["none", "one", "unsorted", "overlapping", "adjacent"])
+    def test_equals_the_reference_build(self, ranges):
+        expected = reference_ranges.AsnSet(ranges).ranges
+        assert AsnSet(ranges).ranges == expected
+        assert AsnSet(iter(ranges)).ranges == expected
+
+
+class TestSharedEmptySet:
+    """A certificate read with no AS numbers (every EE certificate) holds
+    one shared empty set, so it must be a value like any other."""
+
+    @staticmethod
+    def read_as_resources(serial):
+        key = KeyFactory(seed=31).next_keypair()
+        certificate = build_certificate(
+            issuer_key=key, issuer_key_id=key.key_id, subject="ee",
+            subject_key=key.public, ip_resources=ResourceSet.parse(
+                "192.0.2.0/24"), serial=serial, not_before=0, not_after=1,
+            sia="", crldp="rsync://example.net/repo/ca.crl", is_ca=False)
+        return parse_object(certificate.to_bytes()).as_resources
+
+    def test_is_shared_and_equals_the_empty_set(self):
+        shared = self.read_as_resources(1)
+        assert shared is self.read_as_resources(2)
+        assert shared == AsnSet() == AsnSet.empty()
+        assert hash(shared) == hash(AsnSet())
+        assert shared.ranges == () and not shared.covers(1)
+
+    def test_stays_immutable(self):
+        shared = self.read_as_resources(1)
+        with pytest.raises(AttributeError):
+            shared.ranges = (AsnRange(1, 1),)
+        with pytest.raises(AttributeError):
+            shared.extra = 1
+        grown = shared.union(AsnSet([AsnRange(1, 5)]))
+        assert grown == AsnSet([AsnRange(1, 5)]) and grown is not shared
+        assert shared.subtract(AsnRange(1, 1)) == AsnSet()
+        assert self.read_as_resources(3).is_empty()

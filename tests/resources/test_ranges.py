@@ -16,6 +16,9 @@ from repro.resources import (
     RangeValueError,
     ResourceSet,
 )
+from repro.resources import intervals
+
+from . import reference_ranges
 
 
 class TestAddressRange:
@@ -167,6 +170,42 @@ class TestResourceSet:
         assert [str(r) for r in rs] == ["10.0.0.0/24", "192.0.2.0/24"]
 
 
+def v4(start, end):
+    return AddressRange(Afi.IPV4, start, end)
+
+
+def v6(start, end):
+    return AddressRange(Afi.IPV6, start, end)
+
+
+# Inputs of every shape a set is built from: none and one range (built
+# without a sort), unsorted, overlapping, adjacent, and the two families
+# holding the same integers.
+BUILDS = {
+    "none": [],
+    "one IPv4": [v4(10, 20)],
+    "one IPv6": [v6(10, 20)],
+    "unsorted": [v4(50, 60), v4(10, 20), v4(30, 40)],
+    "unsorted families": [v6(1, 2), v4(5, 6), v6(0, 0), v4(1, 2)],
+    "overlapping": [v4(10, 30), v4(20, 40), v4(15, 16)],
+    "adjacent": [v4(21, 30), v4(10, 20), v6(8, 9), v6(10, 11)],
+    "same integers, both families": [v6(10, 20), v4(10, 20)],
+}
+
+
+class TestBuild:
+    """Every build equals the sort-and-merge of the reference algebra,
+    the one-range and empty builds that skip it included."""
+
+    @pytest.mark.parametrize("shape", BUILDS)
+    def test_equals_the_reference_build(self, shape):
+        ranges = BUILDS[shape]
+        expected = reference_ranges.ResourceSet(ranges).ranges
+        assert ResourceSet(ranges).ranges == expected
+        assert ResourceSet(iter(ranges)).ranges == expected
+        assert ResourceSet(tuple(ranges)) == ResourceSet(ranges)
+
+
 def scan_covers(mine: ResourceSet, theirs: ResourceSet) -> bool:
     """``ResourceSet.covers`` as it was: every range against every range."""
     return all(
@@ -248,6 +287,35 @@ class TestCoversAtSize:
                     m.covers(range_) for m in mine.ranges)
             for prefix in pick.to_prefixes():
                 assert mine.covers(prefix)
+
+
+class TestCoversSpanIsOneBisection:
+    """A single span against a holder is one bisection of its ranges,
+    whatever their number, and the bisection's key is read in C: the
+    span test makes no Python call but its own."""
+
+    @pytest.mark.parametrize("count", [1, 50, 4_000])
+    def test_for_any_holder_size(self, count, monkeypatch):
+        holder = ResourceSet(scattered(random.Random(count), Afi.IPV4, count)
+                             + scattered(random.Random(-count), Afi.IPV6, 3))
+        bisections = []
+        bisect_right = intervals.bisect_right
+
+        def counted(*args, **kwargs):
+            bisections.append(None)
+            return bisect_right(*args, **kwargs)
+
+        monkeypatch.setattr(intervals, "bisect_right", counted)
+        for held in holder.ranges[::max(1, count // 7)]:
+            del bisections[:]
+            assert holder.covers_span(held.afi, held.start, held.end)
+            assert not holder.covers_span(held.afi, held.start, held.end + 1)
+            assert len(bisections) == 2
+        monkeypatch.undo()
+        last = holder.ranges[-1]
+        afi, start, end = last.afi, last.start, last.end
+        # The lambda and the span test: nothing per bisection step.
+        assert python_calls(lambda: holder.covers_span(afi, start, end)) == 2
 
 
 def python_calls(work) -> int:

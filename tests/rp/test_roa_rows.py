@@ -389,8 +389,8 @@ def test_a_bad_ee_signature_keeps_failing_from_its_row(monkeypatch):
     # checks.
     memo = rp.incremental_state.verify_memo
     verified, verify = [], memo.verify
-    monkeypatch.setattr(memo, "verify", lambda digest, key, check: (
-        verified.append(digest), verify(digest, key, check))[1])
+    monkeypatch.setattr(memo, "verify", lambda digest, *checked: (
+        verified.append(digest), verify(digest, *checked))[1])
     roa_parses = count_roa_parses(monkeypatch)
     run = rp.refresh().run
     assert issue_codes(run, "stray.roa") == ["ee-bad-signature"]

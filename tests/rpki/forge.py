@@ -73,13 +73,16 @@ def publish_forged(ca: CertificateAuthority, files: dict[str, bytes]) -> None:
     point.put(MANIFEST_FILE, manifest.to_bytes())
 
 
-def roa_bytes(world, **changes) -> bytes:
+def roa_bytes(world, *, ee_public=None, **changes) -> bytes:
     """A ROA under Continental's key (Figure 2 world), validly signed,
-    its payload as the builder would make it but for *changes*."""
+    its payload as the builder would make it but for *changes*.
+
+    *ee_public* is the embedded EE certificate's subject key (default:
+    the key that signs the ROA)."""
     ca, now = world.continental, world.clock.now
     ee_cert = build_certificate(
         issuer_key=ca.key, issuer_key_id=ca.key_id, subject="forged-ee",
-        subject_key=_EE_KEY.public,
+        subject_key=_EE_KEY.public if ee_public is None else ee_public,
         ip_resources=ResourceSet.parse("63.174.16.0/20"), serial=9_001,
         not_before=now, not_after=now + DAY, sia="", crldp=ca.crl_uri,
         is_ca=False,

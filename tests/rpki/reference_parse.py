@@ -99,6 +99,21 @@ def asn_set_from_data(data: Any) -> AsnSet:
     return AsnSet(ranges)
 
 
+def check_key_profile(key: Any) -> None:
+    """RFC 7935 section 3.1's key profile, as the readers apply it: the
+    exponent is 65537 and the modulus a positive integer of 256 to 2048
+    bits.  Only the values present are judged; a missing or mistyped
+    field surfaces late, from the accessor, as it always did."""
+    if not isinstance(key, dict):
+        return
+    exponent, modulus = key.get("e"), key.get("n")
+    if exponent is not None and exponent != 65537:
+        raise ObjectFormatError("RSA public exponent is not 65537")
+    if isinstance(modulus, int) and not 2**255 <= modulus < 2**2048:
+        raise ObjectFormatError(
+            "RSA modulus is not a positive integer of 256 to 2048 bits")
+
+
 def prefix_from_data(data: Any) -> Prefix:
     """Decode the output of ``prefix_to_data``."""
     try:
@@ -138,6 +153,11 @@ class ReferenceObject:
     @property
     def signed_bytes(self) -> bytes:
         return self._encoded_payload
+
+    @property
+    def signed_end(self) -> int:
+        # The wire form is a list header, then the payload.
+        return 5 + len(self._encoded_payload)
 
     def verify_signature(self, public_key: RsaPublicKey) -> bool:
         return public_key.verify(self._encoded_payload, self._signature)
@@ -192,6 +212,7 @@ class _ReferenceCertificate(ReferenceObject):
         super().__init__(payload, signature, encoded_payload=encoded_payload)
         self._ip_resources = resource_set_from_data(payload["ip_resources"])
         self._as_resources = asn_set_from_data(payload["as_resources"])
+        check_key_profile(payload.get("subject_key"))
 
     @property
     def subject(self) -> str:

@@ -485,6 +485,7 @@ GONE_ATTRIBUTES = [
     "repro.core.RepositoryDependencyGraph.self_hosted_points",
     "repro.core.RolloutPlan.is_clean",
     "repro.crypto.KeyFactory.clear_cache",
+    "repro.crypto.RsaPublicKey.cache_key",
     "repro.monitor.CertChange.same_key",
     "repro.repository.FetchScheduler.expected_cost",
     "repro.repository.FetchScheduler.spend",
