@@ -24,8 +24,8 @@ Three claims are asserted, not just timed:
    re-hashes at most two fingerprint buckets and sorts nothing the size
    of the table; it re-judges one publication point and reads one ROA —
    the new one — from bytes, the rest of that point's ROAs from their
-   rows.  An idle refresh a tick later edits nothing, re-judges no point
-   and verifies no signature.  Counts, so a noisy box cannot blur them
+   rows.  An idle refresh a tick later edits nothing, re-judges no point,
+   looks no point up, re-assembles no run and verifies no signature.  Counts, so a noisy box cannot blur them
    (``BENCH_incremental.json``).
 4. **A refresh walks only what changed.**  The one-ROA refresh copies
    one publication point's files from its repository, digests one and
@@ -48,7 +48,7 @@ from repro.modelgen import INTERNET_SCALES, DeploymentConfig, build_deployment
 from repro.repository import Fetcher, HostedPublicationPoint
 from repro.repository import cache as repository_cache
 from repro.resources import PrefixMap
-from repro.rp import RelyingParty, VrpSet
+from repro.rp import IncrementalState, RelyingParty, VrpSet
 from repro.rp import pathval
 from repro.rp.vrp import _Fingerprint
 from repro.rpki import roa as roa_module
@@ -151,7 +151,10 @@ class _Calls:
         self.bucket_digests = self.fingerprint_edits = 0
         self.largest_sort = self.roas_parsed = 0
         self.point_copies = self.point_digests = 0
+        self.point_lookups = self.run_assemblies = 0
         self._count(patch, HostedPublicationPoint, "snapshot", "point_copies")
+        self._count(patch, IncrementalState, "lookup", "point_lookups")
+        self._count(patch, pathval, "_Assembled", "run_assemblies")
         self._count(patch, repository_cache, "point_digest", "point_digests")
         self._count(patch, pathval, "point_digest", "point_digests")
         self._count(patch, VrpSet, "__init__", "vrpset_builds")
@@ -294,6 +297,8 @@ def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
     assert idle_points == 0
     assert idle_verifies == 0
     assert idle_work == (0, 0, 0, 0)
+    # Nothing moved, so no point is looked up and no run re-assembled.
+    assert idle.point_lookups == 0 and idle.run_assemblies == 0
     # A quarter of the width (55 points for 205): the same work.
     narrow = build_deployment(dataclasses.replace(
         INTERNET_SCALES["internet-small"], isps_per_rir=10))
@@ -328,6 +333,12 @@ def test_one_roa_refresh_edits_the_table_in_place(monkeypatch):
             },
             "idle_points_validated": {
                 "measured": int(idle_points), "bound": 0, "op": "==",
+            },
+            "idle_point_lookups": {
+                "measured": idle.point_lookups, "bound": 0, "op": "==",
+            },
+            "idle_run_assemblies": {
+                "measured": idle.run_assemblies, "bound": 0, "op": "==",
             },
             "idle_rsa_verifies": {
                 "measured": int(idle_verifies), "bound": 0, "op": "==",

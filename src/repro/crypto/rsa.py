@@ -59,9 +59,13 @@ _SHA256_DIGEST_INFO = bytes.fromhex(
 # MIN_MODULUS_BITS, never wider than the RFC's 2048.  An authority picks
 # its keys, so without these bounds it would pick what each verification
 # of its objects costs: ``pow`` grows with the exponent's width and
-# superlinearly with the modulus's.
+# superlinearly with the modulus's.  The floor is the narrowest modulus
+# a SHA-256 signature fits under: its EMSA-PKCS1-v1_5 encoding is the
+# framing (3 bytes), the DigestInfo, the digest and at least 8 bytes of
+# padding, as wide as the modulus.
 PUBLIC_EXPONENT = 65537
-MIN_MODULUS_BITS = 256
+MIN_MODULUS_BYTES = 3 + len(_SHA256_DIGEST_INFO) + 32 + 8
+MIN_MODULUS_BITS = 8 * (MIN_MODULUS_BYTES - 1) + 1
 MAX_MODULUS_BITS = 2048
 
 
@@ -183,7 +187,9 @@ def generate_keypair(bits: int = 512, rng: random.Random | None = None) -> RsaPr
     *rng* makes generation reproducible; the default uses a fresh
     system-seeded generator.  512 bits is the simulation default — small
     enough that a full model RPKI signs in milliseconds, large enough that
-    padding and DigestInfo fit comfortably.
+    padding and DigestInfo fit comfortably.  A width under
+    :data:`MIN_MODULUS_BITS` could sign nothing and raises
+    :class:`KeySizeError`.
     """
     if bits < MIN_MODULUS_BITS:
         raise KeySizeError(
@@ -235,7 +241,7 @@ def _padding_prefix(target_length: int) -> bytes:
     *target_length* bytes."""
     # Framing (3 bytes), DigestInfo and the 32-byte digest are fixed.
     padding_length = target_length - 3 - len(_SHA256_DIGEST_INFO) - 32
-    if padding_length < 8:
+    if target_length < MIN_MODULUS_BYTES:
         raise SignatureError(
             f"modulus too small for SHA-256 DigestInfo ({target_length} bytes)"
         )

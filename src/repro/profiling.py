@@ -3,7 +3,8 @@
 A refresh records a stage tree (refresh → level → {fetch, judge → point
 → stages}, see ``docs/telemetry.md``).  This module builds a deployment,
 runs one cold refresh against a registry given a timer
-(``time.process_time``) and reads the tree into a stage table — self
+(``time.process_time``), then one idle refresh of the same relying
+party, and reads each tree into a stage table — self
 seconds, calls, share and domain counts per stage — and the slowest
 publication points.  ``python -m repro profile`` prints it;
 ``tools/profile_refresh.py`` also writes it as JSON
@@ -86,6 +87,10 @@ class ProfileReport:
     refresh_seconds: float
     stages: list[dict] = field(default_factory=list)
     slowest_points: list[dict] = field(default_factory=list)
+    # The same relying party refreshed again with nothing changed: what
+    # a refresh costs beside polling its points.
+    idle_refresh_seconds: float = 0.0
+    idle_stages: list[dict] = field(default_factory=list)
     # Medians of COST_PAIRS alternating cold refreshes, timed and not,
     # and of their ratios.
     timer_cost: dict = field(default_factory=dict)
@@ -115,13 +120,15 @@ class ProfileReport:
             "refresh in named stages):",
             f"{'self(s)':>9}  {'share':>6}  {'calls':>7}  stage  counts",
         ]
-        for row in self.stages:
-            counts = " ".join(f"{k}={v}" for k, v in sorted(
-                row["counts"].items()))
-            lines.append(
-                f"{row['seconds']:>9.4f}  {row['share']:>6.1%}  "
-                f"{row['calls']:>7}  {row['stage']}  {counts}".rstrip()
-            )
+        lines += _stage_rows(self.stages, 4)
+        lines += [
+            "",
+            f"idle refresh (the same relying party again, nothing "
+            f"changed): {self.idle_refresh_seconds * 1e3:.3f} ms of "
+            "process CPU",
+            f"{'self(ms)':>9}  {'share':>6}  {'calls':>7}  stage  counts",
+        ]
+        lines += _stage_rows(self.idle_stages, 3, scale=1e3)
         lines += [
             "",
             f"slowest {len(self.slowest_points)} points:",
@@ -140,12 +147,25 @@ class ProfileReport:
             self.attributed_share, 4)}
 
 
-def _cold_refresh(world, metrics: MetricsRegistry):
-    """One refresh of a new relying party (the default one, what
-    ``benchmarks/e2e`` and the ``refresh`` command run): cold."""
+def _stage_rows(rows: list[dict], places: int, *, scale: float = 1.0
+                ) -> list[str]:
+    """The lines of a stage table, seconds times *scale*."""
+    lines = []
+    for row in rows:
+        counts = " ".join(f"{k}={v}" for k, v in sorted(
+            row["counts"].items()))
+        lines.append(
+            f"{row['seconds'] * scale:>9.{places}f}  {row['share']:>6.1%}  "
+            f"{row['calls']:>7}  {row['stage']}  {counts}".rstrip()
+        )
+    return lines
+
+
+def _relying_party(world, metrics: MetricsRegistry) -> RelyingParty:
+    """A new relying party (the default one, what ``benchmarks/e2e`` and
+    the ``refresh`` command run): its first refresh is cold."""
     fetcher = Fetcher(world.registry, world.clock, metrics=metrics)
-    return RelyingParty(world.trust_anchors, fetcher,
-                        metrics=metrics).refresh()
+    return RelyingParty(world.trust_anchors, fetcher, metrics=metrics)
 
 
 def _timer_cost(world) -> dict:
@@ -160,8 +180,8 @@ def _timer_cost(world) -> dict:
         for timed in (index % 2 == 0, index % 2 == 1):
             gc.collect()
             start = time.process_time()
-            _cold_refresh(world, MetricsRegistry(
-                timer=time.process_time if timed else None))
+            _relying_party(world, MetricsRegistry(
+                timer=time.process_time if timed else None)).refresh()
             pair[timed] = time.process_time() - start
         pairs.append((pair[True], pair[False]))
     middle = COST_PAIRS // 2
@@ -179,6 +199,10 @@ def profile_refresh(
 ) -> ProfileReport:
     """Build a deployment, time one cold refresh, read its stage tree.
 
+    The same relying party then refreshes once more with nothing
+    changed, and that idle refresh's tree is read the same way
+    (``idle_stages``).
+
     ``build_seconds`` is wall time, measured on a build no timer
     touches; it stays comparable to the timings in
     ``BENCH_scale.json``.  The refresh's seconds are process CPU, read
@@ -192,8 +216,11 @@ def profile_refresh(
     build_seconds = time.perf_counter() - build_start
 
     metrics = MetricsRegistry(timer=time.process_time)
-    report = _cold_refresh(world, metrics)
+    rp = _relying_party(world, metrics)
+    report = rp.refresh()
     root = metrics.traces[-1]
+    rp.refresh()
+    idle = metrics.traces[-1]
     return ProfileReport(
         scale=scale,
         seed=config.seed,
@@ -205,5 +232,7 @@ def profile_refresh(
         refresh_seconds=round(root.seconds, 4),
         stages=stage_table(root),
         slowest_points=_slowest_points(root, top),
+        idle_refresh_seconds=round(idle.seconds, 6),
+        idle_stages=stage_table(idle),
         timer_cost=_timer_cost(world),
     )

@@ -23,6 +23,7 @@ Stalloris-style sustained stall finally downgrades routes to *unknown*.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..crypto import sha256_hex
@@ -111,6 +112,17 @@ class LocalCache:
         self.keep_stale = keep_stale
         self.stale_grace = stale_grace
         self._points: dict[str, CachedPoint] = {}
+        # The URIs whose served copy may differ from what :meth:`read`
+        # last handed out: a new digest, a copy that became servable or
+        # stopped being servable.  A stale copy stays here, as what it
+        # serves moves with the clock.
+        self.changed: set[str] = set()
+        # Freshness per URI as of the entry's last change, in URI order
+        # while ``_sorted``; only the stale entries' (``_stale``) moves
+        # with the clock.
+        self._freshness: dict[str, CacheFreshness] = {}
+        self._stale: set[str] = set()
+        self._sorted = True
         self.metrics = metrics if metrics is not None else default_registry()
         updates = self.metrics.counter(
             "repro_cache_updates_total",
@@ -126,8 +138,8 @@ class LocalCache:
         self._m_stale_serves = self.metrics.counter(
             "repro_cache_stale_serves_total",
             help="stale points served to the validator within the grace "
-                 "window (once per point read; a refresh reads each point "
-                 "it walks once)",
+                 "window (once per point read; a refresh reads each stale "
+                 "point it walks once)",
         )
         self._m_expired = self.metrics.counter(
             "repro_cache_expired_drops_total",
@@ -142,9 +154,14 @@ class LocalCache:
         entry: its files are current.  Otherwise a successful result's
         file dict is adopted as the entry's own, unless equal to it.
         """
-        entry = self._points.get(result.uri)
+        uri = result.uri
+        entry = self._points.get(uri)
         if entry is None:
-            entry = self._points[result.uri] = CachedPoint(uri=result.uri)
+            entry = self._points[uri] = CachedPoint(uri=uri)
+            self._sorted = False
+            self._m_points.set(len(self._points))
+        was_stale = entry.last_attempt != entry.last_success
+        digest = entry.content_digest
         entry.last_attempt = result.fetched_at
         entry.last_status = result.status
         if result.unchanged:
@@ -166,7 +183,15 @@ class LocalCache:
             entry.content_digest = ""
             entry.serial = None
             self._m_evict.inc()
-        self._m_points.set(len(self._points))
+        stale = entry.last_attempt != entry.last_success
+        if was_stale or stale or entry.content_digest != digest:
+            self.changed.add(uri)
+            self._freshness[uri] = entry.freshness(
+                result.fetched_at, self.stale_grace)
+            if stale:
+                self._stale.add(uri)
+            else:
+                self._stale.discard(uri)
         return entry
 
     def point(self, uri: str) -> CachedPoint | None:
@@ -176,11 +201,18 @@ class LocalCache:
         return [self._points[uri] for uri in sorted(self._points)]
 
     def classify(self, now: int) -> dict[str, CacheFreshness]:
-        """Freshness of every cached point at *now*, sorted by URI."""
-        return {
-            uri: self._points[uri].freshness(now, self.stale_grace)
-            for uri in sorted(self._points)
-        }
+        """Freshness of every cached point at *now*, sorted by URI.
+
+        Kept as the cache is updated: only a stale entry's freshness is
+        worked out again here, as only it moves with *now*.
+        """
+        freshness = self._freshness
+        if not self._sorted:
+            freshness = self._freshness = dict(sorted(freshness.items()))
+            self._sorted = True
+        for uri in self._stale:
+            freshness[uri] = self._points[uri].freshness(now, self.stale_grace)
+        return dict(freshness)
 
     def _servable(
         self, entry: CachedPoint, now: int | None, *, count: bool = True
@@ -220,6 +252,37 @@ class LocalCache:
         if entry is None or not self._servable(entry, now):
             return None
         return entry
+
+    def read(
+        self,
+        uris: Iterable[str],
+        now: int,
+        files: dict[str, dict[str, bytes]],
+        digests: dict[str, str],
+    ) -> list[str]:
+        """Bring a reader's view of *uris* up to date at *now*.
+
+        *files* and *digests* are the view: per URI the file dict and
+        content digest :meth:`serve` handed out when it was last read,
+        and nothing for a URI that was not servable.  Each URI is served
+        once (counters included) and taken off :attr:`changed` unless
+        its copy is stale.  Returns the URIs whose view entry moved.
+        """
+        moved = []
+        for uri in uris:
+            entry = self.serve(uri, now)
+            if entry is None:
+                if uri in digests:
+                    del files[uri], digests[uri]
+                    moved.append(uri)
+            else:
+                files[uri] = entry.files
+                if digests.get(uri) != entry.content_digest:
+                    digests[uri] = entry.content_digest
+                    moved.append(uri)
+            if uri not in self._stale:
+                self.changed.discard(uri)
+        return moved
 
     def snapshot(self, now: int | None = None) -> dict[str, dict[str, bytes]]:
         """Everything servable at *now*, without copying a file dict.

@@ -32,6 +32,10 @@ same property, without changing a single validation verdict:
   dependencies; a later run replays it verbatim when nothing it depends
   on moved — one check, :meth:`IncrementalState.lookup` — and recomputes
   it (a *dirty* point) otherwise.
+- :class:`Level` — what a walk judged at one depth.  A later walk that
+  reaches the depth from the same certificates looks up only the points
+  a changed URI or the clock touched; the rest cost nothing per point,
+  so an idle refresh does no per-point work after its fetch round.
 
 Invalidation rules — the attack-safety contract
 -----------------------------------------------
@@ -78,6 +82,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import inf
+from operator import attrgetter, is_, itemgetter
 from typing import NamedTuple
 
 from ..crypto import RsaPublicKey, sha256_hex
@@ -317,6 +322,57 @@ class PointResult:
         return tuple(vrp for _, row in self.roas for vrp in row.vrps)
 
 
+class Level:
+    """What a finished walk judged at one depth of the certificate tree.
+
+    ``frontier`` is the list of CA certificates the level started from,
+    ``uris`` their publication URIs, ``certs`` the judged ones and
+    ``results`` their outcomes, both by subject key id in frontier order,
+    the loop guard's repeats left out.  ``children`` is the next level's
+    frontier, ``owners`` maps each URI a kept result read to the keys
+    whose result read it, ``window`` is the largest ``lo`` and smallest
+    ``hi`` of the kept windows (an instant inside it is inside every
+    one), and ``verifies`` the signature checks the results performed.
+
+    The next walk that starts a depth from the very same ``frontier``
+    list judges again only the points a moved URI, the clock or the
+    policy touches, and hands on this level's ``children`` list when
+    their certificates are the same objects, so the depth below can do
+    the same.
+    """
+
+    __slots__ = ("frontier", "uris", "certs", "results", "strict",
+                 "children", "owners", "window", "verifies")
+
+    def __init__(
+        self,
+        frontier: list,
+        uris: frozenset[str],
+        certs: dict[str, object],
+        results: dict[str, PointResult],
+        strict: bool,
+        kept: "Level | None" = None,
+    ):
+        self.frontier, self.uris = frontier, uris
+        self.certs, self.results, self.strict = certs, results, strict
+        entries = list(results.values())
+        children = [child for entry in entries for child in entry.children]
+        if kept is not None and len(children) == len(kept.children) and all(
+                map(is_, children, kept.children)):
+            children = kept.children
+        self.children = children
+        # Tuples of strings, which the cyclic collector stops tracking.
+        owners: dict[str, tuple[str, ...]] = {}
+        for key_id, entry in results.items():
+            for uri, _ in entry.copies:
+                owners[uri] = owners.get(uri, ()) + (key_id,)
+        self.owners = owners
+        windows = list(map(attrgetter("window"), entries))
+        self.window = (max(map(itemgetter(0), windows), default=-inf),
+                       min(map(itemgetter(1), windows), default=inf))
+        self.verifies = sum(map(attrgetter("verify_count"), entries))
+
+
 class IncrementalState:
     """Everything a validator carries across runs to validate incrementally.
 
@@ -343,6 +399,19 @@ class IncrementalState:
         # no vanished CAs, no certificates shadowed by the loop guard.
         self.vrps = VrpSet()
         self.emitted: dict[str, PointResult] = {}
+        # What the walks read: per publication URI the file dict and
+        # content digest served when a walk last read it; ``source`` is
+        # what wrote them last (a relying party's LocalCache, or None
+        # for a snapshot handed to PathValidator.run), and ``changed``
+        # the URIs whose entry moved since the last finished walk.
+        self.files: dict[str, dict[str, bytes]] = {}
+        self.digests: dict[str, str] = {}
+        self.source: object | None = None
+        self.changed: set[str] = set()
+        # The last finished walk, one Level per depth, and the run it
+        # assembled (the validator's to read; see ValidationWalk.finish).
+        self.levels: list[Level] = []
+        self.assembled: object | None = None
         self.metrics = metrics if metrics is not None else default_registry()
         # (verify hits, verify misses, parse hits, parse misses) already
         # booked into the counters below; see book().
@@ -460,6 +529,12 @@ class IncrementalState:
         self._skipped += entry.verify_count
         return entry
 
+    def replayed(self, points: int, verifies: int) -> None:
+        """Book *points* kept results replayed without a :meth:`lookup`
+        (nothing they depend on moved) and the *verifies* they skip."""
+        self._reused += points
+        self._skipped += verifies
+
     def store(self, ca_key_id: str, entry: PointResult) -> None:
         """Keep *entry*, a freshly validated result, for *ca_key_id*."""
         self.points[ca_key_id] = entry
@@ -487,4 +562,6 @@ class IncrementalState:
         self.roa_rows = GenerationMemo()
         self._booked = (0, 0, 0, 0)
         self.points.clear()
+        self.levels = []
+        self.assembled = None
         self._update_gauges()

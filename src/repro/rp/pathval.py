@@ -23,10 +23,12 @@ children, ROA rows, VRPs, contact, CRL) is computed as a unit.  A
 :class:`ValidationWalk` visits the certificate tree level by level and
 judges every reached CA's point exactly once, from whatever is served
 for it at that moment, keyed by the served points' content digests.
-The relying party fetches each level's points in one round just before
-the walk judges them and hands over the cache's digests, while
-:meth:`PathValidator.run` walks a fixed snapshot and computes the
-digests from its bytes.  The per-point unit is exactly what
+The walk reads its validator state's view of what is served: the
+relying party fetches each level's points in one round just before the
+walk judges them and reads into the view only the URIs its cache says
+changed, while :meth:`PathValidator.run` hands over a whole snapshot
+and finds the changed URIs by comparing digests.  The per-point unit is
+exactly what
 :mod:`repro.rp.incremental` keeps: every validator carries an
 :class:`~repro.rp.incremental.IncrementalState`, and unchanged points are
 replayed from the previous walk instead of being re-parsed and
@@ -41,6 +43,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter, is_, itemgetter
+from typing import NamedTuple
 
 from ..crypto import RsaPublicKey, sha256_hex
 from ..repository.cache import point_digest
@@ -54,7 +58,9 @@ from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
 from ..rpki.parse import class_of
 from ..rpki.roa import Roa, RoaRead, read_roa, roa_of
-from .incremental import IncrementalState, PointResult, RoaRow, time_window
+from .incremental import (
+    IncrementalState, Level, PointResult, RoaRow, time_window,
+)
 from .vrp import VRP, VrpSet
 
 __all__ = [
@@ -118,7 +124,7 @@ class ValidationRun:
     @property
     def roa_count(self) -> int:
         """How many ROAs this walk accepted."""
-        return sum(len(evidence) for _, evidence in self.roas)
+        return sum(map(len, map(itemgetter(1), self.roas)))
 
     def errors(self) -> list[ValidationIssue]:
         return [i for i in self.issues if i.severity is Severity.ERROR]
@@ -222,9 +228,19 @@ class PathValidator:
             digests = {
                 uri: point_digest(files) for uri, files in cache_files.items()
             }
+        # The snapshot becomes what the walk reads; the URIs whose digest
+        # moved against what the last walk read are its changed set.
+        state = self.incremental
+        seen = state.digests
+        state.changed.update(
+            uri for uri in seen.keys() | digests.keys()
+            if seen.get(uri) != digests.get(uri)
+        )
+        state.files, state.digests = dict(cache_files), dict(digests)
+        state.source = None
         walk = ValidationWalk(self, now)
         while walk.frontier:
-            walk.step(cache_files, now, digests)
+            walk.step(now)
         return walk.finish()
 
     # -- memo-aware primitives ----------------------------------------------
@@ -317,19 +333,17 @@ class PathValidator:
         self.metrics.close(node, now)
         return entry
 
-    def _count(self, result: ValidationRun) -> None:
+    def _count(self, run: "_Assembled") -> None:
         """Book one finished walk into the telemetry registry."""
         self._m_runs.inc()
-        if result.validated_cas:
-            self._m_cas.inc(len(result.validated_cas))
-        if result.roa_count:
-            self._m_roas.inc(result.roa_count)
-        if result.contacts:
-            self._m_contacts.inc(len(result.contacts))
-        for severity in Severity:
-            count = sum(1 for i in result.issues if i.severity is severity)
-            if count:
-                self._m_issues.inc(count, severity=severity.value)
+        if run.validated_cas:
+            self._m_cas.inc(len(run.validated_cas))
+        if run.roa_count:
+            self._m_roas.inc(run.roa_count)
+        if run.contacts:
+            self._m_contacts.inc(len(run.contacts))
+        for severity, count in run.severities:
+            self._m_issues.inc(count, severity=severity.value)
 
     def _validate_point(
         self,
@@ -862,18 +876,48 @@ class PathValidator:
         return record
 
 
+class _Assembled(NamedTuple):
+    """A walk's run, as assembled: what the next walk that judged the
+    same point results returns again, in fresh containers."""
+
+    anchors: list
+    validated_cas: tuple
+    issues: tuple
+    roas: tuple
+    contacts: dict
+    crls: dict
+    roa_count: int
+    # (severity, issues of it) per severity with any, in Severity order.
+    severities: tuple
+
+    def run(self, vrps: VrpSet) -> ValidationRun:
+        return ValidationRun(
+            vrps=vrps, validated_cas=list(self.validated_cas),
+            issues=list(self.issues), roas=list(self.roas),
+            contacts=dict(self.contacts), crls=dict(self.crls),
+        )
+
+
 class ValidationWalk:
     """One level-by-level walk of the certificate tree.
 
     Construction judges the trust anchors at *now*.  :attr:`frontier`
     holds the CA certificates accepted at the current depth whose
-    publication points have not been judged yet.  The caller arranges
-    what is served for them — a relying party fetches
-    :meth:`publication_uris` here, :meth:`PathValidator.run` has a fixed
-    snapshot — then calls :meth:`step`, which judges each frontier point
-    once and makes the accepted children the next frontier.  When the
-    frontier is empty, :meth:`finish` assembles the
+    publication points have not been judged yet.  The caller brings
+    what the validator's state reads up to date for them — a relying
+    party fetches :meth:`publication_uris` and reads the ones that
+    changed from its cache, :meth:`PathValidator.run` hands over a
+    whole snapshot — then calls :meth:`step`, which judges each frontier
+    point once and makes the accepted children the next frontier.  When
+    the frontier is empty, :meth:`finish` assembles the
     :class:`ValidationRun` depth-first.
+
+    A depth that starts from the very frontier list the last finished
+    walk started it from (the state's :class:`~repro.rp.incremental.Level`)
+    judges again only the points whose URIs changed, whose window *now*
+    has left, or all of them when the manifest policy changed; the rest
+    are replayed as a count.  Any other depth judges every point through
+    :meth:`PathValidator._judge_point`.
 
     One CA *key* gets one walk: if a second certificate for an
     already-judged key turns up (malicious self-recertification, or one
@@ -883,101 +927,193 @@ class ValidationWalk:
 
     def __init__(self, validator: PathValidator, now: int):
         self._validator = validator
+        self._state = state = validator.incremental
         self._anchors = [
             (anchor, validator._anchor_issue(anchor, now))
             for anchor in validator.trust_anchors
         ]
-        # Subject key id -> (the certificate judged for it, its outcome).
-        self._points: dict[str, tuple[ResourceCertificate, PointResult]] = {}
+        # Subject key id -> the certificate judged for it, and its outcome.
+        self._certs: dict[str, ResourceCertificate] = {}
+        self._results: dict[str, PointResult] = {}
+        self._levels: list[Level] = []
         self._depth = 0
         self._now = now
-        self.frontier: list[ResourceCertificate] = [
-            anchor for anchor, issue in self._anchors if issue is None
-        ]
+        frontier = [anchor for anchor, issue in self._anchors if issue is None]
+        if state.levels:
+            kept = state.levels[0].frontier
+            if len(kept) == len(frontier) and all(map(is_, kept, frontier)):
+                frontier = kept
+        self.frontier: list[ResourceCertificate] = frontier
 
-    def publication_uris(self) -> set[str]:
+    def _kept(self) -> Level | None:
+        """The last walk's level at this depth, if it started from this
+        very frontier."""
+        levels = self._state.levels
+        if self._depth < len(levels):
+            kept = levels[self._depth]
+            if kept.frontier is self.frontier:
+                return kept
+        return None
+
+    def publication_uris(self) -> frozenset[str]:
         """Every publication URI (mirrors included) of the frontier's CAs."""
-        return {
+        kept = self._kept()
+        if kept is not None:
+            return kept.uris
+        return frozenset([
             uri
             for ca_cert in self.frontier
             for uri in ca_cert.all_publication_uris
-        }
+        ])
 
-    def step(
-        self,
-        cache_files: dict[str, dict[str, bytes]],
-        now: int,
-        digests: dict[str, str],
-    ) -> None:
-        """Judge the frontier's points from *cache_files* at *now*.
+    def step(self, now: int) -> None:
+        """Judge the frontier's points at *now*, from what the state reads.
 
-        *digests* maps every URI of *cache_files* to its content digest,
-        the points' reuse key.  The judgement is one trace node: a point
-        replayed is a count on it, a point validated a node under it.
+        The judgement is one trace node: a point replayed is a count on
+        it, a point validated a node under it.
         """
-        validator = self._validator
-        state = validator.incremental
+        validator, state = self._validator, self._state
         judge = validator.metrics.open("judge", now)
         replayed = state._reused
-        children: list[ResourceCertificate] = []
-        if self._depth <= _MAX_DEPTH:
-            for ca_cert in self.frontier:
-                key_id = ca_cert.subject_key_id
-                if key_id in self._points:
-                    continue  # loop guard (malicious self-recertification)
-                entry = validator._judge_point(
-                    ca_cert, cache_files, digests, now
-                )
-                self._points[key_id] = (ca_cert, entry)
-                children.extend(entry.children)
+        kept = self._kept()
+        if kept is not None and kept.strict == validator.strict_manifests:
+            level = self._rejudge(kept, now)
+        else:
+            level = self._judge(now)
+        self._levels.append(level)
+        self._certs.update(level.certs)
+        self._results.update(level.results)
         judge.counts.update(points=len(self.frontier),
                             replayed=state._reused - replayed)
         validator.metrics.close(judge, now)
         self._depth += 1
         self._now = now
-        self.frontier = children
+        self.frontier = level.children
+
+    def _judge(self, now: int) -> Level:
+        """Judge every point of the frontier, each through its lookup."""
+        validator, state = self._validator, self._state
+        certs: dict[str, ResourceCertificate] = {}
+        results: dict[str, PointResult] = {}
+        if self._depth <= _MAX_DEPTH:
+            judged = self._certs
+            for ca_cert in self.frontier:
+                key_id = ca_cert.subject_key_id
+                if key_id in judged or key_id in certs:
+                    continue  # loop guard (malicious self-recertification)
+                certs[key_id] = ca_cert
+                results[key_id] = validator._judge_point(
+                    ca_cert, state.files, state.digests, now
+                )
+        return Level(self.frontier, self.publication_uris(), certs, results,
+                     validator.strict_manifests)
+
+    def _rejudge(self, kept: Level, now: int) -> Level:
+        """Judge again the points of *kept* that anything moved under.
+
+        The frontier, so every issuing certificate, the policy and every
+        loop-guard decision are the ones *kept* was judged with.  A point
+        is suspect when a URI it read changed since the last walk, or
+        when *now* has left its window; the others are replayed, booked
+        in bulk.  Returns *kept* itself when every suspect came back as
+        the result it had.
+        """
+        validator, state = self._validator, self._state
+        suspects: set[str] = set()
+        changed = state.changed
+        if changed:
+            owners = kept.owners
+            for uri in changed.intersection(owners):
+                suspects.update(owners[uri])
+        lo, hi = kept.window
+        if not lo <= now < hi:
+            for key_id, entry in kept.results.items():
+                lo, hi = entry.window
+                if not lo <= now < hi:
+                    suspects.add(key_id)
+        if not suspects:
+            state.replayed(len(kept.results), kept.verifies)
+            return kept
+        results = dict(kept.results)
+        skipped = kept.verifies
+        moved = False
+        for key_id in [key_id for key_id in results if key_id in suspects]:
+            old = results[key_id]
+            skipped -= old.verify_count
+            entry = validator._judge_point(
+                kept.certs[key_id], state.files, state.digests, now
+            )
+            if entry is not old:
+                results[key_id] = entry
+                moved = True
+        state.replayed(len(results) - len(suspects), skipped)
+        if not moved:
+            return kept
+        return Level(self.frontier, kept.uris, kept.certs, results,
+                     kept.strict, kept)
 
     def finish(self) -> ValidationRun:
         """Assemble the judged points, depth-first from the trust anchors.
 
-        The VRP index is *edited*, not rebuilt: per emitted CA key this
-        walk's point result is compared with the one emitted last time —
-        the same object was replayed and contributes nothing; a
+        A walk whose every depth kept the last walk's
+        :class:`~repro.rp.incremental.Level`, from the same anchors,
+        judged the same point results: it returns the last assembled run
+        again, in fresh containers, and the VRP index does not move.
+        Otherwise the index is *edited*, not rebuilt: per emitted CA key
+        this walk's point result is compared with the one emitted last
+        time — the same object was replayed and contributes nothing; a
         different one, or a key no longer emitted, withdraws the old
         result's VRPs and announces the new one's.  On a new state "last
         time" is empty and so is the index, and the same edit is a bulk
-        build.  The edit is the last thing to happen: a walk that raised
-        anywhere left the index alone.
+        build.  The edit and the state's update are the last things to
+        happen: a walk that raised anywhere left both alone.
         """
-        state = self._validator.incremental
+        state = self._state
         index, last = state.vrps, state.emitted
-        result = ValidationRun(vrps=index)
-        emitted: dict[str, PointResult] = {}
-        for anchor, issue in self._anchors:
-            if issue is not None:
-                result.issues.append(issue)
-                continue
-            result.validated_cas.append(anchor)
-            self._emit(anchor, result, emitted)
-        withdrawn = [
-            entry.vrps for key_id, entry in last.items()
-            if emitted.get(key_id) is not entry
-        ]
-        announced = [
-            entry.vrps for key_id, entry in emitted.items()
-            if last.get(key_id) is not entry
-        ]
         metrics = self._validator.metrics
+        assembled = state.assembled
+        if (assembled is not None and assembled.anchors == self._anchors
+                and len(self._levels) == len(state.levels)
+                and all(map(is_, self._levels, state.levels))):
+            result = assembled.run(index)
+            emitted = last
+        else:
+            result = ValidationRun(vrps=index)
+            emitted = {}
+            for anchor, issue in self._anchors:
+                if issue is not None:
+                    result.issues.append(issue)
+                    continue
+                result.validated_cas.append(anchor)
+                self._emit(anchor, result, emitted)
+            assembled = _Assembled(
+                self._anchors, tuple(result.validated_cas),
+                tuple(result.issues), tuple(result.roas),
+                dict(result.contacts), dict(result.crls), result.roa_count,
+                _severities(result.issues),
+            )
         edit = metrics.open("vrp-edit", self._now)
-        result.announced, result.withdrawn = index.apply_delta(
-            chain.from_iterable(announced), chain.from_iterable(withdrawn)
-        )
+        if emitted is not last:
+            withdrawn = [
+                entry.vrps for key_id, entry in last.items()
+                if emitted.get(key_id) is not entry
+            ]
+            announced = [
+                entry.vrps for key_id, entry in emitted.items()
+                if last.get(key_id) is not entry
+            ]
+            result.announced, result.withdrawn = index.apply_delta(
+                chain.from_iterable(announced), chain.from_iterable(withdrawn)
+            )
         edit.counts.update(announced=len(result.announced),
                            withdrawn=len(result.withdrawn))
         metrics.close(edit, self._now)
         state.emitted = emitted
+        state.levels = self._levels
+        state.assembled = assembled
+        state.changed.clear()
         state.book()
-        self._validator._count(result)
+        self._validator._count(assembled)
         return result
 
     def _emit(
@@ -995,7 +1131,7 @@ class ValidationWalk:
         the identical path, so warm output equals cold output by
         construction.
         """
-        points = self._points
+        certs, results = self._certs, self._results
         issues, cas = result.issues, result.validated_cas
         stack = [(anchor, 0)]
         while stack:
@@ -1009,10 +1145,9 @@ class ValidationWalk:
                     ))
                     continue
             key_id = ca_cert.subject_key_id
-            judged = points.get(key_id)
-            if key_id in emitted or judged is None or judged[0] is not ca_cert:
+            if key_id in emitted or certs.get(key_id) is not ca_cert:
                 continue  # this key's point belongs to another certificate
-            entry = emitted[key_id] = judged[1]
+            entry = emitted[key_id] = results[key_id]
             issues.extend(entry.issues)
             if entry.contact is not None:
                 result.contacts[entry.selected_uri] = entry.contact
@@ -1021,6 +1156,13 @@ class ValidationWalk:
             if entry.children:
                 depth += 1
                 stack.extend((child, depth) for child in reversed(entry.children))
+
+
+def _severities(issues) -> tuple:
+    """(severity, count) per severity *issues* has, in Severity order."""
+    severities = list(map(attrgetter("severity"), issues))
+    return tuple((severity, count) for severity in Severity
+                 if (count := severities.count(severity)))
 
 
 class _PointCopy:

@@ -21,12 +21,20 @@ built: plain URI order admitting everything, or the Stalloris defense's
 :class:`~repro.repository.scheduler.FetchScheduler`.  The fetch budget
 is checked in the round alone, before each fetch; once it runs out,
 every URI still to come is skipped and served from the cache.
+
+Polling every point is inherent: an authority can change or whack an
+object at any moment.  Nothing after the poll is per point.  The cache
+reports which URIs' served copies changed (:attr:`LocalCache.changed
+<repro.repository.cache.LocalCache.changed>`), only those are read
+again, and the walk judges again only what they, the clock or the
+issuing certificates touched.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 from ..repository.cache import CacheFreshness, LocalCache
@@ -124,27 +132,6 @@ class RefreshReport:
                 if f is CacheFreshness.EXPIRED]
 
 
-class _PlainOrder:
-    """The unscheduled fetch policy: plain URI order, every fetch admitted.
-
-    It answers the calls the fetch round makes of a
-    :class:`~repro.repository.scheduler.FetchScheduler`, and keeps no
-    state.
-    """
-
-    def begin_cycle(self) -> None:
-        pass
-
-    def order(self, pending: set[str], cache: LocalCache, now: int) -> list[str]:
-        return sorted(pending)
-
-    def admit(self, uri: str) -> bool:
-        return True
-
-    def record(self, uri: str, elapsed: int) -> None:
-        pass
-
-
 class RelyingParty:
     """A relying party with its own fetcher, cache, and validator.
 
@@ -221,11 +208,6 @@ class RelyingParty:
         self.scheduler = (
             FetchScheduler(metrics=self.metrics) if scheduled else None
         )
-        # The fetch round's policy, chosen once: ordering, admission and
-        # cost recording.
-        self._policy: FetchScheduler | _PlainOrder = (
-            self.scheduler if scheduled else _PlainOrder()
-        )
         self.cache = LocalCache(keep_stale=keep_stale, stale_grace=stale_grace,
                                 metrics=self.metrics)
         self.incremental_state = IncrementalState(metrics=self.metrics)
@@ -235,6 +217,8 @@ class RelyingParty:
         )
         self._clock = fetcher.clock
         self._last_run: ValidationRun | None = None
+        # The state's last assembled run and its containment outcomes.
+        self._contained: tuple[object, tuple[list, list]] = (None, ([], []))
         self._subscribers: list[DeltaListener] = []
         self._m_refreshes = self.metrics.counter(
             "repro_rp_refresh_total", help="completed refresh cycles"
@@ -288,20 +272,26 @@ class RelyingParty:
         # ``run`` is a stand-in until the walk finishes (sharing the
         # current table saves building an empty one per refresh).
         report = RefreshReport(run=ValidationRun(vrps=self.vrps))
-        clock = self._clock
+        clock, cache, state = self._clock, self.cache, self.incremental_state
         start = clock.now
         deadline = (
             math.inf if self.fetch_budget is None else start + self.fetch_budget
         )
         # Every publication URI this refresh has reached: each is fetched,
-        # deferred or skipped once, then served once.
+        # deferred or skipped once, then read once if it changed.
         visited: set[str] = set()
-        # What the cache served this refresh, read once per point at the
-        # instant its level was judged; the file dicts are the cache's
-        # own (zero copies).
-        files: dict[str, dict[str, bytes]] = {}
-        digests: dict[str, str] = {}
-        self._policy.begin_cycle()
+        # (URI, reason) per point whose fetch failed, in fetch order.
+        failed: list[tuple[str, str]] = []
+        # The walk reads the state's view of the cache (the cache's own
+        # file dicts: zero copies); the cache says which URIs to read
+        # again.  After a view another source wrote, every URI it or the
+        # cache holds is read anew, when the walk reaches it.
+        if state.source is not cache:
+            cache.changed.update(
+                state.digests, (point.uri for point in cache.points()))
+            state.source = cache
+        if self.scheduler is not None:
+            self.scheduler.begin_cycle()
         metrics = self.metrics
         # The refresh's stage tree: a node per tree level, its fetch
         # round and its judgement (see docs/telemetry.md).
@@ -313,14 +303,13 @@ class RelyingParty:
                 new = walk.publication_uris() - visited
                 visited |= new
                 if new:
-                    self._fetch_round(new, report, deadline)
+                    self._fetch_round(new, report, deadline, failed)
                 now = clock.now
-                for uri in new:
-                    point = self.cache.serve(uri, now)
-                    if point is not None:
-                        files[uri] = point.files
-                        digests[uri] = point.content_digest
-                walk.step(files, now, digests)
+                unread = cache.changed.intersection(new)
+                if unread:
+                    state.changed.update(cache.read(
+                        unread, now, state.files, state.digests))
+                walk.step(now)
                 metrics.close(level, now)
                 depth += 1
             run = walk.finish()
@@ -328,11 +317,15 @@ class RelyingParty:
             report.skipped.sort()
             self._m_budget_exhausted.inc()
         report.deferred.sort()
-        report.freshness = self.cache.classify(clock.now)
+        report.freshness = cache.classify(clock.now)
         report.run = run
         report.announced, report.withdrawn = run.announced, run.withdrawn
+        # Worked out once per assembled run: a walk that judged the same
+        # results returns the same one.
+        if self._contained[0] is not state.assembled:
+            self._contained = (state.assembled, self._containment(run.issues))
         report.degradation = self._degradation(
-            report.fetches, run, report.deferred
+            self._contained[1], failed, report.deferred
         )
         self._last_run = run
         self._m_refreshes.inc()
@@ -351,28 +344,32 @@ class RelyingParty:
         return report
 
     def _fetch_round(
-        self, pending: set[str], report: RefreshReport, deadline: float
+        self, pending: set[str], report: RefreshReport, deadline: float,
+        failed: list[tuple[str, str]],
     ) -> None:
         """Fetch one level's *pending* URIs into the cache.
 
         Each URI ends on exactly one of the report's lists: ``fetches``,
-        ``deferred`` (the policy said not this cycle; the cache's last
+        ``deferred`` (the scheduler said not this cycle; the cache's last
         good copy keeps serving) or ``skipped`` (the fetch budget ran out
-        at *deadline*; from then on every round skips whole).
+        at *deadline*; from then on every round skips whole).  A fetch
+        that did not succeed is also put on *failed*, with its status.
         """
         if report.skipped:
             report.skipped.extend(pending)
             return
         report.rounds += 1
-        clock, cache, policy = self._clock, self.cache, self._policy
+        clock, cache, scheduler = self._clock, self.cache, self.scheduler
         fetch = self.metrics.open("fetch", clock.now)
         fetched = unchanged = size = 0
-        ordered = policy.order(pending, cache, clock.now)
+        # Plain URI order admitting everything, unless scheduled.
+        ordered = (sorted(pending) if scheduler is None
+                   else scheduler.order(pending, cache, clock.now))
         for index, uri in enumerate(ordered):
-            if clock.now >= deadline:
+            if deadline < math.inf and clock.now >= deadline:
                 report.skipped.extend(ordered[index:])
                 break
-            if not policy.admit(uri):
+            if scheduler is not None and not scheduler.admit(uri):
                 report.deferred.append(uri)
                 continue
             # The cached copy's serial: an unchanged point is answered
@@ -390,7 +387,10 @@ class RelyingParty:
                 )
             cache.update(result)
             report.fetches.append(result)
-            policy.record(uri, result.elapsed)
+            if result.status is not FetchStatus.OK:
+                failed.append((uri, result.status.value))
+            if scheduler is not None:
+                scheduler.record(uri, result.elapsed)
             fetched += 1
             unchanged += result.unchanged
             if result.files:
@@ -399,38 +399,43 @@ class RelyingParty:
         self.metrics.close(fetch, clock.now)
 
     @staticmethod
+    def _containment(
+        issues: list,
+    ) -> tuple[list[tuple[str, str, str]], list[tuple[str, str]]]:
+        """A run's containment outcomes: ``(point URI, file name, code)``
+        per object it excluded, ``(point URI, code)`` per point whose
+        validation was contained whole."""
+        objects, points = [], []
+        for issue in issues:
+            if issue.code in _QUARANTINE_CODES:
+                objects.append((issue.point_uri, issue.file_name, issue.code))
+            elif issue.code == "point-quarantined":
+                points.append((issue.point_uri, issue.code))
+        return objects, points
+
+    @staticmethod
     def _degradation(
-        fetches: list[FetchResult],
-        run: ValidationRun,
+        contained: tuple[list, list],
+        failed: list[tuple[str, str]],
         deferred: list[str] = (),
     ) -> DegradationReport:
         """Aggregate this cycle's containment outcomes.
 
-        Every degraded point appears exactly once: a point both
-        quarantined by validation *and* failing its fetch (a composed
-        timing + Byzantine fault) is still one degraded point, reported
-        under its first-seen reason.
+        *contained* is the run's :meth:`_containment`, *failed* the
+        ``(URI, status)`` of each fetch that did not succeed.  Every
+        degraded point appears exactly once: a point both quarantined
+        by validation *and* failing its fetch (a composed timing +
+        Byzantine fault) is still one degraded point, reported under its
+        first-seen reason.
         """
-        degradation = DegradationReport()
+        objects, points = contained
+        degradation = DegradationReport(quarantined_objects=list(objects))
         seen: set[str] = set()
-
-        def degrade(uri: str, reason: str) -> None:
+        for uri, reason in chain(points, failed, (
+                (uri, "budget-deferred") for uri in deferred)):
             if uri not in seen:
                 seen.add(uri)
                 degradation.degraded_points.append((uri, reason))
-
-        for issue in run.issues:
-            if issue.code in _QUARANTINE_CODES:
-                degradation.quarantined_objects.append(
-                    (issue.point_uri, issue.file_name, issue.code)
-                )
-            elif issue.code == "point-quarantined":
-                degrade(issue.point_uri, issue.code)
-        for result in fetches:
-            if not result.ok:
-                degrade(result.uri, result.status.value)
-        for uri in deferred:
-            degrade(uri, "budget-deferred")
         return degradation
 
     # -- classification surface -------------------------------------------------

@@ -184,8 +184,10 @@ class TestComposedFaultDegradation:
                                 "validation raised ValueError: again"),
             ]
 
-        fetches = [FetchResult(uri, FetchStatus.TIMEOUT, fetched_at=0)]
-        degradation = RP._degradation(fetches, FakeRun(), deferred=[uri])
+        fetch = FetchResult(uri, FetchStatus.TIMEOUT, fetched_at=0)
+        degradation = RP._degradation(RP._containment(FakeRun.issues),
+                                      [(fetch.uri, fetch.status.value)],
+                                      deferred=[uri])
         # Three sources, one entry — first-seen (quarantine) reason wins.
         assert degradation.degraded_points == [(uri, "point-quarantined")]
 
@@ -196,7 +198,8 @@ class TestComposedFaultDegradation:
             issues = []
 
         uri = "rsync://slow.example/repo/amp0/"
-        degradation = RP._degradation([], CleanRun(), deferred=[uri])
+        degradation = RP._degradation(RP._containment(CleanRun.issues), [],
+                                      deferred=[uri])
         assert degradation.degraded_points == [(uri, "budget-deferred")]
 
 

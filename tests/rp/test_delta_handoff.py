@@ -261,9 +261,10 @@ def test_a_refresh_that_raises_leaves_the_previous_epoch(monkeypatch):
 
     judge, calls = rp.validator._judge_point, []
 
+    # A refresh judges only the two changed points: the second raises.
     def judge_then_fail(*args, **kwargs):
         calls.append(args)
-        if len(calls) == 3:
+        if len(calls) == 2:
             raise RuntimeError("injected mid-walk")
         return judge(*args, **kwargs)
 

@@ -146,7 +146,9 @@ class TestMemoUnits:
         validator = PathValidator(world.trust_anchors, incremental=state)
         cold = validator.run(snapshot, now)
         assert state.verify_memo.misses == verdicts
+        # Forget the point results and the levels they were kept in.
         state.points.clear()
+        state.levels.clear()
         roa_parses = count_roa_parses(monkeypatch)
         warm = validator.run(snapshot, now)
         assert warm == cold
@@ -394,6 +396,30 @@ class TestAttackSafety:
         )
         report = self.assert_matches_cold(rp, world)
         assert report.run.has_issue("revoked")
+
+    def test_a_point_back_in_reach_after_a_snapshot_run_is_read(self, world):
+        # A snapshot handed to the relying party's own validator rewrites
+        # what its walks read.  The next refresh cannot reach Continental
+        # (its certificate is gone from Sprint's point); the one after
+        # reaches it again, its point unchanged all along: its copy must
+        # be read, not taken for missing.
+        from repro.rpki import cert_file_name
+        rp = make_rp(world)
+        rp.refresh()
+        now = world.clock.now
+        rp.validator.run(all_files(rp.cache, now), now)
+        sprint = world.sprint.publication_point
+        name = cert_file_name(world.continental.certificate)
+        blob = sprint.get(name)
+        sprint.delete(name)
+        world.clock.advance(1)
+        gone = self.assert_matches_cold(rp, world)
+        assert world.continental.certificate not in gone.run.validated_cas
+        sprint.put(name, blob)
+        world.clock.advance(1)
+        back = self.assert_matches_cold(rp, world)
+        assert world.continental.certificate in back.run.validated_cas
+        assert len(back.vrps) == 8
 
     def test_clock_advance_past_expiry(self, world):
         rp = make_rp(world)

@@ -99,19 +99,30 @@ def asn_set_from_data(data: Any) -> AsnSet:
     return AsnSet(ranges)
 
 
+#: The narrowest modulus, in bytes, that a PKCS#1 v1.5 SHA-256
+#: signature fits under: 2 framing bytes and a separator, the 19-byte
+#: DigestInfo, the 32-byte digest and at least 8 bytes of padding.
+SIGNING_FLOOR_BYTES = 2 + 1 + 19 + 32 + 8
+
+
 def check_key_profile(key: Any) -> None:
     """RFC 7935 section 3.1's key profile, as the readers apply it: the
-    exponent is 65537 and the modulus a positive integer of 256 to 2048
-    bits.  Only the values present are judged; a missing or mistyped
-    field surfaces late, from the accessor, as it always did."""
+    exponent is 65537 and the modulus a positive integer of at most 2048
+    bits, at least :data:`SIGNING_FLOOR_BYTES` wide (narrower, nothing
+    can be signed under it).  Only the values present are judged; a
+    missing or mistyped field surfaces late, from the accessor, as it
+    always did."""
     if not isinstance(key, dict):
         return
     exponent, modulus = key.get("e"), key.get("n")
     if exponent is not None and exponent != 65537:
         raise ObjectFormatError("RSA public exponent is not 65537")
-    if isinstance(modulus, int) and not 2**255 <= modulus < 2**2048:
+    if isinstance(modulus, int) and not (
+            modulus > 0 and (modulus.bit_length() + 7) // 8
+            >= SIGNING_FLOOR_BYTES and modulus.bit_length() <= 2048):
         raise ObjectFormatError(
-            "RSA modulus is not a positive integer of 256 to 2048 bits")
+            "RSA modulus is not a positive integer of "
+            f"{SIGNING_FLOOR_BYTES} bytes to 2048 bits")
 
 
 def prefix_from_data(data: Any) -> Prefix:

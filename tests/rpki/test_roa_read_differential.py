@@ -46,7 +46,7 @@ from repro.rpki import (
 )
 from repro.rpki.parse import class_of
 from repro.rpki.roa import read_roa
-from repro.crypto import KeyPair, generate_keypair, sha256_hex
+from repro.crypto import KeyPair, RsaPrivateKey, RsaPublicKey, sha256_hex
 from repro.telemetry import MetricsRegistry
 
 from ..crypto.reference_codec import encode
@@ -213,7 +213,10 @@ class TestNeverLooser:
 
 # -- each check failing ----------------------------------------------------------
 
-SMALL_KEY = KeyPair(generate_keypair(256, random.Random(SEED)))
+# A 256-bit key: too narrow for any SHA-256 signature, so no key pair of
+# it can be generated (it is built here from its integers) and a
+# certificate naming it is refused at read.
+NARROW_KEY = KeyPair(RsaPrivateKey(RsaPublicKey((1 << 255) | 1), d=1))
 
 
 def forged_roa(*, ee_key=EE, ee_signer=ISSUER, issuer_key_id=None,
@@ -244,13 +247,20 @@ class TestEachCheck:
                           roa_signer=EE),
         "roa-bad-signature": dict(roa_signer=ISSUER),
         "roa-overclaim": dict(prefix="64.0.0.0/16", roa_signer=EE),
-        # A key too small for the padding: its check raises.
-        "object-quarantined": dict(ee_key=SMALL_KEY),
+        # A key too narrow for the padding made its check raise.  No
+        # input reaches that any more: both readers refuse the key.
+        "object-quarantined": dict(ee_key=NARROW_KEY),
     }
 
     @pytest.mark.parametrize("code", list(CASES), ids=str)
     def test_reported_as_the_object_path_reports_it(self, code):
         blob = forged_roa(**self.CASES[code])
+        if code == "object-quarantined":
+            said = judged(blob, edge_ca())
+            reference = reference_judged(blob, edge_ca())
+            assert "RSA modulus" in said[0] and "RSA modulus" in reference[0]
+            assert said[1] == reference[1] == (0, 0, 0)  # nothing checked
+            return
         row = assert_same_judgement(blob, edge_ca(), str(code))
         assert (row.failure and row.failure[1]) == code
         assert row.vrps == (() if code else row.vrps)

@@ -152,12 +152,27 @@ def snapshot_of(world):
                          trust_anchors=[root.certificate])
 
 
-def calls_by_function(work, *, builtins=False) -> Counter:
+def calls_by_function(work, *, builtins=False, outside=()) -> Counter:
     """The calls *work* makes, by function: Python functions by code
     object, and C functions too (by description) when *builtins*.  The
     collector is off meanwhile, so no garbage-collection callback is
-    counted."""
+    counted.  *outside* lists ``(object, method name)`` pairs whose
+    calls, and every call made inside them, are not counted (the
+    profiler is paused around them)."""
     profile = cProfile.Profile(builtins=builtins)
+
+    def paused(method):
+        def call(*args, **kwargs):
+            profile.disable()
+            try:
+                return method(*args, **kwargs)
+            finally:
+                profile.enable()
+        return call
+
+    saved = [(owner, name, vars(owner).get(name)) for owner, name in outside]
+    for owner, name in outside:
+        setattr(owner, name, paused(getattr(owner, name)))
     collecting = gc.isenabled()
     gc.disable()
     profile.enable()
@@ -167,6 +182,11 @@ def calls_by_function(work, *, builtins=False) -> Counter:
         profile.disable()
         if collecting:
             gc.enable()
+        for owner, name, own in saved:
+            if own is None:
+                delattr(owner, name)
+            else:
+                setattr(owner, name, own)
     calls = Counter()
     for entry in profile.getstats():
         calls[entry.code] += entry.callcount

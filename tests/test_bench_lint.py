@@ -4,7 +4,8 @@ Fails the suite if any ``benchmarks/artifacts/BENCH_*.json`` is missing
 its ``pins`` object, misnames its experiment, or records a measurement
 that violates its own pinned bound — or if a ``PROFILE_*.json`` report
 drops a field of the :class:`repro.profiling.ProfileReport` schema
-(deployment metadata, ``timer_cost``, ``stages``, ``slowest_points``).
+(deployment metadata, ``timer_cost``, ``stages``, ``slowest_points``,
+``idle_refresh_seconds``, ``idle_stages``).
 """
 
 import json
@@ -104,6 +105,9 @@ def _profile_payload(**overrides):
                     "share": 0.66, "counts": {}}],
         "slowest_points": [{"point": "rsync://a.example/repo/",
                             "seconds": 0.01, "counts": {"verifies": 101}}],
+        "idle_refresh_seconds": 0.0012,
+        "idle_stages": [{"stage": "fetch", "calls": 4, "seconds": 0.001,
+                         "share": 0.8, "counts": {"points": 205}}],
     }
     payload.update(overrides)
     return payload
@@ -134,6 +138,18 @@ def test_lint_catches_profile_missing_fields(tmp_path):
     assert any("'build_seconds'" in p for p in problems)
     assert any("'slowest_points'" in p for p in problems)
     assert any("'rounds'" in p for p in problems)
+
+
+def test_lint_catches_profile_without_its_idle_table(tmp_path):
+    _bench_stub(tmp_path)
+    payload = _profile_payload(idle_stages=[{"stage": "judge", "calls": 4,
+                                             "share": 0.1, "counts": {}}])
+    del payload["idle_refresh_seconds"]
+    _write(tmp_path, "PROFILE_refresh.json", payload)
+    problems = check_bench.check_all(tmp_path)
+    assert len(problems) == 2, problems
+    assert any("'idle_refresh_seconds'" in p for p in problems)
+    assert any("idle_stages[0]: field 'seconds'" in p for p in problems)
 
 
 def test_lint_rejects_profile_of_a_deleted_option(tmp_path):

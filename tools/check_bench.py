@@ -23,9 +23,10 @@ sweeps — is free-form.
 numbers: their seconds are timer observations, not claims, but a
 regenerated profile must still carry the full report schema (deployment
 metadata, the ``timer_cost`` medians, a non-empty ``stages`` table of
-``{stage, calls, seconds, share, counts}`` rows and ``slowest_points``
-rows of ``{point, seconds, counts}``) so docs/performance.md always has
-both tables to quote.
+``{stage, calls, seconds, share, counts}`` rows, ``slowest_points``
+rows of ``{point, seconds, counts}``, and the idle refresh's
+``idle_refresh_seconds`` and ``idle_stages`` table, shaped like
+``stages``) so docs/performance.md always has the tables to quote.
 
 Run directly (``python tools/check_bench.py``, exit 1 on problems) or
 via the tier-1 test ``tests/test_bench_lint.py``.
@@ -125,7 +126,7 @@ _PROFILE_FIELDS: dict[str, type | tuple[type, ...]] = {
     "scale": str, "seed": int, "roa_count": int, "authority_count": int,
     "vrp_count": int, "rounds": int, "build_seconds": _NUMBER,
     "refresh_seconds": _NUMBER, "attributed_share": _NUMBER,
-    "timer_cost": dict,
+    "timer_cost": dict, "idle_refresh_seconds": _NUMBER,
 }
 
 # Row fields of the report's tables and of its timer_cost object.
@@ -133,6 +134,8 @@ _PROFILE_ROWS: dict[str, dict[str, type | tuple[type, ...]]] = {
     "stages": {"stage": str, "calls": int, "seconds": _NUMBER,
                "share": _NUMBER, "counts": dict},
     "slowest_points": {"point": str, "seconds": _NUMBER, "counts": dict},
+    "idle_stages": {"stage": str, "calls": int, "seconds": _NUMBER,
+                    "share": _NUMBER, "counts": dict},
 }
 _TIMER_COST_FIELDS = {"pairs": int, "timed_seconds": _NUMBER,
                       "untimed_seconds": _NUMBER, "ratio": _NUMBER}
