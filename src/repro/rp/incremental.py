@@ -24,18 +24,21 @@ same property, without changing a single validation verdict:
   place of the parsed ROA.  A re-judged point judges an unchanged ROA
   from its row — no parse, no verification — and kept state is O(VRPs),
   not O(object trees).
-- :class:`PointResult` / :class:`IncrementalState` — the per-publication-
-  point unit of reuse.  A point's validation outcome is a pure function
-  of (issuing certificate, strictness policy, the bytes of every cached
-  copy, and which side of each time boundary ``now`` falls on).  The
-  validator stores each point's local outcome with exactly those
-  dependencies; a later run replays it verbatim when nothing it depends
-  on moved — one check, :meth:`IncrementalState.lookup` — and recomputes
-  it (a *dirty* point) otherwise.
-- :class:`Level` — what a walk judged at one depth.  A later walk that
-  reaches the depth from the same certificates looks up only the points
-  a changed URI or the clock touched; the rest cost nothing per point,
-  so an idle refresh does no per-point work after its fetch round.
+- :class:`PointResult` — the per-publication-point unit of reuse.  A
+  point's validation outcome is a pure function of (issuing certificate,
+  strictness policy, the bytes of every cached copy, and which side of
+  each time boundary ``now`` falls on), and the validator keeps it with
+  exactly those dependencies.
+- :class:`Level` — what a walk judged at one depth, and the only place a
+  point result is kept: :class:`IncrementalState` holds the last
+  finished walk's levels.  A later walk that reaches the depth from the
+  same certificates judges again only the points a changed URI or the
+  clock touched, so an idle refresh does no per-point work after its fetch
+  round; from any other frontier it checks each point against the
+  result the level holds for its key — one check,
+  :meth:`IncrementalState.lookup` — and replays it verbatim when nothing
+  it depends on moved, or recomputes it (a *dirty* point).  A CA no
+  walk judges any more leaves no result behind.
 
 Invalidation rules — the attack-safety contract
 -----------------------------------------------
@@ -334,11 +337,13 @@ class Level:
     ``hi`` of the kept windows (an instant inside it is inside every
     one), and ``verifies`` the signature checks the results performed.
 
-    The next walk that starts a depth from the very same ``frontier``
-    list judges again only the points a moved URI, the clock or the
-    policy touches, and hands on this level's ``children`` list when
-    their certificates are the same objects, so the depth below can do
-    the same.
+    The levels of the last finished walk are the only point results a
+    state keeps.  The next walk that starts a depth from the very same
+    ``frontier`` list under the same policy judges again only the points
+    a moved URI or the clock touches, and hands on this level's
+    ``children`` list when their certificates are the same objects, so
+    the depth below can do the same; from any other frontier it looks
+    each point up against ``results``.
     """
 
     __slots__ = ("frontier", "uris", "certs", "results", "strict",
@@ -389,14 +394,10 @@ class IncrementalState:
         self.roa_rows: GenerationMemo[tuple[str, str], RoaRow] = (
             GenerationMemo()
         )
-        # Point cache keyed by the issuing CA's subject key id: one CA,
-        # one publication point (mirrors are copies inside one result).
-        self.points: dict[str, PointResult] = {}
         # The one VRP index of this state's lifetime, and the point
         # result each CA key contributed to it at the last finished walk
         # (ValidationWalk.finish edits the index by comparing against
-        # these).  Unlike ``points`` this holds only what was emitted:
-        # no vanished CAs, no certificates shadowed by the loop guard.
+        # these), each one that walk's ``levels`` hold.
         self.vrps = VrpSet()
         self.emitted: dict[str, PointResult] = {}
         # What the walks read: per publication URI the file dict and
@@ -408,8 +409,9 @@ class IncrementalState:
         self.digests: dict[str, str] = {}
         self.source: object | None = None
         self.changed: set[str] = set()
-        # The last finished walk, one Level per depth, and the run it
-        # assembled (the validator's to read; see ValidationWalk.finish).
+        # The last finished walk, one Level per depth (the one place a
+        # PointResult is kept), and the run it assembled (the
+        # validator's to read; see ValidationWalk.finish).
         self.levels: list[Level] = []
         self.assembled: object | None = None
         self.metrics = metrics if metrics is not None else default_registry()
@@ -464,10 +466,10 @@ class IncrementalState:
     def book(self) -> None:
         """Book what the walk since the last call did, once per walk.
 
-        The memos count their own hits and misses, and :meth:`lookup` /
-        :meth:`store` the points replayed and validated, as plain
-        integers; the labelled counters are brought up to date here
-        instead of on every lookup.
+        The memos count their own hits and misses, and :meth:`lookup`,
+        :meth:`replayed` and the validator the points replayed and
+        validated, as plain integers; the labelled counters are brought
+        up to date here instead of on every lookup.
         """
         verify, parse = self.verify_memo, self.parse_memo
         # A blob too big for the memo was looked up and not found.
@@ -489,23 +491,21 @@ class IncrementalState:
     # -- the dirty-point check ----------------------------------------------
 
     def lookup(
-        self,
-        ca_key_id: str,
-        issuer: str,
-        strict: bool,
-        digests: dict[str, str],
-        now: int,
+        self, depth: int, ca_key_id: str, issuer: str, strict: bool, now: int
     ) -> PointResult | None:
-        """The kept result for this CA's point, if still valid at *now*.
+        """The last walk's result for this CA's point, if still valid at *now*.
 
-        The one clean-point check: the issuing certificate (*issuer*, its
-        hash) and the manifest policy are the ones stored, every
-        publication URI serves the digest stored for it (*digests* maps
-        each served URI to its content digest), and *now* lies in the
-        stored window.  Returns None — after counting why — when the
-        point is dirty.
+        The one clean-point check, against the result the last finished
+        walk's level at *depth* holds for *ca_key_id*: the issuing
+        certificate (*issuer*, its hash) and the manifest policy are the
+        ones kept, every publication URI serves the digest kept for it
+        in the walks' view (:attr:`digests`), and *now* lies in the kept
+        window.  Returns None — after counting why — when the point is
+        dirty, or new at this depth.
         """
-        entry = self.points.get(ca_key_id)
+        levels = self.levels
+        entry = (levels[depth].results.get(ca_key_id)
+                 if depth < len(levels) else None)
         reason = None
         if entry is None:
             reason = "new"
@@ -514,6 +514,7 @@ class IncrementalState:
         elif entry.strict != strict:
             reason = "policy"
         else:
+            digests = self.digests
             for uri, digest in entry.copies:
                 if digests.get(uri) != digest:
                     reason = "content"
@@ -534,11 +535,6 @@ class IncrementalState:
         (nothing they depend on moved) and the *verifies* they skip."""
         self._reused += points
         self._skipped += verifies
-
-    def store(self, ca_key_id: str, entry: PointResult) -> None:
-        """Keep *entry*, a freshly validated result, for *ca_key_id*."""
-        self.points[ca_key_id] = entry
-        self._validated += 1
 
     def _update_gauges(self) -> None:
         verify, parse, roa_rows = self._m_entries
@@ -561,7 +557,6 @@ class IncrementalState:
         self.parse_memo = ParseMemo()
         self.roa_rows = GenerationMemo()
         self._booked = (0, 0, 0, 0)
-        self.points.clear()
         self.levels = []
         self.assembled = None
         self._update_gauges()

@@ -292,26 +292,23 @@ class PathValidator:
         return None
 
     def _judge_point(
-        self,
-        ca_cert: ResourceCertificate,
-        cache_files: dict[str, dict[str, bytes]],
-        digests: dict[str, str],
-        now: int,
+        self, ca_cert: ResourceCertificate, depth: int, now: int
     ) -> PointResult:
-        """The per-point step: replay the kept result, or validate and keep.
+        """The per-point step: replay the last walk's result, or validate.
 
-        Every walk — a refresh's or :meth:`run`'s — judges each CA's
-        publication point through this one function, at most once.  A
-        clean point costs the one check of
+        Every point a walk judges at *depth* — a refresh's or
+        :meth:`run`'s, each CA's at most once — goes through this one
+        function, from the files and digests its state reads.  A clean
+        point costs the one check of
         :meth:`IncrementalState.lookup <repro.rp.incremental.IncrementalState.lookup>`
-        and is replayed; a point validated from bytes gets a trace node
-        of its own, with what it read and did.
+        against the result the last walk's level at *depth* holds for
+        its key, and is replayed; a point validated from bytes gets a
+        trace node of its own, with what it read and did.  The walk's
+        levels keep what this returns.
         """
         state = self.incremental
-        key_id = ca_cert.subject_key_id
-        entry = state.lookup(
-            key_id, ca_cert.hash_hex, self.strict_manifests, digests, now
-        )
+        entry = state.lookup(depth, ca_cert.subject_key_id, ca_cert.hash_hex,
+                             self.strict_manifests, now)
         if entry is not None:
             return entry
         parse = state.parse_memo
@@ -319,13 +316,13 @@ class PathValidator:
         node = self.metrics.open("point " + ca_cert.sia, now)
         try:
             entry = self._validate_point(
-                ca_cert, cache_files, digests, now, node.counts
+                ca_cert, state.files, state.digests, now, node.counts
             )
         except Exception as exc:  # containment: one bad point ≠ dead run
             entry = self._quarantined_point(ca_cert, exc)
         else:
-            state.store(key_id, entry)
-        files = cache_files.get(entry.selected_uri, {})
+            state._validated += 1
+        files = state.files.get(entry.selected_uri, {})
         node.counts.update(
             objects=len(files), bytes=sum(map(len, files.values())),
             verifies=entry.verify_count, parse_hits=parse.hits - hits,
@@ -507,9 +504,9 @@ class PathValidator:
     def _quarantined_point(
         self, ca_cert: ResourceCertificate, exc: Exception
     ) -> PointResult:
-        """A replayable empty result for a point whose validation raised.
+        """An empty result for a point whose validation raised.
 
-        Deliberately *not* stored in the incremental state: the next walk
+        Its window is empty, so no later walk replays it: the next one
         retries the point from scratch instead of replaying the failure.
         """
         issue = ValidationIssue(
@@ -912,12 +909,9 @@ class ValidationWalk:
     the frontier is empty, :meth:`finish` assembles the
     :class:`ValidationRun` depth-first.
 
-    A depth that starts from the very frontier list the last finished
-    walk started it from (the state's :class:`~repro.rp.incremental.Level`)
-    judges again only the points whose URIs changed, whose window *now*
-    has left, or all of them when the manifest policy changed; the rest
-    are replayed as a count.  Any other depth judges every point through
-    :meth:`PathValidator._judge_point`.
+    Each depth is judged against the last finished walk's
+    :class:`~repro.rp.incremental.Level` at that depth, the only point
+    results the state keeps; see :meth:`_judge`.
 
     One CA *key* gets one walk: if a second certificate for an
     already-judged key turns up (malicious self-recertification, or one
@@ -975,11 +969,7 @@ class ValidationWalk:
         validator, state = self._validator, self._state
         judge = validator.metrics.open("judge", now)
         replayed = state._reused
-        kept = self._kept()
-        if kept is not None and kept.strict == validator.strict_manifests:
-            level = self._rejudge(kept, now)
-        else:
-            level = self._judge(now)
+        level = self._judge(now)
         self._levels.append(level)
         self._certs.update(level.certs)
         self._results.update(level.results)
@@ -991,66 +981,62 @@ class ValidationWalk:
         self.frontier = level.children
 
     def _judge(self, now: int) -> Level:
-        """Judge every point of the frontier, each through its lookup."""
-        validator, state = self._validator, self._state
-        certs: dict[str, ResourceCertificate] = {}
-        results: dict[str, PointResult] = {}
-        if self._depth <= _MAX_DEPTH:
-            judged = self._certs
-            for ca_cert in self.frontier:
-                key_id = ca_cert.subject_key_id
-                if key_id in judged or key_id in certs:
-                    continue  # loop guard (malicious self-recertification)
-                certs[key_id] = ca_cert
-                results[key_id] = validator._judge_point(
-                    ca_cert, state.files, state.digests, now
-                )
-        return Level(self.frontier, self.publication_uris(), certs, results,
-                     validator.strict_manifests)
+        """Judge the frontier's points: the one judgement of a depth.
 
-    def _rejudge(self, kept: Level, now: int) -> Level:
-        """Judge again the points of *kept* that anything moved under.
-
-        The frontier, so every issuing certificate, the policy and every
-        loop-guard decision are the ones *kept* was judged with.  A point
-        is suspect when a URI it read changed since the last walk, or
-        when *now* has left its window; the others are replayed, booked
-        in bulk.  Returns *kept* itself when every suspect came back as
-        the result it had.
+        When the frontier is the very list the last walk's level at this
+        depth started from, under the same policy, every issuing
+        certificate and loop-guard decision is the one that level was
+        judged with, and only its suspects are judged again: the points
+        a URI they read changed under since the last walk, or whose
+        window *now* has left.  The others are replayed, booked in bulk,
+        and the level itself is returned when no suspect moved.
+        Otherwise every frontier key the loop guard lets through is
+        judged, each looked up against that level.
         """
         validator, state = self._validator, self._state
-        suspects: set[str] = set()
-        changed = state.changed
-        if changed:
-            owners = kept.owners
-            for uri in changed.intersection(owners):
-                suspects.update(owners[uri])
-        lo, hi = kept.window
-        if not lo <= now < hi:
-            for key_id, entry in kept.results.items():
-                lo, hi = entry.window
-                if not lo <= now < hi:
-                    suspects.add(key_id)
-        if not suspects:
-            state.replayed(len(kept.results), kept.verifies)
-            return kept
-        results = dict(kept.results)
-        skipped = kept.verifies
-        moved = False
-        for key_id in [key_id for key_id in results if key_id in suspects]:
-            old = results[key_id]
-            skipped -= old.verify_count
-            entry = validator._judge_point(
-                kept.certs[key_id], state.files, state.digests, now
-            )
+        kept = self._kept()
+        if kept is not None and kept.strict == validator.strict_manifests:
+            certs, results = kept.certs, kept.results
+            suspects: set[str] = set()
+            if state.changed:
+                owners = kept.owners
+                for uri in state.changed.intersection(owners):
+                    suspects.update(owners[uri])
+            lo, hi = kept.window
+            if not lo <= now < hi:
+                for key_id, entry in results.items():
+                    lo, hi = entry.window
+                    if not lo <= now < hi:
+                        suspects.add(key_id)
+            if not suspects:
+                state.replayed(len(results), kept.verifies)
+                return kept
+            replayed = (len(results) - len(suspects), kept.verifies - sum(
+                results[key_id].verify_count for key_id in suspects))
+            results = dict(results)
+        else:
+            kept, certs, results, replayed = None, {}, {}, (0, 0)
+            if self._depth <= _MAX_DEPTH:
+                # The loop guard (malicious self-recertification): a key
+                # is judged once, under the first certificate reached.
+                judged = self._certs
+                for ca_cert in self.frontier:
+                    key_id = ca_cert.subject_key_id
+                    if key_id not in judged:
+                        certs.setdefault(key_id, ca_cert)
+            suspects = certs
+        moved = kept is None
+        for key_id in [key_id for key_id in certs if key_id in suspects]:
+            old = results.get(key_id)
+            entry = validator._judge_point(certs[key_id], self._depth, now)
             if entry is not old:
                 results[key_id] = entry
                 moved = True
-        state.replayed(len(results) - len(suspects), skipped)
+        state.replayed(*replayed)
         if not moved:
             return kept
-        return Level(self.frontier, kept.uris, kept.certs, results,
-                     kept.strict, kept)
+        return Level(self.frontier, self.publication_uris(), certs, results,
+                     validator.strict_manifests, kept)
 
     def finish(self) -> ValidationRun:
         """Assemble the judged points, depth-first from the trust anchors.

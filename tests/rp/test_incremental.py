@@ -7,11 +7,13 @@ authority) controls: whacking, revocation, expiry.  A memo that survives
 any of those is a vulnerability, not an optimization.
 """
 
+import gc
 import random
 
 import pytest
 
 from repro import memo as memo_module
+from repro.crypto import KeyFactory
 from repro.modelgen import build_figure2
 from repro.repository import FaultInjector, FaultKind, Fetcher
 from repro.rp import (
@@ -23,14 +25,16 @@ from repro.rp import (
     VerificationMemo,
     VrpSet,
 )
-from repro.rp.incremental import time_signature, time_window
+from repro.rp.incremental import PointResult, time_signature, time_window
 from repro.rp import pathval as pathval_module
+from repro.rpki import cert_file_name
 from repro.rpki import roa as roa_module
 from repro.rpki.errors import ObjectFormatError
-from repro.simtime import DAY, HOUR
+from repro.simtime import DAY, HOUR, YEAR
 from repro.telemetry import MetricsRegistry, default_registry
 
 from ..helpers import all_files
+from ..rpki.forge import forge, publish_forged
 
 
 @pytest.fixture(autouse=True)
@@ -60,6 +64,31 @@ def cold_run(rp, world):
     )
     now = world.clock.now
     return validator.run(all_files(rp.cache, now), now)
+
+
+def refresh_costs(rp):
+    """Refresh *rp*: its report, the RSA verifications the refresh made
+    and the publication points it validated (not replayed)."""
+    verify = rp.metrics.get("repro_crypto_verify_total")
+    points = rp.metrics.get("repro_incremental_points_total")
+
+    def totals():
+        return (verify.value(outcome="accepted")
+                + verify.value(outcome="rejected"),
+                points.value(outcome="validated"))
+
+    verified, validated = totals()
+    report = rp.refresh()
+    after = totals()
+    return report, after[0] - verified, after[1] - validated
+
+
+def alive_point_results(ignore=()) -> list:
+    """The point results alive after a full collection, but *ignore*."""
+    gc.collect()
+    ignored = set(map(id, ignore))
+    return [obj for obj in gc.get_objects()
+            if isinstance(obj, PointResult) and id(obj) not in ignored]
 
 
 def count_roa_parses(monkeypatch) -> list:
@@ -146,8 +175,7 @@ class TestMemoUnits:
         validator = PathValidator(world.trust_anchors, incremental=state)
         cold = validator.run(snapshot, now)
         assert state.verify_memo.misses == verdicts
-        # Forget the point results and the levels they were kept in.
-        state.points.clear()
+        # Forget the levels, and with them every point result.
         state.levels.clear()
         roa_parses = count_roa_parses(monkeypatch)
         warm = validator.run(snapshot, now)
@@ -417,9 +445,76 @@ class TestAttackSafety:
         assert world.continental.certificate not in gone.run.validated_cas
         sprint.put(name, blob)
         world.clock.advance(1)
-        back = self.assert_matches_cold(rp, world)
+        back, verifies, validated = refresh_costs(rp)
+        assert back.run == cold_run(rp, world)
         assert world.continental.certificate in back.run.validated_cas
         assert len(back.vrps) == 8
+        # Sprint's point moved back, and Continental's is judged again
+        # through the memos: the last walk kept no result for it.
+        assert (verifies, validated) == (0, 2)
+
+    def test_a_ca_reissued_one_level_deeper_is_judged_from_the_memos(
+        self, world
+    ):
+        # ETB certifies Continental's key too, over ETB's own resources
+        # (so none of Continental's ROAs is covered under it).  While
+        # Sprint's certificate stands, the key is judged one level up and
+        # ETB's is only listed; once Sprint's goes, Continental's point
+        # is judged one level deeper, under the new certificate.
+        etb = world.etb.certificate.payload
+        payload = dict(
+            world.continental.certificate.payload, serial=9_997,
+            issuer_key_id=etb["subject_key_id"],
+            crldp="rsync://etb.example/repo/ca.crl",
+            ip_resources=etb["ip_resources"],
+        )
+        publish_forged(world.etb, {"deeper.cer": forge(payload,
+                                                       world.etb.key)})
+        rp = make_rp(world)
+        first = rp.refresh()
+        serials = [cert.serial for cert in first.run.validated_cas]
+        assert world.continental.certificate in first.run.validated_cas
+        assert 9_997 in serials and len(first.vrps) == 8
+        world.sprint.publication_point.delete(
+            cert_file_name(world.continental.certificate))
+        world.clock.advance(1)
+        deeper, verifies, validated = refresh_costs(rp)
+        assert deeper.run == cold_run(rp, world)
+        assert world.continental.certificate not in deeper.run.validated_cas
+        assert 9_997 in [cert.serial for cert in deeper.run.validated_cas]
+        assert len(deeper.vrps) == 3
+        # Sprint's point moved; Continental's, unchanged, is judged again
+        # under its new issuer from the verdicts the first refresh left.
+        assert (verifies, validated) == (0, 2)
+
+    def test_retired_child_keys_leave_no_kept_results(self, world):
+        # An authority that certifies a fresh-key child CA on every
+        # refresh, dropping the last one, grows the relying party's kept
+        # state by nothing: the results kept are the last walk's, one per
+        # CA it judged, not one per key the authority ever certified.
+        elsewhere = alive_point_results()
+        rp = make_rp(world)
+        keys = KeyFactory(seed=667)
+        for serial in range(9_000, 9_020):
+            key = keys.next_keypair()
+            payload = dict(
+                world.continental.certificate.payload, serial=serial,
+                subject="rotated",
+                subject_key={"n": key.public.modulus,
+                             "e": key.public.exponent},
+                subject_key_id=key.key_id,
+                not_after=world.clock.now + YEAR,
+                sia="rsync://arin.example/repo/", sia_mirrors=[],
+            )
+            # One file name: each child replaces the one before it.
+            publish_forged(world.sprint,
+                           {"rotated.cer": forge(payload, world.sprint.key)})
+            world.clock.advance(1)
+            report = rp.refresh()
+            assert "rotated" in [c.subject for c in report.run.validated_cas]
+        kept = len(alive_point_results(elsewhere))
+        assert 0 < kept <= len(report.run.validated_cas) == 5
+        assert report.run == cold_run(rp, world)
 
     def test_clock_advance_past_expiry(self, world):
         rp = make_rp(world)

@@ -206,9 +206,11 @@ class Harness:
     # -- the comparison ------------------------------------------------------
 
     def boundaries(self) -> list[int]:
-        """Every start and end the kept point results were judged by."""
+        """Every start and end the kept point results were judged by:
+        the live CAs', since a vanished CA's govern no verdict."""
         return sorted({
-            b for entry in self.rp.incremental_state.points.values()
+            b for level in self.rp.incremental_state.levels
+            for entry in level.results.values()
             for side in entry.boundaries for b in side
         })
 

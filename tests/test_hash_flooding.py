@@ -9,11 +9,14 @@ and every router behind it (through a ROA), and any set of revoked
 serials (through a CRL: the monitor's diff and Suspenders' corroboration
 read the ascending serials by bisection instead).
 
-Ratios are against an honest input of the same size, best of three,
-with a bound an order of magnitude below what the flood used to cost
-(57x for 4,000 prefixes, three orders for 16,000 serials).
+Ratios are against an honest input of the same size, best of three
+(a whole bring-up, refresh to router, is timed once per side, over a
+collected and frozen heap), with a bound an order of magnitude below
+what the flood used to cost (57x for 4,000 prefixes, three orders for
+16,000 serials).
 """
 
+import gc
 import sys
 import time
 
@@ -238,7 +241,13 @@ def ipv6_world(hosts):
 
 
 def bring_up(hosts):
-    """Cold refresh of ipv6_world(hosts) into an RTR cache and a router."""
+    """Cold refresh of ipv6_world(hosts) into an RTR cache and a router.
+
+    The collector stays on in the timed window, but the heap from before
+    it is collected and frozen: a full collection of the rest of the
+    test session's objects would otherwise land in a window of ~50 ms at
+    random and cost several times the work being timed.
+    """
     clock, registry, root, holder = ipv6_world(hosts)
     rp = RelyingParty(
         [root.certificate], Fetcher(registry, clock),
@@ -249,13 +258,18 @@ def bring_up(hosts):
     cache.attach(pipe)
     router = RtrRouterClient(pipe)
     router.connect()
-    started = time.perf_counter()
-    report = rp.refresh()
-    cache.apply_delta(report.announced, report.withdrawn)
-    for _ in range(3):
-        cache.process()
-        router.process()
-    elapsed = time.perf_counter() - started
+    gc.collect()
+    gc.freeze()
+    try:
+        started = time.perf_counter()
+        report = rp.refresh()
+        cache.apply_delta(report.announced, report.withdrawn)
+        for _ in range(3):
+            cache.process()
+            router.process()
+        elapsed = time.perf_counter() - started
+    finally:
+        gc.unfreeze()
     return rp, holder, cache, router, report, elapsed
 
 

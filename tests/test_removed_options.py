@@ -519,6 +519,15 @@ def test_removed_definition_is_an_attribute_error(path):
         getattr(cls, name)
 
 
+# A relying party's state keeps point results in the last walk's levels
+# alone: the second store and its writer are gone.
+@pytest.mark.parametrize("name", ["points", "store"])
+def test_removed_state_attribute_is_an_attribute_error(name):
+    state = IncrementalState(metrics=MetricsRegistry())
+    with pytest.raises(AttributeError):
+        getattr(state, name)
+
+
 def test_the_constants_are_in_force():
     assert InMemoryPublicationPoint()._history.maxlen == DEFAULT_HISTORY_LIMIT
     assert hosted()._history.maxlen == DEFAULT_HISTORY_LIMIT

@@ -2,7 +2,8 @@
 
 Fails the test suite if any module under ``src/repro`` registers a metric
 whose name breaks the ``repro_``/snake_case rule, reads the wall clock
-(``time.time()`` and friends) instead of the simulated Clock, or
+(``time.time()`` and friends) instead of the simulated Clock, tunes
+the cyclic collector (``gc.collect()``, ``gc.freeze()`` and friends), or
 constructs a worker pool at module scope instead of context-managing it
 inside a function — or if a metric's registered label names differ from
 the ones its row in ``docs/telemetry.md`` lists.
@@ -56,6 +57,19 @@ def test_lint_catches_a_process_time_read(tmp_path):
     bad.write_text("import time\nstart = time.process_time()\n")
     problems = check_telemetry_names.check_file(bad)
     assert len(problems) == 1 and "simulated Clock" in problems[0]
+
+
+def test_lint_catches_collector_tuning(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import gc\n"
+        "gc.disable()\ngc.collect()\ngc.freeze()\ngc.unfreeze()\n"
+        "gc.set_threshold(10_000)\ngc.enable()\n"
+        "gc.get_count()\n"
+    )
+    problems = check_telemetry_names.check_file(bad)
+    assert len(problems) == 6
+    assert all("collector as shipped" in problem for problem in problems)
 
 
 def test_wall_clock_exemption_is_only_the_profiler():

@@ -46,6 +46,13 @@ Statically checks every module under ``src/repro``:
    label that is dropped (or added) without its row changing is a
    broken promise to whoever built a dashboard from the docs.
 
+6. **No collector tuning.**  No module may call ``gc.collect()``,
+   ``gc.disable()``, ``gc.enable()``, ``gc.freeze()``, ``gc.unfreeze()``
+   or ``gc.set_threshold()``: what the pipeline keeps must be cheap for
+   the cyclic collector as it is shipped (plain tuples the collector
+   untracks), not hidden from it.  ``repro.profiling``, exempt from
+   check 2 as well, collects before each timed refresh on purpose.
+
 Run directly (``python tools/check_telemetry_names.py``, exit 1 on
 problems) or via the tier-1 test ``tests/test_telemetry_lint.py``.
 """
@@ -64,11 +71,13 @@ METRIC_FACTORIES = {"counter", "gauge", "histogram", "trace"}
 FACTORY_SUFFIXES = {"counter": "_total", "trace": "_seconds"}
 WALL_CLOCK_CALLS = {"time", "perf_counter", "monotonic", "monotonic_ns",
                     "perf_counter_ns", "time_ns", "process_time"}
-# Modules allowed to read the wall clock (relative to the repo root).
-# repro/profiling.py is the profiling harness: timing a refresh is its
-# deliverable, and its output is a PROFILE_* investigation artifact, not
-# telemetry.
+# Modules allowed to read the wall clock and to drive the collector
+# (relative to the repo root).  repro/profiling.py is the profiling
+# harness: timing a refresh is its deliverable, and its output is a
+# PROFILE_* investigation artifact, not telemetry.
 WALL_CLOCK_EXEMPT = frozenset({"src/repro/profiling.py"})
+GC_TUNING_CALLS = {"collect", "disable", "enable", "freeze", "unfreeze",
+                   "set_threshold"}
 # Packages whose import means a worker pool is being built.
 POOL_MODULES = ("multiprocessing", "concurrent.futures")
 
@@ -91,14 +100,14 @@ def _call_name(node: ast.Call) -> str | None:
     return None
 
 
-def _is_time_module_call(node: ast.Call) -> bool:
-    """True for ``time.time()``-style calls on the stdlib time module."""
+def _is_module_call(node: ast.Call, module: str, names: set[str]) -> bool:
+    """True for ``module.name()`` calls, e.g. ``time.time()``."""
     func = node.func
     return (
         isinstance(func, ast.Attribute)
-        and func.attr in WALL_CLOCK_CALLS
+        and func.attr in names
         and isinstance(func.value, ast.Name)
-        and func.value.id == "time"
+        and func.value.id == module
     )
 
 
@@ -139,12 +148,19 @@ def check_file(path: pathlib.Path) -> list[str]:
                     f"{rel}:{node.lineno}: {name}() metric "
                     f"{metric_name!r} must end in '{suffix}'"
                 )
-        if _is_time_module_call(node) \
-                and rel.as_posix() not in WALL_CLOCK_EXEMPT:
+        if rel.as_posix() in WALL_CLOCK_EXEMPT:
+            continue
+        if _is_module_call(node, "time", WALL_CLOCK_CALLS):
             problems.append(
                 f"{rel}:{node.lineno}: wall-clock call "
                 f"time.{node.func.attr}() — use the simulated Clock "
                 "(repro.simtime) so telemetry stays deterministic"
+            )
+        if _is_module_call(node, "gc", GC_TUNING_CALLS):
+            problems.append(
+                f"{rel}:{node.lineno}: collector call "
+                f"gc.{node.func.attr}() — src/repro leaves the cyclic "
+                "collector as shipped"
             )
     for node in ast.walk(tree):
         if isinstance(node, ast.ExceptHandler) and _is_silent_broad(node):
