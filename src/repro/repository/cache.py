@@ -129,9 +129,9 @@ class LocalCache:
             help="fetch results folded into the cache, by effect",
             labelnames=("effect",),
         )
-        self._m_hit, self._m_unchanged, self._m_stale_keep, self._m_evict = (
-            updates.bind(effect=e)
-            for e in ("hit", "unchanged", "stale_keep", "evict"))
+        self._m_hit, self._m_stale_keep, self._m_evict = (
+            updates.bind(effect=e) for e in ("hit", "stale_keep", "evict"))
+        self._unchanged = updates.tally(effect="unchanged")
         self._m_points = self.metrics.gauge(
             "repro_cache_points", help="publication points currently cached"
         ).bind()
@@ -166,7 +166,7 @@ class LocalCache:
         entry.last_status = result.status
         if result.unchanged:
             entry.last_success = result.fetched_at
-            self._m_unchanged.inc()
+            self._unchanged[0] += 1
         elif result.ok:
             if result.files != entry.files or not entry.content_digest:
                 entry.files = result.files

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..rpki.uri import RsyncUri
 from ..simtime import HOUR, Clock
@@ -31,7 +31,7 @@ from ..telemetry import MetricsRegistry, default_registry
 from .errors import UnknownHostError
 from .faults import FaultInjector
 from . import resilience
-from .server import HostLocator, RepositoryRegistry
+from .server import HostedPublicationPoint, HostLocator, RepositoryRegistry
 
 __all__ = ["FetchStatus", "FetchResult", "Fetcher", "always_reachable"]
 
@@ -94,6 +94,15 @@ class FetchResult:
         return self.status is FetchStatus.OK
 
 
+class _Resolved(NamedTuple):
+    """A URI, parsed, and its point as of the registry's *mounts*."""
+
+    parsed: RsyncUri
+    text: str
+    point: HostedPublicationPoint | None
+    mounts: int
+
+
 class Fetcher:
     """Fetches publication points subject to routing, faults, and time.
 
@@ -151,16 +160,18 @@ class Fetcher:
         self.attempt_timeout = attempt_timeout
         self.resilient = resilient
         self.breakers: dict[str, resilience.CircuitBreaker] = {}
-        # Each URI a caller names, parsed once: (parsed, normalized text).
-        # One entry per publication point fetched, as in the cache.
-        self._parsed: dict[str | RsyncUri, tuple[RsyncUri, str]] = {}
+        # Each URI a caller names, parsed once, and resolved until the next
+        # mount: one entry per publication point fetched, as in the cache.
+        self._known: dict[str | RsyncUri, _Resolved] = {}
         self.metrics = metrics if metrics is not None else default_registry()
         fetches = self.metrics.counter(
             "repro_fetch_total",
             help="publication-point fetches by outcome",
             labelnames=("status",),
         )
-        self._m_fetches = {s: fetches.bind(status=s.value) for s in FetchStatus}
+        # Tallies by status value: counting a fetch hashes no FetchStatus.
+        self._outcomes = {s.value: fetches.tally(status=s.value)
+                          for s in FetchStatus}
         self._m_bytes = self.metrics.counter(
             "repro_fetch_bytes_total", help="bytes delivered by successful fetches"
         )
@@ -215,68 +226,82 @@ class Fetcher:
         the result is ``OK`` and *unchanged*, with no files: nothing is
         copied or counted.  Routing, timing and breakers act either way.
         """
-        known = self._parsed.get(uri)
-        if known is None:
-            parsed = uri if isinstance(uri, RsyncUri) else RsyncUri.parse(uri)
-            known = self._parsed[uri] = (parsed, str(parsed))
-        parsed, uri_text = known
-        breaker = self.breaker_for(parsed.host)
+        known = self._known.get(uri)
+        if known is None or known.mounts != self._registry.mounts:
+            known = self._resolve(uri, known)
         if self.resilient:
+            breaker = self.breaker_for(known.parsed.host)
             deadline, max_attempts = (
                 resilience.ATTEMPT_DEADLINE, resilience.MAX_ATTEMPTS
             )
         else:
-            deadline, max_attempts = self.attempt_timeout, 1
-        start = self._clock.now
+            breaker, deadline, max_attempts = None, self.attempt_timeout, 1
+        uri_text = known.text
+        clock = self._clock
+        start = now = clock.now
         attempts = 0
         while True:
             if breaker is not None:
-                allowed, transition = breaker.allow(self._clock.now)
+                allowed, transition = breaker.allow(now)
                 if transition is not None:
                     self._m_breaker_transitions.inc(state=transition.value)
                 if not allowed:
                     self._m_breaker_skips.inc()
-                    return self._count(FetchResult(
-                        uri_text, FetchStatus.BREAKER_OPEN,
-                        fetched_at=self._clock.now, attempts=attempts,
-                        elapsed=self._clock.now - start,
-                    ))
+                    self._outcomes[FetchStatus.BREAKER_OPEN.value][0] += 1
+                    return FetchResult(uri_text, FetchStatus.BREAKER_OPEN,
+                                       fetched_at=now, attempts=attempts,
+                                       elapsed=now - start)
             attempts += 1
-            status, files, served = self._attempt(
-                parsed, uri_text, deadline, serial
-            )
+            status, files, served = self._attempt(known, deadline, serial)
+            now = clock.now
             if breaker is not None:
-                transition = breaker.record(
-                    status is FetchStatus.OK, self._clock.now
-                )
+                transition = breaker.record(status is FetchStatus.OK, now)
                 if transition is not None:
                     self._m_breaker_transitions.inc(state=transition.value)
-            if status not in RETRYABLE or attempts >= max_attempts:
-                return self._count(FetchResult(
-                    uri_text, status, files, fetched_at=self._clock.now,
-                    attempts=attempts, elapsed=self._clock.now - start,
-                    serial=served,
+            if attempts >= max_attempts or status not in RETRYABLE:
+                # The result is the caller's: a fetcher lives as long as
+                # its relying party, and a kept result would pin every
+                # superseded manifest and CRL.
+                self._outcomes[status._value_][0] += 1
+                if files:
+                    self._m_objects.inc(len(files))
+                    self._m_bytes.inc(sum(map(len, files.values())))
+                return FetchResult(
+                    uri_text, status, files, fetched_at=now,
+                    attempts=attempts, elapsed=now - start, serial=served,
                     unchanged=served is not None and served == serial,
-                ))
+                )
             self._m_retries.inc()
-            self._clock.advance(resilience.backoff(attempts, salt=uri_text))
+            now = clock.advance(resilience.backoff(attempts, salt=uri_text))
+
+    def _resolve(self, uri: str | RsyncUri,
+                 known: _Resolved | None) -> _Resolved:
+        """*uri*'s entry, resolved now (parsed the first time only)."""
+        if known is None:
+            parsed = uri if isinstance(uri, RsyncUri) else RsyncUri.parse(uri)
+            known = _Resolved(parsed, str(parsed), None, -1)
+        mounts = self._registry.mounts
+        try:
+            point = self._registry.resolve(known.parsed)
+        except UnknownHostError:
+            point, mounts = None, -1  # not kept: the next fetch resolves again
+        known = self._known[uri] = known._replace(point=point, mounts=mounts)
+        return known
 
     def _attempt(
         self,
-        parsed: RsyncUri,
-        uri_text: str,
+        known: _Resolved,
         deadline: int,
         serial: tuple[int, int] | None,
     ) -> tuple[FetchStatus, dict[str, bytes], tuple[int, int] | None]:
-        """One try at the publication point, bounded by *deadline*.
+        """One try at *known*'s publication point, bounded by *deadline*.
 
         Returns the status, the files served and the point's serial when
         those files are its faithful contents.  A point at *serial* is
         served as no files.
         """
-        try:
-            point = self._registry.resolve(parsed)
-        except UnknownHostError:
+        _, uri_text, point, _ = known
+        if point is None:
             return FetchStatus.UNKNOWN_HOST, {}, None
 
         if not self.reachability(point.server.locator):
@@ -317,13 +342,3 @@ class Fetcher:
                 continue  # dropped
             served[name] = filtered
         return FetchStatus.OK, served, None
-
-    def _count(self, result: FetchResult) -> FetchResult:
-        """Account for a finished fetch.  The result itself is the
-        caller's: a fetcher lives as long as its relying party, and a
-        kept result would pin every superseded manifest and CRL."""
-        self._m_fetches[result.status].inc()
-        if result.files:
-            self._m_objects.inc(len(result.files))
-            self._m_bytes.inc(sum(map(len, result.files.values())))
-        return result

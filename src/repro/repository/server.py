@@ -61,24 +61,18 @@ class HostedPublicationPoint(InMemoryPublicationPoint):
 
     def __init__(self, server: "RepositoryServer", uri: RsyncUri):
         super().__init__()
-        self._server = server
-        self._uri = uri
-
-    @property
-    def server(self) -> "RepositoryServer":
-        return self._server
-
-    @property
-    def uri(self) -> RsyncUri:
-        return self._uri
+        self.server = server
+        self.uri = uri
 
 
 class RepositoryServer:
     """One rsync server hosting any number of publication points."""
 
-    def __init__(self, host: str, locator: HostLocator):
+    def __init__(self, host: str, locator: HostLocator,
+                 registry: "RepositoryRegistry"):
         self.host = host
         self.locator = locator
+        self._registry = registry
         self._points: dict[str, HostedPublicationPoint] = {}
 
     def mount(self, uri: str | RsyncUri) -> HostedPublicationPoint:
@@ -92,6 +86,7 @@ class RepositoryServer:
             raise MountError(f"path {parsed.path!r} already mounted on {self.host!r}")
         point = HostedPublicationPoint(self, parsed)
         self._points[parsed.path] = point
+        self._registry.mounts += 1
         return point
 
     def point_at(self, uri: str | RsyncUri) -> HostedPublicationPoint | None:
@@ -120,11 +115,13 @@ class RepositoryRegistry:
 
     def __init__(self) -> None:
         self._servers: dict[str, RepositoryServer] = {}
+        # Points mounted so far: a fetcher's resolutions hold until it moves.
+        self.mounts = 0
 
     def create_server(self, host: str, locator: HostLocator) -> RepositoryServer:
         if host in self._servers:
             raise MountError(f"host {host!r} already registered")
-        server = RepositoryServer(host, locator)
+        server = RepositoryServer(host, locator, self)
         self._servers[host] = server
         return server
 

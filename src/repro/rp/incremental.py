@@ -414,6 +414,9 @@ class IncrementalState:
         # validator's to read; see ValidationWalk.finish).
         self.levels: list[Level] = []
         self.assembled: object | None = None
+        # The last walk's (anchor, issue) list, the window [lo, hi) it
+        # holds in and the verification-memo lookups judging it made.
+        self.anchors: tuple[list, float, float, int] = ([], 0, 0, 0)
         self.metrics = metrics if metrics is not None else default_registry()
         # (verify hits, verify misses, parse hits, parse misses) already
         # booked into the counters below; see book().
@@ -559,4 +562,5 @@ class IncrementalState:
         self._booked = (0, 0, 0, 0)
         self.levels = []
         self.assembled = None
+        self.anchors = ([], 0, 0, 0)
         self._update_gauges()

@@ -922,10 +922,23 @@ class ValidationWalk:
     def __init__(self, validator: PathValidator, now: int):
         self._validator = validator
         self._state = state = validator.incremental
-        self._anchors = [
-            (anchor, validator._anchor_issue(anchor, now))
-            for anchor in validator.trust_anchors
-        ]
+        # The last walk's anchor verdicts while the anchors are the same
+        # objects and *now* is in their window (its memo lookups booked).
+        anchors = validator.trust_anchors
+        judged, lo, hi, lookups = state.anchors
+        if (lo <= now < hi and len(judged) == len(anchors)
+                and all(map(is_, map(itemgetter(0), judged), anchors))):
+            state.verify_memo.hits += lookups
+        else:
+            memo = state.verify_memo
+            before = memo.hits + memo.misses
+            judged = [(anchor, validator._anchor_issue(anchor, now))
+                      for anchor in anchors]
+            lookups = memo.hits + memo.misses - before
+            lo, hi = time_window((sorted(a.not_before for a in anchors),
+                                  sorted(a.not_after for a in anchors)), now)
+        self._anchors = judged
+        self._kept_anchors = (judged, lo, hi, lookups)
         # Subject key id -> the certificate judged for it, and its outcome.
         self._certs: dict[str, ResourceCertificate] = {}
         self._results: dict[str, PointResult] = {}
@@ -1058,7 +1071,7 @@ class ValidationWalk:
         index, last = state.vrps, state.emitted
         metrics = self._validator.metrics
         assembled = state.assembled
-        if (assembled is not None and assembled.anchors == self._anchors
+        if (assembled is not None and assembled.anchors is self._anchors
                 and len(self._levels) == len(state.levels)
                 and all(map(is_, self._levels, state.levels))):
             result = assembled.run(index)
@@ -1095,6 +1108,7 @@ class ValidationWalk:
                            withdrawn=len(result.withdrawn))
         metrics.close(edit, self._now)
         state.emitted = emitted
+        state.anchors = self._kept_anchors
         state.levels = self._levels
         state.assembled = assembled
         state.changed.clear()

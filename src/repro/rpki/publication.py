@@ -61,28 +61,23 @@ class InMemoryPublicationPoint:
 
     def __init__(self) -> None:
         self._files: dict[str, bytes] = {}
-        self._session = next(_SESSIONS)
-        self._revision = 0
+        # ``(session, revision)``: equal only for the same point object
+        # with the same contents since the serial was read.
+        self.serial = (next(_SESSIONS), 0)
         self._history: deque[dict[str, bytes]] = deque(
             maxlen=DEFAULT_HISTORY_LIMIT
         )
-
-    @property
-    def serial(self) -> tuple[int, int]:
-        """``(session, revision)``: equal only for the same point object
-        with the same contents since the serial was read."""
-        return self._session, self._revision
 
     def put(self, name: str, data: bytes) -> None:
         if not name:
             raise ValueError("publication file name must be non-empty")
         if self._files.get(name) != data:
             self._files[name] = data
-            self._revision += 1
+            self.serial = (self.serial[0], self.serial[1] + 1)
 
     def delete(self, name: str) -> None:
         if self._files.pop(name, None) is not None:
-            self._revision += 1
+            self.serial = (self.serial[0], self.serial[1] + 1)
 
     def get(self, name: str) -> bytes | None:
         return self._files.get(name)

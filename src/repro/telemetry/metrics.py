@@ -30,6 +30,7 @@ import re
 from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterator
 
@@ -164,6 +165,17 @@ class _PulledChild:
         self.base, self.shown = self.base + self.value, False
 
 
+class _TallyChild(_PulledChild):
+    # Pulled from the one int its owners add to, ``cell[0]``; parked,
+    # as a bound child is, until that counts.
+    __slots__ = ("cell",)
+
+    def __init__(self):
+        super().__init__()
+        self.cell, self.shown = [0], False
+        self.sources.append(partial(self.cell.__getitem__, 0))
+
+
 class Counter(Metric):
     """A monotonically increasing count of events."""
 
@@ -181,6 +193,16 @@ class Counter(Metric):
             raise MetricError(f"{self.name}: {labelvalues} is counted here")
         child.sources.append(read)
         child.parked = False
+
+    def tally(self, **labelvalues: str) -> list[int]:
+        """The child for *labelvalues* as a one-int list, pulled: an
+        owner counts an event as ``tally[0] += 1``, with no call.  Like
+        :meth:`bind`, every caller gets the same one."""
+        child = self._children.setdefault(self._key(labelvalues),
+                                          _TallyChild())
+        if not isinstance(child, _TallyChild):
+            raise MetricError(f"{self.name}: {labelvalues} is counted here")
+        return child.cell
 
     def inc(self, amount: float = 1.0, **labelvalues: str) -> None:
         if labelvalues:

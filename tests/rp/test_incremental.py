@@ -524,6 +524,24 @@ class TestAttackSafety:
         assert len(report.vrps) == 0
         assert report.run.has_issue("expired")
 
+    def test_the_first_instant_past_an_anchors_not_after_is_ta_expired(
+            self, world):
+        """The anchors' verdicts are kept while the clock stays inside
+        their window, and judged again the first second it leaves."""
+        rp = make_rp(world)
+        rp.refresh()
+        kept = rp.incremental_state.anchors[0]
+        anchor = world.trust_anchors[0]
+        world.clock.at_least(anchor.not_after)
+        held = self.assert_matches_cold(rp, world)
+        assert rp.incremental_state.anchors[0] is kept
+        assert not held.run.has_issue("ta-expired")
+        world.clock.advance(1)
+        report = self.assert_matches_cold(rp, world)
+        assert rp.incremental_state.anchors[0] is not kept
+        assert report.run.has_issue("ta-expired")
+        assert len(rp.vrps) == 0
+
     def test_clock_advance_past_manifest_window(self, world):
         rp = make_rp(world)
         rp.refresh()

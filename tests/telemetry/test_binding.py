@@ -81,6 +81,22 @@ class TestPull:
         counter.pull(lambda: 0, kind="a")
         assert 'repro_x_total{kind="a"} 0' in registry.render_text()
 
+    def test_a_tally_is_one_list_parked_until_it_counts(self):
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_x_total", labelnames=("kind",))
+        tally = counter.tally(kind="a")
+        assert counter.tally(kind="a") is tally
+        assert 'kind="a"' not in registry.render_text()
+        tally[0] += 2
+        assert 'repro_x_total{kind="a"} 2' in registry.render_text()
+        registry.reset()
+        assert 'kind="a"' not in registry.render_text()
+        tally[0] += 1
+        assert counter.value(kind="a") == 1
+        counter.inc(kind="b")
+        with pytest.raises(MetricError):
+            counter.tally(kind="b")
+
     def test_a_pushed_child_cannot_also_be_pulled(self):
         counter = MetricsRegistry().counter("repro_x_total",
                                             labelnames=("kind",))
