@@ -167,16 +167,17 @@ class QueryService:
             for kind in ("validate", "lookup_prefix", "lookup_asn",
                          "history", "diff")
         }
-        # The cache keeps the one tally of its hits and misses; the
-        # registry reads it.
+        # Tallies indexed by whether the lookup hit: counting one is a
+        # list add.  Both show from the start, at 0.
         cache_metric = self.metrics.counter(
             "repro_api_cache_total",
             help="response-cache lookups, by result",
             labelnames=("result",),
         )
-        stats = self._cache.stats
-        cache_metric.pull(lambda: stats.hits, result="hit")
-        cache_metric.pull(lambda: stats.misses, result="miss")
+        self._m_cache = tuple(cache_metric.tally(result=result)
+                              for result in ("miss", "hit"))
+        for result in ("miss", "hit"):
+            cache_metric.labels(result=result)
         self._m_response_vrps = self.metrics.histogram(
             "repro_api_response_vrps",
             buckets=RESPONSE_VRP_BUCKETS,
@@ -290,6 +291,7 @@ class QueryService:
         if not cached:
             entry = answer(self, *args)
             self._cache.put(key, entry)
+        self._m_cache[cached][0] += 1
         self._m_ok[kind].inc()
         self._m_response_vrps.observe(entry[1])
         return ApiResponse(

@@ -10,7 +10,6 @@ from .alerts import (
     Alert,
     AlertKind,
     analyze,
-    detect_equivocation,
     detect_manifest_replay,
 )
 from .churn import ChurnConfig, ChurnEngine, ChurnEvent
@@ -35,7 +34,6 @@ __all__ = [
     "SnapshotDiff",
     "StallDetector",
     "analyze",
-    "detect_equivocation",
     "detect_manifest_replay",
     "diff_snapshots",
     "take_snapshot",

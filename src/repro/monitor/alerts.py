@@ -29,21 +29,19 @@ alert                      signature
                            attacker minting slow delegated points to multiply
                            the per-point cost, raised by the stall detector's
                            per-host aggregation.
-``EQUIVOCATION``           the same publication point served different
-                           content to different fetchers in the same epoch
-                           — the split-view Byzantine fault, raised by
-                           :func:`detect_equivocation` over vantage views.
-                           A standalone detector: only tests call it;
-                           neither :func:`analyze` nor
-                           ``DetectionExperiment`` runs it.
 ``MANIFEST_REPLAY``        a point's manifest ``thisUpdate`` moved backwards
                            between snapshots — a stale-but-signed past state
                            is being served, raised by
-                           :func:`detect_manifest_replay`.  Standalone
-                           too: only tests call it; neither
+                           :func:`detect_manifest_replay`.  A standalone
+                           detector: only tests call it; neither
                            :func:`analyze` nor ``DetectionExperiment``
                            runs it.
 =========================  ====================================================
+
+No detector for split-view serving ships: a monitor fetching from one
+vantage point sees one view, so the equivocation that
+:data:`~repro.repository.faults.FaultKind.SPLIT_VIEW` injects is
+invisible to it.
 
 "Distinguishing between abusive behavior and normal RPKI churn could be
 difficult" (Section 3) — the detection experiment in the benchmarks
@@ -56,8 +54,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..repository.cache import point_digest
-from ..rpki import Manifest, Roa, RsyncUri
+from ..rpki import Manifest, Roa
 from .diff import SnapshotDiff
 from .snapshot import RpkiSnapshot
 
@@ -65,7 +62,6 @@ __all__ = [
     "AlertKind",
     "Alert",
     "analyze",
-    "detect_equivocation",
     "detect_manifest_replay",
 ]
 
@@ -78,7 +74,6 @@ class AlertKind(enum.Enum):
     RENEWAL = "renewal"
     SUSTAINED_STALL = "sustained-stall"
     AMPLIFIED_STALL = "amplified-stall"
-    EQUIVOCATION = "equivocation"
     MANIFEST_REPLAY = "manifest-replay"
 
 
@@ -90,7 +85,6 @@ _SEVERITY = {
     AlertKind.RENEWAL: "info",
     AlertKind.SUSTAINED_STALL: "critical",
     AlertKind.AMPLIFIED_STALL: "critical",
-    AlertKind.EQUIVOCATION: "critical",
     AlertKind.MANIFEST_REPLAY: "critical",
 }
 
@@ -101,7 +95,6 @@ class Alert:
     point_uri: str
     subject: str       # what object/space the alert is about
     detail: str
-    contact: str | None = None   # who to call (from Ghostbusters, RFC 6493)
 
     @property
     def severity(self) -> str:
@@ -116,15 +109,11 @@ class Alert:
             AlertKind.SUSPICIOUS_REISSUE,
             AlertKind.SUSTAINED_STALL,
             AlertKind.AMPLIFIED_STALL,
-            AlertKind.EQUIVOCATION,
             AlertKind.MANIFEST_REPLAY,
         )
 
     def __str__(self) -> str:
-        text = f"[{self.severity}] {self.kind.value}: {self.subject} — {self.detail}"
-        if self.contact:
-            text += f" (contact: {self.contact})"
-        return text
+        return f"[{self.severity}] {self.kind.value}: {self.subject} — {self.detail}"
 
 
 def analyze(
@@ -132,32 +121,7 @@ def analyze(
     before: RpkiSnapshot,
     after: RpkiSnapshot,
 ) -> list[Alert]:
-    """Turn a structural diff into classified alerts.
-
-    Each alert carries the affected point's Ghostbusters contact (from the
-    *before* snapshot — the victim's own card, as it stood pre-incident).
-    """
-
-    contacts = before.contacts()
-
-    def contact_of(point_uri: str) -> str | None:
-        record = contacts.get(point_uri)
-        if record is None:
-            return None
-        email = record.email
-        return f"{record.full_name} <{email}>" if email else record.full_name
-
-    def victim_contact_of_cert(cert) -> str | None:
-        """A certificate's *subject* is the victim; its contact lives at
-        the subject's own publication point (the SIA), not at the issuer's
-        point where the change was observed."""
-        if not cert.sia:
-            return None
-        try:
-            return contact_of(str(RsyncUri.parse(cert.sia)))
-        except Exception:
-            return None
-
+    """Turn a structural diff into classified alerts."""
     alerts: list[Alert] = []
     after_crls = after.point_crls
 
@@ -180,13 +144,11 @@ def analyze(
             alerts.append(Alert(
                 AlertKind.TRANSPARENT_REVOCATION, record.point_uri, payload,
                 f"ROA withdrawn with CRL entry for EE serial {serial}",
-                contact=contact_of(record.point_uri),
             ))
         else:
             alerts.append(Alert(
                 AlertKind.STEALTHY_DELETION, record.point_uri, payload,
                 "ROA vanished with no corresponding CRL entry",
-                contact=contact_of(record.point_uri),
             ))
     for record in diff.removed_certs():
         revoked_here = revoked_at(record.point_uri, record.obj)
@@ -199,7 +161,6 @@ def analyze(
             f"RC for {record.obj.subject!r}",
             "certificate withdrawn"
             + (" with CRL entry" if revoked_here else " with no CRL entry"),
-            contact=victim_contact_of_cert(record.obj),
         ))
 
     # -- in-place certificate shrinks -------------------------------------------
@@ -219,7 +180,6 @@ def analyze(
         alerts.append(Alert(
             AlertKind.RC_SHRUNK, change.point_uri,
             f"RC for {change.after.subject!r}", detail,
-            contact=victim_contact_of_cert(change.after),
         ))
 
     # -- renewals and semantic ROA rewrites ----------------------------------------
@@ -261,42 +221,6 @@ def analyze(
                 "ROA reissued at a different publication point while the "
                 f"original (at {', '.join(sorted(previous_holders))}) was whacked",
             ))
-    return alerts
-
-
-def detect_equivocation(
-    views: dict[str, dict[str, dict[str, bytes]]],
-) -> list[Alert]:
-    """Cross-check per-vantage fetches for split-view serving.
-
-    *views* maps fetcher identity → (point URI → file name → bytes): the
-    contents each vantage point saw when syncing in the same epoch.  An
-    honest publication point shows every fetcher the same bytes; a point
-    whose content digest differs across identities is equivocating — the
-    :data:`~repro.repository.faults.FaultKind.SPLIT_VIEW` Byzantine fault
-    no single relying party can notice on its own.
-    """
-    digests: dict[str, dict[str, str]] = {}  # point -> identity -> digest
-    for identity, points in views.items():
-        for point_uri, files in points.items():
-            digests.setdefault(point_uri, {})[identity] = point_digest(files)
-    alerts: list[Alert] = []
-    for point_uri in sorted(digests):
-        seen = digests[point_uri]
-        if len(set(seen.values())) <= 1:
-            continue
-        groups: dict[str, list[str]] = {}
-        for identity, digest in seen.items():
-            groups.setdefault(digest, []).append(identity)
-        description = "; ".join(
-            f"{digest[:12]}… seen by {', '.join(sorted(ids))}"
-            for digest, ids in sorted(groups.items())
-        )
-        alerts.append(Alert(
-            AlertKind.EQUIVOCATION, point_uri, point_uri,
-            f"point served {len(groups)} distinct views in one epoch: "
-            f"{description}",
-        ))
     return alerts
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from ..crypto import RsaPublicKey, key_id_of
 from ..repository import RepositoryRegistry
-from ..rpki import Crl, GhostbustersRecord, Manifest, ResourceCertificate, Roa, SignedObject
+from ..rpki import Crl, Manifest, ResourceCertificate, Roa, SignedObject
 from ..rpki.ca import CRL_FILE
 from ..rpki.errors import ObjectFormatError
 from ..rpki.parse import parse_object
@@ -64,16 +64,6 @@ class RpkiSnapshot:
 
     def manifests(self) -> list[ObjectRecord]:
         return [r for r in self.records.values() if isinstance(r.obj, Manifest)]
-
-    def contacts(self) -> dict[str, GhostbustersRecord]:
-        """Per point URI, the Ghostbusters record published there (the
-        first, if several) — the person to call about an alert
-        concerning that point.  One pass; look alerts up in the result."""
-        index: dict[str, GhostbustersRecord] = {}
-        for record in self.records.values():
-            if isinstance(record.obj, GhostbustersRecord):
-                index.setdefault(record.point_uri, record.obj)
-        return index
 
     def roa_payload_index(self) -> dict[str, list[ObjectRecord]]:
         """ROAs indexed by their payload signature '(prefixes, asn)'.

@@ -9,10 +9,10 @@ ROA, *your own routers* can be configured to keep believing it.
 
 The model here is deliberately small and composable: a
 :class:`LocalOverrides` value amends a validated VRP set — pins add
-VRPs, :class:`PrefixFilter` filters remove every VRP they match, and
-forced states short-circuit classification for specific (prefix,
-origin) pairs — and :func:`classify_with_overrides` applies the whole
-thing to one route, reading only the VRPs that cover it.
+VRPs and :class:`PrefixFilter` filters remove every VRP they match —
+and :func:`classify_with_overrides` applies the whole thing to one
+route, reading only the VRPs that cover it.  Both halves round-trip
+through the SLURM file (RFC 8416) of :meth:`LocalOverrides.to_dict`.
 Overrides are local policy: they protect (or endanger) only the relying
 party that configures them.
 """
@@ -75,13 +75,10 @@ class LocalOverrides:
     - ``filtered``: :class:`PrefixFilter` filters, each removing every
       VRP it matches — local distrust of bindings believed to be
       manipulated (e.g. a hijacker's suspicious new ROAs).
-    - ``forced``: final states for exact (prefix, origin) routes,
-      consulted before any VRP logic.
     """
 
     pinned: list[VRP] = field(default_factory=list)
     filtered: list[PrefixFilter] = field(default_factory=list)
-    forced: dict[Route, RouteValidity] = field(default_factory=dict)
 
     # -- fluent construction ------------------------------------------------
 
@@ -98,16 +95,9 @@ class LocalOverrides:
         self.filtered.append(PrefixFilter.parse(prefix_text, asn))
         return self
 
-    def force(
-        self, prefix_text: str, asn: int, state: RouteValidity
-    ) -> "LocalOverrides":
-        """Force the final state of one exact route."""
-        self.forced[Route(Prefix.parse(prefix_text), ASN(asn))] = state
-        return self
-
     @property
     def is_empty(self) -> bool:
-        return not (self.pinned or self.filtered or self.forced)
+        return not (self.pinned or self.filtered)
 
     # -- SLURM-style serialization ---------------------------------------------
 
@@ -131,8 +121,7 @@ class LocalOverrides:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LocalOverrides":
-        """Rebuild from :meth:`to_dict` output (forced states are local
-        router configuration, not part of the interchange format)."""
+        """Rebuild from :meth:`to_dict` output."""
         overrides = cls()
         filters = data.get("validationOutputFilters", {})
         for item in filters.get("prefixFilters", []):
@@ -159,15 +148,11 @@ def classify_with_overrides(
 ) -> RouteValidity:
     """RFC 6811 classification under local overrides.
 
-    Forced states win outright; otherwise classification runs against the
-    pinned-and-filtered VRP set — built from the VRPs that cover the
-    route alone (the others cannot change its state): the table's, less
-    those a filter drops, and the pins'.  A route costs its covering
-    VRPs and the pins, not the table.
+    Classification runs against the pinned-and-filtered VRP set — built
+    from the VRPs that cover the route alone (the others cannot change
+    its state): the table's, less those a filter drops, and the pins'.
+    A route costs its covering VRPs and the pins, not the table.
     """
-    forced = overrides.forced.get(route)
-    if forced is not None:
-        return forced
     prefix, filters = route.prefix, overrides.filtered
     covering = VrpSet(
         vrp for vrp in vrps.covering(prefix)

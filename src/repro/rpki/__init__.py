@@ -8,7 +8,7 @@ that issues, renews, revokes, overwrites, and publishes them.
 from .ca import CRL_FILE, MANIFEST_FILE, CertificateAuthority, cert_file_name
 from .cert import EECertificate, ResourceCertificate, build_certificate
 from .crl import Crl
-from .ghostbusters import GHOSTBUSTERS_FILE, GhostbustersRecord, build_ghostbusters
+from .ghostbusters import GhostbustersRecord
 from .errors import (
     IssuanceError,
     ObjectFormatError,
@@ -26,9 +26,7 @@ from .uri import RsyncUri
 
 __all__ = [
     "CRL_FILE",
-    "GHOSTBUSTERS_FILE",
     "GhostbustersRecord",
-    "build_ghostbusters",
     "CertificateAuthority",
     "Crl",
     "EECertificate",

@@ -32,7 +32,6 @@ from ..simtime import Clock, DAY, YEAR
 from .cert import EECertificate, ResourceCertificate, build_certificate
 from .crl import Crl
 from .errors import IssuanceError, RevocationError, RolloverError
-from .ghostbusters import GHOSTBUSTERS_FILE, GhostbustersRecord, build_ghostbusters
 from .manifest import Manifest
 from .objects import build_signed
 from .publication import InMemoryPublicationPoint, PublicationTarget
@@ -94,7 +93,6 @@ class CertificateAuthority:
         # Current (latest) issued objects, by publication file name.
         self._issued_certs: dict[str, ResourceCertificate] = {}
         self._issued_roas: dict[str, Roa] = {}
-        self._contact: GhostbustersRecord | None = None
         self._children: dict[str, CertificateAuthority] = {}
         # Deferred-publication state (see deferred_publication()): while
         # deferred, publish() only records that a sync is owed.
@@ -341,12 +339,12 @@ class CertificateAuthority:
         authority instead of generating one per ROA.
 
         *name* may be a ROA's (an overwrite, as :meth:`renew_roa` makes)
-        but no other object's: not the CRL's, the manifest's, the
-        Ghostbusters record's or a child certificate's, which would keep
-        the file while the manifest listed the ROA's hash under it.
+        but no other object's: not the CRL's, the manifest's or a child
+        certificate's, which would keep the file while the manifest
+        listed the ROA's hash under it.
         """
         if name is not None and (
-            name in (CRL_FILE, MANIFEST_FILE, GHOSTBUSTERS_FILE)
+            name in (CRL_FILE, MANIFEST_FILE)
             or name in self._issued_certs
         ):
             raise IssuanceError(
@@ -409,51 +407,6 @@ class CertificateAuthority:
         del self._issued_roas[name]
         _, renewed = self.issue_roa(old.asn, prefixes, name=name, validity=validity)
         return renewed
-
-    def set_contact(
-        self,
-        vcard: dict[str, str],
-        *,
-        validity: int = _DEFAULT_RC_VALIDITY,
-    ) -> GhostbustersRecord:
-        """Publish a Ghostbusters record (RFC 6493) with contact info.
-
-        ``vcard`` needs at least ``fn``; ``org``, ``email``, ``tel`` and
-        ``adr`` are also understood.
-        """
-        now = self._clock.now
-        ee_key = self._key_factory.next_keypair()
-        ee_serial = self._take_serial()
-        ee_cert = build_certificate(
-            issuer_key=self._key,
-            issuer_key_id=self.key_id,
-            subject=f"{self.handle}-gbr-ee-{ee_serial}",
-            subject_key=ee_key.public,
-            ip_resources=ResourceSet.empty(),
-            as_resources=None,
-            serial=ee_serial,
-            not_before=now,
-            not_after=now + validity,
-            sia="",
-            crldp=self.crl_uri,
-            is_ca=False,
-        )
-        assert isinstance(ee_cert, EECertificate)
-        record = build_ghostbusters(
-            ee_key=ee_key,
-            ee_cert=ee_cert,
-            vcard=vcard,
-            serial=self._take_serial(),
-            not_before=now,
-            not_after=now + validity,
-        )
-        self._contact = record
-        self.publish()
-        return record
-
-    @property
-    def contact(self) -> GhostbustersRecord | None:
-        return self._contact
 
     # -- revocation: the transparent channel ------------------------------------------
 
@@ -697,8 +650,6 @@ class CertificateAuthority:
         now = self._clock.now
 
         issued = {**self._issued_certs, **self._issued_roas}
-        if self._contact is not None:
-            issued[GHOSTBUSTERS_FILE] = self._contact
         files = {name: obj._wire for name, obj in issued.items()}
         hashes, entries = self._hashes, self._entries
         for name in self._listed.keys() - files.keys():

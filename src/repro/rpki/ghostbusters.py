@@ -3,33 +3,22 @@
 A Ghostbusters record is a signed vCard published alongside a CA's other
 objects, carrying human contact information.  It exists for exactly the
 situations this reproduction is about: when validation breaks — a ROA
-whacked, a repository dark, a certificate shrunk — the relying party or
-monitor needs someone to phone.  The monitor layer attaches these contacts
-to its alerts, and the paper's "little recourse" discussion (Section 3)
-is in practice mediated through them.
+whacked, a repository dark, a certificate shrunk — the relying party
+needs someone to phone, and the paper's "little recourse" discussion
+(Section 3) is in practice mediated through them.
 
 Like a ROA, a record is signed by a one-time EE certificate issued by the
-publishing CA.
+publishing CA.  No authority here publishes one; a relying party judges
+any record it finds (``ValidationRun.contacts``).
 """
 
 from __future__ import annotations
 
-from ..crypto import KeyPair
 from ..crypto.errors import SchemaError
 from .cert import EECertificate, read_embedded_ee, write_embedded_ee
-from .errors import ObjectFormatError
-from .objects import (
-    SignedObject,
-    build_signed,
-    read_str_map,
-    schema,
-    str_map,
-    write_str_map,
-)
+from .objects import SignedObject, read_str_map, schema, write_str_map
 
-__all__ = ["GhostbustersRecord", "build_ghostbusters", "GHOSTBUSTERS_FILE"]
-
-GHOSTBUSTERS_FILE = "ca.gbr"
+__all__ = ["GhostbustersRecord"]
 
 _ALLOWED_FIELDS = frozenset({"fn", "org", "email", "tel", "adr"})
 
@@ -69,38 +58,9 @@ class GhostbustersRecord(SignedObject):
         return self._vcard["fn"]
 
     @property
-    def email(self) -> str | None:
-        return self._vcard.get("email")
-
-    @property
     def ee_cert(self) -> EECertificate:
         return self._ee_cert
 
     def __repr__(self) -> str:
         return f"GhostbustersRecord(fn={self.full_name!r})"
 
-
-def build_ghostbusters(
-    *,
-    ee_key: KeyPair,
-    ee_cert: EECertificate,
-    vcard: dict[str, str],
-    serial: int,
-    not_before: int,
-    not_after: int,
-) -> GhostbustersRecord:
-    """Sign a Ghostbusters record with its EE key."""
-    try:
-        _check_vcard(vcard)
-    except SchemaError as exc:
-        raise ObjectFormatError(
-            f"malformed {GhostbustersRecord.TYPE} field 'vcard': {exc}"
-        ) from exc
-    return build_signed(GhostbustersRecord, ee_key, dict(
-        serial=serial,
-        issuer_key_id=ee_cert.subject_key_id,
-        vcard=str_map(vcard),
-        ee_cert=ee_cert,
-        not_before=not_before,
-        not_after=not_after,
-    ))

@@ -137,15 +137,6 @@ def write_str_map(mapping: dict[str, str]) -> bytes:
     )))
 
 
-def _encoded_key(item: tuple[str, str]) -> bytes:
-    return write_str(item[0])
-
-
-def str_map(mapping: dict[str, str]) -> dict[str, str]:
-    """*mapping* in the order :func:`read_str_map` returns it."""
-    return dict(sorted(mapping.items(), key=_encoded_key))
-
-
 def _rejection(blob: bytes, type_tag: str, complaint: SchemaError
                ) -> ObjectFormatError:
     """The error for bytes a reader's schema does not describe.

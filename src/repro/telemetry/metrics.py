@@ -30,7 +30,6 @@ import re
 from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
-from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterator
 
@@ -147,33 +146,27 @@ class _CounterChild:
         self.parked = False
 
 
-class _PulledChild:
-    # A counter child whose events are tallied elsewhere: its sources' sum.
-    __slots__ = ("sources", "base", "shown")
+class _TallyChild:
+    # A counter child whose owners count into ``cell[0]``, the one-int
+    # list :meth:`Counter.tally` hands out; the registry reads it there.
+    # Parked, as a bound child is, until the cell counts.
+    __slots__ = ("cell", "shown")
 
     def __init__(self):
-        self.sources: list[Callable[[], int]] = []
-        self.base, self.shown = 0, True
+        self.cell, self.shown = [0], False
 
-    value = property(lambda self: float(
-        sum(read() for read in self.sources) - self.base))
-    # Parked once reset, until a source counts again.
-    parked = property(lambda self: not (self.shown or self.value),
+    value = property(lambda self: float(self.cell[0]))
+    parked = property(lambda self: not (self.shown or self.cell[0]),
                       lambda self, parked: setattr(self, "shown", not parked))
 
     def zero(self) -> None:
-        self.base, self.shown = self.base + self.value, False
+        self.cell[0], self.shown = 0, False
 
-
-class _TallyChild(_PulledChild):
-    # Pulled from the one int its owners add to, ``cell[0]``; parked,
-    # as a bound child is, until that counts.
-    __slots__ = ("cell",)
-
-    def __init__(self):
-        super().__init__()
-        self.cell, self.shown = [0], False
-        self.sources.append(partial(self.cell.__getitem__, 0))
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise MetricError("counters can only go up")
+        self.cell[0] += amount
+        self.shown = True
 
 
 class Counter(Metric):
@@ -184,20 +177,10 @@ class Counter(Metric):
     def _child_class(self):
         return _CounterChild
 
-    def pull(self, read: Callable[[], int], **labelvalues: str) -> None:
-        """Count ``read()``, a tally its owner keeps, into the child for
-        *labelvalues* whenever the registry is read; sources sum."""
-        child = self._children.setdefault(self._key(labelvalues),
-                                          _PulledChild())
-        if not isinstance(child, _PulledChild):
-            raise MetricError(f"{self.name}: {labelvalues} is counted here")
-        child.sources.append(read)
-        child.parked = False
-
     def tally(self, **labelvalues: str) -> list[int]:
-        """The child for *labelvalues* as a one-int list, pulled: an
-        owner counts an event as ``tally[0] += 1``, with no call.  Like
-        :meth:`bind`, every caller gets the same one."""
+        """The child for *labelvalues* as a one-int list the registry
+        reads: an owner counts an event as ``tally[0] += 1``, with no
+        call.  Like :meth:`bind`, every caller gets the same one."""
         child = self._children.setdefault(self._key(labelvalues),
                                           _TallyChild())
         if not isinstance(child, _TallyChild):

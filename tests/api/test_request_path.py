@@ -9,7 +9,9 @@ byte-identical, except for one deliberate fix: the old path booked a
 cache miss for a query that raised before it had an answer.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -169,6 +171,28 @@ def test_one_tally_read_by_the_registry(rp):
     assert 'repro_api_cache_total{result="hit"} 1' in text
     assert 'result="miss"' not in text
     assert first.cache_stats() == (2, 1, 0)
+
+
+def test_a_dropped_service_leaves_nothing_in_the_registry(world):
+    """Was: each service pulled its cache's counts into the registry,
+    which kept every dropped service's ``CacheStats`` alive, summed in."""
+    registry = MetricsRegistry()
+
+    def serve():
+        rp = RelyingParty(world.trust_anchors,
+                          Fetcher(world.registry, world.clock, metrics=registry),
+                          metrics=registry)
+        rp.refresh()
+        service = QueryService(rp, config=ApiConfig(rate_limit=None),
+                               metrics=registry)
+        service.lookup_prefix(next(iter(rp.vrps)).prefix)
+        return weakref.ref(service._cache.stats)
+
+    stats = [serve() for _ in range(3)]
+    gc.collect()
+    assert [ref() for ref in stats] == [None] * 3
+    cache = registry.get("repro_api_cache_total")
+    assert (cache.value(result="hit"), cache.value(result="miss")) == (0, 3)
 
 
 def test_a_hit_parses_nothing_and_builds_no_outcome(rp, monkeypatch):

@@ -300,87 +300,8 @@ class TestDetectionExperiment:
         assert "recall" in score.render()
 
 
-class TestContactEnrichment:
-    def test_shrink_alert_names_the_victims_contact(self, world):
-        world.continental.set_contact({
-            "fn": "Continental NOC", "email": "noc@continental.example",
-        })
-        before = snap(world)
-        plan = plan_whack(world.sprint, world.target20, world.continental)
-        execute_whack(plan)
-        _, alerts, _ = diff_and_alerts(world, before)
-        shrink = next(a for a in alerts if a.kind is AlertKind.RC_SHRUNK)
-        assert shrink.contact == "Continental NOC <noc@continental.example>"
-        assert "noc@continental.example" in str(shrink)
-
-    def test_stealthy_deletion_contact_from_own_point(self, world):
-        world.continental.set_contact({"fn": "Continental NOC"})
-        before = snap(world)
-        world.continental.delete_object(world.target22_name)
-        _, alerts, _ = diff_and_alerts(world, before)
-        stealthy = next(
-            a for a in alerts if a.kind is AlertKind.STEALTHY_DELETION
-        )
-        assert stealthy.contact == "Continental NOC"
-
-    def test_no_contact_published_means_none(self, world):
-        before = snap(world)
-        world.continental.delete_object(world.target22_name)
-        _, alerts, _ = diff_and_alerts(world, before)
-        stealthy = next(
-            a for a in alerts if a.kind is AlertKind.STEALTHY_DELETION
-        )
-        assert stealthy.contact is None
-
-
 class TestByzantineDetectors:
-    """Cross-vantage and cross-snapshot detection of Byzantine serving."""
-
-    def test_equivocation_detected_across_vantages(self):
-        from repro.monitor import detect_equivocation
-
-        views = {
-            "rp-alpha": {"rsync://x/repo/": {"a.roa": b"one"}},
-            "rp-beta": {"rsync://x/repo/": {"a.roa": b"two"}},
-            "rp-gamma": {"rsync://x/repo/": {"a.roa": b"one"}},
-        }
-        alerts = detect_equivocation(views)
-        assert len(alerts) == 1
-        alert = alerts[0]
-        assert alert.kind is AlertKind.EQUIVOCATION
-        assert alert.severity == "critical" and alert.is_suspicious
-        assert "2 distinct views" in alert.detail
-        assert "rp-alpha, rp-gamma" in alert.detail
-
-    def test_equivocation_quiet_on_consistent_serving(self):
-        from repro.monitor import detect_equivocation
-
-        views = {
-            "rp-alpha": {"rsync://x/repo/": {"a.roa": b"one"}},
-            "rp-beta": {"rsync://x/repo/": {"a.roa": b"one"}},
-        }
-        assert detect_equivocation(views) == []
-
-    def test_equivocation_from_split_view_fault(self, world):
-        """An injected SPLIT_VIEW is exactly what the detector catches."""
-        from repro.repository import (
-            PERSISTENT,
-            FaultInjector,
-            FaultKind,
-            Fetcher,
-        )
-        from repro.monitor import detect_equivocation
-
-        uri = "rsync://continental.example/repo/"
-        views = {}
-        for identity in ("vantage-a", "vantage-b", "vantage-c", "vantage-d"):
-            faults = FaultInjector(seed=5)
-            faults.schedule(FaultKind.SPLIT_VIEW, uri, count=PERSISTENT)
-            fetcher = Fetcher(world.registry, world.clock, faults=faults,
-                              identity=identity)
-            views[identity] = {uri: fetcher.fetch_point(uri).files}
-        alerts = detect_equivocation(views)
-        assert [a.point_uri for a in alerts] == [uri]
+    """Cross-snapshot detection of Byzantine serving."""
 
     def test_manifest_replay_detected(self, world):
         from repro.monitor import detect_manifest_replay

@@ -23,8 +23,5 @@ def apply(overrides: LocalOverrides, vrps: VrpSet) -> VrpSet:
 
 def classify(route: Route, vrps: VrpSet,
              overrides: LocalOverrides) -> RouteValidity:
-    """A forced state, else the route against the whole effective set."""
-    forced = overrides.forced.get(route)
-    if forced is not None:
-        return forced
+    """The route against the whole effective set."""
     return validate(route.prefix, route.origin, apply(overrides, vrps)).state

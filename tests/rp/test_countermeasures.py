@@ -292,25 +292,6 @@ class TestLocalOverrides:
             RouteValidity.INVALID
         )
 
-    def test_force_short_circuits(self):
-        overrides = LocalOverrides().force(
-            "63.174.17.0/24", 64999, RouteValidity.VALID
-        )
-        route = Route.parse("63.174.17.0/24", 64999)
-        assert state_of(route, self.FIGURE2) is RouteValidity.INVALID
-        assert classify_with_overrides(route, self.FIGURE2, overrides) is (
-            RouteValidity.VALID
-        )
-
-    def test_force_is_exact_route_only(self):
-        overrides = LocalOverrides().force(
-            "63.174.17.0/24", 64999, RouteValidity.VALID
-        )
-        other = Route.parse("63.174.18.0/24", 64999)
-        assert classify_with_overrides(other, self.FIGURE2, overrides) is (
-            RouteValidity.INVALID
-        )
-
     def test_overrides_are_local_not_global(self):
         # Classifying under overrides never mutates the input VRP set.
         overrides = LocalOverrides().filter("63.174.16.0/22", 7341).pin(
@@ -321,9 +302,9 @@ class TestLocalOverrides:
         assert self.FIGURE2.as_frozenset() == before
 
     def test_agrees_with_the_whole_table_oracle(self):
-        # Filters by prefix, origin and both, pins inside and beside the
-        # table and a forced state, against routes at, under and around
-        # the table's prefixes.
+        # Filters by prefix, origin and both and pins inside and beside
+        # the table, against routes at, under and around the table's
+        # prefixes.
         from .reference_overrides import classify
 
         rng = random.Random(43)
@@ -339,8 +320,7 @@ class TestLocalOverrides:
         )
         overrides = (LocalOverrides().filter("10.1.0.0/16", 2).filter(asn=3)
                      .filter("10.2.0.0/16").pin("10.1.0.0/16-24", 2)
-                     .pin("10.9.0.0/16", 1)
-                     .force("10.0.0.0/24", 9, RouteValidity.VALID))
+                     .pin("10.9.0.0/16", 1))
         routes = ["10.0.0.0/8", "10.9.0.0/24", "11.0.0.0/24"] + [
             f"10.{third}.{rest}" for third in range(4)
             for rest in ("0.0/16", "16.0/20", "0.0/24", "3.0/24", "16.0/24")]

@@ -29,7 +29,15 @@ from repro.simtime import DAY, HOUR, YEAR
 from repro.telemetry import MetricsRegistry
 
 from ..helpers import all_files
-from ..rpki.forge import cert_bytes, crl_bytes, publish_forged, roa_bytes
+from ..rpki.forge import (
+    GHOSTBUSTERS_FILE,
+    cert_bytes,
+    crl_bytes,
+    forge_contact,
+    publish_contact,
+    publish_forged,
+    roa_bytes,
+)
 from ..rpki.reference_build import build_crl
 from .reference_validator import assert_agrees
 from .test_hostile_sia import SHAPES, plant_evil_child
@@ -140,8 +148,15 @@ def self_recertification(world):
 
 
 def contact_record(world):
-    world.etb.set_contact({"fn": "ETB NOC", "email": "noc@etb.example"},
-                          validity=HOUR)
+    publish_contact(world.etb, {"fn": "ETB NOC", "email": "noc@etb.example"},
+                    validity=HOUR)
+
+
+def revoked_contact_record(world):
+    record = forge_contact(world.continental, {"fn": "Continental NOC"})
+    publish_forged(world.continental, {
+        GHOSTBUSTERS_FILE: record.to_bytes(),
+        CRL_FILE: crl_bytes(world, [record.ee_cert.serial])})
 
 
 def deep_delegation(world):
@@ -161,7 +176,8 @@ FORGERIES = [
     certificate_of_another_issuer, bad_ee_signature, bad_roa_signature,
     descending_crl_serials, crl_signed_by_a_stranger,
     crl_revoking_a_live_roa, non_rsync_sia, non_rsync_mirror,
-    self_recertification, contact_record, deep_delegation,
+    self_recertification, contact_record, revoked_contact_record,
+    deep_delegation,
 ]
 
 

@@ -4,26 +4,33 @@ The builders in :mod:`repro.rpki` only make well-formed objects, and the
 typed constructors refuse anything else — but an authority signs with
 its *own* key whatever bytes it likes.  These helpers make such bytes
 (any payload dictionary, validly signed) and put them on a CA's
-publication point under a manifest that vouches for them.
+publication point under a manifest that vouches for them.  No authority
+publishes a Ghostbusters record (RFC 6493), so the records a relying
+party judges are made here too.
 """
 
 from __future__ import annotations
 
 from repro.crypto import KeyFactory, KeyPair, sha256_hex
+from repro.crypto.encoding import write_str
 from repro.resources import Afi, ResourceSet
 from repro.rpki import (
     CRL_FILE,
     MANIFEST_FILE,
     CertificateAuthority,
+    EECertificate,
+    GhostbustersRecord,
     build_certificate,
     parse_object,
 )
-from repro.simtime import DAY
+from repro.rpki.objects import build_signed
+from repro.simtime import DAY, YEAR
 
 from ..crypto.reference_codec import encode
 from .reference_build import build_manifest
 
 NETWORK = (63 << 24) | (174 << 16) | (16 << 8)     # 63.174.16.0
+GHOSTBUSTERS_FILE = "ca.gbr"
 
 _EE_KEY = KeyFactory(seed=777).next_keypair()
 
@@ -108,3 +115,55 @@ def crl_bytes(world, serials: list[int]) -> bytes:
     ca = world.continental
     current = parse_object(ca.publication_point.get(CRL_FILE))
     return reforge(current, ca.key, revoked_serials=serials)
+
+
+def str_map(mapping: dict[str, str]) -> dict[str, str]:
+    """*mapping* in the order a string map is read back: by encoded key."""
+    return dict(sorted(mapping.items(), key=lambda item: write_str(item[0])))
+
+
+def build_ghostbusters(
+    *,
+    ee_key: KeyPair,
+    ee_cert: EECertificate,
+    vcard: dict[str, str],
+    serial: int,
+    not_before: int,
+    not_after: int,
+) -> GhostbustersRecord:
+    """A Ghostbusters record over *vcard*, whatever its fields, signed
+    with its EE key."""
+    return build_signed(GhostbustersRecord, ee_key, dict(
+        serial=serial,
+        issuer_key_id=ee_cert.subject_key_id,
+        vcard=str_map(vcard),
+        ee_cert=ee_cert,
+        not_before=not_before,
+        not_after=not_after,
+    ))
+
+
+def forge_contact(ca: CertificateAuthority, vcard: dict[str, str], *,
+                  validity: int = YEAR) -> GhostbustersRecord:
+    """A Ghostbusters record for *ca*, its EE certificate issued under
+    *ca*'s key, valid from now for *validity* seconds."""
+    now = ca._clock.now
+    ee_cert = build_certificate(
+        issuer_key=ca.key, issuer_key_id=ca.key_id, subject="forged-gbr-ee",
+        subject_key=_EE_KEY.public, ip_resources=ResourceSet.empty(),
+        serial=9_003, not_before=now, not_after=now + validity, sia="",
+        crldp=ca.crl_uri, is_ca=False,
+    )
+    return build_ghostbusters(
+        ee_key=_EE_KEY, ee_cert=ee_cert, vcard=vcard, serial=9_004,
+        not_before=now, not_after=now + validity,
+    )
+
+
+def publish_contact(ca: CertificateAuthority, vcard: dict[str, str], *,
+                    validity: int = YEAR) -> GhostbustersRecord:
+    """Put :func:`forge_contact` on *ca*'s point, its manifest re-signed
+    over it; the authority's next publish takes it down again."""
+    record = forge_contact(ca, vcard, validity=validity)
+    publish_forged(ca, {GHOSTBUSTERS_FILE: record.to_bytes()})
+    return record

@@ -12,7 +12,6 @@ from repro.resources import ASN, Prefix, ResourceSet
 from repro.rp import RelyingParty
 from repro.rpki import (
     CRL_FILE,
-    GHOSTBUSTERS_FILE,
     MANIFEST_FILE,
     CertificateAuthority,
     IssuanceError,
@@ -135,9 +134,7 @@ class TestRoaFileName:
         assert report.run.errors() == [] and len(rp.vrps) == 8
 
     def test_no_other_object_name_is_taken(self, sprint, continental):
-        sprint.set_contact({"fn": "Sprint NOC"})
-        for name in (CRL_FILE, GHOSTBUSTERS_FILE,
-                     cert_file_name(continental.certificate)):
+        for name in (CRL_FILE, cert_file_name(continental.certificate)):
             with pytest.raises(IssuanceError):
                 sprint.issue_roa(1239, "63.160.0.0/12", name=name)
         assert sprint.issued_roas == {}

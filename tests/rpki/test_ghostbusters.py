@@ -1,4 +1,9 @@
-"""Tests for Ghostbusters records (RFC 6493) end to end."""
+"""Tests for Ghostbusters records (RFC 6493) end to end.
+
+No authority publishes a record, so each one here is made and put on a
+point by ``forge.py``, as whoever writes the repository could; the
+relying party judges it like any other object it finds.
+"""
 
 import pytest
 
@@ -6,10 +11,19 @@ from repro.modelgen import build_figure2
 from repro.repository import Fetcher
 from repro.rp import RelyingParty
 from repro.rpki import (
-    GHOSTBUSTERS_FILE,
+    CRL_FILE,
+    MANIFEST_FILE,
     GhostbustersRecord,
     ObjectFormatError,
     parse_object,
+)
+
+from .forge import (
+    GHOSTBUSTERS_FILE,
+    crl_bytes,
+    forge_contact,
+    publish_contact,
+    publish_forged,
 )
 
 CONTACT = {
@@ -18,6 +32,7 @@ CONTACT = {
     "email": "noc@continental.example",
     "tel": "+1-555-0117",
 }
+CONTINENTAL = "rsync://continental.example/repo/"
 
 
 @pytest.fixture
@@ -25,76 +40,82 @@ def world():
     return build_figure2()
 
 
+def refresh(world):
+    rp = RelyingParty(
+        world.trust_anchors, Fetcher(world.registry, world.clock),
+    )
+    return rp, rp.refresh()
+
+
 class TestRecord:
     def test_publish_and_parse(self, world):
-        record = world.continental.set_contact(CONTACT)
+        record = publish_contact(world.continental, CONTACT)
         assert record.full_name == "Continental Broadband NOC"
-        assert record.email == "noc@continental.example"
+        assert record.vcard["email"] == "noc@continental.example"
         blob = world.continental.publication_point.get(GHOSTBUSTERS_FILE)
         again = parse_object(blob)
         assert isinstance(again, GhostbustersRecord)
         assert again.vcard == CONTACT
 
     def test_requires_fn(self, world):
+        record = forge_contact(world.continental, {"email": "x@y.example"})
         with pytest.raises(ObjectFormatError):
-            world.continental.set_contact({"email": "x@y.example"})
+            parse_object(record.to_bytes())
 
     def test_rejects_unknown_fields(self, world):
+        record = forge_contact(world.continental, {"fn": "x", "twitter": "@x"})
         with pytest.raises(ObjectFormatError):
-            world.continental.set_contact({"fn": "x", "twitter": "@x"})
+            parse_object(record.to_bytes())
 
     def test_manifest_covers_record(self, world):
-        world.continental.set_contact(CONTACT)
-        from repro.rpki import MANIFEST_FILE
-
+        publish_contact(world.continental, CONTACT)
         manifest = parse_object(
             world.continental.publication_point.get(MANIFEST_FILE)
         )
         assert GHOSTBUSTERS_FILE in manifest.file_names
+        _rp, report = refresh(world)
+        assert report.run.issues == []
 
     def test_replacing_contact_overwrites(self, world):
-        world.continental.set_contact(CONTACT)
-        world.continental.set_contact({"fn": "New NOC"})
+        publish_contact(world.continental, CONTACT)
+        publish_contact(world.continental, {"fn": "New NOC"})
         blob = world.continental.publication_point.get(GHOSTBUSTERS_FILE)
         assert parse_object(blob).full_name == "New NOC"
+        _rp, report = refresh(world)
+        assert report.run.contacts[CONTINENTAL].full_name == "New NOC"
 
 
 class TestValidation:
     def test_rp_validates_contact(self, world):
-        world.continental.set_contact(CONTACT)
-        rp = RelyingParty(
-            world.trust_anchors, Fetcher(world.registry, world.clock),
-        )
-        report = rp.refresh()
+        publish_contact(world.continental, CONTACT)
+        rp, report = refresh(world)
         contacts = report.run.contacts
-        assert "rsync://continental.example/repo/" in contacts
-        assert contacts["rsync://continental.example/repo/"].email == (
+        assert CONTINENTAL in contacts
+        assert contacts[CONTINENTAL].vcard["email"] == (
             "noc@continental.example"
         )
         # Contacts never create VRPs.
         assert len(rp.vrps) == 8
+        # A warm refresh keeps the contact the cold one judged.
+        assert rp.refresh().run.contacts == contacts
 
     def test_forged_contact_rejected(self, world):
-        record = world.continental.set_contact(CONTACT)
-        # Republish the record under Sprint's point, where the issuing key
+        record = forge_contact(world.continental, CONTACT)
+        # Publish the record under Sprint's point, where the issuing key
         # does not match — it must not validate there.
         world.sprint.publication_point.put(
             GHOSTBUSTERS_FILE, record.to_bytes()
         )
-        rp = RelyingParty(
-            world.trust_anchors, Fetcher(world.registry, world.clock),
-        )
-        report = rp.refresh()
+        _rp, report = refresh(world)
         assert "rsync://sprint.example/repo/" not in report.run.contacts
         assert report.run.has_issue("gbr-bad-signature")
 
     def test_expired_contact_dropped(self, world):
-        from repro.simtime import YEAR
-
-        world.continental.set_contact(CONTACT, validity=3600)
+        publish_contact(world.continental, CONTACT, validity=3600)
         rp = RelyingParty(
             world.trust_anchors, Fetcher(world.registry, world.clock),
         )
+        assert CONTINENTAL in rp.refresh().run.contacts
         world.clock.advance(7200)
         # Keep the rest of the RPKI alive by renewing nothing: the ROAs are
         # still current (90 days), only the contact expired.
@@ -102,16 +123,23 @@ class TestValidation:
         assert report.run.contacts == {}
         assert report.run.has_issue("gbr-expired")
 
+    def test_revoked_contact_dropped(self, world):
+        record = forge_contact(world.continental, CONTACT)
+        publish_forged(world.continental, {
+            GHOSTBUSTERS_FILE: record.to_bytes(),
+            CRL_FILE: crl_bytes(world, [record.ee_cert.serial]),
+        })
+        _rp, report = refresh(world)
+        assert report.run.contacts == {}
+        assert report.run.has_issue("gbr-revoked")
+
     def test_contact_survives_whack_of_other_objects(self, world):
         """The contact is exactly what a whacking victim needs to stay
         reachable — verify whacking a ROA does not disturb it."""
         from repro.core import execute_whack, plan_whack
 
-        world.continental.set_contact(CONTACT)
+        publish_contact(world.continental, CONTACT)
         execute_whack(plan_whack(world.sprint, world.target20,
                                  world.continental))
-        rp = RelyingParty(
-            world.trust_anchors, Fetcher(world.registry, world.clock),
-        )
-        report = rp.refresh()
-        assert "rsync://continental.example/repo/" in report.run.contacts
+        _rp, report = refresh(world)
+        assert CONTINENTAL in report.run.contacts

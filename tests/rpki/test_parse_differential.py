@@ -46,7 +46,6 @@ from repro.rpki import (
     RsyncUri,
     UriError,
     build_certificate,
-    build_ghostbusters,
     build_roa,
     parse_object,
 )
@@ -58,6 +57,7 @@ from .reference_build import build_crl, build_manifest
 from .forge import (
     NETWORK,
     HashableMap,
+    build_ghostbusters,
     cert_bytes,
     crl_bytes,
     forge,
@@ -80,7 +80,7 @@ ACCESSORS = {
     "roa": COMMON + ("asn", "prefixes"),
     "crl": COMMON + ("revoked_serials", "this_update", "next_update"),
     "mft": COMMON + ("entries", "file_names", "this_update", "next_update"),
-    "gbr": COMMON + ("vcard", "full_name", "email"),
+    "gbr": COMMON + ("vcard", "full_name"),
 }
 
 

@@ -1,4 +1,4 @@
-"""Bound children across a reset, pulled counts, and the refresh path.
+"""Bound children across a reset, tallies, and the refresh path.
 
 A child kept by its caller (``Metric.bind``) stays the one the registry
 reads across ``reset()``: the reset zeroes it and parks it out of view,
@@ -13,6 +13,7 @@ from repro import RelyingParty, build_figure2
 from repro.repository import Fetcher
 from repro.telemetry import MetricError, MetricsRegistry, default_registry
 from repro.telemetry.metrics import Metric
+from repro.telemetry.render import registry_from_dict
 
 
 class TestBind:
@@ -66,19 +67,18 @@ class TestPull:
     def test_sources_sum_and_reset_rebases(self):
         registry = MetricsRegistry()
         counter = registry.counter("repro_x_total", labelnames=("kind",))
-        tallies = [0, 0]
-        counter.pull(lambda: tallies[0], kind="a")
-        counter.pull(lambda: tallies[1], kind="a")
-        assert 'repro_x_total{kind="a"} 0' in registry.render_text()
-        tallies[:] = [2, 3]
+        # Two owners of one label set count into the one tally.
+        first, second = counter.tally(kind="a"), counter.tally(kind="a")
+        first[0] += 2
+        second[0] += 3
         assert counter.value(kind="a") == 5
         registry.reset()
-        assert 'kind="a"' not in registry.render_text()
-        tallies[1] += 1
+        assert first == [0] and 'kind="a"' not in registry.render_text()
+        second[0] += 1
         assert 'repro_x_total{kind="a"} 1' in registry.render_text()
-        # A source pulled in after a reset shows the child, as labels() does.
+        # A labels() call after a reset shows the child at 0.
         registry.reset()
-        counter.pull(lambda: 0, kind="a")
+        counter.labels(kind="a")
         assert 'repro_x_total{kind="a"} 0' in registry.render_text()
 
     def test_a_tally_is_one_list_parked_until_it_counts(self):
@@ -102,7 +102,32 @@ class TestPull:
                                             labelnames=("kind",))
         counter.inc(kind="a")
         with pytest.raises(MetricError):
-            counter.pull(lambda: 1, kind="a")
+            counter.tally(kind="a")
+
+    def test_a_tallied_child_takes_inc(self):
+        """Was: ``AttributeError: '_TallyChild' object has no attribute
+        'inc'``."""
+        counter = MetricsRegistry().counter("repro_x_total",
+                                            labelnames=("kind",))
+        tally = counter.tally(kind="a")
+        tally[0] += 1
+        counter.inc(2, kind="a")
+        assert tally == [3] and counter.value(kind="a") == 3
+        with pytest.raises(MetricError):
+            counter.inc(-1, kind="a")
+
+    def test_a_dump_loads_into_a_registry_a_fetcher_tallies(self):
+        world = build_figure2()
+        registry = MetricsRegistry()
+        fetcher = Fetcher(world.registry, world.clock, metrics=registry)
+        RelyingParty(world.trust_anchors, fetcher, metrics=registry).refresh()
+        fetches = registry.get("repro_fetch_total")
+        assert fetches.value(status="ok") == 4
+        dump = registry.to_dict()
+        registry_from_dict(registry, dump)
+        assert fetches.value(status="ok") == 8
+        fetcher.fetch_point(world.continental.sia)
+        assert fetches.value(status="ok") == 9
 
 
 @pytest.fixture

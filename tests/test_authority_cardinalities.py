@@ -283,7 +283,6 @@ def test_stealthy_withdrawals_cost_what_issues_cost():
         alerts = analyze(withdrawn, full, whacked)
         assert [alert.kind for alert in alerts] == (
             [AlertKind.STEALTHY_DELETION] * count)
-        assert alerts[0].contact is None
         walked = full.records.visits + whacked.records.visits
         assert walked <= 4 * (len(full.records) + len(whacked.records))
 

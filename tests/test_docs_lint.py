@@ -5,8 +5,8 @@ internal markdown link in docs/ (or the top-level pages) is broken, any
 ``python -m repro <subcommand>`` mentioned in the docs no longer exists
 in ``repro.cli``, the ``repro.cli`` docstring's command list and its
 table disagree, EXPERIMENTS.md names an artifact that is not in
-``benchmarks/artifacts/``, or a docs page names a test id that is not
-defined.
+``benchmarks/artifacts/``, a docs page names a test id that is not
+defined, or a docs page is longer than its line cap.
 """
 
 import pathlib
@@ -158,3 +158,21 @@ def test_lint_catches_missing_test_id(tmp_path):
     assert "TestKept::test_gone" in problems[0]
     assert "test_x.py::test_gone" in problems[1]
     assert "test_y.py::test_kept" in problems[2]
+
+
+def test_every_page_is_within_its_line_cap():
+    problems = check_docs.check_line_caps()
+    assert problems == [], "\n".join(problems)
+
+
+def test_lint_catches_a_page_over_its_cap(tmp_path):
+    (tmp_path / "kept.md").write_text("one\ntwo\n")
+    (tmp_path / "grown.md").write_text("one\ntwo\nthree\n")
+    (tmp_path / "new.md").write_text("one\n")
+    problems = check_docs.check_line_caps(
+        tmp_path, {"kept.md": 2, "grown.md": 2})
+    assert problems == [
+        "docs/grown.md: 3 lines, over its cap of 2: delete before adding, "
+        "or raise the cap with a reason",
+        "docs/new.md: has no LINE_CAPS row",
+    ]

@@ -2,10 +2,11 @@
 
 A year in the life of the Figure 2 RPKI, one scene per test phase:
 
-1. bootstrap: build, publish contacts, validate, feed a router over RTR;
+1. bootstrap: build, put a contact record up, validate, feed a router
+   over RTR;
 2. operations: churn (renewals, new customers), key rollover;
 3. attack: Sprint whacks Continental's /20 ROA stealthily;
-4. detection: the monitor's diff flags the shrink and names a contact;
+4. detection: the monitor's diff flags the shrink;
 5. consequence: the router — fed via RTR — drops the route's validity,
    and under drop-invalid the prefix goes dark in BGP;
 6. recovery: Suspenders would have held the route; manual reissuance
@@ -30,6 +31,8 @@ from repro.rp import RelyingParty, RouteValidity, validate
 from repro.rtr import DuplexPipe, RouterState, RtrCacheServer, RtrRouterClient
 from repro.simtime import DAY, HOUR
 
+from .rpki.forge import publish_contact
+
 
 @pytest.fixture(scope="module")
 def story():
@@ -39,7 +42,7 @@ def story():
     graph, originations, rp_asn = figure2_bgp()
 
     # -- phase 1: bootstrap ----------------------------------------------
-    world.continental.set_contact({
+    publish_contact(world.continental, {
         "fn": "Continental Broadband NOC",
         "email": "noc@continental.example",
     })
@@ -150,7 +153,7 @@ class TestLifecycle:
         assert story["bootstrap_vrps"] == 9
         assert story["bootstrap_errors"] == 0
         assert story["contact"] is not None
-        assert story["contact"].email == "noc@continental.example"
+        assert story["contact"].vcard["email"] == "noc@continental.example"
 
     def test_router_synced(self, story):
         assert story["router_state"] is RouterState.SYNCED

@@ -56,6 +56,8 @@ from repro.modelgen import (
     deployment,
 )
 from repro.monitor import (
+    Alert,
+    AlertKind,
     ChurnConfig,
     DetectionExperiment,
     StallDetector,
@@ -77,6 +79,7 @@ from repro.repository import faults, nested_bomb
 from repro.resources import parse_address
 from repro.rp import (
     IncrementalState,
+    LocalOverrides,
     ParseMemo,
     RelyingParty,
     SuspendersRelyingParty,
@@ -256,6 +259,9 @@ REMOVED = {
         lambda: render_text(MetricsRegistry(), include_spans=False),
     "MetricsRegistry.render_text(include_spans=)":
         lambda: MetricsRegistry().render_text(include_spans=False),
+    # No authority publishes a contact record, so no alert names one.
+    "Alert(contact=)": lambda: Alert(
+        AlertKind.STEALTHY_DELETION, POINT, "a.roa", "gone", contact="NOC"),
 }
 
 
@@ -405,6 +411,22 @@ def import_reset_default_metrics():
     from repro.telemetry import reset_default_metrics  # noqa: F401
 
 
+def import_detect_equivocation_from_facade():
+    from repro import detect_equivocation  # noqa: F401
+
+
+def import_detect_equivocation():
+    from repro.monitor import detect_equivocation  # noqa: F401
+
+
+def import_build_ghostbusters():
+    from repro.rpki import build_ghostbusters  # noqa: F401
+
+
+def import_ghostbusters_file():
+    from repro.rpki import GHOSTBUSTERS_FILE  # noqa: F401
+
+
 # Classes no caller outside the tests ever configured, the memo bound's
 # old name, facade names nothing outside the tests imported (the first
 # two stay in repro.repository and repro.telemetry), the module-level
@@ -422,8 +444,11 @@ def import_reset_default_metrics():
 # as tests/crypto/reference_codec.encode), and the definitions nothing
 # outside the tests called (tools/check_facade.py check 5: the CRL and
 # manifest builders live on in tests/rpki/reference_build.py, the deep
-# hierarchy in tests/helpers.py, and a registry reset is
-# default_registry().reset()): importing one is an ImportError.
+# hierarchy in tests/helpers.py, a registry reset is
+# default_registry().reset(), the Ghostbusters builder and file name
+# live on in tests/rpki/forge.py, and the split-view detector is gone:
+# a monitor at one vantage point sees one view): importing one is an
+# ImportError.
 GONE = {
     "SchedulerConfig": import_scheduler_config,
     "DEFAULT_MEMO_ENTRIES": import_default_memo_entries,
@@ -460,6 +485,10 @@ GONE = {
     "repro.rpki.build_manifest": import_build_manifest,
     "repro.modelgen.build_deep_hierarchy": import_build_deep_hierarchy,
     "repro.telemetry.reset_default_metrics": import_reset_default_metrics,
+    "repro.detect_equivocation": import_detect_equivocation_from_facade,
+    "repro.monitor.detect_equivocation": import_detect_equivocation,
+    "repro.rpki.build_ghostbusters": import_build_ghostbusters,
+    "repro.rpki.GHOSTBUSTERS_FILE": import_ghostbusters_file,
 }
 
 
@@ -469,7 +498,7 @@ def test_removed_name_is_an_import_error(load):
         load()
 
 
-# Methods and properties nothing outside the tests called
+# Methods, properties and alert kinds nothing outside the tests used
 # (tools/check_facade.py check 5): reading one is an AttributeError.
 GONE_ATTRIBUTES = [
     "repro.api.TokenBucket.peek",
@@ -486,7 +515,9 @@ GONE_ATTRIBUTES = [
     "repro.core.RolloutPlan.is_clean",
     "repro.crypto.KeyFactory.clear_cache",
     "repro.crypto.RsaPublicKey.cache_key",
+    "repro.monitor.AlertKind.EQUIVOCATION",
     "repro.monitor.CertChange.same_key",
+    "repro.monitor.RpkiSnapshot.contacts",
     "repro.repository.FetchScheduler.expected_cost",
     "repro.repository.FetchScheduler.spend",
     "repro.repository.LocalCache.all_files",
@@ -502,10 +533,15 @@ GONE_ATTRIBUTES = [
     "repro.resources.ResourceSet.covers_address",
     "repro.resources.ResourceSet.intersect",
     "repro.resources.ResourceSet.universe",
+    "repro.rp.LocalOverrides.force",
     "repro.rp.RefreshReport.budget_exhausted",
+    "repro.rpki.CertificateAuthority.contact",
     "repro.rpki.CertificateAuthority.find_roa",
     "repro.rpki.CertificateAuthority.mirror_uris",
+    "repro.rpki.CertificateAuthority.set_contact",
+    "repro.rpki.GhostbustersRecord.email",
     "repro.rpki.InMemoryPublicationPoint.revision",
+    "repro.telemetry.Counter.pull",
     "repro.telemetry.Gauge.dec",
     "repro.telemetry.metrics._GaugeChild.dec",
 ]
@@ -526,6 +562,12 @@ def test_removed_state_attribute_is_an_attribute_error(name):
     state = IncrementalState(metrics=MetricsRegistry())
     with pytest.raises(AttributeError):
         getattr(state, name)
+
+
+# Local overrides are pins and filters alone: no forced route state.
+def test_overrides_force_no_route_state():
+    with pytest.raises(AttributeError):
+        getattr(LocalOverrides(), "forced")
 
 
 def test_the_constants_are_in_force():

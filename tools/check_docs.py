@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Docs lint: docstrings present, links resolve, CLI, artifact and
-test mentions exist.
+test mentions exist, pages stay within their length.
 
-Six checks, all cheap enough to live in tier-1:
+Seven checks, all cheap enough to live in tier-1:
 
 1. **Docstrings.**  Every module under ``src/repro`` (packages included)
    must open with a non-empty docstring.  The API reference in
@@ -35,6 +35,11 @@ Six checks, all cheap enough to live in tier-1:
    read by AST.  CHANGES.md is exempt: it names tests as they were when
    each change landed.
 
+7. **Line caps.**  Every ``docs/*.md`` page has a row in
+   :data:`LINE_CAPS` and is at most that many lines (as ``wc -l``
+   counts them).  A page grows only by a change that raises its cap, so
+   a run log appended to a design page must first delete as much.
+
 Run directly (``python tools/check_docs.py``, exit 1 on problems) or via
 the tier-1 test ``tests/test_docs_lint.py``.
 """
@@ -54,6 +59,20 @@ DOCS_ROOT = REPO_ROOT / "docs"
 TOP_LEVEL_PAGES = (
     "README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md", "CHANGES.md",
 )
+
+# Most lines each docs/*.md page may have (check 7): its length when the
+# cap was last set.
+LINE_CAPS = {
+    "API.md": 887,
+    "api_service.md": 179,
+    "architecture.md": 217,
+    "chaos.md": 115,
+    "faults.md": 139,
+    "performance.md": 2252,
+    "resilience.md": 225,
+    "rtr.md": 278,
+    "telemetry.md": 314,
+}
 
 # [text](target) — target up to the first whitespace or closing paren.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -244,10 +263,26 @@ def check_test_ids(repo_root: pathlib.Path = REPO_ROOT) -> list[str]:
     return problems
 
 
+def check_line_caps(docs_root: pathlib.Path = DOCS_ROOT,
+                    caps: dict[str, int] = LINE_CAPS) -> list[str]:
+    """Every docs page has a line cap and is within it."""
+    problems = []
+    for page in sorted(docs_root.glob("*.md")):
+        lines = page.read_text(encoding="utf-8").count("\n")
+        cap = caps.get(page.name)
+        if cap is None:
+            problems.append(f"docs/{page.name}: has no LINE_CAPS row")
+        elif lines > cap:
+            problems.append(
+                f"docs/{page.name}: {lines} lines, over its cap of {cap}: "
+                "delete before adding, or raise the cap with a reason")
+    return problems
+
+
 def check_all() -> list[str]:
     return (check_docstrings() + check_links() + check_cli_mentions()
             + check_cli_docstring() + check_artifact_mentions()
-            + check_test_ids())
+            + check_test_ids() + check_line_caps())
 
 
 def main() -> int:
@@ -258,7 +293,8 @@ def main() -> int:
         print(f"{len(problems)} docs problem(s)", file=sys.stderr)
         return 1
     print("docs lint ok: every module documented, every link resolves, "
-          "every CLI, artifact and test mention exists")
+          "every CLI, artifact and test mention exists, every page is "
+          "within its line cap")
     return 0
 
 

@@ -85,22 +85,11 @@ DEFINITION_ALLOWLIST: dict[str, str] = {
         "an authority's key rollover, which the paper's relying parties "
         "must follow; covered by tests/test_integration_lifecycle.py and "
         "tests/rp/test_delta_handoff.py",
-    "CertificateAuthority.set_contact":
-        "publishes the Ghostbusters record the monitor names a suspect "
-        "authority by; covered by tests/rpki/test_ghostbusters.py and "
-        "tests/monitor/test_monitor.py::TestContactEnrichment",
-    "detect_equivocation":
-        "the split-view detector, standalone: no monitor path runs it; "
-        "covered by tests/monitor/test_monitor.py::TestByzantineDetectors",
     "detect_manifest_replay":
         "the replay detector, standalone; covered by "
         "tests/monitor/test_monitor.py::TestByzantineDetectors; ROADMAP's "
         "manifest high-water mark item gives it the relying party as a "
         "caller",
-    "LocalOverrides.force":
-        "the local-trust-anchor draft's forced route state (router "
-        "configuration, not part of SLURM); covered by "
-        "tests/rp/test_countermeasures.py::TestLocalOverrides",
 }
 
 
