@@ -150,7 +150,7 @@ from .telemetry import (
     default_registry,
 )
 
-__version__ = "1.41.0"
+__version__ = "1.42.0"
 
 # Sorted, complete, and drift-checked (tools/check_facade.py).
 __all__ = [

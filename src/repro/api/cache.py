@@ -16,70 +16,48 @@ enumerates unique queries evicts, but cannot grow memory).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Hashable
+from typing import NamedTuple
 
 __all__ = ["CacheStats", "ResponseCache"]
 
 
-@dataclass
-class CacheStats:
+class CacheStats(NamedTuple):
     """Hit/miss/eviction accounting for one cache instance.
 
-    A miss is counted by the :meth:`ResponseCache.put` of a new key: a
-    lookup whose answer was never computed is not a miss."""
+    A miss is a lookup that stored a new answer: a lookup whose answer
+    was never computed is not a miss.  Equal to the plain tuple
+    ``(hits, misses, evictions)``.
+    """
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
+    hits: int
+    misses: int
+    evictions: int
 
 
-class ResponseCache:
-    """A bounded LRU mapping ``(content_hash, query...)`` keys to answers."""
+class ResponseCache(OrderedDict):
+    """A bounded LRU mapping ``(content_hash, query...)`` keys to answers.
 
-    __slots__ = ("capacity", "stats", "_entries")
+    Its owner works it with the mapping's own methods, so a request
+    calls no Python here: a hit is ``get`` then ``move_to_end`` and
+    ``hits += 1``; a miss stores the new key and, past ``capacity``,
+    evicts the least recently used with ``popitem(last=False)`` and
+    ``evictions += 1``.  Every miss stores a new key, so the misses are
+    the entries held plus those evicted.  ``None`` is never a cached
+    value, so ``get`` returning it marks a miss.
+    """
+
+    __slots__ = ("capacity", "hits", "evictions")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1: {capacity}")
+        super().__init__()
         self.capacity = capacity
-        self.stats = CacheStats()
-        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self.hits = self.evictions = 0
 
-    def get(self, key: Hashable):
-        """The cached answer for *key*, or ``None`` if there is none.
-
-        ``None`` is never a legal cached value here (every API answer is
-        a response object), so it marks the absence safely.
-        """
-        value = self._entries.get(key)
-        if value is not None:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-        return value
-
-    def put(self, key: Hashable, value: object) -> None:
-        entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-        else:
-            self.stats.misses += 1
-        entries[key] = value
-        if len(entries) > self.capacity:
-            entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    @property
+    def stats(self) -> CacheStats:
+        return CacheStats(self.hits, len(self) + self.evictions, self.evictions)
 
     def __repr__(self) -> str:
-        return (f"ResponseCache({len(self._entries)}/{self.capacity} "
-                f"entries, {self.stats.hit_rate:.0%} hit rate)")
+        return f"ResponseCache({len(self)}/{self.capacity} entries, {self.stats})"

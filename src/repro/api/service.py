@@ -30,16 +30,17 @@ that out: the work per epoch is proportional to the change.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from ..resources import Prefix
+from ..resources import ASN, Prefix
 from ..rp import RelyingParty
 from ..rp.origin import validate
 from ..rp.vrp import VRP, VrpSet
 from ..telemetry import MetricsRegistry, default_registry
-from .cache import ResponseCache
+from .cache import CacheStats, ResponseCache
 from .ratelimit import RateLimitConfig, TokenBucket
 
 __all__ = [
@@ -71,6 +72,9 @@ class QueryStatus:
 
 # Refresh epochs a query service keeps for diff and history queries.
 HISTORY_DEPTH = 32
+
+# Builds a NamedTuple without its own __new__, a Python frame per call.
+_tuple_new = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,7 @@ class QueryService:
         self.config = config if config is not None else ApiConfig()
         self._clock = rp.clock
         self.metrics = metrics if metrics is not None else default_registry()
+        # (epoch, kind, text) -> (payload, VRPs in it, size bucket)
         self._cache = ResponseCache(self.config.cache_capacity)
         self._limit = self.config.rate_limit
         self._buckets: OrderedDict[str, TokenBucket] = OrderedDict()
@@ -161,14 +166,14 @@ class QueryService:
             help="query-plane requests, by endpoint kind and outcome",
             labelnames=("kind", "status"),
         )
-        # Bound once: counting a served request is one increment.
+        # Tallies: counting a served request, or a lookup indexed by
+        # whether it hit, is a list add.  Both lookup results show from
+        # the start, at 0.
         self._m_ok = {
-            kind: self._m_requests.bind(kind=kind, status=QueryStatus.OK)
+            kind: self._m_requests.tally(kind=kind, status=QueryStatus.OK)
             for kind in ("validate", "lookup_prefix", "lookup_asn",
                          "history", "diff")
         }
-        # Tallies indexed by whether the lookup hit: counting one is a
-        # list add.  Both show from the start, at 0.
         cache_metric = self.metrics.counter(
             "repro_api_cache_total",
             help="response-cache lookups, by result",
@@ -178,11 +183,15 @@ class QueryService:
                               for result in ("miss", "hit"))
         for result in ("miss", "hit"):
             cache_metric.labels(result=result)
-        self._m_response_vrps = self.metrics.histogram(
+        sizes = self.metrics.histogram(
             "repro_api_response_vrps",
             buckets=RESPONSE_VRP_BUCKETS,
             help="VRPs per served answer (response-size distribution)",
-        ).sample()
+        )
+        # An answer's size bucket is found once, when it is cached; the
+        # histogram's cells take the count and the sum (see its child).
+        self._size_bounds = sizes.buckets
+        self._m_sizes = sizes.sample().cells
         # Net table change of the refreshes since the served epoch.
         self._pending_added: set[VRP] = set()
         self._pending_removed: set[VRP] = set()
@@ -278,7 +287,9 @@ class QueryService:
         flap) or, with *by_serial*, the serial, for history-shaped
         queries whose answer depends on the ring, not just the content.
         On a miss ``answer(self, *args)`` computes ``(payload, VRPs in
-        it)`` and the cache keeps that pair, so a hit computes nothing.
+        it)`` and the cache keeps that pair with its size bucket, so a
+        hit computes nothing.  The cache's dictionary is probed once,
+        and a miss inserts once and evicts at most once, here.
         """
         if self._stale:
             self._sync()
@@ -286,17 +297,29 @@ class QueryService:
             self._m_rate_limited.inc()
             return self._refuse(kind, QueryStatus.RATE_LIMITED)
         key = (self._serial if by_serial else self._hash, kind, text)
-        entry = self._cache.get(key)
-        cached = entry is not None
-        if not cached:
-            entry = answer(self, *args)
-            self._cache.put(key, entry)
+        cache = self._cache
+        entry = cache.get(key)
+        if entry is None:
+            payload, size = answer(self, *args)
+            entry = cache[key] = (
+                payload, size, bisect_left(self._size_bounds, size)
+            )
+            if len(cache) > cache.capacity:
+                cache.popitem(last=False)
+                cache.evictions += 1
+            cached = False
+        else:
+            cache.move_to_end(key)
+            cache.hits += 1
+            cached = True
         self._m_cache[cached][0] += 1
-        self._m_ok[kind].inc()
-        self._m_response_vrps.observe(entry[1])
-        return ApiResponse(
+        self._m_ok[kind][0] += 1
+        sizes = self._m_sizes
+        sizes[entry[2]] += 1
+        sizes[-1] += entry[1]
+        return _tuple_new(ApiResponse, (
             QueryStatus.OK, self._serial, self._hash, entry[0], cached
-        )
+        ))
 
     # -- endpoints -----------------------------------------------------------
 
@@ -347,11 +370,13 @@ class QueryService:
     def _covering(self, prefix, text: str):
         if not isinstance(prefix, Prefix):
             prefix = Prefix.parse(text)
-        payload = tuple(self._vrps.covering(prefix))
+        payload = self._vrps.covering(prefix)
         return payload, len(payload)
 
     def _by_asn(self, asn):
-        payload = self._vrps.by_asn(asn)
+        number = int(asn)
+        ASN(number)  # refuses what validate_route refuses, in its words
+        payload = self._vrps.by_asn(number)
         return payload, len(payload)
 
     def _validated(self, prefix, origin):
@@ -383,10 +408,9 @@ class QueryService:
 
     # -- introspection -------------------------------------------------------
 
-    def cache_stats(self) -> tuple[int, int, int]:
+    def cache_stats(self) -> CacheStats:
         """The response cache's (hits, misses, evictions)."""
-        stats = self._cache.stats
-        return stats.hits, stats.misses, stats.evictions
+        return self._cache.stats
 
 
 def _fold(

@@ -33,10 +33,6 @@ class DeliveryOutcome:
     blackholed: bool           # some hop had no route
     looped: bool               # forwarding revisited an AS
 
-    @property
-    def delivered(self) -> bool:
-        return self.delivered_to is not None
-
 
 def forward(
     outcome: RoutingOutcome,

@@ -88,20 +88,18 @@ class Announcement:
 class Rib:
     """One AS's selected routes, indexed by prefix for LPM lookup.
 
-    The flat views (:meth:`routes`, :meth:`prefixes`) are cached per
-    mutation epoch — propagation over large topologies re-reads them
+    The flat view (:meth:`prefixes`) is cached per mutation epoch —
+    propagation over large topologies re-reads it
     far more often than it installs, so re-materializing a list per
     call was a measurable hot path at Internet scale.
     """
 
     def __init__(self) -> None:
         self._routes: PrefixMap[Announcement] = PrefixMap()
-        self._routes_view: tuple[Announcement, ...] | None = None
         self._prefixes_view: tuple[Prefix, ...] | None = None
 
     def install(self, announcement: Announcement) -> None:
         self._routes.insert(announcement.prefix, announcement)
-        self._routes_view = None
         self._prefixes_view = None
 
     def lookup(self, prefix: Prefix) -> Announcement | None:
@@ -113,14 +111,6 @@ class Rib:
         """
         hit = self._routes.longest_match(prefix)
         return hit[1] if hit else None
-
-    def routes(self) -> tuple[Announcement, ...]:
-        """Every selected route, in address order (cached until mutation)."""
-        if self._routes_view is None:
-            self._routes_view = tuple(
-                route for _, route in self._routes.items()
-            )
-        return self._routes_view
 
     def prefixes(self) -> tuple[Prefix, ...]:
         """Every routed prefix, in address order (cached until mutation)."""

@@ -136,14 +136,19 @@ class PrefixMap(Generic[V]):
 
     # -- structural queries ---------------------------------------------------
 
-    def covering(self, prefix: Prefix) -> Iterator[tuple[Prefix, V]]:
-        """Yield every stored (prefix, value) that covers *prefix*.
+    def covering(self, prefix: Prefix) -> tuple[tuple[Prefix, V], ...]:
+        """Every stored (prefix, value) that covers *prefix*, shortest
+        (least specific) first.
 
-        Yields shortest (least specific) first.  This is the query behind
-        "is there a covering ROA?" in route-validity classification.
+        This is the query behind "is there a covering ROA?" in
+        route-validity classification: one loop, one hash probe per
+        length in use, into one tuple.
         """
-        network, longest = prefix.network, prefix.length
-        for length, host_bits, table in self._levels[prefix.afi.bits]:
+        # The slots, not the properties: a property is a Python call per
+        # read, and this loop is every route classification's.
+        network, longest = prefix._network, prefix._length
+        hits = []
+        for length, host_bits, table in self._levels[prefix._afi.bits]:
             if length > longest:
                 break
             bits = network >> host_bits
@@ -153,7 +158,8 @@ class PrefixMap(Generic[V]):
                 bits if bits < INT_HASH_MODULUS else bits.to_bytes(16, "big")
             )
             if hit is not None:
-                yield hit
+                hits.append(hit)
+        return tuple(hits)
 
     def longest_match(self, prefix: Prefix) -> tuple[Prefix, V] | None:
         """The most-specific stored prefix covering *prefix*, if any.
@@ -161,10 +167,8 @@ class PrefixMap(Generic[V]):
         With a host prefix argument this is classic longest-prefix-match
         forwarding lookup.
         """
-        best: tuple[Prefix, V] | None = None
-        for best in self.covering(prefix):
-            pass
-        return best
+        hits = self.covering(prefix)
+        return hits[-1] if hits else None
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
         """All (prefix, value) pairs: IPv4 first, then by network address,

@@ -28,6 +28,9 @@ from .vrp import VRP, VrpSet
 
 __all__ = ["OriginValidationOutcome", "validate"]
 
+# Builds a NamedTuple without its own __new__, a Python frame per call.
+_tuple_new = tuple.__new__
+
 
 class OriginValidationOutcome(NamedTuple):
     """A classification together with the evidence behind it.
@@ -61,16 +64,24 @@ def validate(
     """
     if not isinstance(prefix, Prefix):
         prefix = Prefix.parse(prefix)
-    origin = ASN(int(origin))
-    covering = tuple(vrps.covering(prefix))
+    if isinstance(origin, ASN):
+        origin_as = origin.value
+    else:
+        origin_as = int(origin)
+        origin = ASN(origin_as)
+    covering = vrps.covering(prefix)
     # A VRP is (bits, network, length, maxLength, AS number).
-    length, origin_as = prefix.length, origin.value
-    matching = tuple([vrp for vrp in covering
-                      if length <= vrp[3] and vrp[4] == origin_as])
+    length = prefix.length
+    matching = []
+    for vrp in covering:
+        if length <= vrp[3] and vrp[4] == origin_as:
+            matching.append(vrp)
     if matching:
         state = RouteValidity.VALID
     elif covering:
         state = RouteValidity.INVALID
     else:
         state = RouteValidity.UNKNOWN
-    return OriginValidationOutcome(Route(prefix, origin), state, matching, covering)
+    return _tuple_new(OriginValidationOutcome, (
+        _tuple_new(Route, (prefix, origin)), state, tuple(matching), covering,
+    ))

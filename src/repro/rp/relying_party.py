@@ -83,12 +83,6 @@ class DegradationReport:
     def clean(self) -> bool:
         return not self.quarantined_objects and not self.degraded_points
 
-    def summary(self) -> str:
-        return (
-            f"{len(self.quarantined_objects)} object(s) quarantined, "
-            f"{len(self.degraded_points)} point(s) degraded"
-        )
-
 
 @dataclass
 class RefreshReport:

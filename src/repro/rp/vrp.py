@@ -284,10 +284,12 @@ class VrpSet:
             else:
                 by_asn.pop(asn, None)
 
-    def covering(self, prefix: Prefix) -> Iterator[VRP]:
+    def covering(self, prefix: Prefix) -> tuple[VRP, ...]:
         """All VRPs whose prefix covers *prefix*, least-specific first."""
+        found: list[VRP] = []
         for _, bucket in self._index.covering(prefix):
-            yield from bucket
+            found += bucket
+        return tuple(found)
 
     def _sorted_view(self) -> list[VRP]:
         if self._sorted is None:

@@ -42,12 +42,6 @@ class RsyncUri:
         base = f"{self.path}/{file_name}" if self.path else file_name
         return RsyncUri(host=self.host, path=base)
 
-    @property
-    def directory(self) -> "RsyncUri":
-        """The parent directory of this URI."""
-        head, _, _ = self.path.rpartition("/")
-        return RsyncUri(host=self.host, path=head)
-
     def __str__(self) -> str:
         if self.path:
             return f"{_SCHEME}{self.host}/{self.path}/"

@@ -236,34 +236,51 @@ class Gauge(Metric):
 
 
 class _HistogramChild:
-    # Counts per bucket, the last past every bound; bucket_counts sums them.
-    __slots__ = ("_counts", "sum", "count", "parked", "_uppers")
+    # ``cells`` holds the count of each bucket (index ``bisect_left(
+    # buckets, value)``, the last past every bound), then the sum of the
+    # values observed.  An owner that knows its value's bucket counts it
+    # as ``cells[bucket] += 1`` and ``cells[-1] += value``, with no
+    # call; the registry reads the cells.  Parked, as a tally is, until
+    # it counts.
+    __slots__ = ("cells", "shown", "_uppers")
 
     def __init__(self, uppers: tuple[float, ...] = ()):
         self._uppers = uppers
+        self.cells: list = []
         self.zero()
 
+    parked = property(lambda self: not (self.shown or self.count),
+                      lambda self, parked: setattr(self, "shown", not parked))
+
     def zero(self) -> None:
-        self._counts = [0] * (len(self._uppers) + 1)
-        self.sum, self.count, self.parked = 0.0, 0, True
+        # In place: an owner keeps counting into the same list.
+        self.cells[:] = [0] * (len(self._uppers) + 1) + [0.0]
+        self.shown = False
+
+    @property
+    def count(self) -> int:
+        return sum(self.cells[:-1])
+
+    @property
+    def sum(self) -> float:
+        return self.cells[-1]
 
     @property
     def bucket_counts(self) -> list[int]:
-        return list(accumulate(self._counts[:-1]))
+        return list(accumulate(self.cells[:-2]))
 
-    @bucket_counts.setter
-    def bucket_counts(self, cumulative: list[int]) -> None:
-        self._counts = [b - a for a, b in zip([0, *cumulative], cumulative)]
-        self._counts.append(0)
+    def load(self, cumulative: list[int], total: float, count: int) -> None:
+        """Take the cumulative bucket counts, sum and count of a dump."""
+        self.cells[:] = [
+            b - a for a, b in zip([0, *cumulative], [*cumulative, count])
+        ] + [total]
+        self.shown = True
 
     def observe(self, value: float) -> None:
-        self.sum += value
-        self.count += 1
+        cells = self.cells
         # NaN is <= no bound: it counts past the last one, as +inf does.
-        self._counts[
-            bisect_left(self._uppers, value) if value == value else -1
-        ] += 1
-        self.parked = False
+        cells[bisect_left(self._uppers, value) if value == value else -2] += 1
+        cells[-1] += value
 
 
 class Histogram(Metric):

@@ -133,10 +133,8 @@ def registry_from_dict(registry, data: dict):
                 labelnames=labelnames,
             )
             for sample in entry["samples"]:
-                child = metric.sample(**sample["labels"])
-                child.bucket_counts = list(sample["bucket_counts"])
-                child.sum = sample["sum"]
-                child.count = sample["count"]
+                metric.sample(**sample["labels"]).load(
+                    sample["bucket_counts"], sample["sum"], sample["count"])
         else:
             raise ValueError(f"unknown metric type {kind!r} for {name!r}")
     for tree in data.get("traces", []):

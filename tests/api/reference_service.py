@@ -7,7 +7,11 @@ service subclasses the shipped one to inherit the epoch code (refresh,
 sync, serial, content hash), which did not change.  That path counted
 every hit and miss twice — into the cache's ``CacheStats`` and into
 ``repro_api_cache_total`` — and counted the miss before computing the
-answer, so a query that raised still booked one.
+answer, so a query that raised still booked one.  One deliberate fix is
+made here too: ``lookup_asn`` refuses an AS number out of range, as
+``validate_route`` always did, where the old path answered ``ok ()`` and
+cached that answer.  It raises inside the answer, after the rate limit
+and the booked miss, as ``validate_route`` does on this path.
 ``test_request_path.py`` replays one request sequence through both.
 Not used by ``src/``.
 """
@@ -30,6 +34,7 @@ from repro.api.service import (
     VrpDiff,
     _fold,
 )
+from repro.resources import ASN
 from repro.rp.origin import validate
 from repro.telemetry import default_registry
 
@@ -193,6 +198,10 @@ class ReferenceQueryService(QueryService):
             content_hash=self._hash, payload=payload, cached=cached,
         )
 
+    def cache_stats(self):
+        stats = self._cache.stats
+        return stats.hits, stats.misses, stats.evictions
+
     def lookup_prefix(self, prefix, *, client: str = "anonymous"):
         return self._serve(
             "lookup_prefix", str(prefix),
@@ -203,7 +212,7 @@ class ReferenceQueryService(QueryService):
     def lookup_asn(self, asn, *, client: str = "anonymous"):
         return self._serve(
             "lookup_asn", f"AS{int(asn)}",
-            lambda: self._vrps.by_asn(asn),
+            lambda: self._vrps.by_asn(ASN(int(asn))),
             len, client,
         )
 

@@ -6,7 +6,9 @@ is replayed through ``QueryService`` and through the request path it
 replaced (``reference_service.py``), each counting into its own
 registry.  Every answer must be equal and every rendered registry
 byte-identical, except for one deliberate fix: the old path booked a
-cache miss for a query that raised before it had an answer.
+cache miss for a query that raised before it had an answer.  (The
+reference also carries the ``lookup_asn`` range check, a second fix,
+so that both paths raise on the same queries.)
 """
 
 import gc
@@ -19,7 +21,7 @@ from repro.api import ApiConfig, QueryService, RateLimitConfig
 from repro.api import service as service_module
 from repro.modelgen import DeploymentConfig, build_deployment
 from repro.repository import Fetcher
-from repro.resources import Prefix
+from repro.resources import AsnValueError, Prefix
 from repro.rp import RelyingParty
 from repro.rp.origin import validate
 from repro.simtime import HOUR
@@ -31,7 +33,9 @@ from .reference_service import ReferenceQueryService
 MALFORMED = [("validate_route", ("10.0.0.0/33", 1)),
              ("validate_route", ("10.0.0.0/8", -1)),
              ("validate_route", ("garbage", 5)),
-             ("lookup_prefix", ("10.0.0.0/x",))]
+             ("lookup_prefix", ("10.0.0.0/x",)),
+             ("lookup_asn", (-1,)),
+             ("lookup_asn", (2**32,))]
 
 
 @pytest.fixture
@@ -136,6 +140,10 @@ def test_a_query_that_raises_counts_nothing(rp):
     for args in (("10.0.0.0/33", 1), ("10.0.0.0/8", -1), ("garbage", 5)):
         with pytest.raises(ValueError):
             service.validate_route(*args)
+    # Was: ``ok ()``, cached, for an AS number no route can carry.
+    for asn in (-1, 2**32):
+        with pytest.raises(AsnValueError):
+            service.lookup_asn(asn)
     assert service.cache_stats() == (0, 0, 0)
     text = service.metrics.render_text()
     assert 'repro_api_cache_total{result="miss"} 0' in text
@@ -175,7 +183,7 @@ def test_one_tally_read_by_the_registry(rp):
 
 def test_a_dropped_service_leaves_nothing_in_the_registry(world):
     """Was: each service pulled its cache's counts into the registry,
-    which kept every dropped service's ``CacheStats`` alive, summed in."""
+    which kept every dropped service's cache counts alive, summed in."""
     registry = MetricsRegistry()
 
     def serve():
@@ -186,11 +194,11 @@ def test_a_dropped_service_leaves_nothing_in_the_registry(world):
         service = QueryService(rp, config=ApiConfig(rate_limit=None),
                                metrics=registry)
         service.lookup_prefix(next(iter(rp.vrps)).prefix)
-        return weakref.ref(service._cache.stats)
+        return weakref.ref(service)
 
-    stats = [serve() for _ in range(3)]
+    services = [serve() for _ in range(3)]
     gc.collect()
-    assert [ref() for ref in stats] == [None] * 3
+    assert [ref() for ref in services] == [None] * 3
     cache = registry.get("repro_api_cache_total")
     assert (cache.value(result="hit"), cache.value(result="miss")) == (0, 3)
 

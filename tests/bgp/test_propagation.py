@@ -130,14 +130,14 @@ class TestForwarding:
     def test_delivery_follows_selected_routes(self, graph):
         outcome = propagate(graph, [Origination.parse("10.4.0.0/16", 4)])
         delivery = forward(outcome, 3, "10.4.1.1")
-        assert delivery.delivered
+        assert delivery.delivered_to is not None
         assert delivery.delivered_to == ASN(4)
         assert delivery.hops[0] == ASN(3) and delivery.hops[-1] == ASN(4)
 
     def test_blackhole_when_no_route(self, graph):
         outcome = propagate(graph, [Origination.parse("10.4.0.0/16", 4)])
         delivery = forward(outcome, 3, "192.0.2.1")
-        assert delivery.blackholed and not delivery.delivered
+        assert delivery.blackholed and delivery.delivered_to is None
 
     def test_reachable_metric(self, graph):
         outcome = propagate(graph, [Origination.parse("10.4.0.0/16", 4)])
@@ -278,10 +278,9 @@ class TestRibLookup:
         rib = Rib()
         rib.install(Announcement.originate(p("10.0.0.0/8"), 1))
         rib.install(Announcement.originate(p("10.4.0.0/16"), 1))
-        routes, prefixes = rib.routes(), rib.prefixes()
+        prefixes = rib.prefixes()
         assert prefixes == (p("10.0.0.0/8"), p("10.4.0.0/16"))  # address order
-        # Read-only calls serve the same tuple objects — no rebuild.
-        assert rib.routes() is routes
+        # Read-only calls serve the same tuple object — no rebuild.
         assert rib.prefixes() is prefixes
 
     def test_views_invalidated_by_install_and_withdraw(self):
@@ -295,10 +294,11 @@ class TestRibLookup:
         assert rib.prefixes() is not stale
         # A Rib has no withdraw: a new route for a prefix replaces the old
         # one, which leaves the cached view just as a withdrawal would.
-        routes = rib.routes()
+        prefixes = rib.prefixes()
         rib.install(Announcement.originate(p("10.0.0.0/8"), 3))
-        assert rib.routes() is not routes
-        assert [route.origin for route in rib.routes()] == [ASN(3), ASN(2)]
+        assert rib.prefixes() is not prefixes
+        assert [rib.lookup(prefix).origin for prefix in rib.prefixes()] == [
+            ASN(3), ASN(2)]
 
 
 class TestSelectiveDrop:
@@ -385,7 +385,7 @@ class TestForwardingEdgeCases:
         outcome.ribs[ASN(2)] = rib2
         delivery = forward(outcome, 1, "10.1.2.3")
         assert delivery.looped
-        assert not delivery.delivered
+        assert delivery.delivered_to is None
         assert delivery.hops[:3] == (ASN(1), ASN(2), ASN(1))
 
     def test_max_hops_guard(self, monkeypatch):
@@ -404,7 +404,7 @@ class TestForwardingEdgeCases:
             ))
             outcome.ribs[ASN(index + 1)] = rib
         delivery = forward(outcome, 1, "10.1.2.3")
-        assert not delivery.delivered
+        assert delivery.delivered_to is None
 
     def test_prefix_destination_normalized_to_host(self):
         outcome = propagate(

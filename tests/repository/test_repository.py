@@ -48,10 +48,6 @@ class TestRsyncUri:
         with pytest.raises(UriError):
             RsyncUri.parse("rsync://a/b/").join("x/y")
 
-    def test_directory(self):
-        uri = RsyncUri.parse("rsync://sprint/repo/").join("ca.crl")
-        assert uri.directory == RsyncUri.parse("rsync://sprint/repo/")
-
     @pytest.mark.parametrize("bad", ["http://x/y", "rsync://", "sprint/repo"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(UriError):

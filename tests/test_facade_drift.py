@@ -134,6 +134,29 @@ def test_lint_reports_a_function_nothing_calls(tmp_path):
                         unused("Box.spare", "pkg/mod.py")]
 
 
+def test_lint_reaches_a_member_only_through_an_attribute(tmp_path):
+    """Was: a local variable or a builtin of a member's name counted as
+    its caller (``GhostbustersRecord.vcard`` rode on a local ``vcard``,
+    ``LocalOverrides.filter`` on the builtin ``filter``)."""
+    problems = definition_problems(tmp_path, {
+        "src/pkg/mod.py": (
+            "class Card:\n"
+            "    @property\n    def vcard(self):\n        return {}\n\n"
+            "    def filter(self):\n        pass\n\n"
+            "    def kept(self):\n        pass\n\n"
+            "def read():\n"
+            "    vcard = {}\n    return vcard, list(filter(None, []))\n\n"
+            "def outer():\n"
+            "    def inner():\n        pass\n    return inner()\n"
+        ),
+        "tools/run.py": (
+            "from pkg.mod import Card, outer, read\n"
+            "read()\nouter()\nCard().kept()\n"),
+    })
+    assert problems == [unused("Card.vcard", "pkg/mod.py"),
+                        unused("Card.filter", "pkg/mod.py")]
+
+
 def test_lint_does_not_count_all_or_a_package_reexport(tmp_path):
     problems = definition_problems(tmp_path, {
         "src/pkg/__init__.py": (

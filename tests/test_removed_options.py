@@ -506,7 +506,9 @@ GONE_ATTRIBUTES = [
     "repro.bgp.AsGraph.links",
     "repro.bgp.AsGraph.peers_of",
     "repro.bgp.AsGraph.providers_of",
+    "repro.bgp.DeliveryOutcome.delivered",
     "repro.bgp.Rib.route_for",
+    "repro.bgp.Rib.routes",
     "repro.bgp.Rib.withdraw",
     "repro.bgp.RoutingOutcome.has_route",
     "repro.bgp.RoutingOutcome.route_at",
@@ -533,6 +535,7 @@ GONE_ATTRIBUTES = [
     "repro.resources.ResourceSet.covers_address",
     "repro.resources.ResourceSet.intersect",
     "repro.resources.ResourceSet.universe",
+    "repro.rp.DegradationReport.summary",
     "repro.rp.LocalOverrides.force",
     "repro.rp.RefreshReport.budget_exhausted",
     "repro.rpki.CertificateAuthority.contact",
@@ -541,6 +544,7 @@ GONE_ATTRIBUTES = [
     "repro.rpki.CertificateAuthority.set_contact",
     "repro.rpki.GhostbustersRecord.email",
     "repro.rpki.InMemoryPublicationPoint.revision",
+    "repro.rpki.RsyncUri.directory",
     "repro.telemetry.Counter.pull",
     "repro.telemetry.Gauge.dec",
     "repro.telemetry.metrics._GaugeChild.dec",

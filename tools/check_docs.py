@@ -68,7 +68,7 @@ LINE_CAPS = {
     "architecture.md": 217,
     "chaos.md": 115,
     "faults.md": 139,
-    "performance.md": 2252,
+    "performance.md": 2232,
     "resilience.md": 225,
     "rtr.md": 278,
     "telemetry.md": 314,

@@ -29,16 +29,19 @@ checks:
    imports of the scanned files).
 5. **Every definition has a caller.**  Every ``def`` and ``class`` under
    ``src/repro`` (dunder methods exempt) must be named somewhere under
-   ``src/``, ``benchmarks/``, ``examples/`` or ``tools/``: as a name, an
-   attribute, an imported name outside a package ``__init__.py``, or an
-   identifier-shaped string (``getattr`` dispatch).  ``__all__`` lists,
-   package re-exports and ``tests/`` do not count: a definition only
-   tests reach is a corner the program itself never runs.  One that
-   stays anyway sits in :data:`DEFINITION_ALLOWLIST` with its reason.
-   The match is by bare name, so a definition sharing its name with a
-   used one counts as used (``LocalOverrides.from_dict`` rides on
-   ``TraceNode.from_dict``): the check can miss dead code, but it never
-   flags live code.
+   ``src/``, ``benchmarks/``, ``examples/`` or ``tools/``: as an
+   attribute (``x.name``), an imported name outside a package
+   ``__init__.py``, or an identifier-shaped string (``getattr``
+   dispatch) — and, for a module-level definition or one nested in a
+   function, also as a bare name.  A class member is only ever reached
+   through an attribute, so a local variable or a builtin of its name
+   does not keep it.  ``__all__`` lists, package re-exports and
+   ``tests/`` do not count: a definition only tests reach is a corner
+   the program itself never runs.  One that stays anyway sits in
+   :data:`DEFINITION_ALLOWLIST` with its reason.  The match is still by
+   name, not by owner, so a member sharing its name with a used one
+   counts as used (``LocalOverrides.from_dict`` rides on
+   ``TraceNode.from_dict``): the check can miss dead code.
 
 Checks 4 and 5 parse each file once between them.
 
@@ -81,10 +84,32 @@ OPTION_ALLOWLIST: dict[str, str] = {
 # Definitions no file outside tests/ names, kept anyway: "Owner.name" ->
 # why.  Owner is the enclosing class (or function), none for a module's.
 DEFINITION_ALLOWLIST: dict[str, str] = {
+    "CertificateAuthority.key":
+        "the authority's signing key pair: the seam through which the "
+        "hostile-input tests sign forged bytes (tests/rpki/forge.py); the "
+        "program signs through the authority's own methods",
     "CertificateAuthority.roll_key":
         "an authority's key rollover, which the paper's relying parties "
         "must follow; covered by tests/test_integration_lifecycle.py and "
         "tests/rp/test_delta_handoff.py",
+    "GhostbustersRecord.vcard":
+        "a contact record's content (RFC 6493), the one way to read a "
+        "record the relying party keeps in ValidationRun.contacts for an "
+        "operator; the program reads no field of it itself",
+    "KeyFactory.issued":
+        "how many key pairs a factory handed out: the count by which "
+        "tests/modelgen/test_internet_scales.py holds a flat world to one "
+        "key per authority (a world's key factory is the program's; only "
+        "its count is read in tests)",
+    "LocalOverrides.filter":
+        "the builder of an RFC 8416 prefix filter beside pin(); the "
+        "program reads filters from SLURM files (from_dict), the "
+        "operator-facing builder is covered by tests/rp/test_slurm.py",
+    "_BaseCertificate.crldp":
+        "a certificate's CRL distribution point (RFC 6487), read from "
+        "every certificate: tests/rpki/test_parse_differential.py holds "
+        "each accessor to the reference parser's; the relying party finds "
+        "an issuer's CRL through its publication point instead",
     "detect_manifest_replay":
         "the replay detector, standalone; covered by "
         "tests/monitor/test_monitor.py::TestByzantineDetectors; ROADMAP's "
@@ -293,22 +318,25 @@ def check_options(
     return problems
 
 
-def _definitions(node: ast.AST, owner: tuple[str, ...] = ()):
-    """``("Owner.name", name)`` for every def and class under *node*."""
+def _definitions(node: ast.AST, owner: tuple[str, ...] = (),
+                 member: bool = False):
+    """``("Owner.name", name, member)`` for every def and class under
+    *node*; *member* is true for one defined in a class body."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                               ast.ClassDef)):
-            yield ".".join(owner + (child.name,)), child.name
-            yield from _definitions(child, owner + (child.name,))
+            yield ".".join(owner + (child.name,)), child.name, member
+            yield from _definitions(child, owner + (child.name,),
+                                    isinstance(child, ast.ClassDef))
         else:
-            yield from _definitions(child, owner)
+            yield from _definitions(child, owner, member)
 
 
 def _names(tree: ast.Module, package_init: bool):
-    """Every name *tree* uses: loads and stores, attributes, imported
-    names (not a package's re-exports) and identifier-shaped strings
-    (``getattr`` dispatch) — but not the strings of ``__all__`` or of
-    :data:`DEFINITION_ALLOWLIST`."""
+    """``(name, bare)`` for every name *tree* uses: loads and stores
+    (*bare*), attributes, imported names (not a package's re-exports)
+    and identifier-shaped strings (``getattr`` dispatch) — but not the
+    strings of ``__all__`` or of :data:`DEFINITION_ALLOWLIST`."""
     listed = set()
     for node in tree.body:
         targets = (node.targets if isinstance(node, ast.Assign)
@@ -320,14 +348,14 @@ def _names(tree: ast.Module, package_init: bool):
             listed.update(map(id, ast.walk(node.value)))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id
+            yield node.id, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr
+            yield node.attr, False
         elif isinstance(node, ast.ImportFrom) and not package_init:
-            yield from (alias.name for alias in node.names)
+            yield from ((alias.name, False) for alias in node.names)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and node.value.isidentifier() and id(node) not in listed):
-            yield node.value
+            yield node.value, False
 
 
 def check_definitions(
@@ -337,17 +365,20 @@ def check_definitions(
     package: pathlib.Path = REPO_ROOT / "src" / "repro",
 ) -> list[str]:
     """Every def and class under *package* no file under *roots* names."""
-    used: set[str] = set()
+    # Names used as a bare name only, and names used otherwise.
+    bare: set[str] = set()
+    reached: set[str] = set()
     for path, tree in _sources(roots):
-        used.update(_names(tree, path.name == "__init__.py"))
+        for name, is_bare in _names(tree, path.name == "__init__.py"):
+            (bare if is_bare else reached).add(name)
     problems = []
     known = set()
     for path, tree in _sources((package,)):
-        for key, name in _definitions(tree):
+        for key, name, member in _definitions(tree):
             if name.startswith("__") and name.endswith("__"):
                 continue
             known.add(key)
-            if name in used:
+            if name in reached or (not member and name in bare):
                 if key in allowlist:
                     problems.append(f"definition {key} has a caller now: "
                                     "drop its DEFINITION_ALLOWLIST row")
