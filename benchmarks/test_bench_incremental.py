@@ -48,8 +48,8 @@ from repro.modelgen import INTERNET_SCALES, DeploymentConfig, build_deployment
 from repro.repository import Fetcher, HostedPublicationPoint
 from repro.repository import cache as repository_cache
 from repro.resources import PrefixMap
-from repro.rp import IncrementalState, RelyingParty, VrpSet
-from repro.rp import pathval
+from repro.rp import RelyingParty, VrpSet
+from repro.rp import pathval, walk
 from repro.rp.vrp import _Fingerprint
 from repro.rpki import roa as roa_module
 from repro.simtime import HOUR
@@ -153,8 +153,8 @@ class _Calls:
         self.point_copies = self.point_digests = 0
         self.point_lookups = self.run_assemblies = 0
         self._count(patch, HostedPublicationPoint, "snapshot", "point_copies")
-        self._count(patch, IncrementalState, "lookup", "point_lookups")
-        self._count(patch, pathval, "_Assembled", "run_assemblies")
+        self._count(patch, walk.ValidationWalk, "_lookup", "point_lookups")
+        self._count(patch, walk, "_Assembled", "run_assemblies")
         self._count(patch, repository_cache, "point_digest", "point_digests")
         self._count(patch, pathval, "point_digest", "point_digests")
         self._count(patch, VrpSet, "__init__", "vrpset_builds")

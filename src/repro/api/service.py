@@ -346,20 +346,16 @@ class QueryService:
         return self._serve("history", "history", client,
                            QueryService._ring, by_serial=True)
 
-    def diff(
-        self, from_serial: int, to_serial: int | None = None,
-        *, client: str = "anonymous",
-    ) -> ApiResponse:
-        """Net VRP change between two served epochs.
+    def diff(self, from_serial: int, *, client: str = "anonymous") -> ApiResponse:
+        """Net VRP change from a served epoch to the current one.
 
         Epochs older than the history window answer ``unknown-serial`` —
         the bounded-memory tradeoff, mirroring an RTR cache's Cache Reset
         when a router is too far behind.
         """
-        current = self.serial           # adopts any pending refresh
-        to_serial = current if to_serial is None else to_serial
+        to_serial = self.serial         # adopts any pending refresh
         oldest = self._history[0].serial
-        if not (oldest - 1 <= from_serial <= to_serial <= current):
+        if not (oldest - 1 <= from_serial <= to_serial):
             return self._refuse("diff", QueryStatus.UNKNOWN_SERIAL)
         return self._serve("diff", f"diff|{from_serial}|{to_serial}", client,
                            QueryService._net_diff, from_serial, to_serial,

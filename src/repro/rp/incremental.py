@@ -29,16 +29,10 @@ same property, without changing a single validation verdict:
   strictness policy, the bytes of every cached copy, and which side of
   each time boundary ``now`` falls on), and the validator keeps it with
   exactly those dependencies.
-- :class:`Level` — what a walk judged at one depth, and the only place a
-  point result is kept: :class:`IncrementalState` holds the last
-  finished walk's levels.  A later walk that reaches the depth from the
-  same certificates judges again only the points a changed URI or the
-  clock touched, so an idle refresh does no per-point work after its fetch
-  round; from any other frontier it checks each point against the
-  result the level holds for its key — one check,
-  :meth:`IncrementalState.lookup` — and replays it verbatim when nothing
-  it depends on moved, or recomputes it (a *dirty* point).  A CA no
-  walk judges any more leaves no result behind.
+
+The last finished walk's levels (:class:`~repro.rp.walk.Level`) are the
+only place a point result is kept; which points a walk judges again,
+and the one clean-point check, are :mod:`repro.rp.walk`'s.
 
 Invalidation rules — the attack-safety contract
 -----------------------------------------------
@@ -85,7 +79,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import inf
-from operator import attrgetter, is_, itemgetter
 from typing import NamedTuple
 
 from ..crypto import RsaPublicKey, sha256_hex
@@ -325,59 +318,6 @@ class PointResult:
         return tuple(vrp for _, row in self.roas for vrp in row.vrps)
 
 
-class Level:
-    """What a finished walk judged at one depth of the certificate tree.
-
-    ``frontier`` is the list of CA certificates the level started from,
-    ``uris`` their publication URIs, ``certs`` the judged ones and
-    ``results`` their outcomes, both by subject key id in frontier order,
-    the loop guard's repeats left out.  ``children`` is the next level's
-    frontier, ``owners`` maps each URI a kept result read to the keys
-    whose result read it, ``window`` is the largest ``lo`` and smallest
-    ``hi`` of the kept windows (an instant inside it is inside every
-    one), and ``verifies`` the signature checks the results performed.
-
-    The levels of the last finished walk are the only point results a
-    state keeps.  The next walk that starts a depth from the very same
-    ``frontier`` list under the same policy judges again only the points
-    a moved URI or the clock touches, and hands on this level's
-    ``children`` list when their certificates are the same objects, so
-    the depth below can do the same; from any other frontier it looks
-    each point up against ``results``.
-    """
-
-    __slots__ = ("frontier", "uris", "certs", "results", "strict",
-                 "children", "owners", "window", "verifies")
-
-    def __init__(
-        self,
-        frontier: list,
-        uris: frozenset[str],
-        certs: dict[str, object],
-        results: dict[str, PointResult],
-        strict: bool,
-        kept: "Level | None" = None,
-    ):
-        self.frontier, self.uris = frontier, uris
-        self.certs, self.results, self.strict = certs, results, strict
-        entries = list(results.values())
-        children = [child for entry in entries for child in entry.children]
-        if kept is not None and len(children) == len(kept.children) and all(
-                map(is_, children, kept.children)):
-            children = kept.children
-        self.children = children
-        # Tuples of strings, which the cyclic collector stops tracking.
-        owners: dict[str, tuple[str, ...]] = {}
-        for key_id, entry in results.items():
-            for uri, _ in entry.copies:
-                owners[uri] = owners.get(uri, ()) + (key_id,)
-        self.owners = owners
-        windows = list(map(attrgetter("window"), entries))
-        self.window = (max(map(itemgetter(0), windows), default=-inf),
-                       min(map(itemgetter(1), windows), default=inf))
-        self.verifies = sum(map(attrgetter("verify_count"), entries))
-
-
 class IncrementalState:
     """Everything a validator carries across runs to validate incrementally.
 
@@ -409,10 +349,10 @@ class IncrementalState:
         self.digests: dict[str, str] = {}
         self.source: object | None = None
         self.changed: set[str] = set()
-        # The last finished walk, one Level per depth (the one place a
-        # PointResult is kept), and the run it assembled (the
-        # validator's to read; see ValidationWalk.finish).
-        self.levels: list[Level] = []
+        # The last finished walk, one repro.rp.walk.Level per depth (the
+        # one place a PointResult is kept), and the run it assembled
+        # (see ValidationWalk.finish).
+        self.levels: list = []
         self.assembled: object | None = None
         # The last walk's (anchor, issue) list, the window [lo, hi) it
         # holds in and the verification-memo lookups judging it made.
@@ -421,9 +361,6 @@ class IncrementalState:
         # (verify hits, verify misses, parse hits, parse misses) already
         # booked into the counters below; see book().
         self._booked = (0, 0, 0, 0)
-        # Points replayed and validated, and the signature checks the
-        # replays skipped, since the last book().
-        self._reused = self._validated = self._skipped = 0
         verify_memo = self.metrics.counter(
             "repro_incremental_verify_memo_total",
             help="verification-memo lookups, by result",
@@ -466,13 +403,15 @@ class IncrementalState:
 
     # -- telemetry -----------------------------------------------------------
 
-    def book(self) -> None:
-        """Book what the walk since the last call did, once per walk.
+    def book(self, reused: int, validated: int, skipped: int,
+             invalidated: list[str]) -> None:
+        """Book what a finished walk did: the points it *reused* and
+        *validated*, the signature checks the replays *skipped*, and
+        why each dirty point was (*invalidated*, one reason per point).
 
-        The memos count their own hits and misses, and :meth:`lookup`,
-        :meth:`replayed` and the validator the points replayed and
-        validated, as plain integers; the labelled counters are brought
-        up to date here instead of on every lookup.
+        The memos count their own hits and misses as plain integers; the
+        labelled counters are brought up to date here instead of on
+        every lookup.
         """
         verify, parse = self.verify_memo, self.parse_memo
         # A blob too big for the memo was looked up and not found.
@@ -482,62 +421,15 @@ class IncrementalState:
             if total > booked:
                 counter.inc(total - booked)
         self._booked = totals
-        if self._reused:
-            self._m_points["reused"].inc(self._reused)
-        if self._validated:
-            self._m_points["validated"].inc(self._validated)
-        if self._skipped:
-            self._m_skipped.inc(self._skipped)
-        self._reused = self._validated = self._skipped = 0
-        self._update_gauges()
-
-    # -- the dirty-point check ----------------------------------------------
-
-    def lookup(
-        self, depth: int, ca_key_id: str, issuer: str, strict: bool, now: int
-    ) -> PointResult | None:
-        """The last walk's result for this CA's point, if still valid at *now*.
-
-        The one clean-point check, against the result the last finished
-        walk's level at *depth* holds for *ca_key_id*: the issuing
-        certificate (*issuer*, its hash) and the manifest policy are the
-        ones kept, every publication URI serves the digest kept for it
-        in the walks' view (:attr:`digests`), and *now* lies in the kept
-        window.  Returns None — after counting why — when the point is
-        dirty, or new at this depth.
-        """
-        levels = self.levels
-        entry = (levels[depth].results.get(ca_key_id)
-                 if depth < len(levels) else None)
-        reason = None
-        if entry is None:
-            reason = "new"
-        elif entry.issuer != issuer:
-            reason = "issuer"
-        elif entry.strict != strict:
-            reason = "policy"
-        else:
-            digests = self.digests
-            for uri, digest in entry.copies:
-                if digests.get(uri) != digest:
-                    reason = "content"
-                    break
-            else:
-                lo, hi = entry.window
-                if not lo <= now < hi:
-                    reason = "time"
-        if reason is not None:
+        if reused:
+            self._m_points["reused"].inc(reused)
+        if validated:
+            self._m_points["validated"].inc(validated)
+        if skipped:
+            self._m_skipped.inc(skipped)
+        for reason in invalidated:
             self._m_invalidations[reason].inc()
-            return None
-        self._reused += 1
-        self._skipped += entry.verify_count
-        return entry
-
-    def replayed(self, points: int, verifies: int) -> None:
-        """Book *points* kept results replayed without a :meth:`lookup`
-        (nothing they depend on moved) and the *verifies* they skip."""
-        self._reused += points
-        self._skipped += verifies
+        self._update_gauges()
 
     def _update_gauges(self) -> None:
         verify, parse, roa_rows = self._m_entries
@@ -555,7 +447,7 @@ class IncrementalState:
         replace the emitted ones assertion for assertion — withdraw all,
         announce all, net change empty if nothing else moved.
         """
-        self.book()
+        self.book(0, 0, 0, [])
         self.verify_memo = VerificationMemo()
         self.parse_memo = ParseMemo()
         self.roa_rows = GenerationMemo()

@@ -19,32 +19,22 @@ paper's entire Section 4 is about what those conditions do to routing.
 
 Validation is organized around *publication points*: each accepted CA
 certificate leads to one point, whose local outcome (issues, accepted
-children, ROA rows, VRPs, contact, CRL) is computed as a unit.  A
-:class:`ValidationWalk` visits the certificate tree level by level and
-judges every reached CA's point exactly once, from whatever is served
-for it at that moment, keyed by the served points' content digests.
-The walk reads its validator state's view of what is served: the
-relying party fetches each level's points in one round just before the
-walk judges them and reads into the view only the URIs its cache says
-changed, while :meth:`PathValidator.run` hands over a whole snapshot
-and finds the changed URIs by comparing digests.  The per-point unit is
-exactly what
-:mod:`repro.rp.incremental` keeps: every validator carries an
-:class:`~repro.rp.incremental.IncrementalState`, and unchanged points are
-replayed from the previous walk instead of being re-parsed and
-re-verified.  A new validator's first walk (or one after
-``IncrementalState.clear()``) is cold; the oracle the tests hold it to
-is the reference validator under ``tests/rp/``, which shares none of
-this code.
+children, ROA rows, VRPs, contact, CRL) is judged as a unit by
+:meth:`PathValidator.judge`, from the served files and their content
+digests, into the :class:`~repro.rp.incremental.PointResult` that
+:mod:`repro.rp.incremental` keeps.  Which points are judged again, and
+how their results assemble into a :class:`ValidationRun`, is the walk's
+(:mod:`repro.rp.walk`); the judge reads the memos of its validator's
+:class:`~repro.rp.incremental.IncrementalState` and nothing else of it.
+The oracle the tests hold both to is the reference validator under
+``tests/rp/``, which shares none of this code.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter, is_, itemgetter
-from typing import NamedTuple
+from operator import itemgetter
 
 from ..crypto import RsaPublicKey, sha256_hex
 from ..repository.cache import point_digest
@@ -58,20 +48,15 @@ from ..rpki.ghostbusters import GhostbustersRecord
 from ..rpki.objects import SignedObject
 from ..rpki.parse import class_of
 from ..rpki.roa import Roa, RoaRead, read_roa, roa_of
-from .incremental import (
-    IncrementalState, Level, PointResult, RoaRow, time_window,
-)
+from .incremental import IncrementalState, PointResult, RoaRow, time_window
 from .vrp import VRP, VrpSet
 
 __all__ = [
     "Severity",
     "ValidationIssue",
     "ValidationRun",
-    "ValidationWalk",
     "PathValidator",
 ]
-
-_MAX_DEPTH = 32
 
 
 class Severity(enum.Enum):
@@ -238,6 +223,10 @@ class PathValidator:
         )
         state.files, state.digests = dict(cache_files), dict(digests)
         state.source = None
+        # The judge's one import of the walk: run stays on the validator
+        # while benchmarks/e2e/stack.py times it there.
+        from .walk import ValidationWalk
+
         walk = ValidationWalk(self, now)
         while walk.frontier:
             walk.step(now)
@@ -270,9 +259,9 @@ class PathValidator:
         """
         return self.incremental.parse_memo.parse(data, digest)
 
-    # -- internals ----------------------------------------------------------
+    # -- the judge ------------------------------------------------------------
 
-    def _anchor_issue(
+    def anchor_issue(
         self, anchor: ResourceCertificate, now: int
     ) -> ValidationIssue | None:
         """Why *anchor* cannot root a walk at *now* (None = accepted)."""
@@ -291,47 +280,41 @@ class PathValidator:
             )
         return None
 
-    def _judge_point(
-        self, ca_cert: ResourceCertificate, depth: int, now: int
+    def judge(
+        self,
+        ca_cert: ResourceCertificate,
+        files: dict[str, dict[str, bytes]],
+        digests: dict[str, str],
+        now: int,
     ) -> PointResult:
-        """The per-point step: replay the last walk's result, or validate.
+        """The verdict on *ca_cert*'s publication point at *now*.
 
-        Every point a walk judges at *depth* — a refresh's or
-        :meth:`run`'s, each CA's at most once — goes through this one
-        function, from the files and digests its state reads.  A clean
-        point costs the one check of
-        :meth:`IncrementalState.lookup <repro.rp.incremental.IncrementalState.lookup>`
-        against the result the last walk's level at *depth* holds for
-        its key, and is replayed; a point validated from bytes gets a
-        trace node of its own, with what it read and did.  The walk's
-        levels keep what this returns.
+        *files* maps publication URI → file name → bytes and *digests*
+        each URI to its content digest, for every copy that is served.
+        Never raises: a validation that raised is contained into a
+        quarantined result (:meth:`_quarantined_point`), whose window
+        is empty.  The judgement is a trace node of its own, with what
+        it read and did.
         """
-        state = self.incremental
-        entry = state.lookup(depth, ca_cert.subject_key_id, ca_cert.hash_hex,
-                             self.strict_manifests, now)
-        if entry is not None:
-            return entry
-        parse = state.parse_memo
+        parse = self.incremental.parse_memo
         hits = parse.hits
         node = self.metrics.open("point " + ca_cert.sia, now)
         try:
             entry = self._validate_point(
-                ca_cert, state.files, state.digests, now, node.counts
+                ca_cert, files, digests, now, node.counts
             )
         except Exception as exc:  # containment: one bad point ≠ dead run
             entry = self._quarantined_point(ca_cert, exc)
-        else:
-            state._validated += 1
-        files = state.files.get(entry.selected_uri, {})
+        read = files.get(entry.selected_uri, {})
         node.counts.update(
-            objects=len(files), bytes=sum(map(len, files.values())),
+            objects=len(read), bytes=sum(map(len, read.values())),
             verifies=entry.verify_count, parse_hits=parse.hits - hits,
         )
         self.metrics.close(node, now)
         return entry
 
-    def _count(self, run: "_Assembled") -> None:
-        """Book one finished walk into the telemetry registry."""
+    def book(self, run) -> None:
+        """Book one finished walk's assembled *run* into the registry."""
         self._m_runs.inc()
         if run.validated_cas:
             self._m_cas.inc(len(run.validated_cas))
@@ -341,6 +324,8 @@ class PathValidator:
             self._m_contacts.inc(len(run.contacts))
         for severity, count in run.severities:
             self._m_issues.inc(count, severity=severity.value)
+
+    # -- internals ----------------------------------------------------------
 
     def _validate_point(
         self,
@@ -871,298 +856,6 @@ class PathValidator:
             ))
             return None
         return record
-
-
-class _Assembled(NamedTuple):
-    """A walk's run, as assembled: what the next walk that judged the
-    same point results returns again, in fresh containers."""
-
-    anchors: list
-    validated_cas: tuple
-    issues: tuple
-    roas: tuple
-    contacts: dict
-    crls: dict
-    roa_count: int
-    # (severity, issues of it) per severity with any, in Severity order.
-    severities: tuple
-
-    def run(self, vrps: VrpSet) -> ValidationRun:
-        return ValidationRun(
-            vrps=vrps, validated_cas=list(self.validated_cas),
-            issues=list(self.issues), roas=list(self.roas),
-            contacts=dict(self.contacts), crls=dict(self.crls),
-        )
-
-
-class ValidationWalk:
-    """One level-by-level walk of the certificate tree.
-
-    Construction judges the trust anchors at *now*.  :attr:`frontier`
-    holds the CA certificates accepted at the current depth whose
-    publication points have not been judged yet.  The caller brings
-    what the validator's state reads up to date for them — a relying
-    party fetches :meth:`publication_uris` and reads the ones that
-    changed from its cache, :meth:`PathValidator.run` hands over a
-    whole snapshot — then calls :meth:`step`, which judges each frontier
-    point once and makes the accepted children the next frontier.  When
-    the frontier is empty, :meth:`finish` assembles the
-    :class:`ValidationRun` depth-first.
-
-    Each depth is judged against the last finished walk's
-    :class:`~repro.rp.incremental.Level` at that depth, the only point
-    results the state keeps; see :meth:`_judge`.
-
-    One CA *key* gets one walk: if a second certificate for an
-    already-judged key turns up (malicious self-recertification, or one
-    key certified twice), it is listed among the validated CAs but its
-    point is not judged again.
-    """
-
-    def __init__(self, validator: PathValidator, now: int):
-        self._validator = validator
-        self._state = state = validator.incremental
-        # The last walk's anchor verdicts while the anchors are the same
-        # objects and *now* is in their window (its memo lookups booked).
-        anchors = validator.trust_anchors
-        judged, lo, hi, lookups = state.anchors
-        if (lo <= now < hi and len(judged) == len(anchors)
-                and all(map(is_, map(itemgetter(0), judged), anchors))):
-            state.verify_memo.hits += lookups
-        else:
-            memo = state.verify_memo
-            before = memo.hits + memo.misses
-            judged = [(anchor, validator._anchor_issue(anchor, now))
-                      for anchor in anchors]
-            lookups = memo.hits + memo.misses - before
-            lo, hi = time_window((sorted(a.not_before for a in anchors),
-                                  sorted(a.not_after for a in anchors)), now)
-        self._anchors = judged
-        self._kept_anchors = (judged, lo, hi, lookups)
-        # Subject key id -> the certificate judged for it, and its outcome.
-        self._certs: dict[str, ResourceCertificate] = {}
-        self._results: dict[str, PointResult] = {}
-        self._levels: list[Level] = []
-        self._depth = 0
-        self._now = now
-        frontier = [anchor for anchor, issue in self._anchors if issue is None]
-        if state.levels:
-            kept = state.levels[0].frontier
-            if len(kept) == len(frontier) and all(map(is_, kept, frontier)):
-                frontier = kept
-        self.frontier: list[ResourceCertificate] = frontier
-
-    def _kept(self) -> Level | None:
-        """The last walk's level at this depth, if it started from this
-        very frontier."""
-        levels = self._state.levels
-        if self._depth < len(levels):
-            kept = levels[self._depth]
-            if kept.frontier is self.frontier:
-                return kept
-        return None
-
-    def publication_uris(self) -> frozenset[str]:
-        """Every publication URI (mirrors included) of the frontier's CAs."""
-        kept = self._kept()
-        if kept is not None:
-            return kept.uris
-        return frozenset([
-            uri
-            for ca_cert in self.frontier
-            for uri in ca_cert.all_publication_uris
-        ])
-
-    def step(self, now: int) -> None:
-        """Judge the frontier's points at *now*, from what the state reads.
-
-        The judgement is one trace node: a point replayed is a count on
-        it, a point validated a node under it.
-        """
-        validator, state = self._validator, self._state
-        judge = validator.metrics.open("judge", now)
-        replayed = state._reused
-        level = self._judge(now)
-        self._levels.append(level)
-        self._certs.update(level.certs)
-        self._results.update(level.results)
-        judge.counts.update(points=len(self.frontier),
-                            replayed=state._reused - replayed)
-        validator.metrics.close(judge, now)
-        self._depth += 1
-        self._now = now
-        self.frontier = level.children
-
-    def _judge(self, now: int) -> Level:
-        """Judge the frontier's points: the one judgement of a depth.
-
-        When the frontier is the very list the last walk's level at this
-        depth started from, under the same policy, every issuing
-        certificate and loop-guard decision is the one that level was
-        judged with, and only its suspects are judged again: the points
-        a URI they read changed under since the last walk, or whose
-        window *now* has left.  The others are replayed, booked in bulk,
-        and the level itself is returned when no suspect moved.
-        Otherwise every frontier key the loop guard lets through is
-        judged, each looked up against that level.
-        """
-        validator, state = self._validator, self._state
-        kept = self._kept()
-        if kept is not None and kept.strict == validator.strict_manifests:
-            certs, results = kept.certs, kept.results
-            suspects: set[str] = set()
-            if state.changed:
-                owners = kept.owners
-                for uri in state.changed.intersection(owners):
-                    suspects.update(owners[uri])
-            lo, hi = kept.window
-            if not lo <= now < hi:
-                for key_id, entry in results.items():
-                    lo, hi = entry.window
-                    if not lo <= now < hi:
-                        suspects.add(key_id)
-            if not suspects:
-                state.replayed(len(results), kept.verifies)
-                return kept
-            replayed = (len(results) - len(suspects), kept.verifies - sum(
-                results[key_id].verify_count for key_id in suspects))
-            results = dict(results)
-        else:
-            kept, certs, results, replayed = None, {}, {}, (0, 0)
-            if self._depth <= _MAX_DEPTH:
-                # The loop guard (malicious self-recertification): a key
-                # is judged once, under the first certificate reached.
-                judged = self._certs
-                for ca_cert in self.frontier:
-                    key_id = ca_cert.subject_key_id
-                    if key_id not in judged:
-                        certs.setdefault(key_id, ca_cert)
-            suspects = certs
-        moved = kept is None
-        for key_id in [key_id for key_id in certs if key_id in suspects]:
-            old = results.get(key_id)
-            entry = validator._judge_point(certs[key_id], self._depth, now)
-            if entry is not old:
-                results[key_id] = entry
-                moved = True
-        state.replayed(*replayed)
-        if not moved:
-            return kept
-        return Level(self.frontier, self.publication_uris(), certs, results,
-                     validator.strict_manifests, kept)
-
-    def finish(self) -> ValidationRun:
-        """Assemble the judged points, depth-first from the trust anchors.
-
-        A walk whose every depth kept the last walk's
-        :class:`~repro.rp.incremental.Level`, from the same anchors,
-        judged the same point results: it returns the last assembled run
-        again, in fresh containers, and the VRP index does not move.
-        Otherwise the index is *edited*, not rebuilt: per emitted CA key
-        this walk's point result is compared with the one emitted last
-        time — the same object was replayed and contributes nothing; a
-        different one, or a key no longer emitted, withdraws the old
-        result's VRPs and announces the new one's.  On a new state "last
-        time" is empty and so is the index, and the same edit is a bulk
-        build.  The edit and the state's update are the last things to
-        happen: a walk that raised anywhere left both alone.
-        """
-        state = self._state
-        index, last = state.vrps, state.emitted
-        metrics = self._validator.metrics
-        assembled = state.assembled
-        if (assembled is not None and assembled.anchors is self._anchors
-                and len(self._levels) == len(state.levels)
-                and all(map(is_, self._levels, state.levels))):
-            result = assembled.run(index)
-            emitted = last
-        else:
-            result = ValidationRun(vrps=index)
-            emitted = {}
-            for anchor, issue in self._anchors:
-                if issue is not None:
-                    result.issues.append(issue)
-                    continue
-                result.validated_cas.append(anchor)
-                self._emit(anchor, result, emitted)
-            assembled = _Assembled(
-                self._anchors, tuple(result.validated_cas),
-                tuple(result.issues), tuple(result.roas),
-                dict(result.contacts), dict(result.crls), result.roa_count,
-                _severities(result.issues),
-            )
-        edit = metrics.open("vrp-edit", self._now)
-        if emitted is not last:
-            withdrawn = [
-                entry.vrps for key_id, entry in last.items()
-                if emitted.get(key_id) is not entry
-            ]
-            announced = [
-                entry.vrps for key_id, entry in emitted.items()
-                if last.get(key_id) is not entry
-            ]
-            result.announced, result.withdrawn = index.apply_delta(
-                chain.from_iterable(announced), chain.from_iterable(withdrawn)
-            )
-        edit.counts.update(announced=len(result.announced),
-                           withdrawn=len(result.withdrawn))
-        metrics.close(edit, self._now)
-        state.emitted = emitted
-        state.anchors = self._kept_anchors
-        state.levels = self._levels
-        state.assembled = assembled
-        state.changed.clear()
-        state.book()
-        self._validator._count(assembled)
-        return result
-
-    def _emit(
-        self,
-        anchor: ResourceCertificate,
-        result: ValidationRun,
-        emitted: dict[str, PointResult],
-    ) -> None:
-        """Apply the judged points under *anchor*, depth-first.
-
-        Each point's local outcome goes in before its children's
-        subtrees, children in file order, and every child certificate is
-        listed as it is reached — the order of a recursive descent, kept
-        on an explicit stack.  Replayed and freshly computed results take
-        the identical path, so warm output equals cold output by
-        construction.
-        """
-        certs, results = self._certs, self._results
-        issues, cas = result.issues, result.validated_cas
-        stack = [(anchor, 0)]
-        while stack:
-            ca_cert, depth = stack.pop()
-            if depth:
-                cas.append(ca_cert)
-                if depth > _MAX_DEPTH:
-                    issues.append(ValidationIssue(
-                        Severity.ERROR, ca_cert.sia, "", "depth-exceeded",
-                        "certificate chain deeper than the validator allows",
-                    ))
-                    continue
-            key_id = ca_cert.subject_key_id
-            if key_id in emitted or certs.get(key_id) is not ca_cert:
-                continue  # this key's point belongs to another certificate
-            entry = emitted[key_id] = results[key_id]
-            issues.extend(entry.issues)
-            if entry.contact is not None:
-                result.contacts[entry.selected_uri] = entry.contact
-            result.crls.update(entry.crls)
-            result.roas.append((entry.selected_uri, entry.roas))
-            if entry.children:
-                depth += 1
-                stack.extend((child, depth) for child in reversed(entry.children))
-
-
-def _severities(issues) -> tuple:
-    """(severity, count) per severity *issues* has, in Severity order."""
-    severities = list(map(attrgetter("severity"), issues))
-    return tuple((severity, count) for severity in Severity
-                 if (count := severities.count(severity)))
 
 
 class _PointCopy:

@@ -44,21 +44,15 @@ from ..rpki.cert import ResourceCertificate
 from ..telemetry import MetricsRegistry, default_registry
 from .incremental import IncrementalState
 from .origin import OriginValidationOutcome, validate
-from .pathval import PathValidator, ValidationRun, ValidationWalk
+from .pathval import PathValidator, ValidationRun
 from .states import Route, RouteValidity
 from .vrp import VRP, VrpSet
+from .walk import ValidationWalk
 
 __all__ = ["RelyingParty", "RefreshReport", "DegradationReport"]
 
 # Called with a refresh's net (announced, withdrawn).
 DeltaListener = Callable[[tuple[VRP, ...], tuple[VRP, ...]], None]
-
-# Issue codes that mean "this object's bytes were rejected and the object
-# was excluded while its siblings kept validating" — the containment
-# outcomes a DegradationReport aggregates.
-_QUARANTINE_CODES = frozenset({
-    "parse-failed", "object-quarantined", "crl-parse-failed", "hash-mismatch",
-})
 
 
 @dataclass
@@ -211,8 +205,6 @@ class RelyingParty:
         )
         self._clock = fetcher.clock
         self._last_run: ValidationRun | None = None
-        # The state's last assembled run and its containment outcomes.
-        self._contained: tuple[object, tuple[list, list]] = (None, ([], []))
         self._subscribers: list[DeltaListener] = []
         self._m_refreshes = self.metrics.counter(
             "repro_rp_refresh_total", help="completed refresh cycles"
@@ -314,12 +306,8 @@ class RelyingParty:
         report.freshness = cache.classify(clock.now)
         report.run = run
         report.announced, report.withdrawn = run.announced, run.withdrawn
-        # Worked out once per assembled run: a walk that judged the same
-        # results returns the same one.
-        if self._contained[0] is not state.assembled:
-            self._contained = (state.assembled, self._containment(run.issues))
         report.degradation = self._degradation(
-            self._contained[1], failed, report.deferred
+            state.assembled.contained, failed, report.deferred
         )
         self._last_run = run
         self._m_refreshes.inc()
@@ -393,21 +381,6 @@ class RelyingParty:
         self.metrics.close(fetch, clock.now)
 
     @staticmethod
-    def _containment(
-        issues: list,
-    ) -> tuple[list[tuple[str, str, str]], list[tuple[str, str]]]:
-        """A run's containment outcomes: ``(point URI, file name, code)``
-        per object it excluded, ``(point URI, code)`` per point whose
-        validation was contained whole."""
-        objects, points = [], []
-        for issue in issues:
-            if issue.code in _QUARANTINE_CODES:
-                objects.append((issue.point_uri, issue.file_name, issue.code))
-            elif issue.code == "point-quarantined":
-                points.append((issue.point_uri, issue.code))
-        return objects, points
-
-    @staticmethod
     def _degradation(
         contained: tuple[list, list],
         failed: list[tuple[str, str]],
@@ -415,8 +388,9 @@ class RelyingParty:
     ) -> DegradationReport:
         """Aggregate this cycle's containment outcomes.
 
-        *contained* is the run's :meth:`_containment`, *failed* the
-        ``(URI, status)`` of each fetch that did not succeed.  Every
+        *contained* is the run's containment outcomes, as the walk
+        assembled them; *failed* the ``(URI, status)`` of each fetch
+        that did not succeed.  Every
         degraded point appears exactly once: a point both quarantined
         by validation *and* failing its fetch (a composed timing +
         Byzantine fault) is still one degraded point, reported under its

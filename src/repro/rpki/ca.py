@@ -108,12 +108,10 @@ class CertificateAuthority:
         *,
         handle: str,
         ip_resources: ResourceSet,
-        as_resources: AsnSet | None = None,
         clock: Clock,
         key_factory: KeyFactory,
         sia: str = "",
         publication_point: PublicationTarget | None = None,
-        validity: int = 2 * YEAR,
     ) -> "CertificateAuthority":
         """Create a root authority with a self-signed certificate.
 
@@ -129,10 +127,10 @@ class CertificateAuthority:
             subject=handle,
             subject_key=key.public,
             ip_resources=ip_resources,
-            as_resources=as_resources,
+            as_resources=None,
             serial=0,
             not_before=now,
-            not_after=now + validity,
+            not_after=now + 2 * YEAR,
             sia=sia or f"rsync://{handle.lower()}/repo/",
             crldp="",
             is_ca=True,
@@ -233,9 +231,7 @@ class CertificateAuthority:
         handle: str,
         ip_resources: ResourceSet,
         *,
-        as_resources: AsnSet | None = None,
         sia: str | None = None,
-        validity: int = _DEFAULT_RC_VALIDITY,
         publication_point: PublicationTarget | None = None,
     ) -> "CertificateAuthority":
         """Create a child authority: new key, new RC, new publication point.
@@ -251,9 +247,9 @@ class CertificateAuthority:
             subject=handle,
             subject_public_key=child_key.public,
             ip_resources=ip_resources,
-            as_resources=as_resources,
+            as_resources=None,
             sia=child_sia,
-            validity=validity,
+            validity=_DEFAULT_RC_VALIDITY,
         )
         child = CertificateAuthority(
             handle=handle,
@@ -457,8 +453,6 @@ class CertificateAuthority:
         self,
         child_key_id: str,
         new_ip_resources: ResourceSet,
-        *,
-        validity: int = _DEFAULT_RC_VALIDITY,
     ) -> ResourceCertificate:
         """Overwrite a child's RC with one for different (usually smaller)
         resources — same subject, same key, same file name, new serial.
@@ -477,7 +471,7 @@ class CertificateAuthority:
             as_resources=old.as_resources,
             sia=old.sia,
             sia_mirrors=list(old.sia_mirrors),
-            validity=validity,
+            validity=_DEFAULT_RC_VALIDITY,
         )
         if child is not None:
             child.certificate = new_cert

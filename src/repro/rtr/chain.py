@@ -149,16 +149,14 @@ class CacheChain:
         """The far edge of the fan-out — furthest from validation."""
         return list(self._tiers[-1])
 
-    def pump(self, rounds: int | None = None) -> None:
+    def pump(self) -> None:
         """Propagate the root's current set down every tier.
 
         One round moves data roughly half a tier (query up, burst
-        down), so the default round count covers full propagation from
+        down), so ``2 * tiers + 2`` rounds cover full propagation from
         a cold start; idle rounds cost only empty mux ticks.
         """
-        if rounds is None:
-            rounds = 2 * self.tiers + 2
-        for _ in range(rounds):
+        for _ in range(2 * self.tiers + 2):
             self.root.process()
             for tier in self._tiers:
                 for cache in tier:

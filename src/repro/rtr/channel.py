@@ -54,16 +54,12 @@ class Channel:
         if self._listener is not None:
             self._listener()
 
-    def receive(self, limit: int | None = None) -> bytes:
-        """Drain up to *limit* buffered bytes (all of them by default)."""
+    def receive(self) -> bytes:
+        """Drain every buffered byte."""
         if self._closed and not self._buffer:
             raise ChannelClosed("receive on closed, drained channel")
-        if limit is None or limit >= len(self._buffer):
-            data = bytes(self._buffer)
-            self._buffer.clear()
-            return data
-        data = bytes(self._buffer[:limit])
-        del self._buffer[:limit]
+        data = bytes(self._buffer)
+        self._buffer.clear()
         return data
 
     def pending(self) -> int:

@@ -10,7 +10,8 @@ be wrong on both.  This module reaches the same verdicts a second way:
   previous parser, on the reference codec) and held to the profile the
   shipped readers enforce, as ``test_parse_differential.tightening``
   states it;
-- nothing comes from ``repro.rp.pathval`` or ``repro.rp.incremental``;
+- nothing comes from ``repro.rp.pathval``, ``repro.rp.walk`` or
+  ``repro.rp.incremental``;
 - the tree is walked by recursive descent from the trust anchors, with
   no memo, no rows, no replay, no time signature and no worklist;
 - a publication point is judged by straight-line checks: copy selection,

@@ -169,37 +169,43 @@ class TestComposedFaultDegradation:
         object_counts = Counter(report.degradation.quarantined_objects)
         assert all(n == 1 for n in object_counts.values())
 
-    def test_degradation_dedupes_across_all_sources(self):
+    def test_degradation_dedupes_across_all_sources(self, world,
+                                                    monkeypatch):
         from repro.repository import FetchResult, FetchStatus
-        from repro.rp.pathval import Severity, ValidationIssue
+        from repro.rp import PathValidator
         from repro.rp.relying_party import RelyingParty as RP
 
-        uri = "rsync://composed.example/repo/"
+        # A point whose validation raises is contained whole; the walk
+        # classifies that once, with the run it assembles.
+        validate = PathValidator._validate_point
 
-        class FakeRun:
-            issues = [
-                ValidationIssue(Severity.ERROR, uri, "", "point-quarantined",
-                                "validation raised ValueError: boom"),
-                ValidationIssue(Severity.ERROR, uri, "", "point-quarantined",
-                                "validation raised ValueError: again"),
-            ]
+        def boom(self, ca_cert, *args):
+            if ca_cert.sia == CONTINENTAL:
+                raise ValueError("boom")
+            return validate(self, ca_cert, *args)
 
-        fetch = FetchResult(uri, FetchStatus.TIMEOUT, fetched_at=0)
-        degradation = RP._degradation(RP._containment(FakeRun.issues),
+        monkeypatch.setattr(PathValidator, "_validate_point", boom)
+        rp = make_rp(world)
+        rp.refresh()
+        contained = rp.incremental_state.assembled.contained
+        assert contained[1] == ((CONTINENTAL, "point-quarantined"),)
+        fetch = FetchResult(CONTINENTAL, FetchStatus.TIMEOUT, fetched_at=0)
+        degradation = RP._degradation(contained,
                                       [(fetch.uri, fetch.status.value)],
-                                      deferred=[uri])
+                                      deferred=[CONTINENTAL])
         # Three sources, one entry — first-seen (quarantine) reason wins.
-        assert degradation.degraded_points == [(uri, "point-quarantined")]
+        assert degradation.degraded_points == [
+            (CONTINENTAL, "point-quarantined")]
 
-    def test_deferred_only_point_reports_budget_deferred(self):
+    def test_deferred_only_point_reports_budget_deferred(self, world):
         from repro.rp.relying_party import RelyingParty as RP
 
-        class CleanRun:
-            issues = []
-
+        rp = make_rp(world)
+        rp.refresh()
+        contained = rp.incremental_state.assembled.contained
+        assert contained == ((), ())
         uri = "rsync://slow.example/repo/amp0/"
-        degradation = RP._degradation(RP._containment(CleanRun.issues), [],
-                                      deferred=[uri])
+        degradation = RP._degradation(contained, [], deferred=[uri])
         assert degradation.degraded_points == [(uri, "budget-deferred")]
 
 

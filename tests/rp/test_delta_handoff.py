@@ -259,7 +259,7 @@ def test_a_refresh_that_raises_leaves_the_previous_epoch(monkeypatch):
     harness.issue("etb", "63.168.0.0/17", 64500)
     harness.issue("continental", "63.174.24.0/24", 64501)
 
-    judge, calls = rp.validator._judge_point, []
+    judge, calls = rp.validator.judge, []
 
     # A refresh judges only the two changed points: the second raises.
     def judge_then_fail(*args, **kwargs):
@@ -269,7 +269,7 @@ def test_a_refresh_that_raises_leaves_the_previous_epoch(monkeypatch):
         return judge(*args, **kwargs)
 
     with monkeypatch.context() as patch:
-        patch.setattr(rp.validator, "_judge_point", judge_then_fail)
+        patch.setattr(rp.validator, "judge", judge_then_fail)
         with pytest.raises(RuntimeError, match="injected"):
             rp.refresh()
     assert heard == []

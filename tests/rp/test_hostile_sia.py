@@ -3,7 +3,7 @@
 The paper's adversary misuses its *own* key: Sprint can validly sign a
 child certificate whose ``sia`` (or one ``sia_mirrors`` entry) is junk.
 Before the typed certificate reader judged those fields, the walk tried
-to normalize them outside ``_judge_point``'s containment and
+to normalize them outside ``PathValidator.judge``'s containment and
 ``UriError`` escaped ``RelyingParty.refresh()`` and
 ``PathValidator.run`` on every cycle for as long as the file stayed
 published.  Now such a certificate is a ``parse-failed`` issue at its

@@ -6,7 +6,7 @@ party polls every publication point on every refresh: the fetch round
 point still at the serial the cache holds costs its serial check and
 little else.  Nothing after it need be per point.  An idle refresh
 reads no point from its cache, judges no point (no
-``IncrementalState.lookup``) and no trust anchor, re-assembles no run
+``ValidationWalk._lookup``) and no trust anchor, re-assembles no run
 (no ``ValidationWalk._emit``) and books the clean points in bulk, so its
 Python calls outside the fetch round stay flat as the world grows: one
 idle refresh each of a world and of one four times as wide, counted in
@@ -18,8 +18,7 @@ from functools import cache
 
 from repro.repository import Fetcher
 from repro.rp import PathValidator, RelyingParty
-from repro.rp.pathval import ValidationWalk
-from repro.rp.incremental import IncrementalState
+from repro.rp.walk import ValidationWalk
 from repro.telemetry import MetricsRegistry
 
 from ..telemetry.test_tracing import flat_world
@@ -28,7 +27,7 @@ from ..test_authority_cardinalities import calls_by_function
 # Python calls per polled unchanged point (8.0 on CPython 3.11, where
 # the fetcher that resolved each URI on every poll, hashed its status
 # and read the clock three times made 20.0), and calls outside the poll
-# (101, where judging every trust anchor again made 157).
+# (100, where judging every trust anchor again made 157).
 POLL_CALLS_PER_POINT = 8.8
 CALLS_OUTSIDE_POLL = 111
 
@@ -61,11 +60,11 @@ def test_an_idle_refresh_outside_its_poll_is_flat_in_points():
     assert wide_points >= 2 * narrow_points
     for calls in (narrow, wide):
         # No per-point clean check and no re-assembled run.
-        assert calls[IncrementalState.lookup.__code__] == 0
+        assert calls[ValidationWalk._lookup.__code__] == 0
         assert calls[ValidationWalk._emit.__code__] == 0
-        assert calls[PathValidator._judge_point.__code__] == 0
+        assert calls[PathValidator.judge.__code__] == 0
         # The trust anchors' verdicts are the last walk's.
-        assert calls[PathValidator._anchor_issue.__code__] == 0
+        assert calls[PathValidator.anchor_issue.__code__] == 0
     assert wide.total() <= 1.1 * narrow.total(), (
         narrow.total(), wide.total())
     assert wide.total() <= CALLS_OUTSIDE_POLL, wide.total()

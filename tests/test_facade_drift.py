@@ -95,6 +95,36 @@ def test_lint_reads_every_subpackage_all(monkeypatch, tmp_path):
     ]
 
 
+class Pump:
+    """A facade class whose method options the fixture below sets, or not."""
+
+    def pump(self, rounds=None, *, limit=None):
+        """Set by a bare-name call alone, and by an attribute call."""
+
+    def drain(self, limit=None):
+        """Set by no call."""
+
+
+def test_lint_reaches_a_method_option_only_through_an_attribute(
+        monkeypatch, tmp_path):
+    import repro
+
+    monkeypatch.setattr(repro, "Pump", Pump, raising=False)
+    monkeypatch.setattr(repro, "__all__", repro.__all__ + ["Pump"])
+    (tmp_path / "caller.py").write_text(
+        "pump(cache, 3)\n"              # a helper of the same name
+        "chain.pump(limit=2)\n"         # sets limit, through an attribute
+        "chain.drain(None)\n"           # restates limit's default
+    )
+    problems = check_facade.check_options(allowlist={}, roots=(tmp_path,))
+    assert [p for p in problems if "Pump." in p] == [
+        "option Pump.pump.rounds is set by no call outside tests/: make it "
+        "a constant, or give it an OPTION_ALLOWLIST row with a reason",
+        "option Pump.drain.limit is set by no call outside tests/: make it "
+        "a constant, or give it an OPTION_ALLOWLIST row with a reason",
+    ]
+
+
 def test_every_definition_has_a_caller():
     problems = check_facade.check_definitions()
     assert problems == [], "\n".join(problems)

@@ -7,6 +7,7 @@ belongs to a package the table does not name.  The lint is AST based:
 it must keep working even when the package itself fails to import.
 """
 
+import ast
 import pathlib
 import sys
 import textwrap
@@ -22,6 +23,40 @@ import check_layers  # noqa: E402
 def test_repo_imports_go_down_the_layer_table():
     problems = check_layers.check_all()
     assert problems == [], "\n".join(problems)
+
+
+def _imports_of_the_walk(tree):
+    """Every import statement under *tree* that reaches ``repro.rp.walk``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            if (node.module == "repro.rp.walk"
+                    or (node.level == 1 and node.module == "walk")
+                    or (node.level == 1 and node.module is None
+                        and "walk" in names)
+                    or (node.module == "repro.rp" and "walk" in names)):
+                yield node
+        elif isinstance(node, ast.Import) and any(
+                alias.name.startswith("repro.rp.walk") for alias in node.names):
+            yield node
+
+
+def test_the_judge_imports_the_walk_only_inside_run():
+    """The judge (``repro.rp.pathval``) does not know the walk: its one
+    import of ``repro.rp.walk`` is in ``PathValidator.run``, which stays
+    on the validator while ``benchmarks/e2e/stack.py`` times it there."""
+    path = TOOLS.parent / "src" / "repro" / "rp" / "pathval.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    validator = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "PathValidator")
+    run = next(node for node in validator.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    inside = set(map(id, _imports_of_the_walk(run)))
+    outside = [node.lineno for node in _imports_of_the_walk(tree)
+               if id(node) not in inside]
+    assert outside == []
+    assert len(inside) == 1
 
 
 def test_order_is_the_documented_table():

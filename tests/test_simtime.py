@@ -106,15 +106,6 @@ class TestRtrChannel:
         assert channel.receive() == b"hello world"
         assert channel.receive() == b""
 
-    def test_receive_with_limit(self):
-        from repro.rtr import Channel
-
-        channel = Channel()
-        channel.send(b"abcdef")
-        assert channel.receive(limit=2) == b"ab"
-        assert channel.pending() == 4
-        assert channel.receive() == b"cdef"
-
     def test_closed_semantics(self):
         from repro.rtr import Channel, ChannelClosed
 

@@ -63,7 +63,7 @@ TOP_LEVEL_PAGES = (
 # Most lines each docs/*.md page may have (check 7): its length when the
 # cap was last set.
 LINE_CAPS = {
-    "API.md": 887,
+    "API.md": 892,
     "api_service.md": 179,
     "architecture.md": 217,
     "chaos.md": 115,
